@@ -15,20 +15,17 @@
 //!   metadata update per slice (phantoms carry no driver to update; as a
 //!   fraction of the full roster the churn is correspondingly smaller).
 //!
-//! Every scenario runs at least twice — serial (`workers = 1`) and
-//! parallel (`workers ≥ 2`) — and the runs must produce **identical
-//! fingerprints** (event trace, telemetry totals, every member table).
-//! That determinism check is a hard gate at every size; the speed-up
-//! ratio is only gated when the host actually has more than one core
-//! (CI containers often don't, and on one core the lane scheduler's
-//! channel hops are pure overhead).
+//! Every scenario runs twice with one seed and the two runs must
+//! produce **identical fingerprints** (event trace, telemetry totals,
+//! every member table). That determinism check is a hard gate at every
+//! size.
 //!
 //! Anti-entropy is disabled (`push_pull_interval = None`) for these
 //! slices: a 30 s push-pull at 100 k members is an O(total) stream
 //! exchange that would dominate any 100 ms slice it lands in, and the
 //! push-pull plane has its own benchmark (`micro.rs::bench_push_pull`)
 //! with delta-sync gates. The slices here isolate the probe/gossip/timer
-//! hot path that the sharded membership plane and parallel lanes serve.
+//! hot path.
 //!
 //! The 5 000-member scenario always runs (CI push gate). The 20 000 and
 //! 100 000 scenarios run when `LIFEGUARD_BENCH_SCALE=full` is set
@@ -36,7 +33,7 @@
 //! entries (~10 GB live) and is too heavy for every push.
 //!
 //! Results are written to `target/BENCH_cluster.json` for CI's
-//! independent re-check and for `docs/PERFORMANCE.md` §9.
+//! independent re-check; `docs/PERFORMANCE.md` §9 points at that file.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -120,8 +117,8 @@ fn fingerprint(c: &Cluster) -> u64 {
     }
     eat(format!("{:?}", c.telemetry().total()).as_bytes());
     for i in 0..c.len() {
-        // Iteration order is a pure function of table state (shard count
-        // is fixed within a comparison), so no sort is needed.
+        // Iteration order is a pure function of table state, so no sort
+        // is needed.
         for m in c.node(i).members() {
             eat(m.name.as_str().as_bytes());
             eat(&[m.state as u8]);
@@ -135,7 +132,6 @@ fn fingerprint(c: &Cluster) -> u64 {
 // Scenario
 // ---------------------------------------------------------------------
 
-const SHARDS: usize = 8;
 const QUIESCE: Duration = Duration::from_secs(3);
 const SLICE: Duration = Duration::from_millis(100);
 const SLICES: usize = 5;
@@ -152,10 +148,8 @@ struct RunResult {
 }
 
 /// One full measured run: build, quiesce, steady slices, churn slices.
-/// The schedule is identical for every `workers` value, so fingerprints
-/// are directly comparable.
-fn run_scenario(real: usize, phantoms: usize, workers: usize, seed: u64) -> RunResult {
-    let mut cfg = Config::lan().lifeguard().with_shards(SHARDS);
+fn run_scenario(real: usize, phantoms: usize, seed: u64) -> RunResult {
+    let mut cfg = Config::lan().lifeguard();
     cfg.push_pull_interval = None; // benched separately; see module doc
     let before = live_bytes();
     let t0 = Instant::now();
@@ -164,7 +158,6 @@ fn run_scenario(real: usize, phantoms: usize, workers: usize, seed: u64) -> RunR
         .seed(seed)
         .full_mesh(true)
         .phantom_members(phantoms)
-        .workers(workers)
         .build();
     let build_secs = t0.elapsed().as_secs_f64();
     let cluster_bytes = live_bytes().saturating_sub(before);
@@ -213,9 +206,9 @@ fn run_scenario(real: usize, phantoms: usize, workers: usize, seed: u64) -> RunR
 // ---------------------------------------------------------------------
 
 struct Gates {
-    /// Ceiling for one serial steady-state 100 ms slice, seconds.
+    /// Ceiling for one steady-state 100 ms slice, seconds.
     steady_slice_secs: f64,
-    /// Ceiling for one serial churn 100 ms slice, seconds.
+    /// Ceiling for one churn 100 ms slice, seconds.
     churn_slice_secs: f64,
     /// Ceiling for live heap bytes per member-table entry.
     bytes_per_entry: f64,
@@ -225,10 +218,9 @@ struct SizeReport {
     label: &'static str,
     real: usize,
     phantoms: usize,
-    serial: RunResult,
-    /// (workers, run) for each parallel worker count tested.
-    parallel: Vec<(usize, RunResult)>,
+    run: RunResult,
     bytes_per_entry: f64,
+    /// Whether a second run of the same seed reproduced the fingerprint.
     deterministic: bool,
 }
 
@@ -236,60 +228,48 @@ fn measure_size(
     label: &'static str,
     real: usize,
     phantoms: usize,
-    parallel_workers: &[usize],
     seed: u64,
     gates: &Gates,
-    cores: usize,
 ) -> SizeReport {
     let total = real + phantoms;
-    eprintln!("cluster/{label}: building {real} real + {phantoms} phantom members (serial)…");
-    let serial = run_scenario(real, phantoms, 1, seed);
+    eprintln!("cluster/{label}: building {real} real + {phantoms} phantom members…");
+    let run = run_scenario(real, phantoms, seed);
     let entries = (real as u64 * total as u64) as f64;
-    let bytes_per_entry = serial.cluster_bytes as f64 / entries;
+    let bytes_per_entry = run.cluster_bytes as f64 / entries;
     eprintln!(
         "cluster/{label}: build {:.2}s, {:.0} B/table-entry, steady {:.1} ms/slice, \
-         churn {:.1} ms/slice (serial)",
-        serial.build_secs,
+         churn {:.1} ms/slice",
+        run.build_secs,
         bytes_per_entry,
-        serial.steady_slice_secs * 1e3,
-        serial.churn_slice_secs * 1e3,
+        run.steady_slice_secs * 1e3,
+        run.churn_slice_secs * 1e3,
     );
 
-    let mut parallel = Vec::new();
-    let mut deterministic = true;
-    for &w in parallel_workers {
-        let run = run_scenario(real, phantoms, w, seed);
-        let same = run.fingerprint == serial.fingerprint;
-        deterministic &= same;
-        eprintln!(
-            "cluster/{label}: workers={w} steady {:.1} ms/slice ({:.2}× serial), \
-             fingerprint {}",
-            run.steady_slice_secs * 1e3,
-            serial.steady_slice_secs / run.steady_slice_secs.max(1e-12),
-            if same { "identical" } else { "DIVERGED" },
-        );
-        parallel.push((w, run));
-    }
+    let rerun = run_scenario(real, phantoms, seed);
+    let deterministic = rerun.fingerprint == run.fingerprint;
+    eprintln!(
+        "cluster/{label}: rerun steady {:.1} ms/slice, fingerprint {}",
+        rerun.steady_slice_secs * 1e3,
+        if deterministic { "identical" } else { "DIVERGED" },
+    );
 
     // Hard gates. Determinism is unconditional; wall-clock and memory
     // ceilings are generous (≈3–5× a warm local run) so they trip on
-    // asymptotic regressions, not scheduler noise; the speed-up ratio
-    // only gates on genuinely multi-core hosts.
+    // asymptotic regressions, not scheduler noise.
     assert!(
         deterministic,
-        "cluster/{label}: parallel execution diverged from serial — \
-         worker count must be unobservable"
+        "cluster/{label}: two runs of seed {seed:#x} produced different fingerprints"
     );
     assert!(
-        serial.steady_slice_secs <= gates.steady_slice_secs,
+        run.steady_slice_secs <= gates.steady_slice_secs,
         "cluster/{label}: steady 100 ms slice took {:.3}s (gate {:.3}s)",
-        serial.steady_slice_secs,
+        run.steady_slice_secs,
         gates.steady_slice_secs,
     );
     assert!(
-        serial.churn_slice_secs <= gates.churn_slice_secs,
+        run.churn_slice_secs <= gates.churn_slice_secs,
         "cluster/{label}: churn 100 ms slice took {:.3}s (gate {:.3}s)",
-        serial.churn_slice_secs,
+        run.churn_slice_secs,
         gates.churn_slice_secs,
     );
     assert!(
@@ -298,24 +278,12 @@ fn measure_size(
          (gate {:.0})",
         gates.bytes_per_entry,
     );
-    if cores > 1 {
-        if let Some((w, run)) = parallel.first() {
-            assert!(
-                run.steady_slice_secs <= serial.steady_slice_secs * 1.5,
-                "cluster/{label}: workers={w} steady slice {:.3}s is >1.5× serial \
-                 {:.3}s on a {cores}-core host",
-                run.steady_slice_secs,
-                serial.steady_slice_secs,
-            );
-        }
-    }
 
     SizeReport {
         label,
         real,
         phantoms,
-        serial,
-        parallel,
+        run,
         bytes_per_entry,
         deterministic,
     }
@@ -324,7 +292,6 @@ fn measure_size(
 fn json_for(reports: &[SizeReport], cores: usize) -> String {
     let mut out = String::from("{\n  \"bench\": \"cluster\",\n");
     out.push_str(&format!("  \"cores\": {cores},\n"));
-    out.push_str(&format!("  \"shards\": {SHARDS},\n"));
     out.push_str("  \"slice_ms\": 100,\n  \"sizes\": [\n");
     for (i, r) in reports.iter().enumerate() {
         let total = r.real + r.phantoms;
@@ -332,32 +299,20 @@ fn json_for(reports: &[SizeReport], cores: usize) -> String {
             "    {{\n      \"label\": \"{}\",\n      \"members\": {},\n      \
              \"real\": {},\n      \"phantoms\": {},\n      \
              \"build_secs\": {:.3},\n      \"bytes_per_table_entry\": {:.1},\n      \
-             \"steady_slice_ms_serial\": {:.3},\n      \
-             \"churn_slice_ms_serial\": {:.3},\n      \"deterministic\": {},\n      \
-             \"parallel\": [",
+             \"steady_slice_ms\": {:.3},\n      \
+             \"churn_slice_ms\": {:.3},\n      \"fingerprint\": \"{:016x}\",\n      \
+             \"deterministic\": {}\n    }}",
             r.label,
             total,
             r.real,
             r.phantoms,
-            r.serial.build_secs,
+            r.run.build_secs,
             r.bytes_per_entry,
-            r.serial.steady_slice_secs * 1e3,
-            r.serial.churn_slice_secs * 1e3,
+            r.run.steady_slice_secs * 1e3,
+            r.run.churn_slice_secs * 1e3,
+            r.run.fingerprint,
             r.deterministic,
         ));
-        for (j, (w, run)) in r.parallel.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "{{\"workers\": {w}, \"steady_slice_ms\": {:.3}, \
-                 \"speedup_vs_serial\": {:.3}, \"fingerprint_matches\": {}}}",
-                run.steady_slice_secs * 1e3,
-                r.serial.steady_slice_secs / run.steady_slice_secs.max(1e-12),
-                run.fingerprint == r.serial.fingerprint,
-            ));
-        }
-        out.push_str("]\n    }");
         out.push_str(if i + 1 < reports.len() { ",\n" } else { "\n" });
     }
     out.push_str("  ]\n}\n");
@@ -379,45 +334,38 @@ fn cluster_group(c: &mut Criterion) {
         "5k",
         5_000,
         0,
-        &[2],
         0x5CA1E,
         &Gates {
             steady_slice_secs: 2.0,
             churn_slice_secs: 3.0,
             bytes_per_entry: 1024.0,
         },
-        cores,
     ));
 
     if full {
-        // 20 000 members: 512 real + phantoms. Worker counts 2 and 4
-        // both pin to the serial fingerprint.
+        // 20 000 members: 512 real + phantoms.
         reports.push(measure_size(
             "20k",
             512,
             19_488,
-            &[2, 4],
             0x20AD5,
             &Gates {
                 steady_slice_secs: 2.0,
                 churn_slice_secs: 3.0,
                 bytes_per_entry: 1024.0,
             },
-            cores,
         ));
         // 100 000 members: the headline size. ~51 M table entries.
         reports.push(measure_size(
             "100k",
             512,
             99_488,
-            &[2],
             0x100AD,
             &Gates {
                 steady_slice_secs: 5.0,
                 churn_slice_secs: 6.0,
                 bytes_per_entry: 1024.0,
             },
-            cores,
         ));
     } else {
         eprintln!("cluster: set LIFEGUARD_BENCH_SCALE=full for the 20k/100k sizes");
@@ -430,7 +378,7 @@ fn cluster_group(c: &mut Criterion) {
 
     // Criterion timing of the warm steady-state slice at the push-CI
     // size, for trend tracking alongside the hard gates above.
-    let mut cfg = Config::lan().lifeguard().with_shards(SHARDS);
+    let mut cfg = Config::lan().lifeguard();
     cfg.push_pull_interval = None;
     let mut cluster = ClusterBuilder::new(5_000)
         .config(cfg)

@@ -669,7 +669,7 @@ fn bench_timers(c: &mut Criterion) {
         })
     });
 
-    // Idle wake-up probing: `next_wake`/`next_deadline` is read on every
+    // Idle wake-up probing: `next_deadline` is read on every
     // runtime loop iteration of every node.
     group.bench_function(BenchmarkId::new("next_deadline", "10k_wheel"), |b| {
         let mut w = TimerWheel::new();
@@ -717,7 +717,7 @@ fn bench_node_tick_10k(c: &mut Criterion) {
         b.iter(|| {
             now += Duration::from_millis(100);
             let mut outputs = 0usize;
-            while let Some(wake) = node.next_wake() {
+            while let Some(wake) = node.next_deadline() {
                 if wake > now {
                     break;
                 }

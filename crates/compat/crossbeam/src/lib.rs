@@ -1,104 +1,7 @@
 //! Offline shim for the `crossbeam` crate: an unbounded MPMC channel
-//! built on `Mutex<VecDeque>` + `Condvar`, and scoped threads built on
-//! `std::thread::scope`. Only the operations the workspace uses are
-//! provided (`send`, `recv`, `recv_timeout`, `try_recv`, `try_iter`;
-//! `thread::scope`, `Scope::spawn`, `ScopedJoinHandle::join`).
-
-/// Scoped threads: spawn borrowing threads that are guaranteed joined
-/// before the scope returns.
-///
-/// Mirrors `crossbeam::thread` (the closure receives `&Scope` so nested
-/// spawns work, and `scope` returns a `Result` capturing child panics),
-/// implemented on `std::thread::scope` — which postdates crossbeam's
-/// API and makes the shim a thin wrapper.
-pub mod thread {
-    use std::any::Any;
-
-    /// A scope handle for spawning borrowing threads.
-    #[derive(Clone, Copy)]
-    pub struct Scope<'scope, 'env: 'scope> {
-        inner: &'scope std::thread::Scope<'scope, 'env>,
-    }
-
-    /// Handle to a spawned scoped thread.
-    pub struct ScopedJoinHandle<'scope, T> {
-        inner: std::thread::ScopedJoinHandle<'scope, T>,
-    }
-
-    impl<'scope, T> ScopedJoinHandle<'scope, T> {
-        /// Waits for the thread to finish, returning its panic payload
-        /// as the error if it panicked.
-        pub fn join(self) -> Result<T, Box<dyn Any + Send + 'static>> {
-            self.inner.join()
-        }
-    }
-
-    impl<'scope, 'env> Scope<'scope, 'env> {
-        /// Spawns a thread that may borrow from outside the scope. The
-        /// closure receives the scope again (upstream signature) so it
-        /// can spawn further threads.
-        pub fn spawn<F, T>(&self, f: F) -> ScopedJoinHandle<'scope, T>
-        where
-            F: FnOnce(&Scope<'scope, 'env>) -> T + Send + 'scope,
-            T: Send + 'scope,
-        {
-            let scope = *self;
-            ScopedJoinHandle {
-                inner: self.inner.spawn(move || f(&scope)),
-            }
-        }
-    }
-
-    /// Runs `f` with a scope in which borrowing threads can be spawned;
-    /// every spawned thread is joined before `scope` returns. Returns
-    /// `Err` with the first panic payload if any unjoined child thread
-    /// panicked (like upstream crossbeam; `std::thread::scope` would
-    /// resume the unwind instead).
-    pub fn scope<'env, F, R>(f: F) -> Result<R, Box<dyn Any + Send + 'static>>
-    where
-        F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
-    {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            std::thread::scope(|s| f(&Scope { inner: s }))
-        }))
-    }
-
-    #[cfg(test)]
-    mod tests {
-        #[test]
-        fn scoped_threads_borrow_and_join() {
-            let data = [1u64, 2, 3, 4];
-            let total = super::scope(|s| {
-                let handles: Vec<_> = data
-                    .chunks(2)
-                    .map(|chunk| s.spawn(move |_| chunk.iter().sum::<u64>()))
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).sum::<u64>()
-            })
-            .unwrap();
-            assert_eq!(total, 10);
-        }
-
-        #[test]
-        fn child_panic_surfaces_as_err() {
-            let out = super::scope(|s| {
-                s.spawn(|_| panic!("child failed"));
-            });
-            assert!(out.is_err());
-        }
-
-        #[test]
-        fn nested_spawn_through_scope_arg() {
-            let n = super::scope(|s| {
-                s.spawn(|s2| s2.spawn(|_| 7).join().unwrap())
-                    .join()
-                    .unwrap()
-            })
-            .unwrap();
-            assert_eq!(n, 7);
-        }
-    }
-}
+//! built on `Mutex<VecDeque>` + `Condvar`. Only the operations the
+//! workspace uses are provided (`send`, `recv`, `recv_timeout`,
+//! `try_recv`, `try_iter`).
 
 /// Multi-producer multi-consumer channels.
 pub mod channel {

@@ -33,18 +33,6 @@
 //!   O(selected + skipped) work per packet instead of sorting all n
 //!   queued broadcasts; a running lower bound of the smallest encoded
 //!   message lets it stop as soon as nothing else can fit.
-//!
-//! # Sharding
-//!
-//! Under sustained churn at 100k members the entry map, invalidation
-//! index, and heap each hold up to one item per member; like the
-//! membership table they can be split into S shards (routed by the same
-//! stable FNV-1a hash of the *subject* name) to keep each map and heap
-//! cache-friendly. Selection stays globally exact: ids come from one
-//! monotonic counter, so the selection key `(Reverse(transmits), id)`
-//! is a total order and `fill` repeatedly takes the max over the shard
-//! heap tops — the packed sequence is byte-identical at every shard
-//! count.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -68,71 +56,25 @@ struct QueuedBroadcast {
 
 /// Heap item: `(Reverse(transmits), id)` under max-heap order pops the
 /// least-transmitted entry first, newest (largest id) on ties — the
-/// exact selection key the seed obtained by sorting. Ids are globally
-/// unique, so the order is total even across shards.
+/// exact selection key the seed obtained by sorting. Ids are unique, so
+/// the order is total.
 type HeapItem = (Reverse<u32>, u64);
-
-/// One shard of the queue: the entries whose subject routes here, their
-/// invalidation index, and their slice of the selection heap.
-#[derive(Clone, Debug, Default)]
-struct BroadcastShard {
-    /// Live entries by id. An id missing here but still in the heap is a
-    /// stale heap item (invalidated or re-prioritised) and is dropped
-    /// when it surfaces.
-    // bounded: one live entry per subject member routed here — enqueueing about a known subject retires its predecessor, so |entries| ≤ cluster size
-    entries: HashMap<u64, QueuedBroadcast>,
-    /// The current broadcast id per subject (invalidation index).
-    // bounded: one key per subject member routed here, unlinked on retire — ≤ cluster size
-    by_subject: HashMap<NodeName, u64>,
-    /// Selection order with lazy deletion.
-    // bounded: ≤ |entries| live items plus stale items, which surfacing pops drop; compaction caps stale growth at 2:1
-    heap: BinaryHeap<HeapItem>,
-}
-
-impl BroadcastShard {
-    /// Drops stale/over-limit heap items until the top is a live,
-    /// correctly-prioritised entry, and returns that item without
-    /// popping it. Over-limit entries found on the way are retired
-    /// (the limit shrank below their transmit count).
-    fn peek_valid(&mut self, transmit_limit: u32) -> Option<HeapItem> {
-        loop {
-            let &(Reverse(transmits), id) = self.heap.peek()?;
-            match self.entries.get(&id) {
-                None => {
-                    self.heap.pop(); // invalidated: drop the stale item
-                }
-                Some(e) if e.transmits != transmits => {
-                    self.heap.pop(); // re-prioritised: a fresher item exists
-                }
-                Some(_) if transmits >= transmit_limit => {
-                    self.heap.pop();
-                    self.retire(id);
-                }
-                Some(_) => return Some((Reverse(transmits), id)),
-            }
-        }
-    }
-
-    fn retire(&mut self, id: u64) {
-        if let Some(entry) = self.entries.remove(&id) {
-            // Only unlink the subject if it still points at this entry
-            // (a newer broadcast may have replaced it already).
-            if self.by_subject.get(&entry.subject) == Some(&id) {
-                self.by_subject.remove(&entry.subject);
-            }
-        }
-    }
-}
 
 /// The gossip broadcast queue of one node.
 #[derive(Clone, Debug)]
 pub struct BroadcastQueue {
-    /// At least one shard, fixed at construction; entries are routed by
-    /// a stable hash of their subject name.
-    // bounded: fixed shard count chosen at construction, never grows
-    shards: Vec<BroadcastShard>,
-    /// Monotonic enqueue stamp; larger = newer. Global across shards so
-    /// the selection key stays a total order.
+    /// Live entries by id. An id missing here but still in the heap is a
+    /// stale heap item (invalidated or re-prioritised) and is dropped
+    /// when it surfaces.
+    // bounded: one live entry per subject member — enqueueing about a known subject retires its predecessor, so |entries| ≤ cluster size
+    entries: HashMap<u64, QueuedBroadcast>,
+    /// The current broadcast id per subject (invalidation index).
+    // bounded: one key per subject member, unlinked on retire — ≤ cluster size
+    by_subject: HashMap<NodeName, u64>,
+    /// Selection order with lazy deletion.
+    // bounded: ≤ |entries| live items plus stale items, which surfacing pops drop; compaction caps stale growth at 2:1
+    heap: BinaryHeap<HeapItem>,
+    /// Monotonic enqueue stamp; larger = newer.
     next_id: u64,
     /// Lower bound on the smallest encoded entry currently queued
     /// (reset when the queue empties); lets `fill` stop early.
@@ -142,59 +84,35 @@ pub struct BroadcastQueue {
     /// entries, matching the seed's retire-every-fill semantics even
     /// when a fill exits before popping them.
     last_limit: u32,
-    /// Cached entry count across shards.
-    len: usize,
 }
 
 impl Default for BroadcastQueue {
     fn default() -> Self {
-        BroadcastQueue::with_shards(1)
+        BroadcastQueue {
+            entries: HashMap::new(),
+            by_subject: HashMap::new(),
+            heap: BinaryHeap::new(),
+            next_id: 0,
+            min_len: usize::MAX,
+            last_limit: 0,
+        }
     }
 }
 
 impl BroadcastQueue {
-    /// Creates an empty single-shard queue.
+    /// Creates an empty queue.
     pub fn new() -> Self {
         BroadcastQueue::default()
     }
 
-    /// Creates an empty queue with `shards` shards (clamped to ≥ 1).
-    /// Like the membership table's shards, the count is invisible to
-    /// every observable behaviour — `fill` packs the same sequence at
-    /// any S.
-    pub fn with_shards(shards: usize) -> Self {
-        BroadcastQueue {
-            shards: vec![BroadcastShard::default(); shards.max(1)],
-            next_id: 0,
-            min_len: usize::MAX,
-            last_limit: 0,
-            len: 0,
-        }
-    }
-
     /// Number of queued broadcasts.
     pub fn len(&self) -> usize {
-        self.len
+        self.entries.len()
     }
 
     /// Whether the queue has nothing to gossip.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The shard a subject routes to (stable FNV-1a, like the
-    /// membership table's routing).
-    fn shard_of(&self, subject: &NodeName) -> usize {
-        if self.shards.len() == 1 {
-            return 0;
-        }
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in subject.as_str().as_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        // lint: allow(panic_path) — `shards` is non-empty (clamped to >= 1) and never resized, so the divisor is never zero
-        (h % self.shards.len() as u64) as usize
+        self.entries.is_empty()
     }
 
     /// Enqueues a gossip message, invalidating any queued broadcast about
@@ -209,23 +127,18 @@ impl BroadcastQueue {
             return;
         };
         let encoded = codec::encode_message(&msg);
-        if self.len == 0 {
+        if self.entries.is_empty() {
             self.min_len = usize::MAX;
         }
         self.min_len = self.min_len.min(encoded.len());
         let id = self.next_id;
         self.next_id += 1;
-        let si = self.shard_of(&subject);
-        // lint: allow(panic_path) — `shard_of` yields `hash % shards.len()` (0 for one shard); `shards` is non-empty and never resized
-        let shard = &mut self.shards[si];
-        if let Some(old) = shard.by_subject.insert(subject.clone(), id) {
+        if let Some(old) = self.by_subject.insert(subject.clone(), id) {
             // The superseded broadcast stops existing now; its heap item
             // is discarded lazily when it surfaces.
-            if shard.entries.remove(&old).is_some() {
-                self.len -= 1;
-            }
+            self.entries.remove(&old);
         }
-        shard.entries.insert(
+        self.entries.insert(
             id,
             QueuedBroadcast {
                 subject,
@@ -234,14 +147,13 @@ impl BroadcastQueue {
                 transmits: 0,
             },
         );
-        self.len += 1;
-        shard.heap.push((Reverse(0), id));
+        self.heap.push((Reverse(0), id));
         // Stale items (from invalidations of rarely-selected subjects)
         // are normally discarded as they surface, but sustained churn
         // can strand them below fresher entries forever; compact once
         // they outnumber live entries 2:1.
-        if shard.heap.len() > 2 * shard.entries.len() + 16 {
-            shard.heap = shard
+        if self.heap.len() > 2 * self.entries.len() + 16 {
+            self.heap = self
                 .entries
                 .iter()
                 .map(|(&id, e)| (Reverse(e.transmits), id))
@@ -252,9 +164,8 @@ impl BroadcastQueue {
     /// The queued message about `subject`, if any (used by tests and
     /// introspection). O(1).
     pub fn queued_for(&self, subject: &NodeName) -> Option<&Message> {
-        let shard = &self.shards[self.shard_of(subject)];
-        let id = shard.by_subject.get(subject)?;
-        shard.entries.get(id).map(|q| &q.msg)
+        let id = self.by_subject.get(subject)?;
+        self.entries.get(id).map(|q| &q.msg)
     }
 
     /// Fills `builder` with as many queued broadcasts as fit, preferring
@@ -294,64 +205,35 @@ impl BroadcastQueue {
         if transmit_limit < self.last_limit {
             // O(n), but only on the rare downward log10(n) boundary
             // crossing; over-limit entries surfacing during normal
-            // fills are retired lazily in `peek_valid`.
-            for si in 0..self.shards.len() {
-                // lint: allow(panic_path) — `si` iterates `0..shards.len()`; `shards` never shrinks
-                let over: Vec<u64> = self.shards[si]
-                    .entries
-                    .iter()
-                    .filter(|(_, e)| e.transmits >= transmit_limit)
-                    .map(|(&id, _)| id)
-                    .collect();
-                for id in over {
-                    // lint: allow(panic_path) — `si` iterates `0..shards.len()`; `shards` never shrinks
-                    self.shards[si].retire(id);
-                    self.len -= 1;
-                }
+            // fills are retired lazily in `pop_valid`.
+            let over: Vec<u64> = self
+                .entries
+                .iter()
+                .filter(|(_, e)| e.transmits >= transmit_limit)
+                .map(|(&id, _)| id)
+                .collect();
+            for id in over {
+                self.retire(id);
             }
         }
         self.last_limit = transmit_limit;
         // Entries selected this fill are re-queued only after the loop,
         // so no broadcast is packed twice into one packet.
-        let mut requeue: Vec<(usize, HeapItem)> = Vec::new();
-        loop {
-            // Global selection: the max over the shard heap tops. Ids
-            // are globally unique so this is the exact order a single
-            // flat heap would pop in, independent of the shard count.
-            let mut best: Option<(usize, HeapItem)> = None;
-            for si in 0..self.shards.len() {
-                // lint: allow(panic_path) — `si` iterates `0..shards.len()`; `shards` never shrinks
-                let popped_limit = self.shards[si].entries.len();
-                // lint: allow(panic_path) — `si` iterates `0..shards.len()`; `shards` never shrinks
-                if let Some(item) = self.shards[si].peek_valid(transmit_limit) {
-                    if best.is_none_or(|(_, b)| item > b) {
-                        best = Some((si, item));
-                    }
-                }
-                // Entries retired by peek_valid (limit shrank below
-                // their count) shrink the global length.
-                // lint: allow(panic_path) — `si` came from `0..shards.len()` in the selection loop above; `shards` never shrinks
-                self.len -= popped_limit - self.shards[si].entries.len();
-            }
-            let Some((si, (Reverse(transmits), id))) = best else {
-                break;
-            };
-            // lint: allow(panic_path) — `si` came from `0..shards.len()` in the selection loop above; `shards` never shrinks
-            self.shards[si].heap.pop();
-            // lint: allow(panic_path) — `si` came from `0..shards.len()` in the selection loop above; `shards` never shrinks
-            let Some(entry) = self.shards[si].entries.get(&id) else {
-                continue; // unreachable: peek_valid just validated it
+        let mut requeue: Vec<HeapItem> = Vec::new();
+        while let Some((Reverse(transmits), id)) = self.pop_valid(transmit_limit) {
+            let Some(entry) = self.entries.get_mut(&id) else {
+                continue; // unreachable: pop_valid just validated it
             };
             if builder.len() >= MAX_COMPOUND_PARTS {
-                requeue.push((si, (Reverse(transmits), id)));
+                requeue.push((Reverse(transmits), id));
                 break;
             }
             if exclude.is_some_and(|ex| &entry.subject == ex) {
-                requeue.push((si, (Reverse(transmits), id)));
+                requeue.push((Reverse(transmits), id));
                 continue;
             }
             if entry.encoded.len() > builder.remaining() {
-                requeue.push((si, (Reverse(transmits), id)));
+                requeue.push((Reverse(transmits), id));
                 if builder.remaining() < self.min_len {
                     break; // nothing queued can be smaller
                 }
@@ -360,40 +242,53 @@ impl BroadcastQueue {
             if builder.try_add_bytes(&entry.encoded) {
                 let after = transmits + copies;
                 if after >= transmit_limit {
-                    // lint: allow(panic_path) — `si` came from `0..shards.len()` in the selection loop above; `shards` never shrinks
-                    self.shards[si].retire(id);
-                    self.len -= 1;
+                    self.retire(id);
                 } else {
-                    debug_invariant!(
-                        self.shards[si].entries.contains_key(&id),
-                        "entry checked above"
-                    );
-                    // lint: allow(panic_path) — `si` came from `0..shards.len()` in the selection loop above; `shards` never shrinks
-                    if let Some(entry) = self.shards[si].entries.get_mut(&id) {
-                        entry.transmits = after;
-                    }
-                    requeue.push((si, (Reverse(after), id)));
+                    entry.transmits = after;
+                    requeue.push((Reverse(after), id));
                 }
             } else {
-                requeue.push((si, (Reverse(transmits), id)));
+                requeue.push((Reverse(transmits), id));
             }
         }
-        for (si, item) in requeue {
-            // lint: allow(panic_path) — every requeued `si` was selected from `0..shards.len()` above; `shards` never shrinks
-            self.shards[si].heap.push(item);
-        }
+        self.heap.extend(requeue);
     }
 
     /// Removes every queued broadcast (used on shutdown).
     pub fn clear(&mut self) {
-        for shard in &mut self.shards {
-            shard.entries.clear();
-            shard.by_subject.clear();
-            shard.heap.clear();
-        }
+        self.entries.clear();
+        self.by_subject.clear();
+        self.heap.clear();
         self.min_len = usize::MAX;
         self.last_limit = 0;
-        self.len = 0;
+    }
+
+    /// Pops stale/over-limit heap items until the top is a live,
+    /// correctly-prioritised entry, and pops and returns that item.
+    /// Over-limit entries found on the way are retired (the limit
+    /// shrank below their transmit count).
+    fn pop_valid(&mut self, transmit_limit: u32) -> Option<HeapItem> {
+        loop {
+            let (Reverse(transmits), id) = self.heap.pop()?;
+            match self.entries.get(&id) {
+                // Invalidated: drop the stale item.
+                None => {}
+                // Re-prioritised: a fresher item exists.
+                Some(e) if e.transmits != transmits => {}
+                Some(_) if transmits >= transmit_limit => self.retire(id),
+                Some(_) => return Some((Reverse(transmits), id)),
+            }
+        }
+    }
+
+    fn retire(&mut self, id: u64) {
+        if let Some(entry) = self.entries.remove(&id) {
+            // Only unlink the subject if it still points at this entry
+            // (a newer broadcast may have replaced it already).
+            if self.by_subject.get(&entry.subject) == Some(&id) {
+                self.by_subject.remove(&entry.subject);
+            }
+        }
     }
 }
 
@@ -647,51 +542,9 @@ mod tests {
         assert!(q.is_empty());
     }
 
-    // ---- shard-count invariance ---------------------------------------
-
-    /// The packed fill sequence must be byte-identical at every shard
-    /// count, across enqueues, invalidations, transmit-limit changes,
-    /// and fan-out charging.
     #[test]
-    fn sharding_packs_identical_sequences() {
-        let run = |shards: usize| -> Vec<Vec<u8>> {
-            let mut q = BroadcastQueue::with_shards(shards);
-            let mut packets = Vec::new();
-            for round in 0..30u64 {
-                for i in 0..8u64 {
-                    if (round + i) % 3 == 0 {
-                        q.enqueue(alive(&format!("node-{}", (round * 3 + i) % 20), round + 1));
-                    }
-                }
-                if round % 7 == 2 {
-                    q.enqueue(suspect(&format!("node-{}", round % 20), "x", round));
-                }
-                let limit = if round < 20 { 6 } else { 3 };
-                let mut b = CompoundBuilder::new(if round % 4 == 0 { 120 } else { 1400 });
-                q.fill_fanout(&mut b, limit, None, if round % 5 == 0 { 3 } else { 1 });
-                packets.push(b.finish().map(|p| p.to_vec()).unwrap_or_default());
-            }
-            // Drain what's left, one roomy packet at a time.
-            loop {
-                let mut b = CompoundBuilder::new(1400);
-                q.fill(&mut b, 3, None);
-                match b.finish() {
-                    Some(p) => packets.push(p.to_vec()),
-                    None => break,
-                }
-            }
-            assert!(q.is_empty());
-            packets
-        };
-        let reference = run(1);
-        for shards in [4, 16] {
-            assert_eq!(run(shards), reference, "fill order diverged at {shards} shards");
-        }
-    }
-
-    #[test]
-    fn sharded_len_tracks_invalidation_and_retirement() {
-        let mut q = BroadcastQueue::with_shards(8);
+    fn len_tracks_invalidation_and_retirement() {
+        let mut q = BroadcastQueue::new();
         for i in 0..20 {
             q.enqueue(alive(&format!("node-{i}"), 1));
         }

@@ -65,10 +65,6 @@ pub enum ConfigError {
     /// pairing could ever stay warm, so anti-entropy would degenerate
     /// to cold full-size exchanges.
     ZeroDeltaSyncPartners,
-    /// `shards` is outside `1..=1024`: zero shards cannot store
-    /// anything, and more than 1024 is per-shard overhead with no
-    /// cache-locality win at any supported cluster size.
-    InvalidShardCount,
 }
 
 impl std::fmt::Display for ConfigError {
@@ -101,7 +97,6 @@ impl std::fmt::Display for ConfigError {
             ConfigError::ZeroDeltaSyncPartners => {
                 "delta_sync_partners must be at least 1 when delta_sync is enabled"
             }
-            ConfigError::InvalidShardCount => "shards must be in 1..=1024",
         };
         f.write_str(msg)
     }
@@ -290,13 +285,6 @@ pub struct Config {
     /// Whether to attempt a stream-transport ("TCP") direct probe in
     /// parallel with indirect probes, like memberlist.
     pub stream_fallback_probe: bool,
-    /// Shard count of the membership table and broadcast queue
-    /// (`1..=1024`). Sharding is observably invisible — same samples,
-    /// same change feed, same gossip packing at any count — it only
-    /// splits the slab/index/heap storage so 100k-member tables stay
-    /// cache-friendly. 1 (the default) keeps the flat layout; large
-    /// tables want 8–16.
-    pub shards: usize,
     /// Which Lifeguard components are enabled.
     pub lifeguard: LifeguardConfig,
 }
@@ -326,7 +314,6 @@ impl Config {
             packet_budget: lifeguard_proto::DEFAULT_PACKET_BUDGET,
             dead_reclaim: Duration::from_secs(300),
             stream_fallback_probe: true,
-            shards: 1,
             lifeguard: LifeguardConfig::swim(),
         }
     }
@@ -391,12 +378,6 @@ impl Config {
     pub fn with_probe_timing(mut self, interval: Duration, timeout: Duration) -> Self {
         self.probe_interval = interval;
         self.probe_timeout = timeout;
-        self
-    }
-
-    /// Sets the membership/broadcast shard count (see [`Config::shards`]).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
         self
     }
 
@@ -516,9 +497,6 @@ impl Config {
             if self.delta_sync_partners == 0 {
                 return Err(ConfigError::ZeroDeltaSyncPartners);
             }
-        }
-        if !(1..=1024).contains(&self.shards) {
-            return Err(ConfigError::InvalidShardCount);
         }
         Ok(())
     }
@@ -644,9 +622,6 @@ mod tests {
             |c| c.delta_sync_partners = 0,
             ConfigError::ZeroDeltaSyncPartners,
         );
-        check(|c| c.shards = 0, ConfigError::InvalidShardCount);
-        check(|c| c.shards = 2048, ConfigError::InvalidShardCount);
-        assert!(Config::lan().with_shards(16).validate().is_ok());
         // The delta knobs are only constrained while delta sync is on.
         let mut off = Config::lan();
         off.delta_sync = false;

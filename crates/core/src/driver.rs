@@ -28,7 +28,7 @@
 //!     .handle(Input::Tick, Time::ZERO, &mut sink)
 //!     .expect("tick is infallible");
 //! assert!(sink.is_empty()); // nothing to send until peers exist
-//! assert!(driver.next_wake().is_some());
+//! assert!(driver.next_deadline().is_some());
 //! ```
 
 use bytes::Bytes;
@@ -251,14 +251,10 @@ impl Driver {
         self.node.release_arena();
     }
 
-    /// When the runtime must next call [`Driver::tick`].
-    pub fn next_wake(&self) -> Option<Time> {
-        self.node.next_wake()
-    }
-
-    /// The wrapped node's exact next timer deadline (see
-    /// [`SwimNode::next_deadline`]): what a readiness-driven runtime
-    /// passes to its poller as the sleep bound, so timers fire on time
+    /// When the runtime must next call [`Driver::tick`]: the wrapped
+    /// node's exact next timer deadline (see
+    /// [`SwimNode::next_deadline`]). A readiness-driven runtime passes
+    /// it to its poller as the sleep bound, so timers fire on time
     /// without a fixed-interval tick thread.
     pub fn next_deadline(&self) -> Option<Time> {
         self.node.next_deadline()

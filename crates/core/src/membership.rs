@@ -5,35 +5,28 @@
 //! fan-out targets). Incarnation-precedence *decisions* live in the node
 //! state machine; this module only stores facts.
 //!
-//! # Sharded layout
+//! # Layout
 //!
-//! Records live in S independent shards (default 1), each a slab
-//! (`Vec<Option<Slot>>` + free list) addressed through a
-//! `HashMap<NodeName, slot>` name index, so lookups are O(1) instead of
-//! the seed's O(log n) `BTreeMap` walk. A member's shard is chosen by a
-//! stable FNV-1a hash of its name, so at 100k members each shard's slab
-//! and index stay small enough to be cache-friendly while the table as a
-//! whole keeps one coherent view. Two **global** dense ref vectors
-//! partition the table by liveness class — `live` (alive | suspect) and
-//! `gone` (dead | left) — and an `alive` counter tracks the strictly
-//! alive subset. That makes [`Membership::live_count`] /
-//! [`Membership::alive_count`] O(1) (they were full O(n) scans, invoked
-//! on every suspicion start and every transmit-limit computation), and
-//! lets [`Membership::sample`] run a *lazy* partial Fisher–Yates over a
-//! pool's dense positions: O(inspected) ≈ O(k) work and no O(n)
-//! candidate `Vec` per call.
+//! Records live in one slab (`Vec<Option<Slot>>` + free list) addressed
+//! through a `HashMap<NodeName, slot>` name index, so lookups are O(1).
+//! Two dense slot-id vectors partition the table by liveness class —
+//! `live` (alive | suspect) and `gone` (dead | left) — and an `alive`
+//! counter tracks the strictly alive subset. That makes
+//! [`Membership::live_count`] / [`Membership::alive_count`] O(1) (they
+//! are invoked on every suspicion start and every transmit-limit
+//! computation), and lets [`Membership::sample`] run a *lazy* partial
+//! Fisher–Yates over a pool's dense positions: O(inspected) ≈ O(k) work
+//! and no O(n) candidate `Vec` per call.
 //!
-//! # Shard-count invariance
+//! # Observable orders
 //!
-//! Sharding is an implementation detail: every observable order is
-//! derived from the global pools, the global `update_seq`, or the name
-//! index — never from shard layout — so the same operation sequence
-//! produces identical results (samples, iteration, `changed_since`) at
-//! any shard count. Concretely: the liveness pools are global (sampling
-//! draws the same seeded stream regardless of S), [`Membership::iter`]
-//! walks pool order, and [`Membership::changed_since`] k-way-merges the
-//! per-shard change logs by the globally unique update seq. The
-//! determinism matrix test in `tests/` pins this across S ∈ {1, 4, 16}.
+//! Every order the API exposes is a function of the operation history
+//! alone: [`Membership::iter`] walks pool order, sampling draws against
+//! pool positions, and [`Membership::changed_since`] walks the change
+//! log — one `(update seq, slot)` entry per stamp, superseded entries
+//! skipped on read and dropped by amortised compaction — newest first.
+//! None of them depends on `HashMap` iteration order, so a seeded run is
+//! reproducible.
 //!
 //! Because the pools are derived from member state, state changes must
 //! go through the table ([`Membership::update`] or
@@ -58,110 +51,68 @@ pub enum SamplePool {
     All,
 }
 
-/// Stable handle to one record: which shard, which slot within it.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-struct MemberRef {
-    shard: u32,
-    slot: u32,
-}
-
 #[derive(Clone, Debug)]
 struct Slot {
     member: Member,
-    /// Position of this record's ref inside its (global) pool vector.
+    /// Position of this record's slot id inside its pool vector.
     pos: usize,
-}
-
-/// One cache-friendly slice of the table. All orders observable through
-/// the public API come from the facade's global structures; a shard only
-/// owns storage, its name index, and its slice of the change log.
-#[derive(Clone, Debug, Default)]
-struct Shard {
-    // bounded: one slot per member routed here (dead members are reaped after the retention horizon), freed slots are recycled via `free`
-    slots: Vec<Option<Slot>>,
-    // bounded: ≤ |slots| — holds only currently-empty slot ids
-    free: Vec<u32>,
-    // bounded: one key per member routed here, removed on reap
-    index: HashMap<NodeName, u32>,
-    /// This shard's slice of the change log: `(seq, slot id)` in
-    /// ascending-seq order (seqs come from the facade's global counter),
-    /// one *live* entry per member of the shard. Stale entries are
-    /// skipped on read and dropped by amortised compaction.
-    // bounded: compaction in `stamp` keeps len ≤ max(64, 2 × shard member count)
-    log: VecDeque<(u64, u32)>,
-}
-
-impl Shard {
-    fn slot(&self, id: u32) -> Option<&Slot> {
-        self.slots.get(id as usize)?.as_ref()
-    }
 }
 
 /// The membership table of a single node.
 ///
 /// The local node itself is stored in the table (as memberlist does), so
 /// `n` counts include self.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Membership {
-    /// At least one shard, fixed at construction.
-    // bounded: fixed shard count chosen at construction, never grows
-    shards: Vec<Shard>,
-    /// Dense refs of alive | suspect members, across all shards.
-    // bounded: ≤ cluster size — one ref per live member
-    live: Vec<MemberRef>,
-    /// Dense refs of dead | left members, across all shards.
-    // bounded: ≤ cluster size — one ref per retained dead/left member, drained by reaping
-    gone: Vec<MemberRef>,
+    // bounded: one slot per member (dead members are reaped after the retention horizon), freed slots are recycled via `free`
+    slots: Vec<Option<Slot>>,
+    // bounded: ≤ |slots| — holds only currently-empty slot ids
+    free: Vec<u32>,
+    // bounded: one key per member, removed on reap
+    index: HashMap<NodeName, u32>,
+    /// The change log: `(seq, slot id)` in ascending-seq order, one
+    /// *live* entry per member. Stale entries are skipped on read and
+    /// dropped by amortised compaction.
+    // bounded: compaction in `stamp` keeps len ≤ max(64, 2 × member count)
+    log: VecDeque<(u64, u32)>,
+    /// Dense slot ids of alive | suspect members.
+    // bounded: ≤ cluster size — one id per live member
+    live: Vec<u32>,
+    /// Dense slot ids of dead | left members.
+    // bounded: ≤ cluster size — one id per retained dead/left member, drained by reaping
+    gone: Vec<u32>,
     /// Number of members in state `Alive` exactly.
     alive: usize,
-    /// Total members across all shards (any state).
-    members: usize,
     /// Monotonically increasing sequence, bumped once per observable
-    /// record change ([`Membership::update_seq`]). Global across shards,
-    /// so merged change-log order is a total order.
+    /// record change ([`Membership::update_seq`]).
     update_seq: u64,
 }
 
-impl Default for Membership {
-    fn default() -> Self {
-        Membership::with_shards(1)
-    }
-}
-
 impl Membership {
-    /// Creates an empty single-shard table.
+    /// Creates an empty table.
     pub fn new() -> Self {
         Membership::default()
     }
 
-    /// Creates an empty table with `shards` shards (clamped to ≥ 1).
-    /// The shard count is invisible to every observable behaviour — see
-    /// the module docs — it only changes the memory layout.
-    pub fn with_shards(shards: usize) -> Self {
-        Membership {
-            shards: vec![Shard::default(); shards.max(1)],
-            live: Vec::new(),
-            gone: Vec::new(),
-            alive: 0,
-            members: 0,
-            update_seq: 0,
-        }
-    }
-
-    /// The fixed shard count chosen at construction.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
+    /// Reserves room for `additional` more members, so a bulk load
+    /// (the simulator's full-mesh bootstrap) grows each structure once
+    /// instead of rehashing and reallocating its way up.
+    pub fn reserve(&mut self, additional: usize) {
+        self.slots.reserve(additional);
+        self.index.reserve(additional);
+        self.log.reserve(additional);
+        self.live.reserve(additional);
     }
 
     /// Number of known members in any state (including dead ones still
     /// retained). O(1).
     pub fn len(&self) -> usize {
-        self.members
+        self.index.len()
     }
 
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.members == 0
+        self.index.is_empty()
     }
 
     /// Number of live (alive or suspect) members, the `n` used for
@@ -177,10 +128,8 @@ impl Membership {
 
     /// Looks up a member by name. O(1).
     pub fn get(&self, name: &NodeName) -> Option<&Member> {
-        // lint: allow(panic_path) — `shard_of` yields `hash % shards.len()` (0 for one shard); `shards` is non-empty (clamped to >= 1) and never resized, so the index is in bounds
-        let shard = &self.shards[self.shard_of(name)];
-        let &id = shard.index.get(name)?;
-        Some(&shard.slot(id)?.member)
+        let &id = self.index.get(name)?;
+        Some(&self.slot(id)?.member)
     }
 
     /// The table's current update sequence: the stamp of the most
@@ -190,27 +139,33 @@ impl Membership {
         self.update_seq
     }
 
-    /// Total change-log entries currently retained across all shards —
-    /// the live cursor set plus stale entries not yet compacted away.
-    /// Lazy per-shard compaction keeps this O(members) regardless of
-    /// how many stamps churn has issued; property tests assert that
-    /// bound. O(S).
+    /// Change-log entries currently retained — the live cursor set plus
+    /// stale entries not yet compacted away. Lazy compaction keeps this
+    /// O(members) regardless of how many stamps churn has issued;
+    /// property tests assert that bound. O(1).
     pub fn retained_log_len(&self) -> usize {
-        self.shards.iter().map(|s| s.log.len()).sum()
+        self.log.len()
     }
 
     /// Members whose record changed after `since` (in this table's own
-    /// sequence space), newest first. O(S + changed): k-way-merges the
-    /// per-shard change logs from their tails by the globally unique
-    /// update seq, skipping superseded entries, so steady-state delta
-    /// generation never touches the unchanged bulk of the table — and
-    /// the merged order is identical at every shard count.
+    /// sequence space), newest first. O(changed): one walk of the change
+    /// log from its tail, skipping superseded entries, so steady-state
+    /// delta generation never touches the unchanged bulk of the table.
     ///
     /// `changed_since(0)` visits every member — a fresh watermark
     /// degenerates to a full-state exchange, which is what makes delta
     /// sync safe to bootstrap from nothing.
     pub fn changed_since(&self, since: u64) -> impl Iterator<Item = &Member> {
-        ChangedSince::new(&self.shards, since)
+        self.log
+            .iter()
+            .rev()
+            .take_while(move |&&(seq, _)| seq > since)
+            .filter_map(|&(seq, id)| {
+                // A missing slot is a removed member; a different seq
+                // means the member was re-stamped later. Both are stale.
+                let member = &self.slot(id)?.member;
+                (member.updated_seq == seq).then_some(member)
+            })
     }
 
     /// Mutates the member named `name` through `f`, keeping the state
@@ -223,12 +178,9 @@ impl Membership {
     /// `f` must not change `member.name` — it is the index key. Use
     /// [`Membership::remove`] + [`Membership::upsert`] to rename.
     pub fn update<T>(&mut self, name: &NodeName, f: impl FnOnce(&mut Member) -> T) -> Option<T> {
-        let si = self.shard_of(name);
-        // lint: allow(panic_path) — `shard_of` yields `hash % shards.len()` (0 for one shard); `shards` is non-empty (clamped to >= 1) and never resized, so the index is in bounds
-        let &id = self.shards[si].index.get(name)?;
-        let r = MemberRef { shard: si as u32, slot: id };
-        debug_invariant!(self.slot(r).is_some(), "membership index points at an empty slot");
-        let slot = self.slot_mut(r)?;
+        let &id = self.index.get(name)?;
+        debug_invariant!(self.slot(id).is_some(), "membership index points at an empty slot");
+        let slot = self.slot_mut(id)?;
         let before = slot.member.state;
         // Snapshot for change-stamping. The meta clone (a refcount
         // bump) keeps the old buffer alive across `f`, so an equal
@@ -248,12 +200,12 @@ impl Membership {
             && std::ptr::eq(before_meta.as_ref().as_ptr(), after_meta.as_ref().as_ptr());
         let meta_changed = !same_buffer && before_meta.as_ref() != after_meta.as_ref();
         debug_assert!(
-            self.slot(r).is_some_and(|s| &s.member.name == name),
+            self.slot(id).is_some_and(|s| &s.member.name == name),
             "update() must not change the member's name (index key)"
         );
-        self.reconcile(r, before, after);
+        self.reconcile(id, before, after);
         if before_key != after_key || meta_changed {
-            self.stamp(r);
+            self.stamp(id);
         }
         Some(out)
     }
@@ -268,17 +220,14 @@ impl Membership {
     /// Inserts or replaces a member record. Returns the previous record.
     /// Always counts as a record change for [`Membership::changed_since`].
     pub fn upsert(&mut self, member: Member) -> Option<Member> {
-        let si = self.shard_of(&member.name);
-        // lint: allow(panic_path) — `shard_of` yields `hash % shards.len()` (0 for one shard); `shards` is non-empty (clamped to >= 1) and never resized, so the index is in bounds
-        if let Some(id) = self.shards[si].index.get(&member.name).copied() {
-            let r = MemberRef { shard: si as u32, slot: id };
-            debug_invariant!(self.slot(r).is_some(), "membership index points at an empty slot");
-            if let Some(slot) = self.slot_mut(r) {
+        if let Some(id) = self.index.get(&member.name).copied() {
+            debug_invariant!(self.slot(id).is_some(), "membership index points at an empty slot");
+            if let Some(slot) = self.slot_mut(id) {
                 let before = slot.member.state;
                 let after = member.state;
                 let prev = std::mem::replace(&mut slot.member, member);
-                self.reconcile(r, before, after);
-                self.stamp(r);
+                self.reconcile(id, before, after);
+                self.stamp(id);
                 return Some(prev);
             }
             // Index pointed at an empty slot (table bug, unreachable in
@@ -287,60 +236,49 @@ impl Membership {
         }
         let name = member.name.clone();
         let state = member.state;
-        // lint: allow(panic_path) — `shard_of` yields `hash % shards.len()` (0 for one shard); `shards` is non-empty (clamped to >= 1) and never resized, so the index is in bounds
-        let shard = &mut self.shards[si];
-        let id = match shard.free.pop() {
+        let id = match self.free.pop() {
             Some(id) => {
-                debug_invariant!((id as usize) < shard.slots.len(), "free-list id out of bounds");
+                debug_invariant!((id as usize) < self.slots.len(), "free-list id out of bounds");
                 // lint: allow(panic_path) — free-list ids come from `remove`, which only ever pushes in-bounds slot ids
-                shard.slots[id as usize] = Some(Slot { member, pos: 0 });
+                self.slots[id as usize] = Some(Slot { member, pos: 0 });
                 id
             }
             None => {
-                shard.slots.push(Some(Slot { member, pos: 0 }));
-                (shard.slots.len() - 1) as u32
+                self.slots.push(Some(Slot { member, pos: 0 }));
+                (self.slots.len() - 1) as u32
             }
         };
-        shard.index.insert(name, id);
-        self.members += 1;
-        let r = MemberRef { shard: si as u32, slot: id };
-        self.pool_push(r, state);
+        self.index.insert(name, id);
+        self.pool_push(id, state);
         if state == MemberState::Alive {
             self.alive += 1;
         }
-        self.stamp(r);
+        self.stamp(id);
         None
     }
 
     /// Removes a member record entirely (dead-node reaping). O(1).
     pub fn remove(&mut self, name: &NodeName) -> Option<Member> {
-        let si = self.shard_of(name);
-        // lint: allow(panic_path) — `shard_of` yields `hash % shards.len()` (0 for one shard); `shards` is non-empty (clamped to >= 1) and never resized, so the index is in bounds
-        let id = self.shards[si].index.remove(name)?;
-        self.members -= 1;
-        let r = MemberRef { shard: si as u32, slot: id };
-        debug_invariant!(self.slot(r).is_some(), "membership index points at an empty slot");
-        let state = self.slot(r)?.member.state;
-        self.pool_remove(r, state);
+        let id = self.index.remove(name)?;
+        debug_invariant!(self.slot(id).is_some(), "membership index points at an empty slot");
+        let state = self.slot(id)?.member.state;
+        self.pool_remove(id, state);
         if state == MemberState::Alive {
             self.alive -= 1;
         }
-        // lint: allow(panic_path) — `shard_of` yields `hash % shards.len()` (0 for one shard); `shards` is non-empty (clamped to >= 1) and never resized, so the index is in bounds
-        let shard = &mut self.shards[si];
-        let slot = shard.slots.get_mut(id as usize)?.take()?;
-        shard.free.push(id);
+        let slot = self.slots.get_mut(id as usize)?.take()?;
+        self.free.push(id);
         Some(slot.member)
     }
 
     /// Iterates over all member records in pool order (live members
     /// first, then retained dead/left). The order is deterministic for a
-    /// given operation history and — because the pools are global — the
-    /// same at every shard count; it is otherwise unspecified.
+    /// given operation history; it is otherwise unspecified.
     pub fn iter(&self) -> impl Iterator<Item = &Member> {
         self.live
             .iter()
             .chain(self.gone.iter())
-            .filter_map(|&r| self.slot(r).map(|s| &s.member))
+            .filter_map(|&id| self.slot(id).map(|s| &s.member))
     }
 
     /// Members that have been dead/left since before `reap_before` and
@@ -352,7 +290,7 @@ impl Membership {
     pub fn reapable(&self, reap_before: Time) -> impl Iterator<Item = &Member> {
         self.gone
             .iter()
-            .filter_map(|&r| self.slot(r).map(|s| &s.member))
+            .filter_map(|&id| self.slot(id).map(|s| &s.member))
             .filter(move |m| m.state_change < reap_before)
     }
 
@@ -393,10 +331,6 @@ impl Membership {
     /// node's gossip/probe target selection) can copy the one field they
     /// need into a reusable buffer without allocating a `Vec<&Member>`
     /// per call.
-    ///
-    /// Draws are made against the **global** pool positions, so the RNG
-    /// stream consumed — and therefore the members drawn — is identical
-    /// at every shard count.
     pub fn sample_pool_with<'a, R: Rng>(
         &'a self,
         pool: SamplePool,
@@ -442,61 +376,36 @@ impl Membership {
     // Internals
     // ------------------------------------------------------------------
 
-    /// The shard a member name routes to: a stable FNV-1a hash of the
-    /// name bytes mod the shard count. Deliberately *not* the std
-    /// `HashMap` hasher (randomised per-process) so the routing — and
-    /// with it the per-shard memory layout — is reproducible run to run.
-    fn shard_of(&self, name: &NodeName) -> usize {
-        if self.shards.len() == 1 {
-            return 0;
-        }
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in name.as_str().as_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        // lint: allow(panic_path) — `shards` is non-empty (clamped to >= 1) and never resized, so the divisor is never zero
-        (h % self.shards.len() as u64) as usize
+    /// The occupied slot `id`. The name index and the pool vectors only
+    /// ever store ids of occupied slots, so a `None` here is a table
+    /// bug — `debug_invariant!`-checked at each use site.
+    fn slot(&self, id: u32) -> Option<&Slot> {
+        self.slots.get(id as usize)?.as_ref()
     }
 
-    /// The occupied slot at `r`. The name indexes and the pool vectors
-    /// only ever store refs of occupied slots, so a `None` here is a
-    /// table bug — `debug_invariant!`-checked at each use site.
-    fn slot(&self, r: MemberRef) -> Option<&Slot> {
-        self.shards.get(r.shard as usize)?.slot(r.slot)
+    fn slot_mut(&mut self, id: u32) -> Option<&mut Slot> {
+        self.slots.get_mut(id as usize)?.as_mut()
     }
 
-    fn slot_mut(&mut self, r: MemberRef) -> Option<&mut Slot> {
-        self.shards
-            .get_mut(r.shard as usize)?
-            .slots
-            .get_mut(r.slot as usize)?
-            .as_mut()
-    }
-
-    /// Assigns the next update-seq to the slot at `r` and logs the
-    /// change in its shard's log slice. The log entry this supersedes
-    /// (if any) becomes stale and is dropped lazily; per-shard
-    /// compaction keeps each slice within 2× the shard's member count,
-    /// so the amortised cost per change stays O(1).
-    fn stamp(&mut self, r: MemberRef) {
+    /// Assigns the next update-seq to slot `id` and logs the change.
+    /// The log entry this supersedes (if any) becomes stale and is
+    /// dropped lazily; compaction keeps the log within 2× the member
+    /// count, so the amortised cost per change stays O(1).
+    fn stamp(&mut self, id: u32) {
         self.update_seq += 1;
         let seq = self.update_seq;
-        debug_invariant!(self.slot(r).is_some(), "stamp() on an empty slot");
-        if let Some(slot) = self.slot_mut(r) {
+        debug_invariant!(self.slot(id).is_some(), "stamp() on an empty slot");
+        if let Some(slot) = self.slot_mut(id) {
             slot.member.updated_seq = seq;
         }
-        // lint: allow(panic_path) — `MemberRef::shard` is only ever written from `shard_of`, which stays below `shards.len()`; `shards` never resizes
-        let shard = &mut self.shards[r.shard as usize];
-        shard.log.push_back((seq, r.slot));
-        if shard.log.len() > 64 && shard.log.len() > 2 * shard.index.len() {
-            let slots = &shard.slots;
-            shard.log.retain(|&(seq, id)| {
+        self.log.push_back((seq, id));
+        if self.log.len() > 64 && self.log.len() > 2 * self.index.len() {
+            let slots = &self.slots;
+            self.log.retain(|&(seq, id)| {
                 slots
                     .get(id as usize)
                     .and_then(|s| s.as_ref())
-                    .map(|s| s.member.updated_seq == seq)
-                    .unwrap_or(false)
+                    .is_some_and(|s| s.member.updated_seq == seq)
             });
         }
     }
@@ -504,7 +413,7 @@ impl Membership {
     /// The member at virtual position `v` of a pool (All concatenates
     /// live then gone). `None` for an out-of-pool position.
     fn pool_member(&self, pool: SamplePool, v: usize) -> Option<&Member> {
-        let r = match pool {
+        let id = match pool {
             SamplePool::Live => *self.live.get(v)?,
             SamplePool::Gone => *self.gone.get(v)?,
             SamplePool::All => {
@@ -515,15 +424,15 @@ impl Membership {
                 }
             }
         };
-        Some(&self.slot(r)?.member)
+        Some(&self.slot(id)?.member)
     }
 
-    /// Moves `r` between pools / adjusts counters after its state
+    /// Moves slot `id` between pools / adjusts counters after its state
     /// changed from `before` to `after`. O(1).
-    fn reconcile(&mut self, r: MemberRef, before: MemberState, after: MemberState) {
+    fn reconcile(&mut self, id: u32, before: MemberState, after: MemberState) {
         if before.is_live() != after.is_live() {
-            self.pool_remove(r, before);
-            self.pool_push(r, after);
+            self.pool_remove(id, before);
+            self.pool_push(id, after);
         }
         match (before == MemberState::Alive, after == MemberState::Alive) {
             (false, true) => self.alive += 1,
@@ -532,22 +441,22 @@ impl Membership {
         }
     }
 
-    fn pool_push(&mut self, r: MemberRef, state: MemberState) {
+    fn pool_push(&mut self, id: u32, state: MemberState) {
         let pool = if state.is_live() {
             &mut self.live
         } else {
             &mut self.gone
         };
-        pool.push(r);
+        pool.push(id);
         let pos = pool.len() - 1;
-        debug_invariant!(self.slot(r).is_some(), "pool_push() on an empty slot");
-        if let Some(slot) = self.slot_mut(r) {
+        debug_invariant!(self.slot(id).is_some(), "pool_push() on an empty slot");
+        if let Some(slot) = self.slot_mut(id) {
             slot.pos = pos;
         }
     }
 
-    fn pool_remove(&mut self, r: MemberRef, state: MemberState) {
-        let Some(pos) = self.slot(r).map(|s| s.pos) else {
+    fn pool_remove(&mut self, id: u32, state: MemberState) {
+        let Some(pos) = self.slot(id).map(|s| s.pos) else {
             debug_invariant!(false, "pool_remove() on an empty slot");
             return;
         };
@@ -556,7 +465,7 @@ impl Membership {
         } else {
             &mut self.gone
         };
-        debug_invariant!(pool.get(pos) == Some(&r), "pool position out of sync");
+        debug_invariant!(pool.get(pos) == Some(&id), "pool position out of sync");
         if pos < pool.len() {
             // lint: allow(panic_path) — `pos < pool.len()` checked on the line above
             pool.swap_remove(pos);
@@ -568,10 +477,8 @@ impl Membership {
         }
     }
 
-    /// Debug-only invariant check: counters, pools, and per-shard logs
+    /// Debug-only invariant check: counters, pools, and the change log
     /// agree with a full recomputation (used by the property tests).
-    /// Composes shard-wise: each shard's log slice is checked on its
-    /// own, then the merged view is checked against the global counters.
     #[doc(hidden)]
     pub fn check_invariants(&self) {
         let live_scan = self.iter().filter(|m| m.is_live()).count();
@@ -583,120 +490,47 @@ impl Membership {
         assert_eq!(self.live.len(), live_scan, "live pool out of sync");
         assert_eq!(self.gone.len(), gone_scan, "gone pool out of sync");
         assert_eq!(self.alive, alive_scan, "alive counter out of sync");
-        let index_total: usize = self.shards.iter().map(|s| s.index.len()).sum();
-        assert_eq!(index_total, live_scan + gone_scan, "indexes out of sync");
-        assert_eq!(self.members, index_total, "member counter out of sync");
-        for (si, shard) in self.shards.iter().enumerate() {
-            for (name, &id) in &shard.index {
-                assert_eq!(self.shard_of(name), si, "member routed to the wrong shard");
-                let slot = shard.slot(id);
-                assert!(slot.is_some(), "index points at an empty slot");
-                let Some(slot) = slot else { continue };
-                assert_eq!(&slot.member.name, name, "index points at wrong slot");
-                let r = MemberRef { shard: si as u32, slot: id };
-                let pool = if slot.member.state.is_live() {
-                    &self.live
-                } else {
-                    &self.gone
-                };
-                assert_eq!(pool[slot.pos], r, "pool position out of sync");
+        assert_eq!(self.index.len(), live_scan + gone_scan, "index out of sync");
+        for (name, &id) in &self.index {
+            let slot = self.slot(id);
+            assert!(slot.is_some(), "index points at an empty slot");
+            let Some(slot) = slot else { continue };
+            assert_eq!(&slot.member.name, name, "index points at wrong slot");
+            let pool = if slot.member.state.is_live() {
+                &self.live
+            } else {
+                &self.gone
+            };
+            assert_eq!(pool[slot.pos], id, "pool position out of sync");
+        }
+        // Change-log invariants: ascending seqs bounded by the counter,
+        // and exactly one live log entry per member (so `changed_since`
+        // is complete at any watermark, including 0).
+        let mut prev = 0;
+        let mut live_entries = 0;
+        for &(seq, id) in &self.log {
+            assert!(seq > prev, "log seqs must be strictly ascending");
+            assert!(seq <= self.update_seq, "log seq beyond counter");
+            prev = seq;
+            if self.slot(id).is_some_and(|s| s.member.updated_seq == seq) {
+                live_entries += 1;
             }
-            // Per-shard change-log invariants: ascending seqs bounded by
-            // the global counter, and exactly one live log entry per
-            // member of the shard (so the merged `changed_since` is
-            // complete at any watermark, including 0).
-            let mut prev = 0;
-            let mut live_entries = 0;
-            for &(seq, id) in &shard.log {
-                assert!(seq > prev, "log seqs must be strictly ascending");
-                assert!(seq <= self.update_seq, "log seq beyond counter");
-                prev = seq;
-                if shard
-                    .slot(id)
-                    .map(|s| s.member.updated_seq == seq)
-                    .unwrap_or(false)
-                {
-                    live_entries += 1;
-                }
-            }
-            assert_eq!(
-                live_entries,
-                shard.index.len(),
-                "each member must have exactly one live log entry in its shard"
-            );
         }
         assert_eq!(
+            live_entries,
+            self.index.len(),
+            "each member must have exactly one live log entry"
+        );
+        assert_eq!(
             self.changed_since(0).count(),
-            index_total,
+            self.index.len(),
             "changed_since(0) must visit every member"
         );
-        // The merged change feed must be strictly newest-first.
+        // The change feed must be strictly newest-first.
         let mut last = u64::MAX;
         for m in self.changed_since(0) {
-            assert!(m.updated_seq < last, "merged change log out of order");
+            assert!(m.updated_seq < last, "change feed out of order");
             last = m.updated_seq;
-        }
-    }
-}
-
-/// Newest-first k-way merge over the per-shard change logs.
-///
-/// Each cursor walks its shard's log slice from the tail; because every
-/// entry carries a globally unique seq, picking the largest head seq at
-/// each step yields the exact descending-seq order a single flat log
-/// would have produced — the merged feed is shard-count-invariant.
-/// A reverse cursor over one shard's log slice plus its current head
-/// (`None` once the cursor has walked past `since`).
-type LogCursor<'a> = (
-    std::iter::Rev<std::collections::vec_deque::Iter<'a, (u64, u32)>>,
-    Option<(u64, u32)>,
-);
-
-struct ChangedSince<'a> {
-    shards: &'a [Shard],
-    // bounded: one cursor per shard, sized once at construction
-    heads: Vec<LogCursor<'a>>,
-    since: u64,
-}
-
-impl<'a> ChangedSince<'a> {
-    fn new(shards: &'a [Shard], since: u64) -> Self {
-        let heads = shards
-            .iter()
-            .map(|s| {
-                let mut it = s.log.iter().rev();
-                let head = it.next().copied().filter(|&(seq, _)| seq > since);
-                (it, head)
-            })
-            .collect();
-        ChangedSince { shards, heads, since }
-    }
-}
-
-impl<'a> Iterator for ChangedSince<'a> {
-    type Item = &'a Member;
-
-    fn next(&mut self) -> Option<&'a Member> {
-        loop {
-            // Pick the cursor holding the globally newest unvisited seq.
-            let best = self
-                .heads
-                .iter()
-                .enumerate()
-                .filter_map(|(i, (_, head))| head.map(|(seq, id)| (seq, i, id)))
-                .max()?;
-            let (seq, si, id) = best;
-            // lint: allow(panic_path) — `si` enumerates `self.heads` just above, so it is in bounds
-            let (it, head) = &mut self.heads[si];
-            *head = it.next().copied().filter(|&(s, _)| s > self.since);
-            // lint: allow(panic_path) — `heads` was built with exactly one cursor per shard, so `si` is a valid shard index
-            let Some(slot) = self.shards[si].slot(id) else {
-                continue; // removed member: stale log entry
-            };
-            if slot.member.updated_seq == seq {
-                return Some(&slot.member);
-            }
-            // Superseded entry (the member was re-stamped later): skip.
         }
     }
 }
@@ -713,8 +547,8 @@ mod tests {
         NodeAddr::new([10, 0, 0, i], 7946)
     }
 
-    fn table_sharded(n: u8, shards: usize) -> Membership {
-        let mut t = Membership::with_shards(shards);
+    fn table(n: u8) -> Membership {
+        let mut t = Membership::new();
         for i in 0..n {
             t.upsert(Member::new(
                 format!("node-{i}").into(),
@@ -724,10 +558,6 @@ mod tests {
             ));
         }
         t
-    }
-
-    fn table(n: u8) -> Membership {
-        table_sharded(n, 1)
     }
 
     #[test]
@@ -953,109 +783,9 @@ mod tests {
         t.check_invariants();
     }
 
-    // ---- shard-count invariance ---------------------------------------
-
-    /// Drives the same operation script against tables at several shard
-    /// counts and asserts every observable order agrees with the
-    /// single-shard reference.
-    fn assert_shard_invariant(script: impl Fn(&mut Membership)) {
-        let mut reference = Membership::with_shards(1);
-        script(&mut reference);
-        reference.check_invariants();
-        let snap = |t: &Membership, seed: u64| {
-            let iter: Vec<NodeName> = t.iter().map(|m| m.name.clone()).collect();
-            let changed: Vec<(NodeName, u64)> = t
-                .changed_since(0)
-                .map(|m| (m.name.clone(), m.updated_seq))
-                .collect();
-            let mut rng = StdRng::seed_from_u64(seed);
-            let sampled: Vec<NodeName> = t
-                .sample(5, &mut rng, |_| true)
-                .iter()
-                .map(|m| m.name.clone())
-                .collect();
-            let mut rng = StdRng::seed_from_u64(seed ^ 1);
-            let live: Vec<NodeName> = t
-                .sample_pool(SamplePool::Live, 3, &mut rng, |_| true)
-                .iter()
-                .map(|m| m.name.clone())
-                .collect();
-            (
-                iter,
-                changed,
-                sampled,
-                live,
-                t.len(),
-                t.live_count(),
-                t.alive_count(),
-                t.update_seq(),
-            )
-        };
-        for shards in [4, 16] {
-            let mut t = Membership::with_shards(shards);
-            script(&mut t);
-            t.check_invariants();
-            assert_eq!(
-                snap(&t, 99),
-                snap(&reference, 99),
-                "observable behaviour diverged at {shards} shards"
-            );
-        }
-    }
-
     #[test]
-    fn sharding_is_observably_invisible_under_churn() {
-        assert_shard_invariant(|t| {
-            for i in 0..50u8 {
-                t.upsert(Member::new(
-                    format!("node-{i}").into(),
-                    addr(i),
-                    Incarnation(0),
-                    Time::ZERO,
-                ));
-            }
-            for round in 0..120u64 {
-                let i = (round * 7 % 50) as usize;
-                let name = NodeName::from(format!("node-{i}"));
-                match round % 5 {
-                    0 => {
-                        t.set_state(&name, MemberState::Suspect, Time::from_secs(round));
-                    }
-                    1 => {
-                        t.update(&name, |m| m.incarnation = Incarnation(round));
-                    }
-                    2 => {
-                        t.set_state(&name, MemberState::Dead, Time::from_secs(round));
-                    }
-                    3 => {
-                        t.remove(&name);
-                        t.upsert(Member::new(
-                            name,
-                            addr(i as u8),
-                            Incarnation(round),
-                            Time::from_secs(round),
-                        ));
-                    }
-                    _ => {
-                        t.set_state(&name, MemberState::Alive, Time::from_secs(round));
-                    }
-                }
-            }
-        });
-    }
-
-    #[test]
-    fn sharding_distributes_members() {
-        let t = table_sharded(64, 4);
-        assert_eq!(t.shard_count(), 4);
-        let occupied = t.shards.iter().filter(|s| !s.index.is_empty()).count();
-        assert!(occupied >= 3, "FNV routing left {occupied}/4 shards in use");
-        t.check_invariants();
-    }
-
-    #[test]
-    fn changed_since_merges_across_shards_newest_first() {
-        let mut t = table_sharded(32, 8);
+    fn changed_since_is_newest_first() {
+        let mut t = table(32);
         let base = t.update_seq();
         for i in (0..32u8).rev() {
             t.update(&format!("node-{i}").into(), |m| {

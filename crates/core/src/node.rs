@@ -15,7 +15,7 @@
 //!   internal scratch buffer, so steady-state operation performs **zero
 //!   allocations per poll** — no `Bytes` is materialised unless the
 //!   caller copies one.
-//! * [`SwimNode::next_wake`] — the instant at which the runtime must
+//! * [`SwimNode::next_deadline`] — the instant at which the runtime must
 //!   feed the next [`Input::Tick`].
 //!
 //! Runtimes normally do not call these directly but drive the node
@@ -73,7 +73,7 @@ pub enum Input {
         /// The decoded message.
         msg: Message,
     },
-    /// The wall clock reached [`SwimNode::next_wake`]: fire all due
+    /// The wall clock reached [`SwimNode::next_deadline`]: fire all due
     /// internal timers (probe rounds, gossip ticks, suspicion expiries…).
     Tick,
     /// Initiate a join: push-pull with each seed over the stream
@@ -293,7 +293,7 @@ struct PeerSync {
 /// node.start(Time::ZERO);
 /// node.handle_input(Input::Tick, Time::ZERO).unwrap();
 /// assert!(node.poll_output().is_none()); // nothing to send until peers exist
-/// assert!(node.next_wake().is_some()); // probe/gossip timers armed
+/// assert!(node.next_deadline().is_some()); // probe/gossip timers armed
 /// ```
 #[derive(Debug)]
 pub struct SwimNode {
@@ -390,7 +390,6 @@ impl SwimNode {
         config.validate()?;
         let awareness = Awareness::new(config.effective_awareness_max());
         let packet_budget = config.packet_budget;
-        let config_shards = config.shards;
         // Instance id for delta-sync watermarks: seed-derived (so runs
         // stay reproducible) without consuming the protocol RNG stream,
         // and never zero (`since_epoch == 0` means "unknown" on the
@@ -407,9 +406,9 @@ impl SwimNode {
             addr,
             incarnation: Incarnation::ZERO,
             meta: Bytes::new(),
-            membership: Membership::with_shards(config_shards),
+            membership: Membership::new(),
             probe_list: ProbeList::new(),
-            broadcasts: BroadcastQueue::with_shards(config_shards),
+            broadcasts: BroadcastQueue::new(),
             awareness,
             suspicions: HashMap::new(),
             probe: None,
@@ -604,7 +603,10 @@ impl SwimNode {
         now: Time,
     ) {
         debug_assert!(self.started, "bootstrap_peers() before start()");
-        let mut fresh = Vec::new();
+        let peers = peers.into_iter();
+        let expected = peers.size_hint().0;
+        self.membership.reserve(expected);
+        let mut fresh = Vec::with_capacity(expected);
         for (name, addr) in peers {
             if name == self.name || self.membership.get(&name).is_some() {
                 continue;
@@ -660,15 +662,9 @@ impl SwimNode {
     // Driving
     // ------------------------------------------------------------------
 
-    /// The earliest instant at which the runtime must feed the next
-    /// [`Input::Tick`].
-    pub fn next_wake(&self) -> Option<Time> {
-        self.timers.next_deadline()
-    }
-
-    /// The timer wheel's exact next deadline — identical to
-    /// [`SwimNode::next_wake`], under the name a readiness-driven
-    /// runtime expects: the reactor sleeps in `poll` for precisely
+    /// The timer wheel's exact next deadline: the earliest instant at
+    /// which the runtime must feed the next [`Input::Tick`]. A
+    /// readiness-driven runtime sleeps in `poll` for precisely
     /// `next_deadline() - now` instead of ticking on a fixed interval.
     pub fn next_deadline(&self) -> Option<Time> {
         self.timers.next_deadline()
@@ -2170,7 +2166,7 @@ mod tests {
     /// Runs the node's timers up to `until`, collecting outputs.
     fn run_until(n: &mut SwimNode, until: Time) -> Vec<OwnedOutput> {
         let mut out = Vec::new();
-        while let Some(wake) = n.next_wake() {
+        while let Some(wake) = n.next_deadline() {
             if wake > until {
                 break;
             }
@@ -2182,7 +2178,7 @@ mod tests {
     #[test]
     fn start_arms_timers() {
         let n = node(Config::lan());
-        assert!(n.next_wake().is_some());
+        assert!(n.next_deadline().is_some());
         assert_eq!(n.num_alive(), 1);
         assert_eq!(n.incarnation(), Incarnation::ZERO);
     }
@@ -2466,7 +2462,7 @@ mod tests {
         // Find the ping the probe round sends and ack it in time.
         let mut acked = false;
         for _ in 0..50 {
-            let wake = n.next_wake().unwrap();
+            let wake = n.next_deadline().unwrap();
             let out = tick(&mut n, wake);
             for (to, msgs) in packets(&out) {
                 for m in msgs {
@@ -2662,14 +2658,14 @@ mod tests {
         // Drain the broadcast queue completely so only the buddy hook
         // could possibly attach the suspicion.
         while n.pending_broadcasts() > 0 {
-            let wake = n.next_wake().unwrap();
+            let wake = n.next_deadline().unwrap();
             tick(&mut n, wake);
         }
         // Probe rounds target "p" (the only peer): the ping must carry
         // the suspect message about "p".
         let mut saw_buddy = false;
         for _ in 0..100 {
-            let Some(wake) = n.next_wake() else { break };
+            let Some(wake) = n.next_deadline() else { break };
             if wake > Time::from_secs(60) {
                 break;
             }

@@ -72,7 +72,7 @@ fn add_peer(n: &mut SwimNode, name: &str, i: u8, now: Time) {
 
 fn run_until(n: &mut SwimNode, until: Time) -> Vec<OwnedOutput> {
     let mut out = Vec::new();
-    while let Some(wake) = n.next_wake() {
+    while let Some(wake) = n.next_deadline() {
         if wake > until {
             break;
         }
@@ -123,7 +123,7 @@ fn stuck_probe_fails_and_suspects_at_unblock() {
     let mut t = Time::from_secs(1);
     let mut probe_in_flight = false;
     while !probe_in_flight {
-        let wake = n.next_wake().expect("probe timers armed");
+        let wake = n.next_deadline().expect("probe timers armed");
         t = wake;
         probe_in_flight = count_pings(&tick(&mut n, wake)) > 0;
     }
@@ -156,7 +156,7 @@ fn stale_ack_is_rejected_after_unblock() {
     let mut ping_seq = None;
     let mut t = Time::from_secs(1);
     while ping_seq.is_none() {
-        let wake = n.next_wake().unwrap();
+        let wake = n.next_deadline().unwrap();
         t = wake;
         for o in tick(&mut n, wake) {
             if let OwnedOutput::Packet { payload, .. } = o {
@@ -251,7 +251,7 @@ fn unblock_refires_deferred_and_armed_timers_in_deadline_order() {
     let mut t = Time::from_secs(1);
     let mut probe_in_flight = false;
     while !probe_in_flight {
-        let wake = n.next_wake().expect("probe timers armed");
+        let wake = n.next_deadline().expect("probe timers armed");
         t = wake;
         probe_in_flight = count_pings(&tick(&mut n, wake)) > 0;
     }
@@ -305,7 +305,7 @@ fn deferred_refire_survives_coinciding_probe_deadlines() {
     let mut t = Time::from_secs(1);
     let mut probe_in_flight = false;
     while !probe_in_flight {
-        let wake = n.next_wake().expect("probe timers armed");
+        let wake = n.next_deadline().expect("probe timers armed");
         t = wake;
         probe_in_flight = count_pings(&tick(&mut n, wake)) > 0;
     }

@@ -1,21 +1,19 @@
-//! Property tests for the sharded membership change log under sustained
-//! churn.
+//! Property tests for the membership change log under sustained churn.
 //!
-//! The change log backs delta anti-entropy (`changed_since`): each shard
-//! keeps a lazily compacted slice of `(update_seq, slot)` entries, and
-//! the merged feed must always return exactly the members changed after
-//! a cursor, newest first. Two properties matter at scale:
+//! The change log backs delta anti-entropy (`changed_since`): the table
+//! keeps a lazily compacted log of `(update_seq, slot)` entries, and the
+//! feed must always return exactly the members changed after a cursor,
+//! newest first. Two properties matter at scale:
 //!
-//! 1. **Correctness under churn is shard-invariant**: any interleaving
-//!    of upserts, state flips, metadata updates and removals leaves
-//!    every shard's invariants intact and yields the same `changed_since`
-//!    feed at every shard count.
+//! 1. **Correctness under churn**: any interleaving of upserts, state
+//!    flips, metadata updates and removals leaves the table's invariants
+//!    intact and yields the same `changed_since` feed as a flat reference
+//!    rebuilt from the op list alone.
 //! 2. **The log is O(members), not O(history)**: sustained churn — many
 //!    updates per member — must not grow the log without bound. Lazy
-//!    compaction keeps each shard's slice within a constant factor of
-//!    its live membership, so a `changed_since` scan is proportional to
-//!    actual change volume, never to the total number of stamps ever
-//!    issued.
+//!    compaction keeps it within a constant factor of the live
+//!    membership, so a `changed_since` scan is proportional to actual
+//!    change volume, never to the total number of stamps ever issued.
 
 use proptest::prelude::*;
 
@@ -81,77 +79,111 @@ fn apply(m: &mut Membership, op: &Op) {
     }
 }
 
-/// Upper bound on the retained change-log entries for one table: the
-/// per-shard lazy compaction triggers once a slice exceeds
-/// `max(64, 2 × shard members)`, so the whole table retains at most
-/// `shards × 64 + 2 × members` entries no matter how much history the
-/// churn generated. `changed_since(0)` visits at most one entry per
+/// Flat reference for the change feed: one `(name, state, seq)` row per
+/// member in ascending-seq order, maintained from the op list alone (it
+/// never looks at a `Membership`).
+#[derive(Default)]
+struct FlatLog {
+    rows: Vec<(NodeName, MemberState, u64)>,
+    seq: u64,
+}
+
+impl FlatLog {
+    fn apply(&mut self, op: &Op) {
+        let (Op::Upsert { node, .. }
+        | Op::Flip { node, .. }
+        | Op::Touch { node }
+        | Op::Remove { node }) = op;
+        let node = name(*node);
+        let pos = self.rows.iter().position(|r| r.0 == node);
+        // The state the member is re-stamped with; `None` when the op
+        // changes nothing observable (unknown member, same-state flip)
+        // or removes the member.
+        let restamped = match (op, pos) {
+            (Op::Upsert { .. }, _) => Some(MemberState::Alive),
+            (Op::Flip { state, .. }, Some(i)) if self.rows[i].1 != *state => Some(*state),
+            (Op::Touch { .. }, Some(i)) => Some(self.rows[i].1),
+            _ => None,
+        };
+        if let Some(i) = pos {
+            if restamped.is_some() || matches!(op, Op::Remove { .. }) {
+                self.rows.remove(i);
+            }
+        }
+        if let Some(state) = restamped {
+            self.seq += 1;
+            self.rows.push((node, state, self.seq));
+        }
+    }
+
+    /// The expected `changed_since(0)` feed: newest first.
+    fn feed(&self) -> Vec<(NodeName, u64)> {
+        self.rows
+            .iter()
+            .rev()
+            .map(|(n, _, seq)| (n.clone(), *seq))
+            .collect()
+    }
+}
+
+/// Upper bound on the retained change-log entries: lazy compaction
+/// triggers once the log exceeds `max(64, 2 × members)`, so the table
+/// retains at most `64 + 2 × members` entries no matter how much history
+/// the churn generated. `changed_since(0)` visits at most one entry per
 /// retained stamp, so its cost is bounded by the same expression.
 fn log_bound(m: &Membership) -> usize {
-    m.shard_count() * 64 + 2 * m.len()
+    64 + 2 * m.len()
 }
 
 proptest! {
-    /// Sustained churn: correctness, shard-invariance and boundedness of
-    /// the change log, at shard counts 1, 4 and 16.
+    /// Sustained churn: correctness against the flat reference and
+    /// boundedness of the change log.
     #[test]
     fn change_log_stays_correct_and_compact_under_churn(
         ops in proptest::collection::vec(op_strategy(48), 1..400),
         cursor_frac in 0.0f64..1.0,
     ) {
-        let mut tables: Vec<Membership> =
-            [1usize, 4, 16].iter().map(|&s| Membership::with_shards(s)).collect();
+        let mut m = Membership::new();
+        let mut flat = FlatLog::default();
         for op in &ops {
-            for m in &mut tables {
-                apply(m, op);
-            }
+            apply(&mut m, op);
+            flat.apply(op);
             // Invariants hold mid-churn, not just at the end.
-            for m in &tables {
-                m.check_invariants();
-            }
+            m.check_invariants();
         }
 
-        let reference: Vec<(NodeName, u64)> = tables[0]
+        let reference = flat.feed();
+        let feed: Vec<(NodeName, u64)> = m
             .changed_since(0)
             .map(|mb| (mb.name.clone(), mb.updated_seq))
             .collect();
+        prop_assert_eq!(&feed, &reference);
+        prop_assert_eq!(m.update_seq(), flat.seq);
 
-        for m in &tables {
-            // Feed identical at every shard count.
-            let feed: Vec<(NodeName, u64)> = m
-                .changed_since(0)
-                .map(|mb| (mb.name.clone(), mb.updated_seq))
-                .collect();
-            prop_assert_eq!(&feed, &reference);
+        // Newest-first, one entry per member, covering everything.
+        prop_assert!(feed.windows(2).all(|w| w[0].1 > w[1].1));
+        prop_assert_eq!(feed.len(), m.len());
 
-            // Newest-first, one entry per member, covering everything.
-            prop_assert!(feed.windows(2).all(|w| w[0].1 > w[1].1));
-            prop_assert_eq!(feed.len(), m.len());
-
-            // A mid-stream cursor returns exactly the strictly-newer slice.
-            let cursor = (m.update_seq() as f64 * cursor_frac) as u64;
-            let newer: Vec<u64> = m.changed_since(cursor).map(|mb| mb.updated_seq).collect();
-            let expect: Vec<u64> = reference
-                .iter()
-                .map(|(_, seq)| *seq)
-                .filter(|&seq| seq > cursor)
-                .collect();
-            prop_assert_eq!(newer, expect);
-        }
+        // A mid-stream cursor returns exactly the strictly-newer slice.
+        let cursor = (m.update_seq() as f64 * cursor_frac) as u64;
+        let newer: Vec<u64> = m.changed_since(cursor).map(|mb| mb.updated_seq).collect();
+        let expect: Vec<u64> = reference
+            .iter()
+            .map(|(_, seq)| *seq)
+            .filter(|&seq| seq > cursor)
+            .collect();
+        prop_assert_eq!(newer, expect);
 
         // Lazy compaction: retained log entries stay O(members) even
         // though the churn issued `update_seq()` stamps in total.
-        for m in &tables {
-            prop_assert!(
-                m.retained_log_len() <= log_bound(m),
-                "log grew past its compaction bound: {} > {} (members {}, shards {}, stamps {})",
-                m.retained_log_len(),
-                log_bound(m),
-                m.len(),
-                m.shard_count(),
-                m.update_seq(),
-            );
-        }
+        prop_assert!(
+            m.retained_log_len() <= log_bound(&m),
+            "log grew past its compaction bound: {} > {} (members {}, stamps {})",
+            m.retained_log_len(),
+            log_bound(&m),
+            m.len(),
+            m.update_seq(),
+        );
     }
 }
 
@@ -160,30 +192,28 @@ proptest! {
 /// with history length.
 #[test]
 fn log_length_is_independent_of_history_length() {
-    for shards in [1usize, 4, 16] {
-        let mut m = Membership::with_shards(shards);
-        for i in 0..8 {
-            m.upsert(member(i, 0));
-        }
-        let mut after_short = 0;
-        for round in 0..2000u64 {
-            for i in 0..8 {
-                m.update(&name(i), |mb| {
-                    mb.incarnation = Incarnation(mb.incarnation.0 + 1);
-                });
-            }
-            if round == 100 {
-                after_short = m.retained_log_len();
-            }
-        }
-        m.check_invariants();
-        let after_long = m.retained_log_len();
-        assert!(
-            after_long <= after_short.max(log_bound(&m)),
-            "shards={shards}: log kept growing with history ({after_short} -> {after_long})"
-        );
-        assert!(after_long <= log_bound(&m));
-        // The feed still reflects exactly the live members.
-        assert_eq!(m.changed_since(0).count(), 8);
+    let mut m = Membership::new();
+    for i in 0..8 {
+        m.upsert(member(i, 0));
     }
+    let mut after_short = 0;
+    for round in 0..2000u64 {
+        for i in 0..8 {
+            m.update(&name(i), |mb| {
+                mb.incarnation = Incarnation(mb.incarnation.0 + 1);
+            });
+        }
+        if round == 100 {
+            after_short = m.retained_log_len();
+        }
+    }
+    m.check_invariants();
+    let after_long = m.retained_log_len();
+    assert!(
+        after_long <= after_short.max(log_bound(&m)),
+        "log kept growing with history ({after_short} -> {after_long})"
+    );
+    assert!(after_long <= log_bound(&m));
+    // The feed still reflects exactly the live members.
+    assert_eq!(m.changed_since(0).count(), 8);
 }

@@ -70,7 +70,7 @@ fn add_peer(n: &mut SwimNode, name: &str, i: u8, now: Time) {
 
 fn run_until(n: &mut SwimNode, until: Time) -> Vec<OwnedOutput> {
     let mut out = Vec::new();
-    while let Some(wake) = n.next_wake() {
+    while let Some(wake) = n.next_deadline() {
         if wake > until {
             break;
         }

@@ -47,7 +47,7 @@ fn add_peer(n: &mut SwimNode, name: &str, i: u8, now: Time) {
 }
 
 fn run_until(n: &mut SwimNode, until: Time) {
-    while let Some(wake) = n.next_wake() {
+    while let Some(wake) = n.next_deadline() {
         if wake > until {
             break;
         }

@@ -244,11 +244,6 @@ pub struct ThresholdScenario {
     pub quiesce: Duration,
     /// Total run length from simulation start (the paper caps at 120 s).
     pub run_len: Duration,
-    /// Worker threads for the simulator's event lanes. Any value
-    /// reproduces the same outcome byte for byte (the lane scheduler's
-    /// contract); > 1 trades determinism-preserving parallelism for
-    /// channel overhead, so it only pays on multi-core hosts.
-    pub workers: usize,
 }
 
 impl ThresholdScenario {
@@ -262,7 +257,6 @@ impl ThresholdScenario {
             n: CLUSTER_SIZE,
             quiesce: QUIESCE,
             run_len: MIN_RUN,
-            workers: 1,
         }
     }
 
@@ -293,8 +287,7 @@ impl ThresholdScenario {
         let mut builder = ClusterBuilder::new(self.n)
             .config(self.config.clone())
             .network(experiment_network())
-            .seed(self.seed)
-            .workers(self.workers);
+            .seed(self.seed);
         for &a in &anomalous {
             builder = builder.anomaly(
                 a,

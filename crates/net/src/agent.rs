@@ -762,12 +762,12 @@ impl Agent {
                     let now = inner.now();
                     let due = {
                         let driver = inner.driver.lock();
-                        matches!(driver.next_wake(), Some(wake) if wake <= now)
+                        matches!(driver.next_deadline(), Some(wake) if wake <= now)
                     };
                     if due {
                         inner.drive(Input::Tick, now);
                     }
-                    let next = inner.driver.lock().next_wake();
+                    let next = inner.driver.lock().next_deadline();
                     let sleep = next
                         .map(|w| w.saturating_since(inner.now()))
                         .unwrap_or(SHUTDOWN_POLL)

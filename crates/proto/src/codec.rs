@@ -60,7 +60,7 @@ pub fn encode_message_into(msg: &Message, buf: &mut BytesMut) -> usize {
 }
 
 /// Appends the encoding of `msg` to `buf`.
-pub fn encode_into(msg: &Message, buf: &mut BytesMut) {
+fn encode_into(msg: &Message, buf: &mut BytesMut) {
     match msg {
         Message::Ping(p) => {
             buf.put_u8(TAG_PING);
@@ -136,7 +136,7 @@ fn size_hint(msg: &Message) -> usize {
     }
 }
 
-/// Exact number of bytes [`encode_into`] will append for `msg`.
+/// Exact number of bytes [`encode_message_into`] will append for `msg`.
 ///
 /// O(1) for all message types except `push-pull` (O(states)); used by
 /// telemetry and the length-invariant tests.

@@ -6,18 +6,17 @@
 //! messages and timers are queued and processed the moment it resumes —
 //! exactly the observable behaviour of a process starved of CPU.
 //!
-//! # Execution model: lanes, windows, canonical commits
+//! # Execution model: windows and canonical commits
 //!
-//! Nodes are partitioned round-robin over per-node event lanes (the
-//! private `lane` module), each with its own event queue. The simulation
-//! advances in bounded *windows* no longer than the network's minimum
-//! one-way latency: within a window no lane can causally affect another,
-//! so lanes run independently — inline when `workers == 1`, on a scoped
-//! worker pool otherwise. Cross-node effects are buffered and *committed*
-//! between windows in the canonical order `(time, sending node, per-node
+//! Every node's driver and the one event queue live in the event lane
+//! (the private `lane` module). The simulation advances in bounded
+//! *windows* no longer than the network's minimum one-way latency:
+//! nothing a node sends inside a window can arrive inside the same
+//! window. Cross-node effects are buffered and *committed* between
+//! windows in the canonical order `(time, sending node, per-node
 //! sequence)`; network RNG draws, telemetry and trace appends all happen
-//! at commit. Because that order never depends on lane assignment or
-//! thread scheduling, a run is **byte-identical at any worker count**.
+//! at commit. That order is what fixes the network RNG's draw sequence,
+//! so every pinned trace and fingerprint depends on it.
 //!
 //! The whole simulation is deterministic for a given
 //! [`ClusterBuilder::seed`]: node RNGs, network jitter and event ordering
@@ -37,7 +36,6 @@ use std::collections::HashMap;
 use std::time::Duration;
 
 use bytes::Bytes;
-use crossbeam::channel;
 use lifeguard_core::config::Config;
 use lifeguard_core::driver::Driver;
 use lifeguard_core::node::{Input, SwimNode};
@@ -45,7 +43,7 @@ use lifeguard_proto::{NodeAddr, NodeName};
 
 use crate::anomaly::AnomalySpec;
 use crate::clock::{SimDuration, SimTime};
-use crate::lane::{EmitKind, Emission, Lane, LaneEvent, LaneSink, NodeSlot, Topology, TraceRecord};
+use crate::lane::{EmitKind, Lane, LaneEvent, LaneSink, NodeSlot, Topology};
 use crate::network::{Delivery, Network, NetworkConfig};
 use crate::telemetry::Telemetry;
 use crate::trace::Trace;
@@ -102,7 +100,6 @@ pub struct ClusterBuilder {
     network: NetworkConfig,
     anomalies: Vec<(usize, AnomalySpec)>,
     full_mesh: bool,
-    workers: usize,
     phantoms: usize,
 }
 
@@ -118,7 +115,6 @@ impl ClusterBuilder {
             network: NetworkConfig::loopback(),
             anomalies: Vec::new(),
             full_mesh: false,
-            workers: 1,
             phantoms: 0,
         }
     }
@@ -157,15 +153,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Number of worker threads processing event lanes (default 1:
-    /// fully inline execution). Any value produces the same trace,
-    /// telemetry and final state — parallelism is an implementation
-    /// detail of the window scheduler, not an observable input.
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
-        self
-    }
-
     /// Extends the roster with `phantoms` phantom members (indices
     /// `n..n + phantoms`): table entries answered by a canned prober-side
     /// responder instead of a full protocol instance. Requires
@@ -186,20 +173,16 @@ impl ClusterBuilder {
             "phantom members require full_mesh bootstrap"
         );
         assert!(total <= 1 << 24, "address scheme supports 2^24 members");
-        let topo = Topology {
-            lanes: self.workers.clamp(1, n),
-            real: n,
-            total,
-        };
+        let topo = Topology { real: n, total };
         // The conservative-lookahead horizon: nothing crosses the
         // network faster than the minimum one-way latency, so a window
-        // of that length is causally closed per lane.
+        // of that length is causally closed.
         let horizon_us = self
             .network
             .datagram_latency
             .min(self.network.stream_latency)
             .as_micros() as u64;
-        let mut lanes: Vec<Lane> = (0..topo.lanes).map(|_| Lane::default()).collect();
+        let mut lane = Lane::default();
         let mut addr_to_idx = HashMap::with_capacity(n);
         for i in 0..n {
             let name = NodeName::from(format!("node-{i}"));
@@ -211,7 +194,7 @@ impl ClusterBuilder {
                 .wrapping_mul(0x9E37_79B9_7F4A_7C15)
                 .wrapping_add(i as u64 + 1);
             let node = SwimNode::new(name, addr, self.config.clone(), node_seed);
-            lanes[topo.lane_of(i)].slots.push(NodeSlot {
+            lane.slots.push(NodeSlot {
                 driver: Driver::new(node),
                 paused_until: None,
                 crashed: false,
@@ -221,7 +204,7 @@ impl ClusterBuilder {
             });
         }
         let mut cluster = Cluster {
-            lanes,
+            lane,
             network: Network::new(self.network, self.seed.wrapping_add(0x00C0_FFEE)),
             addr_to_idx,
             now: SimTime::ZERO,
@@ -229,7 +212,6 @@ impl ClusterBuilder {
             telemetry: Telemetry::new(n),
             topo,
             horizon_us,
-            workers: self.workers.max(1),
         };
         // Boot + join (or direct full-mesh bootstrap). Phantom members
         // appear in the bootstrap roster like any other peer.
@@ -255,19 +237,19 @@ impl ClusterBuilder {
             }
             cluster.ensure_wake(i);
         }
-        // Schedule anomaly windows in the owning lane's queue.
+        // Schedule anomaly windows.
         for (node, spec) in &self.anomalies {
             let wseed = self.seed.wrapping_add(0xA0_0000 + *node as u64);
-            let lane = &mut cluster.lanes[topo.lane_of(*node)];
+            let queue = &mut cluster.lane.queue;
             for w in spec.windows(wseed) {
-                lane.queue.push(
+                queue.push(
                     w.start,
                     LaneEvent::PauseStart {
                         node: *node,
                         until: w.end,
                     },
                 );
-                lane.queue.push(w.end, LaneEvent::PauseEnd { node: *node });
+                queue.push(w.end, LaneEvent::PauseEnd { node: *node });
             }
         }
         cluster
@@ -276,7 +258,7 @@ impl ClusterBuilder {
 
 /// A running simulated cluster.
 pub struct Cluster {
-    lanes: Vec<Lane>,
+    lane: Lane,
     network: Network,
     addr_to_idx: HashMap<NodeAddr, usize>,
     now: SimTime,
@@ -285,7 +267,6 @@ pub struct Cluster {
     topo: Topology,
     /// Window length: the network's minimum one-way latency, in µs.
     horizon_us: u64,
-    workers: usize,
 }
 
 impl Cluster {
@@ -369,10 +350,15 @@ impl Cluster {
 
     /// Runs the simulation until simulated time `t`.
     pub fn run_until(&mut self, t: SimTime) {
-        if self.workers > 1 && self.topo.lanes > 1 {
-            self.run_until_parallel(t);
-        } else {
-            self.run_until_serial(t);
+        let topo = self.topo;
+        while let Some(base) = self.lane.queue.peek_time() {
+            if base > t {
+                break;
+            }
+            let wend = Self::window_end(base, self.horizon_us, t);
+            self.lane.run_window(wend, topo);
+            self.now = wend;
+            self.commit_window();
         }
         if t > self.now {
             self.now = t;
@@ -400,10 +386,7 @@ impl Cluster {
                         .handle(Input::IoBlocked { blocked: true }, now, sink)
                         .expect("io-blocked input is infallible");
                 });
-                let lane = self.topo.lane_of(node);
-                self.lanes[lane]
-                    .queue
-                    .push(until, LaneEvent::PauseEnd { node });
+                self.lane.queue.push(until, LaneEvent::PauseEnd { node });
             }
             SimAction::Leave { node } => {
                 let now = self.now;
@@ -469,11 +452,11 @@ impl Cluster {
     // ------------------------------------------------------------------
 
     fn slot(&self, i: usize) -> &NodeSlot {
-        &self.lanes[self.topo.lane_of(i)].slots[self.topo.slot_of(i)]
+        &self.lane.slots[i]
     }
 
     fn slot_mut(&mut self, i: usize) -> &mut NodeSlot {
-        &mut self.lanes[self.topo.lane_of(i)].slots[self.topo.slot_of(i)]
+        &mut self.lane.slots[i]
     }
 
     /// End of the window opening at `base`: one µs short of the horizon
@@ -484,237 +467,118 @@ impl Cluster {
         SimTime::from_micros(w.min(t.as_micros()))
     }
 
-    /// Earliest pending event across all lanes: the next window's base.
-    fn next_event_time(&self) -> Option<SimTime> {
-        self.lanes.iter().filter_map(|l| l.queue.peek_time()).min()
-    }
-
-    fn run_until_serial(&mut self, t: SimTime) {
-        let topo = self.topo;
-        let mut ems = Vec::new();
-        let mut recs = Vec::new();
-        while let Some(base) = self.next_event_time() {
-            if base > t {
-                break;
-            }
-            let wend = Self::window_end(base, self.horizon_us, t);
-            for lane in &mut self.lanes {
-                if lane.queue.peek_time().is_none_or(|p| p > wend) {
-                    continue; // nothing due: the lane clock catches up lazily
-                }
-                lane.run_window(wend, topo);
-            }
-            self.now = wend;
-            let Cluster {
-                lanes,
-                network,
-                addr_to_idx,
-                telemetry,
-                trace,
-                ..
-            } = self;
-            commit_window(lanes, network, addr_to_idx, telemetry, trace, &mut ems, &mut recs);
-        }
-    }
-
-    /// The same window loop, with lanes shipped to a scoped worker pool.
-    /// Lanes move by value through channels (no locks, no shared state);
-    /// the coordinator blocks for the window barrier, then commits —
-    /// committing is serial by design, it is where the canonical order
-    /// is imposed.
-    fn run_until_parallel(&mut self, t: SimTime) {
-        let topo = self.topo;
-        let horizon_us = self.horizon_us;
-        let workers = self.workers.min(self.topo.lanes);
-        let Cluster {
-            lanes,
-            network,
-            addr_to_idx,
-            telemetry,
-            trace,
-            now,
-            ..
-        } = self;
-        let mut ems = Vec::new();
-        let mut recs = Vec::new();
-        let (work_tx, work_rx) = channel::unbounded::<(usize, Lane, SimTime)>();
-        let (done_tx, done_rx) = channel::unbounded::<(usize, Lane)>();
-        let result = crossbeam::thread::scope(|s| {
-            for _ in 0..workers {
-                let rx = work_rx.clone();
-                let tx = done_tx.clone();
-                s.spawn(move |_| {
-                    while let Ok((i, mut lane, wend)) = rx.recv() {
-                        lane.run_window(wend, topo);
-                        if tx.send((i, lane)).is_err() {
-                            break;
-                        }
-                    }
-                });
-            }
-            while let Some(base) = lanes.iter().filter_map(|l| l.queue.peek_time()).min() {
-                if base > t {
-                    break;
-                }
-                let wend = Self::window_end(base, horizon_us, t);
-                let mut sent = 0usize;
-                for (i, lane) in lanes.iter_mut().enumerate() {
-                    if lane.queue.peek_time().is_none_or(|p| p > wend) {
-                        continue;
-                    }
-                    let lane = std::mem::take(lane);
-                    if work_tx.send((i, lane, wend)).is_err() {
-                        panic!("sim worker exited prematurely");
-                    }
-                    sent += 1;
-                }
-                for _ in 0..sent {
-                    let Ok((i, lane)) = done_rx.recv() else {
-                        panic!("sim worker exited prematurely");
-                    };
-                    lanes[i] = lane;
-                }
-                *now = wend;
-                commit_window(lanes, network, addr_to_idx, telemetry, trace, &mut ems, &mut recs);
-            }
-            drop(work_tx);
-        });
-        if let Err(payload) = result {
-            std::panic::resume_unwind(payload);
-        }
-    }
-
-    /// Runs one driver call against the owning lane's sink at the
-    /// cluster clock, then immediately commits the buffered effects —
-    /// the path for build-time boots and injected actions, which happen
-    /// between windows.
+    /// Runs one driver call against the lane's sink at the cluster
+    /// clock, then immediately commits the buffered effects — the path
+    /// for build-time boots and injected actions, which happen between
+    /// windows.
     fn with_sink<R>(
         &mut self,
         node: usize,
         f: impl FnOnce(&mut Driver, &mut LaneSink<'_>) -> R,
     ) -> R {
-        let topo = self.topo;
-        let lane = topo.lane_of(node);
-        self.lanes[lane].now = self.now;
-        let r = self.lanes[lane].with_sink(node, topo, f);
-        let Cluster {
-            lanes,
-            network,
-            addr_to_idx,
-            telemetry,
-            trace,
-            ..
-        } = self;
-        let mut ems = Vec::new();
-        let mut recs = Vec::new();
-        commit_window(lanes, network, addr_to_idx, telemetry, trace, &mut ems, &mut recs);
+        self.lane.now = self.now;
+        let r = self.lane.with_sink(node, self.topo, f);
+        self.commit_window();
         r
     }
 
     /// Arms a wake event at the node's next timer deadline unless an
     /// earlier one is already queued.
     fn ensure_wake(&mut self, node: usize) {
-        let topo = self.topo;
-        let lane = topo.lane_of(node);
-        self.lanes[lane].now = self.now;
-        self.lanes[lane].ensure_wake(node, topo);
+        self.lane.now = self.now;
+        self.lane.ensure_wake(node);
     }
-}
 
-/// Sorts the effects buffered by every lane into the canonical
-/// `(time, sender, per-sender seq)` order and applies them: telemetry
-/// counters, network verdicts (the only RNG draws in the delivery path)
-/// and arrival events for the owning lanes, then trace appends in
-/// `(time, reporter, seq)` order. This is the serialisation point that
-/// makes worker count unobservable.
-fn commit_window(
-    lanes: &mut [Lane],
-    network: &mut Network,
-    addr_to_idx: &HashMap<NodeAddr, usize>,
-    telemetry: &mut Telemetry,
-    trace: &mut Trace,
-    ems: &mut Vec<Emission>,
-    recs: &mut Vec<TraceRecord>,
-) {
-    for lane in lanes.iter_mut() {
-        ems.append(&mut lane.emissions);
-        recs.append(&mut lane.records);
-    }
-    ems.sort_unstable_by_key(|e| (e.at, e.from, e.seq));
-    recs.sort_unstable_by_key(|r| (r.at, r.reporter, r.seq));
-    let lanes_n = lanes.len();
-    for em in ems.drain(..) {
-        let from_addr = Cluster::addr_for(em.from);
-        match em.kind {
-            EmitKind::Packet { to, payload } => {
-                telemetry.record_datagram(em.from, payload.len());
-                let Some(&to_idx) = addr_to_idx.get(&to) else {
-                    continue; // address outside the simulation
-                };
-                if let Delivery::Deliver(delay) = network.datagram(em.from, to_idx) {
-                    lanes[to_idx % lanes_n].queue.push(
-                        em.at + delay,
-                        LaneEvent::Datagram {
-                            to: to_idx,
-                            from: from_addr,
-                            payload,
-                        },
-                    );
+    /// Sorts the effects the lane buffered into the canonical
+    /// `(time, sender, per-sender seq)` order and applies them: telemetry
+    /// counters, network verdicts (the only RNG draws in the delivery
+    /// path) and arrival events, then trace appends in
+    /// `(time, reporter, seq)` order. This is the serialisation point
+    /// that fixes the network RNG's draw order.
+    fn commit_window(&mut self) {
+        let Cluster {
+            lane,
+            network,
+            addr_to_idx,
+            telemetry,
+            trace,
+            ..
+        } = self;
+        lane.emissions.sort_unstable_by_key(|e| (e.at, e.from, e.seq));
+        lane.records.sort_unstable_by_key(|r| (r.at, r.reporter, r.seq));
+        for em in lane.emissions.drain(..) {
+            let from_addr = Cluster::addr_for(em.from);
+            match em.kind {
+                EmitKind::Packet { to, payload } => {
+                    telemetry.record_datagram(em.from, payload.len());
+                    let Some(&to_idx) = addr_to_idx.get(&to) else {
+                        continue; // address outside the simulation
+                    };
+                    if let Delivery::Deliver(delay) = network.datagram(em.from, to_idx) {
+                        lane.queue.push(
+                            em.at + delay,
+                            LaneEvent::Datagram {
+                                to: to_idx,
+                                from: from_addr,
+                                payload,
+                            },
+                        );
+                    }
                 }
-            }
-            EmitKind::Stream { to, msg, len } => {
-                telemetry.record_stream(em.from, len);
-                let Some(&to_idx) = addr_to_idx.get(&to) else {
-                    continue;
-                };
-                if let Delivery::Deliver(delay) = network.stream(em.from, to_idx) {
-                    lanes[to_idx % lanes_n].queue.push(
-                        em.at + delay,
-                        LaneEvent::Stream {
-                            to: to_idx,
-                            from: from_addr,
-                            msg,
-                        },
-                    );
+                EmitKind::Stream { to, msg, len } => {
+                    telemetry.record_stream(em.from, len);
+                    let Some(&to_idx) = addr_to_idx.get(&to) else {
+                        continue;
+                    };
+                    if let Delivery::Deliver(delay) = network.stream(em.from, to_idx) {
+                        lane.queue.push(
+                            em.at + delay,
+                            LaneEvent::Stream {
+                                to: to_idx,
+                                from: from_addr,
+                                msg,
+                            },
+                        );
+                    }
                 }
-            }
-            EmitKind::PhantomPacket {
-                phantom,
-                len,
-                replies,
-            } => {
-                telemetry.record_datagram(em.from, len);
-                // Outbound leg to the phantom; each canned reply then
-                // takes its own return leg. Phantom sends are not
-                // telemetered — telemetry tracks real nodes only.
-                if let Delivery::Deliver(out) = network.datagram(em.from, phantom) {
-                    let phantom_addr = Cluster::addr_for(phantom);
-                    for (reply_to, payload) in replies {
-                        let Some(&to_idx) = addr_to_idx.get(&reply_to) else {
-                            continue;
-                        };
-                        if let Delivery::Deliver(back) = network.datagram(phantom, to_idx) {
-                            lanes[to_idx % lanes_n].queue.push(
-                                em.at + out + back,
-                                LaneEvent::Datagram {
-                                    to: to_idx,
-                                    from: phantom_addr,
-                                    payload,
-                                },
-                            );
+                EmitKind::PhantomPacket {
+                    phantom,
+                    len,
+                    replies,
+                } => {
+                    telemetry.record_datagram(em.from, len);
+                    // Outbound leg to the phantom; each canned reply then
+                    // takes its own return leg. Phantom sends are not
+                    // telemetered — telemetry tracks real nodes only.
+                    if let Delivery::Deliver(out) = network.datagram(em.from, phantom) {
+                        let phantom_addr = Cluster::addr_for(phantom);
+                        for (reply_to, payload) in replies {
+                            let Some(&to_idx) = addr_to_idx.get(&reply_to) else {
+                                continue;
+                            };
+                            if let Delivery::Deliver(back) = network.datagram(phantom, to_idx) {
+                                lane.queue.push(
+                                    em.at + out + back,
+                                    LaneEvent::Datagram {
+                                        to: to_idx,
+                                        from: phantom_addr,
+                                        payload,
+                                    },
+                                );
+                            }
                         }
                     }
                 }
-            }
-            EmitKind::PhantomStream { len } => {
-                // Counted like any send, then dropped: phantoms have no
-                // stream endpoint, so anti-entropy with them is a no-op.
-                telemetry.record_stream(em.from, len);
+                EmitKind::PhantomStream { len } => {
+                    // Counted like any send, then dropped: phantoms have no
+                    // stream endpoint, so anti-entropy with them is a no-op.
+                    telemetry.record_stream(em.from, len);
+                }
             }
         }
-    }
-    for r in recs.drain(..) {
-        trace.record(r.at, r.reporter, r.event);
+        for r in lane.records.drain(..) {
+            trace.record(r.at, r.reporter, r.event);
+        }
     }
 }
 
@@ -723,13 +587,8 @@ impl std::fmt::Debug for Cluster {
         f.debug_struct("Cluster")
             .field("n", &self.topo.real)
             .field("phantoms", &(self.topo.total - self.topo.real))
-            .field("lanes", &self.topo.lanes)
-            .field("workers", &self.workers)
             .field("now", &self.now)
-            .field(
-                "pending_events",
-                &self.lanes.iter().map(|l| l.queue.len()).sum::<usize>(),
-            )
+            .field("pending_events", &self.lane.queue.len())
             .field("trace_len", &self.trace.len())
             .finish()
     }
@@ -870,26 +729,6 @@ mod tests {
         assert!(c.is_paused(2));
         c.run_until(SimTime::from_secs(13));
         assert!(!c.is_paused(2));
-    }
-
-    #[test]
-    fn worker_count_is_unobservable() {
-        let run = |workers: usize| {
-            let mut c = ClusterBuilder::new(6).seed(21).workers(workers).build();
-            c.run_for(SimDuration::from_secs(8));
-            c.apply(SimAction::Crash { node: 5 });
-            c.run_for(SimDuration::from_secs(22));
-            let events: Vec<String> = c
-                .trace()
-                .events()
-                .iter()
-                .map(|e| format!("{:?}/{}/{:?}", e.at, e.reporter, e.event))
-                .collect();
-            (events, c.telemetry().total())
-        };
-        let serial = run(1);
-        assert_eq!(serial, run(2));
-        assert_eq!(serial, run(5));
     }
 
     #[test]

@@ -1,23 +1,21 @@
-//! Per-node event lanes: the unit of parallelism in the simulator.
+//! The event lane: every node's driver, the event queue, and the
+//! per-window effect buffers.
 //!
-//! The cluster's nodes are partitioned round-robin over a fixed set of
-//! lanes (node `i` lives in lane `i % lanes`). Each lane owns its nodes'
-//! drivers and a private event queue, and processes events independently
-//! within a bounded time *window* — the conservative-lookahead horizon of
-//! a classic parallel discrete-event simulation. Nothing a lane does
-//! during a window can affect another lane inside the same window,
-//! because every cross-node effect (packet, stream message, trace entry)
-//! travels through the network, whose minimum latency is exactly the
-//! window length.
+//! The lane processes events within a bounded time *window* — the
+//! conservative-lookahead horizon of a classic discrete-event
+//! simulation. Nothing a node does during a window can affect another
+//! node inside the same window, because every cross-node effect (packet,
+//! stream message, trace entry) travels through the network, whose
+//! minimum latency is exactly the window length.
 //!
-//! Lanes therefore never touch shared state. A driver call's effects are
+//! A driver call's effects are therefore not applied on the spot but
 //! buffered as [`Emission`]s and [`TraceRecord`]s, each stamped with a
 //! canonical key `(time, node, per-node seq)`. After every window the
-//! coordinator sorts the buffers on that key and *commits* them: network
-//! RNG draws, telemetry counters and trace appends all happen in commit
+//! cluster sorts the buffers on that key and *commits* them: network RNG
+//! draws, telemetry counters and trace appends all happen in commit
 //! order. The canonical key depends only on simulated time and node
-//! identity — never on lane assignment or worker scheduling — which is
-//! what makes a run byte-identical at any worker count.
+//! identity, so it — not the order events happened to pop in — defines
+//! the run's RNG draw sequence.
 
 use bytes::Bytes;
 use lifeguard_core::driver::{Driver, OwnedOutput, Sink};
@@ -28,11 +26,9 @@ use lifeguard_proto::{codec, compound, Ack, Message, Nack, NodeAddr, NodeName};
 use crate::clock::SimTime;
 use crate::event_queue::EventQueue;
 
-/// Shape of the simulated population, shared by every lane.
+/// Shape of the simulated population.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Topology {
-    /// Number of lanes (nodes are assigned round-robin).
-    pub lanes: usize,
     /// Number of real (driver-backed) nodes: indices `0..real`.
     pub real: usize,
     /// Total roster size including phantom members: `real..total` are
@@ -41,20 +37,7 @@ pub(crate) struct Topology {
     pub total: usize,
 }
 
-impl Topology {
-    /// Lane that owns node `i`.
-    pub fn lane_of(&self, node: usize) -> usize {
-        node % self.lanes
-    }
-
-    /// Slot position of node `i` inside its lane.
-    pub fn slot_of(&self, node: usize) -> usize {
-        node / self.lanes
-    }
-}
-
-/// An event scheduled inside one lane's private queue. Every variant
-/// targets a node owned by that lane.
+/// An event scheduled in the lane's queue.
 pub(crate) enum LaneEvent {
     /// A node's next timer deadline fell due.
     Wake {
@@ -160,14 +143,13 @@ pub(crate) struct TraceRecord {
     pub event: Event,
 }
 
-/// One lane: a round-robin slice of the cluster's nodes plus their
-/// private event queue and effect buffers.
+/// The lane: the cluster's nodes plus their event queue and effect
+/// buffers.
 #[derive(Default)]
 pub(crate) struct Lane {
     pub queue: EventQueue<LaneEvent>,
-    /// Slots for nodes `{i : i % lanes == this lane}`, at position
-    /// `i / lanes`.
-    // bounded: fixed at build time — ceil(real / lanes) slots, never grows
+    /// One slot per real node, indexed by global node index.
+    // bounded: fixed at build time — one slot per real node, never grows
     pub slots: Vec<NodeSlot>,
     /// Effects buffered during the current window.
     // bounded: drained every window commit; holds one window's sends
@@ -200,7 +182,7 @@ impl Lane {
         let now = self.now;
         match ev {
             LaneEvent::Wake { node } => {
-                let slot = &mut self.slots[topo.slot_of(node)];
+                let slot = &mut self.slots[node];
                 if slot.wake_marker != Some(now) {
                     return; // stale wake; a fresher one is queued
                 }
@@ -214,16 +196,15 @@ impl Lane {
                 // Sends it produces are captured in the outbox by the
                 // sink.
                 self.with_sink(node, topo, |driver, sink| driver.tick(now, sink));
-                self.ensure_wake(node, topo);
+                self.ensure_wake(node);
             }
             LaneEvent::Datagram { to, from, payload } => {
-                let slot = &mut self.slots[topo.slot_of(to)];
+                let slot = &mut self.slots[to];
                 if slot.crashed {
                     return;
                 }
                 if let Some(until) = slot.paused_until {
-                    // Blocked on receive: queue for after the anomaly
-                    // (same lane — the node does not move).
+                    // Blocked on receive: queue for after the anomaly.
                     self.queue
                         .push(until, LaneEvent::Datagram { to, from, payload });
                     return;
@@ -234,10 +215,10 @@ impl Lane {
                 self.with_sink(to, topo, |driver, sink| {
                     let _ = driver.handle(Input::Datagram { from, payload }, now, sink);
                 });
-                self.ensure_wake(to, topo);
+                self.ensure_wake(to);
             }
             LaneEvent::Stream { to, from, msg } => {
-                let slot = &mut self.slots[topo.slot_of(to)];
+                let slot = &mut self.slots[to];
                 if slot.crashed {
                     return;
                 }
@@ -250,10 +231,10 @@ impl Lane {
                         .handle(Input::Stream { from, msg }, now, sink)
                         .expect("stream input is infallible");
                 });
-                self.ensure_wake(to, topo);
+                self.ensure_wake(to);
             }
             LaneEvent::PauseStart { node, until } => {
-                let slot = &mut self.slots[topo.slot_of(node)];
+                let slot = &mut self.slots[node];
                 if !slot.crashed {
                     slot.paused_until = Some(until);
                     self.with_sink(node, topo, |driver, sink| {
@@ -264,7 +245,7 @@ impl Lane {
                 }
             }
             LaneEvent::PauseEnd { node } => {
-                let slot = &mut self.slots[topo.slot_of(node)];
+                let slot = &mut self.slots[node];
                 if slot.crashed {
                     return;
                 }
@@ -287,7 +268,7 @@ impl Lane {
                             .expect("io-blocked input is infallible");
                         driver.tick(now, sink);
                     });
-                    self.ensure_wake(node, topo);
+                    self.ensure_wake(node);
                 }
             }
         }
@@ -303,7 +284,7 @@ impl Lane {
         f: impl FnOnce(&mut Driver, &mut LaneSink<'_>) -> R,
     ) -> R {
         let now = self.now;
-        let slot = &mut self.slots[topo.slot_of(node)];
+        let slot = &mut self.slots[node];
         let paused = slot.paused_until.is_some();
         let NodeSlot {
             driver,
@@ -326,13 +307,13 @@ impl Lane {
 
     /// Arms a wake event at the node's next timer deadline unless an
     /// earlier one is already queued.
-    pub fn ensure_wake(&mut self, node: usize, topo: Topology) {
+    pub fn ensure_wake(&mut self, node: usize) {
         let now = self.now;
-        let slot = &mut self.slots[topo.slot_of(node)];
+        let slot = &mut self.slots[node];
         if slot.crashed {
             return;
         }
-        let Some(wake) = slot.driver.next_wake() else {
+        let Some(wake) = slot.driver.next_deadline() else {
             return;
         };
         let wake = wake.max(now);
@@ -346,10 +327,10 @@ impl Lane {
     }
 }
 
-/// The lane-local [`Sink`]: packets and stream messages become buffered
+/// The lane's [`Sink`]: packets and stream messages become buffered
 /// [`Emission`]s (or a paused node's outbox entries), membership events
-/// become buffered [`TraceRecord`]s. No shared cluster state is touched —
-/// that is what lets lanes run on worker threads.
+/// become buffered [`TraceRecord`]s. Network, telemetry and trace are
+/// only touched at commit.
 pub(crate) struct LaneSink<'a> {
     node: usize,
     now: SimTime,

@@ -1,6 +1,6 @@
-//! The ratcheted panic baselines: `analysis/baseline.toml`.
+//! The ratcheted baselines: `analysis/baseline.toml`.
 //!
-//! Two sections, both down-only ratchets:
+//! Three sections, all down-only ratchets:
 //!
 //! - `[panic]` (legacy, per-crate) — grandfathered lexical panic-site
 //!   counts. After the PR 9 burn-down the checked-in file carries no
@@ -9,11 +9,17 @@
 //!   panic sites transitively reachable from each declared entry point
 //!   of the `panic_path` call-graph rule. Wire entry points are pinned
 //!   at zero *regardless* of what this file says.
+//! - `[waivers]` (per rule) — the count of inline waiver comments
+//!   (see the crate docs for the syntax). Zero active findings means
+//!   little if every new finding is simply waived, so the waivers
+//!   themselves are ratcheted: adding one fails until an old one is
+//!   retired.
 //!
-//! A PR that adds a path fails immediately; a PR that removes one fails
-//! until it also tightens the baseline (`cargo run -p xtask -- lint
-//! --update-baseline` rewrites the file), so the recorded counts are
-//! always exact and the burn-down is visible in the diff history.
+//! A PR that adds a path or a waiver fails immediately; a PR that
+//! removes one fails until it also tightens the baseline (`cargo run -p
+//! xtask -- lint --update-baseline` rewrites the file), so the recorded
+//! counts are always exact and the burn-down is visible in the diff
+//! history.
 //!
 //! The file is a flat TOML table parsed by hand — the analyzer is
 //! dependency-free by design (it gates the build; nothing in the build
@@ -26,12 +32,14 @@ use std::path::Path;
 /// Workspace-relative path of the baseline file.
 pub const BASELINE_PATH: &str = "analysis/baseline.toml";
 
-/// Per-crate grandfathered panic-site counts (`[panic]`, legacy) and
-/// per-entry-point reachable-panic-path counts (`[panic_paths]`).
+/// Per-crate grandfathered panic-site counts (`[panic]`, legacy),
+/// per-entry-point reachable-panic-path counts (`[panic_paths]`) and
+/// per-rule inline waiver counts (`[waivers]`).
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct Baseline {
     pub panic: BTreeMap<String, u64>,
     pub panic_paths: BTreeMap<String, u64>,
+    pub waivers: BTreeMap<String, u64>,
 }
 
 /// A baseline file that fails to parse (the gate must not silently
@@ -82,6 +90,9 @@ impl Baseline {
                 "panic_paths" => {
                     out.panic_paths.insert(key, value);
                 }
+                "waivers" => {
+                    out.waivers.insert(key, value);
+                }
                 other => {
                     return Err(BaselineError {
                         line: lineno,
@@ -105,9 +116,9 @@ impl Baseline {
     /// Renders the file back out (used by `--update-baseline`).
     pub fn render(&self) -> String {
         let mut s = String::from(
-            "# Ratcheted panic baselines — maintained by `cargo run -p xtask -- lint`.\n\
+            "# Ratcheted baselines — maintained by `cargo run -p xtask -- lint`.\n\
              #\n\
-             # The lint fails if a count rises (new panic site/path) OR falls (run\n\
+             # The lint fails if a count rises (new panic site/path/waiver) OR falls (run\n\
              # with --update-baseline to ratchet it down), so these numbers are\n\
              # always exact and the burn-down shows up in diff history.\n",
         );
@@ -128,6 +139,14 @@ impl Baseline {
         for (k, v) in &self.panic_paths {
             let _ = writeln!(s, "\"{k}\" = {v}");
         }
+        s.push_str(
+            "\n# Inline `lint: allow(<rule>)` waivers per rule. A finding may be\n\
+             # waived only by retiring another waiver of the same rule.\n\
+             [waivers]\n",
+        );
+        for (k, v) in &self.waivers {
+            let _ = writeln!(s, "{k} = {v}");
+        }
         s
     }
 }
@@ -140,12 +159,14 @@ mod tests {
     fn parse_roundtrip() {
         let b = Baseline::parse(
             "# c\n[panic]\ncore = 20\nnet = 0\n\
-             [panic_paths]\n\"SwimNode::handle_input\" = 3\n",
+             [panic_paths]\n\"SwimNode::handle_input\" = 3\n\
+             [waivers]\npanic_path = 18\n",
         )
         .unwrap();
         assert_eq!(b.panic.get("core"), Some(&20));
         assert_eq!(b.panic.get("net"), Some(&0));
         assert_eq!(b.panic_paths.get("SwimNode::handle_input"), Some(&3));
+        assert_eq!(b.waivers.get("panic_path"), Some(&18));
         let again = Baseline::parse(&b.render()).unwrap();
         assert_eq!(again, b);
     }

@@ -135,12 +135,15 @@ pub fn analyze_sources(sources: &[(String, String)], config: &GraphConfig) -> Re
     report.entry_counts = outcome.entry_counts;
     report.entry_chains = outcome.entry_chains;
 
-    // Stale-waiver accounting, after every pass marked what it used.
+    // Waiver accounting, after every pass marked what it used.
     for f in &data {
-        for w in f.waivers.iter().filter(|w| !w.used.get()) {
-            report
-                .stale_waivers
-                .push((f.rel.clone(), w.line_start, w.rule.clone()));
+        for w in &f.waivers {
+            *report.waiver_counts.entry(w.rule.clone()).or_insert(0) += 1;
+            if !w.used.get() {
+                report
+                    .stale_waivers
+                    .push((f.rel.clone(), w.line_start, w.rule.clone()));
+            }
         }
     }
     report.unused_waivers = report.stale_waivers.len();
@@ -170,8 +173,8 @@ pub struct LintOutcome {
     pub sarif: String,
 }
 
-/// Runs the full lint over `root`: analyze, apply both panic ratchets,
-/// and render the JSON/SARIF reports. With `update_baseline`, a
+/// Runs the full lint over `root`: analyze, apply the panic and waiver
+/// ratchets, and render the JSON/SARIF reports. With `update_baseline`, a
 /// shrunken count rewrites `analysis/baseline.toml` instead of
 /// failing.
 ///
@@ -291,6 +294,46 @@ pub fn run_lint(root: &Path, update_baseline: bool) -> std::io::Result<LintOutco
             // explicit per-entry row to diff against.
             rewrite = true;
             ratcheted.panic_paths.insert(entry.qname.clone(), have);
+        }
+    }
+
+    // The per-rule waiver ratchet: same shape as the panic-path one —
+    // a rise fails (`--update-baseline` may only seed a rule the file
+    // has no row for), a fall must be recorded.
+    let mut waived_rules: Vec<&String> = baseline
+        .waivers
+        .keys()
+        .chain(report.waiver_counts.keys())
+        .collect();
+    waived_rules.sort();
+    waived_rules.dedup();
+    for rule in waived_rules {
+        let have = report.waiver_counts.get(rule).copied().unwrap_or(0);
+        let base = baseline.waivers.get(rule).copied().unwrap_or(0);
+        let known = baseline.waivers.contains_key(rule);
+        if have > base {
+            if update_baseline && !known {
+                rewrite = true;
+                ratcheted.waivers.insert(rule.clone(), have);
+            } else {
+                failures.push(format!(
+                    "waiver ratchet: {have} `{rule}` waiver(s), baseline allows {base} — fix \
+                     the finding structurally, or retire another `{rule}` waiver"
+                ));
+            }
+        } else if have < base {
+            rewrite = true;
+            if have == 0 {
+                ratcheted.waivers.remove(rule);
+            } else {
+                ratcheted.waivers.insert(rule.clone(), have);
+            }
+            if !update_baseline {
+                failures.push(format!(
+                    "waiver ratchet: down to {have} `{rule}` waiver(s) but the baseline says \
+                     {base} — run `cargo run -p xtask -- lint --update-baseline` to ratchet"
+                ));
+            }
         }
     }
 

@@ -776,7 +776,7 @@ impl<'a> Parser<'a> {
                             }
                         }
                         // A guard chained straight into a method call
-                        // (`driver.lock().next_wake()`) is a statement
+                        // (`driver.lock().next_deadline()`) is a statement
                         // temporary: the region ends at the `;`.
                         let after_call = {
                             let mut k = j + 1; // `(`
@@ -970,7 +970,7 @@ mod tests {
     #[test]
     fn statement_temporary_lock_covers_one_statement() {
         let src = "fn f(&self) {\n\
-                     let next = self.inner.driver.lock().next_wake();\n\
+                     let next = self.inner.driver.lock().next_deadline();\n\
                      not_under();\n\
                    }";
         let p = parse_str("crates/net/src/x.rs", src);

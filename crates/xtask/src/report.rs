@@ -27,6 +27,9 @@ pub struct Report {
     pub entry_counts: BTreeMap<String, u64>,
     /// Example call chains per entry point (up to three each).
     pub entry_chains: BTreeMap<String, Vec<String>>,
+    /// Inline waivers per rule, used or stale (the `[waivers]` ratchet
+    /// input).
+    pub waiver_counts: BTreeMap<String, u64>,
 }
 
 impl Report {

@@ -1,16 +1,16 @@
 //! Determinism regression: the simulator's observable output — the full
 //! event trace, telemetry totals and every node's final member table —
-//! must be **byte-identical** for a given seed regardless of
+//! must be **byte-identical** for a given seed, run after run and
+//! commit after commit.
 //!
-//! * the worker count driving the event lanes (1 = inline serial, more =
-//!   scoped thread pool), and
-//! * the membership-plane shard count inside each node.
-//!
-//! Both knobs are performance knobs by contract; this test is the
-//! contract. Each scenario exercises convergence plus injected actions
-//! (crash, pause, metadata churn) so the fingerprint covers probe
-//! scheduling, suspicion timers, gossip dissemination and anomaly
-//! handling — not just a quiet steady state.
+//! Each scenario's fingerprint is pinned as an FNV-1a hash (recorded at
+//! the commit before the single-layout membership plane and the
+//! one-lane simulator landed), so any change to RNG draw order, commit
+//! order, table iteration or wire encoding shows up here as a changed
+//! constant rather than going unnoticed. Each scenario exercises
+//! convergence plus injected actions (crash, pause, metadata churn) so
+//! the fingerprint covers probe scheduling, suspicion timers, gossip
+//! dissemination and anomaly handling — not just a quiet steady state.
 
 use std::time::Duration;
 
@@ -18,6 +18,20 @@ use bytes::Bytes;
 use lifeguard::core::config::Config;
 use lifeguard::sim::cluster::{Cluster, ClusterBuilder, SimAction};
 use lifeguard::sim::clock::SimDuration;
+
+/// Golden FNV-1a hashes of the three scenario fingerprints below.
+const EVENTFUL_GOLDEN: u64 = 0xddf9_3f61_dd13_e02c;
+const PHANTOM_GOLDEN: u64 = 0xfccf_453b_4903_4821;
+const METRICS_GOLDEN: u64 = 0x592f_fc3c_197c_3650;
+
+fn fnv1a(s: &str) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in s.as_bytes() {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
 
 /// Canonical string form of everything a run observably produced.
 fn fingerprint(c: &Cluster) -> String {
@@ -47,11 +61,10 @@ fn fingerprint(c: &Cluster) -> String {
 }
 
 /// A 12-node run with a crash, an anomaly pause and metadata churn.
-fn eventful_run(workers: usize, shards: usize) -> String {
+fn eventful_run() -> String {
     let mut c = ClusterBuilder::new(12)
         .seed(0xD15C0)
-        .config(Config::lan().lifeguard().with_shards(shards))
-        .workers(workers)
+        .config(Config::lan().lifeguard())
         .build();
     c.run_for(SimDuration::from_secs(12));
     c.apply(SimAction::UpdateMeta {
@@ -69,44 +82,25 @@ fn eventful_run(workers: usize, shards: usize) -> String {
 }
 
 #[test]
-fn trace_and_tables_identical_across_workers_and_shards() {
-    let reference = eventful_run(1, 1);
+fn trace_and_tables_match_golden_and_repeat() {
+    let reference = eventful_run();
     assert!(
         reference.contains("MemberFailed"),
         "scenario must actually exercise failure detection"
     );
-    for workers in [2, 8] {
-        assert_eq!(
-            reference,
-            eventful_run(workers, 1),
-            "workers={workers} diverged from serial run"
-        );
-    }
-    for shards in [4, 16] {
-        assert_eq!(
-            reference,
-            eventful_run(1, shards),
-            "shards={shards} diverged from single-shard run"
-        );
-    }
-    // Both knobs at once.
-    assert_eq!(
-        reference,
-        eventful_run(8, 16),
-        "workers=8/shards=16 diverged"
-    );
+    assert_eq!(reference, eventful_run(), "two runs of one seed diverged");
+    assert_eq!(fnv1a(&reference), EVENTFUL_GOLDEN, "fingerprint drifted");
 }
 
-/// Phantom-extended rosters must be just as schedule-independent: the
-/// canned phantom responder runs inside the sending lane and its
-/// replies commit in canonical order like any other delivery.
-fn phantom_run(workers: usize, shards: usize) -> String {
+/// Phantom-extended rosters must be just as reproducible: the canned
+/// phantom responder runs at send time and its replies commit in
+/// canonical order like any other delivery.
+fn phantom_run() -> String {
     let mut c = ClusterBuilder::new(6)
         .seed(0xFA111)
-        .config(Config::lan().lifeguard().with_shards(shards))
+        .config(Config::lan().lifeguard())
         .full_mesh(true)
         .phantom_members(40)
-        .workers(workers)
         .build();
     c.run_for(SimDuration::from_secs(10));
     c.apply(SimAction::UpdateMeta {
@@ -118,29 +112,28 @@ fn phantom_run(workers: usize, shards: usize) -> String {
 }
 
 #[test]
-fn phantom_rosters_identical_across_workers_and_shards() {
-    let reference = phantom_run(1, 1);
+fn phantom_rosters_match_golden_and_repeat() {
+    let reference = phantom_run();
     assert!(
         reference.contains("node-45"),
         "roster must include the phantom members"
     );
-    assert_eq!(reference, phantom_run(2, 4), "workers=2/shards=4 diverged");
-    assert_eq!(reference, phantom_run(8, 16), "workers=8/shards=16 diverged");
+    assert_eq!(reference, phantom_run(), "two runs of one seed diverged");
+    assert_eq!(fnv1a(&reference), PHANTOM_GOLDEN, "fingerprint drifted");
 }
 
-/// The per-node metrics export must be schedule-independent too: the
-/// exact same `Snapshot` (core protocol counters, histograms and sim
-/// I/O accounting) at every worker and shard count, and therefore the
-/// same aggregated dashboard.
+/// The per-node metrics export must be reproducible too: the exact same
+/// `Snapshot` (core protocol counters, histograms and sim I/O
+/// accounting) on every run of a seed, and therefore the same aggregated
+/// dashboard.
 #[test]
-fn metrics_snapshots_identical_across_workers_and_shards() {
+fn metrics_snapshots_match_golden_and_repeat() {
     use lifeguard::metrics::Aggregate;
 
-    let run = |workers: usize, shards: usize| {
+    let run = || {
         let mut c = ClusterBuilder::new(10)
             .seed(0x5EED5)
-            .config(Config::lan().lifeguard().with_shards(shards))
-            .workers(workers)
+            .config(Config::lan().lifeguard())
             .build();
         c.run_for(SimDuration::from_secs(10));
         c.apply(SimAction::Crash { node: 9 });
@@ -153,18 +146,14 @@ fn metrics_snapshots_identical_across_workers_and_shards() {
         (snaps, agg.to_json())
     };
 
-    let (ref_snaps, ref_json) = run(1, 1);
+    let (ref_snaps, ref_json) = run();
     // The scenario must produce non-trivial protocol metrics.
     let merged_failures: u64 = ref_snaps.iter().map(|s| s.core.failures_declared).sum();
     assert!(merged_failures > 0, "scenario produced no failure metrics");
-    for (workers, shards) in [(2, 1), (1, 8), (4, 8)] {
-        let (snaps, json) = run(workers, shards);
-        assert_eq!(
-            snaps, ref_snaps,
-            "metrics diverged at workers={workers}, shards={shards}"
-        );
-        assert_eq!(json, ref_json);
-    }
+    let (snaps, json) = run();
+    assert_eq!(snaps, ref_snaps, "two runs of one seed diverged");
+    assert_eq!(json, ref_json);
+    assert_eq!(fnv1a(&ref_json), METRICS_GOLDEN, "metrics JSON drifted");
 }
 
 /// Different seeds must still differ — guards against the fingerprint

@@ -290,7 +290,7 @@ fn run_sim_trace() -> (Vec<Observed>, CoreSnapshot) {
         // Advance virtual time to the next inbound delivery or timer.
         inbound.sort_by_key(|(at, _)| *at);
         let next_delivery = inbound.first().map(|(at, _)| *at);
-        let next_wake = driver.next_wake();
+        let next_wake = driver.next_deadline();
         let next = match (next_delivery, next_wake) {
             (Some(d), Some(w)) => d.min(w),
             (Some(d), None) => d,
