@@ -1,31 +1,23 @@
-//! `reactor/*`: loopback probe round-trip latency of the two net
-//! runtimes, plus poll-syscalls per probe cycle for the reactor.
+//! `reactor/*`: loopback probe round-trip latency of the agent's
+//! reactor, poll-syscalls per probe cycle, send batching at a
+//! 1000-member fan-out and the idle wakeup rate.
 //!
 //! The workload is the failure detector's hottest wire interaction: a
 //! peer sends a direct `Ping` to a running [`Agent`]'s UDP port and
-//! waits for the `Ack`. On the threaded runtime the reader thread
-//! blocks on the socket (arrival-driven); on the reactor the single
-//! event loop is woken by poll readiness. Neither path may quantise
-//! the round trip — the reactor must be at least as fast with **one**
-//! protocol thread instead of four.
+//! waits for the `Ack`; the single event loop is woken by poll
+//! readiness and must not quantise the round trip.
 //!
 //! Hard asserts ride every run (including CI's `--test` smoke mode):
 //!
-//! * the reactor's median RTT stays within `1.5× + 200 µs` of the
-//!   threaded runtime's (slack for scheduler noise on shared CI
-//!   hardware — the recorded numbers in `docs/PERFORMANCE.md` §7 show
-//!   it comfortably *below* threaded);
-//! * the reactor's median RTT is far below the threaded runtime's old
-//!   5 ms accept-backoff quantum, proving fixed sleeps are gone from
+//! * the median RTT is far below 1 ms, proving no fixed sleep sits on
 //!   the probe path;
-//! * at a 1000-member loopback fan-out, the batched
-//!   (`sendmmsg`/`recvmmsg`) datapath issues at least **4× fewer** UDP
-//!   send syscalls per probe round than the single-shot datapath, with
-//!   the probe RTT median no worse.
+//! * the loop polls fewer than 16 times per probe (no busy loop);
+//! * at a 1000-member loopback fan-out the `sendmmsg` datapath engages
+//!   and carries at least **4 datagrams per send syscall**;
+//! * an idle reactor wakes fewer than 200 times per second.
 //!
-//! Results are recorded in `docs/PERFORMANCE.md` §7–8, and every run
-//! writes the machine-readable summary to `target/BENCH_reactor.json`
-//! (CI's regression gate reads it).
+//! Every run writes the machine-readable summary to
+//! `target/BENCH_reactor.json` (CI's regression gate reads it).
 
 use std::net::UdpSocket;
 use std::time::{Duration, Instant};
@@ -34,7 +26,7 @@ use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use lifeguard_core::config::Config;
-use lifeguard_net::agent::{Agent, AgentConfig, IoBatchConfig, Runtime};
+use lifeguard_net::agent::{Agent, AgentConfig};
 use lifeguard_net::transport;
 use lifeguard_proto::{
     codec, Incarnation, MemberState, Message, NodeAddr, Ping, PushNodeState, PushPull, SeqNo,
@@ -60,14 +52,9 @@ struct ProbeHarness {
 }
 
 impl ProbeHarness {
-    fn start(runtime: Runtime) -> ProbeHarness {
-        let agent = Agent::start(
-            AgentConfig::local("target")
-                .protocol(bench_config())
-                .seed(1)
-                .runtime(runtime),
-        )
-        .expect("start agent");
+    fn start() -> ProbeHarness {
+        let agent = Agent::start(AgentConfig::local("target").protocol(bench_config()).seed(1))
+            .expect("start agent");
         ProbeHarness::attach(agent)
     }
 
@@ -131,7 +118,7 @@ const FANOUT_PROBE_INTERVAL: Duration = Duration::from_millis(200);
 /// The fan-out workload config: a wide gossip fan-out (32 targets per
 /// 50 ms gossip tick) over fast probe rounds, with the stream paths
 /// (push-pull, reconnect, TCP fallback probe) disabled so every wire
-/// interaction is a UDP datagram the batched datapath owns.
+/// interaction is a UDP datagram.
 fn fanout_config() -> Config {
     let mut cfg = Config::lan()
         .lifeguard()
@@ -153,20 +140,13 @@ struct FanoutMeasure {
     rtt_median: Duration,
 }
 
-/// Starts a hub agent with the given batching mode, injects
-/// [`FANOUT_MEMBERS`] members (addresses spread over real loopback
+/// Starts a hub agent, injects [`FANOUT_MEMBERS`] members (addresses spread over real loopback
 /// sink sockets) through one push-pull reply, then samples the
 /// per-agent I/O counters over [`FANOUT_WINDOW`] and measures the
 /// probe RTT median under the same load.
-fn measure_fanout(io_batch: IoBatchConfig, sinks: &[UdpSocket]) -> FanoutMeasure {
-    let agent = Agent::start(
-        AgentConfig::local("hub")
-            .protocol(fanout_config())
-            .seed(99)
-            .runtime(Runtime::Reactor)
-            .io_batch(io_batch),
-    )
-    .expect("start hub agent");
+fn measure_fanout(sinks: &[UdpSocket]) -> FanoutMeasure {
+    let agent = Agent::start(AgentConfig::local("hub").protocol(fanout_config()).seed(99))
+        .expect("start hub agent");
 
     // Inject the membership in one shot: a push-pull *reply* merges
     // silently (no counter-reply), exactly as a join answer would.
@@ -202,10 +182,10 @@ fn measure_fanout(io_batch: IoBatchConfig, sinks: &[UdpSocket]) -> FanoutMeasure
 
     // Let the probe/gossip cadence reach steady state, then sample.
     std::thread::sleep(Duration::from_millis(500));
-    let before = agent.stats();
+    let before = agent.metrics().io;
     let window_start = Instant::now();
     std::thread::sleep(FANOUT_WINDOW);
-    let after = agent.stats();
+    let after = agent.metrics().io;
     let elapsed = window_start.elapsed();
 
     let send_syscalls = after.send_syscalls - before.send_syscalls;
@@ -241,14 +221,7 @@ fn reactor_group(c: &mut Criterion) {
     const WARMUP: usize = 20;
     const SAMPLES: usize = 200;
 
-    let mut threaded = ProbeHarness::start(Runtime::Threaded);
-    for _ in 0..WARMUP {
-        threaded.round_trip();
-    }
-    let mut threaded_samples: Vec<Duration> = (0..SAMPLES).map(|_| threaded.round_trip()).collect();
-    let threaded_median = median(&mut threaded_samples);
-
-    let mut reactor = ProbeHarness::start(Runtime::Reactor);
+    let mut reactor = ProbeHarness::start();
     for _ in 0..WARMUP {
         reactor.round_trip();
     }
@@ -260,21 +233,14 @@ fn reactor_group(c: &mut Criterion) {
     let reactor_median = median(&mut reactor_samples);
 
     eprintln!(
-        "reactor/rtt: threaded median {threaded_median:?}, reactor median {reactor_median:?}, \
-         reactor poll syscalls/probe {:.2} (total shim syscalls/probe {:.2})",
+        "reactor/rtt: median {reactor_median:?}, poll syscalls/probe {:.2} \
+         (total shim syscalls/probe {:.2})",
         polls as f64 / SAMPLES as f64,
         syscalls as f64 / SAMPLES as f64,
     );
 
-    // The headline latency gate: one reactor thread must not be slower
-    // than four threaded ones (modulo CI scheduler noise).
-    assert!(
-        reactor_median <= threaded_median.mul_f64(1.5) + Duration::from_micros(200),
-        "reactor probe RTT regressed: reactor {reactor_median:?} vs threaded {threaded_median:?}"
-    );
-    // And nothing on the probe path may sleep-quantise: the old accept
-    // backoff was 5 ms, the ticker floor 1 ms — a readiness wakeup is
-    // orders of magnitude below either.
+    // Nothing on the probe path may sleep-quantise: a readiness wakeup
+    // is orders of magnitude below any fixed-interval backoff.
     assert!(
         reactor_median < Duration::from_millis(1),
         "reactor probe RTT {reactor_median:?} suggests a fixed-interval sleep on the wire path"
@@ -287,56 +253,36 @@ fn reactor_group(c: &mut Criterion) {
     );
 
     // The batching gate: a 1000-member fan-out drives wide gossip
-    // bursts through both datapaths; the sendmmsg one must collapse
-    // the per-packet syscalls by at least 4× without costing probe
-    // latency.
+    // bursts; sendmmsg must carry them several datagrams per syscall.
     let sinks: Vec<UdpSocket> = (0..FANOUT_SINKS)
         .map(|_| UdpSocket::bind("127.0.0.1:0").expect("bind sink"))
         .collect();
-    let unbatched = measure_fanout(IoBatchConfig::single_shot(), &sinks);
-    let batched = measure_fanout(IoBatchConfig::default(), &sinks);
-    let reduction = unbatched.send_syscalls_per_round / batched.send_syscalls_per_round.max(1e-9);
+    let fanout = measure_fanout(&sinks);
     eprintln!(
-        "reactor/fanout ({FANOUT_MEMBERS} members): unbatched {:.1} send syscalls/round \
-         ({:.0} pkts/s), batched {:.1} send syscalls/round ({:.0} pkts/s, {:.1} datagrams/syscall) \
-         — {reduction:.1}× reduction; RTT median unbatched {:?} vs batched {:?}",
-        unbatched.send_syscalls_per_round,
-        unbatched.packets_per_sec,
-        batched.send_syscalls_per_round,
-        batched.packets_per_sec,
-        batched.datagrams_per_send_syscall,
-        unbatched.rtt_median,
-        batched.rtt_median,
+        "reactor/fanout ({FANOUT_MEMBERS} members): {:.1} send syscalls/round ({:.0} pkts/s, \
+         {:.1} datagrams/syscall), RTT median {:?}",
+        fanout.send_syscalls_per_round,
+        fanout.packets_per_sec,
+        fanout.datagrams_per_send_syscall,
+        fanout.rtt_median,
     );
     assert!(
-        batched.sendmmsg_batches > 0,
-        "batched run never issued a multi-datagram sendmmsg — batching is not engaging"
+        fanout.sendmmsg_batches > 0,
+        "fan-out never issued a multi-datagram sendmmsg — batching is not engaging"
     );
     assert!(
-        reduction >= 4.0,
-        "sendmmsg batching must cut UDP send syscalls per probe round by ≥4×: \
-         unbatched {:.1}/round vs batched {:.1}/round ({reduction:.1}×)",
-        unbatched.send_syscalls_per_round,
-        batched.send_syscalls_per_round,
-    );
-    assert!(
-        batched.rtt_median <= unbatched.rtt_median.mul_f64(1.5) + Duration::from_micros(200),
-        "batching must not cost probe latency: batched {:?} vs unbatched {:?}",
-        batched.rtt_median,
-        unbatched.rtt_median,
+        fanout.datagrams_per_send_syscall >= 4.0,
+        "sendmmsg batching must carry ≥4 datagrams per send syscall at the fan-out, got {:.1}",
+        fanout.datagrams_per_send_syscall,
     );
 
     let mut group = c.benchmark_group("reactor");
     group.measurement_time(Duration::from_secs(2));
-    group.bench_function("probe_rtt_threaded", |b| b.iter(|| threaded.round_trip()));
     group.bench_function("probe_rtt_reactor", |b| b.iter(|| reactor.round_trip()));
     group.finish();
 
-    // Idle wakeups: with the threaded agent gone, the only poller left
-    // is the reactor's — its wakeup rate is exactly the protocol timer
-    // rate (the threaded layout burns ~350 wakeups/s across its four
-    // loops' shutdown-poll timeouts regardless of protocol activity).
-    threaded.agent.shutdown();
+    // Idle wakeups: the only poller in the process is this reactor's,
+    // and its wakeup rate must be the protocol timer rate.
     let idle_window = Duration::from_millis(500);
     let polls_before = polling::stats::polls();
     std::thread::sleep(idle_window);
@@ -350,33 +296,24 @@ fn reactor_group(c: &mut Criterion) {
 
     reactor.agent.shutdown();
 
-    // Machine-readable summary for CI's regression gate and for
-    // `docs/PERFORMANCE.md`. Written into the workspace `target/` dir
-    // regardless of the bench binary's working directory.
+    // Machine-readable summary for CI's regression gate. Written into
+    // the workspace `target/` dir regardless of the bench binary's
+    // working directory.
     let json = format!(
         "{{\n  \"bench\": \"reactor\",\n  \"fanout_members\": {FANOUT_MEMBERS},\n  \
-         \"probe_interval_ms\": {},\n  \"window_secs\": {},\n  \"unbatched\": {{\n    \
-         \"send_syscalls_per_probe_round\": {:.2},\n    \"packets_per_sec\": {:.0},\n    \
-         \"datagrams_per_send_syscall\": {:.2},\n    \"rtt_median_us\": {:.1}\n  }},\n  \
-         \"batched\": {{\n    \"send_syscalls_per_probe_round\": {:.2},\n    \
+         \"probe_interval_ms\": {},\n  \"window_secs\": {},\n  \"batched\": {{\n    \
+         \"send_syscalls_per_probe_round\": {:.2},\n    \
          \"packets_per_sec\": {:.0},\n    \"datagrams_per_send_syscall\": {:.2},\n    \
          \"sendmmsg_batches\": {},\n    \"rtt_median_us\": {:.1}\n  }},\n  \
-         \"syscall_reduction_factor\": {:.2},\n  \"rtt_threaded_us\": {:.1},\n  \
          \"rtt_reactor_us\": {:.1},\n  \"polls_per_probe\": {:.2},\n  \
          \"idle_wakeups_per_sec\": {:.0}\n}}\n",
         FANOUT_PROBE_INTERVAL.as_millis(),
         FANOUT_WINDOW.as_secs(),
-        unbatched.send_syscalls_per_round,
-        unbatched.packets_per_sec,
-        unbatched.datagrams_per_send_syscall,
-        unbatched.rtt_median.as_secs_f64() * 1e6,
-        batched.send_syscalls_per_round,
-        batched.packets_per_sec,
-        batched.datagrams_per_send_syscall,
-        batched.sendmmsg_batches,
-        batched.rtt_median.as_secs_f64() * 1e6,
-        reduction,
-        threaded_median.as_secs_f64() * 1e6,
+        fanout.send_syscalls_per_round,
+        fanout.packets_per_sec,
+        fanout.datagrams_per_send_syscall,
+        fanout.sendmmsg_batches,
+        fanout.rtt_median.as_secs_f64() * 1e6,
         reactor_median.as_secs_f64() * 1e6,
         polls as f64 / SAMPLES as f64,
         idle_rate,

@@ -1,18 +1,15 @@
-//! Offline shim for the `crossbeam` crate: an unbounded MPMC channel
-//! built on `Mutex<VecDeque>` + `Condvar`. Only the operations the
-//! workspace uses are provided (`send`, `recv`, `recv_timeout`,
-//! `try_recv`, `try_iter`).
+//! Offline shim for the `crossbeam` crate: an unbounded channel built
+//! on `Mutex<VecDeque>`. Only the operations the workspace uses are
+//! provided (`send`, `try_recv`, `try_iter`) — nothing here blocks.
 
-/// Multi-producer multi-consumer channels.
+/// Multi-producer channels (upstream's `crossbeam::channel` paths).
 pub mod channel {
     use std::collections::VecDeque;
     use std::fmt;
-    use std::sync::{Arc, Condvar, Mutex};
-    use std::time::Duration;
+    use std::sync::{Arc, Mutex};
 
     struct Shared<T> {
         queue: Mutex<State<T>>,
-        ready: Condvar,
     }
 
     struct State<T> {
@@ -25,19 +22,9 @@ pub mod channel {
         shared: Arc<Shared<T>>,
     }
 
-    /// The receiving half of an unbounded channel. Cloning (as in
-    /// upstream crossbeam) yields another consumer of the same queue:
-    /// each item is delivered to exactly one receiver.
+    /// The receiving half of an unbounded channel.
     pub struct Receiver<T> {
         shared: Arc<Shared<T>>,
-    }
-
-    impl<T> Clone for Receiver<T> {
-        fn clone(&self) -> Self {
-            Receiver {
-                shared: Arc::clone(&self.shared),
-            }
-        }
     }
 
     /// Error returned when every receiver is gone.
@@ -53,15 +40,6 @@ pub mod channel {
         Disconnected,
     }
 
-    /// Error returned by [`Receiver::recv`] / [`Receiver::recv_timeout`].
-    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-    pub enum RecvError {
-        /// Every sender is gone and the queue is drained.
-        Disconnected,
-        /// The timeout elapsed with the channel still empty.
-        Timeout,
-    }
-
     /// Creates an unbounded channel.
     pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
         let shared = Arc::new(Shared {
@@ -69,7 +47,6 @@ pub mod channel {
                 items: VecDeque::new(),
                 senders: 1,
             }),
-            ready: Condvar::new(),
         });
         (
             Sender {
@@ -89,10 +66,7 @@ pub mod channel {
     impl<T> Sender<T> {
         /// Enqueues a value (never blocks; the channel is unbounded).
         pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-            let mut state = lock(&self.shared);
-            state.items.push_back(value);
-            drop(state);
-            self.shared.ready.notify_one();
+            lock(&self.shared).items.push_back(value);
             Ok(())
         }
     }
@@ -109,7 +83,6 @@ pub mod channel {
     impl<T> Drop for Sender<T> {
         fn drop(&mut self) {
             lock(&self.shared).senders -= 1;
-            self.shared.ready.notify_all();
         }
     }
 
@@ -121,48 +94,6 @@ pub mod channel {
                 Some(v) => Ok(v),
                 None if state.senders == 0 => Err(TryRecvError::Disconnected),
                 None => Err(TryRecvError::Empty),
-            }
-        }
-
-        /// Blocks until a value arrives or every sender is gone.
-        pub fn recv(&self) -> Result<T, RecvError> {
-            let mut state = lock(&self.shared);
-            loop {
-                if let Some(v) = state.items.pop_front() {
-                    return Ok(v);
-                }
-                if state.senders == 0 {
-                    return Err(RecvError::Disconnected);
-                }
-                state = self
-                    .shared
-                    .ready
-                    .wait(state)
-                    .unwrap_or_else(|poison| poison.into_inner());
-            }
-        }
-
-        /// Blocks up to `timeout` for a value.
-        pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvError> {
-            let deadline = std::time::Instant::now() + timeout;
-            let mut state = lock(&self.shared);
-            loop {
-                if let Some(v) = state.items.pop_front() {
-                    return Ok(v);
-                }
-                if state.senders == 0 {
-                    return Err(RecvError::Disconnected);
-                }
-                let now = std::time::Instant::now();
-                if now >= deadline {
-                    return Err(RecvError::Timeout);
-                }
-                let (guard, _) = self
-                    .shared
-                    .ready
-                    .wait_timeout(state, deadline - now)
-                    .unwrap_or_else(|poison| poison.into_inner());
-                state = guard;
             }
         }
 
@@ -216,9 +147,9 @@ pub mod channel {
         fn cross_thread_delivery() {
             let (tx, rx) = unbounded();
             let t = std::thread::spawn(move || tx.send(42).unwrap());
-            assert_eq!(rx.recv(), Ok(42));
             t.join().unwrap();
-            assert_eq!(rx.recv(), Err(RecvError::Disconnected));
+            assert_eq!(rx.try_recv(), Ok(42));
+            assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
         }
     }
 }

@@ -65,5 +65,5 @@ pub mod timer_wheel;
 pub use config::{AwarenessDeltas, Config, ConfigError, LifeguardConfig};
 pub use driver::{Driver, OwnedOutput, Sink};
 pub use event::Event;
-pub use node::{Input, NodeStats, Output, SwimNode};
+pub use node::{Input, Output, SwimNode};
 pub use time::Time;

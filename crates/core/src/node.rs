@@ -186,26 +186,7 @@ struct ProbeState {
     round_end_timer: TimerKey,
 }
 
-/// Counters of protocol activity at one node (observability; used by
-/// tests, examples and operators).
-#[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
-pub struct NodeStats {
-    /// Direct probes initiated.
-    pub probes_sent: u64,
-    /// Probe rounds that ended without an ack.
-    pub probes_failed: u64,
-    /// `ping-req` messages sent to intermediaries.
-    pub indirect_probes_sent: u64,
-    /// Suspicions this node started from its own failed probes or
-    /// adopted from gossip.
-    pub suspicions_raised: u64,
-    /// Times this node refuted a suspicion/death claim about itself.
-    pub refutations: u64,
-    /// Failures this node declared from its own suspicion timeouts.
-    pub failures_declared: u64,
-}
-
-/// Observability state the counters in [`NodeStats`] do not cover:
+/// Observability state of one node: protocol activity counters,
 /// latency/lifetime histograms, flap and anti-entropy volume counters,
 /// and peaks of the health/queue gauges. All fixed-size — recording is
 /// allocation-free, preserving the zero-alloc poll guarantee — and fed
@@ -213,6 +194,19 @@ pub struct NodeStats {
 /// the sim clock. Exported through [`SwimNode::metrics`].
 #[derive(Clone, Debug, Default)]
 struct CoreMetrics {
+    /// Direct probes initiated.
+    probes_sent: u64,
+    /// Probe rounds that ended without an ack.
+    probes_failed: u64,
+    /// `ping-req` messages sent to intermediaries.
+    indirect_probes_sent: u64,
+    /// Suspicions this node started from its own failed probes or
+    /// adopted from gossip.
+    suspicions_raised: u64,
+    /// Times this node refuted a suspicion/death claim about itself.
+    refutations: u64,
+    /// Failures this node declared from its own suspicion timeouts.
+    failures_declared: u64,
     /// Probe round-trip times (timely acks only), microseconds.
     probe_rtt: Histogram,
     /// Suspicion raise→resolution lifetimes, microseconds.
@@ -335,7 +329,6 @@ pub struct SwimNode {
     /// in original due order.
     // bounded: ≤ the live timer count — each deferred entry consumed a scheduled timer, and loop timers defer at most once (stuck_* flags)
     deferred_timers: Vec<DeferredTimer>,
-    stats: NodeStats,
     metrics: CoreMetrics,
     /// Effects awaiting [`SwimNode::poll_output`].
     // bounded: the driver drains it fully after every input, so it holds at most one input's effects
@@ -425,7 +418,6 @@ impl SwimNode {
             stuck_push_pull: false,
             stuck_reconnect: false,
             deferred_timers: Vec::new(),
-            stats: NodeStats::default(),
             metrics: CoreMetrics::default(),
             pending: VecDeque::new(),
             scratch: Vec::new(),
@@ -494,13 +486,8 @@ impl SwimNode {
         self.broadcasts.len()
     }
 
-    /// Protocol activity counters.
-    pub fn stats(&self) -> NodeStats {
-        self.stats
-    }
-
     /// Point-in-time metrics snapshot of the protocol plane: the
-    /// [`NodeStats`] counters, the probe-RTT and suspicion-lifetime
+    /// protocol activity counters, the probe-RTT and suspicion-lifetime
     /// histograms, health/queue gauges and anti-entropy volume, in the
     /// runtime-independent [`CoreSnapshot`] shape. Everything here is
     /// recorded on the deterministic `handle_input` path, so for the
@@ -511,12 +498,12 @@ impl SwimNode {
             lhm: u64::from(self.awareness.score()),
             lhm_peak: self.metrics.lhm_peak.max(u64::from(self.awareness.score())),
             lhm_max: u64::from(self.awareness.max()),
-            probes_sent: self.stats.probes_sent,
-            probes_failed: self.stats.probes_failed,
-            indirect_probes_sent: self.stats.indirect_probes_sent,
-            suspicions_raised: self.stats.suspicions_raised,
-            refutations: self.stats.refutations,
-            failures_declared: self.stats.failures_declared,
+            probes_sent: self.metrics.probes_sent,
+            probes_failed: self.metrics.probes_failed,
+            indirect_probes_sent: self.metrics.indirect_probes_sent,
+            suspicions_raised: self.metrics.suspicions_raised,
+            refutations: self.metrics.refutations,
+            failures_declared: self.metrics.failures_declared,
             flaps: self.metrics.flaps,
             broadcast_queue_depth: depth,
             broadcast_queue_peak: self.metrics.broadcast_queue_peak.max(depth),
@@ -1405,7 +1392,7 @@ impl SwimNode {
             source: self.name.clone(),
             source_addr: self.addr,
         });
-        self.stats.probes_sent += 1;
+        self.metrics.probes_sent += 1;
         self.send_packet(target_addr, &ping, Some(&target), now);
         let timeout = self.awareness.scale(self.config.probe_timeout);
         let timeout_timer = self.schedule(now + timeout, Timer::ProbeTimeout { seq });
@@ -1455,7 +1442,7 @@ impl SwimNode {
             );
         }
         let sent = self.addr_scratch.len() as u32;
-        self.stats.indirect_probes_sent += sent as u64;
+        self.metrics.indirect_probes_sent += sent as u64;
         for i in 0..sent as usize {
             // lint: allow(panic_path) — `sent` is `addr_scratch.len()` captured two lines above, and the loop body only appends to `pending`, never to `addr_scratch`
             let peer_addr = self.addr_scratch[i];
@@ -1495,7 +1482,7 @@ impl SwimNode {
         // Unschedule the timeout in case it has not fired yet (possible
         // only when the timeout is configured beyond the interval).
         self.timers.cancel(p.timeout_timer);
-        self.stats.probes_failed += 1;
+        self.metrics.probes_failed += 1;
         // The probe was not acked in time (a timely ack clears the probe
         // state), so the round failed: feed the LHM. Following memberlist: when we had
         // nack-capable peers, health feedback comes from missed nacks;
@@ -1549,7 +1536,7 @@ impl SwimNode {
         if !declared {
             return;
         }
-        self.stats.failures_declared += 1;
+        self.metrics.failures_declared += 1;
         let dead = Dead {
             incarnation,
             node: node.clone(),
@@ -1591,7 +1578,7 @@ impl SwimNode {
         let max = self.config.suspicion_max(n);
         let k = self.config.effective_k();
         let sus = Suspicion::new(incarnation, from.clone(), k, min, max, now);
-        self.stats.suspicions_raised += 1;
+        self.metrics.suspicions_raised += 1;
         let deadline = sus.deadline();
         let timer = self.schedule(deadline, Timer::SuspicionCheck { node: node.clone() });
         self.suspicions.insert(node.clone(), ActiveSuspicion { sus, timer });
@@ -1622,7 +1609,7 @@ impl SwimNode {
             me.incarnation = incarnation;
             me.set_state(MemberState::Alive, now);
         });
-        self.stats.refutations += 1;
+        self.metrics.refutations += 1;
         self.apply_awareness_delta(self.config.awareness_deltas.refute);
         self.broadcasts.enqueue(Message::Alive(Alive {
             incarnation: self.incarnation,

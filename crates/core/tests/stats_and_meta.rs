@@ -1,4 +1,4 @@
-//! Tests for node statistics, metadata updates and the config profiles.
+//! Tests for the node's activity counters, metadata updates and the config profiles.
 
 use bytes::Bytes;
 use lifeguard_core::config::{AwarenessDeltas, Config};
@@ -60,12 +60,23 @@ fn run_until(n: &mut SwimNode, until: Time) {
 fn stats_track_probe_lifecycle() {
     let mut n = new_node(Config::lan());
     add_peer(&mut n, "p", 2, Time::from_secs(1));
-    assert_eq!(n.stats(), lifeguard_core::NodeStats::default());
+    let m = n.metrics();
+    assert_eq!(
+        [
+            m.probes_sent,
+            m.probes_failed,
+            m.indirect_probes_sent,
+            m.suspicions_raised,
+            m.refutations,
+            m.failures_declared
+        ],
+        [0; 6]
+    );
     // Unanswered probes: each round fails, fans out indirect probes
     // (none available with a single suspect peer, so indirect stays 0
     // until more peers exist), raises one suspicion, then declares.
     run_until(&mut n, Time::from_secs(20));
-    let stats = n.stats();
+    let stats = n.metrics();
     assert!(stats.probes_sent >= 1, "{stats:?}");
     assert!(stats.probes_failed >= 1, "{stats:?}");
     assert!(stats.suspicions_raised >= 1, "{stats:?}");
@@ -81,9 +92,9 @@ fn stats_count_indirect_probes_and_refutations() {
     }
     run_until(&mut n, Time::from_secs(4));
     assert!(
-        n.stats().indirect_probes_sent >= 1,
+        n.metrics().indirect_probes_sent >= 1,
         "failed probes with peers available must fan out: {:?}",
-        n.stats()
+        n.metrics()
     );
     let inc = n.incarnation();
     feed(
@@ -96,7 +107,7 @@ fn stats_count_indirect_probes_and_refutations() {
         }),
         Time::from_secs(5),
     );
-    assert_eq!(n.stats().refutations, 1);
+    assert_eq!(n.metrics().refutations, 1);
 }
 
 #[test]

@@ -16,10 +16,9 @@
 //!   for the full `u64` range, `record()` is a handful of integer ops
 //!   and one array increment.
 //! - [`Snapshot`] ([`CoreSnapshot`] + [`IoSnapshot`]) — the compact
-//!   serializable point-in-time export every runtime (sim, threaded
-//!   net, reactor net) produces in the same shape, with a versioned
-//!   binary codec and a hand-rolled JSON writer (the build is
-//!   offline; no serde).
+//!   serializable point-in-time export every runtime (sim, net
+//!   agent) produces in the same shape, with a versioned binary codec
+//!   and a hand-rolled JSON writer (the build is offline; no serde).
 //! - [`Aggregate`] — run-level merge of per-node snapshots plus the
 //!   text dashboard, shared by the `swim-metrics` binary and the
 //!   experiments harness.

@@ -3,10 +3,10 @@
 //! Every runtime exports the same shape: a [`CoreSnapshot`] of the
 //! deterministic protocol metrics (recorded by `SwimNode` on its
 //! sans-io input path) plus an [`IoSnapshot`] of runtime transport
-//! counters (sim telemetry, threaded-agent syscall counters, reactor
-//! wakeups). That single shape is what makes sim vs threaded vs
-//! reactor behavior comparable from one struct, and what the
-//! `swim-metrics` aggregator merges across a run.
+//! counters (sim telemetry, the net agent's syscall and reactor-wakeup
+//! counters). That single shape is what makes simulated and socket
+//! behavior comparable from one struct, and what the `swim-metrics`
+//! aggregator merges across a run.
 //!
 //! Two codecs, both dependency-free:
 //!
@@ -68,8 +68,7 @@ pub struct CoreSnapshot {
 }
 
 /// Transport counters in one runtime-agnostic shape. Fields a runtime
-/// cannot observe stay zero (the sim has no syscalls; the threaded
-/// runtime has no reactor wakeups).
+/// cannot observe stay zero (the sim has no syscalls or wakeups).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IoSnapshot {
     /// UDP send syscalls issued (`send_to` + `sendmmsg`).

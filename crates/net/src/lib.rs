@@ -21,5 +21,5 @@ pub mod local_cluster;
 pub(crate) mod reactor;
 pub mod transport;
 
-pub use agent::{Agent, AgentConfig, AgentConfigError, AgentEvent, IoBatchConfig, IoStats, Runtime};
+pub use agent::{Agent, AgentConfig, AgentEvent};
 pub use local_cluster::LocalCluster;

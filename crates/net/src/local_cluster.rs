@@ -5,7 +5,7 @@ use std::time::{Duration, Instant};
 
 use lifeguard_core::config::Config;
 
-use crate::agent::{Agent, AgentConfig, Runtime};
+use crate::agent::{Agent, AgentConfig};
 
 /// A set of localhost agents joined into one group, owned together.
 ///
@@ -26,35 +26,19 @@ pub struct LocalCluster {
 
 impl LocalCluster {
     /// Starts `n` agents named `node-0 … node-{n-1}` on OS-assigned
-    /// localhost ports with the default runtime
-    /// ([`Runtime::Reactor`]); agents 1… join through `node-0`.
+    /// localhost ports; agents 1… join through `node-0`.
     ///
     /// # Errors
     ///
     /// Fails if any agent cannot bind its sockets.
     pub fn start(n: usize, protocol: Config, seed: u64) -> io::Result<LocalCluster> {
-        LocalCluster::start_with_runtime(n, protocol, seed, Runtime::default())
-    }
-
-    /// [`LocalCluster::start`] on an explicit I/O runtime.
-    ///
-    /// # Errors
-    ///
-    /// Fails if any agent cannot bind its sockets.
-    pub fn start_with_runtime(
-        n: usize,
-        protocol: Config,
-        seed: u64,
-        runtime: Runtime,
-    ) -> io::Result<LocalCluster> {
         assert!(n >= 1, "cluster needs at least one agent");
         let mut agents = Vec::with_capacity(n);
         for i in 0..n {
             agents.push(Agent::start(
                 AgentConfig::local(format!("node-{i}"))
                     .protocol(protocol.clone())
-                    .seed(seed.wrapping_add(i as u64))
-                    .runtime(runtime),
+                    .seed(seed.wrapping_add(i as u64)),
             )?);
         }
         let seed_addr = agents[0].addr();

@@ -1,8 +1,7 @@
-//! The readiness-driven reactor runtime: one thread, zero sleeps.
+//! The readiness-driven reactor: one thread, zero sleeps.
 //!
-//! [`Reactor::run`] replaces the threaded agent's four blocking threads
-//! (UDP reader, accept loop, ticker, stream-writer pool) with a single
-//! event loop over a [`polling::Poller`]:
+//! [`Reactor::run`] is the agent's whole runtime, a single event loop
+//! over a [`polling::Poller`]:
 //!
 //! * the UDP socket and TCP listener are nonblocking and registered for
 //!   read readiness;
@@ -16,36 +15,35 @@
 //! * the poll timeout is **exactly** the protocol core's
 //!   [`next_deadline`](lifeguard_core::driver::Driver::next_deadline)
 //!   (bounded by the earliest connection deadline), so timers fire on
-//!   time instead of on a tick-thread's fixed cadence.
+//!   time instead of on a fixed cadence.
 //!
 //! Wakeup flow: API threads (`join`, `leave`, …) drive the shared
-//! [`Driver`](lifeguard_core::driver::Driver) under its lock exactly as
-//! in the threaded runtime, then [`notify`](polling::Poller::notify)
-//! the reactor so it re-reads the (possibly earlier) next deadline and
-//! picks up any outbound stream jobs the drive queued. Drives performed
-//! *by* the reactor thread skip the notify — the loop re-computes its
-//! sleep bound before every wait anyway.
+//! [`Driver`](lifeguard_core::driver::Driver) under its lock, then
+//! [`notify`](polling::Poller::notify) the reactor so it re-reads the
+//! (possibly earlier) next deadline and picks up any outbound stream
+//! jobs the drive queued. Drives performed *by* the reactor thread skip
+//! the notify — the loop re-computes its sleep bound before every wait
+//! anyway.
 //!
 //! # Batched datagram I/O
 //!
-//! With [`IoBatchConfig::batching`](crate::agent::IoBatchConfig) on
-//! (the default), the reactor's UDP datapath batches both directions:
+//! The UDP datapath batches both directions:
 //!
 //! * **send** — drives go through the driver's *deferring* path: the
 //!   packets one input produces stay as byte ranges into the core's
 //!   scratch arena (held across the burst) and are flushed as one
-//!   `sendmmsg(2)` per [`batch_size`](crate::agent::IoBatchConfig::batch_size)
-//!   chunk, so a probe round's whole fan-out costs one syscall instead
-//!   of one per peer;
+//!   `sendmmsg(2)` per [`SEND_BATCH`] chunk, so a probe round's whole
+//!   fan-out costs one syscall instead of one per peer;
 //! * **receive** — readiness drains through a preallocated
-//!   `recvmmsg(2)` ring; each filled slot is handed to the core as a
-//!   borrowed slice (no per-datagram allocation), and the replies the
-//!   burst produces are themselves deferred and batch-flushed.
+//!   `recvmmsg(2)` ring of [`RECV_BURST`] slots; each filled slot is
+//!   handed to the core as a borrowed slice (no per-datagram
+//!   allocation), and the replies the burst produces are themselves
+//!   deferred and batch-flushed.
 //!
-//! Kernels without the syscalls (`ENOSYS`) degrade to the single-shot
-//! path permanently and silently; wire behaviour is identical either
-//! way — batching changes syscall counts, never packet contents or
-//! order.
+//! Kernels without the syscalls (`ENOSYS`) degrade to single-shot
+//! `send_to` / `recv_from` permanently and silently; wire behaviour is
+//! identical either way — batching changes syscall counts, never packet
+//! contents or order.
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
@@ -77,6 +75,20 @@ const KEY_LISTENER: usize = 1;
 /// First key handed to a TCP connection (inbound or outbound).
 const FIRST_CONN_KEY: usize = 2;
 
+/// Packets handed to the kernel per `sendmmsg` flush; a longer deferred
+/// burst is split across several syscalls.
+const SEND_BATCH: usize = 64;
+
+/// Receive-ring slots filled per `recvmmsg`. Each slot holds a full
+/// [`RECV_SLOT_LEN`] datagram, so the ring costs `RECV_BURST × 64 KiB`
+/// per agent.
+const RECV_BURST: usize = 16;
+
+/// Most datagrams drained per readiness event before the reactor yields
+/// back to its loop (level-triggered readiness re-reports anything
+/// left).
+const MAX_BURST: usize = 1024;
+
 /// Bytes per receive-ring slot: the largest possible UDP datagram, so
 /// `MSG_TRUNC` marks a malformed sender, never a short buffer.
 const RECV_SLOT_LEN: usize = 65536;
@@ -84,9 +96,7 @@ const RECV_SLOT_LEN: usize = 65536;
 /// Upper bound on tracked TCP connections (inbound + outbound). At the
 /// cap the listener is disarmed — pending connections wait in the OS
 /// backlog (or time out) instead of exhausting the process fd table,
-/// and accepting resumes as soon as a slot frees. The threaded layout
-/// bounded this implicitly (1 inbound + 4 writers); the reactor bounds
-/// it explicitly.
+/// and accepting resumes as soon as a slot frees.
 const MAX_CONNS: usize = 1024;
 
 thread_local! {
@@ -276,10 +286,9 @@ enum Advance {
     Done,
 }
 
-/// The single-threaded readiness loop behind
-/// [`Runtime::Reactor`](crate::agent::Runtime::Reactor).
+/// The single-threaded readiness loop behind every [`Agent`](crate::Agent).
 pub(crate) struct Reactor {
-    inner: Arc<Inner>,
+    pub(crate) inner: Arc<Inner>,
     poller: Arc<Poller>,
     listener: TcpListener,
     stream_rx: Receiver<StreamJob>,
@@ -293,11 +302,9 @@ pub(crate) struct Reactor {
     /// failure like `EMFILE` (throttle: re-armed on the next loop pass
     /// instead of letting level-triggered readiness spin the loop).
     listener_armed: bool,
-    /// sendmmsg flush state; `None` when batching is configured off
-    /// (drives then go through the unbatched [`Inner::drive`]).
-    send_io: Option<SendIo>,
-    /// recvmmsg ring; `None` when batching is configured off, and
-    /// reset to `None` permanently if the kernel reports `ENOSYS`.
+    send_io: SendIo,
+    /// recvmmsg ring; reset to `None` permanently if the kernel reports
+    /// `ENOSYS`, after which drains go through the single-shot path.
     recv_ring: Option<RecvRing>,
 }
 
@@ -312,23 +319,12 @@ impl Reactor {
     /// Propagates poller registration failures.
     pub(crate) fn new(
         inner: Arc<Inner>,
-        poller: Arc<Poller>,
         listener: TcpListener,
         stream_rx: Receiver<StreamJob>,
     ) -> io::Result<Reactor> {
+        let poller = Arc::clone(&inner.poller);
         poller.add(&inner.udp, Event::readable(KEY_UDP))?;
-        if let Err(e) = poller.add(&listener, Event::readable(KEY_LISTENER)) {
-            let _ = poller.delete(&inner.udp);
-            return Err(e);
-        }
-        let (send_io, recv_ring) = if inner.io_batch.batching {
-            (
-                Some(SendIo::new(inner.io_batch.batch_size)),
-                Some(RecvRing::new(inner.io_batch.recv_burst, RECV_SLOT_LEN)),
-            )
-        } else {
-            (None, None)
-        };
+        poller.add(&listener, Event::readable(KEY_LISTENER))?;
         Ok(Reactor {
             inner,
             poller,
@@ -338,25 +334,20 @@ impl Reactor {
             next_key: FIRST_CONN_KEY,
             udp_buf: vec![0u8; RECV_SLOT_LEN],
             listener_armed: true,
-            send_io,
-            recv_ring,
+            send_io: SendIo::new(SEND_BATCH),
+            recv_ring: Some(RecvRing::new(RECV_BURST, RECV_SLOT_LEN)),
         })
     }
 
     /// Feeds one input through the driver with packet sends deferred
     /// and flushed as a batch before the driver lock is released, so a
     /// fan-out (probe round, gossip burst) costs one `sendmmsg` per
-    /// [`SendIo::batch_size`] packets. Falls back to the unbatched
-    /// [`Inner::drive`] when batching is off.
+    /// [`SendIo::batch_size`] packets.
     fn drive_reactor(&mut self, input: Input, now: Time) {
-        let Some(io) = self.send_io.as_mut() else {
-            self.inner.drive(input, now);
-            return;
-        };
         let mut driver = self.inner.driver.lock();
         let mut sink = BatchSink {
             net: self.inner.sink(now),
-            io,
+            io: &mut self.send_io,
         };
         // lint: allow(lock_discipline) — by design: the deferred burst is gathered and flushed (sendmmsg on a non-blocking socket) before the lock releases, so packet order matches protocol order
         let _ = driver.handle_deferring(input, now, &mut sink);
@@ -453,24 +444,22 @@ impl Reactor {
     /// Drains the UDP socket: every queued datagram is fed to the
     /// driver; queued socket errors (e.g. ICMP port-unreachable from a
     /// dead peer's address) are discarded without stalling the loop.
-    /// The drain is bounded by the configured
-    /// [`max_burst`](crate::agent::IoBatchConfig::max_burst) before
-    /// yielding back to the loop; `poll` is level-triggered, so
-    /// anything left is re-reported immediately.
+    /// The drain is bounded by [`MAX_BURST`] before yielding back to
+    /// the loop; `poll` is level-triggered, so anything left is
+    /// re-reported immediately.
     fn drain_datagrams(&mut self) {
-        let max_burst = self.inner.io_batch.max_burst;
         if self.recv_ring.is_some() {
-            self.drain_datagrams_batched(max_burst);
+            self.drain_datagrams_batched();
         } else {
-            self.drain_datagrams_single(max_burst);
+            self.drain_datagrams_single(MAX_BURST);
         }
         let _ = self
             .poller
             .modify(&self.inner.udp, Event::readable(KEY_UDP));
     }
 
-    /// The single-shot drain: one `recv_from` plus one payload copy
-    /// per datagram, one unbatched drive each.
+    /// The single-shot drain, for kernels without `recvmmsg`: one
+    /// `recv_from` plus one payload copy per datagram, one drive each.
     fn drain_datagrams_single(&mut self, max_burst: usize) {
         for _ in 0..max_burst {
             let recv = self.inner.udp.recv_from(&mut self.udp_buf);
@@ -486,7 +475,7 @@ impl Reactor {
                         .fetch_add(1, Ordering::Relaxed);
                     let now = self.inner.now();
                     let payload = Bytes::copy_from_slice(&self.udp_buf[..len]);
-                    self.inner.drive(
+                    self.drive_reactor(
                         Input::Datagram {
                             from: NodeAddr::from(from),
                             payload,
@@ -509,17 +498,15 @@ impl Reactor {
     /// copied out during decode), defer the packets the burst produces
     /// and flush them as `sendmmsg` batches. The driver lock is taken
     /// once per ring fill, not once per datagram.
-    fn drain_datagrams_batched(&mut self, max_burst: usize) {
+    fn drain_datagrams_batched(&mut self) {
         let fd = self.inner.udp.as_raw_fd();
         let mut drained = 0usize;
         let mut enosys = false;
-        // Both batching halves are constructed together; if either is
-        // missing this runtime is in single-shot mode.
-        let (Some(ring), Some(io)) = (self.recv_ring.as_mut(), self.send_io.as_mut()) else {
-            self.drain_datagrams_single(max_burst);
+        let Some(ring) = self.recv_ring.as_mut() else {
             return;
         };
-        while drained < max_burst {
+        let io = &mut self.send_io;
+        while drained < MAX_BURST {
             let res = ring.recv(fd);
             self.inner
                 .counters
@@ -589,7 +576,7 @@ impl Reactor {
         }
         if enosys {
             self.recv_ring = None;
-            self.drain_datagrams_single(max_burst - drained);
+            self.drain_datagrams_single(MAX_BURST - drained);
         }
     }
 
@@ -641,11 +628,10 @@ impl Reactor {
 
     /// Begins one outbound framed send: nonblocking connect, register
     /// for write readiness. Connection failures are dropped silently —
-    /// stream messages are best-effort, exactly as in the threaded
-    /// writer pool — and so are jobs arriving while the connection
-    /// table is at [`MAX_CONNS`] (e.g. a partition leaving hundreds of
-    /// sends pending to unreachable peers must not exhaust the fd
-    /// table; the protocol re-sends on its own cadence).
+    /// stream messages are best-effort — and so are jobs arriving while
+    /// the connection table is at [`MAX_CONNS`] (e.g. a partition
+    /// leaving hundreds of sends pending to unreachable peers must not
+    /// exhaust the fd table; the protocol re-sends on its own cadence).
     fn start_outbound(&mut self, to: SocketAddr, frame: Vec<u8>) {
         if self.conns.len() >= MAX_CONNS {
             return;
@@ -702,8 +688,7 @@ impl Reactor {
 
     /// Reads as much as the socket will give; a completed frame is fed
     /// to the driver and the connection closed (the protocol sends one
-    /// frame per connection; replies travel on a fresh connection, as
-    /// in the threaded runtime).
+    /// frame per connection; replies travel on a fresh connection).
     fn advance_inbound(
         &mut self,
         key: usize,
@@ -794,6 +779,10 @@ fn advance_outbound(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::agent::{Agent, AgentConfig};
+    use lifeguard_core::config::Config;
+    use lifeguard_proto::compound::{self, CompoundBuilder};
+    use lifeguard_proto::{Ping, SeqNo};
     use std::net::TcpListener;
 
     /// A bound sender/receiver pair plus fresh counters for flush tests.
@@ -865,6 +854,111 @@ mod tests {
         assert_eq!(counters.send_syscalls.load(Ordering::Relaxed), 2);
         assert_eq!(counters.sendmmsg_batches.load(Ordering::Relaxed), 1);
         assert_eq!(counters.datagrams_sent.load(Ordering::Relaxed), 5);
+    }
+
+    /// A kernel without `sendmmsg`/`recvmmsg` leaves the reactor with
+    /// `send_io.supported == false` and no receive ring. The `ENOSYS`
+    /// arms cannot be provoked on a kernel that has the syscalls, so
+    /// this pins the state they leave behind: agents still converge, on
+    /// exactly one syscall per datagram.
+    #[test]
+    fn reactors_in_the_enosys_fallback_converge_on_single_shot_io() {
+        let mut cfg = Config::lan()
+            .lifeguard()
+            .with_probe_timing(Duration::from_millis(200), Duration::from_millis(100));
+        cfg.gossip_interval = Duration::from_millis(50);
+        let start = |name: &str, seed: u64| {
+            let config = AgentConfig::local(name).protocol(cfg.clone()).seed(seed);
+            let (mut reactor, events_rx) = Agent::bind(config).expect("bind");
+            reactor.send_io.supported = false;
+            reactor.recv_ring = None;
+            Agent::spawn(reactor, events_rx)
+        };
+        let agents = [start("a", 51), start("b", 52), start("c", 53)];
+        agents[1].join(&[agents[0].addr()]);
+        agents[2].join(&[agents[0].addr()]);
+        // Membership can converge over the TCP push-pull alone, so wait
+        // for datagrams in both directions too.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !agents.iter().all(|a| {
+            let io = a.metrics().io;
+            a.num_alive() == 3 && io.datagrams_sent > 0 && io.datagrams_received > 0
+        }) {
+            assert!(Instant::now() < deadline, "fallback agents never converged");
+            std::thread::sleep(Duration::from_millis(50));
+        }
+        for agent in &agents {
+            // Stop the loop first so the counters are read at rest.
+            agent.shutdown();
+            let io = agent.metrics().io;
+            assert_eq!(io.sendmmsg_batches, 0, "{io:?}");
+            assert_eq!(
+                io.datagrams_sent + io.send_errors + io.would_block_drops,
+                io.send_syscalls,
+                "{io:?}"
+            );
+            assert_eq!(io.recv_truncations, 0, "{io:?}");
+        }
+    }
+
+    /// One compound datagram from outside yields one reply per inner
+    /// `Ping`, so a single ring fill can defer far more packets than one
+    /// send batch: the drain must flush as soon as a datagram pushes the
+    /// deferred table past the batch size, not once per ring fill.
+    #[test]
+    fn compound_burst_is_flushed_per_datagram_not_per_ring_fill() {
+        const DATAGRAMS: u32 = 4;
+        const PINGS_PER_DATAGRAM: u32 = 3;
+        let (mut reactor, _events_rx) =
+            Agent::bind(AgentConfig::local("hub").seed(61)).expect("bind");
+        reactor.send_io = SendIo::new(2);
+        reactor.recv_ring = Some(RecvRing::new(DATAGRAMS as usize, RECV_SLOT_LEN));
+        let hub = reactor.inner.advertised.socket_addr();
+        let peer = UdpSocket::bind("127.0.0.1:0").expect("bind peer");
+        peer.set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("timeout");
+        let peer_addr = NodeAddr::from(peer.local_addr().expect("addr"));
+
+        for d in 0..DATAGRAMS {
+            let mut packet = CompoundBuilder::new(1400);
+            for p in 0..PINGS_PER_DATAGRAM {
+                assert!(packet.try_add_msg(&Message::Ping(Ping {
+                    seq: SeqNo(d * PINGS_PER_DATAGRAM + p),
+                    target: "hub".into(),
+                    source: "peer".into(),
+                    source_addr: peer_addr,
+                })));
+            }
+            peer.send_to(&packet.finish().expect("three pings"), hub)
+                .expect("send burst");
+        }
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let inner = Arc::clone(&reactor.inner);
+        while inner.counters.io_snapshot().datagrams_received < u64::from(DATAGRAMS) {
+            assert!(Instant::now() < deadline, "burst never arrived");
+            reactor.drain_datagrams();
+        }
+
+        let mut acked = Vec::new();
+        let mut buf = [0u8; 2048];
+        while acked.len() < (DATAGRAMS * PINGS_PER_DATAGRAM) as usize {
+            let (len, _) = peer.recv_from(&mut buf).expect("every ping is acked");
+            for msg in compound::decode_packet(&buf[..len]).expect("valid reply") {
+                if let Message::Ack(ack) = msg {
+                    acked.push(ack.seq.0);
+                }
+            }
+        }
+        acked.sort_unstable();
+        assert_eq!(acked, (0..DATAGRAMS * PINGS_PER_DATAGRAM).collect::<Vec<_>>());
+        // Each datagram's three acks overflow the batch of two, so each
+        // is flushed on its own as one sendmmsg of two plus a one-packet
+        // tail. One flush per ring fill would instead send the twelve
+        // acks as six sendmmsg pairs.
+        let io = inner.counters.io_snapshot();
+        assert_eq!(io.send_syscalls, 2 * u64::from(DATAGRAMS), "{io:?}");
+        assert_eq!(io.sendmmsg_batches, u64::from(DATAGRAMS), "{io:?}");
+        assert_eq!(io.datagrams_sent, u64::from(DATAGRAMS * PINGS_PER_DATAGRAM));
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //! Framing is a pure, incremental state machine ([`FrameDecoder`]:
 //! feed bytes, poll for a frame) with **no I/O inside** — the
 //! readiness-driven reactor feeds it whatever a nonblocking read
-//! returned, while the blocking helpers ([`read_frame`],
-//! [`read_frame_with_limit`]) wrap the same decoder around a blocking
-//! `Read`. The length prefix is validated against a configurable
+//! returned, while the blocking [`read_frame`] (scripted peers in tests
+//! and benches) wraps the same decoder around a blocking `Read`. The
+//! length prefix is validated against a configurable
 //! maximum *before* any body buffer is grown, so an attacker-controlled
 //! length can never drive an allocation.
 
@@ -107,8 +107,7 @@ pub fn encode_frame(sender: NodeAddr, msg: &Message) -> Vec<u8> {
 /// as the 4-byte length word is available — an oversized frame is
 /// rejected before its body ever accumulates, provided the caller
 /// interleaves `decode` with bounded-size `feed`s (both the reactor
-/// and the blocking readers feed at most one ≤ 4 KiB chunk per
-/// `decode`).
+/// and [`read_frame`] feed at most one ≤ 4 KiB chunk per `decode`).
 #[derive(Debug)]
 pub struct FrameDecoder {
     max_frame: usize,
@@ -199,21 +198,7 @@ impl Default for FrameDecoder {
 /// Fails on socket errors, truncated or oversized frames, or malformed
 /// messages.
 pub fn read_frame(stream: &mut impl Read) -> Result<(NodeAddr, Message), StreamError> {
-    read_frame_with_limit(stream, MAX_STREAM_FRAME)
-}
-
-/// Reads one frame from a blocking stream with a caller-chosen maximum
-/// frame size.
-///
-/// # Errors
-///
-/// Fails on socket errors, truncated or oversized frames, or malformed
-/// messages.
-pub fn read_frame_with_limit(
-    stream: &mut impl Read,
-    max_frame: usize,
-) -> Result<(NodeAddr, Message), StreamError> {
-    let mut decoder = FrameDecoder::with_limit(max_frame);
+    let mut decoder = FrameDecoder::new();
     let mut chunk = [0u8; 4096];
     loop {
         if let Some(frame) = decoder.decode()? {
@@ -230,29 +215,18 @@ pub fn read_frame_with_limit(
     }
 }
 
-/// Sends one framed message over a fresh TCP connection.
+/// Sends one framed message over a fresh, blocking TCP connection.
 ///
 /// # Errors
 ///
 /// Fails if the connection cannot be established or written within
 /// [`STREAM_TIMEOUT`].
 pub fn send_stream(to: SocketAddr, sender: NodeAddr, msg: &Message) -> Result<(), StreamError> {
-    send_frame(to, &encode_frame(sender, msg))
-}
-
-/// Sends one already-encoded frame (see [`encode_frame`]) over a fresh
-/// TCP connection — the agent's pooled stream writer encodes off the
-/// protocol thread and ships the bytes here.
-///
-/// # Errors
-///
-/// Fails if the connection cannot be established or written within
-/// [`STREAM_TIMEOUT`].
-pub fn send_frame(to: SocketAddr, frame: &[u8]) -> Result<(), StreamError> {
+    let frame = encode_frame(sender, msg);
     let mut stream = TcpStream::connect_timeout(&to, STREAM_TIMEOUT)?;
     stream.set_write_timeout(Some(STREAM_TIMEOUT))?;
     stream.set_nodelay(true)?;
-    stream.write_all(frame)?;
+    stream.write_all(&frame)?;
     Ok(())
 }
 
@@ -360,13 +334,6 @@ mod tests {
         assert!(matches!(
             over.decode(),
             Err(StreamError::Oversized(n)) if n == body_len
-        ));
-
-        // Same boundary through the blocking reader.
-        assert!(read_frame_with_limit(&mut Cursor::new(&frame), body_len).is_ok());
-        assert!(matches!(
-            read_frame_with_limit(&mut Cursor::new(&frame), body_len - 1),
-            Err(StreamError::Oversized(_))
         ));
     }
 

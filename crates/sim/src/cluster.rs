@@ -322,8 +322,8 @@ impl Cluster {
     /// Node `i`'s metrics export in the runtime-independent snapshot
     /// shape: the core's deterministic protocol metrics plus the sim
     /// network's transmit accounting folded into the I/O section —
-    /// the same struct the threaded and reactor agents return from
-    /// `Agent::metrics()`, so sim and real runs aggregate identically.
+    /// the same struct the net agent returns from `Agent::metrics()`,
+    /// so sim and real runs aggregate identically.
     pub fn metrics_snapshot(&self, i: usize) -> lifeguard_metrics::Snapshot {
         let t = self.telemetry.node(i);
         lifeguard_metrics::Snapshot {

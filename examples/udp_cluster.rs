@@ -2,10 +2,7 @@
 //!
 //! Five agents join through a seed, converge, then one leaves
 //! gracefully and one is killed; the remaining agents report what they
-//! observed. Four agents ride the default single-threaded reactor
-//! runtime; the seed runs the legacy threaded runtime to show the two
-//! interoperate on the same wire (the runtime is an I/O detail, not a
-//! protocol one).
+//! observed.
 //!
 //! ```text
 //! cargo run --example udp_cluster
@@ -15,7 +12,7 @@ use std::time::{Duration, Instant};
 
 use lifeguard::core::config::Config;
 use lifeguard::core::event::Event;
-use lifeguard::net::agent::{Agent, AgentConfig, Runtime};
+use lifeguard::net::agent::{Agent, AgentConfig};
 
 /// Speed the protocol up so the demo finishes in ~20 s.
 fn fast() -> Config {
@@ -44,27 +41,12 @@ fn main() -> std::io::Result<()> {
     let names = ["alpha", "bravo", "charlie", "delta", "echo"];
     let mut agents = Vec::new();
     for (i, name) in names.iter().enumerate() {
-        // The seed runs the legacy threaded runtime, everyone else the
-        // default reactor — one group, two I/O runtimes.
-        let runtime = if i == 0 {
-            Runtime::Threaded
-        } else {
-            Runtime::Reactor
-        };
         agents.push(Agent::start(
-            AgentConfig::local(*name)
-                .protocol(fast())
-                .seed(i as u64)
-                .runtime(runtime),
+            AgentConfig::local(*name).protocol(fast()).seed(i as u64),
         )?);
     }
     let seed_addr = agents[0].addr();
-    println!(
-        "seed agent {} listening on {} (threaded runtime; the other {} ride the reactor)",
-        names[0],
-        seed_addr,
-        names.len() - 1
-    );
+    println!("seed agent {} listening on {}", names[0], seed_addr);
     for agent in &agents[1..] {
         agent.join(&[seed_addr]);
     }

@@ -1,24 +1,21 @@
 //! Sim-vs-net conformance: one scripted input trace — join, acked probe
 //! rounds, suspicion, refutation, peer leave, own leave — is driven
-//! through the shared sans-I/O `Driver` three times:
+//! through the shared sans-I/O `Driver` twice:
 //!
 //! * against the **simulator clock** (virtual time, a `Vec<OwnedOutput>`
-//!   sink, the test playing the scripted peer inline),
-//! * against a **loopback `Agent` on the threaded runtime** (real
-//!   UDP/TCP sockets, wall-clock ticker threads), and
-//! * against a **loopback `Agent` on the reactor runtime** (the same
-//!   sockets driven by the single readiness-driven event loop),
+//!   sink, the test playing the scripted peer inline), and
+//! * against a **loopback `Agent`** (real UDP/TCP sockets driven by the
+//!   single readiness-driven event loop on the wall clock),
 //!
-//! asserting all runs produce identical membership-state transitions
+//! asserting both runs produce identical membership-state transitions
 //! and the same `Event` sequence. This is the property the paper's
 //! methodology rests on: the protocol logic observed in simulation is
-//! the logic deployed on the network — on whichever runtime drives it.
+//! the logic deployed on the network.
 //!
-//! The observability plane conforms too: every run also captures the
+//! The observability plane conforms too: both runs also capture the
 //! core's metrics snapshot, and the subset that does not depend on
 //! wall-clock scheduling (suspicion/refutation/failure/flap counts,
-//! anti-entropy message counts, the LHM ceiling) must be identical
-//! across all three runtimes.
+//! anti-entropy message counts, the LHM ceiling) must be identical.
 
 use std::net::{TcpListener, UdpSocket};
 use std::time::{Duration, Instant};
@@ -30,7 +27,7 @@ use lifeguard::core::event::Event;
 use lifeguard::core::node::{Input, SwimNode};
 use lifeguard::core::time::Time;
 use lifeguard::metrics::{CoreSnapshot, Snapshot};
-use lifeguard::net::agent::{Agent, AgentConfig, IoBatchConfig, Runtime};
+use lifeguard::net::agent::{Agent, AgentConfig};
 use lifeguard::net::transport;
 use lifeguard::proto::{
     codec, compound, Ack, Alive, Dead, Incarnation, MemberState, Message, NodeAddr, PushPull,
@@ -317,14 +314,10 @@ fn run_sim_trace() -> (Vec<Observed>, CoreSnapshot) {
     (observed, snapshot)
 }
 
-/// Runs the same trace against a loopback [`Agent`] on the given I/O
-/// runtime: real sockets, the agent's own wall-clock scheduling, the
-/// scripted peer bound to a real UDP socket + TCP listener on one port.
-fn run_net_trace(runtime: Runtime) -> (Vec<Observed>, Snapshot) {
-    run_net_trace_with(runtime, IoBatchConfig::default())
-}
-
-fn run_net_trace_with(runtime: Runtime, io_batch: IoBatchConfig) -> (Vec<Observed>, Snapshot) {
+/// Runs the same trace against a loopback [`Agent`]: real sockets, the
+/// agent's own wall-clock scheduling, the scripted peer bound to a real
+/// UDP socket + TCP listener on one port.
+fn run_net_trace() -> (Vec<Observed>, Snapshot) {
     // The peer binds TCP first and UDP on the same port, like an agent.
     let peer_tcp = TcpListener::bind("127.0.0.1:0").expect("bind peer tcp");
     let peer_sock = peer_tcp.local_addr().expect("peer addr");
@@ -338,9 +331,7 @@ fn run_net_trace_with(runtime: Runtime, io_batch: IoBatchConfig) -> (Vec<Observe
     let alpha = Agent::start(
         AgentConfig::local("alpha")
             .protocol(conformance_config())
-            .seed(7)
-            .runtime(runtime)
-            .io_batch(io_batch),
+            .seed(7),
     )
     .expect("start agent");
     let alpha_sock = alpha.addr();
@@ -413,9 +404,9 @@ fn run_net_trace_with(runtime: Runtime, io_batch: IoBatchConfig) -> (Vec<Observe
     (observed, snapshot)
 }
 
-/// The headline conformance assertion: every runtime — simulator
-/// clock, threaded agent, reactor agent — driving the same core
-/// through the same `Driver`, observes the identical trace.
+/// The headline conformance assertion: the simulator clock and the
+/// socket agent, driving the same core through the same `Driver`,
+/// observe the identical trace.
 #[test]
 fn sim_and_net_observe_identical_trace() {
     let (sim, sim_core) = run_sim_trace();
@@ -424,23 +415,16 @@ fn sim_and_net_observe_identical_trace() {
         expected(),
         "simulator-clock run diverged from the scripted trace"
     );
-    let (threaded, threaded_snap) = run_net_trace(Runtime::Threaded);
+    let (net, net_snap) = run_net_trace();
     assert_eq!(
-        threaded,
+        net,
         expected(),
-        "threaded loopback-agent run diverged from the scripted trace"
+        "loopback-agent run diverged from the scripted trace"
     );
-    let (reactor, reactor_snap) = run_net_trace(Runtime::Reactor);
-    assert_eq!(
-        reactor,
-        expected(),
-        "reactor loopback-agent run diverged from the scripted trace"
-    );
-    assert_eq!(sim, threaded, "sim and threaded-net traces must match");
-    assert_eq!(sim, reactor, "sim and reactor-net traces must match");
+    assert_eq!(sim, net, "sim and net traces must match");
 
     // The metrics plane observed the identical protocol history: the
-    // schedule-independent core counters agree across all runtimes.
+    // schedule-independent core counters agree across both runs.
     let want = DeterministicCore {
         suspicions_raised: 1,
         refutations: 0, // the *peer* refutes; alpha never refutes itself
@@ -452,76 +436,20 @@ fn sim_and_net_observe_identical_trace() {
         lhm_max: u64::from(conformance_config().effective_awareness_max()),
     };
     assert_eq!(deterministic_subset(&sim_core), want, "sim metrics");
-    assert_eq!(
-        deterministic_subset(&threaded_snap.core),
-        want,
-        "threaded metrics"
-    );
-    assert_eq!(
-        deterministic_subset(&reactor_snap.core),
-        want,
-        "reactor metrics"
-    );
+    assert_eq!(deterministic_subset(&net_snap.core), want, "net metrics");
 
-    // Wall-clock-dependent metrics are only sanity-checked: both
-    // agents probed the peer and recorded RTTs for the acked probes.
-    for (label, snap) in [("threaded", &threaded_snap), ("reactor", &reactor_snap)] {
-        assert!(snap.core.probes_sent > 0, "{label}: no probes recorded");
-        assert!(
-            snap.core.probe_rtt.count() >= ACKS_BEFORE_SILENCE as u64,
-            "{label}: acked probes must record RTTs"
-        );
-        assert!(snap.io.datagrams_sent > 0, "{label}: no datagrams counted");
-        assert!(
-            snap.io.datagram_bytes > snap.io.datagrams_sent,
-            "{label}: datagram bytes must exceed datagram count"
-        );
-        assert!(snap.io.streams_sent > 0, "{label}: the join stream counts");
-    }
-    // Only the reactor runtime counts poller wakeups.
-    assert_eq!(threaded_snap.io.wakeups, 0, "threaded agent has no poller");
-    assert!(reactor_snap.io.wakeups > 0, "reactor never woke");
-}
-
-/// Batching is a syscall-count optimisation, never a protocol change:
-/// the reactor with sendmmsg/recvmmsg batching on (the default) and
-/// with batching forced off observe the identical trace — which is
-/// also the sim's trace. A deliberately tiny send batch exercises the
-/// mid-burst flush boundary on the same wire run.
-#[test]
-fn batched_and_unbatched_reactors_observe_identical_trace() {
-    let (batched, batched_snap) = run_net_trace_with(Runtime::Reactor, IoBatchConfig::default());
-    assert_eq!(
-        batched,
-        expected(),
-        "batched reactor run diverged from the scripted trace"
+    // Wall-clock-dependent metrics are only sanity-checked: the agent
+    // probed the peer and recorded RTTs for the acked probes.
+    assert!(net_snap.core.probes_sent > 0, "no probes recorded");
+    assert!(
+        net_snap.core.probe_rtt.count() >= ACKS_BEFORE_SILENCE as u64,
+        "acked probes must record RTTs"
     );
-    let (unbatched, unbatched_snap) =
-        run_net_trace_with(Runtime::Reactor, IoBatchConfig::single_shot());
-    assert_eq!(
-        unbatched,
-        expected(),
-        "single-shot reactor run diverged from the scripted trace"
+    assert!(net_snap.io.datagrams_sent > 0, "no datagrams counted");
+    assert!(
+        net_snap.io.datagram_bytes > net_snap.io.datagrams_sent,
+        "datagram bytes must exceed datagram count"
     );
-    let (tiny_batches, _) = run_net_trace_with(
-        Runtime::Reactor,
-        IoBatchConfig {
-            batch_size: 2,
-            recv_burst: 2,
-            ..IoBatchConfig::default()
-        },
-    );
-    assert_eq!(
-        tiny_batches,
-        expected(),
-        "tiny-batch reactor run diverged from the scripted trace"
-    );
-    assert_eq!(batched, unbatched, "batching must not change the trace");
-    assert_eq!(batched, tiny_batches, "batch size must not change the trace");
-    // Batching changes syscall counts, never the protocol metrics.
-    assert_eq!(
-        deterministic_subset(&batched_snap.core),
-        deterministic_subset(&unbatched_snap.core),
-        "batching must not change the core metrics"
-    );
+    assert!(net_snap.io.streams_sent > 0, "the join stream counts");
+    assert!(net_snap.io.wakeups > 0, "reactor never woke");
 }
