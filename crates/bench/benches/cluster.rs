@@ -210,7 +210,9 @@ struct Gates {
     steady_slice_secs: f64,
     /// Ceiling for one churn 100 ms slice, seconds.
     churn_slice_secs: f64,
-    /// Ceiling for live heap bytes per member-table entry.
+    /// Ceiling for live heap bytes per member-table entry: ≈ 1.1 × what
+    /// the bench reports at that size (164 / 159 / 153 B when set), so
+    /// a layout regression in `Membership` or `ProbeList` fails the run.
     bytes_per_entry: f64,
 }
 
@@ -338,7 +340,7 @@ fn cluster_group(c: &mut Criterion) {
         &Gates {
             steady_slice_secs: 2.0,
             churn_slice_secs: 3.0,
-            bytes_per_entry: 1024.0,
+            bytes_per_entry: 180.0,
         },
     ));
 
@@ -352,7 +354,7 @@ fn cluster_group(c: &mut Criterion) {
             &Gates {
                 steady_slice_secs: 2.0,
                 churn_slice_secs: 3.0,
-                bytes_per_entry: 1024.0,
+                bytes_per_entry: 175.0,
             },
         ));
         // 100 000 members: the headline size. ~51 M table entries.
@@ -364,7 +366,7 @@ fn cluster_group(c: &mut Criterion) {
             &Gates {
                 steady_slice_secs: 5.0,
                 churn_slice_secs: 6.0,
-                bytes_per_entry: 1024.0,
+                bytes_per_entry: 170.0,
             },
         ));
     } else {

@@ -219,6 +219,43 @@ fn bench_membership(c: &mut Criterion) {
     }
     group.finish();
 
+    // By-name lookup, hot and cold. A simulated cluster holds one table
+    // per node and touches each once per event, so its lookups miss the
+    // cache at every step — index bucket, then record — which a loop
+    // over one resident table cannot show. Cold: 512 tables × 512
+    // members sharing their name allocations (as simulator nodes do),
+    // lookups round-robin across the tables.
+    const ROSTER: usize = 512;
+    let names: Vec<NodeName> = (0..ROSTER).map(|i| member(i).name).collect();
+    let tables: Vec<Membership> = (0..ROSTER)
+        .map(|_| {
+            let mut t = Membership::new();
+            for (i, name) in names.iter().enumerate() {
+                t.upsert(Member {
+                    name: name.clone(),
+                    ..member(i)
+                });
+            }
+            t
+        })
+        .collect();
+    let mut k = 0usize;
+    c.bench_function("membership/get_hot", |b| {
+        b.iter(|| {
+            k = k.wrapping_add(1);
+            tables[0].get(&names[k % ROSTER]).is_some()
+        })
+    });
+    c.bench_function("membership/get_cold", |b| {
+        b.iter(|| {
+            k = k.wrapping_add(1);
+            // A different name on each pass over the tables.
+            tables[k % ROSTER]
+                .get(&names[(k / ROSTER + k) % ROSTER])
+                .is_some()
+        })
+    });
+
     // Seed-era smoke bench kept for BENCH-trajectory continuity.
     let table = indexed_table(128);
     let mut rng = StdRng::seed_from_u64(7);

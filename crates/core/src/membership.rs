@@ -7,32 +7,46 @@
 //!
 //! # Layout
 //!
-//! Records live in one slab (`Vec<Option<Slot>>` + free list) addressed
-//! through a `HashMap<NodeName, slot>` name index, so lookups are O(1).
-//! Two dense slot-id vectors partition the table by liveness class —
-//! `live` (alive | suspect) and `gone` (dead | left) — and an `alive`
-//! counter tracks the strictly alive subset. That makes
-//! [`Membership::live_count`] / [`Membership::alive_count`] O(1) (they
-//! are invoked on every suspicion start and every transmit-limit
-//! computation), and lets [`Membership::sample`] run a *lazy* partial
-//! Fisher–Yates over a pool's dense positions: O(inspected) ≈ O(k) work
-//! and no O(n) candidate `Vec` per call.
+//! Records live in one slab (`Vec<Slot>` + free list); everything else
+//! refers to a record by its `u32` slot id.
+//!
+//! * **Name index** — one open-addressed `Vec` of `(tag, slot id)`
+//!   buckets: linear probing, load ≤ ½, power-of-two growth,
+//!   backward-shift deletion. The tag is 32 bits of the name's hash
+//!   under a per-table random key (names arrive from the network); its
+//!   low bits are the home bucket, so growth and deletion re-home
+//!   entries without rehashing. The name itself is stored once, in the
+//!   record: a tag hit is always verified against it.
+//! * **Liveness pools** — two dense slot-id vectors, `live` (alive |
+//!   suspect) and `gone` (dead | left), plus an `alive` counter. That
+//!   makes [`Membership::live_count`] / [`Membership::alive_count`] O(1)
+//!   (they are invoked on every suspicion start and every
+//!   transmit-limit computation), and lets [`Membership::sample`] run a
+//!   *lazy* partial Fisher–Yates over a pool's dense positions:
+//!   O(inspected) ≈ O(k) work and no O(n) candidate `Vec` per call.
+//! * **Change list** — `older`/`newer` links threaded through the
+//!   slots, in stamp order. A stamp moves the record to the `newest`
+//!   end, a removal unlinks it, so the list holds exactly one entry per
+//!   member by construction.
+//! * **Generations** — each slot counts its removals, and a
+//!   [`MemberId`] carries the count it was issued under, so an id goes
+//!   stale when its member is removed even if the slot is reused.
 //!
 //! # Observable orders
 //!
 //! Every order the API exposes is a function of the operation history
 //! alone: [`Membership::iter`] walks pool order, sampling draws against
 //! pool positions, and [`Membership::changed_since`] walks the change
-//! log — one `(update seq, slot)` entry per stamp, superseded entries
-//! skipped on read and dropped by amortised compaction — newest first.
-//! None of them depends on `HashMap` iteration order, so a seeded run is
-//! reproducible.
+//! list newest first. None of them depends on where the name index put
+//! a bucket (the only place the random hash key shows), so a seeded run
+//! is reproducible.
 //!
 //! Because the pools are derived from member state, state changes must
 //! go through the table ([`Membership::update`] or
 //! [`Membership::set_state`]); there is deliberately no `get_mut`.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
+use std::hash::{BuildHasher, RandomState};
 
 use lifeguard_proto::{MemberState, NodeName};
 use rand::{Rng, RngExt};
@@ -51,30 +65,63 @@ pub enum SamplePool {
     All,
 }
 
+/// A handle to one member record of one [`Membership`] table, resolved
+/// by [`Membership::by_id`] without touching the name index. It stops
+/// resolving once the member is removed, even if another member (or the
+/// same name, rejoining) later occupies the slot.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct MemberId {
+    slot: u32,
+    gen: u32,
+}
+
+/// "No slot": list ends, empty index buckets. Never a valid slot id —
+/// a table cannot hold `u32::MAX` records.
+const NIL: u32 = u32::MAX;
+
 #[derive(Clone, Debug)]
 struct Slot {
-    member: Member,
-    /// Position of this record's slot id inside its pool vector.
-    pos: usize,
+    /// `None` while the slot sits on the free list.
+    member: Option<Member>,
+    /// Position of this slot's id inside its pool vector.
+    pos: u32,
+    /// Change-list neighbours: the slots stamped directly after and
+    /// before this one (`NIL` at the ends).
+    newer: u32,
+    older: u32,
+    /// Number of times this slot has been vacated.
+    gen: u32,
 }
+
+/// One name-index bucket; `slot == NIL` marks it empty.
+#[derive(Clone, Copy, Debug)]
+struct Bucket {
+    tag: u32,
+    slot: u32,
+}
+
+const EMPTY: Bucket = Bucket { tag: 0, slot: NIL };
 
 /// The membership table of a single node.
 ///
 /// The local node itself is stored in the table (as memberlist does), so
 /// `n` counts include self.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct Membership {
-    // bounded: one slot per member (dead members are reaped after the retention horizon), freed slots are recycled via `free`
-    slots: Vec<Option<Slot>>,
-    // bounded: ≤ |slots| — holds only currently-empty slot ids
+    // bounded: one slot per member at peak (dead members are reaped after the retention horizon), vacated slots are recycled via `free`
+    slots: Vec<Slot>,
+    // bounded: ≤ |slots| — holds only currently-vacant slot ids
     free: Vec<u32>,
-    // bounded: one key per member, removed on reap
-    index: HashMap<NodeName, u32>,
-    /// The change log: `(seq, slot id)` in ascending-seq order, one
-    /// *live* entry per member. Stale entries are skipped on read and
-    /// dropped by amortised compaction.
-    // bounded: compaction in `stamp` keeps len ≤ max(64, 2 × member count)
-    log: VecDeque<(u64, u32)>,
+    /// The name index; length zero or a power of two.
+    // bounded: ≤ 2 × next_pow2(peak member count) buckets — grown only by `index_reserve`, to keep load ≤ ½
+    index: Vec<Bucket>,
+    hasher: RandomState,
+    /// Test hook: every name hashes to this tag, so every probe collides.
+    #[cfg(test)]
+    fixed_tag: Option<u32>,
+    /// Ends of the change list (`NIL` when the table is empty).
+    oldest: u32,
+    newest: u32,
     /// Dense slot ids of alive | suspect members.
     // bounded: ≤ cluster size — one id per live member
     live: Vec<u32>,
@@ -88,31 +135,59 @@ pub struct Membership {
     update_seq: u64,
 }
 
+impl Default for Membership {
+    fn default() -> Self {
+        Membership::new()
+    }
+}
+
 impl Membership {
     /// Creates an empty table.
     pub fn new() -> Self {
-        Membership::default()
+        Membership {
+            slots: Vec::new(),
+            free: Vec::new(),
+            index: Vec::new(),
+            hasher: RandomState::new(),
+            #[cfg(test)]
+            fixed_tag: None,
+            oldest: NIL,
+            newest: NIL,
+            live: Vec::new(),
+            gone: Vec::new(),
+            alive: 0,
+            update_seq: 0,
+        }
+    }
+
+    /// A table whose every name gets the tag `tag`: all members share
+    /// one probe run, so only name verification tells them apart.
+    #[cfg(test)]
+    fn with_fixed_tag(tag: u32) -> Self {
+        Membership {
+            fixed_tag: Some(tag),
+            ..Membership::new()
+        }
     }
 
     /// Reserves room for `additional` more members, so a bulk load
     /// (the simulator's full-mesh bootstrap) grows each structure once
-    /// instead of rehashing and reallocating its way up.
+    /// instead of re-homing and reallocating its way up.
     pub fn reserve(&mut self, additional: usize) {
         self.slots.reserve(additional);
-        self.index.reserve(additional);
-        self.log.reserve(additional);
+        self.index_reserve(self.len() + additional);
         self.live.reserve(additional);
     }
 
     /// Number of known members in any state (including dead ones still
     /// retained). O(1).
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.live.len() + self.gone.len()
     }
 
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.len() == 0
     }
 
     /// Number of live (alive or suspect) members, the `n` used for
@@ -128,8 +203,26 @@ impl Membership {
 
     /// Looks up a member by name. O(1).
     pub fn get(&self, name: &NodeName) -> Option<&Member> {
-        let &id = self.index.get(name)?;
-        Some(&self.slot(id)?.member)
+        let (_, id) = self.find(name.as_str())?;
+        self.member(id)
+    }
+
+    /// The handle of the member named `name`, valid until that member is
+    /// removed. O(1).
+    pub fn id_of(&self, name: &NodeName) -> Option<MemberId> {
+        let (_, slot) = self.find(name.as_str())?;
+        let gen = self.slots.get(slot as usize)?.gen;
+        Some(MemberId { slot, gen })
+    }
+
+    /// Resolves a handle from [`Membership::id_of`]: one slab access, no
+    /// hashing. `None` once the member has been removed.
+    pub fn by_id(&self, id: MemberId) -> Option<&Member> {
+        let slot = self.slots.get(id.slot as usize)?;
+        if slot.gen != id.gen {
+            return None;
+        }
+        slot.member.as_ref()
     }
 
     /// The table's current update sequence: the stamp of the most
@@ -139,33 +232,32 @@ impl Membership {
         self.update_seq
     }
 
-    /// Change-log entries currently retained — the live cursor set plus
-    /// stale entries not yet compacted away. Lazy compaction keeps this
-    /// O(members) regardless of how many stamps churn has issued;
-    /// property tests assert that bound. O(1).
+    /// Entries on the change list, counted by walking it — always
+    /// [`Membership::len`], whatever the churn, which is what the
+    /// property tests assert. O(n); diagnostics only.
     pub fn retained_log_len(&self) -> usize {
-        self.log.len()
+        self.changed_since(0).count()
     }
 
     /// Members whose record changed after `since` (in this table's own
     /// sequence space), newest first. O(changed): one walk of the change
-    /// log from its tail, skipping superseded entries, so steady-state
-    /// delta generation never touches the unchanged bulk of the table.
+    /// list from its newest end, so steady-state delta generation never
+    /// touches the unchanged bulk of the table.
     ///
     /// `changed_since(0)` visits every member — a fresh watermark
     /// degenerates to a full-state exchange, which is what makes delta
     /// sync safe to bootstrap from nothing.
     pub fn changed_since(&self, since: u64) -> impl Iterator<Item = &Member> {
-        self.log
-            .iter()
-            .rev()
-            .take_while(move |&&(seq, _)| seq > since)
-            .filter_map(|&(seq, id)| {
-                // A missing slot is a removed member; a different seq
-                // means the member was re-stamped later. Both are stale.
-                let member = &self.slot(id)?.member;
-                (member.updated_seq == seq).then_some(member)
-            })
+        let mut cursor = self.newest;
+        std::iter::from_fn(move || {
+            let slot = self.slots.get(cursor as usize)?;
+            let member = slot.member.as_ref()?;
+            if member.updated_seq <= since {
+                return None;
+            }
+            cursor = slot.older;
+            Some(member)
+        })
     }
 
     /// Mutates the member named `name` through `f`, keeping the state
@@ -178,10 +270,9 @@ impl Membership {
     /// `f` must not change `member.name` — it is the index key. Use
     /// [`Membership::remove`] + [`Membership::upsert`] to rename.
     pub fn update<T>(&mut self, name: &NodeName, f: impl FnOnce(&mut Member) -> T) -> Option<T> {
-        let &id = self.index.get(name)?;
-        debug_invariant!(self.slot(id).is_some(), "membership index points at an empty slot");
-        let slot = self.slot_mut(id)?;
-        let before = slot.member.state;
+        let (_, id) = self.find(name.as_str())?;
+        let member = self.slots.get_mut(id as usize)?.member.as_mut()?;
+        let before = member.state;
         // Snapshot for change-stamping. The meta clone (a refcount
         // bump) keeps the old buffer alive across `f`, so an equal
         // pointer + length afterwards *proves* the buffer is unchanged
@@ -190,21 +281,22 @@ impl Membership {
         // changed do we pay a content comparison — the borrowed alive
         // path reuses the stored buffer for unchanged metadata, so the
         // steady state stays on the pointer fast path.
-        let before_key = (slot.member.state, slot.member.incarnation, slot.member.addr);
-        let before_meta = slot.member.meta.clone();
-        let out = f(&mut slot.member);
-        let after = slot.member.state;
-        let after_key = (slot.member.state, slot.member.incarnation, slot.member.addr);
-        let after_meta = &slot.member.meta;
+        let before_key = (member.state, member.incarnation, member.addr);
+        let before_meta = member.meta.clone();
+        let out = f(member);
+        let after = member.state;
+        let after_key = (member.state, member.incarnation, member.addr);
+        let after_meta = &member.meta;
         let same_buffer = before_meta.len() == after_meta.len()
             && std::ptr::eq(before_meta.as_ref().as_ptr(), after_meta.as_ref().as_ptr());
         let meta_changed = !same_buffer && before_meta.as_ref() != after_meta.as_ref();
         debug_assert!(
-            self.slot(id).is_some_and(|s| &s.member.name == name),
+            &member.name == name,
             "update() must not change the member's name (index key)"
         );
         self.reconcile(id, before, after);
         if before_key != after_key || meta_changed {
+            self.unlink(id);
             self.stamp(id);
         }
         Some(out)
@@ -220,35 +312,38 @@ impl Membership {
     /// Inserts or replaces a member record. Returns the previous record.
     /// Always counts as a record change for [`Membership::changed_since`].
     pub fn upsert(&mut self, member: Member) -> Option<Member> {
-        if let Some(id) = self.index.get(&member.name).copied() {
-            debug_invariant!(self.slot(id).is_some(), "membership index points at an empty slot");
-            if let Some(slot) = self.slot_mut(id) {
-                let before = slot.member.state;
-                let after = member.state;
-                let prev = std::mem::replace(&mut slot.member, member);
-                self.reconcile(id, before, after);
-                self.stamp(id);
-                return Some(prev);
-            }
-            // Index pointed at an empty slot (table bug, unreachable in
-            // debug builds): fall through to a fresh insert, which
-            // overwrites the stale index entry and heals the table.
+        let tag = self.tag(member.name.as_str());
+        if let Some((_, id)) = self.find_tagged(tag, member.name.as_str()) {
+            let stored = self.slots.get_mut(id as usize)?.member.as_mut()?;
+            let before = stored.state;
+            let after = member.state;
+            let prev = std::mem::replace(stored, member);
+            self.reconcile(id, before, after);
+            self.unlink(id);
+            self.stamp(id);
+            return Some(prev);
         }
-        let name = member.name.clone();
         let state = member.state;
         let id = match self.free.pop() {
-            Some(id) => {
-                debug_invariant!((id as usize) < self.slots.len(), "free-list id out of bounds");
-                // lint: allow(panic_path) — free-list ids come from `remove`, which only ever pushes in-bounds slot ids
-                self.slots[id as usize] = Some(Slot { member, pos: 0 });
-                id
-            }
+            Some(id) => id,
             None => {
-                self.slots.push(Some(Slot { member, pos: 0 }));
+                self.slots.push(Slot {
+                    member: None,
+                    pos: 0,
+                    newer: NIL,
+                    older: NIL,
+                    gen: 0,
+                });
                 (self.slots.len() - 1) as u32
             }
         };
-        self.index.insert(name, id);
+        let Some(slot) = self.slots.get_mut(id as usize) else {
+            debug_invariant!(false, "free-list id out of bounds");
+            return None;
+        };
+        slot.member = Some(member);
+        self.index_reserve(self.len() + 1);
+        self.index_insert(Bucket { tag, slot: id });
         self.pool_push(id, state);
         if state == MemberState::Alive {
             self.alive += 1;
@@ -258,17 +353,20 @@ impl Membership {
     }
 
     /// Removes a member record entirely (dead-node reaping). O(1).
+    /// Every [`MemberId`] issued for it stops resolving.
     pub fn remove(&mut self, name: &NodeName) -> Option<Member> {
-        let id = self.index.remove(name)?;
-        debug_invariant!(self.slot(id).is_some(), "membership index points at an empty slot");
-        let state = self.slot(id)?.member.state;
+        let (bucket, id) = self.find(name.as_str())?;
+        let state = self.member(id)?.state;
+        self.index_remove(bucket);
         self.pool_remove(id, state);
         if state == MemberState::Alive {
             self.alive -= 1;
         }
-        let slot = self.slots.get_mut(id as usize)?.take()?;
+        self.unlink(id);
+        let slot = self.slots.get_mut(id as usize)?;
+        slot.gen = slot.gen.wrapping_add(1);
         self.free.push(id);
-        Some(slot.member)
+        slot.member.take()
     }
 
     /// Iterates over all member records in pool order (live members
@@ -278,7 +376,7 @@ impl Membership {
         self.live
             .iter()
             .chain(self.gone.iter())
-            .filter_map(|&id| self.slot(id).map(|s| &s.member))
+            .filter_map(|&id| self.member(id))
     }
 
     /// Members that have been dead/left since before `reap_before` and
@@ -290,7 +388,7 @@ impl Membership {
     pub fn reapable(&self, reap_before: Time) -> impl Iterator<Item = &Member> {
         self.gone
             .iter()
-            .filter_map(|&id| self.slot(id).map(|s| &s.member))
+            .filter_map(|&id| self.member(id))
             .filter(move |m| m.state_change < reap_before)
     }
 
@@ -353,15 +451,20 @@ impl Membership {
         // members draws a uniform k-subset of the eligible members, in
         // uniform order — the same distribution as filtering first and
         // shuffling after, without building the O(n) candidate vector.
-        let mut moved: HashMap<usize, usize> = HashMap::new();
+        let mut moved = Displaced::new();
         let mut picked = 0;
         let mut i = 0;
         while i < n && picked < k {
             let j = rng.random_range(i..n);
-            let vj = moved.get(&j).copied().unwrap_or(j);
-            let vi = moved.get(&i).copied().unwrap_or(i);
-            moved.insert(j, vi);
-            debug_invariant!(self.pool_member(pool, vj).is_some(), "pool position out of bounds");
+            let vj = moved.get(j);
+            // Position i is never read again, so `j == i` records nothing.
+            if j != i {
+                moved.set(j, moved.get(i));
+            }
+            debug_invariant!(
+                self.pool_member(pool, vj).is_some(),
+                "pool position out of bounds"
+            );
             if let Some(member) = self.pool_member(pool, vj) {
                 if filter(member) {
                     picked += 1;
@@ -376,38 +479,154 @@ impl Membership {
     // Internals
     // ------------------------------------------------------------------
 
-    /// The occupied slot `id`. The name index and the pool vectors only
-    /// ever store ids of occupied slots, so a `None` here is a table
-    /// bug — `debug_invariant!`-checked at each use site.
-    fn slot(&self, id: u32) -> Option<&Slot> {
-        self.slots.get(id as usize)?.as_ref()
+    /// The record in slot `id`. The name index, the pool vectors and the
+    /// change list only ever hold ids of occupied slots, so a `None`
+    /// here is a table bug — `debug_invariant!`-checked at each use site.
+    fn member(&self, id: u32) -> Option<&Member> {
+        self.slots.get(id as usize)?.member.as_ref()
     }
 
-    fn slot_mut(&mut self, id: u32) -> Option<&mut Slot> {
-        self.slots.get_mut(id as usize)?.as_mut()
+    fn tag(&self, name: &str) -> u32 {
+        #[cfg(test)]
+        if let Some(tag) = self.fixed_tag {
+            return tag;
+        }
+        self.hasher.hash_one(name) as u32
     }
 
-    /// Assigns the next update-seq to slot `id` and logs the change.
-    /// The log entry this supersedes (if any) becomes stale and is
-    /// dropped lazily; compaction keeps the log within 2× the member
-    /// count, so the amortised cost per change stays O(1).
+    /// `index.len() - 1`; ANDing with it wraps a bucket position because
+    /// the length is a power of two. (An empty index never probes.)
+    fn mask(&self) -> usize {
+        self.index.len().wrapping_sub(1)
+    }
+
+    fn bucket(&self, i: usize) -> Bucket {
+        self.index.get(i).copied().unwrap_or(EMPTY)
+    }
+
+    fn set_bucket(&mut self, i: usize, bucket: Bucket) {
+        if let Some(b) = self.index.get_mut(i) {
+            *b = bucket;
+        }
+    }
+
+    /// `(bucket position, slot id)` of the member named `name`.
+    fn find(&self, name: &str) -> Option<(usize, u32)> {
+        self.find_tagged(self.tag(name), name)
+    }
+
+    /// [`Membership::find`] for a name whose tag is already computed.
+    /// Probes from the tag's home bucket to the first empty one (load
+    /// ≤ ½ guarantees there is one; the loop bound does not rely on it).
+    fn find_tagged(&self, tag: u32, name: &str) -> Option<(usize, u32)> {
+        let mask = self.mask();
+        let mut i = tag as usize & mask;
+        for _ in 0..self.index.len() {
+            let b = self.bucket(i);
+            if b.slot == NIL {
+                return None;
+            }
+            // Tags are 32 bits of a hash: equal tags are not yet equal
+            // names, so the stored name decides.
+            if b.tag == tag && self.member(b.slot).is_some_and(|m| m.name.as_str() == name) {
+                return Some((i, b.slot));
+            }
+            i = (i + 1) & mask;
+        }
+        None
+    }
+
+    /// Grows the index so `members` entries keep the load ≤ ½. Buckets
+    /// are re-homed from their tags; no name is hashed again.
+    fn index_reserve(&mut self, members: usize) {
+        let want = (2 * members).next_power_of_two();
+        if want <= self.index.len() {
+            return;
+        }
+        let old = std::mem::replace(&mut self.index, vec![EMPTY; want]);
+        for b in old {
+            if b.slot != NIL {
+                self.index_insert(b);
+            }
+        }
+    }
+
+    /// Places `bucket` (a name known to be absent) in the first empty
+    /// bucket at or after its home.
+    fn index_insert(&mut self, bucket: Bucket) {
+        let mask = self.mask();
+        let mut i = bucket.tag as usize & mask;
+        for _ in 0..self.index.len() {
+            if self.bucket(i).slot == NIL {
+                self.set_bucket(i, bucket);
+                return;
+            }
+            i = (i + 1) & mask;
+        }
+        debug_invariant!(false, "name index full");
+    }
+
+    /// Empties bucket `hole` and closes the gap (backward-shift
+    /// deletion): each later bucket of the probe run moves back into the
+    /// hole unless that would put it before its home, so lookups never
+    /// need tombstones.
+    fn index_remove(&mut self, mut hole: usize) {
+        let mask = self.mask();
+        let mut j = hole;
+        for _ in 0..self.index.len() {
+            j = (j + 1) & mask;
+            let b = self.bucket(j);
+            if b.slot == NIL {
+                break;
+            }
+            let home = b.tag as usize & mask;
+            // Cyclic distances from `b`'s home: it may move to `hole`
+            // iff the hole is not before its home.
+            if (j.wrapping_sub(home) & mask) >= (j.wrapping_sub(hole) & mask) {
+                self.set_bucket(hole, b);
+                hole = j;
+            }
+        }
+        self.set_bucket(hole, EMPTY);
+    }
+
+    /// Takes slot `id` off the change list.
+    fn unlink(&mut self, id: u32) {
+        let Some((older, newer)) = self.slots.get(id as usize).map(|s| (s.older, s.newer)) else {
+            debug_invariant!(false, "unlink() of an unknown slot");
+            return;
+        };
+        match self.slots.get_mut(older as usize) {
+            Some(s) => s.newer = newer,
+            None => self.oldest = newer,
+        }
+        match self.slots.get_mut(newer as usize) {
+            Some(s) => s.older = older,
+            None => self.newest = older,
+        }
+    }
+
+    /// Assigns the next update-seq to the record in slot `id` and puts
+    /// the slot — not currently on the change list — at its newest end.
     fn stamp(&mut self, id: u32) {
         self.update_seq += 1;
         let seq = self.update_seq;
-        debug_invariant!(self.slot(id).is_some(), "stamp() on an empty slot");
-        if let Some(slot) = self.slot_mut(id) {
-            slot.member.updated_seq = seq;
+        let older = self.newest;
+        let Some(slot) = self.slots.get_mut(id as usize) else {
+            debug_invariant!(false, "stamp() of an unknown slot");
+            return;
+        };
+        debug_invariant!(slot.member.is_some(), "stamp() on a vacant slot");
+        if let Some(member) = slot.member.as_mut() {
+            member.updated_seq = seq;
         }
-        self.log.push_back((seq, id));
-        if self.log.len() > 64 && self.log.len() > 2 * self.index.len() {
-            let slots = &self.slots;
-            self.log.retain(|&(seq, id)| {
-                slots
-                    .get(id as usize)
-                    .and_then(|s| s.as_ref())
-                    .is_some_and(|s| s.member.updated_seq == seq)
-            });
+        slot.older = older;
+        slot.newer = NIL;
+        match self.slots.get_mut(older as usize) {
+            Some(s) => s.newer = id,
+            None => self.oldest = id,
         }
+        self.newest = id;
     }
 
     /// The member at virtual position `v` of a pool (All concatenates
@@ -424,7 +643,7 @@ impl Membership {
                 }
             }
         };
-        Some(&self.slot(id)?.member)
+        self.member(id)
     }
 
     /// Moves slot `id` between pools / adjusts counters after its state
@@ -448,16 +667,18 @@ impl Membership {
             &mut self.gone
         };
         pool.push(id);
-        let pos = pool.len() - 1;
-        debug_invariant!(self.slot(id).is_some(), "pool_push() on an empty slot");
-        if let Some(slot) = self.slot_mut(id) {
+        let pos = (pool.len() - 1) as u32;
+        debug_invariant!(self.member(id).is_some(), "pool_push() on a vacant slot");
+        if let Some(slot) = self.slots.get_mut(id as usize) {
             slot.pos = pos;
         }
     }
 
+    /// Swap-remove of slot `id` from its pool: the pool's last id takes
+    /// over the vacated position.
     fn pool_remove(&mut self, id: u32, state: MemberState) {
-        let Some(pos) = self.slot(id).map(|s| s.pos) else {
-            debug_invariant!(false, "pool_remove() on an empty slot");
+        let Some(pos) = self.slots.get(id as usize).map(|s| s.pos) else {
+            debug_invariant!(false, "pool_remove() of an unknown slot");
             return;
         };
         let pool = if state.is_live() {
@@ -465,20 +686,23 @@ impl Membership {
         } else {
             &mut self.gone
         };
-        debug_invariant!(pool.get(pos) == Some(&id), "pool position out of sync");
-        if pos < pool.len() {
-            // lint: allow(panic_path) — `pos < pool.len()` checked on the line above
-            pool.swap_remove(pos);
-        }
-        if let Some(&swapped) = pool.get(pos) {
-            if let Some(slot) = self.slot_mut(swapped) {
+        debug_invariant!(
+            pool.get(pos as usize) == Some(&id),
+            "pool position out of sync"
+        );
+        let Some(last) = pool.pop() else { return };
+        // `None` when `id` itself was the last entry.
+        if let Some(entry) = pool.get_mut(pos as usize) {
+            *entry = last;
+            if let Some(slot) = self.slots.get_mut(last as usize) {
                 slot.pos = pos;
             }
         }
     }
 
-    /// Debug-only invariant check: counters, pools, and the change log
-    /// agree with a full recomputation (used by the property tests).
+    /// Debug-only invariant check: counters, pools, the name index and
+    /// the change list agree with a full recomputation (used by the
+    /// property tests).
     #[doc(hidden)]
     pub fn check_invariants(&self) {
         let live_scan = self.iter().filter(|m| m.is_live()).count();
@@ -490,43 +714,85 @@ impl Membership {
         assert_eq!(self.live.len(), live_scan, "live pool out of sync");
         assert_eq!(self.gone.len(), gone_scan, "gone pool out of sync");
         assert_eq!(self.alive, alive_scan, "alive counter out of sync");
-        assert_eq!(self.index.len(), live_scan + gone_scan, "index out of sync");
-        for (name, &id) in &self.index {
-            let slot = self.slot(id);
-            assert!(slot.is_some(), "index points at an empty slot");
-            let Some(slot) = slot else { continue };
-            assert_eq!(&slot.member.name, name, "index points at wrong slot");
-            let pool = if slot.member.state.is_live() {
+        let occupied = self.slots.iter().filter(|s| s.member.is_some()).count();
+        assert_eq!(occupied, self.len(), "occupied slots out of sync");
+        assert_eq!(
+            occupied + self.free.len(),
+            self.slots.len(),
+            "free list out of sync"
+        );
+
+        // Name index: a power-of-two table at load ≤ ½ holding exactly
+        // one bucket per member, each reachable by probing for its name.
+        assert!(self.index.is_empty() || self.index.len().is_power_of_two());
+        assert!(2 * self.len() <= self.index.len(), "index load above ½");
+        let mut buckets = 0;
+        for (i, b) in self.index.iter().enumerate().filter(|(_, b)| b.slot != NIL) {
+            buckets += 1;
+            let slot = self.slots.get(b.slot as usize);
+            let member = slot.and_then(|s| s.member.as_ref());
+            assert!(member.is_some(), "index points at a vacant slot");
+            let (Some(slot), Some(member)) = (slot, member) else {
+                continue;
+            };
+            assert_eq!(
+                b.tag,
+                self.tag(member.name.as_str()),
+                "bucket tag out of sync"
+            );
+            assert_eq!(
+                self.find(member.name.as_str()),
+                Some((i, b.slot)),
+                "probing for a name must end at its bucket"
+            );
+            let pool = if member.state.is_live() {
                 &self.live
             } else {
                 &self.gone
             };
-            assert_eq!(pool[slot.pos], id, "pool position out of sync");
+            assert_eq!(
+                pool.get(slot.pos as usize),
+                Some(&b.slot),
+                "pool position out of sync"
+            );
         }
-        // Change-log invariants: ascending seqs bounded by the counter,
-        // and exactly one live log entry per member (so `changed_since`
-        // is complete at any watermark, including 0).
-        let mut prev = 0;
-        let mut live_entries = 0;
-        for &(seq, id) in &self.log {
-            assert!(seq > prev, "log seqs must be strictly ascending");
-            assert!(seq <= self.update_seq, "log seq beyond counter");
-            prev = seq;
-            if self.slot(id).is_some_and(|s| s.member.updated_seq == seq) {
-                live_entries += 1;
-            }
+        assert_eq!(buckets, self.len(), "index out of sync");
+
+        // Change list, oldest → newest: strictly ascending seqs bounded
+        // by the counter, `older`/`newer` mutual, exactly one entry per
+        // member (so `changed_since` is complete at any watermark,
+        // including 0).
+        let (mut prev_id, mut prev_seq, mut entries) = (NIL, 0, 0);
+        let mut cursor = self.oldest;
+        while let Some(slot) = self.slots.get(cursor as usize) {
+            let seq = slot.member.as_ref().map(|m| m.updated_seq);
+            assert!(seq.is_some(), "change list holds a vacant slot");
+            let seq = seq.unwrap_or(0);
+            assert!(
+                seq > prev_seq,
+                "change-list seqs must be strictly ascending"
+            );
+            assert!(seq <= self.update_seq, "change-list seq beyond counter");
+            assert_eq!(slot.older, prev_id, "older link does not mirror newer");
+            entries += 1;
+            assert!(entries <= self.len(), "change list longer than the table");
+            (prev_id, prev_seq) = (cursor, seq);
+            cursor = slot.newer;
         }
+        assert_eq!(cursor, NIL, "change list leaves the slab");
+        assert_eq!(prev_id, self.newest, "newest end out of sync");
         assert_eq!(
-            live_entries,
-            self.index.len(),
-            "each member must have exactly one live log entry"
+            entries,
+            self.len(),
+            "each member must be on the change list once"
         );
+        // And newest → oldest, through the public feed: the same
+        // entries, strictly descending.
         assert_eq!(
             self.changed_since(0).count(),
-            self.index.len(),
+            self.len(),
             "changed_since(0) must visit every member"
         );
-        // The change feed must be strictly newest-first.
         let mut last = u64::MAX;
         for m in self.changed_since(0) {
             assert!(m.updated_seq < last, "change feed out of order");
@@ -535,10 +801,70 @@ impl Membership {
     }
 }
 
+/// The positions a lazy Fisher–Yates pass has displaced from the
+/// identity permutation, as `(position, value)` pairs. A sampling call
+/// displaces about one position per member inspected, so the pairs sit
+/// in a fixed inline array scanned linearly — no allocation, no hashing.
+struct Displaced {
+    inline: [(usize, usize); Displaced::INLINE],
+    len: usize,
+    /// Takes over past [`Displaced::INLINE`] pairs — a filter rejecting
+    /// most of a large pool — where a linear scan per draw would make
+    /// the call quadratic in the members inspected.
+    spill: Option<HashMap<usize, usize>>,
+}
+
+impl Displaced {
+    const INLINE: usize = 16;
+
+    fn new() -> Self {
+        Displaced {
+            inline: [(0, 0); Displaced::INLINE],
+            len: 0,
+            spill: None,
+        }
+    }
+
+    /// The value at `pos`: its override, else `pos` itself.
+    fn get(&self, pos: usize) -> usize {
+        if let Some(spill) = &self.spill {
+            return spill.get(&pos).copied().unwrap_or(pos);
+        }
+        self.inline
+            .iter()
+            .take(self.len)
+            .find(|e| e.0 == pos)
+            .map_or(pos, |e| e.1)
+    }
+
+    fn set(&mut self, pos: usize, value: usize) {
+        if let Some(spill) = &mut self.spill {
+            spill.insert(pos, value);
+            return;
+        }
+        if let Some(e) = self.inline.iter_mut().take(self.len).find(|e| e.0 == pos) {
+            e.1 = value;
+            return;
+        }
+        match self.inline.get_mut(self.len) {
+            Some(e) => {
+                *e = (pos, value);
+                self.len += 1;
+            }
+            None => {
+                let mut spill: HashMap<usize, usize> = self.inline.iter().copied().collect();
+                spill.insert(pos, value);
+                self.spill = Some(spill);
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use lifeguard_proto::{Incarnation, NodeAddr};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::collections::HashMap;
@@ -748,13 +1074,18 @@ mod tests {
     #[test]
     fn changed_since_survives_removal_slot_reuse_and_compaction() {
         let mut t = table(8);
-        // Churn hard enough to trigger compaction (log > 2 * members).
+        // Many more stamps than members, across removals and slot reuse.
         for round in 0..40u64 {
             let i = (round % 8) as usize;
             let name = NodeName::from(format!("node-{i}"));
             if round % 11 == 3 {
                 t.remove(&name);
-                t.upsert(Member::new(name, addr(i as u8), Incarnation(round), Time::ZERO));
+                t.upsert(Member::new(
+                    name,
+                    addr(i as u8),
+                    Incarnation(round),
+                    Time::ZERO,
+                ));
             } else {
                 t.update(&name, |m| m.incarnation = Incarnation(100 + round));
             }
@@ -796,5 +1127,149 @@ mod tests {
         let expect: Vec<NodeName> = (0..32u8).map(|i| format!("node-{i}").into()).collect();
         assert_eq!(feed, expect, "newest-first means last-touched first");
         t.check_invariants();
+    }
+
+    #[test]
+    fn member_id_goes_stale_on_remove_even_when_the_slot_is_reused() {
+        let mut t = table(3);
+        let name = NodeName::from("node-1");
+        let id = t.id_of(&name).unwrap();
+        assert_eq!(t.by_id(id).unwrap().name, name);
+        // Updates and re-upserts keep the record in place: same id.
+        t.update(&name, |m| m.incarnation = Incarnation(4));
+        t.upsert(Member::new(
+            name.clone(),
+            addr(1),
+            Incarnation(5),
+            Time::ZERO,
+        ));
+        assert_eq!(t.id_of(&name), Some(id));
+
+        t.remove(&name);
+        assert!(t.by_id(id).is_none(), "vacant slot");
+        assert!(t.id_of(&name).is_none());
+        // The free list hands the same slot to the next newcomer...
+        t.upsert(Member::new(
+            "node-9".into(),
+            addr(9),
+            Incarnation(0),
+            Time::ZERO,
+        ));
+        let reused = t.id_of(&"node-9".into()).unwrap();
+        assert_eq!(reused.slot, id.slot);
+        assert!(t.by_id(id).is_none(), "slot reused by another member");
+        // ...and to the same name rejoining.
+        t.remove(&"node-9".into());
+        t.upsert(Member::new(
+            name.clone(),
+            addr(1),
+            Incarnation(6),
+            Time::ZERO,
+        ));
+        assert_eq!(t.id_of(&name).unwrap().slot, id.slot);
+        assert!(t.by_id(id).is_none(), "slot reused by the same name");
+        t.check_invariants();
+    }
+
+    /// A layout regression costs n² bytes in the simulator (every node
+    /// holds the full roster), so it fails here rather than in a bench.
+    #[test]
+    fn record_layout_is_pinned() {
+        assert_eq!(std::mem::size_of::<Member>(), 104);
+        assert!(std::mem::size_of::<Slot>() <= 120);
+        assert_eq!(std::mem::size_of::<Bucket>(), 8);
+        assert_eq!(std::mem::size_of::<MemberId>(), 8);
+    }
+
+    #[test]
+    fn sampling_past_the_inline_displacement_list_keeps_the_permutation() {
+        // A filter that rejects everything inspects — and displaces —
+        // the whole pool: far more than `Displaced::INLINE` positions.
+        // Every member must still be drawn exactly once.
+        let t = table(200);
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut seen = Vec::new();
+        let picked = t.sample(1, &mut rng, |m| {
+            seen.push(m.name.clone());
+            false
+        });
+        assert!(picked.is_empty());
+        seen.sort();
+        seen.dedup();
+        assert_eq!(seen.len(), 200);
+    }
+
+    /// One step against the table and its `HashMap` model.
+    #[derive(Clone, Debug)]
+    enum IndexOp {
+        Upsert { node: usize, inc: u64 },
+        Update { node: usize },
+        Remove { node: usize },
+    }
+
+    fn index_op() -> impl Strategy<Value = IndexOp> {
+        // 40 names: enough members to grow the index several times,
+        // few enough that removals and re-upserts keep reusing slots.
+        prop_oneof![
+            (0..40usize, 0u64..8).prop_map(|(node, inc)| IndexOp::Upsert { node, inc }),
+            (0..40usize, 0u64..8).prop_map(|(node, inc)| IndexOp::Upsert { node, inc }),
+            (0..40usize).prop_map(|node| IndexOp::Update { node }),
+            (0..40usize).prop_map(|node| IndexOp::Remove { node }),
+        ]
+    }
+
+    proptest! {
+        /// The name index against a `HashMap<String, _>` model over
+        /// sequences that force growth, slot reuse and backward-shift
+        /// deletion — with real hashes, and with every name on one tag
+        /// so that each lookup walks a run of colliding buckets and the
+        /// stored name alone decides.
+        #[test]
+        fn name_index_matches_hashmap_model(
+            ops in proptest::collection::vec(index_op(), 1..300),
+            collide in any::<bool>(),
+        ) {
+            let mut t = if collide {
+                Membership::with_fixed_tag(0xdead_beef)
+            } else {
+                Membership::new()
+            };
+            let mut model: HashMap<String, u64> = HashMap::new();
+            let name = |node: usize| format!("n{}", "x".repeat(node % 5)) + &node.to_string();
+            for op in &ops {
+                match *op {
+                    IndexOp::Upsert { node, inc } => {
+                        let m = Member::new(name(node).into(), addr(node as u8), Incarnation(inc), Time::ZERO);
+                        let prev = t.upsert(m).map(|m| m.incarnation.0);
+                        prop_assert_eq!(prev, model.insert(name(node), inc));
+                    }
+                    IndexOp::Update { node } => {
+                        let out = t.update(&name(node).into(), |m| {
+                            m.incarnation = Incarnation(m.incarnation.0 + 1);
+                            m.incarnation.0
+                        });
+                        let expect = model.get_mut(&name(node)).map(|inc| {
+                            *inc += 1;
+                            *inc
+                        });
+                        prop_assert_eq!(out, expect);
+                    }
+                    IndexOp::Remove { node } => {
+                        let gone = t.remove(&name(node).into()).map(|m| m.incarnation.0);
+                        prop_assert_eq!(gone, model.remove(&name(node)));
+                    }
+                }
+                t.check_invariants();
+                prop_assert_eq!(t.len(), model.len());
+                for node in 0..40 {
+                    let key = NodeName::from(name(node));
+                    let got = t.get(&key).map(|m| (m.name.as_str().to_owned(), m.incarnation.0));
+                    let expect = model.get(&name(node)).map(|&inc| (name(node), inc));
+                    prop_assert_eq!(got, expect);
+                    let by_id = t.id_of(&key).and_then(|id| t.by_id(id)).map(|m| m.name.clone());
+                    prop_assert_eq!(by_id, t.get(&key).map(|m| m.name.clone()));
+                }
+            }
+        }
     }
 }

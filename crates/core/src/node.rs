@@ -600,7 +600,7 @@ impl SwimNode {
             }
             self.membership
                 .upsert(Member::new(name.clone(), addr, Incarnation::ZERO, now));
-            fresh.push(name);
+            fresh.extend(self.membership.id_of(&name));
         }
         self.probe_list.extend_shuffled(fresh, &mut self.rng);
     }
@@ -1115,7 +1115,9 @@ impl SwimNode {
                 let mut m = Member::new(name.clone(), addr, incarnation, now);
                 m.meta = meta.clone();
                 self.membership.upsert(m);
-                self.probe_list.insert(name.clone(), &mut self.rng);
+                if let Some(id) = self.membership.id_of(&name) {
+                    self.probe_list.insert(id, &mut self.rng);
+                }
                 self.broadcasts.enqueue(Message::Alive(Alive {
                     incarnation,
                     node: name.clone(),
@@ -1371,20 +1373,13 @@ impl SwimNode {
             return;
         }
         let me = &self.name;
-        let membership = &self.membership;
-        let Some(target) = self.probe_list.next_target(membership, &mut self.rng, |n| {
-            n != me
-                && membership
-                    .get(n)
-                    .map(|m| m.is_live())
-                    .unwrap_or(false)
-        }) else {
+        let Some(member) = self
+            .probe_list
+            .next_target(&self.membership, &mut self.rng, |m| m.name != *me && m.is_live())
+        else {
             return;
         };
-        let Some(target_addr) = self.membership.get(&target).map(|m| m.addr) else {
-            debug_invariant!(false, "probe target vanished between selection and lookup");
-            return;
-        };
+        let (target, target_addr) = (member.name.clone(), member.addr);
         let seq = self.next_seq();
         let ping = Message::Ping(Ping {
             seq,
@@ -1866,7 +1861,7 @@ impl SwimNode {
     }
 
     /// Members changed after `since` in push-pull wire form, newest
-    /// first. O(changed) via the membership change log.
+    /// first. O(changed) via the membership change list.
     fn collect_changed(&self, since: u64) -> Vec<lifeguard_proto::PushNodeState> {
         self.membership
             .changed_since(since)

@@ -6,16 +6,16 @@
 //! random positions*, so the expected detection time matches the random
 //! scheme (paper §III-A).
 
-use lifeguard_proto::NodeName;
 use rand::{Rng, RngExt};
 
-use crate::membership::Membership;
+use crate::member::Member;
+use crate::membership::{MemberId, Membership};
 
 /// The local node's probe rotation.
 #[derive(Clone, Debug, Default)]
 pub struct ProbeList {
-    // bounded: ≤ cluster size live names plus stale ones, compacted lazily when stale entries are skipped during selection
-    order: Vec<NodeName>,
+    // bounded: ≤ cluster size live ids plus stale ones, compacted lazily when stale entries are skipped during selection
+    order: Vec<MemberId>,
     next: usize,
 }
 
@@ -25,7 +25,7 @@ impl ProbeList {
         ProbeList::default()
     }
 
-    /// Number of names in the rotation (live and stale entries alike;
+    /// Number of ids in the rotation (live and stale entries alike;
     /// stale entries are skipped lazily during [`ProbeList::next_target`]).
     pub fn len(&self) -> usize {
         self.order.len()
@@ -39,62 +39,60 @@ impl ProbeList {
     /// Inserts a newly discovered member at a random position, per SWIM.
     /// Positions at or before the cursor are shifted so the new member is
     /// visited within the current sweep where possible.
-    pub fn insert<R: Rng>(&mut self, name: NodeName, rng: &mut R) {
+    pub fn insert<R: Rng>(&mut self, id: MemberId, rng: &mut R) {
         let pos = rng.random_range(0..=self.order.len());
-        self.order.insert(pos, name);
+        self.order.insert(pos, id);
         if pos < self.next {
             self.next += 1;
         }
     }
 
-    /// Bulk insertion for cluster bootstrap: appends all names and
+    /// Bulk insertion for cluster bootstrap: appends all ids and
     /// reshuffles once (O(total)), instead of one O(n) positional insert
     /// per member. Restarts the sweep.
     pub fn extend_shuffled<R: Rng>(
         &mut self,
-        names: impl IntoIterator<Item = NodeName>,
+        ids: impl IntoIterator<Item = MemberId>,
         rng: &mut R,
     ) {
-        self.order.extend(names);
+        self.order.extend(ids);
         self.reshuffle(rng);
     }
 
     /// Picks the next probe target: advances round-robin, skipping
-    /// entries for which `eligible` is false and dropping entries no
-    /// longer in `membership`. Reshuffles at the end of each sweep.
+    /// members for which `eligible` is false and dropping ids that no
+    /// longer resolve in `membership` — the member was removed; if it
+    /// has rejoined since, it is in the rotation under its new id.
+    /// Reshuffles at the end of each sweep.
     ///
     /// Returns `None` when no eligible member exists.
-    // lint: allow(panic_path) — `idx = self.next` is re-checked against `order.len()` at the top of every iteration, and `order.remove(idx)` / `order[idx]` only run on that validated index
-    pub fn next_target<R: Rng>(
+    pub fn next_target<'m, R: Rng>(
         &mut self,
-        membership: &Membership,
+        membership: &'m Membership,
         rng: &mut R,
-        mut eligible: impl FnMut(&NodeName) -> bool,
-    ) -> Option<NodeName> {
+        mut eligible: impl FnMut(&Member) -> bool,
+    ) -> Option<&'m Member> {
         // One full sweep plus one reshuffle is enough to visit every
         // candidate; two sweeps bounds the loop even with removals.
         let mut inspected = 0;
         let limit = self.order.len().saturating_mul(2).max(1);
         while inspected < limit {
-            if self.order.is_empty() {
-                return None;
-            }
-            if self.next >= self.order.len() {
+            let Some(&id) = self.order.get(self.next) else {
+                if self.order.is_empty() {
+                    return None;
+                }
                 self.reshuffle(rng);
                 continue;
-            }
-            let idx = self.next;
-            if membership.get(&self.order[idx]).is_none() {
-                // Member was reaped: drop from rotation without advancing.
-                self.order.remove(idx);
-                inspected += 1;
-                continue;
-            }
-            self.next += 1;
+            };
             inspected += 1;
-            if eligible(&self.order[idx]) {
-                // Clone (an `Arc` bump) only for the selected target.
-                return Some(self.order[idx].clone());
+            let Some(member) = membership.by_id(id) else {
+                // Member was reaped: drop from rotation without advancing.
+                self.order.remove(self.next);
+                continue;
+            };
+            self.next += 1;
+            if eligible(member) {
+                return Some(member);
             }
         }
         None
@@ -114,26 +112,31 @@ impl ProbeList {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::member::Member;
     use crate::time::Time;
-    use lifeguard_proto::{Incarnation, NodeAddr};
+    use lifeguard_proto::{Incarnation, NodeAddr, NodeName};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::collections::HashMap;
+
+    /// Adds `name` to the table and, under its fresh id, to the rotation
+    /// — what the node does when it learns of a member.
+    fn join(membership: &mut Membership, list: &mut ProbeList, rng: &mut StdRng, name: &str) {
+        let name = NodeName::from(name);
+        membership.upsert(Member::new(
+            name.clone(),
+            NodeAddr::new([10, 0, 0, 1], 1),
+            Incarnation(0),
+            Time::ZERO,
+        ));
+        list.insert(membership.id_of(&name).unwrap(), rng);
+    }
 
     fn setup(n: usize) -> (Membership, ProbeList, StdRng) {
         let mut membership = Membership::new();
         let mut list = ProbeList::new();
         let mut rng = StdRng::seed_from_u64(11);
         for i in 0..n {
-            let name = NodeName::from(format!("node-{i}"));
-            membership.upsert(Member::new(
-                name.clone(),
-                NodeAddr::new([10, 0, 0, i as u8], 1),
-                Incarnation(0),
-                Time::ZERO,
-            ));
-            list.insert(name, &mut rng);
+            join(&mut membership, &mut list, &mut rng, &format!("node-{i}"));
         }
         (membership, list, rng)
     }
@@ -144,7 +147,8 @@ mod tests {
         for sweep in 0..5 {
             let mut seen = Vec::new();
             for _ in 0..8 {
-                seen.push(list.next_target(&membership, &mut rng, |_| true).unwrap());
+                let t = list.next_target(&membership, &mut rng, |_| true).unwrap();
+                seen.push(t.name.clone());
             }
             seen.sort();
             seen.dedup();
@@ -157,9 +161,9 @@ mod tests {
         let (membership, mut list, mut rng) = setup(4);
         for _ in 0..20 {
             let t = list
-                .next_target(&membership, &mut rng, |n| n.as_str() != "node-2")
+                .next_target(&membership, &mut rng, |m| m.name.as_str() != "node-2")
                 .unwrap();
-            assert_ne!(t.as_str(), "node-2");
+            assert_ne!(t.name.as_str(), "node-2");
         }
     }
 
@@ -180,15 +184,35 @@ mod tests {
         membership.remove(&"node-1".into());
         let mut seen = Vec::new();
         for _ in 0..3 {
-            seen.push(
-                list.next_target(&membership, &mut rng, |_| true)
-                    .unwrap()
-                    .as_str()
-                    .to_owned(),
-            );
+            let t = list.next_target(&membership, &mut rng, |_| true).unwrap();
+            seen.push(t.name.as_str().to_owned());
         }
         assert!(!seen.contains(&"node-1".to_owned()));
         assert_eq!(list.len(), 3);
+    }
+
+    /// A member reaped and re-added before the cursor reaches its old
+    /// entry must not be in the rotation twice: the old entry's id is
+    /// stale and is dropped when reached. (With names in the rotation
+    /// the old entry resolved again and stayed for good.)
+    #[test]
+    fn rejoin_after_removal_is_probed_once_per_sweep() {
+        let (mut membership, mut list, mut rng) = setup(10);
+        membership.remove(&"node-2".into());
+        join(&mut membership, &mut list, &mut rng, "node-2");
+        // Two sweeps are enough for the cursor to pass every old entry.
+        for _ in 0..20 {
+            list.next_target(&membership, &mut rng, |_| true).unwrap();
+        }
+        assert_eq!(list.len(), 10, "the stale entry is gone");
+        for sweep in 0..3 {
+            let mut hits = 0;
+            for _ in 0..10 {
+                let t = list.next_target(&membership, &mut rng, |_| true).unwrap();
+                hits += usize::from(t.name.as_str() == "node-2");
+            }
+            assert_eq!(hits, 1, "sweep {sweep} probed node-2 {hits} times");
+        }
     }
 
     #[test]
@@ -198,16 +222,14 @@ mod tests {
         let mut positions = HashMap::new();
         for seed in 0..50u64 {
             let mut rng = StdRng::seed_from_u64(seed);
+            let mut membership = Membership::new();
             let mut list = ProbeList::new();
             for i in 0..9 {
-                list.insert(format!("node-{i}").into(), &mut rng);
+                join(&mut membership, &mut list, &mut rng, &format!("node-{i}"));
             }
-            list.insert("marker".into(), &mut rng);
-            let pos = list
-                .order
-                .iter()
-                .position(|n| n.as_str() == "marker")
-                .unwrap();
+            join(&mut membership, &mut list, &mut rng, "marker");
+            let marker = membership.id_of(&"marker".into()).unwrap();
+            let pos = list.order.iter().position(|&id| id == marker).unwrap();
             *positions.entry(pos).or_insert(0) += 1;
         }
         assert!(
@@ -227,7 +249,7 @@ mod tests {
             for _ in 0..32 {
                 gap += 1;
                 let t = list.next_target(&membership, &mut rng, |_| true).unwrap();
-                if t.as_str() == "node-7" {
+                if t.name.as_str() == "node-7" {
                     found = true;
                     break;
                 }

@@ -1,19 +1,19 @@
-//! Property tests for the membership change log under sustained churn.
+//! Property tests for the membership change list under sustained churn.
 //!
-//! The change log backs delta anti-entropy (`changed_since`): the table
-//! keeps a lazily compacted log of `(update_seq, slot)` entries, and the
-//! feed must always return exactly the members changed after a cursor,
-//! newest first. Two properties matter at scale:
+//! The change list backs delta anti-entropy (`changed_since`): the table
+//! threads its records on a list in stamp order, and the feed must
+//! always return exactly the members changed after a cursor, newest
+//! first. Two properties matter at scale:
 //!
 //! 1. **Correctness under churn**: any interleaving of upserts, state
 //!    flips, metadata updates and removals leaves the table's invariants
 //!    intact and yields the same `changed_since` feed as a flat reference
 //!    rebuilt from the op list alone.
-//! 2. **The log is O(members), not O(history)**: sustained churn — many
-//!    updates per member — must not grow the log without bound. Lazy
-//!    compaction keeps it within a constant factor of the live
-//!    membership, so a `changed_since` scan is proportional to actual
-//!    change volume, never to the total number of stamps ever issued.
+//! 2. **The list is one entry per member, not O(history)**: sustained
+//!    churn — many updates per member — re-links a record instead of
+//!    adding an entry, so a `changed_since` scan is proportional to
+//!    actual change volume, never to the total number of stamps ever
+//!    issued.
 
 use proptest::prelude::*;
 
@@ -47,12 +47,15 @@ enum Op {
 fn op_strategy(pool: usize) -> impl Strategy<Value = Op> {
     prop_oneof![
         (0..pool, 0u64..4).prop_map(|(node, inc)| Op::Upsert { node, inc }),
-        (0..pool, prop_oneof![
-            Just(MemberState::Alive),
-            Just(MemberState::Suspect),
-            Just(MemberState::Dead),
-        ])
-        .prop_map(|(node, state)| Op::Flip { node, state }),
+        (
+            0..pool,
+            prop_oneof![
+                Just(MemberState::Alive),
+                Just(MemberState::Suspect),
+                Just(MemberState::Dead),
+            ]
+        )
+            .prop_map(|(node, state)| Op::Flip { node, state }),
         (0..pool).prop_map(|node| Op::Touch { node }),
         // Upserts outnumber removals three-to-one structurally (via the
         // variants above), keeping the table populated under churn.
@@ -126,15 +129,6 @@ impl FlatLog {
     }
 }
 
-/// Upper bound on the retained change-log entries: lazy compaction
-/// triggers once the log exceeds `max(64, 2 × members)`, so the table
-/// retains at most `64 + 2 × members` entries no matter how much history
-/// the churn generated. `changed_since(0)` visits at most one entry per
-/// retained stamp, so its cost is bounded by the same expression.
-fn log_bound(m: &Membership) -> usize {
-    64 + 2 * m.len()
-}
-
 proptest! {
     /// Sustained churn: correctness against the flat reference and
     /// boundedness of the change log.
@@ -174,29 +168,26 @@ proptest! {
             .collect();
         prop_assert_eq!(newer, expect);
 
-        // Lazy compaction: retained log entries stay O(members) even
-        // though the churn issued `update_seq()` stamps in total.
-        prop_assert!(
-            m.retained_log_len() <= log_bound(&m),
-            "log grew past its compaction bound: {} > {} (members {}, stamps {})",
+        // Exactly one retained entry per member, even though the churn
+        // issued `update_seq()` stamps in total.
+        prop_assert_eq!(
             m.retained_log_len(),
-            log_bound(&m),
             m.len(),
+            "change list out of step with the table (stamps {})",
             m.update_seq(),
         );
     }
 }
 
 /// Deterministic worst case: hammer a tiny member set with far more
-/// updates than the compaction threshold and check the log never grows
-/// with history length.
+/// updates than members and check the list never grows with history
+/// length.
 #[test]
 fn log_length_is_independent_of_history_length() {
     let mut m = Membership::new();
     for i in 0..8 {
         m.upsert(member(i, 0));
     }
-    let mut after_short = 0;
     for round in 0..2000u64 {
         for i in 0..8 {
             m.update(&name(i), |mb| {
@@ -204,16 +195,11 @@ fn log_length_is_independent_of_history_length() {
             });
         }
         if round == 100 {
-            after_short = m.retained_log_len();
+            assert_eq!(m.retained_log_len(), 8);
         }
     }
     m.check_invariants();
-    let after_long = m.retained_log_len();
-    assert!(
-        after_long <= after_short.max(log_bound(&m)),
-        "log kept growing with history ({after_short} -> {after_long})"
-    );
-    assert!(after_long <= log_bound(&m));
+    assert_eq!(m.retained_log_len(), 8);
     // The feed still reflects exactly the live members.
     assert_eq!(m.changed_since(0).count(), 8);
 }

@@ -10,7 +10,7 @@ use lifeguard_core::driver::OwnedOutput;
 use lifeguard_core::node::{Input, SwimNode};
 use lifeguard_core::time::Time;
 use lifeguard_proto::{
-    codec, compound, Alive, Dead, Incarnation, MemberState, Message, NodeAddr, PushPull, Suspect,
+    codec, compound, Ack, Alive, Dead, Incarnation, MemberState, Message, NodeAddr, PushPull, Suspect,
 };
 
 fn addr(i: u8) -> NodeAddr {
@@ -334,4 +334,82 @@ fn left_node_goes_quiet() {
         .filter(|m| matches!(m, Message::Ping(_)))
         .count();
     assert_eq!(pings, 0, "a departed node must not probe");
+}
+
+/// Steps `n` through its timers up to `until`, answering every direct
+/// ping on the target's behalf, and returns the ping targets in order.
+fn run_acking_pings(n: &mut SwimNode, until: Time) -> Vec<String> {
+    let mut probed = Vec::new();
+    while let Some(wake) = n.next_deadline().filter(|&wake| wake <= until) {
+        for o in tick(n, wake) {
+            let OwnedOutput::Packet { to, payload } = o else {
+                continue;
+            };
+            for msg in compound::decode_packet(&payload).unwrap() {
+                if let Message::Ping(ping) = msg {
+                    probed.push(ping.target.as_str().to_owned());
+                    feed(n, to, Message::Ack(Ack { seq: ping.seq }), wake);
+                }
+            }
+        }
+    }
+    probed
+}
+
+/// Restart after reap: a member that is declared dead, reaped after
+/// `dead_reclaim`, and then rejoins at a higher incarnation before the
+/// probe cursor has passed its old rotation entry must be probed once
+/// per sweep — not twice, from then on, as it was while the rotation
+/// held names (the old entry resolved again as soon as the name was
+/// back in the table).
+#[test]
+fn member_rejoining_after_reap_is_probed_once_per_sweep() {
+    const PEERS: u8 = 8;
+    let mut cfg = Config::lan();
+    cfg.dead_reclaim = Duration::from_secs(10);
+    cfg.push_pull_interval = None;
+    let mut n = new_node(cfg);
+    for i in 0..PEERS {
+        add_peer(&mut n, &format!("p{i}"), 10 + i, Time::from_secs(1));
+    }
+    feed(
+        &mut n,
+        addr(10),
+        Message::Dead(Dead {
+            incarnation: Incarnation(1),
+            node: "p3".into(),
+            from: "accuser".into(),
+        }),
+        Time::from_secs(2),
+    );
+    // The reap timer fires every `dead_reclaim`; the second firing finds
+    // p3 dead for longer than that.
+    let reaped_at = Time::from_secs(20);
+    run_acking_pings(&mut n, reaped_at);
+    assert!(n.member(&"p3".into()).is_none(), "p3 must have been reaped");
+    feed(
+        &mut n,
+        addr(13),
+        Message::Alive(Alive {
+            incarnation: Incarnation(2),
+            node: "p3".into(),
+            addr: addr(13),
+            meta: Bytes::new(),
+        }),
+        reaped_at,
+    );
+    assert_eq!(
+        n.member(&"p3".into()).map(|m| m.state),
+        Some(MemberState::Alive)
+    );
+
+    // One probe per second; ten sweeps of eight members.
+    let probed = run_acking_pings(&mut n, reaped_at + Duration::from_secs(80));
+    let rounds = probed.len();
+    let hits = probed.iter().filter(|t| t.as_str() == "p3").count();
+    assert!(rounds >= 72, "expected about 80 probe rounds, saw {rounds}");
+    assert!(
+        hits * usize::from(PEERS) <= rounds + usize::from(PEERS),
+        "p3 probed {hits} times in {rounds} rounds of an {PEERS}-member rotation"
+    );
 }
