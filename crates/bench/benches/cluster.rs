@@ -1,36 +1,29 @@
-//! Cluster-scale simulation benchmark: the PERFORMANCE.md §9 scaling
-//! curve and its regression gates.
+//! Cluster-scale simulation benchmark: the PERFORMANCE.md §9 gates.
 //!
-//! Three roster sizes are exercised — 5 000 honest members, and 20 000 /
-//! 100 000 members as 512 real protocol instances plus phantom members
-//! (roster entries answered by the canned prober-side responder, so the
-//! failure detector, sampling and gossip planes all operate against the
-//! full roster at ~O(real) driver cost). Each size measures
+//! **5 000 all-real members** — every member runs the full protocol
+//! through the simulator. Measured:
 //!
 //! * **build time** — full-mesh bootstrap of every node's member table,
 //! * **memory** — live heap bytes per member-table entry, via a counting
-//!   global allocator (`real × total` entries dominate the footprint),
+//!   global allocator (`n × n` entries dominate the footprint),
 //! * **steady state** — wall-clock per 100 ms simulated slice, and
-//! * **churn** — the same slice with ≤ 1 % of the real members taking a
-//!   metadata update per slice (phantoms carry no driver to update; as a
-//!   fraction of the full roster the churn is correspondingly smaller).
+//! * **churn** — the same slice with 1 % of the members taking a
+//!   metadata update per slice.
 //!
-//! Every scenario runs twice with one seed and the two runs must
-//! produce **identical fingerprints** (event trace, telemetry totals,
-//! every member table). That determinism check is a hard gate at every
-//! size.
+//! The scenario runs twice with one seed and the two runs must produce
+//! **identical fingerprints** (event trace, telemetry totals, every
+//! member table). That determinism check is a hard gate.
 //!
 //! Anti-entropy is disabled (`push_pull_interval = None`) for these
-//! slices: a 30 s push-pull at 100 k members is an O(total) stream
-//! exchange that would dominate any 100 ms slice it lands in, and the
-//! push-pull plane has its own benchmark (`micro.rs::bench_push_pull`)
-//! with delta-sync gates. The slices here isolate the probe/gossip/timer
-//! hot path.
+//! slices: the push-pull plane has its own benchmark
+//! (`micro.rs::bench_push_pull`) with delta-sync gates, and an O(n)
+//! stream exchange would dominate any 100 ms slice it lands in. The
+//! slices here isolate the probe/gossip/timer hot path.
 //!
-//! The 5 000-member scenario always runs (CI push gate). The 20 000 and
-//! 100 000 scenarios run when `LIFEGUARD_BENCH_SCALE=full` is set
-//! (nightly / manual dispatch) — a 100 k build touches ~51 M member
-//! entries (~10 GB live) and is too heavy for every push.
+//! **One 100 000-entry member table** — a single `SwimNode` bootstrapped
+//! with a 100 000-member roster must stay within a live-bytes-per-entry
+//! ceiling: what one member of a 100 k cluster pays for its view of the
+//! group, without building the other 99 999.
 //!
 //! Results are written to `target/BENCH_cluster.json` for CI's
 //! independent re-check; `docs/PERFORMANCE.md` §9 points at that file.
@@ -43,6 +36,9 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use bytes::Bytes;
 use lifeguard_core::config::Config;
+use lifeguard_core::driver::{Driver, OwnedOutput};
+use lifeguard_core::node::SwimNode;
+use lifeguard_core::time::Time;
 use lifeguard_sim::cluster::{Cluster, ClusterBuilder, SimAction};
 
 // ---------------------------------------------------------------------
@@ -102,7 +98,7 @@ fn live_bytes() -> u64 {
 /// the telemetry totals and every node's full member table. Two runs
 /// with equal fingerprints made the same protocol decisions; hashing
 /// (rather than the string fingerprint the integration tests build)
-/// keeps the 51 M-entry comparison at 100 k members cheap.
+/// keeps the 25 M-entry comparison cheap.
 fn fingerprint(c: &Cluster) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -129,12 +125,37 @@ fn fingerprint(c: &Cluster) -> u64 {
 }
 
 // ---------------------------------------------------------------------
-// Scenario
+// 5 000 all-real members
 // ---------------------------------------------------------------------
 
+const MEMBERS: usize = 5_000;
+const SEED: u64 = 0x5CA1E;
 const QUIESCE: Duration = Duration::from_secs(3);
 const SLICE: Duration = Duration::from_millis(100);
 const SLICES: usize = 5;
+
+// Ceilings sized from a warm local run on one 2025-class core (steady
+// ≈ 0.35 s, churn ≈ 0.55 s): generous (≈ 3–5×) so they trip on
+// asymptotic regressions, not scheduler noise. The memory ceiling is
+// ≈ 1.1 × what the bench reported when it was set (164 B), so a layout
+// regression in `Membership` or `ProbeList` fails the run.
+const STEADY_SLICE_GATE_SECS: f64 = 2.0;
+const CHURN_SLICE_GATE_SECS: f64 = 3.0;
+const BYTES_PER_ENTRY_GATE: f64 = 180.0;
+
+fn bench_config() -> Config {
+    let mut cfg = Config::lan().lifeguard();
+    cfg.push_pull_interval = None; // benched separately; see module doc
+    cfg
+}
+
+fn build_cluster() -> Cluster {
+    ClusterBuilder::new(MEMBERS)
+        .config(bench_config())
+        .seed(SEED)
+        .full_mesh(true)
+        .build()
+}
 
 struct RunResult {
     build_secs: f64,
@@ -142,23 +163,16 @@ struct RunResult {
     cluster_bytes: u64,
     /// Best wall-clock for one 100 ms steady-state slice.
     steady_slice_secs: f64,
-    /// Best wall-clock for one 100 ms slice under ≤ 1 % metadata churn.
+    /// Best wall-clock for one 100 ms slice under 1 % metadata churn.
     churn_slice_secs: f64,
     fingerprint: u64,
 }
 
 /// One full measured run: build, quiesce, steady slices, churn slices.
-fn run_scenario(real: usize, phantoms: usize, seed: u64) -> RunResult {
-    let mut cfg = Config::lan().lifeguard();
-    cfg.push_pull_interval = None; // benched separately; see module doc
+fn run_scenario() -> RunResult {
     let before = live_bytes();
     let t0 = Instant::now();
-    let mut cluster = ClusterBuilder::new(real)
-        .config(cfg)
-        .seed(seed)
-        .full_mesh(true)
-        .phantom_members(phantoms)
-        .build();
+    let mut cluster = build_cluster();
     let build_secs = t0.elapsed().as_secs_f64();
     let cluster_bytes = live_bytes().saturating_sub(before);
 
@@ -171,14 +185,14 @@ fn run_scenario(real: usize, phantoms: usize, seed: u64) -> RunResult {
         steady = steady.min(t.elapsed().as_secs_f64());
     }
 
-    // ≤ 1 % of the real members take a metadata update per slice —
-    // live roster changes riding the gossip plane, no failure cascades.
-    let churn_per_slice = (real / 100).max(1);
+    // 1 % of the members take a metadata update per slice — live roster
+    // changes riding the gossip plane, no failure cascades.
+    let churn_per_slice = MEMBERS / 100;
     let mut churn = f64::INFINITY;
     for s in 0..SLICES {
         let t = Instant::now();
         for k in 0..churn_per_slice {
-            let node = (s * 131 + k * 37) % real;
+            let node = (s * 131 + k * 37) % MEMBERS;
             cluster.apply(SimAction::UpdateMeta {
                 node,
                 meta: Bytes::from(format!("gen-{s}-{k}").into_bytes()),
@@ -190,7 +204,7 @@ fn run_scenario(real: usize, phantoms: usize, seed: u64) -> RunResult {
 
     assert!(
         cluster.converged(),
-        "cluster (real {real}, phantoms {phantoms}) lost convergence during the bench"
+        "cluster lost convergence during the bench"
     );
     RunResult {
         build_secs,
@@ -201,45 +215,20 @@ fn run_scenario(real: usize, phantoms: usize, seed: u64) -> RunResult {
     }
 }
 
-// ---------------------------------------------------------------------
-// Per-size gates and report
-// ---------------------------------------------------------------------
-
-struct Gates {
-    /// Ceiling for one steady-state 100 ms slice, seconds.
-    steady_slice_secs: f64,
-    /// Ceiling for one churn 100 ms slice, seconds.
-    churn_slice_secs: f64,
-    /// Ceiling for live heap bytes per member-table entry: ≈ 1.1 × what
-    /// the bench reports at that size (164 / 159 / 153 B when set), so
-    /// a layout regression in `Membership` or `ProbeList` fails the run.
-    bytes_per_entry: f64,
-}
-
-struct SizeReport {
-    label: &'static str,
-    real: usize,
-    phantoms: usize,
+struct SimReport {
     run: RunResult,
+    /// Fingerprint of the second run of the same seed.
+    rerun_fingerprint: u64,
     bytes_per_entry: f64,
-    /// Whether a second run of the same seed reproduced the fingerprint.
-    deterministic: bool,
 }
 
-fn measure_size(
-    label: &'static str,
-    real: usize,
-    phantoms: usize,
-    seed: u64,
-    gates: &Gates,
-) -> SizeReport {
-    let total = real + phantoms;
-    eprintln!("cluster/{label}: building {real} real + {phantoms} phantom members…");
-    let run = run_scenario(real, phantoms, seed);
-    let entries = (real as u64 * total as u64) as f64;
-    let bytes_per_entry = run.cluster_bytes as f64 / entries;
+/// Runs the scenario twice on one seed and applies the hard gates.
+fn measure_sim() -> SimReport {
+    eprintln!("cluster/5k: building {MEMBERS} members…");
+    let run = run_scenario();
+    let bytes_per_entry = run.cluster_bytes as f64 / (MEMBERS * MEMBERS) as f64;
     eprintln!(
-        "cluster/{label}: build {:.2}s, {:.0} B/table-entry, steady {:.1} ms/slice, \
+        "cluster/5k: build {:.2}s, {:.0} B/table-entry, steady {:.1} ms/slice, \
          churn {:.1} ms/slice",
         run.build_secs,
         bytes_per_entry,
@@ -247,146 +236,142 @@ fn measure_size(
         run.churn_slice_secs * 1e3,
     );
 
-    let rerun = run_scenario(real, phantoms, seed);
-    let deterministic = rerun.fingerprint == run.fingerprint;
+    let rerun = run_scenario();
     eprintln!(
-        "cluster/{label}: rerun steady {:.1} ms/slice, fingerprint {}",
+        "cluster/5k: rerun steady {:.1} ms/slice, fingerprint {:016x} vs {:016x}",
         rerun.steady_slice_secs * 1e3,
-        if deterministic { "identical" } else { "DIVERGED" },
+        rerun.fingerprint,
+        run.fingerprint,
     );
 
-    // Hard gates. Determinism is unconditional; wall-clock and memory
-    // ceilings are generous (≈3–5× a warm local run) so they trip on
-    // asymptotic regressions, not scheduler noise.
-    assert!(
-        deterministic,
-        "cluster/{label}: two runs of seed {seed:#x} produced different fingerprints"
+    assert_eq!(
+        rerun.fingerprint, run.fingerprint,
+        "cluster/5k: two runs of seed {SEED:#x} produced different fingerprints"
     );
     assert!(
-        run.steady_slice_secs <= gates.steady_slice_secs,
-        "cluster/{label}: steady 100 ms slice took {:.3}s (gate {:.3}s)",
+        run.steady_slice_secs <= STEADY_SLICE_GATE_SECS,
+        "cluster/5k: steady 100 ms slice took {:.3}s (gate {STEADY_SLICE_GATE_SECS:.3}s)",
         run.steady_slice_secs,
-        gates.steady_slice_secs,
     );
     assert!(
-        run.churn_slice_secs <= gates.churn_slice_secs,
-        "cluster/{label}: churn 100 ms slice took {:.3}s (gate {:.3}s)",
+        run.churn_slice_secs <= CHURN_SLICE_GATE_SECS,
+        "cluster/5k: churn 100 ms slice took {:.3}s (gate {CHURN_SLICE_GATE_SECS:.3}s)",
         run.churn_slice_secs,
-        gates.churn_slice_secs,
     );
     assert!(
-        bytes_per_entry <= gates.bytes_per_entry,
-        "cluster/{label}: {bytes_per_entry:.0} live bytes per member-table entry \
-         (gate {:.0})",
-        gates.bytes_per_entry,
+        bytes_per_entry <= BYTES_PER_ENTRY_GATE,
+        "cluster/5k: {bytes_per_entry:.0} live bytes per member-table entry \
+         (gate {BYTES_PER_ENTRY_GATE:.0})",
     );
 
-    SizeReport {
-        label,
-        real,
-        phantoms,
+    SimReport {
+        rerun_fingerprint: rerun.fingerprint,
         run,
         bytes_per_entry,
-        deterministic,
     }
 }
 
-fn json_for(reports: &[SizeReport], cores: usize) -> String {
-    let mut out = String::from("{\n  \"bench\": \"cluster\",\n");
-    out.push_str(&format!("  \"cores\": {cores},\n"));
-    out.push_str("  \"slice_ms\": 100,\n  \"sizes\": [\n");
-    for (i, r) in reports.iter().enumerate() {
-        let total = r.real + r.phantoms;
-        out.push_str(&format!(
-            "    {{\n      \"label\": \"{}\",\n      \"members\": {},\n      \
-             \"real\": {},\n      \"phantoms\": {},\n      \
-             \"build_secs\": {:.3},\n      \"bytes_per_table_entry\": {:.1},\n      \
-             \"steady_slice_ms\": {:.3},\n      \
-             \"churn_slice_ms\": {:.3},\n      \"fingerprint\": \"{:016x}\",\n      \
-             \"deterministic\": {}\n    }}",
-            r.label,
-            total,
-            r.real,
-            r.phantoms,
-            r.run.build_secs,
-            r.bytes_per_entry,
-            r.run.steady_slice_secs * 1e3,
-            r.run.churn_slice_secs * 1e3,
-            r.run.fingerprint,
-            r.deterministic,
-        ));
-        out.push_str(if i + 1 < reports.len() { ",\n" } else { "\n" });
+// ---------------------------------------------------------------------
+// One 100 000-entry member table
+// ---------------------------------------------------------------------
+
+const TABLE_ENTRIES: usize = 100_000;
+/// The 100 k-roster footprint ceiling (≈ 1.1 × the 153 B measured when
+/// it was set on a 512-node, 100 k-roster build).
+const TABLE_BYTES_PER_ENTRY_GATE: f64 = 170.0;
+
+struct TableReport {
+    build_secs: f64,
+    bytes_per_entry: f64,
+}
+
+/// Bootstraps one node with a 100 000-member roster and gates its live
+/// bytes per entry. The roster is built outside the measured window:
+/// a cluster build clones one roster into every node, so the name
+/// strings are shared and a member's own cost is its table and rotation.
+fn measure_table() -> TableReport {
+    let roster: Vec<_> = (0..TABLE_ENTRIES)
+        .map(|i| (Cluster::name_of(i), Cluster::addr_for(i)))
+        .collect();
+    let before = live_bytes();
+    let t0 = Instant::now();
+    let node = SwimNode::new(Cluster::name_of(0), Cluster::addr_for(0), bench_config(), SEED);
+    let mut driver = Driver::new(node);
+    driver.start(Time::ZERO, &mut Vec::<OwnedOutput>::new());
+    driver
+        .node_mut()
+        .bootstrap_peers(roster.iter().cloned(), Time::ZERO);
+    let build_secs = t0.elapsed().as_secs_f64();
+    let bytes_per_entry = live_bytes().saturating_sub(before) as f64 / TABLE_ENTRIES as f64;
+    assert_eq!(driver.node().num_alive(), TABLE_ENTRIES);
+    eprintln!(
+        "cluster/table-100k: build {build_secs:.3}s, {bytes_per_entry:.0} B/table-entry"
+    );
+    assert!(
+        bytes_per_entry <= TABLE_BYTES_PER_ENTRY_GATE,
+        "cluster/table-100k: {bytes_per_entry:.0} live bytes per member-table entry \
+         (gate {TABLE_BYTES_PER_ENTRY_GATE:.0})",
+    );
+    TableReport {
+        build_secs,
+        bytes_per_entry,
     }
-    out.push_str("  ]\n}\n");
-    out
+}
+
+// ---------------------------------------------------------------------
+// Report
+// ---------------------------------------------------------------------
+
+fn json_for(sim: &SimReport, table: &TableReport, cores: usize) -> String {
+    let run = &sim.run;
+    format!(
+        r#"{{
+  "bench": "cluster",
+  "cores": {cores},
+  "slice_ms": 100,
+  "sim_5k": {{
+    "members": {MEMBERS},
+    "build_secs": {:.3},
+    "bytes_per_table_entry": {:.1},
+    "steady_slice_ms": {:.3},
+    "churn_slice_ms": {:.3},
+    "fingerprint": "{:016x}",
+    "rerun_fingerprint": "{:016x}"
+  }},
+  "table_100k": {{
+    "entries": {TABLE_ENTRIES},
+    "build_secs": {:.3},
+    "bytes_per_table_entry": {:.1}
+  }}
+}}
+"#,
+        run.build_secs,
+        sim.bytes_per_entry,
+        run.steady_slice_secs * 1e3,
+        run.churn_slice_secs * 1e3,
+        run.fingerprint,
+        sim.rerun_fingerprint,
+        table.build_secs,
+        table.bytes_per_entry,
+    )
 }
 
 fn cluster_group(c: &mut Criterion) {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let full = std::env::var("LIFEGUARD_BENCH_SCALE").as_deref() == Ok("full");
 
-    let mut reports = Vec::new();
+    let table = measure_table();
+    let sim = measure_sim();
 
-    // 5 000 honest members — every member runs the full protocol. This
-    // is the push-CI gate; ceilings sized from a warm local run on one
-    // 2025-class core (steady ≈ 0.35 s, churn ≈ 0.55 s, ≈ 210 B/entry).
-    reports.push(measure_size(
-        "5k",
-        5_000,
-        0,
-        0x5CA1E,
-        &Gates {
-            steady_slice_secs: 2.0,
-            churn_slice_secs: 3.0,
-            bytes_per_entry: 180.0,
-        },
-    ));
-
-    if full {
-        // 20 000 members: 512 real + phantoms.
-        reports.push(measure_size(
-            "20k",
-            512,
-            19_488,
-            0x20AD5,
-            &Gates {
-                steady_slice_secs: 2.0,
-                churn_slice_secs: 3.0,
-                bytes_per_entry: 175.0,
-            },
-        ));
-        // 100 000 members: the headline size. ~51 M table entries.
-        reports.push(measure_size(
-            "100k",
-            512,
-            99_488,
-            0x100AD,
-            &Gates {
-                steady_slice_secs: 5.0,
-                churn_slice_secs: 6.0,
-                bytes_per_entry: 170.0,
-            },
-        ));
-    } else {
-        eprintln!("cluster: set LIFEGUARD_BENCH_SCALE=full for the 20k/100k sizes");
-    }
-
-    let json = json_for(&reports, cores);
+    let json = json_for(&sim, &table, cores);
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/BENCH_cluster.json");
     std::fs::write(out, &json).expect("write BENCH_cluster.json");
     eprintln!("cluster/json: wrote {out}");
 
-    // Criterion timing of the warm steady-state slice at the push-CI
-    // size, for trend tracking alongside the hard gates above.
-    let mut cfg = Config::lan().lifeguard();
-    cfg.push_pull_interval = None;
-    let mut cluster = ClusterBuilder::new(5_000)
-        .config(cfg)
-        .seed(0x5CA1E)
-        .full_mesh(true)
-        .build();
+    // Criterion timing of the warm steady-state slice, for trend
+    // tracking alongside the hard gates above.
+    let mut cluster = build_cluster();
     cluster.run_for(QUIESCE);
     let mut group = c.benchmark_group("cluster");
     group.sample_size(10);

@@ -67,20 +67,22 @@ fn bench_compound(c: &mut Criterion) {
     let parts: Vec<Bytes> = (0..30)
         .map(|i| codec::encode_message(&sample_alive(i)))
         .collect();
+    let mut builder = CompoundBuilder::new(1400);
+    let mut packet = Vec::new();
     c.bench_function("compound/pack_30_messages", |b| {
         b.iter(|| {
-            let mut builder = CompoundBuilder::new(1400);
             for p in &parts {
-                builder.try_add(p.clone());
+                builder.try_add_bytes(p);
             }
-            builder.finish().unwrap()
+            packet.clear();
+            builder.finish_into(&mut packet).unwrap()
         })
     });
-    let mut builder = CompoundBuilder::new(1400);
     for p in &parts {
-        builder.try_add(p.clone());
+        builder.try_add_bytes(p);
     }
-    let packet = builder.finish().unwrap();
+    packet.clear();
+    builder.finish_into(&mut packet).unwrap();
     c.bench_function("compound/decode_30_messages", |b| {
         b.iter(|| decode_packet(black_box(&packet)).unwrap())
     });
@@ -99,7 +101,9 @@ fn bench_broadcast_queue(c: &mut Criterion) {
             |mut q| {
                 let mut builder = CompoundBuilder::new(1400);
                 q.fill(&mut builder, 12, None);
-                builder.finish()
+                let mut packet = Vec::new();
+                builder.finish_into(&mut packet);
+                packet
             },
             BatchSize::SmallInput,
         )
@@ -329,7 +333,9 @@ fn bench_broadcast_scaled(c: &mut Criterion) {
                 |mut q| {
                     let mut builder = CompoundBuilder::new(1400);
                     q.fill(&mut builder, 12, None);
-                    (q, builder.finish())
+                    let mut packet = Vec::new();
+                    builder.finish_into(&mut packet);
+                    (q, packet)
                 },
                 BatchSize::SmallInput,
             )
@@ -346,7 +352,9 @@ fn bench_broadcast_scaled(c: &mut Criterion) {
                 |mut q| {
                     let mut builder = CompoundBuilder::new(1400);
                     q.fill(&mut builder, 12, None);
-                    (q, builder.finish())
+                    let mut packet = Vec::new();
+                    builder.finish_into(&mut packet);
+                    (q, packet)
                 },
                 BatchSize::SmallInput,
             )

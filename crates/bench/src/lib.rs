@@ -1,60 +1,7 @@
-//! Shared helpers for the Criterion benchmarks.
+//! Shared helpers for the Criterion benchmarks: the naive reference
+//! implementations the indexed data structures are measured against.
 //!
-//! Each paper table/figure has a bench target that runs a *scaled-down*
-//! version of the corresponding experiment (smaller cluster, shorter
-//! runs) so `cargo bench` finishes in minutes; the full-scale tables are
-//! regenerated by the `lifeguard-repro` binary. The benches also print
-//! the headline metrics they observed, so a bench run doubles as a smoke
-//! reproduction of each artifact's *shape*.
+//! The paper's tables and figures are regenerated by the
+//! `lifeguard-repro` binary (`crates/experiments`), not from here.
 
 pub mod naive;
-
-use std::time::Duration;
-
-use lifeguard_core::config::Config;
-use lifeguard_experiments::scenario::{
-    IntervalScenario, RunOutcome, StressScenario, ThresholdScenario,
-};
-
-/// Cluster size for bench-scale experiments.
-pub const BENCH_N: usize = 32;
-/// Run length for bench-scale experiments.
-pub const BENCH_RUN: Duration = Duration::from_secs(45);
-/// Quiesce before anomalies in bench-scale experiments.
-pub const BENCH_QUIESCE: Duration = Duration::from_secs(8);
-
-/// A bench-scale Interval run: `c` anomalous nodes, D=10 s, I=64 ms.
-///
-/// D exceeds the n=32 suspicion timeout (~7.5 s), so the SWIM baseline
-/// produces false positives and the bench print-outs show the paper's
-/// ordering.
-pub fn bench_interval(c: usize, config: Config, seed: u64) -> RunOutcome {
-    let mut s = IntervalScenario::new(
-        c,
-        Duration::from_secs(10),
-        Duration::from_millis(64),
-        config,
-        seed,
-    );
-    s.n = BENCH_N;
-    s.quiesce = BENCH_QUIESCE;
-    s.min_run = BENCH_RUN;
-    s.run()
-}
-
-/// A bench-scale Threshold run: `c` anomalous nodes, D=16 s.
-pub fn bench_threshold(c: usize, config: Config, seed: u64) -> RunOutcome {
-    let mut s = ThresholdScenario::new(c, Duration::from_secs(16), config, seed);
-    s.n = BENCH_N;
-    s.quiesce = BENCH_QUIESCE;
-    s.run_len = BENCH_RUN;
-    s.run()
-}
-
-/// A bench-scale stress run (Figure 1 shape).
-pub fn bench_stress(stressed: usize, config: Config, seed: u64) -> RunOutcome {
-    let mut s = StressScenario::new(stressed, config, seed);
-    s.n = BENCH_N;
-    s.duration = Duration::from_secs(30);
-    s.run()
-}

@@ -183,7 +183,7 @@ impl NaiveBroadcastQueue {
             if builder.remaining() < self.items[i].encoded.len() {
                 continue;
             }
-            if builder.try_add(self.items[i].encoded.clone()) {
+            if builder.try_add_bytes(&self.items[i].encoded) {
                 used.push(i);
             }
         }

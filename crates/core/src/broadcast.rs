@@ -298,6 +298,12 @@ mod tests {
     use lifeguard_proto::compound::decode_packet;
     use lifeguard_proto::{Alive, Incarnation, NodeAddr, Suspect};
 
+    /// Finishes `b` into a fresh buffer of its own.
+    fn finish(b: &mut CompoundBuilder) -> Option<Vec<u8>> {
+        let mut packet = Vec::new();
+        b.finish_into(&mut packet).map(|_| packet)
+    }
+
     fn suspect(node: &str, from: &str, inc: u64) -> Message {
         Message::Suspect(Suspect {
             incarnation: Incarnation(inc),
@@ -323,11 +329,11 @@ mod tests {
         // 4 transmits; the second reaches 8 ≥ 6 and retires it.
         let mut b = CompoundBuilder::new(1400);
         q.fill_fanout(&mut b, 6, None, 4);
-        assert!(b.finish().is_some());
+        assert!(finish(&mut b).is_some());
         assert_eq!(q.len(), 1);
         let mut b = CompoundBuilder::new(1400);
         q.fill_fanout(&mut b, 6, None, 4);
-        assert!(b.finish().is_some());
+        assert!(finish(&mut b).is_some());
         assert!(q.is_empty(), "retired once the aggregate count hit the limit");
     }
 
@@ -341,7 +347,7 @@ mod tests {
             let mut bb = CompoundBuilder::new(1400);
             a.fill(&mut ba, 3, None);
             b.fill_fanout(&mut bb, 3, None, 1);
-            assert_eq!(ba.finish(), bb.finish());
+            assert_eq!(finish(&mut ba), finish(&mut bb));
         }
         assert!(a.is_empty() && b.is_empty());
     }
@@ -351,7 +357,7 @@ mod tests {
         loop {
             let mut b = CompoundBuilder::new(1400);
             q.fill(&mut b, limit, None);
-            match b.finish() {
+            match finish(&mut b) {
                 None => break,
                 Some(packet) => out.extend(decode_packet(&packet).unwrap()),
             }
@@ -405,7 +411,7 @@ mod tests {
         let one = codec::encode_message(&alive("b", 1)).len();
         let mut b = CompoundBuilder::new(one);
         q.fill(&mut b, 10, None);
-        let packet = b.finish().unwrap();
+        let packet = finish(&mut b).unwrap();
         let msgs = decode_packet(&packet).unwrap();
         assert_eq!(msgs, vec![alive("b", 1)]);
     }
@@ -418,7 +424,7 @@ mod tests {
         let one = codec::encode_message(&alive("new", 1)).len();
         let mut b = CompoundBuilder::new(one);
         q.fill(&mut b, 10, None);
-        let msgs = decode_packet(&b.finish().unwrap()).unwrap();
+        let msgs = decode_packet(&finish(&mut b).unwrap()).unwrap();
         assert_eq!(msgs, vec![alive("new", 1)]);
     }
 
@@ -447,7 +453,7 @@ mod tests {
         // id first within a class.
         let mut b = CompoundBuilder::new(1400);
         q.fill(&mut b, 10, None);
-        let msgs = decode_packet(&b.finish().unwrap()).unwrap();
+        let msgs = decode_packet(&finish(&mut b).unwrap()).unwrap();
         let order: Vec<&str> = msgs
             .iter()
             .map(|m| match m {
@@ -471,7 +477,7 @@ mod tests {
         q.enqueue(alive("b", 1));
         let mut b = CompoundBuilder::new(1400);
         q.fill(&mut b, 2, None);
-        let msgs = decode_packet(&b.finish().unwrap()).unwrap();
+        let msgs = decode_packet(&finish(&mut b).unwrap()).unwrap();
         assert_eq!(msgs, vec![alive("b", 1)]);
         assert_eq!(q.len(), 1, "over-limit entry retired");
         assert!(q.queued_for(&"a".into()).is_none());
@@ -491,7 +497,7 @@ mod tests {
         q.enqueue(alive("b", 1));
         let mut b = CompoundBuilder::new(4);
         q.fill(&mut b, 2, None);
-        assert!(b.finish().is_none() || q.queued_for(&"b".into()).is_some());
+        assert!(finish(&mut b).is_none() || q.queued_for(&"b".into()).is_some());
         assert!(q.queued_for(&"a".into()).is_none(), "over-limit entry lingered");
         assert_eq!(q.len(), 1);
     }
@@ -503,7 +509,7 @@ mod tests {
         q.enqueue(alive("b", 1));
         let mut b = CompoundBuilder::new(1400);
         q.fill(&mut b, 10, Some(&"a".into()));
-        let msgs = decode_packet(&b.finish().unwrap()).unwrap();
+        let msgs = decode_packet(&finish(&mut b).unwrap()).unwrap();
         assert_eq!(msgs, vec![alive("b", 1)]);
     }
 
@@ -529,7 +535,7 @@ mod tests {
         }
         let mut b = CompoundBuilder::new(200);
         q.fill(&mut b, 10, None);
-        let packet = b.finish().unwrap();
+        let packet = finish(&mut b).unwrap();
         assert!(packet.len() <= 200);
         assert!(decode_packet(&packet).unwrap().len() >= 2);
     }

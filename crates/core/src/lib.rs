@@ -48,7 +48,6 @@ macro_rules! debug_invariant {
     };
 }
 
-pub mod accrual;
 pub mod awareness;
 pub mod broadcast;
 pub mod config;

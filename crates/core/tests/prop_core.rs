@@ -18,6 +18,12 @@ use lifeguard_proto::{Alive, Incarnation, Message, NodeAddr, Suspect};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// Finishes `b` into a fresh buffer of its own.
+fn finish(b: &mut CompoundBuilder) -> Option<Vec<u8>> {
+    let mut packet = Vec::new();
+    b.finish_into(&mut packet).map(|_| packet)
+}
+
 fn alive_msg(node: &str, inc: u64) -> Message {
     Message::Alive(Alive {
         incarnation: Incarnation(inc),
@@ -115,7 +121,7 @@ proptest! {
         while !q.is_empty() {
             let mut b = CompoundBuilder::new(1400);
             q.fill(&mut b, limit, None);
-            if let Some(p) = b.finish() {
+            if let Some(p) = finish(&mut b) {
                 prop_assert!(!decode_packet(&p).unwrap().is_empty());
             }
             rounds += 1;
@@ -354,7 +360,7 @@ mod model_agreement {
                 if builder.remaining() < self.items[i].2.len() {
                     continue;
                 }
-                if builder.try_add(self.items[i].2.clone()) {
+                if builder.try_add_bytes(&self.items[i].2) {
                     used.push(i);
                 }
             }
@@ -405,8 +411,8 @@ mod model_agreement {
                         fast.fill(&mut fb, limit, exclude.as_ref());
                         let mut nb = CompoundBuilder::new(budget);
                         naive.fill(&mut nb, limit, exclude.as_ref());
-                        let fp = fb.finish().map(|p| decode_packet(&p).unwrap());
-                        let np = nb.finish().map(|p| decode_packet(&p).unwrap());
+                        let fp = finish(&mut fb).map(|p| decode_packet(&p).unwrap());
+                        let np = finish(&mut nb).map(|p| decode_packet(&p).unwrap());
                         prop_assert_eq!(fp, np, "fill diverged from model");
                     }
                 }

@@ -919,18 +919,20 @@ mod tests {
             .expect("timeout");
         let peer_addr = NodeAddr::from(peer.local_addr().expect("addr"));
 
+        let mut builder = CompoundBuilder::new(1400);
+        let mut packet = Vec::new();
         for d in 0..DATAGRAMS {
-            let mut packet = CompoundBuilder::new(1400);
             for p in 0..PINGS_PER_DATAGRAM {
-                assert!(packet.try_add_msg(&Message::Ping(Ping {
+                assert!(builder.try_add_msg(&Message::Ping(Ping {
                     seq: SeqNo(d * PINGS_PER_DATAGRAM + p),
                     target: "hub".into(),
                     source: "peer".into(),
                     source_addr: peer_addr,
                 })));
             }
-            peer.send_to(&packet.finish().expect("three pings"), hub)
-                .expect("send burst");
+            packet.clear();
+            builder.finish_into(&mut packet).expect("three pings");
+            peer.send_to(&packet, hub).expect("send burst");
         }
         let deadline = Instant::now() + Duration::from_secs(5);
         let inner = Arc::clone(&reactor.inner);

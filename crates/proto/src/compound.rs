@@ -12,7 +12,7 @@
 //! framing), which is what memberlist does and what keeps the byte counts
 //! of Table VI honest.
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{Bytes, BytesMut};
 
 use crate::codec::{self, COMPOUND_TAG};
 use crate::error::DecodeError;
@@ -24,7 +24,7 @@ pub const MAX_COMPOUND_PARTS: usize = 255;
 /// Incrementally builds a datagram under a byte budget.
 ///
 /// Parts are appended into one contiguous payload buffer: pre-encoded
-/// gossip bytes are copied in ([`CompoundBuilder::try_add`]), and fresh
+/// gossip bytes are copied in ([`CompoundBuilder::try_add_bytes`]), and fresh
 /// messages are encoded *directly* into the buffer
 /// ([`CompoundBuilder::try_add_msg`]) with no intermediate allocation.
 /// Additions that would exceed the budget are refused so callers can
@@ -35,9 +35,10 @@ pub const MAX_COMPOUND_PARTS: usize = 255;
 ///
 /// let mut b = CompoundBuilder::new(1400);
 /// let ack = codec::encode_message(&Message::Ack(Ack { seq: SeqNo(1) }));
-/// assert!(b.try_add(ack));
+/// assert!(b.try_add_bytes(&ack));
 /// assert!(b.try_add_msg(&Message::Ack(Ack { seq: SeqNo(2) })));
-/// let packet = b.finish().expect("two messages");
+/// let mut packet = Vec::new();
+/// b.finish_into(&mut packet).expect("two messages");
 /// let msgs = lifeguard_proto::compound::decode_packet(&packet).unwrap();
 /// assert_eq!(msgs.len(), 2);
 /// ```
@@ -97,11 +98,6 @@ impl CompoundBuilder {
 
     /// Adds a pre-encoded message if it fits in the remaining budget and
     /// the part-count limit. Returns whether it was added.
-    pub fn try_add(&mut self, encoded: Bytes) -> bool {
-        self.try_add_bytes(&encoded)
-    }
-
-    /// [`CompoundBuilder::try_add`] without taking ownership.
     pub fn try_add_bytes(&mut self, encoded: &[u8]) -> bool {
         if self.lens.len() >= MAX_COMPOUND_PARTS {
             return false;
@@ -153,12 +149,12 @@ impl CompoundBuilder {
         self.lens.clear();
     }
 
-    /// Finishes the packet into `out`, appending the encoded bytes and
-    /// returning their range within `out` — the allocation-free
-    /// counterpart of [`CompoundBuilder::finish`] for callers that own a
-    /// reusable scratch buffer. The builder is left empty (as if
-    /// [`CompoundBuilder::reset`] had been called with the same budget),
-    /// ready for the next packet.
+    /// Finishes the packet into `out` — a bare message if one part, a
+    /// compound frame otherwise — appending the encoded bytes and
+    /// returning their range within `out`, so callers that own a
+    /// reusable scratch buffer allocate nothing. The builder is left
+    /// empty (as if [`CompoundBuilder::reset`] had been called with the
+    /// same budget), ready for the next packet.
     ///
     /// Returns `None` (and appends nothing) if no message was added.
     pub fn finish_into(&mut self, out: &mut Vec<u8>) -> Option<std::ops::Range<usize>> {
@@ -213,49 +209,6 @@ impl CompoundBuilder {
         }
         Some(range)
     }
-
-    /// Finishes the packet: `None` if empty, a bare message if one part,
-    /// a compound frame otherwise.
-    pub fn finish(self) -> Option<Bytes> {
-        match self.lens.len() {
-            0 => None,
-            1 => Some(self.payload.freeze()),
-            n => {
-                let mut buf = BytesMut::with_capacity(2 + 2 * n + self.payload.len());
-                buf.put_u8(COMPOUND_TAG);
-                // lint: allow(lossy_cast) — n ≤ MAX_COMPOUND_PARTS (255), enforced at add time
-                buf.put_u8(n as u8);
-                for &len in &self.lens {
-                    buf.put_u16(len);
-                }
-                buf.put_slice(&self.payload);
-                Some(buf.freeze())
-            }
-        }
-    }
-}
-
-/// Packs pre-encoded messages into as few packets as possible, each within
-/// `budget` bytes. Never drops a framable message; order is preserved.
-/// Messages longer than `u16::MAX` bytes cannot be represented by the
-/// compound length word and are skipped (debug builds assert).
-pub fn pack_all(encoded: impl IntoIterator<Item = Bytes>, budget: usize) -> Vec<Bytes> {
-    let mut packets = Vec::new();
-    let mut builder = CompoundBuilder::new(budget);
-    for msg in encoded {
-        if !builder.try_add_bytes(&msg) {
-            if let Some(p) = std::mem::replace(&mut builder, CompoundBuilder::new(budget)).finish()
-            {
-                packets.push(p);
-            }
-            let added = builder.try_add_bytes(&msg);
-            debug_assert!(added, "first framable message always fits");
-        }
-    }
-    if let Some(p) = builder.finish() {
-        packets.push(p);
-    }
-    packets
 }
 
 /// Decodes a datagram into its constituent messages, transparently
@@ -266,12 +219,14 @@ pub fn pack_all(encoded: impl IntoIterator<Item = Bytes>, budget: usize) -> Vec<
 /// Returns a [`DecodeError`] if the packet is malformed; a compound packet
 /// whose declared part lengths overrun the payload yields
 /// [`DecodeError::TruncatedCompound`].
-// lint: allow(panic_path) — part ranges come from `split_compound`, which rejects any `offset + len` beyond the payload with `TruncatedCompound`
 pub fn decode_packet(bytes: &[u8]) -> Result<Vec<Message>, DecodeError> {
     if bytes.first() == Some(&COMPOUND_TAG) {
         let mut msgs = Vec::new();
         for (offset, len) in split_compound(bytes)? {
-            msgs.push(codec::decode_message(&bytes[offset..offset + len])?);
+            let part = bytes
+                .get(offset..offset + len)
+                .ok_or(DecodeError::TruncatedCompound)?;
+            msgs.push(codec::decode_message(part)?);
         }
         Ok(msgs)
     } else {
@@ -330,11 +285,17 @@ fn split_compound(bytes: &[u8]) -> Result<Vec<(usize, usize)>, DecodeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::messages::{Ack, Alive, Suspect};
+    use crate::messages::{Ack, Alive};
     use crate::types::{Incarnation, NodeAddr, SeqNo};
 
     fn enc(m: &Message) -> Bytes {
         codec::encode_message(m)
+    }
+
+    /// Finishes `b` into a fresh buffer of its own.
+    fn finish(b: &mut CompoundBuilder) -> Option<Vec<u8>> {
+        let mut packet = Vec::new();
+        b.finish_into(&mut packet).map(|_| packet)
     }
 
     fn ack(seq: u32) -> Message {
@@ -344,23 +305,23 @@ mod tests {
     #[test]
     fn single_message_is_sent_bare() {
         let mut b = CompoundBuilder::new(1400);
-        assert!(b.try_add(enc(&ack(1))));
-        let packet = b.finish().unwrap();
+        assert!(b.try_add_bytes(&enc(&ack(1))));
+        let packet = finish(&mut b).unwrap();
         assert_ne!(packet[0], COMPOUND_TAG);
         assert_eq!(decode_packet(&packet).unwrap(), vec![ack(1)]);
     }
 
     #[test]
     fn empty_builder_finishes_to_none() {
-        assert!(CompoundBuilder::new(100).finish().is_none());
+        assert!(finish(&mut CompoundBuilder::new(100)).is_none());
         assert!(CompoundBuilder::new(100).is_empty());
     }
 
     #[test]
     fn finish_into_fanout_encodes_once_and_emits_per_destination() {
         let mut b = CompoundBuilder::new(1400);
-        assert!(b.try_add(enc(&ack(1))));
-        assert!(b.try_add(enc(&ack(2))));
+        assert!(b.try_add_bytes(&enc(&ack(1))));
+        assert!(b.try_add_bytes(&enc(&ack(2))));
         let mut arena = vec![0xAAu8; 3]; // pre-existing arena content survives
         let mut emitted: Vec<(u8, std::ops::Range<usize>)> = Vec::new();
         let range = b
@@ -383,7 +344,7 @@ mod tests {
     #[test]
     fn finish_into_fanout_with_no_destinations_appends_nothing() {
         let mut b = CompoundBuilder::new(1400);
-        assert!(b.try_add(enc(&ack(1))));
+        assert!(b.try_add_bytes(&enc(&ack(1))));
         let mut arena = Vec::new();
         let dests: [u8; 0] = [];
         assert!(b
@@ -397,10 +358,10 @@ mod tests {
         let msgs: Vec<Message> = (0..10).map(ack).collect();
         let mut b = CompoundBuilder::new(1400);
         for m in &msgs {
-            assert!(b.try_add(enc(m)));
+            assert!(b.try_add_bytes(&enc(m)));
         }
         assert_eq!(b.len(), 10);
-        let packet = b.finish().unwrap();
+        let packet = finish(&mut b).unwrap();
         assert_eq!(packet[0], COMPOUND_TAG);
         assert_eq!(decode_packet(&packet).unwrap(), msgs);
     }
@@ -414,10 +375,10 @@ mod tests {
             meta: Bytes::from(vec![0u8; 300]),
         });
         let mut b = CompoundBuilder::new(400);
-        assert!(b.try_add(enc(&big)));
+        assert!(b.try_add_bytes(&enc(&big)));
         // Second large message exceeds the 400-byte budget.
-        assert!(!b.try_add(enc(&big)));
-        let packet = b.finish().unwrap();
+        assert!(!b.try_add_bytes(&enc(&big)));
+        let packet = finish(&mut b).unwrap();
         assert!(packet.len() <= 400);
     }
 
@@ -430,8 +391,8 @@ mod tests {
             meta: Bytes::from(vec![0u8; 2000]),
         });
         let mut b = CompoundBuilder::new(1400);
-        assert!(b.try_add(enc(&big)));
-        assert!(b.finish().unwrap().len() > 1400);
+        assert!(b.try_add_bytes(&enc(&big)));
+        assert!(finish(&mut b).unwrap().len() > 1400);
     }
 
     #[test]
@@ -439,11 +400,11 @@ mod tests {
         let mut b = CompoundBuilder::new(1400);
         assert_eq!(b.current_len(), 0);
         let a = enc(&ack(1));
-        b.try_add(a.clone());
+        b.try_add_bytes(&a);
         assert_eq!(b.current_len(), a.len());
-        b.try_add(a.clone());
+        b.try_add_bytes(&a);
         assert_eq!(b.current_len(), 2 + 4 + 2 * a.len());
-        let packet = b.finish().unwrap();
+        let packet = finish(&mut b).unwrap();
         assert_eq!(packet.len(), 2 + 4 + 2 * a.len());
     }
 
@@ -451,55 +412,24 @@ mod tests {
     fn part_count_limit_enforced() {
         let mut b = CompoundBuilder::new(usize::MAX);
         for i in 0..MAX_COMPOUND_PARTS {
-            assert!(b.try_add(enc(&ack(i as u32))));
+            assert!(b.try_add_bytes(&enc(&ack(i as u32))));
         }
-        assert!(!b.try_add(enc(&ack(9999))));
+        assert!(!b.try_add_bytes(&enc(&ack(9999))));
     }
 
     #[test]
-    fn pack_all_preserves_every_message() {
-        let msgs: Vec<Message> = (0..100)
-            .map(|i| {
-                Message::Suspect(Suspect {
-                    incarnation: Incarnation(i),
-                    node: format!("node-{i}").into(),
-                    from: "me".into(),
-                })
-            })
-            .collect();
-        let packets = pack_all(msgs.iter().map(enc), 128);
-        assert!(packets.len() > 1);
-        let mut decoded = Vec::new();
-        for p in &packets {
-            assert!(p.len() <= 128, "packet over budget: {}", p.len());
-            decoded.extend(decode_packet(p).unwrap());
-        }
-        assert_eq!(decoded, msgs);
-    }
-
-    #[test]
-    fn finish_into_matches_finish_and_reuses_builder() {
+    fn finish_into_reuses_builder() {
         let mut scratch = Vec::new();
         let mut b = CompoundBuilder::new(1400);
         // Bare single message.
-        assert!(b.try_add(enc(&ack(1))));
+        assert!(b.try_add_bytes(&enc(&ack(1))));
         let r1 = b.finish_into(&mut scratch).unwrap();
         // Compound, from the *same* (now reset) builder.
-        assert!(b.try_add(enc(&ack(2))));
-        assert!(b.try_add(enc(&ack(3))));
+        assert!(b.try_add_bytes(&enc(&ack(2))));
+        assert!(b.try_add_bytes(&enc(&ack(3))));
         let r2 = b.finish_into(&mut scratch).unwrap();
         assert_eq!(decode_packet(&scratch[r1]).unwrap(), vec![ack(1)]);
         assert_eq!(decode_packet(&scratch[r2]).unwrap(), vec![ack(2), ack(3)]);
-
-        // Byte-for-byte identical to the owned finish().
-        let mut owned = CompoundBuilder::new(1400);
-        owned.try_add(enc(&ack(2)));
-        owned.try_add(enc(&ack(3)));
-        let r2 = b.try_add(enc(&ack(2))) && b.try_add(enc(&ack(3)));
-        assert!(r2);
-        let mut scratch2 = Vec::new();
-        let range = b.finish_into(&mut scratch2).unwrap();
-        assert_eq!(&scratch2[range], owned.finish().unwrap().as_ref());
 
         // Empty builder appends nothing.
         let before = scratch.len();
@@ -549,16 +479,16 @@ mod tests {
         assert!(!b.try_add_msg(&big));
         assert!(b.is_empty());
         assert!(b.try_add_msg(&ack(1)), "builder stays usable after a refusal");
-        let packet = b.finish().unwrap();
+        let packet = finish(&mut b).unwrap();
         assert_eq!(decode_packet(&packet).unwrap(), vec![ack(1)]);
     }
 
     #[test]
     fn truncated_compound_is_rejected() {
         let mut b = CompoundBuilder::new(1400);
-        b.try_add(enc(&ack(1)));
-        b.try_add(enc(&ack(2)));
-        let packet = b.finish().unwrap();
+        b.try_add_bytes(&enc(&ack(1)));
+        b.try_add_bytes(&enc(&ack(2)));
+        let packet = finish(&mut b).unwrap();
         assert!(matches!(
             decode_packet(&packet[..packet.len() - 1]),
             Err(DecodeError::TruncatedCompound) | Err(DecodeError::UnexpectedEof)

@@ -3,11 +3,17 @@
 use bytes::Bytes;
 use proptest::prelude::*;
 
-use lifeguard_proto::compound::{decode_packet, pack_all, CompoundBuilder};
+use lifeguard_proto::compound::{decode_packet, CompoundBuilder};
 use lifeguard_proto::{
     codec, Ack, Alive, Dead, IndirectPing, Incarnation, MemberState, Message, Nack, NodeAddr,
     NodeName, Ping, PushNodeState, PushPull, PushPullDelta, SeqNo, Suspect,
 };
+
+/// Finishes `b` into a fresh buffer of its own.
+fn finish(b: &mut CompoundBuilder) -> Option<Vec<u8>> {
+    let mut packet = Vec::new();
+    b.finish_into(&mut packet).map(|_| packet)
+}
 
 fn name_strategy() -> impl Strategy<Value = NodeName> {
     "[a-z0-9_.-]{1,24}".prop_map(|s| NodeName::from(s.as_str()))
@@ -172,15 +178,23 @@ proptest! {
         }
     }
 
-    /// pack_all never loses, duplicates or reorders messages, and every
-    /// packet respects the budget (when messages fit individually).
+    /// Packing every message into as few packets as the budget allows
+    /// never loses, duplicates or reorders one, and every packet
+    /// respects the budget (when messages fit individually).
     #[test]
     fn pack_all_is_lossless(
         msgs in proptest::collection::vec(message_strategy(), 0..40),
         budget in 256usize..2048,
     ) {
-        let encoded: Vec<Bytes> = msgs.iter().map(codec::encode_message).collect();
-        let packets = pack_all(encoded.clone(), budget);
+        let mut packets = Vec::new();
+        let mut builder = CompoundBuilder::new(budget);
+        for m in &msgs {
+            if !builder.try_add_msg(m) {
+                packets.extend(finish(&mut builder));
+                prop_assert!(builder.try_add_msg(m), "first message always fits");
+            }
+        }
+        packets.extend(finish(&mut builder));
         let mut decoded = Vec::new();
         for p in &packets {
             decoded.extend(decode_packet(p).expect("packet decodes"));
@@ -200,10 +214,10 @@ proptest! {
     fn builder_len_is_truthful(msgs in proptest::collection::vec(message_strategy(), 1..20)) {
         let mut builder = CompoundBuilder::new(4096);
         for m in &msgs {
-            builder.try_add(codec::encode_message(m));
+            builder.try_add_msg(m);
         }
         let predicted = builder.current_len();
-        let packet = builder.finish().expect("non-empty");
+        let packet = finish(&mut builder).expect("non-empty");
         prop_assert_eq!(predicted, packet.len());
     }
 
@@ -219,10 +233,10 @@ proptest! {
         let mut pre = CompoundBuilder::new(budget);
         for m in &msgs {
             let a = direct.try_add_msg(m);
-            let b = pre.try_add(codec::encode_message(m));
+            let b = pre.try_add_bytes(&codec::encode_message(m));
             prop_assert_eq!(a, b, "accept/reject diverged for {:?}", m);
         }
-        prop_assert_eq!(direct.finish(), pre.finish());
+        prop_assert_eq!(finish(&mut direct), finish(&mut pre));
     }
 
     /// The zero-copy decoders agree with the copying decoders on every
@@ -233,9 +247,9 @@ proptest! {
     ) {
         let mut builder = CompoundBuilder::new(usize::MAX);
         for m in &msgs {
-            prop_assert!(builder.try_add(codec::encode_message(m)));
+            prop_assert!(builder.try_add_msg(m));
         }
-        let packet = builder.finish().expect("non-empty");
+        let packet = Bytes::from(finish(&mut builder).expect("non-empty"));
         let copied = decode_packet(&packet).expect("copying decode");
         let shared = lifeguard_proto::compound::decode_packet_shared(&packet)
             .expect("shared decode");

@@ -53,6 +53,11 @@ impl<E> EventQueue<E> {
         self.wheel.pop_earliest()
     }
 
+    /// Removes and returns the earliest event scheduled at or before `t`.
+    pub(crate) fn pop_due(&mut self, t: SimTime) -> Option<(SimTime, E)> {
+        self.wheel.pop_due(t)
+    }
+
     /// The time of the earliest scheduled event.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.wheel.next_deadline()

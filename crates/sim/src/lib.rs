@@ -26,7 +26,6 @@ pub mod anomaly;
 pub mod clock;
 pub mod cluster;
 pub mod event_queue;
-mod lane;
 pub mod network;
 pub mod telemetry;
 pub mod trace;

@@ -3,25 +3,25 @@
 //! must be **byte-identical** for a given seed, run after run and
 //! commit after commit.
 //!
-//! Each scenario's fingerprint is pinned as an FNV-1a hash (recorded at
-//! the commit before the single-layout membership plane and the
-//! one-lane simulator landed), so any change to RNG draw order, commit
-//! order, table iteration or wire encoding shows up here as a changed
-//! constant rather than going unnoticed. Each scenario exercises
-//! convergence plus injected actions (crash, pause, metadata churn) so
-//! the fingerprint covers probe scheduling, suspicion timers, gossip
-//! dissemination and anomaly handling — not just a quiet steady state.
+//! Each scenario's fingerprint is pinned as an FNV-1a hash, so any
+//! change to RNG draw order, event order, table iteration or wire
+//! encoding shows up here as a changed constant rather than going
+//! unnoticed. Each scenario exercises convergence plus injected actions
+//! (crash, pause, metadata churn) so the fingerprint covers probe
+//! scheduling, suspicion timers, gossip dissemination and anomaly
+//! handling — not just a quiet steady state.
 
 use std::time::Duration;
 
 use bytes::Bytes;
 use lifeguard::core::config::Config;
+use lifeguard::sim::anomaly::AnomalySpec;
+use lifeguard::sim::clock::{SimDuration, SimTime};
 use lifeguard::sim::cluster::{Cluster, ClusterBuilder, SimAction};
-use lifeguard::sim::clock::SimDuration;
+use lifeguard::sim::network::NetworkConfig;
 
-/// Golden FNV-1a hashes of the three scenario fingerprints below.
+/// Golden FNV-1a hashes of the two pinned scenarios below.
 const EVENTFUL_GOLDEN: u64 = 0xddf9_3f61_dd13_e02c;
-const PHANTOM_GOLDEN: u64 = 0xfccf_453b_4903_4821;
 const METRICS_GOLDEN: u64 = 0x592f_fc3c_197c_3650;
 
 fn fnv1a(s: &str) -> u64 {
@@ -92,36 +92,6 @@ fn trace_and_tables_match_golden_and_repeat() {
     assert_eq!(fnv1a(&reference), EVENTFUL_GOLDEN, "fingerprint drifted");
 }
 
-/// Phantom-extended rosters must be just as reproducible: the canned
-/// phantom responder runs at send time and its replies commit in
-/// canonical order like any other delivery.
-fn phantom_run() -> String {
-    let mut c = ClusterBuilder::new(6)
-        .seed(0xFA111)
-        .config(Config::lan().lifeguard())
-        .full_mesh(true)
-        .phantom_members(40)
-        .build();
-    c.run_for(SimDuration::from_secs(10));
-    c.apply(SimAction::UpdateMeta {
-        node: 2,
-        meta: Bytes::from_static(b"churn"),
-    });
-    c.run_for(SimDuration::from_secs(10));
-    fingerprint(&c)
-}
-
-#[test]
-fn phantom_rosters_match_golden_and_repeat() {
-    let reference = phantom_run();
-    assert!(
-        reference.contains("node-45"),
-        "roster must include the phantom members"
-    );
-    assert_eq!(reference, phantom_run(), "two runs of one seed diverged");
-    assert_eq!(fnv1a(&reference), PHANTOM_GOLDEN, "fingerprint drifted");
-}
-
 /// The per-node metrics export must be reproducible too: the exact same
 /// `Snapshot` (core protocol counters, histograms and sim I/O
 /// accounting) on every run of a seed, and therefore the same aggregated
@@ -154,6 +124,57 @@ fn metrics_snapshots_match_golden_and_repeat() {
     assert_eq!(snaps, ref_snaps, "two runs of one seed diverged");
     assert_eq!(json, ref_json);
     assert_eq!(fnv1a(&ref_json), METRICS_GOLDEN, "metrics JSON drifted");
+}
+
+/// How the caller slices simulated time must be unobservable: events
+/// pop in queue order and take effect at emission, so one `run_until`
+/// per phase and a thousand 1 ms `run_for` steps per second walk the
+/// same sequence. (The benchmark's traced and untraced runs slice
+/// differently and rely on this.)
+#[test]
+fn run_slicing_is_unobservable() {
+    let run = |advance: fn(&mut Cluster, SimTime)| {
+        let mut c = ClusterBuilder::new(24)
+            .seed(0x51_1CE)
+            .config(Config::lan().lifeguard())
+            .network(NetworkConfig {
+                datagram_loss: 0.01,
+                ..NetworkConfig::loopback()
+            })
+            .anomaly(
+                5,
+                AnomalySpec::Interval {
+                    start: SimTime::from_secs(12),
+                    duration: Duration::from_millis(2_048),
+                    interval: Duration::from_millis(512),
+                    until: SimTime::from_secs(30),
+                },
+            )
+            .build();
+        advance(&mut c, SimTime::from_secs(15));
+        c.apply(SimAction::UpdateMeta {
+            node: 3,
+            meta: Bytes::from_static(b"v2"),
+        });
+        advance(&mut c, SimTime::from_secs(20));
+        c.apply(SimAction::Crash { node: 23 });
+        advance(&mut c, SimTime::from_secs(45));
+        let snaps: Vec<_> = (0..c.len()).map(|i| c.metrics_snapshot(i)).collect();
+        (fingerprint(&c), snaps)
+    };
+
+    let (whole, whole_snaps) = run(|c, t| c.run_until(t));
+    let (sliced, sliced_snaps) = run(|c, t| {
+        while c.now() < t {
+            c.run_for(SimDuration::from_millis(1));
+        }
+    });
+    assert!(
+        whole.contains("MemberFailed") && whole.contains("MemberSuspected"),
+        "scenario must exercise suspicion and failure detection"
+    );
+    assert_eq!(whole, sliced, "trace, telemetry or tables depend on slicing");
+    assert_eq!(whole_snaps, sliced_snaps, "per-node metrics depend on slicing");
 }
 
 /// Different seeds must still differ — guards against the fingerprint
