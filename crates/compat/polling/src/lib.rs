@@ -572,7 +572,8 @@ pub mod mmsg {
 
         /// Encodes `addr` into Linux `sockaddr_in` / `sockaddr_in6`
         /// wire layout (family native-endian, port big-endian).
-        // lint: allow(panic_path) — all slice ranges are literal and within the SOCKADDR_MAX (28-byte) array; exercised by every send in the test suite
+        // All slice ranges are literal and within the SOCKADDR_MAX
+        // (28-byte) array.
         pub(crate) fn encode(addr: SocketAddr) -> SockAddr {
             let mut s = SockAddr::ZERO;
             match addr {
@@ -680,7 +681,6 @@ pub mod mmsg {
         /// # Panics
         ///
         /// Panics if a range reaches outside `arena`.
-        // lint: allow(panic_path) — documented contract: ranges come from the driver's deferred batch, recorded against the very arena passed here; `pkts[..n]` is bounded by `n = min(len, max)` and the indexed loops stay below the lengths pushed just above
         pub fn send(
             &mut self,
             fd: RawFd,

@@ -41,10 +41,9 @@ use crate::time::Time;
 /// Where a [`Driver`] dispatches the node's effects.
 ///
 /// `transmit` receives the packet payload as a borrow of the node's
-/// scratch buffer: a socket runtime can hand it straight to
-/// `send_to` with zero copies; a runtime that must hold it (a simulated
-/// in-flight packet, a paused node's outbox) copies it into an
-/// [`OwnedOutput`].
+/// scratch buffer, valid for the call only: a runtime that sends later
+/// (the socket agent's staging arena, a simulated in-flight packet, a
+/// paused node's outbox) copies it out.
 pub trait Sink {
     /// Send one datagram.
     fn transmit(&mut self, to: NodeAddr, payload: &[u8]);
@@ -52,18 +51,6 @@ pub trait Sink {
     fn stream(&mut self, to: NodeAddr, msg: Message);
     /// Deliver one membership conclusion to the application.
     fn event(&mut self, event: Event);
-
-    /// Send many datagrams whose payloads are byte ranges of one
-    /// arena — the flush of the driver's deferred-packet batch (see
-    /// [`Driver::flush_deferred`]). A runtime with a gather-send
-    /// (`sendmmsg(2)`) overrides this to transfer the whole batch in
-    /// one syscall; the default preserves single-shot behaviour by
-    /// forwarding each entry to [`Sink::transmit`] in order.
-    fn transmit_batch(&mut self, arena: &[u8], packets: &[(NodeAddr, std::ops::Range<usize>)]) {
-        for (to, range) in packets {
-            self.transmit(*to, &arena[range.clone()]);
-        }
-    }
 }
 
 /// An owned copy of an [`Output`], for sinks that must hold effects past
@@ -127,20 +114,12 @@ impl Sink for Vec<OwnedOutput> {
 #[derive(Debug)]
 pub struct Driver {
     node: SwimNode,
-    /// Packets deferred by the batching entry points
-    /// ([`Driver::handle_deferring`]), as ranges into the node's
-    /// scratch arena, awaiting [`Driver::flush_deferred`].
-    // bounded: the runtime flushes whenever `deferred_packets()` reaches its batch size, so the vec stabilises at one burst
-    deferred: Vec<(NodeAddr, std::ops::Range<usize>)>,
 }
 
 impl Driver {
     /// Wraps a node (started or not) in a driver.
     pub fn new(node: SwimNode) -> Driver {
-        Driver {
-            node,
-            deferred: Vec::new(),
-        }
+        Driver { node }
     }
 
     /// Boots the node (see [`SwimNode::start`]) and drains any outputs.
@@ -191,37 +170,15 @@ impl Driver {
         debug_invariant!(res.is_ok(), "leave is infallible");
     }
 
-    /// [`Driver::handle`] for a *batching* runtime: stream and event
-    /// effects still dispatch to `sink` immediately and in order, but
-    /// packet sends accumulate in the driver's deferred batch (byte
-    /// ranges into the node's scratch arena, which is held — kept
-    /// valid — across further deferring inputs). The runtime flushes
-    /// the accumulated burst with [`Driver::flush_deferred`], turning
-    /// many per-packet sends into one gather-send.
+    /// [`Driver::handle`] of one received datagram handed in as a
+    /// borrowed slice (see [`SwimNode::handle_datagram_slice`]): a
+    /// socket runtime feeds its receive buffer directly, without
+    /// copying the payload into an owned [`Input::Datagram`].
     ///
     /// # Errors
     ///
     /// As [`Driver::handle`].
-    pub fn handle_deferring(
-        &mut self,
-        input: Input,
-        now: Time,
-        sink: &mut impl Sink,
-    ) -> Result<(), DecodeError> {
-        let res = self.node.handle_input(input, now);
-        self.drain_deferring(sink);
-        res
-    }
-
-    /// [`Driver::handle_deferring`] of one received datagram handed in
-    /// as a borrowed slice (see [`SwimNode::handle_datagram_slice`]):
-    /// the batched receive path, where payloads live in the runtime's
-    /// receive ring and are never copied into an owned buffer.
-    ///
-    /// # Errors
-    ///
-    /// As [`Driver::handle`].
-    pub fn handle_datagram_slice_deferring(
+    pub fn handle_datagram_slice(
         &mut self,
         from: NodeAddr,
         payload: &[u8],
@@ -229,26 +186,8 @@ impl Driver {
         sink: &mut impl Sink,
     ) -> Result<(), DecodeError> {
         let res = self.node.handle_datagram_slice(from, payload, now);
-        self.drain_deferring(sink);
+        self.drain(sink);
         res
-    }
-
-    /// Number of packets currently deferred (the runtime flushes when
-    /// this reaches its batch size, bounding arena growth mid-burst).
-    pub fn deferred_packets(&self) -> usize {
-        self.deferred.len()
-    }
-
-    /// Hands the deferred batch to [`Sink::transmit_batch`] and
-    /// releases the arena hold. Always safe to call; a flush with
-    /// nothing deferred just releases the hold so the node can reclaim
-    /// its scratch space.
-    pub fn flush_deferred(&mut self, sink: &mut impl Sink) {
-        if !self.deferred.is_empty() {
-            sink.transmit_batch(self.node.packet_arena(), &self.deferred);
-            self.deferred.clear();
-        }
-        self.node.release_arena();
     }
 
     /// When the runtime must next call [`Driver::tick`]: the wrapped
@@ -279,11 +218,6 @@ impl Driver {
         &mut self.node
     }
 
-    /// Unwraps the node.
-    pub fn into_node(self) -> SwimNode {
-        self.node
-    }
-
     fn drain(&mut self, sink: &mut impl Sink) {
         while let Some(output) = self.node.poll_output() {
             match output {
@@ -292,14 +226,6 @@ impl Driver {
                 Output::Event(e) => sink.event(e),
             }
         }
-    }
-
-    fn drain_deferring(&mut self, sink: &mut impl Sink) {
-        self.node.drain_split(&mut self.deferred, |output| match output {
-            Output::Stream { to, msg } => sink.stream(to, msg),
-            Output::Event(e) => sink.event(e),
-            Output::Packet { .. } => debug_invariant!(false, "drain_split routes packets to the batch"),
-        });
     }
 }
 
@@ -363,44 +289,6 @@ mod tests {
         assert!(d.node().has_left());
     }
 
-    /// A sink that records how flushes arrive: which packets came
-    /// through `transmit_batch` (and in what groups) vs single-shot
-    /// `transmit`.
-    #[derive(Default)]
-    struct BatchRecorder {
-        effects: Vec<OwnedOutput>,
-        batches: Vec<usize>,
-        singles: usize,
-    }
-
-    impl Sink for BatchRecorder {
-        fn transmit(&mut self, to: NodeAddr, payload: &[u8]) {
-            self.singles += 1;
-            self.effects.push(OwnedOutput::Packet {
-                to,
-                payload: Bytes::copy_from_slice(payload),
-            });
-        }
-
-        fn stream(&mut self, to: NodeAddr, msg: Message) {
-            self.effects.push(OwnedOutput::Stream { to, msg });
-        }
-
-        fn event(&mut self, event: Event) {
-            self.effects.push(OwnedOutput::Event(event));
-        }
-
-        fn transmit_batch(&mut self, arena: &[u8], packets: &[(NodeAddr, std::ops::Range<usize>)]) {
-            self.batches.push(packets.len());
-            for (to, range) in packets {
-                self.effects.push(OwnedOutput::Packet {
-                    to: *to,
-                    payload: Bytes::copy_from_slice(&arena[range.clone()]),
-                });
-            }
-        }
-    }
-
     fn alive_datagram(name: &str, i: u8) -> Input {
         Input::Datagram {
             from: addr(i),
@@ -413,92 +301,59 @@ mod tests {
         }
     }
 
-    /// Drives a node to the point where a tick produces packets: two
-    /// live peers, then enough time for a probe round.
-    fn packet_producing_driver() -> Driver {
-        let mut d = driver();
-        let mut sink: Vec<OwnedOutput> = Vec::new();
-        d.start(Time::ZERO, &mut sink);
-        d.handle(alive_datagram("p1", 2), Time::from_millis(10), &mut sink)
-            .unwrap();
-        d.handle(alive_datagram("p2", 3), Time::from_millis(20), &mut sink)
-            .unwrap();
-        d
-    }
-
+    /// One tick that gossips to several peers reaches the sink as one
+    /// `transmit` per queued packet and destination, in the node's
+    /// queue order, carrying exactly the bytes `poll_output` would have
+    /// handed out.
     #[test]
-    fn deferring_handle_batches_packets_and_flush_matches_single_shot() {
-        // Two identical drivers; one drained single-shot, one deferred.
-        let mut plain = packet_producing_driver();
-        let mut batched = packet_producing_driver();
-
-        let mut plain_sink = BatchRecorder::default();
-        let mut batch_sink = BatchRecorder::default();
-        let t = Time::from_secs(2);
-        plain.tick(t, &mut plain_sink);
-        batched
-            .handle_deferring(Input::Tick, t, &mut batch_sink)
-            .unwrap();
-        assert!(plain_sink.singles > 0, "the tick must produce packets");
-        assert_eq!(batch_sink.singles, 0, "nothing sent before the flush");
-        assert_eq!(
-            batched.deferred_packets(),
-            plain_sink.singles,
-            "every packet of the burst is deferred"
-        );
-
-        batched.flush_deferred(&mut batch_sink);
-        assert_eq!(batched.deferred_packets(), 0);
-        assert_eq!(batch_sink.batches.iter().sum::<usize>(), plain_sink.singles);
-
-        // Payload-for-payload identical effects, order preserved.
-        let payloads = |s: &BatchRecorder| -> Vec<(NodeAddr, Bytes)> {
-            s.effects
-                .iter()
-                .filter_map(|o| match o {
-                    OwnedOutput::Packet { to, payload } => Some((*to, payload.clone())),
-                    _ => None,
-                })
-                .collect()
+    fn gossip_fan_out_is_one_transmit_per_destination_in_queue_order() {
+        let warmed_up = || {
+            let mut d = driver();
+            let mut sink: Vec<OwnedOutput> = Vec::new();
+            d.start(Time::ZERO, &mut sink);
+            for (i, name) in ["p1", "p2", "p3"].into_iter().enumerate() {
+                d.handle(
+                    alive_datagram(name, 2 + i as u8),
+                    Time::from_millis(10),
+                    &mut sink,
+                )
+                .unwrap();
+            }
+            d
         };
-        assert_eq!(payloads(&plain_sink), payloads(&batch_sink));
-    }
+        // The first gossip tick fans the three fresh `alive`s out.
+        let t = Time::ZERO + Config::lan().gossip_interval;
 
-    #[test]
-    fn deferred_ranges_survive_inputs_between_drive_and_flush() {
-        let mut d = packet_producing_driver();
-        let mut sink = BatchRecorder::default();
-        d.handle_deferring(Input::Tick, Time::from_secs(2), &mut sink)
-            .unwrap();
-        let first_burst = d.deferred_packets();
-        assert!(first_burst > 0);
-        // More inputs while the batch is held: the arena accumulates
-        // instead of being reclaimed, so earlier ranges stay valid.
-        d.handle_deferring(alive_datagram("p3", 4), Time::from_secs(2), &mut sink)
-            .unwrap();
-        d.handle_deferring(Input::Tick, Time::from_secs(4), &mut sink)
-            .unwrap();
-        assert!(d.deferred_packets() >= first_burst);
-        d.flush_deferred(&mut sink);
-        for o in &sink.effects {
-            if let OwnedOutput::Packet { payload, .. } = o {
-                assert!(!payload.is_empty(), "no range may dangle or go stale");
+        // Reference: the same input polled by hand, straight off the node.
+        let mut by_hand = warmed_up();
+        by_hand.node_mut().handle_input(Input::Tick, t).unwrap();
+        let mut expected: Vec<(NodeAddr, Vec<u8>)> = Vec::new();
+        while let Some(output) = by_hand.node_mut().poll_output() {
+            if let Output::Packet { to, payload } = output {
+                expected.push((to, payload.to_vec()));
             }
         }
-        // After the flush released the hold, the next drained input
-        // reclaims the arena.
-        d.handle(Input::Tick, Time::from_secs(6), &mut sink).unwrap();
-        assert!(!d.node().has_pending_output());
-    }
+        let mut destinations: Vec<NodeAddr> = expected.iter().map(|(to, _)| *to).collect();
+        destinations.sort_unstable();
+        destinations.dedup();
+        assert_eq!(
+            destinations,
+            [addr(2), addr(3), addr(4)],
+            "the tick must fan out"
+        );
 
-    #[test]
-    fn flush_with_nothing_deferred_is_a_no_op_release() {
-        let mut d = driver();
-        let mut sink = BatchRecorder::default();
-        d.start(Time::ZERO, &mut sink);
-        d.flush_deferred(&mut sink);
-        assert!(sink.batches.is_empty());
-        assert_eq!(sink.singles, 0);
+        let mut d = warmed_up();
+        let mut sink: Vec<OwnedOutput> = Vec::new();
+        d.handle(Input::Tick, t, &mut sink).unwrap();
+        let transmitted: Vec<(NodeAddr, Vec<u8>)> = sink
+            .iter()
+            .filter_map(|o| match o {
+                OwnedOutput::Packet { to, payload } => Some((*to, payload.to_vec())),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(transmitted, expected);
+        assert!(!d.node().has_pending_output());
     }
 
     #[test]

@@ -110,10 +110,11 @@ pub enum Input {
 /// via [`SwimNode::poll_output`].
 ///
 /// Packet payloads borrow the node's internal scratch buffer and are
-/// valid until the next `handle_input`/`poll_output` call; runtimes that
-/// must hold an output across calls (the simulator's in-flight queue, a
-/// paused node's outbox) copy it into an
-/// [`OwnedOutput`](crate::driver::OwnedOutput).
+/// valid until the next `handle_input`/`poll_output` call; every
+/// runtime sends later than that, so each copies the bytes out exactly
+/// once — the socket agent into its staging arena, the simulator into
+/// an [`OwnedOutput`](crate::driver::OwnedOutput) for its in-flight
+/// queue or a paused node's outbox.
 #[derive(Debug)]
 pub enum Output<'a> {
     /// Send a datagram (already compound-encoded, within the MTU budget
@@ -335,13 +336,8 @@ pub struct SwimNode {
     pending: VecDeque<Queued>,
     /// Arena for queued packet payloads; cleared whenever the queue
     /// drains, so it stabilises at the high-water packet burst size.
-    // bounded: cleared on drain/release, stabilises at the high-water burst size
+    // bounded: cleared at the first input after a full drain, stabilises at the high-water burst size
     scratch: Vec<u8>,
-    /// When set (by [`SwimNode::drain_split`]), the arena keeps
-    /// accumulating across inputs instead of being reclaimed on drain:
-    /// a batching runtime holds ranges into it until its flush, and
-    /// releases the hold with [`SwimNode::release_arena`].
-    arena_held: bool,
     /// Reusable packet assembler (capacity persists across packets).
     builder: CompoundBuilder,
     /// Reusable target-address buffer for gossip/probe fan-out.
@@ -421,7 +417,6 @@ impl SwimNode {
             metrics: CoreMetrics::default(),
             pending: VecDeque::new(),
             scratch: Vec::new(),
-            arena_held: false,
             builder: CompoundBuilder::new(packet_budget),
             addr_scratch: Vec::new(),
         })
@@ -670,7 +665,7 @@ impl SwimNode {
     /// deployment just drops such packets). Every other input is
     /// infallible.
     pub fn handle_input(&mut self, input: Input, now: Time) -> Result<(), DecodeError> {
-        if self.pending.is_empty() && !self.arena_held {
+        if self.pending.is_empty() {
             self.scratch.clear();
         }
         match input {
@@ -712,8 +707,8 @@ impl SwimNode {
     }
 
     /// [`SwimNode::handle_input`] of a datagram handed in as a borrowed
-    /// slice — the batched receive path, where payloads live in a
-    /// runtime-owned receive ring rather than an owned [`Bytes`]. Only
+    /// slice — the socket receive path, where payloads live in a
+    /// runtime-owned receive buffer rather than an owned [`Bytes`]. Only
     /// the decoded messages' blob fields (names, metadata) are copied
     /// out; the datagram itself is never duplicated. Observably
     /// identical to feeding the same bytes as [`Input::Datagram`].
@@ -727,59 +722,13 @@ impl SwimNode {
         payload: &[u8],
         now: Time,
     ) -> Result<(), DecodeError> {
-        if self.pending.is_empty() && !self.arena_held {
+        if self.pending.is_empty() {
             self.scratch.clear();
         }
         for msg in compound::decode_packet(payload)? {
             self.handle_message(from, msg, now);
         }
         Ok(())
-    }
-
-    /// Drains the whole effect queue for a *batching* runtime: stream
-    /// and event effects are dispatched through `other` immediately and
-    /// in queue order, while packets are appended to `packets` as
-    /// `(destination, byte-range)` entries referencing the scratch
-    /// arena (see [`SwimNode::packet_arena`]).
-    ///
-    /// Calling this puts the arena on *hold*: it keeps growing across
-    /// subsequent inputs instead of being reclaimed, so every recorded
-    /// range stays valid — ranges are indices, immune to the arena
-    /// reallocating as it grows — until the runtime flushes the batch
-    /// and calls [`SwimNode::release_arena`].
-    pub fn drain_split(
-        &mut self,
-        packets: &mut Vec<(NodeAddr, Range<usize>)>,
-        mut other: impl FnMut(Output<'static>),
-    ) {
-        self.arena_held = true;
-        while let Some(q) = self.pending.pop_front() {
-            match q {
-                // lint: allow(alloc_free) — amortised: the runtime reuses `packets` across flushes, so its capacity stabilises at the high-water burst size (proven by the counting-allocator bench)
-                Queued::Packet { to, range } => packets.push((to, range)),
-                Queued::Stream { to, msg } => other(Output::Stream { to, msg }),
-                Queued::Event(e) => other(Output::Event(e)),
-            }
-        }
-    }
-
-    /// The scratch arena that ranges recorded by
-    /// [`SwimNode::drain_split`] index into. Borrow it at flush time —
-    /// not before — since the arena may reallocate while the hold
-    /// accumulates.
-    pub fn packet_arena(&self) -> &[u8] {
-        &self.scratch
-    }
-
-    /// Releases the hold taken by [`SwimNode::drain_split`]: previously
-    /// recorded ranges are invalidated and the arena is reclaimed (if
-    /// nothing else is queued). The runtime calls this right after
-    /// flushing its batch.
-    pub fn release_arena(&mut self) {
-        self.arena_held = false;
-        if self.pending.is_empty() {
-            self.scratch.clear();
-        }
     }
 
     /// [`Input::IoBlocked`]: marks the node's message I/O as blocked or
@@ -1228,38 +1177,6 @@ impl SwimNode {
     fn fire(&mut self, at: Time, timer: Timer, now: Time) {
         if self.io_blocked {
             match &timer {
-                // The dedicated gossip / push-pull / reconnect loops are
-                // single threads in memberlist: the iteration that blocks
-                // mid-send executes (the runtime captures its sends), the
-                // ticks that follow are dropped like missed ticker fires.
-                Timer::GossipTick => {
-                    self.schedule(now + self.config.gossip_interval, Timer::GossipTick);
-                    if !self.stuck_gossip && !self.left {
-                        self.stuck_gossip = true;
-                        self.gossip_once(now);
-                    }
-                    return;
-                }
-                Timer::PushPullTick => {
-                    if let Some(pp) = self.config.push_pull_interval {
-                        self.schedule(now + pp, Timer::PushPullTick);
-                    }
-                    if !self.stuck_push_pull && !self.left {
-                        self.stuck_push_pull = true;
-                        self.push_pull_once(now);
-                    }
-                    return;
-                }
-                Timer::Reconnect => {
-                    if let Some(rc) = self.config.reconnect_interval {
-                        self.schedule(now + rc, Timer::Reconnect);
-                    }
-                    if !self.stuck_reconnect && !self.left {
-                        self.stuck_reconnect = true;
-                        self.reconnect_once();
-                    }
-                    return;
-                }
                 // The probe in flight when the block hit is evaluated
                 // when the loop unblocks: its deadlines were computed
                 // before the block, so the late evaluation fails the
@@ -1273,37 +1190,23 @@ impl SwimNode {
                 }
                 // ProbeRound falls through: with a probe already in
                 // flight it is a no-op (the loop is busy), which models
-                // the dropped ticker fires. Suspicion expiry and reaping
-                // are pure local state + logging and run on time.
-                Timer::ProbeRound | Timer::SuspicionCheck { .. } | Timer::Reap => {}
+                // the dropped ticker fires. The gossip / push-pull /
+                // reconnect loops limit themselves in `fire_loop`.
+                // Suspicion expiry and reaping are pure local state +
+                // logging and run on time.
+                Timer::ProbeRound
+                | Timer::GossipTick
+                | Timer::PushPullTick
+                | Timer::Reconnect
+                | Timer::SuspicionCheck { .. }
+                | Timer::Reap => {}
             }
         }
         match timer {
             Timer::ProbeRound => self.probe_round(now),
             Timer::ProbeTimeout { seq } => self.probe_timeout(seq, now),
             Timer::ProbeRoundEnd { seq } => self.probe_round_end(seq, now),
-            Timer::GossipTick => {
-                self.schedule(now + self.config.gossip_interval, Timer::GossipTick);
-                if !self.left {
-                    self.gossip_once(now);
-                }
-            }
-            Timer::PushPullTick => {
-                if let Some(pp) = self.config.push_pull_interval {
-                    self.schedule(now + pp, Timer::PushPullTick);
-                }
-                if !self.left {
-                    self.push_pull_once(now);
-                }
-            }
-            Timer::Reconnect => {
-                if let Some(rc) = self.config.reconnect_interval {
-                    self.schedule(now + rc, Timer::Reconnect);
-                }
-                if !self.left {
-                    self.reconnect_once();
-                }
-            }
+            Timer::GossipTick | Timer::PushPullTick | Timer::Reconnect => self.fire_loop(timer, now),
             Timer::SuspicionCheck { node } => self.suspicion_check(node, now),
             Timer::RelayNack { seq } => {
                 // An ack (or the relay's expiry) cancels this timer, so a
@@ -1356,6 +1259,32 @@ impl SwimNode {
                         && now.saturating_since(ps.last_exchange) <= horizon
                 });
             }
+        }
+    }
+
+    /// One fire of a dedicated loop timer (gossip, push-pull,
+    /// reconnect): re-arm it, then run the iteration unless the node
+    /// has left. These loops are single threads in memberlist, so while
+    /// I/O is blocked only the iteration that blocks mid-send executes
+    /// (the runtime captures its sends); the ticks that follow are
+    /// dropped like missed ticker fires.
+    fn fire_loop(&mut self, timer: Timer, now: Time) {
+        let (every, stuck) = match timer {
+            Timer::GossipTick => (Some(self.config.gossip_interval), &mut self.stuck_gossip),
+            Timer::PushPullTick => (self.config.push_pull_interval, &mut self.stuck_push_pull),
+            _ => (self.config.reconnect_interval, &mut self.stuck_reconnect),
+        };
+        let skip = self.left || (self.io_blocked && std::mem::replace(stuck, true));
+        if let Some(every) = every {
+            self.schedule(now + every, timer.clone());
+        }
+        if skip {
+            return;
+        }
+        match timer {
+            Timer::GossipTick => self.gossip_once(now),
+            Timer::PushPullTick => self.push_pull_once(now),
+            _ => self.reconnect_once(),
         }
     }
 

@@ -11,10 +11,13 @@
 //! datagram I/O, no fixed-interval sleeps anywhere
 //! (`crates/net/src/reactor.rs`).
 //!
-//! Drives from API threads ([`Agent::join`], [`Agent::leave`],
-//! [`Agent::update_meta`]) transmit inline from the driver's sink with
-//! zero copies: the packet payload is borrowed straight from the
-//! protocol core's scratch buffer into `send_to`.
+//! That thread is the only one that ever drives the protocol core.
+//! [`Agent::join`], [`Agent::leave`] and [`Agent::update_meta`] queue
+//! their [`Input`] for it and return; the read accessors
+//! ([`Agent::members`], [`Agent::num_alive`], …) take the driver lock,
+//! which guards memory only — the reactor stages every send while it
+//! holds the lock and performs the I/O after releasing it, so a reader
+//! never waits on a syscall.
 //!
 //! Membership conclusions are delivered on a channel as [`AgentEvent`]s.
 //!
@@ -32,16 +35,16 @@ use std::time::Instant;
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use lifeguard_core::config::Config;
-use lifeguard_core::driver::{Driver, Sink};
+use lifeguard_core::driver::Driver;
 use lifeguard_core::event::Event;
 use lifeguard_core::member::Member;
 use lifeguard_core::node::{Input, SwimNode};
 use lifeguard_core::time::Time;
-use lifeguard_proto::{Message, NodeAddr, NodeName};
+use lifeguard_proto::{NodeAddr, NodeName};
 use parking_lot::Mutex;
 use polling::Poller;
 
-use crate::reactor::{self, Reactor};
+use crate::reactor::{Reactor, SendIo, SEND_BATCH};
 use crate::transport;
 
 /// A timestamped membership event from a running agent.
@@ -108,13 +111,8 @@ impl AgentConfig {
     }
 }
 
-/// An outbound stream message: destination plus the not-yet-encoded
-/// message (framing happens on the reactor loop, off the driver lock —
-/// never while a large push-pull would hold the protocol core hostage).
-pub(crate) type StreamJob = (SocketAddr, Message);
-
-/// Per-agent datagram I/O counters (lock-free; written by the sink and
-/// the reactor, snapshotted by [`Agent::metrics`]). Dropped sends in
+/// Per-agent datagram I/O counters (lock-free; written by the reactor,
+/// snapshotted by [`Agent::metrics`]). Dropped sends in
 /// particular are *counted*, not just discarded: SWIM treats every
 /// datagram as droppable, but an operator debugging a silent cluster
 /// needs to see whether the drops happen locally or in the network.
@@ -169,25 +167,12 @@ impl IoCounters {
     }
 }
 
-/// The agent's [`Sink`]: UDP transmits go straight to the socket
-/// (borrowing the core's scratch buffer — no copy), stream messages are
-/// queued for the reactor's stream writer, events go to the subscriber
-/// channel.
-pub(crate) struct NetSink<'a> {
-    pub(crate) udp: &'a UdpSocket,
-    pub(crate) counters: &'a IoCounters,
-    stream_tx: &'a Sender<StreamJob>,
-    events_tx: &'a Sender<AgentEvent>,
-    now: Time,
-}
-
 /// One counted `send_to`. Send errors — including `WouldBlock` from a
 /// full send buffer on the reactor's nonblocking socket — drop the
 /// datagram. That is the UDP contract the protocol is built for: SWIM
 /// treats every datagram as droppable, and a full local buffer is
 /// indistinguishable from loss in the network. The counters make the
-/// drops observable. Shared between [`NetSink::transmit`] and the
-/// reactor's batch-flush fallback paths.
+/// drops observable. The single-shot arm of the reactor's flush.
 pub(crate) fn send_counted(
     udp: &UdpSocket,
     counters: &IoCounters,
@@ -211,45 +196,19 @@ pub(crate) fn send_counted(
     }
 }
 
-impl Sink for NetSink<'_> {
-    fn transmit(&mut self, to: NodeAddr, payload: &[u8]) {
-        send_counted(self.udp, self.counters, to.socket_addr(), payload);
-    }
-
-    fn stream(&mut self, to: NodeAddr, msg: Message) {
-        // Hand the message over untouched: a push-pull carries the
-        // whole membership table, and both its encoding and the
-        // connect/write belong off the protocol path (the driver lock
-        // is held while the sink runs). Counted here with the encoded
-        // body length, the same unit the sim's telemetry records.
-        self.counters.streams_sent.fetch_add(1, Ordering::Relaxed);
-        self.counters.stream_bytes.fetch_add(
-            lifeguard_proto::codec::encoded_len(&msg) as u64,
-            Ordering::Relaxed,
-        );
-        let _ = self.stream_tx.send((to.socket_addr(), msg));
-    }
-
-    fn event(&mut self, event: Event) {
-        let _ = self.events_tx.send(AgentEvent {
-            at: self.now,
-            event,
-        });
-    }
-}
-
 pub(crate) struct Inner {
+    /// Written by the reactor thread only; API threads lock it to read.
+    /// It guards memory, never I/O.
     pub(crate) driver: Mutex<Driver>,
     pub(crate) udp: UdpSocket,
     pub(crate) advertised: NodeAddr,
     pub(crate) max_stream_frame: usize,
     start: Instant,
     pub(crate) shutdown: AtomicBool,
-    events_tx: Sender<AgentEvent>,
-    stream_tx: Sender<StreamJob>,
-    /// The reactor's poller: drives from API threads notify it so the
-    /// event loop re-reads the next deadline and picks up queued stream
-    /// jobs.
+    /// Inputs from API threads, driven by the reactor in arrival order.
+    input_tx: Sender<Input>,
+    /// The reactor's poller: API threads notify it after queueing an
+    /// input or raising `shutdown`.
     pub(crate) poller: Arc<Poller>,
     pub(crate) counters: IoCounters,
 }
@@ -259,34 +218,10 @@ impl Inner {
         Time::from_micros(self.start.elapsed().as_micros() as u64)
     }
 
-    /// Builds the agent's [`Sink`] over its socket, channels and
-    /// counters for one drive.
-    pub(crate) fn sink(&self, now: Time) -> NetSink<'_> {
-        NetSink {
-            udp: &self.udp,
-            counters: &self.counters,
-            stream_tx: &self.stream_tx,
-            events_tx: &self.events_tx,
-            now,
-        }
-    }
-
-    /// Feeds one input through the shared driver harness; the sink
-    /// executes every effect against the real network before the driver
-    /// lock is released.
-    pub(crate) fn drive(&self, input: Input, now: Time) {
-        {
-            let mut driver = self.driver.lock();
-            let mut sink = self.sink(now);
-            // lint: allow(lock_discipline) — by design: effects are sent under the driver lock so network order matches protocol order; the UDP socket is non-blocking, so the send cannot park the lock holder
-            let _ = driver.handle(input, now, &mut sink);
-        }
-        // The drive may have armed an earlier timer or queued a stream
-        // job; wake the reactor so it re-plans. The reactor's own
-        // drives skip this — its loop re-computes before every wait.
-        if !reactor::on_reactor_thread() {
-            let _ = self.poller.notify();
-        }
+    /// Queues one input for the reactor thread and wakes it.
+    fn submit(&self, input: Input) {
+        let _ = self.input_tx.send(input);
+        let _ = self.poller.notify();
     }
 }
 
@@ -352,32 +287,30 @@ impl Agent {
             config.seed
         };
         let (events_tx, events_rx) = unbounded();
-        let (stream_tx, stream_rx) = unbounded::<StreamJob>();
+        let (input_tx, input_rx) = unbounded();
         let node = SwimNode::new(
             NodeName::from(config.name),
             advertised,
             config.protocol,
             seed,
         );
+        // Boot the core before it goes behind the lock; what that
+        // stages is the reactor's first flush.
+        let mut driver = Driver::new(node);
+        let mut send_io = SendIo::new(SEND_BATCH);
+        driver.start(Time::ZERO, &mut send_io);
         let inner = Arc::new(Inner {
-            driver: Mutex::new(Driver::new(node)),
+            driver: Mutex::new(driver),
             udp,
             advertised,
             max_stream_frame: config.max_stream_frame,
             start: Instant::now(),
             shutdown: AtomicBool::new(false),
-            events_tx,
-            stream_tx,
+            input_tx,
             poller: Arc::new(Poller::new()?),
             counters: IoCounters::default(),
         });
-        {
-            let mut driver = inner.driver.lock();
-            let mut sink = inner.sink(Time::ZERO);
-            // lint: allow(lock_discipline) — by design: startup effects flush under the lock before any thread can observe the agent; the socket is non-blocking
-            driver.start(Time::ZERO, &mut sink);
-        }
-        let reactor = Reactor::new(inner, tcp, stream_rx)?;
+        let reactor = Reactor::new(inner, tcp, input_rx, events_tx, send_io)?;
         Ok((reactor, events_rx))
     }
 
@@ -402,25 +335,25 @@ impl Agent {
         self.inner.driver.lock().node().name().clone()
     }
 
-    /// Joins a cluster through the given seed addresses.
+    /// Joins a cluster through the given seed addresses. Like every
+    /// drive, the join is queued for the reactor thread and this call
+    /// returns before it has run; [`Agent::shutdown`] still drives
+    /// everything queued before it.
     pub fn join(&self, seeds: &[SocketAddr]) {
-        let now = self.inner.now();
         let seeds: Vec<NodeAddr> = seeds.iter().map(|&s| NodeAddr::from(s)).collect();
-        self.inner.drive(Input::Join { seeds }, now);
+        self.inner.submit(Input::Join { seeds });
     }
 
     /// Gracefully leaves the group (peers observe a leave, not a
     /// failure).
     pub fn leave(&self) {
-        let now = self.inner.now();
-        self.inner.drive(Input::Leave, now);
+        self.inner.submit(Input::Leave);
     }
 
     /// Replaces the local node's application metadata and gossips the
     /// change.
     pub fn update_meta(&self, meta: Bytes) {
-        let now = self.inner.now();
-        self.inner.drive(Input::UpdateMeta { meta }, now);
+        self.inner.submit(Input::UpdateMeta { meta });
     }
 
     /// Snapshot of the membership table.
@@ -458,9 +391,12 @@ impl Agent {
         &self.events_rx
     }
 
-    /// Stops the agent abruptly (no leave message) and joins its
-    /// thread. Idempotent: the second and later calls (including the
-    /// one [`Drop`] performs) are no-ops.
+    /// Stops the agent abruptly (no leave message of its own) and joins
+    /// its thread; inputs queued before the call are still driven and
+    /// their datagrams sent, so `leave()` followed by `shutdown()` is a
+    /// graceful exit. The read accessors keep working afterwards.
+    /// Idempotent: the second and later calls (including the one
+    /// [`Drop`] performs) are no-ops.
     pub fn shutdown(&self) {
         self.inner.shutdown.store(true, Ordering::Relaxed);
         let _ = self.inner.poller.notify();
@@ -492,6 +428,7 @@ impl std::fmt::Debug for Agent {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lifeguard_core::driver::Sink;
     use std::time::Duration;
 
     /// A sped-up protocol config so socket tests finish in seconds.
@@ -589,22 +526,51 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     }
 
+    /// Inputs queued before `shutdown()` are driven and their datagrams
+    /// flushed before the loop exits.
+    #[test]
+    fn leave_then_immediate_shutdown_is_seen_as_a_leave() {
+        let a = Agent::start(AgentConfig::local("a").protocol(fast()).seed(10)).unwrap();
+        let b = Agent::start(AgentConfig::local("b").protocol(fast()).seed(11)).unwrap();
+        b.join(&[a.addr()]);
+        assert!(wait_for(Duration::from_secs(10), || a.num_alive() == 2
+            && b.num_alive() == 2));
+        b.leave();
+        b.shutdown();
+        assert!(
+            b.members()
+                .iter()
+                .any(|m| m.name.as_str() == "b" && !m.is_live()),
+            "the queued leave was never driven"
+        );
+        let mut seen = Vec::new();
+        assert!(
+            wait_for(Duration::from_secs(10), || {
+                seen.extend(a.events().try_iter().map(|e| e.event));
+                seen.iter()
+                    .any(|e| matches!(e, Event::MemberLeft { name } if name.as_str() == "b"))
+            }),
+            "leave event never observed: {seen:?}"
+        );
+        // Long enough for a crash to have been suspected and declared.
+        std::thread::sleep(Duration::from_secs(2));
+        seen.extend(a.events().try_iter().map(|e| e.event));
+        assert!(
+            !seen.iter().any(|e| matches!(e, Event::MemberFailed { .. })),
+            "a graceful exit must not read as a failure: {seen:?}"
+        );
+        a.shutdown();
+    }
+
     #[test]
     fn send_failures_are_counted_not_silent() {
-        let (events_tx, _events_rx) = unbounded();
-        let (stream_tx, _stream_rx) = unbounded();
         let udp = UdpSocket::bind("127.0.0.1:0").unwrap();
         let counters = IoCounters::default();
-        let mut sink = NetSink {
-            udp: &udp,
-            counters: &counters,
-            stream_tx: &stream_tx,
-            events_tx: &events_tx,
-            now: Time::ZERO,
-        };
+        let mut io = SendIo::new(4);
         // Port 0 is never a valid destination: the kernel rejects the
         // send with EINVAL, which must land in `send_errors`.
-        sink.transmit(NodeAddr::new([127, 0, 0, 1], 0), b"doomed");
+        io.transmit(NodeAddr::new([127, 0, 0, 1], 0), b"doomed");
+        io.flush(&udp, &counters);
         let io = counters.io_snapshot();
         assert_eq!(io.send_syscalls, 1);
         assert_eq!(io.send_errors, 1);

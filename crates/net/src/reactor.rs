@@ -17,36 +17,37 @@
 //!   (bounded by the earliest connection deadline), so timers fire on
 //!   time instead of on a fixed cadence.
 //!
-//! Wakeup flow: API threads (`join`, `leave`, …) drive the shared
-//! [`Driver`](lifeguard_core::driver::Driver) under its lock, then
-//! [`notify`](polling::Poller::notify) the reactor so it re-reads the
-//! (possibly earlier) next deadline and picks up any outbound stream
-//! jobs the drive queued. Drives performed *by* the reactor thread skip
-//! the notify — the loop re-computes its sleep bound before every wait
-//! anyway.
+//! Wakeup flow: the reactor thread is the only one that drives the
+//! shared [`Driver`](lifeguard_core::driver::Driver). API threads
+//! (`join`, `leave`, …) queue an [`Input`] and
+//! [`notify`](polling::Poller::notify) the poller; the loop drives
+//! queued inputs and due timers at the top of every pass and
+//! re-computes its sleep bound before every wait.
 //!
-//! # Batched datagram I/O
+//! # Nothing is sent under the lock
 //!
-//! The UDP datapath batches both directions:
+//! Every drive has two halves. While the driver guard is held, the
+//! reactor's [`Sink`] ([`SendIo`]) only moves memory: each packet is
+//! copied into the staging arena, stream messages and events are pushed
+//! onto reactor-owned queues. Then the guard is dropped and the reactor
+//! does the I/O: staged datagrams go out as one `sendmmsg(2)` per
+//! [`SEND_BATCH`] chunk (a probe round's whole fan-out costs one
+//! syscall instead of one per peer), events are forwarded to the
+//! subscriber channel, and stream frames are encoded and connected at
+//! the next loop pass. API threads reading through the lock therefore
+//! never wait on a syscall.
 //!
-//! * **send** — drives go through the driver's *deferring* path: the
-//!   packets one input produces stay as byte ranges into the core's
-//!   scratch arena (held across the burst) and are flushed as one
-//!   `sendmmsg(2)` per [`SEND_BATCH`] chunk, so a probe round's whole
-//!   fan-out costs one syscall instead of one per peer;
-//! * **receive** — readiness drains through a preallocated
-//!   `recvmmsg(2)` ring of [`RECV_BURST`] slots; each filled slot is
-//!   handed to the core as a borrowed slice (no per-datagram
-//!   allocation), and the replies the burst produces are themselves
-//!   deferred and batch-flushed.
+//! Receive is batched too: readiness drains through a preallocated
+//! `recvmmsg(2)` ring of [`RECV_BURST`] slots, each filled slot handed
+//! to the core as a borrowed slice (no per-datagram allocation), the
+//! guard taken once per ring fill.
 //!
 //! Kernels without the syscalls (`ENOSYS`) degrade to single-shot
 //! `send_to` / `recv_from` permanently and silently; wire behaviour is
 //! identical either way — batching changes syscall counts, never packet
 //! contents or order.
 
-use std::cell::Cell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
 use std::ops::Range;
@@ -55,8 +56,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bytes::Bytes;
-use crossbeam::channel::Receiver;
+use crossbeam::channel::{Receiver, Sender};
 use lifeguard_core::driver::Sink;
 use lifeguard_core::event::Event as ProtoEvent;
 use lifeguard_core::node::Input;
@@ -65,7 +65,7 @@ use lifeguard_proto::{Message, NodeAddr};
 use polling::mmsg::{RecvRing, SendBatch};
 use polling::{Event, Events, Poller};
 
-use crate::agent::{send_counted, Inner, IoCounters, NetSink, StreamJob};
+use crate::agent::{send_counted, AgentEvent, Inner, IoCounters};
 use crate::transport::{self, FrameDecoder};
 
 /// Registration key of the agent's UDP socket.
@@ -75,9 +75,9 @@ const KEY_LISTENER: usize = 1;
 /// First key handed to a TCP connection (inbound or outbound).
 const FIRST_CONN_KEY: usize = 2;
 
-/// Packets handed to the kernel per `sendmmsg` flush; a longer deferred
+/// Packets handed to the kernel per `sendmmsg` flush; a longer staged
 /// burst is split across several syscalls.
-const SEND_BATCH: usize = 64;
+pub(crate) const SEND_BATCH: usize = 64;
 
 /// Receive-ring slots filled per `recvmmsg`. Each slot holds a full
 /// [`RECV_SLOT_LEN`] datagram, so the ring costs `RECV_BURST × 64 KiB`
@@ -99,66 +99,79 @@ const RECV_SLOT_LEN: usize = 65536;
 /// and accepting resumes as soon as a slot frees.
 const MAX_CONNS: usize = 1024;
 
-thread_local! {
-    static ON_REACTOR_THREAD: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Whether the calling thread is a reactor loop. Drives from a reactor
-/// thread skip the poller notify: the loop recomputes its sleep bound
-/// before every wait, so the wakeup would only burn a syscall.
-pub(crate) fn on_reactor_thread() -> bool {
-    ON_REACTOR_THREAD.with(Cell::get)
-}
-
-/// The reactor's sendmmsg state: the FFI pointer tables plus the
-/// staged `SocketAddr` batch, reused across flushes so the steady
+/// The reactor's [`Sink`] — the only one in this crate — and the
+/// staging it fills. While the driver guard is held it only moves
+/// memory; [`SendIo::flush`] and the loop carry the effects out once
+/// the guard is gone. Everything is reused across drives, so the steady
 /// state allocates nothing.
-struct SendIo {
+pub(crate) struct SendIo {
     table: SendBatch,
-    /// Destination/range pairs staged for the current flush
-    /// ([`NodeAddr`]s resolved to socket addresses once, up front).
-    // bounded: cleared every flush; holds at most one deferred burst (the driver flushes at `batch_size`)
+    /// Payload bytes of the staged datagrams, back to back.
+    // bounded: cleared every flush; holds at most one burst (the receive drain flushes at `batch_size` packets)
+    arena: Vec<u8>,
+    /// Destination and `arena` range of each staged datagram.
+    // bounded: cleared every flush, like `arena`
     stage: Vec<(SocketAddr, Range<usize>)>,
     batch_size: usize,
     /// Cleared permanently the first time `sendmmsg` reports `ENOSYS`;
     /// every later flush takes the single-shot path.
     supported: bool,
+    /// Stream messages awaiting the loop's connect step, not yet
+    /// encoded: framing a large push-pull belongs after the guard too.
+    // bounded: drained at the top of every loop pass
+    streams: VecDeque<(SocketAddr, Message)>,
+    /// Membership conclusions awaiting the subscriber channel.
+    // bounded: drained after every drive
+    events: Vec<ProtoEvent>,
+}
+
+impl Sink for SendIo {
+    fn transmit(&mut self, to: NodeAddr, payload: &[u8]) {
+        let start = self.arena.len();
+        self.arena.extend_from_slice(payload);
+        self.stage.push((to.socket_addr(), start..self.arena.len()));
+    }
+
+    fn stream(&mut self, to: NodeAddr, msg: Message) {
+        self.streams.push_back((to.socket_addr(), msg));
+    }
+
+    fn event(&mut self, event: ProtoEvent) {
+        self.events.push(event);
+    }
 }
 
 impl SendIo {
-    fn new(batch_size: usize) -> SendIo {
+    pub(crate) fn new(batch_size: usize) -> SendIo {
         SendIo {
             table: SendBatch::new(batch_size),
+            arena: Vec::new(),
             stage: Vec::new(),
             batch_size,
             supported: true,
+            streams: VecDeque::new(),
+            events: Vec::new(),
         }
     }
 
-    /// Sends one deferred burst: `batch_size` packets per `sendmmsg`,
-    /// degenerating to plain counted `send_to` for a batch of one or
-    /// on a kernel without the syscall. Payloads are byte ranges into
-    /// `arena` (the core's held scratch buffer) — this is the gather
-    /// step, no copies happen on the way to the kernel.
-    fn flush(
-        &mut self,
-        udp: &UdpSocket,
-        counters: &IoCounters,
-        arena: &[u8],
-        packets: &[(NodeAddr, Range<usize>)],
-    ) {
-        if !self.supported || packets.len() < 2 {
-            for (to, range) in packets {
-                send_counted(udp, counters, to.socket_addr(), &arena[range.clone()]);
+    /// Sends the staged datagrams in order and empties the staging:
+    /// `batch_size` packets per `sendmmsg`, degenerating to plain
+    /// counted `send_to` for a burst of one or on a kernel without the
+    /// syscall.
+    pub(crate) fn flush(&mut self, udp: &UdpSocket, counters: &IoCounters) {
+        self.send_staged(udp, counters);
+        self.stage.clear();
+        self.arena.clear();
+    }
+
+    fn send_staged(&mut self, udp: &UdpSocket, counters: &IoCounters) {
+        let arena = &self.arena;
+        if !self.supported || self.stage.len() < 2 {
+            for (to, range) in &self.stage {
+                send_counted(udp, counters, *to, &arena[range.clone()]);
             }
             return;
         }
-        self.stage.clear();
-        self.stage.extend(
-            packets
-                .iter()
-                .map(|(to, range)| (to.socket_addr(), range.clone())),
-        );
         let fd = udp.as_raw_fd();
         let mut sent = 0;
         while sent < self.stage.len() {
@@ -214,34 +227,6 @@ impl SendIo {
     }
 }
 
-/// The reactor's batching [`Sink`]: everything behaves as the plain
-/// [`NetSink`] except [`Sink::transmit_batch`], which gathers the
-/// deferred burst into `sendmmsg` flushes. Built per drive while the
-/// driver lock is held.
-struct BatchSink<'a> {
-    net: NetSink<'a>,
-    io: &'a mut SendIo,
-}
-
-impl Sink for BatchSink<'_> {
-    fn transmit(&mut self, to: NodeAddr, payload: &[u8]) {
-        self.net.transmit(to, payload);
-    }
-
-    fn transmit_batch(&mut self, arena: &[u8], packets: &[(NodeAddr, Range<usize>)]) {
-        self.io
-            .flush(self.net.udp, self.net.counters, arena, packets);
-    }
-
-    fn stream(&mut self, to: NodeAddr, msg: Message) {
-        self.net.stream(to, msg);
-    }
-
-    fn event(&mut self, event: ProtoEvent) {
-        self.net.event(event);
-    }
-}
-
 /// One TCP connection the reactor is advancing.
 enum Conn {
     /// An accepted connection delivering one inbound framed message.
@@ -291,10 +276,13 @@ pub(crate) struct Reactor {
     pub(crate) inner: Arc<Inner>,
     poller: Arc<Poller>,
     listener: TcpListener,
-    stream_rx: Receiver<StreamJob>,
+    /// Inputs queued by API threads (`join`, `leave`, `update_meta`).
+    input_rx: Receiver<Input>,
+    events_tx: Sender<AgentEvent>,
     // bounded: accepts are disarmed at MAX_CONNS, so the map never exceeds that cap plus in-flight outbound syncs
     conns: BTreeMap<usize, Conn>,
     next_key: usize,
+    /// Receive buffer of the single-shot (`ENOSYS`) drain.
     // bounded: sized once at startup to the maximum datagram length, never grows
     udp_buf: Vec<u8>,
     /// Whether the listener currently has read interest armed. It is
@@ -302,7 +290,7 @@ pub(crate) struct Reactor {
     /// failure like `EMFILE` (throttle: re-armed on the next loop pass
     /// instead of letting level-triggered readiness spin the loop).
     listener_armed: bool,
-    send_io: SendIo,
+    pub(crate) send_io: SendIo,
     /// recvmmsg ring; reset to `None` permanently if the kernel reports
     /// `ENOSYS`, after which drains go through the single-shot path.
     recv_ring: Option<RecvRing>,
@@ -312,7 +300,8 @@ impl Reactor {
     /// Builds the reactor and registers the agent's long-lived sources
     /// with the poller — registration failures surface here, *before*
     /// the loop thread spawns, so [`Agent::start`](crate::Agent::start)
-    /// can refuse to hand out a deaf agent.
+    /// can refuse to hand out a deaf agent. `send_io` arrives holding
+    /// whatever booting the protocol core staged; it is flushed here.
     ///
     /// # Errors
     ///
@@ -320,58 +309,82 @@ impl Reactor {
     pub(crate) fn new(
         inner: Arc<Inner>,
         listener: TcpListener,
-        stream_rx: Receiver<StreamJob>,
+        input_rx: Receiver<Input>,
+        events_tx: Sender<AgentEvent>,
+        send_io: SendIo,
     ) -> io::Result<Reactor> {
         let poller = Arc::clone(&inner.poller);
         poller.add(&inner.udp, Event::readable(KEY_UDP))?;
         poller.add(&listener, Event::readable(KEY_LISTENER))?;
-        Ok(Reactor {
+        let mut reactor = Reactor {
             inner,
             poller,
             listener,
-            stream_rx,
+            input_rx,
+            events_tx,
             conns: BTreeMap::new(),
             next_key: FIRST_CONN_KEY,
             udp_buf: vec![0u8; RECV_SLOT_LEN],
             listener_armed: true,
-            send_io: SendIo::new(SEND_BATCH),
+            send_io,
             recv_ring: Some(RecvRing::new(RECV_BURST, RECV_SLOT_LEN)),
-        })
+        };
+        reactor.flush(Time::ZERO);
+        Ok(reactor)
     }
 
-    /// Feeds one input through the driver with packet sends deferred
-    /// and flushed as a batch before the driver lock is released, so a
-    /// fan-out (probe round, gossip burst) costs one `sendmmsg` per
-    /// [`SendIo::batch_size`] packets.
-    fn drive_reactor(&mut self, input: Input, now: Time) {
-        let mut driver = self.inner.driver.lock();
-        let mut sink = BatchSink {
-            net: self.inner.sink(now),
-            io: &mut self.send_io,
-        };
-        // lint: allow(lock_discipline) — by design: the deferred burst is gathered and flushed (sendmmsg on a non-blocking socket) before the lock releases, so packet order matches protocol order
-        let _ = driver.handle_deferring(input, now, &mut sink);
-        // lint: allow(lock_discipline) — by design: see above; the flush must see the arena the lock protects
-        driver.flush_deferred(&mut sink);
+    /// Feeds one input through the driver. Its effects are staged while
+    /// the guard is held and carried out after it is dropped.
+    fn drive(&mut self, input: Input, now: Time) {
+        {
+            let mut driver = self.inner.driver.lock();
+            let _ = driver.handle(input, now, &mut self.send_io);
+        }
+        self.flush(now);
+    }
+
+    /// The second half of every drive, run with the driver guard
+    /// dropped: sends the staged datagrams and forwards the staged
+    /// events. Staged stream messages wait for the loop's connect step.
+    fn flush(&mut self, now: Time) {
+        self.send_io.flush(&self.inner.udp, &self.inner.counters);
+        for event in self.send_io.events.drain(..) {
+            let _ = self.events_tx.send(AgentEvent { at: now, event });
+        }
     }
 
     /// Runs the event loop until the agent's shutdown flag is raised.
     pub(crate) fn run(mut self) {
-        ON_REACTOR_THREAD.with(|flag| flag.set(true));
         let mut events = Events::new();
         loop {
-            // 1. Fire due protocol timers (exact-deadline ticking).
+            // Read the flag before the input queue: whatever an API
+            // thread queued before raising it is driven below, so
+            // `leave(); shutdown()` still says goodbye.
+            let stopping = self.inner.shutdown.load(Ordering::Relaxed);
+            // 1. Drive the inputs API threads queued, then fire due
+            //    protocol timers (exact-deadline ticking).
             let now = self.inner.now();
+            while let Ok(input) = self.input_rx.try_recv() {
+                self.drive(input, now);
+            }
             let due = {
                 let driver = self.inner.driver.lock();
                 matches!(driver.next_deadline(), Some(at) if at <= now)
             };
             if due {
-                self.drive_reactor(Input::Tick, now);
+                self.drive(Input::Tick, now);
             }
-            // 2. Start outbound connections for queued stream jobs —
-            //    including ones the tick above just produced.
-            while let Ok((to, msg)) = self.stream_rx.try_recv() {
+            // 2. Encode and start outbound connections for the stream
+            //    messages staged so far — including the ones just above.
+            while let Some((to, msg)) = self.send_io.streams.pop_front() {
+                let counters = &self.inner.counters;
+                counters.streams_sent.fetch_add(1, Ordering::Relaxed);
+                // Counted as the encoded body length, the same unit the
+                // sim's telemetry records.
+                counters.stream_bytes.fetch_add(
+                    lifeguard_proto::codec::encoded_len(&msg) as u64,
+                    Ordering::Relaxed,
+                );
                 let frame = transport::encode_frame(self.inner.advertised, &msg);
                 self.start_outbound(to, frame);
             }
@@ -385,7 +398,7 @@ impl Reactor {
                     .modify(&self.listener, Event::readable(KEY_LISTENER))
                     .is_ok();
             }
-            if self.inner.shutdown.load(Ordering::Relaxed) {
+            if stopping {
                 break;
             }
             // 4. Sleep exactly until the next timer or connection
@@ -396,9 +409,6 @@ impl Reactor {
             // idle-efficiency story is gated on (timer-rate, not
             // spinning), exported via `Agent::metrics()`.
             self.inner.counters.wakeups.fetch_add(1, Ordering::Relaxed);
-            if self.inner.shutdown.load(Ordering::Relaxed) {
-                break;
-            }
             // 5. Dispatch readiness.
             for event in events.iter() {
                 match event.key {
@@ -459,7 +469,8 @@ impl Reactor {
     }
 
     /// The single-shot drain, for kernels without `recvmmsg`: one
-    /// `recv_from` plus one payload copy per datagram, one drive each.
+    /// `recv_from` and one drive per datagram, fed to the core straight
+    /// from the receive buffer.
     fn drain_datagrams_single(&mut self, max_burst: usize) {
         for _ in 0..max_burst {
             let recv = self.inner.udp.recv_from(&mut self.udp_buf);
@@ -474,14 +485,16 @@ impl Reactor {
                         .datagrams_received
                         .fetch_add(1, Ordering::Relaxed);
                     let now = self.inner.now();
-                    let payload = Bytes::copy_from_slice(&self.udp_buf[..len]);
-                    self.drive_reactor(
-                        Input::Datagram {
-                            from: NodeAddr::from(from),
-                            payload,
-                        },
-                        now,
-                    );
+                    {
+                        let mut driver = self.inner.driver.lock();
+                        let _ = driver.handle_datagram_slice(
+                            NodeAddr::from(from),
+                            &self.udp_buf[..len],
+                            now,
+                            &mut self.send_io,
+                        );
+                    }
+                    self.flush(now);
                 }
                 Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 // A queued error was consumed; stop the burst here.
@@ -493,19 +506,20 @@ impl Reactor {
         }
     }
 
-    /// The batched drain: fill the `recvmmsg` ring, hand each slot to
-    /// the core as a borrowed slice (zero-copy — only blob fields are
-    /// copied out during decode), defer the packets the burst produces
-    /// and flush them as `sendmmsg` batches. The driver lock is taken
-    /// once per ring fill, not once per datagram.
+    /// The batched drain: fill the `recvmmsg` ring and hand each slot
+    /// to the core as a borrowed slice (zero-copy — only blob fields
+    /// are copied out during decode). The driver guard is taken once
+    /// per ring fill, not once per datagram, and released for every
+    /// flush: replies are staged under it and leave as `sendmmsg`
+    /// batches after it.
     fn drain_datagrams_batched(&mut self) {
         let fd = self.inner.udp.as_raw_fd();
         let mut drained = 0usize;
-        let mut enosys = false;
-        let Some(ring) = self.recv_ring.as_mut() else {
+        // Out of `self` for the drain, so the flushes below can borrow
+        // the whole reactor; put back unless the kernel lacks recvmmsg.
+        let Some(mut ring) = self.recv_ring.take() else {
             return;
         };
-        let io = &mut self.send_io;
         while drained < MAX_BURST {
             let res = ring.recv(fd);
             self.inner
@@ -517,10 +531,9 @@ impl Reactor {
                 Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(ref e) if e.kind() == io::ErrorKind::Unsupported => {
                     // ENOSYS: this kernel has no recvmmsg. Drop the
-                    // ring for good (below, once its borrow ends) and
-                    // finish the drain single-shot.
-                    enosys = true;
-                    break;
+                    // ring for good and finish the drain single-shot.
+                    self.drain_datagrams_single(MAX_BURST - drained);
+                    return;
                 }
                 // A queued socket error was consumed; yield to the
                 // loop (level-triggered readiness re-reports the rest).
@@ -531,53 +544,44 @@ impl Reactor {
             }
             drained += n;
             let now = self.inner.now();
-            let socket_drained;
-            {
-                socket_drained = n < ring.slots();
-                let batch_size = io.batch_size;
-                let counters = &self.inner.counters;
-                let mut driver = self.inner.driver.lock();
-                let mut sink = BatchSink {
-                    net: self.inner.sink(now),
-                    io: &mut *io,
-                };
-                for i in 0..n {
-                    if ring.truncated(i) {
-                        // Bigger than a ring slot — only possible for
-                        // a malformed sender (slots hold 64 KiB, the
-                        // UDP maximum); count the drop and move on.
-                        counters.recv_truncations.fetch_add(1, Ordering::Relaxed);
-                        continue;
-                    }
-                    let Some((from, payload)) = ring.datagram(i) else {
-                        continue;
-                    };
-                    counters.datagrams_received.fetch_add(1, Ordering::Relaxed);
-                    // lint: allow(lock_discipline) — by design: the receive burst is processed and its replies gather-sent under one lock hold; all sockets involved are non-blocking
-                    let _ = driver.handle_datagram_slice_deferring(
-                        NodeAddr::from(from),
-                        payload,
-                        now,
-                        &mut sink,
-                    );
-                    // Mid-burst flush: bound the arena and the
-                    // deferred table while replies keep accumulating.
-                    if driver.deferred_packets() >= batch_size {
-                        // lint: allow(lock_discipline) — by design: mid-burst sendmmsg flush on a non-blocking socket; releasing the lock here would invalidate the arena ranges
-                        driver.flush_deferred(&mut sink);
+            let mut i = 0;
+            while i < n {
+                {
+                    let counters = &self.inner.counters;
+                    let mut driver = self.inner.driver.lock();
+                    // Mid-burst flush: once a datagram's replies fill a
+                    // send batch, let go of the guard and send them,
+                    // bounding the staging while replies accumulate.
+                    while i < n && self.send_io.stage.len() < self.send_io.batch_size {
+                        let slot = i;
+                        i += 1;
+                        if ring.truncated(slot) {
+                            // Bigger than a ring slot — only possible
+                            // for a malformed sender (slots hold 64 KiB,
+                            // the UDP maximum); count the drop and move
+                            // on.
+                            counters.recv_truncations.fetch_add(1, Ordering::Relaxed);
+                            continue;
+                        }
+                        let Some((from, payload)) = ring.datagram(slot) else {
+                            continue;
+                        };
+                        counters.datagrams_received.fetch_add(1, Ordering::Relaxed);
+                        let _ = driver.handle_datagram_slice(
+                            NodeAddr::from(from),
+                            payload,
+                            now,
+                            &mut self.send_io,
+                        );
                     }
                 }
-                // lint: allow(lock_discipline) — by design: final flush of the burst while the arena the lock protects is still valid
-                driver.flush_deferred(&mut sink);
+                self.flush(now);
             }
-            if socket_drained {
-                break;
+            if n < ring.slots() {
+                break; // the socket is drained
             }
         }
-        if enosys {
-            self.recv_ring = None;
-            self.drain_datagrams_single(MAX_BURST - drained);
-        }
+        self.recv_ring = Some(ring);
     }
 
     /// Accepts pending connections (up to [`MAX_CONNS`] tracked) and
@@ -700,7 +704,7 @@ impl Reactor {
             match decoder.decode() {
                 Ok(Some((from, msg))) => {
                     let now = self.inner.now();
-                    self.drive_reactor(Input::Stream { from, msg }, now);
+                    self.drive(Input::Stream { from, msg }, now);
                     return Advance::Done;
                 }
                 Ok(None) => {}
@@ -812,9 +816,9 @@ mod tests {
     fn flush_of_one_packet_takes_the_single_shot_path() {
         let (udp, peer, counters) = flush_fixture();
         let mut io = SendIo::new(4);
-        let arena = b"solo".to_vec();
         let to = NodeAddr::from(peer.local_addr().expect("addr"));
-        io.flush(&udp, &counters, &arena, &[(to, 0..4)]);
+        io.transmit(to, b"solo");
+        io.flush(&udp, &counters);
         assert_eq!(recv_all(&peer, 1), vec![b"solo".to_vec()]);
         assert_eq!(counters.send_syscalls.load(Ordering::Relaxed), 1);
         assert_eq!(counters.sendmmsg_batches.load(Ordering::Relaxed), 0);
@@ -825,10 +829,11 @@ mod tests {
     fn flush_of_exactly_one_batch_is_one_syscall() {
         let (udp, peer, counters) = flush_fixture();
         let mut io = SendIo::new(4);
-        let arena: Vec<u8> = (0u8..4).collect();
         let to = NodeAddr::from(peer.local_addr().expect("addr"));
-        let packets: Vec<_> = (0usize..4).map(|i| (to, i..i + 1)).collect();
-        io.flush(&udp, &counters, &arena, &packets);
+        for byte in 0u8..4 {
+            io.transmit(to, &[byte]);
+        }
+        io.flush(&udp, &counters);
         assert_eq!(
             recv_all(&peer, 4),
             vec![vec![0u8], vec![1], vec![2], vec![3]]
@@ -842,10 +847,11 @@ mod tests {
     fn flush_overflowing_the_batch_spills_into_a_second_syscall() {
         let (udp, peer, counters) = flush_fixture();
         let mut io = SendIo::new(4);
-        let arena: Vec<u8> = (0u8..5).collect();
         let to = NodeAddr::from(peer.local_addr().expect("addr"));
-        let packets: Vec<_> = (0usize..5).map(|i| (to, i..i + 1)).collect();
-        io.flush(&udp, &counters, &arena, &packets);
+        for byte in 0u8..5 {
+            io.transmit(to, &[byte]);
+        }
+        io.flush(&udp, &counters);
         assert_eq!(
             recv_all(&peer, 5),
             vec![vec![0u8], vec![1], vec![2], vec![3], vec![4]]
@@ -902,9 +908,9 @@ mod tests {
     }
 
     /// One compound datagram from outside yields one reply per inner
-    /// `Ping`, so a single ring fill can defer far more packets than one
+    /// `Ping`, so a single ring fill can stage far more packets than one
     /// send batch: the drain must flush as soon as a datagram pushes the
-    /// deferred table past the batch size, not once per ring fill.
+    /// staging past the batch size, not once per ring fill.
     #[test]
     fn compound_burst_is_flushed_per_datagram_not_per_ring_fill() {
         const DATAGRAMS: u32 = 4;

@@ -51,8 +51,7 @@ proptest! {
     fn random_datagrams_never_panic(payload in proptest::collection::vec(any::<u8>(), 0..1500)) {
         let mut driver = started_driver();
         let from = NodeAddr::new([192, 0, 2, 1], 9000);
-        let _ = driver.handle_datagram_slice_deferring(from, &payload, Time::ZERO, &mut NullSink);
-        driver.flush_deferred(&mut NullSink);
+        let _ = driver.handle_datagram_slice(from, &payload, Time::ZERO, &mut NullSink);
         // Still alive: a well-formed message afterwards is handled.
         let ping = codec::encode_message(&Message::Ping(Ping {
             seq: SeqNo(1),
@@ -60,7 +59,7 @@ proptest! {
             source: NodeName::from("peer"),
             source_addr: from,
         }));
-        let res = driver.handle_datagram_slice_deferring(from, &ping, Time::ZERO, &mut NullSink);
+        let res = driver.handle_datagram_slice(from, &ping, Time::ZERO, &mut NullSink);
         prop_assert!(res.is_ok());
     }
 
@@ -80,8 +79,7 @@ proptest! {
         }
         let mut driver = started_driver();
         let from = NodeAddr::new([192, 0, 2, 2], 9000);
-        let _ = driver.handle_datagram_slice_deferring(from, &bytes, Time::ZERO, &mut NullSink);
-        driver.flush_deferred(&mut NullSink);
+        let _ = driver.handle_datagram_slice(from, &bytes, Time::ZERO, &mut NullSink);
     }
 
     /// Arbitrary bytes through the stream frame decoder, fed in

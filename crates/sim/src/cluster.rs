@@ -333,11 +333,6 @@ impl Cluster {
         self.slots[i].paused_until.is_some()
     }
 
-    /// Whether node `i` was crashed.
-    pub fn is_crashed(&self, i: usize) -> bool {
-        self.slots[i].crashed
-    }
-
     /// Runs the simulation until simulated time `t`: pops every event
     /// due by then in queue order and dispatches it.
     pub fn run_until(&mut self, t: SimTime) {
@@ -358,6 +353,16 @@ impl Cluster {
     /// Injects an action at the current instant.
     pub fn apply(&mut self, action: SimAction) {
         let now = self.now;
+        // A crashed node is gone: it can no longer leave, update its
+        // metadata or stall, and above all it sends nothing.
+        if let SimAction::Pause { node, .. }
+        | SimAction::Leave { node }
+        | SimAction::UpdateMeta { node, .. } = &action
+        {
+            if self.slots[*node].crashed {
+                return;
+            }
+        }
         match action {
             SimAction::Crash { node } => {
                 self.slots[node].crashed = true;

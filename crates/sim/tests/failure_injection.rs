@@ -175,3 +175,35 @@ fn adjacent_anomaly_windows() {
     cluster.run_for(Duration::from_secs(60));
     assert_eq!(cluster.nodes_seeing_alive("node-2").len(), 6);
 }
+
+/// A crashed node is silent: a leave or metadata update injected after
+/// the crash — in the same instant, before anyone has detected it —
+/// sends nothing, so no peer ever sees the node depart gracefully.
+#[test]
+fn crashed_node_cannot_leave_or_update() {
+    use lifeguard_core::event::Event;
+
+    let mut cluster = ClusterBuilder::new(8)
+        .config(Config::lan().lifeguard())
+        .seed(31)
+        .build();
+    cluster.run_for(Duration::from_secs(15));
+    assert!(cluster.converged());
+    cluster.apply(SimAction::Crash { node: 3 });
+    let at_crash = cluster.telemetry().node(3);
+    cluster.apply(SimAction::Leave { node: 3 });
+    cluster.apply(SimAction::UpdateMeta {
+        node: 3,
+        meta: bytes::Bytes::from_static(b"from beyond"),
+    });
+    cluster.run_for(Duration::from_secs(5));
+    assert_eq!(
+        cluster.telemetry().node(3),
+        at_crash,
+        "a crashed node put messages on the network"
+    );
+    let left = cluster
+        .trace()
+        .count(|e| matches!(&e.event, Event::MemberLeft { name } if name.as_str() == "node-3"));
+    assert_eq!(left, 0, "a crash must never read as a graceful leave");
+}

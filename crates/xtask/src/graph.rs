@@ -25,7 +25,7 @@
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
 use crate::lexer::Comment;
-use crate::parser::{FnDef, ParsedFile, SiteKind, StructDef, GROWABLE_TYPES};
+use crate::parser::{Call, FnDef, ParsedFile, SiteKind, StructDef, GROWABLE_TYPES};
 use crate::rules::{
     FileClass, Violation, Waiver, RULE_ALLOC_FREE, RULE_BOUNDED_GROWTH, RULE_LOCK_DISCIPLINE,
     RULE_PANIC, RULE_PANIC_PATH,
@@ -125,10 +125,7 @@ impl GraphConfig {
                 entry("FrameDecoder::decode", true),
                 entry("Snapshot::decode", true),
             ],
-            alloc_entries: vec![
-                "SwimNode::poll_output".into(),
-                "SwimNode::drain_split".into(),
-            ],
+            alloc_entries: vec!["SwimNode::poll_output".into()],
             long_lived_roots: vec![
                 "SwimNode".into(),
                 "Inner".into(),
@@ -519,22 +516,37 @@ fn alloc_freedom(g: &CallGraph<'_>, config: &GraphConfig, out: &mut GraphOutcome
     }
 }
 
-/// Rule `lock_discipline`: no call that reaches a polling-shim syscall
-/// wrapper while the net driver lock is lexically held.
+/// `std::net` / `std::io` socket methods that are one syscall each. The
+/// lock crates reach the kernel through these as well as through the
+/// polling shim (`UdpSocket::send_to` is the single-shot send path).
+const SOCKET_IO_METHODS: [&str; 7] = [
+    "accept",
+    "read",
+    "read_exact",
+    "recv_from",
+    "send_to",
+    "write",
+    "write_all",
+];
+
+/// Rule `lock_discipline`: no call that reaches a syscall — a
+/// polling-shim wrapper or a std socket method — while the net driver
+/// lock is lexically held.
 fn lock_discipline(g: &CallGraph<'_>, config: &GraphConfig, out: &mut GraphOutcome) {
-    // Seeds: shim functions that invoke a raw syscall symbol directly.
+    // Seeds: shim functions that invoke a raw syscall symbol directly,
+    // and lock-crate functions that call a std socket method.
     let mut seeds: HashSet<usize> = HashSet::new();
     for (i, d) in g.fns.iter().enumerate() {
-        if d.crate_name != config.syscall_crate {
-            continue;
-        }
-        for c in &d.calls {
-            if let Some(last) = c.path.last() {
-                if config.syscall_symbols.iter().any(|s| s == last) {
-                    seeds.insert(i);
-                    break;
-                }
-            }
+        let shim = d.crate_name == config.syscall_crate;
+        let locking = config.lock_crates.contains(&d.crate_name);
+        let is_syscall = |c: &Call| {
+            c.path.last().is_some_and(|last| {
+                (shim && config.syscall_symbols.iter().any(|s| s == last))
+                    || (locking && c.method && SOCKET_IO_METHODS.contains(&last.as_str()))
+            })
+        };
+        if d.calls.iter().any(is_syscall) {
+            seeds.insert(i);
         }
     }
     let reaches_syscall = g.reaching_set(&seeds);

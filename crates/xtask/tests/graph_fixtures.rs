@@ -242,6 +242,40 @@ impl Agent {
 }
 
 #[test]
+fn lock_discipline_counts_std_socket_methods_as_syscalls() {
+    let agent = r#"
+pub struct Agent;
+impl Agent {
+    pub fn drive(&self) {
+        {
+            let mut g = self.driver.lock();
+            g.step();
+            send_counted(&self.udp);
+        }
+        send_counted(&self.udp);
+    }
+}
+fn send_counted(udp: &UdpSocket) {
+    let _ = udp.send_to(b"x", "127.0.0.1:1");
+}
+"#;
+    let mut config = base_config();
+    config.lock_crates = vec!["net".into()];
+    let report = analyze_sources(&sources(&[("crates/net/src/agent.rs", agent)]), &config);
+    let active: Vec<_> = report.active(RULE_LOCK_DISCIPLINE).collect();
+    assert_eq!(active.len(), 1, "{active:?}");
+    assert_eq!(
+        active[0].line, 8,
+        "the send under the guard, not the one after it"
+    );
+    assert_eq!(
+        active[0].message,
+        "call under the driver lock reaches a syscall wrapper: \
+         send_counted (in `Agent::drive`)"
+    );
+}
+
+#[test]
 fn lock_discipline_region_ends_at_drop() {
     let shim = r#"
 pub fn send_now(fd: i32) -> i32 {

@@ -394,13 +394,15 @@ fn run_net_trace() -> (Vec<Observed>, Snapshot) {
 
     // Snapshot before the leave, matching the sim run's capture point.
     let snapshot = alpha.metrics();
+    // The leave is queued for the reactor thread; `shutdown` drives
+    // everything queued before it, and reads keep working afterwards.
     alpha.leave();
+    alpha.shutdown();
     let left = alpha
         .members()
         .iter()
         .any(|m| m.name.as_str() == "alpha" && m.state == MemberState::Left);
     assert!(left, "agent must record its own leave");
-    alpha.shutdown();
     (observed, snapshot)
 }
 
