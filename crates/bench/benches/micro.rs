@@ -12,14 +12,13 @@ use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criteri
 use std::hint::black_box;
 use std::time::Duration;
 
-use lifeguard_bench::naive::{NaiveBroadcastQueue, NaiveMembership, NaiveTimerHeap};
+use lifeguard_bench::naive::{NaiveBroadcastQueue, NaiveMembership};
 use lifeguard_core::broadcast::BroadcastQueue;
 use lifeguard_core::config::Config;
 use lifeguard_core::member::Member;
 use lifeguard_core::membership::{Membership, SamplePool};
 use lifeguard_core::suspicion::suspicion_timeout;
 use lifeguard_core::time::Time;
-use lifeguard_core::timer_wheel::TimerWheel;
 use lifeguard_proto::compound::{decode_packet, CompoundBuilder};
 use lifeguard_proto::{
     codec, Alive, Incarnation, MemberState, Message, NodeAddr, NodeName, Ping, SeqNo, Suspect,
@@ -554,189 +553,9 @@ fn bench_node_message_handling(c: &mut Criterion) {
     });
 }
 
-/// Wheel-vs-heap timer benches at 10k-node scale: the per-node timer mix
-/// is ~1 probe-round + probe deadlines + suspicion expiries, so a 10k
-/// cluster keeps ~10k timers armed. Deadlines mirror the protocol's:
-/// probe machinery inside one second, suspicions at 5–30 s.
-fn timer_population(i: u64) -> Time {
-    match i % 4 {
-        // Probe rounds / timeouts: spread over the next second.
-        0 | 1 => Time::from_micros(1 + (i * 997) % 1_000_000),
-        // Gossip-scale: spread over 200 ms.
-        2 => Time::from_micros(1 + (i * 131) % 200_000),
-        // Suspicion expiries: 5–30 s out.
-        _ => Time::from_micros(5_000_000 + (i * 7919) % 25_000_000),
-    }
-}
-
-fn bench_timers(c: &mut Criterion) {
-    let mut group = c.benchmark_group("timer");
-    const N: u64 = 10_000;
-
-    // Arm 10k timers from scratch.
-    group.bench_function(BenchmarkId::new("schedule", "10k_wheel"), |b| {
-        b.iter(|| {
-            let mut w = TimerWheel::new();
-            for i in 0..N {
-                w.schedule(timer_population(i), i);
-            }
-            w.len()
-        })
-    });
-    group.bench_function(BenchmarkId::new("schedule", "10k_heap"), |b| {
-        b.iter(|| {
-            let mut h = NaiveTimerHeap::new();
-            for i in 0..N {
-                h.schedule(timer_population(i), i);
-            }
-            h.len()
-        })
-    });
-
-    // True cancellation vs tombstoning: arm 10k, cancel half (every ack
-    // cancels a probe deadline; every refutation cancels a suspicion).
-    group.bench_function(BenchmarkId::new("cancel_half", "10k_wheel"), |b| {
-        b.iter_batched(
-            || {
-                let mut w = TimerWheel::new();
-                let keys: Vec<_> = (0..N).map(|i| w.schedule(timer_population(i), i)).collect();
-                (w, keys)
-            },
-            |(mut w, keys)| {
-                for k in keys.into_iter().step_by(2) {
-                    w.cancel(k);
-                }
-                w.len()
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    group.bench_function(BenchmarkId::new("cancel_half", "10k_heap"), |b| {
-        b.iter_batched(
-            || {
-                let mut h = NaiveTimerHeap::new();
-                let ids: Vec<_> = (0..N).map(|i| h.schedule(timer_population(i), i)).collect();
-                (h, ids)
-            },
-            |(mut h, ids)| {
-                for id in ids.into_iter().step_by(2) {
-                    h.cancel(id);
-                }
-                h.len()
-            },
-            BatchSize::SmallInput,
-        )
-    });
-
-    // Lifeguard's suspicion shrinking: every confirmation moves a
-    // deadline earlier. The wheel relinks in place; the heap leaves a
-    // tombstone per move and pays for them at pop time.
-    group.bench_function(BenchmarkId::new("reschedule_churn", "10k_wheel"), |b| {
-        b.iter_batched(
-            || {
-                let mut w = TimerWheel::new();
-                let keys: Vec<_> = (0..N).map(|i| w.schedule(timer_population(i), i)).collect();
-                (w, keys)
-            },
-            |(mut w, mut keys)| {
-                for round in 1..=3u64 {
-                    for (i, k) in keys.iter_mut().enumerate() {
-                        let at = Time::from_micros(1 + (i as u64 * 31 + round * 1000) % 5_000_000);
-                        *k = w.reschedule(*k, at).unwrap();
-                    }
-                }
-                let mut fired = 0u64;
-                while w.pop_due(Time::from_secs(40)).is_some() {
-                    fired += 1;
-                }
-                fired
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    group.bench_function(BenchmarkId::new("reschedule_churn", "10k_heap"), |b| {
-        b.iter_batched(
-            || {
-                let mut h = NaiveTimerHeap::new();
-                let ids: Vec<_> = (0..N).map(|i| h.schedule(timer_population(i), i)).collect();
-                (h, ids)
-            },
-            |(mut h, mut ids)| {
-                for round in 1..=3u64 {
-                    for (i, id) in ids.iter_mut().enumerate() {
-                        let at = Time::from_micros(1 + (i as u64 * 31 + round * 1000) % 5_000_000);
-                        *id = h.reschedule(*id, at).unwrap();
-                    }
-                }
-                let mut fired = 0u64;
-                while h.pop_due(Time::from_secs(40)).is_some() {
-                    fired += 1;
-                }
-                fired
-            },
-            BatchSize::SmallInput,
-        )
-    });
-
-    // Steady-state tick at 10k armed timers: advance in 1 ms slices,
-    // firing the ~10 due timers per slice and re-arming each one
-    // protocol-period later — the 10k-node cluster's per-tick cost.
-    group.bench_function(BenchmarkId::new("tick_steady_state", "10k_wheel"), |b| {
-        let mut w = TimerWheel::new();
-        for i in 0..N {
-            w.schedule(timer_population(i), i);
-        }
-        let mut now = Time::ZERO;
-        b.iter(|| {
-            now += Duration::from_millis(1);
-            let mut fired = 0u64;
-            while let Some((_, t)) = w.pop_due(now) {
-                w.schedule(now + Duration::from_secs(1), t);
-                fired += 1;
-            }
-            fired
-        })
-    });
-    group.bench_function(BenchmarkId::new("tick_steady_state", "10k_heap"), |b| {
-        let mut h = NaiveTimerHeap::new();
-        for i in 0..N {
-            h.schedule(timer_population(i), i);
-        }
-        let mut now = Time::ZERO;
-        b.iter(|| {
-            now += Duration::from_millis(1);
-            let mut fired = 0u64;
-            while let Some((_, t)) = h.pop_due(now) {
-                h.schedule(now + Duration::from_secs(1), t);
-                fired += 1;
-            }
-            fired
-        })
-    });
-
-    // Idle wake-up probing: `next_deadline` is read on every
-    // runtime loop iteration of every node.
-    group.bench_function(BenchmarkId::new("next_deadline", "10k_wheel"), |b| {
-        let mut w = TimerWheel::new();
-        for i in 0..N {
-            w.schedule(timer_population(i), i);
-        }
-        b.iter(|| black_box(&w).next_deadline())
-    });
-    group.bench_function(BenchmarkId::new("next_deadline", "10k_heap"), |b| {
-        let mut h = NaiveTimerHeap::new();
-        for i in 0..N {
-            h.schedule(timer_population(i), i);
-        }
-        b.iter(|| h.next_deadline())
-    });
-
-    group.finish();
-}
-
 /// One `SwimNode` carrying a 10k-member table: drive its real timer
 /// machinery (probe rounds, gossip ticks, reaping) through simulated
-/// time — the node-level cost the wheel migration targets.
+/// time.
 fn bench_node_tick_10k(c: &mut Criterion) {
     let mut group = c.benchmark_group("node_tick");
     group.sample_size(10);
@@ -786,7 +605,6 @@ criterion_group!(
     bench_broadcast_scaled,
     bench_suspicion_math,
     bench_membership,
-    bench_timers,
     bench_node_tick_10k,
     bench_sim_throughput,
     bench_cluster_throughput,

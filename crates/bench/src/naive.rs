@@ -194,100 +194,6 @@ impl NaiveBroadcastQueue {
     }
 }
 
-/// One entry in [`NaiveTimerHeap`].
-#[derive(Clone, Debug)]
-struct NaiveTimerEntry<T> {
-    at: Time,
-    timer: T,
-}
-
-/// The seed's `SwimNode` timer store: a `BinaryHeap` keyed `(at, id)`
-/// with *lazy staleness* — cancellation marks the id in a set and the
-/// dead entry stays in the heap, paying its O(log n) pop (plus a set
-/// probe) when it finally surfaces. Rescheduling is cancel + re-push, so
-/// a Lifeguard suspicion whose timeout shrinks on every confirmation
-/// leaves a trail of tombstones behind.
-#[derive(Clone, Debug)]
-pub struct NaiveTimerHeap<T> {
-    heap: std::collections::BinaryHeap<std::cmp::Reverse<(Time, u64)>>,
-    entries: std::collections::HashMap<u64, NaiveTimerEntry<T>>,
-    next_id: u64,
-}
-
-impl<T> Default for NaiveTimerHeap<T> {
-    fn default() -> Self {
-        NaiveTimerHeap {
-            heap: std::collections::BinaryHeap::new(),
-            entries: std::collections::HashMap::new(),
-            next_id: 0,
-        }
-    }
-}
-
-impl<T> NaiveTimerHeap<T> {
-    /// Creates an empty heap.
-    pub fn new() -> Self {
-        NaiveTimerHeap::default()
-    }
-
-    /// Number of live (uncancelled) timers.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether no live timers remain.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// O(log n) push.
-    pub fn schedule(&mut self, at: Time, timer: T) -> u64 {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.heap.push(std::cmp::Reverse((at, id)));
-        self.entries.insert(id, NaiveTimerEntry { at, timer });
-        id
-    }
-
-    /// Lazy cancellation: the heap entry stays behind as a tombstone.
-    pub fn cancel(&mut self, id: u64) -> Option<T> {
-        self.entries.remove(&id).map(|e| e.timer)
-    }
-
-    /// Cancel + re-push, as the seed's suspicion handling effectively
-    /// did by re-arming `SuspicionCheck` on every deadline change.
-    pub fn reschedule(&mut self, id: u64, at: Time) -> Option<u64> {
-        let timer = self.cancel(id)?;
-        Some(self.schedule(at, timer))
-    }
-
-    /// The earliest live deadline; pops tombstones as it walks.
-    pub fn next_deadline(&mut self) -> Option<Time> {
-        while let Some(std::cmp::Reverse((at, id))) = self.heap.peek().copied() {
-            if self.entries.contains_key(&id) {
-                return Some(at);
-            }
-            self.heap.pop();
-        }
-        None
-    }
-
-    /// Pops the earliest live timer due at or before `now`, filtering
-    /// tombstones at fire time (the seed's staleness-guard pattern).
-    pub fn pop_due(&mut self, now: Time) -> Option<(Time, T)> {
-        while let Some(std::cmp::Reverse((at, id))) = self.heap.peek().copied() {
-            if at > now {
-                return None;
-            }
-            self.heap.pop();
-            if let Some(e) = self.entries.remove(&id) {
-                return Some((e.at, e.timer));
-            }
-        }
-        None
-    }
-}
-
 // ---------------------------------------------------------------------
 // Seed output-collection baseline
 // ---------------------------------------------------------------------

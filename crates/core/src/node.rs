@@ -644,7 +644,7 @@ impl SwimNode {
     // Driving
     // ------------------------------------------------------------------
 
-    /// The timer wheel's exact next deadline: the earliest instant at
+    /// The timer queue's exact next deadline: the earliest instant at
     /// which the runtime must feed the next [`Input::Tick`]. A
     /// readiness-driven runtime sleeps in `poll` for precisely
     /// `next_deadline() - now` instead of ticking on a fixed interval.
@@ -963,7 +963,11 @@ impl SwimNode {
 
     fn handle_suspect(&mut self, s: Suspect, now: Time) {
         if s.node == self.name {
-            self.refute(s.incarnation, now);
+            // A node that has left stays gone: refuting would gossip an
+            // `Alive` that peers holding it as `Left` accept as a rejoin.
+            if !self.left {
+                self.refute(s.incarnation, now);
+            }
             return;
         }
         self.apply_suspect(s.incarnation, &s.node, &s.from, now);
@@ -2480,6 +2484,38 @@ mod tests {
             }
         }
         assert!(saw_leave, "leave must gossip a self-signed dead message");
+    }
+
+    /// Regression: peers were probing the node when it left and it still
+    /// acks pings, so a `Suspect` about itself is likely to arrive. It
+    /// must not refute — that resurrected it at every peer.
+    #[test]
+    fn left_node_does_not_refute_a_suspicion_about_itself() {
+        let mut n = node(Config::lan());
+        add_peer(&mut n, "p", 2, Time::from_secs(1));
+        n.handle_input(Input::Leave, Time::from_secs(2)).unwrap();
+        drain(&mut n);
+        let incarnation = n.incarnation();
+        let queued = n.queued_broadcast_for(&"local".into()).cloned();
+        let out = feed(
+            &mut n,
+            addr(2),
+            Message::Suspect(Suspect {
+                incarnation,
+                node: "local".into(),
+                from: "p".into(),
+            }),
+            Time::from_secs(3),
+        );
+        assert_eq!(n.member(&"local".into()).unwrap().state, MemberState::Left);
+        assert_eq!(n.incarnation(), incarnation);
+        assert!(!events(&out)
+            .iter()
+            .any(|e| matches!(e, Event::SelfRefuted { .. })));
+        // Nothing new is queued about ourselves — only the leave's own
+        // `Dead`, if it is still being gossiped.
+        assert!(!matches!(queued, Some(Message::Alive(_))));
+        assert_eq!(n.queued_broadcast_for(&"local".into()), queued.as_ref());
     }
 
     #[test]

@@ -1,10 +1,12 @@
-//! Model-agreement property tests for the hierarchical timer wheel: the
-//! wheel is driven against a naive sorted-Vec reference model through
-//! randomized schedule / cancel / reschedule / advance interleavings and
-//! must agree on every fired timer, every next-deadline report and every
-//! length — including same-instant ordering (insertion order), sub-tick
-//! deadlines, and deadlines that wrap past wheel level boundaries
-//! (level 0 spans ~65 ms, level 1 ~4.2 s, level 2 ~4.5 min).
+//! Model-agreement property tests for the timer queue: it is driven
+//! against a naive sorted-Vec reference model through randomized
+//! schedule / cancel / reschedule / advance interleavings and must agree
+//! on every fired timer, every next-deadline report and every length —
+//! including same-instant ordering (insertion order) and deadlines from
+//! sub-millisecond to a day apart — with its structural invariants
+//! checked after every operation.
+
+use std::collections::HashMap;
 
 use proptest::prelude::*;
 
@@ -69,17 +71,16 @@ impl NaiveTimers {
     }
 }
 
-/// Turns a raw delay seed into a span that exercises every wheel level:
-/// same-tick collisions, level-0 spans, level-1/2 cascades, and
-/// far-future parking.
+/// Turns a raw delay seed into a span over six orders of magnitude,
+/// from same-instant collisions to the far future.
 fn shaped_delay(kind: u8, raw: u64) -> u64 {
     match kind % 6 {
         0 => 0,                                  // same instant
-        1 => raw % 1_024,                        // inside one tick
-        2 => raw % 70_000,                       // around the level-0 span (~65 ms)
-        3 => raw % 5_000_000,                    // around the level-1 span (~4.2 s)
-        4 => raw % 300_000_000,                  // around the level-2 span (~4.5 min)
-        _ => raw % 100_000_000_000,              // far future (~28 h): upper levels
+        1 => raw % 1_024,                        // inside one millisecond
+        2 => raw % 70_000,                       // tens of milliseconds
+        3 => raw % 5_000_000,                    // seconds
+        4 => raw % 300_000_000,                  // minutes
+        _ => raw % 100_000_000_000,              // far future (~28 h)
     }
 }
 
@@ -172,6 +173,7 @@ proptest! {
                     }
                 }
             }
+            wheel.check_invariants();
             prop_assert_eq!(wheel.len(), model.len());
             prop_assert_eq!(
                 wheel.next_deadline().map(Time::as_micros),
@@ -183,10 +185,92 @@ proptest! {
         loop {
             let expected = model.pop_due(u64::MAX);
             let got = wheel.pop_earliest();
+            wheel.check_invariants();
             prop_assert_eq!(got.map(|(at, id)| (at.as_micros(), id)), expected);
             if expected.is_none() {
                 break;
             }
+        }
+        prop_assert!(wheel.is_empty());
+    }
+
+    /// The shape the program runs at: a node holds at most a few dozen
+    /// timers and mostly moves them. At most 64 live timers; most
+    /// operations reschedule one — picked by heap position, root and
+    /// last leaf included — to before the current minimum, past the
+    /// current maximum, or onto another timer's exact deadline.
+    #[test]
+    fn small_population_reschedule_heavy_matches_model(
+        ops in proptest::collection::vec((0u8..10, 0u8..4, any::<u64>(), 0u8..64), 1..400)
+    ) {
+        let mut wheel: TimerWheel<u32> = TimerWheel::new();
+        let mut model = NaiveTimers::default();
+        let mut keys: HashMap<u32, TimerKey> = HashMap::new();
+        let mut next_id: u32 = 0;
+        let mut now: u64 = 1_000_000;
+
+        for (op, dir, raw, pick) in ops {
+            // Live timers in firing order: index 0 is the heap's root,
+            // the last one is some leaf.
+            let mut order = model.entries.clone();
+            order.sort_by_key(|&(at, ord, _)| (at, ord));
+            match op {
+                0..=1 if keys.len() < 64 => {
+                    let at = now + raw % 10_000_000;
+                    let id = next_id;
+                    next_id += 1;
+                    keys.insert(id, wheel.schedule(Time::from_micros(at), id));
+                    model.schedule(at, id);
+                }
+                2 => {
+                    now += raw % 2_000_000;
+                    while let Some((at, id)) = model.pop_due(now) {
+                        let got = wheel.pop_due(Time::from_micros(now));
+                        prop_assert_eq!(got, Some((Time::from_micros(at), id)));
+                        keys.remove(&id);
+                    }
+                    prop_assert_eq!(wheel.pop_due(Time::from_micros(now)), None);
+                }
+                _ if !order.is_empty() => {
+                    let (first, last) = (order[0].0, order[order.len() - 1].0);
+                    let (_, _, id) = match pick % 4 {
+                        0 => order[0],
+                        1 => order[order.len() - 1],
+                        _ => order[pick as usize % order.len()],
+                    };
+                    let at = match dir {
+                        0 => first.saturating_sub(raw % 1_000),   // to (or before) the root
+                        1 => last + raw % 1_000,                  // to the last leaf
+                        2 => order[raw as usize % order.len()].0, // onto an exact tie
+                        _ => now + raw % 10_000_000,
+                    };
+                    let key = keys.remove(&id).expect("every model entry has a key");
+                    if op == 3 {
+                        prop_assert_eq!(wheel.cancel(key), Some(id));
+                        prop_assert!(model.cancel(id));
+                    } else {
+                        let new_key = wheel.reschedule(key, Time::from_micros(at));
+                        prop_assert!(new_key.is_some());
+                        prop_assert!(model.reschedule(id, at));
+                        prop_assert_eq!(wheel.reschedule(key, Time::ZERO), None);
+                        let new_key = new_key.unwrap();
+                        prop_assert_eq!(wheel.deadline_of(new_key), Some(Time::from_micros(at)));
+                        keys.insert(id, new_key);
+                    }
+                }
+                _ => {}
+            }
+            wheel.check_invariants();
+            prop_assert_eq!(wheel.len(), model.len());
+            prop_assert_eq!(
+                wheel.next_deadline().map(Time::as_micros),
+                model.next_deadline()
+            );
+        }
+
+        while let Some((at, id)) = model.pop_due(u64::MAX) {
+            prop_assert_eq!(wheel.pop_earliest(), Some((Time::from_micros(at), id)));
+            wheel.check_invariants();
         }
         prop_assert!(wheel.is_empty());
     }

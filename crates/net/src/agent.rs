@@ -7,7 +7,7 @@
 //! socket and one TCP listener on the same port and hands them to a
 //! single readiness-driven event-loop thread over the [`polling`]
 //! poller: nonblocking accept/read/write state machines for TCP,
-//! exact-deadline timer wakeups off the core's timer wheel, batched
+//! exact-deadline timer wakeups off the core's timer queue, batched
 //! datagram I/O, no fixed-interval sleeps anywhere
 //! (`crates/net/src/reactor.rs`).
 //!

@@ -1,12 +1,10 @@
 //! Deterministic discrete-event queue.
 //!
-//! A thin wrapper over the protocol core's hierarchical
-//! [`TimerWheel`], so the
-//! simulator and [`SwimNode`](lifeguard_core::node::SwimNode) share one
-//! firing-semantics implementation: exact microsecond deadlines, events
-//! at the same instant delivered in insertion order, and O(1) scheduling
-//! with empty stretches of simulated time skipped via the wheel's
-//! occupancy bitmaps instead of O(log n) heap churn. Whole-cluster
+//! A thin wrapper over the protocol core's timer queue
+//! ([`TimerWheel`], an indexed binary heap), so the simulator and
+//! [`SwimNode`](lifeguard_core::node::SwimNode) share one
+//! firing-semantics implementation: exact microsecond deadlines and
+//! events at the same instant delivered in insertion order. Whole-cluster
 //! simulations remain bit-for-bit reproducible for a given seed.
 
 use lifeguard_core::timer_wheel::TimerWheel;
@@ -113,8 +111,8 @@ mod tests {
 
     #[test]
     fn interleaved_push_pop_stays_ordered() {
-        // The wheel's cursor advances as events pop; later pushes at
-        // later times must still come out in global time order.
+        // Pushes interleaved with pops, some earlier than what is
+        // already queued, must still come out in global time order.
         let mut q = EventQueue::new();
         q.push(SimTime::from_millis(10), "a");
         q.push(SimTime::from_secs(5), "d");

@@ -36,9 +36,7 @@
 //! Any rule finding can be waived inline with
 //! `// lint: allow(<rule>) — <reason>`; the reason is mandatory and
 //! stale waivers are reported. Results are printed as a table and
-//! written to `target/ANALYSIS.json` (schema 2) and
-//! `target/ANALYSIS.sarif` (SARIF 2.1.0) for trend tooling and
-//! code-scanning UIs.
+//! written to `target/ANALYSIS.json` (schema 2) for trend tooling.
 
 pub mod baseline;
 pub mod graph;
@@ -46,7 +44,6 @@ pub mod lexer;
 pub mod parser;
 pub mod report;
 pub mod rules;
-pub mod sarif;
 
 use std::path::{Path, PathBuf};
 
@@ -170,12 +167,10 @@ pub struct LintOutcome {
     pub failures: Vec<String>,
     /// The JSON document that was (or would be) written.
     pub json: String,
-    /// The SARIF 2.1.0 document that was (or would be) written.
-    pub sarif: String,
 }
 
 /// Runs the full lint over `root`: analyze, apply the panic and waiver
-/// ratchets, and render the JSON/SARIF reports. With `update_baseline`, a
+/// ratchets, and render the JSON report. With `update_baseline`, a
 /// shrunken count rewrites `analysis/baseline.toml` instead of
 /// failing.
 ///
@@ -342,11 +337,9 @@ pub fn run_lint(root: &Path, update_baseline: bool) -> std::io::Result<LintOutco
     }
 
     let json = report.render_json(&baseline, failures.is_empty());
-    let sarif = sarif::render_sarif(&report);
     Ok(LintOutcome {
         report,
         failures,
         json,
-        sarif,
     })
 }

@@ -1,21 +1,20 @@
 //! CLI for the workspace's static-analysis pass.
 //!
 //! ```text
-//! cargo run -p xtask -- lint [--update-baseline] [--root DIR] [--json PATH] [--sarif PATH]
+//! cargo run -p xtask -- lint [--update-baseline] [--root DIR] [--json PATH]
 //! ```
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 const USAGE: &str =
-    "usage: cargo run -p xtask -- lint [--update-baseline] [--root DIR] [--json PATH] [--sarif PATH]";
+    "usage: cargo run -p xtask -- lint [--update-baseline] [--root DIR] [--json PATH]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut cmd = None;
     let mut root = None;
     let mut json_path = None;
-    let mut sarif_path = None;
     let mut update_baseline = false;
     let mut i = 0;
     while i < args.len() {
@@ -28,10 +27,6 @@ fn main() -> ExitCode {
             }
             "--json" if i + 1 < args.len() => {
                 json_path = Some(PathBuf::from(&args[i + 1]));
-                i += 1;
-            }
-            "--sarif" if i + 1 < args.len() => {
-                sarif_path = Some(PathBuf::from(&args[i + 1]));
                 i += 1;
             }
             other => {
@@ -68,17 +63,14 @@ fn main() -> ExitCode {
     print!("{}", outcome.report.render_table());
 
     let json_path = json_path.unwrap_or_else(|| root.join("target/ANALYSIS.json"));
-    let sarif_path = sarif_path.unwrap_or_else(|| root.join("target/ANALYSIS.sarif"));
-    for (path, body) in [(&json_path, &outcome.json), (&sarif_path, &outcome.sarif)] {
-        if let Some(dir) = path.parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        match std::fs::write(path, body) {
-            Ok(()) => println!("wrote {}", path.display()),
-            Err(e) => {
-                eprintln!("swim-lint: failed to write {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
+    if let Some(dir) = json_path.parent() {
+        let _ = std::fs::create_dir_all(dir);
+    }
+    match std::fs::write(&json_path, &outcome.json) {
+        Ok(()) => println!("wrote {}", json_path.display()),
+        Err(e) => {
+            eprintln!("swim-lint: failed to write {}: {e}", json_path.display());
+            return ExitCode::FAILURE;
         }
     }
 

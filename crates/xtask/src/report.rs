@@ -182,7 +182,7 @@ impl Report {
 }
 
 /// Escapes a string for embedding in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
+fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
