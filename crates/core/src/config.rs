@@ -65,6 +65,11 @@ pub enum ConfigError {
     /// pairing could ever stay warm, so anti-entropy would degenerate
     /// to cold full-size exchanges.
     ZeroDeltaSyncPartners,
+    /// The local node's name is longer than `u16::MAX` bytes, more than
+    /// the wire format's name length word can carry. Not a [`Config`]
+    /// field: [`SwimNode::try_new`](crate::node::SwimNode::try_new)
+    /// checks it next to the configuration.
+    NodeNameTooLong,
 }
 
 impl std::fmt::Display for ConfigError {
@@ -97,6 +102,7 @@ impl std::fmt::Display for ConfigError {
             ConfigError::ZeroDeltaSyncPartners => {
                 "delta_sync_partners must be at least 1 when delta_sync is enabled"
             }
+            ConfigError::NodeNameTooLong => "node name must be at most 65535 bytes",
         };
         f.write_str(msg)
     }

@@ -1172,7 +1172,7 @@ mod tests {
     }
 
     /// A layout regression costs n² bytes in the simulator (every node
-    /// holds the full roster), so it fails here rather than in a bench.
+    /// holds the full roster), so it fails here first.
     #[test]
     fn record_layout_is_pinned() {
         assert_eq!(std::mem::size_of::<Member>(), 104);

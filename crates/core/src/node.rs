@@ -29,11 +29,11 @@ use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
 
 use bytes::Bytes;
-use lifeguard_metrics::{CoreSnapshot, Histogram};
+use lifeguard_metrics::CoreSnapshot;
 use lifeguard_proto::compound::CompoundBuilder;
 use lifeguard_proto::{
     compound, Ack, Alive, Dead, DecodeError, IndirectPing, Incarnation, MemberState, Message,
-    Nack, NodeAddr, NodeName, Ping, PushPull, PushPullDelta, SeqNo, Suspect,
+    Nack, NodeAddr, NodeName, Ping, PushPull, PushPullDelta, SeqNo, Suspect, MAX_META_LEN,
 };
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -99,7 +99,9 @@ pub enum Input {
         blocked: bool,
     },
     /// Replace the local node's application metadata and gossip the
-    /// change (memberlist's `UpdateNode`).
+    /// change (memberlist's `UpdateNode`). A blob longer than
+    /// [`MAX_META_LEN`] is refused: the
+    /// node's state, incarnation and broadcast queue stay as they were.
     UpdateMeta {
         /// The new metadata blob.
         meta: Bytes,
@@ -185,46 +187,6 @@ struct ProbeState {
     timeout_timer: TimerKey,
     /// Handle of the armed `ProbeRoundEnd`; cancelled on a timely ack.
     round_end_timer: TimerKey,
-}
-
-/// Observability state of one node: protocol activity counters,
-/// latency/lifetime histograms, flap and anti-entropy volume counters,
-/// and peaks of the health/queue gauges. All fixed-size — recording is
-/// allocation-free, preserving the zero-alloc poll guarantee — and fed
-/// only from `handle_input`, so the whole plane is deterministic under
-/// the sim clock. Exported through [`SwimNode::metrics`].
-#[derive(Clone, Debug, Default)]
-struct CoreMetrics {
-    /// Direct probes initiated.
-    probes_sent: u64,
-    /// Probe rounds that ended without an ack.
-    probes_failed: u64,
-    /// `ping-req` messages sent to intermediaries.
-    indirect_probes_sent: u64,
-    /// Suspicions this node started from its own failed probes or
-    /// adopted from gossip.
-    suspicions_raised: u64,
-    /// Times this node refuted a suspicion/death claim about itself.
-    refutations: u64,
-    /// Failures this node declared from its own suspicion timeouts.
-    failures_declared: u64,
-    /// Probe round-trip times (timely acks only), microseconds.
-    probe_rtt: Histogram,
-    /// Suspicion raise→resolution lifetimes, microseconds.
-    suspicion_lifetime: Histogram,
-    /// Peers seen Suspect/Dead and then Alive again.
-    flaps: u64,
-    /// Highest LHM score ever reached.
-    lhm_peak: u64,
-    /// Highest broadcast-queue depth seen at a gossip tick.
-    broadcast_queue_peak: u64,
-    /// Incremental push-pull messages sent (requests + replies).
-    delta_syncs: u64,
-    /// Encoded bytes of those incremental push-pull messages.
-    delta_sync_bytes: u64,
-    /// Full-state push-pull exchanges queued (fallbacks, horizon
-    /// resyncs, reconnects, joins).
-    full_syncs: u64,
 }
 
 /// State kept while relaying an indirect probe for another node.
@@ -330,7 +292,15 @@ pub struct SwimNode {
     /// in original due order.
     // bounded: ≤ the live timer count — each deferred entry consumed a scheduled timer, and loop timers defer at most once (stuck_* flags)
     deferred_timers: Vec<DeferredTimer>,
-    metrics: CoreMetrics,
+    /// Observability state: protocol activity counters, latency and
+    /// lifetime histograms, flap and anti-entropy volume counters, and
+    /// peaks of the health/queue gauges, recorded straight into the
+    /// export shape. All fixed-size — recording is allocation-free,
+    /// preserving the zero-alloc poll guarantee — and fed only from
+    /// `handle_input`, so the whole plane is deterministic under the sim
+    /// clock. The live gauges (`lhm`, `lhm_max`, `broadcast_queue_depth`)
+    /// are filled in by [`SwimNode::metrics`].
+    metrics: CoreSnapshot,
     /// Effects awaiting [`SwimNode::poll_output`].
     // bounded: the driver drains it fully after every input, so it holds at most one input's effects
     pending: VecDeque<Queued>,
@@ -369,7 +339,9 @@ impl SwimNode {
     ///
     /// # Errors
     ///
-    /// Returns the first [`Config::validate`] violation.
+    /// Returns the first [`Config::validate`] violation, or
+    /// [`ConfigError::NodeNameTooLong`](crate::config::ConfigError::NodeNameTooLong)
+    /// for a `name` the wire format cannot carry.
     pub fn try_new(
         name: NodeName,
         addr: NodeAddr,
@@ -377,6 +349,9 @@ impl SwimNode {
         seed: u64,
     ) -> Result<Self, crate::config::ConfigError> {
         config.validate()?;
+        if name.len() > usize::from(u16::MAX) {
+            return Err(crate::config::ConfigError::NodeNameTooLong);
+        }
         let awareness = Awareness::new(config.effective_awareness_max());
         let packet_budget = config.packet_budget;
         // Instance id for delta-sync watermarks: seed-derived (so runs
@@ -414,7 +389,7 @@ impl SwimNode {
             stuck_push_pull: false,
             stuck_reconnect: false,
             deferred_timers: Vec::new(),
-            metrics: CoreMetrics::default(),
+            metrics: CoreSnapshot::default(),
             pending: VecDeque::new(),
             scratch: Vec::new(),
             builder: CompoundBuilder::new(packet_budget),
@@ -488,25 +463,15 @@ impl SwimNode {
     /// recorded on the deterministic `handle_input` path, so for the
     /// same input trace every runtime reports the same snapshot.
     pub fn metrics(&self) -> CoreSnapshot {
+        let lhm = u64::from(self.awareness.score());
         let depth = self.broadcasts.len() as u64;
         CoreSnapshot {
-            lhm: u64::from(self.awareness.score()),
-            lhm_peak: self.metrics.lhm_peak.max(u64::from(self.awareness.score())),
+            lhm,
+            lhm_peak: self.metrics.lhm_peak.max(lhm),
             lhm_max: u64::from(self.awareness.max()),
-            probes_sent: self.metrics.probes_sent,
-            probes_failed: self.metrics.probes_failed,
-            indirect_probes_sent: self.metrics.indirect_probes_sent,
-            suspicions_raised: self.metrics.suspicions_raised,
-            refutations: self.metrics.refutations,
-            failures_declared: self.metrics.failures_declared,
-            flaps: self.metrics.flaps,
             broadcast_queue_depth: depth,
             broadcast_queue_peak: self.metrics.broadcast_queue_peak.max(depth),
-            delta_syncs: self.metrics.delta_syncs,
-            delta_sync_bytes: self.metrics.delta_sync_bytes,
-            full_sync_fallbacks: self.metrics.full_syncs,
-            probe_rtt: self.metrics.probe_rtt.clone(),
-            suspicion_lifetime: self.metrics.suspicion_lifetime.clone(),
+            ..self.metrics.clone()
         }
     }
 
@@ -526,8 +491,13 @@ impl SwimNode {
     }
 
     /// [`Input::UpdateMeta`]: the incarnation is bumped so the new
-    /// `alive` message supersedes older state.
+    /// `alive` message supersedes older state. An oversized blob is
+    /// refused here, where it enters, so nothing this node encodes about
+    /// itself can overflow the codec's 16-bit blob length.
     fn update_meta(&mut self, meta: Bytes, now: Time) {
+        if meta.len() > MAX_META_LEN {
+            return;
+        }
         self.meta = meta.clone();
         self.incarnation = self.incarnation.next();
         let incarnation = self.incarnation;
@@ -1805,7 +1775,7 @@ impl SwimNode {
     /// Queues a full-state push-pull request to `to` — the join path,
     /// the reconnect path, and every delta-sync fallback.
     fn emit_full_push_pull(&mut self, to: NodeAddr) {
-        self.metrics.full_syncs += 1;
+        self.metrics.full_sync_fallbacks += 1;
         let states = self.membership.iter().map(Member::to_push_state).collect();
         self.emit_stream(
             to,
@@ -2680,6 +2650,17 @@ mod tests {
         assert_eq!(
             SwimNode::try_new("x".into(), addr(1), cfg, 1).err(),
             Some(crate::config::ConfigError::EmptyGossipFanout)
+        );
+    }
+
+    #[test]
+    fn name_the_wire_format_cannot_carry_is_rejected_at_construction() {
+        let longest = "n".repeat(usize::from(u16::MAX));
+        assert!(SwimNode::try_new(longest.as_str().into(), addr(1), Config::lan(), 1).is_ok());
+        let too_long = longest + "n";
+        assert_eq!(
+            SwimNode::try_new(too_long.as_str().into(), addr(1), Config::lan(), 1).err(),
+            Some(crate::config::ConfigError::NodeNameTooLong)
         );
     }
 

@@ -4,7 +4,7 @@ use bytes::Bytes;
 use lifeguard_core::config::{AwarenessDeltas, Config};
 use lifeguard_core::node::{Input, SwimNode};
 use lifeguard_core::time::Time;
-use lifeguard_proto::{codec, Alive, Incarnation, Message, NodeAddr, Suspect};
+use lifeguard_proto::{codec, Alive, Incarnation, Message, NodeAddr, Suspect, MAX_META_LEN};
 
 fn addr(i: u8) -> NodeAddr {
     NodeAddr::new([10, 0, 0, i], 7946)
@@ -134,6 +134,34 @@ fn update_meta_bumps_incarnation_and_gossips() {
     }
     let me = n.member(&"local".into()).unwrap();
     assert_eq!(me.meta.as_ref(), b"v2");
+}
+
+/// A blob longer than `MAX_META_LEN` would wrap the codec's 16-bit
+/// length word: peers would reject the node's gossip about itself and
+/// every push-pull frame carrying its record.
+#[test]
+fn oversized_update_meta_is_refused_and_self_gossip_still_decodes() {
+    let mut n = new_node(Config::lan());
+    add_peer(&mut n, "p", 2, Time::from_secs(1));
+    let update = |n: &mut SwimNode, meta: Vec<u8>, at: u64| {
+        n.handle_input(Input::UpdateMeta { meta: meta.into() }, Time::from_secs(at))
+            .unwrap();
+        drain(n);
+    };
+    update(&mut n, vec![7; MAX_META_LEN], 2);
+    let inc = n.incarnation();
+    update(&mut n, vec![9; MAX_META_LEN + 1], 3);
+    update(&mut n, vec![9; 70_000], 4);
+
+    assert_eq!(n.incarnation(), inc);
+    assert_eq!(n.member(&"local".into()).unwrap().meta.as_ref(), [7; MAX_META_LEN]);
+    let queued = n
+        .queued_broadcast_for(&"local".into())
+        .expect("alive about self still queued");
+    assert_eq!(
+        codec::decode_message(&codec::encode_message(queued)).as_ref(),
+        Ok(queued)
+    );
 }
 
 #[test]

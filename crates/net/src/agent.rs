@@ -40,7 +40,7 @@ use lifeguard_core::event::Event;
 use lifeguard_core::member::Member;
 use lifeguard_core::node::{Input, SwimNode};
 use lifeguard_core::time::Time;
-use lifeguard_proto::{NodeAddr, NodeName};
+use lifeguard_proto::{NodeAddr, NodeName, MAX_META_LEN};
 use parking_lot::Mutex;
 use polling::Poller;
 
@@ -243,7 +243,8 @@ impl Agent {
     ///
     /// # Errors
     ///
-    /// Fails if the protocol configuration is invalid
+    /// Fails if the protocol configuration is invalid or the node name
+    /// is longer than the wire format carries
     /// ([`io::ErrorKind::InvalidInput`]), the UDP socket and TCP
     /// listener cannot be bound to the same address, or the poller
     /// cannot be created.
@@ -288,12 +289,13 @@ impl Agent {
         };
         let (events_tx, events_rx) = unbounded();
         let (input_tx, input_rx) = unbounded();
-        let node = SwimNode::new(
+        let node = SwimNode::try_new(
             NodeName::from(config.name),
             advertised,
             config.protocol,
             seed,
-        );
+        )
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
         // Boot the core before it goes behind the lock; what that
         // stages is the reactor's first flush.
         let mut driver = Driver::new(node);
@@ -352,8 +354,20 @@ impl Agent {
 
     /// Replaces the local node's application metadata and gossips the
     /// change.
-    pub fn update_meta(&self, meta: Bytes) {
+    ///
+    /// # Errors
+    ///
+    /// Refuses a blob longer than [`MAX_META_LEN`] with
+    /// [`io::ErrorKind::InvalidInput`]; nothing is queued.
+    pub fn update_meta(&self, meta: Bytes) -> io::Result<()> {
+        if meta.len() > MAX_META_LEN {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("metadata is {} bytes, limit {MAX_META_LEN}", meta.len()),
+            ));
+        }
         self.inner.submit(Input::UpdateMeta { meta });
+        Ok(())
     }
 
     /// Snapshot of the membership table.
@@ -524,6 +538,19 @@ mod tests {
         bad.gossip_nodes = 0;
         let err = Agent::start(AgentConfig::local("x").protocol(bad)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+    }
+
+    #[test]
+    fn over_long_name_and_oversized_meta_are_refused() {
+        let name = "n".repeat(usize::from(u16::MAX) + 1);
+        let err = Agent::start(AgentConfig::local(&name).protocol(fast())).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+
+        let a = Agent::start(AgentConfig::local("a").protocol(fast()).seed(12)).unwrap();
+        assert!(a.update_meta(Bytes::from(vec![1; MAX_META_LEN])).is_ok());
+        let err = a.update_meta(Bytes::from(vec![1; MAX_META_LEN + 1])).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        a.shutdown();
     }
 
     /// Inputs queued before `shutdown()` are driven and their datagrams

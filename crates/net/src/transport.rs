@@ -12,7 +12,7 @@
 //! feed bytes, poll for a frame) with **no I/O inside** — the
 //! readiness-driven reactor feeds it whatever a nonblocking read
 //! returned, while the blocking [`read_frame`] (scripted peers in tests
-//! and benches) wraps the same decoder around a blocking `Read`. The
+//! and the benchmark) wraps the same decoder around a blocking `Read`. The
 //! length prefix is validated against a configurable
 //! maximum *before* any body buffer is grown, so an attacker-controlled
 //! length can never drive an allocation.

@@ -1,5 +1,5 @@
-//! `reactor/*`: loopback probe round-trip latency of the agent's
-//! reactor, poll-syscalls per probe cycle, send batching at a
+//! Gates on the agent's reactor over real loopback sockets: probe
+//! round-trip latency, poll syscalls per probe, send batching at a
 //! 1000-member fan-out and the idle wakeup rate.
 //!
 //! The workload is the failure detector's hottest wire interaction: a
@@ -7,24 +7,14 @@
 //! waits for the `Ack`; the single event loop is woken by poll
 //! readiness and must not quantise the round trip.
 //!
-//! Hard asserts ride every run (including CI's `--test` smoke mode):
-//!
-//! * the median RTT is far below 1 ms, proving no fixed sleep sits on
-//!   the probe path;
-//! * the loop polls fewer than 16 times per probe (no busy loop);
-//! * at a 1000-member loopback fan-out the `sendmmsg` datapath engages
-//!   and carries at least **4 datagrams per send syscall**;
-//! * an idle reactor wakes fewer than 200 times per second.
-//!
-//! Every run writes the machine-readable summary to
-//! `target/BENCH_reactor.json` (CI's regression gate reads it).
+//! The `polling::stats` counters are process-global, so this file holds
+//! exactly one `#[test]`: a second one would run beside it and be
+//! counted too.
 
 use std::net::UdpSocket;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use criterion::{criterion_group, criterion_main, Criterion};
-
 use lifeguard_core::config::Config;
 use lifeguard_net::agent::{Agent, AgentConfig};
 use lifeguard_net::transport;
@@ -35,7 +25,7 @@ use lifeguard_proto::{
 /// Probe timing fast enough that the agent's own timers stay busy
 /// during the measurement (the realistic case: RTTs are measured on a
 /// node that is concurrently probing and gossiping).
-fn bench_config() -> Config {
+fn probe_config() -> Config {
     let mut cfg = Config::lan()
         .lifeguard()
         .with_probe_timing(Duration::from_millis(200), Duration::from_millis(100));
@@ -43,6 +33,7 @@ fn bench_config() -> Config {
     cfg
 }
 
+/// A running agent plus the scripted peer that pings it.
 struct ProbeHarness {
     agent: Agent,
     peer: UdpSocket,
@@ -53,13 +44,8 @@ struct ProbeHarness {
 
 impl ProbeHarness {
     fn start() -> ProbeHarness {
-        let agent = Agent::start(AgentConfig::local("target").protocol(bench_config()).seed(1))
+        let agent = Agent::start(AgentConfig::local("target").protocol(probe_config()).seed(1))
             .expect("start agent");
-        ProbeHarness::attach(agent)
-    }
-
-    /// Wraps an already-running agent in the ping/ack measurement rig.
-    fn attach(agent: Agent) -> ProbeHarness {
         let peer = UdpSocket::bind("127.0.0.1:0").expect("bind peer");
         peer.set_read_timeout(Some(Duration::from_secs(2)))
             .expect("timeout");
@@ -80,7 +66,7 @@ impl ProbeHarness {
         let ping = Message::Ping(Ping {
             seq: SeqNo(self.seq),
             target: self.agent.name(),
-            source: "bench-peer".into(),
+            source: "gate-peer".into(),
             source_addr: self.peer_addr,
         });
         let encoded = codec::encode_message(&ping);
@@ -110,20 +96,15 @@ const FANOUT_MEMBERS: usize = 1000;
 /// Loopback sockets the fake members' addresses map onto (real bound
 /// destinations, so sends exercise the full kernel path).
 const FANOUT_SINKS: usize = 8;
-/// Counter-sampling window for the syscalls-per-probe-round rate.
+/// Counter-sampling window for the datagrams-per-syscall rate.
 const FANOUT_WINDOW: Duration = Duration::from_secs(2);
-/// Probe interval of [`fanout_config`], for the per-round conversion.
-const FANOUT_PROBE_INTERVAL: Duration = Duration::from_millis(200);
 
 /// The fan-out workload config: a wide gossip fan-out (32 targets per
 /// 50 ms gossip tick) over fast probe rounds, with the stream paths
 /// (push-pull, reconnect, TCP fallback probe) disabled so every wire
 /// interaction is a UDP datagram.
 fn fanout_config() -> Config {
-    let mut cfg = Config::lan()
-        .lifeguard()
-        .with_probe_timing(FANOUT_PROBE_INTERVAL, Duration::from_millis(100));
-    cfg.gossip_interval = Duration::from_millis(50);
+    let mut cfg = probe_config();
     cfg.gossip_nodes = 32;
     cfg.push_pull_interval = None;
     cfg.reconnect_interval = None;
@@ -131,19 +112,15 @@ fn fanout_config() -> Config {
     cfg
 }
 
-/// One fan-out run's measured rates.
+/// One fan-out run's measured send batching.
 struct FanoutMeasure {
-    send_syscalls_per_round: f64,
-    packets_per_sec: f64,
     datagrams_per_send_syscall: f64,
     sendmmsg_batches: u64,
-    rtt_median: Duration,
 }
 
-/// Starts a hub agent, injects [`FANOUT_MEMBERS`] members (addresses spread over real loopback
-/// sink sockets) through one push-pull reply, then samples the
-/// per-agent I/O counters over [`FANOUT_WINDOW`] and measures the
-/// probe RTT median under the same load.
+/// Starts a hub agent, injects [`FANOUT_MEMBERS`] members (addresses
+/// spread over real loopback sink sockets) through one push-pull reply,
+/// then samples the per-agent I/O counters over [`FANOUT_WINDOW`].
 fn measure_fanout(sinks: &[UdpSocket]) -> FanoutMeasure {
     let agent = Agent::start(AgentConfig::local("hub").protocol(fanout_config()).seed(99))
         .expect("start hub agent");
@@ -183,41 +160,24 @@ fn measure_fanout(sinks: &[UdpSocket]) -> FanoutMeasure {
     // Let the probe/gossip cadence reach steady state, then sample.
     std::thread::sleep(Duration::from_millis(500));
     let before = agent.metrics().io;
-    let window_start = Instant::now();
     std::thread::sleep(FANOUT_WINDOW);
     let after = agent.metrics().io;
-    let elapsed = window_start.elapsed();
+    agent.shutdown();
 
     let send_syscalls = after.send_syscalls - before.send_syscalls;
     let datagrams = after.datagrams_sent - before.datagrams_sent;
-    let rounds = elapsed.as_secs_f64() / FANOUT_PROBE_INTERVAL.as_secs_f64();
-
-    // Probe RTT under the same fan-out load.
-    let mut harness = ProbeHarness::attach(agent);
-    for _ in 0..10 {
-        harness.round_trip();
-    }
-    let mut rtt: Vec<Duration> = (0..100).map(|_| harness.round_trip()).collect();
-    let rtt_median = median(&mut rtt);
-    harness.agent.shutdown();
-
     FanoutMeasure {
-        send_syscalls_per_round: send_syscalls as f64 / rounds,
-        packets_per_sec: datagrams as f64 / elapsed.as_secs_f64(),
         datagrams_per_send_syscall: if send_syscalls == 0 {
             0.0
         } else {
             datagrams as f64 / send_syscalls as f64
         },
         sendmmsg_batches: after.sendmmsg_batches - before.sendmmsg_batches,
-        rtt_median,
     }
 }
 
-fn reactor_group(c: &mut Criterion) {
-    // Explicit pre-measurement for the asserts and the syscall count:
-    // criterion's own timing loops run afterwards for the reported
-    // numbers.
+#[test]
+fn reactor_holds_its_latency_wakeup_and_batching_gates() {
     const WARMUP: usize = 20;
     const SAMPLES: usize = 200;
 
@@ -226,29 +186,22 @@ fn reactor_group(c: &mut Criterion) {
         reactor.round_trip();
     }
     let polls_before = polling::stats::polls();
-    let syscalls_before = polling::stats::syscalls();
-    let mut reactor_samples: Vec<Duration> = (0..SAMPLES).map(|_| reactor.round_trip()).collect();
+    let mut samples: Vec<Duration> = (0..SAMPLES).map(|_| reactor.round_trip()).collect();
     let polls = polling::stats::polls() - polls_before;
-    let syscalls = polling::stats::syscalls() - syscalls_before;
-    let reactor_median = median(&mut reactor_samples);
-
-    eprintln!(
-        "reactor/rtt: median {reactor_median:?}, poll syscalls/probe {:.2} \
-         (total shim syscalls/probe {:.2})",
-        polls as f64 / SAMPLES as f64,
-        syscalls as f64 / SAMPLES as f64,
-    );
+    let rtt_median = median(&mut samples);
+    let polls_per_probe = polls as f64 / SAMPLES as f64;
+    eprintln!("reactor/rtt: median {rtt_median:?}, {polls_per_probe:.2} polls/probe");
 
     // Nothing on the probe path may sleep-quantise: a readiness wakeup
     // is orders of magnitude below any fixed-interval backoff.
     assert!(
-        reactor_median < Duration::from_millis(1),
-        "reactor probe RTT {reactor_median:?} suggests a fixed-interval sleep on the wire path"
+        rtt_median < Duration::from_millis(1),
+        "reactor probe RTT {rtt_median:?} suggests a fixed-interval sleep on the wire path"
     );
     // The loop must wake a bounded number of times per probe (readiness
     // + its own timers), not busy-poll.
     assert!(
-        (polls as f64 / SAMPLES as f64) < 16.0,
+        polls_per_probe < 16.0,
         "reactor issued {polls} polls over {SAMPLES} probes — busy loop?"
     );
 
@@ -259,12 +212,8 @@ fn reactor_group(c: &mut Criterion) {
         .collect();
     let fanout = measure_fanout(&sinks);
     eprintln!(
-        "reactor/fanout ({FANOUT_MEMBERS} members): {:.1} send syscalls/round ({:.0} pkts/s, \
-         {:.1} datagrams/syscall), RTT median {:?}",
-        fanout.send_syscalls_per_round,
-        fanout.packets_per_sec,
-        fanout.datagrams_per_send_syscall,
-        fanout.rtt_median,
+        "reactor/fanout ({FANOUT_MEMBERS} members): {:.1} datagrams/send syscall, {} sendmmsg batches",
+        fanout.datagrams_per_send_syscall, fanout.sendmmsg_batches,
     );
     assert!(
         fanout.sendmmsg_batches > 0,
@@ -276,13 +225,9 @@ fn reactor_group(c: &mut Criterion) {
         fanout.datagrams_per_send_syscall,
     );
 
-    let mut group = c.benchmark_group("reactor");
-    group.measurement_time(Duration::from_secs(2));
-    group.bench_function("probe_rtt_reactor", |b| b.iter(|| reactor.round_trip()));
-    group.finish();
-
-    // Idle wakeups: the only poller in the process is this reactor's,
-    // and its wakeup rate must be the protocol timer rate.
+    // Idle wakeups: the hub is shut down, so the only poller left in
+    // the process is the first reactor's, and its wakeup rate must be
+    // the protocol timer rate.
     let idle_window = Duration::from_millis(500);
     let polls_before = polling::stats::polls();
     std::thread::sleep(idle_window);
@@ -295,33 +240,4 @@ fn reactor_group(c: &mut Criterion) {
     );
 
     reactor.agent.shutdown();
-
-    // Machine-readable summary for CI's regression gate. Written into
-    // the workspace `target/` dir regardless of the bench binary's
-    // working directory.
-    let json = format!(
-        "{{\n  \"bench\": \"reactor\",\n  \"fanout_members\": {FANOUT_MEMBERS},\n  \
-         \"probe_interval_ms\": {},\n  \"window_secs\": {},\n  \"batched\": {{\n    \
-         \"send_syscalls_per_probe_round\": {:.2},\n    \
-         \"packets_per_sec\": {:.0},\n    \"datagrams_per_send_syscall\": {:.2},\n    \
-         \"sendmmsg_batches\": {},\n    \"rtt_median_us\": {:.1}\n  }},\n  \
-         \"rtt_reactor_us\": {:.1},\n  \"polls_per_probe\": {:.2},\n  \
-         \"idle_wakeups_per_sec\": {:.0}\n}}\n",
-        FANOUT_PROBE_INTERVAL.as_millis(),
-        FANOUT_WINDOW.as_secs(),
-        fanout.send_syscalls_per_round,
-        fanout.packets_per_sec,
-        fanout.datagrams_per_send_syscall,
-        fanout.sendmmsg_batches,
-        fanout.rtt_median.as_secs_f64() * 1e6,
-        reactor_median.as_secs_f64() * 1e6,
-        polls as f64 / SAMPLES as f64,
-        idle_rate,
-    );
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/BENCH_reactor.json");
-    std::fs::write(out, json).expect("write BENCH_reactor.json");
-    eprintln!("reactor/json: wrote {out}");
 }
-
-criterion_group!(benches, reactor_group);
-criterion_main!(benches);

@@ -307,14 +307,14 @@ fn addr_len(a: NodeAddr) -> usize {
 
 fn put_name(buf: &mut BytesMut, n: &NodeName) {
     debug_assert!(n.len() <= u16::MAX as usize, "node name too long");
-    // lint: allow(lossy_cast) — names are length-checked at construction (NodeName::new)
+    // lint: allow(lossy_cast) — a node's own name is bounded to u16::MAX bytes in SwimNode::try_new (ConfigError::NodeNameTooLong); a peer's name is that peer's own, learned through a u16 length word
     buf.put_u16(n.len() as u16);
     buf.put_slice(n.as_str().as_bytes());
 }
 
 fn put_blob(buf: &mut BytesMut, b: &[u8]) {
     debug_assert!(b.len() <= u16::MAX as usize, "metadata blob too long");
-    // lint: allow(lossy_cast) — blobs are budget-checked before encode
+    // lint: allow(lossy_cast) — local metadata is bounded to MAX_META_LEN at SwimNode::update_meta; every other blob was decoded from a u16 length word
     buf.put_u16(b.len() as u16);
     buf.put_slice(b);
 }
@@ -514,6 +514,17 @@ mod tests {
             let back = decode_message(&bytes).expect("decode");
             assert_eq!(msg, back);
         }
+    }
+
+    #[test]
+    fn largest_allowed_meta_roundtrips() {
+        let msg = Message::Alive(Alive {
+            incarnation: Incarnation(3),
+            node: "n".into(),
+            addr: NodeAddr::new([10, 0, 0, 1], 7946),
+            meta: Bytes::from(vec![0xAB; crate::MAX_META_LEN]),
+        });
+        assert_eq!(decode_message(&encode_message(&msg)), Ok(msg));
     }
 
     #[test]

@@ -47,3 +47,9 @@ pub use types::{Incarnation, MemberState, NodeAddr, NodeName, SeqNo};
 /// Compound packets built by [`compound::CompoundBuilder`] never exceed this
 /// size unless a single message is itself larger.
 pub const DEFAULT_PACKET_BUDGET: usize = 1400;
+
+/// Longest application metadata blob a member may carry, memberlist's
+/// `MetaMaxSize`. A node refuses a longer blob where it enters
+/// (`Input::UpdateMeta` in `lifeguard-core`), which is what keeps the
+/// codec's 16-bit blob length word from wrapping.
+pub const MAX_META_LEN: usize = 512;

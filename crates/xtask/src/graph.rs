@@ -48,11 +48,10 @@ pub struct EntrySpec {
 pub struct GraphConfig {
     /// Crates whose functions and structs populate the graph. A name
     /// ending in `/` is a prefix (`compat/` = every compat shim).
-    /// Harness crates (`bench`'s naive mirror, `sim`, `experiments`,
-    /// the criterion/proptest shims) are excluded: production code
-    /// cannot call into them — no production crate depends on them —
-    /// so their deliberately-API-mirroring names must not absorb
-    /// name-resolved edges.
+    /// Harness crates (`sim`, `experiments`, the proptest shim) are
+    /// excluded: production code cannot call into them — no production
+    /// crate depends on them — so their deliberately-API-mirroring
+    /// names must not absorb name-resolved edges.
     pub graph_crates: Vec<String>,
     /// Direct crate dependencies (`crate → [deps]`), mirroring the
     /// workspace `Cargo.toml`s. Calls to *inherent*-looking method

@@ -61,8 +61,8 @@ pub struct Violation {
 /// How a file participates in the analysis.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FileClass {
-    /// Crate group: `core`, `proto`, `net`, `sim`, `bench`,
-    /// `experiments`, `xtask`, `compat/<name>`, or `root`.
+    /// Crate group: `core`, `proto`, `net`, `sim`, `experiments`,
+    /// `xtask`, `compat/<name>`, or `root`.
     pub crate_name: String,
     /// Whether the file is a test/bench/example target (under a
     /// `tests/`, `benches/`, or `examples/` directory).
@@ -482,7 +482,7 @@ mod tests {
         );
         assert_eq!(classify("src/lib.rs").crate_name, "root");
         assert!(classify("crates/core/tests/prop_core.rs").test_target);
-        assert!(classify("crates/bench/benches/micro.rs").test_target);
-        assert!(!classify("crates/bench/src/naive.rs").test_target);
+        assert!(classify("crates/net/tests/reactor_gates.rs").test_target);
+        assert!(!classify("crates/net/src/reactor.rs").test_target);
     }
 }

@@ -275,9 +275,8 @@ fn leave_amid_anomalies_is_not_a_failure() {
 /// Steady-state anti-entropy wire cost: under ≤ 1% membership churn per
 /// push-pull round, delta sync must ship no more than 10% of the stream
 /// bytes full-state sync ships per round, while the cluster stays fully
-/// converged. (The 5k-node version of this comparison runs in the
-/// `push_pull` bench group; the model-agreement property suite pins that
-/// the *content* both modes converge to is byte-identical.)
+/// converged. (The model-agreement property suite pins that the
+/// *content* both modes converge to is byte-identical.)
 #[test]
 fn delta_push_pull_cuts_steady_state_sync_bytes_by_10x() {
     use bytes::Bytes;
