@@ -259,7 +259,8 @@ pub struct Config {
     /// each exchange carries only the members whose record changed since
     /// the watermark the peer last confirmed, falling back to a full
     /// [`PushPull`](lifeguard_proto::PushPull) whenever a watermark
-    /// cannot be trusted. Joins and reconnects always use full sync.
+    /// cannot be trusted. Joins and reconnects carry one record and are
+    /// answered with the full table either way.
     pub delta_sync: bool,
     /// How long a per-peer delta watermark stays trustworthy: if the
     /// last completed exchange with the chosen peer is older than this,
@@ -271,9 +272,12 @@ pub struct Config {
     /// a new pairing with a full-size exchange.
     pub delta_sync_partners: usize,
     /// Period of reconnect attempts to members believed dead (Serf-style
-    /// `reconnect_interval`, 30 s): a push-pull is sent to one random
-    /// dead member so fully partitioned sub-groups re-merge automatically
-    /// once connectivity returns. `None` disables reconnects.
+    /// `reconnect_interval`, 30 s): one random dead member is sent a
+    /// push-pull request carrying only its own record, `Dead` at the
+    /// incarnation held here. A live target refutes it and answers with
+    /// its full table, so fully partitioned sub-groups re-merge
+    /// automatically once connectivity returns; a crashed one cost one
+    /// record. `None` disables reconnects.
     pub reconnect_interval: Option<Duration>,
     /// Saturation limit `S` of the Local Health Multiplier. Only
     /// effective when LHA-Probe is enabled.

@@ -1753,7 +1753,7 @@ impl SwimNode {
                 since: d.seq,
                 seq: self.membership.update_seq(),
                 reply: true,
-                entries: self.collect_changed(local_acked),
+                entries: self.collect_unproved(local_acked, &d.entries),
             })
         });
         self.merge_remote_state(&d.entries, now);
@@ -1772,8 +1772,38 @@ impl SwimNode {
             .collect()
     }
 
-    /// Queues a full-state push-pull request to `to` — the join path,
-    /// the reconnect path, and every delta-sync fallback.
+    /// The entries of a delta *reply*: [`Self::collect_changed`] minus
+    /// every `Alive` entry the request proved, i.e. carried itself as
+    /// `Alive` at an incarnation ≥ ours. An alive claim only wins at a
+    /// strictly higher incarnation and the requester's incarnation for a
+    /// name never decreases, so merging such an entry could not change
+    /// the requester. `Suspect`, `Dead` and `Left` entries always travel:
+    /// their merge is a confirmation, not a no-op.
+    fn collect_unproved(
+        &self,
+        since: u64,
+        request: &[lifeguard_proto::PushNodeState],
+    ) -> Vec<lifeguard_proto::PushNodeState> {
+        let proved: HashMap<&NodeName, Incarnation> = request
+            .iter()
+            .filter(|e| e.state == MemberState::Alive)
+            .map(|e| (&e.name, e.incarnation))
+            .collect();
+        self.membership
+            .changed_since(since)
+            .filter(|m| {
+                m.state != MemberState::Alive
+                    || proved.get(&m.name).is_none_or(|&inc| inc < m.incarnation)
+            })
+            .map(Member::to_push_state)
+            .collect()
+    }
+
+    /// Queues a full-state push-pull request to `to` and counts it in
+    /// `full_sync_fallbacks` — the delta-sync fallbacks only (delta sync
+    /// disabled, watermark stale past the horizon, unservable
+    /// watermark). Joins and reconnects each carry one record, are not
+    /// full syncs and are not counted.
     fn emit_full_push_pull(&mut self, to: NodeAddr) {
         self.metrics.full_sync_fallbacks += 1;
         let states = self.membership.iter().map(Member::to_push_state).collect();
@@ -1787,13 +1817,18 @@ impl SwimNode {
         );
     }
 
-    /// One Serf-style reconnect attempt: push-pull with a random member
-    /// believed dead, so partitioned sub-groups re-merge automatically
-    /// once connectivity is restored. Always a full exchange: whatever
-    /// watermarks existed before the partition are exactly the ones a
-    /// resurrecting peer cannot be trusted to still honour.
+    /// One Serf-style reconnect attempt at a random member believed
+    /// dead, so partitioned sub-groups re-merge automatically once
+    /// connectivity is restored. The push-pull request carries one
+    /// record — the target's own, `Dead` at the incarnation we hold —
+    /// and means "refute, and tell us what you know": a live target
+    /// refutes and answers with its full table, a crashed one cost one
+    /// record instead of the whole table. Not a full sync, and not
+    /// counted as one. The record is built here, never on an answer:
+    /// state pushed into a member believed dead must be built before it
+    /// wakes (docs/ARCHITECTURE.md, "Anti-entropy").
     fn reconnect_once(&mut self) {
-        let mut peer = None;
+        let mut target = None;
         {
             let me = &self.name;
             self.membership.sample_pool_with(
@@ -1801,11 +1836,18 @@ impl SwimNode {
                 1,
                 &mut self.rng,
                 |m| m.name != *me && m.state == MemberState::Dead,
-                |m| peer = Some(m.addr),
+                |m| target = Some((m.addr, m.to_push_state())),
             );
         }
-        let Some(to) = peer else { return };
-        self.emit_full_push_pull(to);
+        let Some((to, held)) = target else { return };
+        self.emit_stream(
+            to,
+            Message::PushPull(PushPull {
+                join: false,
+                reply: false,
+                states: vec![held],
+            }),
+        );
     }
 
     /// Merges a remote membership table (push-pull). Remote `dead` claims
@@ -1819,6 +1861,7 @@ impl SwimNode {
     /// construction. In steady-state anti-entropy almost every entry is
     /// such a no-op, so the merge allocates only for actual changes.
     fn merge_remote_state(&mut self, states: &[lifeguard_proto::PushNodeState], now: Time) {
+        let me = self.name.clone();
         for st in states {
             match st.state {
                 MemberState::Alive => {
@@ -1839,7 +1882,6 @@ impl SwimNode {
                     if self.membership.get(&st.name).is_none() {
                         self.apply_alive(st.incarnation, &st.name, st.addr, &st.meta, now);
                     }
-                    let me = self.name.clone();
                     self.apply_suspect(st.incarnation, &st.name, &me, now);
                 }
                 MemberState::Left => {
@@ -2995,6 +3037,93 @@ mod tests {
         assert_eq!(table_of(&a), table_of(&b));
     }
 
+    /// A delta reply leaves out exactly the `Alive` entries the request
+    /// itself carried at an incarnation ≥ the responder's; everything
+    /// else travels, and the exchange ends where an unfiltered one does.
+    #[test]
+    fn delta_reply_omits_only_alive_entries_the_request_proved() {
+        let now = Time::from_secs(1);
+        let alive = |name: &str, i: u8, inc: u64| {
+            Message::Alive(Alive {
+                incarnation: Incarnation(inc),
+                node: name.into(),
+                addr: addr(i),
+                meta: Bytes::new(),
+            })
+        };
+        let dead = |node: &str, from: &str| {
+            Message::Dead(Dead {
+                incarnation: Incarnation(1),
+                node: node.into(),
+                from: from.into(),
+            })
+        };
+        // One cold exchange local → remote. With `filtered` off, the
+        // reply delivered to the requester is swapped for the one the
+        // responder would have sent without the rule.
+        let run = |filtered: bool| {
+            let mut a = node(Config::lan());
+            let mut b = SwimNode::new("remote".into(), addr(2), Config::lan(), 2);
+            b.start(Time::ZERO);
+            add_real_peer(&mut a, "remote", 2, now);
+            add_real_peer(&mut b, "local", 1, now);
+            // What the request will carry, all `Alive`…
+            for (name, i, inc) in [
+                ("eq", 10, 1),
+                ("hi", 11, 3),
+                ("lo", 12, 1),
+                ("sus", 13, 1),
+                ("dead", 14, 1),
+                ("left", 15, 1),
+            ] {
+                feed(&mut a, addr(i), alive(name, i, inc), now);
+            }
+            // …against what the responder holds.
+            for (name, i, inc) in [
+                ("eq", 10, 1),
+                ("hi", 11, 1),
+                ("lo", 12, 5),
+                ("sus", 13, 1),
+                ("dead", 14, 1),
+                ("left", 15, 1),
+                ("only-b", 16, 1),
+            ] {
+                feed(&mut b, addr(i), alive(name, i, inc), now);
+            }
+            let suspect = Message::Suspect(Suspect {
+                incarnation: Incarnation(1),
+                node: "sus".into(),
+                from: "accuser".into(),
+            });
+            feed(&mut b, addr(9), suspect, now);
+            feed(&mut b, addr(9), dead("dead", "accuser"), now);
+            feed(&mut b, addr(9), dead("left", "left"), now);
+
+            let sync = Input::Sync {
+                with: "remote".into(),
+            };
+            a.handle_input(sync, now).unwrap();
+            let req = stream_msgs(&drain(&mut a));
+            let unfiltered = b.collect_changed(0);
+            let reply = stream_msgs(&feed_stream(&mut b, addr(1), req[0].1.clone(), now));
+            let Message::PushPullDelta(mut r) = reply[0].1.clone() else {
+                panic!("expected delta reply, got {:?}", reply[0].1)
+            };
+            let mut sent: Vec<&str> = r.entries.iter().map(|e| e.name.as_str()).collect();
+            sent.sort_unstable();
+            // Omitted: `eq` (equal incarnation), `hi` (the request is
+            // ahead) and the two ends' own records, both proved too.
+            assert_eq!(sent, ["dead", "left", "lo", "only-b", "sus"]);
+            assert_eq!(unfiltered.len(), 9);
+            if !filtered {
+                r.entries = unfiltered;
+            }
+            let effects = feed_stream(&mut a, addr(2), Message::PushPullDelta(r), now);
+            (table_of(&a), table_of(&b), format!("{effects:?}"))
+        };
+        assert_eq!(run(true), run(false));
+    }
+
     /// A peer that restarted (new epoch) answers a stale-watermark delta
     /// with a full exchange, and both sides converge from scratch.
     #[test]
@@ -3074,9 +3203,13 @@ mod tests {
         let Message::PushPullDelta(r) = &reply2[0].1 else {
             panic!("expected delta reply, got {:?}", reply2[0].1)
         };
+        // From scratch means every member the request did not prove: A
+        // holds `local`, `remote` and `p1`, and B2's request carried the
+        // first two as `Alive` at the incarnation A holds them.
+        let unproved: Vec<&str> = r.entries.iter().map(|e| e.name.as_str()).collect();
         assert_eq!(
-            r.entries.len(),
-            a.members().count(),
+            unproved,
+            ["p1"],
             "a since = 0 request must be served from scratch"
         );
         feed_stream(&mut b2, addr(1), reply2[0].1.clone(), t2);

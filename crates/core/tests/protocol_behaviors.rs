@@ -197,15 +197,34 @@ fn reconnect_push_pulls_a_dead_member() {
         Time::from_secs(2),
     );
     let out = run_until(&mut n, Time::from_secs(20));
-    let reconnects = out
+    let reconnects: Vec<&PushPull> = out
         .iter()
-        .filter(|o| {
-            matches!(o, OwnedOutput::Stream { to, msg: Message::PushPull(pp) } if *to == addr(2) && !pp.reply)
+        .filter_map(|o| match o {
+            OwnedOutput::Stream {
+                to,
+                msg: Message::PushPull(pp),
+            } if *to == addr(2) => Some(pp),
+            _ => None,
         })
-        .count();
+        .collect();
     assert!(
-        reconnects >= 1,
-        "reconnect must push-pull the dead member (saw {reconnects})"
+        !reconnects.is_empty(),
+        "reconnect must push-pull the dead member"
+    );
+    // One record, not the table: the target's own, as we hold it. A
+    // live target refutes it and answers with everything it knows.
+    for pp in reconnects {
+        assert!(!pp.reply && !pp.join);
+        assert_eq!(pp.states.len(), 1, "a reconnect carries one record");
+        let held = &pp.states[0];
+        assert_eq!(held.name.as_str(), "p");
+        assert_eq!(held.state, MemberState::Dead);
+        assert_eq!(held.incarnation, Incarnation(1));
+    }
+    assert_eq!(
+        n.metrics().full_sync_fallbacks,
+        0,
+        "a reconnect is not a full sync"
     );
 }
 

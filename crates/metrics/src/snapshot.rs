@@ -57,8 +57,10 @@ pub struct CoreSnapshot {
     pub delta_syncs: u64,
     /// Encoded bytes of those incremental push-pull messages.
     pub delta_sync_bytes: u64,
-    /// Full-state push-pull exchanges queued (delta-sync fallbacks,
-    /// horizon resyncs, reconnects and joins).
+    /// Full-state push-pull requests queued: delta sync disabled, a
+    /// watermark stale past the horizon, or a watermark the peer could
+    /// not serve. Joins and reconnects carry one record each, are not
+    /// full syncs and are not counted.
     pub full_sync_fallbacks: u64,
     /// Probe round-trip time, microseconds (timely acks only).
     pub probe_rtt: Histogram,

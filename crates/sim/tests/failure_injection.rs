@@ -102,6 +102,45 @@ fn repeated_partitions_heal() {
     }
 }
 
+/// A two-sided split: both halves declare the other dead, so after the
+/// heal every reconnect attempt from either side reaches a live member
+/// that itself holds the caller's half dead. The halves re-merge and
+/// everyone ends alive everywhere.
+#[test]
+fn two_sided_partition_heals() {
+    let mut cluster = ClusterBuilder::new(8)
+        .config(Config::lan().lifeguard())
+        .seed(37)
+        .build();
+    cluster.run_for(Duration::from_secs(15));
+    assert!(cluster.converged());
+    for a in 0..4 {
+        for b in 4..8 {
+            cluster.apply(SimAction::Partition { a, b });
+        }
+    }
+    cluster.run_for(Duration::from_secs(60));
+    for i in 0..8 {
+        let seen = cluster.nodes_seeing_alive(&format!("node-{i}"));
+        let own_half = if i < 4 { 0..4 } else { 4..8 };
+        assert_eq!(
+            seen,
+            own_half.collect::<Vec<_>>(),
+            "node-{i} during the split"
+        );
+    }
+    cluster.apply(SimAction::HealPartitions);
+    // Reconnect interval is 30 s, as in `repeated_partitions_heal`.
+    let healed = (0..30).any(|_| {
+        cluster.run_for(Duration::from_secs(5));
+        cluster.converged()
+    });
+    assert!(
+        healed,
+        "the halves did not re-merge within 150 s of the heal"
+    );
+}
+
 /// The stress (duty-cycle starvation) anomaly produces false positives
 /// under SWIM on a small cluster — the Figure 1 mechanism — and the
 /// stressed nodes recover afterwards.

@@ -21,7 +21,7 @@ use lifeguard::sim::cluster::{Cluster, ClusterBuilder, SimAction};
 use lifeguard::sim::network::NetworkConfig;
 
 /// Golden FNV-1a hashes of the two pinned scenarios below.
-const EVENTFUL_GOLDEN: u64 = 0xddf9_3f61_dd13_e02c;
+const EVENTFUL_GOLDEN: u64 = 0x4012_baa6_a869_974f;
 const METRICS_GOLDEN: u64 = 0x592f_fc3c_197c_3650;
 
 fn fnv1a(s: &str) -> u64 {
