@@ -5,7 +5,13 @@ use lifeguard_proto::{Incarnation, MemberState, NodeAddr, NodeName, PushNodeStat
 
 use crate::time::Time;
 
-/// Everything the local node knows about one group member.
+/// Everything the local node knows about one group member, as an owned
+/// record: what goes into [`Membership::upsert`], what
+/// [`Membership::update`] hands its closure, and what a snapshot outside
+/// the table holds. Reads of the table yield a [`MemberRef`] instead.
+///
+/// [`Membership::upsert`]: crate::membership::Membership::upsert
+/// [`Membership::update`]: crate::membership::Membership::update
 #[derive(Clone, Debug)]
 pub struct Member {
     /// The member's unique name.
@@ -63,6 +69,60 @@ impl Member {
             incarnation: self.incarnation,
             state: self.state,
             meta: self.meta.clone(),
+        }
+    }
+}
+
+/// A read-only view of one member record inside a
+/// [`Membership`](crate::membership::Membership) table: the fields of
+/// [`Member`] under the same names, the scalar ones copied, `name` and
+/// `meta` borrowed from the table. `Copy`, at most 64 bytes.
+#[derive(Clone, Copy, Debug)]
+pub struct MemberRef<'a> {
+    /// The member's unique name.
+    pub name: &'a NodeName,
+    /// The member's last known address.
+    pub addr: NodeAddr,
+    /// The member's last known incarnation.
+    pub incarnation: Incarnation,
+    /// The member's state as believed locally.
+    pub state: MemberState,
+    /// When `state` last changed (local clock).
+    pub state_change: Time,
+    /// Opaque application metadata from the member's `alive` messages;
+    /// one shared empty buffer for every member that has none.
+    pub meta: &'a Bytes,
+    /// See [`Member::updated_seq`].
+    pub updated_seq: u64,
+}
+
+impl MemberRef<'_> {
+    /// Whether the member participates in probing and gossip fan-out.
+    pub fn is_live(&self) -> bool {
+        self.state.is_live()
+    }
+
+    /// Converts to the push-pull wire representation.
+    pub fn to_push_state(self) -> PushNodeState {
+        PushNodeState {
+            name: self.name.clone(),
+            addr: self.addr,
+            incarnation: self.incarnation,
+            state: self.state,
+            meta: self.meta.clone(),
+        }
+    }
+
+    /// An owned copy of the record.
+    pub fn to_member(self) -> Member {
+        Member {
+            name: self.name.clone(),
+            addr: self.addr,
+            incarnation: self.incarnation,
+            state: self.state,
+            state_change: self.state_change,
+            meta: self.meta.clone(),
+            updated_seq: self.updated_seq,
         }
     }
 }

@@ -1,6 +1,6 @@
 //! The local membership table.
 //!
-//! Stores one [`Member`] record per known node and provides the random
+//! Stores one member record per known node and provides the random
 //! sampling primitives the protocol needs (indirect-probe helpers, gossip
 //! fan-out targets). Incarnation-precedence *decisions* live in the node
 //! state machine; this module only stores facts.
@@ -8,8 +8,21 @@
 //! # Layout
 //!
 //! Records live in one slab (`Vec<Slot>` + free list); everything else
-//! refers to a record by its `u32` slot id.
+//! refers to a record by its `u32` slot id. Every node holds one record
+//! per member, so a cluster pays for the record n² times: a slot is 80
+//! bytes — name, address, incarnation, state, state-change time, update
+//! seq, and the four `u32` links below — and nothing else lives in it.
 //!
+//! * **Metadata column** — one `Vec<Bytes>` indexed by slot id, beside
+//!   the slab. It stays *empty* until the first non-empty blob is
+//!   stored and is kept exactly `slots.len()` long from then on, so a
+//!   group that never uses metadata pays nothing for it and one that
+//!   does pays one `Bytes` per slot. A vacated slot clears its cell.
+//! * **Views** — reads yield a [`MemberRef`]: the record's scalar
+//!   fields copied, its name and metadata borrowed (members without a
+//!   cell share one empty `Bytes`). Writes take and return the owned
+//!   [`Member`]; [`Membership::update`] assembles one from the slot and
+//!   its cell, hands it to the closure and stores it back.
 //! * **Name index** — one open-addressed `Vec` of `(tag, slot id)`
 //!   buckets: linear probing, load ≤ ½, power-of-two growth,
 //!   backward-shift deletion. The tag is 32 bits of the name's hash
@@ -48,11 +61,16 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasher, RandomState};
 
-use lifeguard_proto::{MemberState, NodeName};
+use bytes::Bytes;
+use lifeguard_proto::{Incarnation, MemberState, NodeAddr, NodeName};
 use rand::{Rng, RngExt};
 
-use crate::member::Member;
+use crate::member::{Member, MemberRef};
 use crate::time::Time;
+
+/// What [`MemberRef::meta`] borrows for a member without a cell in the
+/// metadata column.
+static NO_META: Bytes = Bytes::new();
 
 /// Which liveness pool a sampling call draws from.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -81,8 +99,14 @@ const NIL: u32 = u32::MAX;
 
 #[derive(Clone, Debug)]
 struct Slot {
-    /// `None` while the slot sits on the free list.
-    member: Option<Member>,
+    /// `None` while the slot sits on the free list (the other record
+    /// fields are then stale).
+    name: Option<NodeName>,
+    addr: NodeAddr,
+    incarnation: Incarnation,
+    state: MemberState,
+    state_change: Time,
+    updated_seq: u64,
     /// Position of this slot's id inside its pool vector.
     pos: u32,
     /// Change-list neighbours: the slots stamped directly after and
@@ -112,6 +136,9 @@ pub struct Membership {
     slots: Vec<Slot>,
     // bounded: ≤ |slots| — holds only currently-vacant slot ids
     free: Vec<u32>,
+    /// The metadata column: empty, or one cell per slot.
+    // bounded: ≤ |slots| cells, each a blob the node accepted (≤ u16::MAX bytes by the codec's length word)
+    meta: Vec<Bytes>,
     /// The name index; length zero or a power of two.
     // bounded: ≤ 2 × next_pow2(peak member count) buckets — grown only by `index_reserve`, to keep load ≤ ½
     index: Vec<Bucket>,
@@ -147,6 +174,7 @@ impl Membership {
         Membership {
             slots: Vec::new(),
             free: Vec::new(),
+            meta: Vec::new(),
             index: Vec::new(),
             hasher: RandomState::new(),
             #[cfg(test)]
@@ -175,6 +203,9 @@ impl Membership {
     /// instead of re-homing and reallocating its way up.
     pub fn reserve(&mut self, additional: usize) {
         self.slots.reserve(additional);
+        if !self.meta.is_empty() {
+            self.meta.reserve(additional);
+        }
         self.index_reserve(self.len() + additional);
         self.live.reserve(additional);
     }
@@ -202,7 +233,8 @@ impl Membership {
     }
 
     /// Looks up a member by name. O(1).
-    pub fn get(&self, name: &NodeName) -> Option<&Member> {
+    #[inline]
+    pub fn get(&self, name: &NodeName) -> Option<MemberRef<'_>> {
         let (_, id) = self.find(name.as_str())?;
         self.member(id)
     }
@@ -217,12 +249,12 @@ impl Membership {
 
     /// Resolves a handle from [`Membership::id_of`]: one slab access, no
     /// hashing. `None` once the member has been removed.
-    pub fn by_id(&self, id: MemberId) -> Option<&Member> {
-        let slot = self.slots.get(id.slot as usize)?;
-        if slot.gen != id.gen {
+    #[inline]
+    pub fn by_id(&self, id: MemberId) -> Option<MemberRef<'_>> {
+        if self.slots.get(id.slot as usize)?.gen != id.gen {
             return None;
         }
-        slot.member.as_ref()
+        self.member(id.slot)
     }
 
     /// The table's current update sequence: the stamp of the most
@@ -247,14 +279,14 @@ impl Membership {
     /// `changed_since(0)` visits every member — a fresh watermark
     /// degenerates to a full-state exchange, which is what makes delta
     /// sync safe to bootstrap from nothing.
-    pub fn changed_since(&self, since: u64) -> impl Iterator<Item = &Member> {
+    pub fn changed_since(&self, since: u64) -> impl Iterator<Item = MemberRef<'_>> {
         let mut cursor = self.newest;
         std::iter::from_fn(move || {
             let slot = self.slots.get(cursor as usize)?;
-            let member = slot.member.as_ref()?;
-            if member.updated_seq <= since {
+            if slot.updated_seq <= since {
                 return None;
             }
+            let member = self.member(cursor)?;
             cursor = slot.older;
             Some(member)
         })
@@ -268,10 +300,12 @@ impl Membership {
     /// would let callers flip `state` behind the indexes' back.
     ///
     /// `f` must not change `member.name` — it is the index key. Use
-    /// [`Membership::remove`] + [`Membership::upsert`] to rename.
+    /// [`Membership::remove`] + [`Membership::upsert`] to rename. The
+    /// record is moved out of its slot for the duration of `f` and
+    /// stored back after it, so `f` must not panic.
     pub fn update<T>(&mut self, name: &NodeName, f: impl FnOnce(&mut Member) -> T) -> Option<T> {
         let (_, id) = self.find(name.as_str())?;
-        let member = self.slots.get_mut(id as usize)?.member.as_mut()?;
+        let mut member = self.take(id)?;
         let before = member.state;
         // Snapshot for change-stamping. The meta clone (a refcount
         // bump) keeps the old buffer alive across `f`, so an equal
@@ -283,7 +317,7 @@ impl Membership {
         // steady state stays on the pointer fast path.
         let before_key = (member.state, member.incarnation, member.addr);
         let before_meta = member.meta.clone();
-        let out = f(member);
+        let out = f(&mut member);
         let after = member.state;
         let after_key = (member.state, member.incarnation, member.addr);
         let after_meta = &member.meta;
@@ -294,6 +328,7 @@ impl Membership {
             &member.name == name,
             "update() must not change the member's name (index key)"
         );
+        self.put(id, member);
         self.reconcile(id, before, after);
         if before_key != after_key || meta_changed {
             self.unlink(id);
@@ -313,35 +348,39 @@ impl Membership {
     /// Always counts as a record change for [`Membership::changed_since`].
     pub fn upsert(&mut self, member: Member) -> Option<Member> {
         let tag = self.tag(member.name.as_str());
+        let state = member.state;
         if let Some((_, id)) = self.find_tagged(tag, member.name.as_str()) {
-            let stored = self.slots.get_mut(id as usize)?.member.as_mut()?;
-            let before = stored.state;
-            let after = member.state;
-            let prev = std::mem::replace(stored, member);
-            self.reconcile(id, before, after);
+            let prev = self.take(id)?;
+            self.put(id, member);
+            self.reconcile(id, prev.state, state);
             self.unlink(id);
             self.stamp(id);
             return Some(prev);
         }
-        let state = member.state;
         let id = match self.free.pop() {
             Some(id) => id,
             None => {
+                // Vacant until `put` below fills it in; the record
+                // fields only need *a* value here.
                 self.slots.push(Slot {
-                    member: None,
+                    name: None,
+                    addr: member.addr,
+                    incarnation: member.incarnation,
+                    state,
+                    state_change: member.state_change,
+                    updated_seq: 0,
                     pos: 0,
                     newer: NIL,
                     older: NIL,
                     gen: 0,
                 });
+                if !self.meta.is_empty() {
+                    self.meta.push(Bytes::new());
+                }
                 (self.slots.len() - 1) as u32
             }
         };
-        let Some(slot) = self.slots.get_mut(id as usize) else {
-            debug_invariant!(false, "free-list id out of bounds");
-            return None;
-        };
-        slot.member = Some(member);
+        self.put(id, member);
         self.index_reserve(self.len() + 1);
         self.index_insert(Bucket { tag, slot: id });
         self.pool_push(id, state);
@@ -356,23 +395,23 @@ impl Membership {
     /// Every [`MemberId`] issued for it stops resolving.
     pub fn remove(&mut self, name: &NodeName) -> Option<Member> {
         let (bucket, id) = self.find(name.as_str())?;
-        let state = self.member(id)?.state;
+        let member = self.take(id)?;
         self.index_remove(bucket);
-        self.pool_remove(id, state);
-        if state == MemberState::Alive {
+        self.pool_remove(id, member.state);
+        if member.state == MemberState::Alive {
             self.alive -= 1;
         }
         self.unlink(id);
         let slot = self.slots.get_mut(id as usize)?;
         slot.gen = slot.gen.wrapping_add(1);
         self.free.push(id);
-        slot.member.take()
+        Some(member)
     }
 
     /// Iterates over all member records in pool order (live members
     /// first, then retained dead/left). The order is deterministic for a
     /// given operation history; it is otherwise unspecified.
-    pub fn iter(&self) -> impl Iterator<Item = &Member> {
+    pub fn iter(&self) -> impl Iterator<Item = MemberRef<'_>> {
         self.live
             .iter()
             .chain(self.gone.iter())
@@ -385,7 +424,7 @@ impl Membership {
     /// Iterates the `gone` pool only, so the cost is O(retained dead),
     /// not O(n); collect the names before calling
     /// [`Membership::remove`].
-    pub fn reapable(&self, reap_before: Time) -> impl Iterator<Item = &Member> {
+    pub fn reapable(&self, reap_before: Time) -> impl Iterator<Item = MemberRef<'_>> {
         self.gone
             .iter()
             .filter_map(|&id| self.member(id))
@@ -404,8 +443,8 @@ impl Membership {
         &self,
         k: usize,
         rng: &mut R,
-        filter: impl FnMut(&Member) -> bool,
-    ) -> Vec<&Member> {
+        filter: impl FnMut(&MemberRef<'_>) -> bool,
+    ) -> Vec<MemberRef<'_>> {
         self.sample_pool(SamplePool::All, k, rng, filter)
     }
 
@@ -417,8 +456,8 @@ impl Membership {
         pool: SamplePool,
         k: usize,
         rng: &mut R,
-        filter: impl FnMut(&Member) -> bool,
-    ) -> Vec<&Member> {
+        filter: impl FnMut(&MemberRef<'_>) -> bool,
+    ) -> Vec<MemberRef<'_>> {
         let mut picked = Vec::new();
         self.sample_pool_with(pool, k, rng, filter, |m| picked.push(m));
         picked
@@ -427,15 +466,14 @@ impl Membership {
     /// Visitor form of [`Membership::sample_pool`]: each drawn member is
     /// passed to `visit` instead of being collected, so hot callers (the
     /// node's gossip/probe target selection) can copy the one field they
-    /// need into a reusable buffer without allocating a `Vec<&Member>`
-    /// per call.
+    /// need into a reusable buffer without allocating a `Vec` per call.
     pub fn sample_pool_with<'a, R: Rng>(
         &'a self,
         pool: SamplePool,
         k: usize,
         rng: &mut R,
-        mut filter: impl FnMut(&Member) -> bool,
-        mut visit: impl FnMut(&'a Member),
+        mut filter: impl FnMut(&MemberRef<'a>) -> bool,
+        mut visit: impl FnMut(MemberRef<'a>),
     ) {
         let n = match pool {
             SamplePool::Live => self.live.len(),
@@ -466,7 +504,7 @@ impl Membership {
                 "pool position out of bounds"
             );
             if let Some(member) = self.pool_member(pool, vj) {
-                if filter(member) {
+                if filter(&member) {
                     picked += 1;
                     visit(member);
                 }
@@ -482,8 +520,73 @@ impl Membership {
     /// The record in slot `id`. The name index, the pool vectors and the
     /// change list only ever hold ids of occupied slots, so a `None`
     /// here is a table bug — `debug_invariant!`-checked at each use site.
-    fn member(&self, id: u32) -> Option<&Member> {
-        self.slots.get(id as usize)?.member.as_ref()
+    ///
+    /// `#[inline]` here, on the accessors built on it and on the lookup
+    /// under them: a view is assembled to be taken apart again at the
+    /// call site, where the fields nobody reads cost nothing. Out of
+    /// line — as a non-generic function is from another crate — each
+    /// call stores all 64 bytes, and `find` returns through memory too.
+    #[inline]
+    fn member(&self, id: u32) -> Option<MemberRef<'_>> {
+        let slot = self.slots.get(id as usize)?;
+        Some(MemberRef {
+            name: slot.name.as_ref()?,
+            addr: slot.addr,
+            incarnation: slot.incarnation,
+            state: slot.state,
+            state_change: slot.state_change,
+            meta: self.meta.get(id as usize).unwrap_or(&NO_META),
+            updated_seq: slot.updated_seq,
+        })
+    }
+
+    /// Moves the record out of slot `id`, leaving the slot vacant and
+    /// its metadata cell empty. Indexes are untouched: the caller either
+    /// [`Membership::put`]s a record back or finishes the removal.
+    fn take(&mut self, id: u32) -> Option<Member> {
+        let slot = self.slots.get_mut(id as usize)?;
+        Some(Member {
+            name: slot.name.take()?,
+            addr: slot.addr,
+            incarnation: slot.incarnation,
+            state: slot.state,
+            state_change: slot.state_change,
+            meta: self
+                .meta
+                .get_mut(id as usize)
+                .map(std::mem::take)
+                .unwrap_or_default(),
+            updated_seq: slot.updated_seq,
+        })
+    }
+
+    /// Stores `member` in slot `id`. The first non-empty blob any member
+    /// brings is what materialises the metadata column.
+    fn put(&mut self, id: u32, member: Member) {
+        let Some(slot) = self.slots.get_mut(id as usize) else {
+            debug_invariant!(false, "put() into an unknown slot");
+            return;
+        };
+        slot.name = Some(member.name);
+        slot.addr = member.addr;
+        slot.incarnation = member.incarnation;
+        slot.state = member.state;
+        slot.state_change = member.state_change;
+        slot.updated_seq = member.updated_seq;
+        if self.meta.is_empty() {
+            if member.meta.is_empty() {
+                return;
+            }
+            self.meta.resize(self.slots.len(), Bytes::new());
+        }
+        if let Some(cell) = self.meta.get_mut(id as usize) {
+            *cell = member.meta;
+        }
+    }
+
+    /// The name stored in slot `id` (`None` for a vacant slot).
+    fn name_of(&self, id: u32) -> Option<&NodeName> {
+        self.slots.get(id as usize)?.name.as_ref()
     }
 
     fn tag(&self, name: &str) -> u32 {
@@ -511,6 +614,7 @@ impl Membership {
     }
 
     /// `(bucket position, slot id)` of the member named `name`.
+    #[inline]
     fn find(&self, name: &str) -> Option<(usize, u32)> {
         self.find_tagged(self.tag(name), name)
     }
@@ -518,6 +622,7 @@ impl Membership {
     /// [`Membership::find`] for a name whose tag is already computed.
     /// Probes from the tag's home bucket to the first empty one (load
     /// ≤ ½ guarantees there is one; the loop bound does not rely on it).
+    #[inline]
     fn find_tagged(&self, tag: u32, name: &str) -> Option<(usize, u32)> {
         let mask = self.mask();
         let mut i = tag as usize & mask;
@@ -528,7 +633,7 @@ impl Membership {
             }
             // Tags are 32 bits of a hash: equal tags are not yet equal
             // names, so the stored name decides.
-            if b.tag == tag && self.member(b.slot).is_some_and(|m| m.name.as_str() == name) {
+            if b.tag == tag && self.name_of(b.slot).is_some_and(|n| n.as_str() == name) {
                 return Some((i, b.slot));
             }
             i = (i + 1) & mask;
@@ -616,10 +721,8 @@ impl Membership {
             debug_invariant!(false, "stamp() of an unknown slot");
             return;
         };
-        debug_invariant!(slot.member.is_some(), "stamp() on a vacant slot");
-        if let Some(member) = slot.member.as_mut() {
-            member.updated_seq = seq;
-        }
+        debug_invariant!(slot.name.is_some(), "stamp() on a vacant slot");
+        slot.updated_seq = seq;
         slot.older = older;
         slot.newer = NIL;
         match self.slots.get_mut(older as usize) {
@@ -631,7 +734,8 @@ impl Membership {
 
     /// The member at virtual position `v` of a pool (All concatenates
     /// live then gone). `None` for an out-of-pool position.
-    fn pool_member(&self, pool: SamplePool, v: usize) -> Option<&Member> {
+    #[inline]
+    fn pool_member(&self, pool: SamplePool, v: usize) -> Option<MemberRef<'_>> {
         let id = match pool {
             SamplePool::Live => *self.live.get(v)?,
             SamplePool::Gone => *self.gone.get(v)?,
@@ -668,7 +772,7 @@ impl Membership {
         };
         pool.push(id);
         let pos = (pool.len() - 1) as u32;
-        debug_invariant!(self.member(id).is_some(), "pool_push() on a vacant slot");
+        debug_invariant!(self.name_of(id).is_some(), "pool_push() on a vacant slot");
         if let Some(slot) = self.slots.get_mut(id as usize) {
             slot.pos = pos;
         }
@@ -714,13 +818,23 @@ impl Membership {
         assert_eq!(self.live.len(), live_scan, "live pool out of sync");
         assert_eq!(self.gone.len(), gone_scan, "gone pool out of sync");
         assert_eq!(self.alive, alive_scan, "alive counter out of sync");
-        let occupied = self.slots.iter().filter(|s| s.member.is_some()).count();
+        let occupied = self.slots.iter().filter(|s| s.name.is_some()).count();
         assert_eq!(occupied, self.len(), "occupied slots out of sync");
         assert_eq!(
             occupied + self.free.len(),
             self.slots.len(),
             "free list out of sync"
         );
+        assert!(
+            self.meta.is_empty() || self.meta.len() == self.slots.len(),
+            "metadata column neither empty nor one cell per slot"
+        );
+        for (slot, cell) in self.slots.iter().zip(&self.meta) {
+            assert!(
+                slot.name.is_some() || cell.is_empty(),
+                "vacant slot kept its metadata"
+            );
+        }
 
         // Name index: a power-of-two table at load ≤ ½ holding exactly
         // one bucket per member, each reachable by probing for its name.
@@ -730,7 +844,7 @@ impl Membership {
         for (i, b) in self.index.iter().enumerate().filter(|(_, b)| b.slot != NIL) {
             buckets += 1;
             let slot = self.slots.get(b.slot as usize);
-            let member = slot.and_then(|s| s.member.as_ref());
+            let member = self.member(b.slot);
             assert!(member.is_some(), "index points at a vacant slot");
             let (Some(slot), Some(member)) = (slot, member) else {
                 continue;
@@ -765,9 +879,8 @@ impl Membership {
         let (mut prev_id, mut prev_seq, mut entries) = (NIL, 0, 0);
         let mut cursor = self.oldest;
         while let Some(slot) = self.slots.get(cursor as usize) {
-            let seq = slot.member.as_ref().map(|m| m.updated_seq);
-            assert!(seq.is_some(), "change list holds a vacant slot");
-            let seq = seq.unwrap_or(0);
+            assert!(slot.name.is_some(), "change list holds a vacant slot");
+            let seq = slot.updated_seq;
             assert!(
                 seq > prev_seq,
                 "change-list seqs must be strictly ascending"
@@ -1134,7 +1247,7 @@ mod tests {
         let mut t = table(3);
         let name = NodeName::from("node-1");
         let id = t.id_of(&name).unwrap();
-        assert_eq!(t.by_id(id).unwrap().name, name);
+        assert_eq!(*t.by_id(id).unwrap().name, name);
         // Updates and re-upserts keep the record in place: same id.
         t.update(&name, |m| m.incarnation = Incarnation(4));
         t.upsert(Member::new(
@@ -1175,8 +1288,9 @@ mod tests {
     /// holds the full roster), so it fails here first.
     #[test]
     fn record_layout_is_pinned() {
-        assert_eq!(std::mem::size_of::<Member>(), 104);
-        assert!(std::mem::size_of::<Slot>() <= 120);
+        assert!(std::mem::size_of::<Slot>() <= 80);
+        assert!(std::mem::size_of::<NodeAddr>() <= 20);
+        assert!(std::mem::size_of::<MemberRef<'_>>() <= 64);
         assert_eq!(std::mem::size_of::<Bucket>(), 8);
         assert_eq!(std::mem::size_of::<MemberId>(), 8);
     }

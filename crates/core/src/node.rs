@@ -42,7 +42,7 @@ use crate::awareness::Awareness;
 use crate::broadcast::BroadcastQueue;
 use crate::config::Config;
 use crate::event::Event;
-use crate::member::Member;
+use crate::member::{Member, MemberRef};
 use crate::membership::{Membership, SamplePool};
 use crate::probe_list::ProbeList;
 use crate::suspicion::Suspicion;
@@ -427,12 +427,12 @@ impl SwimNode {
     }
 
     /// All known members (including self and retained dead members).
-    pub fn members(&self) -> impl Iterator<Item = &Member> {
+    pub fn members(&self) -> impl Iterator<Item = MemberRef<'_>> {
         self.membership.iter()
     }
 
     /// Looks up a member record by name.
-    pub fn member(&self, name: &NodeName) -> Option<&Member> {
+    pub fn member(&self, name: &NodeName) -> Option<MemberRef<'_>> {
         self.membership.get(name)
     }
 
@@ -802,7 +802,11 @@ impl SwimNode {
                 let reply = !pp.reply;
                 self.merge_remote_state(&pp.states, now);
                 if reply {
-                    let states = self.membership.iter().map(Member::to_push_state).collect();
+                    let states = self
+                        .membership
+                        .iter()
+                        .map(MemberRef::to_push_state)
+                        .collect();
                     self.emit_stream(
                         from,
                         Message::PushPull(PushPull {
@@ -1217,7 +1221,7 @@ impl SwimNode {
                 let names: Vec<NodeName> = self
                     .membership
                     .reapable(cutoff)
-                    .filter(|m| m.name != self.name)
+                    .filter(|m| *m.name != self.name)
                     .map(|m| m.name.clone())
                     .collect();
                 for name in &names {
@@ -1278,7 +1282,7 @@ impl SwimNode {
         let me = &self.name;
         let Some(member) = self
             .probe_list
-            .next_target(&self.membership, &mut self.rng, |m| m.name != *me && m.is_live())
+            .next_target(&self.membership, &mut self.rng, |m| m.name != me && m.is_live())
         else {
             return;
         };
@@ -1335,7 +1339,7 @@ impl SwimNode {
                 SamplePool::Live,
                 k,
                 &mut self.rng,
-                |m| m.name != *me && m.name != *tgt,
+                |m| m.name != me && m.name != tgt,
                 |m| scratch.push(m.addr),
             );
         }
@@ -1548,7 +1552,7 @@ impl SwimNode {
                 self.config.gossip_nodes,
                 &mut self.rng,
                 |m| {
-                    m.name != *me
+                    m.name != me
                         && (m.is_live()
                             || (matches!(m.state, MemberState::Dead | MemberState::Left)
                                 && now.saturating_since(m.state_change) <= dead_window))
@@ -1611,7 +1615,7 @@ impl SwimNode {
                 SamplePool::Live,
                 1,
                 &mut self.rng,
-                |m| m.name != *me && m.state == MemberState::Alive,
+                |m| m.name != me && m.state == MemberState::Alive,
                 |m| peer = Some((m.name.clone(), m.addr)),
             );
         }
@@ -1768,7 +1772,7 @@ impl SwimNode {
     fn collect_changed(&self, since: u64) -> Vec<lifeguard_proto::PushNodeState> {
         self.membership
             .changed_since(since)
-            .map(Member::to_push_state)
+            .map(MemberRef::to_push_state)
             .collect()
     }
 
@@ -1784,18 +1788,32 @@ impl SwimNode {
         since: u64,
         request: &[lifeguard_proto::PushNodeState],
     ) -> Vec<lifeguard_proto::PushNodeState> {
-        let proved: HashMap<&NodeName, Incarnation> = request
-            .iter()
-            .filter(|e| e.state == MemberState::Alive)
-            .map(|e| (&e.name, e.incarnation))
-            .collect();
+        // Only an `Alive` entry can be proved: a feed without one goes
+        // out whole, and no proof map is built.
+        let any_alive = self
+            .membership
+            .changed_since(since)
+            .any(|m| m.state == MemberState::Alive);
+        if !any_alive {
+            return self.collect_changed(since);
+        }
+        // Sized up front: the request of a first exchange carries the
+        // peer's whole table, and growing to that by rehashing showed
+        // as ~5 % of a 2000-node run.
+        let mut proved: HashMap<&NodeName, Incarnation> = HashMap::with_capacity(request.len());
+        proved.extend(
+            request
+                .iter()
+                .filter(|e| e.state == MemberState::Alive)
+                .map(|e| (&e.name, e.incarnation)),
+        );
         self.membership
             .changed_since(since)
             .filter(|m| {
                 m.state != MemberState::Alive
-                    || proved.get(&m.name).is_none_or(|&inc| inc < m.incarnation)
+                    || proved.get(m.name).is_none_or(|&inc| inc < m.incarnation)
             })
-            .map(Member::to_push_state)
+            .map(MemberRef::to_push_state)
             .collect()
     }
 
@@ -1806,7 +1824,11 @@ impl SwimNode {
     /// full syncs and are not counted.
     fn emit_full_push_pull(&mut self, to: NodeAddr) {
         self.metrics.full_sync_fallbacks += 1;
-        let states = self.membership.iter().map(Member::to_push_state).collect();
+        let states = self
+            .membership
+            .iter()
+            .map(MemberRef::to_push_state)
+            .collect();
         self.emit_stream(
             to,
             Message::PushPull(PushPull {
@@ -1835,7 +1857,7 @@ impl SwimNode {
                 SamplePool::Gone,
                 1,
                 &mut self.rng,
-                |m| m.name != *me && m.state == MemberState::Dead,
+                |m| m.name != me && m.state == MemberState::Dead,
                 |m| target = Some((m.addr, m.to_push_state())),
             );
         }

@@ -8,7 +8,7 @@
 
 use rand::{Rng, RngExt};
 
-use crate::member::Member;
+use crate::member::MemberRef;
 use crate::membership::{MemberId, Membership};
 
 /// The local node's probe rotation.
@@ -70,8 +70,8 @@ impl ProbeList {
         &mut self,
         membership: &'m Membership,
         rng: &mut R,
-        mut eligible: impl FnMut(&Member) -> bool,
-    ) -> Option<&'m Member> {
+        mut eligible: impl FnMut(&MemberRef<'m>) -> bool,
+    ) -> Option<MemberRef<'m>> {
         // One full sweep plus one reshuffle is enough to visit every
         // candidate; two sweeps bounds the loop even with removals.
         let mut inspected = 0;
@@ -91,7 +91,7 @@ impl ProbeList {
                 continue;
             };
             self.next += 1;
-            if eligible(member) {
+            if eligible(&member) {
                 return Some(member);
             }
         }
@@ -112,6 +112,7 @@ impl ProbeList {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::member::Member;
     use crate::time::Time;
     use lifeguard_proto::{Incarnation, NodeAddr, NodeName};
     use rand::rngs::StdRng;

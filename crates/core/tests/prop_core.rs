@@ -210,12 +210,18 @@ mod model_agreement {
     }
 
     proptest! {
-        /// Counters, pools and iteration of the indexed table always
-        /// match a naive `BTreeMap` model driven by the same operations,
-        /// and the internal invariants hold after every step.
+        /// Counters, pools, iteration and metadata of the indexed table
+        /// always match a naive `BTreeMap` model driven by the same
+        /// operations, and the internal invariants hold after every
+        /// step. Metadata lives in a column beside the records, so the
+        /// steps that set, clear and vacate it are checked for leaks
+        /// (a reused slot showing the previous member's blob) and
+        /// losses, and for how they stamp the change list.
         #[test]
         fn membership_matches_naive_model(
-            ops in proptest::collection::vec((0u8..4, 0u8..24, 0u8..8, 0u64..5), 1..120),
+            // Twelve names: few enough that most cases set a member's
+            // metadata and later remove that same member.
+            ops in proptest::collection::vec((0u8..7, 0u8..12, 0u8..8, 0u64..5), 1..120),
         ) {
             let mut indexed = Membership::new();
             let mut model: BTreeMap<NodeName, Member> = BTreeMap::new();
@@ -236,11 +242,11 @@ mod model_agreement {
                         }
                     }
                     2 => {
-                        let a = indexed.remove(&name).map(|m| m.name.clone());
-                        let b = model.remove(&name).map(|m| m.name.clone());
+                        let a = indexed.remove(&name).map(|m| (m.name, m.meta));
+                        let b = model.remove(&name).map(|m| (m.name, m.meta));
                         prop_assert_eq!(a, b);
                     }
-                    _ => {
+                    3 => {
                         let got = indexed
                             .update(&name, |m| {
                                 m.incarnation = Incarnation(inc);
@@ -255,6 +261,42 @@ mod model_agreement {
                             prop_assert!(!got);
                         }
                     }
+                    4 | 5 => {
+                        // Set (4) or clear (5) the metadata and nothing
+                        // else: a record change exactly when the bytes
+                        // differ, whatever buffer they arrive in.
+                        let blob = if op == 4 {
+                            Bytes::from(vec![code; 1 + inc as usize])
+                        } else {
+                            Bytes::new()
+                        };
+                        let before = indexed.update_seq();
+                        let got = indexed.update(&name, |m| m.meta = blob.clone()).is_some();
+                        prop_assert_eq!(got, model.contains_key(&name));
+                        if let Some(m) = model.get_mut(&name) {
+                            if m.meta == blob {
+                                prop_assert_eq!(indexed.update_seq(), before);
+                            } else {
+                                prop_assert_eq!(indexed.update_seq(), before + 1);
+                                let front = indexed.changed_since(before).map(|m| m.name.clone());
+                                prop_assert_eq!(front.collect::<Vec<_>>(), vec![name.clone()]);
+                            }
+                            m.meta = blob;
+                        }
+                    }
+                    _ => {
+                        // Remove, then let a newcomer without metadata
+                        // take the vacated slot (the free list is LIFO).
+                        let gone = indexed.remove(&name).map(|m| m.meta);
+                        prop_assert_eq!(gone, model.remove(&name).map(|m| m.meta));
+                        let newcomer = member(node.wrapping_add(100 + code), inc);
+                        if !model.contains_key(&newcomer.name) {
+                            indexed.upsert(newcomer.clone());
+                            let seen = indexed.get(&newcomer.name).map(|m| m.meta.clone());
+                            prop_assert_eq!(seen, Some(Bytes::new()));
+                            model.insert(newcomer.name.clone(), newcomer);
+                        }
+                    }
                 }
                 // Counters must equal full recomputed scans of the model.
                 prop_assert_eq!(indexed.len(), model.len());
@@ -266,17 +308,21 @@ mod model_agreement {
                     indexed.alive_count(),
                     model.values().filter(|m| m.state == MemberState::Alive).count()
                 );
+                for (name, m) in &model {
+                    let meta = indexed.get(name).map(|m| m.meta.clone());
+                    prop_assert_eq!(meta.as_ref(), Some(&m.meta), "metadata of {}", name);
+                }
                 indexed.check_invariants();
             }
             // Same final contents (order-independent).
-            let mut a: Vec<(NodeName, u8, Incarnation)> = indexed
+            let mut a: Vec<(NodeName, u8, Incarnation, Bytes)> = indexed
                 .iter()
-                .map(|m| (m.name.clone(), m.state.as_u8(), m.incarnation))
+                .map(|m| (m.name.clone(), m.state.as_u8(), m.incarnation, m.meta.clone()))
                 .collect();
             a.sort();
-            let b: Vec<(NodeName, u8, Incarnation)> = model
+            let b: Vec<(NodeName, u8, Incarnation, Bytes)> = model
                 .values()
-                .map(|m| (m.name.clone(), m.state.as_u8(), m.incarnation))
+                .map(|m| (m.name.clone(), m.state.as_u8(), m.incarnation, m.meta.clone()))
                 .collect();
             prop_assert_eq!(a, b);
         }
@@ -304,17 +350,17 @@ mod model_agreement {
                 (SamplePool::Gone, Some(false)),
                 (SamplePool::All, None),
             ] {
-                let picked = table.sample_pool(pool, k, &mut rng, |m| m.name != banned_name);
+                let picked = table.sample_pool(pool, k, &mut rng, |m| *m.name != banned_name);
                 let eligible = table
                     .iter()
                     .filter(|m| want_live.is_none_or(|w| m.is_live() == w))
-                    .filter(|m| m.name != banned_name)
+                    .filter(|m| *m.name != banned_name)
                     .count();
                 prop_assert_eq!(picked.len(), k.min(eligible));
                 if let Some(w) = want_live {
                     prop_assert!(picked.iter().all(|m| m.is_live() == w));
                 }
-                prop_assert!(picked.iter().all(|m| m.name != banned_name));
+                prop_assert!(picked.iter().all(|m| *m.name != banned_name));
                 let mut names: Vec<_> = picked.iter().map(|m| m.name.clone()).collect();
                 names.sort();
                 names.dedup();

@@ -37,7 +37,7 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use lifeguard_core::config::Config;
 use lifeguard_core::driver::Driver;
 use lifeguard_core::event::Event;
-use lifeguard_core::member::Member;
+use lifeguard_core::member::{Member, MemberRef};
 use lifeguard_core::node::{Input, SwimNode};
 use lifeguard_core::time::Time;
 use lifeguard_proto::{NodeAddr, NodeName, MAX_META_LEN};
@@ -372,7 +372,13 @@ impl Agent {
 
     /// Snapshot of the membership table.
     pub fn members(&self) -> Vec<Member> {
-        self.inner.driver.lock().node().members().cloned().collect()
+        self.inner
+            .driver
+            .lock()
+            .node()
+            .members()
+            .map(MemberRef::to_member)
+            .collect()
     }
 
     /// Number of members believed alive (including self).

@@ -1,7 +1,7 @@
 //! Fundamental protocol value types.
 
 use std::fmt;
-use std::net::{IpAddr, Ipv4Addr, SocketAddr};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr};
 use std::sync::Arc;
 
 /// The unique name of a group member.
@@ -75,64 +75,99 @@ impl AsRef<str> for NodeName {
 
 /// A member's network address (IP + port).
 ///
-/// This is a thin wrapper over [`SocketAddr`] so that protocol code cannot
-/// accidentally mix node addresses with other socket addresses, while
-/// remaining trivially convertible for real-network transports.
+/// Stores exactly what the wire carries — the address family, the
+/// address octets and the port — in 20 bytes, so protocol code cannot
+/// accidentally mix node addresses with other socket addresses and every
+/// message, queued packet and member record that embeds one stays small.
+/// Conversion to and from [`SocketAddr`] is trivial for real-network
+/// transports; an IPv6 flow label and scope id are *not* stored, so
+/// `From<SocketAddr>` drops them.
+///
+/// Addresses order like [`SocketAddr`]s: every IPv4 address before every
+/// IPv6 one, then by octets, then by port.
 ///
 /// ```
 /// use lifeguard_proto::NodeAddr;
 /// let addr = NodeAddr::new([10, 0, 0, 1], 7946);
 /// assert_eq!(addr.port(), 7946);
 /// ```
+// Field order is the sort order (derived `Ord`).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct NodeAddr(SocketAddr);
+pub struct NodeAddr {
+    /// The wire's family byte: 4 or 6. A plain `u8` on purpose — a
+    /// `bool` or an enum here has spare values, the compiler would make
+    /// them the `None` of every `Option` around a record holding an
+    /// address, and each such `Option` test would reload this byte.
+    family: u8,
+    /// All sixteen octets of an IPv6 address; an IPv4 address fills the
+    /// first four and leaves the rest zero.
+    octets: [u8; 16],
+    port: u16,
+}
 
 impl NodeAddr {
     /// Creates an IPv4 node address.
     pub fn new(ip: [u8; 4], port: u16) -> Self {
-        NodeAddr(SocketAddr::new(
-            IpAddr::V4(Ipv4Addr::new(ip[0], ip[1], ip[2], ip[3])),
+        let [a, b, c, d] = ip;
+        NodeAddr {
+            family: 4,
+            octets: [a, b, c, d, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
             port,
-        ))
+        }
     }
 
-    /// The wrapped socket address.
+    /// The address as a socket address (flow label and scope id zero).
     pub fn socket_addr(&self) -> SocketAddr {
-        self.0
+        SocketAddr::new(self.ip(), self.port)
     }
 
     /// The IP component.
     pub fn ip(&self) -> IpAddr {
-        self.0.ip()
+        if self.family == 6 {
+            IpAddr::V6(Ipv6Addr::from(self.octets))
+        } else {
+            let [a, b, c, d, ..] = self.octets;
+            IpAddr::V4(Ipv4Addr::new(a, b, c, d))
+        }
     }
 
     /// The port component.
     pub fn port(&self) -> u16 {
-        self.0.port()
+        self.port
     }
 }
 
 impl fmt::Display for NodeAddr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Display::fmt(&self.0, f)
+        fmt::Display::fmt(&self.socket_addr(), f)
     }
 }
 
 impl fmt::Debug for NodeAddr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "NodeAddr({})", self.0)
+        write!(f, "NodeAddr({})", self.socket_addr())
     }
 }
 
+/// Keeps the family, the address octets and the port. An IPv6 socket
+/// address's flow label and scope id are dropped: the wire never carried
+/// them, so no peer could have learned them.
 impl From<SocketAddr> for NodeAddr {
     fn from(addr: SocketAddr) -> Self {
-        NodeAddr(addr)
+        match addr.ip() {
+            IpAddr::V4(ip) => NodeAddr::new(ip.octets(), addr.port()),
+            IpAddr::V6(ip) => NodeAddr {
+                family: 6,
+                octets: ip.octets(),
+                port: addr.port(),
+            },
+        }
     }
 }
 
 impl From<NodeAddr> for SocketAddr {
     fn from(addr: NodeAddr) -> Self {
-        addr.0
+        addr.socket_addr()
     }
 }
 

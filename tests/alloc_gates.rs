@@ -4,9 +4,11 @@
 //!   performs **zero allocations** (with the always-on metrics plane
 //!   recording throughout), and
 //! * one node holding a 100 000-member roster stays within a
-//!   live-bytes-per-entry ceiling.
+//!   live-bytes-per-entry ceiling, and
+//! * a 512-member table pays nothing for metadata until one member has
+//!   some, and one `Bytes` per slot from then on.
 //!
-//! Both run inside one `#[test]`, in sequence: the allocator's counters
+//! All run inside one `#[test]`, in sequence: the allocator's counters
 //! are process-global, so a second test running beside it would be
 //! counted too.
 
@@ -17,6 +19,8 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use lifeguard::core::config::Config;
+use lifeguard::core::member::Member;
+use lifeguard::core::membership::Membership;
 use lifeguard::core::node::{Input, Output, SwimNode};
 use lifeguard::core::time::Time;
 use lifeguard::proto::{codec, Alive, Incarnation, Message, NodeAddr, NodeName};
@@ -186,9 +190,10 @@ fn poll_output_is_allocation_free() {
 }
 
 const TABLE_ENTRIES: usize = 100_000;
-/// ≈ 1.1 × the 153 B measured when the ceiling was set, so a layout
+/// ≈ 1.1 × the 113 B measured when the ceiling was set (80 B slot, 21 B
+/// of name index at this size, 4 B pool id, 8 B probe id), so a layout
 /// regression in `Membership` or `ProbeList` fails the run.
-const TABLE_BYTES_PER_ENTRY_GATE: f64 = 170.0;
+const TABLE_BYTES_PER_ENTRY_GATE: f64 = 125.0;
 
 /// Bootstraps one node with a 100 000-member roster and gates its live
 /// bytes per entry: what one member of a 100 k cluster pays for its
@@ -219,8 +224,51 @@ fn member_table_stays_within_bytes_per_entry() {
     );
 }
 
+const SMALL_TABLE: usize = 512;
+
+/// The metadata column costs nothing until a member has metadata: a
+/// 512-member table without any is slots + name index + pool ids, and
+/// the first blob adds exactly one (empty) `Bytes` per slot — 24 B with
+/// the vendored `bytes`; the blob's own allocation is made before the
+/// window.
+fn metadata_costs_nothing_until_a_member_has_some() {
+    let names: Vec<NodeName> = (0..SMALL_TABLE).map(Cluster::name_of).collect();
+    let blob = Bytes::from(vec![7u8; 64]);
+    let before = LIVE.load(Ordering::Relaxed);
+    let mut table = Membership::new();
+    for (i, name) in names.iter().enumerate() {
+        table.upsert(Member::new(
+            name.clone(),
+            Cluster::addr_for(i),
+            Incarnation(1),
+            Time::ZERO,
+        ));
+    }
+    let bare = LIVE.load(Ordering::Relaxed).saturating_sub(before);
+    let bare_per_entry = bare as f64 / SMALL_TABLE as f64;
+    table.update(&names[SMALL_TABLE / 2], |m| m.meta = blob.clone());
+    let with_one = LIVE.load(Ordering::Relaxed).saturating_sub(before);
+    let column_per_entry = (with_one - bare) as f64 / SMALL_TABLE as f64;
+    eprintln!("table-512: {bare_per_entry:.0} B/entry bare, +{column_per_entry:.0} with one blob");
+    assert!(
+        bare_per_entry <= 104.0,
+        "{bare_per_entry:.0} live bytes per entry in a {SMALL_TABLE}-member table without metadata",
+    );
+    assert!(
+        column_per_entry > 0.0,
+        "the first blob must build the column"
+    );
+    assert!(
+        column_per_entry <= 24.0,
+        "one member's metadata grew the table by {column_per_entry:.0} B/entry",
+    );
+    let stored = table.get(&names[SMALL_TABLE / 2]).map(|m| m.meta.clone());
+    assert_eq!(stored, Some(blob));
+}
+
 #[test]
 fn poll_drain_allocates_nothing_and_a_100k_table_fits_its_ceiling() {
     poll_output_is_allocation_free();
     member_table_stays_within_bytes_per_entry();
+    metadata_costs_nothing_until_a_member_has_some();
 }
