@@ -20,60 +20,77 @@
 //! The seed implementation kept a flat `Vec`, ran an O(n) `retain` on
 //! every enqueue to invalidate the subject's older broadcast, and
 //! re-sorted the whole queue (O(n log n)) for every packet filled. This
-//! version keeps the entries in a `HashMap` keyed by a monotonically
-//! increasing id, an O(1) `HashMap<NodeName, id>` invalidation index,
-//! and a lazy max-heap ordered by the selection key
-//! `(fewest transmits, newest id)`:
+//! version keeps the entries in a slab (`Vec` + free list) whose slots
+//! keep their encode buffer, an O(1) `HashMap<NodeName, slot>`
+//! invalidation index, and a lazy max-heap ordered by the selection key
+//! `(fewest transmits, newest id)`, `id` being a monotonically
+//! increasing enqueue stamp:
 //!
-//! * [`BroadcastQueue::enqueue`] (and the invalidation it implies) is
-//!   O(1) map work plus one amortized-O(1) heap push — invalidated
-//!   entries are *not* touched in the heap; their stale heap items are
-//!   discarded when they eventually surface.
+//! * [`BroadcastQueue::enqueue`] about a subject already queued
+//!   overwrites that subject's slot in place — new stamp, message
+//!   encoded into the slot's buffer — and otherwise takes a free slot;
+//!   either way one amortized-O(1) heap push. Invalidated entries are
+//!   *not* touched in the heap; a heap item carries the stamp it was
+//!   pushed under, and one whose slot now holds another stamp (or
+//!   nothing) is discarded when it eventually surfaces.
 //! * [`BroadcastQueue::fill`] pops in selection order and does
 //!   O(selected + skipped) work per packet instead of sorting all n
 //!   queued broadcasts; a running lower bound of the smallest encoded
 //!   message lets it stop as soon as nothing else can fit.
+//!
+//! In steady state neither allocates: slots, their buffers, the heap
+//! and the re-queue list are all reused.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
-use bytes::Bytes;
+use bytes::BytesMut;
 use lifeguard_proto::compound::{CompoundBuilder, MAX_COMPOUND_PARTS};
 use lifeguard_proto::{codec, Message, NodeName};
 
-/// One queued gossip broadcast.
+/// One slab slot: a queued gossip broadcast, or a vacancy that keeps
+/// its encode buffer for the next one.
 #[derive(Clone, Debug)]
-struct QueuedBroadcast {
-    /// The member the message is about (invalidation key).
-    subject: NodeName,
-    /// The decoded message (kept for the Buddy System and debugging).
-    msg: Message,
-    /// Pre-encoded wire bytes.
-    encoded: Bytes,
+struct Slot {
+    /// Enqueue stamp of the broadcast held (or last held) here.
+    id: u64,
+    /// The decoded message (kept for the Buddy System and debugging);
+    /// its gossip subject is the invalidation key. `None` while the
+    /// slot is on the free list.
+    msg: Option<Message>,
+    /// Pre-encoded wire bytes of `msg`.
+    encoded: BytesMut,
     /// How many times this broadcast has been transmitted.
     transmits: u32,
 }
 
-/// Heap item: `(Reverse(transmits), id)` under max-heap order pops the
+/// Heap item `(Reverse(transmits), id, slot)`: max-heap order pops the
 /// least-transmitted entry first, newest (largest id) on ties — the
 /// exact selection key the seed obtained by sorting. Ids are unique, so
-/// the order is total.
-type HeapItem = (Reverse<u32>, u64);
+/// the order is total and the slot index never decides it.
+type HeapItem = (Reverse<u32>, u64, u32);
 
 /// The gossip broadcast queue of one node.
 #[derive(Clone, Debug)]
 pub struct BroadcastQueue {
-    /// Live entries by id. An id missing here but still in the heap is a
-    /// stale heap item (invalidated or re-prioritised) and is dropped
-    /// when it surfaces.
-    // bounded: one live entry per subject member — enqueueing about a known subject retires its predecessor, so |entries| ≤ cluster size
-    entries: HashMap<u64, QueuedBroadcast>,
-    /// The current broadcast id per subject (invalidation index).
+    /// The slab. A heap item whose slot is vacant, or holds another id
+    /// or transmit count, is stale (invalidated or re-prioritised) and
+    /// is dropped when it surfaces.
+    // bounded: one live slot per subject member — enqueueing about a known subject overwrites its slot — plus vacancies recycled via `free`, so ≤ peak queue depth ≤ cluster size
+    slots: Vec<Slot>,
+    // bounded: ≤ |slots| — holds only currently-vacant slot indices
+    free: Vec<u32>,
+    /// Number of occupied slots.
+    live: usize,
+    /// The slot of the queued broadcast per subject (invalidation index).
     // bounded: one key per subject member, unlinked on retire — ≤ cluster size
-    by_subject: HashMap<NodeName, u64>,
+    by_subject: HashMap<NodeName, u32>,
     /// Selection order with lazy deletion.
-    // bounded: ≤ |entries| live items plus stale items, which surfacing pops drop; compaction caps stale growth at 2:1
+    // bounded: ≤ `live` items plus stale items, which surfacing pops drop; compaction caps stale growth at 2:1
     heap: BinaryHeap<HeapItem>,
+    /// Items popped by the running `fill`, pushed back when it ends.
+    // bounded: cleared by every `fill_fanout`, which pops each live entry at most once — ≤ `live`
+    requeue: Vec<HeapItem>,
     /// Monotonic enqueue stamp; larger = newer.
     next_id: u64,
     /// Lower bound on the smallest encoded entry currently queued
@@ -89,9 +106,12 @@ pub struct BroadcastQueue {
 impl Default for BroadcastQueue {
     fn default() -> Self {
         BroadcastQueue {
-            entries: HashMap::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            live: 0,
             by_subject: HashMap::new(),
             heap: BinaryHeap::new(),
+            requeue: Vec::new(),
             next_id: 0,
             min_len: usize::MAX,
             last_limit: 0,
@@ -107,12 +127,12 @@ impl BroadcastQueue {
 
     /// Number of queued broadcasts.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.live
     }
 
     /// Whether the queue has nothing to gossip.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.live == 0
     }
 
     /// Enqueues a gossip message, invalidating any queued broadcast about
@@ -123,49 +143,65 @@ impl BroadcastQueue {
     /// Panics in debug builds if `msg` is not a gossip message.
     pub fn enqueue(&mut self, msg: Message) {
         debug_assert!(msg.is_gossip(), "only gossip messages are broadcast");
-        let Some(subject) = msg.gossip_subject().cloned() else {
+        let Some(subject) = msg.gossip_subject() else {
             return;
         };
-        let encoded = codec::encode_message(&msg);
-        if self.entries.is_empty() {
+        if self.live == 0 {
             self.min_len = usize::MAX;
         }
-        self.min_len = self.min_len.min(encoded.len());
+        let index = match self.by_subject.get(subject) {
+            // The superseded broadcast stops existing now: its slot is
+            // overwritten, and its heap item is discarded lazily when
+            // it surfaces under the old id.
+            Some(&index) => index,
+            None => {
+                let index = self.free.pop().unwrap_or_else(|| {
+                    self.slots.push(Slot {
+                        id: 0,
+                        msg: None,
+                        encoded: BytesMut::new(),
+                        transmits: 0,
+                    });
+                    (self.slots.len() - 1) as u32
+                });
+                self.by_subject.insert(subject.clone(), index);
+                self.live += 1;
+                index
+            }
+        };
         let id = self.next_id;
         self.next_id += 1;
-        if let Some(old) = self.by_subject.insert(subject.clone(), id) {
-            // The superseded broadcast stops existing now; its heap item
-            // is discarded lazily when it surfaces.
-            self.entries.remove(&old);
-        }
-        self.entries.insert(
-            id,
-            QueuedBroadcast {
-                subject,
-                msg,
-                encoded,
-                transmits: 0,
-            },
-        );
-        self.heap.push((Reverse(0), id));
+        let Some(slot) = self.slots.get_mut(index as usize) else {
+            debug_invariant!(false, "subject index points outside the slab");
+            return;
+        };
+        slot.id = id;
+        slot.transmits = 0;
+        slot.encoded.clear();
+        codec::encode_message_into(&msg, &mut slot.encoded);
+        self.min_len = self.min_len.min(slot.encoded.len());
+        slot.msg = Some(msg);
+        self.heap.push((Reverse(0), id, index));
         // Stale items (from invalidations of rarely-selected subjects)
         // are normally discarded as they surface, but sustained churn
         // can strand them below fresher entries forever; compact once
         // they outnumber live entries 2:1.
-        if self.heap.len() > 2 * self.entries.len() + 16 {
-            self.heap = self
-                .entries
-                .iter()
-                .map(|(&id, e)| (Reverse(e.transmits), id))
-                .collect();
+        if self.heap.len() > 2 * self.live + 16 {
+            self.heap.clear();
+            self.heap.extend(
+                (0u32..)
+                    .zip(&self.slots)
+                    .filter(|(_, slot)| slot.msg.is_some())
+                    .map(|(index, slot)| (Reverse(slot.transmits), slot.id, index)),
+            );
         }
     }
 
     /// The queued message about `subject`, if any (used by tests and
     /// introspection). O(1).
     pub fn queued_for(&self, subject: &NodeName) -> Option<&Message> {
-        let id = self.by_subject.get(subject)?;
-        self.entries.get(id).map(|q| &q.msg)
+        let index = self.by_subject.get(subject)?;
+        self.slots.get(*index as usize)?.msg.as_ref()
     }
 
     /// Fills `builder` with as many queued broadcasts as fit, preferring
@@ -206,34 +242,35 @@ impl BroadcastQueue {
             // O(n), but only on the rare downward log10(n) boundary
             // crossing; over-limit entries surfacing during normal
             // fills are retired lazily in `pop_valid`.
-            let over: Vec<u64> = self
-                .entries
-                .iter()
-                .filter(|(_, e)| e.transmits >= transmit_limit)
-                .map(|(&id, _)| id)
-                .collect();
-            for id in over {
-                self.retire(id);
+            for index in 0..self.slots.len() {
+                if self
+                    .slots
+                    .get(index)
+                    .is_some_and(|s| s.transmits >= transmit_limit)
+                {
+                    self.retire(index as u32);
+                }
             }
         }
         self.last_limit = transmit_limit;
         // Entries selected this fill are re-queued only after the loop,
         // so no broadcast is packed twice into one packet.
-        let mut requeue: Vec<HeapItem> = Vec::new();
-        while let Some((Reverse(transmits), id)) = self.pop_valid(transmit_limit) {
-            let Some(entry) = self.entries.get_mut(&id) else {
+        self.requeue.clear();
+        while let Some((Reverse(transmits), id, index)) = self.pop_valid(transmit_limit) {
+            let Some(entry) = self.slots.get_mut(index as usize) else {
                 continue; // unreachable: pop_valid just validated it
             };
             if builder.len() >= MAX_COMPOUND_PARTS {
-                requeue.push((Reverse(transmits), id));
+                self.requeue.push((Reverse(transmits), id, index));
                 break;
             }
-            if exclude.is_some_and(|ex| &entry.subject == ex) {
-                requeue.push((Reverse(transmits), id));
+            let subject = entry.msg.as_ref().and_then(Message::gossip_subject);
+            if exclude.is_some() && subject == exclude {
+                self.requeue.push((Reverse(transmits), id, index));
                 continue;
             }
             if entry.encoded.len() > builder.remaining() {
-                requeue.push((Reverse(transmits), id));
+                self.requeue.push((Reverse(transmits), id, index));
                 if builder.remaining() < self.min_len {
                     break; // nothing queued can be smaller
                 }
@@ -242,21 +279,23 @@ impl BroadcastQueue {
             if builder.try_add_bytes(&entry.encoded) {
                 let after = transmits + copies;
                 if after >= transmit_limit {
-                    self.retire(id);
+                    self.retire(index);
                 } else {
                     entry.transmits = after;
-                    requeue.push((Reverse(after), id));
+                    self.requeue.push((Reverse(after), id, index));
                 }
             } else {
-                requeue.push((Reverse(transmits), id));
+                self.requeue.push((Reverse(transmits), id, index));
             }
         }
-        self.heap.extend(requeue);
+        self.heap.extend(self.requeue.iter().copied());
     }
 
     /// Removes every queued broadcast (used on shutdown).
     pub fn clear(&mut self) {
-        self.entries.clear();
+        self.slots.clear();
+        self.free.clear();
+        self.live = 0;
         self.by_subject.clear();
         self.heap.clear();
         self.min_len = usize::MAX;
@@ -269,32 +308,48 @@ impl BroadcastQueue {
     /// shrank below their transmit count).
     fn pop_valid(&mut self, transmit_limit: u32) -> Option<HeapItem> {
         loop {
-            let (Reverse(transmits), id) = self.heap.pop()?;
-            match self.entries.get(&id) {
-                // Invalidated: drop the stale item.
-                None => {}
-                // Re-prioritised: a fresher item exists.
-                Some(e) if e.transmits != transmits => {}
-                Some(_) if transmits >= transmit_limit => self.retire(id),
-                Some(_) => return Some((Reverse(transmits), id)),
+            let (Reverse(transmits), id, index) = self.heap.pop()?;
+            let Some(slot) = self.slots.get(index as usize) else {
+                continue;
+            };
+            // Invalidated (the slot was vacated or overwritten) or
+            // re-prioritised (a fresher item exists): drop the stale
+            // item.
+            if slot.msg.is_none() || slot.id != id || slot.transmits != transmits {
+                continue;
             }
+            if transmits >= transmit_limit {
+                self.retire(index);
+                continue;
+            }
+            return Some((Reverse(transmits), id, index));
         }
     }
 
-    fn retire(&mut self, id: u64) {
-        if let Some(entry) = self.entries.remove(&id) {
-            // Only unlink the subject if it still points at this entry
-            // (a newer broadcast may have replaced it already).
-            if self.by_subject.get(&entry.subject) == Some(&id) {
-                self.by_subject.remove(&entry.subject);
-            }
+    /// Vacates slot `index`, keeping its buffer. A live slot is the one
+    /// its subject points at (a newer broadcast about that subject
+    /// overwrites it rather than taking another), so the subject is
+    /// unlinked with it.
+    fn retire(&mut self, index: u32) {
+        let Some(msg) = self
+            .slots
+            .get_mut(index as usize)
+            .and_then(|s| s.msg.take())
+        else {
+            return;
+        };
+        if let Some(subject) = msg.gossip_subject() {
+            self.by_subject.remove(subject);
         }
+        self.live -= 1;
+        self.free.push(index);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
     use lifeguard_proto::compound::decode_packet;
     use lifeguard_proto::{Alive, Incarnation, NodeAddr, Suspect};
 

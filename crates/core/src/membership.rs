@@ -87,7 +87,7 @@ pub enum SamplePool {
 /// by [`Membership::by_id`] without touching the name index. It stops
 /// resolving once the member is removed, even if another member (or the
 /// same name, rejoining) later occupies the slot.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct MemberId {
     slot: u32,
     gen: u32,
@@ -235,16 +235,24 @@ impl Membership {
     /// Looks up a member by name. O(1).
     #[inline]
     pub fn get(&self, name: &NodeName) -> Option<MemberRef<'_>> {
-        let (_, id) = self.find(name.as_str())?;
-        self.member(id)
+        self.lookup(name.as_str()).map(|(_, member)| member)
     }
 
     /// The handle of the member named `name`, valid until that member is
     /// removed. O(1).
     pub fn id_of(&self, name: &NodeName) -> Option<MemberId> {
-        let (_, slot) = self.find(name.as_str())?;
+        self.lookup(name.as_str()).map(|(id, _)| id)
+    }
+
+    /// Resolves a name as the wire carries it: the member's handle and
+    /// its record from one probe of the name index. Everything after
+    /// this goes by the handle ([`Membership::by_id`],
+    /// [`Membership::update_id`]) and hashes nothing. O(1).
+    #[inline]
+    pub fn lookup(&self, name: &str) -> Option<(MemberId, MemberRef<'_>)> {
+        let (_, slot) = self.find(name)?;
         let gen = self.slots.get(slot as usize)?.gen;
-        Some(MemberId { slot, gen })
+        Some((MemberId { slot, gen }, self.member(slot)?))
     }
 
     /// Resolves a handle from [`Membership::id_of`]: one slab access, no
@@ -304,7 +312,21 @@ impl Membership {
     /// record is moved out of its slot for the duration of `f` and
     /// stored back after it, so `f` must not panic.
     pub fn update<T>(&mut self, name: &NodeName, f: impl FnOnce(&mut Member) -> T) -> Option<T> {
-        let (_, id) = self.find(name.as_str())?;
+        let (_, slot) = self.find(name.as_str())?;
+        self.update_slot(slot, f)
+    }
+
+    /// [`Membership::update`] of the member behind `id`, without
+    /// touching the name index. `None` (without running `f`) once the
+    /// member has been removed.
+    pub fn update_id<T>(&mut self, id: MemberId, f: impl FnOnce(&mut Member) -> T) -> Option<T> {
+        if self.slots.get(id.slot as usize)?.gen != id.gen {
+            return None;
+        }
+        self.update_slot(id.slot, f)
+    }
+
+    fn update_slot<T>(&mut self, id: u32, f: impl FnOnce(&mut Member) -> T) -> Option<T> {
         let mut member = self.take(id)?;
         let before = member.state;
         // Snapshot for change-stamping. The meta clone (a refcount
@@ -317,6 +339,7 @@ impl Membership {
         // steady state stays on the pointer fast path.
         let before_key = (member.state, member.incarnation, member.addr);
         let before_meta = member.meta.clone();
+        let before_name = cfg!(debug_assertions).then(|| member.name.clone());
         let out = f(&mut member);
         let after = member.state;
         let after_key = (member.state, member.incarnation, member.addr);
@@ -325,7 +348,7 @@ impl Membership {
             && std::ptr::eq(before_meta.as_ref().as_ptr(), after_meta.as_ref().as_ptr());
         let meta_changed = !same_buffer && before_meta.as_ref() != after_meta.as_ref();
         debug_assert!(
-            &member.name == name,
+            before_name.is_none_or(|name| name == member.name),
             "update() must not change the member's name (index key)"
         );
         self.put(id, member);

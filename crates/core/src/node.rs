@@ -18,6 +18,12 @@
 //! * [`SwimNode::next_deadline`] — the instant at which the runtime must
 //!   feed the next [`Input::Tick`].
 //!
+//! A received datagram has one path, [`SwimNode::handle_datagram_slice`]
+//! ([`Input::Datagram`] calls it): the packet is walked as borrowed
+//! views, a name in it is resolved to a [`MemberId`] once, and an owned
+//! name is made only where a message changes state — so gossip that
+//! changes nothing allocates nothing.
+//!
 //! Runtimes normally do not call these directly but drive the node
 //! through the shared [`Driver`](crate::driver::Driver) harness, which
 //! owns the input→poll→sink dispatch loop.
@@ -32,8 +38,8 @@ use bytes::Bytes;
 use lifeguard_metrics::CoreSnapshot;
 use lifeguard_proto::compound::CompoundBuilder;
 use lifeguard_proto::{
-    compound, Ack, Alive, Dead, DecodeError, IndirectPing, Incarnation, MemberState, Message,
-    Nack, NodeAddr, NodeName, Ping, PushPull, PushPullDelta, SeqNo, Suspect, MAX_META_LEN,
+    compound, Ack, Alive, DatagramView, Dead, DecodeError, Incarnation, IndirectPing, MemberState,
+    Message, Nack, NodeAddr, NodeName, Ping, PushPull, PushPullDelta, SeqNo, Suspect, MAX_META_LEN,
 };
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -43,7 +49,7 @@ use crate::broadcast::BroadcastQueue;
 use crate::config::Config;
 use crate::event::Event;
 use crate::member::{Member, MemberRef};
-use crate::membership::{Membership, SamplePool};
+use crate::membership::{MemberId, Membership, SamplePool};
 use crate::probe_list::ProbeList;
 use crate::suspicion::Suspicion;
 use crate::time::Time;
@@ -57,8 +63,8 @@ use crate::timer_wheel::{TimerKey, TimerWheel};
 /// agent and the tests all exercise the exact same entry point.
 #[derive(Clone, Debug)]
 pub enum Input {
-    /// A datagram arrived. Compound parts and blob fields are decoded as
-    /// zero-copy slices of `payload`.
+    /// A datagram arrived: [`SwimNode::handle_datagram_slice`] of
+    /// `&payload`.
     Datagram {
         /// Sender address (used for ack routing).
         from: NodeAddr,
@@ -149,7 +155,7 @@ enum Queued {
 }
 
 /// Internal timer kinds.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Timer {
     ProbeRound,
     ProbeTimeout { seq: SeqNo },
@@ -157,7 +163,7 @@ enum Timer {
     GossipTick,
     PushPullTick,
     Reconnect,
-    SuspicionCheck { node: NodeName },
+    SuspicionCheck { id: MemberId },
     RelayNack { seq: SeqNo },
     RelayExpire { seq: SeqNo },
     Reap,
@@ -165,7 +171,7 @@ enum Timer {
 
 /// A timer that came due while message I/O was blocked and is re-fired
 /// through the wheel at unblock, keyed by its original deadline.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 struct DeferredTimer {
     at: Time,
     timer: Timer,
@@ -264,7 +270,7 @@ pub struct SwimNode {
     broadcasts: BroadcastQueue,
     awareness: Awareness,
     // bounded: one active suspicion per suspect member, cleared on confirm/refute/death — ≤ cluster size
-    suspicions: HashMap<NodeName, ActiveSuspicion>,
+    suspicions: HashMap<MemberId, ActiveSuspicion>,
     probe: Option<ProbeState>,
     // bounded: one entry per in-flight relayed indirect probe, each removed when its nack timer fires
     relays: HashMap<SeqNo, RelayState>,
@@ -640,10 +646,7 @@ impl SwimNode {
         }
         match input {
             Input::Datagram { from, payload } => {
-                let msgs = compound::decode_packet_shared(&payload)?;
-                for msg in msgs {
-                    self.handle_message(from, msg, now);
-                }
+                self.handle_datagram_slice(from, &payload, now)?;
             }
             Input::Stream { from, msg } => self.handle_stream_msg(from, msg, now),
             Input::Tick => self.tick(now),
@@ -676,27 +679,32 @@ impl SwimNode {
         !self.pending.is_empty()
     }
 
-    /// [`SwimNode::handle_input`] of a datagram handed in as a borrowed
-    /// slice — the socket receive path, where payloads live in a
-    /// runtime-owned receive buffer rather than an owned [`Bytes`]. Only
-    /// the decoded messages' blob fields (names, metadata) are copied
-    /// out; the datagram itself is never duplicated. Observably
-    /// identical to feeding the same bytes as [`Input::Datagram`].
+    /// The one datagram path: what [`Input::Datagram`] runs, and what a
+    /// socket runtime calls directly with its receive buffer. The packet
+    /// is walked as borrowed [`DatagramView`]s — the whole of it checked
+    /// before the first is handled — so nothing is decoded into owned
+    /// messages: a name becomes a [`NodeName`] only where a message
+    /// changes state, and then by cloning the one the member table
+    /// stores. Gossip that changes nothing allocates nothing.
     ///
     /// # Errors
     ///
     /// The [`DecodeError`] of a malformed packet; state is unchanged.
     pub fn handle_datagram_slice(
         &mut self,
-        from: NodeAddr,
+        _from: NodeAddr,
         payload: &[u8],
         now: Time,
     ) -> Result<(), DecodeError> {
         if self.pending.is_empty() {
             self.scratch.clear();
         }
-        for msg in compound::decode_packet(payload)? {
-            self.handle_message(from, msg, now);
+        let views = compound::datagram_views(payload)?;
+        if !self.started {
+            return Ok(());
+        }
+        for view in views {
+            self.handle_view(view, now);
         }
         Ok(())
     }
@@ -738,7 +746,7 @@ impl SwimNode {
                 // cancellation (a handler consuming the probe, a relay
                 // expiring) still truly unschedules it — the no-stale-fire
                 // invariant must hold through the refire path too.
-                let key = self.timers.schedule(at, timer.clone());
+                let key = self.timers.schedule(at, timer);
                 match timer {
                     Timer::ProbeTimeout { seq } => {
                         if let Some(p) = &mut self.probe {
@@ -782,7 +790,7 @@ impl SwimNode {
 
     /// [`Input::Stream`]: a message from the reliable stream transport.
     fn handle_stream_msg(&mut self, from: NodeAddr, msg: Message, now: Time) {
-        // Same pre-start guard as the datagram path (`handle_message`),
+        // Same pre-start guard as the datagram path,
         // plus post-leave: a node that has not booted yet — or has left
         // the group — must not answer probes or anti-entropy exchanges.
         // Streams outlive datagrams (a TCP connection accepted before
@@ -797,7 +805,7 @@ impl SwimNode {
             Message::Ping(p) if p.target == self.name => {
                 self.emit_stream(from, Message::Ack(Ack { seq: p.seq }));
             }
-            Message::Ack(a) => self.handle_ack(a, now),
+            Message::Ack(a) => self.handle_ack(a.seq, now),
             Message::PushPull(pp) => {
                 let reply = !pp.reply;
                 self.merge_remote_state(&pp.states, now);
@@ -828,43 +836,91 @@ impl SwimNode {
     // Message handling (datagram)
     // ------------------------------------------------------------------
 
-    fn handle_message(&mut self, from: NodeAddr, msg: Message, now: Time) {
-        if !self.started {
-            return;
-        }
-        match msg {
-            Message::Ping(p) => self.handle_ping(from, p, now),
-            Message::IndirectPing(p) => self.handle_indirect_ping(p, now),
-            Message::Ack(a) => self.handle_ack(a, now),
-            Message::Nack(n) => self.handle_nack(n),
-            Message::Suspect(s) => self.handle_suspect(s, now),
-            Message::Alive(a) => self.handle_alive(a, now),
-            Message::Dead(d) => self.handle_dead(d, now),
-            // Push-pull is stream-only; drop it if it arrives by datagram.
-            Message::PushPull(_) | Message::PushPullDelta(_) => {}
+    /// One message of a received datagram. Names are still the packet's
+    /// bytes here: a handler resolves the name it acts on once
+    /// ([`Membership::lookup`]) and goes by [`MemberId`] from there.
+    fn handle_view(&mut self, view: DatagramView<'_>, now: Time) {
+        match view {
+            DatagramView::Ping {
+                seq,
+                target,
+                source_addr,
+                ..
+            } => {
+                // memberlist drops pings addressed to a different node
+                // name: they indicate a stale address mapping.
+                if target == self.name.as_str() {
+                    let ack = Message::Ack(Ack { seq });
+                    self.send_packet(source_addr, &ack, None, now);
+                }
+            }
+            DatagramView::IndirectPing {
+                seq,
+                target,
+                target_addr,
+                nack,
+                source_addr,
+                ..
+            } => self.handle_indirect_ping(seq, target, target_addr, nack, source_addr, now),
+            DatagramView::Ack { seq } => self.handle_ack(seq, now),
+            DatagramView::Nack { seq } => self.handle_nack(seq),
+            DatagramView::Suspect {
+                incarnation,
+                node,
+                from,
+            } => {
+                if node == self.name.as_str() {
+                    self.accused(incarnation, now);
+                } else if let Some((id, _)) = self.membership.lookup(node) {
+                    self.apply_suspect(incarnation, id, from, now);
+                }
+            }
+            DatagramView::Alive {
+                incarnation,
+                node,
+                addr,
+                meta,
+            } => self.apply_alive(incarnation, node, addr, meta, now),
+            DatagramView::Dead {
+                incarnation,
+                node,
+                from,
+            } => {
+                if node == self.name.as_str() {
+                    self.accused(incarnation, now);
+                } else if let Some((id, _)) = self.membership.lookup(node) {
+                    self.apply_dead(incarnation, id, from, now);
+                }
+            }
         }
     }
 
-    fn handle_ping(&mut self, _from: NodeAddr, ping: Ping, now: Time) {
-        // memberlist drops pings addressed to a different node name: they
-        // indicate a stale address mapping.
-        if ping.target != self.name {
-            return;
-        }
-        let ack = Message::Ack(Ack { seq: ping.seq });
-        self.send_packet(ping.source_addr, &ack, None, now);
-    }
-
-    fn handle_indirect_ping(&mut self, req: IndirectPing, now: Time) {
+    /// Relays an indirect probe. The target's name is resolved once:
+    /// the stored name goes into the ping and the id to the Buddy
+    /// System hook. A target this node has never heard of is pinged all
+    /// the same, under a name made for the occasion.
+    fn handle_indirect_ping(
+        &mut self,
+        origin_seq: SeqNo,
+        target: &str,
+        target_addr: NodeAddr,
+        nack: bool,
+        origin_addr: NodeAddr,
+        now: Time,
+    ) {
         let local_seq = self.next_seq();
+        let (target, target_id) = match self.membership.lookup(target) {
+            Some((id, member)) => (member.name.clone(), Some(id)),
+            None => (NodeName::from(target), None),
+        };
         let ping = Message::Ping(Ping {
             seq: local_seq,
-            target: req.target.clone(),
+            target,
             source: self.name.clone(),
             source_addr: self.addr,
         });
-        self.send_packet(req.target_addr, &ping, Some(&req.target), now);
-        let nack_timer = if req.nack {
+        self.send_packet(target_addr, &ping, target_id, now);
+        let nack_timer = if nack {
             let nack_at = now + crate::time::scale_duration(
                 self.config.probe_timeout,
                 self.config.nack_fraction,
@@ -880,20 +936,20 @@ impl SwimNode {
         self.relays.insert(
             local_seq,
             RelayState {
-                origin_seq: req.seq,
-                origin_addr: req.source_addr,
+                origin_seq,
+                origin_addr,
                 acked: false,
                 nack_timer,
             },
         );
     }
 
-    fn handle_ack(&mut self, ack: Ack, now: Time) {
+    fn handle_ack(&mut self, seq: SeqNo, now: Time) {
         // Our own outstanding probe? A timely ack completes the round
         // immediately (memberlist's probeNode returns on the first ack);
         // a stale ack is ignored and the round fails at its end.
         if let Some(p) = &self.probe {
-            if p.seq == ack.seq {
+            if p.seq == seq {
                 if now <= p.round_end {
                     let Some(p) = self.probe.take() else { return };
                     // True cancellation: the round's remaining deadlines
@@ -911,7 +967,7 @@ impl SwimNode {
         }
         // An indirect probe we are relaying: forward to the origin. The
         // ack is forwarded even after a nack was sent (paper footnote 5).
-        if let Some(relay) = self.relays.get_mut(&ack.seq) {
+        if let Some(relay) = self.relays.get_mut(&seq) {
             if !relay.acked {
                 relay.acked = true;
                 let nack_timer = relay.nack_timer.take();
@@ -927,43 +983,36 @@ impl SwimNode {
         }
     }
 
-    fn handle_nack(&mut self, nack: Nack) {
+    fn handle_nack(&mut self, seq: SeqNo) {
         if let Some(p) = &mut self.probe {
-            if p.seq == nack.seq {
+            if p.seq == seq {
                 p.nacks_received += 1;
             }
         }
     }
 
-    fn handle_suspect(&mut self, s: Suspect, now: Time) {
-        if s.node == self.name {
-            // A node that has left stays gone: refuting would gossip an
-            // `Alive` that peers holding it as `Left` accept as a rejoin.
-            if !self.left {
-                self.refute(s.incarnation, now);
-            }
-            return;
+    /// A `suspect` or `dead` about ourselves arrived by gossip.
+    fn accused(&mut self, incarnation: Incarnation, now: Time) {
+        // A node that has left stays gone: refuting would gossip an
+        // `Alive` that peers holding it as `Left` accept as a rejoin.
+        if !self.left {
+            self.refute(incarnation, now);
         }
-        self.apply_suspect(s.incarnation, &s.node, &s.from, now);
     }
 
-    /// Processes a suspicion about a peer, whether it arrived by gossip,
-    /// by push-pull merge, or was raised by our own failed probe
-    /// (memberlist's `suspectNode`). A suspicion about an
+    /// Processes a suspicion about the peer behind `id`, whether it
+    /// arrived by gossip, by push-pull merge, or was raised by our own
+    /// failed probe (memberlist's `suspectNode`). A suspicion about an
     /// already-suspected member counts as an independent confirmation.
+    /// The precedence rules for `suspect` live here and nowhere else.
     ///
-    /// Borrowed path (ROADMAP zero-copy slice): `node`/`from` are only
-    /// cloned (reference-count bumps) when the suspicion actually
-    /// changes state — stale or superseded suspicions are dropped
-    /// without touching either name.
-    fn apply_suspect(
-        &mut self,
-        incarnation: Incarnation,
-        node: &NodeName,
-        from: &NodeName,
-        now: Time,
-    ) {
-        let Some(member) = self.membership.get(node) else {
+    /// `from` is the accuser's name as the caller holds it — packet
+    /// bytes on the datagram path. It becomes an owned name only when
+    /// the suspicion changes state (a new suspicion, or one of the first
+    /// K new confirmers): a stale or superseded suspicion, and a repeat
+    /// confirmation, touch no name and allocate nothing.
+    fn apply_suspect(&mut self, incarnation: Incarnation, id: MemberId, from: &str, now: Time) {
+        let Some(member) = self.membership.by_id(id) else {
             return;
         };
         if incarnation < member.incarnation {
@@ -972,18 +1021,20 @@ impl SwimNode {
         match member.state {
             MemberState::Dead | MemberState::Left => {}
             MemberState::Suspect => {
-                let Some(active) = self.suspicions.get_mut(node) else {
+                let Some(active) = self.suspicions.get_mut(&id) else {
                     return;
                 };
                 active.sus.observe_incarnation(incarnation);
-                if active.sus.confirm(from.clone()) {
+                if active.sus.admits(from) {
+                    let from = owned_name(&self.membership, from);
+                    active.sus.confirm(from.clone());
                     // LHA-Suspicion: re-gossip the first K independent
                     // suspicions (paper §IV-B). The enqueue resets the
                     // transmit budget, giving (K+1)·λ·log n max copies.
                     self.broadcasts.enqueue(Message::Suspect(Suspect {
                         incarnation,
-                        node: node.clone(),
-                        from: from.clone(),
+                        node: member.name.clone(),
+                        from,
                     }));
                 }
                 // Timeout shrinking moves the one suspicion timer in
@@ -993,52 +1044,50 @@ impl SwimNode {
                     Some(key) => active.timer = key,
                     None => debug_assert!(false, "active suspicion lost its timer"),
                 }
-                self.membership.update(node, |m| {
-                    if incarnation > m.incarnation {
-                        m.incarnation = incarnation;
-                    }
-                });
+                // The record changes only at a higher incarnation; a
+                // confirmation at the held one must not rewrite it.
+                if incarnation > member.incarnation {
+                    self.membership
+                        .update_id(id, |m| m.incarnation = incarnation);
+                }
             }
             MemberState::Alive => {
-                self.start_suspicion(node, incarnation, from, now);
+                self.start_suspicion(id, incarnation, from, now);
             }
         }
     }
 
-    fn handle_alive(&mut self, a: Alive, now: Time) {
-        self.apply_alive(a.incarnation, &a.node, a.addr, &a.meta, now);
-    }
-
-    /// The borrowed alive path (ROADMAP zero-copy slice): both gossip
-    /// and push-pull merge land here without constructing an
-    /// intermediate [`Alive`].
+    /// An `alive` claim about `node`, from gossip or a push-pull merge;
+    /// the precedence rules for `alive` live here and nowhere else.
+    /// `node` and `meta` are borrowed from whatever carried them (on
+    /// the datagram path, the packet), and the name index is probed
+    /// once.
     ///
-    /// Allocation discipline: a *genuinely new* member costs one meta
-    /// copy (membership records are long-lived; with zero-copy decode
-    /// `meta` may alias a whole received datagram, so a compact copy is
-    /// stored rather than pinning the packet buffer). An *accepted*
-    /// update to a known member reuses the stored name `Arc` and — when
-    /// the metadata is unchanged, the steady-state push-pull case — the
-    /// stored meta `Bytes` too, so it performs no allocation at all.
-    /// Stale duplicates return without touching anything.
+    /// Allocation discipline: a *genuinely new* member costs its name
+    /// and one meta copy (membership records are long-lived, so a
+    /// compact copy is stored, never a slice of a receive buffer). An
+    /// *accepted* update to a known member reuses the stored name `Arc`
+    /// and — when the metadata is unchanged, the steady-state case —
+    /// the stored meta `Bytes` too, so it performs no allocation at
+    /// all. Stale duplicates return without touching anything.
     fn apply_alive(
         &mut self,
         incarnation: Incarnation,
-        node: &NodeName,
+        node: &str,
         addr: NodeAddr,
-        meta: &Bytes,
+        meta: &[u8],
         now: Time,
     ) {
-        if *node == self.name {
+        if node == self.name.as_str() {
             // Someone is echoing our own alive message, or a name
             // conflict. Nothing to do: our own incarnation is
             // authoritative.
             return;
         }
-        match self.membership.get(node) {
+        match self.membership.lookup(node) {
             None => {
                 let meta = Bytes::copy_from_slice(meta);
-                let name = node.clone();
+                let name = NodeName::from(node);
                 let mut m = Member::new(name.clone(), addr, incarnation, now);
                 m.meta = meta.clone();
                 self.membership.upsert(m);
@@ -1053,29 +1102,29 @@ impl SwimNode {
                 }));
                 self.emit_event(Event::MemberJoined { name });
             }
-            Some(member) => {
+            Some((id, member)) => {
                 // An alive message only overrides suspect/dead at a
                 // strictly higher incarnation (SWIM §4.2).
                 if incarnation <= member.incarnation {
                     return;
                 }
                 let old_state = member.state;
-                // Reuse the stored name/meta instead of cloning the
-                // (possibly packet-aliasing) decoded ones.
+                // Reuse the stored name/meta instead of copying the
+                // borrowed ones.
                 let name = member.name.clone();
-                let meta = if member.meta.as_ref() == meta.as_ref() {
+                let meta = if member.meta.as_ref() == meta {
                     member.meta.clone()
                 } else {
                     Bytes::copy_from_slice(meta)
                 };
-                let updated = self.membership.update(&name, |m| {
+                let updated = self.membership.update_id(id, |m| {
                     m.incarnation = incarnation;
                     m.addr = addr;
                     m.meta = meta.clone();
                     m.set_state(MemberState::Alive, now);
                 });
                 debug_assert!(updated.is_some(), "member present");
-                if let Some(active) = self.suspicions.remove(&name) {
+                if let Some(active) = self.suspicions.remove(&id) {
                     // Refuted: the pending expiry is truly cancelled.
                     self.timers.cancel(active.timer);
                     self.record_suspicion_end(&active.sus, now);
@@ -1100,25 +1149,31 @@ impl SwimNode {
         }
     }
 
-    fn handle_dead(&mut self, d: Dead, now: Time) {
-        if d.node == self.name {
-            if !self.left {
-                self.refute(d.incarnation, now);
-            }
-            return;
-        }
-        let Some(member) = self.membership.get(&d.node) else {
+    /// A `dead` claim about the peer behind `id` — a failure declared
+    /// by `from`, or a graceful leave when `from` names the peer itself
+    /// — from gossip or a push-pull `Left` entry. The precedence rules
+    /// for `dead` live here and nowhere else: a claim at a stale
+    /// incarnation, or about a member already gone, changes nothing and
+    /// touches no name.
+    fn apply_dead(&mut self, incarnation: Incarnation, id: MemberId, from: &str, now: Time) {
+        let Some(member) = self.membership.by_id(id) else {
             return;
         };
-        if d.incarnation < member.incarnation {
+        if incarnation < member.incarnation {
             return;
         }
         if matches!(member.state, MemberState::Dead | MemberState::Left) {
             return;
         }
-        let is_leave = d.from == d.node;
-        let updated = self.membership.update(&d.node, |m| {
-            m.incarnation = d.incarnation;
+        let node = member.name.clone();
+        let is_leave = from == node.as_str();
+        let from = if is_leave {
+            node.clone()
+        } else {
+            owned_name(&self.membership, from)
+        };
+        let updated = self.membership.update_id(id, |m| {
+            m.incarnation = incarnation;
             m.set_state(
                 if is_leave {
                     MemberState::Left
@@ -1129,18 +1184,22 @@ impl SwimNode {
             );
         });
         debug_assert!(updated.is_some(), "member present");
-        if let Some(active) = self.suspicions.remove(&d.node) {
+        if let Some(active) = self.suspicions.remove(&id) {
             self.timers.cancel(active.timer);
             self.record_suspicion_end(&active.sus, now);
         }
-        self.broadcasts.enqueue(Message::Dead(d.clone()));
+        self.broadcasts.enqueue(Message::Dead(Dead {
+            incarnation,
+            node: node.clone(),
+            from: from.clone(),
+        }));
         if is_leave {
-            self.emit_event(Event::MemberLeft { name: d.node });
+            self.emit_event(Event::MemberLeft { name: node });
         } else {
             self.emit_event(Event::MemberFailed {
-                name: d.node,
-                incarnation: d.incarnation,
-                from: d.from,
+                name: node,
+                incarnation,
+                from,
             });
         }
     }
@@ -1185,7 +1244,7 @@ impl SwimNode {
             Timer::ProbeTimeout { seq } => self.probe_timeout(seq, now),
             Timer::ProbeRoundEnd { seq } => self.probe_round_end(seq, now),
             Timer::GossipTick | Timer::PushPullTick | Timer::Reconnect => self.fire_loop(timer, now),
-            Timer::SuspicionCheck { node } => self.suspicion_check(node, now),
+            Timer::SuspicionCheck { id } => self.suspicion_check(id, now),
             Timer::RelayNack { seq } => {
                 // An ack (or the relay's expiry) cancels this timer, so a
                 // fire always means the target is still silent — no
@@ -1254,7 +1313,7 @@ impl SwimNode {
         };
         let skip = self.left || (self.io_blocked && std::mem::replace(stuck, true));
         if let Some(every) = every {
-            self.schedule(now + every, timer.clone());
+            self.schedule(now + every, timer);
         }
         if skip {
             return;
@@ -1280,9 +1339,11 @@ impl SwimNode {
             return;
         }
         let me = &self.name;
-        let Some(member) = self
-            .probe_list
-            .next_target(&self.membership, &mut self.rng, |m| m.name != me && m.is_live())
+        let Some((target_id, member)) =
+            self.probe_list
+                .next_target(&self.membership, &mut self.rng, |m| {
+                    m.name != me && m.is_live()
+                })
         else {
             return;
         };
@@ -1295,7 +1356,7 @@ impl SwimNode {
             source_addr: self.addr,
         });
         self.metrics.probes_sent += 1;
-        self.send_packet(target_addr, &ping, Some(&target), now);
+        self.send_packet(target_addr, &ping, Some(target_id), now);
         let timeout = self.awareness.scale(self.config.probe_timeout);
         let timeout_timer = self.schedule(now + timeout, Timer::ProbeTimeout { seq });
         let round_end_timer = self.schedule(now + interval, Timer::ProbeRoundEnd { seq });
@@ -1395,16 +1456,17 @@ impl SwimNode {
         } else {
             self.apply_awareness_delta(self.config.awareness_deltas.probe_failed);
         }
-        let incarnation = self
-            .membership
-            .get(&p.target)
-            .map(|m| m.incarnation)
-            .unwrap_or(Incarnation::ZERO);
+        // A target reaped while its probe was in flight is nobody's
+        // suspect.
+        let Some((target_id, member)) = self.membership.lookup(p.target.as_str()) else {
+            return;
+        };
+        let incarnation = member.incarnation;
         // Routed through the same path as gossiped suspicions: if the
         // target is already suspect, our failed probe is an independent
         // confirmation (and is re-gossiped under LHA-Suspicion).
         let me = self.name.clone();
-        self.apply_suspect(incarnation, &p.target, &me, now);
+        self.apply_suspect(incarnation, target_id, me.as_str(), now);
     }
 
     /// The suspicion deadline was reached: declare the failure.
@@ -1413,8 +1475,8 @@ impl SwimNode {
     /// and refutations cancel it, so — unlike the old lazy-heap design —
     /// a fire here always means the *current* deadline truly expired;
     /// there is no re-arm path and no fire-time staleness check.
-    fn suspicion_check(&mut self, node: NodeName, now: Time) {
-        let Some(active) = self.suspicions.remove(&node) else {
+    fn suspicion_check(&mut self, id: MemberId, now: Time) {
+        let Some(active) = self.suspicions.remove(&id) else {
             debug_assert!(false, "stale suspicion timer reached its handler");
             return;
         };
@@ -1426,18 +1488,18 @@ impl SwimNode {
         let incarnation = active.sus.incarnation();
         let declared = self
             .membership
-            .update(&node, |member| {
+            .update_id(id, |member| {
                 if member.state != MemberState::Suspect {
-                    return false;
+                    return None;
                 }
                 member.incarnation = incarnation;
                 member.set_state(MemberState::Dead, now);
-                true
+                Some(member.name.clone())
             })
-            .unwrap_or(false);
-        if !declared {
+            .flatten();
+        let Some(node) = declared else {
             return;
-        }
+        };
         self.metrics.failures_declared += 1;
         let dead = Dead {
             incarnation,
@@ -1456,25 +1518,21 @@ impl SwimNode {
     // Suspicion / refutation
     // ------------------------------------------------------------------
 
-    /// Marks `node` suspect and arms the (possibly dynamic) suspicion
-    /// timer. `from` is the accuser (ourselves on probe failure). The
-    /// names are cloned here — reference-count bumps, the suspicion
-    /// state and the gossip message need owned handles.
-    fn start_suspicion(
-        &mut self,
-        node: &NodeName,
-        incarnation: Incarnation,
-        from: &NodeName,
-        now: Time,
-    ) {
-        let Some(member) = self.membership.get(node) else {
+    /// Marks the member behind `id` suspect and arms the (possibly
+    /// dynamic) suspicion timer. `from` is the accuser (ourselves on
+    /// probe failure). This changes state, so the names become owned
+    /// here: the subject's is the stored one, the accuser's too when it
+    /// is a known member — reference-count bumps — and a fresh name only
+    /// for an accuser this node has never seen.
+    fn start_suspicion(&mut self, id: MemberId, incarnation: Incarnation, from: &str, now: Time) {
+        let Some(member) = self.membership.by_id(id) else {
             return;
         };
         if !matches!(member.state, MemberState::Alive) {
             return;
         }
         let node = member.name.clone();
-        let from = from.clone();
+        let from = owned_name(&self.membership, from);
         let n = self.membership.live_count();
         let min = self.config.suspicion_min(n);
         let max = self.config.suspicion_max(n);
@@ -1482,9 +1540,9 @@ impl SwimNode {
         let sus = Suspicion::new(incarnation, from.clone(), k, min, max, now);
         self.metrics.suspicions_raised += 1;
         let deadline = sus.deadline();
-        let timer = self.schedule(deadline, Timer::SuspicionCheck { node: node.clone() });
-        self.suspicions.insert(node.clone(), ActiveSuspicion { sus, timer });
-        self.membership.update(&node, |m| {
+        let timer = self.schedule(deadline, Timer::SuspicionCheck { id });
+        self.suspicions.insert(id, ActiveSuspicion { sus, timer });
+        self.membership.update_id(id, |m| {
             m.incarnation = incarnation;
             m.set_state(MemberState::Suspect, now);
         });
@@ -1876,21 +1934,19 @@ impl SwimNode {
     /// are downgraded to suspicions so the victim can refute (memberlist
     /// behaviour); `left` is authoritative.
     ///
-    /// Entries are pre-filtered through the borrowed state the
-    /// shared-decode path produced: an entry that cannot survive the
-    /// merge (stale incarnation, or a state the local record already
-    /// supersedes) is dropped *before* any name/meta clone or message
-    /// construction. In steady-state anti-entropy almost every entry is
-    /// such a no-op, so the merge allocates only for actual changes.
+    /// Each entry goes through the handler its claim would have reached
+    /// as gossip — `apply_alive`, `apply_suspect`, `apply_dead` — so an
+    /// entry that cannot survive the merge (stale incarnation, or a
+    /// state the local record already supersedes) is dropped there,
+    /// before any name/meta clone or message construction. In
+    /// steady-state anti-entropy almost every entry is such a no-op, so
+    /// the merge allocates only for actual changes.
     fn merge_remote_state(&mut self, states: &[lifeguard_proto::PushNodeState], now: Time) {
         let me = self.name.clone();
         for st in states {
             match st.state {
                 MemberState::Alive => {
-                    // The borrowed alive path drops stale entries and
-                    // reuses stored names/metas for accepted updates to
-                    // known members; only genuinely new members allocate.
-                    self.apply_alive(st.incarnation, &st.name, st.addr, &st.meta, now);
+                    self.apply_alive(st.incarnation, st.name.as_str(), st.addr, &st.meta, now);
                 }
                 MemberState::Suspect | MemberState::Dead => {
                     if st.name == self.name {
@@ -1898,44 +1954,22 @@ impl SwimNode {
                         continue;
                     }
                     // Learn the member first if unknown (a suspect entry
-                    // still carries a usable address); the borrowed
-                    // suspect path then drops stale/superseded
-                    // suspicions without cloning anything.
-                    if self.membership.get(&st.name).is_none() {
-                        self.apply_alive(st.incarnation, &st.name, st.addr, &st.meta, now);
+                    // still carries a usable address).
+                    let mut id = self.membership.id_of(&st.name);
+                    if id.is_none() {
+                        self.apply_alive(st.incarnation, st.name.as_str(), st.addr, &st.meta, now);
+                        id = self.membership.id_of(&st.name);
                     }
-                    self.apply_suspect(st.incarnation, &st.name, &me, now);
+                    if let Some(id) = id {
+                        self.apply_suspect(st.incarnation, id, me.as_str(), now);
+                    }
                 }
                 MemberState::Left => {
-                    // A leave claim about ourselves is refuted exactly as
-                    // `handle_dead` would.
                     if st.name == self.name {
-                        if !self.left {
-                            self.refute(st.incarnation, now);
-                        }
-                        continue;
+                        self.accused(st.incarnation, now);
+                    } else if let Some(id) = self.membership.id_of(&st.name) {
+                        self.apply_dead(st.incarnation, id, st.name.as_str(), now);
                     }
-                    // `handle_dead` drops claims about unknown members,
-                    // stale incarnations and already-gone members.
-                    match self.membership.get(&st.name) {
-                        None => continue,
-                        Some(member)
-                            if st.incarnation < member.incarnation
-                                || matches!(
-                                    member.state,
-                                    MemberState::Dead | MemberState::Left
-                                ) =>
-                        {
-                            continue;
-                        }
-                        Some(_) => {}
-                    }
-                    let dead = Dead {
-                        incarnation: st.incarnation,
-                        node: st.name.clone(),
-                        from: st.name.clone(),
-                    };
-                    self.handle_dead(dead, now);
                 }
             }
         }
@@ -1955,7 +1989,7 @@ impl SwimNode {
         &mut self,
         to: NodeAddr,
         primary: &Message,
-        ping_target: Option<&NodeName>,
+        ping_target: Option<MemberId>,
         _now: Time,
     ) {
         self.builder.reset(self.config.packet_budget);
@@ -1966,14 +2000,16 @@ impl SwimNode {
         let mut exclude = None;
         if let Some(target) = ping_target {
             if self.config.lifeguard.buddy_system {
-                if let Some(active) = self.suspicions.get(target) {
+                if let (Some(active), Some(member)) =
+                    (self.suspicions.get(&target), self.membership.by_id(target))
+                {
                     let suspect = Message::Suspect(Suspect {
                         incarnation: active.sus.incarnation(),
-                        node: target.clone(),
+                        node: member.name.clone(),
                         from: self.name.clone(),
                     });
                     self.builder.try_add_msg(&suspect);
-                    exclude = Some(target.clone());
+                    exclude = Some(member.name.clone());
                 }
             }
         }
@@ -2010,6 +2046,17 @@ impl SwimNode {
     /// introspection).
     pub fn queued_broadcast_for(&self, subject: &NodeName) -> Option<&Message> {
         self.broadcasts.queued_for(subject)
+    }
+}
+
+/// An owned name for one the caller holds borrowed — an accuser's, from
+/// a packet — made because a message is about to change state: the
+/// table's own `Arc` when it names a known member, a fresh allocation
+/// only for a name this node has never seen.
+fn owned_name(membership: &Membership, name: &str) -> NodeName {
+    match membership.lookup(name) {
+        Some((_, member)) => member.name.clone(),
+        None => NodeName::from(name),
     }
 }
 
@@ -2375,6 +2422,50 @@ mod tests {
             }
         }
         assert_eq!(regossiped, 3, "exactly K=3 confirmations re-gossiped");
+    }
+
+    /// An accuser the table does not know — a name seen only on the
+    /// wire — is a confirmer like any other: counted once, re-gossiped
+    /// once, however often its suspicion arrives.
+    #[test]
+    fn unknown_accuser_counts_once_and_is_regossiped_once() {
+        let mut n = node(Config::lan().lifeguard());
+        add_peer(&mut n, "p", 2, Time::from_secs(1));
+        add_peer(&mut n, "a", 3, Time::from_secs(1));
+        let suspect_p = |n: &mut SwimNode, from: &str| {
+            feed(
+                n,
+                addr(3),
+                Message::Suspect(Suspect {
+                    incarnation: Incarnation(1),
+                    node: "p".into(),
+                    from: from.into(),
+                }),
+                Time::from_secs(2),
+            );
+            let confirmations: Vec<u32> = n
+                .suspicions
+                .values()
+                .map(|active| active.sus.confirmation_count())
+                .collect();
+            let queued_from = match n.queued_broadcast_for(&"p".into()) {
+                Some(Message::Suspect(s)) => s.from.clone(),
+                other => panic!("expected a queued suspect, found {other:?}"),
+            };
+            (confirmations, queued_from)
+        };
+        assert_eq!(suspect_p(&mut n, "a"), (vec![0], "a".into()));
+        assert!(n.member(&"ghost".into()).is_none());
+        assert_eq!(suspect_p(&mut n, "ghost"), (vec![1], "ghost".into()));
+        assert_eq!(suspect_p(&mut n, "a"), (vec![1], "ghost".into()));
+        // The same ghost again, after another confirmer took the queue
+        // slot: not counted, and not put back.
+        assert_eq!(suspect_p(&mut n, "local"), (vec![2], "local".into()));
+        assert_eq!(suspect_p(&mut n, "ghost"), (vec![2], "local".into()));
+        assert!(
+            n.member(&"ghost".into()).is_none(),
+            "an accuser is not a member"
+        );
     }
 
     #[test]

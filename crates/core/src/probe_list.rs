@@ -65,13 +65,14 @@ impl ProbeList {
     /// has rejoined since, it is in the rotation under its new id.
     /// Reshuffles at the end of each sweep.
     ///
-    /// Returns `None` when no eligible member exists.
+    /// Returns the target with the id it sits under in the rotation, or
+    /// `None` when no eligible member exists.
     pub fn next_target<'m, R: Rng>(
         &mut self,
         membership: &'m Membership,
         rng: &mut R,
         mut eligible: impl FnMut(&MemberRef<'m>) -> bool,
-    ) -> Option<MemberRef<'m>> {
+    ) -> Option<(MemberId, MemberRef<'m>)> {
         // One full sweep plus one reshuffle is enough to visit every
         // candidate; two sweeps bounds the loop even with removals.
         let mut inspected = 0;
@@ -92,7 +93,7 @@ impl ProbeList {
             };
             self.next += 1;
             if eligible(&member) {
-                return Some(member);
+                return Some((id, member));
             }
         }
         None
@@ -148,7 +149,7 @@ mod tests {
         for sweep in 0..5 {
             let mut seen = Vec::new();
             for _ in 0..8 {
-                let t = list.next_target(&membership, &mut rng, |_| true).unwrap();
+                let t = list.next_target(&membership, &mut rng, |_| true).unwrap().1;
                 seen.push(t.name.clone());
             }
             seen.sort();
@@ -163,7 +164,8 @@ mod tests {
         for _ in 0..20 {
             let t = list
                 .next_target(&membership, &mut rng, |m| m.name.as_str() != "node-2")
-                .unwrap();
+                .unwrap()
+                .1;
             assert_ne!(t.name.as_str(), "node-2");
         }
     }
@@ -185,7 +187,7 @@ mod tests {
         membership.remove(&"node-1".into());
         let mut seen = Vec::new();
         for _ in 0..3 {
-            let t = list.next_target(&membership, &mut rng, |_| true).unwrap();
+            let t = list.next_target(&membership, &mut rng, |_| true).unwrap().1;
             seen.push(t.name.as_str().to_owned());
         }
         assert!(!seen.contains(&"node-1".to_owned()));
@@ -209,7 +211,7 @@ mod tests {
         for sweep in 0..3 {
             let mut hits = 0;
             for _ in 0..10 {
-                let t = list.next_target(&membership, &mut rng, |_| true).unwrap();
+                let t = list.next_target(&membership, &mut rng, |_| true).unwrap().1;
                 hits += usize::from(t.name.as_str() == "node-2");
             }
             assert_eq!(hits, 1, "sweep {sweep} probed node-2 {hits} times");
@@ -249,7 +251,7 @@ mod tests {
             let mut found = false;
             for _ in 0..32 {
                 gap += 1;
-                let t = list.next_target(&membership, &mut rng, |_| true).unwrap();
+                let t = list.next_target(&membership, &mut rng, |_| true).unwrap().1;
                 if t.name.as_str() == "node-7" {
                     found = true;
                     break;

@@ -11,7 +11,6 @@
 //! is the number required to reach `Min`. With `K = 0` (plain SWIM) the
 //! timeout is fixed at `Min` (`Min == Max` in that configuration).
 
-use std::collections::HashSet;
 use std::time::Duration;
 
 use lifeguard_proto::{Incarnation, NodeName};
@@ -24,9 +23,10 @@ pub struct Suspicion {
     /// Incarnation of the member the suspicion applies to.
     incarnation: Incarnation,
     /// Distinct members whose suspicions we have processed (the original
-    /// accuser counts as the first).
-    // bounded: `confirm` stops inserting once k+1 confirmers are recorded (further names no longer change the timeout)
-    confirmers: HashSet<NodeName>,
+    /// accuser counts as the first), told apart by name content. At
+    /// most k+1 names (k = 3 by default), so a scan beats hashing.
+    // bounded: `confirm` stops pushing once k+1 confirmers are recorded (further names no longer change the timeout)
+    confirmers: Vec<NodeName>,
     k: u32,
     min: Duration,
     max: Duration,
@@ -47,11 +47,9 @@ impl Suspicion {
         max: Duration,
         now: Time,
     ) -> Self {
-        let mut confirmers = HashSet::new();
-        confirmers.insert(from);
         Suspicion {
             incarnation,
-            confirmers,
+            confirmers: vec![from],
             k,
             min,
             max,
@@ -83,10 +81,18 @@ impl Suspicion {
     /// independent suspicions received about the same member are
     /// re-gossiped").
     pub fn confirm(&mut self, from: NodeName) -> bool {
-        if self.confirmation_count() >= self.k {
-            return false;
+        let admitted = self.admits(from.as_str());
+        if admitted {
+            self.confirmers.push(from);
         }
-        self.confirmers.insert(from)
+        admitted
+    }
+
+    /// Whether [`Suspicion::confirm`] would return `true` for `from`.
+    /// Lets a caller holding only a borrowed name make the owned one
+    /// just for an accuser that counts.
+    pub fn admits(&self, from: &str) -> bool {
+        self.confirmation_count() < self.k && self.confirmers.iter().all(|c| c.as_str() != from)
     }
 
     /// Raises the tracked incarnation (a fresh suspect message about a
@@ -198,6 +204,41 @@ mod tests {
         // Budget exhausted.
         assert!(!s.confirm("e".into()));
         assert_eq!(s.confirmation_count(), 3);
+    }
+
+    /// The confirmer set, whatever holds it: the original accuser is
+    /// confirmation zero, a name counts once however often and in
+    /// whatever allocation it arrives, insertion stops at k+1 names, and
+    /// `confirm` is `true` exactly for the first k new names.
+    #[test]
+    fn confirmer_set_semantics_are_pinned() {
+        for k in [1u32, 3, 6] {
+            let mut s = Suspicion::new(Incarnation(1), "origin".into(), k, MIN, MAX, Time::ZERO);
+            assert_eq!(
+                s.confirmation_count(),
+                0,
+                "the accuser is confirmation zero"
+            );
+            assert!(!s.admits("origin"));
+            assert!(!s.confirm("origin".into()));
+            assert_eq!(s.confirmation_count(), 0);
+            let mut regossiped = 0;
+            for i in 0..2 * k {
+                let name = format!("wire-only-{i}");
+                assert_eq!(s.admits(&name), i < k);
+                // Two separately allocated copies of one name: the second
+                // is the same accuser again.
+                regossiped += u32::from(s.confirm(name.as_str().into()));
+                assert!(!s.admits(&name));
+                assert!(
+                    !s.confirm(name.as_str().into()),
+                    "same accuser twice counts once"
+                );
+                assert_eq!(s.confirmation_count(), (i + 1).min(k));
+            }
+            assert_eq!(regossiped, k, "true exactly for the first k new names");
+            assert_eq!(s.confirmers.len() as u32, k + 1, "insertion stops at k+1");
+        }
     }
 
     #[test]

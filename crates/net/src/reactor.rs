@@ -507,11 +507,11 @@ impl Reactor {
     }
 
     /// The batched drain: fill the `recvmmsg` ring and hand each slot
-    /// to the core as a borrowed slice (zero-copy — only blob fields
-    /// are copied out during decode). The driver guard is taken once
-    /// per ring fill, not once per datagram, and released for every
-    /// flush: replies are staged under it and leave as `sendmmsg`
-    /// batches after it.
+    /// to the core as a borrowed slice (the node walks it as views and
+    /// copies nothing out of a packet that changes nothing). The driver
+    /// guard is taken once per ring fill, not once per datagram, and
+    /// released for every flush: replies are staged under it and leave
+    /// as `sendmmsg` batches after it.
     fn drain_datagrams_batched(&mut self) {
         let fd = self.inner.udp.as_raw_fd();
         let mut drained = 0usize;

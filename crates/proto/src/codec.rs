@@ -13,8 +13,8 @@ use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr};
 
 use crate::error::DecodeError;
 use crate::messages::{
-    Ack, Alive, Dead, IndirectPing, Message, Nack, Ping, PushNodeState, PushPull, PushPullDelta,
-    Suspect,
+    Ack, Alive, DatagramView, Dead, IndirectPing, Message, Nack, Ping, PushNodeState, PushPull,
+    PushPullDelta, Suspect,
 };
 use crate::types::{Incarnation, MemberState, NodeAddr, NodeName, SeqNo};
 
@@ -276,6 +276,61 @@ pub(crate) fn decode_from(r: &mut Reader<'_>) -> Result<Message, DecodeError> {
     }
 }
 
+/// Decodes exactly one datagram part as a borrowed view, with
+/// [`decode_message`]'s result for every byte string: the same fields
+/// read in the same order through the same [`Reader`], so the same
+/// [`DecodeError`] for the same malformed input. Allocates nothing.
+/// A stream-only `push-pull` tag has no view and yields `Ok(None)`
+/// with its body unread — the caller checks that with
+/// [`decode_message`].
+pub(crate) fn decode_view(part: &[u8]) -> Result<Option<DatagramView<'_>>, DecodeError> {
+    let mut r = Reader::new(part);
+    let view = match r.get_u8()? {
+        TAG_PING => DatagramView::Ping {
+            seq: SeqNo(r.get_u32()?),
+            target: r.get_str()?,
+            source: r.get_str()?,
+            source_addr: r.get_addr()?,
+        },
+        TAG_INDIRECT_PING => DatagramView::IndirectPing {
+            seq: SeqNo(r.get_u32()?),
+            target: r.get_str()?,
+            target_addr: r.get_addr()?,
+            nack: r.get_u8()? != 0,
+            source: r.get_str()?,
+            source_addr: r.get_addr()?,
+        },
+        TAG_ACK => DatagramView::Ack {
+            seq: SeqNo(r.get_u32()?),
+        },
+        TAG_NACK => DatagramView::Nack {
+            seq: SeqNo(r.get_u32()?),
+        },
+        TAG_SUSPECT => DatagramView::Suspect {
+            incarnation: Incarnation(r.get_u64()?),
+            node: r.get_str()?,
+            from: r.get_str()?,
+        },
+        TAG_ALIVE => DatagramView::Alive {
+            incarnation: Incarnation(r.get_u64()?),
+            node: r.get_str()?,
+            addr: r.get_addr()?,
+            meta: r.get_bytes()?,
+        },
+        TAG_DEAD => DatagramView::Dead {
+            incarnation: Incarnation(r.get_u64()?),
+            node: r.get_str()?,
+            from: r.get_str()?,
+        },
+        TAG_PUSH_PULL | TAG_PUSH_PULL_DELTA => return Ok(None),
+        other => return Err(DecodeError::UnknownTag(other)),
+    };
+    if r.remaining() != 0 {
+        return Err(DecodeError::TrailingBytes(r.remaining()));
+    }
+    Ok(Some(view))
+}
+
 fn get_states(r: &mut Reader<'_>) -> Result<Vec<PushNodeState>, DecodeError> {
     let count = r.get_u32()? as usize;
     let mut states = Vec::with_capacity(count.min(4096));
@@ -337,6 +392,7 @@ fn put_addr(buf: &mut BytesMut, a: NodeAddr) {
 ///
 /// When constructed with [`Reader::shared`], blob fields are cut as
 /// zero-copy slices of the backing [`Bytes`] instead of being copied.
+#[derive(Clone, Debug)]
 pub(crate) struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -401,10 +457,19 @@ impl<'a> Reader<'a> {
     }
 
     fn get_name(&mut self) -> Result<NodeName, DecodeError> {
+        Ok(NodeName::from(self.get_str()?))
+    }
+
+    /// A length-prefixed name, borrowed from the buffer.
+    fn get_str(&mut self) -> Result<&'a str, DecodeError> {
+        let raw = self.get_bytes()?;
+        std::str::from_utf8(raw).map_err(|_| DecodeError::InvalidUtf8)
+    }
+
+    /// A length-prefixed blob, borrowed from the buffer.
+    fn get_bytes(&mut self) -> Result<&'a [u8], DecodeError> {
         let len = self.get_u16()? as usize;
-        let raw = self.take(len)?;
-        let s = std::str::from_utf8(raw).map_err(|_| DecodeError::InvalidUtf8)?;
-        Ok(NodeName::from(s))
+        self.take(len)
     }
 
     fn get_blob(&mut self) -> Result<Bytes, DecodeError> {

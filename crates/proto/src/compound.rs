@@ -16,7 +16,7 @@ use bytes::{Bytes, BytesMut};
 
 use crate::codec::{self, COMPOUND_TAG};
 use crate::error::DecodeError;
-use crate::messages::Message;
+use crate::messages::{DatagramView, Message};
 
 /// Maximum number of parts in one compound packet (count is a `u8`).
 pub const MAX_COMPOUND_PARTS: usize = 255;
@@ -237,7 +237,9 @@ pub fn decode_packet(bytes: &[u8]) -> Result<Vec<Message>, DecodeError> {
 /// Like [`decode_packet`], but each part is cut as a zero-copy
 /// [`Bytes::slice`] of the datagram, so blob fields (gossip metadata,
 /// push-pull state) alias the received buffer instead of being copied.
-/// This is the hot-path entry used by the simulator's packet delivery.
+/// A node does not decode a datagram it receives at all — it walks
+/// [`datagram_views`]; this owned decoder serves callers that keep the
+/// messages, and is the reference the views are tested against.
 ///
 /// # Errors
 ///
@@ -255,10 +257,111 @@ pub fn decode_packet_shared(bytes: &Bytes) -> Result<Vec<Message>, DecodeError> 
     }
 }
 
+/// The datagram messages of a packet — bare or compound — as borrowed
+/// views, in packet order: the receive path of a node, which allocates
+/// nothing here (no part table, no `Vec<Message>`, no owned name).
+///
+/// The **whole** packet is checked before the first view exists:
+/// compound framing, then every part in order — fields, UTF-8,
+/// trailing bytes, unknown tags, and a stream-only `push-pull` body
+/// through the owned decoder. `Ok` exactly when [`decode_packet`] is
+/// `Ok`, and the same [`DecodeError`] otherwise, so a caller that acts
+/// on each view never acts on part of a malformed packet. Stream-only
+/// messages have no view and are skipped by the iterator.
+///
+/// # Errors
+///
+/// Same as [`decode_packet`].
+pub fn datagram_views(bytes: &[u8]) -> Result<DatagramViews<'_>, DecodeError> {
+    let views = DatagramViews::frame(bytes)?;
+    let mut unchecked = views.clone();
+    while let Some(part) = unchecked.next_part() {
+        if codec::decode_view(part)?.is_none() {
+            codec::decode_message(part)?;
+        }
+    }
+    Ok(views)
+}
+
+/// Iterator over the [`DatagramView`]s of one checked packet; see
+/// [`datagram_views`]. Each `next` parses one part again — cheaper
+/// than keeping what the check parsed.
+#[derive(Clone, Debug)]
+pub struct DatagramViews<'a> {
+    /// A bare packet's single part, until it is handed out.
+    bare: Option<&'a [u8]>,
+    /// Unread words of a compound packet's length table.
+    lens: codec::Reader<'a>,
+    /// The parts those words describe, back to back.
+    body: codec::Reader<'a>,
+}
+
+impl<'a> DatagramViews<'a> {
+    /// Splits a packet into its parts, checking compound framing the
+    /// way `split_compound` does: a short header or length table is
+    /// `UnexpectedEof`, a part past the end `TruncatedCompound`, bytes
+    /// after the last part `TrailingBytes`.
+    fn frame(bytes: &'a [u8]) -> Result<Self, DecodeError> {
+        let mut r = codec::Reader::new(bytes);
+        if bytes.first() != Some(&COMPOUND_TAG) {
+            return Ok(DatagramViews {
+                bare: Some(bytes),
+                lens: codec::Reader::new(&[]),
+                body: codec::Reader::new(&[]),
+            });
+        }
+        r.get_u8()?;
+        let count = r.get_u8()? as usize;
+        let lens = codec::Reader::new(r.take(2 * count)?);
+        let body = codec::Reader::new(r.take(r.remaining())?);
+        let mut table = lens.clone();
+        let mut left = body.remaining();
+        for _ in 0..count {
+            let len = table.get_u16()? as usize;
+            left = left
+                .checked_sub(len)
+                .ok_or(DecodeError::TruncatedCompound)?;
+        }
+        if left != 0 {
+            return Err(DecodeError::TrailingBytes(left));
+        }
+        Ok(DatagramViews {
+            bare: None,
+            lens,
+            body,
+        })
+    }
+
+    fn next_part(&mut self) -> Option<&'a [u8]> {
+        if let Some(part) = self.bare.take() {
+            return Some(part);
+        }
+        let len = self.lens.get_u16().ok()?;
+        self.body.take(len as usize).ok()
+    }
+}
+
+impl<'a> Iterator for DatagramViews<'a> {
+    type Item = DatagramView<'a>;
+
+    fn next(&mut self) -> Option<DatagramView<'a>> {
+        loop {
+            // `datagram_views` decoded every part already, so the
+            // error arm is never taken; it ends the walk all the same.
+            match codec::decode_view(self.next_part()?) {
+                Ok(Some(view)) => return Some(view),
+                Ok(None) => {}
+                Err(_) => return None,
+            }
+        }
+    }
+}
+
 /// Parses and validates a compound header, returning each part's
 /// `(offset, len)` within `bytes` — the single framing parser behind
 /// both the copying and zero-copy packet decoders.
-// lint: allow(panic_path) — `bytes[1..]` cannot panic: both callers enter only after `bytes.first()` matched the compound tag, so the length is ≥ 1
+// `bytes[1..]` cannot panic: both callers enter only after
+// `bytes.first()` matched the compound tag, so the length is ≥ 1.
 fn split_compound(bytes: &[u8]) -> Result<Vec<(usize, usize)>, DecodeError> {
     let mut r = codec::Reader::new(&bytes[1..]);
     let count = r.get_u8()? as usize;

@@ -37,8 +37,8 @@ mod types;
 
 pub use error::DecodeError;
 pub use messages::{
-    Ack, Alive, Dead, IndirectPing, Message, MessageKind, Nack, Ping, PushNodeState, PushPull,
-    PushPullDelta, Suspect,
+    Ack, Alive, DatagramView, Dead, IndirectPing, Message, MessageKind, Nack, Ping, PushNodeState,
+    PushPull, PushPullDelta, Suspect,
 };
 pub use types::{Incarnation, MemberState, NodeAddr, NodeName, SeqNo};
 

@@ -185,6 +185,80 @@ pub enum Message {
     PushPullDelta(PushPullDelta),
 }
 
+/// One datagram message as a borrowed view of the packet it arrived
+/// in: the seven kinds that travel by datagram, field for field what
+/// [`Message`] holds, with names as `&str` and metadata as `&[u8]`
+/// slices of the receive buffer. `Copy`; decoding one allocates
+/// nothing (see [`compound::datagram_views`](crate::compound::datagram_views)).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum DatagramView<'a> {
+    /// [`Ping`]
+    Ping {
+        /// See [`Ping::seq`].
+        seq: SeqNo,
+        /// See [`Ping::target`].
+        target: &'a str,
+        /// See [`Ping::source`].
+        source: &'a str,
+        /// See [`Ping::source_addr`].
+        source_addr: NodeAddr,
+    },
+    /// [`IndirectPing`]
+    IndirectPing {
+        /// See [`IndirectPing::seq`].
+        seq: SeqNo,
+        /// See [`IndirectPing::target`].
+        target: &'a str,
+        /// See [`IndirectPing::target_addr`].
+        target_addr: NodeAddr,
+        /// See [`IndirectPing::nack`].
+        nack: bool,
+        /// See [`IndirectPing::source`].
+        source: &'a str,
+        /// See [`IndirectPing::source_addr`].
+        source_addr: NodeAddr,
+    },
+    /// [`Ack`]
+    Ack {
+        /// See [`Ack::seq`].
+        seq: SeqNo,
+    },
+    /// [`Nack`]
+    Nack {
+        /// See [`Nack::seq`].
+        seq: SeqNo,
+    },
+    /// [`Suspect`]
+    Suspect {
+        /// See [`Suspect::incarnation`].
+        incarnation: Incarnation,
+        /// See [`Suspect::node`].
+        node: &'a str,
+        /// See [`Suspect::from`].
+        from: &'a str,
+    },
+    /// [`Alive`]
+    Alive {
+        /// See [`Alive::incarnation`].
+        incarnation: Incarnation,
+        /// See [`Alive::node`].
+        node: &'a str,
+        /// See [`Alive::addr`].
+        addr: NodeAddr,
+        /// See [`Alive::meta`].
+        meta: &'a [u8],
+    },
+    /// [`Dead`]
+    Dead {
+        /// See [`Dead::incarnation`].
+        incarnation: Incarnation,
+        /// See [`Dead::node`].
+        node: &'a str,
+        /// See [`Dead::from`].
+        from: &'a str,
+    },
+}
+
 /// Discriminant of a [`Message`], used for telemetry and wire tags.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum MessageKind {

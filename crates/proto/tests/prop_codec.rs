@@ -3,10 +3,11 @@
 use bytes::Bytes;
 use proptest::prelude::*;
 
-use lifeguard_proto::compound::{decode_packet, CompoundBuilder};
+use lifeguard_proto::compound::{datagram_views, decode_packet, CompoundBuilder};
 use lifeguard_proto::{
-    codec, Ack, Alive, Dead, IndirectPing, Incarnation, MemberState, Message, Nack, NodeAddr,
-    NodeName, Ping, PushNodeState, PushPull, PushPullDelta, SeqNo, Suspect,
+    codec, Ack, Alive, DatagramView, Dead, DecodeError, Incarnation, IndirectPing, MemberState,
+    Message, Nack, NodeAddr, NodeName, Ping, PushNodeState, PushPull, PushPullDelta, SeqNo,
+    Suspect,
 };
 
 /// Finishes `b` into a fresh buffer of its own.
@@ -144,6 +145,94 @@ fn message_strategy() -> impl Strategy<Value = Message> {
     ]
 }
 
+/// The owned message a view stands for.
+fn owned(view: DatagramView<'_>) -> Message {
+    match view {
+        DatagramView::Ping {
+            seq,
+            target,
+            source,
+            source_addr,
+        } => Message::Ping(Ping {
+            seq,
+            target: target.into(),
+            source: source.into(),
+            source_addr,
+        }),
+        DatagramView::IndirectPing {
+            seq,
+            target,
+            target_addr,
+            nack,
+            source,
+            source_addr,
+        } => Message::IndirectPing(IndirectPing {
+            seq,
+            target: target.into(),
+            target_addr,
+            nack,
+            source: source.into(),
+            source_addr,
+        }),
+        DatagramView::Ack { seq } => Message::Ack(Ack { seq }),
+        DatagramView::Nack { seq } => Message::Nack(Nack { seq }),
+        DatagramView::Suspect {
+            incarnation,
+            node,
+            from,
+        } => Message::Suspect(Suspect {
+            incarnation,
+            node: node.into(),
+            from: from.into(),
+        }),
+        DatagramView::Alive {
+            incarnation,
+            node,
+            addr,
+            meta,
+        } => Message::Alive(Alive {
+            incarnation,
+            node: node.into(),
+            addr,
+            meta: Bytes::copy_from_slice(meta),
+        }),
+        DatagramView::Dead {
+            incarnation,
+            node,
+            from,
+        } => Message::Dead(Dead {
+            incarnation,
+            node: node.into(),
+            from: from.into(),
+        }),
+    }
+}
+
+/// A packet through the view walker. An `Err` comes back in place of
+/// the iterator, so a refused packet hands out no view at all.
+fn through_views(bytes: &[u8]) -> Result<Vec<Message>, DecodeError> {
+    Ok(datagram_views(bytes)?.map(owned).collect())
+}
+
+/// The same packet through the owned reference decoder, less the
+/// stream-only messages, which are checked but have no view.
+fn through_owned(bytes: &[u8]) -> Result<Vec<Message>, DecodeError> {
+    let mut msgs = decode_packet(bytes)?;
+    msgs.retain(|m| !matches!(m, Message::PushPull(_) | Message::PushPullDelta(_)));
+    Ok(msgs)
+}
+
+/// One bare message, or several in compound framing.
+fn packet_strategy() -> impl Strategy<Value = Vec<u8>> {
+    proptest::collection::vec(message_strategy(), 1..12).prop_map(|msgs| {
+        let mut builder = CompoundBuilder::new(usize::MAX);
+        for m in &msgs {
+            assert!(builder.try_add_msg(m));
+        }
+        finish(&mut builder).expect("non-empty")
+    })
+}
+
 proptest! {
     /// Every message survives an encode/decode roundtrip.
     #[test]
@@ -165,6 +254,7 @@ proptest! {
     fn decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
         let _ = codec::decode_message(&bytes);
         let _ = decode_packet(&bytes);
+        let _ = datagram_views(&bytes).map(Iterator::count);
     }
 
     /// Truncating a valid encoding always produces an error, never a
@@ -262,5 +352,49 @@ proptest! {
             codec::decode_message_shared(&one).expect("shared"),
             codec::decode_message(&one).expect("copying")
         );
+    }
+
+    /// The views of a well-formed packet — bare or compound, all nine
+    /// kinds — are the owned decoder's messages, in order.
+    #[test]
+    fn views_match_owned_decode(packet in packet_strategy()) {
+        let owned = through_owned(&packet);
+        prop_assert!(owned.is_ok());
+        prop_assert_eq!(through_views(&packet), owned);
+    }
+
+    /// On arbitrary bytes, framed as a compound packet or not, the
+    /// walker and the owned decoder return the same `Result`.
+    #[test]
+    fn views_and_owned_decode_agree_on_any_bytes(
+        bytes in proptest::collection::vec(any::<u8>(), 0..256),
+        compound in any::<bool>(),
+        parts in 0u8..6,
+    ) {
+        let mut bytes = bytes;
+        if compound && bytes.len() >= 2 {
+            bytes[0] = codec::COMPOUND_TAG;
+            bytes[1] = parts;
+        }
+        prop_assert_eq!(through_views(&bytes), through_owned(&bytes));
+    }
+
+    /// Every truncation of a valid packet, and a changed byte at every
+    /// position, gets the same verdict from both decoders: the same
+    /// messages or the same `DecodeError`.
+    #[test]
+    fn views_and_owned_decode_agree_on_damaged_packets(
+        packet in packet_strategy(),
+        flip in 1u8..=255,
+    ) {
+        for cut in 0..packet.len() {
+            prop_assert_eq!(through_views(&packet[..cut]), through_owned(&packet[..cut]));
+        }
+        let mut damaged = packet.clone();
+        for at in 0..packet.len() {
+            damaged[at] ^= flip;
+            prop_assert_eq!(through_views(&damaged), through_owned(&damaged), "byte {}", at);
+            damaged[at] = packet[at];
+        }
     }
 }

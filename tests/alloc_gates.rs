@@ -3,6 +3,10 @@
 //! * draining `poll_output` on a 1000-member node in steady state
 //!   performs **zero allocations** (with the always-on metrics plane
 //!   recording throughout), and
+//! * on that node, receiving a datagram that changes nothing — stale
+//!   gossip, a ping, an ack — performs **zero allocations** from
+//!   `handle_input` through the drain, and a fresh suspicion a pinned
+//!   few, and
 //! * one node holding a 100 000-member roster stays within a
 //!   live-bytes-per-entry ceiling, and
 //! * a 512-member table pays nothing for metadata until one member has
@@ -23,7 +27,10 @@ use lifeguard::core::member::Member;
 use lifeguard::core::membership::Membership;
 use lifeguard::core::node::{Input, Output, SwimNode};
 use lifeguard::core::time::Time;
-use lifeguard::proto::{codec, Alive, Incarnation, Message, NodeAddr, NodeName};
+use lifeguard::proto::compound::{decode_packet, CompoundBuilder};
+use lifeguard::proto::{
+    codec, Ack, Alive, Dead, Incarnation, Message, NodeAddr, NodeName, Ping, SeqNo, Suspect,
+};
 use lifeguard::sim::cluster::Cluster;
 
 /// A pass-through allocator that tracks live heap bytes and, while the
@@ -189,6 +196,164 @@ fn poll_output_is_allocation_free() {
     );
 }
 
+/// Allocations of one datagram from `handle_input` through a full
+/// drain, and the packets it sent. The payload is built by the caller,
+/// outside the count.
+fn receive(node: &mut SwimNode, payload: Bytes, now: Time) -> (u64, usize) {
+    let from = NodeAddr::new([10, 1, 0, 0], 7946);
+    let input = Input::Datagram { from, payload };
+    let mut packets = 0;
+    let allocs = count_allocs(|| {
+        node.handle_input(input, now).expect("valid payload");
+        packets = drain_poll(node);
+    });
+    (allocs, packets)
+}
+
+fn suspect(node: &str, from: &str, incarnation: u64) -> Message {
+    Message::Suspect(Suspect {
+        incarnation: Incarnation(incarnation),
+        node: node.into(),
+        from: from.into(),
+    })
+}
+
+fn ping(seq: u32, target: &str) -> Bytes {
+    codec::encode_message(&Message::Ping(Ping {
+        seq: SeqNo(seq),
+        target: target.into(),
+        source: "peer-1".into(),
+        source_addr: NodeAddr::new([10, 1, 0, 1], 7946),
+    }))
+}
+
+/// What one fresh `Suspect` about an alive known member allocates, from
+/// an accuser that is a known member too: the new suspicion's confirmer
+/// vector. Both names are clones of the table's, and everything else —
+/// timer, suspicion map entry, broadcast slot with its encode buffer,
+/// subject index entry, the event — reuses warmed-up capacity.
+const FRESH_SUSPECT_ALLOCS: u64 = 1;
+
+/// The receive path on the warmed-up 1000-member node. At the parent of
+/// this gate every name-carrying message cost two or more allocations
+/// (an `Arc<str>` per name) and every packet a `Vec<Message>`, before
+/// the first incarnation comparison could drop it.
+fn receive_path_allocates_only_for_state_changes() {
+    let mut node = steady_state_node();
+    let mut now = Time::ZERO;
+    let mut inc = 10;
+    // Peers 1–6 move to incarnation 5, so gossip below that is stale.
+    for i in 1..=6u8 {
+        let payload = codec::encode_message(&Message::Alive(Alive {
+            incarnation: Incarnation(5),
+            node: format!("peer-{i}").as_str().into(),
+            addr: NodeAddr::new([10, 1, 0, i], 7946),
+            meta: Bytes::new(),
+        }));
+        receive(&mut node, payload, now);
+    }
+    // Warm-up, as for the poll gate. Its unacked probes raise suspicions
+    // of their own, so the suspicion map is not empty either.
+    for _ in 0..200 {
+        advance_cycle(&mut node, &mut now, &mut inc);
+        drain_poll(&mut node);
+    }
+
+    // Six stale entries in one compound packet: two of each gossip kind.
+    let mut builder = CompoundBuilder::new(1400);
+    for msg in [
+        suspect("peer-1", "peer-2", 3),
+        suspect("peer-2", "peer-3", 4),
+        Message::Alive(Alive {
+            incarnation: Incarnation(5),
+            node: "peer-3".into(),
+            addr: NodeAddr::new([10, 1, 0, 3], 7946),
+            meta: Bytes::new(),
+        }),
+        Message::Alive(Alive {
+            incarnation: Incarnation(1),
+            node: "peer-4".into(),
+            addr: NodeAddr::new([10, 1, 0, 4], 7946),
+            meta: Bytes::new(),
+        }),
+        Message::Dead(Dead {
+            incarnation: Incarnation(2),
+            node: "peer-5".into(),
+            from: "peer-6".into(),
+        }),
+        Message::Dead(Dead {
+            incarnation: Incarnation(4),
+            node: "peer-6".into(),
+            from: "peer-6".into(),
+        }),
+    ] {
+        assert!(builder.try_add_msg(&msg));
+    }
+    let mut stale = Vec::new();
+    builder.finish_into(&mut stale).expect("six parts");
+    let (alive, raised) = (node.num_alive(), node.metrics().suspicions_raised);
+    let (allocs, packets) = receive(&mut node, Bytes::from(stale), now);
+    eprintln!("receive: {allocs} allocations for 6 stale gossip entries");
+    assert_eq!(allocs, 0, "stale gossip must be dropped without allocating");
+    assert_eq!(packets, 0);
+    assert_eq!(node.num_alive(), alive, "stale gossip changed the table");
+    assert_eq!(node.metrics().suspicions_raised, raised);
+
+    let (allocs, packets) = receive(&mut node, ping(77, "local"), now);
+    eprintln!("receive: {allocs} allocations for a ping (one ack out)");
+    assert_eq!(packets, 1, "a ping addressed to the node is acked");
+    assert_eq!(allocs, 0, "answering a ping must not allocate");
+
+    let (allocs, packets) = receive(&mut node, ping(78, "somebody-else"), now);
+    assert_eq!(
+        (allocs, packets),
+        (0, 0),
+        "a misaddressed ping is dropped for free"
+    );
+
+    // Run until a probe leaves, then ack it while it is in flight.
+    let mut ping_seq = None;
+    while ping_seq.is_none() {
+        advance_cycle(&mut node, &mut now, &mut inc);
+        while let Some(output) = node.poll_output() {
+            let Output::Packet { payload, .. } = output else {
+                continue;
+            };
+            for msg in decode_packet(payload).expect("own packet") {
+                if let Message::Ping(p) = msg {
+                    ping_seq = Some(p.seq);
+                }
+            }
+        }
+    }
+    let health = node.local_health();
+    assert!(health > 0, "unacked warm-up probes must have cost health");
+    let ack = codec::encode_message(&Message::Ack(Ack {
+        seq: ping_seq.expect("loop exit"),
+    }));
+    let (allocs, _) = receive(&mut node, ack, now);
+    eprintln!("receive: {allocs} allocations for the ack of the probe in flight");
+    assert_eq!(
+        node.local_health(),
+        health - 1,
+        "the ack completed the probe"
+    );
+    assert_eq!(allocs, 0, "completing a probe must not allocate");
+
+    let alive = node.num_alive();
+    let (allocs, _) = receive(
+        &mut node,
+        codec::encode_message(&suspect("peer-7", "peer-8", 0)),
+        now,
+    );
+    eprintln!("receive: {allocs} allocations for one fresh suspicion");
+    assert_eq!(node.num_alive(), alive - 1, "the suspicion was accepted");
+    assert_eq!(
+        allocs, FRESH_SUSPECT_ALLOCS,
+        "a fresh suspicion allocates exactly what its comment names"
+    );
+}
+
 const TABLE_ENTRIES: usize = 100_000;
 /// ≈ 1.1 × the 113 B measured when the ceiling was set (80 B slot, 21 B
 /// of name index at this size, 4 B pool id, 8 B probe id), so a layout
@@ -269,6 +434,7 @@ fn metadata_costs_nothing_until_a_member_has_some() {
 #[test]
 fn poll_drain_allocates_nothing_and_a_100k_table_fits_its_ceiling() {
     poll_output_is_allocation_free();
+    receive_path_allocates_only_for_state_changes();
     member_table_stays_within_bytes_per_entry();
     metadata_costs_nothing_until_a_member_has_some();
 }
