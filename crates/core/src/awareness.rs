@@ -35,6 +35,9 @@ use crate::time::scale_duration;
 pub struct Awareness {
     score: u32,
     max: u32,
+    /// Highest score reached: the only writer of `score` keeps it, so
+    /// no change can miss the peak gauge.
+    peak: u32,
 }
 
 impl Awareness {
@@ -42,7 +45,11 @@ impl Awareness {
     /// paper's `S`). With `max == 0` the counter is inert, which is how
     /// plain SWIM (LHA-Probe disabled) is expressed.
     pub fn new(max: u32) -> Self {
-        Awareness { score: 0, max }
+        Awareness {
+            score: 0,
+            max,
+            peak: 0,
+        }
     }
 
     /// Current health score: 0 is maximally healthy.
@@ -55,6 +62,11 @@ impl Awareness {
         self.max
     }
 
+    /// The highest score reached so far.
+    pub(crate) fn peak(&self) -> u32 {
+        self.peak
+    }
+
     /// Whether the local node currently considers itself degraded.
     pub fn is_degraded(&self) -> bool {
         self.score > 0
@@ -65,6 +77,7 @@ impl Awareness {
     pub fn apply_delta(&mut self, delta: i32) -> u32 {
         let next = self.score as i64 + delta as i64;
         self.score = next.clamp(0, self.max as i64) as u32;
+        self.peak = self.peak.max(self.score);
         self.score
     }
 

@@ -49,6 +49,7 @@ macro_rules! debug_invariant {
 }
 
 pub mod awareness;
+mod blocked_io;
 pub mod broadcast;
 pub mod config;
 pub mod driver;
@@ -56,8 +57,11 @@ pub mod event;
 pub mod member;
 pub mod membership;
 pub mod node;
+mod outbox;
 pub mod probe_list;
+mod prober;
 pub mod suspicion;
+mod sync;
 pub mod time;
 pub mod timer_wheel;
 
@@ -66,3 +70,8 @@ pub use driver::{Driver, OwnedOutput, Sink};
 pub use event::Event;
 pub use node::{Input, Output, SwimNode};
 pub use time::Time;
+
+// The node test kit (`tests/common`) names this crate from outside; the
+// unit tests that share it need the same name to resolve from inside.
+#[cfg(test)]
+extern crate self as lifeguard_core;

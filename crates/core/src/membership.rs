@@ -255,6 +255,17 @@ impl Membership {
         Some((MemberId { slot, gen }, self.member(slot)?))
     }
 
+    /// An owned name for one the caller holds borrowed — an accuser's,
+    /// from a packet — made because a message is about to change state:
+    /// the table's own `Arc` when it names a known member, a fresh
+    /// allocation only for a name this node has never seen.
+    pub(crate) fn owned_name(&self, name: &str) -> NodeName {
+        match self.lookup(name) {
+            Some((_, member)) => member.name.clone(),
+            None => NodeName::from(name),
+        }
+    }
+
     /// Resolves a handle from [`Membership::id_of`]: one slab access, no
     /// hashing. `None` once the member has been removed.
     #[inline]

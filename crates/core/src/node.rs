@@ -1,59 +1,48 @@
 //! The SWIM + Lifeguard protocol state machine.
 //!
 //! [`SwimNode`] is **sans-io** in the `quinn-proto`/`str0m` sense: it
-//! never reads a clock, opens a socket or sleeps, and it exposes exactly
-//! one poll-based driving surface shared by every runtime (the
-//! deterministic simulator in `lifeguard-sim`, the real UDP/TCP agent in
-//! `lifeguard-net`, or any future async runtime):
+//! never reads a clock, opens a socket or sleeps. A runtime — the
+//! simulator, the UDP/TCP agent, normally through the shared
+//! [`Driver`](crate::driver::Driver) — feeds [`Input`]s to
+//! [`SwimNode::handle_input`] (received datagrams as borrowed bytes to
+//! [`SwimNode::handle_datagram_slice`]), drains [`Output`]s from
+//! [`SwimNode::poll_output`] and sleeps until
+//! [`SwimNode::next_deadline`]. All randomness comes from one seeded
+//! RNG, so a cluster under a deterministic runtime is reproducible.
 //!
-//! * [`SwimNode::handle_input`] — feed one [`Input`] (a received
-//!   datagram or stream message, a timer tick, a join/leave request, an
-//!   I/O-block transition, a metadata update) at an externally supplied
-//!   instant.
-//! * [`SwimNode::poll_output`] — drain the effects the input produced,
-//!   one [`Output`] at a time. Packet payloads borrow the node's
-//!   internal scratch buffer, so steady-state operation performs **zero
-//!   allocations per poll** — no `Bytes` is materialised unless the
-//!   caller copies one.
-//! * [`SwimNode::next_deadline`] — the instant at which the runtime must
-//!   feed the next [`Input::Tick`].
-//!
-//! A received datagram has one path, [`SwimNode::handle_datagram_slice`]
-//! ([`Input::Datagram`] calls it): the packet is walked as borrowed
-//! views, a name in it is resolved to a [`MemberId`] once, and an owned
-//! name is made only where a message changes state — so gossip that
-//! changes nothing allocates nothing.
-//!
-//! Runtimes normally do not call these directly but drive the node
-//! through the shared [`Driver`](crate::driver::Driver) harness, which
-//! owns the input→poll→sink dispatch loop.
-//!
-//! All randomness comes from an internal seeded RNG, so a cluster of
-//! `SwimNode`s driven by a deterministic runtime is fully reproducible.
-
-use std::collections::{HashMap, VecDeque};
-use std::ops::Range;
+//! This file routes: an input or a fired `Timer` goes to the part that
+//! owns the state it touches — `Prober`, `Suspicions`, `AntiEntropy`,
+//! `Outbox`, `BlockedIo`, [`Awareness`]; docs/ARCHITECTURE.md has the
+//! owner map — and what the part returns is routed on. What a claim
+//! about a member does to the table (`apply_alive`, `apply_suspect`,
+//! `apply_dead`, `refute`, `merge_remote_state`) is decided here and
+//! nowhere else.
 
 use bytes::Bytes;
 use lifeguard_metrics::CoreSnapshot;
-use lifeguard_proto::compound::CompoundBuilder;
 use lifeguard_proto::{
     compound, Ack, Alive, DatagramView, Dead, DecodeError, Incarnation, IndirectPing, MemberState,
-    Message, Nack, NodeAddr, NodeName, Ping, PushPull, PushPullDelta, SeqNo, Suspect, MAX_META_LEN,
+    Message, Nack, NodeAddr, NodeName, Ping, PushNodeState, PushPullDelta, SeqNo, Suspect,
 };
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
 
 use crate::awareness::Awareness;
-use crate::broadcast::BroadcastQueue;
+use crate::blocked_io::BlockedIo;
 use crate::config::Config;
 use crate::event::Event;
-use crate::member::{Member, MemberRef};
+use crate::member::Member;
 use crate::membership::{MemberId, Membership, SamplePool};
-use crate::probe_list::ProbeList;
-use crate::suspicion::Suspicion;
+use crate::outbox::Outbox;
+use crate::prober::{Acked, Prober};
+use crate::suspicion::{Suspicion, Suspicions};
+use crate::sync::{self, AntiEntropy, DeltaReply};
 use crate::time::Time;
-use crate::timer_wheel::{TimerKey, TimerWheel};
+use crate::timer_wheel::TimerWheel;
+
+mod inspect;
+mod lifecycle;
+
+pub use crate::outbox::Output;
 
 /// One unit of work fed into the state machine via
 /// [`SwimNode::handle_input`].
@@ -99,64 +88,30 @@ pub enum Input {
         with: NodeName,
     },
     /// Message I/O became blocked/unblocked (anomaly injection, paper
-    /// §V-D). See the blocked-I/O notes on [`SwimNode`].
+    /// §V-D): while blocked, logic and deadlines keep running but each
+    /// protocol loop executes at most one more iteration and the probe
+    /// in flight is evaluated at unblock. The runtime must also
+    /// withhold the node's sends and inbound messages for the duration.
     IoBlocked {
         /// The new blocked state.
         blocked: bool,
     },
     /// Replace the local node's application metadata and gossip the
     /// change (memberlist's `UpdateNode`). A blob longer than
-    /// [`MAX_META_LEN`] is refused: the
-    /// node's state, incarnation and broadcast queue stay as they were.
+    /// [`MAX_META_LEN`](lifeguard_proto::MAX_META_LEN), or one offered after [`Input::Leave`], is
+    /// refused: the node's state, incarnation and broadcast queue stay
+    /// as they were.
     UpdateMeta {
         /// The new metadata blob.
         meta: Bytes,
     },
 }
 
-/// An effect the runtime must carry out on behalf of the node, drained
-/// via [`SwimNode::poll_output`].
-///
-/// Packet payloads borrow the node's internal scratch buffer and are
-/// valid until the next `handle_input`/`poll_output` call; every
-/// runtime sends later than that, so each copies the bytes out exactly
-/// once — the socket agent into its staging arena, the simulator into
-/// an [`OwnedOutput`](crate::driver::OwnedOutput) for its in-flight
-/// queue or a paused node's outbox.
-#[derive(Debug)]
-pub enum Output<'a> {
-    /// Send a datagram (already compound-encoded, within the MTU budget
-    /// except for oversized single messages).
-    Packet {
-        /// Destination address.
-        to: NodeAddr,
-        /// Encoded packet bytes (borrowing the node's scratch buffer).
-        payload: &'a [u8],
-    },
-    /// Send a message over the reliable stream transport (push-pull sync,
-    /// fallback probe).
-    Stream {
-        /// Destination address.
-        to: NodeAddr,
-        /// The message to deliver reliably.
-        msg: Message,
-    },
-    /// A membership conclusion for the application / metrics.
-    Event(Event),
-}
-
-/// A queued effect. Packets are stored as ranges into the node's scratch
-/// buffer so enqueueing them allocates nothing in steady state.
-#[derive(Debug)]
-enum Queued {
-    Packet { to: NodeAddr, range: Range<usize> },
-    Stream { to: NodeAddr, msg: Message },
-    Event(Event),
-}
-
-/// Internal timer kinds.
+/// Internal timer kinds. Each is armed by one owner: `ProbeRound`, the
+/// three loop ticks and `Reap` by this file, the probe and relay
+/// deadlines by `Prober`, `SuspicionCheck` by `Suspicions`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Timer {
+pub(crate) enum Timer {
     ProbeRound,
     ProbeTimeout { seq: SeqNo },
     ProbeRoundEnd { seq: SeqNo },
@@ -167,74 +122,6 @@ enum Timer {
     RelayNack { seq: SeqNo },
     RelayExpire { seq: SeqNo },
     Reap,
-}
-
-/// A timer that came due while message I/O was blocked and is re-fired
-/// through the wheel at unblock, keyed by its original deadline.
-#[derive(Clone, Copy, Debug)]
-struct DeferredTimer {
-    at: Time,
-    timer: Timer,
-}
-
-/// State of the probe the local node currently has in flight.
-#[derive(Clone, Debug)]
-struct ProbeState {
-    seq: SeqNo,
-    target: NodeName,
-    target_addr: NodeAddr,
-    expected_nacks: u32,
-    nacks_received: u32,
-    /// When the direct ping left, for the probe-RTT histogram.
-    started: Time,
-    round_end: Time,
-    /// Handle of the armed `ProbeTimeout`; cancelled when an ack
-    /// completes the round, so the timer cannot fire stale.
-    timeout_timer: TimerKey,
-    /// Handle of the armed `ProbeRoundEnd`; cancelled on a timely ack.
-    round_end_timer: TimerKey,
-}
-
-/// State kept while relaying an indirect probe for another node.
-#[derive(Clone, Debug)]
-struct RelayState {
-    origin_seq: SeqNo,
-    origin_addr: NodeAddr,
-    acked: bool,
-    /// Armed `RelayNack` handle (only when the origin asked for nacks);
-    /// cancelled the moment the target's ack arrives.
-    nack_timer: Option<TimerKey>,
-}
-
-/// A suspicion the local node currently holds, paired with the wheel
-/// handle of its single `SuspicionCheck` timer. Lifeguard's timeout
-/// shrinking reschedules that timer in place, so there is never a stale
-/// deadline in flight.
-#[derive(Clone, Debug)]
-struct ActiveSuspicion {
-    sus: Suspicion,
-    timer: TimerKey,
-}
-
-/// Delta-sync bookkeeping for one peer.
-///
-/// Watermarks are conservative by construction: `remote_seen` advances
-/// only after the peer's entries were merged locally, and `local_acked`
-/// advances only on the peer's own `since` claims, so a dropped message
-/// can cause re-sending but never a missed update.
-#[derive(Clone, Debug)]
-struct PeerSync {
-    /// The peer instance (epoch) these watermarks refer to; a changed
-    /// epoch invalidates them wholesale.
-    peer_epoch: u64,
-    /// Highest peer update-seq merged locally — sent as `since`.
-    remote_seen: u64,
-    /// Highest local update-seq the peer has confirmed merging — the
-    /// lower bound of the next delta this node sends it.
-    local_acked: u64,
-    /// When a delta message from this peer was last processed; past the
-    /// configured horizon the watermarks are discarded.
-    last_exchange: Time,
 }
 
 /// A single group member's protocol instance.
@@ -266,360 +153,28 @@ pub struct SwimNode {
     incarnation: Incarnation,
     meta: Bytes,
     membership: Membership,
-    probe_list: ProbeList,
-    broadcasts: BroadcastQueue,
-    awareness: Awareness,
-    // bounded: one active suspicion per suspect member, cleared on confirm/refute/death — ≤ cluster size
-    suspicions: HashMap<MemberId, ActiveSuspicion>,
-    probe: Option<ProbeState>,
-    // bounded: one entry per in-flight relayed indirect probe, each removed when its nack timer fires
-    relays: HashMap<SeqNo, RelayState>,
-    /// This instance's id for delta-sync watermarks: seq values this
-    /// node hands out are only meaningful together with this epoch, so
-    /// a restarted peer can never mis-apply watermarks from a previous
-    /// life.
-    epoch: u64,
-    /// Per-peer delta-sync watermarks (pruned on reap and past the
-    /// configured horizon).
-    // bounded: retained only for members still in the roster (pruned on reap), so ≤ cluster size
-    peer_sync: HashMap<NodeName, PeerSync>,
-    seq: SeqNo,
     timers: TimerWheel<Timer>,
     rng: StdRng,
     started: bool,
     left: bool,
-    /// Whether sends/receives are currently blocked (anomaly injection).
-    io_blocked: bool,
-    /// Loop timers that already executed their one blocked iteration.
-    stuck_gossip: bool,
-    stuck_push_pull: bool,
-    stuck_reconnect: bool,
-    /// Timers that came due while blocked and must re-fire on unblock,
-    /// in original due order.
-    // bounded: ≤ the live timer count — each deferred entry consumed a scheduled timer, and loop timers defer at most once (stuck_* flags)
-    deferred_timers: Vec<DeferredTimer>,
+    awareness: Awareness,
+    prober: Prober,
+    suspicions: Suspicions,
+    sync: AntiEntropy,
+    outbox: Outbox,
+    blocked_io: BlockedIo,
     /// Observability state: protocol activity counters, latency and
     /// lifetime histograms, flap and anti-entropy volume counters, and
-    /// peaks of the health/queue gauges, recorded straight into the
-    /// export shape. All fixed-size — recording is allocation-free,
-    /// preserving the zero-alloc poll guarantee — and fed only from
-    /// `handle_input`, so the whole plane is deterministic under the sim
-    /// clock. The live gauges (`lhm`, `lhm_max`, `broadcast_queue_depth`)
-    /// are filled in by [`SwimNode::metrics`].
+    /// the queue-depth peak, recorded straight into the export shape.
+    /// All fixed-size — recording is allocation-free, preserving the
+    /// zero-alloc poll guarantee — and fed only from `handle_input`, so
+    /// the whole plane is deterministic under the sim clock. The live
+    /// gauges (`lhm*`, `broadcast_queue_depth`) are filled in by
+    /// [`SwimNode::metrics`].
     metrics: CoreSnapshot,
-    /// Effects awaiting [`SwimNode::poll_output`].
-    // bounded: the driver drains it fully after every input, so it holds at most one input's effects
-    pending: VecDeque<Queued>,
-    /// Arena for queued packet payloads; cleared whenever the queue
-    /// drains, so it stabilises at the high-water packet burst size.
-    // bounded: cleared at the first input after a full drain, stabilises at the high-water burst size
-    scratch: Vec<u8>,
-    /// Reusable packet assembler (capacity persists across packets).
-    builder: CompoundBuilder,
-    /// Reusable target-address buffer for gossip/probe fan-out.
-    // bounded: cleared before each use, filled with ≤ max(indirect_checks, gossip fan-out) addresses
-    addr_scratch: Vec<NodeAddr>,
 }
 
 impl SwimNode {
-    /// Creates a node. Call [`SwimNode::start`] before driving it.
-    ///
-    /// `seed` fixes the node's private RNG stream (probe order, gossip
-    /// fan-out choices); two nodes with the same seed and inputs behave
-    /// identically.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config` fails [`Config::validate`]; use
-    /// [`SwimNode::try_new`] to handle invalid configurations
-    /// gracefully.
-    pub fn new(name: NodeName, addr: NodeAddr, config: Config, seed: u64) -> Self {
-        Self::try_new(name, addr, config, seed)
-            // lint: allow(panic) — documented contract: `new` panics on an invalid config at construction time, never on wire input; `try_new` is the graceful path
-            .unwrap_or_else(|e| panic!("invalid SwimNode config: {e}"))
-    }
-
-    /// Fallible [`SwimNode::new`]: rejects invalid configurations with
-    /// the typed [`ConfigError`](crate::config::ConfigError) instead of
-    /// panicking.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`Config::validate`] violation, or
-    /// [`ConfigError::NodeNameTooLong`](crate::config::ConfigError::NodeNameTooLong)
-    /// for a `name` the wire format cannot carry.
-    pub fn try_new(
-        name: NodeName,
-        addr: NodeAddr,
-        config: Config,
-        seed: u64,
-    ) -> Result<Self, crate::config::ConfigError> {
-        config.validate()?;
-        if name.len() > usize::from(u16::MAX) {
-            return Err(crate::config::ConfigError::NodeNameTooLong);
-        }
-        let awareness = Awareness::new(config.effective_awareness_max());
-        let packet_budget = config.packet_budget;
-        // Instance id for delta-sync watermarks: seed-derived (so runs
-        // stay reproducible) without consuming the protocol RNG stream,
-        // and never zero (`since_epoch == 0` means "unknown" on the
-        // wire). Runtime contract: a restarted node must be given a
-        // fresh seed (`Agent::start` derives one from entropy when
-        // unseeded) so it gets a fresh epoch — that is what invalidates
-        // stale peer watermarks. Even under an epoch collision, a
-        // `since = 0` request is always served from scratch, so the
-        // failure mode is re-sending, not data loss.
-        let epoch = (seed ^ 0x9E37_79B9_7F4A_7C15).wrapping_mul(0xBF58_476D_1CE4_E5B9) | 1;
-        Ok(SwimNode {
-            config,
-            name,
-            addr,
-            incarnation: Incarnation::ZERO,
-            meta: Bytes::new(),
-            membership: Membership::new(),
-            probe_list: ProbeList::new(),
-            broadcasts: BroadcastQueue::new(),
-            awareness,
-            suspicions: HashMap::new(),
-            probe: None,
-            relays: HashMap::new(),
-            epoch,
-            peer_sync: HashMap::new(),
-            seq: SeqNo(0),
-            timers: TimerWheel::new(),
-            rng: StdRng::seed_from_u64(seed),
-            started: false,
-            left: false,
-            io_blocked: false,
-            stuck_gossip: false,
-            stuck_push_pull: false,
-            stuck_reconnect: false,
-            deferred_timers: Vec::new(),
-            metrics: CoreSnapshot::default(),
-            pending: VecDeque::new(),
-            scratch: Vec::new(),
-            builder: CompoundBuilder::new(packet_budget),
-            addr_scratch: Vec::new(),
-        })
-    }
-
-    // ------------------------------------------------------------------
-    // Accessors
-    // ------------------------------------------------------------------
-
-    /// The local node's name.
-    pub fn name(&self) -> &NodeName {
-        &self.name
-    }
-
-    /// The local node's advertised address.
-    pub fn addr(&self) -> NodeAddr {
-        self.addr
-    }
-
-    /// The local incarnation number.
-    pub fn incarnation(&self) -> Incarnation {
-        self.incarnation
-    }
-
-    /// The current Local Health Multiplier score (0 = healthy).
-    pub fn local_health(&self) -> u32 {
-        self.awareness.score()
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &Config {
-        &self.config
-    }
-
-    /// All known members (including self and retained dead members).
-    pub fn members(&self) -> impl Iterator<Item = MemberRef<'_>> {
-        self.membership.iter()
-    }
-
-    /// Looks up a member record by name.
-    pub fn member(&self, name: &NodeName) -> Option<MemberRef<'_>> {
-        self.membership.get(name)
-    }
-
-    /// Number of members currently believed alive (including self).
-    pub fn num_alive(&self) -> usize {
-        self.membership.alive_count()
-    }
-
-    /// Number of live members (alive + suspect, including self).
-    pub fn num_live(&self) -> usize {
-        self.membership.live_count()
-    }
-
-    /// Whether the node has left the group.
-    pub fn has_left(&self) -> bool {
-        self.left
-    }
-
-    /// Number of gossip broadcasts waiting in the queue (introspection).
-    pub fn pending_broadcasts(&self) -> usize {
-        self.broadcasts.len()
-    }
-
-    /// Point-in-time metrics snapshot of the protocol plane: the
-    /// protocol activity counters, the probe-RTT and suspicion-lifetime
-    /// histograms, health/queue gauges and anti-entropy volume, in the
-    /// runtime-independent [`CoreSnapshot`] shape. Everything here is
-    /// recorded on the deterministic `handle_input` path, so for the
-    /// same input trace every runtime reports the same snapshot.
-    pub fn metrics(&self) -> CoreSnapshot {
-        let lhm = u64::from(self.awareness.score());
-        let depth = self.broadcasts.len() as u64;
-        CoreSnapshot {
-            lhm,
-            lhm_peak: self.metrics.lhm_peak.max(lhm),
-            lhm_max: u64::from(self.awareness.max()),
-            broadcast_queue_depth: depth,
-            broadcast_queue_peak: self.metrics.broadcast_queue_peak.max(depth),
-            ..self.metrics.clone()
-        }
-    }
-
-    /// Applies an LHM delta and keeps the peak gauge current — every
-    /// awareness change must route through here, not
-    /// `awareness.apply_delta` directly.
-    fn apply_awareness_delta(&mut self, delta: i32) {
-        let score = self.awareness.apply_delta(delta);
-        self.metrics.lhm_peak = self.metrics.lhm_peak.max(u64::from(score));
-    }
-
-    /// Records the end of a suspicion's life, however it resolved.
-    fn record_suspicion_end(&mut self, sus: &Suspicion, now: Time) {
-        self.metrics
-            .suspicion_lifetime
-            .record_duration(now.saturating_since(sus.started_at()));
-    }
-
-    /// [`Input::UpdateMeta`]: the incarnation is bumped so the new
-    /// `alive` message supersedes older state. An oversized blob is
-    /// refused here, where it enters, so nothing this node encodes about
-    /// itself can overflow the codec's 16-bit blob length.
-    fn update_meta(&mut self, meta: Bytes, now: Time) {
-        if meta.len() > MAX_META_LEN {
-            return;
-        }
-        self.meta = meta.clone();
-        self.incarnation = self.incarnation.next();
-        let incarnation = self.incarnation;
-        self.membership.update(&self.name, |me| {
-            me.meta = meta.clone();
-            me.incarnation = incarnation;
-            me.set_state(MemberState::Alive, now);
-        });
-        self.broadcasts.enqueue(Message::Alive(Alive {
-            incarnation: self.incarnation,
-            node: self.name.clone(),
-            addr: self.addr,
-            meta,
-        }));
-    }
-
-    // ------------------------------------------------------------------
-    // Lifecycle
-    // ------------------------------------------------------------------
-
-    /// Boots the node: registers itself as alive and arms the periodic
-    /// timers. Must be called exactly once before any other driving call.
-    /// Produces no outputs (there is nobody to talk to yet).
-    pub fn start(&mut self, now: Time) {
-        assert!(!self.started, "start() called twice");
-        self.started = true;
-        let mut me = Member::new(self.name.clone(), self.addr, self.incarnation, now);
-        me.meta = self.meta.clone();
-        self.membership.upsert(me);
-
-        // Randomize initial phases so a cluster booted in lock-step does
-        // not probe in lock-step.
-        let probe_phase = self.random_phase(self.config.probe_interval);
-        self.schedule(now + probe_phase, Timer::ProbeRound);
-        let gossip_phase = self.random_phase(self.config.gossip_interval);
-        self.schedule(now + gossip_phase, Timer::GossipTick);
-        if let Some(pp) = self.config.push_pull_interval {
-            let pp_phase = self.random_phase(pp);
-            self.schedule(now + pp + pp_phase, Timer::PushPullTick);
-        }
-        if let Some(rc) = self.config.reconnect_interval {
-            let rc_phase = self.random_phase(rc);
-            self.schedule(now + rc + rc_phase, Timer::Reconnect);
-        }
-        self.schedule(now + self.config.dead_reclaim, Timer::Reap);
-    }
-
-    /// Registers peers directly as alive members, bypassing the join
-    /// protocol — the simulator's full-mesh bootstrap for large-cluster
-    /// benchmarks. No gossip is enqueued and no events are emitted; the
-    /// probe rotation absorbs all names with one bulk shuffle.
-    pub fn bootstrap_peers(
-        &mut self,
-        peers: impl IntoIterator<Item = (NodeName, NodeAddr)>,
-        now: Time,
-    ) {
-        debug_assert!(self.started, "bootstrap_peers() before start()");
-        let peers = peers.into_iter();
-        let expected = peers.size_hint().0;
-        self.membership.reserve(expected);
-        let mut fresh = Vec::with_capacity(expected);
-        for (name, addr) in peers {
-            if name == self.name || self.membership.get(&name).is_some() {
-                continue;
-            }
-            self.membership
-                .upsert(Member::new(name.clone(), addr, Incarnation::ZERO, now));
-            fresh.extend(self.membership.id_of(&name));
-        }
-        self.probe_list.extend_shuffled(fresh, &mut self.rng);
-    }
-
-    /// [`Input::Join`]: sends a push-pull sync (carrying our own record)
-    /// to each seed address over the stream transport.
-    fn join(&mut self, seeds: &[NodeAddr], _now: Time) {
-        debug_assert!(self.started, "join() before start()");
-        let Some(me) = self.membership.get(&self.name) else {
-            debug_invariant!(false, "self is registered by start()");
-            return;
-        };
-        let states = vec![me.to_push_state()];
-        let me = self.addr;
-        for &to in seeds.iter().filter(|a| **a != me) {
-            self.emit_stream(
-                to,
-                Message::PushPull(PushPull {
-                    join: true,
-                    reply: false,
-                    states: states.clone(),
-                }),
-            );
-        }
-    }
-
-    /// [`Input::Leave`]: broadcasts a self-signed `dead` message
-    /// (memberlist's leave semantics) and flushes it to a few peers
-    /// immediately.
-    fn leave(&mut self, now: Time) {
-        if self.left {
-            return;
-        }
-        self.left = true;
-        let dead = Message::Dead(Dead {
-            incarnation: self.incarnation,
-            node: self.name.clone(),
-            from: self.name.clone(),
-        });
-        self.broadcasts.enqueue(dead);
-        self.membership.set_state(&self.name, MemberState::Left, now);
-        self.gossip_once(now);
-    }
-
-    // ------------------------------------------------------------------
-    // Driving
-    // ------------------------------------------------------------------
-
     /// The timer queue's exact next deadline: the earliest instant at
     /// which the runtime must feed the next [`Input::Tick`]. A
     /// readiness-driven runtime sleeps in `poll` for precisely
@@ -641,16 +196,14 @@ impl SwimNode {
     /// deployment just drops such packets). Every other input is
     /// infallible.
     pub fn handle_input(&mut self, input: Input, now: Time) -> Result<(), DecodeError> {
-        if self.pending.is_empty() {
-            self.scratch.clear();
-        }
+        self.outbox.begin_input();
         match input {
             Input::Datagram { from, payload } => {
                 self.handle_datagram_slice(from, &payload, now)?;
             }
             Input::Stream { from, msg } => self.handle_stream_msg(from, msg, now),
             Input::Tick => self.tick(now),
-            Input::Join { seeds } => self.join(&seeds, now),
+            Input::Join { seeds } => self.join(&seeds),
             Input::Leave => self.leave(now),
             Input::Sync { with } => self.sync_request(&with, now),
             Input::IoBlocked { blocked } => self.set_io_blocked(blocked, now),
@@ -663,20 +216,12 @@ impl SwimNode {
     /// for the runtime to do. Zero allocations: packet payloads are
     /// slices of the node's scratch buffer.
     pub fn poll_output(&mut self) -> Option<Output<'_>> {
-        Some(match self.pending.pop_front()? {
-            Queued::Packet { to, range } => Output::Packet {
-                to,
-                // lint: allow(panic_path) — `range` was produced by `queue_packet` as the extent of bytes it just wrote into `scratch`, and `scratch` only grows until `pending` drains
-                payload: &self.scratch[range],
-            },
-            Queued::Stream { to, msg } => Output::Stream { to, msg },
-            Queued::Event(e) => Output::Event(e),
-        })
+        self.outbox.next_output()
     }
 
     /// Whether [`SwimNode::poll_output`] has queued effects.
     pub fn has_pending_output(&self) -> bool {
-        !self.pending.is_empty()
+        self.outbox.has_pending()
     }
 
     /// The one datagram path: what [`Input::Datagram`] runs, and what a
@@ -696,9 +241,7 @@ impl SwimNode {
         payload: &[u8],
         now: Time,
     ) -> Result<(), DecodeError> {
-        if self.pending.is_empty() {
-            self.scratch.clear();
-        }
+        self.outbox.begin_input();
         let views = compound::datagram_views(payload)?;
         if !self.started {
             return Ok(());
@@ -709,76 +252,15 @@ impl SwimNode {
         Ok(())
     }
 
-    /// [`Input::IoBlocked`]: marks the node's message I/O as blocked or
-    /// unblocked (anomaly injection, paper §V-D: members "block
-    /// immediately before sending or after receiving any protocol
-    /// message").
-    ///
-    /// While blocked, the node's logic and wall-clock deadlines keep
-    /// running, but each protocol loop (probe, gossip, push-pull,
-    /// reconnect) executes at most one more iteration — the one stuck at
-    /// its blocked send — and the in-flight probe's deadline evaluation
-    /// is postponed. The runtime must also withhold the node's sends and
-    /// inbound messages for the duration of the block.
-    ///
-    /// Unblocking re-injects the postponed deadline timers into the
-    /// wheel at their *original* deadlines and drains everything due, so
-    /// the catch-up interleaves them with timers armed while blocked in
-    /// global (deadline, insertion) order — the stuck probe fails and
-    /// raises a suspicion exactly like a real agent resuming after an
-    /// anomaly, and nothing fires out of order relative to it. The
-    /// outputs of that catch-up processing are queued for polling.
+    /// [`Input::IoBlocked`]. Unblocking re-injects the postponed
+    /// deadline timers (see `BlockedIo::release`) and drains everything
+    /// due; the outputs of that catch-up are queued for polling.
     fn set_io_blocked(&mut self, blocked: bool, now: Time) {
-        if blocked == self.io_blocked {
-            return;
+        if self.blocked_io.set(blocked) && !blocked {
+            self.blocked_io
+                .release(&mut self.timers, &mut self.prober);
+            self.tick(now);
         }
-        self.io_blocked = blocked;
-        if !blocked {
-            self.stuck_gossip = false;
-            self.stuck_push_pull = false;
-            self.stuck_reconnect = false;
-            let mut deferred = std::mem::take(&mut self.deferred_timers);
-            // Stable by original deadline: exact ties keep deferral
-            // (i.e. original firing) order — the deterministic tiebreak.
-            deferred.sort_by_key(|d| d.at);
-            for DeferredTimer { at, timer } in deferred {
-                // Re-point the owning state at the re-injected timer, so
-                // cancellation (a handler consuming the probe, a relay
-                // expiring) still truly unschedules it — the no-stale-fire
-                // invariant must hold through the refire path too.
-                let key = self.timers.schedule(at, timer);
-                match timer {
-                    Timer::ProbeTimeout { seq } => {
-                        if let Some(p) = &mut self.probe {
-                            if p.seq == seq {
-                                p.timeout_timer = key;
-                            }
-                        }
-                    }
-                    Timer::ProbeRoundEnd { seq } => {
-                        if let Some(p) = &mut self.probe {
-                            if p.seq == seq {
-                                p.round_end_timer = key;
-                            }
-                        }
-                    }
-                    Timer::RelayNack { seq } => {
-                        if let Some(relay) = self.relays.get_mut(&seq) {
-                            relay.nack_timer = Some(key);
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            while let Some((at, timer)) = self.timers.pop_due(now) {
-                self.fire(at, timer, now);
-            }
-        }
-    }
-
-    /// Whether message I/O is currently blocked (anomaly injection).
-    pub fn is_io_blocked(&self) -> bool {
-        self.io_blocked
     }
 
     /// [`Input::Tick`]: fires all timers due at or before `now`.
@@ -790,9 +272,9 @@ impl SwimNode {
 
     /// [`Input::Stream`]: a message from the reliable stream transport.
     fn handle_stream_msg(&mut self, from: NodeAddr, msg: Message, now: Time) {
-        // Same pre-start guard as the datagram path,
-        // plus post-leave: a node that has not booted yet — or has left
-        // the group — must not answer probes or anti-entropy exchanges.
+        // Same pre-start guard as the datagram path, plus post-leave: a
+        // node that has not booted yet — or has left the group — must
+        // not answer probes or anti-entropy exchanges.
         // Streams outlive datagrams (a TCP connection accepted before
         // `start` can deliver arbitrarily late), so without this guard a
         // pre-start push-pull could seed membership state that `start`
@@ -803,38 +285,21 @@ impl SwimNode {
         match msg {
             // Fallback direct probe over TCP: reply in kind.
             Message::Ping(p) if p.target == self.name => {
-                self.emit_stream(from, Message::Ack(Ack { seq: p.seq }));
+                self.outbox.stream(from, Message::Ack(Ack { seq: p.seq }));
             }
             Message::Ack(a) => self.handle_ack(a.seq, now),
             Message::PushPull(pp) => {
-                let reply = !pp.reply;
                 self.merge_remote_state(&pp.states, now);
-                if reply {
-                    let states = self
-                        .membership
-                        .iter()
-                        .map(MemberRef::to_push_state)
-                        .collect();
-                    self.emit_stream(
-                        from,
-                        Message::PushPull(PushPull {
-                            join: false,
-                            reply: true,
-                            states,
-                        }),
-                    );
+                if !pp.reply {
+                    self.outbox.stream(from, sync::full_reply(&self.membership));
                 }
             }
-            Message::PushPullDelta(d) => self.handle_push_pull_delta(from, d, now),
+            Message::PushPullDelta(d) => self.handle_push_pull_delta(from, &d, now),
             // Gossip over the stream transport is not part of the
             // protocol; ignore anything else.
             _ => {}
         }
     }
-
-    // ------------------------------------------------------------------
-    // Message handling (datagram)
-    // ------------------------------------------------------------------
 
     /// One message of a received datagram. Names are still the packet's
     /// bytes here: a handler resolves the name it acts on once
@@ -850,8 +315,7 @@ impl SwimNode {
                 // memberlist drops pings addressed to a different node
                 // name: they indicate a stale address mapping.
                 if target == self.name.as_str() {
-                    let ack = Message::Ack(Ack { seq });
-                    self.send_packet(source_addr, &ack, None, now);
+                    self.send_packet(source_addr, &Message::Ack(Ack { seq }), None);
                 }
             }
             DatagramView::IndirectPing {
@@ -863,7 +327,7 @@ impl SwimNode {
                 ..
             } => self.handle_indirect_ping(seq, target, target_addr, nack, source_addr, now),
             DatagramView::Ack { seq } => self.handle_ack(seq, now),
-            DatagramView::Nack { seq } => self.handle_nack(seq),
+            DatagramView::Nack { seq } => self.prober.nack(seq),
             DatagramView::Suspect {
                 incarnation,
                 node,
@@ -908,86 +372,32 @@ impl SwimNode {
         origin_addr: NodeAddr,
         now: Time,
     ) {
-        let local_seq = self.next_seq();
+        let nack_after =
+            crate::time::scale_duration(self.config.probe_timeout, self.config.nack_fraction);
+        let seq = self.prober.relay(
+            (origin_seq, origin_addr),
+            nack.then_some(now + nack_after),
+            now + self.config.probe_interval,
+            &mut self.timers,
+        );
         let (target, target_id) = match self.membership.lookup(target) {
             Some((id, member)) => (member.name.clone(), Some(id)),
             None => (NodeName::from(target), None),
         };
-        let ping = Message::Ping(Ping {
-            seq: local_seq,
-            target,
-            source: self.name.clone(),
-            source_addr: self.addr,
-        });
-        self.send_packet(target_addr, &ping, target_id, now);
-        let nack_timer = if nack {
-            let nack_at = now + crate::time::scale_duration(
-                self.config.probe_timeout,
-                self.config.nack_fraction,
-            );
-            Some(self.schedule(nack_at, Timer::RelayNack { seq: local_seq }))
-        } else {
-            None
-        };
-        self.schedule(
-            now + self.config.probe_interval,
-            Timer::RelayExpire { seq: local_seq },
-        );
-        self.relays.insert(
-            local_seq,
-            RelayState {
-                origin_seq,
-                origin_addr,
-                acked: false,
-                nack_timer,
-            },
-        );
+        let ping = self.ping(seq, target);
+        self.send_packet(target_addr, &ping, target_id);
     }
 
     fn handle_ack(&mut self, seq: SeqNo, now: Time) {
-        // Our own outstanding probe? A timely ack completes the round
-        // immediately (memberlist's probeNode returns on the first ack);
-        // a stale ack is ignored and the round fails at its end.
-        if let Some(p) = &self.probe {
-            if p.seq == seq {
-                if now <= p.round_end {
-                    let Some(p) = self.probe.take() else { return };
-                    // True cancellation: the round's remaining deadlines
-                    // are unscheduled, not left to fire stale.
-                    self.timers.cancel(p.timeout_timer);
-                    self.timers.cancel(p.round_end_timer);
-                    self.metrics
-                        .probe_rtt
-                        .record_duration(now.saturating_since(p.started));
-                    // Successful probe: LHM −1 (paper §IV-A).
-                    self.apply_awareness_delta(self.config.awareness_deltas.probe_success);
-                }
-                return;
+        match self.prober.ack(seq, now, &mut self.timers) {
+            Acked::Probe(rtt) => {
+                self.metrics.probe_rtt.record_duration(rtt);
+                // Successful probe: LHM −1 (paper §IV-A).
+                self.awareness
+                    .apply_delta(self.config.awareness_deltas.probe_success);
             }
-        }
-        // An indirect probe we are relaying: forward to the origin. The
-        // ack is forwarded even after a nack was sent (paper footnote 5).
-        if let Some(relay) = self.relays.get_mut(&seq) {
-            if !relay.acked {
-                relay.acked = true;
-                let nack_timer = relay.nack_timer.take();
-                let fwd = Message::Ack(Ack {
-                    seq: relay.origin_seq,
-                });
-                let to = relay.origin_addr;
-                if let Some(key) = nack_timer {
-                    self.timers.cancel(key);
-                }
-                self.send_packet(to, &fwd, None, now);
-            }
-        }
-    }
-
-    fn handle_nack(&mut self, seq: SeqNo) {
-        if let Some(p) = &mut self.probe {
-            if p.seq == seq {
-                p.nacks_received += 1;
-            }
+            Acked::Relay(seq, origin) => self.send_packet(origin, &Message::Ack(Ack { seq }), None),
+            Acked::Nothing => {}
         }
     }
 
@@ -1021,28 +431,19 @@ impl SwimNode {
         match member.state {
             MemberState::Dead | MemberState::Left => {}
             MemberState::Suspect => {
-                let Some(active) = self.suspicions.get_mut(&id) else {
+                let (members, timers) = (&self.membership, &mut self.timers);
+                let Some(regossip) = self.suspicions.confirm(id, incarnation, from, members, timers)
+                else {
                     return;
                 };
-                active.sus.observe_incarnation(incarnation);
-                if active.sus.admits(from) {
-                    let from = owned_name(&self.membership, from);
-                    active.sus.confirm(from.clone());
-                    // LHA-Suspicion: re-gossip the first K independent
-                    // suspicions (paper §IV-B). The enqueue resets the
-                    // transmit budget, giving (K+1)·λ·log n max copies.
-                    self.broadcasts.enqueue(Message::Suspect(Suspect {
+                if let Some(from) = regossip {
+                    // The enqueue resets the transmit budget, giving
+                    // (K+1)·λ·log n max copies.
+                    self.outbox.broadcasts.enqueue(Message::Suspect(Suspect {
                         incarnation,
                         node: member.name.clone(),
                         from,
                     }));
-                }
-                // Timeout shrinking moves the one suspicion timer in
-                // place; the superseded deadline can never fire.
-                let deadline = active.sus.deadline();
-                match self.timers.reschedule(active.timer, deadline) {
-                    Some(key) => active.timer = key,
-                    None => debug_assert!(false, "active suspicion lost its timer"),
                 }
                 // The record changes only at a higher incarnation; a
                 // confirmation at the held one must not rewrite it.
@@ -1084,68 +485,54 @@ impl SwimNode {
             // authoritative.
             return;
         }
-        match self.membership.lookup(node) {
-            None => {
-                let meta = Bytes::copy_from_slice(meta);
-                let name = NodeName::from(node);
-                let mut m = Member::new(name.clone(), addr, incarnation, now);
-                m.meta = meta.clone();
-                self.membership.upsert(m);
-                if let Some(id) = self.membership.id_of(&name) {
-                    self.probe_list.insert(id, &mut self.rng);
-                }
-                self.broadcasts.enqueue(Message::Alive(Alive {
-                    incarnation,
-                    node: name.clone(),
-                    addr,
-                    meta,
-                }));
-                self.emit_event(Event::MemberJoined { name });
+        let Some((id, member)) = self.membership.lookup(node) else {
+            let meta = Bytes::copy_from_slice(meta);
+            let name = NodeName::from(node);
+            let mut m = Member::new(name.clone(), addr, incarnation, now);
+            m.meta = meta.clone();
+            self.membership.upsert(m);
+            if let Some(id) = self.membership.id_of(&name) {
+                self.prober.admit(id, &mut self.rng);
             }
-            Some((id, member)) => {
-                // An alive message only overrides suspect/dead at a
-                // strictly higher incarnation (SWIM §4.2).
-                if incarnation <= member.incarnation {
-                    return;
-                }
-                let old_state = member.state;
-                // Reuse the stored name/meta instead of copying the
-                // borrowed ones.
-                let name = member.name.clone();
-                let meta = if member.meta.as_ref() == meta {
-                    member.meta.clone()
-                } else {
-                    Bytes::copy_from_slice(meta)
-                };
-                let updated = self.membership.update_id(id, |m| {
-                    m.incarnation = incarnation;
-                    m.addr = addr;
-                    m.meta = meta.clone();
-                    m.set_state(MemberState::Alive, now);
-                });
-                debug_assert!(updated.is_some(), "member present");
-                if let Some(active) = self.suspicions.remove(&id) {
-                    // Refuted: the pending expiry is truly cancelled.
-                    self.timers.cancel(active.timer);
-                    self.record_suspicion_end(&active.sus, now);
-                }
-                self.broadcasts.enqueue(Message::Alive(Alive {
-                    incarnation,
-                    node: name.clone(),
-                    addr,
-                    meta,
-                }));
-                match old_state {
-                    MemberState::Suspect | MemberState::Dead => {
-                        self.metrics.flaps += 1;
-                        self.emit_event(Event::MemberRecovered { name });
-                    }
-                    MemberState::Left => {
-                        self.emit_event(Event::MemberJoined { name });
-                    }
-                    MemberState::Alive => {}
-                }
+            self.outbox
+                .broadcasts
+                .enqueue(alive(incarnation, name.clone(), addr, meta));
+            self.outbox.event(Event::MemberJoined { name });
+            return;
+        };
+        // An alive message only overrides suspect/dead at a strictly
+        // higher incarnation (SWIM §4.2).
+        if incarnation <= member.incarnation {
+            return;
+        }
+        let old_state = member.state;
+        // Reuse the stored name/meta instead of copying the borrowed
+        // ones.
+        let name = member.name.clone();
+        let meta = if member.meta.as_ref() == meta {
+            member.meta.clone()
+        } else {
+            Bytes::copy_from_slice(meta)
+        };
+        let updated = self.membership.update_id(id, |m| {
+            m.incarnation = incarnation;
+            m.addr = addr;
+            m.meta = meta.clone();
+            m.set_state(MemberState::Alive, now);
+        });
+        debug_assert!(updated.is_some(), "member present");
+        // Refuted: the pending expiry is truly cancelled.
+        self.end_suspicion(id, now);
+        self.outbox
+            .broadcasts
+            .enqueue(alive(incarnation, name.clone(), addr, meta));
+        match old_state {
+            MemberState::Suspect | MemberState::Dead => {
+                self.metrics.flaps += 1;
+                self.outbox.event(Event::MemberRecovered { name });
             }
+            MemberState::Left => self.outbox.event(Event::MemberJoined { name }),
+            MemberState::Alive => {}
         }
     }
 
@@ -1154,369 +541,50 @@ impl SwimNode {
     /// — from gossip or a push-pull `Left` entry. The precedence rules
     /// for `dead` live here and nowhere else: a claim at a stale
     /// incarnation, or about a member already gone, changes nothing and
-    /// touches no name.
-    fn apply_dead(&mut self, incarnation: Incarnation, id: MemberId, from: &str, now: Time) {
+    /// touches no name. Returns whether the member's state changed.
+    fn apply_dead(
+        &mut self,
+        incarnation: Incarnation,
+        id: MemberId,
+        from: &str,
+        now: Time,
+    ) -> bool {
         let Some(member) = self.membership.by_id(id) else {
-            return;
+            return false;
         };
-        if incarnation < member.incarnation {
-            return;
-        }
-        if matches!(member.state, MemberState::Dead | MemberState::Left) {
-            return;
+        let gone = matches!(member.state, MemberState::Dead | MemberState::Left);
+        if incarnation < member.incarnation || gone {
+            return false;
         }
         let node = member.name.clone();
         let is_leave = from == node.as_str();
-        let from = if is_leave {
-            node.clone()
+        let (from, state) = if is_leave {
+            (node.clone(), MemberState::Left)
         } else {
-            owned_name(&self.membership, from)
+            (self.membership.owned_name(from), MemberState::Dead)
         };
         let updated = self.membership.update_id(id, |m| {
             m.incarnation = incarnation;
-            m.set_state(
-                if is_leave {
-                    MemberState::Left
-                } else {
-                    MemberState::Dead
-                },
-                now,
-            );
+            m.set_state(state, now);
         });
         debug_assert!(updated.is_some(), "member present");
-        if let Some(active) = self.suspicions.remove(&id) {
-            self.timers.cancel(active.timer);
-            self.record_suspicion_end(&active.sus, now);
-        }
-        self.broadcasts.enqueue(Message::Dead(Dead {
+        self.end_suspicion(id, now);
+        self.outbox.broadcasts.enqueue(Message::Dead(Dead {
             incarnation,
             node: node.clone(),
             from: from.clone(),
         }));
-        if is_leave {
-            self.emit_event(Event::MemberLeft { name: node });
+        self.outbox.event(if is_leave {
+            Event::MemberLeft { name: node }
         } else {
-            self.emit_event(Event::MemberFailed {
+            Event::MemberFailed {
                 name: node,
                 incarnation,
                 from,
-            });
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Timers
-    // ------------------------------------------------------------------
-
-    /// Executes one fired timer. `at` is the timer's original deadline
-    /// (used to defer it faithfully while I/O is blocked); `now` is the
-    /// current wall-clock instant the handlers observe.
-    fn fire(&mut self, at: Time, timer: Timer, now: Time) {
-        if self.io_blocked {
-            match &timer {
-                // The probe in flight when the block hit is evaluated
-                // when the loop unblocks: its deadlines were computed
-                // before the block, so the late evaluation fails the
-                // probe exactly as a real blocked agent does.
-                Timer::ProbeTimeout { .. }
-                | Timer::ProbeRoundEnd { .. }
-                | Timer::RelayNack { .. }
-                | Timer::RelayExpire { .. } => {
-                    self.deferred_timers.push(DeferredTimer { at, timer });
-                    return;
-                }
-                // ProbeRound falls through: with a probe already in
-                // flight it is a no-op (the loop is busy), which models
-                // the dropped ticker fires. The gossip / push-pull /
-                // reconnect loops limit themselves in `fire_loop`.
-                // Suspicion expiry and reaping are pure local state +
-                // logging and run on time.
-                Timer::ProbeRound
-                | Timer::GossipTick
-                | Timer::PushPullTick
-                | Timer::Reconnect
-                | Timer::SuspicionCheck { .. }
-                | Timer::Reap => {}
             }
-        }
-        match timer {
-            Timer::ProbeRound => self.probe_round(now),
-            Timer::ProbeTimeout { seq } => self.probe_timeout(seq, now),
-            Timer::ProbeRoundEnd { seq } => self.probe_round_end(seq, now),
-            Timer::GossipTick | Timer::PushPullTick | Timer::Reconnect => self.fire_loop(timer, now),
-            Timer::SuspicionCheck { id } => self.suspicion_check(id, now),
-            Timer::RelayNack { seq } => {
-                // An ack (or the relay's expiry) cancels this timer, so a
-                // fire always means the target is still silent — no
-                // fire-time staleness check is needed.
-                let relay = self.relays.get_mut(&seq);
-                debug_assert!(relay.is_some(), "stale relay-nack timer reached its handler");
-                if let Some(relay) = relay {
-                    debug_assert!(!relay.acked, "nack timer outlived the target's ack");
-                    relay.nack_timer = None;
-                    let msg = Message::Nack(Nack {
-                        seq: relay.origin_seq,
-                    });
-                    let to = relay.origin_addr;
-                    self.send_packet(to, &msg, None, now);
-                }
-            }
-            Timer::RelayExpire { seq } => {
-                let relay = self.relays.remove(&seq);
-                debug_assert!(relay.is_some(), "stale relay-expire timer reached its handler");
-                if let Some(relay) = relay {
-                    if let Some(key) = relay.nack_timer {
-                        // Pathological configs can place the nack after
-                        // the expiry; drop it with the relay state.
-                        self.timers.cancel(key);
-                    }
-                }
-            }
-            Timer::Reap => {
-                self.schedule(now + self.config.dead_reclaim, Timer::Reap);
-                let cutoff = Time::ZERO + now.saturating_since(Time::ZERO + self.config.dead_reclaim);
-                // O(retained dead): the reapable iterator walks the gone
-                // pool only, never the whole table.
-                let names: Vec<NodeName> = self
-                    .membership
-                    .reapable(cutoff)
-                    .filter(|m| *m.name != self.name)
-                    .map(|m| m.name.clone())
-                    .collect();
-                for name in &names {
-                    self.membership.remove(name);
-                }
-                // Delta-sync watermarks ride the same retention policy:
-                // entries for reaped members or past the trust horizon
-                // are dropped, bounding `peer_sync` by the live roster.
-                let horizon = self.config.delta_sync_horizon;
-                let membership = &self.membership;
-                self.peer_sync.retain(|name, ps| {
-                    membership.get(name).is_some()
-                        && now.saturating_since(ps.last_exchange) <= horizon
-                });
-            }
-        }
-    }
-
-    /// One fire of a dedicated loop timer (gossip, push-pull,
-    /// reconnect): re-arm it, then run the iteration unless the node
-    /// has left. These loops are single threads in memberlist, so while
-    /// I/O is blocked only the iteration that blocks mid-send executes
-    /// (the runtime captures its sends); the ticks that follow are
-    /// dropped like missed ticker fires.
-    fn fire_loop(&mut self, timer: Timer, now: Time) {
-        let (every, stuck) = match timer {
-            Timer::GossipTick => (Some(self.config.gossip_interval), &mut self.stuck_gossip),
-            Timer::PushPullTick => (self.config.push_pull_interval, &mut self.stuck_push_pull),
-            _ => (self.config.reconnect_interval, &mut self.stuck_reconnect),
-        };
-        let skip = self.left || (self.io_blocked && std::mem::replace(stuck, true));
-        if let Some(every) = every {
-            self.schedule(now + every, timer);
-        }
-        if skip {
-            return;
-        }
-        match timer {
-            Timer::GossipTick => self.gossip_once(now),
-            Timer::PushPullTick => self.push_pull_once(now),
-            _ => self.reconnect_once(),
-        }
-    }
-
-    /// Starts one failure-detector round (SWIM's protocol period).
-    fn probe_round(&mut self, now: Time) {
-        // LHA-Probe: the period itself is scaled by LHM+1 (paper §IV-A).
-        let interval = self.awareness.scale(self.config.probe_interval);
-        self.schedule(now + interval, Timer::ProbeRound);
-        if self.left {
-            return;
-        }
-        if self.probe.is_some() {
-            // Previous round still in flight (possible after the
-            // interval shrank when the LHM recovered); let it finish.
-            return;
-        }
-        let me = &self.name;
-        let Some((target_id, member)) =
-            self.probe_list
-                .next_target(&self.membership, &mut self.rng, |m| {
-                    m.name != me && m.is_live()
-                })
-        else {
-            return;
-        };
-        let (target, target_addr) = (member.name.clone(), member.addr);
-        let seq = self.next_seq();
-        let ping = Message::Ping(Ping {
-            seq,
-            target: target.clone(),
-            source: self.name.clone(),
-            source_addr: self.addr,
         });
-        self.metrics.probes_sent += 1;
-        self.send_packet(target_addr, &ping, Some(target_id), now);
-        let timeout = self.awareness.scale(self.config.probe_timeout);
-        let timeout_timer = self.schedule(now + timeout, Timer::ProbeTimeout { seq });
-        let round_end_timer = self.schedule(now + interval, Timer::ProbeRoundEnd { seq });
-        self.probe = Some(ProbeState {
-            seq,
-            target,
-            target_addr,
-            expected_nacks: 0,
-            nacks_received: 0,
-            started: now,
-            round_end: now + interval,
-            timeout_timer,
-            round_end_timer,
-        });
+        true
     }
-
-    /// Direct probe timed out: launch indirect probes and the stream
-    /// fallback.
-    fn probe_timeout(&mut self, seq: SeqNo, now: Time) {
-        // Generation-keyed cancellation (a timely ack unschedules this
-        // timer) makes a stale fire impossible; assert instead of guard.
-        let Some(p) = &self.probe else {
-            debug_assert!(false, "probe timeout fired with no probe in flight");
-            return;
-        };
-        debug_assert_eq!(p.seq, seq, "stale probe timeout reached its handler");
-        let target = p.target.clone();
-        let target_addr = p.target_addr;
-        let k = self.config.indirect_checks;
-        let nack = self.config.nack_enabled();
-        // O(k) draw from the live pool into the reusable address buffer:
-        // the filter only rejects self and the probe target, so expected
-        // inspections stay ~k even at 10k members, and nothing is
-        // allocated in steady state.
-        self.addr_scratch.clear();
-        {
-            let me = &self.name;
-            let tgt = &target;
-            let scratch = &mut self.addr_scratch;
-            self.membership.sample_pool_with(
-                SamplePool::Live,
-                k,
-                &mut self.rng,
-                |m| m.name != me && m.name != tgt,
-                |m| scratch.push(m.addr),
-            );
-        }
-        let sent = self.addr_scratch.len() as u32;
-        self.metrics.indirect_probes_sent += sent as u64;
-        for i in 0..sent as usize {
-            // lint: allow(panic_path) — `sent` is `addr_scratch.len()` captured two lines above, and the loop body only appends to `pending`, never to `addr_scratch`
-            let peer_addr = self.addr_scratch[i];
-            let req = Message::IndirectPing(IndirectPing {
-                seq,
-                target: target.clone(),
-                target_addr,
-                nack,
-                source: self.name.clone(),
-                source_addr: self.addr,
-            });
-            self.send_packet(peer_addr, &req, None, now);
-        }
-        if let Some(p) = &mut self.probe {
-            p.expected_nacks = if nack { sent } else { 0 };
-        }
-        if self.config.stream_fallback_probe {
-            self.emit_stream(
-                target_addr,
-                Message::Ping(Ping {
-                    seq,
-                    target,
-                    source: self.name.clone(),
-                    source_addr: self.addr,
-                }),
-            );
-        }
-    }
-
-    /// End of the protocol period: settle the probe result.
-    fn probe_round_end(&mut self, seq: SeqNo, now: Time) {
-        let Some(p) = self.probe.take() else {
-            debug_assert!(false, "probe round end fired with no probe in flight");
-            return;
-        };
-        debug_assert_eq!(p.seq, seq, "stale probe round end reached its handler");
-        // Unschedule the timeout in case it has not fired yet (possible
-        // only when the timeout is configured beyond the interval).
-        self.timers.cancel(p.timeout_timer);
-        self.metrics.probes_failed += 1;
-        // The probe was not acked in time (a timely ack clears the probe
-        // state), so the round failed: feed the LHM. Following memberlist: when we had
-        // nack-capable peers, health feedback comes from missed nacks;
-        // otherwise the failed probe itself counts (+1).
-        if p.expected_nacks > 0 {
-            let missed = p.expected_nacks.saturating_sub(p.nacks_received);
-            self.apply_awareness_delta(missed as i32 * self.config.awareness_deltas.missed_nack);
-        } else {
-            self.apply_awareness_delta(self.config.awareness_deltas.probe_failed);
-        }
-        // A target reaped while its probe was in flight is nobody's
-        // suspect.
-        let Some((target_id, member)) = self.membership.lookup(p.target.as_str()) else {
-            return;
-        };
-        let incarnation = member.incarnation;
-        // Routed through the same path as gossiped suspicions: if the
-        // target is already suspect, our failed probe is an independent
-        // confirmation (and is re-gossiped under LHA-Suspicion).
-        let me = self.name.clone();
-        self.apply_suspect(incarnation, target_id, me.as_str(), now);
-    }
-
-    /// The suspicion deadline was reached: declare the failure.
-    ///
-    /// Deadline changes reschedule the single suspicion timer in place
-    /// and refutations cancel it, so — unlike the old lazy-heap design —
-    /// a fire here always means the *current* deadline truly expired;
-    /// there is no re-arm path and no fire-time staleness check.
-    fn suspicion_check(&mut self, id: MemberId, now: Time) {
-        let Some(active) = self.suspicions.remove(&id) else {
-            debug_assert!(false, "stale suspicion timer reached its handler");
-            return;
-        };
-        self.record_suspicion_end(&active.sus, now);
-        debug_assert!(
-            now >= active.sus.deadline(),
-            "suspicion timer fired before its deadline"
-        );
-        let incarnation = active.sus.incarnation();
-        let declared = self
-            .membership
-            .update_id(id, |member| {
-                if member.state != MemberState::Suspect {
-                    return None;
-                }
-                member.incarnation = incarnation;
-                member.set_state(MemberState::Dead, now);
-                Some(member.name.clone())
-            })
-            .flatten();
-        let Some(node) = declared else {
-            return;
-        };
-        self.metrics.failures_declared += 1;
-        let dead = Dead {
-            incarnation,
-            node: node.clone(),
-            from: self.name.clone(),
-        };
-        self.broadcasts.enqueue(Message::Dead(dead));
-        self.emit_event(Event::MemberFailed {
-            name: node,
-            incarnation,
-            from: self.name.clone(),
-        });
-    }
-
-    // ------------------------------------------------------------------
-    // Suspicion / refutation
-    // ------------------------------------------------------------------
 
     /// Marks the member behind `id` suspect and arms the (possibly
     /// dynamic) suspicion timer. `from` is the accuser (ourselves on
@@ -1532,402 +600,62 @@ impl SwimNode {
             return;
         }
         let node = member.name.clone();
-        let from = owned_name(&self.membership, from);
+        let from = self.membership.owned_name(from);
         let n = self.membership.live_count();
         let min = self.config.suspicion_min(n);
         let max = self.config.suspicion_max(n);
         let k = self.config.effective_k();
         let sus = Suspicion::new(incarnation, from.clone(), k, min, max, now);
         self.metrics.suspicions_raised += 1;
-        let deadline = sus.deadline();
-        let timer = self.schedule(deadline, Timer::SuspicionCheck { id });
-        self.suspicions.insert(id, ActiveSuspicion { sus, timer });
+        self.suspicions.raise(id, sus, &mut self.timers);
         self.membership.update_id(id, |m| {
             m.incarnation = incarnation;
             m.set_state(MemberState::Suspect, now);
         });
-        self.broadcasts.enqueue(Message::Suspect(Suspect {
+        self.outbox.broadcasts.enqueue(Message::Suspect(Suspect {
             incarnation,
             node: node.clone(),
             from: from.clone(),
         }));
-        self.emit_event(Event::MemberSuspected { name: node, from });
+        self.outbox
+            .event(Event::MemberSuspected { name: node, from });
+    }
+
+    fn end_suspicion(&mut self, id: MemberId, now: Time) -> Option<Suspicion> {
+        let lifetimes = &mut self.metrics.suspicion_lifetime;
+        self.suspicions.end(id, now, &mut self.timers, lifetimes)
+    }
+
+    /// Writes the node's own record as `Alive` at its current
+    /// incarnation and metadata, and gossips it.
+    fn announce_alive(&mut self, now: Time) {
+        let (incarnation, meta) = (self.incarnation, self.meta.clone());
+        self.membership.update(&self.name, |me| {
+            me.meta = meta.clone();
+            me.incarnation = incarnation;
+            me.set_state(MemberState::Alive, now);
+        });
+        self.outbox
+            .broadcasts
+            .enqueue(alive(incarnation, self.name.clone(), self.addr, meta));
     }
 
     /// Refutes a suspicion (or death declaration) about ourselves by
     /// taking a higher incarnation and gossiping it. Feeds the LHM (+1):
     /// being suspected means we were too slow to answer probes.
     fn refute(&mut self, accused_incarnation: Incarnation, now: Time) {
-        if accused_incarnation < self.incarnation {
-            // Old news: our current incarnation already supersedes it,
-            // but re-gossip our aliveness to speed convergence.
-        } else {
+        // Old news (our incarnation already supersedes it) still
+        // re-gossips our aliveness, to speed convergence.
+        if accused_incarnation >= self.incarnation {
             self.incarnation = accused_incarnation.next();
         }
-        let incarnation = self.incarnation;
-        self.membership.update(&self.name, |me| {
-            me.incarnation = incarnation;
-            me.set_state(MemberState::Alive, now);
-        });
         self.metrics.refutations += 1;
-        self.apply_awareness_delta(self.config.awareness_deltas.refute);
-        self.broadcasts.enqueue(Message::Alive(Alive {
-            incarnation: self.incarnation,
-            node: self.name.clone(),
-            addr: self.addr,
-            meta: self.meta.clone(),
-        }));
-        self.emit_event(Event::SelfRefuted {
+        self.awareness
+            .apply_delta(self.config.awareness_deltas.refute);
+        self.announce_alive(now);
+        self.outbox.event(Event::SelfRefuted {
             incarnation: self.incarnation,
         });
-    }
-
-    // ------------------------------------------------------------------
-    // Gossip & push-pull
-    // ------------------------------------------------------------------
-
-    /// One dedicated gossip tick: send queued broadcasts to up to
-    /// `gossip_nodes` random live (or recently dead) members.
-    /// Allocation-free in steady state: targets land in the reusable
-    /// address buffer and packets in the scratch arena.
-    fn gossip_once(&mut self, now: Time) {
-        if self.broadcasts.is_empty() {
-            return;
-        }
-        // The queue is at its fullest right before a drain: fold the
-        // level into the peak gauge here, once per gossip tick.
-        self.metrics.broadcast_queue_peak = self
-            .metrics
-            .broadcast_queue_peak
-            .max(self.broadcasts.len() as u64);
-        self.addr_scratch.clear();
-        {
-            let me = &self.name;
-            let dead_window = self.config.gossip_to_the_dead;
-            let scratch = &mut self.addr_scratch;
-            self.membership.sample_pool_with(
-                SamplePool::All,
-                self.config.gossip_nodes,
-                &mut self.rng,
-                |m| {
-                    m.name != me
-                        && (m.is_live()
-                            || (matches!(m.state, MemberState::Dead | MemberState::Left)
-                                && now.saturating_since(m.state_change) <= dead_window))
-                },
-                |m| scratch.push(m.addr),
-            );
-        }
-        if self.addr_scratch.is_empty() {
-            return;
-        }
-        let limit = self.config.retransmit_limit(self.membership.live_count());
-        // One encode pass for the whole fan-out: every target gets the
-        // same packet (one arena slice, N queue entries referencing
-        // it), and the broadcast queue charges N transmissions in one
-        // fill — the shape a gather-send flushes as a single syscall.
-        self.builder.reset(self.config.packet_budget);
-        self.broadcasts
-            .fill_fanout(&mut self.builder, limit, None, self.addr_scratch.len() as u32);
-        let pending = &mut self.pending;
-        self.builder
-            .finish_into_fanout(&mut self.scratch, &self.addr_scratch, |to, range| {
-                pending.push_back(Queued::Packet { to, range });
-            });
-    }
-
-    /// One periodic anti-entropy exchange.
-    ///
-    /// Peer choice implements warm-partner selection: once at least
-    /// `delta_sync_partners` peers hold fresh watermarks, the node keeps
-    /// syncing among them (every exchange is an O(churn) delta);
-    /// otherwise it explores a random alive peer, cold-starting a new
-    /// pairing with one full-size exchange. Inbound exchanges warm
-    /// pairings too, so the partner graph stays connected and mixes.
-    fn push_pull_once(&mut self, now: Time) {
-        if self.config.delta_sync {
-            let horizon = self.config.delta_sync_horizon;
-            let mut warm: Vec<(NodeName, NodeAddr)> = self
-                .peer_sync
-                .iter()
-                .filter(|(_, ps)| now.saturating_since(ps.last_exchange) <= horizon)
-                .filter_map(|(name, _)| {
-                    let m = self.membership.get(name)?;
-                    (m.state == MemberState::Alive).then(|| (m.name.clone(), m.addr))
-                })
-                .collect();
-            if warm.len() >= self.config.delta_sync_partners.max(1) {
-                // HashMap iteration order is not deterministic; sort so
-                // the seeded draw below is reproducible.
-                warm.sort_by(|a, b| a.0.cmp(&b.0));
-                // lint: allow(panic_path) — the `.max(1)` guard above makes `warm` non-empty, so the range is non-empty and the sampled index is `< warm.len()`
-                let (name, to) = warm[self.rng.random_range(0..warm.len())].clone();
-                self.sync_with(&name, to, now);
-                return;
-            }
-        }
-        let mut peer = None;
-        {
-            let me = &self.name;
-            self.membership.sample_pool_with(
-                SamplePool::Live,
-                1,
-                &mut self.rng,
-                |m| m.name != me && m.state == MemberState::Alive,
-                |m| peer = Some((m.name.clone(), m.addr)),
-            );
-        }
-        let Some((name, to)) = peer else { return };
-        self.sync_with(&name, to, now);
-    }
-
-    /// [`Input::Sync`]: one exchange with a specific member.
-    fn sync_request(&mut self, with: &NodeName, now: Time) {
-        if !self.started || self.left || *with == self.name {
-            return;
-        }
-        let Some(m) = self.membership.get(with) else {
-            return;
-        };
-        let (name, to) = (m.name.clone(), m.addr);
-        self.sync_with(&name, to, now);
-    }
-
-    /// Starts one anti-entropy exchange with `peer`: an incremental
-    /// [`PushPullDelta`] against the stored watermarks when delta sync
-    /// is enabled and the watermarks are fresh, a full [`PushPull`]
-    /// otherwise (delta sync disabled, or watermark stale past
-    /// `delta_sync_horizon`). A peer without watermarks gets a
-    /// `since = 0` delta — semantically a full exchange that also
-    /// bootstraps the watermarks for the rounds after it.
-    fn sync_with(&mut self, peer: &NodeName, to: NodeAddr, now: Time) {
-        if !self.config.delta_sync {
-            self.emit_full_push_pull(to);
-            return;
-        }
-        if let Some(ps) = self.peer_sync.get(peer) {
-            if now.saturating_since(ps.last_exchange) > self.config.delta_sync_horizon {
-                // Watermark stale past the horizon: distrust it, resync
-                // in full, and let fresh watermarks re-form.
-                self.peer_sync.remove(peer);
-                self.emit_full_push_pull(to);
-                return;
-            }
-        }
-        let (since, since_epoch, local_acked) = match self.peer_sync.get(peer) {
-            Some(ps) => (ps.remote_seen, ps.peer_epoch, ps.local_acked),
-            None => (0, 0, 0),
-        };
-        let msg = Message::PushPullDelta(PushPullDelta {
-            from: self.name.clone(),
-            epoch: self.epoch,
-            since_epoch,
-            since,
-            seq: self.membership.update_seq(),
-            reply: false,
-            entries: self.collect_changed(local_acked),
-        });
-        self.record_delta_sync(&msg);
-        self.emit_stream(to, msg);
-    }
-
-    /// Counts one outgoing incremental push-pull and its wire size.
-    fn record_delta_sync(&mut self, msg: &Message) {
-        self.metrics.delta_syncs += 1;
-        self.metrics.delta_sync_bytes = self
-            .metrics
-            .delta_sync_bytes
-            .saturating_add(lifeguard_proto::codec::encoded_len(msg) as u64);
-    }
-
-    /// A [`PushPullDelta`] arrived on the stream transport.
-    ///
-    /// Watermark protocol: the peer's `since` (validated against our
-    /// `epoch`) tells us how much of *our* state it has merged, and
-    /// doubles as the ack that advances `local_acked`; its `seq` covers
-    /// the attached entries, advancing `remote_seen` once they are
-    /// merged. Replies snapshot their entry list *before* merging so
-    /// freshly accepted entries are not echoed straight back.
-    fn handle_push_pull_delta(&mut self, from_addr: NodeAddr, d: PushPullDelta, now: Time) {
-        if d.from == self.name {
-            return; // a delta "from ourselves" is a routing error
-        }
-        // `since = 0` asks to be served from scratch and is always
-        // honoured; a non-zero watermark must match this instance.
-        let servable = self.config.delta_sync
-            && (d.since == 0
-                || (d.since_epoch == self.epoch && d.since <= self.membership.update_seq()));
-        if !servable {
-            // The remote's watermark refers to a version we cannot
-            // serve (we restarted, or delta sync is disabled here).
-            // Its entries are still ordinary membership facts — merge
-            // them — then fall back to a full exchange. `reply: false`
-            // solicits the peer's full state in return, so both sides
-            // resync from scratch and fresh watermarks re-form on the
-            // next delta round.
-            self.peer_sync.remove(&d.from);
-            self.merge_remote_state(&d.entries, now);
-            if !d.reply {
-                self.emit_full_push_pull(from_addr);
-            }
-            return;
-        }
-        let entry = self
-            .peer_sync
-            .entry(d.from.clone())
-            .or_insert_with(|| PeerSync {
-                peer_epoch: d.epoch,
-                remote_seen: 0,
-                local_acked: 0,
-                last_exchange: now,
-            });
-        if entry.peer_epoch != d.epoch {
-            // The peer restarted: every watermark for its previous
-            // instance is void.
-            *entry = PeerSync {
-                peer_epoch: d.epoch,
-                remote_seen: 0,
-                local_acked: 0,
-                last_exchange: now,
-            };
-        }
-        if d.since == 0 {
-            // An explicit serve-from-scratch request overrides any
-            // stored ack: the peer is telling us it has merged nothing
-            // of ours, and its claim must win even if epoch detection
-            // failed to notice a restart (re-sending is always safe;
-            // trusting a stale ack never is).
-            entry.local_acked = 0;
-        } else {
-            entry.local_acked = entry.local_acked.max(d.since);
-        }
-        entry.last_exchange = now;
-        // Record the remote watermark up front (the merge below never
-        // touches `peer_sync`), so the entry needs no re-lookup after
-        // the `&mut self` call.
-        entry.remote_seen = entry.remote_seen.max(d.seq);
-        let local_acked = entry.local_acked;
-        let reply = (!d.reply).then(|| {
-            Message::PushPullDelta(PushPullDelta {
-                from: self.name.clone(),
-                epoch: self.epoch,
-                since_epoch: d.epoch,
-                since: d.seq,
-                seq: self.membership.update_seq(),
-                reply: true,
-                entries: self.collect_unproved(local_acked, &d.entries),
-            })
-        });
-        self.merge_remote_state(&d.entries, now);
-        if let Some(msg) = reply {
-            self.record_delta_sync(&msg);
-            self.emit_stream(from_addr, msg);
-        }
-    }
-
-    /// Members changed after `since` in push-pull wire form, newest
-    /// first. O(changed) via the membership change list.
-    fn collect_changed(&self, since: u64) -> Vec<lifeguard_proto::PushNodeState> {
-        self.membership
-            .changed_since(since)
-            .map(MemberRef::to_push_state)
-            .collect()
-    }
-
-    /// The entries of a delta *reply*: [`Self::collect_changed`] minus
-    /// every `Alive` entry the request proved, i.e. carried itself as
-    /// `Alive` at an incarnation ≥ ours. An alive claim only wins at a
-    /// strictly higher incarnation and the requester's incarnation for a
-    /// name never decreases, so merging such an entry could not change
-    /// the requester. `Suspect`, `Dead` and `Left` entries always travel:
-    /// their merge is a confirmation, not a no-op.
-    fn collect_unproved(
-        &self,
-        since: u64,
-        request: &[lifeguard_proto::PushNodeState],
-    ) -> Vec<lifeguard_proto::PushNodeState> {
-        // Only an `Alive` entry can be proved: a feed without one goes
-        // out whole, and no proof map is built.
-        let any_alive = self
-            .membership
-            .changed_since(since)
-            .any(|m| m.state == MemberState::Alive);
-        if !any_alive {
-            return self.collect_changed(since);
-        }
-        // Sized up front: the request of a first exchange carries the
-        // peer's whole table, and growing to that by rehashing showed
-        // as ~5 % of a 2000-node run.
-        let mut proved: HashMap<&NodeName, Incarnation> = HashMap::with_capacity(request.len());
-        proved.extend(
-            request
-                .iter()
-                .filter(|e| e.state == MemberState::Alive)
-                .map(|e| (&e.name, e.incarnation)),
-        );
-        self.membership
-            .changed_since(since)
-            .filter(|m| {
-                m.state != MemberState::Alive
-                    || proved.get(m.name).is_none_or(|&inc| inc < m.incarnation)
-            })
-            .map(MemberRef::to_push_state)
-            .collect()
-    }
-
-    /// Queues a full-state push-pull request to `to` and counts it in
-    /// `full_sync_fallbacks` — the delta-sync fallbacks only (delta sync
-    /// disabled, watermark stale past the horizon, unservable
-    /// watermark). Joins and reconnects each carry one record, are not
-    /// full syncs and are not counted.
-    fn emit_full_push_pull(&mut self, to: NodeAddr) {
-        self.metrics.full_sync_fallbacks += 1;
-        let states = self
-            .membership
-            .iter()
-            .map(MemberRef::to_push_state)
-            .collect();
-        self.emit_stream(
-            to,
-            Message::PushPull(PushPull {
-                join: false,
-                reply: false,
-                states,
-            }),
-        );
-    }
-
-    /// One Serf-style reconnect attempt at a random member believed
-    /// dead, so partitioned sub-groups re-merge automatically once
-    /// connectivity is restored. The push-pull request carries one
-    /// record — the target's own, `Dead` at the incarnation we hold —
-    /// and means "refute, and tell us what you know": a live target
-    /// refutes and answers with its full table, a crashed one cost one
-    /// record instead of the whole table. Not a full sync, and not
-    /// counted as one. The record is built here, never on an answer:
-    /// state pushed into a member believed dead must be built before it
-    /// wakes (docs/ARCHITECTURE.md, "Anti-entropy").
-    fn reconnect_once(&mut self) {
-        let mut target = None;
-        {
-            let me = &self.name;
-            self.membership.sample_pool_with(
-                SamplePool::Gone,
-                1,
-                &mut self.rng,
-                |m| m.name != me && m.state == MemberState::Dead,
-                |m| target = Some((m.addr, m.to_push_state())),
-            );
-        }
-        let Some((to, held)) = target else { return };
-        self.emit_stream(
-            to,
-            Message::PushPull(PushPull {
-                join: false,
-                reply: false,
-                states: vec![held],
-            }),
-        );
     }
 
     /// Merges a remote membership table (push-pull). Remote `dead` claims
@@ -1941,7 +669,7 @@ impl SwimNode {
     /// before any name/meta clone or message construction. In
     /// steady-state anti-entropy almost every entry is such a no-op, so
     /// the merge allocates only for actual changes.
-    fn merge_remote_state(&mut self, states: &[lifeguard_proto::PushNodeState], now: Time) {
+    fn merge_remote_state(&mut self, states: &[PushNodeState], now: Time) {
         let me = self.name.clone();
         for st in states {
             match st.state {
@@ -1975,1390 +703,290 @@ impl SwimNode {
         }
     }
 
-    // ------------------------------------------------------------------
-    // Send helpers
-    // ------------------------------------------------------------------
+    /// Executes one fired timer. `at` is the timer's original deadline
+    /// (used to defer it faithfully while I/O is blocked); `now` is the
+    /// current wall-clock instant the handlers observe.
+    fn fire(&mut self, at: Time, timer: Timer, now: Time) {
+        if self.blocked_io.defer(at, timer) {
+            return;
+        }
+        match timer {
+            Timer::ProbeRound => self.probe_round(now),
+            Timer::ProbeTimeout { seq } => self.probe_timeout(seq),
+            Timer::ProbeRoundEnd { seq } => self.probe_round_end(seq, now),
+            Timer::GossipTick | Timer::PushPullTick | Timer::Reconnect => self.fire_loop(timer, now),
+            Timer::SuspicionCheck { id } => self.suspicion_check(id, now),
+            Timer::RelayNack { seq } => {
+                if let Some((seq, to)) = self.prober.relay_nack(seq) {
+                    self.send_packet(to, &Message::Nack(Nack { seq }), None);
+                }
+            }
+            Timer::RelayExpire { seq } => self.prober.relay_expire(seq, &mut self.timers),
+            Timer::Reap => {
+                self.timers
+                    .schedule(now + self.config.dead_reclaim, Timer::Reap);
+                let cutoff = Time::ZERO + now.saturating_since(Time::ZERO + self.config.dead_reclaim);
+                // O(retained dead): the reapable iterator walks the gone
+                // pool only, never the whole table.
+                let names: Vec<NodeName> = self
+                    .membership
+                    .reapable(cutoff)
+                    .filter(|m| *m.name != self.name)
+                    .map(|m| m.name.clone())
+                    .collect();
+                for name in &names {
+                    self.membership.remove(name);
+                }
+                self.sync.prune(&self.membership, &self.config, now);
+            }
+        }
+    }
 
-    /// Builds and queues one datagram: the primary message plus gossip
-    /// piggyback, encoded by the node's reusable builder straight into
-    /// the scratch arena — no allocation per packet in steady state.
-    /// `ping_target` enables the Buddy System hook: when set and the
-    /// target is suspected, the suspect message about it is
-    /// force-included first (paper §IV-C).
-    fn send_packet(
-        &mut self,
-        to: NodeAddr,
-        primary: &Message,
-        ping_target: Option<MemberId>,
-        _now: Time,
-    ) {
-        self.builder.reset(self.config.packet_budget);
-        // Encoded straight into the packet buffer: no per-message
-        // allocation on the assembly path.
-        let added = self.builder.try_add_msg(primary);
-        debug_assert!(added, "primary message must fit");
-        let mut exclude = None;
-        if let Some(target) = ping_target {
-            if self.config.lifeguard.buddy_system {
-                if let (Some(active), Some(member)) =
-                    (self.suspicions.get(&target), self.membership.by_id(target))
-                {
-                    let suspect = Message::Suspect(Suspect {
-                        incarnation: active.sus.incarnation(),
-                        node: member.name.clone(),
-                        from: self.name.clone(),
-                    });
-                    self.builder.try_add_msg(&suspect);
-                    exclude = Some(member.name.clone());
+    /// One fire of a dedicated loop timer (gossip, push-pull,
+    /// reconnect): re-arm it, then run the iteration unless the node
+    /// has left or the loop is stuck at a blocked send.
+    fn fire_loop(&mut self, timer: Timer, now: Time) {
+        let every = match timer {
+            Timer::GossipTick => Some(self.config.gossip_interval),
+            Timer::PushPullTick => self.config.push_pull_interval,
+            _ => self.config.reconnect_interval,
+        };
+        let skip = self.left || self.blocked_io.loop_is_stuck(timer);
+        if let Some(every) = every {
+            self.timers.schedule(now + every, timer);
+        }
+        if skip {
+            return;
+        }
+        match timer {
+            Timer::GossipTick => self.gossip_once(now),
+            Timer::PushPullTick => {
+                let partner =
+                    self.sync
+                        .partner(&self.membership, &mut self.rng, &self.config, &self.name, now);
+                if let Some((name, to)) = partner {
+                    self.sync_with(&name, to, now);
+                }
+            }
+            _ => {
+                let request = sync::reconnect_request(&self.membership, &mut self.rng, &self.name);
+                if let Some((to, msg)) = request {
+                    self.outbox.stream(to, msg);
                 }
             }
         }
-        let limit = self.config.retransmit_limit(self.membership.live_count());
-        self.broadcasts.fill(&mut self.builder, limit, exclude.as_ref());
-        if let Some(range) = self.builder.finish_into(&mut self.scratch) {
-            self.pending.push_back(Queued::Packet { to, range });
+    }
+
+    /// Starts one failure-detector round (SWIM's protocol period).
+    fn probe_round(&mut self, now: Time) {
+        // LHA-Probe: the period itself is scaled by LHM+1 (paper §IV-A).
+        let interval = self.awareness.scale(self.config.probe_interval);
+        self.timers.schedule(now + interval, Timer::ProbeRound);
+        if self.left {
+            return;
+        }
+        let timeout = self.awareness.scale(self.config.probe_timeout);
+        let round = self.prober.start_round(
+            &self.membership,
+            &mut self.rng,
+            &mut self.timers,
+            &self.name,
+            now,
+            (timeout, interval),
+        );
+        if let Some((seq, id, target, addr)) = round {
+            self.metrics.probes_sent += 1;
+            let ping = self.ping(seq, target);
+            self.send_packet(addr, &ping, Some(id));
         }
     }
 
-    fn emit_stream(&mut self, to: NodeAddr, msg: Message) {
-        self.pending.push_back(Queued::Stream { to, msg });
+    /// Direct probe timed out: launch indirect probes and the stream
+    /// fallback.
+    fn probe_timeout(&mut self, seq: SeqNo) {
+        let Some((target, target_addr)) = self.prober.timed_out(seq) else {
+            return;
+        };
+        let nack = self.config.nack_enabled();
+        // The filter only rejects self and the probe target, so the
+        // draw stays O(k) even at 10k members.
+        let (me, tgt) = (&self.name, &target);
+        let sent = self.outbox.pick_targets(
+            &self.membership,
+            &mut self.rng,
+            SamplePool::Live,
+            self.config.indirect_checks,
+            |m| m.name != me && m.name != tgt,
+        ) as u32;
+        self.metrics.indirect_probes_sent += u64::from(sent);
+        let req = Message::IndirectPing(IndirectPing {
+            seq,
+            target: target.clone(),
+            target_addr,
+            nack,
+            source: self.name.clone(),
+            source_addr: self.addr,
+        });
+        let limit = self.transmit_limit();
+        self.outbox.packet_to_each_target(&req, limit);
+        self.prober.expect_nacks(if nack { sent } else { 0 });
+        if self.config.stream_fallback_probe {
+            let ping = self.ping(seq, target);
+            self.outbox.stream(target_addr, ping);
+        }
     }
 
-    fn emit_event(&mut self, event: Event) {
-        self.pending.push_back(Queued::Event(event));
+    /// End of the protocol period: settle the probe result.
+    fn probe_round_end(&mut self, seq: SeqNo, now: Time) {
+        let Some((target, missed_nacks)) = self.prober.round_end(seq, &mut self.timers) else {
+            return;
+        };
+        self.metrics.probes_failed += 1;
+        // The round failed: feed the LHM. Following memberlist: when we
+        // had nack-capable peers, health feedback comes from missed
+        // nacks; otherwise the failed probe itself counts (+1).
+        let deltas = &self.config.awareness_deltas;
+        self.awareness.apply_delta(match missed_nacks {
+            Some(missed) => missed as i32 * deltas.missed_nack,
+            None => deltas.probe_failed,
+        });
+        // A target reaped while its probe was in flight is nobody's
+        // suspect.
+        let Some((target_id, member)) = self.membership.lookup(target.as_str()) else {
+            return;
+        };
+        let incarnation = member.incarnation;
+        // Routed through the same path as gossiped suspicions: if the
+        // target is already suspect, our failed probe is an independent
+        // confirmation (and is re-gossiped under LHA-Suspicion).
+        let me = self.name.clone();
+        self.apply_suspect(incarnation, target_id, me.as_str(), now);
     }
 
-    fn next_seq(&mut self) -> SeqNo {
-        self.seq = self.seq.next();
-        self.seq
+    /// The suspicion deadline was reached: declare the failure, by the
+    /// rule any `dead` claim goes through — ours, at the incarnation the
+    /// suspicion holds. A fire always means the *current* deadline truly
+    /// expired (see `Suspicions`); there is no re-arm path and no
+    /// fire-time staleness check.
+    fn suspicion_check(&mut self, id: MemberId, now: Time) {
+        let Some(sus) = self.end_suspicion(id, now) else {
+            debug_assert!(false, "stale suspicion timer reached its handler");
+            return;
+        };
+        debug_assert!(now >= sus.deadline(), "suspicion timer fired before its deadline");
+        let me = self.name.clone();
+        if self.apply_dead(sus.incarnation(), id, me.as_str(), now) {
+            self.metrics.failures_declared += 1;
+        }
     }
 
-    fn schedule(&mut self, at: Time, timer: Timer) -> TimerKey {
-        self.timers.schedule(at, timer)
+    /// One dedicated gossip tick: send queued broadcasts to up to
+    /// `gossip_nodes` random live (or recently dead) members.
+    fn gossip_once(&mut self, now: Time) {
+        let depth = self.outbox.broadcasts.len();
+        if depth == 0 {
+            return;
+        }
+        // The queue is at its fullest right before a drain: fold the
+        // level into the peak gauge here, once per gossip tick.
+        self.metrics.broadcast_queue_peak = self.metrics.broadcast_queue_peak.max(depth as u64);
+        let (me, dead_window) = (&self.name, self.config.gossip_to_the_dead);
+        self.outbox.pick_targets(
+            &self.membership,
+            &mut self.rng,
+            SamplePool::All,
+            self.config.gossip_nodes,
+            |m| {
+                m.name != me
+                    && (m.is_live()
+                        || (matches!(m.state, MemberState::Dead | MemberState::Left)
+                            && now.saturating_since(m.state_change) <= dead_window))
+            },
+        );
+        self.outbox.gossip_to_targets(self.transmit_limit());
     }
 
-    fn random_phase(&mut self, interval: std::time::Duration) -> std::time::Duration {
-        let us = interval.as_micros().max(1) as u64;
-        std::time::Duration::from_micros(self.rng.random_range(0..us))
+    /// [`Input::Sync`]: one exchange with a specific member.
+    fn sync_request(&mut self, with: &NodeName, now: Time) {
+        if !self.started || self.left || *with == self.name {
+            return;
+        }
+        if let Some(m) = self.membership.get(with) {
+            let (name, to) = (m.name.clone(), m.addr);
+            self.sync_with(&name, to, now);
+        }
     }
 
-    /// The queued gossip broadcast about `subject`, if any (test/debug
-    /// introspection).
-    pub fn queued_broadcast_for(&self, subject: &NodeName) -> Option<&Message> {
-        self.broadcasts.queued_for(subject)
+    /// Starts one anti-entropy exchange with `peer`.
+    fn sync_with(&mut self, peer: &NodeName, to: NodeAddr, now: Time) {
+        let request = self.sync.request(peer, &self.membership, &self.config, &self.name, now);
+        self.send_sync(to, request);
+    }
+
+    /// Sends a request or delta reply `AntiEntropy` built, counted by
+    /// kind: an incremental push-pull with its wire size, or a delta-sync
+    /// fallback to full state (joins, reconnects and full *replies* are
+    /// not full syncs and do not come through here).
+    fn send_sync(&mut self, to: NodeAddr, msg: Message) {
+        if let Message::PushPullDelta(_) = msg {
+            let bytes = lifeguard_proto::codec::encoded_len(&msg) as u64;
+            self.metrics.delta_syncs += 1;
+            self.metrics.delta_sync_bytes = self.metrics.delta_sync_bytes.saturating_add(bytes);
+        } else {
+            self.metrics.full_sync_fallbacks += 1;
+        }
+        self.outbox.stream(to, msg);
+    }
+
+    /// A [`PushPullDelta`] arrived on the stream transport: its entries
+    /// are merged like any other remote state; what goes back is
+    /// `AntiEntropy`'s call.
+    fn handle_push_pull_delta(&mut self, from_addr: NodeAddr, d: &PushPullDelta, now: Time) {
+        if d.from == self.name {
+            return; // a delta "from ourselves" is a routing error
+        }
+        let reply = self.sync.receive(d, &self.membership, &self.config, &self.name, now);
+        self.merge_remote_state(&d.entries, now);
+        match reply {
+            DeltaReply::Delta(msg) => self.send_sync(from_addr, msg),
+            DeltaReply::FullResync => self.send_sync(from_addr, sync::full_request(&self.membership)),
+            DeltaReply::Nothing => {}
+        }
+    }
+
+    /// Queues one datagram: `primary` plus gossip piggyback. With
+    /// `ping_target` set and the Buddy System on, a suspicion held
+    /// about the target rides first (paper §IV-C).
+    fn send_packet(&mut self, to: NodeAddr, primary: &Message, ping_target: Option<MemberId>) {
+        let buddy = ping_target
+            .filter(|_| self.config.lifeguard.buddy_system)
+            .and_then(|id| self.suspicions.buddy(id, &self.membership, &self.name));
+        self.outbox
+            .packet(to, primary, buddy.as_ref(), self.transmit_limit());
+    }
+
+    fn transmit_limit(&self) -> u32 {
+        self.config.retransmit_limit(self.membership.live_count())
+    }
+
+    fn ping(&self, seq: SeqNo, target: NodeName) -> Message {
+        Message::Ping(Ping {
+            seq,
+            target,
+            source: self.name.clone(),
+            source_addr: self.addr,
+        })
     }
 }
 
-/// An owned name for one the caller holds borrowed — an accuser's, from
-/// a packet — made because a message is about to change state: the
-/// table's own `Arc` when it names a known member, a fresh allocation
-/// only for a name this node has never seen.
-fn owned_name(membership: &Membership, name: &str) -> NodeName {
-    match membership.lookup(name) {
-        Some((_, member)) => member.name.clone(),
-        None => NodeName::from(name),
-    }
+fn alive(incarnation: Incarnation, node: NodeName, addr: NodeAddr, meta: Bytes) -> Message {
+    Message::Alive(Alive {
+        incarnation,
+        node,
+        addr,
+        meta,
+    })
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::config::LifeguardConfig;
-    use crate::driver::OwnedOutput;
-    use lifeguard_proto::codec;
-    use std::time::Duration;
-
-    fn addr(i: u8) -> NodeAddr {
-        NodeAddr::new([10, 0, 0, i], 7946)
-    }
-
-    fn node(cfg: Config) -> SwimNode {
-        let mut n = SwimNode::new("local".into(), addr(1), cfg, 1);
-        n.start(Time::ZERO);
-        n
-    }
-
-    /// Drains the node's output queue into owned outputs.
-    fn drain(n: &mut SwimNode) -> Vec<OwnedOutput> {
-        let mut out = Vec::new();
-        while let Some(o) = n.poll_output() {
-            out.push(OwnedOutput::from(o));
-        }
-        out
-    }
-
-    /// Delivers one message as a (real, encoded) datagram and drains the
-    /// effects.
-    fn feed(n: &mut SwimNode, from: NodeAddr, msg: Message, now: Time) -> Vec<OwnedOutput> {
-        n.handle_input(
-            Input::Datagram {
-                from,
-                payload: codec::encode_message(&msg),
-            },
-            now,
-        )
-        .expect("well-formed test message");
-        drain(n)
-    }
-
-    /// Delivers one stream message and drains the effects.
-    fn feed_stream(
-        n: &mut SwimNode,
-        from: NodeAddr,
-        msg: Message,
-        now: Time,
-    ) -> Vec<OwnedOutput> {
-        n.handle_input(Input::Stream { from, msg }, now)
-            .expect("stream input is infallible");
-        drain(n)
-    }
-
-    /// Fires timers due at `now` and drains the effects.
-    fn tick(n: &mut SwimNode, now: Time) -> Vec<OwnedOutput> {
-        n.handle_input(Input::Tick, now).expect("tick is infallible");
-        drain(n)
-    }
-
-    /// Registers `name` as an alive peer via an alive message.
-    fn add_peer(n: &mut SwimNode, name: &str, i: u8, now: Time) {
-        let outputs = feed(
-            n,
-            addr(i),
-            Message::Alive(Alive {
-                incarnation: Incarnation(1),
-                node: name.into(),
-                addr: addr(i),
-                meta: Bytes::new(),
-            }),
-            now,
-        );
-        assert!(outputs
-            .iter()
-            .any(|o| matches!(o, OwnedOutput::Event(Event::MemberJoined { .. }))));
-    }
-
-    fn events(outputs: &[OwnedOutput]) -> Vec<&Event> {
-        outputs
-            .iter()
-            .filter_map(|o| match o {
-                OwnedOutput::Event(e) => Some(e),
-                _ => None,
-            })
-            .collect()
-    }
-
-    fn packets(outputs: &[OwnedOutput]) -> Vec<(NodeAddr, Vec<Message>)> {
-        outputs
-            .iter()
-            .filter_map(|o| match o {
-                OwnedOutput::Packet { to, payload } => {
-                    Some((*to, compound::decode_packet(payload).unwrap()))
-                }
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Runs the node's timers up to `until`, collecting outputs.
-    fn run_until(n: &mut SwimNode, until: Time) -> Vec<OwnedOutput> {
-        let mut out = Vec::new();
-        while let Some(wake) = n.next_deadline() {
-            if wake > until {
-                break;
-            }
-            out.extend(tick(n, wake));
-        }
-        out
-    }
-
-    #[test]
-    fn start_arms_timers() {
-        let n = node(Config::lan());
-        assert!(n.next_deadline().is_some());
-        assert_eq!(n.num_alive(), 1);
-        assert_eq!(n.incarnation(), Incarnation::ZERO);
-    }
-
-    #[test]
-    #[should_panic(expected = "start() called twice")]
-    fn double_start_panics() {
-        let mut n = node(Config::lan());
-        n.start(Time::ZERO);
-    }
-
-    #[test]
-    fn ping_is_acked_to_source() {
-        let mut n = node(Config::lan());
-        let out = feed(&mut n, 
-            addr(2),
-            Message::Ping(Ping {
-                seq: SeqNo(7),
-                target: "local".into(),
-                source: "peer".into(),
-                source_addr: addr(2),
-            }),
-            Time::from_secs(1),
-        );
-        let pkts = packets(&out);
-        assert_eq!(pkts.len(), 1);
-        assert_eq!(pkts[0].0, addr(2));
-        assert_eq!(pkts[0].1[0], Message::Ack(Ack { seq: SeqNo(7) }));
-    }
-
-    #[test]
-    fn misaddressed_ping_is_dropped() {
-        let mut n = node(Config::lan());
-        let out = feed(&mut n, 
-            addr(2),
-            Message::Ping(Ping {
-                seq: SeqNo(7),
-                target: "someone-else".into(),
-                source: "peer".into(),
-                source_addr: addr(2),
-            }),
-            Time::from_secs(1),
-        );
-        assert!(packets(&out).is_empty());
-    }
-
-    #[test]
-    fn alive_message_adds_member() {
-        let mut n = node(Config::lan());
-        add_peer(&mut n, "peer-1", 2, Time::from_secs(1));
-        assert_eq!(n.num_alive(), 2);
-        let m = n.member(&"peer-1".into()).unwrap();
-        assert_eq!(m.state, MemberState::Alive);
-        assert_eq!(m.incarnation, Incarnation(1));
-        // The alive message is re-gossiped.
-        assert!(n.pending_broadcasts() > 0);
-    }
-
-    #[test]
-    fn stale_alive_does_not_override_suspect() {
-        let mut n = node(Config::lan());
-        add_peer(&mut n, "p", 2, Time::from_secs(1));
-        let out = feed(&mut n, 
-            addr(3),
-            Message::Suspect(Suspect {
-                incarnation: Incarnation(1),
-                node: "p".into(),
-                from: "accuser".into(),
-            }),
-            Time::from_secs(2),
-        );
-        assert!(events(&out)
-            .iter()
-            .any(|e| matches!(e, Event::MemberSuspected { .. })));
-        assert_eq!(n.member(&"p".into()).unwrap().state, MemberState::Suspect);
-
-        // Alive at the same incarnation must NOT clear the suspicion.
-        let out = feed(&mut n, 
-            addr(2),
-            Message::Alive(Alive {
-                incarnation: Incarnation(1),
-                node: "p".into(),
-                addr: addr(2),
-                meta: Bytes::new(),
-            }),
-            Time::from_secs(3),
-        );
-        assert!(events(&out).is_empty());
-        assert_eq!(n.member(&"p".into()).unwrap().state, MemberState::Suspect);
-
-        // Alive at a higher incarnation refutes it.
-        let out = feed(&mut n, 
-            addr(2),
-            Message::Alive(Alive {
-                incarnation: Incarnation(2),
-                node: "p".into(),
-                addr: addr(2),
-                meta: Bytes::new(),
-            }),
-            Time::from_secs(4),
-        );
-        assert!(events(&out)
-            .iter()
-            .any(|e| matches!(e, Event::MemberRecovered { .. })));
-        assert_eq!(n.member(&"p".into()).unwrap().state, MemberState::Alive);
-    }
-
-    #[test]
-    fn suspect_about_self_is_refuted() {
-        let mut n = node(Config::lan().lifeguard());
-        let health_before = n.local_health();
-        let out = feed(&mut n, 
-            addr(2),
-            Message::Suspect(Suspect {
-                incarnation: Incarnation::ZERO,
-                node: "local".into(),
-                from: "accuser".into(),
-            }),
-            Time::from_secs(1),
-        );
-        assert!(n.incarnation() > Incarnation::ZERO);
-        assert!(events(&out)
-            .iter()
-            .any(|e| matches!(e, Event::SelfRefuted { .. })));
-        // Refutation costs local health (+1).
-        assert_eq!(n.local_health(), health_before + 1);
-        // An alive broadcast is queued.
-        assert!(n.pending_broadcasts() > 0);
-    }
-
-    #[test]
-    fn dead_about_self_is_refuted() {
-        let mut n = node(Config::lan());
-        let out = feed(&mut n, 
-            addr(2),
-            Message::Dead(Dead {
-                incarnation: Incarnation(3),
-                node: "local".into(),
-                from: "accuser".into(),
-            }),
-            Time::from_secs(1),
-        );
-        assert_eq!(n.incarnation(), Incarnation(4));
-        assert!(events(&out)
-            .iter()
-            .any(|e| matches!(e, Event::SelfRefuted { .. })));
-    }
-
-    #[test]
-    fn suspicion_expires_to_dead_with_fixed_swim_timeout() {
-        let mut n = node(Config::lan()); // SWIM: α=5, β(eff)=1
-        add_peer(&mut n, "p", 2, Time::from_secs(1));
-        feed(&mut n, 
-            addr(3),
-            Message::Suspect(Suspect {
-                incarnation: Incarnation(1),
-                node: "p".into(),
-                from: "accuser".into(),
-            }),
-            Time::from_secs(2),
-        );
-        // n = 2 live ⇒ min = 5·max(1, log10(2))·1 s = 5 s.
-        let out = run_until(&mut n, Time::from_secs(2) + Duration::from_millis(5001));
-        let fails: Vec<_> = events(&out)
-            .into_iter()
-            .filter(|e| e.is_failure())
-            .collect();
-        assert_eq!(fails.len(), 1);
-        assert_eq!(n.member(&"p".into()).unwrap().state, MemberState::Dead);
-    }
-
-    #[test]
-    fn lha_suspicion_starts_at_max_and_confirmations_shorten_it() {
-        let mut n = node(Config::lan().lifeguard());
-        for (i, name) in ["p", "a", "b", "c"].iter().enumerate() {
-            add_peer(&mut n, name, i as u8 + 2, Time::from_secs(1));
-        }
-        let t0 = Time::from_secs(2);
-        feed(&mut n, 
-            addr(9),
-            Message::Suspect(Suspect {
-                incarnation: Incarnation(1),
-                node: "p".into(),
-                from: "a".into(),
-            }),
-            t0,
-        );
-        // n = 5 live ⇒ min = 5 s, max = 30 s. No confirmations: not dead
-        // at min + ε.
-        let out = run_until(&mut n, t0 + Duration::from_millis(5500));
-        assert!(events(&out).iter().all(|e| !e.is_failure()));
-        assert_eq!(n.member(&"p".into()).unwrap().state, MemberState::Suspect);
-
-        // Three independent confirmations drive the deadline to min,
-        // which has already passed → immediate failure on next tick.
-        for from in ["b", "c", "local-other"] {
-            feed(&mut n, 
-                addr(9),
-                Message::Suspect(Suspect {
-                    incarnation: Incarnation(1),
-                    node: "p".into(),
-                    from: from.into(),
-                }),
-                t0 + Duration::from_millis(5600),
-            );
-        }
-        let out = run_until(&mut n, t0 + Duration::from_millis(5700));
-        assert!(events(&out).iter().any(|e| e.is_failure()));
-    }
-
-    #[test]
-    fn independent_suspicions_are_regossiped_at_most_k_times() {
-        let mut n = node(Config::lan().lifeguard());
-        add_peer(&mut n, "p", 2, Time::from_secs(1));
-        feed(&mut n, 
-            addr(3),
-            Message::Suspect(Suspect {
-                incarnation: Incarnation(1),
-                node: "p".into(),
-                from: "a".into(),
-            }),
-            Time::from_secs(2),
-        );
-        // Queue currently holds the initial suspect broadcast.
-        let mut regossiped = 0;
-        for from in ["b", "c", "d", "e", "f"] {
-            let before = n.pending_broadcasts();
-            feed(&mut n, 
-                addr(3),
-                Message::Suspect(Suspect {
-                    incarnation: Incarnation(1),
-                    node: "p".into(),
-                    from: from.into(),
-                }),
-                Time::from_secs(3),
-            );
-            // Re-gossip replaces the queued suspect (same subject), so
-            // the queue length is unchanged; detect via queued message.
-            if n.pending_broadcasts() == before {
-                if let Some(Message::Suspect(s)) = n.queued_broadcast_for(&"p".into()) {
-                    if s.from == NodeName::from(from) {
-                        regossiped += 1;
-                    }
-                }
-            }
-        }
-        assert_eq!(regossiped, 3, "exactly K=3 confirmations re-gossiped");
-    }
-
-    /// An accuser the table does not know — a name seen only on the
-    /// wire — is a confirmer like any other: counted once, re-gossiped
-    /// once, however often its suspicion arrives.
-    #[test]
-    fn unknown_accuser_counts_once_and_is_regossiped_once() {
-        let mut n = node(Config::lan().lifeguard());
-        add_peer(&mut n, "p", 2, Time::from_secs(1));
-        add_peer(&mut n, "a", 3, Time::from_secs(1));
-        let suspect_p = |n: &mut SwimNode, from: &str| {
-            feed(
-                n,
-                addr(3),
-                Message::Suspect(Suspect {
-                    incarnation: Incarnation(1),
-                    node: "p".into(),
-                    from: from.into(),
-                }),
-                Time::from_secs(2),
-            );
-            let confirmations: Vec<u32> = n
-                .suspicions
-                .values()
-                .map(|active| active.sus.confirmation_count())
-                .collect();
-            let queued_from = match n.queued_broadcast_for(&"p".into()) {
-                Some(Message::Suspect(s)) => s.from.clone(),
-                other => panic!("expected a queued suspect, found {other:?}"),
-            };
-            (confirmations, queued_from)
-        };
-        assert_eq!(suspect_p(&mut n, "a"), (vec![0], "a".into()));
-        assert!(n.member(&"ghost".into()).is_none());
-        assert_eq!(suspect_p(&mut n, "ghost"), (vec![1], "ghost".into()));
-        assert_eq!(suspect_p(&mut n, "a"), (vec![1], "ghost".into()));
-        // The same ghost again, after another confirmer took the queue
-        // slot: not counted, and not put back.
-        assert_eq!(suspect_p(&mut n, "local"), (vec![2], "local".into()));
-        assert_eq!(suspect_p(&mut n, "ghost"), (vec![2], "local".into()));
-        assert!(
-            n.member(&"ghost".into()).is_none(),
-            "an accuser is not a member"
-        );
-    }
-
-    #[test]
-    fn probe_failure_raises_suspicion_and_lhm() {
-        let mut n = node(Config::lan().lifeguard());
-        add_peer(&mut n, "p", 2, Time::from_secs(1));
-        // Run past a whole probe round with no responses: the probe
-        // fails (no ack, no nacks possible with one peer).
-        let out = run_until(&mut n, Time::from_secs(4));
-        let suspected = events(&out)
-            .iter()
-            .any(|e| matches!(e, Event::MemberSuspected { name, .. } if name.as_str() == "p"));
-        assert!(suspected, "unanswered probe must raise a suspicion");
-        assert!(n.local_health() >= 1, "failed probe must cost local health");
-    }
-
-    #[test]
-    fn acked_probe_improves_lhm() {
-        let mut n = node(Config::lan().lifeguard());
-        add_peer(&mut n, "p", 2, Time::from_secs(1));
-        // Push LHM up first.
-        feed(&mut n, 
-            addr(2),
-            Message::Suspect(Suspect {
-                incarnation: Incarnation::ZERO,
-                node: "local".into(),
-                from: "p".into(),
-            }),
-            Time::from_secs(1),
-        );
-        let health = n.local_health();
-        assert!(health > 0);
-
-        // Find the ping the probe round sends and ack it in time.
-        let mut acked = false;
-        for _ in 0..50 {
-            let wake = n.next_deadline().unwrap();
-            let out = tick(&mut n, wake);
-            for (to, msgs) in packets(&out) {
-                for m in msgs {
-                    if let Message::Ping(p) = m {
-                        assert_eq!(to, addr(2));
-                        feed(&mut n, 
-                            addr(2),
-                            Message::Ack(Ack { seq: p.seq }),
-                            wake + Duration::from_millis(1),
-                        );
-                        acked = true;
-                    }
-                }
-            }
-            if acked {
-                break;
-            }
-        }
-        assert!(acked, "probe round never sent a ping");
-        assert_eq!(n.local_health(), health - 1);
-    }
-
-    #[test]
-    fn indirect_ping_is_relayed_and_ack_forwarded() {
-        let mut n = node(Config::lan());
-        add_peer(&mut n, "target", 3, Time::from_secs(1));
-        let out = feed(&mut n, 
-            addr(2),
-            Message::IndirectPing(IndirectPing {
-                seq: SeqNo(99),
-                target: "target".into(),
-                target_addr: addr(3),
-                nack: true,
-                source: "origin".into(),
-                source_addr: addr(2),
-            }),
-            Time::from_secs(1),
-        );
-        let pkts = packets(&out);
-        assert_eq!(pkts.len(), 1);
-        assert_eq!(pkts[0].0, addr(3));
-        let relayed_seq = match &pkts[0].1[0] {
-            Message::Ping(p) => {
-                assert_eq!(p.target.as_str(), "target");
-                p.seq
-            }
-            other => panic!("expected relayed ping, got {other:?}"),
-        };
-
-        // Target acks → the ack is forwarded to the origin with the
-        // origin's sequence number.
-        let out = feed(&mut n, 
-            addr(3),
-            Message::Ack(Ack { seq: relayed_seq }),
-            Time::from_secs(1) + Duration::from_millis(10),
-        );
-        let pkts = packets(&out);
-        assert_eq!(pkts.len(), 1);
-        assert_eq!(pkts[0].0, addr(2));
-        assert_eq!(pkts[0].1[0], Message::Ack(Ack { seq: SeqNo(99) }));
-    }
-
-    #[test]
-    fn relay_sends_nack_at_deadline_when_target_silent() {
-        let mut n = node(Config::lan());
-        add_peer(&mut n, "target", 3, Time::from_secs(1));
-        feed(&mut n, 
-            addr(2),
-            Message::IndirectPing(IndirectPing {
-                seq: SeqNo(99),
-                target: "target".into(),
-                target_addr: addr(3),
-                nack: true,
-                source: "origin".into(),
-                source_addr: addr(2),
-            }),
-            Time::from_secs(1),
-        );
-        // 80% of the 500 ms probe timeout = 400 ms.
-        let out = run_until(&mut n, Time::from_secs(1) + Duration::from_millis(401));
-        let nacks: Vec<_> = packets(&out)
-            .into_iter()
-            .filter(|(to, msgs)| {
-                *to == addr(2) && msgs.iter().any(|m| matches!(m, Message::Nack(k) if k.seq == SeqNo(99)))
-            })
-            .collect();
-        assert_eq!(nacks.len(), 1);
-    }
-
-    #[test]
-    fn leave_broadcasts_self_signed_dead() {
-        let mut n = node(Config::lan());
-        add_peer(&mut n, "p", 2, Time::from_secs(1));
-        n.handle_input(Input::Leave, Time::from_secs(2)).unwrap();
-        let out = drain(&mut n);
-        assert!(n.has_left());
-        let mut saw_leave = false;
-        for (_, msgs) in packets(&out) {
-            for m in msgs {
-                if let Message::Dead(d) = m {
-                    assert_eq!(d.node, d.from);
-                    saw_leave = true;
-                }
-            }
-        }
-        assert!(saw_leave, "leave must gossip a self-signed dead message");
-    }
-
-    /// Regression: peers were probing the node when it left and it still
-    /// acks pings, so a `Suspect` about itself is likely to arrive. It
-    /// must not refute — that resurrected it at every peer.
-    #[test]
-    fn left_node_does_not_refute_a_suspicion_about_itself() {
-        let mut n = node(Config::lan());
-        add_peer(&mut n, "p", 2, Time::from_secs(1));
-        n.handle_input(Input::Leave, Time::from_secs(2)).unwrap();
-        drain(&mut n);
-        let incarnation = n.incarnation();
-        let queued = n.queued_broadcast_for(&"local".into()).cloned();
-        let out = feed(
-            &mut n,
-            addr(2),
-            Message::Suspect(Suspect {
-                incarnation,
-                node: "local".into(),
-                from: "p".into(),
-            }),
-            Time::from_secs(3),
-        );
-        assert_eq!(n.member(&"local".into()).unwrap().state, MemberState::Left);
-        assert_eq!(n.incarnation(), incarnation);
-        assert!(!events(&out)
-            .iter()
-            .any(|e| matches!(e, Event::SelfRefuted { .. })));
-        // Nothing new is queued about ourselves — only the leave's own
-        // `Dead`, if it is still being gossiped.
-        assert!(!matches!(queued, Some(Message::Alive(_))));
-        assert_eq!(n.queued_broadcast_for(&"local".into()), queued.as_ref());
-    }
-
-    #[test]
-    fn peer_leave_emits_member_left() {
-        let mut n = node(Config::lan());
-        add_peer(&mut n, "p", 2, Time::from_secs(1));
-        let out = feed(&mut n, 
-            addr(2),
-            Message::Dead(Dead {
-                incarnation: Incarnation(1),
-                node: "p".into(),
-                from: "p".into(),
-            }),
-            Time::from_secs(2),
-        );
-        assert!(events(&out)
-            .iter()
-            .any(|e| matches!(e, Event::MemberLeft { .. })));
-        assert_eq!(n.member(&"p".into()).unwrap().state, MemberState::Left);
-    }
-
-    #[test]
-    fn push_pull_merge_downgrades_dead_to_suspect() {
-        let mut n = node(Config::lan());
-        let states = vec![
-            lifeguard_proto::PushNodeState {
-                name: "p".into(),
-                addr: addr(2),
-                incarnation: Incarnation(1),
-                state: MemberState::Dead,
-                meta: Bytes::new(),
-            },
-        ];
-        let out = feed_stream(
-            &mut n,
-            addr(2),
-            Message::PushPull(PushPull {
-                join: true,
-                reply: false,
-                states,
-            }),
-            Time::from_secs(1),
-        );
-        // Dead entries are merged as suspicions so the victim can refute.
-        assert_eq!(n.member(&"p".into()).unwrap().state, MemberState::Suspect);
-        // And the exchange is answered.
-        assert!(out
-            .iter()
-            .any(|o| matches!(o, OwnedOutput::Stream { msg: Message::PushPull(pp), .. } if pp.reply)));
-    }
-
-    #[test]
-    fn stream_ping_gets_stream_ack() {
-        let mut n = node(Config::lan());
-        let out = feed_stream(
-            &mut n,
-            addr(2),
-            Message::Ping(Ping {
-                seq: SeqNo(5),
-                target: "local".into(),
-                source: "peer".into(),
-                source_addr: addr(2),
-            }),
-            Time::from_secs(1),
-        );
-        assert!(matches!(
-            &out[0],
-            OwnedOutput::Stream { msg: Message::Ack(a), .. } if a.seq == SeqNo(5)
-        ));
-    }
-
-    #[test]
-    fn buddy_system_includes_suspect_in_ping_to_suspected() {
-        let mut cfg = Config::lan();
-        cfg.lifeguard = LifeguardConfig::buddy_system_only();
-        let mut n = node(cfg);
-        add_peer(&mut n, "p", 2, Time::from_secs(1));
-        feed(&mut n, 
-            addr(3),
-            Message::Suspect(Suspect {
-                incarnation: Incarnation(1),
-                node: "p".into(),
-                from: "accuser".into(),
-            }),
-            Time::from_secs(2),
-        );
-        // Drain the broadcast queue completely so only the buddy hook
-        // could possibly attach the suspicion.
-        while n.pending_broadcasts() > 0 {
-            let wake = n.next_deadline().unwrap();
-            tick(&mut n, wake);
-        }
-        // Probe rounds target "p" (the only peer): the ping must carry
-        // the suspect message about "p".
-        let mut saw_buddy = false;
-        for _ in 0..100 {
-            let Some(wake) = n.next_deadline() else { break };
-            if wake > Time::from_secs(60) {
-                break;
-            }
-            let out = tick(&mut n, wake);
-            for (to, msgs) in packets(&out) {
-                let has_ping = msgs.iter().any(
-                    |m| matches!(m, Message::Ping(p) if p.target.as_str() == "p"),
-                );
-                if has_ping && to == addr(2) {
-                    let has_suspect = msgs.iter().any(
-                        |m| matches!(m, Message::Suspect(s) if s.node.as_str() == "p"),
-                    );
-                    if has_suspect {
-                        saw_buddy = true;
-                    }
-                }
-            }
-            if saw_buddy {
-                break;
-            }
-        }
-        assert!(
-            saw_buddy,
-            "buddy system must attach the suspicion to pings of the suspected member"
-        );
-    }
-
-    #[test]
-    fn join_sends_push_pull_to_seeds() {
-        let mut n = node(Config::lan());
-        n.handle_input(
-            Input::Join {
-                seeds: vec![addr(5), addr(1)],
-            },
-            Time::ZERO,
-        )
-        .unwrap();
-        let out = drain(&mut n);
-        // addr(1) is ourselves and is skipped.
-        assert_eq!(out.len(), 1);
-        assert!(matches!(
-            &out[0],
-            OwnedOutput::Stream { to, msg: Message::PushPull(pp) } if *to == addr(5) && pp.join && !pp.reply
-        ));
-    }
-
-    #[test]
-    fn datagram_decode_error_is_propagated() {
-        let mut n = node(Config::lan());
-        assert!(n
-            .handle_input(
-                Input::Datagram {
-                    from: addr(2),
-                    payload: Bytes::copy_from_slice(&[250, 250]),
-                },
-                Time::ZERO,
-            )
-            .is_err());
-    }
-
-    #[test]
-    fn invalid_config_is_rejected_at_construction() {
-        let mut cfg = Config::lan();
-        cfg.gossip_nodes = 0;
-        assert_eq!(
-            SwimNode::try_new("x".into(), addr(1), cfg, 1).err(),
-            Some(crate::config::ConfigError::EmptyGossipFanout)
-        );
-    }
-
-    #[test]
-    fn name_the_wire_format_cannot_carry_is_rejected_at_construction() {
-        let longest = "n".repeat(usize::from(u16::MAX));
-        assert!(SwimNode::try_new(longest.as_str().into(), addr(1), Config::lan(), 1).is_ok());
-        let too_long = longest + "n";
-        assert_eq!(
-            SwimNode::try_new(too_long.as_str().into(), addr(1), Config::lan(), 1).err(),
-            Some(crate::config::ConfigError::NodeNameTooLong)
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid SwimNode config")]
-    fn invalid_config_panics_in_new() {
-        let mut cfg = Config::lan();
-        cfg.probe_interval = Duration::ZERO;
-        let _ = SwimNode::new("x".into(), addr(1), cfg, 1);
-    }
-
-    #[test]
-    fn accepted_alive_for_known_member_reuses_stored_meta() {
-        let mut n = node(Config::lan());
-        let meta = Bytes::from_static(b"role=db");
-        feed(
-            &mut n,
-            addr(2),
-            Message::Alive(Alive {
-                incarnation: Incarnation(1),
-                node: "p".into(),
-                addr: addr(2),
-                meta: meta.clone(),
-            }),
-            Time::from_secs(1),
-        );
-        // Higher incarnation, identical meta: the stored record keeps
-        // its bytes and the state refresh is accepted.
-        feed(
-            &mut n,
-            addr(2),
-            Message::Alive(Alive {
-                incarnation: Incarnation(2),
-                node: "p".into(),
-                addr: addr(2),
-                meta: meta.clone(),
-            }),
-            Time::from_secs(2),
-        );
-        let m = n.member(&"p".into()).unwrap();
-        assert_eq!(m.incarnation, Incarnation(2));
-        assert_eq!(m.meta.as_ref(), b"role=db");
-        // Changed meta is still picked up.
-        feed(
-            &mut n,
-            addr(2),
-            Message::Alive(Alive {
-                incarnation: Incarnation(3),
-                node: "p".into(),
-                addr: addr(2),
-                meta: Bytes::from_static(b"role=web"),
-            }),
-            Time::from_secs(3),
-        );
-        assert_eq!(n.member(&"p".into()).unwrap().meta.as_ref(), b"role=web");
-    }
-
-    /// Registers a real peer node in `n`'s table at the incarnation the
-    /// peer actually holds (0), so cross-node table comparisons line up.
-    fn add_real_peer(n: &mut SwimNode, name: &str, i: u8, now: Time) {
-        feed(
-            n,
-            addr(i),
-            Message::Alive(Alive {
-                incarnation: Incarnation::ZERO,
-                node: name.into(),
-                addr: addr(i),
-                meta: Bytes::new(),
-            }),
-            now,
-        );
-    }
-
-    fn stream_msgs(outputs: &[OwnedOutput]) -> Vec<(NodeAddr, Message)> {
-        outputs
-            .iter()
-            .filter_map(|o| match o {
-                OwnedOutput::Stream { to, msg } => Some((*to, msg.clone())),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// `(name, addr, incarnation, state, meta)` of every member, sorted —
-    /// the comparable essence of a membership table.
-    fn table_of(n: &SwimNode) -> Vec<(String, String, u64, u8, Vec<u8>)> {
-        let mut rows: Vec<_> = n
-            .members()
-            .map(|m| {
-                (
-                    m.name.as_str().to_owned(),
-                    format!("{:?}", m.addr),
-                    m.incarnation.0,
-                    m.state.as_u8(),
-                    m.meta.as_ref().to_vec(),
-                )
-            })
-            .collect();
-        rows.sort();
-        rows
-    }
-
-    /// Regression (stream-path guard): before `start`, stream messages
-    /// must be dropped exactly like datagrams — no replies, no state.
-    #[test]
-    fn pre_start_stream_messages_are_dropped() {
-        let mut n = SwimNode::new("local".into(), addr(1), Config::lan(), 1);
-        let states = vec![lifeguard_proto::PushNodeState {
-            name: "ghost".into(),
-            addr: addr(7),
-            incarnation: Incarnation(1),
-            state: MemberState::Alive,
-            meta: Bytes::new(),
-        }];
-        n.handle_input(
-            Input::Stream {
-                from: addr(9),
-                msg: Message::PushPull(PushPull {
-                    join: true,
-                    reply: false,
-                    states,
-                }),
-            },
-            Time::ZERO,
-        )
-        .unwrap();
-        n.handle_input(
-            Input::Stream {
-                from: addr(9),
-                msg: Message::Ping(Ping {
-                    seq: SeqNo(3),
-                    target: "local".into(),
-                    source: "peer".into(),
-                    source_addr: addr(9),
-                }),
-            },
-            Time::ZERO,
-        )
-        .unwrap();
-        assert!(drain(&mut n).is_empty(), "pre-start stream must produce nothing");
-        assert!(n.member(&"ghost".into()).is_none(), "pre-start merge must not happen");
-        assert_eq!(n.members().count(), 0);
-    }
-
-    /// Regression (stream-path guard): after a graceful leave, stream
-    /// messages are dropped too — no acks, no anti-entropy answers.
-    #[test]
-    fn post_leave_stream_messages_are_dropped() {
-        let mut n = node(Config::lan());
-        add_peer(&mut n, "p", 2, Time::from_secs(1));
-        n.handle_input(Input::Leave, Time::from_secs(2)).unwrap();
-        drain(&mut n);
-        let out = feed_stream(
-            &mut n,
-            addr(2),
-            Message::Ping(Ping {
-                seq: SeqNo(5),
-                target: "local".into(),
-                source: "p".into(),
-                source_addr: addr(2),
-            }),
-            Time::from_secs(3),
-        );
-        assert!(out.is_empty(), "a left node must not ack stream probes");
-        let out = feed_stream(
-            &mut n,
-            addr(2),
-            Message::PushPull(PushPull {
-                join: false,
-                reply: false,
-                states: vec![lifeguard_proto::PushNodeState {
-                    name: "ghost".into(),
-                    addr: addr(7),
-                    incarnation: Incarnation(1),
-                    state: MemberState::Alive,
-                    meta: Bytes::new(),
-                }],
-            }),
-            Time::from_secs(3),
-        );
-        assert!(out.is_empty(), "a left node must not answer push-pull");
-        assert!(n.member(&"ghost".into()).is_none());
-    }
-
-    /// Regression: a remote `Left` entry about a member we never knew
-    /// must be dropped, not resurrected through the learn-then-apply
-    /// path `Suspect`/`Dead` entries use.
-    #[test]
-    fn remote_left_entry_for_unknown_member_is_not_resurrected() {
-        let mut n = node(Config::lan());
-        let out = feed_stream(
-            &mut n,
-            addr(9),
-            Message::PushPull(PushPull {
-                join: false,
-                reply: true, // response half: no counter-reply expected
-                states: vec![lifeguard_proto::PushNodeState {
-                    name: "ghost".into(),
-                    addr: addr(7),
-                    incarnation: Incarnation(5),
-                    state: MemberState::Left,
-                    meta: Bytes::new(),
-                }],
-            }),
-            Time::from_secs(1),
-        );
-        assert!(out.is_empty(), "a left-unknown entry must produce no effects");
-        assert!(n.member(&"ghost".into()).is_none(), "member must not be learned");
-        assert!(
-            n.queued_broadcast_for(&"ghost".into()).is_none(),
-            "nothing about the ghost may be gossiped"
-        );
-        // Contrast: a Suspect entry for an unknown member *is* learned
-        // (memberlist behaviour), pinning that the two paths differ.
-        feed_stream(
-            &mut n,
-            addr(9),
-            Message::PushPull(PushPull {
-                join: false,
-                reply: true,
-                states: vec![lifeguard_proto::PushNodeState {
-                    name: "sus".into(),
-                    addr: addr(8),
-                    incarnation: Incarnation(1),
-                    state: MemberState::Suspect,
-                    meta: Bytes::new(),
-                }],
-            }),
-            Time::from_secs(1),
-        );
-        assert_eq!(n.member(&"sus".into()).unwrap().state, MemberState::Suspect);
-    }
-
-    /// A delta arriving by datagram is dropped like a full push-pull.
-    #[test]
-    fn push_pull_delta_by_datagram_is_dropped() {
-        let mut n = node(Config::lan());
-        let out = feed(
-            &mut n,
-            addr(9),
-            Message::PushPullDelta(PushPullDelta {
-                from: "peer".into(),
-                epoch: 7,
-                since_epoch: 0,
-                since: 0,
-                seq: 3,
-                reply: false,
-                entries: vec![lifeguard_proto::PushNodeState {
-                    name: "ghost".into(),
-                    addr: addr(7),
-                    incarnation: Incarnation(1),
-                    state: MemberState::Alive,
-                    meta: Bytes::new(),
-                }],
-            }),
-            Time::from_secs(1),
-        );
-        assert!(out.is_empty());
-        assert!(n.member(&"ghost".into()).is_none());
-    }
-
-    /// End-to-end delta exchange between two real nodes: the first
-    /// exchange bootstraps (full-equivalent), the second carries only
-    /// the churn, and a dropped reply is retransmitted — never lost.
-    #[test]
-    fn delta_exchange_converges_and_second_round_is_incremental() {
-        let now = Time::from_secs(1);
-        let mut a = node(Config::lan()); // "local" at addr(1)
-        let mut b = SwimNode::new("remote".into(), addr(2), Config::lan(), 2);
-        b.start(Time::ZERO);
-        for (i, p) in ["p1", "p2", "p3"].iter().enumerate() {
-            add_peer(&mut a, p, 10 + i as u8, now);
-        }
-        add_real_peer(&mut a, "remote", 2, now);
-
-        // Round 1: cold watermarks → the delta is full-equivalent.
-        a.handle_input(Input::Sync { with: "remote".into() }, now).unwrap();
-        let req = stream_msgs(&drain(&mut a));
-        assert_eq!(req.len(), 1);
-        assert_eq!(req[0].0, addr(2));
-        let Message::PushPullDelta(d) = &req[0].1 else {
-            panic!("expected delta, got {:?}", req[0].1)
-        };
-        assert_eq!(d.since, 0, "first exchange starts from scratch");
-        assert_eq!(d.entries.len(), 5, "cold delta carries the full table");
-        let reply = stream_msgs(&feed_stream(&mut b, addr(1), req[0].1.clone(), now));
-        assert_eq!(reply.len(), 1);
-        assert!(
-            matches!(&reply[0].1, Message::PushPullDelta(r) if r.reply && r.since > 0),
-            "reply must ack the initiator's seq"
-        );
-        feed_stream(&mut a, addr(2), reply[0].1.clone(), now);
-        assert_eq!(table_of(&a), table_of(&b), "one exchange must converge both tables");
-
-        // Churn one member on A only.
-        add_peer(&mut a, "p9", 99, now + Duration::from_secs(1));
-
-        // Round 2: only the churned entry travels.
-        let t2 = now + Duration::from_secs(2);
-        a.handle_input(Input::Sync { with: "remote".into() }, t2).unwrap();
-        let req2 = stream_msgs(&drain(&mut a));
-        let Message::PushPullDelta(d2) = &req2[0].1 else { panic!() };
-        assert!(d2.since > 0, "watermark must be warm now");
-        assert_eq!(d2.entries.len(), 1, "delta must carry only the churn");
-        assert_eq!(d2.entries[0].name.as_str(), "p9");
-        // Drop B's reply: A must not advance its ack watermark…
-        let reply2 = stream_msgs(&feed_stream(&mut b, addr(1), req2[0].1.clone(), t2));
-        assert_eq!(reply2.len(), 1);
-        assert_eq!(table_of(&a), table_of(&b), "request half alone already syncs A→B");
-
-        // …so round 3 retransmits the unacked churn entry.
-        let t3 = t2 + Duration::from_secs(1);
-        a.handle_input(Input::Sync { with: "remote".into() }, t3).unwrap();
-        let req3 = stream_msgs(&drain(&mut a));
-        let Message::PushPullDelta(d3) = &req3[0].1 else { panic!() };
-        assert_eq!(
-            d3.entries.len(),
-            1,
-            "an unacked entry must be resent after a dropped reply"
-        );
-        assert_eq!(d3.entries[0].name.as_str(), "p9");
-
-        // Deliver the round-3 pair fully: the ack finally lands and
-        // round 4 is empty.
-        let reply3 = stream_msgs(&feed_stream(&mut b, addr(1), req3[0].1.clone(), t3));
-        feed_stream(&mut a, addr(2), reply3[0].1.clone(), t3);
-        let t4 = t3 + Duration::from_secs(1);
-        a.handle_input(Input::Sync { with: "remote".into() }, t4).unwrap();
-        let req4 = stream_msgs(&drain(&mut a));
-        let Message::PushPullDelta(d4) = &req4[0].1 else { panic!() };
-        assert_eq!(d4.entries.len(), 0, "steady state sends an empty delta");
-        assert_eq!(table_of(&a), table_of(&b));
-    }
-
-    /// A delta reply leaves out exactly the `Alive` entries the request
-    /// itself carried at an incarnation ≥ the responder's; everything
-    /// else travels, and the exchange ends where an unfiltered one does.
-    #[test]
-    fn delta_reply_omits_only_alive_entries_the_request_proved() {
-        let now = Time::from_secs(1);
-        let alive = |name: &str, i: u8, inc: u64| {
-            Message::Alive(Alive {
-                incarnation: Incarnation(inc),
-                node: name.into(),
-                addr: addr(i),
-                meta: Bytes::new(),
-            })
-        };
-        let dead = |node: &str, from: &str| {
-            Message::Dead(Dead {
-                incarnation: Incarnation(1),
-                node: node.into(),
-                from: from.into(),
-            })
-        };
-        // One cold exchange local → remote. With `filtered` off, the
-        // reply delivered to the requester is swapped for the one the
-        // responder would have sent without the rule.
-        let run = |filtered: bool| {
-            let mut a = node(Config::lan());
-            let mut b = SwimNode::new("remote".into(), addr(2), Config::lan(), 2);
-            b.start(Time::ZERO);
-            add_real_peer(&mut a, "remote", 2, now);
-            add_real_peer(&mut b, "local", 1, now);
-            // What the request will carry, all `Alive`…
-            for (name, i, inc) in [
-                ("eq", 10, 1),
-                ("hi", 11, 3),
-                ("lo", 12, 1),
-                ("sus", 13, 1),
-                ("dead", 14, 1),
-                ("left", 15, 1),
-            ] {
-                feed(&mut a, addr(i), alive(name, i, inc), now);
-            }
-            // …against what the responder holds.
-            for (name, i, inc) in [
-                ("eq", 10, 1),
-                ("hi", 11, 1),
-                ("lo", 12, 5),
-                ("sus", 13, 1),
-                ("dead", 14, 1),
-                ("left", 15, 1),
-                ("only-b", 16, 1),
-            ] {
-                feed(&mut b, addr(i), alive(name, i, inc), now);
-            }
-            let suspect = Message::Suspect(Suspect {
-                incarnation: Incarnation(1),
-                node: "sus".into(),
-                from: "accuser".into(),
-            });
-            feed(&mut b, addr(9), suspect, now);
-            feed(&mut b, addr(9), dead("dead", "accuser"), now);
-            feed(&mut b, addr(9), dead("left", "left"), now);
-
-            let sync = Input::Sync {
-                with: "remote".into(),
-            };
-            a.handle_input(sync, now).unwrap();
-            let req = stream_msgs(&drain(&mut a));
-            let unfiltered = b.collect_changed(0);
-            let reply = stream_msgs(&feed_stream(&mut b, addr(1), req[0].1.clone(), now));
-            let Message::PushPullDelta(mut r) = reply[0].1.clone() else {
-                panic!("expected delta reply, got {:?}", reply[0].1)
-            };
-            let mut sent: Vec<&str> = r.entries.iter().map(|e| e.name.as_str()).collect();
-            sent.sort_unstable();
-            // Omitted: `eq` (equal incarnation), `hi` (the request is
-            // ahead) and the two ends' own records, both proved too.
-            assert_eq!(sent, ["dead", "left", "lo", "only-b", "sus"]);
-            assert_eq!(unfiltered.len(), 9);
-            if !filtered {
-                r.entries = unfiltered;
-            }
-            let effects = feed_stream(&mut a, addr(2), Message::PushPullDelta(r), now);
-            (table_of(&a), table_of(&b), format!("{effects:?}"))
-        };
-        assert_eq!(run(true), run(false));
-    }
-
-    /// A peer that restarted (new epoch) answers a stale-watermark delta
-    /// with a full exchange, and both sides converge from scratch.
-    #[test]
-    fn delta_to_restarted_peer_falls_back_to_full_sync() {
-        let now = Time::from_secs(1);
-        let mut a = node(Config::lan());
-        let mut b = SwimNode::new("remote".into(), addr(2), Config::lan(), 2);
-        b.start(Time::ZERO);
-        add_real_peer(&mut a, "remote", 2, now);
-        add_peer(&mut a, "p1", 11, now);
-
-        // Warm the pairing.
-        a.handle_input(Input::Sync { with: "remote".into() }, now).unwrap();
-        let req = stream_msgs(&drain(&mut a));
-        let reply = stream_msgs(&feed_stream(&mut b, addr(1), req[0].1.clone(), now));
-        feed_stream(&mut a, addr(2), reply[0].1.clone(), now);
-
-        // "Restart" B: same name and address, new seed → new epoch.
-        let mut b2 = SwimNode::new("remote".into(), addr(2), Config::lan(), 777);
-        b2.start(Time::ZERO);
-
-        // A's next delta carries a watermark the new instance can't
-        // serve: B2 answers with a full push-pull request, and A's full
-        // reply completes the bidirectional resync.
-        let t2 = now + Duration::from_secs(1);
-        a.handle_input(Input::Sync { with: "remote".into() }, t2).unwrap();
-        let req2 = stream_msgs(&drain(&mut a));
-        assert!(
-            matches!(&req2[0].1, Message::PushPullDelta(d) if d.since > 0),
-            "warm watermark expected"
-        );
-        let fallback = stream_msgs(&feed_stream(&mut b2, addr(1), req2[0].1.clone(), t2));
-        assert!(
-            matches!(&fallback[0].1, Message::PushPull(pp) if !pp.reply),
-            "unservable watermark must trigger a full exchange, got {:?}",
-            fallback[0].1
-        );
-        let full_reply = stream_msgs(&feed_stream(&mut a, addr(2), fallback[0].1.clone(), t2));
-        assert!(matches!(&full_reply[0].1, Message::PushPull(pp) if pp.reply));
-        feed_stream(&mut b2, addr(1), full_reply[0].1.clone(), t2);
-        assert_eq!(table_of(&a), table_of(&b2), "full fallback must converge");
-    }
-
-    /// Even when epoch detection cannot notice a restart (the peer
-    /// came back with the same seed and thus the same epoch), an
-    /// explicit `since = 0` request overrides the stored ack and is
-    /// served from scratch — the stale watermark may cost re-sending,
-    /// never missed entries.
-    #[test]
-    fn since_zero_overrides_stale_ack_after_same_epoch_restart() {
-        let now = Time::from_secs(1);
-        let mut a = node(Config::lan());
-        let mut b = SwimNode::new("remote".into(), addr(2), Config::lan(), 2);
-        b.start(Time::ZERO);
-        add_real_peer(&mut a, "remote", 2, now);
-        add_peer(&mut a, "p1", 11, now);
-
-        // Warm exchange: A ends up holding local_acked > 0 for B.
-        a.handle_input(Input::Sync { with: "remote".into() }, now).unwrap();
-        let req = stream_msgs(&drain(&mut a));
-        let reply = stream_msgs(&feed_stream(&mut b, addr(1), req[0].1.clone(), now));
-        feed_stream(&mut a, addr(2), reply[0].1.clone(), now);
-
-        // "Restart" B with the SAME seed: identical epoch, empty table.
-        let mut b2 = SwimNode::new("remote".into(), addr(2), Config::lan(), 2);
-        b2.start(Time::ZERO);
-        add_real_peer(&mut b2, "local", 1, now);
-
-        // B2's cold request (since = 0) must be answered with A's full
-        // table, not just the entries after A's stale ack for old-B.
-        let t2 = now + Duration::from_secs(1);
-        b2.handle_input(Input::Sync { with: "local".into() }, t2).unwrap();
-        let req2 = stream_msgs(&drain(&mut b2));
-        let Message::PushPullDelta(d) = &req2[0].1 else { panic!() };
-        assert_eq!(d.since, 0);
-        let reply2 = stream_msgs(&feed_stream(&mut a, addr(2), req2[0].1.clone(), t2));
-        let Message::PushPullDelta(r) = &reply2[0].1 else {
-            panic!("expected delta reply, got {:?}", reply2[0].1)
-        };
-        // From scratch means every member the request did not prove: A
-        // holds `local`, `remote` and `p1`, and B2's request carried the
-        // first two as `Alive` at the incarnation A holds them.
-        let unproved: Vec<&str> = r.entries.iter().map(|e| e.name.as_str()).collect();
-        assert_eq!(
-            unproved,
-            ["p1"],
-            "a since = 0 request must be served from scratch"
-        );
-        feed_stream(&mut b2, addr(1), reply2[0].1.clone(), t2);
-        assert_eq!(table_of(&a), table_of(&b2));
-    }
-
-    /// With delta sync disabled the periodic exchange is the classic
-    /// full push-pull.
-    #[test]
-    fn sync_with_delta_disabled_sends_full_push_pull() {
-        let mut cfg = Config::lan();
-        cfg.delta_sync = false;
-        let mut n = node(cfg);
-        add_peer(&mut n, "p", 2, Time::from_secs(1));
-        n.handle_input(Input::Sync { with: "p".into() }, Time::from_secs(2))
-            .unwrap();
-        let out = stream_msgs(&drain(&mut n));
-        assert!(matches!(&out[0].1, Message::PushPull(pp) if !pp.reply && !pp.join));
-    }
-
-    #[test]
-    fn poll_output_reclaims_scratch_after_full_drain() {
-        let mut n = node(Config::lan());
-        add_peer(&mut n, "p", 2, Time::from_secs(1));
-        // Produce some packets (gossip ticks), drain fully, repeat: the
-        // scratch arena must not grow without bound.
-        let mut high_water = 0;
-        for s in 2..30u64 {
-            run_until(&mut n, Time::from_secs(s));
-            assert!(!n.has_pending_output());
-            high_water = high_water.max(n.scratch.capacity());
-        }
-        assert_eq!(n.scratch.capacity(), high_water);
-        assert!(
-            high_water <= 16 * n.config().packet_budget,
-            "scratch arena grew unexpectedly: {high_water}"
-        );
-    }
-}
+mod tests;

@@ -6,6 +6,7 @@
 //! random positions*, so the expected detection time matches the random
 //! scheme (paper §III-A).
 
+use lifeguard_proto::NodeName;
 use rand::{Rng, RngExt};
 
 use crate::member::MemberRef;
@@ -97,6 +98,23 @@ impl ProbeList {
             }
         }
         None
+    }
+
+    /// Every live member other than `me` is in the rotation, and no
+    /// member is in it twice (ids of removed members may linger until a
+    /// sweep drops them).
+    pub(crate) fn check_invariants(&self, membership: &Membership, me: &NodeName) {
+        let mut listed = std::collections::HashSet::new();
+        for id in self.order.iter().filter(|&&id| membership.by_id(id).is_some()) {
+            assert!(listed.insert(*id), "{id:?} is in the probe rotation twice");
+        }
+        for m in membership.iter().filter(|m| m.is_live() && m.name != me) {
+            assert!(
+                membership.id_of(m.name).is_some_and(|id| listed.contains(&id)),
+                "live member {} is not in the probe rotation",
+                m.name
+            );
+        }
     }
 
     /// Fisher–Yates reshuffle, restarting the sweep.

@@ -11,11 +11,16 @@
 //! is the number required to reach `Min`. With `K = 0` (plain SWIM) the
 //! timeout is fixed at `Min` (`Min == Max` in that configuration).
 
+use std::collections::HashMap;
 use std::time::Duration;
 
-use lifeguard_proto::{Incarnation, NodeName};
+use lifeguard_metrics::Histogram;
+use lifeguard_proto::{Incarnation, MemberState, Message, NodeName, Suspect};
 
+use crate::membership::{MemberId, Membership};
+use crate::node::Timer;
 use crate::time::Time;
+use crate::timer_wheel::{TimerKey, TimerWheel};
 
 /// State of one active suspicion held by the local node.
 #[derive(Clone, Debug)]
@@ -137,6 +142,127 @@ pub fn suspicion_timeout(c: u32, k: u32, min: Duration, max: Duration) -> Durati
     let t = max.as_secs_f64() - span * frac;
     let clamped = t.max(min.as_secs_f64());
     Duration::from_secs_f64(clamped)
+}
+
+/// A suspicion the local node currently holds, paired with the wheel
+/// handle of its single `SuspicionCheck` timer.
+#[derive(Debug)]
+struct Active {
+    sus: Suspicion,
+    timer: TimerKey,
+}
+
+/// The suspicions the local node holds, one per `Suspect` member.
+///
+/// Owns the one-timer rule: each entry has exactly one armed
+/// `SuspicionCheck`. Lifeguard's timeout shrinking reschedules that
+/// timer in place and every way a suspicion ends goes through
+/// [`Suspicions::end`], which cancels it — so there is never a stale
+/// deadline in flight and a fire always means the *current* deadline
+/// truly expired.
+#[derive(Debug, Default)]
+pub(crate) struct Suspicions {
+    // bounded: one active suspicion per suspect member, cleared on confirm/refute/death — ≤ cluster size
+    table: HashMap<MemberId, Active>,
+}
+
+impl Suspicions {
+    /// Starts holding `sus` about `id` and arms its expiry.
+    pub(crate) fn raise(&mut self, id: MemberId, sus: Suspicion, timers: &mut TimerWheel<Timer>) {
+        let timer = timers.schedule(sus.deadline(), Timer::SuspicionCheck { id });
+        self.table.insert(id, Active { sus, timer });
+    }
+
+    /// A further suspicion about `id`, at `incarnation`, from `from` —
+    /// the accuser's name as the caller holds it (packet bytes on the
+    /// datagram path). `None` when no suspicion about `id` is held.
+    /// Otherwise the inner value is the accuser's owned name when it is
+    /// one of the first K new confirmers, which LHA-Suspicion
+    /// re-gossips (paper §IV-B); a repeat confirmation touches no name
+    /// and allocates nothing. Either way the expiry moves to the
+    /// (possibly shrunk) deadline in place; the superseded deadline can
+    /// never fire.
+    pub(crate) fn confirm(
+        &mut self,
+        id: MemberId,
+        incarnation: Incarnation,
+        from: &str,
+        membership: &Membership,
+        timers: &mut TimerWheel<Timer>,
+    ) -> Option<Option<NodeName>> {
+        let active = self.table.get_mut(&id)?;
+        active.sus.observe_incarnation(incarnation);
+        let admitted = active.sus.admits(from).then(|| {
+            let from = membership.owned_name(from);
+            active.sus.confirm(from.clone());
+            from
+        });
+        match timers.reschedule(active.timer, active.sus.deadline()) {
+            Some(key) => active.timer = key,
+            None => debug_assert!(false, "active suspicion lost its timer"),
+        }
+        Some(admitted)
+    }
+
+    /// Ends the suspicion about `id`, however it resolved — refuted,
+    /// superseded by a death or leave, or expired: the entry goes, its
+    /// timer is truly cancelled (a no-op when the expiry itself is what
+    /// fired) and its lifetime is recorded.
+    pub(crate) fn end(
+        &mut self,
+        id: MemberId,
+        now: Time,
+        timers: &mut TimerWheel<Timer>,
+        lifetimes: &mut Histogram,
+    ) -> Option<Suspicion> {
+        let Active { sus, timer } = self.table.remove(&id)?;
+        timers.cancel(timer);
+        lifetimes.record_duration(now.saturating_since(sus.started_at()));
+        Some(sus)
+    }
+
+    /// The Buddy System's payload (paper §IV-C): when `id` is
+    /// suspected, the suspect message to put first in a ping to it, so
+    /// its refutation starts immediately.
+    pub(crate) fn buddy(
+        &self,
+        id: MemberId,
+        membership: &Membership,
+        me: &NodeName,
+    ) -> Option<Message> {
+        let (active, member) = (self.table.get(&id)?, membership.by_id(id)?);
+        Some(Message::Suspect(Suspect {
+            incarnation: active.sus.incarnation(),
+            node: member.name.clone(),
+            from: me.clone(),
+        }))
+    }
+
+    /// `Suspect` members and entries are one-to-one, and every entry's
+    /// expiry is armed.
+    pub(crate) fn check_invariants(&self, membership: &Membership, timers: &TimerWheel<Timer>) {
+        for (&id, active) in &self.table {
+            let state = membership.by_id(id).map(|m| m.state);
+            assert_eq!(state, Some(MemberState::Suspect), "suspicion about {id:?}");
+            assert!(
+                timers.deadline_of(active.timer).is_some(),
+                "suspicion about {id:?} has no armed expiry"
+            );
+        }
+        let suspects = membership
+            .iter()
+            .filter(|m| m.state == MemberState::Suspect);
+        assert_eq!(suspects.count(), self.table.len(), "a suspect without a suspicion");
+    }
+
+    /// Confirmation counts of the held suspicions (test introspection).
+    #[cfg(test)]
+    pub(crate) fn confirmation_counts(&self) -> Vec<u32> {
+        self.table
+            .values()
+            .map(|active| active.sus.confirmation_count())
+            .collect()
+    }
 }
 
 #[cfg(test)]

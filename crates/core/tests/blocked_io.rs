@@ -5,80 +5,22 @@
 //! Driven entirely through the sans-I/O surface: `Input`s in,
 //! `poll_output` drained after every input.
 
+mod common;
+
 use std::time::Duration;
 
-use bytes::Bytes;
+use common::*;
 use lifeguard_core::config::Config;
 use lifeguard_core::driver::OwnedOutput;
 use lifeguard_core::event::Event;
 use lifeguard_core::node::{Input, SwimNode};
 use lifeguard_core::time::Time;
-use lifeguard_proto::{codec, compound, Ack, Alive, Incarnation, Message, NodeAddr, Suspect};
-
-fn addr(i: u8) -> NodeAddr {
-    NodeAddr::new([10, 0, 0, i], 7946)
-}
-
-fn new_node(cfg: Config) -> SwimNode {
-    let mut n = SwimNode::new("local".into(), addr(1), cfg, 1);
-    n.start(Time::ZERO);
-    n
-}
-
-fn drain(n: &mut SwimNode) -> Vec<OwnedOutput> {
-    let mut out = Vec::new();
-    while let Some(o) = n.poll_output() {
-        out.push(OwnedOutput::from(o));
-    }
-    out
-}
-
-fn feed(n: &mut SwimNode, from: NodeAddr, msg: Message, now: Time) -> Vec<OwnedOutput> {
-    n.handle_input(
-        Input::Datagram {
-            from,
-            payload: codec::encode_message(&msg),
-        },
-        now,
-    )
-    .expect("well-formed test message");
-    drain(n)
-}
-
-fn tick(n: &mut SwimNode, now: Time) -> Vec<OwnedOutput> {
-    n.handle_input(Input::Tick, now).expect("tick is infallible");
-    drain(n)
-}
+use lifeguard_proto::{compound, Ack, Incarnation, Message, Suspect};
 
 fn set_blocked(n: &mut SwimNode, blocked: bool, now: Time) -> Vec<OwnedOutput> {
     n.handle_input(Input::IoBlocked { blocked }, now)
         .expect("io-blocked input is infallible");
     drain(n)
-}
-
-fn add_peer(n: &mut SwimNode, name: &str, i: u8, now: Time) {
-    feed(
-        n,
-        addr(i),
-        Message::Alive(Alive {
-            incarnation: Incarnation(1),
-            node: name.into(),
-            addr: addr(i),
-            meta: Bytes::new(),
-        }),
-        now,
-    );
-}
-
-fn run_until(n: &mut SwimNode, until: Time) -> Vec<OwnedOutput> {
-    let mut out = Vec::new();
-    while let Some(wake) = n.next_deadline() {
-        if wake > until {
-            break;
-        }
-        out.extend(tick(n, wake));
-    }
-    out
 }
 
 fn count_pings(outputs: &[OwnedOutput]) -> usize {
@@ -111,6 +53,7 @@ fn blocked_probe_loop_sends_at_most_one_ping() {
         "blocked probe loop sent {} pings",
         count_pings(&out)
     );
+    n.check_invariants();
 }
 
 #[test]
@@ -146,6 +89,7 @@ fn stuck_probe_fails_and_suspects_at_unblock() {
         matches!(o, OwnedOutput::Event(Event::MemberSuspected { name, .. }) if name.as_str() == "p")
     });
     assert!(suspected, "stuck probe must fail and suspect at unblock");
+    n.check_invariants();
 }
 
 #[test]
@@ -190,6 +134,7 @@ fn stale_ack_is_rejected_after_unblock() {
         n.local_health() >= health_before,
         "stale ack improved local health"
     );
+    n.check_invariants();
 }
 
 #[test]
@@ -216,6 +161,7 @@ fn suspicion_expiry_fires_during_block() {
         .iter()
         .any(|o| matches!(o, OwnedOutput::Event(e) if e.is_failure()));
     assert!(failed, "suspicion expiry must fire during the block");
+    n.check_invariants();
 }
 
 #[test]
@@ -235,6 +181,7 @@ fn blocked_gossip_tick_runs_once() {
         gossip_packets <= n.config().gossip_nodes + 1,
         "blocked gossip loop kept sending: {gossip_packets} packets"
     );
+    n.check_invariants();
 }
 
 #[test]
@@ -286,6 +233,7 @@ fn unblock_refires_deferred_and_armed_timers_in_deadline_order() {
         gossiped_suspect,
         "catch-up must interleave the armed gossip tick after the deferred probe failure"
     );
+    n.check_invariants();
 }
 
 #[test]
@@ -320,6 +268,7 @@ fn deferred_refire_survives_coinciding_probe_deadlines() {
         }),
         "stuck probe must still fail and suspect at unblock"
     );
+    n.check_invariants();
 }
 
 #[test]
@@ -337,4 +286,5 @@ fn unblock_is_idempotent_and_resets_loops() {
     // After unblocking, the loops resume: pings flow again.
     let out = run_until(&mut n, Time::from_secs(10));
     assert!(count_pings(&out) >= 2, "probe loop did not resume");
+    n.check_invariants();
 }

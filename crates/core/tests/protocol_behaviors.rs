@@ -2,82 +2,19 @@
 //! dead-member retention/reaping, gossip-to-the-dead, reconnect, and
 //! indirect-probe plumbing end to end across two nodes.
 
+mod common;
+
 use std::time::Duration;
 
 use bytes::Bytes;
+use common::*;
 use lifeguard_core::config::Config;
 use lifeguard_core::driver::OwnedOutput;
 use lifeguard_core::node::{Input, SwimNode};
 use lifeguard_core::time::Time;
 use lifeguard_proto::{
-    codec, compound, Ack, Alive, Dead, Incarnation, MemberState, Message, NodeAddr, PushPull, Suspect,
+    compound, Ack, Alive, Dead, Incarnation, MemberState, Message, PushPull, Suspect,
 };
-
-fn addr(i: u8) -> NodeAddr {
-    NodeAddr::new([10, 0, 0, i], 7946)
-}
-
-fn new_node(cfg: Config) -> SwimNode {
-    let mut n = SwimNode::new("local".into(), addr(1), cfg, 1);
-    n.start(Time::ZERO);
-    n
-}
-
-fn drain(n: &mut SwimNode) -> Vec<OwnedOutput> {
-    let mut out = Vec::new();
-    while let Some(o) = n.poll_output() {
-        out.push(OwnedOutput::from(o));
-    }
-    out
-}
-
-fn feed(n: &mut SwimNode, from: NodeAddr, msg: Message, now: Time) -> Vec<OwnedOutput> {
-    n.handle_input(
-        Input::Datagram {
-            from,
-            payload: codec::encode_message(&msg),
-        },
-        now,
-    )
-    .expect("well-formed test message");
-    drain(n)
-}
-
-fn feed_stream(n: &mut SwimNode, from: NodeAddr, msg: Message, now: Time) -> Vec<OwnedOutput> {
-    n.handle_input(Input::Stream { from, msg }, now)
-        .expect("stream input is infallible");
-    drain(n)
-}
-
-fn tick(n: &mut SwimNode, now: Time) -> Vec<OwnedOutput> {
-    n.handle_input(Input::Tick, now).expect("tick is infallible");
-    drain(n)
-}
-
-fn add_peer(n: &mut SwimNode, name: &str, i: u8, now: Time) {
-    feed(
-        n,
-        addr(i),
-        Message::Alive(Alive {
-            incarnation: Incarnation(1),
-            node: name.into(),
-            addr: addr(i),
-            meta: Bytes::new(),
-        }),
-        now,
-    );
-}
-
-fn run_until(n: &mut SwimNode, until: Time) -> Vec<OwnedOutput> {
-    let mut out = Vec::new();
-    while let Some(wake) = n.next_deadline() {
-        if wake > until {
-            break;
-        }
-        out.extend(tick(n, wake));
-    }
-    out
-}
 
 #[test]
 fn push_pull_reply_contains_full_table_including_dead() {

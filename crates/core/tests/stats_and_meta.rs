@@ -1,60 +1,15 @@
 //! Tests for the node's activity counters, metadata updates and the config profiles.
 
+mod common;
+
 use bytes::Bytes;
+use common::*;
 use lifeguard_core::config::{AwarenessDeltas, Config};
 use lifeguard_core::node::{Input, SwimNode};
 use lifeguard_core::time::Time;
-use lifeguard_proto::{codec, Alive, Incarnation, Message, NodeAddr, Suspect, MAX_META_LEN};
-
-fn addr(i: u8) -> NodeAddr {
-    NodeAddr::new([10, 0, 0, i], 7946)
-}
-
-fn new_node(cfg: Config) -> SwimNode {
-    let mut n = SwimNode::new("local".into(), addr(1), cfg, 1);
-    n.start(Time::ZERO);
-    n
-}
-
-fn drain(n: &mut SwimNode) {
-    while n.poll_output().is_some() {}
-}
-
-fn feed(n: &mut SwimNode, from: NodeAddr, msg: Message, now: Time) {
-    n.handle_input(
-        Input::Datagram {
-            from,
-            payload: codec::encode_message(&msg),
-        },
-        now,
-    )
-    .expect("well-formed test message");
-    drain(n);
-}
-
-fn add_peer(n: &mut SwimNode, name: &str, i: u8, now: Time) {
-    feed(
-        n,
-        addr(i),
-        Message::Alive(Alive {
-            incarnation: Incarnation(1),
-            node: name.into(),
-            addr: addr(i),
-            meta: Bytes::new(),
-        }),
-        now,
-    );
-}
-
-fn run_until(n: &mut SwimNode, until: Time) {
-    while let Some(wake) = n.next_deadline() {
-        if wake > until {
-            break;
-        }
-        n.handle_input(Input::Tick, wake).expect("tick is infallible");
-        drain(n);
-    }
-}
+use lifeguard_proto::{
+    codec, Ack, Alive, Incarnation, MemberState, Message, Ping, SeqNo, Suspect, MAX_META_LEN,
+};
 
 #[test]
 fn stats_track_probe_lifecycle() {
@@ -162,6 +117,40 @@ fn oversized_update_meta_is_refused_and_self_gossip_still_decodes() {
         codec::decode_message(&codec::encode_message(queued)).as_ref(),
         Ok(queued)
     );
+}
+
+/// A node that has left stays gone: a metadata update after `Leave`
+/// must not bump the incarnation and queue an `Alive` that rides out on
+/// the acks the departed node still sends — every peer holding it `Left`
+/// at the lower incarnation would take that as a rejoin.
+#[test]
+fn update_meta_after_leave_is_refused_and_acks_carry_no_alive() {
+    let mut n = new_node(Config::lan());
+    add_peer(&mut n, "p", 2, Time::from_secs(1));
+    input(&mut n, Input::Leave, Time::from_secs(2));
+    let inc = n.incarnation();
+    let meta = Bytes::from_static(b"role=db");
+    input(&mut n, Input::UpdateMeta { meta }, Time::from_secs(3));
+    assert_eq!(n.incarnation(), inc, "a departed node took a new incarnation");
+    let me = n.member(&"local".into()).unwrap();
+    assert_eq!((me.state, me.meta.as_ref()), (MemberState::Left, &b""[..]));
+
+    let ping = Message::Ping(Ping {
+        seq: SeqNo(7),
+        target: "local".into(),
+        source: "p".into(),
+        source_addr: addr(2),
+    });
+    let acks = packets(&feed(&mut n, addr(2), ping, Time::from_secs(4)));
+    assert_eq!(acks.len(), 1, "a departed node still acks");
+    assert_eq!(acks[0].1[0], Message::Ack(Ack { seq: SeqNo(7) }));
+    for msg in &acks[0].1 {
+        assert!(
+            !matches!(msg, Message::Alive(a) if a.node.as_str() == "local"),
+            "ack piggybacks a rejoin: {msg:?}"
+        );
+    }
+    n.check_invariants();
 }
 
 #[test]

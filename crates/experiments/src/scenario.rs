@@ -213,7 +213,7 @@ pub(crate) fn extract(cluster: &Cluster, anomalous: &[usize], anomaly_start: Sim
         );
     }
 
-    let total = cluster.telemetry().total();
+    let io: Vec<_> = (0..n).map(|i| cluster.metrics_snapshot(i).io).collect();
     RunOutcome {
         anomalous: anomalous.to_vec(),
         n,
@@ -221,8 +221,8 @@ pub(crate) fn extract(cluster: &Cluster, anomalous: &[usize], anomaly_start: Sim
         fp_healthy_events: fp_healthy,
         first_detect,
         full_dissem,
-        msgs_sent: total.messages(),
-        bytes_sent: total.bytes(),
+        msgs_sent: io.iter().map(|s| s.datagrams_sent + s.streams_sent).sum(),
+        bytes_sent: io.iter().map(|s| s.datagram_bytes + s.stream_bytes).sum(),
     }
 }
 

@@ -29,13 +29,13 @@ use lifeguard_core::config::Config;
 use lifeguard_core::driver::{Driver, OwnedOutput, Sink};
 use lifeguard_core::event::Event;
 use lifeguard_core::node::{Input, SwimNode};
+use lifeguard_metrics::IoSnapshot;
 use lifeguard_proto::{codec, Message, NodeAddr, NodeName};
 
 use crate::anomaly::AnomalySpec;
 use crate::clock::{SimDuration, SimTime};
 use crate::event_queue::EventQueue;
 use crate::network::{Delivery, Network, NetworkConfig};
-use crate::telemetry::Telemetry;
 use crate::trace::Trace;
 
 /// UDP/TCP port every simulated member listens on.
@@ -172,7 +172,7 @@ impl ClusterBuilder {
             addr_to_idx,
             now: SimTime::ZERO,
             trace: Trace::new(),
-            telemetry: Telemetry::new(n),
+            io: vec![IoSnapshot::default(); n],
         };
         // Boot + join (or direct full-mesh bootstrap).
         let seed_addr = Cluster::addr_for(0);
@@ -261,7 +261,10 @@ pub struct Cluster {
     addr_to_idx: HashMap<NodeAddr, usize>,
     now: SimTime,
     trace: Trace,
-    telemetry: Telemetry,
+    /// Per-node transmit accounting (a compound packet counts as one
+    /// datagram, as Consul's telemetry does for the paper's Table VI).
+    // bounded: fixed at build time — one entry per node, never grows
+    io: Vec<IoSnapshot>,
 }
 
 impl Cluster {
@@ -304,27 +307,15 @@ impl Cluster {
         &self.trace
     }
 
-    /// The message/byte counters.
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
-    }
-
     /// Node `i`'s metrics export in the runtime-independent snapshot
     /// shape: the core's deterministic protocol metrics plus the sim
     /// network's transmit accounting folded into the I/O section —
     /// the same struct the net agent returns from `Agent::metrics()`,
     /// so sim and real runs aggregate identically.
     pub fn metrics_snapshot(&self, i: usize) -> lifeguard_metrics::Snapshot {
-        let t = self.telemetry.node(i);
         lifeguard_metrics::Snapshot {
             core: self.slots[i].driver.metrics(),
-            io: lifeguard_metrics::IoSnapshot {
-                datagrams_sent: t.datagrams_sent,
-                datagram_bytes: t.datagram_bytes,
-                streams_sent: t.streams_sent,
-                stream_bytes: t.stream_bytes,
-                ..Default::default()
-            },
+            io: self.io[i],
         }
     }
 
@@ -550,7 +541,7 @@ impl Cluster {
             queue: &mut self.queue,
             network: &mut self.network,
             addr_to_idx: &self.addr_to_idx,
-            telemetry: &mut self.telemetry,
+            io: &mut self.io[node],
             trace: &mut self.trace,
         };
         f(&mut slot.driver, &mut sink)
@@ -590,13 +581,14 @@ struct SimSink<'a> {
     queue: &'a mut EventQueue<SimEvent>,
     network: &'a mut Network,
     addr_to_idx: &'a HashMap<NodeAddr, usize>,
-    telemetry: &'a mut Telemetry,
+    io: &'a mut IoSnapshot,
     trace: &'a mut Trace,
 }
 
 impl SimSink<'_> {
     fn send_packet(&mut self, to: NodeAddr, payload: Bytes) {
-        self.telemetry.record_datagram(self.node, payload.len());
+        self.io.datagrams_sent += 1;
+        self.io.datagram_bytes += payload.len() as u64;
         let Some(&to_idx) = self.addr_to_idx.get(&to) else {
             return; // address outside the simulation
         };
@@ -613,8 +605,8 @@ impl SimSink<'_> {
     }
 
     fn send_stream(&mut self, to: NodeAddr, msg: Message) {
-        self.telemetry
-            .record_stream(self.node, codec::encoded_len(&msg));
+        self.io.streams_sent += 1;
+        self.io.stream_bytes += codec::encoded_len(&msg) as u64;
         let Some(&to_idx) = self.addr_to_idx.get(&to) else {
             return;
         };
@@ -755,7 +747,8 @@ mod tests {
                 .iter()
                 .map(|e| format!("{:?}/{}/{:?}", e.at, e.reporter, e.event))
                 .collect();
-            (events, c.telemetry().total())
+            let io: Vec<_> = (0..c.len()).map(|i| c.metrics_snapshot(i).io).collect();
+            (events, io)
         };
         let (ea, ta) = run(77);
         let (eb, tb) = run(77);
@@ -794,11 +787,20 @@ mod tests {
     fn telemetry_counts_grow_with_time() {
         let mut c = ClusterBuilder::new(4).seed(6).build();
         c.run_for(SimDuration::from_secs(5));
-        let early = c.telemetry().total();
+        let totals = |c: &Cluster| {
+            let io = (0..c.len()).map(|i| c.metrics_snapshot(i).io);
+            io.fold((0, 0), |(msgs, bytes), s| {
+                (
+                    msgs + s.datagrams_sent + s.streams_sent,
+                    bytes + s.datagram_bytes + s.stream_bytes,
+                )
+            })
+        };
+        let early = totals(&c);
         c.run_for(SimDuration::from_secs(5));
-        let late = c.telemetry().total();
-        assert!(late.messages() > early.messages());
-        assert!(late.bytes() > early.bytes());
+        let late = totals(&c);
+        assert!(late.0 > early.0);
+        assert!(late.1 > early.1);
     }
 
     #[test]

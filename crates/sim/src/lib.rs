@@ -27,7 +27,6 @@ pub mod clock;
 pub mod cluster;
 pub mod event_queue;
 pub mod network;
-pub mod telemetry;
 pub mod trace;
 
 pub use anomaly::AnomalySpec;

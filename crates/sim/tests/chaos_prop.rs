@@ -51,12 +51,20 @@ fn run_chaos(chaos: &Chaos) -> (Vec<usize>, u64) {
     }
     let mut cluster = builder.build();
     // All pauses end by 40 s; give suspicion timeouts + refutation +
-    // reconnect two full cycles to settle.
-    cluster.run_for(Duration::from_secs(140));
+    // reconnect two full cycles to settle. Every node's parts must
+    // agree with one another at every simulated second on the way.
+    for _ in 0..140 {
+        cluster.run_for(Duration::from_secs(1));
+        (0..chaos.n).for_each(|i| cluster.node(i).check_invariants());
+    }
     let alive_views: Vec<usize> = (0..chaos.n)
         .map(|i| cluster.nodes_seeing_alive(&format!("node-{i}")).len())
         .collect();
-    (alive_views, cluster.telemetry().total().messages())
+    let messages = (0..chaos.n)
+        .map(|i| cluster.metrics_snapshot(i).io)
+        .map(|io| io.datagrams_sent + io.streams_sent)
+        .sum();
+    (alive_views, messages)
 }
 
 proptest! {

@@ -229,7 +229,7 @@ fn crashed_node_cannot_leave_or_update() {
     cluster.run_for(Duration::from_secs(15));
     assert!(cluster.converged());
     cluster.apply(SimAction::Crash { node: 3 });
-    let at_crash = cluster.telemetry().node(3);
+    let at_crash = cluster.metrics_snapshot(3).io;
     cluster.apply(SimAction::Leave { node: 3 });
     cluster.apply(SimAction::UpdateMeta {
         node: 3,
@@ -237,7 +237,7 @@ fn crashed_node_cannot_leave_or_update() {
     });
     cluster.run_for(Duration::from_secs(5));
     assert_eq!(
-        cluster.telemetry().node(3),
+        cluster.metrics_snapshot(3).io,
         at_crash,
         "a crashed node put messages on the network"
     );

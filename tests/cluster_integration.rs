@@ -9,7 +9,7 @@ use lifeguard::core::event::Event;
 use lifeguard::experiments::scenario::{IntervalScenario, ThresholdScenario};
 use lifeguard::sim::anomaly::AnomalySpec;
 use lifeguard::sim::clock::SimTime;
-use lifeguard::sim::cluster::{ClusterBuilder, SimAction};
+use lifeguard::sim::cluster::{Cluster, ClusterBuilder, SimAction};
 use lifeguard::sim::network::NetworkConfig;
 
 /// A slow-but-alive member must never be lost from the group when its
@@ -330,7 +330,10 @@ fn delta_push_pull_cuts_steady_state_sync_bytes_by_10x() {
         // accumulate its warm delta partners.
         cluster.run_for(Duration::from_secs(10));
         let rounds = 3u64;
-        let start = cluster.telemetry().total().stream_bytes;
+        let stream_bytes = |c: &Cluster| -> u64 {
+            (0..N).map(|i| c.metrics_snapshot(i).io.stream_bytes).sum()
+        };
+        let start = stream_bytes(&cluster);
         for r in 0..rounds {
             // ≤ 1% churn per round: metadata updates bump incarnations
             // and gossip real membership changes without killing anyone.
@@ -343,7 +346,7 @@ fn delta_push_pull_cuts_steady_state_sync_bytes_by_10x() {
             }
             cluster.run_for(ROUND);
         }
-        let spent = cluster.telemetry().total().stream_bytes - start;
+        let spent = stream_bytes(&cluster) - start;
         assert!(
             cluster.converged(),
             "cluster must stay converged (delta = {delta})"

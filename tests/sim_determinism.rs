@@ -39,8 +39,17 @@ fn fingerprint(c: &Cluster) -> String {
     for e in c.trace().events() {
         out.push_str(&format!("{:?}/{}/{:?}\n", e.at, e.reporter, e.event));
     }
-    let total = c.telemetry().total();
-    out.push_str(&format!("telemetry: {total:?}\n"));
+    // Totals of every node's transmit counters, in the form the
+    // goldens were pinned in.
+    let io: Vec<_> = (0..c.len()).map(|i| c.metrics_snapshot(i).io).collect();
+    let sum = |f: fn(&lifeguard::metrics::IoSnapshot) -> u64| io.iter().map(f).sum::<u64>();
+    out.push_str(&format!(
+        "telemetry: NodeTelemetry {{ datagrams_sent: {}, datagram_bytes: {}, streams_sent: {}, stream_bytes: {} }}\n",
+        sum(|s| s.datagrams_sent),
+        sum(|s| s.datagram_bytes),
+        sum(|s| s.streams_sent),
+        sum(|s| s.stream_bytes),
+    ));
     for i in 0..c.len() {
         let mut rows: Vec<String> = c
             .node(i)
