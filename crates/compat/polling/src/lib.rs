@@ -32,6 +32,9 @@
 //! readiness-driven runtime can report syscalls per protocol cycle.
 
 #![deny(missing_docs)]
+// A length or count must never wrap at the FFI boundary: no lossy cast
+// outside tests.
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation, clippy::cast_possible_wrap))]
 #![cfg(unix)]
 
 use std::collections::BTreeMap;
@@ -437,8 +440,7 @@ impl Poller {
         }
         let timeout_ms: i32 = match timeout {
             None => -1,
-            // lint: allow(lossy_cast) — clamped to i32::MAX on the previous token
-            Some(d) => d.as_micros().div_ceil(1000).min(i32::MAX as u128) as i32,
+            Some(d) => i32::try_from(d.as_micros().div_ceil(1000)).unwrap_or(i32::MAX),
         };
         // SAFETY: `fds` is a live Vec of `fds.len()` PollFd entries,
         // mutably borrowed for the duration of the call; poll(2)
@@ -691,6 +693,7 @@ pub mod mmsg {
                 return Ok(0);
             }
             let n = pkts.len().min(self.max);
+            let vlen = c_uint::try_from(n).map_err(|_| io::ErrorKind::InvalidInput)?;
             self.addrs.clear();
             self.iovs.clear();
             self.hdrs.clear();
@@ -722,10 +725,7 @@ pub mod mmsg {
             // pointers were rebuilt just above from `self.addrs` /
             // `self.iovs` / the caller's arena, all of which outlive
             // the call; sendmmsg(2) only reads through them.
-            let rc = unsafe {
-                // lint: allow(lossy_cast) — n ≤ the table's max (caller-chunked), far below c_uint::MAX
-                sys::sendmmsg(fd, self.hdrs.as_mut_ptr(), n as c_uint, sys::MSG_DONTWAIT)
-            };
+            let rc = unsafe { sys::sendmmsg(fd, self.hdrs.as_mut_ptr(), vlen, sys::MSG_DONTWAIT) };
             if rc < 0 {
                 return Err(map_errno(io::Error::last_os_error()));
             }
@@ -796,6 +796,8 @@ pub mod mmsg {
         /// syscall, otherwise the raw OS error.
         pub fn recv(&mut self, fd: RawFd) -> io::Result<usize> {
             self.filled = 0;
+            let vlen = c_uint::try_from(self.slots).map_err(|_| io::ErrorKind::InvalidInput)?;
+            let namelen = u32::try_from(SOCKADDR_MAX).map_err(|_| io::ErrorKind::InvalidInput)?;
             self.hdrs.clear();
             self.iovs.clear();
             for i in 0..self.slots {
@@ -809,8 +811,7 @@ pub mod mmsg {
                 self.hdrs.push(sys::MmsgHdr {
                     msg_hdr: sys::MsgHdr {
                         msg_name: self.addrs[i].data.as_mut_ptr() as *mut _,
-                        // lint: allow(lossy_cast) — constant 28, fits any sockaddr length field
-                        msg_namelen: SOCKADDR_MAX as u32,
+                        msg_namelen: namelen,
                         msg_iov: &mut self.iovs[i],
                         msg_iovlen: 1,
                         msg_control: ptr::null_mut(),
@@ -830,8 +831,7 @@ pub mod mmsg {
                 sys::recvmmsg(
                     fd,
                     self.hdrs.as_mut_ptr(),
-                    // lint: allow(lossy_cast) — slot count is a small bounded table size
-                    self.slots as c_uint,
+                    vlen,
                     sys::MSG_DONTWAIT,
                     ptr::null_mut(),
                 )

@@ -303,7 +303,7 @@ fn parse_pattern(pattern: &str) -> (Vec<char>, usize, usize) {
 
 macro_rules! impl_strategy_for_tuple {
     ($(($($name:ident),+);)*) => {$(
-        #[allow(non_snake_case)]
+        #[allow(non_snake_case, reason = "the tuple components are named by their type parameters")]
         impl<$($name: Strategy),+> Strategy for ($($name,)+) {
             type Value = ($($name::Value,)+);
             fn generate(&self, rng: &mut TestRng) -> Self::Value {

@@ -172,7 +172,7 @@ impl BroadcastQueue {
         let id = self.next_id;
         self.next_id += 1;
         let Some(slot) = self.slots.get_mut(index as usize) else {
-            debug_invariant!(false, "subject index points outside the slab");
+            debug_assert!(false, "subject index points outside the slab");
             return;
         };
         slot.id = id;

@@ -152,14 +152,14 @@ impl Driver {
     /// call it on a coarse cadence.
     pub fn tick(&mut self, now: Time, sink: &mut impl Sink) {
         let res = self.handle(Input::Tick, now, sink);
-        debug_invariant!(res.is_ok(), "tick is infallible");
+        debug_assert!(res.is_ok(), "tick is infallible");
     }
 
     /// [`Driver::handle`] of an [`Input::Join`]: the join sequence (a
     /// push-pull sync to each seed) goes out through `sink`.
     pub fn join(&mut self, seeds: Vec<NodeAddr>, now: Time, sink: &mut impl Sink) {
         let res = self.handle(Input::Join { seeds }, now, sink);
-        debug_invariant!(res.is_ok(), "join is infallible");
+        debug_assert!(res.is_ok(), "join is infallible");
     }
 
     /// [`Driver::handle`] of an [`Input::Leave`]: the leave sequence (a
@@ -167,7 +167,7 @@ impl Driver {
     /// `sink`.
     pub fn leave(&mut self, now: Time, sink: &mut impl Sink) {
         let res = self.handle(Input::Leave, now, sink);
-        debug_invariant!(res.is_ok(), "leave is infallible");
+        debug_assert!(res.is_ok(), "leave is infallible");
     }
 
     /// [`Driver::handle`] of one received datagram handed in as a

@@ -28,25 +28,10 @@
 //! * **Buddy System** ([`broadcast`] + [`node`]): pings to a suspected
 //!   member always carry the suspicion so refutation starts immediately.
 
-/// Checks an internal invariant that is guaranteed by construction
-/// (index entries point at occupied slots, a generation-checked timer
-/// has a payload, …): panics in debug builds — so tests, fuzzing and
-/// the deterministic simulator catch logic bugs at the violation site —
-/// and compiles to a no-op in release builds, where every use site
-/// pairs the check with a benign fallback path so a latent bug degrades
-/// state instead of bringing the agent down.
-///
-/// The condition is only evaluated in debug builds, but it always
-/// type-checks, so invariants cannot rot silently behind a `cfg`.
-#[macro_export]
-macro_rules! debug_invariant {
-    ($cond:expr $(, $($arg:tt)+)?) => {
-        if cfg!(debug_assertions) && !$cond {
-            // lint: allow(panic) — debug-only: `cfg!(debug_assertions)` makes this arm unreachable in release builds
-            panic!($($($arg)+)?)
-        }
-    };
-}
+// Untrusted bytes must never panic an agent: no panicking call outside
+// tests (an exception is a reasoned `#[expect]`, counted by swim-lint).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::unimplemented, clippy::todo))]
 
 pub mod awareness;
 mod blocked_io;

@@ -533,7 +533,7 @@ impl Membership {
             if j != i {
                 moved.set(j, moved.get(i));
             }
-            debug_invariant!(
+            debug_assert!(
                 self.pool_member(pool, vj).is_some(),
                 "pool position out of bounds"
             );
@@ -553,7 +553,7 @@ impl Membership {
 
     /// The record in slot `id`. The name index, the pool vectors and the
     /// change list only ever hold ids of occupied slots, so a `None`
-    /// here is a table bug — `debug_invariant!`-checked at each use site.
+    /// here is a table bug — `debug_assert!`-checked at each use site.
     ///
     /// `#[inline]` here, on the accessors built on it and on the lookup
     /// under them: a view is assembled to be taken apart again at the
@@ -598,7 +598,7 @@ impl Membership {
     /// brings is what materialises the metadata column.
     fn put(&mut self, id: u32, member: Member) {
         let Some(slot) = self.slots.get_mut(id as usize) else {
-            debug_invariant!(false, "put() into an unknown slot");
+            debug_assert!(false, "put() into an unknown slot");
             return;
         };
         slot.name = Some(member.name);
@@ -702,7 +702,7 @@ impl Membership {
             }
             i = (i + 1) & mask;
         }
-        debug_invariant!(false, "name index full");
+        debug_assert!(false, "name index full");
     }
 
     /// Empties bucket `hole` and closes the gap (backward-shift
@@ -732,7 +732,7 @@ impl Membership {
     /// Takes slot `id` off the change list.
     fn unlink(&mut self, id: u32) {
         let Some((older, newer)) = self.slots.get(id as usize).map(|s| (s.older, s.newer)) else {
-            debug_invariant!(false, "unlink() of an unknown slot");
+            debug_assert!(false, "unlink() of an unknown slot");
             return;
         };
         match self.slots.get_mut(older as usize) {
@@ -752,10 +752,10 @@ impl Membership {
         let seq = self.update_seq;
         let older = self.newest;
         let Some(slot) = self.slots.get_mut(id as usize) else {
-            debug_invariant!(false, "stamp() of an unknown slot");
+            debug_assert!(false, "stamp() of an unknown slot");
             return;
         };
-        debug_invariant!(slot.name.is_some(), "stamp() on a vacant slot");
+        debug_assert!(slot.name.is_some(), "stamp() on a vacant slot");
         slot.updated_seq = seq;
         slot.older = older;
         slot.newer = NIL;
@@ -806,7 +806,7 @@ impl Membership {
         };
         pool.push(id);
         let pos = (pool.len() - 1) as u32;
-        debug_invariant!(self.name_of(id).is_some(), "pool_push() on a vacant slot");
+        debug_assert!(self.name_of(id).is_some(), "pool_push() on a vacant slot");
         if let Some(slot) = self.slots.get_mut(id as usize) {
             slot.pos = pos;
         }
@@ -816,7 +816,7 @@ impl Membership {
     /// over the vacated position.
     fn pool_remove(&mut self, id: u32, state: MemberState) {
         let Some(pos) = self.slots.get(id as usize).map(|s| s.pos) else {
-            debug_invariant!(false, "pool_remove() of an unknown slot");
+            debug_assert!(false, "pool_remove() of an unknown slot");
             return;
         };
         let pool = if state.is_live() {
@@ -824,7 +824,7 @@ impl Membership {
         } else {
             &mut self.gone
         };
-        debug_invariant!(
+        debug_assert!(
             pool.get(pos as usize) == Some(&id),
             "pool position out of sync"
         );

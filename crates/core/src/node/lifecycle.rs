@@ -32,9 +32,13 @@ impl SwimNode {
     /// Panics if `config` fails [`Config::validate`]; use
     /// [`SwimNode::try_new`] to handle invalid configurations
     /// gracefully.
+    #[expect(
+        clippy::panic,
+        reason = "documented contract: `new` panics on an invalid config at construction time, \
+                  never on wire input; `try_new` is the graceful path"
+    )]
     pub fn new(name: NodeName, addr: NodeAddr, config: Config, seed: u64) -> Self {
         Self::try_new(name, addr, config, seed)
-            // lint: allow(panic) — documented contract: `new` panics on an invalid config at construction time, never on wire input; `try_new` is the graceful path
             .unwrap_or_else(|e| panic!("invalid SwimNode config: {e}"))
     }
 
@@ -142,7 +146,7 @@ impl SwimNode {
     pub(super) fn join(&mut self, seeds: &[NodeAddr]) {
         debug_assert!(self.started, "join() before start()");
         let Some(me) = self.membership.get(&self.name) else {
-            debug_invariant!(false, "self is registered by start()");
+            debug_assert!(false, "self is registered by start()");
             return;
         };
         let request = sync::join_request(me);

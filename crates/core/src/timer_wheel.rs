@@ -197,7 +197,7 @@ impl<T> TimerWheel<T> {
         }
         self.remove_at(0);
         let payload = self.release(root.idx);
-        debug_invariant!(payload.is_some(), "live timer has a payload");
+        debug_assert!(payload.is_some(), "live timer has a payload");
         payload.map(|p| (root.deadline, p))
     }
 

@@ -2,7 +2,7 @@
 //! surface — `Input`s in, `poll_output` drained after every input.
 //! Shared by every test file here and by the node's unit tests
 //! (`src/node/tests/mod.rs`), so no binary uses all of it.
-#![allow(dead_code)]
+#![allow(dead_code, reason = "each test binary uses a different part of the kit")]
 
 use bytes::Bytes;
 use lifeguard_core::config::Config;

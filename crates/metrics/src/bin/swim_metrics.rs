@@ -14,6 +14,11 @@
 //! snapshot decodes — a run that produced nothing must not look
 //! healthy in CI.
 
+// Untrusted bytes must never panic an agent: no panicking call outside
+// tests (an exception is a reasoned `#[expect]`, counted by swim-lint).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::unimplemented, clippy::todo))]
+
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;

@@ -28,12 +28,12 @@
 use std::io;
 use std::net::{IpAddr, Ipv4Addr, SocketAddr, TcpListener, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Arc, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use lifeguard_core::config::Config;
 use lifeguard_core::driver::Driver;
 use lifeguard_core::event::Event;
@@ -41,7 +41,6 @@ use lifeguard_core::member::{Member, MemberRef};
 use lifeguard_core::node::{Input, SwimNode};
 use lifeguard_core::time::Time;
 use lifeguard_proto::{NodeAddr, NodeName, MAX_META_LEN};
-use parking_lot::Mutex;
 use polling::Poller;
 
 use crate::reactor::{Reactor, SendIo, SEND_BATCH};
@@ -196,6 +195,22 @@ pub(crate) fn send_counted(
     }
 }
 
+/// A `std::sync::Mutex` whose `lock` recovers a poisoned guard: a thread
+/// that panicked while holding it must not wedge every later reader.
+/// `lock` stays one call returning the guard, so `driver.lock()` regions
+/// read the same to swim-lint's `lock_discipline` as they do to a person.
+pub(crate) struct Mutex<T>(std::sync::Mutex<T>);
+
+impl<T> Mutex<T> {
+    pub(crate) fn new(value: T) -> Self {
+        Mutex(std::sync::Mutex::new(value))
+    }
+
+    pub(crate) fn lock(&self) -> MutexGuard<'_, T> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 pub(crate) struct Inner {
     /// Written by the reactor thread only; API threads lock it to read.
     /// It guards memory, never I/O.
@@ -215,7 +230,7 @@ pub(crate) struct Inner {
 
 impl Inner {
     pub(crate) fn now(&self) -> Time {
-        Time::from_micros(self.start.elapsed().as_micros() as u64)
+        Time::from_micros(u64::try_from(self.start.elapsed().as_micros()).unwrap_or(u64::MAX))
     }
 
     /// Queues one input for the reactor thread and wakes it.
@@ -230,6 +245,10 @@ impl Inner {
 /// Dropping the agent (or calling [`Agent::shutdown`]) stops it
 /// *abruptly*, which peers will detect as a failure; call
 /// [`Agent::leave`] first for a graceful departure.
+///
+/// An `Agent` is `Send` but not `Sync`: its [`Agent::events`] receiver
+/// is a `std::sync::mpsc::Receiver`, which has one consumer. Move the
+/// agent to the thread that uses it rather than sharing it.
 pub struct Agent {
     inner: Arc<Inner>,
     /// The reactor's event-loop thread; taken by the first shutdown.
@@ -281,14 +300,15 @@ impl Agent {
             // previous life.
             let nanos = std::time::SystemTime::now()
                 .duration_since(std::time::UNIX_EPOCH)
-                .map(|d| d.as_nanos() as u64)
+                .ok()
+                .and_then(|d| u64::try_from(d.as_nanos()).ok())
                 .unwrap_or(0);
             nanos ^ ((std::process::id() as u64) << 32) ^ (addr.port() as u64)
         } else {
             config.seed
         };
-        let (events_tx, events_rx) = unbounded();
-        let (input_tx, input_rx) = unbounded();
+        let (events_tx, events_rx) = mpsc::channel();
+        let (input_tx, input_rx) = mpsc::channel();
         let node = SwimNode::try_new(
             NodeName::from(config.name),
             advertised,
@@ -406,7 +426,8 @@ impl Agent {
         }
     }
 
-    /// The membership event channel.
+    /// The membership event channel (drain it with `try_iter`; it never
+    /// needs to block).
     pub fn events(&self) -> &Receiver<AgentEvent> {
         &self.events_rx
     }
@@ -640,6 +661,19 @@ mod tests {
         }
         a.shutdown();
         b.shutdown();
+    }
+
+    #[test]
+    fn lock_is_infallible_after_panic() {
+        let m = Arc::new(Mutex::new(0));
+        let m2 = Arc::clone(&m);
+        let _ = std::thread::spawn(move || {
+            let _guard = m2.lock();
+            panic!("poison the std mutex");
+        })
+        .join();
+        *m.lock() += 1;
+        assert_eq!(*m.lock(), 1);
     }
 
     #[test]

@@ -53,10 +53,10 @@ use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
 use std::ops::Range;
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::Ordering;
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{Receiver, Sender};
 use lifeguard_core::driver::Sink;
 use lifeguard_core::event::Event as ProtoEvent;
 use lifeguard_core::node::Input;

@@ -91,8 +91,9 @@ pub fn encode_frame(sender: NodeAddr, msg: &Message) -> Vec<u8> {
     }
     buf.put_u16(sender.port());
     debug_assert!(body.len() <= MAX_STREAM_FRAME, "frame exceeds stream limit");
-    // lint: allow(lossy_cast) — peers reject frames over MAX_STREAM_FRAME (16 MiB < u32::MAX)
-    buf.put_u32(body.len() as u32);
+    // Saturating: an over-long body reads as over-long to the peer, whose
+    // MAX_STREAM_FRAME (16 MiB < u32::MAX) check rejects it.
+    buf.put_u32(u32::try_from(body.len()).unwrap_or(u32::MAX));
     buf.put_slice(&body);
     buf.to_vec()
 }

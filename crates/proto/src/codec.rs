@@ -168,9 +168,10 @@ fn states_len(states: &[PushNodeState]) -> usize {
 }
 
 fn put_states(buf: &mut BytesMut, states: &[PushNodeState]) {
-    debug_assert!(states.len() <= u32::MAX as usize, "state list too long");
-    // lint: allow(lossy_cast) — membership lists are nowhere near 2^32 entries
-    buf.put_u32(states.len() as u32);
+    // Membership lists are nowhere near 2^32 entries.
+    let count = u32::try_from(states.len());
+    debug_assert!(count.is_ok(), "state list too long");
+    buf.put_u32(count.unwrap_or(u32::MAX));
     for st in states {
         put_name(buf, &st.name);
         put_addr(buf, st.addr);
@@ -361,16 +362,18 @@ fn addr_len(a: NodeAddr) -> usize {
 }
 
 fn put_name(buf: &mut BytesMut, n: &NodeName) {
-    debug_assert!(n.len() <= u16::MAX as usize, "node name too long");
-    // lint: allow(lossy_cast) — a node's own name is bounded to u16::MAX bytes in SwimNode::try_new (ConfigError::NodeNameTooLong); a peer's name is that peer's own, learned through a u16 length word
-    buf.put_u16(n.len() as u16);
-    buf.put_slice(n.as_str().as_bytes());
+    put_blob(buf, n.as_str().as_bytes());
 }
 
+/// A `u16`-length-prefixed field. Every one is bounded at its source: a
+/// node's own name to `u16::MAX` bytes in `SwimNode::try_new`
+/// (`ConfigError::NodeNameTooLong`), its metadata to `MAX_META_LEN` in
+/// `SwimNode::update_meta`, and every peer's name or blob was decoded
+/// from a `u16` length word.
 fn put_blob(buf: &mut BytesMut, b: &[u8]) {
-    debug_assert!(b.len() <= u16::MAX as usize, "metadata blob too long");
-    // lint: allow(lossy_cast) — local metadata is bounded to MAX_META_LEN at SwimNode::update_meta; every other blob was decoded from a u16 length word
-    buf.put_u16(b.len() as u16);
+    let len = u16::try_from(b.len());
+    debug_assert!(len.is_ok(), "length-prefixed field too long");
+    buf.put_u16(len.unwrap_or(u16::MAX));
     buf.put_slice(b);
 }
 

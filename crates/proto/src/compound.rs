@@ -106,15 +106,14 @@ impl CompoundBuilder {
         // framed and must be refused, not silently truncated to
         // `len % 65536` (which would corrupt every following part).
         // This bounds even the oversized-first-message allowance.
-        if encoded.len() > u16::MAX as usize {
+        let Ok(len) = u16::try_from(encoded.len()) else {
             return false;
-        }
+        };
         if !self.lens.is_empty() && encoded.len() > self.remaining() {
             return false;
         }
         self.payload.extend_from_slice(encoded);
-        // lint: allow(lossy_cast) — bounded by the u16::MAX check above
-        self.lens.push(encoded.len() as u16);
+        self.lens.push(len);
         true
     }
 
@@ -130,13 +129,16 @@ impl CompoundBuilder {
         let written = codec::encode_message_into(msg, &mut self.payload);
         // Same u16 length-word bound as `try_add_bytes`: an unframeable
         // part is rolled back, never length-truncated.
-        if written > u16::MAX as usize || (!self.lens.is_empty() && written > budget) {
-            self.payload.truncate(start);
-            return false;
+        match u16::try_from(written) {
+            Ok(len) if self.lens.is_empty() || written <= budget => {
+                self.lens.push(len);
+                true
+            }
+            _ => {
+                self.payload.truncate(start);
+                false
+            }
         }
-        // lint: allow(lossy_cast) — bounded by the u16::MAX rollback check above
-        self.lens.push(written as u16);
-        true
     }
 
     /// Resets the builder for a new packet under a (possibly different)
@@ -168,9 +170,10 @@ impl CompoundBuilder {
                 Some(start..out.len())
             }
             n => {
+                // `try_add_*` cap the part count at MAX_COMPOUND_PARTS (255).
+                let parts = u8::try_from(n).ok()?;
                 out.push(COMPOUND_TAG);
-                // lint: allow(lossy_cast) — n ≤ MAX_COMPOUND_PARTS (255), enforced at add time
-                out.push(n as u8);
+                out.push(parts);
                 for &len in &self.lens {
                     out.extend_from_slice(&len.to_be_bytes());
                 }

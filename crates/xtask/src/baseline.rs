@@ -1,19 +1,18 @@
 //! The ratcheted baselines: `analysis/baseline.toml`.
 //!
-//! Three sections, all down-only ratchets:
+//! Two sections, both down-only ratchets:
 //!
-//! - `[panic]` (legacy, per-crate) — grandfathered lexical panic-site
-//!   counts. After the PR 9 burn-down the checked-in file carries no
-//!   entries here; the section is still parsed so old baselines load.
 //! - `[panic_paths]` (per entry point) — the count of **unwaived**
 //!   panic sites transitively reachable from each declared entry point
 //!   of the `panic_path` call-graph rule. Wire entry points are pinned
 //!   at zero *regardless* of what this file says.
 //! - `[waivers]` (per rule) — the count of inline waiver comments
-//!   (see the crate docs for the syntax). Zero active findings means
-//!   little if every new finding is simply waived, so the waivers
-//!   themselves are ratcheted: adding one fails until an old one is
-//!   retired.
+//!   (see the crate docs for the syntax), plus one row per clippy lint
+//!   excepted by a non-test `#[expect(clippy::<lint>, …)]` /
+//!   `#[allow(..)]` attribute (key `"clippy::<lint>"`). Zero active
+//!   findings means little if every new finding is simply waived, so
+//!   the waivers themselves are ratcheted: adding one fails until an
+//!   old one is retired.
 //!
 //! A PR that adds a path or a waiver fails immediately; a PR that
 //! removes one fails until it also tightens the baseline (`cargo run -p
@@ -32,12 +31,10 @@ use std::path::Path;
 /// Workspace-relative path of the baseline file.
 pub const BASELINE_PATH: &str = "analysis/baseline.toml";
 
-/// Per-crate grandfathered panic-site counts (`[panic]`, legacy),
-/// per-entry-point reachable-panic-path counts (`[panic_paths]`) and
-/// per-rule inline waiver counts (`[waivers]`).
+/// Per-entry-point reachable-panic-path counts (`[panic_paths]`) and
+/// per-rule waiver counts (`[waivers]`).
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct Baseline {
-    pub panic: BTreeMap<String, u64>,
     pub panic_paths: BTreeMap<String, u64>,
     pub waivers: BTreeMap<String, u64>,
 }
@@ -84,9 +81,6 @@ impl Baseline {
                 message: format!("count for `{key}` is not a non-negative integer"),
             })?;
             match section.as_str() {
-                "panic" => {
-                    out.panic.insert(key, value);
-                }
                 "panic_paths" => {
                     out.panic_paths.insert(key, value);
                 }
@@ -122,14 +116,6 @@ impl Baseline {
              # with --update-baseline to ratchet it down), so these numbers are\n\
              # always exact and the burn-down shows up in diff history.\n",
         );
-        if !self.panic.is_empty() {
-            s.push_str(
-                "\n# Legacy per-crate lexical panic-site counts (grandfathered).\n[panic]\n",
-            );
-            for (k, v) in &self.panic {
-                let _ = writeln!(s, "{k} = {v}");
-            }
-        }
         s.push_str(
             "\n# Unwaived panic sites reachable from each declared entry point\n\
              # (`panic_path` rule). Wire entries are pinned at zero regardless of\n\
@@ -140,12 +126,18 @@ impl Baseline {
             let _ = writeln!(s, "\"{k}\" = {v}");
         }
         s.push_str(
-            "\n# Inline `lint: allow(<rule>)` waivers per rule. A finding may be\n\
-             # waived only by retiring another waiver of the same rule.\n\
+            "\n# Inline `lint: allow(<rule>)` waivers per rule, and reasoned\n\
+             # `#[expect(clippy::<lint>, ..)]` exceptions per lint. A finding may\n\
+             # be waived only by retiring another waiver of the same rule.\n\
              [waivers]\n",
         );
         for (k, v) in &self.waivers {
-            let _ = writeln!(s, "{k} = {v}");
+            // `clippy::panic` is not a bare TOML key.
+            if k.contains(':') {
+                let _ = writeln!(s, "\"{k}\" = {v}");
+            } else {
+                let _ = writeln!(s, "{k} = {v}");
+            }
         }
         s
     }
@@ -158,33 +150,32 @@ mod tests {
     #[test]
     fn parse_roundtrip() {
         let b = Baseline::parse(
-            "# c\n[panic]\ncore = 20\nnet = 0\n\
-             [panic_paths]\n\"SwimNode::handle_input\" = 3\n\
-             [waivers]\npanic_path = 18\n",
+            "# c\n[panic_paths]\n\"SwimNode::handle_input\" = 3\n\
+             [waivers]\npanic_path = 18\n\"clippy::panic\" = 1\n",
         )
         .unwrap();
-        assert_eq!(b.panic.get("core"), Some(&20));
-        assert_eq!(b.panic.get("net"), Some(&0));
         assert_eq!(b.panic_paths.get("SwimNode::handle_input"), Some(&3));
         assert_eq!(b.waivers.get("panic_path"), Some(&18));
-        let again = Baseline::parse(&b.render()).unwrap();
-        assert_eq!(again, b);
-    }
-
-    #[test]
-    fn empty_legacy_section_is_omitted_from_render() {
-        let mut b = Baseline::default();
-        b.panic_paths.insert("FrameDecoder::decode".into(), 0);
+        assert_eq!(b.waivers.get("clippy::panic"), Some(&1));
         let text = b.render();
-        assert!(!text.contains("[panic]\n"), "{text}");
-        assert!(text.contains("[panic_paths]"));
+        assert!(text.contains("panic_path = 18\n"), "{text}");
+        assert!(text.contains("\"clippy::panic\" = 1\n"), "{text}");
         assert_eq!(Baseline::parse(&text).unwrap(), b);
     }
 
     #[test]
+    fn legacy_panic_section_is_rejected() {
+        // The per-crate `[panic]` ratchet went with the lexical panic
+        // rule (clippy denies those sites now): a stale file must fail
+        // loudly, not load as if nothing were there.
+        let err = Baseline::parse("[panic_paths]\n\"Snapshot::decode\" = 0\n[panic]\ncore = 0\n");
+        assert_eq!(err.map_err(|e| e.line), Err(4));
+    }
+
+    #[test]
     fn rejects_garbage() {
-        assert!(Baseline::parse("[panic]\ncore = many\n").is_err());
+        assert!(Baseline::parse("[waivers]\npanic_path = many\n").is_err());
         assert!(Baseline::parse("[mystery]\nx = 1\n").is_err());
-        assert!(Baseline::parse("[panic]\nnot a kv\n").is_err());
+        assert!(Baseline::parse("[waivers]\nnot a kv\n").is_err());
     }
 }

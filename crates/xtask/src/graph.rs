@@ -1,4 +1,4 @@
-//! The workspace call graph and the four graph rules.
+//! The workspace call graph and the three graph rules.
 //!
 //! Built from every parsed non-test function (see
 //! [`parser`](crate::parser)), the graph resolves calls **by name**,
@@ -15,20 +15,19 @@
 //!   produces no edge — external callees contribute *sites*, not
 //!   edges (`.unwrap()` on the result is still seen at the call site).
 //!
-//! On that graph four rules run: **panic-reachability** per declared
-//! entry point, **static alloc-freedom** of the driver poll loop,
-//! **lock discipline** (no syscall-reaching call under the net driver
-//! lock), and **bounded growth** of collection fields in long-lived
-//! structs. See `docs/ANALYSIS.md` for semantics and soundness
+//! On that graph three rules run: **panic-reachability** per declared
+//! entry point, **lock discipline** (no syscall, direct or reached
+//! through a call, under the net driver lock), and **bounded growth**
+//! of collection fields in long-lived structs. See `docs/ANALYSIS.md` for semantics and soundness
 //! caveats.
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
 use crate::lexer::Comment;
-use crate::parser::{Call, FnDef, ParsedFile, SiteKind, StructDef, GROWABLE_TYPES};
+use crate::parser::{Call, FnDef, ParsedFile, StructDef, GROWABLE_TYPES};
 use crate::rules::{
-    FileClass, Violation, Waiver, RULE_ALLOC_FREE, RULE_BOUNDED_GROWTH, RULE_LOCK_DISCIPLINE,
-    RULE_PANIC, RULE_PANIC_PATH,
+    waiver_reason, FileClass, Violation, Waiver, RULE_BOUNDED_GROWTH, RULE_LOCK_DISCIPLINE,
+    RULE_PANIC_PATH,
 };
 
 /// One declared panic-reachability entry point.
@@ -63,8 +62,6 @@ pub struct GraphConfig {
     pub deps: Vec<(String, Vec<String>)>,
     /// Panic-reachability entry points.
     pub panic_entries: Vec<EntrySpec>,
-    /// Alloc-freedom entry points (the driver poll loop).
-    pub alloc_entries: Vec<String>,
     /// Long-lived struct roots for the bounded-growth rule; the rule
     /// closes over struct containment from these.
     pub long_lived_roots: Vec<String>,
@@ -89,9 +86,7 @@ impl GraphConfig {
                 "metrics".into(),
                 "compat/bytes".into(),
                 "compat/rand".into(),
-                "compat/parking_lot".into(),
                 "compat/polling".into(),
-                "compat/crossbeam".into(),
             ],
             deps: vec![
                 ("proto".into(), vec!["compat/bytes".into()]),
@@ -111,8 +106,6 @@ impl GraphConfig {
                         "metrics".into(),
                         "core".into(),
                         "compat/bytes".into(),
-                        "compat/crossbeam".into(),
-                        "compat/parking_lot".into(),
                         "compat/polling".into(),
                     ],
                 ),
@@ -124,7 +117,6 @@ impl GraphConfig {
                 entry("FrameDecoder::decode", true),
                 entry("Snapshot::decode", true),
             ],
-            alloc_entries: vec!["SwimNode::poll_output".into()],
             long_lived_roots: vec![
                 "SwimNode".into(),
                 "Inner".into(),
@@ -175,7 +167,7 @@ pub struct FileData {
 /// What the graph pass concluded.
 #[derive(Debug, Default)]
 pub struct GraphOutcome {
-    /// Findings from all four rules (waived ones carry their reason).
+    /// Findings from all three rules (waived ones carry their reason).
     pub violations: Vec<Violation>,
     /// Per-entry-point count of **unwaived** reachable panic sites
     /// (the per-entry baseline/ratchet input).
@@ -399,35 +391,17 @@ impl<'a> CallGraph<'a> {
         names.join(" → ")
     }
 
-    /// Finds a waiver covering `line` in the file of fn `i`, for any of
-    /// `rules`; site-level first, then a fn-level waiver on the fn's
-    /// signature line. Marks the waiver used.
-    fn waived(&self, i: usize, line: u32, rules: &[&str]) -> Option<String> {
-        let f = &self.files[self.fn_file[i]];
-        let d = self.fns[i];
-        for w in &f.waivers {
-            if rules.contains(&w.rule.as_str()) && w.line_start <= line && line <= w.line_end {
-                w.used.set(true);
-                return Some(w.reason.clone());
-            }
-        }
-        // Fn-level: a waiver covering the `fn` signature line covers
-        // the whole body (lexical `panic` waivers stay site-level).
-        for w in &f.waivers {
-            if rules.contains(&w.rule.as_str())
-                && w.rule != RULE_PANIC
-                && w.line_start <= d.line
-                && d.line <= w.line_end
-            {
-                w.used.set(true);
-                return Some(w.reason.clone());
-            }
-        }
-        None
+    /// Finds a `rule` waiver covering `line` in the file of fn `i`:
+    /// site-level first, then a fn-level waiver on the fn's signature
+    /// line (which covers the whole body). Marks the waiver used.
+    fn waived(&self, i: usize, line: u32, rule: &str) -> Option<String> {
+        let waivers = &self.files[self.fn_file[i]].waivers;
+        waiver_reason(waivers, rule, line)
+            .or_else(|| waiver_reason(waivers, rule, self.fns[i].line))
     }
 }
 
-/// Runs all four graph rules.
+/// Runs all three graph rules.
 pub fn analyze(files: &[FileData], config: &GraphConfig) -> GraphOutcome {
     let g = CallGraph::build(files, config);
     let mut out = GraphOutcome {
@@ -436,7 +410,6 @@ pub fn analyze(files: &[FileData], config: &GraphConfig) -> GraphOutcome {
         ..GraphOutcome::default()
     };
     panic_reachability(&g, config, &mut out);
-    alloc_freedom(&g, config, &mut out);
     lock_discipline(&g, config, &mut out);
     bounded_growth(&g, config, &mut out);
     out
@@ -456,10 +429,7 @@ fn panic_reachability(g: &CallGraph<'_>, config: &GraphConfig, out: &mut GraphOu
         for i in reached {
             let d = g.fns[i];
             for s in &d.sites {
-                if !s.kind.is_panic() {
-                    continue;
-                }
-                let waived = g.waived(i, s.line, &[RULE_PANIC_PATH, RULE_PANIC]);
+                let waived = g.waived(i, s.line, RULE_PANIC_PATH);
                 let chain = g.chain_to(&parent, i);
                 if waived.is_none() {
                     count += 1;
@@ -484,37 +454,6 @@ fn panic_reachability(g: &CallGraph<'_>, config: &GraphConfig, out: &mut GraphOu
     }
 }
 
-/// Rule `alloc_free`: no allocating construct reachable from the driver
-/// poll loop, unless waived.
-fn alloc_freedom(g: &CallGraph<'_>, config: &GraphConfig, out: &mut GraphOutcome) {
-    for e in &config.alloc_entries {
-        let starts = g.lookup(e);
-        let parent = g.reach_from(&starts);
-        let mut reached: Vec<usize> = parent.keys().copied().collect();
-        reached.sort_unstable_by_key(|&i| (&g.fns[i].file, g.fns[i].line));
-        for i in reached {
-            let d = g.fns[i];
-            for s in &d.sites {
-                if s.kind != SiteKind::Alloc {
-                    continue;
-                }
-                let waived = g.waived(i, s.line, &[RULE_ALLOC_FREE]);
-                let chain = g.chain_to(&parent, i);
-                out.violations.push(Violation {
-                    rule: RULE_ALLOC_FREE,
-                    file: d.file.clone(),
-                    line: s.line,
-                    message: format!(
-                        "allocating construct {} reachable from poll entry `{e}` via {chain}",
-                        s.what
-                    ),
-                    waived,
-                });
-            }
-        }
-    }
-}
-
 /// `std::net` / `std::io` socket methods that are one syscall each. The
 /// lock crates reach the kernel through these as well as through the
 /// polling shim (`UdpSocket::send_to` is the single-shot send path).
@@ -528,26 +467,30 @@ const SOCKET_IO_METHODS: [&str; 7] = [
     "write_all",
 ];
 
-/// Rule `lock_discipline`: no call that reaches a syscall — a
-/// polling-shim wrapper or a std socket method — while the net driver
-/// lock is lexically held.
+/// Whether `c` is itself one syscall: a raw symbol of the polling shim
+/// (`write(fd, …)`, `TcpStream::connect`), or a std socket method.
+fn is_syscall(c: &Call, config: &GraphConfig) -> bool {
+    c.path.last().is_some_and(|last| {
+        config.syscall_symbols.iter().any(|s| s == last)
+            || (c.method && SOCKET_IO_METHODS.contains(&last.as_str()))
+    })
+}
+
+/// Rule `lock_discipline`: no syscall — made directly, or reached
+/// through a polling-shim wrapper or a fn calling a std socket method —
+/// while the net driver lock is lexically held.
 fn lock_discipline(g: &CallGraph<'_>, config: &GraphConfig, out: &mut GraphOutcome) {
-    // Seeds: shim functions that invoke a raw syscall symbol directly,
-    // and lock-crate functions that call a std socket method.
-    let mut seeds: HashSet<usize> = HashSet::new();
-    for (i, d) in g.fns.iter().enumerate() {
-        let shim = d.crate_name == config.syscall_crate;
-        let locking = config.lock_crates.contains(&d.crate_name);
-        let is_syscall = |c: &Call| {
-            c.path.last().is_some_and(|last| {
-                (shim && config.syscall_symbols.iter().any(|s| s == last))
-                    || (locking && c.method && SOCKET_IO_METHODS.contains(&last.as_str()))
-            })
-        };
-        if d.calls.iter().any(is_syscall) {
-            seeds.insert(i);
-        }
-    }
+    // Seeds: shim and lock-crate functions that make a syscall directly.
+    let seeds: HashSet<usize> = g
+        .fns
+        .iter()
+        .enumerate()
+        .filter(|(_, d)| {
+            (d.crate_name == config.syscall_crate || config.lock_crates.contains(&d.crate_name))
+                && d.calls.iter().any(|c| is_syscall(c, config))
+        })
+        .map(|(i, _)| i)
+        .collect();
     let reaches_syscall = g.reaching_set(&seeds);
     for (i, d) in g.fns.iter().enumerate() {
         if !config.lock_crates.contains(&d.crate_name) {
@@ -557,31 +500,40 @@ fn lock_discipline(g: &CallGraph<'_>, config: &GraphConfig, out: &mut GraphOutco
             if !c.in_lock {
                 continue;
             }
-            let mut targets = Vec::new();
-            g.resolve(&d.crate_name, &c.path, c.method, &mut targets);
-            let Some(&hit) = targets.iter().find(|t| reaches_syscall.contains_key(t)) else {
-                continue;
-            };
-            // Chain from the called fn down to the syscall seed.
-            let mut chain = vec![g.fns[hit].qname.clone()];
-            let mut cur = hit;
-            while let Some(&n) = reaches_syscall.get(&cur) {
-                if n == usize::MAX {
-                    break;
+            let message = if is_syscall(c, config) {
+                format!(
+                    "call under the driver lock is a syscall: {} (in `{}`)",
+                    c.path.join("::"),
+                    d.qname
+                )
+            } else {
+                let mut targets = Vec::new();
+                g.resolve(&d.crate_name, &c.path, c.method, &mut targets);
+                let Some(&hit) = targets.iter().find(|t| reaches_syscall.contains_key(t)) else {
+                    continue;
+                };
+                // Chain from the called fn down to the syscall seed.
+                let mut chain = vec![g.fns[hit].qname.clone()];
+                let mut cur = hit;
+                while let Some(&n) = reaches_syscall.get(&cur) {
+                    if n == usize::MAX {
+                        break;
+                    }
+                    chain.push(g.fns[n].qname.clone());
+                    cur = n;
                 }
-                chain.push(g.fns[n].qname.clone());
-                cur = n;
-            }
-            let waived = g.waived(i, c.line, &[RULE_LOCK_DISCIPLINE]);
+                format!(
+                    "call under the driver lock reaches a syscall wrapper: {} (in `{}`)",
+                    chain.join(" → "),
+                    d.qname
+                )
+            };
+            let waived = g.waived(i, c.line, RULE_LOCK_DISCIPLINE);
             out.violations.push(Violation {
                 rule: RULE_LOCK_DISCIPLINE,
                 file: d.file.clone(),
                 line: c.line,
-                message: format!(
-                    "call under the driver lock reaches a syscall wrapper: {} (in `{}`)",
-                    chain.join(" → "),
-                    d.qname
-                ),
+                message,
                 waived,
             });
         }
@@ -640,18 +592,7 @@ fn bounded_growth(g: &CallGraph<'_>, config: &GraphConfig, out: &mut GraphOutcom
             if bounded_annotated(&fd.comments, field.line) {
                 continue;
             }
-            let waived = fd
-                .waivers
-                .iter()
-                .find(|w| {
-                    w.rule == RULE_BOUNDED_GROWTH
-                        && w.line_start <= field.line
-                        && field.line <= w.line_end
-                })
-                .map(|w| {
-                    w.used.set(true);
-                    w.reason.clone()
-                });
+            let waived = waiver_reason(&fd.waivers, RULE_BOUNDED_GROWTH, field.line);
             out.violations.push(Violation {
                 rule: RULE_BOUNDED_GROWTH,
                 file: s.file.clone(),
@@ -668,8 +609,7 @@ fn bounded_growth(g: &CallGraph<'_>, config: &GraphConfig, out: &mut GraphOutcom
 }
 
 /// True when a `bounded:` annotation covers `line`: on the line itself
-/// or in the contiguous comment run directly above (same policy as
-/// `// SAFETY:` audits).
+/// or in the contiguous comment run directly above.
 fn bounded_annotated(comments: &[Comment], line: u32) -> bool {
     let on = |l: u32| comments.iter().find(|c| c.line_start <= l && l <= c.line_end);
     if on(line).is_some_and(|c| c.text.contains("bounded:")) {

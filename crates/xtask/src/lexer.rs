@@ -4,9 +4,9 @@
 //! punctuation — so the lexer's whole job is to be exact about what is
 //! code and what is not: line comments, (nested) block comments, plain
 //! and raw strings, byte strings, and character literals must never
-//! leak their contents into the token stream (`// this .unwrap() is
-//! prose` is not a violation), while comment *text* is preserved
-//! separately because two rules read it (`// SAFETY:` audits and
+//! leak their contents into the token stream (`// UdpSocket is prose`
+//! is not a violation), while comment *text* is preserved separately
+//! because rules read it (`// bounded:` annotations and
 //! `// lint: allow(...)` waivers).
 //!
 //! This is deliberately not a full Rust lexer: numeric-literal shapes,
@@ -17,7 +17,7 @@
 /// One significant (non-comment, non-whitespace) token.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Tok {
-    /// An identifier or keyword (`unsafe`, `unwrap`, `std`, ...).
+    /// An identifier or keyword (`extern`, `unwrap`, `std`, ...).
     Ident(String),
     /// A string/char/numeric literal. The payload is *not* kept —
     /// literal contents must never match a rule. Only string literals
@@ -38,7 +38,7 @@ pub struct Token {
 }
 
 /// A comment's text (with the `//`, `///`, `/*` markers stripped) and
-/// the lines it spans, kept for waiver and `SAFETY:` scanning.
+/// the lines it spans, kept for waiver and `bounded:` scanning.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Comment {
     pub text: String,
@@ -51,15 +51,6 @@ pub struct Comment {
 pub struct LexedFile {
     pub tokens: Vec<Token>,
     pub comments: Vec<Comment>,
-}
-
-impl LexedFile {
-    /// All comments whose span covers `line`.
-    pub fn comments_on_line(&self, line: u32) -> impl Iterator<Item = &Comment> {
-        self.comments
-            .iter()
-            .filter(move |c| c.line_start <= line && line <= c.line_end)
-    }
 }
 
 fn is_ident_start(c: char) -> bool {
@@ -420,6 +411,5 @@ mod tests {
         let lexed = lex(src);
         let c = &lexed.comments[0];
         assert_eq!((c.line_start, c.line_end), (1, 3));
-        assert!(lexed.comments_on_line(2).next().is_some());
     }
 }

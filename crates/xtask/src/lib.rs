@@ -1,42 +1,40 @@
 //! `swim-lint`: the workspace's custom static-analysis pass.
 //!
 //! Run as `cargo run -p xtask -- lint`. The pass machine-enforces the
-//! architectural invariants the repo otherwise only documents.
+//! architectural invariants that neither rustc/clippy nor the tests can
+//! check; what clippy can check (panicking calls, lossy casts, unsafe
+//! audits) is denied at the crate roots instead, and allocation freedom
+//! is proven by `tests/alloc_gates.rs`.
 //!
-//! **Lexical rules** (v1, token-stream level):
+//! **Lexical rules** (token-stream level):
 //!
-//! 1. **Sans-I/O layering** (`layering`) — `crates/core`, `crates/proto`
-//!    and `crates/sim` may not touch sockets, threads, wall clocks, or
-//!    entropy-seeded RNG; time and I/O flow through `Input`/`Sink`,
-//!    randomness through the seeded shim.
-//! 2. **Panic-freedom on wire paths** (`panic`) — no `unwrap` /
-//!    `expect` / `panic!` / `unreachable!` in non-test code of
-//!    core/net/proto/metrics, ratcheted by `analysis/baseline.toml`.
-//! 3. **Unsafe hygiene** (`unsafe_safety`) — every `unsafe` needs an
-//!    adjacent `// SAFETY:` comment.
-//! 4. **FFI confinement** (`ffi`) — `extern "C"` lives only in
+//! 1. **Sans-I/O layering** (`layering`) — `crates/core`, `crates/proto`,
+//!    `crates/sim` and `crates/metrics` may not touch sockets, threads,
+//!    wall clocks, or entropy-seeded RNG; time and I/O flow through
+//!    `Input`/`Sink`, randomness through the seeded shim.
+//! 2. **FFI confinement** (`ffi`) — `extern "C"` lives only in
 //!    `crates/compat/polling` and may only declare allowlisted symbols.
-//! 5. **Lossy casts** (`lossy_cast`) — narrowing `as` casts on
-//!    FFI/codec paths are flagged unless waived.
+//! 3. **Waiver hygiene** (`waiver`) — a waiver must name a known rule
+//!    and give a reason.
 //!
-//! **Call-graph rules** (v2, whole-workspace — see
-//! [`graph`] and `docs/ANALYSIS.md`):
+//! **Call-graph rules** (whole-workspace — see [`graph`] and
+//! `docs/ANALYSIS.md`):
 //!
-//! 6. **Panic reachability** (`panic_path`) — every transitive path
+//! 4. **Panic reachability** (`panic_path`) — every transitive path
 //!    from a declared entry point to a panic site, with an example call
 //!    chain; ratcheted per entry point, wire entries pinned at zero.
-//! 7. **Static alloc-freedom** (`alloc_free`) — nothing reachable from
-//!    the driver poll loop may allocate.
-//! 8. **Lock discipline** (`lock_discipline`) — no call that reaches a
-//!    syscall (a polling-shim wrapper or a std socket method) while the
-//!    net driver lock is held.
-//! 9. **Bounded growth** (`bounded_growth`) — growable collection
+//! 5. **Lock discipline** (`lock_discipline`) — no syscall, and no call
+//!    that reaches one (a polling-shim wrapper or a std socket method),
+//!    while the net driver lock is held.
+//! 6. **Bounded growth** (`bounded_growth`) — growable collection
 //!    fields of long-lived structs must document their cap.
 //!
 //! Any rule finding can be waived inline with
 //! `// lint: allow(<rule>) — <reason>`; the reason is mandatory and
-//! stale waivers are reported. Results are printed as a table and
-//! written to `target/ANALYSIS.json` (schema 2) for trend tooling.
+//! stale waivers are reported. Those waivers and the reasoned clippy
+//! exceptions (`#[expect(clippy::<lint>, reason = "…")]`) are ratcheted
+//! per rule/lint. Results are printed as a table and written to
+//! `target/ANALYSIS.json` (schema 3) for trend tooling.
 
 pub mod baseline;
 pub mod graph;
@@ -50,7 +48,7 @@ use std::path::{Path, PathBuf};
 use baseline::Baseline;
 use graph::{FileData, GraphConfig};
 use report::Report;
-use rules::{RULE_PANIC, RULE_PANIC_PATH};
+use rules::RULE_PANIC_PATH;
 
 /// Directory names never descended into during the workspace walk.
 /// `fixtures` holds the analyzer's own known-violation test inputs.
@@ -101,21 +99,21 @@ pub fn analyze_sources(sources: &[(String, String)], config: &GraphConfig) -> Re
     for (rel, src) in sources {
         let lexed = lexer::lex(src);
         let class = rules::classify(rel);
+        let (violations, waivers) = rules::analyze_lexed(rel, &lexed);
+        report.violations.extend(violations);
+        report.files += 1;
         // The analyzer's own sources document the waiver syntax in
         // prose and carry intentionally-panicking test fixtures in
         // unit tests; it is not subject to the graph rules either.
-        let waivers = if class.crate_name == "xtask" {
-            let (violations, _) = rules::analyze_lexed(rel, &lexed);
-            report.violations.extend(violations);
-            report.files += 1;
+        if class.crate_name == "xtask" {
             continue;
-        } else {
-            let (violations, waivers) = rules::analyze_lexed(rel, &lexed);
-            report.violations.extend(violations);
-            report.files += 1;
-            waivers
-        };
+        }
         let ranges = rules::test_ranges(&lexed);
+        if !class.test_target {
+            for lint in rules::clippy_exceptions(&lexed, &ranges) {
+                *report.waiver_counts.entry(lint).or_insert(0) += 1;
+            }
+        }
         let parsed = parser::parse(rel, &class, &lexed, &ranges);
         data.push(FileData {
             rel: rel.clone(),
@@ -144,19 +142,7 @@ pub fn analyze_sources(sources: &[(String, String)], config: &GraphConfig) -> Re
             }
         }
     }
-    report.unused_waivers = report.stale_waivers.len();
     report
-}
-
-/// Walks `root` and analyzes every `.rs` file with the workspace
-/// configuration.
-///
-/// # Errors
-///
-/// Propagates filesystem errors from the walk or file reads.
-pub fn analyze_workspace(root: &Path) -> std::io::Result<Report> {
-    let sources = collect_sources(root)?;
-    Ok(analyze_sources(&sources, &GraphConfig::workspace()))
 }
 
 /// Everything `lint` decided, for the caller to print/exit on.
@@ -169,10 +155,10 @@ pub struct LintOutcome {
     pub json: String,
 }
 
-/// Runs the full lint over `root`: analyze, apply the panic and waiver
-/// ratchets, and render the JSON report. With `update_baseline`, a
-/// shrunken count rewrites `analysis/baseline.toml` instead of
-/// failing.
+/// Runs the full lint over `root`: analyze, apply the panic-path and
+/// waiver ratchets, and render the JSON report. With
+/// `update_baseline`, a shrunken count rewrites `analysis/baseline.toml`
+/// instead of failing.
 ///
 /// # Errors
 ///
@@ -184,11 +170,10 @@ pub fn run_lint(root: &Path, update_baseline: bool) -> std::io::Result<LintOutco
     let report = analyze_sources(&sources, &config);
     let mut failures = Vec::new();
 
-    // Zero-tolerance rules: anything active fails. The two ratcheted
-    // rules (lexical `panic`, per-entry `panic_path`) are handled
-    // below.
+    // Zero-tolerance rules: anything active fails. The ratcheted
+    // `panic_path` rule is handled below.
     for rule in rules::ALL_RULES {
-        if rule == RULE_PANIC || rule == RULE_PANIC_PATH {
+        if rule == RULE_PANIC_PATH {
             continue;
         }
         let n = report.active(rule).count();
@@ -204,49 +189,8 @@ pub fn run_lint(root: &Path, update_baseline: bool) -> std::io::Result<LintOutco
             Baseline::default()
         }
     };
-    let baseline_exists = root.join(baseline::BASELINE_PATH).exists();
     let mut ratcheted = baseline.clone();
     let mut rewrite = false;
-
-    // The legacy per-crate lexical panic ratchet.
-    let counts = report.panic_counts();
-    let mut crates: Vec<String> = baseline.panic.keys().chain(counts.keys()).cloned().collect();
-    crates.sort();
-    crates.dedup();
-    for name in crates {
-        let have = counts.get(&name).copied().unwrap_or(0);
-        let base = baseline.panic.get(&name).copied().unwrap_or(0);
-        if have > base {
-            // An increase is never update-able — that would defeat the
-            // ratchet — except at bootstrap, when no baseline exists
-            // yet and `--update-baseline` seeds the grandfathered
-            // counts.
-            if update_baseline && !baseline_exists {
-                rewrite = true;
-                ratcheted.panic.insert(name.clone(), have);
-            } else {
-                failures.push(format!(
-                    "panic ratchet: crate `{name}` has {have} panic site(s), baseline allows \
-                     {base} — remove them or (for non-wire invariants) waive with a reason"
-                ));
-            }
-        } else if have < base {
-            rewrite = true;
-            if have == 0 {
-                // A crate that reaches zero drops out of the legacy
-                // section entirely; zero is the default.
-                ratcheted.panic.remove(&name);
-            } else {
-                ratcheted.panic.insert(name.clone(), have);
-            }
-            if !update_baseline {
-                failures.push(format!(
-                    "panic ratchet: crate `{name}` is down to {have} site(s) but the baseline \
-                     says {base} — run `cargo run -p xtask -- lint --update-baseline` to ratchet"
-                ));
-            }
-        }
-    }
 
     // The per-entry-point panic-path ratchet. Wire entries are pinned
     // at zero no matter what the baseline says.
@@ -293,9 +237,10 @@ pub fn run_lint(root: &Path, update_baseline: bool) -> std::io::Result<LintOutco
         }
     }
 
-    // The per-rule waiver ratchet: same shape as the panic-path one —
-    // a rise fails (`--update-baseline` may only seed a rule the file
-    // has no row for), a fall must be recorded.
+    // The per-rule waiver ratchet (clippy exceptions keyed
+    // `clippy::<lint>`): same shape as the panic-path one — a rise fails
+    // (`--update-baseline` may only seed a rule the file has no row
+    // for), a fall must be recorded.
     let mut waived_rules: Vec<&String> = baseline
         .waivers
         .keys()

@@ -3,8 +3,8 @@
 //!
 //! This is deliberately **not** a Rust parser: it recovers exactly the
 //! structure the call-graph rules need — function items (with their
-//! `impl`/`trait` context as a one-segment qualifier), the calls, panic
-//! sites, and allocation sites inside each body, struct definitions
+//! `impl`/`trait` context as a one-segment qualifier), the calls and
+//! panic sites inside each body, struct definitions
 //! with their field types, and the lexical extent of driver-lock
 //! regions — and nothing else. Everything it cannot understand it
 //! skips, so the parse degrades gracefully on arbitrary token streams
@@ -23,42 +23,18 @@
 //!   any workspace function of that name (see
 //!   [`graph`](crate::graph));
 //! - macro bodies outside functions belong to no function and are
-//!   invisible to reachability (the *lexical* rules still see them).
+//!   invisible to reachability.
 
 use crate::lexer::{LexedFile, Tok, Token};
 use crate::rules::FileClass;
 
-/// What kind of potentially-panicking construct a [`Site`] is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SiteKind {
-    /// `panic!` / `unreachable!` / `todo!` / `unimplemented!` /
-    /// `assert*!` macros.
-    PanicMacro,
-    /// `.unwrap()` / `.expect()` (and `_err` variants).
-    Unwrap,
-    /// `expr[...]` indexing or slicing.
-    Index,
-    /// `/` or `%` with a non-constant divisor.
-    Div,
-    /// A known-panicking `std` method (`swap_remove`, `split_at`,
-    /// `copy_from_slice`, ...).
-    PanicMethod,
-    /// An allocating construct (`Box::new`, `format!`, `.push()`,
-    /// `.collect()`, ...).
-    Alloc,
-}
-
-impl SiteKind {
-    /// Whether this site is a panic site (vs. an allocation site).
-    pub fn is_panic(self) -> bool {
-        !matches!(self, SiteKind::Alloc)
-    }
-}
-
-/// One panic/alloc site inside a function body.
+/// One potentially-panicking construct inside a function body: a
+/// panic macro (`panic!`, `assert*!`, …), `.unwrap()` / `.expect()`,
+/// `expr[...]` indexing or slicing, `/` or `%` by a non-constant
+/// divisor, or a known-panicking `std` method (`swap_remove`,
+/// `split_at`, `copy_from_slice`, …).
 #[derive(Debug, Clone)]
 pub struct Site {
-    pub kind: SiteKind,
     /// Short description of the construct (`".unwrap()"`, `"idx[]"`).
     pub what: String,
     pub line: u32,
@@ -90,7 +66,6 @@ pub struct FnDef {
     pub crate_name: String,
     pub file: String,
     pub line: u32,
-    pub end_line: u32,
     /// Defined under `#[cfg(test)]` / `#[test]` or in a test target.
     pub is_test: bool,
     pub calls: Vec<Call>,
@@ -150,34 +125,6 @@ const PANIC_MACROS: [&str; 7] = [
 
 /// Methods that can panic even though they are not `unwrap`-shaped.
 const PANIC_METHODS: [&str; 4] = ["swap_remove", "split_at", "split_at_mut", "copy_from_slice"];
-
-/// Methods whose call is an allocation (growth without a visible cap,
-/// or an outright heap allocation).
-const ALLOC_METHODS: [&str; 16] = [
-    "push",
-    "push_back",
-    "push_front",
-    "insert",
-    "to_vec",
-    "to_owned",
-    "to_string",
-    "collect",
-    "extend",
-    "extend_from_slice",
-    "reserve",
-    "entry",
-    "append",
-    "split_off",
-    "repeat",
-    "concat",
-];
-
-/// Allocating macros.
-const ALLOC_MACROS: [&str; 2] = ["vec", "format"];
-
-/// `Path::last` segments whose *qualified* call allocates
-/// (`Box::new`, `Vec::with_capacity`, ...).
-const ALLOC_PATH_HEADS: [&str; 3] = ["Box", "Arc", "Rc"];
 
 /// Collection types whose presence in a struct field makes the field
 /// growable (the bounded-growth rule's subjects).
@@ -555,7 +502,6 @@ impl<'a> Parser<'a> {
             crate_name: self.class.crate_name.clone(),
             file: self.file.to_string(),
             line: fn_line,
-            end_line: self.toks[body_close].line,
             is_test: self.in_test(fn_line),
             calls: Vec::new(),
             sites: Vec::new(),
@@ -626,7 +572,7 @@ impl<'a> Parser<'a> {
                         }
                         continue;
                     }
-                    if next_is_bang && (w.starts_with("debug_assert") || w == "debug_invariant") {
+                    if next_is_bang && w.starts_with("debug_assert") {
                         // Release no-ops: their argument tokens are not
                         // reachable code in production builds, so the
                         // indexing/divisions/calls inside them must not
@@ -657,13 +603,6 @@ impl<'a> Parser<'a> {
                     if next_is_bang {
                         if PANIC_MACROS.contains(&w.as_str()) {
                             def.sites.push(Site {
-                                kind: SiteKind::PanicMacro,
-                                what: format!("{w}!"),
-                                line,
-                            });
-                        } else if ALLOC_MACROS.contains(&w.as_str()) {
-                            def.sites.push(Site {
-                                kind: SiteKind::Alloc,
                                 what: format!("{w}!"),
                                 line,
                             });
@@ -677,21 +616,12 @@ impl<'a> Parser<'a> {
                         match w.as_str() {
                             "unwrap" | "expect" | "unwrap_err" | "expect_err" => {
                                 def.sites.push(Site {
-                                    kind: SiteKind::Unwrap,
                                     what: format!(".{w}()"),
                                     line,
                                 });
                             }
                             m if PANIC_METHODS.contains(&m) => {
                                 def.sites.push(Site {
-                                    kind: SiteKind::PanicMethod,
-                                    what: format!(".{w}()"),
-                                    line,
-                                });
-                            }
-                            m if ALLOC_METHODS.contains(&m) => {
-                                def.sites.push(Site {
-                                    kind: SiteKind::Alloc,
                                     what: format!(".{w}()"),
                                     line,
                                 });
@@ -721,22 +651,6 @@ impl<'a> Parser<'a> {
                             }
                             break;
                         }
-                        if path.len() >= 2 {
-                            let head = &path[path.len() - 2];
-                            let last = &path[path.len() - 1];
-                            if (ALLOC_PATH_HEADS.contains(&head.as_str()) && last == "new")
-                                || last == "with_capacity"
-                                || (head == "String" && last == "from")
-                            {
-                                def.sites.push(Site {
-                                    kind: SiteKind::Alloc,
-                                    what: path.join("::") + "()",
-                                    line,
-                                });
-                            }
-                        }
-                        // Detect `driver.lock()` acquisitions: the
-                        // canonical net-crate guard pattern.
                         def.calls.push(Call {
                             path,
                             line,
@@ -834,7 +748,6 @@ impl<'a> Parser<'a> {
                             && self.toks.get(j + 3).map(|t| &t.tok) == Some(&Tok::Punct(']'));
                         if !full_range {
                             def.sites.push(Site {
-                                kind: SiteKind::Index,
                                 what: "[..] indexing/slicing".into(),
                                 line,
                             });
@@ -857,7 +770,6 @@ impl<'a> Parser<'a> {
                     };
                     if expr_before && !benign_divisor {
                         def.sites.push(Site {
-                            kind: SiteKind::Div,
                             what: format!("`{c}` with non-constant divisor"),
                             line,
                         });
@@ -906,11 +818,8 @@ mod tests {
                    }";
         let p = parse_str("crates/core/src/x.rs", src);
         let f = &p.fns[0];
-        let kinds: Vec<SiteKind> = f.sites.iter().map(|s| s.kind).collect();
-        assert!(kinds.contains(&SiteKind::Alloc)); // push
-        assert!(kinds.contains(&SiteKind::Unwrap));
-        assert!(kinds.contains(&SiteKind::Index));
-        assert!(kinds.contains(&SiteKind::PanicMacro));
+        let sites: Vec<&str> = f.sites.iter().map(|s| s.what.as_str()).collect();
+        assert_eq!(sites, [".unwrap()", "[..] indexing/slicing", "panic!"]);
         let paths: Vec<String> = f.calls.iter().map(|c| c.path.join("::")).collect();
         assert!(paths.contains(&"helper".to_string()));
         assert!(paths.contains(&"proto::codec::encode".to_string()));
@@ -928,7 +837,7 @@ mod tests {
         let src = "fn f(a: usize, b: usize) -> usize { a % b }";
         let p = parse_str("crates/core/src/x.rs", src);
         assert_eq!(p.fns[0].sites.len(), 1);
-        assert_eq!(p.fns[0].sites[0].kind, SiteKind::Div);
+        assert_eq!(p.fns[0].sites[0].what, "`%` with non-constant divisor");
     }
 
     #[test]
@@ -1015,7 +924,7 @@ mod tests {
         let src = "fn f() { macro_rules! m { () => { panic!(\"x\") }; } m!(); }";
         let p = parse_str("crates/core/src/x.rs", src);
         assert!(
-            p.fns[0].sites.iter().all(|s| s.kind != SiteKind::PanicMacro),
+            p.fns[0].sites.iter().all(|s| s.what != "panic!"),
             "macro definition bodies are not attributed to the defining fn"
         );
     }

@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::rules::{Violation, ALL_RULES, RULE_PANIC};
+use crate::rules::{Violation, ALL_RULES};
 
 /// The full result of one analysis run.
 #[derive(Debug, Default)]
@@ -12,11 +12,9 @@ pub struct Report {
     pub violations: Vec<Violation>,
     /// Files scanned.
     pub files: usize,
-    /// Waivers that matched nothing (stale — surfaced so they get
-    /// deleted instead of rotting).
-    pub unused_waivers: usize,
-    /// Location and rule of each stale waiver, so the warning is
-    /// actionable: `(file, line, rule)`.
+    /// Location and rule of each waiver that matched nothing (stale —
+    /// surfaced so it gets deleted instead of rotting): `(file, line,
+    /// rule)`.
     pub stale_waivers: Vec<(String, u32, String)>,
     /// Call-graph size: non-test functions in the symbol table.
     pub graph_functions: usize,
@@ -27,8 +25,8 @@ pub struct Report {
     pub entry_counts: BTreeMap<String, u64>,
     /// Example call chains per entry point (up to three each).
     pub entry_chains: BTreeMap<String, Vec<String>>,
-    /// Inline waivers per rule, used or stale (the `[waivers]` ratchet
-    /// input).
+    /// Inline waivers per rule, used or stale, and reasoned clippy
+    /// exceptions per `clippy::<lint>` (the `[waivers]` ratchet input).
     pub waiver_counts: BTreeMap<String, u64>,
 }
 
@@ -45,16 +43,6 @@ impl Report {
         self.violations
             .iter()
             .filter(move |v| v.rule == rule && v.waived.is_some())
-    }
-
-    /// Active panic-rule counts per crate group (the ratchet input).
-    pub fn panic_counts(&self) -> BTreeMap<String, u64> {
-        let mut map = BTreeMap::new();
-        for v in self.active(RULE_PANIC) {
-            let crate_name = crate::rules::classify(&v.file).crate_name;
-            *map.entry(crate_name).or_insert(0) += 1;
-        }
-        map
     }
 
     /// The per-rule summary table plus a listing of active violations.
@@ -78,8 +66,9 @@ impl Report {
                 let _ = writeln!(s, "    e.g. {chain}");
             }
         }
-        if self.unused_waivers > 0 {
-            let _ = writeln!(s, "warning: {} stale waiver(s) match nothing", self.unused_waivers);
+        if !self.stale_waivers.is_empty() {
+            let n = self.stale_waivers.len();
+            let _ = writeln!(s, "warning: {n} stale waiver(s) match nothing");
             for (file, line, rule) in &self.stale_waivers {
                 let _ = writeln!(s, "    {file}:{line}: allow({rule})");
             }
@@ -97,13 +86,13 @@ impl Report {
     }
 
     /// The machine-readable report (`target/ANALYSIS.json`): per-rule
-    /// counts, both panic ratchet inputs, the call-graph summary, and
+    /// counts, the panic-path ratchet input, the call-graph summary, and
     /// every active violation.
     pub fn render_json(&self, baseline: &crate::baseline::Baseline, passed: bool) -> String {
-        let mut s = String::from("{\n  \"schema\": 2,\n");
+        let mut s = String::from("{\n  \"schema\": 3,\n");
         let _ = writeln!(s, "  \"passed\": {passed},");
         let _ = writeln!(s, "  \"files_analyzed\": {},", self.files);
-        let _ = writeln!(s, "  \"unused_waivers\": {},", self.unused_waivers);
+        let _ = writeln!(s, "  \"unused_waivers\": {},", self.stale_waivers.len());
         let _ = writeln!(
             s,
             "  \"call_graph\": {{\"functions\": {}, \"edges\": {}}},",
@@ -140,22 +129,6 @@ impl Report {
                 "    \"{rule}\": {{\"active\": {}, \"waived\": {}}}{comma}",
                 self.active(rule).count(),
                 self.waived(rule).count()
-            );
-        }
-        s.push_str("  },\n  \"panic_ratchet\": {\n");
-        let counts = self.panic_counts();
-        let crates: Vec<&String> = baseline.panic.keys().chain(counts.keys()).collect();
-        let mut crates: Vec<&String> = crates;
-        crates.sort();
-        crates.dedup();
-        for (i, name) in crates.iter().enumerate() {
-            let comma = if i + 1 == crates.len() { "" } else { "," };
-            let _ = writeln!(
-                s,
-                "    \"{}\": {{\"count\": {}, \"baseline\": {}}}{comma}",
-                json_escape(name),
-                counts.get(name.as_str()).copied().unwrap_or(0),
-                baseline.panic.get(name.as_str()).copied().unwrap_or(0)
             );
         }
         s.push_str("  },\n  \"violations\": [\n");

@@ -1,37 +1,30 @@
 //! The analyzer's rule engine: file classification, `#[cfg(test)]`
-//! exclusion, waiver parsing, and the five rules.
+//! exclusion, waiver parsing, the two lexical rules (`layering`, `ffi`)
+//! and the count of reasoned clippy exceptions.
 //!
 //! Every rule works on the [`lexer`](crate::lexer) token stream, so
 //! comments, strings, and raw strings can never produce false
-//! positives, and waivers/`SAFETY:` audits are read from the comment
-//! side-channel the lexer preserves.
+//! positives, and waivers are read from the comment side-channel the
+//! lexer preserves.
 
 use crate::lexer::{lex, Comment, LexedFile, Tok};
 
 /// Rule identifiers, used in waivers (`// lint: allow(<rule>) — why`),
 /// the baseline file, and the JSON report.
 pub const RULE_LAYERING: &str = "layering";
-pub const RULE_PANIC: &str = "panic";
-pub const RULE_UNSAFE: &str = "unsafe_safety";
 pub const RULE_FFI: &str = "ffi";
-pub const RULE_LOSSY_CAST: &str = "lossy_cast";
 pub const RULE_WAIVER: &str = "waiver";
 /// Call-graph rules (see [`graph`](crate::graph)).
 pub const RULE_PANIC_PATH: &str = "panic_path";
-pub const RULE_ALLOC_FREE: &str = "alloc_free";
 pub const RULE_LOCK_DISCIPLINE: &str = "lock_discipline";
 pub const RULE_BOUNDED_GROWTH: &str = "bounded_growth";
 
 /// All rules, for reports and waiver validation.
-pub const ALL_RULES: [&str; 10] = [
+pub const ALL_RULES: [&str; 6] = [
     RULE_LAYERING,
-    RULE_PANIC,
-    RULE_UNSAFE,
     RULE_FFI,
-    RULE_LOSSY_CAST,
     RULE_WAIVER,
     RULE_PANIC_PATH,
-    RULE_ALLOC_FREE,
     RULE_LOCK_DISCIPLINE,
     RULE_BOUNDED_GROWTH,
 ];
@@ -162,6 +155,16 @@ pub fn parse_waivers(comments: &[Comment], file: &str, bad: &mut Vec<Violation>)
     out
 }
 
+/// The reason of the first `rule` waiver covering `line`, marking that
+/// waiver used.
+pub fn waiver_reason(waivers: &[Waiver], rule: &str, line: u32) -> Option<String> {
+    let w = waivers
+        .iter()
+        .find(|w| w.rule == rule && w.line_start <= line && line <= w.line_end)?;
+    w.used.set(true);
+    Some(w.reason.clone())
+}
+
 /// Line ranges occupied by `#[cfg(test)]` / `#[test]`-attributed items
 /// (the item body is skipped by test-scoped rules, and functions inside
 /// them are excluded from the call graph).
@@ -241,28 +244,6 @@ pub fn test_ranges(lexed: &LexedFile) -> Vec<(u32, u32)> {
     ranges
 }
 
-/// True when the `unsafe` on `line` carries a `SAFETY` audit: either a
-/// comment on the line itself, or a contiguous run of comment lines
-/// directly above it (no code-only gap) in which any line mentions
-/// `SAFETY`.
-fn safety_adjacent(comments: &[Comment], line: u32) -> bool {
-    let on = |l: u32| comments.iter().find(|c| c.line_start <= l && l <= c.line_end);
-    if on(line).is_some_and(|c| c.text.contains("SAFETY")) {
-        return true;
-    }
-    let mut cur = line.saturating_sub(1);
-    while let Some(c) = on(cur) {
-        if c.text.contains("SAFETY") {
-            return true;
-        }
-        if c.line_start == 0 {
-            break;
-        }
-        cur = c.line_start - 1;
-    }
-    false
-}
-
 fn in_ranges(ranges: &[(u32, u32)], line: u32) -> bool {
     ranges.iter().any(|&(a, b)| a <= line && line <= b)
 }
@@ -297,13 +278,7 @@ pub fn analyze_lexed(rel_path: &str, lexed: &LexedFile) -> (Vec<Violation>, Vec<
     let excluded = test_ranges(lexed);
 
     let mut push = |rule: &'static str, line: u32, message: String| {
-        let waived = waivers
-            .iter()
-            .find(|w| w.rule == rule && w.line_start <= line && line <= w.line_end)
-            .map(|w| {
-                w.used.set(true);
-                w.reason.clone()
-            });
+        let waived = waiver_reason(&waivers, rule, line);
         violations.push(Violation {
             rule,
             file: rel_path.to_string(),
@@ -316,23 +291,12 @@ pub fn analyze_lexed(rel_path: &str, lexed: &LexedFile) -> (Vec<Violation>, Vec<
     let toks = &lexed.tokens;
     let in_test = |line: u32| in_ranges(&excluded, line);
 
-    // --- Rule: panic-freedom on wire-facing crates -------------------
-    // `metrics` decodes snapshot bytes from disk/network, so it is held
-    // to the same standard as the wire crates.
-    let panic_scope = !class.test_target
-        && matches!(class.crate_name.as_str(), "core" | "proto" | "net" | "metrics");
     // --- Rule: sans-I/O layering -------------------------------------
     // `metrics` must stay sans-I/O and clock-free so the core can embed
     // it and the simulator stays deterministic.
     let layering_scope = !class.test_target
         && matches!(class.crate_name.as_str(), "core" | "proto" | "sim" | "metrics");
-    // --- Rule: lossy casts on FFI/codec paths ------------------------
-    let cast_scope = !class.test_target
-        && matches!(class.crate_name.as_str(), "proto" | "net" | "compat/polling");
 
-    const LOSSY_TARGETS: [&str; 11] = [
-        "u8", "u16", "u32", "i8", "i16", "i32", "c_short", "c_ushort", "c_int", "c_uint", "_",
-    ];
     const IO_TYPES: [&str; 3] = ["UdpSocket", "TcpStream", "TcpListener"];
     const CLOCK_TYPES: [&str; 2] = ["Instant", "SystemTime"];
     const ENTROPY: [&str; 4] = ["thread_rng", "from_entropy", "OsRng", "from_os_rng"];
@@ -344,22 +308,6 @@ pub fn analyze_lexed(rel_path: &str, lexed: &LexedFile) -> (Vec<Violation>, Vec<
             continue;
         };
         let word = word.as_str();
-
-        if panic_scope && !in_test(line) {
-            let prev_is_dot = i > 0 && toks[i - 1].tok == Tok::Punct('.');
-            let next_is_bang = toks.get(i + 1).map(|n| n.tok == Tok::Punct('!')) == Some(true);
-            if prev_is_dot && (word == "unwrap" || word == "expect") {
-                push(
-                    RULE_PANIC,
-                    line,
-                    format!(".{word}() can panic on untrusted input paths"),
-                );
-            } else if next_is_bang
-                && matches!(word, "panic" | "unreachable" | "todo" | "unimplemented")
-            {
-                push(RULE_PANIC, line, format!("{word}! in non-test code"));
-            }
-        }
 
         if layering_scope && !in_test(line) {
             if IO_TYPES.contains(&word) {
@@ -389,21 +337,6 @@ pub fn analyze_lexed(rel_path: &str, lexed: &LexedFile) -> (Vec<Violation>, Vec<
                     RULE_LAYERING,
                     line,
                     "std::thread: threads are an I/O-runtime concern, not a core one".into(),
-                );
-            }
-        }
-
-        if word == "unsafe" {
-            // `unsafe fn` declares a contract, not a discharge of one:
-            // its body is a safe context (`unsafe_op_in_unsafe_fn` is
-            // denied workspace-wide), so the inner `unsafe {}` blocks
-            // carry the audits and the fn signature itself is exempt.
-            let declares_fn = toks.get(i + 1).map(|t| &t.tok) == Some(&Tok::Ident("fn".into()));
-            if !declares_fn && !safety_adjacent(&lexed.comments, line) {
-                push(
-                    RULE_UNSAFE,
-                    line,
-                    "unsafe without an adjacent `// SAFETY:` comment".into(),
                 );
             }
         }
@@ -451,22 +384,59 @@ pub fn analyze_lexed(rel_path: &str, lexed: &LexedFile) -> (Vec<Violation>, Vec<
                 }
             }
         }
-
-        if cast_scope && !in_test(line) && word == "as" {
-            if let Some(Tok::Ident(target)) = toks.get(i + 1).map(|t| &t.tok) {
-                if LOSSY_TARGETS.contains(&target.as_str()) {
-                    let shown = if target == "_" { "`as _`" } else { target.as_str() };
-                    push(
-                        RULE_LOSSY_CAST,
-                        line,
-                        format!("potentially lossy cast to {shown} on an FFI/codec path"),
-                    );
-                }
-            }
-        }
     }
 
     (violations, waivers)
+}
+
+/// The clippy lints that non-test `#[allow(..)]` / `#[expect(..)]`
+/// attributes except, one entry per lint per attribute
+/// (`"clippy::panic"` for `#[expect(clippy::panic, reason = "…")]`).
+/// These are the reasoned exceptions the `[waivers]` ratchet counts
+/// beside the `lint: allow` comments.
+pub fn clippy_exceptions(lexed: &LexedFile, test_ranges: &[(u32, u32)]) -> Vec<String> {
+    let toks = &lexed.tokens;
+    let tok = |k: usize| toks.get(k).map(|t| &t.tok);
+    let is_ident = |k: usize, w: &str| matches!(tok(k), Some(Tok::Ident(s)) if s == w);
+    let mut out = Vec::new();
+    for (i, t) in toks.iter().enumerate() {
+        // `#[allow(`, `#![expect(`, `cfg_attr(…, expect(` — never a
+        // method call such as `.expect(`.
+        let attr_position = matches!(
+            i.checked_sub(1).and_then(tok),
+            Some(Tok::Punct('[' | '(' | ','))
+        );
+        if !(is_ident(i, "allow") || is_ident(i, "expect"))
+            || !attr_position
+            || tok(i + 1) != Some(&Tok::Punct('('))
+            || in_ranges(test_ranges, t.line)
+        {
+            continue;
+        }
+        let mut depth = 0usize;
+        let mut k = i + 1;
+        while let Some(tk) = tok(k) {
+            match tk {
+                Tok::Punct('(') => depth += 1,
+                Tok::Punct(')') => {
+                    depth -= 1;
+                    if depth == 0 {
+                        break;
+                    }
+                }
+                Tok::Ident(w) if w == "clippy" => {
+                    if let (Some(Tok::Punct(':')), Some(Tok::Punct(':')), Some(Tok::Ident(lint))) =
+                        (tok(k + 1), tok(k + 2), tok(k + 3))
+                    {
+                        out.push(format!("clippy::{lint}"));
+                    }
+                }
+                _ => {}
+            }
+            k += 1;
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -484,5 +454,20 @@ mod tests {
         assert!(classify("crates/core/tests/prop_core.rs").test_target);
         assert!(classify("crates/net/tests/reactor_gates.rs").test_target);
         assert!(!classify("crates/net/src/reactor.rs").test_target);
+    }
+
+    #[test]
+    fn clippy_exceptions_counts_attributes_outside_tests() {
+        let lexed = lex("#![allow(clippy::todo, reason = \"a\")]\n\
+             #[cfg_attr(not(test), expect(clippy::panic, clippy::unwrap_used, reason = \"b\"))]\n\
+             fn f() { x.expect(\"clippy::panic\"); }\n\
+             #[deny(clippy::panic)]\n\
+             #[cfg(test)]\n\
+             mod tests { #[expect(clippy::panic, reason = \"c\")] fn t() {} }\n");
+        let ranges = test_ranges(&lexed);
+        assert_eq!(
+            clippy_exceptions(&lexed, &ranges),
+            ["clippy::todo", "clippy::panic", "clippy::unwrap_used"]
+        );
     }
 }

@@ -1,19 +1,22 @@
-fn guarded(len: usize) -> u16 {
-    // lint: allow(lossy_cast) — callers bound len to the packet budget
-    len as u16
+fn guarded() {
+    // lint: allow(layering) — fixture: the one audited wall-clock read
+    let _now = Instant::now();
 }
 
-fn unguarded(len: usize) -> u16 {
-    len as u16
+fn unguarded() {
+    let _now = Instant::now();
 }
 
-// lint: allow(lossy_cast)
-fn missing_reason(len: usize) -> u32 {
-    len as u32
+// lint: allow(layering)
+fn missing_reason() {
+    let _now = Instant::now();
 }
 
 // lint: allow(no_such_rule) — the rule name is validated
 fn unknown_rule() {}
 
-// lint: allow(lossy_cast) — this waiver matches nothing below
+// lint: allow(layering) — this waiver matches nothing below
 fn stale() {}
+
+// lint: allow(lossy_cast) — a deleted rule is an unknown rule
+fn deleted_rule() {}

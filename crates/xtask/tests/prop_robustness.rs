@@ -17,8 +17,9 @@ const FRAGMENTS: &[&str] = &[
     "x", "Node", "self", "driver", "lock", "unwrap", "expect", "panic!", "Vec",
     "push", "write", "macro_rules! m ", "let ", "= ", "\"str \\\" ing\"", "r#\"raw\"#",
     "b'\\x7f'", "// comment\n", "/* block", "*/", "/// doc\n",
-    "// lint: allow(panic) — reason\n", "// lint: allow(", "// bounded: cap\n",
-    "#[cfg(test)]", "0u8 as u32", "1_000", "'a", "<T>", "where T: Sized",
+    "// lint: allow(panic_path) — reason\n", "// lint: allow(", "// bounded: cap\n",
+    "#[cfg(test)]", "#[expect(clippy::panic, reason = \"r\")]", "allow(clippy::", "0u8 as u32",
+    "1_000", "'a", "<T>", "where T: Sized",
     "debug_assert!(", "\n",
 ];
 
@@ -39,8 +40,8 @@ proptest! {
         let _ = rules::analyze_lexed("crates/core/src/fuzz.rs", &lexed);
     }
 
-    /// The full pipeline — lexer, parser, call graph, all four graph
-    /// rules — survives arbitrary splices of Rust-shaped fragments
+    /// The full pipeline — lexer, parser, call graph, all three graph
+    /// rules, the clippy-exception count — survives arbitrary splices of Rust-shaped fragments
     /// (unterminated strings and comments, unbalanced brackets, waiver
     /// syntax cut off mid-token).
     #[test]
