@@ -37,7 +37,7 @@ use crate::prober::{Acked, Prober};
 use crate::suspicion::{Suspicion, Suspicions};
 use crate::sync::{self, AntiEntropy, DeltaReply};
 use crate::time::Time;
-use crate::timer_wheel::TimerWheel;
+use crate::timer_wheel::{TimerKey, TimerWheel};
 
 mod inspect;
 mod lifecycle;
@@ -108,8 +108,9 @@ pub enum Input {
 }
 
 /// Internal timer kinds. Each is armed by one owner: `ProbeRound`, the
-/// three loop ticks and `Reap` by this file, the probe and relay
-/// deadlines by `Prober`, `SuspicionCheck` by `Suspicions`.
+/// three loop ticks (`GossipTick` via [`GossipLoop`]) and `Reap` by this
+/// file, the probe and relay deadlines by `Prober`, `SuspicionCheck` by
+/// `Suspicions`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) enum Timer {
     ProbeRound,
@@ -122,6 +123,16 @@ pub(crate) enum Timer {
     RelayNack { seq: SeqNo },
     RelayExpire { seq: SeqNo },
     Reap,
+}
+
+/// The dedicated gossip loop: ticking on its phase grid, or parked while
+/// it has nothing to do, so an idle node does not wake to find nothing.
+#[derive(Clone, Copy, Debug)]
+enum GossipLoop {
+    /// A `GossipTick` waits in the wheel under this key.
+    Armed(TimerKey),
+    /// No tick is armed; `next` is a point of the loop's phase grid.
+    Parked { next: Time },
 }
 
 /// A single group member's protocol instance.
@@ -163,6 +174,7 @@ pub struct SwimNode {
     sync: AntiEntropy,
     outbox: Outbox,
     blocked_io: BlockedIo,
+    gossip: GossipLoop,
     /// Observability state: protocol activity counters, latency and
     /// lifetime histograms, flap and anti-entropy volume counters, and
     /// the queue-depth peak, recorded straight into the export shape.
@@ -199,7 +211,7 @@ impl SwimNode {
         self.outbox.begin_input();
         match input {
             Input::Datagram { from, payload } => {
-                self.handle_datagram_slice(from, &payload, now)?;
+                return self.handle_datagram_slice(from, &payload, now);
             }
             Input::Stream { from, msg } => self.handle_stream_msg(from, msg, now),
             Input::Tick => self.tick(now),
@@ -209,6 +221,7 @@ impl SwimNode {
             Input::IoBlocked { blocked } => self.set_io_blocked(blocked, now),
             Input::UpdateMeta { meta } => self.update_meta(meta, now),
         }
+        self.resume_gossip(now);
         Ok(())
     }
 
@@ -249,6 +262,7 @@ impl SwimNode {
         for view in views {
             self.handle_view(view, now);
         }
+        self.resume_gossip(now);
         Ok(())
     }
 
@@ -743,15 +757,24 @@ impl SwimNode {
     }
 
     /// One fire of a dedicated loop timer (gossip, push-pull,
-    /// reconnect): re-arm it, then run the iteration unless the node
-    /// has left or the loop is stuck at a blocked send.
+    /// reconnect): re-arm it — or park the gossip loop when it has
+    /// nothing to do — then run the iteration unless the node has left
+    /// or the loop is stuck at a blocked send.
     fn fire_loop(&mut self, timer: Timer, now: Time) {
+        let skip = self.left || self.blocked_io.loop_is_stuck(timer);
         let every = match timer {
-            Timer::GossipTick => Some(self.config.gossip_interval),
+            Timer::GossipTick => {
+                let next = now + self.config.gossip_interval;
+                self.gossip = if self.gossip_idle() {
+                    GossipLoop::Parked { next }
+                } else {
+                    GossipLoop::Armed(self.timers.schedule(next, timer))
+                };
+                None
+            }
             Timer::PushPullTick => self.config.push_pull_interval,
             _ => self.config.reconnect_interval,
         };
-        let skip = self.left || self.blocked_io.loop_is_stuck(timer);
         if let Some(every) = every {
             self.timers.schedule(now + every, timer);
         }
@@ -904,6 +927,27 @@ impl SwimNode {
             },
         );
         self.outbox.gossip_to_targets(self.transmit_limit());
+    }
+
+    /// Whether the gossip loop has nothing to do: the node has left, or
+    /// the queue is empty and no blocked iteration is there to spend.
+    fn gossip_idle(&self) -> bool {
+        self.left || (self.outbox.broadcasts.is_empty() && !self.blocked_io.is_blocked())
+    }
+
+    /// Runs at the end of every input: a parked gossip loop that has
+    /// work again is armed at the first point of its own phase grid at
+    /// or after `now` — where a loop that never parked would fire next.
+    fn resume_gossip(&mut self, now: Time) {
+        let GossipLoop::Parked { next } = self.gossip else {
+            return;
+        };
+        if self.started && !self.gossip_idle() {
+            let every = self.config.gossip_interval;
+            let steps = now.saturating_since(next).as_micros().div_ceil(every.as_micros().max(1));
+            let at = next + every.saturating_mul(u32::try_from(steps).unwrap_or(u32::MAX));
+            self.gossip = GossipLoop::Armed(self.timers.schedule(at, Timer::GossipTick));
+        }
     }
 
     /// [`Input::Sync`]: one exchange with a specific member.

@@ -4,7 +4,7 @@
 use lifeguard_metrics::CoreSnapshot;
 use lifeguard_proto::{Incarnation, Message, NodeAddr, NodeName};
 
-use super::SwimNode;
+use super::{GossipLoop, SwimNode};
 use crate::config::Config;
 use crate::member::MemberRef;
 
@@ -100,9 +100,20 @@ impl SwimNode {
     /// the probe in flight and of relayed probes are armed or deferred
     /// by blocked I/O, never both; every queued packet lies inside the
     /// scratch arena; every live member but this node is in the probe
-    /// rotation exactly once; plus the member table's and the timer
-    /// queue's own structure checks.
+    /// rotation exactly once; the gossip loop is armed with its tick in
+    /// the wheel, or parked with nothing to do; plus the member table's
+    /// and the timer queue's own structure checks.
     pub fn check_invariants(&self) {
+        match self.gossip {
+            GossipLoop::Armed(key) => assert!(
+                self.timers.deadline_of(key).is_some(),
+                "gossip loop armed without a tick"
+            ),
+            GossipLoop::Parked { .. } => assert!(
+                !self.started || self.gossip_idle(),
+                "gossip loop parked with work to do"
+            ),
+        }
         self.membership.check_invariants();
         self.timers.check_invariants();
         self.outbox.check_invariants();

@@ -7,7 +7,7 @@ use lifeguard_proto::{Dead, Incarnation, MemberState, Message, NodeAddr, NodeNam
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use super::{SwimNode, Timer};
+use super::{GossipLoop, SwimNode, Timer};
 use crate::awareness::Awareness;
 use crate::blocked_io::BlockedIo;
 use crate::config::Config;
@@ -78,6 +78,7 @@ impl SwimNode {
             suspicions: Suspicions::default(),
             sync: AntiEntropy::new(seed),
             blocked_io: BlockedIo::default(),
+            gossip: GossipLoop::Parked { next: Time::ZERO },
             metrics: CoreSnapshot::default(),
         })
     }
@@ -97,7 +98,8 @@ impl SwimNode {
         let probe_phase = self.random_phase(self.config.probe_interval);
         self.timers.schedule(now + probe_phase, Timer::ProbeRound);
         let gossip_phase = self.random_phase(self.config.gossip_interval);
-        self.timers.schedule(now + gossip_phase, Timer::GossipTick);
+        let tick = self.timers.schedule(now + gossip_phase, Timer::GossipTick);
+        self.gossip = GossipLoop::Armed(tick);
         if let Some(pp) = self.config.push_pull_interval {
             let pp_phase = self.random_phase(pp);
             self.timers

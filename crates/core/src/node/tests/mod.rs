@@ -1213,3 +1213,60 @@ fn poll_output_reclaims_scratch_after_full_drain() {
         "scratch arena grew unexpectedly: {high_water}"
     );
 }
+
+/// A started node holding `peers` from a bootstrap: nothing queued to
+/// gossip about them.
+fn idle_node(peers: &[(&str, u8)]) -> SwimNode {
+    let mut n = new_node(Config::lan().lifeguard());
+    let roster = peers.iter().map(|&(name, i)| (NodeName::from(name), addr(i)));
+    n.bootstrap_peers(roster, Time::ZERO);
+    n
+}
+
+#[test]
+fn idle_gossip_loop_parks_until_the_next_probe_round() {
+    let mut n = idle_node(&[("p", 2), ("q", 3)]);
+    let (gossip, probe) = (n.config().gossip_interval, n.config().probe_interval);
+    assert!(probe >= gossip * 3);
+    // One probe round (acked) and five gossip intervals with an empty
+    // queue: the loop ran once, found nothing to send and parked.
+    let sent = run_acked(&mut n, Time::ZERO + probe);
+    assert!(sent.iter().all(|(_, msgs)| !is_gossip(msgs)));
+    let last_probe = sent.last().map(|&(at, _)| at);
+    assert!(last_probe.is_some(), "a probe round must have run");
+    assert!(matches!(n.gossip, GossipLoop::Parked { .. }));
+    assert_eq!(
+        n.next_deadline(),
+        last_probe.map(|at| at + probe),
+        "the next wake must be the probe round's, not a gossip tick's"
+    );
+    n.check_invariants();
+}
+
+#[test]
+fn update_while_parked_gossips_on_the_original_phase_grid() {
+    let mut n = idle_node(&[("p", 2), ("q", 3)]);
+    let every = n.config().gossip_interval;
+    let update = |n: &mut SwimNode, meta: &'static [u8], at: Time| {
+        input(n, Input::UpdateMeta { meta: Bytes::from_static(meta) }, at);
+    };
+    // The first update is sent by the loop's first tick, which shows
+    // its phase; the queue then drains and the loop parks.
+    update(&mut n, b"v1", Time::ZERO);
+    let sent = run_acked(&mut n, Time::from_secs(2));
+    let phase = sent.iter().find(|(_, msgs)| is_gossip(msgs)).map(|&(at, _)| at);
+    let phase = phase.expect("the first update is gossiped");
+    assert!(phase < Time::ZERO + every);
+    assert_eq!(n.pending_broadcasts(), 0);
+    assert!(matches!(n.gossip, GossipLoop::Parked { .. }));
+
+    // A second update a third of an interval past a grid point: its
+    // first gossip packet leaves at the next point of the same grid.
+    let at = phase + every * 10 + every / 3;
+    run_acked(&mut n, at);
+    update(&mut n, b"v2", at);
+    n.check_invariants();
+    let sent = run_acked(&mut n, at + every * 2);
+    let first = sent.iter().find(|(_, msgs)| is_gossip(msgs)).map(|&(at, _)| at);
+    assert_eq!(first, Some(phase + every * 11));
+}

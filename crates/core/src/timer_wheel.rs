@@ -19,9 +19,10 @@
 //!
 //! A heap is enough because n is small wherever this runs. Measured on
 //! the benchmark's workloads, a node never holds more than 7 timers
-//! among 2 000 quiet members, 11 under churn at 512 and 59 under the
-//! paper's anomalies at 128, and the simulator's one queue peaks near
-//! 7 600 events. A wheel's O(1) repays its levels, cascades and caches
+//! among 2 000 quiet members (6 once its first gossip tick finds
+//! nothing to send and the loop parks), 11 under churn at 512 and 59
+//! under the paper's anomalies at 128, and the simulator's one queue
+//! peaks near 7 600 events. A wheel's O(1) repays its levels, cascades and caches
 //! only from tens of thousands of timers in one queue; nothing here does.
 //!
 //! [`schedule`](TimerWheel::schedule) returns a [`TimerKey`], a

@@ -9,6 +9,7 @@ mod common;
 
 use std::time::Duration;
 
+use bytes::Bytes;
 use common::*;
 use lifeguard_core::config::Config;
 use lifeguard_core::driver::OwnedOutput;
@@ -286,5 +287,46 @@ fn unblock_is_idempotent_and_resets_loops() {
     // After unblocking, the loops resume: pings flow again.
     let out = run_until(&mut n, Time::from_secs(10));
     assert!(count_pings(&out) >= 2, "probe loop did not resume");
+    n.check_invariants();
+}
+
+#[test]
+fn block_while_gossip_is_parked_still_spends_the_blocked_iteration() {
+    // Bootstrapped peers and acked probes: nothing to gossip, so the
+    // gossip loop is parked when the block begins.
+    let mut n = new_node(Config::lan());
+    let peers = [("p".into(), addr(2)), ("q".into(), addr(3))];
+    n.bootstrap_peers(peers, Time::ZERO);
+    let t_block = Time::from_secs(2);
+    run_acked(&mut n, t_block);
+    assert_eq!(n.pending_broadcasts(), 0);
+    set_blocked(&mut n, true, t_block);
+    n.check_invariants();
+
+    // The block wakes the loop for its one blocked iteration, which
+    // finds nothing to send; a broadcast enqueued after it waits for
+    // the unblock, exactly as if the loop had never parked.
+    let every = n.config().gossip_interval;
+    let t_update = t_block + every * 2;
+    let mut out = run_until(&mut n, t_update);
+    let meta = Bytes::from_static(b"v2");
+    out.extend(input(&mut n, Input::UpdateMeta { meta }, t_update));
+    let t_unblock = t_block + Duration::from_secs(3);
+    out.extend(run_until(&mut n, t_unblock));
+    let gossip = |out: &[OwnedOutput]| {
+        let packets = packets(out);
+        packets.into_iter().filter(|(_, msgs)| is_gossip(msgs)).collect::<Vec<_>>()
+    };
+    assert!(gossip(&out).is_empty(), "a stuck gossip loop sent while blocked");
+    n.check_invariants();
+
+    // Unblocked, the loop sends the update on its next tick.
+    let mut out = set_blocked(&mut n, false, t_unblock);
+    out.extend(run_until(&mut n, t_unblock + every));
+    let update_sent = gossip(&out).iter().any(|(_, msgs)| {
+        msgs.iter()
+            .any(|m| matches!(m, Message::Alive(a) if a.node.as_str() == "local"))
+    });
+    assert!(update_sent, "the update was not gossiped after the unblock");
     n.check_invariants();
 }

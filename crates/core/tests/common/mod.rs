@@ -10,7 +10,7 @@ use lifeguard_core::driver::OwnedOutput;
 use lifeguard_core::event::Event;
 use lifeguard_core::node::{Input, SwimNode};
 use lifeguard_core::time::Time;
-use lifeguard_proto::{codec, compound, Alive, Incarnation, Message, NodeAddr};
+use lifeguard_proto::{codec, compound, Ack, Alive, Incarnation, Message, NodeAddr};
 
 pub fn addr(i: u8) -> NodeAddr {
     NodeAddr::new([10, 0, 0, i], 7946)
@@ -64,6 +64,29 @@ pub fn run_until(n: &mut SwimNode, until: Time) -> Vec<OwnedOutput> {
         out.extend(tick(n, wake));
     }
     out
+}
+
+/// Runs the node's timers up to `until` with every ping answered at
+/// once by its target, so probes succeed and raise nothing to gossip.
+/// Returns each packet the node sent, decoded, with the instant it left.
+pub fn run_acked(n: &mut SwimNode, until: Time) -> Vec<(Time, Vec<Message>)> {
+    let mut sent = Vec::new();
+    while let Some(wake) = n.next_deadline().filter(|&wake| wake <= until) {
+        for (to, msgs) in packets(&tick(n, wake)) {
+            if let Some(Message::Ping(ping)) = msgs.first() {
+                feed(n, to, Message::Ack(Ack { seq: ping.seq }), wake);
+            }
+            sent.push((wake, msgs));
+        }
+    }
+    sent
+}
+
+/// Whether `msgs` is a packet of the gossip loop: broadcasts only, no
+/// probe traffic they ride on.
+pub fn is_gossip(msgs: &[Message]) -> bool {
+    msgs.iter()
+        .all(|m| matches!(m, Message::Alive(_) | Message::Suspect(_) | Message::Dead(_)))
 }
 
 /// Registers `name` (not known yet) as an alive peer at `addr(i)` via

@@ -17,11 +17,16 @@
 //! conclusion is appended to the trace. The sends of a paused node go to
 //! its outbox instead and are released in order when the pause ends.
 //!
+//! A node's timers reach the loop as one `Wake` at its next deadline,
+//! re-armed after every driver call. An idle member wakes about twice
+//! per probe round, its gossip loop parked; [`Cluster::dispatched`]
+//! counts the events by kind, a deterministic measure of the work.
+//!
 //! The whole simulation is deterministic for a given
 //! [`ClusterBuilder::seed`]: node RNGs, network jitter and event ordering
 //! are all derived from it.
 
-use std::collections::HashMap;
+use std::net::IpAddr;
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -147,10 +152,8 @@ impl ClusterBuilder {
         let n = self.n;
         assert!(n <= 1 << 24, "address scheme supports 2^24 members");
         let mut slots = Vec::with_capacity(n);
-        let mut addr_to_idx = HashMap::with_capacity(n);
         for i in 0..n {
             let addr = Cluster::addr_for(i);
-            addr_to_idx.insert(addr, i);
             // Distinct, seed-derived RNG stream per node.
             let node_seed = self
                 .seed
@@ -169,10 +172,10 @@ impl ClusterBuilder {
             slots,
             queue: EventQueue::new(),
             network: Network::new(self.network, self.seed.wrapping_add(0x00C0_FFEE)),
-            addr_to_idx,
             now: SimTime::ZERO,
             trace: Trace::new(),
             io: vec![IoSnapshot::default(); n],
+            dispatched: Dispatched::default(),
         };
         // Boot + join (or direct full-mesh bootstrap).
         let seed_addr = Cluster::addr_for(0);
@@ -184,18 +187,15 @@ impl ClusterBuilder {
             Vec::new()
         };
         for i in 0..n {
-            cluster.with_sink(i, |driver, sink| driver.start(SimTime::ZERO, sink));
-            if self.full_mesh {
-                cluster.slots[i].driver.node_mut().bootstrap_peers(
-                    roster.iter().cloned(),
-                    SimTime::ZERO,
-                );
-            } else if i > 0 {
-                cluster.with_sink(i, |driver, sink| {
+            cluster.with_sink(i, |driver, sink| {
+                driver.start(SimTime::ZERO, sink);
+                if self.full_mesh {
+                    let roster = roster.iter().cloned();
+                    driver.node_mut().bootstrap_peers(roster, SimTime::ZERO);
+                } else if i > 0 {
                     driver.join(vec![seed_addr], SimTime::ZERO, sink);
-                });
-            }
-            cluster.ensure_wake(i);
+                }
+            });
         }
         // Schedule anomaly windows.
         for (node, spec) in &self.anomalies {
@@ -258,13 +258,27 @@ pub struct Cluster {
     slots: Vec<NodeSlot>,
     queue: EventQueue<SimEvent>,
     network: Network,
-    addr_to_idx: HashMap<NodeAddr, usize>,
     now: SimTime,
     trace: Trace,
     /// Per-node transmit accounting (a compound packet counts as one
     /// datagram, as Consul's telemetry does for the paper's Table VI).
     // bounded: fixed at build time — one entry per node, never grows
     io: Vec<IoSnapshot>,
+    dispatched: Dispatched,
+}
+
+/// The events [`Cluster::run_until`] has dispatched, by kind: the same
+/// counts for the same seed, however the run is sliced.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Dispatched {
+    /// Node wakes, superseded ones included.
+    pub wakes: u64,
+    /// Datagram arrivals, re-deliveries after a pause included.
+    pub datagrams: u64,
+    /// Stream arrivals, likewise.
+    pub streams: u64,
+    /// Anomaly window starts and ends.
+    pub pauses: u64,
 }
 
 impl Cluster {
@@ -275,6 +289,16 @@ impl Cluster {
             [10, (i >> 16) as u8, (i >> 8) as u8, i as u8],
             SIM_PORT,
         )
+    }
+
+    /// The node behind `addr` in a cluster of `n`: the inverse of
+    /// [`Cluster::addr_for`], `None` for an address outside the cluster.
+    fn index_of(addr: NodeAddr, n: usize) -> Option<usize> {
+        let IpAddr::V4(ip) = addr.ip() else {
+            return None;
+        };
+        let i = usize::try_from(u32::from(ip) & 0x00FF_FFFF).ok()?;
+        (i < n && Cluster::addr_for(i) == addr).then_some(i)
     }
 
     /// The name of node `i`.
@@ -324,6 +348,11 @@ impl Cluster {
         self.slots[i].paused_until.is_some()
     }
 
+    /// The events dispatched so far, by kind.
+    pub fn dispatched(&self) -> Dispatched {
+        self.dispatched
+    }
+
     /// Runs the simulation until simulated time `t`: pops every event
     /// due by then in queue order and dispatches it.
     pub fn run_until(&mut self, t: SimTime) {
@@ -365,7 +394,6 @@ impl Cluster {
             }
             SimAction::Leave { node } => {
                 self.with_sink(node, |driver, sink| driver.leave(now, sink));
-                self.ensure_wake(node);
             }
             SimAction::UpdateMeta { node, meta } => {
                 self.with_sink(node, |driver, sink| {
@@ -373,7 +401,6 @@ impl Cluster {
                         .handle(Input::UpdateMeta { meta }, now, sink)
                         .expect("update-meta input is infallible");
                 });
-                self.ensure_wake(node);
             }
             SimAction::Partition { a, b } => {
                 self.network.set_partitioned(a, b, true);
@@ -424,29 +451,34 @@ impl Cluster {
 
     fn dispatch(&mut self, ev: SimEvent) {
         let now = self.now;
+        let d = &mut self.dispatched;
+        let (node, count) = match &ev {
+            SimEvent::Wake { node } => (*node, &mut d.wakes),
+            SimEvent::Datagram { to, .. } => (*to, &mut d.datagrams),
+            SimEvent::Stream { to, .. } => (*to, &mut d.streams),
+            SimEvent::PauseStart { node, .. } | SimEvent::PauseEnd { node } => {
+                (*node, &mut d.pauses)
+            }
+        };
+        *count += 1;
+        let slot = &mut self.slots[node];
+        if slot.crashed {
+            return;
+        }
         match ev {
-            SimEvent::Wake { node } => {
-                let slot = &mut self.slots[node];
+            SimEvent::Wake { .. } => {
                 if slot.wake_marker != Some(now) {
                     return; // stale wake; a fresher one is queued
                 }
                 slot.wake_marker = None;
-                if slot.crashed {
-                    return;
-                }
                 // Timers run even during an anomaly: the paper's
                 // instrumentation blocks only sends/receives, so the
                 // agent's logic keeps evaluating wall-clock deadlines.
                 // Sends it produces are captured in the outbox by the
                 // sink.
                 self.with_sink(node, |driver, sink| driver.tick(now, sink));
-                self.ensure_wake(node);
             }
             SimEvent::Datagram { to, from, payload } => {
-                let slot = &self.slots[to];
-                if slot.crashed {
-                    return;
-                }
                 if let Some(until) = slot.paused_until {
                     // Blocked on receive: queue for after the anomaly.
                     self.queue
@@ -459,13 +491,8 @@ impl Cluster {
                 self.with_sink(to, |driver, sink| {
                     let _ = driver.handle(Input::Datagram { from, payload }, now, sink);
                 });
-                self.ensure_wake(to);
             }
             SimEvent::Stream { to, from, msg } => {
-                let slot = &self.slots[to];
-                if slot.crashed {
-                    return;
-                }
                 if let Some(until) = slot.paused_until {
                     self.queue.push(until, SimEvent::Stream { to, from, msg });
                     return;
@@ -475,18 +502,9 @@ impl Cluster {
                         .handle(Input::Stream { from, msg }, now, sink)
                         .expect("stream input is infallible");
                 });
-                self.ensure_wake(to);
             }
-            SimEvent::PauseStart { node, until } => {
-                if !self.slots[node].crashed {
-                    self.pause(node, until);
-                }
-            }
-            SimEvent::PauseEnd { node } => {
-                let slot = &mut self.slots[node];
-                if slot.crashed {
-                    return;
-                }
+            SimEvent::PauseStart { until, .. } => self.pause(node, until),
+            SimEvent::PauseEnd { .. } => {
                 // Only clear if this PauseEnd closes the active pause (an
                 // overlapping one may end later).
                 if slot.paused_until.is_some_and(|u| u <= now) {
@@ -506,7 +524,6 @@ impl Cluster {
                             .expect("io-blocked input is infallible");
                         driver.tick(now, sink);
                     });
-                    self.ensure_wake(node);
                 }
             }
         }
@@ -525,45 +542,28 @@ impl Cluster {
         });
     }
 
-    /// Runs one driver call of `node` at the cluster clock against a
-    /// [`SimSink`] assembled from split borrows of the cluster's fields.
-    fn with_sink<R>(
-        &mut self,
-        node: usize,
-        f: impl FnOnce(&mut Driver, &mut SimSink<'_>) -> R,
-    ) -> R {
+    /// Runs driver calls of `node` at the cluster clock against a
+    /// [`SimSink`] of split borrows of the cluster's fields, then queues
+    /// a wake at the node's next deadline, which any call can move.
+    fn with_sink(&mut self, node: usize, f: impl FnOnce(&mut Driver, &mut SimSink<'_>)) {
+        let n = self.slots.len();
         let slot = &mut self.slots[node];
         let mut sink = SimSink {
             node,
+            n,
             now: self.now,
             paused: slot.paused_until.is_some(),
             outbox: &mut slot.outbox,
             queue: &mut self.queue,
             network: &mut self.network,
-            addr_to_idx: &self.addr_to_idx,
             io: &mut self.io[node],
             trace: &mut self.trace,
         };
-        f(&mut slot.driver, &mut sink)
-    }
-
-    /// Arms a wake event at the node's next timer deadline unless an
-    /// earlier one is already queued.
-    fn ensure_wake(&mut self, node: usize) {
-        let slot = &mut self.slots[node];
-        if slot.crashed {
-            return;
-        }
-        let Some(wake) = slot.driver.next_deadline() else {
-            return;
-        };
-        let wake = wake.max(self.now);
-        match slot.wake_marker {
-            Some(existing) if existing <= wake => {}
-            _ => {
-                slot.wake_marker = Some(wake);
-                self.queue.push(wake, SimEvent::Wake { node });
-            }
+        f(&mut slot.driver, &mut sink);
+        let next = slot.driver.next_deadline().map(|at| at.max(self.now));
+        if let Some(wake) = next.filter(|&at| slot.wake_marker.is_none_or(|queued| queued > at)) {
+            slot.wake_marker = Some(wake);
+            self.queue.push(wake, SimEvent::Wake { node });
         }
     }
 }
@@ -575,12 +575,12 @@ impl Cluster {
 /// its sends go to the outbox instead.
 struct SimSink<'a> {
     node: usize,
+    n: usize,
     now: SimTime,
     paused: bool,
     outbox: &'a mut Vec<OwnedOutput>,
     queue: &'a mut EventQueue<SimEvent>,
     network: &'a mut Network,
-    addr_to_idx: &'a HashMap<NodeAddr, usize>,
     io: &'a mut IoSnapshot,
     trace: &'a mut Trace,
 }
@@ -589,7 +589,7 @@ impl SimSink<'_> {
     fn send_packet(&mut self, to: NodeAddr, payload: Bytes) {
         self.io.datagrams_sent += 1;
         self.io.datagram_bytes += payload.len() as u64;
-        let Some(&to_idx) = self.addr_to_idx.get(&to) else {
+        let Some(to_idx) = Cluster::index_of(to, self.n) else {
             return; // address outside the simulation
         };
         if let Delivery::Deliver(delay) = self.network.datagram(self.node, to_idx) {
@@ -607,7 +607,7 @@ impl SimSink<'_> {
     fn send_stream(&mut self, to: NodeAddr, msg: Message) {
         self.io.streams_sent += 1;
         self.io.stream_bytes += codec::encoded_len(&msg) as u64;
-        let Some(&to_idx) = self.addr_to_idx.get(&to) else {
+        let Some(to_idx) = Cluster::index_of(to, self.n) else {
             return;
         };
         if let Delivery::Deliver(delay) = self.network.stream(self.node, to_idx) {
@@ -881,5 +881,30 @@ mod tests {
         c.apply(SimAction::Crash { node: 5 });
         c.run_for(SimDuration::from_secs(40));
         assert!(c.trace().first_failure_detection("node-5").is_some());
+    }
+
+    #[test]
+    fn idle_full_mesh_wakes_about_twice_per_node_second() {
+        // A quiet full mesh has nothing to gossip: a member wakes for
+        // its probe round and for the probe timeout its ack cancelled,
+        // not for gossip ticks that find the queue empty.
+        let n = 64;
+        let mut c = ClusterBuilder::new(n)
+            .seed(1)
+            .config(Config::lan().lifeguard())
+            .full_mesh(true)
+            .build();
+        c.run_for(SimDuration::from_secs(2));
+        let before = c.dispatched();
+        let secs = 10;
+        c.run_for(SimDuration::from_secs(secs));
+        let after = c.dispatched();
+        let per_node_s = |count: u64| count as f64 / (n as f64 * secs as f64);
+        let wakes = per_node_s(after.wakes - before.wakes);
+        let datagrams = per_node_s(after.datagrams - before.datagrams);
+        assert!(wakes <= 2.5, "{wakes:.2} wakes per node-second");
+        // Every probe is a ping and its ack.
+        assert!((1.9..=2.1).contains(&datagrams), "{datagrams:.2} datagrams per node-second");
+        assert_eq!(after.pauses, 0);
     }
 }

@@ -30,6 +30,6 @@ pub mod network;
 pub mod trace;
 
 pub use anomaly::AnomalySpec;
-pub use cluster::{Cluster, ClusterBuilder, SimAction};
+pub use cluster::{Cluster, ClusterBuilder, Dispatched, SimAction};
 pub use network::NetworkConfig;
 pub use trace::Trace;
