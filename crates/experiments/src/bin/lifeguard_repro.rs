@@ -18,7 +18,7 @@
 //!   smoke    SLO smoke sweep: detection-latency + false-positive curves,
 //!            gated on checked-in thresholds; writes target/METRICS.json
 //!            and per-node snapshots under target/metrics/
-//!   all      Everything above (except smoke)
+//!   all      Everything above except ablate-k, ablate-s and smoke
 //! ```
 
 use std::io::Write as _;

@@ -1,8 +1,9 @@
 //! Experiment harness reproducing the evaluation of the Lifeguard paper
 //! (DSN 2018): every table and figure of §V.
 //!
-//! * [`scenario`] — the Threshold, Interval and CPU-stress workloads with
-//!   the parameter grids of Tables II & III.
+//! * [`scenario`] — the Threshold, Interval and CPU-stress workloads as
+//!   `Schedule` constructors, the parameter grids of Tables II & III,
+//!   and `run`, which replays one schedule under one configuration.
 //! * [`tables`] — drivers that run the grids and render Tables IV–VII and
 //!   Figures 1–3.
 //! * [`metrics`] — percentile/summary statistics (shared quantile rule

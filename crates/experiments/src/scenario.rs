@@ -1,33 +1,35 @@
-//! Experiment scenarios (paper §V-D).
+//! Experiment scenarios (paper §V-D), each a function returning the
+//! [`Schedule`] of one run:
 //!
-//! Three workloads drive the evaluation:
-//!
-//! * **Threshold** — one synchronized burst of `C` concurrent anomalies of
-//!   duration `D` (Table II grid). Measures detection and dissemination
-//!   latency for true positives.
-//! * **Interval** — cyclic anomalies: blocked for `D`, normal for `I`,
+//! * [`threshold`] — one synchronized burst of `C` concurrent anomalies
+//!   of duration `D` (Table II grid). Measures detection and
+//!   dissemination latency for true positives.
+//! * [`interval`] — cyclic anomalies: blocked for `D`, normal for `I`,
 //!   repeating until 120 s have passed (Table III grid). Measures false
 //!   positives and message load.
-//! * **Stress** — Figure 1's scenario: a 100-node cluster where a subset
+//! * [`stress`] — Figure 1's scenario: a 100-node cluster where a subset
 //!   suffers duty-cycle CPU starvation for five minutes.
 //!
 //! Parameter value sets are encoded verbatim from Tables II and III; the
 //! [`Scale`] knob subsamples them so the full reproduction fits a laptop
 //! budget while `--scale paper` runs the original grid.
 //!
-//! Every scenario drives its nodes through the simulator's instance of
-//! the shared sans-I/O `Driver` harness (`lifeguard_core::driver`) — the
-//! same dispatch loop the real UDP/TCP agent runs — and validates the
-//! protocol configuration up front, so a nonsense parameter combination
-//! fails the run immediately instead of skewing a table.
+//! [`run`] replays a schedule under one protocol configuration, so SWIM
+//! and Lifeguard are compared on identical inputs. It drives the nodes
+//! through the simulator's instance of the shared sans-I/O `Driver`
+//! harness (`lifeguard_core::driver`) — the same dispatch loop the real
+//! UDP/TCP agent runs — and validates the protocol configuration up
+//! front, so a nonsense parameter combination fails the run immediately
+//! instead of skewing a table.
 
 use std::time::Duration;
 
 use lifeguard_core::config::Config;
 use lifeguard_sim::anomaly::AnomalySpec;
 use lifeguard_sim::clock::SimTime;
-use lifeguard_sim::cluster::{Cluster, ClusterBuilder};
+use lifeguard_sim::cluster::{Cluster, SimAction};
 use lifeguard_sim::network::NetworkConfig;
+use lifeguard_sim::schedule::Schedule;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -170,8 +172,95 @@ fn pick_anomalous(n: usize, c: usize, rng: &mut StdRng) -> Vec<usize> {
     idx
 }
 
-/// Extracts the paper's metrics from a finished cluster.
-pub(crate) fn extract(cluster: &Cluster, anomalous: &[usize], anomaly_start: SimTime) -> RunOutcome {
+/// The Threshold experiment (§V-D1): `c` of `n` members block once,
+/// together, for `d` at the end of the quiesce; the run ends at
+/// `run_len` (the paper caps it at [`MIN_RUN`]).
+pub fn threshold(n: usize, c: usize, d: Duration, run_len: Duration, seed: u64) -> Schedule {
+    let spec = AnomalySpec::Threshold {
+        start: SimTime::ZERO + QUIESCE,
+        duration: d,
+    };
+    with_anomalies(n, c, seed, SimTime::ZERO + run_len, spec)
+}
+
+/// The Interval experiment (§V-D2): `c` of `n` members block for `d`
+/// and run for `i`, cycling until `min_run` has passed (the paper's is
+/// [`MIN_RUN`]); the run ends with the next anomalous period.
+pub fn interval(n: usize, c: usize, d: Duration, i: Duration, min_run: Duration, seed: u64) -> Schedule {
+    let spec = AnomalySpec::Interval {
+        start: SimTime::ZERO + QUIESCE,
+        duration: d,
+        interval: i,
+        until: SimTime::ZERO + min_run,
+    };
+    let end = spec
+        .windows(0)
+        .last()
+        .map(|w| w.end)
+        .expect("interval schedule is non-empty");
+    // All anomalous nodes share the same lock-step schedule (paper
+    // footnote 6: fully correlated anomalies are the worst case).
+    with_anomalies(n, c, seed, end, spec)
+}
+
+/// The Figure 1 stress scenario: duty-cycle CPU starvation on
+/// `stressed` members (1–32 in the paper) of a 100-node cluster for
+/// five minutes.
+pub fn stress(stressed: usize, seed: u64) -> Schedule {
+    let start = SimTime::ZERO + QUIESCE;
+    let end = start + STRESS_DURATION;
+    // Let the cluster settle after the stress ends, as the paper's
+    // log window does.
+    let settled = end + Duration::from_secs(15);
+    let spec = AnomalySpec::cpu_stress(start, end);
+    with_anomalies(STRESS_CLUSTER_SIZE, stressed, seed, settled, spec)
+}
+
+/// `n` members on the [`experiment_network`], `spec` applied to `c` of
+/// them picked from `seed`, ending at `end`.
+fn with_anomalies(n: usize, c: usize, seed: u64, end: SimTime, spec: AnomalySpec) -> Schedule {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xD1CE);
+    let schedule = Schedule {
+        seed,
+        network: experiment_network(),
+        end,
+        ..Schedule::new(n)
+    };
+    pick_anomalous(n, c, &mut rng)
+        .into_iter()
+        .fold(schedule, |s, node| s.anomaly(node, spec))
+}
+
+/// Replays `schedule` under `config` to its end and reduces it to the
+/// paper's metrics. The anomalous members are the ones the schedule
+/// pauses, and the anomaly starts at its first pause.
+///
+/// # Panics
+///
+/// Panics if `config` fails [`Config::validate`] — a malformed grid
+/// point must not produce a silently wrong table row.
+pub fn run(schedule: &Schedule, config: &Config) -> RunOutcome {
+    extract(&replay(schedule, config), schedule)
+}
+
+/// Validates `config`, then runs `schedule`'s cluster to its end.
+pub(crate) fn replay(schedule: &Schedule, config: &Config) -> Cluster {
+    config.validate().expect("scenario config must be valid");
+    let mut cluster = Cluster::new(schedule, config);
+    cluster.run_until(schedule.end);
+    cluster
+}
+
+/// Extracts the paper's metrics from `schedule`'s finished cluster.
+pub(crate) fn extract(cluster: &Cluster, schedule: &Schedule) -> RunOutcome {
+    let pauses = schedule.faults.iter().filter_map(|(at, action)| match action {
+        SimAction::Pause { node, .. } => Some((*at, *node)),
+        _ => None,
+    });
+    let anomaly_start = pauses.clone().next().map_or(SimTime::ZERO, |(at, _)| at);
+    let mut anomalous: Vec<usize> = pauses.map(|(_, node)| node).collect();
+    anomalous.sort_unstable();
+    anomalous.dedup();
     let n = cluster.len();
     let is_anomalous = |i: usize| anomalous.binary_search(&i).is_ok();
     let healthy: Vec<usize> = (0..n).filter(|&i| !is_anomalous(i)).collect();
@@ -194,7 +283,7 @@ pub(crate) fn extract(cluster: &Cluster, anomalous: &[usize], anomaly_start: Sim
 
     let mut first_detect = Vec::with_capacity(anomalous.len());
     let mut full_dissem = Vec::with_capacity(anomalous.len());
-    for &a in anomalous {
+    for &a in &anomalous {
         let name = format!("node-{a}");
         let detect = cluster
             .trace()
@@ -215,7 +304,6 @@ pub(crate) fn extract(cluster: &Cluster, anomalous: &[usize], anomaly_start: Sim
 
     let io: Vec<_> = (0..n).map(|i| cluster.metrics_snapshot(i).io).collect();
     RunOutcome {
-        anomalous: anomalous.to_vec(),
         n,
         fp_events: fp,
         fp_healthy_events: fp_healthy,
@@ -223,212 +311,7 @@ pub(crate) fn extract(cluster: &Cluster, anomalous: &[usize], anomaly_start: Sim
         full_dissem,
         msgs_sent: io.iter().map(|s| s.datagrams_sent + s.streams_sent).sum(),
         bytes_sent: io.iter().map(|s| s.datagram_bytes + s.stream_bytes).sum(),
-    }
-}
-
-/// The Threshold experiment (§V-D1): one synchronized set of `c`
-/// anomalies of duration `d`.
-#[derive(Clone, Debug)]
-pub struct ThresholdScenario {
-    /// Number of concurrent anomalies (`C`).
-    pub c: usize,
-    /// Anomaly duration (`D`).
-    pub d: Duration,
-    /// Protocol configuration under test.
-    pub config: Config,
-    /// Run seed.
-    pub seed: u64,
-    /// Cluster size (the paper uses 128).
-    pub n: usize,
-    /// Quiesce time before the anomaly.
-    pub quiesce: Duration,
-    /// Total run length from simulation start (the paper caps at 120 s).
-    pub run_len: Duration,
-}
-
-impl ThresholdScenario {
-    /// Paper-parameterised scenario.
-    pub fn new(c: usize, d: Duration, config: Config, seed: u64) -> Self {
-        ThresholdScenario {
-            c,
-            d,
-            config,
-            seed,
-            n: CLUSTER_SIZE,
-            quiesce: QUIESCE,
-            run_len: MIN_RUN,
-        }
-    }
-
-    /// Executes the scenario and reduces it to metrics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the protocol configuration fails
-    /// [`Config::validate`] — a malformed grid point must not produce a
-    /// silently wrong table row.
-    pub fn run(&self) -> RunOutcome {
-        let (cluster, anomalous, start) = self.run_cluster();
-        extract(&cluster, &anomalous, start)
-    }
-
-    /// Executes the scenario and hands back the finished cluster with
-    /// the anomaly assignment, so callers (the SLO smoke harness) can
-    /// also pull per-node metrics snapshots before reduction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the protocol configuration fails [`Config::validate`].
-    pub fn run_cluster(&self) -> (Cluster, Vec<usize>, SimTime) {
-        self.config.validate().expect("scenario config must be valid");
-        let mut rng = StdRng::seed_from_u64(self.seed ^ 0xD1CE);
-        let anomalous = pick_anomalous(self.n, self.c, &mut rng);
-        let start = SimTime::ZERO + self.quiesce;
-        let mut builder = ClusterBuilder::new(self.n)
-            .config(self.config.clone())
-            .network(experiment_network())
-            .seed(self.seed);
-        for &a in &anomalous {
-            builder = builder.anomaly(
-                a,
-                AnomalySpec::Threshold {
-                    start,
-                    duration: self.d,
-                },
-            );
-        }
-        let mut cluster = builder.build();
-        cluster.run_until(SimTime::ZERO + self.run_len);
-        (cluster, anomalous, start)
-    }
-}
-
-/// The Interval experiment (§V-D2): anomalies of duration `d` separated
-/// by intervals `i`, cycling until 120 s have passed.
-#[derive(Clone, Debug)]
-pub struct IntervalScenario {
-    /// Number of concurrent anomalies (`C`).
-    pub c: usize,
-    /// Anomaly duration (`D`).
-    pub d: Duration,
-    /// Normal-operation interval (`I`).
-    pub i: Duration,
-    /// Protocol configuration under test.
-    pub config: Config,
-    /// Run seed.
-    pub seed: u64,
-    /// Cluster size.
-    pub n: usize,
-    /// Quiesce time before the first anomaly.
-    pub quiesce: Duration,
-    /// Minimum run length; the run ends at the end of the next anomalous
-    /// period after this.
-    pub min_run: Duration,
-}
-
-impl IntervalScenario {
-    /// Paper-parameterised scenario.
-    pub fn new(c: usize, d: Duration, i: Duration, config: Config, seed: u64) -> Self {
-        IntervalScenario {
-            c,
-            d,
-            i,
-            config,
-            seed,
-            n: CLUSTER_SIZE,
-            quiesce: QUIESCE,
-            min_run: MIN_RUN,
-        }
-    }
-
-    /// Executes the scenario and reduces it to metrics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the protocol configuration fails [`Config::validate`].
-    pub fn run(&self) -> RunOutcome {
-        self.config.validate().expect("scenario config must be valid");
-        let mut rng = StdRng::seed_from_u64(self.seed ^ 0xD1CE);
-        let anomalous = pick_anomalous(self.n, self.c, &mut rng);
-        let start = SimTime::ZERO + self.quiesce;
-        let until = SimTime::ZERO + self.min_run;
-        let spec = AnomalySpec::Interval {
-            start,
-            duration: self.d,
-            interval: self.i,
-            until,
-        };
-        // All anomalous nodes share the same lock-step schedule (paper
-        // footnote 6: fully correlated anomalies are the worst case).
-        let last_end = spec
-            .windows(0)
-            .last()
-            .map(|w| w.end)
-            .expect("interval schedule is non-empty");
-        let mut builder = ClusterBuilder::new(self.n)
-            .config(self.config.clone())
-            .network(experiment_network())
-            .seed(self.seed);
-        for &a in &anomalous {
-            builder = builder.anomaly(a, spec.clone());
-        }
-        let mut cluster = builder.build();
-        cluster.run_until(last_end);
-        extract(&cluster, &anomalous, start)
-    }
-}
-
-/// The Figure 1 stress scenario: duty-cycle CPU starvation on a subset of
-/// a 100-node cluster for five minutes.
-#[derive(Clone, Debug)]
-pub struct StressScenario {
-    /// Number of stressed nodes (1–32 in the paper).
-    pub stressed: usize,
-    /// Protocol configuration under test.
-    pub config: Config,
-    /// Run seed.
-    pub seed: u64,
-    /// Cluster size (the paper uses 100 single-core VMs).
-    pub n: usize,
-    /// Length of the stress workload.
-    pub duration: Duration,
-}
-
-impl StressScenario {
-    /// Paper-parameterised scenario.
-    pub fn new(stressed: usize, config: Config, seed: u64) -> Self {
-        StressScenario {
-            stressed,
-            config,
-            seed,
-            n: STRESS_CLUSTER_SIZE,
-            duration: STRESS_DURATION,
-        }
-    }
-
-    /// Executes the scenario and reduces it to metrics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the protocol configuration fails [`Config::validate`].
-    pub fn run(&self) -> RunOutcome {
-        self.config.validate().expect("scenario config must be valid");
-        let mut rng = StdRng::seed_from_u64(self.seed ^ 0xD1CE);
-        let anomalous = pick_anomalous(self.n, self.stressed, &mut rng);
-        let start = SimTime::ZERO + QUIESCE;
-        let end = start + self.duration;
-        let mut builder = ClusterBuilder::new(self.n)
-            .config(self.config.clone())
-            .network(experiment_network())
-            .seed(self.seed);
-        for &a in &anomalous {
-            builder = builder.anomaly(a, AnomalySpec::cpu_stress(start, end));
-        }
-        let mut cluster = builder.build();
-        // Let the cluster settle after the stress ends, as the paper's
-        // log window does.
-        cluster.run_until(end + Duration::from_secs(15));
-        extract(&cluster, &anomalous, start)
+        anomalous,
     }
 }
 
@@ -475,10 +358,8 @@ mod tests {
     fn small_threshold_run_detects_long_anomaly() {
         // Scaled-down smoke test: 16 nodes, one 20 s anomaly. The victim
         // must be detected (suspicion min ≈ 5·log10(16)·1 s ≈ 6 s).
-        let mut s = ThresholdScenario::new(1, Duration::from_secs(20), Config::lan(), 3);
-        s.n = 16;
-        s.run_len = Duration::from_secs(60);
-        let out = s.run();
+        let s = threshold(16, 1, Duration::from_secs(20), Duration::from_secs(60), 3);
+        let out = run(&s, &Config::lan());
         assert_eq!(out.anomalous.len(), 1);
         assert!(out.first_detect[0].is_some(), "20 s pause must be detected");
         let d = out.first_detect[0].unwrap();
@@ -491,10 +372,8 @@ mod tests {
     #[test]
     fn short_anomaly_is_not_detected() {
         // A 128 ms pause is far below any suspicion timeout.
-        let mut s = ThresholdScenario::new(1, Duration::from_millis(128), Config::lan(), 4);
-        s.n = 16;
-        s.run_len = Duration::from_secs(40);
-        let out = s.run();
+        let s = threshold(16, 1, Duration::from_millis(128), Duration::from_secs(40), 4);
+        let out = run(&s, &Config::lan());
         assert_eq!(out.first_detect[0], None);
         assert_eq!(out.fp_events, 0);
     }

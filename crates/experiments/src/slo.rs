@@ -27,7 +27,7 @@ use std::time::Duration;
 use lifeguard_core::config::Config;
 use lifeguard_metrics::{aggregate::hist_json, Aggregate, Histogram};
 
-use crate::scenario::{self, ThresholdScenario};
+use crate::scenario;
 
 /// Cluster size of the smoke sweep (kept small so CI stays fast).
 const SMOKE_N: usize = 16;
@@ -232,12 +232,11 @@ pub fn run_smoke(seed: u64, progress: &mut dyn FnMut(&str)) -> SmokeReport {
     let mut aggregate = Aggregate::new();
     let mut violations = Vec::new();
 
+    let config = Config::lan().lifeguard();
     for rep in 0..DETECT_REPS {
-        let mut s = ThresholdScenario::new(1, DETECT_D, Config::lan().lifeguard(), seed.wrapping_add(rep));
-        s.n = SMOKE_N;
-        s.run_len = DETECT_RUN;
-        let (cluster, anomalous, start) = s.run_cluster();
-        let out = scenario::extract(&cluster, &anomalous, start);
+        let s = scenario::threshold(SMOKE_N, 1, DETECT_D, DETECT_RUN, seed.wrapping_add(rep));
+        let cluster = scenario::replay(&s, &config);
+        let out = scenario::extract(&cluster, &s);
         anomalies += out.first_detect.len() as u64;
         for d in out.first_detect.iter().flatten() {
             detected += 1;
@@ -266,11 +265,9 @@ pub fn run_smoke(seed: u64, progress: &mut dyn FnMut(&str)) -> SmokeReport {
 
     let mut fp_curve = Vec::with_capacity(FP_C.len());
     for (i, &c) in FP_C.iter().enumerate() {
-        let mut s = ThresholdScenario::new(c, FP_D, Config::lan().lifeguard(), (seed ^ 0xF5_0000) + i as u64);
-        s.n = SMOKE_N;
-        s.run_len = FP_RUN;
-        let (cluster, anomalous, start) = s.run_cluster();
-        let out = scenario::extract(&cluster, &anomalous, start);
+        let s = scenario::threshold(SMOKE_N, c, FP_D, FP_RUN, (seed ^ 0xF5_0000) + i as u64);
+        let cluster = scenario::replay(&s, &config);
+        let out = scenario::extract(&cluster, &s);
         let spurious = cluster.trace().failures().count() as u64;
         let declared = declared_by_metrics(&cluster);
         if (spurious == 0) != (declared == 0) {

@@ -19,7 +19,7 @@ use lifeguard_core::config::{Config, LifeguardConfig};
 
 use crate::metrics::{pct_of_baseline, LatencySummary};
 use crate::report::{fmt_f64, Table};
-use crate::scenario::{IntervalScenario, RunOutcome, Scale, StressScenario, ThresholdScenario};
+use crate::scenario::{self, RunOutcome, Scale, CLUSTER_SIZE, MIN_RUN};
 
 /// Progress sink: called with a short line per completed run.
 pub type Progress<'a> = &'a mut dyn FnMut(&str);
@@ -115,14 +115,10 @@ pub fn run_interval_grid(
             for &i_ms in scale.i_values_ms() {
                 for rep in 0..scale.reps() {
                     let run_seed = mix(seed, &[1, c as u64, d_ms, i_ms, rep]);
-                    let scenario = IntervalScenario::new(
-                        c,
-                        Duration::from_millis(d_ms),
-                        Duration::from_millis(i_ms),
-                        config.clone(),
-                        run_seed,
-                    );
-                    let outcome = scenario.run();
+                    let d = Duration::from_millis(d_ms);
+                    let i = Duration::from_millis(i_ms);
+                    let schedule = scenario::interval(CLUSTER_SIZE, c, d, i, MIN_RUN, run_seed);
+                    let outcome = scenario::run(&schedule, config);
                     progress(&format!(
                         "interval {label} C={c} D={d_ms}ms I={i_ms}ms rep={rep}: FP={} FP-={}",
                         outcome.fp_events, outcome.fp_healthy_events
@@ -171,13 +167,9 @@ pub fn run_threshold_grid(
         for &d_ms in scale.d_values_ms() {
             for rep in 0..scale.reps() {
                 let run_seed = mix(seed, &[2, c as u64, d_ms, rep]);
-                let scenario = ThresholdScenario::new(
-                    c,
-                    Duration::from_millis(d_ms),
-                    config.clone(),
-                    run_seed,
-                );
-                let outcome = scenario.run();
+                let d = Duration::from_millis(d_ms);
+                let schedule = scenario::threshold(CLUSTER_SIZE, c, d, MIN_RUN, run_seed);
+                let outcome = scenario::run(&schedule, config);
                 let detected = outcome.first_detect.iter().filter(|d| d.is_some()).count();
                 progress(&format!(
                     "threshold {label} C={c} D={d_ms}ms rep={rep}: detected {detected}/{c}"
@@ -508,13 +500,12 @@ pub fn fig1(scale: Scale, seed: u64, progress: Progress<'_>) -> Table {
     for &stressed in scale.stress_counts() {
         let mut cells = vec![stressed.to_string()];
         let mut results = Vec::new();
+        let schedule = scenario::stress(stressed, mix(seed, &[3, stressed as u64]));
         for (label, components) in [
             ("SWIM", LifeguardConfig::swim()),
             ("Lifeguard", LifeguardConfig::full()),
         ] {
-            let cfg = config_for(components, 5.0, 6.0);
-            let run_seed = mix(seed, &[3, stressed as u64]);
-            let outcome = StressScenario::new(stressed, cfg, run_seed).run();
+            let outcome = scenario::run(&schedule, &config_for(components, 5.0, 6.0));
             progress(&format!(
                 "fig1 {label} stressed={stressed}: FP={} FP-={}",
                 outcome.fp_events, outcome.fp_healthy_events

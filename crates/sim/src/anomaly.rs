@@ -2,8 +2,11 @@
 //!
 //! The paper induces slow message processing by "pausing the sending and
 //! receiving of protocol messages at selected group members for well
-//! defined periods of time" (§V-D). Each pause window is an *anomaly*.
-//! Three schedules reproduce the paper's workloads:
+//! defined periods of time" (§V-D). Each pause window is an *anomaly*;
+//! [`Schedule::anomaly`](crate::schedule::Schedule::anomaly) turns every
+//! window of a spec into one `Pause` fault, the same fault a script
+//! applies by hand. Three window patterns reproduce the paper's
+//! workloads:
 //!
 //! * [`AnomalySpec::Threshold`] — one anomaly of duration `D` (the
 //!   Threshold experiment, §V-D1).
@@ -33,7 +36,7 @@ pub struct PauseWindow {
 }
 
 /// A schedule of anomalies for one node.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub enum AnomalySpec {
     /// A single anomaly: block at `start` for `duration`.
     Threshold {

@@ -1,10 +1,15 @@
-//! The simulated cluster: N protocol nodes + network + anomaly injection.
+//! The simulated cluster: N protocol nodes + network + fault injection.
 //!
 //! Reproduces the paper's experiment environment (§V-E): many agents on
 //! one machine's loopback interface, with message send/receive *blocked*
 //! at selected nodes for controlled periods. A paused node's inbound
 //! messages and timers are queued and processed the moment it resumes —
 //! exactly the observable behaviour of a process starved of CPU.
+//!
+//! A cluster is built from a [`Schedule`] and a protocol [`Config`].
+//! Every fault, scheduled or injected by hand, reaches its node through
+//! [`Cluster::apply`]; a scheduled one once every event due at or before
+//! its instant has run ([`crate::schedule`]).
 //!
 //! # Execution model: one event loop
 //!
@@ -22,12 +27,14 @@
 //! per probe round, its gossip loop parked; [`Cluster::dispatched`]
 //! counts the events by kind, a deterministic measure of the work.
 //!
-//! The whole simulation is deterministic for a given
-//! [`ClusterBuilder::seed`]: node RNGs, network jitter and event ordering
-//! are all derived from it.
+//! The whole simulation is deterministic for a given schedule and
+//! config: node RNGs, network jitter and event ordering are all derived
+//! from [`Schedule::seed`].
 
+use std::iter::Peekable;
 use std::net::IpAddr;
 use std::time::Duration;
+use std::vec;
 
 use bytes::Bytes;
 use lifeguard_core::config::Config;
@@ -41,13 +48,14 @@ use crate::anomaly::AnomalySpec;
 use crate::clock::{SimDuration, SimTime};
 use crate::event_queue::EventQueue;
 use crate::network::{Delivery, Network, NetworkConfig};
+use crate::schedule::Schedule;
 use crate::trace::Trace;
 
 /// UDP/TCP port every simulated member listens on.
 const SIM_PORT: u16 = 7946;
 
 /// An action injected into a running simulation.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum SimAction {
     /// Hard-kill a node: it stops processing forever (true failure).
     Crash {
@@ -86,38 +94,41 @@ pub enum SimAction {
     HealPartitions,
 }
 
-/// Configures and builds a [`Cluster`].
+impl SimAction {
+    /// The nodes the action names.
+    fn nodes(&self) -> [Option<usize>; 2] {
+        match *self {
+            SimAction::Crash { node }
+            | SimAction::Pause { node, .. }
+            | SimAction::Leave { node }
+            | SimAction::UpdateMeta { node, .. } => [Some(node), None],
+            SimAction::Partition { a, b } => [Some(a), Some(b)],
+            SimAction::HealPartitions => [None, None],
+        }
+    }
+}
+
+/// Configures and builds a [`Cluster`]: a [`Schedule`] plus the
+/// protocol configuration, set piece by piece.
 #[derive(Clone, Debug)]
 pub struct ClusterBuilder {
-    n: usize,
+    schedule: Schedule,
     config: Config,
-    seed: u64,
-    network: NetworkConfig,
-    anomalies: Vec<(usize, AnomalySpec)>,
-    full_mesh: bool,
 }
 
 impl ClusterBuilder {
     /// A cluster of `n` nodes named `node-0 … node-{n-1}`, with `node-0`
     /// acting as the join seed.
     pub fn new(n: usize) -> Self {
-        assert!(n >= 1, "cluster needs at least one node");
         ClusterBuilder {
-            n,
+            schedule: Schedule::new(n),
             config: Config::lan(),
-            seed: 0,
-            network: NetworkConfig::loopback(),
-            anomalies: Vec::new(),
-            full_mesh: false,
         }
     }
 
-    /// Starts every node with full knowledge of every peer instead of
-    /// joining through `node-0`. Skips the O(n²) join/push-pull flood, so
-    /// large-cluster benchmarks measure steady-state protocol cost
-    /// rather than bootstrap traffic.
+    /// Sets [`Schedule::full_mesh`].
     pub fn full_mesh(mut self, enabled: bool) -> Self {
-        self.full_mesh = enabled;
+        self.schedule.full_mesh = enabled;
         self
     }
 
@@ -129,89 +140,26 @@ impl ClusterBuilder {
 
     /// Master seed for all randomness in the run.
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.schedule.seed = seed;
         self
     }
 
     /// Network latency/loss model.
     pub fn network(mut self, network: NetworkConfig) -> Self {
-        self.network = network;
+        self.schedule.network = network;
         self
     }
 
-    /// Adds an anomaly schedule for one node.
+    /// Adds one node's anomaly windows as `Pause` faults
+    /// ([`Schedule::anomaly`]).
     pub fn anomaly(mut self, node: usize, spec: AnomalySpec) -> Self {
-        assert!(node < self.n, "anomaly node out of range");
-        self.anomalies.push((node, spec));
+        self.schedule = self.schedule.anomaly(node, spec);
         self
     }
 
-    /// Builds the cluster at simulated time zero: every node is started,
-    /// and nodes 1… send a join push-pull to `node-0`.
+    /// Builds the cluster at simulated time zero ([`Cluster::new`]).
     pub fn build(self) -> Cluster {
-        let n = self.n;
-        assert!(n <= 1 << 24, "address scheme supports 2^24 members");
-        let mut slots = Vec::with_capacity(n);
-        for i in 0..n {
-            let addr = Cluster::addr_for(i);
-            // Distinct, seed-derived RNG stream per node.
-            let node_seed = self
-                .seed
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add(i as u64 + 1);
-            let node = SwimNode::new(Cluster::name_of(i), addr, self.config.clone(), node_seed);
-            slots.push(NodeSlot {
-                driver: Driver::new(node),
-                paused_until: None,
-                crashed: false,
-                wake_marker: None,
-                outbox: Vec::new(),
-            });
-        }
-        let mut cluster = Cluster {
-            slots,
-            queue: EventQueue::new(),
-            network: Network::new(self.network, self.seed.wrapping_add(0x00C0_FFEE)),
-            now: SimTime::ZERO,
-            trace: Trace::new(),
-            io: vec![IoSnapshot::default(); n],
-            dispatched: Dispatched::default(),
-        };
-        // Boot + join (or direct full-mesh bootstrap).
-        let seed_addr = Cluster::addr_for(0);
-        let roster: Vec<(NodeName, NodeAddr)> = if self.full_mesh {
-            (0..n)
-                .map(|i| (Cluster::name_of(i), Cluster::addr_for(i)))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        for i in 0..n {
-            cluster.with_sink(i, |driver, sink| {
-                driver.start(SimTime::ZERO, sink);
-                if self.full_mesh {
-                    let roster = roster.iter().cloned();
-                    driver.node_mut().bootstrap_peers(roster, SimTime::ZERO);
-                } else if i > 0 {
-                    driver.join(vec![seed_addr], SimTime::ZERO, sink);
-                }
-            });
-        }
-        // Schedule anomaly windows.
-        for (node, spec) in &self.anomalies {
-            let wseed = self.seed.wrapping_add(0xA0_0000 + *node as u64);
-            for w in spec.windows(wseed) {
-                cluster.queue.push(
-                    w.start,
-                    SimEvent::PauseStart {
-                        node: *node,
-                        until: w.end,
-                    },
-                );
-                cluster.queue.push(w.end, SimEvent::PauseEnd { node: *node });
-            }
-        }
-        cluster
+        Cluster::new(&self.schedule, &self.config)
     }
 }
 
@@ -232,8 +180,6 @@ enum SimEvent {
         from: NodeAddr,
         msg: Message,
     },
-    /// An anomaly window opens on `node` and closes at `until`.
-    PauseStart { node: usize, until: SimTime },
     /// An anomaly window on `node` closes.
     PauseEnd { node: usize },
 }
@@ -265,6 +211,8 @@ pub struct Cluster {
     // bounded: fixed at build time — one entry per node, never grows
     io: Vec<IoSnapshot>,
     dispatched: Dispatched,
+    /// The schedule's faults not yet applied, in time order.
+    faults: Peekable<vec::IntoIter<(SimTime, SimAction)>>,
 }
 
 /// The events [`Cluster::run_until`] has dispatched, by kind: the same
@@ -277,11 +225,86 @@ pub struct Dispatched {
     pub datagrams: u64,
     /// Stream arrivals, likewise.
     pub streams: u64,
-    /// Anomaly window starts and ends.
+    /// Anomaly window ends. (A window's start is a fault, which
+    /// [`Cluster::run_until`] applies, not a dispatched event.)
     pub pauses: u64,
 }
 
 impl Cluster {
+    /// Builds `schedule`'s cluster at simulated time zero, every node
+    /// running `config`: every node is started, and nodes 1… send a join
+    /// push-pull to `node-0` unless the schedule starts a full mesh.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the schedule has no node or more than 2²⁴, if a fault
+    /// names a node outside it, or if its faults are out of time order.
+    pub fn new(schedule: &Schedule, config: &Config) -> Cluster {
+        let n = schedule.n;
+        assert!(n >= 1, "cluster needs at least one node");
+        assert!(n <= 1 << 24, "address scheme supports 2^24 members");
+        for (_, action) in &schedule.faults {
+            for node in action.nodes().into_iter().flatten() {
+                assert!(node < n, "fault node out of range");
+            }
+        }
+        assert!(
+            schedule.faults.is_sorted_by_key(|&(at, _)| at),
+            "schedule faults out of time order"
+        );
+        let mut slots = Vec::with_capacity(n);
+        for i in 0..n {
+            let addr = Cluster::addr_for(i);
+            // Distinct, seed-derived RNG stream per node.
+            let node_seed = schedule
+                .seed
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                .wrapping_add(i as u64 + 1);
+            let node = SwimNode::new(Cluster::name_of(i), addr, config.clone(), node_seed);
+            slots.push(NodeSlot {
+                driver: Driver::new(node),
+                paused_until: None,
+                crashed: false,
+                wake_marker: None,
+                outbox: Vec::new(),
+            });
+        }
+        let mut cluster = Cluster {
+            slots,
+            queue: EventQueue::new(),
+            network: Network::new(
+                schedule.network.clone(),
+                schedule.seed.wrapping_add(0x00C0_FFEE),
+            ),
+            now: SimTime::ZERO,
+            trace: Trace::new(),
+            io: vec![IoSnapshot::default(); n],
+            dispatched: Dispatched::default(),
+            faults: schedule.faults.clone().into_iter().peekable(),
+        };
+        // Boot + join (or direct full-mesh bootstrap).
+        let seed_addr = Cluster::addr_for(0);
+        let roster: Vec<(NodeName, NodeAddr)> = if schedule.full_mesh {
+            (0..n)
+                .map(|i| (Cluster::name_of(i), Cluster::addr_for(i)))
+                .collect()
+        } else {
+            Vec::new()
+        };
+        for i in 0..n {
+            cluster.with_sink(i, |driver, sink| {
+                driver.start(SimTime::ZERO, sink);
+                if schedule.full_mesh {
+                    let roster = roster.iter().cloned();
+                    driver.node_mut().bootstrap_peers(roster, SimTime::ZERO);
+                } else if i > 0 {
+                    driver.join(vec![seed_addr], SimTime::ZERO, sink);
+                }
+            });
+        }
+        cluster
+    }
+
     /// The synthetic address of node `i` (10.x.y.z encodes `i` in the
     /// low 24 bits, supporting rosters beyond 2¹⁶ members).
     pub fn addr_for(i: usize) -> NodeAddr {
@@ -354,8 +377,19 @@ impl Cluster {
     }
 
     /// Runs the simulation until simulated time `t`: pops every event
-    /// due by then in queue order and dispatches it.
+    /// due by then in queue order and dispatches it. A scheduled fault
+    /// applies once every event due at or before its instant has run,
+    /// faults at one instant in schedule order.
     pub fn run_until(&mut self, t: SimTime) {
+        while let Some((at, action)) = self.faults.next_if(|(at, _)| *at <= t) {
+            self.drain(at);
+            self.apply(action);
+        }
+        self.drain(t);
+    }
+
+    /// Dispatches every event due by `t` and moves the clock to `t`.
+    fn drain(&mut self, t: SimTime) {
         while let Some((at, ev)) = self.queue.pop_due(t) {
             debug_assert!(at >= self.now, "simulated time went backwards");
             self.now = at;
@@ -388,8 +422,16 @@ impl Cluster {
                 self.slots[node].crashed = true;
             }
             SimAction::Pause { node, duration } => {
+                // Blocked until `until`, or until the end of the pause
+                // already in force if that is later.
                 let until = now + duration;
-                self.pause(node, until);
+                let slot = &mut self.slots[node];
+                slot.paused_until = slot.paused_until.max(Some(until));
+                self.with_sink(node, |driver, sink| {
+                    driver
+                        .handle(Input::IoBlocked { blocked: true }, now, sink)
+                        .expect("io-blocked input is infallible");
+                });
                 self.queue.push(until, SimEvent::PauseEnd { node });
             }
             SimAction::Leave { node } => {
@@ -456,9 +498,7 @@ impl Cluster {
             SimEvent::Wake { node } => (*node, &mut d.wakes),
             SimEvent::Datagram { to, .. } => (*to, &mut d.datagrams),
             SimEvent::Stream { to, .. } => (*to, &mut d.streams),
-            SimEvent::PauseStart { node, .. } | SimEvent::PauseEnd { node } => {
-                (*node, &mut d.pauses)
-            }
+            SimEvent::PauseEnd { node } => (*node, &mut d.pauses),
         };
         *count += 1;
         let slot = &mut self.slots[node];
@@ -503,7 +543,6 @@ impl Cluster {
                         .expect("stream input is infallible");
                 });
             }
-            SimEvent::PauseStart { until, .. } => self.pause(node, until),
             SimEvent::PauseEnd { .. } => {
                 // Only clear if this PauseEnd closes the active pause (an
                 // overlapping one may end later).
@@ -527,19 +566,6 @@ impl Cluster {
                 }
             }
         }
-    }
-
-    /// Blocks `node`'s sends and receives until `until`, or until the
-    /// end of the pause already in force if that is later.
-    fn pause(&mut self, node: usize, until: SimTime) {
-        let now = self.now;
-        let slot = &mut self.slots[node];
-        slot.paused_until = slot.paused_until.max(Some(until));
-        self.with_sink(node, |driver, sink| {
-            driver
-                .handle(Input::IoBlocked { blocked: true }, now, sink)
-                .expect("io-blocked input is infallible");
-        });
     }
 
     /// Runs driver calls of `node` at the cluster clock against a
@@ -862,6 +888,32 @@ mod tests {
         assert!(c.is_paused(2), "the manual pause's end cut the window short");
         c.run_until(SimTime::from_millis(12_100));
         assert!(!c.is_paused(2));
+    }
+
+    #[test]
+    fn a_scheduled_fault_lands_after_the_events_due_at_its_instant() {
+        // `t` is node 2's next wake after 10 s: what that wake sends
+        // goes out before a pause scheduled at `t` blocks the node.
+        let schedule = Schedule {
+            seed: 10,
+            ..Schedule::new(4)
+        };
+        let mut script = Cluster::new(&schedule, &Config::lan());
+        script.run_until(SimTime::from_secs(10));
+        let t = script.node(2).next_deadline().expect("a started node has timers");
+        let before = script.metrics_snapshot(2).io;
+        script.run_until(t);
+        let sent = script.metrics_snapshot(2).io;
+        assert_ne!(sent, before, "node 2's wake at {t:?} sent nothing");
+
+        let pause = SimAction::Pause {
+            node: 2,
+            duration: Duration::from_secs(1),
+        };
+        let mut scheduled = Cluster::new(&schedule.at(t, pause), &Config::lan());
+        scheduled.run_until(t);
+        assert!(scheduled.is_paused(2));
+        assert_eq!(scheduled.metrics_snapshot(2).io, sent);
     }
 
     #[test]

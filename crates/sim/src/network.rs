@@ -12,7 +12,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 /// Latency and loss parameters for the simulated network.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct NetworkConfig {
     /// Minimum one-way datagram latency.
     pub datagram_latency: Duration,

@@ -17,32 +17,34 @@ use std::time::Duration;
 use lifeguard::core::config::Config;
 use lifeguard::core::time::Time;
 use lifeguard::sim::anomaly::AnomalySpec;
-use lifeguard::sim::cluster::ClusterBuilder;
-use lifeguard::sim::network::NetworkConfig;
+use lifeguard::sim::cluster::Cluster;
+use lifeguard::sim::schedule::Schedule;
 
 const N: usize = 48;
 const OVERLOADED: [usize; 4] = [5, 17, 23, 41];
 
-fn run(label: &str, config: Config) -> (u64, u64) {
-    let mut builder = ClusterBuilder::new(N)
-        .config(config)
-        .network(NetworkConfig::loopback())
-        .seed(2024);
-    // Each overloaded member blocks for 12 s, runs for 50 ms, repeatedly:
-    // the signature of a process starved by load spikes.
-    for &node in &OVERLOADED {
-        builder = builder.anomaly(
-            node,
-            AnomalySpec::Interval {
-                start: Time::from_secs(15),
-                duration: Duration::from_secs(12),
-                interval: Duration::from_millis(50),
-                until: Time::from_secs(90),
-            },
-        );
-    }
-    let mut cluster = builder.build();
-    cluster.run_for(Duration::from_secs(110));
+/// Each overloaded member blocks for 12 s, runs for 50 ms, repeatedly:
+/// the signature of a process starved by load spikes.
+fn schedule() -> Schedule {
+    let stalls = AnomalySpec::Interval {
+        start: Time::from_secs(15),
+        duration: Duration::from_secs(12),
+        interval: Duration::from_millis(50),
+        until: Time::from_secs(90),
+    };
+    let base = Schedule {
+        seed: 2024,
+        end: Time::from_secs(110),
+        ..Schedule::new(N)
+    };
+    OVERLOADED
+        .iter()
+        .fold(base, |s, &node| s.anomaly(node, stalls))
+}
+
+fn run(label: &str, schedule: &Schedule, config: Config) -> (u64, u64) {
+    let mut cluster = Cluster::new(schedule, &config);
+    cluster.run_until(schedule.end);
 
     // A false positive is a failure declaration about a member that is
     // NOT one of the overloaded ones (the overloaded ones are slow, not
@@ -67,8 +69,9 @@ fn main() {
         "{N}-node cluster, {} members with intermittent 12 s stalls:\n",
         OVERLOADED.len()
     );
-    let (fp_swim, _) = run("SWIM", Config::lan());
-    let (fp_lg, _) = run("Lifeguard", Config::lan().lifeguard());
+    let schedule = schedule();
+    let (fp_swim, _) = run("SWIM", &schedule, Config::lan());
+    let (fp_lg, _) = run("Lifeguard", &schedule, Config::lan().lifeguard());
     println!();
     if fp_lg < fp_swim {
         let factor = fp_swim as f64 / fp_lg.max(1) as f64;

@@ -10,7 +10,7 @@
 use std::time::Duration;
 
 use lifeguard::core::config::Config;
-use lifeguard::experiments::scenario::{IntervalScenario, ThresholdScenario};
+use lifeguard::experiments::scenario::{interval, run, threshold};
 
 const N: usize = 48;
 
@@ -18,14 +18,22 @@ fn main() {
     println!("{N}-node cluster; detection latency vs false positives by (alpha, beta):\n");
     println!("{:>12} {:>16} {:>14}", "(alpha,beta)", "median detect(s)", "FP events");
 
+    // True-failure detection latency: one 20 s anomaly.
+    let thresh = threshold(N, 2, Duration::from_secs(20), Duration::from_secs(60), 11);
+    // False positives: cyclic 8 s stalls with 64 ms of air.
+    let cyclic = interval(
+        N,
+        4,
+        Duration::from_secs(8),
+        Duration::from_millis(64),
+        Duration::from_secs(60),
+        11,
+    );
+
     for (alpha, beta) in [(2.0, 2.0), (3.0, 4.0), (4.0, 4.0), (5.0, 6.0)] {
         let config = Config::lan().lifeguard().with_alpha(alpha).with_beta(beta);
 
-        // True-failure detection latency: one 20 s anomaly.
-        let mut thresh = ThresholdScenario::new(2, Duration::from_secs(20), config.clone(), 11);
-        thresh.n = N;
-        thresh.run_len = Duration::from_secs(60);
-        let t = thresh.run();
+        let t = run(&thresh, &config);
         let mut lat: Vec<f64> = t
             .first_detect
             .iter()
@@ -35,17 +43,7 @@ fn main() {
         lat.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
         let median = lat.get(lat.len() / 2).copied();
 
-        // False positives: cyclic 8 s stalls with 64 ms of air.
-        let mut interval = IntervalScenario::new(
-            4,
-            Duration::from_secs(8),
-            Duration::from_millis(64),
-            config,
-            11,
-        );
-        interval.n = N;
-        interval.min_run = Duration::from_secs(60);
-        let i = interval.run();
+        let i = run(&cyclic, &config);
 
         let median = median
             .map(|m| format!("{m:.2}"))

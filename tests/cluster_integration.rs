@@ -6,7 +6,7 @@ use std::time::Duration;
 
 use lifeguard::core::config::{Config, LifeguardConfig};
 use lifeguard::core::event::Event;
-use lifeguard::experiments::scenario::{IntervalScenario, ThresholdScenario};
+use lifeguard::experiments::scenario::{interval, run, threshold, RunOutcome, MIN_RUN};
 use lifeguard::sim::anomaly::AnomalySpec;
 use lifeguard::sim::clock::SimTime;
 use lifeguard::sim::cluster::{Cluster, ClusterBuilder, SimAction};
@@ -92,20 +92,16 @@ fn swim_accuses_healthy_members_where_lifeguard_does_not() {
 /// paper's headline result (Table IV), at reduced scale.
 #[test]
 fn interval_experiment_fp_reduction() {
-    let run = |config: Config| {
-        let mut s = IntervalScenario::new(
-            6,
-            Duration::from_secs(16),
-            Duration::from_millis(64),
-            config,
-            21,
-        );
-        s.n = 48;
-        s.min_run = Duration::from_secs(90);
-        s.run()
-    };
-    let swim = run(Config::lan());
-    let lifeguard = run(Config::lan().lifeguard());
+    let s = interval(
+        48,
+        6,
+        Duration::from_secs(16),
+        Duration::from_millis(64),
+        Duration::from_secs(90),
+        21,
+    );
+    let swim = run(&s, &Config::lan());
+    let lifeguard = run(&s, &Config::lan().lifeguard());
     assert!(
         swim.fp_events > 0,
         "the SWIM baseline must produce false positives under 16 s stalls"
@@ -134,15 +130,15 @@ fn lifeguard_interval_fp_stays_within_budget_when_dead_members_answer() {
     const BUDGET: u64 = 24; // 1.5 × the 16 measured when this was pinned
     let fp: Vec<u64> = (1..=3)
         .map(|seed| {
-            let mut s = IntervalScenario::new(
+            let s = interval(
+                96,
                 24,
                 Duration::from_millis(16_384),
                 Duration::from_millis(64),
-                Config::lan().lifeguard(),
+                MIN_RUN,
                 seed,
             );
-            s.n = 96;
-            s.run().fp_events
+            run(&s, &Config::lan().lifeguard()).fp_events
         })
         .collect();
     assert!(
@@ -155,15 +151,10 @@ fn lifeguard_interval_fp_stays_within_budget_when_dead_members_answer() {
 /// a sane factor of the SWIM baseline (Table V: small latency penalty).
 #[test]
 fn true_failure_detection_latency_is_comparable() {
-    let run = |config: Config| {
-        let mut s = ThresholdScenario::new(2, Duration::from_secs(30), config, 31);
-        s.n = 32;
-        s.run_len = Duration::from_secs(60);
-        s.run()
-    };
-    let swim = run(Config::lan());
-    let lifeguard = run(Config::lan().lifeguard());
-    let avg = |outcome: &lifeguard::experiments::scenario::RunOutcome| {
+    let s = threshold(32, 2, Duration::from_secs(30), Duration::from_secs(60), 31);
+    let swim = run(&s, &Config::lan());
+    let lifeguard = run(&s, &Config::lan().lifeguard());
+    let avg = |outcome: &RunOutcome| {
         let lat: Vec<f64> = outcome
             .first_detect
             .iter()
@@ -185,22 +176,19 @@ fn true_failure_detection_latency_is_comparable() {
 /// SWIM (Table IV rows), at least not increase them significantly.
 #[test]
 fn each_component_does_not_hurt() {
-    let run = |components: LifeguardConfig| {
-        let mut s = IntervalScenario::new(
-            6,
-            Duration::from_secs(16),
-            Duration::from_millis(64),
-            Config::lan().with_components(components),
-            41,
-        );
-        s.n = 48;
-        s.min_run = Duration::from_secs(90);
-        s.run().fp_events
-    };
-    let swim = run(LifeguardConfig::swim());
-    let probe = run(LifeguardConfig::lha_probe_only());
-    let susp = run(LifeguardConfig::lha_suspicion_only());
-    let buddy = run(LifeguardConfig::buddy_system_only());
+    let s = interval(
+        48,
+        6,
+        Duration::from_secs(16),
+        Duration::from_millis(64),
+        Duration::from_secs(90),
+        41,
+    );
+    let fp = |components| run(&s, &Config::lan().with_components(components)).fp_events;
+    let swim = fp(LifeguardConfig::swim());
+    let probe = fp(LifeguardConfig::lha_probe_only());
+    let susp = fp(LifeguardConfig::lha_suspicion_only());
+    let buddy = fp(LifeguardConfig::buddy_system_only());
     assert!(swim > 0);
     // LHA-Suspicion is the big hammer (paper: 3% of SWIM).
     assert!(
@@ -264,20 +252,19 @@ fn detection_survives_heavy_packet_loss() {
 /// including anomalies and loss.
 #[test]
 fn full_stack_determinism() {
-    let run = || {
-        let mut s = IntervalScenario::new(
-            4,
-            Duration::from_secs(8),
-            Duration::from_millis(256),
-            Config::lan().lifeguard(),
-            71,
-        );
-        s.n = 24;
-        s.min_run = Duration::from_secs(60);
-        let o = s.run();
+    let s = interval(
+        24,
+        4,
+        Duration::from_secs(8),
+        Duration::from_millis(256),
+        Duration::from_secs(60),
+        71,
+    );
+    let replay = || {
+        let o = run(&s, &Config::lan().lifeguard());
         (o.fp_events, o.fp_healthy_events, o.msgs_sent, o.bytes_sent)
     };
-    assert_eq!(run(), run());
+    assert_eq!(replay(), replay());
 }
 
 /// Graceful leave during an anomaly storm is still reported as a leave,

@@ -19,6 +19,7 @@ use lifeguard::sim::anomaly::AnomalySpec;
 use lifeguard::sim::clock::{SimDuration, SimTime};
 use lifeguard::sim::cluster::{Cluster, ClusterBuilder, SimAction};
 use lifeguard::sim::network::NetworkConfig;
+use lifeguard::sim::schedule::Schedule;
 
 /// Golden FNV-1a hashes of the two pinned scenarios below.
 const EVENTFUL_GOLDEN: u64 = 0x4012_baa6_a869_974f;
@@ -101,6 +102,35 @@ fn trace_and_tables_match_golden_and_repeat() {
     assert_eq!(fnv1a(&reference), EVENTFUL_GOLDEN, "fingerprint drifted");
 }
 
+/// A scheduled fault is the scripted call at its instant:
+/// `eventful_run` written as a `Schedule` replays to the same golden.
+#[test]
+fn scheduled_faults_replay_the_scripted_run() {
+    let schedule = Schedule {
+        seed: 0xD15C0,
+        end: SimTime::from_secs(45),
+        ..Schedule::new(12)
+    }
+    .at(
+        SimTime::from_secs(12),
+        SimAction::UpdateMeta {
+            node: 4,
+            meta: Bytes::from_static(b"v2"),
+        },
+    )
+    .at(
+        SimTime::from_secs(12),
+        SimAction::Pause {
+            node: 7,
+            duration: Duration::from_millis(900),
+        },
+    )
+    .at(SimTime::from_secs(20), SimAction::Crash { node: 11 });
+    let mut c = Cluster::new(&schedule, &Config::lan().lifeguard());
+    c.run_until(schedule.end);
+    assert_eq!(fnv1a(&fingerprint(&c)), EVENTFUL_GOLDEN, "schedule and script diverged");
+}
+
 /// The per-node metrics export must be reproducible too: the exact same
 /// `Snapshot` (core protocol counters, histograms and sim I/O
 /// accounting) on every run of a seed, and therefore the same aggregated
@@ -136,38 +166,42 @@ fn metrics_snapshots_match_golden_and_repeat() {
 }
 
 /// How the caller slices simulated time must be unobservable: events
-/// pop in queue order and take effect at emission, so one `run_until`
-/// per phase and a thousand 1 ms `run_for` steps per second walk the
-/// same sequence. (The benchmark's traced and untraced runs slice
+/// pop in queue order and take effect at emission, and a scheduled fault
+/// lands after every event due at its instant, so one `run_until` to the
+/// end and a thousand 1 ms `run_for` steps per second walk the same
+/// sequence. (The benchmark's traced and untraced runs slice
 /// differently and rely on this.)
 #[test]
 fn run_slicing_is_unobservable() {
-    let run = |advance: fn(&mut Cluster, SimTime)| {
-        let mut c = ClusterBuilder::new(24)
-            .seed(0x51_1CE)
-            .config(Config::lan().lifeguard())
-            .network(NetworkConfig {
-                datagram_loss: 0.01,
-                ..NetworkConfig::loopback()
-            })
-            .anomaly(
-                5,
-                AnomalySpec::Interval {
-                    start: SimTime::from_secs(12),
-                    duration: Duration::from_millis(2_048),
-                    interval: Duration::from_millis(512),
-                    until: SimTime::from_secs(30),
-                },
-            )
-            .build();
-        advance(&mut c, SimTime::from_secs(15));
-        c.apply(SimAction::UpdateMeta {
+    let schedule = Schedule {
+        seed: 0x51_1CE,
+        network: NetworkConfig {
+            datagram_loss: 0.01,
+            ..NetworkConfig::loopback()
+        },
+        end: SimTime::from_secs(45),
+        ..Schedule::new(24)
+    }
+    .anomaly(
+        5,
+        AnomalySpec::Interval {
+            start: SimTime::from_secs(12),
+            duration: Duration::from_millis(2_048),
+            interval: Duration::from_millis(512),
+            until: SimTime::from_secs(30),
+        },
+    )
+    .at(
+        SimTime::from_secs(15),
+        SimAction::UpdateMeta {
             node: 3,
             meta: Bytes::from_static(b"v2"),
-        });
-        advance(&mut c, SimTime::from_secs(20));
-        c.apply(SimAction::Crash { node: 23 });
-        advance(&mut c, SimTime::from_secs(45));
+        },
+    )
+    .at(SimTime::from_secs(20), SimAction::Crash { node: 23 });
+    let run = |advance: fn(&mut Cluster, SimTime)| {
+        let mut c = Cluster::new(&schedule, &Config::lan().lifeguard());
+        advance(&mut c, schedule.end);
         let snaps: Vec<_> = (0..c.len()).map(|i| c.metrics_snapshot(i)).collect();
         (fingerprint(&c), snaps)
     };
