@@ -15,10 +15,9 @@
 //!   fp       table4 + fig2 + fig3 + table6 from one Interval suite
 //!   ablate-k Sweep LHA-Suspicion's confirmation count K (extension)
 //!   ablate-s Sweep the LHM saturation limit S (extension)
-//!   smoke    SLO smoke sweep: detection-latency + false-positive curves,
-//!            gated on checked-in thresholds; writes target/METRICS.json
-//!            and per-node snapshots under target/metrics/
-//!   all      Everything above except ablate-k, ablate-s and smoke
+//!   verdict  The gate: the paper's effects judged over paired seeds 1-8
+//!            (ignores --scale and --seed); exits 1 if a claim fails
+//!   all      Everything above except ablate-k, ablate-s and verdict
 //! ```
 
 use std::io::Write as _;
@@ -26,7 +25,11 @@ use std::process::ExitCode;
 
 use lifeguard_experiments::report::Table;
 use lifeguard_experiments::scenario::Scale;
-use lifeguard_experiments::{slo, tables};
+use lifeguard_experiments::{tables, verdict};
+
+const USAGE: &str = "usage: lifeguard-repro \
+    <fig1|table4|fig2|fig3|table5|table6|table7|fp|ablate-k|ablate-s|verdict|all> \
+    [--scale quick|default|paper] [--seed N] [--csv-dir DIR] [--quiet]";
 
 struct Args {
     artifact: String,
@@ -81,25 +84,20 @@ fn emit(table: &Table, slug: &str, csv_dir: Option<&str>) {
     }
 }
 
-/// Writes the machine-readable smoke artifacts: the gated SLO report
-/// as `target/METRICS.json` and each node's binary snapshot under
-/// `target/metrics/` (the input format of the `swim-metrics`
-/// aggregator, so the whole export path is exercised end to end).
-fn write_smoke_artifacts(report: &slo::SmokeReport) -> std::io::Result<()> {
-    std::fs::create_dir_all("target/metrics")?;
-    std::fs::write("target/METRICS.json", report.to_json())?;
-    for (name, snap) in report.aggregate.nodes() {
-        std::fs::write(format!("target/metrics/{name}.snap"), snap.encode())?;
+/// The artifacts `artifact` names, in print order.
+fn expand(artifact: &str) -> Vec<&str> {
+    match artifact {
+        "fp" => vec!["table4", "fig2", "fig3", "table6"],
+        "all" => vec!["table4", "fig2", "fig3", "table6", "table5", "fig1", "table7"],
+        one => vec![one],
     }
-    Ok(())
 }
 
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
         Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!("usage: lifeguard-repro <fig1|table4|fig2|fig3|table5|table6|table7|fp|ablate-k|ablate-s|smoke|all> [--scale quick|default|paper] [--seed N] [--csv-dir DIR] [--quiet]");
+            eprintln!("error: {e}\n{USAGE}");
             return ExitCode::FAILURE;
         }
     };
@@ -109,135 +107,60 @@ fn main() -> ExitCode {
             let _ = writeln!(std::io::stderr(), "  {line}");
         }
     };
+    let (scale, seed, csv) = (args.scale, args.seed, args.csv_dir.as_deref());
 
-    let csv = args.csv_dir.as_deref();
-    let need_interval = matches!(
-        args.artifact.as_str(),
-        "table4" | "fig2" | "fig3" | "table6" | "fp" | "all"
-    );
-    let interval_records = if need_interval {
-        eprintln!(
-            "running Interval suite (scale {:?}, alpha=5, beta=6)...",
-            args.scale
-        );
-        Some(tables::run_interval_suite(
-            args.scale,
-            5.0,
-            6.0,
-            args.seed,
-            &mut progress,
-        ))
-    } else {
-        None
-    };
-
-    match args.artifact.as_str() {
-        "fig1" => {
-            eprintln!("running Figure 1 stress scenario...");
-            emit(
-                &tables::fig1(args.scale, args.seed, &mut progress),
-                "fig1",
-                csv,
-            );
-        }
-        "table4" => emit(
-            &tables::table4(interval_records.as_ref().unwrap()),
-            "table4",
-            csv,
-        ),
-        "fig2" => emit(
-            &tables::fig2(interval_records.as_ref().unwrap()),
-            "fig2",
-            csv,
-        ),
-        "fig3" => emit(
-            &tables::fig3(interval_records.as_ref().unwrap()),
-            "fig3",
-            csv,
-        ),
-        "table6" => emit(
-            &tables::table6(interval_records.as_ref().unwrap()),
-            "table6",
-            csv,
-        ),
-        "fp" => {
-            let records = interval_records.as_ref().unwrap();
-            emit(&tables::table4(records), "table4", csv);
-            emit(&tables::fig2(records), "fig2", csv);
-            emit(&tables::fig3(records), "fig3", csv);
-            emit(&tables::table6(records), "table6", csv);
-        }
-        "table5" => {
-            eprintln!("running Threshold suite (scale {:?})...", args.scale);
-            let records =
-                tables::run_threshold_suite(args.scale, 5.0, 6.0, args.seed, &mut progress);
-            emit(&tables::table5(&records), "table5", csv);
-        }
-        "table7" => {
-            eprintln!("running alpha/beta sweep (scale {:?})...", args.scale);
-            emit(
-                &tables::table7(args.scale, args.seed, &mut progress),
-                "table7",
-                csv,
-            );
-        }
-        "ablate-k" => {
-            eprintln!("running K ablation (scale {:?})...", args.scale);
-            emit(
-                &tables::ablation_k(args.scale, args.seed, &mut progress),
-                "ablate_k",
-                csv,
-            );
-        }
-        "smoke" => {
-            eprintln!("running SLO smoke sweep (seed {})...", args.seed);
-            let report = slo::run_smoke(args.seed, &mut progress);
-            println!("{}", report.render());
-            if let Err(e) = write_smoke_artifacts(&report) {
-                eprintln!("error: could not write metrics artifacts: {e}");
+    // One Interval suite serves Table IV, Figures 2/3 and Table VI.
+    let mut interval = None;
+    for artifact in expand(&args.artifact) {
+        let table = match artifact {
+            "table4" | "fig2" | "fig3" | "table6" => {
+                let records = interval.get_or_insert_with(|| {
+                    eprintln!("running Interval suite (scale {scale:?}, alpha=5, beta=6)...");
+                    tables::run_interval_suite(scale, 5.0, 6.0, seed, &mut progress)
+                });
+                match artifact {
+                    "table4" => tables::table4(records),
+                    "fig2" => tables::fig2(records),
+                    "fig3" => tables::fig3(records),
+                    _ => tables::table6(records),
+                }
+            }
+            "table5" => {
+                eprintln!("running Threshold suite (scale {scale:?})...");
+                tables::table5(&tables::run_threshold_suite(scale, 5.0, 6.0, seed, &mut progress))
+            }
+            "fig1" => {
+                eprintln!("running Figure 1 stress scenario...");
+                tables::fig1(scale, seed, &mut progress)
+            }
+            "table7" => {
+                eprintln!("running alpha/beta sweep (scale {scale:?})...");
+                tables::table7(scale, seed, &mut progress)
+            }
+            "ablate-k" => {
+                eprintln!("running K ablation (scale {scale:?})...");
+                tables::ablation_k(scale, seed, &mut progress)
+            }
+            "ablate-s" => {
+                eprintln!("running S ablation (scale {scale:?})...");
+                tables::ablation_s(scale, seed, &mut progress)
+            }
+            "verdict" => {
+                eprintln!("judging the paper's effects over seeds {:?}...", verdict::SEEDS);
+                let verdict = verdict::judge();
+                emit(&verdict.table(), "verdict", csv);
+                if !verdict.pass() {
+                    eprintln!("verdict: a claim is not reproduced");
+                    return ExitCode::FAILURE;
+                }
+                continue;
+            }
+            other => {
+                eprintln!("error: unknown artifact {other:?}\n{USAGE}");
                 return ExitCode::FAILURE;
             }
-            if !report.pass() {
-                eprintln!("SLO gate FAILED ({} violation(s))", report.violations.len());
-                return ExitCode::FAILURE;
-            }
-            eprintln!("SLO gate passed; wrote target/METRICS.json");
-        }
-        "ablate-s" => {
-            eprintln!("running S ablation (scale {:?})...", args.scale);
-            emit(
-                &tables::ablation_s(args.scale, args.seed, &mut progress),
-                "ablate_s",
-                csv,
-            );
-        }
-        "all" => {
-            let records = interval_records.as_ref().unwrap();
-            emit(&tables::table4(records), "table4", csv);
-            emit(&tables::fig2(records), "fig2", csv);
-            emit(&tables::fig3(records), "fig3", csv);
-            emit(&tables::table6(records), "table6", csv);
-            eprintln!("running Threshold suite (scale {:?})...", args.scale);
-            let thresh =
-                tables::run_threshold_suite(args.scale, 5.0, 6.0, args.seed, &mut progress);
-            emit(&tables::table5(&thresh), "table5", csv);
-            eprintln!("running Figure 1 stress scenario...");
-            emit(
-                &tables::fig1(args.scale, args.seed, &mut progress),
-                "fig1",
-                csv,
-            );
-            eprintln!("running alpha/beta sweep (scale {:?})...", args.scale);
-            emit(
-                &tables::table7(args.scale, args.seed, &mut progress),
-                "table7",
-                csv,
-            );
-        }
-        other => {
-            eprintln!("error: unknown artifact {other:?}");
-            return ExitCode::FAILURE;
-        }
+        };
+        emit(&table, &artifact.replace('-', "_"), csv);
     }
     ExitCode::SUCCESS
 }

@@ -8,8 +8,8 @@
 //!   Figures 1–3.
 //! * [`metrics`] — percentile/summary statistics (shared quantile rule
 //!   re-exported from `lifeguard-metrics`).
-//! * [`slo`] — the smoke sweep whose detection-latency and
-//!   false-positive curves CI gates on (`target/METRICS.json`).
+//! * [`verdict`] — the gate: the paper's effects judged over paired
+//!   seeds, one row per claim.
 //! * [`report`] — plain-text and CSV table rendering.
 //!
 //! The `lifeguard-repro` binary wraps all of this:
@@ -17,13 +17,14 @@
 //! ```text
 //! lifeguard-repro table4 --scale quick --seed 1
 //! lifeguard-repro all --scale default --csv-dir results/
+//! lifeguard-repro verdict
 //! ```
 
 pub mod metrics;
 pub mod report;
 pub mod scenario;
-pub mod slo;
 pub mod tables;
+pub mod verdict;
 
 pub use report::Table;
 pub use scenario::Scale;

@@ -58,18 +58,11 @@ impl LatencySummary {
     }
 }
 
-/// Formats a ratio as a percentage of a baseline, the way Tables IV, VI
-/// and VII present results ("% SWIM").
-pub fn pct_of_baseline(value: f64, baseline: f64) -> f64 {
-    if baseline == 0.0 {
-        if value == 0.0 {
-            100.0
-        } else {
-            f64::INFINITY
-        }
-    } else {
-        value / baseline * 100.0
-    }
+/// `value` as a percentage of `baseline`, the way Tables IV, VI and VII
+/// present results ("% SWIM"); `None` over a zero baseline, where the
+/// ratio is undefined.
+pub fn pct_of_baseline(value: f64, baseline: f64) -> Option<f64> {
+    (baseline != 0.0).then(|| value / baseline * 100.0)
 }
 
 #[cfg(test)]
@@ -147,8 +140,9 @@ mod tests {
 
     #[test]
     fn pct_of_baseline_edge_cases() {
-        assert_eq!(pct_of_baseline(50.0, 100.0), 50.0);
-        assert_eq!(pct_of_baseline(0.0, 0.0), 100.0);
-        assert_eq!(pct_of_baseline(5.0, 0.0), f64::INFINITY);
+        assert_eq!(pct_of_baseline(50.0, 100.0), Some(50.0));
+        assert_eq!(pct_of_baseline(0.0, 100.0), Some(0.0));
+        assert_eq!(pct_of_baseline(0.0, 0.0), None);
+        assert_eq!(pct_of_baseline(5.0, 0.0), None);
     }
 }

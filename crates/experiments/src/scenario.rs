@@ -54,7 +54,8 @@ pub const STRESS_DURATION: Duration = Duration::from_secs(300);
 /// How much of the paper's parameter grid to run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Scale {
-    /// Small subsample; minutes of wall-clock. Good for smoke checks.
+    /// Small subsample; seconds to half a minute of wall-clock in a
+    /// release build.
     Quick,
     /// Most of the grid with one repetition; the default for
     /// regenerating the tables.
@@ -140,6 +141,11 @@ pub struct RunOutcome {
     pub msgs_sent: u64,
     /// Total bytes sent by all members.
     pub bytes_sent: u64,
+    /// Failure events in the trace, about any member, at any member.
+    pub trace_failures: u64,
+    /// Σ `failures_declared` over every node's metrics snapshot: the
+    /// metrics plane's count of the declarations the trace records.
+    pub failures_declared: u64,
 }
 
 /// The network model used by all experiments: loopback latency with a
@@ -240,19 +246,9 @@ fn with_anomalies(n: usize, c: usize, seed: u64, end: SimTime, spec: AnomalySpec
 /// Panics if `config` fails [`Config::validate`] — a malformed grid
 /// point must not produce a silently wrong table row.
 pub fn run(schedule: &Schedule, config: &Config) -> RunOutcome {
-    extract(&replay(schedule, config), schedule)
-}
-
-/// Validates `config`, then runs `schedule`'s cluster to its end.
-pub(crate) fn replay(schedule: &Schedule, config: &Config) -> Cluster {
     config.validate().expect("scenario config must be valid");
     let mut cluster = Cluster::new(schedule, config);
     cluster.run_until(schedule.end);
-    cluster
-}
-
-/// Extracts the paper's metrics from `schedule`'s finished cluster.
-pub(crate) fn extract(cluster: &Cluster, schedule: &Schedule) -> RunOutcome {
     let pauses = schedule.faults.iter().filter_map(|(at, action)| match action {
         SimAction::Pause { node, .. } => Some((*at, *node)),
         _ => None,
@@ -265,9 +261,9 @@ pub(crate) fn extract(cluster: &Cluster, schedule: &Schedule) -> RunOutcome {
     let is_anomalous = |i: usize| anomalous.binary_search(&i).is_ok();
     let healthy: Vec<usize> = (0..n).filter(|&i| !is_anomalous(i)).collect();
 
-    let mut fp = 0u64;
-    let mut fp_healthy = 0u64;
+    let (mut failures, mut fp, mut fp_healthy) = (0u64, 0u64, 0u64);
     for (_, reporter, subject) in cluster.trace().failures() {
+        failures += 1;
         let subject_idx: usize = subject
             .as_str()
             .strip_prefix("node-")
@@ -302,15 +298,17 @@ pub(crate) fn extract(cluster: &Cluster, schedule: &Schedule) -> RunOutcome {
         );
     }
 
-    let io: Vec<_> = (0..n).map(|i| cluster.metrics_snapshot(i).io).collect();
+    let snaps: Vec<_> = (0..n).map(|i| cluster.metrics_snapshot(i)).collect();
     RunOutcome {
         n,
         fp_events: fp,
         fp_healthy_events: fp_healthy,
         first_detect,
         full_dissem,
-        msgs_sent: io.iter().map(|s| s.datagrams_sent + s.streams_sent).sum(),
-        bytes_sent: io.iter().map(|s| s.datagram_bytes + s.stream_bytes).sum(),
+        msgs_sent: snaps.iter().map(|s| s.io.datagrams_sent + s.io.streams_sent).sum(),
+        bytes_sent: snaps.iter().map(|s| s.io.datagram_bytes + s.io.stream_bytes).sum(),
+        trace_failures: failures,
+        failures_declared: snaps.iter().map(|s| s.core.failures_declared).sum(),
         anomalous,
     }
 }

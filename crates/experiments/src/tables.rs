@@ -24,22 +24,22 @@ use crate::scenario::{self, RunOutcome, Scale, CLUSTER_SIZE, MIN_RUN};
 /// Progress sink: called with a short line per completed run.
 pub type Progress<'a> = &'a mut dyn FnMut(&str);
 
-/// The five configurations of Table I, in paper order.
-pub fn table1_configs() -> Vec<(&'static str, LifeguardConfig)> {
+/// The five configurations of Table I, in paper order, on the LAN
+/// profile (α = 5, β = 6).
+pub fn table1_configs() -> Vec<(&'static str, Config)> {
+    let only = |components| Config::lan().with_components(components);
     vec![
-        ("SWIM", LifeguardConfig::swim()),
-        ("LHA-Probe", LifeguardConfig::lha_probe_only()),
-        ("LHA-Suspicion", LifeguardConfig::lha_suspicion_only()),
-        ("Buddy System", LifeguardConfig::buddy_system_only()),
-        ("Lifeguard", LifeguardConfig::full()),
+        ("SWIM", Config::lan().swim()),
+        ("LHA-Probe", only(LifeguardConfig::lha_probe_only())),
+        ("LHA-Suspicion", only(LifeguardConfig::lha_suspicion_only())),
+        ("Buddy System", only(LifeguardConfig::buddy_system_only())),
+        ("Lifeguard", Config::lan().lifeguard()),
     ]
 }
 
-fn config_for(components: LifeguardConfig, alpha: f64, beta: f64) -> Config {
-    Config::lan()
-        .with_components(components)
-        .with_alpha(alpha)
-        .with_beta(beta)
+/// A "% SWIM" cell: `-` where the SWIM baseline is zero.
+fn pct_cell(value: f64, baseline: f64) -> String {
+    pct_of_baseline(value, baseline).map_or_else(|| "-".into(), |p| fmt_f64(p, 2))
 }
 
 fn mix(seed: u64, parts: &[u64]) -> u64 {
@@ -94,8 +94,8 @@ pub fn run_interval_suite(
     progress: Progress<'_>,
 ) -> Vec<IntervalRecord> {
     let mut records = Vec::new();
-    for (label, components) in table1_configs() {
-        let config = config_for(components, alpha, beta);
+    for (label, config) in table1_configs() {
+        let config = config.with_alpha(alpha).with_beta(beta);
         records.extend(run_interval_grid(scale, label, &config, seed, progress));
     }
     records
@@ -147,8 +147,8 @@ pub fn run_threshold_suite(
     progress: Progress<'_>,
 ) -> Vec<ThresholdRecord> {
     let mut records = Vec::new();
-    for (label, components) in table1_configs() {
-        let config = config_for(components, alpha, beta);
+    for (label, config) in table1_configs() {
+        let config = config.with_alpha(alpha).with_beta(beta);
         records.extend(run_threshold_grid(scale, label, &config, seed, progress));
     }
     records
@@ -210,8 +210,8 @@ pub fn table4(records: &[IntervalRecord]) -> Table {
             label.to_owned(),
             fp.to_string(),
             fpm.to_string(),
-            fmt_f64(pct_of_baseline(fp as f64, swim_fp as f64), 2),
-            fmt_f64(pct_of_baseline(fpm as f64, swim_fpm as f64), 2),
+            pct_cell(fp as f64, swim_fp as f64),
+            pct_cell(fpm as f64, swim_fpm as f64),
         ]);
     }
     t
@@ -350,8 +350,8 @@ pub fn table6(records: &[IntervalRecord]) -> Table {
             label.to_owned(),
             fmt_f64(msgs as f64 / 1e6, 2),
             fmt_f64(bytes as f64 / (1024.0 * 1024.0 * 1024.0), 3),
-            fmt_f64(pct_of_baseline(msgs as f64, swim_msgs as f64), 2),
-            fmt_f64(pct_of_baseline(bytes as f64, swim_bytes as f64), 2),
+            pct_cell(msgs as f64, swim_msgs as f64),
+            pct_cell(bytes as f64, swim_bytes as f64),
         ]);
     }
     t
@@ -374,7 +374,7 @@ pub const TABLE7_COMBOS: [(f64, f64); 9] = [
 /// percentage of the SWIM baseline run on the same grids.
 pub fn table7(scale: Scale, seed: u64, progress: Progress<'_>) -> Table {
     // SWIM baseline (fixed timeout ≡ α=5, β=1).
-    let swim_cfg = config_for(LifeguardConfig::swim(), 5.0, 6.0);
+    let swim_cfg = Config::lan().swim();
     let swim_thresh = run_threshold_grid(scale, "SWIM", &swim_cfg, seed, progress);
     let swim_interval = run_interval_grid(scale, "SWIM", &swim_cfg, seed, progress);
     let (swim_first, swim_full) = latency_summaries(&swim_thresh, "SWIM");
@@ -401,14 +401,14 @@ pub fn table7(scale: Scale, seed: u64, progress: Progress<'_>) -> Table {
     ];
 
     for (alpha, beta) in TABLE7_COMBOS {
-        let cfg = config_for(LifeguardConfig::full(), alpha, beta);
+        let cfg = Config::lan().lifeguard().with_alpha(alpha).with_beta(beta);
         let thresh = run_threshold_grid(scale, "Lifeguard", &cfg, seed, progress);
         let interval = run_interval_grid(scale, "Lifeguard", &cfg, seed, progress);
         let (first, full) = latency_summaries(&thresh, "Lifeguard");
         let (fp, fpm) = sum_fp(&interval, "Lifeguard");
 
         let pct = |v: Option<f64>, base: Option<f64>| match (v, base) {
-            (Some(v), Some(b)) => fmt_f64(pct_of_baseline(v, b), 2),
+            (Some(v), Some(b)) => pct_cell(v, b),
             _ => "-".into(),
         };
         rows[0].push(pct(first.map(|s| s.median), swim_first.map(|s| s.median)));
@@ -417,14 +417,8 @@ pub fn table7(scale: Scale, seed: u64, progress: Progress<'_>) -> Table {
         rows[3].push(pct(full.map(|s| s.p99), swim_full.map(|s| s.p99)));
         rows[4].push(pct(first.map(|s| s.p999), swim_first.map(|s| s.p999)));
         rows[5].push(pct(full.map(|s| s.p999), swim_full.map(|s| s.p999)));
-        rows[6].push(fmt_f64(
-            pct_of_baseline(fp as f64, swim_fp as f64),
-            2,
-        ));
-        rows[7].push(fmt_f64(
-            pct_of_baseline(fpm as f64, swim_fpm as f64),
-            2,
-        ));
+        rows[6].push(pct_cell(fp as f64, swim_fp as f64));
+        rows[7].push(pct_cell(fpm as f64, swim_fpm as f64));
     }
     for row in rows {
         t.row(row);
@@ -442,7 +436,7 @@ pub fn ablation_k(scale: Scale, seed: u64, progress: Progress<'_>) -> Table {
         vec!["K", "FP Events", "FP- Events", "Med 1stDetect(s)", "Detected"],
     );
     for k in [0u32, 1, 2, 3, 5, 8] {
-        let mut cfg = config_for(LifeguardConfig::full(), 5.0, 6.0);
+        let mut cfg = Config::lan().lifeguard();
         cfg.suspicion_k = k;
         let interval = run_interval_grid(scale, "Lifeguard", &cfg, seed, progress);
         let thresh = run_threshold_grid(scale, "Lifeguard", &cfg, seed, progress);
@@ -467,7 +461,7 @@ pub fn ablation_s(scale: Scale, seed: u64, progress: Progress<'_>) -> Table {
         vec!["S", "FP Events", "FP- Events", "Med 1stDetect(s)", "Detected"],
     );
     for s in [0u32, 2, 4, 8, 16] {
-        let mut cfg = config_for(LifeguardConfig::full(), 5.0, 6.0);
+        let mut cfg = Config::lan().lifeguard();
         cfg.awareness_max = s;
         let interval = run_interval_grid(scale, "Lifeguard", &cfg, seed, progress);
         let thresh = run_threshold_grid(scale, "Lifeguard", &cfg, seed, progress);
@@ -501,11 +495,11 @@ pub fn fig1(scale: Scale, seed: u64, progress: Progress<'_>) -> Table {
         let mut cells = vec![stressed.to_string()];
         let mut results = Vec::new();
         let schedule = scenario::stress(stressed, mix(seed, &[3, stressed as u64]));
-        for (label, components) in [
-            ("SWIM", LifeguardConfig::swim()),
-            ("Lifeguard", LifeguardConfig::full()),
+        for (label, config) in [
+            ("SWIM", Config::lan().swim()),
+            ("Lifeguard", Config::lan().lifeguard()),
         ] {
-            let outcome = scenario::run(&schedule, &config_for(components, 5.0, 6.0));
+            let outcome = scenario::run(&schedule, &config);
             progress(&format!(
                 "fig1 {label} stressed={stressed}: FP={} FP-={}",
                 outcome.fp_events, outcome.fp_healthy_events
@@ -535,6 +529,8 @@ mod tests {
             full_dissem: vec![Some(Duration::from_secs(13))],
             msgs_sent: msgs,
             bytes_sent: bytes,
+            trace_failures: fp,
+            failures_declared: fp,
         }
     }
 
@@ -563,6 +559,9 @@ mod tests {
         assert_eq!(t.cell(4, 1), "2");
         assert_eq!(t.cell(4, 3), "1.00");
         assert_eq!(t.cell(4, 4), "5.00");
+        // With no SWIM FP- event the ratio is undefined, not 100 %.
+        let t = table4(&[fake_interval("SWIM", 4, 200, 0), fake_interval("Lifeguard", 4, 2, 0)]);
+        assert_eq!((t.cell(0, 4), t.cell(4, 4)), ("-", "-"));
     }
 
     #[test]
@@ -623,7 +622,7 @@ mod tests {
             vec!["SWIM", "LHA-Probe", "LHA-Suspicion", "Buddy System", "Lifeguard"]
         );
         for (label, c) in table1_configs() {
-            assert_eq!(c.label(), label);
+            assert_eq!(c.lifeguard.label(), label);
         }
     }
 }

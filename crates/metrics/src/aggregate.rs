@@ -1,10 +1,10 @@
 //! Run-level aggregation: merging per-node [`Snapshot`]s and
-//! rendering the text dashboard / JSON report the `swim-metrics`
-//! binary and the experiments harness share.
+//! rendering the text dashboard / JSON report of the `swim-metrics`
+//! binary.
 
 use std::fmt::Write as _;
 
-use crate::snapshot::{write_hist_json, Snapshot};
+use crate::snapshot::Snapshot;
 
 /// Per-node snapshots of one run plus their merged totals.
 #[derive(Clone, Debug, Default)]
@@ -212,14 +212,6 @@ fn escape_into(out: &mut String, s: &str) {
             c => out.push(c),
         }
     }
-}
-
-/// Re-exported so the aggregator and experiments can embed histogram
-/// JSON for SLO curves without re-implementing the writer.
-pub fn hist_json(h: &crate::Histogram) -> String {
-    let mut s = String::new();
-    write_hist_json(&mut s, h);
-    s
 }
 
 #[cfg(test)]

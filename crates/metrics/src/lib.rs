@@ -20,8 +20,7 @@
 //!   agent) produces in the same shape, with a versioned binary codec
 //!   and a hand-rolled JSON writer (the build is offline; no serde).
 //! - [`Aggregate`] — run-level merge of per-node snapshots plus the
-//!   text dashboard, shared by the `swim-metrics` binary and the
-//!   experiments harness.
+//!   text dashboard and JSON report of the `swim-metrics` binary.
 //! - [`percentile`] — the one quantile implementation (closest-ranks
 //!   linear interpolation); [`Histogram::quantile`] routes through
 //!   the same rank rule over bucket counts.

@@ -1,12 +1,14 @@
 //! Cross-crate integration tests: protocol core + simulator +
 //! experiment harness working together on end-to-end behaviours the
-//! paper depends on.
+//! paper depends on. The paper's false-positive and detection-latency
+//! effects themselves are judged over paired seeds by
+//! `lifeguard_experiments::verdict`.
 
 use std::time::Duration;
 
-use lifeguard::core::config::{Config, LifeguardConfig};
+use lifeguard::core::config::Config;
 use lifeguard::core::event::Event;
-use lifeguard::experiments::scenario::{interval, run, threshold, RunOutcome, MIN_RUN};
+use lifeguard::experiments::scenario::{interval, run};
 use lifeguard::sim::anomaly::AnomalySpec;
 use lifeguard::sim::clock::SimTime;
 use lifeguard::sim::cluster::{Cluster, ClusterBuilder, SimAction};
@@ -36,168 +38,6 @@ fn lifeguard_keeps_intermittently_slow_member_alive() {
         None,
         "Lifeguard must not declare the slow member failed"
     );
-}
-
-/// A member that stalls for longer than the suspicion timeout *is*
-/// declared failed under both configurations (detection parity, Table
-/// V: independent confirmations drive Lifeguard's timeout down to Min
-/// for genuinely unresponsive members) — but only SWIM also accuses
-/// *healthy* members in the process.
-#[test]
-fn swim_accuses_healthy_members_where_lifeguard_does_not() {
-    let run = |config: Config| {
-        let mut cluster = ClusterBuilder::new(24)
-            .config(config)
-            .seed(11)
-            .anomaly(
-                7,
-                AnomalySpec::Interval {
-                    start: SimTime::from_secs(15),
-                    duration: Duration::from_secs(14),
-                    interval: Duration::from_millis(30),
-                    until: SimTime::from_secs(100),
-                },
-            )
-            .build();
-        cluster.run_for(Duration::from_secs(120));
-        let about_slow = cluster
-            .trace()
-            .failures()
-            .filter(|(_, _, name)| name.as_str() == "node-7")
-            .count();
-        let about_healthy = cluster
-            .trace()
-            .failures()
-            .filter(|(_, _, name)| name.as_str() != "node-7")
-            .count();
-        (about_slow, about_healthy)
-    };
-    let (swim_slow, swim_healthy) = run(Config::lan());
-    let (lg_slow, lg_healthy) = run(Config::lan().lifeguard());
-    // Both must detect the genuinely unresponsive member.
-    assert!(swim_slow > 0, "SWIM must detect the 14 s stalls");
-    assert!(lg_slow > 0, "Lifeguard must also detect the 14 s stalls");
-    // Only the slow member itself accuses healthy members under SWIM.
-    assert!(
-        swim_healthy > 0,
-        "SWIM should produce false accusations of healthy members"
-    );
-    assert!(
-        lg_healthy * 5 <= swim_healthy,
-        "Lifeguard false accusations ({lg_healthy}) must be well below SWIM's ({swim_healthy})"
-    );
-}
-
-/// End-to-end false-positive reduction on the Interval experiment, the
-/// paper's headline result (Table IV), at reduced scale.
-#[test]
-fn interval_experiment_fp_reduction() {
-    let s = interval(
-        48,
-        6,
-        Duration::from_secs(16),
-        Duration::from_millis(64),
-        Duration::from_secs(90),
-        21,
-    );
-    let swim = run(&s, &Config::lan());
-    let lifeguard = run(&s, &Config::lan().lifeguard());
-    assert!(
-        swim.fp_events > 0,
-        "the SWIM baseline must produce false positives under 16 s stalls"
-    );
-    assert!(
-        lifeguard.fp_events * 5 <= swim.fp_events,
-        "Lifeguard FP ({}) should be well below SWIM FP ({})",
-        lifeguard.fp_events,
-        swim.fp_events
-    );
-}
-
-/// Lifeguard's *absolute* false-positive count on the paper's Interval
-/// scenario (C a quarter of n, D = 16 384 ms, I = 64 ms) stays within a
-/// budget. The ratio test above cannot see this: it passes even when
-/// the count triples, because SWIM's is two orders larger. What triples
-/// it is anything that lets a member believed dead pull fresh state out
-/// of its peers during the 64 ms it is awake — say a reconnect that
-/// probes first and pushes the table on the answer. That snapshot holds
-/// the false suspicions the waking members have just raised; they
-/// confirm one another, the timeouts fall to the minimum, and the
-/// minimum expires inside the next pause. n = 96 is the smallest size
-/// where every seed shows it (6 / 4 / 6 here against 25 / 22 / 27).
-#[test]
-fn lifeguard_interval_fp_stays_within_budget_when_dead_members_answer() {
-    const BUDGET: u64 = 24; // 1.5 × the 16 measured when this was pinned
-    let fp: Vec<u64> = (1..=3)
-        .map(|seed| {
-            let s = interval(
-                96,
-                24,
-                Duration::from_millis(16_384),
-                Duration::from_millis(64),
-                MIN_RUN,
-                seed,
-            );
-            run(&s, &Config::lan().lifeguard()).fp_events
-        })
-        .collect();
-    assert!(
-        fp.iter().sum::<u64>() <= BUDGET,
-        "Lifeguard false positives per seed {fp:?} exceed the budget of {BUDGET}"
-    );
-}
-
-/// True failures must still be detected with Lifeguard enabled, within
-/// a sane factor of the SWIM baseline (Table V: small latency penalty).
-#[test]
-fn true_failure_detection_latency_is_comparable() {
-    let s = threshold(32, 2, Duration::from_secs(30), Duration::from_secs(60), 31);
-    let swim = run(&s, &Config::lan());
-    let lifeguard = run(&s, &Config::lan().lifeguard());
-    let avg = |outcome: &RunOutcome| {
-        let lat: Vec<f64> = outcome
-            .first_detect
-            .iter()
-            .flatten()
-            .map(|d| d.as_secs_f64())
-            .collect();
-        assert!(!lat.is_empty(), "30 s anomalies must be detected");
-        lat.iter().sum::<f64>() / lat.len() as f64
-    };
-    let swim_avg = avg(&swim);
-    let lifeguard_avg = avg(&lifeguard);
-    assert!(
-        lifeguard_avg < swim_avg * 2.5,
-        "Lifeguard detection ({lifeguard_avg:.1}s) too slow vs SWIM ({swim_avg:.1}s)"
-    );
-}
-
-/// Individual components must each reduce false positives relative to
-/// SWIM (Table IV rows), at least not increase them significantly.
-#[test]
-fn each_component_does_not_hurt() {
-    let s = interval(
-        48,
-        6,
-        Duration::from_secs(16),
-        Duration::from_millis(64),
-        Duration::from_secs(90),
-        41,
-    );
-    let fp = |components| run(&s, &Config::lan().with_components(components)).fp_events;
-    let swim = fp(LifeguardConfig::swim());
-    let probe = fp(LifeguardConfig::lha_probe_only());
-    let susp = fp(LifeguardConfig::lha_suspicion_only());
-    let buddy = fp(LifeguardConfig::buddy_system_only());
-    assert!(swim > 0);
-    // LHA-Suspicion is the big hammer (paper: 3% of SWIM).
-    assert!(
-        susp * 2 <= swim,
-        "LHA-Suspicion ({susp}) should at least halve SWIM's FPs ({swim})"
-    );
-    // The others must not make things much worse.
-    assert!(probe <= swim * 12 / 10, "LHA-Probe {probe} vs SWIM {swim}");
-    assert!(buddy <= swim * 12 / 10, "Buddy {buddy} vs SWIM {swim}");
 }
 
 /// Refutation works end to end: a suspected member that is merely slow
