@@ -10,8 +10,10 @@
 //! Records live in one slab (`Vec<Slot>` + free list); everything else
 //! refers to a record by its `u32` slot id. Every node holds one record
 //! per member, so a cluster pays for the record n² times: a slot is 80
-//! bytes — name, address, incarnation, state, state-change time, update
-//! seq, and the four `u32` links below — and nothing else lives in it.
+//! bytes — the 16-byte name (its bytes, for a name of at most
+//! [`NodeName::INLINE_LEN`] bytes; a pointer to them for a longer one),
+//! address, incarnation, state, state-change time, update seq, and the
+//! four `u32` links below — and nothing else lives in it.
 //!
 //! * **Metadata column** — one `Vec<Bytes>` indexed by slot id, beside
 //!   the slab. It stays *empty* until the first non-empty blob is
@@ -28,8 +30,11 @@
 //!   backward-shift deletion. The tag is 32 bits of the name's hash
 //!   under a per-table random key (names arrive from the network); its
 //!   low bits are the home bucket, so growth and deletion re-home
-//!   entries without rehashing. The name itself is stored once, in the
-//!   record: a tag hit is always verified against it.
+//!   entries without rehashing. The index stores no name: a tag hit is
+//!   always verified against the name in the record, which for an
+//!   inline name reads the slot the lookup returns anyway. A lookup
+//!   that misses hands back the tag ([`Vacant`]), so
+//!   [`Membership::insert`] adds a new member for that one probe.
 //! * **Liveness pools** — two dense slot-id vectors, `live` (alive |
 //!   suspect) and `gone` (dead | left), plus an `alive` counter. That
 //!   makes [`Membership::live_count`] / [`Membership::alive_count`] O(1)
@@ -91,6 +96,14 @@ pub enum SamplePool {
 pub struct MemberId {
     slot: u32,
     gen: u32,
+}
+
+/// A name [`Membership::lookup`] found absent: its hash tag, kept so
+/// that [`Membership::insert`] adds the name without hashing it again.
+/// Good only until the table next changes.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Vacant {
+    tag: u32,
 }
 
 /// "No slot": list ends, empty index buckets. Never a valid slot id —
@@ -235,34 +248,98 @@ impl Membership {
     /// Looks up a member by name. O(1).
     #[inline]
     pub fn get(&self, name: &NodeName) -> Option<MemberRef<'_>> {
-        self.lookup(name.as_str()).map(|(_, member)| member)
+        self.lookup(name.as_str()).ok().map(|(_, member)| member)
     }
 
     /// The handle of the member named `name`, valid until that member is
     /// removed. O(1).
     pub fn id_of(&self, name: &NodeName) -> Option<MemberId> {
-        self.lookup(name.as_str()).map(|(id, _)| id)
+        self.lookup(name.as_str()).ok().map(|(id, _)| id)
     }
 
     /// Resolves a name as the wire carries it: the member's handle and
     /// its record from one probe of the name index. Everything after
     /// this goes by the handle ([`Membership::by_id`],
-    /// [`Membership::update_id`]) and hashes nothing. O(1).
+    /// [`Membership::update_id`]) and hashes nothing. For a name the
+    /// table does not hold, the [`Vacant`] that lets
+    /// [`Membership::insert`] add it without hashing it again. O(1).
+    ///
+    /// # Errors
+    ///
+    /// [`Vacant`] when no member has this name.
     #[inline]
-    pub fn lookup(&self, name: &str) -> Option<(MemberId, MemberRef<'_>)> {
-        let (_, slot) = self.find(name)?;
-        let gen = self.slots.get(slot as usize)?.gen;
-        Some((MemberId { slot, gen }, self.member(slot)?))
+    pub fn lookup(&self, name: &str) -> Result<(MemberId, MemberRef<'_>), Vacant> {
+        let tag = self.tag(name);
+        let found = self.find_tagged(tag, name).and_then(|(_, slot)| {
+            let gen = self.slots.get(slot as usize)?.gen;
+            Some((MemberId { slot, gen }, self.member(slot)?))
+        });
+        found.ok_or(Vacant { tag })
+    }
+
+    /// Adds a member whose name [`Membership::lookup`] just found
+    /// absent, and returns its handle: the new member costs that one
+    /// probe and no second hash. `vacant` must come from the lookup of
+    /// `member.name` with no change to the table since. Counts as a
+    /// record change for [`Membership::changed_since`].
+    pub fn insert(&mut self, vacant: Vacant, member: Member) -> MemberId {
+        debug_assert_eq!(
+            vacant.tag,
+            self.tag(member.name.as_str()),
+            "vacant of another name"
+        );
+        debug_assert!(
+            self.find_tagged(vacant.tag, member.name.as_str()).is_none(),
+            "insert() of a present name"
+        );
+        let state = member.state;
+        let id = match self.free.pop() {
+            Some(id) => id,
+            None => {
+                // Vacant until `put` below fills it in; the record
+                // fields only need *a* value here.
+                self.slots.push(Slot {
+                    name: None,
+                    addr: member.addr,
+                    incarnation: member.incarnation,
+                    state,
+                    state_change: member.state_change,
+                    updated_seq: 0,
+                    pos: 0,
+                    newer: NIL,
+                    older: NIL,
+                    gen: 0,
+                });
+                if !self.meta.is_empty() {
+                    self.meta.push(Bytes::new());
+                }
+                (self.slots.len() - 1) as u32
+            }
+        };
+        self.put(id, member);
+        self.index_reserve(self.len() + 1);
+        self.index_insert(Bucket {
+            tag: vacant.tag,
+            slot: id,
+        });
+        self.pool_push(id, state);
+        if state == MemberState::Alive {
+            self.alive += 1;
+        }
+        self.stamp(id);
+        let gen = self.slots.get(id as usize).map_or(0, |slot| slot.gen);
+        MemberId { slot: id, gen }
     }
 
     /// An owned name for one the caller holds borrowed — an accuser's,
     /// from a packet — made because a message is about to change state:
-    /// the table's own `Arc` when it names a known member, a fresh
-    /// allocation only for a name this node has never seen.
+    /// the table's own when it names a known member (a copy, or a shared
+    /// pointer for a name too long to be inline), a fresh one only for a
+    /// name this node has never seen.
     pub(crate) fn owned_name(&self, name: &str) -> NodeName {
         match self.lookup(name) {
-            Some((_, member)) => member.name.clone(),
-            None => NodeName::from(name),
+            Ok((_, member)) => member.name.clone(),
+            Err(_) => NodeName::from(name),
         }
     }
 
@@ -382,47 +459,17 @@ impl Membership {
     /// Always counts as a record change for [`Membership::changed_since`].
     pub fn upsert(&mut self, member: Member) -> Option<Member> {
         let tag = self.tag(member.name.as_str());
-        let state = member.state;
-        if let Some((_, id)) = self.find_tagged(tag, member.name.as_str()) {
-            let prev = self.take(id)?;
-            self.put(id, member);
-            self.reconcile(id, prev.state, state);
-            self.unlink(id);
-            self.stamp(id);
-            return Some(prev);
-        }
-        let id = match self.free.pop() {
-            Some(id) => id,
-            None => {
-                // Vacant until `put` below fills it in; the record
-                // fields only need *a* value here.
-                self.slots.push(Slot {
-                    name: None,
-                    addr: member.addr,
-                    incarnation: member.incarnation,
-                    state,
-                    state_change: member.state_change,
-                    updated_seq: 0,
-                    pos: 0,
-                    newer: NIL,
-                    older: NIL,
-                    gen: 0,
-                });
-                if !self.meta.is_empty() {
-                    self.meta.push(Bytes::new());
-                }
-                (self.slots.len() - 1) as u32
-            }
+        let Some((_, id)) = self.find_tagged(tag, member.name.as_str()) else {
+            self.insert(Vacant { tag }, member);
+            return None;
         };
+        let state = member.state;
+        let prev = self.take(id)?;
         self.put(id, member);
-        self.index_reserve(self.len() + 1);
-        self.index_insert(Bucket { tag, slot: id });
-        self.pool_push(id, state);
-        if state == MemberState::Alive {
-            self.alive += 1;
-        }
+        self.reconcile(id, prev.state, state);
+        self.unlink(id);
         self.stamp(id);
-        None
+        Some(prev)
     }
 
     /// Removes a member record entirely (dead-node reaping). O(1).
@@ -1318,11 +1365,35 @@ mod tests {
         t.check_invariants();
     }
 
+    #[test]
+    fn insert_after_a_missed_lookup_returns_the_new_members_id() {
+        let mut t = table(3);
+        let before = t.update_seq();
+        for name in ["node-7", "a-name-longer-than-inline"] {
+            let Err(vacant) = t.lookup(name) else {
+                panic!("{name} is not a member yet");
+            };
+            let id = t.insert(
+                vacant,
+                Member::new(name.into(), addr(7), Incarnation(2), Time::ZERO),
+            );
+            assert_eq!(t.id_of(&name.into()), Some(id));
+            assert_eq!(t.by_id(id).map(|m| m.incarnation), Some(Incarnation(2)));
+            t.check_invariants();
+        }
+        assert_eq!(t.changed_since(before).count(), 2, "inserts are changes");
+        assert_eq!(t.live_count(), 5);
+    }
+
     /// A layout regression costs n² bytes in the simulator (every node
     /// holds the full roster), so it fails here first.
     #[test]
     fn record_layout_is_pinned() {
         assert!(std::mem::size_of::<Slot>() <= 80);
+        // The name is inline in the slot, and a vacant slot's `None`
+        // costs it no byte.
+        assert_eq!(std::mem::size_of::<NodeName>(), 16);
+        assert_eq!(std::mem::size_of::<Option<NodeName>>(), 16);
         assert!(std::mem::size_of::<NodeAddr>() <= 20);
         assert!(std::mem::size_of::<MemberRef<'_>>() <= 64);
         assert_eq!(std::mem::size_of::<Bucket>(), 8);
@@ -1383,7 +1454,10 @@ mod tests {
                 Membership::new()
             };
             let mut model: HashMap<String, u64> = HashMap::new();
-            let name = |node: usize| format!("n{}", "x".repeat(node % 5)) + &node.to_string();
+            // 2 to 19 bytes: inline names and shared ones (over 14
+            // bytes), and shared names that agree in their first 17
+            // bytes, so that only a full comparison tells them apart.
+            let name = |node: usize| format!("n{}", "x".repeat(4 * (node % 5))) + &node.to_string();
             for op in &ops {
                 match *op {
                     IndexOp::Upsert { node, inc } => {

@@ -31,7 +31,7 @@ use crate::blocked_io::BlockedIo;
 use crate::config::Config;
 use crate::event::Event;
 use crate::member::Member;
-use crate::membership::{MemberId, Membership, SamplePool};
+use crate::membership::{MemberId, Membership, SamplePool, Vacant};
 use crate::outbox::Outbox;
 use crate::prober::{Acked, Prober};
 use crate::suspicion::{Suspicion, Suspicions};
@@ -239,11 +239,11 @@ impl SwimNode {
 
     /// The one datagram path: what [`Input::Datagram`] runs, and what a
     /// socket runtime calls directly with its receive buffer. The packet
-    /// is walked as borrowed [`DatagramView`]s — the whole of it checked
-    /// before the first is handled — so nothing is decoded into owned
-    /// messages: a name becomes a [`NodeName`] only where a message
-    /// changes state, and then by cloning the one the member table
-    /// stores. Gossip that changes nothing allocates nothing.
+    /// is parsed once, into borrowed [`DatagramView`]s — the whole of it
+    /// checked before the first is handled — so nothing is decoded into
+    /// owned messages: a name becomes a [`NodeName`] only where a
+    /// message changes state. Gossip that changes nothing allocates
+    /// nothing.
     ///
     /// # Errors
     ///
@@ -255,13 +255,12 @@ impl SwimNode {
         now: Time,
     ) -> Result<(), DecodeError> {
         self.outbox.begin_input();
-        let views = compound::datagram_views(payload)?;
-        if !self.started {
-            return Ok(());
-        }
-        for view in views {
-            self.handle_view(view, now);
-        }
+        let started = self.started;
+        compound::for_each_view(payload, |view| {
+            if started {
+                self.handle_view(view, now);
+            }
+        })?;
         self.resume_gossip(now);
         Ok(())
     }
@@ -349,7 +348,7 @@ impl SwimNode {
             } => {
                 if node == self.name.as_str() {
                     self.accused(incarnation, now);
-                } else if let Some((id, _)) = self.membership.lookup(node) {
+                } else if let Ok((id, _)) = self.membership.lookup(node) {
                     self.apply_suspect(incarnation, id, from, now);
                 }
             }
@@ -366,7 +365,7 @@ impl SwimNode {
             } => {
                 if node == self.name.as_str() {
                     self.accused(incarnation, now);
-                } else if let Some((id, _)) = self.membership.lookup(node) {
+                } else if let Ok((id, _)) = self.membership.lookup(node) {
                     self.apply_dead(incarnation, id, from, now);
                 }
             }
@@ -395,8 +394,8 @@ impl SwimNode {
             &mut self.timers,
         );
         let (target, target_id) = match self.membership.lookup(target) {
-            Some((id, member)) => (member.name.clone(), Some(id)),
-            None => (NodeName::from(target), None),
+            Ok((id, member)) => (member.name.clone(), Some(id)),
+            Err(_) => (NodeName::from(target), None),
         };
         let ping = self.ping(seq, target);
         self.send_packet(target_addr, &ping, target_id);
@@ -478,13 +477,14 @@ impl SwimNode {
     /// the datagram path, the packet), and the name index is probed
     /// once.
     ///
-    /// Allocation discipline: a *genuinely new* member costs its name
-    /// and one meta copy (membership records are long-lived, so a
-    /// compact copy is stored, never a slice of a receive buffer). An
-    /// *accepted* update to a known member reuses the stored name `Arc`
-    /// and — when the metadata is unchanged, the steady-state case —
-    /// the stored meta `Bytes` too, so it performs no allocation at
-    /// all. Stale duplicates return without touching anything.
+    /// Allocation discipline: a *genuinely new* member costs one meta
+    /// copy when it has metadata (membership records are long-lived, so
+    /// a compact copy is stored, never a slice of a receive buffer), and
+    /// its name when that is too long to be inline. An *accepted* update
+    /// to a known member reuses the stored name and — when the metadata
+    /// is unchanged, the steady-state case — the stored meta `Bytes`
+    /// too, so it performs no allocation at all. Stale duplicates return
+    /// without touching anything.
     fn apply_alive(
         &mut self,
         incarnation: Incarnation,
@@ -499,20 +499,12 @@ impl SwimNode {
             // authoritative.
             return;
         }
-        let Some((id, member)) = self.membership.lookup(node) else {
-            let meta = Bytes::copy_from_slice(meta);
-            let name = NodeName::from(node);
-            let mut m = Member::new(name.clone(), addr, incarnation, now);
-            m.meta = meta.clone();
-            self.membership.upsert(m);
-            if let Some(id) = self.membership.id_of(&name) {
-                self.prober.admit(id, &mut self.rng);
+        let (id, member) = match self.membership.lookup(node) {
+            Ok(found) => found,
+            Err(vacant) => {
+                self.admit_member(vacant, incarnation, node, addr, meta, now);
+                return;
             }
-            self.outbox
-                .broadcasts
-                .enqueue(alive(incarnation, name.clone(), addr, meta));
-            self.outbox.event(Event::MemberJoined { name });
-            return;
         };
         // An alive message only overrides suspect/dead at a strictly
         // higher incarnation (SWIM §4.2).
@@ -548,6 +540,32 @@ impl SwimNode {
             MemberState::Left => self.outbox.event(Event::MemberJoined { name }),
             MemberState::Alive => {}
         }
+    }
+
+    /// The member `node`, which [`Membership::lookup`] just found absent,
+    /// joins alive at `incarnation`: it goes into the table under the id
+    /// that lookup's probe earned, into the probe rotation and, as an
+    /// `alive`, into the broadcast queue. Returns its id.
+    fn admit_member(
+        &mut self,
+        vacant: Vacant,
+        incarnation: Incarnation,
+        node: &str,
+        addr: NodeAddr,
+        meta: &[u8],
+        now: Time,
+    ) -> MemberId {
+        let meta = Bytes::copy_from_slice(meta);
+        let name = NodeName::from(node);
+        let mut m = Member::new(name.clone(), addr, incarnation, now);
+        m.meta = meta.clone();
+        let id = self.membership.insert(vacant, m);
+        self.prober.admit(id, &mut self.rng);
+        self.outbox
+            .broadcasts
+            .enqueue(alive(incarnation, name.clone(), addr, meta));
+        self.outbox.event(Event::MemberJoined { name });
+        id
     }
 
     /// A `dead` claim about the peer behind `id` — a failure declared
@@ -604,8 +622,9 @@ impl SwimNode {
     /// dynamic) suspicion timer. `from` is the accuser (ourselves on
     /// probe failure). This changes state, so the names become owned
     /// here: the subject's is the stored one, the accuser's too when it
-    /// is a known member — reference-count bumps — and a fresh name only
-    /// for an accuser this node has never seen.
+    /// is a known member — copies, or reference-count bumps for long
+    /// names — and a fresh name only for an accuser this node has never
+    /// seen.
     fn start_suspicion(&mut self, id: MemberId, incarnation: Incarnation, from: &str, now: Time) {
         let Some(member) = self.membership.by_id(id) else {
             return;
@@ -697,14 +716,14 @@ impl SwimNode {
                     }
                     // Learn the member first if unknown (a suspect entry
                     // still carries a usable address).
-                    let mut id = self.membership.id_of(&st.name);
-                    if id.is_none() {
-                        self.apply_alive(st.incarnation, st.name.as_str(), st.addr, &st.meta, now);
-                        id = self.membership.id_of(&st.name);
-                    }
-                    if let Some(id) = id {
-                        self.apply_suspect(st.incarnation, id, me.as_str(), now);
-                    }
+                    let id = match self.membership.lookup(st.name.as_str()) {
+                        Ok((id, _)) => id,
+                        Err(vacant) => {
+                            let (name, meta) = (st.name.as_str(), &st.meta);
+                            self.admit_member(vacant, st.incarnation, name, st.addr, meta, now)
+                        }
+                    };
+                    self.apply_suspect(st.incarnation, id, me.as_str(), now);
                 }
                 MemberState::Left => {
                     if st.name == self.name {
@@ -875,7 +894,7 @@ impl SwimNode {
         });
         // A target reaped while its probe was in flight is nobody's
         // suspect.
-        let Some((target_id, member)) = self.membership.lookup(target.as_str()) else {
+        let Ok((target_id, member)) = self.membership.lookup(target.as_str()) else {
             return;
         };
         let incarnation = member.incarnation;

@@ -133,12 +133,13 @@ impl SwimNode {
         self.membership.reserve(expected);
         let mut fresh = Vec::with_capacity(expected);
         for (name, addr) in peers {
-            if name == self.name || self.membership.get(&name).is_some() {
+            if name == self.name {
                 continue;
             }
-            self.membership
-                .upsert(Member::new(name.clone(), addr, Incarnation::ZERO, now));
-            fresh.extend(self.membership.id_of(&name));
+            if let Err(vacant) = self.membership.lookup(name.as_str()) {
+                let member = Member::new(name, addr, Incarnation::ZERO, now);
+                fresh.push(self.membership.insert(vacant, member));
+            }
         }
         self.prober.admit_all(fresh, &mut self.rng);
     }

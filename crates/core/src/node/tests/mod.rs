@@ -650,6 +650,109 @@ fn datagram_decode_error_is_propagated() {
         .is_err());
 }
 
+/// A datagram of `msgs` in compound framing, plus `tail` as a last
+/// part when given.
+fn compound_packet(msgs: &[Message], tail: Option<&[u8]>) -> Bytes {
+    let mut builder = lifeguard_proto::compound::CompoundBuilder::new(usize::MAX);
+    for msg in msgs {
+        assert!(builder.try_add_msg(msg));
+    }
+    if let Some(tail) = tail {
+        assert!(builder.try_add_bytes(tail));
+    }
+    let mut packet = Vec::new();
+    builder.finish_into(&mut packet).unwrap();
+    Bytes::from(packet)
+}
+
+/// A datagram is checked whole before any part acts: when only its
+/// last part is malformed, the ping, the newcomer and the accusation
+/// before it change nothing and send nothing.
+#[test]
+fn packet_with_a_malformed_last_part_changes_nothing() {
+    let mut n = new_node(Config::lan());
+    add_peer(&mut n, "p", 2, Time::from_secs(1));
+    let now = Time::from_secs(2);
+    // A stray ack changes no state and leaves the send buffer empty.
+    feed(&mut n, addr(2), Message::Ack(Ack { seq: SeqNo(99) }), now);
+    let before = format!("{n:?}");
+    let packet = compound_packet(
+        &[
+            Message::Ping(Ping {
+                seq: SeqNo(7),
+                target: "local".into(),
+                source: "p".into(),
+                source_addr: addr(2),
+            }),
+            Message::Alive(Alive {
+                incarnation: Incarnation(1),
+                node: "newcomer".into(),
+                addr: addr(3),
+                meta: Bytes::new(),
+            }),
+            Message::Suspect(Suspect {
+                incarnation: Incarnation(1),
+                node: "p".into(),
+                from: "newcomer".into(),
+            }),
+        ],
+        Some(&[42]),
+    );
+    let refused = n.handle_input(
+        Input::Datagram {
+            from: addr(2),
+            payload: packet,
+        },
+        now,
+    );
+    assert_eq!(refused, Err(DecodeError::UnknownTag(42)));
+    assert_eq!(format!("{n:?}"), before, "node state moved");
+    assert!(drain(&mut n).is_empty(), "a refused packet sent something");
+}
+
+/// Every part of a packet with as many parts as the count byte allows
+/// is handled, in packet order, names of both forms alike.
+#[test]
+fn compound_packet_of_the_most_parts_is_handled_part_by_part() {
+    use lifeguard_proto::compound::MAX_COMPOUND_PARTS;
+    let mut n = new_node(Config::lan());
+    let names: Vec<String> = (0..MAX_COMPOUND_PARTS)
+        .map(|i| match i % 2 {
+            0 => format!("peer-{i}"),
+            _ => format!("a-longer-peer-name-{i}"),
+        })
+        .collect();
+    let alives: Vec<Message> = names
+        .iter()
+        .map(|name| {
+            Message::Alive(Alive {
+                incarnation: Incarnation(1),
+                node: name.as_str().into(),
+                addr: addr(2),
+                meta: Bytes::new(),
+            })
+        })
+        .collect();
+    let packet = compound_packet(&alives, None);
+    let out = input(
+        &mut n,
+        Input::Datagram {
+            from: addr(2),
+            payload: packet,
+        },
+        Time::from_secs(1),
+    );
+    assert_eq!(n.num_alive(), 1 + MAX_COMPOUND_PARTS);
+    let joined: Vec<&str> = events(&out)
+        .into_iter()
+        .filter_map(|e| match e {
+            Event::MemberJoined { name } => Some(name.as_str()),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(joined, names);
+}
+
 #[test]
 fn invalid_config_is_rejected_at_construction() {
     let mut cfg = Config::lan();

@@ -179,9 +179,12 @@ impl Suspicions {
     /// Otherwise the inner value is the accuser's owned name when it is
     /// one of the first K new confirmers, which LHA-Suspicion
     /// re-gossips (paper §IV-B); a repeat confirmation touches no name
-    /// and allocates nothing. Either way the expiry moves to the
-    /// (possibly shrunk) deadline in place; the superseded deadline can
-    /// never fire.
+    /// and allocates nothing. Either way the expiry is re-armed in place
+    /// — at the shrunk deadline after a new confirmation, at the one
+    /// already armed otherwise, since the timeout only moves with the
+    /// count — and the superseded deadline can never fire. The re-arm
+    /// takes a fresh insertion sequence either way, which orders timers
+    /// that share an instant.
     pub(crate) fn confirm(
         &mut self,
         id: MemberId,
@@ -197,7 +200,11 @@ impl Suspicions {
             active.sus.confirm(from.clone());
             from
         });
-        match timers.reschedule(active.timer, active.sus.deadline()) {
+        let deadline = match admitted {
+            Some(_) => Some(active.sus.deadline()),
+            None => timers.deadline_of(active.timer),
+        };
+        match deadline.and_then(|at| timers.reschedule(active.timer, at)) {
             Some(key) => active.timer = key,
             None => debug_assert!(false, "active suspicion lost its timer"),
         }
@@ -377,6 +384,54 @@ mod tests {
         s.confirm("c".into());
         s.confirm("d".into());
         assert_eq!(s.deadline(), Time::from_secs(110)); // start + min
+    }
+
+    /// The expiry a held suspicion has armed: it moves earlier with each
+    /// of the first K new accusers, lands on `start + min` with the K-th,
+    /// and a repeat accuser leaves it where it is.
+    #[test]
+    fn only_new_accusers_move_the_armed_deadline() {
+        let mut membership = Membership::new();
+        let addr = lifeguard_proto::NodeAddr::new([10, 0, 0, 1], 7946);
+        membership.upsert(crate::member::Member::new(
+            "x".into(),
+            addr,
+            Incarnation(1),
+            Time::ZERO,
+        ));
+        let id = membership.id_of(&"x".into()).unwrap();
+        let mut timers = TimerWheel::new();
+        let mut held = Suspicions::default();
+        let start = Time::from_secs(100);
+        let sus = Suspicion::new(Incarnation(1), "a".into(), 3, MIN, MAX, start);
+        held.raise(id, sus, &mut timers);
+        let armed = |held: &Suspicions, timers: &TimerWheel<Timer>| {
+            timers.deadline_of(held.table[&id].timer).unwrap()
+        };
+        assert_eq!(armed(&held, &timers), start + MAX);
+
+        let mut before = armed(&held, &timers);
+        for from in ["a", "b", "a", "c", "b", "d"] {
+            let admitted = held.confirm(id, Incarnation(1), from, &membership, &mut timers);
+            let now = armed(&held, &timers);
+            match admitted {
+                Some(Some(name)) => {
+                    assert_eq!(name.as_str(), from);
+                    assert!(now < before, "{from} is new: the deadline moves earlier");
+                }
+                Some(None) => assert_eq!(now, before, "{from} again: the deadline stays"),
+                None => panic!("the suspicion is held"),
+            }
+            before = now;
+        }
+        assert_eq!(
+            before,
+            start + MIN,
+            "the K-th new accuser reaches the floor"
+        );
+        let admitted = held.confirm(id, Incarnation(1), "e", &membership, &mut timers);
+        assert_eq!(admitted, Some(None), "past K nobody is admitted");
+        assert_eq!(armed(&held, &timers), start + MIN);
     }
 
     #[test]

@@ -17,6 +17,7 @@ use bytes::{Bytes, BytesMut};
 use crate::codec::{self, COMPOUND_TAG};
 use crate::error::DecodeError;
 use crate::messages::{DatagramView, Message};
+use crate::types::SeqNo;
 
 /// Maximum number of parts in one compound packet (count is a `u8`).
 pub const MAX_COMPOUND_PARTS: usize = 255;
@@ -240,8 +241,8 @@ pub fn decode_packet(bytes: &[u8]) -> Result<Vec<Message>, DecodeError> {
 /// Like [`decode_packet`], but each part is cut as a zero-copy
 /// [`Bytes::slice`] of the datagram, so blob fields (gossip metadata,
 /// push-pull state) alias the received buffer instead of being copied.
-/// A node does not decode a datagram it receives at all — it walks
-/// [`datagram_views`]; this owned decoder serves callers that keep the
+/// A node does not decode a datagram it receives into messages at all —
+/// it runs [`for_each_view`]; this owned decoder serves callers that keep the
 /// messages, and is the reference the views are tested against.
 ///
 /// # Errors
@@ -260,104 +261,117 @@ pub fn decode_packet_shared(bytes: &Bytes) -> Result<Vec<Message>, DecodeError> 
     }
 }
 
-/// The datagram messages of a packet — bare or compound — as borrowed
-/// views, in packet order: the receive path of a node, which allocates
-/// nothing here (no part table, no `Vec<Message>`, no owned name).
+/// Hands the datagram messages of a packet — bare or compound — to
+/// `act` as borrowed views, in packet order: the receive path of a
+/// node. Each part is parsed once, and nothing is allocated (no part
+/// table, no `Vec<Message>`, no owned name).
 ///
-/// The **whole** packet is checked before the first view exists:
+/// The **whole** packet is checked before `act` sees the first view:
 /// compound framing, then every part in order — fields, UTF-8,
 /// trailing bytes, unknown tags, and a stream-only `push-pull` body
-/// through the owned decoder. `Ok` exactly when [`decode_packet`] is
-/// `Ok`, and the same [`DecodeError`] otherwise, so a caller that acts
-/// on each view never acts on part of a malformed packet. Stream-only
-/// messages have no view and are skipped by the iterator.
+/// through the owned decoder. A bare packet is one view and is handed
+/// out once decoded; a compound packet's views wait in one stack buffer
+/// until its last part has been checked. The buffer holds 16 views when
+/// the packet has at most 16 parts, as most do, and
+/// [`MAX_COMPOUND_PARTS`] otherwise: setting it up costs a store per
+/// view, used or not. `Ok` exactly when [`decode_packet`] is `Ok`, and
+/// the same [`DecodeError`] otherwise, so `act` never acts on part of a
+/// malformed packet. Stream-only messages have no view and are not
+/// handed out.
+///
+/// ```
+/// use lifeguard_proto::{codec, compound, Ack, DatagramView, Message, SeqNo};
+///
+/// let packet = codec::encode_message(&Message::Ack(Ack { seq: SeqNo(7) }));
+/// let mut views = Vec::new();
+/// compound::for_each_view(&packet, |view| views.push(view)).unwrap();
+/// assert_eq!(views, [DatagramView::Ack { seq: SeqNo(7) }]);
+/// assert!(compound::for_each_view(&packet[..2], |_| unreachable!()).is_err());
+/// ```
 ///
 /// # Errors
 ///
 /// Same as [`decode_packet`].
-pub fn datagram_views(bytes: &[u8]) -> Result<DatagramViews<'_>, DecodeError> {
-    let views = DatagramViews::frame(bytes)?;
-    let mut unchecked = views.clone();
-    while let Some(part) = unchecked.next_part() {
-        if codec::decode_view(part)?.is_none() {
-            codec::decode_message(part)?;
+pub fn for_each_view<'a>(
+    bytes: &'a [u8],
+    mut act: impl FnMut(DatagramView<'a>),
+) -> Result<(), DecodeError> {
+    if bytes.first() != Some(&COMPOUND_TAG) {
+        if let Some(view) = check_part(bytes)? {
+            act(view);
         }
+        return Ok(());
     }
-    Ok(views)
-}
-
-/// Iterator over the [`DatagramView`]s of one checked packet; see
-/// [`datagram_views`]. Each `next` parses one part again — cheaper
-/// than keeping what the check parsed.
-#[derive(Clone, Debug)]
-pub struct DatagramViews<'a> {
-    /// A bare packet's single part, until it is handed out.
-    bare: Option<&'a [u8]>,
-    /// Unread words of a compound packet's length table.
-    lens: codec::Reader<'a>,
-    /// The parts those words describe, back to back.
-    body: codec::Reader<'a>,
-}
-
-impl<'a> DatagramViews<'a> {
-    /// Splits a packet into its parts, checking compound framing the
-    /// way `split_compound` does: a short header or length table is
-    /// `UnexpectedEof`, a part past the end `TruncatedCompound`, bytes
-    /// after the last part `TrailingBytes`.
-    fn frame(bytes: &'a [u8]) -> Result<Self, DecodeError> {
-        let mut r = codec::Reader::new(bytes);
-        if bytes.first() != Some(&COMPOUND_TAG) {
-            return Ok(DatagramViews {
-                bare: Some(bytes),
-                lens: codec::Reader::new(&[]),
-                body: codec::Reader::new(&[]),
-            });
-        }
-        r.get_u8()?;
-        let count = r.get_u8()? as usize;
-        let lens = codec::Reader::new(r.take(2 * count)?);
-        let body = codec::Reader::new(r.take(r.remaining())?);
-        let mut table = lens.clone();
-        let mut left = body.remaining();
-        for _ in 0..count {
-            let len = table.get_u16()? as usize;
-            left = left
-                .checked_sub(len)
-                .ok_or(DecodeError::TruncatedCompound)?;
-        }
-        if left != 0 {
-            return Err(DecodeError::TrailingBytes(left));
-        }
-        Ok(DatagramViews {
-            bare: None,
-            lens,
-            body,
-        })
-    }
-
-    fn next_part(&mut self) -> Option<&'a [u8]> {
-        if let Some(part) = self.bare.take() {
-            return Some(part);
-        }
-        let len = self.lens.get_u16().ok()?;
-        self.body.take(len as usize).ok()
+    let (lens, body) = frame(bytes)?;
+    if lens.remaining() <= 2 * FEW_PARTS {
+        check_then_act::<FEW_PARTS>(lens, body, act)
+    } else {
+        check_then_act::<MAX_COMPOUND_PARTS>(lens, body, act)
     }
 }
 
-impl<'a> Iterator for DatagramViews<'a> {
-    type Item = DatagramView<'a>;
+/// The view buffer of a compound packet with this many parts or fewer.
+/// On `anomaly-128` 85 % of compound packets have at most 16 parts, the
+/// median 5, and a full one ~48.
+const FEW_PARTS: usize = 16;
 
-    fn next(&mut self) -> Option<DatagramView<'a>> {
-        loop {
-            // `datagram_views` decoded every part already, so the
-            // error arm is never taken; it ends the walk all the same.
-            match codec::decode_view(self.next_part()?) {
-                Ok(Some(view)) => return Some(view),
-                Ok(None) => {}
-                Err(_) => return None,
+/// Checks the parts of a framed compound packet into a buffer of `N`
+/// views, then hands them to `act`. Out of line, so that only the
+/// packets that need the buffer reserve it.
+#[inline(never)]
+fn check_then_act<'a, const N: usize>(
+    mut lens: codec::Reader<'a>,
+    mut body: codec::Reader<'a>,
+    act: impl FnMut(DatagramView<'a>),
+) -> Result<(), DecodeError> {
+    let mut views = [DatagramView::Ack { seq: SeqNo(0) }; N];
+    let mut checked = 0;
+    while let Ok(len) = lens.get_u16() {
+        if let Some(view) = check_part(body.take(len as usize)?)? {
+            // The caller picked `N` from the length table, so there are
+            // at most `N` parts and this never misses.
+            if let Some(slot) = views.get_mut(checked) {
+                *slot = view;
+                checked += 1;
             }
         }
     }
+    views.iter().take(checked).copied().for_each(act);
+    Ok(())
+}
+
+/// Decodes one part as its view, or checks a stream-only message with
+/// the owned decoder and yields `None` for it.
+fn check_part(part: &[u8]) -> Result<Option<DatagramView<'_>>, DecodeError> {
+    let view = codec::decode_view(part)?;
+    if view.is_none() {
+        codec::decode_message(part)?;
+    }
+    Ok(view)
+}
+
+/// Splits a compound packet into its length table and its body,
+/// checking the framing the way `split_compound` does: a short header
+/// or length table is `UnexpectedEof`, a part past the end
+/// `TruncatedCompound`, bytes after the last part `TrailingBytes`.
+fn frame(bytes: &[u8]) -> Result<(codec::Reader<'_>, codec::Reader<'_>), DecodeError> {
+    let mut r = codec::Reader::new(bytes);
+    r.get_u8()?;
+    let count = r.get_u8()? as usize;
+    let lens = codec::Reader::new(r.take(2 * count)?);
+    let body = codec::Reader::new(r.take(r.remaining())?);
+    let mut table = lens.clone();
+    let mut left = body.remaining();
+    for _ in 0..count {
+        let len = table.get_u16()? as usize;
+        left = left
+            .checked_sub(len)
+            .ok_or(DecodeError::TruncatedCompound)?;
+    }
+    if left != 0 {
+        return Err(DecodeError::TrailingBytes(left));
+    }
+    Ok((lens, body))
 }
 
 /// Parses and validates a compound header, returning each part's
@@ -587,6 +601,34 @@ mod tests {
         assert!(b.try_add_msg(&ack(1)), "builder stays usable after a refusal");
         let packet = finish(&mut b).unwrap();
         assert_eq!(decode_packet(&packet).unwrap(), vec![ack(1)]);
+    }
+
+    /// On both sides of the buffer-size boundary and at the most parts
+    /// a packet can have.
+    #[test]
+    fn views_come_out_in_packet_order_after_the_whole_packet_is_checked() {
+        for parts in [2, FEW_PARTS, FEW_PARTS + 1, MAX_COMPOUND_PARTS] {
+            let mut b = CompoundBuilder::new(usize::MAX);
+            for i in 0..parts {
+                assert!(b.try_add_msg(&ack(i as u32)));
+            }
+            let packet = finish(&mut b).unwrap();
+            let mut seqs = Vec::new();
+            for_each_view(&packet, |view| match view {
+                DatagramView::Ack { seq } => seqs.push(seq.0),
+                other => panic!("{other:?}"),
+            })
+            .unwrap();
+            assert_eq!(seqs, (0..parts as u32).collect::<Vec<_>>());
+
+            // The last part's tag is one no message has: no part is
+            // handed out.
+            let mut damaged = packet;
+            let last_part = damaged.len() - 5; // an ack is its tag and a u32
+            damaged[last_part] = 42;
+            let refused = for_each_view(&damaged, |_| panic!("a view of a refused packet"));
+            assert_eq!(refused, Err(DecodeError::UnknownTag(42)));
+        }
     }
 
     #[test]

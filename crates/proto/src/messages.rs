@@ -189,7 +189,7 @@ pub enum Message {
 /// in: the seven kinds that travel by datagram, field for field what
 /// [`Message`] holds, with names as `&str` and metadata as `&[u8]`
 /// slices of the receive buffer. `Copy`; decoding one allocates
-/// nothing (see [`compound::datagram_views`](crate::compound::datagram_views)).
+/// nothing (see [`compound::for_each_view`](crate::compound::for_each_view)).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum DatagramView<'a> {
     /// [`Ping`]

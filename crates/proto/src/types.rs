@@ -1,14 +1,20 @@
 //! Fundamental protocol value types.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr};
 use std::sync::Arc;
 
 /// The unique name of a group member.
 ///
-/// Names are immutable UTF-8 strings; cloning is cheap (reference counted),
-/// which matters because names are copied into every gossip message and
-/// every membership event.
+/// Names are immutable UTF-8 strings held in 16 bytes. A name of at most
+/// [`NodeName::INLINE_LEN`] bytes is stored inline, zero-padded, so
+/// cloning it is a copy and comparing it reads no other cache line; a
+/// longer name is shared behind one thin pointer, so cloning it is a
+/// reference-count increment and reading it one more pointer hop than an
+/// `Arc<str>`. Each name has exactly one form, so equality, ordering and
+/// hashing are those of the name's bytes — of its `&str`.
+/// `Option<NodeName>` is 16 bytes too.
 ///
 /// ```
 /// use lifeguard_proto::NodeName;
@@ -16,60 +22,128 @@ use std::sync::Arc;
 /// let b = a.clone();
 /// assert_eq!(a, b);
 /// assert_eq!(a.as_str(), "node-1");
+/// assert_eq!(std::mem::size_of::<NodeName>(), 16);
 /// ```
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct NodeName(Arc<str>);
+#[derive(Clone, PartialEq, Eq)]
+pub struct NodeName(Repr);
+
+/// The two forms of a [`NodeName`]. Derived equality is the bytes'
+/// equality because the form is a function of the length: a name of at
+/// most `INLINE_LEN` bytes is always `Inline`, a longer one `Shared`.
+/// `repr(u8)` fixes the layout — a tag byte, then the length and the
+/// bytes, or the pointer at offset 8 — and leaves the tag's unused
+/// values to `Option`'s `None`.
+#[derive(Clone, PartialEq, Eq)]
+#[repr(u8)]
+enum Repr {
+    /// The name's `len` bytes, then zeros.
+    Inline {
+        len: u8,
+        bytes: [u8; NodeName::INLINE_LEN],
+    },
+    Shared(Arc<Box<str>>),
+}
 
 impl NodeName {
-    /// Creates a name from anything string-like.
-    pub fn new(name: impl Into<Arc<str>>) -> Self {
-        NodeName(name.into())
-    }
+    /// The longest name stored inline, in bytes.
+    pub const INLINE_LEN: usize = 14;
 
     /// Returns the name as a string slice.
+    #[inline]
     pub fn as_str(&self) -> &str {
-        &self.0
+        match &self.0 {
+            Repr::Inline { len, bytes } => {
+                let name = bytes.get(..usize::from(*len)).unwrap_or_default();
+                // SAFETY: inline bytes are only ever written by
+                // `From<&str>`, which copies a whole `&str` of at most
+                // `INLINE_LEN` bytes to the front of a zeroed array and
+                // records its length, so `name` is exactly that `&str`'s
+                // bytes: valid UTF-8.
+                unsafe { std::str::from_utf8_unchecked(name) }
+            }
+            Repr::Shared(name) => name,
+        }
     }
 
     /// Length of the name in bytes.
+    #[inline]
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.as_str().len()
     }
 
     /// Whether the name is empty. Empty names are never valid members but
     /// can appear in partially-initialised messages.
+    #[inline]
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.len() == 0
+    }
+}
+
+impl PartialOrd for NodeName {
+    #[inline]
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for NodeName {
+    #[inline]
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.as_str().cmp(other.as_str())
+    }
+}
+
+/// Hashes like the name's `&str`, so a table keyed by names can be
+/// probed with the bytes a packet carries.
+impl Hash for NodeName {
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_str().hash(state);
     }
 }
 
 impl fmt::Display for NodeName {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
+        f.write_str(self.as_str())
     }
 }
 
 impl fmt::Debug for NodeName {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "NodeName({:?})", &*self.0)
+        write!(f, "NodeName({:?})", self.as_str())
     }
 }
 
 impl From<&str> for NodeName {
+    #[inline]
     fn from(s: &str) -> Self {
-        NodeName(Arc::from(s))
+        match u8::try_from(s.len()) {
+            Ok(len) if s.len() <= NodeName::INLINE_LEN => {
+                let mut bytes = [0; NodeName::INLINE_LEN];
+                for (to, from) in bytes.iter_mut().zip(s.as_bytes()) {
+                    *to = *from;
+                }
+                NodeName(Repr::Inline { len, bytes })
+            }
+            _ => NodeName(Repr::Shared(Arc::new(Box::from(s)))),
+        }
     }
 }
 
 impl From<String> for NodeName {
+    #[inline]
     fn from(s: String) -> Self {
-        NodeName(Arc::from(s))
+        if s.len() <= NodeName::INLINE_LEN {
+            return NodeName::from(s.as_str());
+        }
+        NodeName(Repr::Shared(Arc::new(s.into_boxed_str())))
     }
 }
 
 impl AsRef<str> for NodeName {
+    #[inline]
     fn as_ref(&self) -> &str {
-        &self.0
+        self.as_str()
     }
 }
 

@@ -3,7 +3,9 @@
 use bytes::Bytes;
 use proptest::prelude::*;
 
-use lifeguard_proto::compound::{datagram_views, decode_packet, CompoundBuilder};
+use lifeguard_proto::compound::{
+    decode_packet, for_each_view, CompoundBuilder, MAX_COMPOUND_PARTS,
+};
 use lifeguard_proto::{
     codec, Ack, Alive, DatagramView, Dead, DecodeError, Incarnation, IndirectPing, MemberState,
     Message, Nack, NodeAddr, NodeName, Ping, PushNodeState, PushPull, PushPullDelta, SeqNo,
@@ -208,10 +210,16 @@ fn owned(view: DatagramView<'_>) -> Message {
     }
 }
 
-/// A packet through the view walker. An `Err` comes back in place of
-/// the iterator, so a refused packet hands out no view at all.
+/// A packet through the view walker, which must hand out no view at
+/// all for a packet it refuses.
 fn through_views(bytes: &[u8]) -> Result<Vec<Message>, DecodeError> {
-    Ok(datagram_views(bytes)?.map(owned).collect())
+    let mut msgs = Vec::new();
+    let checked = for_each_view(bytes, |view| msgs.push(owned(view)));
+    assert!(
+        checked.is_ok() || msgs.is_empty(),
+        "a view of a refused packet"
+    );
+    checked.map(|()| msgs)
 }
 
 /// The same packet through the owned reference decoder, less the
@@ -220,6 +228,89 @@ fn through_owned(bytes: &[u8]) -> Result<Vec<Message>, DecodeError> {
     let mut msgs = decode_packet(bytes)?;
     msgs.retain(|m| !matches!(m, Message::PushPull(_) | Message::PushPullDelta(_)));
     Ok(msgs)
+}
+
+/// Names from empty to past the inline limit of 14 bytes: ASCII up to
+/// 20 bytes, and up to 36 bytes of one- to four-byte characters, whose
+/// boundaries fall on every side of byte 14.
+fn raw_name_strategy() -> impl Strategy<Value = String> {
+    prop_oneof!["[a-z0-9.-]{0,20}", "[aé€😀]{0,9}"]
+}
+
+fn hash_of(x: impl std::hash::Hash, keys: &std::hash::RandomState) -> u64 {
+    std::hash::BuildHasher::hash_one(keys, x)
+}
+
+/// `a` and `b` as names behave as they do as `&str`s: the same bytes
+/// back, the same equality, order and hash, whichever constructor made
+/// them, and the codec carries them through unchanged.
+fn check_names(a: &str, b: &str) -> Result<(), String> {
+    let (na, nb) = (NodeName::from(a), NodeName::from(b.to_owned()));
+    prop_assert_eq!(na.as_str(), a);
+    prop_assert_eq!(nb.as_str(), b);
+    prop_assert_eq!(na.len(), a.len());
+    prop_assert_eq!(&NodeName::from(a.to_owned()), &na);
+    prop_assert_eq!(na == nb, a == b);
+    prop_assert_eq!(na.cmp(&nb), a.cmp(b));
+    let keys = std::hash::RandomState::new();
+    prop_assert_eq!(hash_of(&na, &keys), hash_of(a, &keys));
+    prop_assert_eq!(hash_of(&nb, &keys), hash_of(b, &keys));
+    let msg = Message::Suspect(Suspect {
+        incarnation: Incarnation(1),
+        node: na,
+        from: nb,
+    });
+    prop_assert_eq!(codec::decode_message(&codec::encode_message(&msg)), Ok(msg));
+    Ok(())
+}
+
+#[test]
+fn names_at_the_inline_limit_and_the_longest_the_wire_carries() {
+    let longest = "n".repeat(usize::from(u16::MAX));
+    let near_longest = format!("{}m", &longest[1..]);
+    let cases = [
+        ("", "a"),
+        ("abcdefghijklmn", "abcdefghijklmno"), // 14 and 15 bytes
+        ("abcdefghijklmo", "abcdefghijklmn"),
+        ("abcdefghijklm€", "abcdefghijklm"), // a character across byte 14
+        ("abcdefghijk€", "abcdefghijklmé"),  // one ending at 14, one at 15
+        (longest.as_str(), near_longest.as_str()),
+        (longest.as_str(), longest.as_str()),
+    ];
+    for (a, b) in cases {
+        check_names(a, b).unwrap();
+        check_names(b, a).unwrap();
+    }
+    assert_eq!(std::mem::size_of::<NodeName>(), 16);
+    assert_eq!(std::mem::size_of::<Option<NodeName>>(), 16);
+}
+
+/// A compound packet of the most parts its count byte allows is handed
+/// out whole, part by part, in order.
+#[test]
+fn views_of_a_packet_with_the_most_parts() {
+    let msgs: Vec<Message> = (0..MAX_COMPOUND_PARTS)
+        .map(|i| {
+            let name = NodeName::from(format!("{}-{i}", "node".repeat(i % 5)));
+            Message::Dead(Dead {
+                incarnation: Incarnation(i as u64),
+                node: name.clone(),
+                from: name,
+            })
+        })
+        .collect();
+    let mut builder = CompoundBuilder::new(usize::MAX);
+    for m in &msgs {
+        assert!(builder.try_add_msg(m));
+    }
+    assert!(!builder.try_add_msg(&msgs[0]), "the count byte is full");
+    let packet = finish(&mut builder).unwrap();
+    assert_eq!(through_views(&packet), Ok(msgs));
+    let last_part = packet.len() - 1;
+    assert_eq!(
+        through_views(&packet[..last_part]),
+        through_owned(&packet[..last_part])
+    );
 }
 
 /// One bare message, or several in compound framing.
@@ -234,6 +325,14 @@ fn packet_strategy() -> impl Strategy<Value = Vec<u8>> {
 }
 
 proptest! {
+    /// Any two names of the inline and the shared form behave as their
+    /// `&str`s do.
+    #[test]
+    fn names_behave_as_their_strings(a in raw_name_strategy(), b in raw_name_strategy()) {
+        check_names(&a, &b)?;
+        check_names(&a, &a)?;
+    }
+
     /// Every message survives an encode/decode roundtrip.
     #[test]
     fn roundtrip_any_message(msg in message_strategy()) {
@@ -254,7 +353,7 @@ proptest! {
     fn decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
         let _ = codec::decode_message(&bytes);
         let _ = decode_packet(&bytes);
-        let _ = datagram_views(&bytes).map(Iterator::count);
+        let _ = for_each_view(&bytes, |_| {});
     }
 
     /// Truncating a valid encoding always produces an error, never a
