@@ -113,8 +113,8 @@ impl std::error::Error for ConfigError {}
 /// The LHM deltas applied to each local-health event (paper §IV-A).
 ///
 /// The paper's §VII names these scores as candidates for automatic
-/// tuning; they are exposed here so the ablation harness (and users)
-/// can experiment. Defaults are the paper's values.
+/// tuning; they are exposed here so users can experiment. Defaults are
+/// the paper's values.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct AwarenessDeltas {
     /// Successful probe (`ping`/`ping-req` acked in time). Paper: −1.

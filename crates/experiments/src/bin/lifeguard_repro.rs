@@ -1,8 +1,9 @@
-//! `lifeguard-repro`: regenerate the Lifeguard paper's tables and figures.
+//! `lifeguard-repro`: render the Lifeguard paper's tables and figures
+//! from the runs the verdict judges.
 //!
 //! ```text
 //! USAGE:
-//!   lifeguard-repro <artifact> [--scale quick|default|paper] [--seed N] [--csv-dir DIR] [--quiet]
+//!   lifeguard-repro <artifact> [--scale gate|paper] [--csv-dir DIR]
 //!
 //! ARTIFACTS:
 //!   fig1     False positives from CPU exhaustion (Figure 1)
@@ -12,58 +13,69 @@
 //!   table5   Detection/dissemination latency (Table V)
 //!   table6   Message load (Table VI)
 //!   table7   Alpha/beta tuning trade-off (Table VII)
-//!   fp       table4 + fig2 + fig3 + table6 from one Interval suite
-//!   ablate-k Sweep LHA-Suspicion's confirmation count K (extension)
-//!   ablate-s Sweep the LHM saturation limit S (extension)
-//!   verdict  The gate: the paper's effects judged over paired seeds 1-8
-//!            (ignores --scale and --seed); exits 1 if a claim fails
-//!   all      Everything above except ablate-k, ablate-s and verdict
+//!   verdict  The paper's effects judged over paired seeds; exits 1 if a
+//!            claim fails
+//!   fp       table4 + fig2 + fig3 + table6
+//!   all      Everything above
 //! ```
+//!
+//! Every artifact renders one replay of the scale's cells (`gate`, the
+//! default: seeds 1-8, seconds in release; `paper`: the paper's Interval
+//! grid, also under each Table VII tuning, and Figure 1's stress counts
+//! over seeds 1-10, hours).
 
-use std::io::Write as _;
 use std::process::ExitCode;
 
 use lifeguard_experiments::report::Table;
 use lifeguard_experiments::scenario::Scale;
-use lifeguard_experiments::{tables, verdict};
+use lifeguard_experiments::verdict::{self, Runs};
+use lifeguard_experiments::tables;
 
 const USAGE: &str = "usage: lifeguard-repro \
-    <fig1|table4|fig2|fig3|table5|table6|table7|fp|ablate-k|ablate-s|verdict|all> \
-    [--scale quick|default|paper] [--seed N] [--csv-dir DIR] [--quiet]";
+    <fig1|table4|fig2|fig3|table5|table6|table7|verdict|fp|all> \
+    [--scale gate|paper] [--csv-dir DIR]";
+
+/// Renders one table from the replayed runs.
+type Render = fn(&Runs) -> Table;
+
+/// Each artifact's CSV slug and renderer, in print order.
+const ARTIFACTS: [(&str, Render); 7] = [
+    ("table4", tables::table4),
+    ("fig2", tables::fig2),
+    ("fig3", tables::fig3),
+    ("table6", tables::table6),
+    ("table5", tables::table5),
+    ("fig1", tables::fig1),
+    ("table7", tables::table7),
+];
 
 struct Args {
-    artifact: String,
+    artifacts: Vec<&'static str>,
     scale: Scale,
-    seed: u64,
     csv_dir: Option<String>,
-    quiet: bool,
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = std::env::args().skip(1);
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
     let artifact = args.next().ok_or("missing artifact argument")?;
-    let mut parsed = Args {
-        artifact,
-        scale: Scale::Quick,
-        seed: 42,
-        csv_dir: None,
-        quiet: false,
+    let artifacts = match artifact.as_str() {
+        "fp" => vec!["table4", "fig2", "fig3", "table6"],
+        "all" => vec!["table4", "fig2", "fig3", "table6", "table5", "fig1", "table7", "verdict"],
+        "verdict" => vec!["verdict"],
+        one => {
+            let known = ARTIFACTS.iter().find(|(slug, _)| *slug == one);
+            vec![known.ok_or_else(|| format!("unknown artifact {one:?}"))?.0]
+        }
     };
+    let mut parsed = Args { artifacts, scale: Scale::Gate, csv_dir: None };
     while let Some(flag) = args.next() {
         match flag.as_str() {
             "--scale" => {
                 let v = args.next().ok_or("--scale needs a value")?;
-                parsed.scale =
-                    Scale::parse(&v).ok_or_else(|| format!("unknown scale {v:?}"))?;
-            }
-            "--seed" => {
-                let v = args.next().ok_or("--seed needs a value")?;
-                parsed.seed = v.parse().map_err(|_| format!("bad seed {v:?}"))?;
+                parsed.scale = Scale::parse(&v).ok_or_else(|| format!("unknown scale {v:?}"))?;
             }
             "--csv-dir" => {
                 parsed.csv_dir = Some(args.next().ok_or("--csv-dir needs a value")?);
             }
-            "--quiet" => parsed.quiet = true,
             other => return Err(format!("unknown flag {other:?}")),
         }
     }
@@ -84,83 +96,61 @@ fn emit(table: &Table, slug: &str, csv_dir: Option<&str>) {
     }
 }
 
-/// The artifacts `artifact` names, in print order.
-fn expand(artifact: &str) -> Vec<&str> {
-    match artifact {
-        "fp" => vec!["table4", "fig2", "fig3", "table6"],
-        "all" => vec!["table4", "fig2", "fig3", "table6", "table5", "fig1", "table7"],
-        one => vec![one],
-    }
-}
-
 fn main() -> ExitCode {
-    let args = match parse_args() {
+    let args = match parse_args(std::env::args().skip(1)) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}\n{USAGE}");
             return ExitCode::FAILURE;
         }
     };
-    let quiet = args.quiet;
-    let mut progress = move |line: &str| {
-        if !quiet {
-            let _ = writeln!(std::io::stderr(), "  {line}");
+    let (scale, csv) = (args.scale, args.csv_dir.as_deref());
+    eprintln!("replaying the {scale:?} cells over seeds {:?}...", scale.seeds());
+    let runs = Runs::replay(scale);
+    let mut pass = true;
+    for artifact in args.artifacts {
+        if artifact == "verdict" {
+            let verdict = verdict::judge(&runs);
+            emit(&verdict.table(), "verdict", csv);
+            pass = verdict.pass();
+        } else if let Some((slug, render)) = ARTIFACTS.iter().find(|(slug, _)| *slug == artifact) {
+            emit(&render(&runs), slug, csv);
         }
-    };
-    let (scale, seed, csv) = (args.scale, args.seed, args.csv_dir.as_deref());
-
-    // One Interval suite serves Table IV, Figures 2/3 and Table VI.
-    let mut interval = None;
-    for artifact in expand(&args.artifact) {
-        let table = match artifact {
-            "table4" | "fig2" | "fig3" | "table6" => {
-                let records = interval.get_or_insert_with(|| {
-                    eprintln!("running Interval suite (scale {scale:?}, alpha=5, beta=6)...");
-                    tables::run_interval_suite(scale, 5.0, 6.0, seed, &mut progress)
-                });
-                match artifact {
-                    "table4" => tables::table4(records),
-                    "fig2" => tables::fig2(records),
-                    "fig3" => tables::fig3(records),
-                    _ => tables::table6(records),
-                }
-            }
-            "table5" => {
-                eprintln!("running Threshold suite (scale {scale:?})...");
-                tables::table5(&tables::run_threshold_suite(scale, 5.0, 6.0, seed, &mut progress))
-            }
-            "fig1" => {
-                eprintln!("running Figure 1 stress scenario...");
-                tables::fig1(scale, seed, &mut progress)
-            }
-            "table7" => {
-                eprintln!("running alpha/beta sweep (scale {scale:?})...");
-                tables::table7(scale, seed, &mut progress)
-            }
-            "ablate-k" => {
-                eprintln!("running K ablation (scale {scale:?})...");
-                tables::ablation_k(scale, seed, &mut progress)
-            }
-            "ablate-s" => {
-                eprintln!("running S ablation (scale {scale:?})...");
-                tables::ablation_s(scale, seed, &mut progress)
-            }
-            "verdict" => {
-                eprintln!("judging the paper's effects over seeds {:?}...", verdict::SEEDS);
-                let verdict = verdict::judge();
-                emit(&verdict.table(), "verdict", csv);
-                if !verdict.pass() {
-                    eprintln!("verdict: a claim is not reproduced");
-                    return ExitCode::FAILURE;
-                }
-                continue;
-            }
-            other => {
-                eprintln!("error: unknown artifact {other:?}\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
-        };
-        emit(&table, &artifact.replace('-', "_"), csv);
     }
-    ExitCode::SUCCESS
+    if pass {
+        ExitCode::SUCCESS
+    } else {
+        eprintln!("verdict: a claim is not reproduced");
+        ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Args, String> {
+        parse_args(line.split_whitespace().map(String::from))
+    }
+
+    #[test]
+    fn artifacts_expand_and_scale_defaults_to_the_gate() {
+        let all = parse("all --csv-dir out").unwrap();
+        let every = ["table4", "fig2", "fig3", "table6", "table5", "fig1", "table7", "verdict"];
+        assert_eq!(all.artifacts, every);
+        assert_eq!((all.scale, all.csv_dir.as_deref()), (Scale::Gate, Some("out")));
+        assert_eq!(parse("fp").unwrap().artifacts, ["table4", "fig2", "fig3", "table6"]);
+        assert_eq!(parse("table5 --scale paper").unwrap().scale, Scale::Paper);
+    }
+
+    #[test]
+    fn removed_artifacts_and_flags_are_refused_before_any_run() {
+        for line in ["ablate-k", "ablate-s", "bogus", "table4 --seed 1"] {
+            assert!(parse(line).is_err(), "{line}");
+        }
+        for line in ["table4 --scale quick", "table4 --scale default", "table4 --quiet"] {
+            assert!(parse(line).is_err(), "{line}");
+        }
+        assert!(parse("").is_err());
+    }
 }

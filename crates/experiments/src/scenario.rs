@@ -7,12 +7,12 @@
 //! * [`interval`] — cyclic anomalies: blocked for `D`, normal for `I`,
 //!   repeating until 120 s have passed (Table III grid). Measures false
 //!   positives and message load.
-//! * [`stress`] — Figure 1's scenario: a 100-node cluster where a subset
-//!   suffers duty-cycle CPU starvation for five minutes.
+//! * [`stress`] — Figure 1's scenario: a subset of members suffers
+//!   duty-cycle CPU starvation (the paper's: 100 members, five minutes).
 //!
-//! Parameter value sets are encoded verbatim from Tables II and III; the
-//! [`Scale`] knob subsamples them so the full reproduction fits a laptop
-//! budget while `--scale paper` runs the original grid.
+//! A [`Scale`] names the cells `verdict::Runs` replays: the gate's, or
+//! the paper's Interval grid (Table III) encoded verbatim below and its
+//! Figure 1 stress counts.
 //!
 //! [`run`] replays a schedule under one protocol configuration, so SWIM
 //! and Lifeguard are compared on identical inputs. It drives the nodes
@@ -22,6 +22,7 @@
 //! front, so a nonsense parameter combination fails the run immediately
 //! instead of skewing a table.
 
+use std::ops::RangeInclusive;
 use std::time::Duration;
 
 use lifeguard_core::config::Config;
@@ -46,21 +47,23 @@ pub const CLUSTER_SIZE: usize = 128;
 pub const QUIESCE: Duration = Duration::from_secs(15);
 /// Minimum experiment duration measured from the start (§V-D2).
 pub const MIN_RUN: Duration = Duration::from_secs(120);
-/// Cluster size of the Figure 1 stress scenario.
-pub const STRESS_CLUSTER_SIZE: usize = 100;
-/// Stress workload duration in the Figure 1 scenario ("run for 5 minutes").
-pub const STRESS_DURATION: Duration = Duration::from_secs(300);
+/// Stressed-member counts of Figure 1 (of 100, stressed for 5 minutes).
+pub const STRESSED: [usize; 7] = [1, 2, 4, 8, 16, 24, 32];
 
-/// How much of the paper's parameter grid to run.
+/// One Interval schedule's shape: (n, C, D, I).
+pub type IntervalCell = (usize, usize, Duration, Duration);
+
+/// Which cells `verdict::Runs` replays. Every table `lifeguard-repro`
+/// prints renders those runs, and the verdict judges them.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Scale {
-    /// Small subsample; seconds to half a minute of wall-clock in a
-    /// release build.
-    Quick,
-    /// Most of the grid with one repetition; the default for
-    /// regenerating the tables.
-    Default,
-    /// The paper's full grid with 10 repetitions. Hours of wall-clock.
+    /// The gate's cells over seeds 1–8, as `cargo test` judges them:
+    /// seconds of wall-clock in a release build.
+    Gate,
+    /// The gate's cells with the Interval and Table VII cells widened to
+    /// the paper's grid (Table III at n = 128), the stress cell to Figure
+    /// 1's, and the paper's ten repetitions as seeds 1–10. Hours of
+    /// wall-clock.
     Paper,
 }
 
@@ -68,52 +71,50 @@ impl Scale {
     /// Parses a `--scale` argument.
     pub fn parse(s: &str) -> Option<Scale> {
         match s {
-            "quick" => Some(Scale::Quick),
-            "default" => Some(Scale::Default),
+            "gate" => Some(Scale::Gate),
             "paper" => Some(Scale::Paper),
             _ => None,
         }
     }
 
-    /// The `C` values exercised at this scale.
-    pub fn c_values(self) -> &'static [usize] {
+    /// The seeds every cell replays, once per configuration.
+    pub fn seeds(self) -> RangeInclusive<u64> {
         match self {
-            Scale::Quick => &[4, 16, 32],
-            Scale::Default | Scale::Paper => &C_VALUES,
+            Scale::Gate => 1..=8,
+            Scale::Paper => 1..=10,
         }
     }
 
-    /// The `D` values exercised at this scale (milliseconds).
-    pub fn d_values_ms(self) -> &'static [u64] {
+    /// The Interval cells one seed replays.
+    pub fn interval_cells(self) -> Vec<IntervalCell> {
+        let ms = Duration::from_millis;
         match self {
-            Scale::Quick => &[2048, 16384],
-            Scale::Default => &[512, 2048, 8192, 16384, 32768],
-            Scale::Paper => &D_VALUES_MS,
+            Scale::Gate => vec![(64, 16, ms(16_384), ms(64))],
+            Scale::Paper => (C_VALUES.iter())
+                .flat_map(|&c| D_VALUES_MS.iter().map(move |&d| (c, ms(d))))
+                .flat_map(|(c, d)| I_VALUES_MS.iter().map(move |&i| (CLUSTER_SIZE, c, d, ms(i))))
+                .collect(),
         }
     }
 
-    /// The `I` values exercised at this scale (milliseconds).
-    pub fn i_values_ms(self) -> &'static [u64] {
+    /// The Table VII cells one seed replays under each (α, β). The gate's
+    /// is smaller than its Interval cell: at 16 members, β = 6 admitted
+    /// more FP than β = 2 at α = 2, and 24 is the smallest size tried
+    /// where it does not.
+    pub fn tuning_cells(self) -> Vec<IntervalCell> {
+        let ms = Duration::from_millis;
         match self {
-            Scale::Quick => &[64, 4096],
-            Scale::Default => &[4, 64, 1024, 16384],
-            Scale::Paper => &I_VALUES_MS,
+            Scale::Gate => vec![(24, 6, ms(16_384), ms(64))],
+            Scale::Paper => self.interval_cells(),
         }
     }
 
-    /// Repetitions per parameter combination.
-    pub fn reps(self) -> u64 {
+    /// The stress cells one seed replays, as (n, stressed, stress length).
+    pub fn stress_cells(self) -> Vec<(usize, usize, Duration)> {
+        let secs = Duration::from_secs;
         match self {
-            Scale::Quick | Scale::Default => 1,
-            Scale::Paper => 10,
-        }
-    }
-
-    /// The stress-node counts for the Figure 1 scenario.
-    pub fn stress_counts(self) -> &'static [usize] {
-        match self {
-            Scale::Quick => &[4, 16, 32],
-            Scale::Default | Scale::Paper => &[1, 2, 4, 8, 16, 24, 32],
+            Scale::Gate => vec![(32, 8, secs(60))],
+            Scale::Paper => STRESSED.iter().map(|&k| (100, k, secs(300))).collect(),
         }
     }
 }
@@ -210,16 +211,13 @@ pub fn interval(n: usize, c: usize, d: Duration, i: Duration, min_run: Duration,
 }
 
 /// The Figure 1 stress scenario: duty-cycle CPU starvation on
-/// `stressed` members (1–32 in the paper) of a 100-node cluster for
-/// five minutes.
-pub fn stress(stressed: usize, seed: u64) -> Schedule {
+/// `stressed` of `n` members for `len` after the quiesce, then 15 s for
+/// the cluster to settle, as the paper's log window does.
+pub fn stress(n: usize, stressed: usize, len: Duration, seed: u64) -> Schedule {
     let start = SimTime::ZERO + QUIESCE;
-    let end = start + STRESS_DURATION;
-    // Let the cluster settle after the stress ends, as the paper's
-    // log window does.
-    let settled = end + Duration::from_secs(15);
-    let spec = AnomalySpec::cpu_stress(start, end);
-    with_anomalies(STRESS_CLUSTER_SIZE, stressed, seed, settled, spec)
+    let spec = AnomalySpec::cpu_stress(start, start + len);
+    let settled = start + len + Duration::from_secs(15);
+    with_anomalies(n, stressed, seed, settled, spec)
 }
 
 /// `n` members on the [`experiment_network`], `spec` applied to `c` of
@@ -322,19 +320,30 @@ mod tests {
         assert_eq!(C_VALUES.len(), 9);
         assert_eq!(D_VALUES_MS.len(), 6);
         assert_eq!(I_VALUES_MS.len(), 8);
-        assert_eq!(Scale::Paper.c_values(), &C_VALUES);
-        assert_eq!(Scale::Paper.d_values_ms(), &D_VALUES_MS);
-        assert_eq!(Scale::Paper.i_values_ms(), &I_VALUES_MS);
-        assert_eq!(Scale::Paper.reps(), 10);
-        assert!(Scale::Quick.c_values().len() < C_VALUES.len());
+        // The paper's scale replays every (C, D, I) of Table III at n = 128,
+        // ten repetitions each; the gate replays its one cell.
+        let paper = Scale::Paper.interval_cells();
+        assert_eq!(paper.len(), C_VALUES.len() * D_VALUES_MS.len() * I_VALUES_MS.len());
+        assert!(paper.iter().all(|&(n, ..)| n == CLUSTER_SIZE));
+        let (first, last) = (paper[0], paper[paper.len() - 1]);
+        assert_eq!((first.1, first.2.as_millis(), first.3.as_millis()), (1, 128, 1));
+        assert_eq!((last.1, last.2.as_millis(), last.3.as_millis()), (32, 32_768, 16_384));
+        assert_eq!(Scale::Paper.seeds().count(), 10);
+        assert_eq!(Scale::Gate.interval_cells().len(), 1);
+        assert_eq!(Scale::Paper.tuning_cells(), paper);
+        let stress = Scale::Paper.stress_cells();
+        assert_eq!(stress.iter().map(|&(_, k, _)| k).collect::<Vec<_>>(), STRESSED);
+        assert!(stress.iter().all(|&(n, _, len)| n == 100 && len.as_secs() == 300));
+        assert_eq!(Scale::Gate.seeds(), 1..=8);
     }
 
     #[test]
     fn scale_parses() {
-        assert_eq!(Scale::parse("quick"), Some(Scale::Quick));
-        assert_eq!(Scale::parse("default"), Some(Scale::Default));
+        assert_eq!(Scale::parse("gate"), Some(Scale::Gate));
         assert_eq!(Scale::parse("paper"), Some(Scale::Paper));
-        assert_eq!(Scale::parse("huge"), None);
+        // The subsampled scales are gone: every table renders judged runs.
+        assert_eq!(Scale::parse("quick"), None);
+        assert_eq!(Scale::parse("default"), None);
     }
 
     #[test]

@@ -1,28 +1,30 @@
-//! Drivers that regenerate every table and figure of the paper.
+//! The paper's tables and figures, each rendered from the runs the
+//! verdict judges ([`Runs::replay`]); nothing here replays a run.
 //!
-//! | artifact | function | source experiment |
+//! | artifact | function | runs rendered |
 //! |---|---|---|
-//! | Figure 1 | [`fig1`] | Stress scenario, SWIM vs Lifeguard |
-//! | Table IV | [`table4`] | Interval suite, α=5 β=6 |
-//! | Figure 2 | [`fig2`] | Interval suite, FP by concurrency |
-//! | Figure 3 | [`fig3`] | Interval suite, FP- by concurrency |
-//! | Table V | [`table5`] | Threshold suite, α=5 β=6 |
-//! | Table VI | [`table6`] | Interval suite message load |
-//! | Table VII | [`table7`] | α/β sweep vs SWIM baseline |
-//!
-//! The Interval suite is run once ([`run_interval_suite`]) and shared by
-//! Table IV, Figures 2/3 and Table VI, exactly as in the paper.
+//! | Figure 1 | [`fig1`] | Stress cells, SWIM and Lifeguard |
+//! | Table IV | [`table4`] | Interval cells, every Table I configuration |
+//! | Figure 2 | [`fig2`] | Interval cells, FP by concurrency |
+//! | Figure 3 | [`fig3`] | Interval cells, FP- by concurrency |
+//! | Table V | [`table5`] | Detect cell, SWIM and Lifeguard |
+//! | Table VI | [`table6`] | Interval cells message load |
+//! | Table VII | [`table7`] | Table VII cells and Detect cell, each (α, β) vs SWIM |
 
 use std::time::Duration;
 
 use lifeguard_core::config::{Config, LifeguardConfig};
 
-use crate::metrics::{pct_of_baseline, LatencySummary};
+use crate::metrics::{pct_of_baseline, percentile};
 use crate::report::{fmt_f64, Table};
-use crate::scenario::{self, RunOutcome, Scale, CLUSTER_SIZE, MIN_RUN};
+use crate::scenario::RunOutcome;
+use crate::verdict::{of, Labelled, Runs};
 
-/// Progress sink: called with a short line per completed run.
-pub type Progress<'a> = &'a mut dyn FnMut(&str);
+/// A count read off one run.
+type Count = fn(&RunOutcome) -> u64;
+
+/// False positives at any member, then at healthy members only.
+const FP: [(&str, Count); 2] = [("FP", |o| o.fp_events), ("FP-", |o| o.fp_healthy_events)];
 
 /// The five configurations of Table I, in paper order, on the LAN
 /// profile (α = 5, β = 6).
@@ -37,175 +39,51 @@ pub fn table1_configs() -> Vec<(&'static str, Config)> {
     ]
 }
 
+/// Lifeguard's (α, β) tunings of Table VII, α-major in paper column
+/// order. The last is Lifeguard's own, so it carries that label.
+pub const TABLE7: [(&str, f64, f64); 9] = [
+    ("a=2 b=2", 2.0, 2.0),
+    ("a=2 b=4", 2.0, 4.0),
+    ("a=2 b=6", 2.0, 6.0),
+    ("a=4 b=2", 4.0, 2.0),
+    ("a=4 b=4", 4.0, 4.0),
+    ("a=4 b=6", 4.0, 6.0),
+    ("a=5 b=2", 5.0, 2.0),
+    ("a=5 b=4", 5.0, 4.0),
+    ("Lifeguard", 5.0, 6.0),
+];
+
+/// Full Lifeguard at each tuning of [`TABLE7`].
+pub fn table7_configs() -> Vec<(&'static str, Config)> {
+    let tuned = |&(label, a, b)| (label, Config::lan().lifeguard().with_alpha(a).with_beta(b));
+    TABLE7.iter().map(tuned).collect()
+}
+
 /// A "% SWIM" cell: `-` where the SWIM baseline is zero.
 fn pct_cell(value: f64, baseline: f64) -> String {
     pct_of_baseline(value, baseline).map_or_else(|| "-".into(), |p| fmt_f64(p, 2))
 }
 
-fn mix(seed: u64, parts: &[u64]) -> u64 {
-    let mut h = seed ^ 0x9E37_79B9_7F4A_7C15;
-    for &p in parts {
-        h ^= p.wrapping_add(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(h << 6)
-            .wrapping_add(h >> 2);
-        h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    }
-    h
-}
-
-/// One Interval-experiment run and its parameters.
-#[derive(Clone, Debug)]
-pub struct IntervalRecord {
-    /// Table I configuration label.
-    pub label: &'static str,
-    /// Concurrent anomalies.
-    pub c: usize,
-    /// Anomaly duration (ms).
-    pub d_ms: u64,
-    /// Inter-anomaly interval (ms).
-    pub i_ms: u64,
-    /// Repetition index.
-    pub rep: u64,
-    /// Extracted metrics.
-    pub outcome: RunOutcome,
-}
-
-/// One Threshold-experiment run and its parameters.
-#[derive(Clone, Debug)]
-pub struct ThresholdRecord {
-    /// Table I configuration label.
-    pub label: &'static str,
-    /// Concurrent anomalies.
-    pub c: usize,
-    /// Anomaly duration (ms).
-    pub d_ms: u64,
-    /// Repetition index.
-    pub rep: u64,
-    /// Extracted metrics.
-    pub outcome: RunOutcome,
-}
-
-/// Runs the Interval experiment grid for every Table I configuration.
-pub fn run_interval_suite(
-    scale: Scale,
-    alpha: f64,
-    beta: f64,
-    seed: u64,
-    progress: Progress<'_>,
-) -> Vec<IntervalRecord> {
-    let mut records = Vec::new();
-    for (label, config) in table1_configs() {
-        let config = config.with_alpha(alpha).with_beta(beta);
-        records.extend(run_interval_grid(scale, label, &config, seed, progress));
-    }
-    records
-}
-
-/// Runs the Interval grid for a single configuration.
-pub fn run_interval_grid(
-    scale: Scale,
-    label: &'static str,
-    config: &Config,
-    seed: u64,
-    progress: Progress<'_>,
-) -> Vec<IntervalRecord> {
-    let mut records = Vec::new();
-    for &c in scale.c_values() {
-        for &d_ms in scale.d_values_ms() {
-            for &i_ms in scale.i_values_ms() {
-                for rep in 0..scale.reps() {
-                    let run_seed = mix(seed, &[1, c as u64, d_ms, i_ms, rep]);
-                    let d = Duration::from_millis(d_ms);
-                    let i = Duration::from_millis(i_ms);
-                    let schedule = scenario::interval(CLUSTER_SIZE, c, d, i, MIN_RUN, run_seed);
-                    let outcome = scenario::run(&schedule, config);
-                    progress(&format!(
-                        "interval {label} C={c} D={d_ms}ms I={i_ms}ms rep={rep}: FP={} FP-={}",
-                        outcome.fp_events, outcome.fp_healthy_events
-                    ));
-                    records.push(IntervalRecord {
-                        label,
-                        c,
-                        d_ms,
-                        i_ms,
-                        rep,
-                        outcome,
-                    });
-                }
-            }
-        }
-    }
-    records
-}
-
-/// Runs the Threshold experiment grid for every Table I configuration.
-pub fn run_threshold_suite(
-    scale: Scale,
-    alpha: f64,
-    beta: f64,
-    seed: u64,
-    progress: Progress<'_>,
-) -> Vec<ThresholdRecord> {
-    let mut records = Vec::new();
-    for (label, config) in table1_configs() {
-        let config = config.with_alpha(alpha).with_beta(beta);
-        records.extend(run_threshold_grid(scale, label, &config, seed, progress));
-    }
-    records
-}
-
-/// Runs the Threshold grid for a single configuration.
-pub fn run_threshold_grid(
-    scale: Scale,
-    label: &'static str,
-    config: &Config,
-    seed: u64,
-    progress: Progress<'_>,
-) -> Vec<ThresholdRecord> {
-    let mut records = Vec::new();
-    for &c in scale.c_values() {
-        for &d_ms in scale.d_values_ms() {
-            for rep in 0..scale.reps() {
-                let run_seed = mix(seed, &[2, c as u64, d_ms, rep]);
-                let d = Duration::from_millis(d_ms);
-                let schedule = scenario::threshold(CLUSTER_SIZE, c, d, MIN_RUN, run_seed);
-                let outcome = scenario::run(&schedule, config);
-                let detected = outcome.first_detect.iter().filter(|d| d.is_some()).count();
-                progress(&format!(
-                    "threshold {label} C={c} D={d_ms}ms rep={rep}: detected {detected}/{c}"
-                ));
-                records.push(ThresholdRecord {
-                    label,
-                    c,
-                    d_ms,
-                    rep,
-                    outcome,
-                });
-            }
-        }
-    }
-    records
-}
-
-fn sum_fp(records: &[IntervalRecord], label: &str) -> (u64, u64) {
-    records
-        .iter()
-        .filter(|r| r.label == label)
-        .fold((0, 0), |(fp, fpm), r| {
-            (fp + r.outcome.fp_events, fpm + r.outcome.fp_healthy_events)
-        })
+/// Σ `f` over each configuration's Interval runs, in paper order, and
+/// over SWIM's alone.
+fn sums(runs: &Runs, f: impl Fn(&RunOutcome) -> u64) -> (Vec<(&'static str, u64)>, u64) {
+    let per: Vec<_> = (runs.interval.iter())
+        .map(|(label, outcomes)| (*label, outcomes.iter().map(&f).sum()))
+        .collect();
+    let swim = per.iter().find(|(label, _)| *label == "SWIM").map_or(0, |(_, s)| *s);
+    (per, swim)
 }
 
 /// Table IV: aggregated false positives per configuration, absolute and
 /// as a percentage of the SWIM baseline.
-pub fn table4(records: &[IntervalRecord]) -> Table {
-    let (swim_fp, swim_fpm) = sum_fp(records, "SWIM");
+pub fn table4(runs: &Runs) -> Table {
+    let (fp, swim_fp) = sums(runs, |o| o.fp_events);
+    let (fpm, swim_fpm) = sums(runs, |o| o.fp_healthy_events);
     let mut t = Table::new(
         "Table IV: aggregated false positives (Interval experiment)",
         vec!["Configuration", "FP Events", "FP- Events", "FP %SWIM", "FP- %SWIM"],
     );
-    for (label, _) in table1_configs() {
-        let (fp, fpm) = sum_fp(records, label);
+    for ((label, fp), (_, fpm)) in fp.into_iter().zip(fpm) {
         t.row(vec![
             label.to_owned(),
             fp.to_string(),
@@ -217,83 +95,55 @@ pub fn table4(records: &[IntervalRecord]) -> Table {
     t
 }
 
-fn fp_by_concurrency(records: &[IntervalRecord], healthy_only: bool) -> Table {
-    let (title, what) = if healthy_only {
-        (
-            "Figure 3: false positives at healthy members vs concurrent anomalies",
-            "FP-",
-        )
-    } else {
-        (
-            "Figure 2: total false positives vs concurrent anomalies",
-            "FP",
-        )
-    };
-    let mut header = vec!["C".to_owned()];
-    for (label, _) in table1_configs() {
-        header.push(format!("{what} {label}"));
+/// One row per anomalous-member count in `cell`, and per configuration
+/// one column per count in `columns`, summed over that row's runs.
+fn by_anomalous(cell: &Labelled, title: &str, first: &str, columns: &[(&str, Count)]) -> Table {
+    let mut header = vec![first.to_owned()];
+    for (label, _) in cell {
+        header.extend(columns.iter().map(|(what, _)| format!("{what} {label}")));
     }
     let mut t = Table::new(title, header.iter().map(String::as_str).collect());
-    let mut cs: Vec<usize> = records.iter().map(|r| r.c).collect();
+    let anomalous = |o: &RunOutcome| o.anomalous.len();
+    let mut cs: Vec<usize> = cell.iter().flat_map(|(_, r)| r.iter().map(anomalous)).collect();
     cs.sort_unstable();
     cs.dedup();
     for c in cs {
         let mut row = vec![c.to_string()];
-        for (label, _) in table1_configs() {
-            let sum: u64 = records
-                .iter()
-                .filter(|r| r.label == label && r.c == c)
-                .map(|r| {
-                    if healthy_only {
-                        r.outcome.fp_healthy_events
-                    } else {
-                        r.outcome.fp_events
-                    }
-                })
-                .sum();
-            row.push(sum.to_string());
+        for (_, outcomes) in cell {
+            for (_, count) in columns {
+                let at_c = outcomes.iter().filter(|o| anomalous(o) == c);
+                row.push(at_c.map(count).sum::<u64>().to_string());
+            }
         }
         t.row(row);
     }
     t
 }
 
+/// Figure 1: false positives under CPU exhaustion for SWIM and full
+/// Lifeguard, by number of stressed members.
+pub fn fig1(runs: &Runs) -> Table {
+    let title = "Figure 1: false positives from CPU exhaustion";
+    by_anomalous(&runs.stress, title, "Stressed", &FP)
+}
+
 /// Figure 2: total false positives per concurrency level and
 /// configuration (log-scale series in the paper).
-pub fn fig2(records: &[IntervalRecord]) -> Table {
-    fp_by_concurrency(records, false)
+pub fn fig2(runs: &Runs) -> Table {
+    let title = "Figure 2: total false positives vs concurrent anomalies";
+    by_anomalous(&runs.interval, title, "C", &FP[..1])
 }
 
 /// Figure 3: false positives at healthy members per concurrency level.
-pub fn fig3(records: &[IntervalRecord]) -> Table {
-    fp_by_concurrency(records, true)
-}
-
-/// Summarises first-detection and full-dissemination latencies for one
-/// configuration of a threshold suite.
-pub fn latency_summaries(
-    records: &[ThresholdRecord],
-    label: &str,
-) -> (Option<LatencySummary>, Option<LatencySummary>) {
-    let first: Vec<Duration> = records
-        .iter()
-        .filter(|r| r.label == label)
-        .flat_map(|r| r.outcome.first_detect.iter().flatten().copied())
-        .collect();
-    let full: Vec<Duration> = records
-        .iter()
-        .filter(|r| r.label == label)
-        .flat_map(|r| r.outcome.full_dissem.iter().flatten().copied())
-        .collect();
-    (
-        LatencySummary::from_durations(first),
-        LatencySummary::from_durations(full),
-    )
+pub fn fig3(runs: &Runs) -> Table {
+    let title = "Figure 3: false positives at healthy members vs concurrent anomalies";
+    by_anomalous(&runs.interval, title, "C", &FP[1..])
 }
 
 /// Table V: detection and dissemination latency percentiles per
-/// configuration (seconds).
-pub fn table5(records: &[ThresholdRecord]) -> Table {
+/// configuration the Detect cell replays (seconds); D1 judges the
+/// first-detection medians.
+pub fn table5(runs: &Runs) -> Table {
     let mut t = Table::new(
         "Table V: first-detection and full-dissemination latency (seconds)",
         vec![
@@ -306,34 +156,31 @@ pub fn table5(records: &[ThresholdRecord]) -> Table {
             "99.9% FullDissem",
         ],
     );
-    for (label, _) in table1_configs() {
-        let (first, full) = latency_summaries(records, label);
-        let cells = |s: Option<LatencySummary>| match s {
-            Some(s) => (
-                fmt_f64(s.median, 2),
-                fmt_f64(s.p99, 2),
-                fmt_f64(s.p999, 2),
-            ),
-            None => ("-".into(), "-".into(), "-".into()),
-        };
-        let (m1, p1, q1) = cells(first);
-        let (m2, p2, q2) = cells(full);
-        t.row(vec![label.to_owned(), m1, p1, q1, m2, p2, q2]);
+    for label in ["SWIM", "Lifeguard"] {
+        let mut row = vec![label.to_owned()];
+        for full in [false, true] {
+            // No sample is NaN, which prints as `-`.
+            let cell = |p| latency(of(&runs.detect, label), full, p).unwrap_or(f64::NAN);
+            row.extend([50.0, 99.0, 99.9].map(|p| fmt_f64(cell(p), 2)));
+        }
+        t.row(row);
     }
     t
 }
 
+/// The `p`-th percentile, in seconds, of first detection (or, if `full`,
+/// of full dissemination) over `outcomes`.
+fn latency(outcomes: &[RunOutcome], full: bool, p: f64) -> Option<f64> {
+    let latencies = (outcomes.iter())
+        .flat_map(|o| if full { &o.full_dissem } else { &o.first_detect });
+    let secs: Vec<f64> = latencies.flatten().map(Duration::as_secs_f64).collect();
+    percentile(&secs, p)
+}
+
 /// Table VI: message load per configuration, absolute and as % of SWIM.
-pub fn table6(records: &[IntervalRecord]) -> Table {
-    let sums = |label: &str| {
-        records
-            .iter()
-            .filter(|r| r.label == label)
-            .fold((0u64, 0u64), |(m, b), r| {
-                (m + r.outcome.msgs_sent, b + r.outcome.bytes_sent)
-            })
-    };
-    let (swim_msgs, swim_bytes) = sums("SWIM");
+pub fn table6(runs: &Runs) -> Table {
+    let (msgs, swim_msgs) = sums(runs, |o| o.msgs_sent);
+    let (bytes, swim_bytes) = sums(runs, |o| o.bytes_sent);
     let mut t = Table::new(
         "Table VI: aggregated message load (Interval experiment)",
         vec![
@@ -344,8 +191,7 @@ pub fn table6(records: &[IntervalRecord]) -> Table {
             "Bytes %SWIM",
         ],
     );
-    for (label, _) in table1_configs() {
-        let (msgs, bytes) = sums(label);
+    for ((label, msgs), (_, bytes)) in msgs.into_iter().zip(bytes) {
         t.row(vec![
             label.to_owned(),
             fmt_f64(msgs as f64 / 1e6, 2),
@@ -357,160 +203,31 @@ pub fn table6(records: &[IntervalRecord]) -> Table {
     t
 }
 
-/// The α/β combinations of Table VII, in paper column order.
-pub const TABLE7_COMBOS: [(f64, f64); 9] = [
-    (2.0, 2.0),
-    (2.0, 4.0),
-    (2.0, 6.0),
-    (4.0, 2.0),
-    (4.0, 4.0),
-    (4.0, 6.0),
-    (5.0, 2.0),
-    (5.0, 4.0),
-    (5.0, 6.0),
-];
-
 /// Table VII: full Lifeguard at each (α, β) tuning, every metric as a
-/// percentage of the SWIM baseline run on the same grids.
-pub fn table7(scale: Scale, seed: u64, progress: Progress<'_>) -> Table {
-    // SWIM baseline (fixed timeout ≡ α=5, β=1).
-    let swim_cfg = Config::lan().swim();
-    let swim_thresh = run_threshold_grid(scale, "SWIM", &swim_cfg, seed, progress);
-    let swim_interval = run_interval_grid(scale, "SWIM", &swim_cfg, seed, progress);
-    let (swim_first, swim_full) = latency_summaries(&swim_thresh, "SWIM");
-    let (swim_fp, swim_fpm) = sum_fp(&swim_interval, "SWIM");
-
+/// percentage of SWIM's on the same cells.
+pub fn table7(runs: &Runs) -> Table {
     let mut header = vec!["Metric".to_owned()];
-    for (a, b) in TABLE7_COMBOS {
-        header.push(format!("a={a:.0} b={b:.0}"));
-    }
+    header.extend(TABLE7.iter().map(|(_, a, b)| format!("a={a:.0} b={b:.0}")));
     let mut t = Table::new(
         "Table VII: Lifeguard performance as % of SWIM baseline by (alpha, beta)",
         header.iter().map(String::as_str).collect(),
     );
-
-    let mut rows: Vec<Vec<String>> = vec![
-        vec!["Med First".into()],
-        vec!["Med Full".into()],
-        vec!["99% First".into()],
-        vec!["99% Full".into()],
-        vec!["99.9% First".into()],
-        vec!["99.9% Full".into()],
-        vec!["FP".into()],
-        vec!["FP-".into()],
-    ];
-
-    for (alpha, beta) in TABLE7_COMBOS {
-        let cfg = Config::lan().lifeguard().with_alpha(alpha).with_beta(beta);
-        let thresh = run_threshold_grid(scale, "Lifeguard", &cfg, seed, progress);
-        let interval = run_interval_grid(scale, "Lifeguard", &cfg, seed, progress);
-        let (first, full) = latency_summaries(&thresh, "Lifeguard");
-        let (fp, fpm) = sum_fp(&interval, "Lifeguard");
-
-        let pct = |v: Option<f64>, base: Option<f64>| match (v, base) {
-            (Some(v), Some(b)) => pct_cell(v, b),
-            _ => "-".into(),
-        };
-        rows[0].push(pct(first.map(|s| s.median), swim_first.map(|s| s.median)));
-        rows[1].push(pct(full.map(|s| s.median), swim_full.map(|s| s.median)));
-        rows[2].push(pct(first.map(|s| s.p99), swim_first.map(|s| s.p99)));
-        rows[3].push(pct(full.map(|s| s.p99), swim_full.map(|s| s.p99)));
-        rows[4].push(pct(first.map(|s| s.p999), swim_first.map(|s| s.p999)));
-        rows[5].push(pct(full.map(|s| s.p999), swim_full.map(|s| s.p999)));
-        rows[6].push(pct_cell(fp as f64, swim_fp as f64));
-        rows[7].push(pct_cell(fpm as f64, swim_fpm as f64));
-    }
-    for row in rows {
-        t.row(row);
-    }
-    t
-}
-
-/// Ablation (beyond the paper's tables; §VII lists these parameters as
-/// future work): sweep LHA-Suspicion's re-gossip/confirmation count `K`
-/// with everything else at Lifeguard defaults. Reports false positives
-/// and median detection latency per `K`.
-pub fn ablation_k(scale: Scale, seed: u64, progress: Progress<'_>) -> Table {
-    let mut t = Table::new(
-        "Ablation: LHA-Suspicion confirmation count K (Lifeguard defaults otherwise)",
-        vec!["K", "FP Events", "FP- Events", "Med 1stDetect(s)", "Detected"],
-    );
-    for k in [0u32, 1, 2, 3, 5, 8] {
-        let mut cfg = Config::lan().lifeguard();
-        cfg.suspicion_k = k;
-        let interval = run_interval_grid(scale, "Lifeguard", &cfg, seed, progress);
-        let thresh = run_threshold_grid(scale, "Lifeguard", &cfg, seed, progress);
-        let (fp, fpm) = sum_fp(&interval, "Lifeguard");
-        let (first, _) = latency_summaries(&thresh, "Lifeguard");
-        t.row(vec![
-            k.to_string(),
-            fp.to_string(),
-            fpm.to_string(),
-            first.map(|s| fmt_f64(s.median, 2)).unwrap_or_else(|| "-".into()),
-            first.map(|s| s.samples.to_string()).unwrap_or_else(|| "0".into()),
-        ]);
-    }
-    t
-}
-
-/// Ablation: sweep the LHM saturation limit `S` (paper default 8) with
-/// everything else at Lifeguard defaults.
-pub fn ablation_s(scale: Scale, seed: u64, progress: Progress<'_>) -> Table {
-    let mut t = Table::new(
-        "Ablation: LHM saturation S (Lifeguard defaults otherwise)",
-        vec!["S", "FP Events", "FP- Events", "Med 1stDetect(s)", "Detected"],
-    );
-    for s in [0u32, 2, 4, 8, 16] {
-        let mut cfg = Config::lan().lifeguard();
-        cfg.awareness_max = s;
-        let interval = run_interval_grid(scale, "Lifeguard", &cfg, seed, progress);
-        let thresh = run_threshold_grid(scale, "Lifeguard", &cfg, seed, progress);
-        let (fp, fpm) = sum_fp(&interval, "Lifeguard");
-        let (first, _) = latency_summaries(&thresh, "Lifeguard");
-        t.row(vec![
-            s.to_string(),
-            fp.to_string(),
-            fpm.to_string(),
-            first.map(|x| fmt_f64(x.median, 2)).unwrap_or_else(|| "-".into()),
-            first.map(|x| x.samples.to_string()).unwrap_or_else(|| "0".into()),
-        ]);
-    }
-    t
-}
-
-/// Figure 1: false positives under CPU exhaustion for SWIM and full
-/// Lifeguard, by number of stressed nodes.
-pub fn fig1(scale: Scale, seed: u64, progress: Progress<'_>) -> Table {
-    let mut t = Table::new(
-        "Figure 1: false positives from CPU exhaustion (100-node cluster)",
-        vec![
-            "Stressed",
-            "FP SWIM",
-            "FP- SWIM",
-            "FP Lifeguard",
-            "FP- Lifeguard",
-        ],
-    );
-    for &stressed in scale.stress_counts() {
-        let mut cells = vec![stressed.to_string()];
-        let mut results = Vec::new();
-        let schedule = scenario::stress(stressed, mix(seed, &[3, stressed as u64]));
-        for (label, config) in [
-            ("SWIM", Config::lan().swim()),
-            ("Lifeguard", Config::lan().lifeguard()),
-        ] {
-            let outcome = scenario::run(&schedule, &config);
-            progress(&format!(
-                "fig1 {label} stressed={stressed}: FP={} FP-={}",
-                outcome.fp_events, outcome.fp_healthy_events
-            ));
-            results.push(outcome);
+    for (metric, p) in [("Med", 50.0), ("99%", 99.0), ("99.9%", 99.9)] {
+        for (what, full) in [("First", false), ("Full", true)] {
+            let at = |label| latency(of(&runs.detect, label), full, p);
+            let swim = at("SWIM");
+            let mut row = vec![format!("{metric} {what}")];
+            for (label, ..) in TABLE7 {
+                row.push(at(label).zip(swim).map_or_else(|| "-".into(), |(v, b)| pct_cell(v, b)));
+            }
+            t.row(row);
         }
-        cells.push(results[0].fp_events.to_string());
-        cells.push(results[0].fp_healthy_events.to_string());
-        cells.push(results[1].fp_events.to_string());
-        cells.push(results[1].fp_healthy_events.to_string());
-        t.row(cells);
+    }
+    for (what, count) in FP {
+        let sum = |label| of(&runs.tuning, label).iter().map(count).sum::<u64>() as f64;
+        let mut row = vec![what.to_owned()];
+        row.extend(TABLE7.iter().map(|(label, ..)| pct_cell(sum(label), sum("SWIM"))));
+        t.row(row);
     }
     t
 }
@@ -518,100 +235,113 @@ pub fn fig1(scale: Scale, seed: u64, progress: Progress<'_>) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::verdict::judge;
+    use crate::verdict::tests::{fake, fake_runs};
 
-    fn fake_outcome(fp: u64, fpm: u64, msgs: u64, bytes: u64) -> RunOutcome {
-        RunOutcome {
-            anomalous: vec![1],
-            n: 8,
-            fp_events: fp,
+    /// One Interval run: (C, FP, FP-).
+    type Run = (usize, u64, u64);
+
+    /// `fake_runs` with the Interval outcomes replaced, per configuration.
+    fn runs_with(interval: &[(&'static str, &[Run])]) -> Runs {
+        let outcome = |&(c, fp, fpm): &Run| RunOutcome {
+            anomalous: (1..=c).collect(),
             fp_healthy_events: fpm,
-            first_detect: vec![Some(Duration::from_secs(12))],
-            full_dissem: vec![Some(Duration::from_secs(13))],
-            msgs_sent: msgs,
-            bytes_sent: bytes,
-            trace_failures: fp,
-            failures_declared: fp,
-        }
-    }
-
-    fn fake_interval(label: &'static str, c: usize, fp: u64, fpm: u64) -> IntervalRecord {
-        IntervalRecord {
-            label,
-            c,
-            d_ms: 2048,
-            i_ms: 64,
-            rep: 0,
-            outcome: fake_outcome(fp, fpm, 1000, 100_000),
-        }
+            msgs_sent: 1000,
+            bytes_sent: 100_000,
+            ..fake(fp, Some(12))
+        };
+        let interval = interval.iter().map(|(l, r)| (*l, r.iter().map(outcome).collect()));
+        Runs { interval: interval.collect(), ..fake_runs(2) }
     }
 
     #[test]
     fn table4_percentages_against_swim() {
-        let records = vec![
-            fake_interval("SWIM", 4, 200, 20),
-            fake_interval("Lifeguard", 4, 2, 1),
-        ];
-        let t = table4(&records);
-        assert_eq!(t.len(), 5);
+        let t = table4(&runs_with(&[("SWIM", &[(4, 200, 20)]), ("Lifeguard", &[(4, 2, 1)])]));
+        assert_eq!(t.len(), 2);
         // SWIM row is 100%.
         assert_eq!(t.cell(0, 3), "100.00");
         // Lifeguard row: 2/200 = 1%.
-        assert_eq!(t.cell(4, 1), "2");
-        assert_eq!(t.cell(4, 3), "1.00");
-        assert_eq!(t.cell(4, 4), "5.00");
+        assert_eq!(t.cell(1, 1), "2");
+        assert_eq!(t.cell(1, 3), "1.00");
+        assert_eq!(t.cell(1, 4), "5.00");
         // With no SWIM FP- event the ratio is undefined, not 100 %.
-        let t = table4(&[fake_interval("SWIM", 4, 200, 0), fake_interval("Lifeguard", 4, 2, 0)]);
-        assert_eq!((t.cell(0, 4), t.cell(4, 4)), ("-", "-"));
+        let t = table4(&runs_with(&[("SWIM", &[(4, 200, 0)]), ("Lifeguard", &[(4, 2, 0)])]));
+        assert_eq!((t.cell(0, 4), t.cell(1, 4)), ("-", "-"));
     }
 
     #[test]
     fn fig2_fig3_bucket_by_concurrency() {
-        let records = vec![
-            fake_interval("SWIM", 4, 10, 1),
-            fake_interval("SWIM", 4, 5, 2),
-            fake_interval("SWIM", 16, 50, 9),
-        ];
-        let f2 = fig2(&records);
+        let runs = runs_with(&[("SWIM", &[(4, 10, 1), (4, 5, 2), (16, 50, 9)])]);
+        let f2 = fig2(&runs);
         assert_eq!(f2.len(), 2); // C = 4 and 16
         assert_eq!(f2.cell(0, 0), "4");
         assert_eq!(f2.cell(0, 1), "15"); // 10 + 5
         assert_eq!(f2.cell(1, 1), "50");
-        let f3 = fig3(&records);
+        let f3 = fig3(&runs);
         assert_eq!(f3.cell(0, 1), "3"); // 1 + 2
     }
 
     #[test]
+    fn fig1_pairs_fp_and_fp_minus_per_configuration() {
+        let f1 = fig1(&fake_runs(2));
+        assert_eq!(f1.len(), 1); // one stressed count
+        // Stressed, then FP and FP- for SWIM, then for Lifeguard.
+        assert_eq!(f1.cell(0, 0), "1");
+        assert_eq!((f1.cell(0, 1), f1.cell(0, 3)), ("800", "16"));
+    }
+
+    #[test]
     fn table5_formats_latencies() {
-        let rec = ThresholdRecord {
-            label: "SWIM",
-            c: 1,
-            d_ms: 16384,
-            rep: 0,
-            outcome: fake_outcome(0, 0, 10, 10),
-        };
-        let t = table5(&[rec]);
+        let mut runs = fake_runs(2);
+        let full = vec![Some(Duration::from_secs(13))];
+        let swim = RunOutcome { full_dissem: full, ..fake(0, Some(12)) };
+        runs.detect[0].1 = vec![swim];
+        let t = table5(&runs);
         assert_eq!(t.cell(0, 1), "12.00");
         assert_eq!(t.cell(0, 4), "13.00");
-        // Configurations with no samples show dashes.
-        assert_eq!(t.cell(1, 1), "-");
+        // A configuration with no samples shows dashes.
+        assert_eq!(t.cell(1, 4), "-");
     }
 
     #[test]
     fn table6_reports_load_in_m_and_gib() {
-        let records = vec![
-            fake_interval("SWIM", 4, 0, 0),
-            fake_interval("Lifeguard", 4, 0, 0),
-        ];
-        let t = table6(&records);
+        let t = table6(&runs_with(&[("SWIM", &[(4, 0, 0)]), ("Lifeguard", &[(4, 0, 0)])]));
         assert_eq!(t.cell(0, 3), "100.00");
-        assert_eq!(t.cell(4, 3), "100.00");
+        assert_eq!(t.cell(1, 3), "100.00");
     }
 
     #[test]
-    fn mix_is_deterministic_and_spread() {
-        assert_eq!(mix(1, &[1, 2, 3]), mix(1, &[1, 2, 3]));
-        assert_ne!(mix(1, &[1, 2, 3]), mix(1, &[1, 2, 4]));
-        assert_ne!(mix(1, &[1, 2, 3]), mix(2, &[1, 2, 3]));
+    fn tables_and_verdict_read_the_same_runs() {
+        // Table IV's FP column is the verdict's per-configuration sum.
+        let runs = fake_runs(3);
+        let (t, verdict) = (table4(&runs), judge(&runs).table().render());
+        for (row, (label, _)) in table1_configs().into_iter().enumerate() {
+            assert_eq!(t.cell(row, 0), label);
+            let fp = t.cell(row, 1);
+            let sum =
+                if label == "SWIM" { format!("SWIM sum {fp}") } else { format!("(sum {fp})") };
+            assert!(verdict.contains(&sum), "{label}: {sum}\n{verdict}");
+        }
+    }
+
+    #[test]
+    fn table7_is_each_tuning_as_pct_of_swim() {
+        let t = table7(&fake_runs(2));
+        assert_eq!(t.len(), 8);
+        assert_eq!((t.cell(0, 0), t.cell(6, 0), t.cell(7, 0)), ("Med First", "FP", "FP-"));
+        // The fixture's SWIM detects in 6 s and every tuning in 6 + α s;
+        // SWIM's FP is 100 per seed, β 2's is 3 and β 6's is 2.
+        assert_eq!((t.cell(0, 1), t.cell(0, 9)), ("133.33", "183.33"));
+        assert_eq!((t.cell(6, 1), t.cell(6, 9)), ("3.00", "2.00"));
+        // The fixture has no FP- anywhere: the ratio is undefined.
+        assert_eq!(t.cell(7, 1), "-");
+        let tunings = table7_configs();
+        assert_eq!(tunings.len(), 9);
+        let last = &tunings[8].1;
+        let lifeguard = Config::lan().lifeguard();
+        assert_eq!(last.suspicion_alpha, lifeguard.suspicion_alpha);
+        assert_eq!(last.suspicion_beta, lifeguard.suspicion_beta);
+        assert_eq!(last.lifeguard.label(), "Lifeguard");
     }
 
     #[test]
