@@ -6,6 +6,13 @@
 //! (big-endian integers + raw slices). The backing store is an
 //! `Arc<[u8]>`, so clones and sub-slices never copy payload bytes.
 
+// The wire crates call into this shim with untrusted lengths: no
+// panicking call, index, slice or integer division outside tests (an
+// exception is a reasoned `#[expect]`, counted by swim-lint).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::unimplemented, clippy::todo))]
+#![cfg_attr(not(test), deny(clippy::indexing_slicing, clippy::integer_division_remainder_used))]
+
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::{Deref, DerefMut, RangeBounds};
@@ -61,7 +68,7 @@ impl Bytes {
     /// # Panics
     ///
     /// Panics if the range is out of bounds.
-    // lint: allow(panic_path) — documented contract mirroring `bytes::Bytes::slice`; every wire-path caller derives the range from a `remaining()` check first
+    // lint: allow(panic_path) — documented contract mirroring `bytes::Bytes::slice`; both wire callers cut a range they have bounds-checked (`Reader::get_blob` after `take(len)`, `decode_packet_shared` after `split_compound`)
     pub fn slice(&self, range: impl RangeBounds<usize>) -> Bytes {
         use std::ops::Bound;
         let lo = match range.start_bound() {
@@ -95,6 +102,11 @@ impl Bytes {
 impl Deref for Bytes {
     type Target = [u8];
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "start <= end <= data.len(): `From<Vec<u8>>` takes the whole vector and \
+                  `slice` asserts its sub-range lies inside this one"
+    )]
     fn deref(&self) -> &[u8] {
         match &self.data {
             Some(d) => &d[self.start..self.end],

@@ -8,6 +8,14 @@
 //! for protocol sampling and the uniformity assertions in the test
 //! suite; it is *not* a cryptographic generator.
 
+// The wire crates call into this shim with untrusted lengths: no
+// panicking call, index, slice or integer division outside tests (an
+// exception is a reasoned `#[expect]`, counted by swim-lint).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::unimplemented, clippy::todo))]
+#![cfg_attr(not(test), deny(clippy::indexing_slicing, clippy::integer_division_remainder_used))]
+
+use std::num::NonZeroU64;
 use std::ops::{Range, RangeInclusive};
 
 /// A source of random 64-bit words.
@@ -80,12 +88,16 @@ pub trait SampleRange<T> {
     fn sample_from<R: Rng + ?Sized>(self, rng: &mut R) -> T;
 }
 
-/// Uniform integer in `[0, span)` by rejection sampling (no modulo bias).
-// lint: allow(panic_path) — `% span` cannot divide by zero: every caller asserts its range non-empty, making span ≥ 1
+/// Uniform integer in `[0, span)` by rejection sampling (no modulo
+/// bias). Every caller passes `span ≥ 1`: it has checked its range
+/// non-empty first.
 fn uniform_below<R: Rng + ?Sized>(rng: &mut R, span: u64) -> u64 {
     debug_assert!(span > 0);
+    let Some(span) = NonZeroU64::new(span) else {
+        return 0;
+    };
     if span.is_power_of_two() {
-        return rng.next_u64() & (span - 1);
+        return rng.next_u64() & (span.get() - 1);
     }
     let zone = u64::MAX - (u64::MAX % span);
     loop {
@@ -96,21 +108,27 @@ fn uniform_below<R: Rng + ?Sized>(rng: &mut R, span: u64) -> u64 {
     }
 }
 
+/// Panics on an empty range, as `rand` does: sampling one is a caller
+/// bug.
+#[track_caller]
+// lint: allow(panic_path) — documented contract mirroring `rand`; every workspace caller samples a range it has checked non-empty (`n > 0` first on the wire paths)
+fn assert_non_empty(non_empty: bool) {
+    assert!(non_empty, "cannot sample empty range");
+}
+
 macro_rules! impl_sample_range_uint {
     ($($t:ty),*) => {$(
         impl SampleRange<$t> for Range<$t> {
-            // lint: allow(panic_path) — documented contract mirroring `rand`: sampling an empty range is a caller bug; wire-path callers guard `n > 0` first
             fn sample_from<R: Rng + ?Sized>(self, rng: &mut R) -> $t {
-                assert!(self.start < self.end, "cannot sample empty range");
+                assert_non_empty(self.start < self.end);
                 let span = (self.end - self.start) as u64;
                 self.start + uniform_below(rng, span) as $t
             }
         }
         impl SampleRange<$t> for RangeInclusive<$t> {
-            // lint: allow(panic_path) — documented contract mirroring `rand`: sampling an empty range is a caller bug; wire-path callers guard `n > 0` first
             fn sample_from<R: Rng + ?Sized>(self, rng: &mut R) -> $t {
                 let (lo, hi) = (*self.start(), *self.end());
-                assert!(lo <= hi, "cannot sample empty range");
+                assert_non_empty(lo <= hi);
                 let span = (hi - lo) as u64;
                 if span == u64::MAX as $t as u64 && hi.wrapping_sub(lo) == <$t>::MAX {
                     return rng.next_u64() as $t;
@@ -125,18 +143,16 @@ impl_sample_range_uint!(u8, u16, u32, u64, usize);
 macro_rules! impl_sample_range_int {
     ($($t:ty),*) => {$(
         impl SampleRange<$t> for Range<$t> {
-            // lint: allow(panic_path) — documented contract mirroring `rand`: sampling an empty range is a caller bug; wire-path callers guard `n > 0` first
             fn sample_from<R: Rng + ?Sized>(self, rng: &mut R) -> $t {
-                assert!(self.start < self.end, "cannot sample empty range");
+                assert_non_empty(self.start < self.end);
                 let span = (self.end as i64).wrapping_sub(self.start as i64) as u64;
                 self.start.wrapping_add(uniform_below(rng, span) as $t)
             }
         }
         impl SampleRange<$t> for RangeInclusive<$t> {
-            // lint: allow(panic_path) — documented contract mirroring `rand`: sampling an empty range is a caller bug; wire-path callers guard `n > 0` first
             fn sample_from<R: Rng + ?Sized>(self, rng: &mut R) -> $t {
                 let (lo, hi) = (*self.start(), *self.end());
-                assert!(lo <= hi, "cannot sample empty range");
+                assert_non_empty(lo <= hi);
                 let span = (hi as i64).wrapping_sub(lo as i64) as u64;
                 if span == u64::MAX {
                     return rng.next_u64() as $t;
@@ -197,7 +213,6 @@ pub mod rngs {
     }
 
     impl Rng for StdRng {
-        // lint: allow(panic_path) — literal indices into the fixed `[u64; 4]` xoshiro state cannot go out of bounds
         fn next_u64(&mut self) -> u64 {
             let s = &mut self.s;
             let result = s[0]

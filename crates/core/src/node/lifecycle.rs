@@ -86,6 +86,11 @@ impl SwimNode {
     /// Boots the node: registers itself as alive and arms the periodic
     /// timers. Must be called exactly once before any other driving call.
     /// Produces no outputs (there is nobody to talk to yet).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node was already started.
+    // lint: allow(panic_path) — documented contract: the owner boots a node once (`Driver::start`), before any input; wire input never reaches `start`
     pub fn start(&mut self, now: Time) {
         assert!(!self.started, "start() called twice");
         self.started = true;

@@ -243,7 +243,7 @@ impl<T> TimerWheel<T> {
     /// At most one of the two loops moves anything.
     fn settle(&mut self, mut pos: usize, e: Entry) {
         while pos > 0 {
-            let up = (pos - 1) / 2;
+            let up = (pos - 1) >> 1;
             match self.heap.get(up) {
                 Some(&parent) if e < parent => self.put(pos, parent),
                 _ => break,
@@ -271,17 +271,30 @@ impl<T> TimerWheel<T> {
     pub fn check_invariants(&self) {
         let mut seen = vec![0u32; self.slots.len()];
         for (pos, e) in self.heap.iter().enumerate() {
-            let parent = &self.heap[pos.saturating_sub(1) / 2];
-            assert!(parent <= e, "heap order broken at {pos}");
-            let slot = &self.slots[e.idx as usize];
-            assert_eq!(slot.pos as usize, pos, "slot position out of sync");
-            assert!(slot.payload.is_some(), "live timer without a payload");
-            seen[e.idx as usize] += 1;
+            let parent = self.heap.get(pos.saturating_sub(1) >> 1);
+            assert!(parent.is_some_and(|p| p <= e), "heap order broken at {pos}");
+            let slot = self.slots.get(e.idx as usize);
+            assert!(
+                slot.is_some_and(|s| s.pos as usize == pos),
+                "slot position out of sync at {pos}"
+            );
+            assert!(
+                slot.is_some_and(|s| s.payload.is_some()),
+                "live timer without a payload at {pos}"
+            );
+            if let Some(n) = seen.get_mut(e.idx as usize) {
+                *n += 1;
+            }
         }
         for &idx in &self.free {
-            let slot = &self.slots[idx as usize];
-            assert!(slot.payload.is_none(), "free slot {idx} has a payload");
-            seen[idx as usize] += 1;
+            let slot = self.slots.get(idx as usize);
+            assert!(
+                slot.is_some_and(|s| s.payload.is_none()),
+                "free slot {idx} is missing or has a payload"
+            );
+            if let Some(n) = seen.get_mut(idx as usize) {
+                *n += 1;
+            }
         }
         assert!(
             seen.iter().all(|&n| n == 1),

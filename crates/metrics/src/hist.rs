@@ -94,7 +94,7 @@ impl Histogram {
         if idx < SUB as usize {
             idx as u64
         } else {
-            let shift = (idx / SUB as usize - 1) as u32;
+            let shift = ((idx >> SUB_BITS) - 1) as u32;
             ((idx as u64) - u64::from(shift) * SUB) << shift
         }
     }
@@ -105,21 +105,22 @@ impl Histogram {
         let width = if idx < SUB as usize {
             1
         } else {
-            1u64 << (idx / SUB as usize - 1)
+            1u64 << ((idx >> SUB_BITS) - 1)
         };
-        lo.saturating_add((width - 1) / 2)
+        lo.saturating_add((width - 1) >> 1)
     }
 
     /// Records one observation. Allocation-free; counters saturate
     /// rather than wrap.
-    // lint: allow(panic_path) — `Self::index` documents and guarantees `idx < NUM_BUCKETS`, so the bucket index never goes out of bounds
     pub fn record(&mut self, v: u64) {
         self.count = self.count.saturating_add(1);
         self.sum = self.sum.saturating_add(v);
         self.min = self.min.min(v);
         self.max = self.max.max(v);
-        let idx = Self::index(v);
-        self.buckets[idx] = self.buckets[idx].saturating_add(1);
+        // `index` is below `NUM_BUCKETS` for every `u64`.
+        if let Some(bucket) = self.buckets.get_mut(Self::index(v)) {
+            *bucket = bucket.saturating_add(1);
+        }
     }
 
     /// Records a duration in microseconds (the workspace's metric time

@@ -25,10 +25,12 @@
 //!   linear interpolation); [`Histogram::quantile`] routes through
 //!   the same rank rule over bucket counts.
 
-// Untrusted bytes must never panic an agent: no panicking call outside
-// tests (an exception is a reasoned `#[expect]`, counted by swim-lint).
+// Untrusted bytes must never panic an agent: no panicking call, index,
+// slice or integer division outside tests (an exception is a reasoned
+// `#[expect]`, counted by swim-lint).
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 #![cfg_attr(not(test), deny(clippy::unreachable, clippy::unimplemented, clippy::todo))]
+#![cfg_attr(not(test), deny(clippy::indexing_slicing, clippy::integer_division_remainder_used))]
 
 pub mod aggregate;
 pub mod hist;

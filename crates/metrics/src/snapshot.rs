@@ -135,29 +135,24 @@ struct Cursor<'a> {
     at: usize,
 }
 
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.at.checked_add(n)?;
-        let s = self.buf.get(self.at..end)?;
-        self.at = end;
-        Some(s)
+impl Cursor<'_> {
+    /// The next `N` bytes as an array, or `None` past the end.
+    fn array<const N: usize>(&mut self) -> Option<[u8; N]> {
+        let (head, _) = self.buf.get(self.at..)?.split_first_chunk::<N>()?;
+        self.at += N;
+        Some(*head)
     }
 
-    // lint: allow(panic_path) — `s[0]` indexes the 1-byte slice `take(1)` just returned; `take` guarantees the exact length
     fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|s| s[0])
+        self.array().map(u8::from_le_bytes)
     }
 
     fn u32(&mut self) -> Option<u32> {
-        let s = self.take(4)?;
-        let arr: [u8; 4] = s.try_into().ok()?;
-        Some(u32::from_le_bytes(arr))
+        self.array().map(u32::from_le_bytes)
     }
 
     fn u64(&mut self) -> Option<u64> {
-        let s = self.take(8)?;
-        let arr: [u8; 8] = s.try_into().ok()?;
-        Some(u64::from_le_bytes(arr))
+        self.array().map(u64::from_le_bytes)
     }
 }
 
@@ -245,10 +240,9 @@ impl Snapshot {
     ///
     /// Returns [`DecodeError`] on a bad magic/version, truncation,
     /// trailing bytes, or inconsistent histogram bucket counts.
-    // lint: allow(panic_path) — every index is a literal into the fixed-size `core15`/`io12` local arrays; all reads from the untrusted buffer go through the bounds-checked `Cursor`
     pub fn decode(buf: &[u8]) -> Result<Snapshot, DecodeError> {
         let mut c = Cursor { buf, at: 0 };
-        if c.take(4) != Some(&MAGIC) {
+        if c.array() != Some(MAGIC) {
             return Err(err("bad magic"));
         }
         if c.u8() != Some(VERSION) {

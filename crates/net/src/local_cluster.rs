@@ -30,9 +30,15 @@ impl LocalCluster {
     ///
     /// # Errors
     ///
-    /// Fails if any agent cannot bind its sockets.
+    /// Fails with [`io::ErrorKind::InvalidInput`] for `n == 0`, and if
+    /// any agent cannot bind its sockets.
     pub fn start(n: usize, protocol: Config, seed: u64) -> io::Result<LocalCluster> {
-        assert!(n >= 1, "cluster needs at least one agent");
+        if n == 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "cluster needs at least one agent",
+            ));
+        }
         let mut agents = Vec::with_capacity(n);
         for i in 0..n {
             agents.push(Agent::start(
@@ -41,9 +47,11 @@ impl LocalCluster {
                     .seed(seed.wrapping_add(i as u64)),
             )?);
         }
-        let seed_addr = agents[0].addr();
-        for agent in &agents[1..] {
-            agent.join(&[seed_addr]);
+        if let Some((seed, rest)) = agents.split_first() {
+            let seed_addr = seed.addr();
+            for agent in rest {
+                agent.join(&[seed_addr]);
+            }
         }
         Ok(LocalCluster { agents })
     }
@@ -58,9 +66,9 @@ impl LocalCluster {
         self.agents.is_empty()
     }
 
-    /// Access to one agent.
-    pub fn agent(&self, i: usize) -> &Agent {
-        &self.agents[i]
+    /// Access to one agent; `None` past the end.
+    pub fn agent(&self, i: usize) -> Option<&Agent> {
+        self.agents.get(i)
     }
 
     /// Blocks until every agent sees every other alive, or the deadline
@@ -119,6 +127,15 @@ mod tests {
     }
 
     #[test]
+    fn an_empty_cluster_is_invalid_input() {
+        let started = LocalCluster::start(0, fast(), 1);
+        assert_eq!(
+            started.err().map(|e| e.kind()),
+            Some(io::ErrorKind::InvalidInput)
+        );
+    }
+
+    #[test]
     fn local_cluster_converges_and_detects_kill() {
         let mut cluster = LocalCluster::start(4, fast(), 99).expect("bind");
         assert_eq!(cluster.len(), 4);
@@ -128,7 +145,7 @@ mod tests {
         );
         let victim = cluster.kill(3);
         assert_eq!(victim, "node-3");
-        let observer = cluster.agent(0);
+        let observer = cluster.agent(0).unwrap();
         let start = Instant::now();
         let mut detected = false;
         while start.elapsed() < Duration::from_secs(20) && !detected {

@@ -167,33 +167,32 @@ impl SendIo {
     fn send_staged(&mut self, udp: &UdpSocket, counters: &IoCounters) {
         let arena = &self.arena;
         if !self.supported || self.stage.len() < 2 {
-            for (to, range) in &self.stage {
-                send_counted(udp, counters, *to, &arena[range.clone()]);
-            }
+            send_each(udp, counters, arena, &self.stage);
             return;
         }
         let fd = udp.as_raw_fd();
-        let mut sent = 0;
-        while sent < self.stage.len() {
-            let end = (sent + self.batch_size).min(self.stage.len());
-            match self.table.send(fd, arena, &self.stage[sent..end]) {
+        let mut unsent: &[(SocketAddr, Range<usize>)] = &self.stage;
+        while !unsent.is_empty() {
+            let batch = unsent.get(..self.batch_size).unwrap_or(unsent);
+            match self.table.send(fd, arena, batch) {
                 // Defensive: a nonempty batch reports an error, never
                 // zero sends.
                 Ok(0) => break,
                 Ok(n) => {
+                    // `n` never exceeds the batch it reports on.
+                    let (sent, rest) = unsent.split_at_checked(n).unwrap_or((unsent, &[]));
                     counters.send_syscalls.fetch_add(1, Ordering::Relaxed);
-                    counters.datagrams_sent.fetch_add(n as u64, Ordering::Relaxed);
-                    let bytes: usize = self.stage[sent..sent + n]
-                        .iter()
-                        .map(|(_, r)| r.len())
-                        .sum();
+                    counters
+                        .datagrams_sent
+                        .fetch_add(sent.len() as u64, Ordering::Relaxed);
+                    let bytes: usize = sent.iter().map(|(_, r)| r.len()).sum();
                     counters
                         .datagram_bytes
                         .fetch_add(bytes as u64, Ordering::Relaxed);
                     if n > 1 {
                         counters.sendmmsg_batches.fetch_add(1, Ordering::Relaxed);
                     }
-                    sent += n;
+                    unsent = rest;
                 }
                 Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => {
                     // Full send buffer: drop the whole remainder,
@@ -202,16 +201,14 @@ impl SendIo {
                     counters.send_syscalls.fetch_add(1, Ordering::Relaxed);
                     counters
                         .would_block_drops
-                        .fetch_add((self.stage.len() - sent) as u64, Ordering::Relaxed);
+                        .fetch_add(unsent.len() as u64, Ordering::Relaxed);
                     break;
                 }
                 Err(ref e) if e.kind() == io::ErrorKind::Unsupported => {
                     // ENOSYS: single-shot the remainder and never try
                     // sendmmsg again on this socket.
                     self.supported = false;
-                    for (to, range) in &self.stage[sent..] {
-                        send_counted(udp, counters, *to, &arena[range.clone()]);
-                    }
+                    send_each(udp, counters, arena, unsent);
                     return;
                 }
                 Err(_) => {
@@ -220,9 +217,24 @@ impl SendIo {
                     // head, retry the rest.
                     counters.send_syscalls.fetch_add(1, Ordering::Relaxed);
                     counters.send_errors.fetch_add(1, Ordering::Relaxed);
-                    sent += 1;
+                    unsent = unsent.split_first().map_or(&[], |(_, rest)| rest);
                 }
             }
+        }
+    }
+}
+
+/// One counted `send_to` per staged datagram, each cut from `arena`
+/// by the range `transmit` recorded for it.
+fn send_each(
+    udp: &UdpSocket,
+    counters: &IoCounters,
+    arena: &[u8],
+    staged: &[(SocketAddr, Range<usize>)],
+) {
+    for (to, range) in staged {
+        if let Some(payload) = arena.get(range.clone()) {
+            send_counted(udp, counters, *to, payload);
         }
     }
 }
@@ -489,7 +501,7 @@ impl Reactor {
                         let mut driver = self.inner.driver.lock();
                         let _ = driver.handle_datagram_slice(
                             NodeAddr::from(from),
-                            &self.udp_buf[..len],
+                            self.udp_buf.get(..len).unwrap_or_default(),
                             now,
                             &mut self.send_io,
                         );
@@ -712,7 +724,7 @@ impl Reactor {
             }
             match stream.read(&mut chunk) {
                 Ok(0) => return Advance::Done, // EOF mid-frame
-                Ok(n) => decoder.feed(&chunk[..n]),
+                Ok(n) => decoder.feed(chunk.get(..n).unwrap_or_default()),
                 Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => {
                     return Advance::Keep(Event::readable(key));
                 }
@@ -766,8 +778,8 @@ fn advance_outbound(
             Ok(Some(_)) | Err(_) => return Advance::Done,
         }
     }
-    while *written < frame.len() {
-        match stream.write(&frame[*written..]) {
+    while let Some(unsent) = frame.get(*written..).filter(|rest| !rest.is_empty()) {
+        match stream.write(unsent) {
             Ok(0) => return Advance::Done,
             Ok(n) => *written += n,
             Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => {

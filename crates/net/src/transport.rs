@@ -18,7 +18,7 @@
 //! length can never drive an allocation.
 
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{IpAddr, SocketAddr, TcpStream};
 use std::time::Duration;
 
 use bytes::{BufMut, BytesMut};
@@ -143,45 +143,41 @@ impl FrameDecoder {
     /// [`StreamError::Oversized`] as soon as a length prefix above the
     /// limit is seen; [`StreamError::Decode`] for malformed headers or
     /// message bodies.
-    // lint: allow(panic_path) — every slice range is derived from `header_len`/`body_len` immediately after the `buf.len() < …` early returns that bound them, and `buf[0]` follows the `is_empty` check
     pub fn decode(&mut self) -> Result<Option<(NodeAddr, Message)>, StreamError> {
-        let buf = &self.buf;
-        if buf.is_empty() {
+        let Some((&family, rest)) = self.buf.split_first() else {
             return Ok(None);
-        }
-        let addr_len = match buf[0] {
-            4 => 4,
-            6 => 16,
+        };
+        // family + address + port + u32 length word, then the body; a
+        // short read at any step is a partial frame.
+        let (ip, rest) = match family {
+            4 => match rest.split_first_chunk::<4>() {
+                Some((ip, rest)) => (IpAddr::from(*ip), rest),
+                None => return Ok(None),
+            },
+            6 => match rest.split_first_chunk::<16>() {
+                Some((ip, rest)) => (IpAddr::from(*ip), rest),
+                None => return Ok(None),
+            },
             other => return Err(StreamError::Decode(DecodeError::UnknownAddrFamily(other))),
         };
-        // family + address + port + u32 length word.
-        let header_len = 1 + addr_len + 2 + 4;
-        if buf.len() < header_len {
+        let Some((port, rest)) = rest.split_first_chunk::<2>() else {
             return Ok(None);
-        }
-        // The range arithmetic above guarantees each slice's length,
-        // but this is a wire path: surface a decode error rather than
-        // carry a panicking conversion.
-        fn take<const N: usize>(b: &[u8]) -> Result<[u8; N], StreamError> {
-            b.try_into()
-                .map_err(|_| StreamError::Decode(DecodeError::UnexpectedEof))
-        }
-        let body_len = u32::from_be_bytes(take(&buf[header_len - 4..header_len])?) as usize;
+        };
+        let Some((body_len, rest)) = rest.split_first_chunk::<4>() else {
+            return Ok(None);
+        };
+        let body_len = u32::from_be_bytes(*body_len) as usize;
         if body_len > self.max_frame {
             return Err(StreamError::Oversized(body_len));
         }
-        if buf.len() < header_len + body_len {
+        let Some(body) = rest.get(..body_len) else {
             return Ok(None);
-        }
-        let ip: std::net::IpAddr = if addr_len == 4 {
-            std::net::IpAddr::from(take::<4>(&buf[1..5])?)
-        } else {
-            std::net::IpAddr::from(take::<16>(&buf[1..17])?)
         };
-        let port = u16::from_be_bytes(take(&buf[1 + addr_len..1 + addr_len + 2])?);
-        let msg = codec::decode_message(&buf[header_len..header_len + body_len])?;
-        self.buf.drain(..header_len + body_len);
-        Ok(Some((NodeAddr::from(SocketAddr::new(ip, port)), msg)))
+        let msg = codec::decode_message(body)?;
+        let frame_len = self.buf.len() - rest.len() + body_len;
+        let from = NodeAddr::from(SocketAddr::new(ip, u16::from_be_bytes(*port)));
+        self.buf.drain(..frame_len);
+        Ok(Some((from, msg)))
     }
 }
 
@@ -212,7 +208,7 @@ pub fn read_frame(stream: &mut impl Read) -> Result<(NodeAddr, Message), StreamE
                 "connection closed mid-frame",
             )));
         }
-        decoder.feed(&chunk[..n]);
+        decoder.feed(chunk.get(..n).unwrap_or_default());
     }
 }
 

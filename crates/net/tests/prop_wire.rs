@@ -1,7 +1,8 @@
 //! Fuzz-style properties for the wire-facing paths: arbitrary and
 //! mutated bytes through the stream frame decoder and the datagram
-//! handling path must never panic (the panic ratchet pins `proto` and
-//! `net` at zero sites; this exercises that guarantee with input).
+//! handling path must never panic (clippy denies every panicking call,
+//! index, slice and division in `proto` and `net`; this exercises that
+//! guarantee with input).
 
 use lifeguard_core::config::Config;
 use lifeguard_core::driver::{Driver, Sink};

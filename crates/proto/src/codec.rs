@@ -423,40 +423,41 @@ impl<'a> Reader<'a> {
         self.buf.len() - self.pos
     }
 
-    // lint: allow(panic_path) — indexes a slice `take(1)` just returned, which is exactly 1 byte long
     pub(crate) fn get_u8(&mut self) -> Result<u8, DecodeError> {
-        let s = self.take(1)?;
-        Ok(s[0])
+        self.array().map(u8::from_be_bytes)
     }
 
-    // lint: allow(panic_path) — indexes a slice `take(2)` just returned, which is exactly 2 bytes long
     pub(crate) fn get_u16(&mut self) -> Result<u16, DecodeError> {
-        let s = self.take(2)?;
-        Ok(u16::from_be_bytes([s[0], s[1]]))
+        self.array().map(u16::from_be_bytes)
     }
 
-    // lint: allow(panic_path) — indexes a slice `take(4)` just returned, which is exactly 4 bytes long
     fn get_u32(&mut self) -> Result<u32, DecodeError> {
-        let s = self.take(4)?;
-        Ok(u32::from_be_bytes([s[0], s[1], s[2], s[3]]))
+        self.array().map(u32::from_be_bytes)
     }
 
-    // lint: allow(panic_path) — copies from a slice `take(8)` just returned into a same-length array
     fn get_u64(&mut self) -> Result<u64, DecodeError> {
-        let s = self.take(8)?;
-        let mut b = [0u8; 8];
-        b.copy_from_slice(s);
-        Ok(u64::from_be_bytes(b))
+        self.array().map(u64::from_be_bytes)
     }
 
-    // lint: allow(panic_path) — the slice range is validated by the `remaining() < n` early return on the line above it
+    /// The next `N` bytes as an array.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+        let (head, _) = self
+            .rest()
+            .split_first_chunk::<N>()
+            .ok_or(DecodeError::UnexpectedEof)?;
+        self.pos += N;
+        Ok(*head)
+    }
+
     pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        if self.remaining() < n {
-            return Err(DecodeError::UnexpectedEof);
-        }
-        let s = &self.buf[self.pos..self.pos + n];
+        let s = self.rest().get(..n).ok_or(DecodeError::UnexpectedEof)?;
         self.pos += n;
         Ok(s)
+    }
+
+    /// The unread bytes; `pos` never passes the end of `buf`.
+    fn rest(&self) -> &'a [u8] {
+        self.buf.get(self.pos..).unwrap_or_default()
     }
 
     fn get_name(&mut self) -> Result<NodeName, DecodeError> {
@@ -485,20 +486,11 @@ impl<'a> Reader<'a> {
         })
     }
 
-    // lint: allow(panic_path) — indexes/copies slices `take(4)`/`take(16)` just returned, with matching lengths
     fn get_addr(&mut self) -> Result<NodeAddr, DecodeError> {
         let family = self.get_u8()?;
         let ip = match family {
-            4 => {
-                let o = self.take(4)?;
-                IpAddr::V4(Ipv4Addr::new(o[0], o[1], o[2], o[3]))
-            }
-            6 => {
-                let o = self.take(16)?;
-                let mut b = [0u8; 16];
-                b.copy_from_slice(o);
-                IpAddr::V6(Ipv6Addr::from(b))
-            }
+            4 => IpAddr::V4(Ipv4Addr::from(self.array::<4>()?)),
+            6 => IpAddr::V6(Ipv6Addr::from(self.array::<16>()?)),
             other => return Err(DecodeError::UnknownAddrFamily(other)),
         };
         let port = self.get_u16()?;

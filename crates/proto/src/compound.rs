@@ -377,10 +377,11 @@ fn frame(bytes: &[u8]) -> Result<(codec::Reader<'_>, codec::Reader<'_>), DecodeE
 /// Parses and validates a compound header, returning each part's
 /// `(offset, len)` within `bytes` — the single framing parser behind
 /// both the copying and zero-copy packet decoders.
-// `bytes[1..]` cannot panic: both callers enter only after
-// `bytes.first()` matched the compound tag, so the length is ≥ 1.
 fn split_compound(bytes: &[u8]) -> Result<Vec<(usize, usize)>, DecodeError> {
-    let mut r = codec::Reader::new(&bytes[1..]);
+    // Both callers enter only after `bytes.first()` matched the
+    // compound tag; the header starts after it.
+    let (_, header) = bytes.split_first().ok_or(DecodeError::UnexpectedEof)?;
+    let mut r = codec::Reader::new(header);
     let count = r.get_u8()? as usize;
     let mut lens = Vec::with_capacity(count);
     for _ in 0..count {

@@ -1,24 +1,17 @@
-//! The ratcheted baselines: `analysis/baseline.toml`.
+//! The ratcheted baseline: `analysis/baseline.toml`.
 //!
-//! Two sections, both down-only ratchets:
+//! One section, a down-only ratchet: `[waivers]` (per rule) — the count
+//! of inline waiver comments (see the crate docs for the syntax), plus
+//! one row per clippy lint excepted by a non-test
+//! `#[expect(clippy::<lint>, …)]` / `#[allow(..)]` attribute (key
+//! `"clippy::<lint>"`). Zero active findings means little if every new
+//! finding is simply waived, so the waivers themselves are ratcheted:
+//! adding one fails until an old one is retired.
 //!
-//! - `[panic_paths]` (per entry point) — the count of **unwaived**
-//!   panic sites transitively reachable from each declared entry point
-//!   of the `panic_path` call-graph rule. Wire entry points are pinned
-//!   at zero *regardless* of what this file says.
-//! - `[waivers]` (per rule) — the count of inline waiver comments
-//!   (see the crate docs for the syntax), plus one row per clippy lint
-//!   excepted by a non-test `#[expect(clippy::<lint>, …)]` /
-//!   `#[allow(..)]` attribute (key `"clippy::<lint>"`). Zero active
-//!   findings means little if every new finding is simply waived, so
-//!   the waivers themselves are ratcheted: adding one fails until an
-//!   old one is retired.
-//!
-//! A PR that adds a path or a waiver fails immediately; a PR that
-//! removes one fails until it also tightens the baseline (`cargo run -p
-//! xtask -- lint --update-baseline` rewrites the file), so the recorded
-//! counts are always exact and the burn-down is visible in the diff
-//! history.
+//! A PR that adds a waiver fails immediately; a PR that removes one
+//! fails until it also tightens the baseline (`cargo run -p xtask --
+//! lint --update-baseline` rewrites the file), so the recorded counts
+//! are always exact and the burn-down is visible in the diff history.
 //!
 //! The file is a flat TOML table parsed by hand — the analyzer is
 //! dependency-free by design (it gates the build; nothing in the build
@@ -31,11 +24,9 @@ use std::path::Path;
 /// Workspace-relative path of the baseline file.
 pub const BASELINE_PATH: &str = "analysis/baseline.toml";
 
-/// Per-entry-point reachable-panic-path counts (`[panic_paths]`) and
-/// per-rule waiver counts (`[waivers]`).
+/// Per-rule waiver counts (`[waivers]`).
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct Baseline {
-    pub panic_paths: BTreeMap<String, u64>,
     pub waivers: BTreeMap<String, u64>,
 }
 
@@ -80,20 +71,13 @@ impl Baseline {
                 line: lineno,
                 message: format!("count for `{key}` is not a non-negative integer"),
             })?;
-            match section.as_str() {
-                "panic_paths" => {
-                    out.panic_paths.insert(key, value);
-                }
-                "waivers" => {
-                    out.waivers.insert(key, value);
-                }
-                other => {
-                    return Err(BaselineError {
-                        line: lineno,
-                        message: format!("unknown baseline section `[{other}]`"),
-                    });
-                }
+            if section != "waivers" {
+                return Err(BaselineError {
+                    line: lineno,
+                    message: format!("unknown baseline section `[{section}]`"),
+                });
             }
+            out.waivers.insert(key, value);
         }
         Ok(out)
     }
@@ -112,19 +96,10 @@ impl Baseline {
         let mut s = String::from(
             "# Ratcheted baselines — maintained by `cargo run -p xtask -- lint`.\n\
              #\n\
-             # The lint fails if a count rises (new panic site/path/waiver) OR falls (run\n\
+             # The lint fails if a count rises (new waiver) OR falls (run\n\
              # with --update-baseline to ratchet it down), so these numbers are\n\
              # always exact and the burn-down shows up in diff history.\n",
         );
-        s.push_str(
-            "\n# Unwaived panic sites reachable from each declared entry point\n\
-             # (`panic_path` rule). Wire entries are pinned at zero regardless of\n\
-             # the values here: untrusted bytes must never panic an agent.\n\
-             [panic_paths]\n",
-        );
-        for (k, v) in &self.panic_paths {
-            let _ = writeln!(s, "\"{k}\" = {v}");
-        }
         s.push_str(
             "\n# Inline `lint: allow(<rule>)` waivers per rule, and reasoned\n\
              # `#[expect(clippy::<lint>, ..)]` exceptions per lint. A finding may\n\
@@ -149,12 +124,8 @@ mod tests {
 
     #[test]
     fn parse_roundtrip() {
-        let b = Baseline::parse(
-            "# c\n[panic_paths]\n\"SwimNode::handle_input\" = 3\n\
-             [waivers]\npanic_path = 18\n\"clippy::panic\" = 1\n",
-        )
-        .unwrap();
-        assert_eq!(b.panic_paths.get("SwimNode::handle_input"), Some(&3));
+        let b =
+            Baseline::parse("# c\n[waivers]\npanic_path = 18\n\"clippy::panic\" = 1\n").unwrap();
         assert_eq!(b.waivers.get("panic_path"), Some(&18));
         assert_eq!(b.waivers.get("clippy::panic"), Some(&1));
         let text = b.render();
@@ -165,10 +136,12 @@ mod tests {
 
     #[test]
     fn legacy_panic_section_is_rejected() {
-        // The per-crate `[panic]` ratchet went with the lexical panic
-        // rule (clippy denies those sites now): a stale file must fail
-        // loudly, not load as if nothing were there.
-        let err = Baseline::parse("[panic_paths]\n\"Snapshot::decode\" = 0\n[panic]\ncore = 0\n");
+        // The per-entry `[panic_paths]` ratchet went with the
+        // reachability pass (clippy denies those sites crate-wide now):
+        // a stale file must fail loudly, not load as if nothing were
+        // there.
+        let err =
+            Baseline::parse("[waivers]\npanic_path = 2\n[panic_paths]\n\"Snapshot::decode\" = 0\n");
         assert_eq!(err.map_err(|e| e.line), Err(4));
     }
 

@@ -12,16 +12,16 @@
 //!   lowercase (module) path or `Self` falls back to name resolution;
 //! - a qualified call on a CamelCase type with no workspace `impl` is
 //!   external (`u32::from_le_bytes`, `Duration::from_secs`, ...) and
-//!   produces no edge — external callees contribute *sites*, not
-//!   edges (`.unwrap()` on the result is still seen at the call site).
+//!   produces no edge.
 //!
-//! On that graph three rules run: **panic-reachability** per declared
-//! entry point, **lock discipline** (no syscall, direct or reached
-//! through a call, under the net driver lock), and **bounded growth**
-//! of collection fields in long-lived structs. See `docs/ANALYSIS.md` for semantics and soundness
-//! caveats.
+//! On that graph three rules run: **panic sites** clippy cannot deny
+//! (the `assert!` family and four panicking `std` methods), checked per
+//! function with no reachability; **lock discipline** (no syscall,
+//! direct or reached through a call, under the net driver lock); and
+//! **bounded growth** of collection fields in long-lived structs. See
+//! `docs/ANALYSIS.md` for semantics and soundness caveats.
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 
 use crate::lexer::Comment;
 use crate::parser::{Call, FnDef, ParsedFile, StructDef, GROWABLE_TYPES};
@@ -30,19 +30,9 @@ use crate::rules::{
     RULE_PANIC_PATH,
 };
 
-/// One declared panic-reachability entry point.
-#[derive(Debug, Clone)]
-pub struct EntrySpec {
-    /// Qualified function name (`SwimNode::handle_input`).
-    pub qname: String,
-    /// Wire entry points are pinned at **zero** reachable panic sites:
-    /// their baseline may never be raised above 0.
-    pub wire: bool,
-}
-
-/// Configuration of the graph rules: entry points, long-lived roots,
-/// and scopes. The workspace uses [`GraphConfig::workspace`]; fixture
-/// mini-workspaces construct their own.
+/// Configuration of the graph rules: long-lived roots and scopes. The
+/// workspace uses [`GraphConfig::workspace`]; fixture mini-workspaces
+/// construct their own.
 #[derive(Debug, Clone)]
 pub struct GraphConfig {
     /// Crates whose functions and structs populate the graph. A name
@@ -60,8 +50,6 @@ pub struct GraphConfig {
     /// trait dispatch can genuinely cross layers in either direction
     /// (core's `Sink` is implemented by `net`).
     pub deps: Vec<(String, Vec<String>)>,
-    /// Panic-reachability entry points.
-    pub panic_entries: Vec<EntrySpec>,
     /// Long-lived struct roots for the bounded-growth rule; the rule
     /// closes over struct containment from these.
     pub long_lived_roots: Vec<String>,
@@ -70,6 +58,8 @@ pub struct GraphConfig {
     /// Crates whose lock regions the lock-discipline rule inspects.
     pub lock_crates: Vec<String>,
     /// The crate holding raw syscall declarations (the polling shim).
+    /// It is the one graph crate the panic-site rule skips: the other
+    /// six carry clippy's panic denies, and this rule completes them.
     pub syscall_crate: String,
     /// The raw syscall symbol names (the FFI allowlist).
     pub syscall_symbols: Vec<String>,
@@ -110,13 +100,6 @@ impl GraphConfig {
                     ],
                 ),
             ],
-            panic_entries: vec![
-                entry("SwimNode::handle_input", false),
-                entry("SwimNode::poll_output", false),
-                entry("SwimNode::handle_datagram_slice", true),
-                entry("FrameDecoder::decode", true),
-                entry("Snapshot::decode", true),
-            ],
             long_lived_roots: vec![
                 "SwimNode".into(),
                 "Inner".into(),
@@ -131,13 +114,6 @@ impl GraphConfig {
                 .map(|s| (*s).to_string())
                 .collect(),
         }
-    }
-}
-
-fn entry(qname: &str, wire: bool) -> EntrySpec {
-    EntrySpec {
-        qname: qname.into(),
-        wire,
     }
 }
 
@@ -169,12 +145,6 @@ pub struct FileData {
 pub struct GraphOutcome {
     /// Findings from all three rules (waived ones carry their reason).
     pub violations: Vec<Violation>,
-    /// Per-entry-point count of **unwaived** reachable panic sites
-    /// (the per-entry baseline/ratchet input).
-    pub entry_counts: BTreeMap<String, u64>,
-    /// Example call chain per entry point (one per reachable site is in
-    /// the violations; this is the summary shown in ANALYSIS.json).
-    pub entry_chains: BTreeMap<String, Vec<String>>,
     /// Graph size, for the report.
     pub functions: usize,
     pub edges: usize,
@@ -320,36 +290,6 @@ impl<'a> CallGraph<'a> {
         self.edges.iter().map(Vec::len).sum()
     }
 
-    /// Function indices matching a (possibly qualified) entry name.
-    fn lookup(&self, qname: &str) -> Vec<usize> {
-        if let Some(v) = self.by_qname.get(qname) {
-            return v.clone();
-        }
-        self.by_name.get(qname).cloned().unwrap_or_default()
-    }
-
-    /// BFS from `starts`; returns, for every reachable fn, the index it
-    /// was first reached from (`usize::MAX` for the starts themselves).
-    fn reach_from(&self, starts: &[usize]) -> HashMap<usize, usize> {
-        let mut parent: HashMap<usize, usize> = HashMap::new();
-        let mut q: VecDeque<usize> = VecDeque::new();
-        for &s in starts {
-            if let std::collections::hash_map::Entry::Vacant(e) = parent.entry(s) {
-                e.insert(usize::MAX);
-                q.push_back(s);
-            }
-        }
-        while let Some(i) = q.pop_front() {
-            for &t in &self.edges[i] {
-                if let std::collections::hash_map::Entry::Vacant(e) = parent.entry(t) {
-                    e.insert(i);
-                    q.push_back(t);
-                }
-            }
-        }
-        parent
-    }
-
     /// The set of functions that can (transitively) reach any of
     /// `targets` — a reverse BFS.
     fn reaching_set(&self, targets: &HashSet<usize>) -> HashMap<usize, usize> {
@@ -377,20 +317,6 @@ impl<'a> CallGraph<'a> {
         next
     }
 
-    /// Renders `entry → ... → fn` following BFS parents.
-    fn chain_to(&self, parent: &HashMap<usize, usize>, mut i: usize) -> String {
-        let mut names = vec![self.fns[i].qname.clone()];
-        while let Some(&p) = parent.get(&i) {
-            if p == usize::MAX {
-                break;
-            }
-            names.push(self.fns[p].qname.clone());
-            i = p;
-        }
-        names.reverse();
-        names.join(" → ")
-    }
-
     /// Finds a `rule` waiver covering `line` in the file of fn `i`:
     /// site-level first, then a fn-level waiver on the fn's signature
     /// line (which covers the whole body). Marks the waiver used.
@@ -409,48 +335,30 @@ pub fn analyze(files: &[FileData], config: &GraphConfig) -> GraphOutcome {
         edges: g.edge_count(),
         ..GraphOutcome::default()
     };
-    panic_reachability(&g, config, &mut out);
+    panic_sites(&g, config, &mut out);
     lock_discipline(&g, config, &mut out);
     bounded_growth(&g, config, &mut out);
     out
 }
 
-/// Rule `panic_path`: every panic site transitively reachable from a
-/// declared entry point, with one example call chain.
-fn panic_reachability(g: &CallGraph<'_>, config: &GraphConfig, out: &mut GraphOutcome) {
-    for e in &config.panic_entries {
-        let starts = g.lookup(&e.qname);
-        let parent = g.reach_from(&starts);
-        let mut count = 0u64;
-        let mut chains: Vec<String> = Vec::new();
-        // Deterministic order: by function definition, then site line.
-        let mut reached: Vec<usize> = parent.keys().copied().collect();
-        reached.sort_unstable_by_key(|&i| (&g.fns[i].file, g.fns[i].line));
-        for i in reached {
-            let d = g.fns[i];
-            for s in &d.sites {
-                let waived = g.waived(i, s.line, RULE_PANIC_PATH);
-                let chain = g.chain_to(&parent, i);
-                if waived.is_none() {
-                    count += 1;
-                    if chains.len() < 3 {
-                        chains.push(format!("{chain} → {} ({}:{})", s.what, d.file, s.line));
-                    }
-                }
-                out.violations.push(Violation {
-                    rule: RULE_PANIC_PATH,
-                    file: d.file.clone(),
-                    line: s.line,
-                    message: format!(
-                        "panic site {} reachable from entry `{}` via {}",
-                        s.what, e.qname, chain
-                    ),
-                    waived,
-                });
-            }
+/// Rule `panic_path`: every `assert!`-family macro and panicking `std`
+/// method in a non-test function outside the polling shim. The bodies
+/// of `check_invariants` functions are exempt: they exist to assert,
+/// and only tests call them.
+fn panic_sites(g: &CallGraph<'_>, config: &GraphConfig, out: &mut GraphOutcome) {
+    for (i, d) in g.fns.iter().enumerate() {
+        if d.crate_name == config.syscall_crate || d.name == "check_invariants" {
+            continue;
         }
-        out.entry_counts.insert(e.qname.clone(), count);
-        out.entry_chains.insert(e.qname.clone(), chains);
+        for s in &d.sites {
+            out.violations.push(Violation {
+                rule: RULE_PANIC_PATH,
+                file: d.file.clone(),
+                line: s.line,
+                message: format!("panic site {} in `{}`", s.what, d.qname),
+                waived: g.waived(i, s.line, RULE_PANIC_PATH),
+            });
+        }
     }
 }
 

@@ -2,9 +2,10 @@
 //!
 //! Run as `cargo run -p xtask -- lint`. The pass machine-enforces the
 //! architectural invariants that neither rustc/clippy nor the tests can
-//! check; what clippy can check (panicking calls, lossy casts, unsafe
-//! audits) is denied at the crate roots instead, and allocation freedom
-//! is proven by `tests/alloc_gates.rs`.
+//! check; what clippy can check (panicking calls, indexing, slicing,
+//! integer division, lossy casts, unsafe audits) is denied at the crate
+//! roots instead, and allocation freedom is proven by
+//! `tests/alloc_gates.rs`.
 //!
 //! **Lexical rules** (token-stream level):
 //!
@@ -17,12 +18,14 @@
 //! 3. **Waiver hygiene** (`waiver`) — a waiver must name a known rule
 //!    and give a reason.
 //!
-//! **Call-graph rules** (whole-workspace — see [`graph`] and
+//! **Graph rules** (whole-workspace — see [`graph`] and
 //! `docs/ANALYSIS.md`):
 //!
-//! 4. **Panic reachability** (`panic_path`) — every transitive path
-//!    from a declared entry point to a panic site, with an example call
-//!    chain; ratcheted per entry point, wire entries pinned at zero.
+//! 4. **Panic sites** (`panic_path`) — the two panic kinds clippy
+//!    cannot deny cleanly, the `assert!` family and the panicking `std`
+//!    methods (`swap_remove`, `split_at`, `split_at_mut`,
+//!    `copy_from_slice`), in every non-test function of the six crates
+//!    that carry clippy's panic denies.
 //! 5. **Lock discipline** (`lock_discipline`) — no syscall, and no call
 //!    that reaches one (a polling-shim wrapper or a std socket method),
 //!    while the net driver lock is held.
@@ -34,7 +37,7 @@
 //! stale waivers are reported. Those waivers and the reasoned clippy
 //! exceptions (`#[expect(clippy::<lint>, reason = "…")]`) are ratcheted
 //! per rule/lint. Results are printed as a table and written to
-//! `target/ANALYSIS.json` (schema 3) for trend tooling.
+//! `target/ANALYSIS.json` (schema 4).
 
 pub mod baseline;
 pub mod graph;
@@ -48,7 +51,6 @@ use std::path::{Path, PathBuf};
 use baseline::Baseline;
 use graph::{FileData, GraphConfig};
 use report::Report;
-use rules::RULE_PANIC_PATH;
 
 /// Directory names never descended into during the workspace walk.
 /// `fixtures` holds the analyzer's own known-violation test inputs.
@@ -128,8 +130,6 @@ pub fn analyze_sources(sources: &[(String, String)], config: &GraphConfig) -> Re
     report.violations.extend(outcome.violations);
     report.graph_functions = outcome.functions;
     report.graph_edges = outcome.edges;
-    report.entry_counts = outcome.entry_counts;
-    report.entry_chains = outcome.entry_chains;
 
     // Waiver accounting, after every pass marked what it used.
     for f in &data {
@@ -155,10 +155,9 @@ pub struct LintOutcome {
     pub json: String,
 }
 
-/// Runs the full lint over `root`: analyze, apply the panic-path and
-/// waiver ratchets, and render the JSON report. With
-/// `update_baseline`, a shrunken count rewrites `analysis/baseline.toml`
-/// instead of failing.
+/// Runs the full lint over `root`: analyze, apply the waiver ratchet,
+/// and render the JSON report. With `update_baseline`, a shrunken count
+/// rewrites `analysis/baseline.toml` instead of failing.
 ///
 /// # Errors
 ///
@@ -170,12 +169,8 @@ pub fn run_lint(root: &Path, update_baseline: bool) -> std::io::Result<LintOutco
     let report = analyze_sources(&sources, &config);
     let mut failures = Vec::new();
 
-    // Zero-tolerance rules: anything active fails. The ratcheted
-    // `panic_path` rule is handled below.
+    // Zero tolerance: any active finding of any rule fails.
     for rule in rules::ALL_RULES {
-        if rule == RULE_PANIC_PATH {
-            continue;
-        }
         let n = report.active(rule).count();
         if n > 0 {
             failures.push(format!("{n} active `{rule}` violation(s)"));
@@ -192,55 +187,9 @@ pub fn run_lint(root: &Path, update_baseline: bool) -> std::io::Result<LintOutco
     let mut ratcheted = baseline.clone();
     let mut rewrite = false;
 
-    // The per-entry-point panic-path ratchet. Wire entries are pinned
-    // at zero no matter what the baseline says.
-    for entry in &config.panic_entries {
-        let have = report.entry_counts.get(&entry.qname).copied().unwrap_or(0);
-        let base = baseline.panic_paths.get(&entry.qname).copied().unwrap_or(0);
-        if entry.wire && have > 0 {
-            failures.push(format!(
-                "panic paths: wire entry `{}` reaches {have} unwaived panic site(s) — wire \
-                 entries are pinned at zero; untrusted bytes must never panic an agent",
-                entry.qname
-            ));
-            continue;
-        }
-        let known = baseline.panic_paths.contains_key(&entry.qname);
-        if have > base {
-            // Bootstrap: `--update-baseline` may seed a *missing*
-            // (non-wire) entry key, but never raise a recorded one.
-            if update_baseline && !known && !entry.wire {
-                rewrite = true;
-                ratcheted.panic_paths.insert(entry.qname.clone(), have);
-            } else {
-                failures.push(format!(
-                    "panic paths: entry `{}` reaches {have} unwaived panic site(s), baseline \
-                     allows {base} — break the path, or waive the site with a reason",
-                    entry.qname
-                ));
-            }
-        } else if have < base {
-            rewrite = true;
-            ratcheted.panic_paths.insert(entry.qname.clone(), have);
-            if !update_baseline {
-                failures.push(format!(
-                    "panic paths: entry `{}` is down to {have} reachable site(s) but the \
-                     baseline says {base} — run `cargo run -p xtask -- lint --update-baseline`",
-                    entry.qname
-                ));
-            }
-        } else if !known && update_baseline {
-            // Record the (stable) count so the trend tooling has an
-            // explicit per-entry row to diff against.
-            rewrite = true;
-            ratcheted.panic_paths.insert(entry.qname.clone(), have);
-        }
-    }
-
     // The per-rule waiver ratchet (clippy exceptions keyed
-    // `clippy::<lint>`): same shape as the panic-path one — a rise fails
-    // (`--update-baseline` may only seed a rule the file has no row
-    // for), a fall must be recorded.
+    // `clippy::<lint>`): a rise fails (`--update-baseline` may only seed
+    // a rule the file has no row for), a fall must be recorded.
     let mut waived_rules: Vec<&String> = baseline
         .waivers
         .keys()
@@ -281,7 +230,7 @@ pub fn run_lint(root: &Path, update_baseline: bool) -> std::io::Result<LintOutco
         std::fs::write(root.join(baseline::BASELINE_PATH), ratcheted.render())?;
     }
 
-    let json = report.render_json(&baseline, failures.is_empty());
+    let json = report.render_json(failures.is_empty());
     Ok(LintOutcome {
         report,
         failures,

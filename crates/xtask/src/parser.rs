@@ -2,40 +2,40 @@
 //! token stream.
 //!
 //! This is deliberately **not** a Rust parser: it recovers exactly the
-//! structure the call-graph rules need — function items (with their
+//! structure the graph rules need — function items (with their
 //! `impl`/`trait` context as a one-segment qualifier), the calls and
 //! panic sites inside each body, struct definitions
 //! with their field types, and the lexical extent of driver-lock
 //! regions — and nothing else. Everything it cannot understand it
 //! skips, so the parse degrades gracefully on arbitrary token streams
-//! (a property pinned by `tests/prop_parser.rs`).
+//! (a property pinned by `tests/prop_robustness.rs`).
 //!
 //! # Soundness posture
 //!
 //! The output feeds an *over-approximating* call graph: attribution
-//! errors must err toward reporting too much, never too little, on the
-//! reachability rules. Concretely:
+//! errors must err toward reporting too much, never too little.
+//! Concretely:
 //!
 //! - closure bodies are attributed to the enclosing `fn` (the closure
-//!   might escape, but its sites stay visible from its definer);
+//!   might escape, but its calls and sites stay with its definer);
 //! - nested `fn` items are parsed as their own functions;
 //! - a call through a variable (`callback(x)`) resolves like a call to
 //!   any workspace function of that name (see
 //!   [`graph`](crate::graph));
-//! - macro bodies outside functions belong to no function and are
-//!   invisible to reachability.
+//! - macro bodies outside functions belong to no function.
 
 use crate::lexer::{LexedFile, Tok, Token};
 use crate::rules::FileClass;
 
-/// One potentially-panicking construct inside a function body: a
-/// panic macro (`panic!`, `assert*!`, …), `.unwrap()` / `.expect()`,
-/// `expr[...]` indexing or slicing, `/` or `%` by a non-constant
-/// divisor, or a known-panicking `std` method (`swap_remove`,
-/// `split_at`, `copy_from_slice`, …).
+/// One potentially-panicking construct inside a function body that
+/// clippy cannot deny cleanly: an `assert!`-family macro (a
+/// `disallowed_macros` entry for it also fires inside every
+/// `debug_assert!`), or a known-panicking `std` method (`swap_remove`,
+/// `split_at`, `split_at_mut`, `copy_from_slice`). Panicking calls,
+/// indexing, slicing and integer division are clippy's.
 #[derive(Debug, Clone)]
 pub struct Site {
-    /// Short description of the construct (`".unwrap()"`, `"idx[]"`).
+    /// Short description of the construct (`"assert!"`, `".split_at()"`).
     pub what: String,
     pub line: u32,
 }
@@ -112,16 +112,8 @@ const NON_CALL_KEYWORDS: [&str; 22] = [
     "let", "mut", "ref", "await", "yield", "where", "Some", "None", "Ok", "Err",
 ];
 
-/// Macros that panic when reached.
-const PANIC_MACROS: [&str; 7] = [
-    "panic",
-    "unreachable",
-    "todo",
-    "unimplemented",
-    "assert",
-    "assert_eq",
-    "assert_ne",
-];
+/// Macros that panic when their condition fails.
+const PANIC_MACROS: [&str; 3] = ["assert", "assert_eq", "assert_ne"];
 
 /// Methods that can panic even though they are not `unwrap`-shaped.
 const PANIC_METHODS: [&str; 4] = ["swap_remove", "split_at", "split_at_mut", "copy_from_slice"];
@@ -575,8 +567,8 @@ impl<'a> Parser<'a> {
                     if next_is_bang && w.starts_with("debug_assert") {
                         // Release no-ops: their argument tokens are not
                         // reachable code in production builds, so the
-                        // indexing/divisions/calls inside them must not
-                        // become sites of the enclosing fn.
+                        // calls inside them must not become calls or
+                        // sites of the enclosing fn.
                         let mut k = j + 2;
                         if matches!(
                             self.toks.get(k).map(|t| &t.tok),
@@ -613,20 +605,11 @@ impl<'a> Parser<'a> {
 
                     if is_method && next_is_paren {
                         // `.name(...)`.
-                        match w.as_str() {
-                            "unwrap" | "expect" | "unwrap_err" | "expect_err" => {
-                                def.sites.push(Site {
-                                    what: format!(".{w}()"),
-                                    line,
-                                });
-                            }
-                            m if PANIC_METHODS.contains(&m) => {
-                                def.sites.push(Site {
-                                    what: format!(".{w}()"),
-                                    line,
-                                });
-                            }
-                            _ => {}
+                        if PANIC_METHODS.contains(&w.as_str()) {
+                            def.sites.push(Site {
+                                what: format!(".{w}()"),
+                                line,
+                            });
                         }
                         def.calls.push(Call {
                             path: vec![w.clone()],
@@ -729,52 +712,6 @@ impl<'a> Parser<'a> {
                         }
                     }
                 }
-                Tok::Punct('[') => {
-                    // Indexing/slicing: `expr[...]` — `[` directly after
-                    // an expression-ending token. Patterns (`let [a,b]`),
-                    // attributes (`#[`), and type/array syntax are not.
-                    let expr_before = j.checked_sub(1).map(|p| &self.toks[p].tok).is_some_and(
-                        |t| match t {
-                            Tok::Ident(w) => !NON_CALL_KEYWORDS.contains(&w.as_str()),
-                            Tok::Punct(')') | Tok::Punct(']') => true,
-                            _ => false,
-                        },
-                    );
-                    if expr_before {
-                        // `&x[..]` full-range slicing cannot panic.
-                        let full_range = self.toks.get(j + 1).map(|t| &t.tok)
-                            == Some(&Tok::Punct('.'))
-                            && self.toks.get(j + 2).map(|t| &t.tok) == Some(&Tok::Punct('.'))
-                            && self.toks.get(j + 3).map(|t| &t.tok) == Some(&Tok::Punct(']'));
-                        if !full_range {
-                            def.sites.push(Site {
-                                what: "[..] indexing/slicing".into(),
-                                line,
-                            });
-                        }
-                    }
-                }
-                Tok::Punct(c) if *c == '/' || *c == '%' => {
-                    // Division/remainder: flag only with a non-constant
-                    // divisor (an ALL_CAPS ident or a literal divisor is
-                    // assumed nonzero; rustc rejects literal zero).
-                    let expr_before = j.checked_sub(1).map(|p| &self.toks[p].tok).is_some_and(
-                        |t| matches!(t, Tok::Ident(_) | Tok::Punct(')') | Tok::Punct(']') | Tok::Literal(_)),
-                    );
-                    let benign_divisor = match self.toks.get(j + 1).map(|t| &t.tok) {
-                        Some(Tok::Literal(_)) => true,
-                        Some(Tok::Ident(w)) => {
-                            w.chars().all(|c| c.is_ascii_uppercase() || c == '_' || c.is_ascii_digit())
-                        }
-                        _ => true, // not an expression context we understand
-                    };
-                    if expr_before && !benign_divisor {
-                        def.sites.push(Site {
-                            what: format!("`{c}` with non-constant divisor"),
-                            line,
-                        });
-                    }
-                }
                 _ => {}
             }
             j += 1;
@@ -813,13 +750,13 @@ mod tests {
                      let x = m.get(0).unwrap();\n\
                      helper(x);\n\
                      proto::codec::encode(x);\n\
-                     let y = v[0];\n\
-                     panic!(\"no\");\n\
+                     assert!(x > 0);\n\
+                     v.copy_from_slice(&[x]);\n\
                    }";
         let p = parse_str("crates/core/src/x.rs", src);
         let f = &p.fns[0];
-        let sites: Vec<&str> = f.sites.iter().map(|s| s.what.as_str()).collect();
-        assert_eq!(sites, [".unwrap()", "[..] indexing/slicing", "panic!"]);
+        let sites: Vec<(&str, u32)> = f.sites.iter().map(|s| (s.what.as_str(), s.line)).collect();
+        assert_eq!(sites, [("assert!", 6), (".copy_from_slice()", 7)]);
         let paths: Vec<String> = f.calls.iter().map(|c| c.path.join("::")).collect();
         assert!(paths.contains(&"helper".to_string()));
         assert!(paths.contains(&"proto::codec::encode".to_string()));
@@ -827,17 +764,16 @@ mod tests {
 
     #[test]
     fn full_range_slice_and_const_divisor_are_not_sites() {
-        let src = "fn f(v: &[u8], n: usize) -> usize { let _ = &v[..]; n / LIMIT + n / 4 }";
+        // Nor is any other slice, index or division, or a panicking
+        // call or macro: clippy denies those at the crate roots.
+        let src = "fn f(v: &[u8], n: usize, o: Option<u8>) -> usize {\n\
+                     let _ = (&v[..], v[0], &v[1..], o.unwrap(), o.expect(\"x\"));\n\
+                     if n == 0 { panic!(\"no\"); unreachable!(); }\n\
+                     debug_assert!(n > 1);\n\
+                     n / v.len() + n % 3\n\
+                   }";
         let p = parse_str("crates/core/src/x.rs", src);
         assert!(p.fns[0].sites.is_empty(), "{:?}", p.fns[0].sites);
-    }
-
-    #[test]
-    fn non_const_divisor_is_a_site() {
-        let src = "fn f(a: usize, b: usize) -> usize { a % b }";
-        let p = parse_str("crates/core/src/x.rs", src);
-        assert_eq!(p.fns[0].sites.len(), 1);
-        assert_eq!(p.fns[0].sites[0].what, "`%` with non-constant divisor");
     }
 
     #[test]

@@ -20,11 +20,6 @@ pub struct Report {
     pub graph_functions: usize,
     /// Call-graph size: resolved call edges.
     pub graph_edges: usize,
-    /// Per-entry-point count of unwaived reachable panic sites (the
-    /// `panic_path` ratchet input).
-    pub entry_counts: BTreeMap<String, u64>,
-    /// Example call chains per entry point (up to three each).
-    pub entry_chains: BTreeMap<String, Vec<String>>,
     /// Inline waivers per rule, used or stale, and reasoned clippy
     /// exceptions per `clippy::<lint>` (the `[waivers]` ratchet input).
     pub waiver_counts: BTreeMap<String, u64>,
@@ -60,12 +55,6 @@ impl Report {
             let waived = self.waived(rule).count();
             let _ = writeln!(s, "{rule:<16} {active:>8} {waived:>8}");
         }
-        for (entry, count) in &self.entry_counts {
-            let _ = writeln!(s, "panic paths from `{entry}`: {count}");
-            for chain in self.entry_chains.get(entry).into_iter().flatten() {
-                let _ = writeln!(s, "    e.g. {chain}");
-            }
-        }
         if !self.stale_waivers.is_empty() {
             let n = self.stale_waivers.len();
             let _ = writeln!(s, "warning: {n} stale waiver(s) match nothing");
@@ -86,10 +75,9 @@ impl Report {
     }
 
     /// The machine-readable report (`target/ANALYSIS.json`): per-rule
-    /// counts, the panic-path ratchet input, the call-graph summary, and
-    /// every active violation.
-    pub fn render_json(&self, baseline: &crate::baseline::Baseline, passed: bool) -> String {
-        let mut s = String::from("{\n  \"schema\": 3,\n");
+    /// counts, the call-graph summary, and every active violation.
+    pub fn render_json(&self, passed: bool) -> String {
+        let mut s = String::from("{\n  \"schema\": 4,\n");
         let _ = writeln!(s, "  \"passed\": {passed},");
         let _ = writeln!(s, "  \"files_analyzed\": {},", self.files);
         let _ = writeln!(s, "  \"unused_waivers\": {},", self.stale_waivers.len());
@@ -98,30 +86,7 @@ impl Report {
             "  \"call_graph\": {{\"functions\": {}, \"edges\": {}}},",
             self.graph_functions, self.graph_edges
         );
-        s.push_str("  \"entry_points\": {\n");
-        let entries: Vec<&String> = self.entry_counts.keys().collect();
-        for (i, entry) in entries.iter().enumerate() {
-            let comma = if i + 1 == entries.len() { "" } else { "," };
-            let chains = self.entry_chains.get(entry.as_str());
-            let chains_json = chains
-                .into_iter()
-                .flatten()
-                .map(|c| format!("\"{}\"", json_escape(c)))
-                .collect::<Vec<_>>()
-                .join(", ");
-            let _ = writeln!(
-                s,
-                "    \"{}\": {{\"panic_paths\": {}, \"baseline\": {}, \"examples\": [{chains_json}]}}{comma}",
-                json_escape(entry),
-                self.entry_counts.get(entry.as_str()).copied().unwrap_or(0),
-                baseline
-                    .panic_paths
-                    .get(entry.as_str())
-                    .copied()
-                    .unwrap_or(0)
-            );
-        }
-        s.push_str("  },\n  \"rules\": {\n");
+        s.push_str("  \"rules\": {\n");
         for (i, rule) in ALL_RULES.iter().enumerate() {
             let comma = if i + 1 == ALL_RULES.len() { "" } else { "," };
             let _ = writeln!(

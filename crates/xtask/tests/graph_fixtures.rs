@@ -1,12 +1,13 @@
-//! Mini-workspace tests for the call-graph rules: each test feeds a
-//! handful of synthetic sources through [`xtask::analyze_sources`] with
-//! a purpose-built [`GraphConfig`] and asserts the exact
-//! `(rule, entry point, example path)` triples — not just counts — so a
-//! resolution regression (a dropped edge, a mis-scoped crate) shows up
-//! as a concrete wrong chain, not a silently smaller number.
+//! Mini-workspace tests for the graph rules: each test feeds a handful
+//! of synthetic sources through [`xtask::analyze_sources`] with a
+//! purpose-built [`GraphConfig`] and asserts the exact findings — rule,
+//! line and message, not just counts — so a resolution regression (a
+//! dropped edge, a mis-scoped crate) shows up as a concrete wrong
+//! finding, not a silently smaller number.
 
 use xtask::analyze_sources;
-use xtask::graph::{EntrySpec, GraphConfig};
+use xtask::graph::GraphConfig;
+use xtask::report::Report;
 use xtask::rules::{RULE_BOUNDED_GROWTH, RULE_LOCK_DISCIPLINE, RULE_PANIC_PATH};
 
 fn sources(files: &[(&str, &str)]) -> Vec<(String, String)> {
@@ -17,8 +18,8 @@ fn sources(files: &[(&str, &str)]) -> Vec<(String, String)> {
 }
 
 /// A config whose graph covers `core`, `net`, and the polling shim,
-/// with no entries or roots — tests switch on exactly the rule under
-/// test so fixtures cannot trip each other.
+/// with no roots or lock crates — tests switch on exactly the rule
+/// under test so fixtures cannot trip each other.
 fn base_config() -> GraphConfig {
     GraphConfig {
         graph_crates: vec!["core".into(), "net".into(), "compat/polling".into()],
@@ -26,7 +27,6 @@ fn base_config() -> GraphConfig {
             ("core".into(), vec![]),
             ("net".into(), vec!["core".into(), "compat/polling".into()]),
         ],
-        panic_entries: vec![],
         long_lived_roots: vec![],
         bounded_crates: vec![],
         lock_crates: vec![],
@@ -35,109 +35,115 @@ fn base_config() -> GraphConfig {
     }
 }
 
-fn entry(qname: &str, wire: bool) -> EntrySpec {
-    EntrySpec {
-        qname: qname.into(),
-        wire,
-    }
-}
-
-const PANIC_CHAIN_SRC: &str = r#"
-pub struct Node;
-impl Node {
-    pub fn handle(&mut self, b: &[u8]) {
-        helper(b);
-    }
-}
-fn helper(b: &[u8]) {
-    decode(b);
-}
-fn decode(b: &[u8]) -> u8 {
-    b.first().copied().unwrap()
-}
-"#;
-
-#[test]
-fn panic_path_reports_the_exact_transitive_chain() {
-    let mut config = base_config();
-    config.panic_entries = vec![entry("Node::handle", true)];
-    let report = analyze_sources(
-        &sources(&[("crates/core/src/lib.rs", PANIC_CHAIN_SRC)]),
-        &config,
-    );
-
-    let active: Vec<_> = report.active(RULE_PANIC_PATH).collect();
-    assert_eq!(active.len(), 1, "{active:?}");
-    assert_eq!(active[0].file, "crates/core/src/lib.rs");
-    assert_eq!(active[0].line, 12, "the .unwrap() line");
-    assert_eq!(
-        active[0].message,
-        "panic site .unwrap() reachable from entry `Node::handle` \
-         via Node::handle → helper → decode"
-    );
-
-    assert_eq!(report.entry_counts.get("Node::handle"), Some(&1));
-    assert_eq!(
-        report.entry_chains.get("Node::handle").map(Vec::as_slice),
-        Some(
-            &["Node::handle → helper → decode → .unwrap() \
-               (crates/core/src/lib.rs:12)"
-                .to_string()][..]
-        )
-    );
+/// `(line, message, waived)` of every `panic_path` finding, in order.
+fn panic_findings(report: &Report) -> Vec<(u32, String, bool)> {
+    let mut got: Vec<(u32, String, bool)> = report
+        .violations
+        .iter()
+        .filter(|v| v.rule == RULE_PANIC_PATH)
+        .map(|v| (v.line, v.message.clone(), v.waived.is_some()))
+        .collect();
+    got.sort();
+    got
 }
 
 #[test]
-fn panic_path_fn_level_waiver_kills_every_path_through_the_fn() {
-    let waived_src = PANIC_CHAIN_SRC.replace(
-        "fn decode(b: &[u8]) -> u8 {",
-        "// lint: allow(panic_path) — fixture: caller guarantees non-empty input\n\
-         fn decode(b: &[u8]) -> u8 {",
-    );
-    let mut config = base_config();
-    config.panic_entries = vec![entry("Node::handle", true)];
-    let report = analyze_sources(
-        &sources(&[("crates/core/src/lib.rs", &waived_src)]),
-        &config,
-    );
-    assert_eq!(report.active(RULE_PANIC_PATH).count(), 0);
-    assert_eq!(report.waived(RULE_PANIC_PATH).count(), 1);
-    assert_eq!(report.entry_counts.get("Node::handle"), Some(&0));
-    assert_eq!(
-        report.entry_chains.get("Node::handle").map(Vec::len),
-        Some(0),
-        "waived sites must not produce example chains"
-    );
-}
-
-#[test]
-fn panic_path_is_scoped_per_entry_point() {
-    // Two entries: only `Node::handle` reaches the panic; `Node::quiet`
-    // must report zero paths even though it lives in the same impl.
+fn panic_path_flags_an_assert_nothing_calls() {
+    // No entry point reaches `orphan`: the check is per function, so
+    // its `assert!` is a finding all the same.
     let src = r#"
 pub struct Node;
 impl Node {
-    pub fn handle(&mut self, b: &[u8]) {
-        decode(b);
-    }
-    pub fn quiet(&self) -> u32 {
-        7
+    pub fn handle(&mut self, b: &[u8]) -> usize {
+        b.len()
     }
 }
-fn decode(b: &[u8]) -> u8 {
-    b[0]
+fn orphan(n: usize) {
+    assert!(n > 0, "never empty");
 }
 "#;
-    let mut config = base_config();
-    config.panic_entries = vec![entry("Node::handle", true), entry("Node::quiet", false)];
-    let report = analyze_sources(&sources(&[("crates/core/src/lib.rs", src)]), &config);
-    assert_eq!(report.entry_counts.get("Node::handle"), Some(&1));
-    assert_eq!(report.entry_counts.get("Node::quiet"), Some(&0));
-    let chains = report.entry_chains.get("Node::handle").unwrap();
+    let report = analyze_sources(&sources(&[("crates/core/src/lib.rs", src)]), &base_config());
     assert_eq!(
-        chains,
-        &["Node::handle → decode → [..] indexing/slicing (crates/core/src/lib.rs:12)".to_string()],
-        "indexing must be reported as a panic site with its chain"
+        panic_findings(&report),
+        [(9, "panic site assert! in `orphan`".to_string(), false)]
+    );
+}
+
+#[test]
+fn panic_path_exempts_check_invariants_and_test_code() {
+    let src = r#"
+pub struct Table;
+impl Table {
+    pub fn check_invariants(&self) {
+        assert_eq!(self.len(), 0);
+    }
+}
+#[cfg(test)]
+mod tests {
+    fn helper(v: &mut Vec<u8>) {
+        assert_ne!(v.len(), 0);
+        v.swap_remove(0);
+    }
+}
+"#;
+    let shim = "pub fn fill(a: &mut [u8], b: &[u8]) { a.copy_from_slice(b); }\n";
+    let report = analyze_sources(
+        &sources(&[
+            ("crates/core/src/lib.rs", src),
+            ("crates/core/tests/it.rs", "fn t() { assert!(false); }\n"),
+            ("crates/compat/polling/src/lib.rs", shim),
+        ]),
+        &base_config(),
+    );
+    assert_eq!(panic_findings(&report), []);
+}
+
+#[test]
+fn panic_path_flags_copy_from_slice_but_not_the_path_call() {
+    let src = r#"
+pub fn fill(dst: &mut [u8], src: &[u8]) {
+    dst.copy_from_slice(src);
+}
+pub fn wrap(src: &[u8]) -> Bytes {
+    Bytes::copy_from_slice(src)
+}
+"#;
+    let report = analyze_sources(&sources(&[("crates/net/src/lib.rs", src)]), &base_config());
+    assert_eq!(
+        panic_findings(&report),
+        [(
+            3,
+            "panic site .copy_from_slice() in `fill`".to_string(),
+            false
+        )]
+    );
+}
+
+#[test]
+fn panic_path_fn_level_waiver_covers_every_site_in_the_body() {
+    let src = r#"
+// lint: allow(panic_path) — fixture: callers check both lengths first
+fn split(b: &[u8], n: usize) -> (&[u8], &[u8]) {
+    assert!(n <= b.len());
+    b.split_at(n)
+}
+fn unwaived(b: &[u8]) -> (&[u8], &[u8]) {
+    b.split_at(1)
+}
+"#;
+    let report = analyze_sources(&sources(&[("crates/core/src/lib.rs", src)]), &base_config());
+    assert_eq!(
+        panic_findings(&report),
+        [
+            (4, "panic site assert! in `split`".to_string(), true),
+            (5, "panic site .split_at() in `split`".to_string(), true),
+            (8, "panic site .split_at() in `unwaived`".to_string(), false),
+        ]
+    );
+    assert!(
+        report.stale_waivers.is_empty(),
+        "{:?}",
+        report.stale_waivers
     );
 }
 
