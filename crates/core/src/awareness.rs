@@ -6,10 +6,10 @@
 //!
 //! | event | delta |
 //! |---|---|
-//! | successful probe (`ping`/`ping-req` acked) | −1 |
-//! | failed probe | +1 |
-//! | refuting a suspicion about ourselves | +1 |
-//! | probe with missed `nack` | +1 |
+//! | successful probe (`ping`/`ping-req` acked) | [−1](PROBE_SUCCESS_DELTA) |
+//! | failed probe | [+1](PROBE_FAILED_DELTA) |
+//! | refuting a suspicion about ourselves | [+1](REFUTE_DELTA) |
+//! | probe with missed `nack` | [+1](MISSED_NACK_DELTA) per nack |
 //!
 //! The probe interval and timeout are scaled by `LHM + 1`, so a member
 //! that suspects itself of being slow both probes less aggressively and
@@ -18,6 +18,26 @@
 use std::time::Duration;
 
 use crate::time::scale_duration;
+
+/// The LHM saturation limit `S` (paper §IV-A: `S = 8`, so probing backs
+/// off to at most 9× its base interval and timeout).
+pub const SATURATION: u32 = 8;
+
+/// LHM delta of a probe acked in time (paper §IV-A).
+pub const PROBE_SUCCESS_DELTA: i32 = -1;
+
+/// LHM delta of a failed probe round that enlisted no nack-capable
+/// helper (paper §IV-A).
+pub const PROBE_FAILED_DELTA: i32 = 1;
+
+/// LHM delta of each `nack` an enlisted helper failed to send in a
+/// failed probe round (paper §IV-A). Replaces [`PROBE_FAILED_DELTA`]
+/// when helpers were asked for nacks, as in memberlist.
+pub const MISSED_NACK_DELTA: i32 = 1;
+
+/// LHM delta of refuting a suspicion or death claim about ourselves
+/// (paper §IV-A).
+pub const REFUTE_DELTA: i32 = 1;
 
 /// Saturating local-health counter.
 ///

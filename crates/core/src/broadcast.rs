@@ -48,6 +48,16 @@ use bytes::BytesMut;
 use lifeguard_proto::compound::{CompoundBuilder, MAX_COMPOUND_PARTS};
 use lifeguard_proto::{codec, Message, NodeName};
 
+/// The gossip retransmission multiplier λ (memberlist LAN: 4).
+pub const RETRANSMIT_MULT: u32 = 4;
+
+/// Gossip retransmit limit for a group of `n` members:
+/// `λ·⌈log10(n + 1)⌉`.
+pub fn retransmit_limit(n: usize) -> u32 {
+    let log = ((n + 1) as f64).log10().ceil() as u32;
+    RETRANSMIT_MULT * log.max(1)
+}
+
 /// One slab slot: a queued gossip broadcast, or a vacancy that keeps
 /// its encode buffer for the next one.
 #[derive(Clone, Debug)]
@@ -352,6 +362,13 @@ mod tests {
     use bytes::Bytes;
     use lifeguard_proto::compound::decode_packet;
     use lifeguard_proto::{Alive, Incarnation, NodeAddr, Suspect};
+
+    #[test]
+    fn retransmit_limit_grows_logarithmically() {
+        assert_eq!(retransmit_limit(9), 4); // ceil(log10(10)) = 1
+        assert_eq!(retransmit_limit(128), 4 * 3); // ceil(log10(129)) = 3
+        assert!(retransmit_limit(0) >= 4);
+    }
 
     /// Finishes `b` into a fresh buffer of its own.
     fn finish(b: &mut CompoundBuilder) -> Option<Vec<u8>> {

@@ -3,11 +3,41 @@
 //! Defaults follow HashiCorp memberlist's LAN profile, which is what the
 //! paper's evaluation ran (Consul with default memberlist settings), with
 //! the Lifeguard parameters from §IV of the paper: `BaseProbeInterval` 1 s,
-//! `BaseProbeTimeout` 500 ms, LHM saturation `S = 8`, suspicion `α = 5`,
-//! `β = 6`, `K = 3`.
+//! `BaseProbeTimeout` 500 ms, suspicion `α = 5`, `β = 6`.
 //!
 //! Each Lifeguard component can be toggled independently, mirroring the
 //! five configurations of Table I.
+//!
+//! # Fixed values
+//!
+//! The paper's evaluation varies only α, β (Table VII) and the Table I
+//! components; §VII leaves the rest to future work. Those values are
+//! constants, each in the module that applies it:
+//!
+//! | value | fixed at | source | held in |
+//! |---|---|---|---|
+//! | LHM saturation `S` | 8 | paper §IV-A | [`awareness::SATURATION`] |
+//! | LHM delta, acked probe | −1 | paper §IV-A | [`awareness::PROBE_SUCCESS_DELTA`] |
+//! | LHM delta, failed probe | +1 | paper §IV-A | [`awareness::PROBE_FAILED_DELTA`] |
+//! | LHM delta, each missed nack | +1 | paper §IV-A | [`awareness::MISSED_NACK_DELTA`] |
+//! | LHM delta, refute | +1 | paper §IV-A | [`awareness::REFUTE_DELTA`] |
+//! | confirmations to reach `Min` (`K`) | 3 | paper §IV-B | [`suspicion::CONFIRMATIONS`] |
+//! | retransmit multiplier λ | 4 | memberlist LAN | [`broadcast::RETRANSMIT_MULT`] |
+//! | indirect probes per round (`k`) | 3 | memberlist LAN | `prober::INDIRECT_CHECKS` |
+//! | nack deadline, share of probe timeout | 0.8 | paper §IV-A | `prober::NACK_FRACTION` |
+//! | gossip to dead members for | 30 s | memberlist LAN | `node::GOSSIP_TO_THE_DEAD` |
+//! | datagram byte budget | 1400 B | memberlist UDP buffer | [`DEFAULT_PACKET_BUDGET`] |
+//! | delta-sync watermark horizon | 300 s | this crate | `sync::DELTA_SYNC_HORIZON` |
+//! | warm delta-sync partners | 3 | this crate | `sync::DELTA_SYNC_PARTNERS` |
+//!
+//! [`awareness::SATURATION`]: crate::awareness::SATURATION
+//! [`awareness::PROBE_SUCCESS_DELTA`]: crate::awareness::PROBE_SUCCESS_DELTA
+//! [`awareness::PROBE_FAILED_DELTA`]: crate::awareness::PROBE_FAILED_DELTA
+//! [`awareness::MISSED_NACK_DELTA`]: crate::awareness::MISSED_NACK_DELTA
+//! [`awareness::REFUTE_DELTA`]: crate::awareness::REFUTE_DELTA
+//! [`suspicion::CONFIRMATIONS`]: crate::suspicion::CONFIRMATIONS
+//! [`broadcast::RETRANSMIT_MULT`]: crate::broadcast::RETRANSMIT_MULT
+//! [`DEFAULT_PACKET_BUDGET`]: lifeguard_proto::DEFAULT_PACKET_BUDGET
 
 use std::time::Duration;
 
@@ -32,18 +62,15 @@ pub enum ConfigError {
     ProbeTimeoutExceedsInterval,
     /// `suspicion_alpha` is not a positive finite number.
     InvalidSuspicionAlpha,
-    /// `suspicion_beta` is NaN or below 1 (`Max` would undercut `Min`).
+    /// `suspicion_beta` is not a finite number of at least 1: below 1
+    /// `Max` would undercut `Min`, and an infinite `Max` scales to zero,
+    /// which would silently pin the timeout at `Min` (plain SWIM).
     InvalidSuspicionBeta,
-    /// `nack_fraction` is outside `(0, 1]`: the nack would be scheduled
-    /// at or after the probe timeout it is meant to pre-empt.
-    InvalidNackFraction,
     /// `gossip_interval` is zero: the gossip loop would spin.
     ZeroGossipInterval,
     /// `gossip_nodes` is zero: queued broadcasts would never leave the
     /// node through the dedicated gossip tick.
     EmptyGossipFanout,
-    /// `packet_budget` is below 64 bytes: no protocol message fits.
-    PacketBudgetTooSmall,
     /// `push_pull_interval` is `Some(0)`: use `None` to disable
     /// anti-entropy instead of a zero period.
     ZeroPushPullInterval,
@@ -53,18 +80,11 @@ pub enum ConfigError {
     /// `dead_reclaim` is zero: dead members would be reaped before
     /// push-pull could disseminate their fate.
     ZeroDeadReclaim,
-    /// `delta_sync_horizon` is zero while delta sync is enabled: every
-    /// watermark would be considered stale and every exchange would
-    /// fall back to a full sync, silently disabling the feature.
-    ZeroDeltaSyncHorizon,
-    /// `delta_sync_horizon` is shorter than `push_pull_interval`: a
+    /// `push_pull_interval` is longer than the fixed delta-sync horizon
+    /// (`sync::DELTA_SYNC_HORIZON`, 300 s) while delta sync is enabled: a
     /// watermark would expire before the next periodic exchange could
     /// ever reuse it, so no delta would ever be sent.
     DeltaSyncHorizonBelowPushPullInterval,
-    /// `delta_sync_partners` is zero while delta sync is enabled: no
-    /// pairing could ever stay warm, so anti-entropy would degenerate
-    /// to cold full-size exchanges.
-    ZeroDeltaSyncPartners,
     /// The local node's name is longer than `u16::MAX` bytes, more than
     /// the wire format's name length word can carry. Not a [`Config`]
     /// field: [`SwimNode::try_new`](crate::node::SwimNode::try_new)
@@ -81,11 +101,9 @@ impl std::fmt::Display for ConfigError {
                 "probe_timeout must not exceed probe_interval"
             }
             ConfigError::InvalidSuspicionAlpha => "suspicion_alpha must be a positive number",
-            ConfigError::InvalidSuspicionBeta => "suspicion_beta must be >= 1",
-            ConfigError::InvalidNackFraction => "nack_fraction must be in (0, 1]",
+            ConfigError::InvalidSuspicionBeta => "suspicion_beta must be a finite number >= 1",
             ConfigError::ZeroGossipInterval => "gossip_interval must be positive",
             ConfigError::EmptyGossipFanout => "gossip_nodes must be at least 1",
-            ConfigError::PacketBudgetTooSmall => "packet_budget must be at least 64 bytes",
             ConfigError::ZeroPushPullInterval => {
                 "push_pull_interval must be positive (use None to disable)"
             }
@@ -93,14 +111,8 @@ impl std::fmt::Display for ConfigError {
                 "reconnect_interval must be positive (use None to disable)"
             }
             ConfigError::ZeroDeadReclaim => "dead_reclaim must be positive",
-            ConfigError::ZeroDeltaSyncHorizon => {
-                "delta_sync_horizon must be positive when delta_sync is enabled"
-            }
             ConfigError::DeltaSyncHorizonBelowPushPullInterval => {
-                "delta_sync_horizon must be at least push_pull_interval"
-            }
-            ConfigError::ZeroDeltaSyncPartners => {
-                "delta_sync_partners must be at least 1 when delta_sync is enabled"
+                "push_pull_interval must not exceed the 300 s delta-sync horizon"
             }
             ConfigError::NodeNameTooLong => "node name must be at most 65535 bytes",
         };
@@ -109,34 +121,6 @@ impl std::fmt::Display for ConfigError {
 }
 
 impl std::error::Error for ConfigError {}
-
-/// The LHM deltas applied to each local-health event (paper §IV-A).
-///
-/// The paper's §VII names these scores as candidates for automatic
-/// tuning; they are exposed here so users can experiment. Defaults are
-/// the paper's values.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct AwarenessDeltas {
-    /// Successful probe (`ping`/`ping-req` acked in time). Paper: −1.
-    pub probe_success: i32,
-    /// Failed probe with no nack-capable helpers. Paper: +1.
-    pub probe_failed: i32,
-    /// Each missed `nack` from an enlisted intermediary. Paper: +1.
-    pub missed_nack: i32,
-    /// Refuting a suspicion or death claim about ourselves. Paper: +1.
-    pub refute: i32,
-}
-
-impl Default for AwarenessDeltas {
-    fn default() -> Self {
-        AwarenessDeltas {
-            probe_success: -1,
-            probe_failed: 1,
-            missed_nack: 1,
-            refute: 1,
-        }
-    }
-}
 
 /// Which Lifeguard components are enabled (Table I of the paper).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -230,11 +214,6 @@ pub struct Config {
     /// probes (`BaseProbeTimeout`, 500 ms). Scaled by `LHM + 1` when
     /// LHA-Probe is enabled.
     pub probe_timeout: Duration,
-    /// Number of members enlisted for indirect probes (SWIM's `k`).
-    pub indirect_checks: usize,
-    /// Gossip retransmission multiplier λ: each broadcast is transmitted
-    /// up to `λ·⌈log10(n + 1)⌉` times.
-    pub retransmit_mult: u32,
     /// Suspicion timeout multiplier α:
     /// `Min = α·max(1, log10(n))·probe_interval`.
     pub suspicion_alpha: f64,
@@ -242,16 +221,10 @@ pub struct Config {
     /// effective when LHA-Suspicion is enabled; plain SWIM behaves as
     /// `β = 1` (fixed timeout).
     pub suspicion_beta: f64,
-    /// Number of independent suspicion confirmations required to drive
-    /// the timeout down to `Min` (the paper's `K`).
-    pub suspicion_k: u32,
     /// Period of the dedicated gossip tick (memberlist: 200 ms).
     pub gossip_interval: Duration,
     /// Fan-out of the dedicated gossip tick (memberlist: 3).
     pub gossip_nodes: usize,
-    /// How long to keep gossiping to dead members so they learn of their
-    /// own death quickly (memberlist: 30 s).
-    pub gossip_to_the_dead: Duration,
     /// Period of anti-entropy push-pull sync (memberlist LAN: 30 s);
     /// `None` disables it.
     pub push_pull_interval: Option<Duration>,
@@ -262,15 +235,6 @@ pub struct Config {
     /// cannot be trusted. Joins and reconnects carry one record and are
     /// answered with the full table either way.
     pub delta_sync: bool,
-    /// How long a per-peer delta watermark stays trustworthy: if the
-    /// last completed exchange with the chosen peer is older than this,
-    /// the node discards the watermark and falls back to a full sync.
-    pub delta_sync_horizon: Duration,
-    /// Number of warm sync partners a node aims to keep. Once this many
-    /// peers have fresh watermarks, periodic push-pull picks among them
-    /// (cheap deltas); below it, a random peer is chosen, cold-starting
-    /// a new pairing with a full-size exchange.
-    pub delta_sync_partners: usize,
     /// Period of reconnect attempts to members believed dead (Serf-style
     /// `reconnect_interval`, 30 s): one random dead member is sent a
     /// push-pull request carrying only its own record, `Dead` at the
@@ -279,16 +243,6 @@ pub struct Config {
     /// automatically once connectivity returns; a crashed one cost one
     /// record. `None` disables reconnects.
     pub reconnect_interval: Option<Duration>,
-    /// Saturation limit `S` of the Local Health Multiplier. Only
-    /// effective when LHA-Probe is enabled.
-    pub awareness_max: u32,
-    /// Per-event LHM deltas (paper defaults; exposed for tuning studies).
-    pub awareness_deltas: AwarenessDeltas,
-    /// Fraction of the probe timeout after which an enlisted intermediary
-    /// sends a `nack` (the paper uses 80%).
-    pub nack_fraction: f64,
-    /// Datagram byte budget for compound packets (UDP MTU headroom).
-    pub packet_budget: usize,
     /// How long dead/left members are retained in the table (so that
     /// push-pull can share them) before being reaped.
     pub dead_reclaim: Duration,
@@ -305,52 +259,17 @@ impl Config {
         Config {
             probe_interval: Duration::from_secs(1),
             probe_timeout: Duration::from_millis(500),
-            indirect_checks: 3,
-            retransmit_mult: 4,
             suspicion_alpha: 5.0,
             suspicion_beta: 6.0,
-            suspicion_k: 3,
             gossip_interval: Duration::from_millis(200),
             gossip_nodes: 3,
-            gossip_to_the_dead: Duration::from_secs(30),
             push_pull_interval: Some(Duration::from_secs(30)),
             delta_sync: true,
-            delta_sync_horizon: Duration::from_secs(300),
-            delta_sync_partners: 3,
             reconnect_interval: Some(Duration::from_secs(30)),
-            awareness_max: 8,
-            awareness_deltas: AwarenessDeltas::default(),
-            nack_fraction: 0.8,
-            packet_budget: lifeguard_proto::DEFAULT_PACKET_BUDGET,
             dead_reclaim: Duration::from_secs(300),
             stream_fallback_probe: true,
             lifeguard: LifeguardConfig::swim(),
         }
-    }
-
-    /// memberlist WAN profile: slower probing and gossip, longer
-    /// suspicion, sized for clusters spanning the public internet.
-    pub fn wan() -> Self {
-        let mut cfg = Config::lan();
-        cfg.probe_interval = Duration::from_secs(5);
-        cfg.probe_timeout = Duration::from_secs(3);
-        cfg.suspicion_alpha = 6.0;
-        cfg.gossip_interval = Duration::from_millis(500);
-        cfg.gossip_nodes = 4;
-        cfg.push_pull_interval = Some(Duration::from_secs(60));
-        cfg
-    }
-
-    /// memberlist local profile: aggressive timing for co-located
-    /// processes (loopback or same rack).
-    pub fn local() -> Self {
-        let mut cfg = Config::lan();
-        cfg.probe_interval = Duration::from_secs(1);
-        cfg.probe_timeout = Duration::from_millis(200);
-        cfg.suspicion_alpha = 4.0;
-        cfg.gossip_interval = Duration::from_millis(100);
-        cfg.push_pull_interval = Some(Duration::from_secs(15));
-        cfg
     }
 
     /// Enables all Lifeguard components.
@@ -405,7 +324,7 @@ impl Config {
     /// (the timeout is already at `Min`).
     pub fn effective_k(&self) -> u32 {
         if self.lifeguard.lha_suspicion {
-            self.suspicion_k
+            crate::suspicion::CONFIRMATIONS
         } else {
             0
         }
@@ -415,7 +334,7 @@ impl Config {
     /// pinned to zero (no scaling).
     pub fn effective_awareness_max(&self) -> u32 {
         if self.lifeguard.lha_probe {
-            self.awareness_max
+            crate::awareness::SATURATION
         } else {
             0
         }
@@ -436,13 +355,6 @@ impl Config {
     /// Suspicion timeout upper bound: `Max = β·Min`.
     pub fn suspicion_max(&self, n: usize) -> Duration {
         crate::time::scale_duration(self.suspicion_min(n), self.effective_beta())
-    }
-
-    /// Gossip retransmit limit for a group of `n` members:
-    /// `λ·⌈log10(n + 1)⌉`.
-    pub fn retransmit_limit(&self, n: usize) -> u32 {
-        let log = ((n + 1) as f64).log10().ceil() as u32;
-        self.retransmit_mult * log.max(1)
     }
 
     /// Validates invariants, returning the first violation as a typed
@@ -470,20 +382,14 @@ impl Config {
         if !(self.suspicion_alpha.is_finite() && self.suspicion_alpha > 0.0) {
             return Err(ConfigError::InvalidSuspicionAlpha);
         }
-        if self.suspicion_beta.is_nan() || self.suspicion_beta < 1.0 {
+        if !(self.suspicion_beta.is_finite() && self.suspicion_beta >= 1.0) {
             return Err(ConfigError::InvalidSuspicionBeta);
-        }
-        if !(self.nack_fraction > 0.0 && self.nack_fraction <= 1.0) {
-            return Err(ConfigError::InvalidNackFraction);
         }
         if self.gossip_interval.is_zero() {
             return Err(ConfigError::ZeroGossipInterval);
         }
         if self.gossip_nodes == 0 {
             return Err(ConfigError::EmptyGossipFanout);
-        }
-        if self.packet_budget < 64 {
-            return Err(ConfigError::PacketBudgetTooSmall);
         }
         if self.push_pull_interval.is_some_and(|d| d.is_zero()) {
             return Err(ConfigError::ZeroPushPullInterval);
@@ -494,19 +400,12 @@ impl Config {
         if self.dead_reclaim.is_zero() {
             return Err(ConfigError::ZeroDeadReclaim);
         }
-        if self.delta_sync {
-            if self.delta_sync_horizon.is_zero() {
-                return Err(ConfigError::ZeroDeltaSyncHorizon);
-            }
-            if self
+        if self.delta_sync
+            && self
                 .push_pull_interval
-                .is_some_and(|pp| self.delta_sync_horizon < pp)
-            {
-                return Err(ConfigError::DeltaSyncHorizonBelowPushPullInterval);
-            }
-            if self.delta_sync_partners == 0 {
-                return Err(ConfigError::ZeroDeltaSyncPartners);
-            }
+                .is_some_and(|pp| crate::sync::DELTA_SYNC_HORIZON < pp)
+        {
+            return Err(ConfigError::DeltaSyncHorizonBelowPushPullInterval);
         }
         Ok(())
     }
@@ -576,18 +475,9 @@ mod tests {
     }
 
     #[test]
-    fn retransmit_limit_grows_logarithmically() {
-        let cfg = Config::lan();
-        assert_eq!(cfg.retransmit_limit(9), 4); // ceil(log10(10)) = 1
-        assert_eq!(cfg.retransmit_limit(128), 4 * 3); // ceil(log10(129)) = 3
-        assert!(cfg.retransmit_limit(0) >= 4);
-    }
-
-    #[test]
     fn validate_rejects_bad_configs_with_typed_errors() {
         assert_eq!(Config::lan().validate(), Ok(()));
-        assert_eq!(Config::wan().validate(), Ok(()));
-        assert_eq!(Config::local().lifeguard().validate(), Ok(()));
+        assert_eq!(Config::lan().lifeguard().validate(), Ok(()));
 
         let check = |mutate: fn(&mut Config), expected: ConfigError| {
             let mut c = Config::lan();
@@ -606,11 +496,13 @@ mod tests {
             ConfigError::InvalidSuspicionAlpha,
         );
         check(|c| c.suspicion_beta = 0.5, ConfigError::InvalidSuspicionBeta);
-        check(|c| c.nack_fraction = 0.0, ConfigError::InvalidNackFraction);
-        check(|c| c.nack_fraction = 1.5, ConfigError::InvalidNackFraction);
+        check(|c| c.suspicion_beta = f64::NAN, ConfigError::InvalidSuspicionBeta);
+        check(
+            |c| c.suspicion_beta = f64::INFINITY,
+            ConfigError::InvalidSuspicionBeta,
+        );
         check(|c| c.gossip_interval = Duration::ZERO, ConfigError::ZeroGossipInterval);
         check(|c| c.gossip_nodes = 0, ConfigError::EmptyGossipFanout);
-        check(|c| c.packet_budget = 10, ConfigError::PacketBudgetTooSmall);
         check(
             |c| c.push_pull_interval = Some(Duration::ZERO),
             ConfigError::ZeroPushPullInterval,
@@ -621,28 +513,19 @@ mod tests {
         );
         check(|c| c.dead_reclaim = Duration::ZERO, ConfigError::ZeroDeadReclaim);
         check(
-            |c| c.delta_sync_horizon = Duration::ZERO,
-            ConfigError::ZeroDeltaSyncHorizon,
-        );
-        check(
-            |c| c.delta_sync_horizon = Duration::from_secs(10),
+            |c| c.push_pull_interval = Some(Duration::from_secs(301)),
             ConfigError::DeltaSyncHorizonBelowPushPullInterval,
         );
-        check(
-            |c| c.delta_sync_partners = 0,
-            ConfigError::ZeroDeltaSyncPartners,
-        );
-        // The delta knobs are only constrained while delta sync is on.
+        // The horizon only constrains push-pull while delta sync is on.
         let mut off = Config::lan();
         off.delta_sync = false;
-        off.delta_sync_horizon = Duration::ZERO;
-        off.delta_sync_partners = 0;
+        off.push_pull_interval = Some(Duration::from_secs(301));
         assert_eq!(off.validate(), Ok(()));
         // Errors render a human-readable reason.
         assert!(ConfigError::EmptyGossipFanout.to_string().contains("gossip_nodes"));
-        assert!(ConfigError::ZeroDeltaSyncHorizon
+        assert!(ConfigError::DeltaSyncHorizonBelowPushPullInterval
             .to_string()
-            .contains("delta_sync_horizon"));
+            .contains("push_pull_interval"));
     }
 
     #[test]

@@ -52,7 +52,7 @@ mod sync;
 pub mod time;
 pub mod timer_wheel;
 
-pub use config::{AwarenessDeltas, Config, ConfigError, LifeguardConfig};
+pub use config::{Config, ConfigError, LifeguardConfig};
 pub use driver::{Driver, OwnedOutput, Sink};
 pub use event::Event;
 pub use node::{Input, Output, SwimNode};

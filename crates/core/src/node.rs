@@ -18,6 +18,8 @@
 //! `apply_dead`, `refute`, `merge_remote_state`) is decided here and
 //! nowhere else.
 
+use std::time::Duration;
+
 use bytes::Bytes;
 use lifeguard_metrics::CoreSnapshot;
 use lifeguard_proto::{
@@ -26,14 +28,15 @@ use lifeguard_proto::{
 };
 use rand::rngs::StdRng;
 
-use crate::awareness::Awareness;
+use crate::awareness::{self, Awareness};
 use crate::blocked_io::BlockedIo;
+use crate::broadcast;
 use crate::config::Config;
 use crate::event::Event;
 use crate::member::Member;
 use crate::membership::{MemberId, Membership, SamplePool, Vacant};
 use crate::outbox::Outbox;
-use crate::prober::{Acked, Prober};
+use crate::prober::{self, Acked, Prober};
 use crate::suspicion::{Suspicion, Suspicions};
 use crate::sync::{self, AntiEntropy, DeltaReply};
 use crate::time::Time;
@@ -43,6 +46,11 @@ mod inspect;
 mod lifecycle;
 
 pub use crate::outbox::Output;
+
+/// How long the gossip loop keeps choosing dead and left members as
+/// targets, so they learn of their own fate quickly (memberlist LAN:
+/// 30 s).
+const GOSSIP_TO_THE_DEAD: Duration = Duration::from_secs(30);
 
 /// One unit of work fed into the state machine via
 /// [`SwimNode::handle_input`].
@@ -386,7 +394,7 @@ impl SwimNode {
         now: Time,
     ) {
         let nack_after =
-            crate::time::scale_duration(self.config.probe_timeout, self.config.nack_fraction);
+            crate::time::scale_duration(self.config.probe_timeout, prober::NACK_FRACTION);
         let seq = self.prober.relay(
             (origin_seq, origin_addr),
             nack.then_some(now + nack_after),
@@ -406,8 +414,7 @@ impl SwimNode {
             Acked::Probe(rtt) => {
                 self.metrics.probe_rtt.record_duration(rtt);
                 // Successful probe: LHM −1 (paper §IV-A).
-                self.awareness
-                    .apply_delta(self.config.awareness_deltas.probe_success);
+                self.awareness.apply_delta(awareness::PROBE_SUCCESS_DELTA);
             }
             Acked::Relay(seq, origin) => self.send_packet(origin, &Message::Ack(Ack { seq }), None),
             Acked::Nothing => {}
@@ -683,8 +690,7 @@ impl SwimNode {
             self.incarnation = accused_incarnation.next();
         }
         self.metrics.refutations += 1;
-        self.awareness
-            .apply_delta(self.config.awareness_deltas.refute);
+        self.awareness.apply_delta(awareness::REFUTE_DELTA);
         self.announce_alive(now);
         self.outbox.event(Event::SelfRefuted {
             incarnation: self.incarnation,
@@ -770,7 +776,7 @@ impl SwimNode {
                 for name in &names {
                     self.membership.remove(name);
                 }
-                self.sync.prune(&self.membership, &self.config, now);
+                self.sync.prune(&self.membership, now);
             }
         }
     }
@@ -857,7 +863,7 @@ impl SwimNode {
             &self.membership,
             &mut self.rng,
             SamplePool::Live,
-            self.config.indirect_checks,
+            prober::INDIRECT_CHECKS,
             |m| m.name != me && m.name != tgt,
         ) as u32;
         self.metrics.indirect_probes_sent += u64::from(sent);
@@ -887,10 +893,9 @@ impl SwimNode {
         // The round failed: feed the LHM. Following memberlist: when we
         // had nack-capable peers, health feedback comes from missed
         // nacks; otherwise the failed probe itself counts (+1).
-        let deltas = &self.config.awareness_deltas;
         self.awareness.apply_delta(match missed_nacks {
-            Some(missed) => missed as i32 * deltas.missed_nack,
-            None => deltas.probe_failed,
+            Some(missed) => missed as i32 * awareness::MISSED_NACK_DELTA,
+            None => awareness::PROBE_FAILED_DELTA,
         });
         // A target reaped while its probe was in flight is nobody's
         // suspect.
@@ -932,7 +937,7 @@ impl SwimNode {
         // The queue is at its fullest right before a drain: fold the
         // level into the peak gauge here, once per gossip tick.
         self.metrics.broadcast_queue_peak = self.metrics.broadcast_queue_peak.max(depth as u64);
-        let (me, dead_window) = (&self.name, self.config.gossip_to_the_dead);
+        let me = &self.name;
         self.outbox.pick_targets(
             &self.membership,
             &mut self.rng,
@@ -942,7 +947,7 @@ impl SwimNode {
                 m.name != me
                     && (m.is_live()
                         || (matches!(m.state, MemberState::Dead | MemberState::Left)
-                            && now.saturating_since(m.state_change) <= dead_window))
+                            && now.saturating_since(m.state_change) <= GOSSIP_TO_THE_DEAD))
             },
         );
         self.outbox.gossip_to_targets(self.transmit_limit());
@@ -1029,7 +1034,7 @@ impl SwimNode {
     }
 
     fn transmit_limit(&self) -> u32 {
-        self.config.retransmit_limit(self.membership.live_count())
+        broadcast::retransmit_limit(self.membership.live_count())
     }
 
     fn ping(&self, seq: SeqNo, target: NodeName) -> Message {

@@ -63,7 +63,7 @@ impl SwimNode {
         }
         Ok(SwimNode {
             awareness: Awareness::new(config.effective_awareness_max()),
-            outbox: Outbox::new(config.packet_budget),
+            outbox: Outbox::new(),
             config,
             name,
             addr,

@@ -377,6 +377,66 @@ fn acked_probe_improves_lhm() {
     assert_eq!(n.local_health(), health - 1);
 }
 
+/// Runs `n` until its LHM moves, which here only the end of a failed
+/// probe round does: the target never answers, and the first `nackers`
+/// helpers enlisted for indirect probes send a nack. Returns how many
+/// helpers were enlisted and the LHM's change.
+fn failed_round(n: &mut SwimNode, nackers: usize) -> (usize, i64) {
+    let before = i64::from(n.local_health());
+    let mut enlisted = 0;
+    for _ in 0..100 {
+        let wake = n.next_deadline().unwrap();
+        let helpers: Vec<_> = packets(&tick(n, wake))
+            .into_iter()
+            .filter_map(|(to, msgs)| {
+                msgs.iter().find_map(|m| match m {
+                    Message::IndirectPing(req) => Some((to, req.seq)),
+                    _ => None,
+                })
+            })
+            .collect();
+        enlisted += helpers.len();
+        for &(helper, seq) in helpers.iter().take(nackers) {
+            feed(n, helper, Message::Nack(Nack { seq }), wake);
+        }
+        let after = i64::from(n.local_health());
+        if after != before {
+            return (enlisted, after - before);
+        }
+    }
+    panic!("no probe round failed within 100 timer fires");
+}
+
+/// The LHM's penalties (paper §IV-A): a failed round costs +1 per nack
+/// its enlisted helpers failed to send, a failed round with no helper
+/// to ask +1, and a refute +1.
+#[test]
+fn lhm_counts_missed_nacks_failed_probes_and_refutes() {
+    // Four peers: whichever is probed, the other three are enlisted.
+    let mut n = new_node(Config::lan().lifeguard());
+    for i in 2..6u8 {
+        add_peer(&mut n, &format!("p{i}"), i, Time::from_secs(1));
+    }
+    assert_eq!(
+        failed_round(&mut n, 1),
+        (3, 2),
+        "three helpers, one nack: two missed nacks"
+    );
+    let (inc, now) = (n.incarnation(), n.next_deadline().unwrap());
+    let accusation = Suspect {
+        incarnation: inc,
+        node: "local".into(),
+        from: "p2".into(),
+    };
+    feed(&mut n, addr(2), Message::Suspect(accusation), now);
+    assert_eq!(n.local_health(), 3, "a refute costs one");
+
+    // One peer: nobody to enlist, so the failed probe itself counts.
+    let mut n = new_node(Config::lan().lifeguard());
+    add_peer(&mut n, "p", 2, Time::from_secs(1));
+    assert_eq!(failed_round(&mut n, 0), (0, 1));
+}
+
 #[test]
 fn indirect_ping_is_relayed_and_ack_forwarded() {
     let mut n = new_node(Config::lan());
@@ -1312,7 +1372,7 @@ fn poll_output_reclaims_scratch_after_full_drain() {
     }
     assert_eq!(n.outbox.arena_capacity(), high_water);
     assert!(
-        high_water <= 16 * n.config().packet_budget,
+        high_water <= 16 * lifeguard_proto::DEFAULT_PACKET_BUDGET,
         "scratch arena grew unexpectedly: {high_water}"
     );
 }

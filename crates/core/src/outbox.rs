@@ -15,7 +15,7 @@ use std::collections::VecDeque;
 use std::ops::Range;
 
 use lifeguard_proto::compound::CompoundBuilder;
-use lifeguard_proto::{Message, NodeAddr};
+use lifeguard_proto::{Message, NodeAddr, DEFAULT_PACKET_BUDGET};
 use rand::rngs::StdRng;
 
 use crate::broadcast::BroadcastQueue;
@@ -72,23 +72,23 @@ pub(crate) struct Outbox {
     /// Arena for queued packet payloads.
     // bounded: cleared at the first input after a full drain, stabilises at the high-water burst size
     scratch: Vec<u8>,
-    /// Reusable packet assembler, made for `Config::packet_budget`
+    /// Reusable packet assembler, made for [`DEFAULT_PACKET_BUDGET`]
     /// (capacity persists across packets). Empty between calls: every
     /// method here that adds to it also finishes it.
     builder: CompoundBuilder,
     /// Reusable target-address buffer for gossip/probe fan-out.
-    // bounded: cleared before each use, filled with ≤ max(indirect_checks, gossip fan-out) addresses
+    // bounded: cleared before each use, filled with ≤ max(indirect checks, gossip fan-out) addresses
     targets: Vec<NodeAddr>,
     /// The gossip queue every packet built here piggybacks from.
     pub(crate) broadcasts: BroadcastQueue,
 }
 
 impl Outbox {
-    pub(crate) fn new(packet_budget: usize) -> Self {
+    pub(crate) fn new() -> Self {
         Outbox {
             pending: VecDeque::new(),
             scratch: Vec::new(),
-            builder: CompoundBuilder::new(packet_budget),
+            builder: CompoundBuilder::new(DEFAULT_PACKET_BUDGET),
             targets: Vec::new(),
             broadcasts: BroadcastQueue::new(),
         }

@@ -22,6 +22,14 @@ use crate::probe_list::ProbeList;
 use crate::time::Time;
 use crate::timer_wheel::{TimerKey, TimerWheel};
 
+/// Members enlisted for indirect probes when a direct probe times out
+/// (SWIM's `k`; memberlist LAN: 3).
+pub(crate) const INDIRECT_CHECKS: usize = 3;
+
+/// Share of the probe timeout after which an enlisted helper whose
+/// target is still silent sends the origin a `nack` (paper §IV-A: 80 %).
+pub(crate) const NACK_FRACTION: f64 = 0.8;
+
 /// State of the probe the local node currently has in flight.
 #[derive(Clone, Debug)]
 struct ProbeState {

@@ -22,6 +22,11 @@ use crate::node::Timer;
 use crate::time::Time;
 use crate::timer_wheel::{TimerKey, TimerWheel};
 
+/// Independent confirmations that drive a suspicion timeout down to
+/// `Min` under LHA-Suspicion: the paper's `K = 3` (§IV-B). It also
+/// bounds how many confirmations are re-gossiped.
+pub const CONFIRMATIONS: u32 = 3;
+
 /// State of one active suspicion held by the local node.
 #[derive(Clone, Debug)]
 pub struct Suspicion {
@@ -29,7 +34,7 @@ pub struct Suspicion {
     incarnation: Incarnation,
     /// Distinct members whose suspicions we have processed (the original
     /// accuser counts as the first), told apart by name content. At
-    /// most k+1 names (k = 3 by default), so a scan beats hashing.
+    /// most k+1 names (k ≤ [`CONFIRMATIONS`]), so a scan beats hashing.
     // bounded: `confirm` stops pushing once k+1 confirmers are recorded (further names no longer change the timeout)
     confirmers: Vec<NodeName>,
     k: u32,

@@ -9,6 +9,7 @@
 //! sends what this module built.
 
 use std::collections::HashMap;
+use std::time::Duration;
 
 use lifeguard_proto::{
     Incarnation, MemberState, Message, NodeAddr, NodeName, PushNodeState, PushPull, PushPullDelta,
@@ -20,6 +21,19 @@ use crate::config::Config;
 use crate::member::MemberRef;
 use crate::membership::{Membership, SamplePool};
 use crate::time::Time;
+
+/// How long a per-peer delta watermark stays trustworthy: if the last
+/// exchange with the chosen peer is older than this, the node discards
+/// the watermark and falls back to a full sync. At least as long as any
+/// `push_pull_interval` delta sync runs with
+/// ([`Config::validate`] checks it).
+pub(crate) const DELTA_SYNC_HORIZON: Duration = Duration::from_secs(300);
+
+/// Warm sync partners a node aims to keep. Once this many peers hold
+/// fresh watermarks, periodic push-pull picks among them (cheap
+/// deltas); below it, a random peer is chosen, cold-starting a new
+/// pairing with a full-size exchange.
+pub(crate) const DELTA_SYNC_PARTNERS: usize = 3;
 
 /// Delta-sync bookkeeping for one peer.
 ///
@@ -38,7 +52,7 @@ struct PeerSync {
     /// lower bound of the next delta this node sends it.
     local_acked: u64,
     /// When a delta message from this peer was last processed; past the
-    /// configured horizon the watermarks are discarded.
+    /// [`DELTA_SYNC_HORIZON`] the watermarks are discarded.
     last_exchange: Time,
 }
 
@@ -88,7 +102,7 @@ impl AntiEntropy {
     }
 
     /// The peer for one periodic exchange: warm-partner selection. Once
-    /// at least `delta_sync_partners` peers hold fresh watermarks, the
+    /// at least [`DELTA_SYNC_PARTNERS`] peers hold fresh watermarks, the
     /// node keeps syncing among them (every exchange is an O(churn)
     /// delta); otherwise it explores a random alive peer, cold-starting
     /// a new pairing with one full-size exchange. Inbound exchanges
@@ -103,20 +117,19 @@ impl AntiEntropy {
         now: Time,
     ) -> Option<(NodeName, NodeAddr)> {
         if config.delta_sync {
-            let horizon = config.delta_sync_horizon;
             let mut warm: Vec<(NodeName, NodeAddr)> = self
                 .peers
                 .iter()
-                .filter(|(_, ps)| now.saturating_since(ps.last_exchange) <= horizon)
+                .filter(|(_, ps)| now.saturating_since(ps.last_exchange) <= DELTA_SYNC_HORIZON)
                 .filter_map(|(name, _)| {
                     let m = membership.get(name)?;
                     (m.state == MemberState::Alive).then(|| (m.name.clone(), m.addr))
                 })
                 .collect();
-            if warm.len() >= config.delta_sync_partners.max(1) {
+            if warm.len() >= DELTA_SYNC_PARTNERS {
                 // HashMap iteration order is not deterministic; sort so
-                // the seeded draw below is reproducible. (`.max(1)`
-                // makes `warm`, and so the drawn range, non-empty.)
+                // the seeded draw below is reproducible. (The partner
+                // count is positive, so the drawn range is non-empty.)
                 warm.sort_by(|a, b| a.0.cmp(&b.0));
                 let drawn = rng.random_range(0..warm.len());
                 return warm.into_iter().nth(drawn);
@@ -137,7 +150,7 @@ impl AntiEntropy {
     /// [`PushPullDelta`] against the stored watermarks when delta sync
     /// is enabled and the watermarks are fresh, a full [`PushPull`]
     /// otherwise (delta sync disabled, or watermark stale past
-    /// `delta_sync_horizon`). A peer without watermarks gets a
+    /// [`DELTA_SYNC_HORIZON`]). A peer without watermarks gets a
     /// `since = 0` delta — semantically a full exchange that also
     /// bootstraps the watermarks for the rounds after it.
     pub(crate) fn request(
@@ -152,8 +165,7 @@ impl AntiEntropy {
             return full_request(membership);
         }
         let held = self.peers.get(peer);
-        if held.is_some_and(|ps| now.saturating_since(ps.last_exchange) > config.delta_sync_horizon)
-        {
+        if held.is_some_and(|ps| now.saturating_since(ps.last_exchange) > DELTA_SYNC_HORIZON) {
             // Watermark stale past the horizon: distrust it, resync in
             // full, and let fresh watermarks re-form.
             self.peers.remove(peer);
@@ -249,10 +261,10 @@ impl AntiEntropy {
     /// Watermarks ride the member table's retention policy: entries for
     /// reaped members or past the trust horizon are dropped, bounding
     /// the map by the live roster.
-    pub(crate) fn prune(&mut self, membership: &Membership, config: &Config, now: Time) {
-        let horizon = config.delta_sync_horizon;
+    pub(crate) fn prune(&mut self, membership: &Membership, now: Time) {
         self.peers.retain(|name, ps| {
-            membership.get(name).is_some() && now.saturating_since(ps.last_exchange) <= horizon
+            membership.get(name).is_some()
+                && now.saturating_since(ps.last_exchange) <= DELTA_SYNC_HORIZON
         });
     }
 }

@@ -105,7 +105,7 @@ fn gossip_reaches_recently_dead_members() {
         t,
     );
     // The dead broadcast is in the queue; gossip ticks may target the
-    // dead member itself for gossip_to_the_dead (30 s).
+    // dead member itself for the 30 s dead-gossip window.
     let out = run_until(&mut n, t + Duration::from_secs(10));
     let gossiped_to_dead = out.iter().any(|o| match o {
         OwnedOutput::Packet { to, .. } => *to == addr(2),

@@ -1,10 +1,10 @@
-//! Tests for the node's activity counters, metadata updates and the config profiles.
+//! Tests for the node's activity counters and metadata updates.
 
 mod common;
 
 use bytes::Bytes;
 use common::*;
-use lifeguard_core::config::{AwarenessDeltas, Config};
+use lifeguard_core::config::Config;
 use lifeguard_core::node::{Input, SwimNode};
 use lifeguard_core::time::Time;
 use lifeguard_proto::{
@@ -172,43 +172,4 @@ fn meta_update_propagates_to_peer_view() {
         observer.member(&"p".into()).unwrap().meta.as_ref(),
         b"role=db"
     );
-}
-
-#[test]
-fn config_profiles_are_valid_and_ordered() {
-    let lan = Config::lan();
-    let wan = Config::wan();
-    let local = Config::local();
-    for cfg in [&lan, &wan, &local] {
-        cfg.validate().expect("profile must validate");
-    }
-    assert!(wan.probe_interval > lan.probe_interval);
-    assert!(wan.gossip_interval > lan.gossip_interval);
-    assert!(local.probe_timeout < lan.probe_timeout);
-    assert!(local.gossip_interval < lan.gossip_interval);
-}
-
-#[test]
-fn custom_awareness_deltas_are_applied() {
-    let mut cfg = Config::lan().lifeguard();
-    cfg.awareness_deltas = AwarenessDeltas {
-        probe_success: -1,
-        probe_failed: 3,
-        missed_nack: 1,
-        refute: 5,
-    };
-    let mut n = new_node(cfg);
-    add_peer(&mut n, "p", 2, Time::from_secs(1));
-    let inc = n.incarnation();
-    feed(
-        &mut n,
-        addr(2),
-        Message::Suspect(Suspect {
-            incarnation: inc,
-            node: "local".into(),
-            from: "p".into(),
-        }),
-        Time::from_secs(2),
-    );
-    assert_eq!(n.local_health(), 5, "custom refute delta must apply");
 }

@@ -44,7 +44,6 @@ use lifeguard_proto::{NodeAddr, NodeName, MAX_META_LEN};
 use polling::Poller;
 
 use crate::reactor::{Reactor, SendIo, SEND_BATCH};
-use crate::transport;
 
 /// A timestamped membership event from a running agent.
 #[derive(Clone, Debug)]
@@ -73,10 +72,6 @@ pub struct AgentConfig {
     /// reproducible runs — and never reuse it across restarts of the
     /// same logical node.
     pub seed: u64,
-    /// Largest accepted inbound stream frame body, in bytes (defaults
-    /// to [`transport::MAX_STREAM_FRAME`]). Oversized length prefixes
-    /// are rejected before any buffer is allocated for them.
-    pub max_stream_frame: usize,
 }
 
 impl AgentConfig {
@@ -87,7 +82,6 @@ impl AgentConfig {
             bind: SocketAddr::new(IpAddr::V4(Ipv4Addr::LOCALHOST), 0),
             protocol: Config::lan().lifeguard(),
             seed: 0,
-            max_stream_frame: transport::MAX_STREAM_FRAME,
         }
     }
 
@@ -100,12 +94,6 @@ impl AgentConfig {
     /// Sets the RNG seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Sets the largest accepted inbound stream frame body, in bytes.
-    pub fn max_stream_frame(mut self, bytes: usize) -> Self {
-        self.max_stream_frame = bytes;
         self
     }
 }
@@ -217,7 +205,6 @@ pub(crate) struct Inner {
     pub(crate) driver: Mutex<Driver>,
     pub(crate) udp: UdpSocket,
     pub(crate) advertised: NodeAddr,
-    pub(crate) max_stream_frame: usize,
     start: Instant,
     pub(crate) shutdown: AtomicBool,
     /// Inputs from API threads, driven by the reactor in arrival order.
@@ -325,7 +312,6 @@ impl Agent {
             driver: Mutex::new(driver),
             udp,
             advertised,
-            max_stream_frame: config.max_stream_frame,
             start: Instant::now(),
             shutdown: AtomicBool::new(false),
             input_tx,
@@ -699,14 +685,9 @@ mod tests {
     /// the agent stays healthy and still converges afterwards.
     #[test]
     fn oversized_stream_frame_is_rejected_not_buffered() {
-        let a = Agent::start(
-            AgentConfig::local("a")
-                .protocol(fast())
-                .seed(31)
-                .max_stream_frame(64 * 1024),
-        )
-        .unwrap();
-        // A hand-built frame header claiming a 1 GiB body.
+        let a = Agent::start(AgentConfig::local("a").protocol(fast()).seed(31)).unwrap();
+        // A hand-built frame header claiming a 1 GiB body, above the
+        // 16 MiB `MAX_STREAM_FRAME`.
         let mut frame = Vec::new();
         frame.push(4u8);
         frame.extend_from_slice(&[127, 0, 0, 1]);

@@ -621,7 +621,7 @@ impl Reactor {
                             key,
                             Conn::Inbound {
                                 stream,
-                                decoder: FrameDecoder::with_limit(self.inner.max_stream_frame),
+                                decoder: FrameDecoder::new(),
                                 deadline: Instant::now() + transport::STREAM_TIMEOUT,
                             },
                         );

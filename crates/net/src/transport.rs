@@ -13,9 +13,9 @@
 //! readiness-driven reactor feeds it whatever a nonblocking read
 //! returned, while the blocking [`read_frame`] (scripted peers in tests
 //! and the benchmark) wraps the same decoder around a blocking `Read`. The
-//! length prefix is validated against a configurable
-//! maximum *before* any body buffer is grown, so an attacker-controlled
-//! length can never drive an allocation.
+//! length prefix is validated against [`MAX_STREAM_FRAME`] *before* any
+//! body buffer is grown, so an attacker-controlled length can never
+//! drive an allocation.
 
 use std::io::{self, Read, Write};
 use std::net::{IpAddr, SocketAddr, TcpStream};
@@ -24,9 +24,8 @@ use std::time::Duration;
 use bytes::{BufMut, BytesMut};
 use lifeguard_proto::{codec, DecodeError, Message, NodeAddr};
 
-/// Default maximum accepted stream frame (a push-pull of a few thousand
-/// members fits comfortably). Override per agent with
-/// [`crate::agent::AgentConfig::max_stream_frame`].
+/// Largest accepted stream frame body, in bytes (a push-pull of a few
+/// thousand members fits comfortably).
 pub const MAX_STREAM_FRAME: usize = 16 * 1024 * 1024;
 
 /// I/O timeout for stream sends and reads.
@@ -104,7 +103,7 @@ pub fn encode_frame(sender: NodeAddr, msg: &Message) -> Vec<u8> {
 /// calls, so the caller can feed whatever a (possibly nonblocking)
 /// read returned.
 ///
-/// The length prefix is checked against the configured maximum as soon
+/// The length prefix is checked against the decoder's limit as soon
 /// as the 4-byte length word is available — an oversized frame is
 /// rejected before its body ever accumulates, provided the caller
 /// interleaves `decode` with bounded-size `feed`s (both the reactor
@@ -116,14 +115,15 @@ pub struct FrameDecoder {
 }
 
 impl FrameDecoder {
-    /// A decoder enforcing the default [`MAX_STREAM_FRAME`] limit.
+    /// A decoder enforcing the [`MAX_STREAM_FRAME`] limit.
     pub fn new() -> FrameDecoder {
         FrameDecoder::with_limit(MAX_STREAM_FRAME)
     }
 
     /// A decoder enforcing `max_frame` as the largest accepted message
-    /// body, in bytes.
-    pub fn with_limit(max_frame: usize) -> FrameDecoder {
+    /// body, in bytes (lower limits let the unit tests probe the
+    /// boundary with small frames).
+    fn with_limit(max_frame: usize) -> FrameDecoder {
         FrameDecoder {
             max_frame,
             buf: Vec::new(),
@@ -301,7 +301,7 @@ mod tests {
         assert_eq!(back, msg);
     }
 
-    /// The configurable limit is a boundary, not an approximation: a
+    /// The limit is a boundary, not an approximation: a
     /// body of exactly `limit` bytes decodes, `limit + 1` is rejected —
     /// and the rejection happens from the length word alone, before any
     /// body bytes are buffered.
