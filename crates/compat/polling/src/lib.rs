@@ -27,9 +27,9 @@
 //!   reported as readable-and/or-writable per the registered interest,
 //!   so a caller discovers the condition by attempting the I/O.
 //!
-//! Extension over upstream (used by the benchmark suite): the
-//! [`stats`] module counts the syscalls the shim issues, so a
-//! readiness-driven runtime can report syscalls per protocol cycle.
+//! Extensions over upstream: batched datagram I/O ([`mmsg`]) and a
+//! nonblocking TCP connect ([`sock`]), so every raw syscall in the
+//! workspace lives here.
 
 #![deny(missing_docs)]
 // A length or count must never wrap at the FFI boundary: no lossy cast
@@ -43,47 +43,6 @@ use std::os::raw::c_ulong;
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::sync::Mutex;
 use std::time::Duration;
-
-/// Shim-global syscall counters (extension over upstream `polling`).
-pub mod stats {
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    pub(crate) static POLLS: AtomicU64 = AtomicU64::new(0);
-    pub(crate) static NOTIFIES: AtomicU64 = AtomicU64::new(0);
-    pub(crate) static DRAINS: AtomicU64 = AtomicU64::new(0);
-    pub(crate) static SENDMMSGS: AtomicU64 = AtomicU64::new(0);
-    pub(crate) static RECVMMSGS: AtomicU64 = AtomicU64::new(0);
-
-    /// Number of `poll(2)` syscalls issued by every [`crate::Poller`]
-    /// in this process since start.
-    pub fn polls() -> u64 {
-        POLLS.load(Ordering::Relaxed)
-    }
-
-    /// Number of `sendmmsg(2)` syscalls issued by every
-    /// [`crate::mmsg::SendBatch`] in this process since start.
-    pub fn sendmmsg_calls() -> u64 {
-        SENDMMSGS.load(Ordering::Relaxed)
-    }
-
-    /// Number of `recvmmsg(2)` syscalls issued by every
-    /// [`crate::mmsg::RecvRing`] in this process since start.
-    pub fn recvmmsg_calls() -> u64 {
-        RECVMMSGS.load(Ordering::Relaxed)
-    }
-
-    /// Total syscalls issued by the shim itself: `poll(2)` waits,
-    /// notify-pipe writes and drains, and batched datagram I/O
-    /// (`sendmmsg(2)` / `recvmmsg(2)`). Socket I/O performed by the
-    /// *caller* on ready sources is not counted.
-    pub fn syscalls() -> u64 {
-        POLLS.load(Ordering::Relaxed)
-            + NOTIFIES.load(Ordering::Relaxed)
-            + DRAINS.load(Ordering::Relaxed)
-            + SENDMMSGS.load(Ordering::Relaxed)
-            + RECVMMSGS.load(Ordering::Relaxed)
-    }
-}
 
 /// The raw libc surface the shim stands on. Kept to the minimum the
 /// implementation needs; all constants are Linux generic-ABI values
@@ -446,7 +405,6 @@ impl Poller {
         // mutably borrowed for the duration of the call; poll(2)
         // writes only within that range.
         let rc = unsafe { sys::poll(fds.as_mut_ptr(), fds.len() as c_ulong, timeout_ms) };
-        stats::POLLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         if rc < 0 {
             let err = io::Error::last_os_error();
             if err.raw_os_error() == Some(sys::EINTR) {
@@ -493,7 +451,6 @@ impl Poller {
     /// a wakeup is already pending).
     pub fn notify(&self) -> io::Result<()> {
         let byte = [1u8];
-        stats::NOTIFIES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         // SAFETY: `byte` is a live 1-byte buffer and `notify_write` is
         // the pipe fd this poller owns; write(2) reads exactly 1 byte.
         let rc = unsafe { sys::write(self.notify_write, byte.as_ptr().cast(), 1) };
@@ -509,7 +466,6 @@ impl Poller {
     fn drain_notifications(&self) {
         let mut sink = [0u8; 64];
         loop {
-            stats::DRAINS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             // SAFETY: `sink` is a live, writable buffer of the length
             // passed; `notify_read` is the pipe fd this poller owns.
             let rc = unsafe { sys::read(self.notify_read, sink.as_mut_ptr().cast(), sink.len()) };
@@ -540,18 +496,17 @@ impl Drop for Poller {
 /// addresses on every call, so the types are safe to move between
 /// construction and use (nothing is self-referential across calls).
 ///
-/// Kernels without the syscalls (pre-3.0, or seccomp-filtered) surface
-/// `ENOSYS` as [`io::ErrorKind::Unsupported`]; callers are expected to
-/// fall back to single-shot `send_to` / `recv_from` on that error.
+/// A caller checks once, with
+/// [`check_available`](mmsg::check_available), that the kernel lets it
+/// use both syscalls.
 pub mod mmsg {
-    use super::{stats, sys};
+    use super::sys;
     use std::io;
     use std::os::raw::c_uint;
     use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr};
     use std::ops::Range;
     use std::os::unix::io::RawFd;
     use std::ptr;
-    use std::sync::atomic::Ordering;
 
     /// Bytes of the largest sockaddr the shim handles
     /// (`sockaddr_in6`, 28 bytes).
@@ -620,6 +575,31 @@ pub mod mmsg {
             Some(sys::ENOSYS) => io::Error::new(io::ErrorKind::Unsupported, err),
             _ => err,
         }
+    }
+
+    /// Checks that `sendmmsg(2)` and `recvmmsg(2)` can be used on the
+    /// datagram socket `fd`, by calling each once with zero messages
+    /// (no datagram is sent or consumed).
+    ///
+    /// # Errors
+    ///
+    /// [`io::ErrorKind::Unsupported`] where the kernel answers either
+    /// call with `ENOSYS` (a seccomp filter can), otherwise the raw OS
+    /// error of the first call that fails.
+    pub fn check_available(fd: RawFd) -> io::Result<()> {
+        // With `vlen == 0` neither call reads or writes the vector, so
+        // a dangling, well-aligned pointer stands in for it.
+        let msgvec = ptr::NonNull::<sys::MmsgHdr>::dangling().as_ptr();
+        // SAFETY: a zero-length vector is never dereferenced.
+        if unsafe { sys::sendmmsg(fd, msgvec, 0, sys::MSG_DONTWAIT) } < 0 {
+            return Err(map_errno(io::Error::last_os_error()));
+        }
+        // SAFETY: as above; the null timeout is allowed.
+        let rc = unsafe { sys::recvmmsg(fd, msgvec, 0, sys::MSG_DONTWAIT, ptr::null_mut()) };
+        if rc < 0 {
+            return Err(map_errno(io::Error::last_os_error()));
+        }
+        Ok(())
     }
 
     /// A reusable `sendmmsg(2)` batch table: many datagrams, each a
@@ -720,7 +700,6 @@ pub mod mmsg {
                     msg_len: 0,
                 });
             }
-            stats::SENDMMSGS.fetch_add(1, Ordering::Relaxed);
             // SAFETY: `hdrs` holds exactly `n` entries whose name/iov
             // pointers were rebuilt just above from `self.addrs` /
             // `self.iovs` / the caller's arena, all of which outlive
@@ -821,7 +800,6 @@ pub mod mmsg {
                     msg_len: 0,
                 });
             }
-            stats::RECVMMSGS.fetch_add(1, Ordering::Relaxed);
             // SAFETY: `hdrs` holds exactly `slots` entries whose
             // name/iov pointers target `self.addrs` / `self.bufs`
             // slots that live (and stay unaliased) until the next

@@ -73,7 +73,7 @@ pub struct CoreSnapshot {
 /// cannot observe stay zero (the sim has no syscalls or wakeups).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IoSnapshot {
-    /// UDP send syscalls issued (`send_to` + `sendmmsg`).
+    /// UDP send syscalls issued (`sendmmsg` calls, failed ones too).
     pub send_syscalls: u64,
     /// `sendmmsg` calls that carried more than one datagram.
     pub sendmmsg_batches: u64,

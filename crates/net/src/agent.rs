@@ -27,6 +27,7 @@
 
 use std::io;
 use std::net::{IpAddr, Ipv4Addr, SocketAddr, TcpListener, UdpSocket};
+use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, MutexGuard, PoisonError};
@@ -105,7 +106,7 @@ impl AgentConfig {
 /// needs to see whether the drops happen locally or in the network.
 #[derive(Debug, Default)]
 pub(crate) struct IoCounters {
-    /// Send syscalls issued (`send_to` and `sendmmsg` each count 1).
+    /// `sendmmsg` calls issued, including ones that fail.
     pub(crate) send_syscalls: AtomicU64,
     /// `sendmmsg` flushes that transferred more than one datagram.
     pub(crate) sendmmsg_batches: AtomicU64,
@@ -117,8 +118,8 @@ pub(crate) struct IoCounters {
     pub(crate) send_errors: AtomicU64,
     /// Datagrams dropped because the socket's send buffer was full.
     pub(crate) would_block_drops: AtomicU64,
-    /// Receive syscalls issued (`recv_from` and `recvmmsg` each
-    /// count 1, including ones that return `WouldBlock`).
+    /// `recvmmsg` calls issued, including ones that return
+    /// `WouldBlock`.
     pub(crate) recv_syscalls: AtomicU64,
     /// Datagrams received.
     pub(crate) datagrams_received: AtomicU64,
@@ -150,35 +151,6 @@ impl IoCounters {
             streams_sent: self.streams_sent.load(Ordering::Relaxed),
             stream_bytes: self.stream_bytes.load(Ordering::Relaxed),
             wakeups: self.wakeups.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// One counted `send_to`. Send errors — including `WouldBlock` from a
-/// full send buffer on the reactor's nonblocking socket — drop the
-/// datagram. That is the UDP contract the protocol is built for: SWIM
-/// treats every datagram as droppable, and a full local buffer is
-/// indistinguishable from loss in the network. The counters make the
-/// drops observable. The single-shot arm of the reactor's flush.
-pub(crate) fn send_counted(
-    udp: &UdpSocket,
-    counters: &IoCounters,
-    to: SocketAddr,
-    payload: &[u8],
-) {
-    counters.send_syscalls.fetch_add(1, Ordering::Relaxed);
-    match udp.send_to(payload, to) {
-        Ok(_) => {
-            counters.datagrams_sent.fetch_add(1, Ordering::Relaxed);
-            counters
-                .datagram_bytes
-                .fetch_add(payload.len() as u64, Ordering::Relaxed);
-        }
-        Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => {
-            counters.would_block_drops.fetch_add(1, Ordering::Relaxed);
-        }
-        Err(_) => {
-            counters.send_errors.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
@@ -253,7 +225,9 @@ impl Agent {
     /// is longer than the wire format carries
     /// ([`io::ErrorKind::InvalidInput`]), the UDP socket and TCP
     /// listener cannot be bound to the same address, or the poller
-    /// cannot be created.
+    /// cannot be created. Fails with [`io::ErrorKind::Unsupported`]
+    /// where the kernel withholds `sendmmsg(2)` or `recvmmsg(2)` (a
+    /// seccomp filter can): the reactor has no other datagram path.
     pub fn start(config: AgentConfig) -> io::Result<Agent> {
         let (reactor, events_rx) = Agent::bind(config)?;
         Ok(Agent::spawn(reactor, events_rx))
@@ -277,6 +251,7 @@ impl Agent {
         // The reactor reads the socket only when poll reports it
         // readable; recv must never block the loop.
         udp.set_nonblocking(true)?;
+        polling::mmsg::check_available(udp.as_raw_fd())?;
 
         let advertised = NodeAddr::from(addr);
         let seed = if config.seed == 0 {

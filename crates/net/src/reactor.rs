@@ -42,10 +42,9 @@
 //! to the core as a borrowed slice (no per-datagram allocation), the
 //! guard taken once per ring fill.
 //!
-//! Kernels without the syscalls (`ENOSYS`) degrade to single-shot
-//! `send_to` / `recv_from` permanently and silently; wire behaviour is
-//! identical either way — batching changes syscall counts, never packet
-//! contents or order.
+//! These are the only datagram paths: a one-packet flush is a
+//! one-entry `sendmmsg`, and [`Agent::start`](crate::Agent::start)
+//! refuses to run where either syscall is unavailable.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Read, Write};
@@ -65,7 +64,7 @@ use lifeguard_proto::{Message, NodeAddr};
 use polling::mmsg::{RecvRing, SendBatch};
 use polling::{Event, Events, Poller};
 
-use crate::agent::{send_counted, AgentEvent, Inner, IoCounters};
+use crate::agent::{AgentEvent, Inner, IoCounters};
 use crate::transport::{self, FrameDecoder};
 
 /// Registration key of the agent's UDP socket.
@@ -107,15 +106,11 @@ const MAX_CONNS: usize = 1024;
 pub(crate) struct SendIo {
     table: SendBatch,
     /// Payload bytes of the staged datagrams, back to back.
-    // bounded: cleared every flush; holds at most one burst (the receive drain flushes at `batch_size` packets)
+    // bounded: cleared every flush; holds at most one burst (the receive drain flushes at one send batch)
     arena: Vec<u8>,
     /// Destination and `arena` range of each staged datagram.
     // bounded: cleared every flush, like `arena`
     stage: Vec<(SocketAddr, Range<usize>)>,
-    batch_size: usize,
-    /// Cleared permanently the first time `sendmmsg` reports `ENOSYS`;
-    /// every later flush takes the single-shot path.
-    supported: bool,
     /// Stream messages awaiting the loop's connect step, not yet
     /// encoded: framing a large push-pull belongs after the guard too.
     // bounded: drained at the top of every loop pass
@@ -147,34 +142,18 @@ impl SendIo {
             table: SendBatch::new(batch_size),
             arena: Vec::new(),
             stage: Vec::new(),
-            batch_size,
-            supported: true,
             streams: VecDeque::new(),
             events: Vec::new(),
         }
     }
 
-    /// Sends the staged datagrams in order and empties the staging:
-    /// `batch_size` packets per `sendmmsg`, degenerating to plain
-    /// counted `send_to` for a burst of one or on a kernel without the
-    /// syscall.
+    /// Sends the staged datagrams in order, one `sendmmsg` per
+    /// [`SendBatch::max_len`] chunk, and empties the staging.
     pub(crate) fn flush(&mut self, udp: &UdpSocket, counters: &IoCounters) {
-        self.send_staged(udp, counters);
-        self.stage.clear();
-        self.arena.clear();
-    }
-
-    fn send_staged(&mut self, udp: &UdpSocket, counters: &IoCounters) {
-        let arena = &self.arena;
-        if !self.supported || self.stage.len() < 2 {
-            send_each(udp, counters, arena, &self.stage);
-            return;
-        }
         let fd = udp.as_raw_fd();
         let mut unsent: &[(SocketAddr, Range<usize>)] = &self.stage;
         while !unsent.is_empty() {
-            let batch = unsent.get(..self.batch_size).unwrap_or(unsent);
-            match self.table.send(fd, arena, batch) {
+            match self.table.send(fd, &self.arena, unsent) {
                 // Defensive: a nonempty batch reports an error, never
                 // zero sends.
                 Ok(0) => break,
@@ -195,21 +174,15 @@ impl SendIo {
                     unsent = rest;
                 }
                 Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    // Full send buffer: drop the whole remainder,
-                    // exactly as per-packet `send_to` would drop each
-                    // (SWIM treats every datagram as droppable).
+                    // Full send buffer: drop the whole remainder. SWIM
+                    // treats every datagram as droppable, and a full
+                    // local buffer is indistinguishable from loss in
+                    // the network; the counter makes the drops visible.
                     counters.send_syscalls.fetch_add(1, Ordering::Relaxed);
                     counters
                         .would_block_drops
                         .fetch_add(unsent.len() as u64, Ordering::Relaxed);
                     break;
-                }
-                Err(ref e) if e.kind() == io::ErrorKind::Unsupported => {
-                    // ENOSYS: single-shot the remainder and never try
-                    // sendmmsg again on this socket.
-                    self.supported = false;
-                    send_each(udp, counters, arena, unsent);
-                    return;
                 }
                 Err(_) => {
                     // sendmmsg reports an error only when the *first*
@@ -221,21 +194,8 @@ impl SendIo {
                 }
             }
         }
-    }
-}
-
-/// One counted `send_to` per staged datagram, each cut from `arena`
-/// by the range `transmit` recorded for it.
-fn send_each(
-    udp: &UdpSocket,
-    counters: &IoCounters,
-    arena: &[u8],
-    staged: &[(SocketAddr, Range<usize>)],
-) {
-    for (to, range) in staged {
-        if let Some(payload) = arena.get(range.clone()) {
-            send_counted(udp, counters, *to, payload);
-        }
+        self.stage.clear();
+        self.arena.clear();
     }
 }
 
@@ -294,18 +254,14 @@ pub(crate) struct Reactor {
     // bounded: accepts are disarmed at MAX_CONNS, so the map never exceeds that cap plus in-flight outbound syncs
     conns: BTreeMap<usize, Conn>,
     next_key: usize,
-    /// Receive buffer of the single-shot (`ENOSYS`) drain.
-    // bounded: sized once at startup to the maximum datagram length, never grows
-    udp_buf: Vec<u8>,
     /// Whether the listener currently has read interest armed. It is
     /// disarmed at [`MAX_CONNS`] (backpressure) and after an accept
     /// failure like `EMFILE` (throttle: re-armed on the next loop pass
     /// instead of letting level-triggered readiness spin the loop).
     listener_armed: bool,
     pub(crate) send_io: SendIo,
-    /// recvmmsg ring; reset to `None` permanently if the kernel reports
-    /// `ENOSYS`, after which drains go through the single-shot path.
-    recv_ring: Option<RecvRing>,
+    /// The `recvmmsg` ring every drain fills.
+    recv_ring: RecvRing,
 }
 
 impl Reactor {
@@ -336,10 +292,9 @@ impl Reactor {
             events_tx,
             conns: BTreeMap::new(),
             next_key: FIRST_CONN_KEY,
-            udp_buf: vec![0u8; RECV_SLOT_LEN],
             listener_armed: true,
             send_io,
-            recv_ring: Some(RecvRing::new(RECV_BURST, RECV_SLOT_LEN)),
+            recv_ring: RecvRing::new(RECV_BURST, RECV_SLOT_LEN),
         };
         reactor.flush(Time::ZERO);
         Ok(reactor)
@@ -463,77 +418,22 @@ impl Reactor {
         }
     }
 
-    /// Drains the UDP socket: every queued datagram is fed to the
-    /// driver; queued socket errors (e.g. ICMP port-unreachable from a
-    /// dead peer's address) are discarded without stalling the loop.
-    /// The drain is bounded by [`MAX_BURST`] before yielding back to
-    /// the loop; `poll` is level-triggered, so anything left is
-    /// re-reported immediately.
+    /// Drains the UDP socket through the `recvmmsg` ring and re-arms
+    /// it. Each filled slot goes to the core as a borrowed slice (the
+    /// node walks it as views and copies nothing out of a packet that
+    /// changes nothing). The driver guard is taken once per ring fill,
+    /// not once per datagram, and released for every flush: replies
+    /// are staged under it and leave as `sendmmsg` batches after it.
+    /// Queued socket errors (e.g. ICMP port-unreachable from a dead
+    /// peer's address) are discarded without stalling the loop. The
+    /// drain is bounded by [`MAX_BURST`] before yielding back to the
+    /// loop; `poll` is level-triggered, so anything left is re-reported
+    /// immediately.
     fn drain_datagrams(&mut self) {
-        if self.recv_ring.is_some() {
-            self.drain_datagrams_batched();
-        } else {
-            self.drain_datagrams_single(MAX_BURST);
-        }
-        let _ = self
-            .poller
-            .modify(&self.inner.udp, Event::readable(KEY_UDP));
-    }
-
-    /// The single-shot drain, for kernels without `recvmmsg`: one
-    /// `recv_from` and one drive per datagram, fed to the core straight
-    /// from the receive buffer.
-    fn drain_datagrams_single(&mut self, max_burst: usize) {
-        for _ in 0..max_burst {
-            let recv = self.inner.udp.recv_from(&mut self.udp_buf);
-            self.inner
-                .counters
-                .recv_syscalls
-                .fetch_add(1, Ordering::Relaxed);
-            match recv {
-                Ok((len, from)) => {
-                    self.inner
-                        .counters
-                        .datagrams_received
-                        .fetch_add(1, Ordering::Relaxed);
-                    let now = self.inner.now();
-                    {
-                        let mut driver = self.inner.driver.lock();
-                        let _ = driver.handle_datagram_slice(
-                            NodeAddr::from(from),
-                            self.udp_buf.get(..len).unwrap_or_default(),
-                            now,
-                            &mut self.send_io,
-                        );
-                    }
-                    self.flush(now);
-                }
-                Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                // A queued error was consumed; stop the burst here.
-                // Level-triggered poll re-reports remaining readiness,
-                // so a persistently erroring socket costs one recv per
-                // wakeup instead of a hot spin.
-                Err(_) => break,
-            }
-        }
-    }
-
-    /// The batched drain: fill the `recvmmsg` ring and hand each slot
-    /// to the core as a borrowed slice (the node walks it as views and
-    /// copies nothing out of a packet that changes nothing). The driver
-    /// guard is taken once per ring fill, not once per datagram, and
-    /// released for every flush: replies are staged under it and leave
-    /// as `sendmmsg` batches after it.
-    fn drain_datagrams_batched(&mut self) {
         let fd = self.inner.udp.as_raw_fd();
         let mut drained = 0usize;
-        // Out of `self` for the drain, so the flushes below can borrow
-        // the whole reactor; put back unless the kernel lacks recvmmsg.
-        let Some(mut ring) = self.recv_ring.take() else {
-            return;
-        };
         while drained < MAX_BURST {
-            let res = ring.recv(fd);
+            let res = self.recv_ring.recv(fd);
             self.inner
                 .counters
                 .recv_syscalls
@@ -541,12 +441,6 @@ impl Reactor {
             let n = match res {
                 Ok(n) => n,
                 Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(ref e) if e.kind() == io::ErrorKind::Unsupported => {
-                    // ENOSYS: this kernel has no recvmmsg. Drop the
-                    // ring for good and finish the drain single-shot.
-                    self.drain_datagrams_single(MAX_BURST - drained);
-                    return;
-                }
                 // A queued socket error was consumed; yield to the
                 // loop (level-triggered readiness re-reports the rest).
                 Err(_) => break,
@@ -564,10 +458,10 @@ impl Reactor {
                     // Mid-burst flush: once a datagram's replies fill a
                     // send batch, let go of the guard and send them,
                     // bounding the staging while replies accumulate.
-                    while i < n && self.send_io.stage.len() < self.send_io.batch_size {
+                    while i < n && self.send_io.stage.len() < self.send_io.table.max_len() {
                         let slot = i;
                         i += 1;
-                        if ring.truncated(slot) {
+                        if self.recv_ring.truncated(slot) {
                             // Bigger than a ring slot — only possible
                             // for a malformed sender (slots hold 64 KiB,
                             // the UDP maximum); count the drop and move
@@ -575,7 +469,7 @@ impl Reactor {
                             counters.recv_truncations.fetch_add(1, Ordering::Relaxed);
                             continue;
                         }
-                        let Some((from, payload)) = ring.datagram(slot) else {
+                        let Some((from, payload)) = self.recv_ring.datagram(slot) else {
                             continue;
                         };
                         counters.datagrams_received.fetch_add(1, Ordering::Relaxed);
@@ -589,11 +483,13 @@ impl Reactor {
                 }
                 self.flush(now);
             }
-            if n < ring.slots() {
+            if n < self.recv_ring.slots() {
                 break; // the socket is drained
             }
         }
-        self.recv_ring = Some(ring);
+        let _ = self
+            .poller
+            .modify(&self.inner.udp, Event::readable(KEY_UDP));
     }
 
     /// Accepts pending connections (up to [`MAX_CONNS`] tracked) and
@@ -796,7 +692,6 @@ fn advance_outbound(
 mod tests {
     use super::*;
     use crate::agent::{Agent, AgentConfig};
-    use lifeguard_core::config::Config;
     use lifeguard_proto::compound::{self, CompoundBuilder};
     use lifeguard_proto::{Ping, SeqNo};
     use std::net::TcpListener;
@@ -824,8 +719,11 @@ mod tests {
         got
     }
 
+    /// A one-packet flush is a one-entry `sendmmsg`: one syscall, and
+    /// no batch (`sendmmsg_batches` counts only calls carrying more
+    /// than one datagram).
     #[test]
-    fn flush_of_one_packet_takes_the_single_shot_path() {
+    fn flush_of_one_packet_is_one_send_syscall_and_no_batch() {
         let (udp, peer, counters) = flush_fixture();
         let mut io = SendIo::new(4);
         let to = NodeAddr::from(peer.local_addr().expect("addr"));
@@ -874,51 +772,6 @@ mod tests {
         assert_eq!(counters.datagrams_sent.load(Ordering::Relaxed), 5);
     }
 
-    /// A kernel without `sendmmsg`/`recvmmsg` leaves the reactor with
-    /// `send_io.supported == false` and no receive ring. The `ENOSYS`
-    /// arms cannot be provoked on a kernel that has the syscalls, so
-    /// this pins the state they leave behind: agents still converge, on
-    /// exactly one syscall per datagram.
-    #[test]
-    fn reactors_in_the_enosys_fallback_converge_on_single_shot_io() {
-        let mut cfg = Config::lan()
-            .lifeguard()
-            .with_probe_timing(Duration::from_millis(200), Duration::from_millis(100));
-        cfg.gossip_interval = Duration::from_millis(50);
-        let start = |name: &str, seed: u64| {
-            let config = AgentConfig::local(name).protocol(cfg.clone()).seed(seed);
-            let (mut reactor, events_rx) = Agent::bind(config).expect("bind");
-            reactor.send_io.supported = false;
-            reactor.recv_ring = None;
-            Agent::spawn(reactor, events_rx)
-        };
-        let agents = [start("a", 51), start("b", 52), start("c", 53)];
-        agents[1].join(&[agents[0].addr()]);
-        agents[2].join(&[agents[0].addr()]);
-        // Membership can converge over the TCP push-pull alone, so wait
-        // for datagrams in both directions too.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while !agents.iter().all(|a| {
-            let io = a.metrics().io;
-            a.num_alive() == 3 && io.datagrams_sent > 0 && io.datagrams_received > 0
-        }) {
-            assert!(Instant::now() < deadline, "fallback agents never converged");
-            std::thread::sleep(Duration::from_millis(50));
-        }
-        for agent in &agents {
-            // Stop the loop first so the counters are read at rest.
-            agent.shutdown();
-            let io = agent.metrics().io;
-            assert_eq!(io.sendmmsg_batches, 0, "{io:?}");
-            assert_eq!(
-                io.datagrams_sent + io.send_errors + io.would_block_drops,
-                io.send_syscalls,
-                "{io:?}"
-            );
-            assert_eq!(io.recv_truncations, 0, "{io:?}");
-        }
-    }
-
     /// One compound datagram from outside yields one reply per inner
     /// `Ping`, so a single ring fill can stage far more packets than one
     /// send batch: the drain must flush as soon as a datagram pushes the
@@ -930,7 +783,7 @@ mod tests {
         let (mut reactor, _events_rx) =
             Agent::bind(AgentConfig::local("hub").seed(61)).expect("bind");
         reactor.send_io = SendIo::new(2);
-        reactor.recv_ring = Some(RecvRing::new(DATAGRAMS as usize, RECV_SLOT_LEN));
+        reactor.recv_ring = RecvRing::new(DATAGRAMS as usize, RECV_SLOT_LEN);
         let hub = reactor.inner.advertised.socket_addr();
         let peer = UdpSocket::bind("127.0.0.1:0").expect("bind peer");
         peer.set_read_timeout(Some(Duration::from_secs(5)))

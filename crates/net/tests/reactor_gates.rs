@@ -6,11 +6,8 @@
 //! The workload is the failure detector's hottest wire interaction: a
 //! peer sends a direct `Ping` to a running [`Agent`]'s UDP port and
 //! waits for the `Ack`; the single event loop is woken by poll
-//! readiness and must not quantise the round trip.
-//!
-//! The `polling::stats` counters are process-global, so this file holds
-//! exactly one `#[test]`: a second one would run beside it and be
-//! counted too.
+//! readiness and must not quantise the round trip. Every count is the
+//! measured agent's own (`Agent::metrics().io`).
 
 use std::net::UdpSocket;
 use std::time::{Duration, Instant};
@@ -186,9 +183,9 @@ fn reactor_holds_its_latency_wakeup_and_batching_gates() {
     for _ in 0..WARMUP {
         reactor.round_trip();
     }
-    let polls_before = polling::stats::polls();
+    let polls_before = reactor.agent.metrics().io.wakeups;
     let mut samples: Vec<Duration> = (0..SAMPLES).map(|_| reactor.round_trip()).collect();
-    let polls = polling::stats::polls() - polls_before;
+    let polls = reactor.agent.metrics().io.wakeups - polls_before;
     let rtt_median = median(&mut samples);
     let polls_per_probe = polls as f64 / SAMPLES as f64;
     eprintln!("reactor/rtt: median {rtt_median:?}, {polls_per_probe:.2} polls/probe");
@@ -226,14 +223,13 @@ fn reactor_holds_its_latency_wakeup_and_batching_gates() {
         fanout.datagrams_per_send_syscall,
     );
 
-    // Idle wakeups: the hub is shut down, so the only poller left in
-    // the process is the first reactor's. It has no peers and nothing
-    // to gossip, so its gossip loop is parked and it wakes for its
-    // probe rounds only: fewer than two wakeups per probe interval.
+    // Idle wakeups: the first reactor has no peers and nothing to
+    // gossip, so its gossip loop is parked and it wakes for its probe
+    // rounds only: fewer than two wakeups per probe interval.
     let idle_window = Duration::from_millis(500);
-    let polls_before = polling::stats::polls();
+    let polls_before = reactor.agent.metrics().io.wakeups;
     std::thread::sleep(idle_window);
-    let idle_polls = polling::stats::polls() - polls_before;
+    let idle_polls = reactor.agent.metrics().io.wakeups - polls_before;
     let idle_rate = idle_polls as f64 / idle_window.as_secs_f64();
     let idle_limit = 2.0 / probe_config().probe_interval.as_secs_f64();
     eprintln!("reactor/idle: {idle_rate:.0} poll wakeups/s (limit {idle_limit:.0})");

@@ -364,7 +364,8 @@ fn panic_sites(g: &CallGraph<'_>, config: &GraphConfig, out: &mut GraphOutcome) 
 
 /// `std::net` / `std::io` socket methods that are one syscall each. The
 /// lock crates reach the kernel through these as well as through the
-/// polling shim (`UdpSocket::send_to` is the single-shot send path).
+/// polling shim (the datagram path is the shim's `sendmmsg`, but a
+/// direct `UdpSocket::send_to` under the guard is still a syscall).
 const SOCKET_IO_METHODS: [&str; 7] = [
     "accept",
     "read",

@@ -200,12 +200,12 @@ impl Agent {
         {
             let mut g = self.driver.lock();
             g.step();
-            send_counted(&self.udp);
+            send_byte(&self.udp);
         }
-        send_counted(&self.udp);
+        send_byte(&self.udp);
     }
 }
-fn send_counted(udp: &UdpSocket) {
+fn send_byte(udp: &UdpSocket) {
     let _ = udp.send_to(b"x", "127.0.0.1:1");
 }
 "#;
@@ -221,7 +221,7 @@ fn send_counted(udp: &UdpSocket) {
     assert_eq!(
         active[0].message,
         "call under the driver lock reaches a syscall wrapper: \
-         send_counted (in `Agent::drive`)"
+         send_byte (in `Agent::drive`)"
     );
 }
 
