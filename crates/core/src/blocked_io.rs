@@ -109,8 +109,20 @@ impl BlockedIo {
         }
     }
 
+    /// Drops `timer` if it is waiting here: the state it belongs to was
+    /// consumed while I/O was blocked, so the unblock must not re-fire
+    /// it.
+    pub(crate) fn cancel(&mut self, timer: Timer) {
+        self.deferred.retain(|d| d.timer != timer);
+    }
+
     /// Whether `timer` is waiting here for the unblock.
     pub(crate) fn holds(&self, timer: Timer) -> bool {
         self.deferred.iter().any(|d| d.timer == timer)
+    }
+
+    /// The timers waiting here for the unblock.
+    pub(crate) fn deferred(&self) -> impl Iterator<Item = Timer> + '_ {
+        self.deferred.iter().map(|d| d.timer)
     }
 }

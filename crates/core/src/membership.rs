@@ -9,17 +9,30 @@
 //!
 //! Records live in one slab (`Vec<Slot>` + free list); everything else
 //! refers to a record by its `u32` slot id. Every node holds one record
-//! per member, so a cluster pays for the record n² times: a slot is 80
+//! per member, so a cluster pays for the record n² times: a slot is 64
 //! bytes — the 16-byte name (its bytes, for a name of at most
 //! [`NodeName::INLINE_LEN`] bytes; a pointer to them for a longer one),
-//! address, incarnation, state, state-change time, update seq, and the
-//! four `u32` links below — and nothing else lives in it.
+//! incarnation, state-change time, update seq, the four `u32` links
+//! below, and in the last 8 bytes the address (an IPv4 address's four
+//! octets, the port and a family byte) and the state — and nothing else
+//! lives in it. With the name index (8-byte buckets at load ≤ ½: 16.4 B
+//! per member at 2 000 members), the 4-byte liveness-pool entry and,
+//! outside the table, the probe rotation's 8-byte [`MemberId`], a member
+//! costs each node ≈ 64 + 16.4 + 4 + 8 ≈ 92 bytes.
 //!
 //! * **Metadata column** — one `Vec<Bytes>` indexed by slot id, beside
 //!   the slab. It stays *empty* until the first non-empty blob is
 //!   stored and is kept exactly `slots.len()` long from then on, so a
 //!   group that never uses metadata pays nothing for it and one that
 //!   does pays one `Bytes` per slot. A vacated slot clears its cell.
+//! * **IPv6 column** — the sixteen octets of an IPv6 address, one
+//!   `Vec<[u8; 16]>` cell per slot under the metadata column's rule:
+//!   empty until the first IPv6 member is stored, `slots.len()` long
+//!   from then on, and a vacated slot zeroes its cell. The slot keeps
+//!   the port and the family byte (4 or 6, as on the wire; a
+//!   v4-mapped IPv6 address stays family 6), so an IPv4 address is
+//!   rebuilt from the slot alone and the column is read only for
+//!   family 6.
 //! * **Views** — reads yield a [`MemberRef`]: the record's scalar
 //!   fields copied, its name and metadata borrowed (members without a
 //!   cell share one empty `Bytes`). Writes take and return the owned
@@ -65,6 +78,7 @@
 
 use std::collections::HashMap;
 use std::hash::{BuildHasher, RandomState};
+use std::net::{IpAddr, Ipv6Addr, SocketAddr};
 
 use bytes::Bytes;
 use lifeguard_proto::{Incarnation, MemberState, NodeAddr, NodeName};
@@ -115,9 +129,15 @@ struct Slot {
     /// `None` while the slot sits on the free list (the other record
     /// fields are then stale).
     name: Option<NodeName>,
-    addr: NodeAddr,
-    incarnation: Incarnation,
+    /// An IPv4 address's octets; unused for IPv6, whose octets are the
+    /// slot's cell in the IPv6 column.
+    ip4: [u8; 4],
+    port: u16,
+    /// The address family, 4 or 6. A plain `u8` for the reason
+    /// [`NodeAddr`] keeps one: no niche for an `Option` to reload.
+    family: u8,
     state: MemberState,
+    incarnation: Incarnation,
     state_change: Time,
     updated_seq: u64,
     /// Position of this slot's id inside its pool vector.
@@ -128,6 +148,26 @@ struct Slot {
     older: u32,
     /// Number of times this slot has been vacated.
     gen: u32,
+}
+
+impl Slot {
+    /// The address of the record in this slot, whose id is `id`: built
+    /// from the slot alone for IPv4; the IPv6 column `v6` is read only
+    /// for family 6.
+    #[inline]
+    fn addr(&self, v6: &[[u8; 16]], id: u32) -> NodeAddr {
+        if self.family == 6 {
+            Slot::addr_v6(v6, id, self.port)
+        } else {
+            NodeAddr::new(self.ip4, self.port)
+        }
+    }
+
+    #[cold]
+    fn addr_v6(v6: &[[u8; 16]], id: u32, port: u16) -> NodeAddr {
+        let octets = v6.get(id as usize).copied().unwrap_or_default();
+        NodeAddr::from(SocketAddr::new(Ipv6Addr::from(octets).into(), port))
+    }
 }
 
 /// One name-index bucket; `slot == NIL` marks it empty.
@@ -152,6 +192,9 @@ pub struct Membership {
     /// The metadata column: empty, or one cell per slot.
     // bounded: ≤ |slots| cells, each a blob the node accepted (≤ u16::MAX bytes by the codec's length word)
     meta: Vec<Bytes>,
+    /// The IPv6 column: empty, or one cell of octets per slot.
+    // bounded: ≤ |slots| cells of 16 bytes
+    v6: Vec<[u8; 16]>,
     /// The name index; length zero or a power of two.
     // bounded: ≤ 2 × next_pow2(peak member count) buckets — grown only by `index_reserve`, to keep load ≤ ½
     index: Vec<Bucket>,
@@ -188,6 +231,7 @@ impl Membership {
             slots: Vec::new(),
             free: Vec::new(),
             meta: Vec::new(),
+            v6: Vec::new(),
             index: Vec::new(),
             hasher: RandomState::new(),
             #[cfg(test)]
@@ -218,6 +262,9 @@ impl Membership {
         self.slots.reserve(additional);
         if !self.meta.is_empty() {
             self.meta.reserve(additional);
+        }
+        if !self.v6.is_empty() {
+            self.v6.reserve(additional);
         }
         self.index_reserve(self.len() + additional);
         self.live.reserve(additional);
@@ -300,9 +347,11 @@ impl Membership {
                 // fields only need *a* value here.
                 self.slots.push(Slot {
                     name: None,
-                    addr: member.addr,
-                    incarnation: member.incarnation,
+                    ip4: [0; 4],
+                    port: 0,
+                    family: 4,
                     state,
+                    incarnation: member.incarnation,
                     state_change: member.state_change,
                     updated_seq: 0,
                     pos: 0,
@@ -312,6 +361,9 @@ impl Membership {
                 });
                 if !self.meta.is_empty() {
                     self.meta.push(Bytes::new());
+                }
+                if !self.v6.is_empty() {
+                    self.v6.push([0; 16]);
                 }
                 (self.slots.len() - 1) as u32
             }
@@ -612,7 +664,7 @@ impl Membership {
         let slot = self.slots.get(id as usize)?;
         Some(MemberRef {
             name: slot.name.as_ref()?,
-            addr: slot.addr,
+            addr: slot.addr(&self.v6, id),
             incarnation: slot.incarnation,
             state: slot.state,
             state_change: slot.state_change,
@@ -622,13 +674,18 @@ impl Membership {
     }
 
     /// Moves the record out of slot `id`, leaving the slot vacant and
-    /// its metadata cell empty. Indexes are untouched: the caller either
-    /// [`Membership::put`]s a record back or finishes the removal.
+    /// its metadata and IPv6 cells empty. Indexes are untouched: the
+    /// caller either [`Membership::put`]s a record back or finishes the
+    /// removal.
     fn take(&mut self, id: u32) -> Option<Member> {
         let slot = self.slots.get_mut(id as usize)?;
+        let addr = slot.addr(&self.v6, id);
+        if let Some(cell) = self.v6.get_mut(id as usize) {
+            *cell = [0; 16];
+        }
         Some(Member {
             name: slot.name.take()?,
-            addr: slot.addr,
+            addr,
             incarnation: slot.incarnation,
             state: slot.state,
             state_change: slot.state_change,
@@ -641,19 +698,35 @@ impl Membership {
         })
     }
 
-    /// Stores `member` in slot `id`. The first non-empty blob any member
-    /// brings is what materialises the metadata column.
+    /// Stores `member` in slot `id`, which [`Membership::take`] left
+    /// with empty cells. The first non-empty blob any member brings is
+    /// what materialises the metadata column, and the first IPv6
+    /// address the IPv6 column.
     fn put(&mut self, id: u32, member: Member) {
+        let (family, ip4, ip6) = match member.addr.ip() {
+            IpAddr::V4(ip) => (4, ip.octets(), None),
+            IpAddr::V6(ip) => (6, [0; 4], Some(ip.octets())),
+        };
         let Some(slot) = self.slots.get_mut(id as usize) else {
             debug_assert!(false, "put() into an unknown slot");
             return;
         };
         slot.name = Some(member.name);
-        slot.addr = member.addr;
+        slot.ip4 = ip4;
+        slot.port = member.addr.port();
+        slot.family = family;
         slot.incarnation = member.incarnation;
         slot.state = member.state;
         slot.state_change = member.state_change;
         slot.updated_seq = member.updated_seq;
+        if let Some(octets) = ip6 {
+            if self.v6.is_empty() {
+                self.v6.resize(self.slots.len(), [0; 16]);
+            }
+            if let Some(cell) = self.v6.get_mut(id as usize) {
+                *cell = octets;
+            }
+        }
         if self.meta.is_empty() {
             if member.meta.is_empty() {
                 return;
@@ -914,6 +987,22 @@ impl Membership {
             assert!(
                 slot.name.is_some() || cell.is_empty(),
                 "vacant slot kept its metadata"
+            );
+        }
+        assert!(
+            self.v6.is_empty() || self.v6.len() == self.slots.len(),
+            "IPv6 column neither empty nor one cell per slot"
+        );
+        for (slot, cell) in self.slots.iter().zip(&self.v6) {
+            assert!(
+                slot.name.is_some() || *cell == [0; 16],
+                "vacant slot kept its IPv6 octets"
+            );
+        }
+        for slot in self.slots.iter().filter(|s| s.name.is_some()) {
+            assert!(
+                slot.family == 4 || (slot.family == 6 && !self.v6.is_empty()),
+                "address family neither 4 nor 6 with a column"
             );
         }
 
@@ -1389,7 +1478,7 @@ mod tests {
     /// holds the full roster), so it fails here first.
     #[test]
     fn record_layout_is_pinned() {
-        assert!(std::mem::size_of::<Slot>() <= 80);
+        assert_eq!(std::mem::size_of::<Slot>(), 64);
         // The name is inline in the slot, and a vacant slot's `None`
         // costs it no byte.
         assert_eq!(std::mem::size_of::<NodeName>(), 16);

@@ -410,7 +410,10 @@ impl SwimNode {
     }
 
     fn handle_ack(&mut self, seq: SeqNo, now: Time) {
-        match self.prober.ack(seq, now, &mut self.timers) {
+        match self
+            .prober
+            .ack(seq, now, &mut self.timers, &mut self.blocked_io)
+        {
             Acked::Probe(rtt) => {
                 self.metrics.probe_rtt.record_duration(rtt);
                 // Successful probe: LHM −1 (paper §IV-A).

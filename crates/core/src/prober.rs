@@ -5,9 +5,10 @@
 //! [`Prober`] owns the no-stale-fire rule for its timers. Every
 //! `ProbeTimeout`, `ProbeRoundEnd` and `RelayNack` it arms is held by
 //! key in the state it belongs to and truly cancelled when that state
-//! is consumed, so a fire always finds its state; when blocked I/O
-//! re-injects a deferred timer under a new key, [`Prober::repoint`]
-//! is where the owning state learns it.
+//! is consumed, so a fire always finds its state; a timer deferred
+//! while I/O is blocked is dropped from [`BlockedIo`] when an ack
+//! consumes its state, and when blocked I/O re-injects one under a new
+//! key, [`Prober::repoint`] is where the owning state learns it.
 
 use std::collections::HashMap;
 use std::time::Duration;
@@ -180,15 +181,24 @@ impl Prober {
     }
 
     /// An ack for `seq` arrived at `now`.
-    pub(crate) fn ack(&mut self, seq: SeqNo, now: Time, timers: &mut TimerWheel<Timer>) -> Acked {
+    pub(crate) fn ack(
+        &mut self,
+        seq: SeqNo,
+        now: Time,
+        timers: &mut TimerWheel<Timer>,
+        blocked: &mut BlockedIo,
+    ) -> Acked {
         // Our own outstanding probe? A timely ack completes the round
         // immediately (memberlist's probeNode returns on the first ack);
         // a stale ack is ignored and the round fails at its end.
         if let Some(p) = self.in_flight.take_if(|p| p.seq == seq && now <= p.round_end) {
             // True cancellation: the round's remaining deadlines are
-            // unscheduled, not left to fire stale.
+            // unscheduled, not left to fire stale — including one that
+            // came due while I/O was blocked and waits for the unblock.
             timers.cancel(p.timeout_timer);
             timers.cancel(p.round_end_timer);
+            blocked.cancel(Timer::ProbeTimeout { seq });
+            blocked.cancel(Timer::ProbeRoundEnd { seq });
             return Acked::Probe(now.saturating_since(p.started));
         }
         if self.in_flight.as_ref().is_some_and(|p| p.seq == seq) {
@@ -201,6 +211,7 @@ impl Prober {
                 relay.acked = true;
                 if let Some(key) = relay.nack_timer.take() {
                     timers.cancel(key);
+                    blocked.cancel(Timer::RelayNack { seq });
                 }
                 Acked::Relay(relay.origin_seq, relay.origin_addr)
             }
@@ -294,7 +305,8 @@ impl Prober {
     /// The rotation holds every live member other than `me` exactly
     /// once; the round end of a probe in flight and every relay's nack
     /// are armed in `timers` or deferred in `blocked`, never both, and
-    /// a probe timeout not both (once fired it is neither).
+    /// a probe timeout not both (once fired it is neither); and every
+    /// deferred probe deadline or nack belongs to state still held.
     pub(crate) fn check_invariants(
         &self,
         membership: &Membership,
@@ -319,6 +331,19 @@ impl Prober {
             if let Some(key) = relay.nack_timer {
                 armed_xor_deferred(key, Timer::RelayNack { seq });
             }
+        }
+        let in_flight = self.in_flight.as_ref().map(|p| p.seq);
+        for timer in blocked.deferred() {
+            let owned = match timer {
+                Timer::ProbeTimeout { seq } | Timer::ProbeRoundEnd { seq } => {
+                    in_flight == Some(seq)
+                }
+                Timer::RelayNack { seq } => {
+                    self.relays.get(&seq).is_some_and(|r| r.nack_timer.is_some())
+                }
+                _ => true,
+            };
+            assert!(owned, "{timer:?} deferred for state already consumed");
         }
     }
 }

@@ -139,6 +139,49 @@ fn stale_ack_is_rejected_after_unblock() {
 }
 
 #[test]
+fn ack_while_blocked_drops_the_deferred_deadlines() {
+    // An ack handed to a blocked node before the round end completes
+    // the probe in flight. Its timeout already came due while blocked
+    // and waits to re-fire at unblock; the ack must take it back, or
+    // the re-fire finds no probe in flight.
+    let mut n = new_node(Config::lan().lifeguard());
+    add_peer(&mut n, "p", 2, Time::from_secs(1));
+    let mut ping_seq = None;
+    let mut t = Time::from_secs(1);
+    while ping_seq.is_none() {
+        let wake = n.next_deadline().expect("probe timers armed");
+        t = wake;
+        ping_seq = packets(&tick(&mut n, wake))
+            .into_iter()
+            .flat_map(|(_, msgs)| msgs)
+            .find_map(|m| match m {
+                Message::Ping(p) => Some(p.seq),
+                _ => None,
+            });
+    }
+    set_blocked(&mut n, true, t + Duration::from_millis(1));
+    // Past the 500 ms probe timeout (deferred), short of the 1 s round
+    // end.
+    let t_ack = t + Duration::from_millis(700);
+    run_until(&mut n, t_ack);
+    let seq = ping_seq.expect("a ping went out");
+    feed(&mut n, addr(2), Message::Ack(Ack { seq }), t_ack);
+    n.check_invariants();
+
+    let t_unblock = t + Duration::from_secs(3);
+    let out = set_blocked(&mut n, false, t_unblock);
+    assert!(
+        !out.iter().any(|o| {
+            matches!(o, OwnedOutput::Event(Event::MemberSuspected { name, .. }) if name.as_str() == "p")
+        }),
+        "an acked probe must not fail at unblock"
+    );
+    n.check_invariants();
+    run_until(&mut n, t_unblock + Duration::from_secs(3));
+    n.check_invariants();
+}
+
+#[test]
 fn suspicion_expiry_fires_during_block() {
     // A suspicion raised *before* the block keeps its timer running and
     // declares the member dead mid-anomaly (the agent's logs record

@@ -188,6 +188,7 @@ mod model_agreement {
     use lifeguard_core::membership::SamplePool;
     use lifeguard_proto::{MemberState, NodeName};
     use std::collections::BTreeMap;
+    use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr};
 
     fn member(node: u8, inc: u64) -> Member {
         let mut m = Member::new(
@@ -200,6 +201,19 @@ mod model_agreement {
         m
     }
 
+    /// An address drawn from `code`: IPv4 (stored inline in the
+    /// table), IPv6 (in its column) or v4-mapped IPv6 (which must stay
+    /// IPv6, not collapse to the IPv4 address it maps).
+    fn addr_of(code: u8, inc: u64) -> NodeAddr {
+        let b = inc as u8;
+        let ip: IpAddr = match code % 3 {
+            0 => Ipv4Addr::new(10, 1, code, b).into(),
+            1 => Ipv6Addr::new(0x2001, 0xdb8, 0, 0, 0, 0, code.into(), b.into()).into(),
+            _ => Ipv4Addr::new(10, 1, code, b).to_ipv6_mapped().into(),
+        };
+        NodeAddr::from(SocketAddr::new(ip, 7000 + u16::from(b)))
+    }
+
     fn state_of(code: u8) -> MemberState {
         match code % 4 {
             0 => MemberState::Alive,
@@ -210,18 +224,20 @@ mod model_agreement {
     }
 
     proptest! {
-        /// Counters, pools, iteration and metadata of the indexed table
-        /// always match a naive `BTreeMap` model driven by the same
-        /// operations, and the internal invariants hold after every
-        /// step. Metadata lives in a column beside the records, so the
-        /// steps that set, clear and vacate it are checked for leaks
+        /// Counters, pools, iteration, addresses and metadata of the
+        /// indexed table always match a naive `BTreeMap` model driven by
+        /// the same operations, and the internal invariants hold after
+        /// every step. Metadata lives in a column beside the records, so
+        /// the steps that set, clear and vacate it are checked for leaks
         /// (a reused slot showing the previous member's blob) and
-        /// losses, and for how they stamp the change list.
+        /// losses, and for how they stamp the change list. IPv6 octets
+        /// live in a column too, so members move between IPv4, IPv6 and
+        /// v4-mapped IPv6 addresses.
         #[test]
         fn membership_matches_naive_model(
             // Twelve names: few enough that most cases set a member's
             // metadata and later remove that same member.
-            ops in proptest::collection::vec((0u8..7, 0u8..12, 0u8..8, 0u64..5), 1..120),
+            ops in proptest::collection::vec((0u8..8, 0u8..12, 0u8..8, 0u64..5), 1..120),
         ) {
             let mut indexed = Membership::new();
             let mut model: BTreeMap<NodeName, Member> = BTreeMap::new();
@@ -284,6 +300,14 @@ mod model_agreement {
                             m.meta = blob;
                         }
                     }
+                    7 => {
+                        let addr = addr_of(code, inc);
+                        let got = indexed.update(&name, |m| m.addr = addr).is_some();
+                        prop_assert_eq!(got, model.contains_key(&name));
+                        if let Some(m) = model.get_mut(&name) {
+                            m.addr = addr;
+                        }
+                    }
                     _ => {
                         // Remove, then let a newcomer without metadata
                         // take the vacated slot (the free list is LIFO).
@@ -311,18 +335,21 @@ mod model_agreement {
                 for (name, m) in &model {
                     let meta = indexed.get(name).map(|m| m.meta.clone());
                     prop_assert_eq!(meta.as_ref(), Some(&m.meta), "metadata of {}", name);
+                    let addr = indexed.get(name).map(|m| m.addr);
+                    prop_assert_eq!(addr, Some(m.addr), "address of {}", name);
                 }
                 indexed.check_invariants();
             }
             // Same final contents (order-independent).
-            let mut a: Vec<(NodeName, u8, Incarnation, Bytes)> = indexed
+            type Row = (NodeName, u8, Incarnation, NodeAddr, Bytes);
+            let mut a: Vec<Row> = indexed
                 .iter()
-                .map(|m| (m.name.clone(), m.state.as_u8(), m.incarnation, m.meta.clone()))
+                .map(|m| (m.name.clone(), m.state.as_u8(), m.incarnation, m.addr, m.meta.clone()))
                 .collect();
             a.sort();
-            let b: Vec<(NodeName, u8, Incarnation, Bytes)> = model
+            let b: Vec<Row> = model
                 .values()
-                .map(|m| (m.name.clone(), m.state.as_u8(), m.incarnation, m.meta.clone()))
+                .map(|m| (m.name.clone(), m.state.as_u8(), m.incarnation, m.addr, m.meta.clone()))
                 .collect();
             prop_assert_eq!(a, b);
         }

@@ -10,7 +10,9 @@
 //! * one node holding a 100 000-member roster stays within a
 //!   live-bytes-per-entry ceiling, and
 //! * a 512-member table pays nothing for metadata until one member has
-//!   some, and one `Bytes` per slot from then on.
+//!   some, and one `Bytes` per slot from then on, and
+//! * the same for IPv6 addresses: nothing while every member is IPv4,
+//!   one 16-byte cell per slot from the first IPv6 member on.
 //!
 //! All run inside one `#[test]`, in sequence: the allocator's counters
 //! are process-global, so a second test running beside it would be
@@ -18,6 +20,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
+use std::net::{Ipv6Addr, SocketAddr};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -356,10 +359,10 @@ fn receive_path_allocates_only_for_state_changes() {
 }
 
 const TABLE_ENTRIES: usize = 100_000;
-/// ≈ 1.1 × the 113 B measured when the ceiling was set (80 B slot, 21 B
+/// ≈ 1.1 × the 97 B measured when the ceiling was set (64 B slot, 21 B
 /// of name index at this size, 4 B pool id, 8 B probe id), so a layout
 /// regression in `Membership` or `ProbeList` fails the run.
-const TABLE_BYTES_PER_ENTRY_GATE: f64 = 125.0;
+const TABLE_BYTES_PER_ENTRY_GATE: f64 = 107.0;
 
 /// Bootstraps one node with a 100 000-member roster and gates its live
 /// bytes per entry: what one member of a 100 k cluster pays for its
@@ -392,15 +395,8 @@ fn member_table_stays_within_bytes_per_entry() {
 
 const SMALL_TABLE: usize = 512;
 
-/// The metadata column costs nothing until a member has metadata: a
-/// 512-member table without any is slots + name index + pool ids, and
-/// the first blob adds exactly one (empty) `Bytes` per slot — 24 B with
-/// the vendored `bytes`; the blob's own allocation is made before the
-/// window.
-fn metadata_costs_nothing_until_a_member_has_some() {
-    let names: Vec<NodeName> = (0..SMALL_TABLE).map(Cluster::name_of).collect();
-    let blob = Bytes::from(vec![7u8; 64]);
-    let before = LIVE.load(Ordering::Relaxed);
+/// A table of one IPv4 member per name, without metadata.
+fn small_table(names: &[NodeName]) -> Membership {
     let mut table = Membership::new();
     for (i, name) in names.iter().enumerate() {
         table.upsert(Member::new(
@@ -410,6 +406,19 @@ fn metadata_costs_nothing_until_a_member_has_some() {
             Time::ZERO,
         ));
     }
+    table
+}
+
+/// The metadata column costs nothing until a member has metadata: a
+/// 512-member table without any is slots + name index + pool ids, and
+/// the first blob adds exactly one (empty) `Bytes` per slot — 24 B with
+/// the vendored `bytes`; the blob's own allocation is made before the
+/// window.
+fn metadata_costs_nothing_until_a_member_has_some() {
+    let names: Vec<NodeName> = (0..SMALL_TABLE).map(Cluster::name_of).collect();
+    let blob = Bytes::from(vec![7u8; 64]);
+    let before = LIVE.load(Ordering::Relaxed);
+    let mut table = small_table(&names);
     let bare = LIVE.load(Ordering::Relaxed).saturating_sub(before);
     let bare_per_entry = bare as f64 / SMALL_TABLE as f64;
     table.update(&names[SMALL_TABLE / 2], |m| m.meta = blob.clone());
@@ -417,7 +426,7 @@ fn metadata_costs_nothing_until_a_member_has_some() {
     let column_per_entry = (with_one - bare) as f64 / SMALL_TABLE as f64;
     eprintln!("table-512: {bare_per_entry:.0} B/entry bare, +{column_per_entry:.0} with one blob");
     assert!(
-        bare_per_entry <= 104.0,
+        bare_per_entry <= 88.0,
         "{bare_per_entry:.0} live bytes per entry in a {SMALL_TABLE}-member table without metadata",
     );
     assert!(
@@ -432,10 +441,43 @@ fn metadata_costs_nothing_until_a_member_has_some() {
     assert_eq!(stored, Some(blob));
 }
 
+/// The IPv6 column costs nothing while every address is IPv4: moving a
+/// member to another IPv4 address allocates nothing, and the first IPv6
+/// address adds one 16-byte cell per slot.
+fn ipv6_costs_nothing_until_a_member_has_it() {
+    let names: Vec<NodeName> = (0..SMALL_TABLE).map(Cluster::name_of).collect();
+    let before = LIVE.load(Ordering::Relaxed);
+    let mut table = small_table(&names);
+    let bare = LIVE.load(Ordering::Relaxed).saturating_sub(before);
+    let v4 = NodeAddr::new([192, 0, 2, 1], 7946);
+    table.update(&names[SMALL_TABLE / 2], |m| m.addr = v4);
+    assert_eq!(
+        LIVE.load(Ordering::Relaxed).saturating_sub(before),
+        bare,
+        "an IPv4 address must not build the IPv6 column"
+    );
+    let v6 = NodeAddr::from(SocketAddr::new(Ipv6Addr::LOCALHOST.into(), 7946));
+    table.update(&names[SMALL_TABLE / 2], |m| m.addr = v6);
+    let with_one = LIVE.load(Ordering::Relaxed).saturating_sub(before);
+    let column_per_entry = (with_one - bare) as f64 / SMALL_TABLE as f64;
+    eprintln!("table-512: +{column_per_entry:.0} B/entry with one IPv6 address");
+    assert!(
+        column_per_entry > 0.0,
+        "the first IPv6 address must build the column"
+    );
+    assert!(
+        column_per_entry <= 16.0,
+        "one member's IPv6 address grew the table by {column_per_entry:.0} B/entry",
+    );
+    let stored = table.get(&names[SMALL_TABLE / 2]).map(|m| m.addr);
+    assert_eq!(stored, Some(v6));
+}
+
 #[test]
 fn poll_drain_allocates_nothing_and_a_100k_table_fits_its_ceiling() {
     poll_output_is_allocation_free();
     receive_path_allocates_only_for_state_changes();
     member_table_stays_within_bytes_per_entry();
     metadata_costs_nothing_until_a_member_has_some();
+    ipv6_costs_nothing_until_a_member_has_it();
 }
