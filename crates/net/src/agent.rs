@@ -11,13 +11,17 @@
 //! datagram I/O, no fixed-interval sleeps anywhere
 //! (`crates/net/src/reactor.rs`).
 //!
-//! That thread is the only one that ever drives the protocol core.
+//! # Reads queue behind inputs
+//!
+//! That thread owns the [`Driver`]; no other thread can reach it.
 //! [`Agent::join`], [`Agent::leave`] and [`Agent::update_meta`] queue
-//! their [`Input`] for it and return; the read accessors
-//! ([`Agent::members`], [`Agent::num_alive`], …) take the driver lock,
-//! which guards memory only — the reactor stages every send while it
-//! holds the lock and performs the I/O after releasing it, so a reader
-//! never waits on a syscall.
+//! their [`Input`] for it and return. The read accessors
+//! ([`Agent::members`], [`Agent::num_alive`], …) queue a read on the
+//! same channel and wait for its answer, which the reactor gives at the
+//! top of its next loop pass, in arrival order with the inputs — so a
+//! read sees every input this agent queued before it. After
+//! [`Agent::shutdown`] reads answer from the driver the reactor thread
+//! returned.
 //!
 //! Membership conclusions are delivered on a channel as [`AgentEvent`]s.
 //!
@@ -25,12 +29,13 @@
 //! event-loop thread — a dropped-without-`shutdown` agent does not leak
 //! it.
 
+use std::cell::{OnceCell, RefCell};
 use std::io;
 use std::net::{IpAddr, Ipv4Addr, SocketAddr, TcpListener, UdpSocket};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::{Arc, MutexGuard, PoisonError};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -155,34 +160,25 @@ impl IoCounters {
     }
 }
 
-/// A `std::sync::Mutex` whose `lock` recovers a poisoned guard: a thread
-/// that panicked while holding it must not wedge every later reader.
-/// `lock` stays one call returning the guard, so `driver.lock()` regions
-/// read the same to swim-lint's `lock_discipline` as they do to a person.
-pub(crate) struct Mutex<T>(std::sync::Mutex<T>);
-
-impl<T> Mutex<T> {
-    pub(crate) fn new(value: T) -> Self {
-        Mutex(std::sync::Mutex::new(value))
-    }
-
-    pub(crate) fn lock(&self) -> MutexGuard<'_, T> {
-        self.0.lock().unwrap_or_else(PoisonError::into_inner)
-    }
+/// What API threads queue for the reactor thread, which takes each in
+/// arrival order at the top of its next loop pass.
+pub(crate) enum Command {
+    /// An input to drive.
+    Input(Input),
+    /// A read of the driver; it sees every command queued before it.
+    Read(Box<dyn FnOnce(&Driver) + Send>),
 }
 
 pub(crate) struct Inner {
-    /// Written by the reactor thread only; API threads lock it to read.
-    /// It guards memory, never I/O.
-    pub(crate) driver: Mutex<Driver>,
     pub(crate) udp: UdpSocket,
     pub(crate) advertised: NodeAddr,
     start: Instant,
     pub(crate) shutdown: AtomicBool,
-    /// Inputs from API threads, driven by the reactor in arrival order.
-    input_tx: Sender<Input>,
-    /// The reactor's poller: API threads notify it after queueing an
-    /// input or raising `shutdown`.
+    /// Inputs and reads from API threads, taken by the reactor in
+    /// arrival order.
+    input_tx: Sender<Command>,
+    /// The reactor's poller: API threads notify it after queueing a
+    /// command or raising `shutdown`.
     pub(crate) poller: Arc<Poller>,
     pub(crate) counters: IoCounters,
 }
@@ -192,9 +188,9 @@ impl Inner {
         Time::from_micros(u64::try_from(self.start.elapsed().as_micros()).unwrap_or(u64::MAX))
     }
 
-    /// Queues one input for the reactor thread and wakes it.
-    fn submit(&self, input: Input) {
-        let _ = self.input_tx.send(input);
+    /// Queues one command for the reactor thread and wakes it.
+    fn submit(&self, command: Command) {
+        let _ = self.input_tx.send(command);
         let _ = self.poller.notify();
     }
 }
@@ -210,8 +206,12 @@ impl Inner {
 /// agent to the thread that uses it rather than sharing it.
 pub struct Agent {
     inner: Arc<Inner>,
+    name: NodeName,
     /// The reactor's event-loop thread; taken by the first shutdown.
-    thread: Mutex<Option<JoinHandle<()>>>,
+    thread: RefCell<Option<JoinHandle<Box<Driver>>>>,
+    /// The driver the reactor thread returned at shutdown; reads answer
+    /// from it from then on.
+    stopped: OnceCell<Box<Driver>>,
     events_rx: Receiver<AgentEvent>,
 }
 
@@ -278,13 +278,14 @@ impl Agent {
             seed,
         )
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-        // Boot the core before it goes behind the lock; what that
-        // stages is the reactor's first flush.
-        let mut driver = Driver::new(node);
+        // Boot the core before handing it to the reactor; what that
+        // stages is the reactor's first flush. Boxed: the driver is
+        // ~17 KB, and moved by value it would be copied through both
+        // threads' stack frames and sit inline in `Agent`.
+        let mut driver = Box::new(Driver::new(node));
         let mut send_io = SendIo::new(SEND_BATCH);
         driver.start(Time::ZERO, &mut send_io);
         let inner = Arc::new(Inner {
-            driver: Mutex::new(driver),
             udp,
             advertised,
             start: Instant::now(),
@@ -293,19 +294,40 @@ impl Agent {
             poller: Arc::new(Poller::new()?),
             counters: IoCounters::default(),
         });
-        let reactor = Reactor::new(inner, tcp, input_rx, events_tx, send_io)?;
+        let reactor = Reactor::new(inner, driver, tcp, input_rx, events_tx, send_io)?;
         Ok((reactor, events_rx))
     }
 
     /// Moves a bound reactor onto its event-loop thread.
     pub(crate) fn spawn(reactor: Reactor, events_rx: Receiver<AgentEvent>) -> Agent {
         let inner = Arc::clone(&reactor.inner);
+        let name = reactor.driver.node().name().clone();
         let thread = std::thread::spawn(move || reactor.run());
         Agent {
             inner,
-            thread: Mutex::new(Some(thread)),
+            name,
+            thread: RefCell::new(Some(thread)),
+            stopped: OnceCell::new(),
             events_rx,
         }
+    }
+
+    /// Runs `read` against the driver and returns its answer: on the
+    /// reactor thread, after every command queued before it, or
+    /// directly once shutdown has joined that thread. A reactor thread
+    /// that died without shutdown (a panic) answers `R::default()`.
+    fn read<R: Default + Send + 'static>(
+        &self,
+        read: impl FnOnce(&Driver) -> R + Send + 'static,
+    ) -> R {
+        if let Some(driver) = self.stopped.get() {
+            return read(driver);
+        }
+        let (reply_tx, reply_rx) = mpsc::sync_channel(1);
+        self.inner.submit(Command::Read(Box::new(move |driver| {
+            let _ = reply_tx.send(read(driver));
+        })));
+        reply_rx.recv().unwrap_or_default()
     }
 
     /// The agent's advertised address (bound UDP/TCP port).
@@ -315,7 +337,7 @@ impl Agent {
 
     /// The agent's node name.
     pub fn name(&self) -> NodeName {
-        self.inner.driver.lock().node().name().clone()
+        self.name.clone()
     }
 
     /// Joins a cluster through the given seed addresses. Like every
@@ -324,13 +346,13 @@ impl Agent {
     /// everything queued before it.
     pub fn join(&self, seeds: &[SocketAddr]) {
         let seeds: Vec<NodeAddr> = seeds.iter().map(|&s| NodeAddr::from(s)).collect();
-        self.inner.submit(Input::Join { seeds });
+        self.inner.submit(Command::Input(Input::Join { seeds }));
     }
 
     /// Gracefully leaves the group (peers observe a leave, not a
     /// failure).
     pub fn leave(&self) {
-        self.inner.submit(Input::Leave);
+        self.inner.submit(Command::Input(Input::Leave));
     }
 
     /// Replaces the local node's application metadata and gossips the
@@ -347,29 +369,23 @@ impl Agent {
                 format!("metadata is {} bytes, limit {MAX_META_LEN}", meta.len()),
             ));
         }
-        self.inner.submit(Input::UpdateMeta { meta });
+        self.inner.submit(Command::Input(Input::UpdateMeta { meta }));
         Ok(())
     }
 
     /// Snapshot of the membership table.
     pub fn members(&self) -> Vec<Member> {
-        self.inner
-            .driver
-            .lock()
-            .node()
-            .members()
-            .map(MemberRef::to_member)
-            .collect()
+        self.read(|driver| driver.node().members().map(MemberRef::to_member).collect())
     }
 
     /// Number of members believed alive (including self).
     pub fn num_alive(&self) -> usize {
-        self.inner.driver.lock().node().num_alive()
+        self.read(|driver| driver.node().num_alive())
     }
 
     /// Current Local Health Multiplier score.
     pub fn local_health(&self) -> u32 {
-        self.inner.driver.lock().node().local_health()
+        self.read(|driver| driver.node().local_health())
     }
 
     /// The agent's full metrics export in the runtime-independent
@@ -380,7 +396,7 @@ impl Agent {
     /// sim's `Cluster::metrics_snapshot` returns, so socket and
     /// simulated runs aggregate through one `swim-metrics` pipeline.
     pub fn metrics(&self) -> lifeguard_metrics::Snapshot {
-        let core = self.inner.driver.lock().metrics();
+        let core = self.read(Driver::metrics);
         lifeguard_metrics::Snapshot {
             core,
             io: self.inner.counters.io_snapshot(),
@@ -402,9 +418,9 @@ impl Agent {
     pub fn shutdown(&self) {
         self.inner.shutdown.store(true, Ordering::Relaxed);
         let _ = self.inner.poller.notify();
-        let thread = self.thread.lock().take();
-        if let Some(thread) = thread {
-            let _ = thread.join();
+        let thread = self.thread.borrow_mut().take();
+        if let Some(Ok(driver)) = thread.map(JoinHandle::join) {
+            let _ = self.stopped.set(driver);
         }
     }
 }
@@ -577,6 +593,29 @@ mod tests {
         a.shutdown();
     }
 
+    /// A read answers after every input queued before it, so an
+    /// input's effect is visible at once: no sleep, no polling.
+    #[test]
+    fn reads_see_every_input_queued_before_them() {
+        let a = Agent::start(AgentConfig::local("a").protocol(fast()).seed(13)).unwrap();
+        let own = |a: &Agent| a.members().into_iter().find(|m| m.name.as_str() == "a");
+        for i in 0..100u8 {
+            a.update_meta(Bytes::from(vec![i])).unwrap();
+            let meta = own(&a).map(|m| m.meta);
+            assert_eq!(
+                meta.as_deref(),
+                Some(&[i][..]),
+                "read ran ahead of update_meta #{i}"
+            );
+        }
+        a.leave();
+        assert!(
+            own(&a).is_some_and(|m| !m.is_live()),
+            "read ran ahead of leave"
+        );
+        a.shutdown();
+    }
+
     #[test]
     fn send_failures_are_counted_not_silent() {
         let udp = UdpSocket::bind("127.0.0.1:0").unwrap();
@@ -625,24 +664,11 @@ mod tests {
     }
 
     #[test]
-    fn lock_is_infallible_after_panic() {
-        let m = Arc::new(Mutex::new(0));
-        let m2 = Arc::clone(&m);
-        let _ = std::thread::spawn(move || {
-            let _guard = m2.lock();
-            panic!("poison the std mutex");
-        })
-        .join();
-        *m.lock() += 1;
-        assert_eq!(*m.lock(), 1);
-    }
-
-    #[test]
     fn shutdown_is_idempotent_and_drop_joins_threads() {
         let a = Agent::start(AgentConfig::local("solo").protocol(fast()).seed(8)).unwrap();
         a.shutdown();
         a.shutdown(); // second call is a no-op
-        assert!(a.thread.lock().is_none());
+        assert!(a.thread.borrow().is_none());
         drop(a); // drop after shutdown is fine too
 
         // Dropping without shutdown joins the thread (no leak, no

@@ -17,30 +17,31 @@
 //!   (bounded by the earliest connection deadline), so timers fire on
 //!   time instead of on a fixed cadence.
 //!
-//! Wakeup flow: the reactor thread is the only one that drives the
-//! shared [`Driver`](lifeguard_core::driver::Driver). API threads
-//! (`join`, `leave`, …) queue an [`Input`] and
-//! [`notify`](polling::Poller::notify) the poller; the loop drives
-//! queued inputs and due timers at the top of every pass and
+//! Wakeup flow: the reactor owns the
+//! [`Driver`](lifeguard_core::driver::Driver) and is the only thread
+//! that can reach it. API threads queue a [`Command`] — an input
+//! (`join`, `leave`, …) or a read (`members`, `metrics`, …) — and
+//! [`notify`](polling::Poller::notify) the poller; the loop takes
+//! queued commands and fires due timers at the top of every pass and
 //! re-computes its sleep bound before every wait.
 //!
-//! # Nothing is sent under the lock
+//! # Reads queue behind inputs
 //!
-//! Every drive has two halves. While the driver guard is held, the
-//! reactor's [`Sink`] ([`SendIo`]) only moves memory: each packet is
-//! copied into the staging arena, stream messages and events are pushed
-//! onto reactor-owned queues. Then the guard is dropped and the reactor
-//! does the I/O: staged datagrams go out as one `sendmmsg(2)` per
-//! [`SEND_BATCH`] chunk (a probe round's whole fan-out costs one
+//! Commands are taken in arrival order, so a read sees the effect of
+//! every input queued before it and never races the loop: there is no
+//! lock for an API thread to hold while the reactor waits. Every drive
+//! still has two halves. The reactor's [`Sink`] ([`SendIo`]) only moves
+//! memory: each packet is copied into the staging arena, stream
+//! messages and events are pushed onto reactor-owned queues. Then the
+//! reactor does the I/O: staged datagrams go out as one `sendmmsg(2)`
+//! per [`SEND_BATCH`] chunk (a probe round's whole fan-out costs one
 //! syscall instead of one per peer), events are forwarded to the
 //! subscriber channel, and stream frames are encoded and connected at
-//! the next loop pass. API threads reading through the lock therefore
-//! never wait on a syscall.
+//! the next loop pass.
 //!
 //! Receive is batched too: readiness drains through a preallocated
 //! `recvmmsg(2)` ring of [`RECV_BURST`] slots, each filled slot handed
-//! to the core as a borrowed slice (no per-datagram allocation), the
-//! guard taken once per ring fill.
+//! to the core as a borrowed slice (no per-datagram allocation).
 //!
 //! These are the only datagram paths: a one-packet flush is a
 //! one-entry `sendmmsg`, and [`Agent::start`](crate::Agent::start)
@@ -56,7 +57,7 @@ use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use lifeguard_core::driver::Sink;
+use lifeguard_core::driver::{Driver, Sink};
 use lifeguard_core::event::Event as ProtoEvent;
 use lifeguard_core::node::Input;
 use lifeguard_core::time::Time;
@@ -64,7 +65,7 @@ use lifeguard_proto::{Message, NodeAddr};
 use polling::mmsg::{RecvRing, SendBatch};
 use polling::{Event, Events, Poller};
 
-use crate::agent::{AgentEvent, Inner, IoCounters};
+use crate::agent::{AgentEvent, Command, Inner, IoCounters};
 use crate::transport::{self, FrameDecoder};
 
 /// Registration key of the agent's UDP socket.
@@ -99,10 +100,10 @@ const RECV_SLOT_LEN: usize = 65536;
 const MAX_CONNS: usize = 1024;
 
 /// The reactor's [`Sink`] — the only one in this crate — and the
-/// staging it fills. While the driver guard is held it only moves
-/// memory; [`SendIo::flush`] and the loop carry the effects out once
-/// the guard is gone. Everything is reused across drives, so the steady
-/// state allocates nothing.
+/// staging it fills. During a drive it only moves memory;
+/// [`SendIo::flush`] and the loop carry the effects out afterwards.
+/// Everything is reused across drives, so the steady state allocates
+/// nothing.
 pub(crate) struct SendIo {
     table: SendBatch,
     /// Payload bytes of the staged datagrams, back to back.
@@ -112,7 +113,7 @@ pub(crate) struct SendIo {
     // bounded: cleared every flush, like `arena`
     stage: Vec<(SocketAddr, Range<usize>)>,
     /// Stream messages awaiting the loop's connect step, not yet
-    /// encoded: framing a large push-pull belongs after the guard too.
+    /// encoded: framing a large push-pull belongs after the drive too.
     // bounded: drained at the top of every loop pass
     streams: VecDeque<(SocketAddr, Message)>,
     /// Membership conclusions awaiting the subscriber channel.
@@ -246,10 +247,12 @@ enum Advance {
 /// The single-threaded readiness loop behind every [`Agent`](crate::Agent).
 pub(crate) struct Reactor {
     pub(crate) inner: Arc<Inner>,
+    /// The protocol core; [`Reactor::run`] hands it back at shutdown.
+    pub(crate) driver: Box<Driver>,
     poller: Arc<Poller>,
     listener: TcpListener,
-    /// Inputs queued by API threads (`join`, `leave`, `update_meta`).
-    input_rx: Receiver<Input>,
+    /// Inputs and reads queued by API threads.
+    input_rx: Receiver<Command>,
     events_tx: Sender<AgentEvent>,
     // bounded: accepts are disarmed at MAX_CONNS, so the map never exceeds that cap plus in-flight outbound syncs
     conns: BTreeMap<usize, Conn>,
@@ -276,8 +279,9 @@ impl Reactor {
     /// Propagates poller registration failures.
     pub(crate) fn new(
         inner: Arc<Inner>,
+        driver: Box<Driver>,
         listener: TcpListener,
-        input_rx: Receiver<Input>,
+        input_rx: Receiver<Command>,
         events_tx: Sender<AgentEvent>,
         send_io: SendIo,
     ) -> io::Result<Reactor> {
@@ -286,6 +290,7 @@ impl Reactor {
         poller.add(&listener, Event::readable(KEY_LISTENER))?;
         let mut reactor = Reactor {
             inner,
+            driver,
             poller,
             listener,
             input_rx,
@@ -300,19 +305,16 @@ impl Reactor {
         Ok(reactor)
     }
 
-    /// Feeds one input through the driver. Its effects are staged while
-    /// the guard is held and carried out after it is dropped.
+    /// Feeds one input through the driver. Its effects are staged during
+    /// the drive and carried out after it.
     fn drive(&mut self, input: Input, now: Time) {
-        {
-            let mut driver = self.inner.driver.lock();
-            let _ = driver.handle(input, now, &mut self.send_io);
-        }
+        let _ = self.driver.handle(input, now, &mut self.send_io);
         self.flush(now);
     }
 
-    /// The second half of every drive, run with the driver guard
-    /// dropped: sends the staged datagrams and forwards the staged
-    /// events. Staged stream messages wait for the loop's connect step.
+    /// The second half of every drive: sends the staged datagrams and
+    /// forwards the staged events. Staged stream messages wait for the
+    /// loop's connect step.
     fn flush(&mut self, now: Time) {
         self.send_io.flush(&self.inner.udp, &self.inner.counters);
         for event in self.send_io.events.drain(..) {
@@ -320,25 +322,25 @@ impl Reactor {
         }
     }
 
-    /// Runs the event loop until the agent's shutdown flag is raised.
-    pub(crate) fn run(mut self) {
+    /// Runs the event loop until the agent's shutdown flag is raised,
+    /// then returns the driver.
+    pub(crate) fn run(mut self) -> Box<Driver> {
         let mut events = Events::new();
         loop {
-            // Read the flag before the input queue: whatever an API
-            // thread queued before raising it is driven below, so
+            // Read the flag before the command queue: whatever an API
+            // thread queued before raising it is taken below, so
             // `leave(); shutdown()` still says goodbye.
             let stopping = self.inner.shutdown.load(Ordering::Relaxed);
-            // 1. Drive the inputs API threads queued, then fire due
-            //    protocol timers (exact-deadline ticking).
+            // 1. Take the commands API threads queued, in order, then
+            //    fire due protocol timers (exact-deadline ticking).
             let now = self.inner.now();
-            while let Ok(input) = self.input_rx.try_recv() {
-                self.drive(input, now);
+            while let Ok(command) = self.input_rx.try_recv() {
+                match command {
+                    Command::Input(input) => self.drive(input, now),
+                    Command::Read(read) => read(&self.driver),
+                }
             }
-            let due = {
-                let driver = self.inner.driver.lock();
-                matches!(driver.next_deadline(), Some(at) if at <= now)
-            };
-            if due {
+            if matches!(self.driver.next_deadline(), Some(at) if at <= now) {
                 self.drive(Input::Tick, now);
             }
             // 2. Encode and start outbound connections for the stream
@@ -390,6 +392,7 @@ impl Reactor {
         for (_, conn) in std::mem::take(&mut self.conns) {
             let _ = self.poller.delete(conn.stream());
         }
+        self.driver
     }
 
     /// How long the poller may sleep: until the protocol core's next
@@ -399,9 +402,7 @@ impl Reactor {
     fn sleep_budget(&self, wall: Instant) -> Option<Duration> {
         let now = self.inner.now();
         let timer = self
-            .inner
             .driver
-            .lock()
             .next_deadline()
             .map(|at| at.saturating_since(now));
         let conn = self
@@ -421,11 +422,10 @@ impl Reactor {
     /// Drains the UDP socket through the `recvmmsg` ring and re-arms
     /// it. Each filled slot goes to the core as a borrowed slice (the
     /// node walks it as views and copies nothing out of a packet that
-    /// changes nothing). The driver guard is taken once per ring fill,
-    /// not once per datagram, and released for every flush: replies
-    /// are staged under it and leave as `sendmmsg` batches after it.
-    /// Queued socket errors (e.g. ICMP port-unreachable from a dead
-    /// peer's address) are discarded without stalling the loop. The
+    /// changes nothing). Replies are staged and leave as `sendmmsg`
+    /// batches, flushed once per ring fill or sooner. Queued socket
+    /// errors (e.g. ICMP port-unreachable from a dead peer's address)
+    /// are discarded without stalling the loop. The
     /// drain is bounded by [`MAX_BURST`] before yielding back to the
     /// loop; `poll` is level-triggered, so anything left is re-reported
     /// immediately.
@@ -452,34 +452,30 @@ impl Reactor {
             let now = self.inner.now();
             let mut i = 0;
             while i < n {
-                {
-                    let counters = &self.inner.counters;
-                    let mut driver = self.inner.driver.lock();
-                    // Mid-burst flush: once a datagram's replies fill a
-                    // send batch, let go of the guard and send them,
-                    // bounding the staging while replies accumulate.
-                    while i < n && self.send_io.stage.len() < self.send_io.table.max_len() {
-                        let slot = i;
-                        i += 1;
-                        if self.recv_ring.truncated(slot) {
-                            // Bigger than a ring slot — only possible
-                            // for a malformed sender (slots hold 64 KiB,
-                            // the UDP maximum); count the drop and move
-                            // on.
-                            counters.recv_truncations.fetch_add(1, Ordering::Relaxed);
-                            continue;
-                        }
-                        let Some((from, payload)) = self.recv_ring.datagram(slot) else {
-                            continue;
-                        };
-                        counters.datagrams_received.fetch_add(1, Ordering::Relaxed);
-                        let _ = driver.handle_datagram_slice(
-                            NodeAddr::from(from),
-                            payload,
-                            now,
-                            &mut self.send_io,
-                        );
+                let counters = &self.inner.counters;
+                // Mid-burst flush: once a datagram's replies fill a
+                // send batch, send them, bounding the staging while
+                // replies accumulate.
+                while i < n && self.send_io.stage.len() < self.send_io.table.max_len() {
+                    let slot = i;
+                    i += 1;
+                    if self.recv_ring.truncated(slot) {
+                        // Bigger than a ring slot — only possible for a
+                        // malformed sender (slots hold 64 KiB, the UDP
+                        // maximum); count the drop and move on.
+                        counters.recv_truncations.fetch_add(1, Ordering::Relaxed);
+                        continue;
                     }
+                    let Some((from, payload)) = self.recv_ring.datagram(slot) else {
+                        continue;
+                    };
+                    counters.datagrams_received.fetch_add(1, Ordering::Relaxed);
+                    let _ = self.driver.handle_datagram_slice(
+                        NodeAddr::from(from),
+                        payload,
+                        now,
+                        &mut self.send_io,
+                    );
                 }
                 self.flush(now);
             }

@@ -18,26 +18,23 @@
 //! 3. **Waiver hygiene** (`waiver`) — a waiver must name a known rule
 //!    and give a reason.
 //!
-//! **Graph rules** (whole-workspace — see [`graph`] and
-//! `docs/ANALYSIS.md`):
+//! **Item rules** (over parsed functions and structs — see [`graph`]
+//! and `docs/ANALYSIS.md`):
 //!
 //! 4. **Panic sites** (`panic_path`) — the two panic kinds clippy
 //!    cannot deny cleanly, the `assert!` family and the panicking `std`
 //!    methods (`swap_remove`, `split_at`, `split_at_mut`,
 //!    `copy_from_slice`), in every non-test function of the six crates
 //!    that carry clippy's panic denies.
-//! 5. **Lock discipline** (`lock_discipline`) — no syscall, and no call
-//!    that reaches one (a polling-shim wrapper or a std socket method),
-//!    while the net driver lock is held.
-//! 6. **Bounded growth** (`bounded_growth`) — growable collection
+//! 5. **Bounded growth** (`bounded_growth`) — growable collection
 //!    fields of long-lived structs must document their cap.
 //!
 //! Any rule finding can be waived inline with
 //! `// lint: allow(<rule>) — <reason>`; the reason is mandatory and
 //! stale waivers are reported. Those waivers and the reasoned clippy
 //! exceptions (`#[expect(clippy::<lint>, reason = "…")]`) are ratcheted
-//! per rule/lint. Results are printed as a table and written to
-//! `target/ANALYSIS.json` (schema 4).
+//! per rule/lint; a baseline row naming no rule fails. Results are
+//! printed as a table and written to `target/ANALYSIS.json` (schema 5).
 
 pub mod baseline;
 pub mod graph;
@@ -91,10 +88,10 @@ fn collect_sources(root: &Path) -> std::io::Result<Vec<(String, String)>> {
     Ok(out)
 }
 
-/// Analyzes in-memory sources: lexical rules, then the whole-workspace
-/// call-graph pass. Stale waivers are counted only after **both**
-/// passes had a chance to use them. Exposed (rather than only the
-/// filesystem walk) so fixture tests can assemble mini-workspaces.
+/// Analyzes in-memory sources: lexical rules, then the item rules.
+/// Stale waivers are counted only after **both** passes had a chance
+/// to use them. Exposed (rather than only the filesystem walk) so
+/// fixture tests can assemble mini-workspaces.
 pub fn analyze_sources(sources: &[(String, String)], config: &GraphConfig) -> Report {
     let mut report = Report::default();
     let mut data: Vec<FileData> = Vec::with_capacity(sources.len());
@@ -106,7 +103,7 @@ pub fn analyze_sources(sources: &[(String, String)], config: &GraphConfig) -> Re
         report.files += 1;
         // The analyzer's own sources document the waiver syntax in
         // prose and carry intentionally-panicking test fixtures in
-        // unit tests; it is not subject to the graph rules either.
+        // unit tests; it is not subject to the item rules either.
         if class.crate_name == "xtask" {
             continue;
         }
@@ -126,10 +123,7 @@ pub fn analyze_sources(sources: &[(String, String)], config: &GraphConfig) -> Re
         });
     }
 
-    let outcome = graph::analyze(&data, config);
-    report.violations.extend(outcome.violations);
-    report.graph_functions = outcome.functions;
-    report.graph_edges = outcome.edges;
+    report.violations.extend(graph::analyze(&data, config));
 
     // Waiver accounting, after every pass marked what it used.
     for f in &data {
@@ -184,6 +178,16 @@ pub fn run_lint(root: &Path, update_baseline: bool) -> std::io::Result<LintOutco
             Baseline::default()
         }
     };
+    // A row for a rule swim-lint does not have (a deleted one) would
+    // pass forever at `have = base = 0`: refuse it.
+    for rule in baseline.waivers.keys() {
+        if !rule.starts_with("clippy::") && !rules::ALL_RULES.contains(&rule.as_str()) {
+            failures.push(format!(
+                "baseline row `{rule}` names no swim-lint rule — delete it from {}",
+                baseline::BASELINE_PATH
+            ));
+        }
+    }
     let mut ratcheted = baseline.clone();
     let mut rewrite = false;
 

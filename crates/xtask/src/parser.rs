@@ -2,27 +2,17 @@
 //! token stream.
 //!
 //! This is deliberately **not** a Rust parser: it recovers exactly the
-//! structure the graph rules need — function items (with their
-//! `impl`/`trait` context as a one-segment qualifier), the calls and
-//! panic sites inside each body, struct definitions
-//! with their field types, and the lexical extent of driver-lock
-//! regions — and nothing else. Everything it cannot understand it
-//! skips, so the parse degrades gracefully on arbitrary token streams
-//! (a property pinned by `tests/prop_robustness.rs`).
+//! structure the item rules need — function items (with their
+//! `impl`/`trait` context as a one-segment qualifier), the panic sites
+//! inside each body, and struct definitions with their field types —
+//! and nothing else. Everything it cannot understand it skips, so the
+//! parse degrades gracefully on arbitrary token streams (a property
+//! pinned by `tests/prop_robustness.rs`).
 //!
-//! # Soundness posture
-//!
-//! The output feeds an *over-approximating* call graph: attribution
-//! errors must err toward reporting too much, never too little.
-//! Concretely:
-//!
-//! - closure bodies are attributed to the enclosing `fn` (the closure
-//!   might escape, but its calls and sites stay with its definer);
-//! - nested `fn` items are parsed as their own functions;
-//! - a call through a variable (`callback(x)`) resolves like a call to
-//!   any workspace function of that name (see
-//!   [`graph`](crate::graph));
-//! - macro bodies outside functions belong to no function.
+//! Attribution errs toward reporting too much, never too little:
+//! closure bodies are attributed to the enclosing `fn`, nested `fn`
+//! items are parsed as their own functions, and macro bodies outside
+//! functions belong to no function.
 
 use crate::lexer::{LexedFile, Tok, Token};
 use crate::rules::FileClass;
@@ -40,20 +30,6 @@ pub struct Site {
     pub line: u32,
 }
 
-/// One call site inside a function body.
-#[derive(Debug, Clone)]
-pub struct Call {
-    /// The call path, innermost last: `foo(` → `["foo"]`,
-    /// `Type::foo(` → `["Type", "foo"]`, `.foo(` → `["foo"]` with
-    /// `method = true`.
-    pub path: Vec<String>,
-    pub line: u32,
-    /// `.name(...)` method-call form (receiver type unknown).
-    pub method: bool,
-    /// The call happens while a driver-lock guard is lexically held.
-    pub in_lock: bool,
-}
-
 /// One parsed function item.
 #[derive(Debug, Clone)]
 pub struct FnDef {
@@ -68,7 +44,6 @@ pub struct FnDef {
     pub line: u32,
     /// Defined under `#[cfg(test)]` / `#[test]` or in a test target.
     pub is_test: bool,
-    pub calls: Vec<Call>,
     pub sites: Vec<Site>,
 }
 
@@ -98,19 +73,7 @@ pub struct StructDef {
 pub struct ParsedFile {
     pub fns: Vec<FnDef>,
     pub structs: Vec<StructDef>,
-    /// Names of methods declared inside `trait` blocks (with or
-    /// without default bodies). Calls to these names may genuinely
-    /// dispatch across crate layers, so the graph resolves them
-    /// workspace-wide; every other method name resolves within the
-    /// caller's dependency cone.
-    pub trait_methods: Vec<String>,
 }
-
-/// Identifiers that look like calls (`ident (`) but never are.
-const NON_CALL_KEYWORDS: [&str; 22] = [
-    "if", "while", "for", "match", "return", "loop", "as", "in", "fn", "move", "unsafe", "else",
-    "let", "mut", "ref", "await", "yield", "where", "Some", "None", "Ok", "Err",
-];
 
 /// Macros that panic when their condition fails.
 const PANIC_MACROS: [&str; 3] = ["assert", "assert_eq", "assert_ne"];
@@ -147,7 +110,7 @@ pub fn parse(
         test_ranges,
         out: ParsedFile::default(),
     };
-    p.items(None, usize::MAX, false);
+    p.items(None, usize::MAX);
     p.out
 }
 
@@ -177,17 +140,12 @@ impl<'a> Parser<'a> {
     }
 
     /// Parses items until `budget` tokens are consumed or a `}` closes
-    /// the current scope. `ctx` is the `impl`/`trait` qualifier;
-    /// `in_trait` marks a `trait` block (its method names are recorded
-    /// for workspace-wide call resolution).
-    fn items(&mut self, ctx: Option<&str>, end: usize, in_trait: bool) {
+    /// the current scope. `ctx` is the `impl`/`trait` qualifier.
+    fn items(&mut self, ctx: Option<&str>, end: usize) {
         while self.i < self.toks.len() && self.i < end {
             match self.peek(0) {
-                Some(Tok::Ident(w)) if w == "fn" => self.fn_item(ctx, in_trait),
-                Some(Tok::Ident(w)) if w == "impl" || w == "trait" => {
-                    let is_trait = w == "trait";
-                    self.impl_item(is_trait);
-                }
+                Some(Tok::Ident(w)) if w == "fn" => self.fn_item(ctx),
+                Some(Tok::Ident(w)) if w == "impl" || w == "trait" => self.impl_item(),
                 Some(Tok::Ident(w)) if w == "struct" => self.struct_item(),
                 Some(Tok::Ident(w)) if w == "mod" => {
                     // `mod name { ... }`: recurse into the block (the
@@ -199,7 +157,7 @@ impl<'a> Parser<'a> {
                             Some(Tok::Punct('{')) => {
                                 let close = self.matching_brace(self.i);
                                 self.i += 1;
-                                self.items(None, close, false);
+                                self.items(None, close);
                                 self.i = close + 1;
                                 break;
                             }
@@ -218,7 +176,7 @@ impl<'a> Parser<'a> {
                     // are better over-reported than missed.
                     let close = self.matching_brace(self.i);
                     self.i += 1;
-                    self.items(ctx, close, in_trait);
+                    self.items(ctx, close);
                     self.i = close + 1;
                 }
                 None => break,
@@ -249,7 +207,7 @@ impl<'a> Parser<'a> {
     }
 
     /// `impl [<..>] Type [for Type] { items }` / `trait Name { items }`.
-    fn impl_item(&mut self, is_trait: bool) {
+    fn impl_item(&mut self) {
         self.i += 1; // `impl` / `trait`
         let mut after_for: Option<String> = None;
         let mut first_path_seg: Option<String> = None;
@@ -294,7 +252,7 @@ impl<'a> Parser<'a> {
         if self.peek(0) == Some(&Tok::Punct('{')) {
             let close = self.matching_brace(self.i);
             self.i += 1;
-            self.items(ctx.as_deref(), close, is_trait);
+            self.items(ctx.as_deref(), close);
             self.i = close + 1;
         }
     }
@@ -454,7 +412,7 @@ impl<'a> Parser<'a> {
     }
 
     /// `fn name ( .. ) [-> ..] { body }` — or a bodiless declaration.
-    fn fn_item(&mut self, ctx: Option<&str>, in_trait: bool) {
+    fn fn_item(&mut self, ctx: Option<&str>) {
         let fn_line = self.line();
         self.i += 1; // `fn`
         let Some(Tok::Ident(name)) = self.peek(0) else {
@@ -462,9 +420,6 @@ impl<'a> Parser<'a> {
         };
         let name = name.clone();
         self.i += 1;
-        if in_trait {
-            self.out.trait_methods.push(name.clone());
-        }
         // Scan the signature for the body `{` (or `;` for bodiless
         // declarations). `->` return types may contain parens; `where`
         // clauses may contain `<...>`; neither contains braces.
@@ -495,7 +450,6 @@ impl<'a> Parser<'a> {
             file: self.file.to_string(),
             line: fn_line,
             is_test: self.in_test(fn_line),
-            calls: Vec::new(),
             sites: Vec::new(),
         };
         self.body(body_open, body_close, &mut def);
@@ -505,35 +459,18 @@ impl<'a> Parser<'a> {
         self.out.fns.push(def);
     }
 
-    /// Scans a `{ ... }` body collecting calls and sites into `def`.
+    /// Scans a `{ ... }` body collecting panic sites into `def`.
     /// Nested `fn` items become their own [`FnDef`]s.
     fn body(&mut self, open: usize, close: usize, def: &mut FnDef) {
-        // Active lock regions: (token index limit policy) — each entry
-        // is `(guard_name, depth_at_lock, stmt_only)`; a region ends at
-        // `drop(guard)`, at the closing `}` of its block, or (for
-        // un-bound guard temporaries) at the next `;`.
-        struct LockRegion {
-            guard: Option<String>,
-            depth: usize,
-            stmt_only: bool,
-        }
-        let mut locks: Vec<LockRegion> = Vec::new();
-        let mut depth = 0usize;
         let mut j = open;
         while j <= close && j < self.toks.len() {
             let line = self.toks[j].line;
             match &self.toks[j].tok {
-                Tok::Punct('{') => depth += 1,
-                Tok::Punct('}') => {
-                    depth = depth.saturating_sub(1);
-                    locks.retain(|l| l.depth <= depth);
-                }
-                Tok::Punct(';') => locks.retain(|l| !l.stmt_only),
                 Tok::Ident(w) if w == "fn" => {
                     // A nested function item: parse it independently.
                     let save = self.i;
                     self.i = j;
-                    self.fn_item(None, false);
+                    self.fn_item(None);
                     j = self.i;
                     self.i = save;
                     continue;
@@ -541,10 +478,7 @@ impl<'a> Parser<'a> {
                 Tok::Ident(w) => {
                     let prev = j.checked_sub(1).map(|p| &self.toks[p].tok);
                     let next = self.toks.get(j + 1).map(|t| &t.tok);
-                    let is_method = prev == Some(&Tok::Punct('.'));
-                    let next_is_paren = next == Some(&Tok::Punct('('));
                     let next_is_bang = next == Some(&Tok::Punct('!'));
-                    let in_lock = !locks.is_empty();
 
                     // Macro invocation: `name!(..)` / `name![..]` /
                     // `name!{..}` — macro *definitions* are skipped
@@ -567,8 +501,8 @@ impl<'a> Parser<'a> {
                     if next_is_bang && w.starts_with("debug_assert") {
                         // Release no-ops: their argument tokens are not
                         // reachable code in production builds, so the
-                        // calls inside them must not become calls or
-                        // sites of the enclosing fn.
+                        // sites inside them must not become sites of the
+                        // enclosing fn.
                         let mut k = j + 2;
                         if matches!(
                             self.toks.get(k).map(|t| &t.tok),
@@ -592,124 +526,21 @@ impl<'a> Parser<'a> {
                         j = k + 1;
                         continue;
                     }
-                    if next_is_bang {
-                        if PANIC_MACROS.contains(&w.as_str()) {
-                            def.sites.push(Site {
-                                what: format!("{w}!"),
-                                line,
-                            });
-                        }
-                        j += 1;
-                        continue;
-                    }
-
-                    if is_method && next_is_paren {
-                        // `.name(...)`.
-                        if PANIC_METHODS.contains(&w.as_str()) {
-                            def.sites.push(Site {
-                                what: format!(".{w}()"),
-                                line,
-                            });
-                        }
-                        def.calls.push(Call {
-                            path: vec![w.clone()],
+                    if next_is_bang && PANIC_MACROS.contains(&w.as_str()) {
+                        def.sites.push(Site {
+                            what: format!("{w}!"),
                             line,
-                            method: true,
-                            in_lock,
                         });
-                    } else if next_is_paren && !NON_CALL_KEYWORDS.contains(&w.as_str()) {
-                        // Free/path call: walk the `a::b::w` chain back.
-                        let mut path = vec![w.clone()];
-                        let mut k = j;
-                        while k >= 2
-                            && self.toks[k - 1].tok == Tok::Punct(':')
-                            && self.toks[k - 2].tok == Tok::Punct(':')
-                        {
-                            if k >= 3 {
-                                if let Tok::Ident(seg) = &self.toks[k - 3].tok {
-                                    path.insert(0, seg.clone());
-                                    k -= 3;
-                                    continue;
-                                }
-                            }
-                            break;
-                        }
-                        def.calls.push(Call {
-                            path,
-                            line,
-                            method: false,
-                            in_lock,
-                        });
-                    }
-
-                    // Lock acquisition: `<...>driver.lock()`.
-                    if is_method
-                        && next_is_paren
-                        && w == "lock"
-                        && j >= 3
-                        && self.toks[j - 2].tok == Tok::Ident("driver".into())
+                    } else if prev == Some(&Tok::Punct('.'))
+                        && next == Some(&Tok::Punct('('))
+                        && PANIC_METHODS.contains(&w.as_str())
                     {
-                        // Find the `let [mut] NAME =` binding for this
-                        // statement, if any.
-                        let mut guard = None;
-                        let mut b = j;
-                        while b > open {
-                            b -= 1;
-                            match &self.toks[b].tok {
-                                Tok::Punct(';') | Tok::Punct('{') | Tok::Punct('}') => break,
-                                Tok::Ident(kw) if kw == "let" => {
-                                    let mut n = b + 1;
-                                    if self.toks.get(n).map(|t| &t.tok)
-                                        == Some(&Tok::Ident("mut".into()))
-                                    {
-                                        n += 1;
-                                    }
-                                    if let Some(Tok::Ident(g)) = self.toks.get(n).map(|t| &t.tok) {
-                                        guard = Some(g.clone());
-                                    }
-                                    break;
-                                }
-                                _ => {}
-                            }
-                        }
-                        // A guard chained straight into a method call
-                        // (`driver.lock().next_deadline()`) is a statement
-                        // temporary: the region ends at the `;`.
-                        let after_call = {
-                            let mut k = j + 1; // `(`
-                            let mut d = 0usize;
-                            while k <= close {
-                                match self.toks[k].tok {
-                                    Tok::Punct('(') => d += 1,
-                                    Tok::Punct(')') => {
-                                        d -= 1;
-                                        if d == 0 {
-                                            break;
-                                        }
-                                    }
-                                    _ => {}
-                                }
-                                k += 1;
-                            }
-                            self.toks.get(k + 1).map(|t| &t.tok)
-                        };
-                        // When the guard is chained straight into a
-                        // further call, any `let` binds the *chain
-                        // result*, not the guard — the guard temporary
-                        // still dies at the `;`.
-                        let chained = after_call == Some(&Tok::Punct('.'));
-                        locks.push(LockRegion {
-                            guard: if chained { None } else { guard },
-                            depth,
-                            stmt_only: chained,
+                        // `.name(...)` only: `Bytes::copy_from_slice(..)`
+                        // is a constructor, not a site.
+                        def.sites.push(Site {
+                            what: format!(".{w}()"),
+                            line,
                         });
-                    }
-
-                    // `drop(guard)` releases the named guard early.
-                    if w == "drop" && next_is_paren {
-                        if let Some(Tok::Ident(arg)) = self.toks.get(j + 2).map(|t| &t.tok) {
-                            locks.retain(|l| l.guard.as_deref() != Some(arg.as_str()));
-                        }
                     }
                 }
                 _ => {}
@@ -756,10 +587,8 @@ mod tests {
         let p = parse_str("crates/core/src/x.rs", src);
         let f = &p.fns[0];
         let sites: Vec<(&str, u32)> = f.sites.iter().map(|s| (s.what.as_str(), s.line)).collect();
+        // The calls around them are not sites.
         assert_eq!(sites, [("assert!", 6), (".copy_from_slice()", 7)]);
-        let paths: Vec<String> = f.calls.iter().map(|c| c.path.join("::")).collect();
-        assert!(paths.contains(&"helper".to_string()));
-        assert!(paths.contains(&"proto::codec::encode".to_string()));
     }
 
     #[test]
@@ -789,60 +618,6 @@ mod tests {
         let t = &p.structs[1];
         assert_eq!(t.fields.len(), 2);
         assert!(t.fields[0].type_idents.contains(&"VecDeque".to_string()));
-    }
-
-    #[test]
-    fn lock_region_marks_calls_until_block_end() {
-        let src = "fn f(&self) {\n\
-                     before();\n\
-                     {\n\
-                       let mut driver = self.inner.driver.lock();\n\
-                       under(driver);\n\
-                     }\n\
-                     after();\n\
-                   }";
-        let p = parse_str("crates/net/src/x.rs", src);
-        let f = &p.fns[0];
-        let locked: Vec<&str> = f
-            .calls
-            .iter()
-            .filter(|c| c.in_lock)
-            .map(|c| c.path.last().map(String::as_str).unwrap_or(""))
-            .collect();
-        assert_eq!(locked, ["under"]);
-    }
-
-    #[test]
-    fn statement_temporary_lock_covers_one_statement() {
-        let src = "fn f(&self) {\n\
-                     let next = self.inner.driver.lock().next_deadline();\n\
-                     not_under();\n\
-                   }";
-        let p = parse_str("crates/net/src/x.rs", src);
-        let f = &p.fns[0];
-        assert!(f.calls.iter().all(|c| {
-            c.path.last().map(String::as_str) != Some("not_under") || !c.in_lock
-        }));
-    }
-
-    #[test]
-    fn drop_releases_named_guard() {
-        let src = "fn f(&self) {\n\
-                     let driver = self.inner.driver.lock();\n\
-                     under();\n\
-                     drop(driver);\n\
-                     after_drop();\n\
-                   }";
-        let p = parse_str("crates/net/src/x.rs", src);
-        let f = &p.fns[0];
-        for c in &f.calls {
-            let name = c.path.last().map(String::as_str).unwrap_or("");
-            match name {
-                "under" => assert!(c.in_lock),
-                "after_drop" => assert!(!c.in_lock, "lock must end at drop()"),
-                _ => {}
-            }
-        }
     }
 
     #[test]

@@ -16,10 +16,6 @@ pub struct Report {
     /// surfaced so it gets deleted instead of rotting): `(file, line,
     /// rule)`.
     pub stale_waivers: Vec<(String, u32, String)>,
-    /// Call-graph size: non-test functions in the symbol table.
-    pub graph_functions: usize,
-    /// Call-graph size: resolved call edges.
-    pub graph_edges: usize,
     /// Inline waivers per rule, used or stale, and reasoned clippy
     /// exceptions per `clippy::<lint>` (the `[waivers]` ratchet input).
     pub waiver_counts: BTreeMap<String, u64>,
@@ -43,11 +39,7 @@ impl Report {
     /// The per-rule summary table plus a listing of active violations.
     pub fn render_table(&self) -> String {
         let mut s = String::new();
-        let _ = writeln!(
-            s,
-            "swim-lint: {} files analyzed, call graph: {} fns / {} edges",
-            self.files, self.graph_functions, self.graph_edges
-        );
+        let _ = writeln!(s, "swim-lint: {} files analyzed", self.files);
         let _ = writeln!(s, "{:<16} {:>8} {:>8}", "rule", "active", "waived");
         let _ = writeln!(s, "{:-<16} {:->8} {:->8}", "", "", "");
         for rule in ALL_RULES {
@@ -75,17 +67,12 @@ impl Report {
     }
 
     /// The machine-readable report (`target/ANALYSIS.json`): per-rule
-    /// counts, the call-graph summary, and every active violation.
+    /// counts and every active violation.
     pub fn render_json(&self, passed: bool) -> String {
-        let mut s = String::from("{\n  \"schema\": 4,\n");
+        let mut s = String::from("{\n  \"schema\": 5,\n");
         let _ = writeln!(s, "  \"passed\": {passed},");
         let _ = writeln!(s, "  \"files_analyzed\": {},", self.files);
         let _ = writeln!(s, "  \"unused_waivers\": {},", self.stale_waivers.len());
-        let _ = writeln!(
-            s,
-            "  \"call_graph\": {{\"functions\": {}, \"edges\": {}}},",
-            self.graph_functions, self.graph_edges
-        );
         s.push_str("  \"rules\": {\n");
         for (i, rule) in ALL_RULES.iter().enumerate() {
             let comma = if i + 1 == ALL_RULES.len() { "" } else { "," };

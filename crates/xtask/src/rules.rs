@@ -14,18 +14,17 @@ use crate::lexer::{lex, Comment, LexedFile, Tok};
 pub const RULE_LAYERING: &str = "layering";
 pub const RULE_FFI: &str = "ffi";
 pub const RULE_WAIVER: &str = "waiver";
-/// Call-graph rules (see [`graph`](crate::graph)).
+/// Item rules over parsed functions and structs (see
+/// [`graph`](crate::graph)).
 pub const RULE_PANIC_PATH: &str = "panic_path";
-pub const RULE_LOCK_DISCIPLINE: &str = "lock_discipline";
 pub const RULE_BOUNDED_GROWTH: &str = "bounded_growth";
 
 /// All rules, for reports and waiver validation.
-pub const ALL_RULES: [&str; 6] = [
+pub const ALL_RULES: [&str; 5] = [
     RULE_LAYERING,
     RULE_FFI,
     RULE_WAIVER,
     RULE_PANIC_PATH,
-    RULE_LOCK_DISCIPLINE,
     RULE_BOUNDED_GROWTH,
 ];
 
@@ -84,7 +83,7 @@ pub fn classify(rel: &str) -> FileClass {
     }
 }
 
-/// A parsed inline waiver. Public so the call-graph pass can honor
+/// A parsed inline waiver. Public so the item-rule pass can honor
 /// waivers for its rules after the lexical pass ran; `used` is a `Cell`
 /// so both passes can mark coverage before stale waivers are counted.
 #[derive(Debug, Clone)]
@@ -166,8 +165,8 @@ pub fn waiver_reason(waivers: &[Waiver], rule: &str, line: u32) -> Option<String
 }
 
 /// Line ranges occupied by `#[cfg(test)]` / `#[test]`-attributed items
-/// (the item body is skipped by test-scoped rules, and functions inside
-/// them are excluded from the call graph).
+/// (the item body is skipped by test-scoped rules, and functions and
+/// structs inside them by the item rules).
 pub fn test_ranges(lexed: &LexedFile) -> Vec<(u32, u32)> {
     let toks = &lexed.tokens;
     let mut ranges = Vec::new();
@@ -253,7 +252,7 @@ fn in_ranges(ranges: &[(u32, u32)], line: u32) -> bool {
 ///
 /// This is the lexical-rules-only convenience wrapper (fixture tests
 /// use it); the workspace walk lexes once and feeds
-/// [`analyze_lexed`] + the parser + the graph pass, counting unused
+/// [`analyze_lexed`] + the parser + the item-rule pass, counting unused
 /// waivers only after every pass had a chance to use them.
 pub fn analyze_file(rel_path: &str, src: &str) -> (Vec<Violation>, usize) {
     let lexed = lex(src);

@@ -62,6 +62,7 @@ fn waivers_suppress_validate_and_report_staleness() {
             (RULE_WAIVER, 10, false),   // ... and is itself a violation
             (RULE_WAIVER, 15, false),   // unknown rule name
             (RULE_WAIVER, 21, false),   // a rule swim-lint no longer has
+            (RULE_WAIVER, 24, false),   // ... and so is the lock rule
         ]
     );
     assert_eq!(unused, 1, "the waiver above `fn stale` matches nothing");

@@ -20,3 +20,6 @@ fn stale() {}
 
 // lint: allow(lossy_cast) — a deleted rule is an unknown rule
 fn deleted_rule() {}
+
+// lint: allow(lock_discipline) — the reactor owns the driver; no lock is left
+fn deleted_lock_rule() {}

@@ -1,14 +1,14 @@
-//! Mini-workspace tests for the graph rules: each test feeds a handful
+//! Mini-workspace tests for the item rules: each test feeds a handful
 //! of synthetic sources through [`xtask::analyze_sources`] with a
 //! purpose-built [`GraphConfig`] and asserts the exact findings — rule,
-//! line and message, not just counts — so a resolution regression (a
-//! dropped edge, a mis-scoped crate) shows up as a concrete wrong
-//! finding, not a silently smaller number.
+//! line and message, not just counts — so a scoping regression (a
+//! mis-scoped crate, a missed containment step) shows up as a concrete
+//! wrong finding, not a silently smaller number.
 
 use xtask::analyze_sources;
 use xtask::graph::GraphConfig;
 use xtask::report::Report;
-use xtask::rules::{RULE_BOUNDED_GROWTH, RULE_LOCK_DISCIPLINE, RULE_PANIC_PATH};
+use xtask::rules::{RULE_BOUNDED_GROWTH, RULE_PANIC_PATH};
 
 fn sources(files: &[(&str, &str)]) -> Vec<(String, String)> {
     files
@@ -17,21 +17,15 @@ fn sources(files: &[(&str, &str)]) -> Vec<(String, String)> {
         .collect()
 }
 
-/// A config whose graph covers `core`, `net`, and the polling shim,
-/// with no roots or lock crates — tests switch on exactly the rule
-/// under test so fixtures cannot trip each other.
+/// A config covering `core`, `net`, and the polling shim, with no
+/// long-lived roots — tests switch on exactly the rule under test so
+/// fixtures cannot trip each other.
 fn base_config() -> GraphConfig {
     GraphConfig {
         graph_crates: vec!["core".into(), "net".into(), "compat/polling".into()],
-        deps: vec![
-            ("core".into(), vec![]),
-            ("net".into(), vec!["core".into(), "compat/polling".into()]),
-        ],
         long_lived_roots: vec![],
         bounded_crates: vec![],
-        lock_crates: vec![],
         syscall_crate: "compat/polling".into(),
-        syscall_symbols: vec!["write".into(), "sendmmsg".into()],
     }
 }
 
@@ -144,151 +138,6 @@ fn unwaived(b: &[u8]) -> (&[u8], &[u8]) {
         report.stale_waivers.is_empty(),
         "{:?}",
         report.stale_waivers
-    );
-}
-
-#[test]
-fn lock_discipline_traces_the_call_to_the_syscall_wrapper() {
-    let shim = r#"
-pub fn send_now(fd: i32) -> i32 {
-    // SAFETY: fixture — raw call is the point of the shim.
-    unsafe { write(fd) }
-}
-extern "C" {
-    fn write(fd: i32) -> i32;
-}
-"#;
-    let agent = r#"
-pub struct Agent;
-impl Agent {
-    pub fn flush(&self) {
-        let mut g = self.driver.lock();
-        g.step();
-        send_now(0);
-    }
-    pub fn outside(&self) {
-        send_now(0);
-    }
-}
-"#;
-    let mut config = base_config();
-    config.lock_crates = vec!["net".into()];
-    let report = analyze_sources(
-        &sources(&[
-            ("crates/compat/polling/src/lib.rs", shim),
-            ("crates/net/src/agent.rs", agent),
-        ]),
-        &config,
-    );
-    let active: Vec<_> = report.active(RULE_LOCK_DISCIPLINE).collect();
-    assert_eq!(active.len(), 1, "{active:?}");
-    assert_eq!(active[0].file, "crates/net/src/agent.rs");
-    assert_eq!(active[0].line, 7, "the send_now call under the guard");
-    assert_eq!(
-        active[0].message,
-        "call under the driver lock reaches a syscall wrapper: \
-         send_now (in `Agent::flush`)"
-    );
-}
-
-#[test]
-fn lock_discipline_counts_std_socket_methods_as_syscalls() {
-    let agent = r#"
-pub struct Agent;
-impl Agent {
-    pub fn drive(&self) {
-        {
-            let mut g = self.driver.lock();
-            g.step();
-            send_byte(&self.udp);
-        }
-        send_byte(&self.udp);
-    }
-}
-fn send_byte(udp: &UdpSocket) {
-    let _ = udp.send_to(b"x", "127.0.0.1:1");
-}
-"#;
-    let mut config = base_config();
-    config.lock_crates = vec!["net".into()];
-    let report = analyze_sources(&sources(&[("crates/net/src/agent.rs", agent)]), &config);
-    let active: Vec<_> = report.active(RULE_LOCK_DISCIPLINE).collect();
-    assert_eq!(active.len(), 1, "{active:?}");
-    assert_eq!(
-        active[0].line, 8,
-        "the send under the guard, not the one after it"
-    );
-    assert_eq!(
-        active[0].message,
-        "call under the driver lock reaches a syscall wrapper: \
-         send_byte (in `Agent::drive`)"
-    );
-}
-
-#[test]
-fn lock_discipline_flags_a_syscall_made_directly_under_the_lock() {
-    // The call under the guard resolves to no workspace fn — it *is*
-    // the syscall — so only the direct check can see it.
-    let agent = r#"
-pub struct Reactor;
-impl Reactor {
-    fn drive(&mut self, input: Input) {
-        {
-            let mut driver = self.inner.driver.lock();
-            let _ = driver.handle(input, &mut self.send_io);
-            let _ = self.inner.udp.send_to(&[], self.inner.advertised.socket_addr());
-        }
-        self.flush();
-    }
-}
-"#;
-    let mut config = base_config();
-    config.lock_crates = vec!["net".into()];
-    let report = analyze_sources(&sources(&[("crates/net/src/reactor.rs", agent)]), &config);
-    let active: Vec<_> = report.active(RULE_LOCK_DISCIPLINE).collect();
-    assert_eq!(active.len(), 1, "{active:?}");
-    assert_eq!(active[0].line, 8, "the send_to under the guard");
-    assert_eq!(
-        active[0].message,
-        "call under the driver lock is a syscall: send_to (in `Reactor::drive`)"
-    );
-}
-
-#[test]
-fn lock_discipline_region_ends_at_drop() {
-    let shim = r#"
-pub fn send_now(fd: i32) -> i32 {
-    // SAFETY: fixture — raw call is the point of the shim.
-    unsafe { write(fd) }
-}
-extern "C" {
-    fn write(fd: i32) -> i32;
-}
-"#;
-    let agent = r#"
-pub struct Agent;
-impl Agent {
-    pub fn flush(&self) {
-        let mut g = self.driver.lock();
-        g.step();
-        drop(g);
-        send_now(0);
-    }
-}
-"#;
-    let mut config = base_config();
-    config.lock_crates = vec!["net".into()];
-    let report = analyze_sources(
-        &sources(&[
-            ("crates/compat/polling/src/lib.rs", shim),
-            ("crates/net/src/agent.rs", agent),
-        ]),
-        &config,
-    );
-    assert_eq!(
-        report.active(RULE_LOCK_DISCIPLINE).count(),
-        0,
-        "after drop(guard) the lock region is over"
     );
 }
 

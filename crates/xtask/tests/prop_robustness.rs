@@ -1,7 +1,7 @@
 //! Property tests: the analyzer must never panic, whatever bytes it is
 //! fed. swim-lint runs in CI over every source file in the workspace —
 //! including half-saved, mid-rebase, or macro-mangled ones — so the
-//! lexer, parser, and graph pass all have to degrade gracefully on
+//! lexer, parser, and item rules all have to degrade gracefully on
 //! arbitrary (even non-UTF-8-shaped, even unbalanced) input.
 
 use proptest::prelude::*;
@@ -40,8 +40,8 @@ proptest! {
         let _ = rules::analyze_lexed("crates/core/src/fuzz.rs", &lexed);
     }
 
-    /// The full pipeline — lexer, parser, call graph, all three graph
-    /// rules, the clippy-exception count — survives arbitrary splices of Rust-shaped fragments
+    /// The full pipeline — lexer, parser, both item rules, the
+    /// clippy-exception count — survives arbitrary splices of Rust-shaped fragments
     /// (unterminated strings and comments, unbalanced brackets, waiver
     /// syntax cut off mid-token).
     #[test]

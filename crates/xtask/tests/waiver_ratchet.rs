@@ -66,6 +66,28 @@ fn waiver_count_may_not_rise_and_must_be_recorded_when_it_falls() {
     assert_eq!(parsed.waivers.get("layering"), Some(&1));
 }
 
+/// A row for a rule swim-lint does not have would pass forever at
+/// `have = base = 0`; it fails instead, `--update-baseline` or not.
+#[test]
+fn baseline_row_for_an_unknown_rule_fails() {
+    let root = workspace(
+        "waivers_unknown_row",
+        WAIVED_CLOCK,
+        "[waivers]\nbogus_rule = 0\nlayering = 1\n",
+    );
+    for update in [false, true] {
+        let outcome = xtask::run_lint(&root, update).unwrap();
+        assert!(
+            outcome
+                .failures
+                .iter()
+                .any(|f| f.contains("`bogus_rule` names no swim-lint rule")),
+            "update={update}: {:?}",
+            outcome.failures
+        );
+    }
+}
+
 #[test]
 fn clippy_expectations_are_ratcheted_like_waivers() {
     let exact = workspace(
