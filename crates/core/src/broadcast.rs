@@ -20,29 +20,48 @@
 //! The seed implementation kept a flat `Vec`, ran an O(n) `retain` on
 //! every enqueue to invalidate the subject's older broadcast, and
 //! re-sorted the whole queue (O(n log n)) for every packet filled. This
-//! version keeps the entries in a slab (`Vec` + free list) whose slots
-//! keep their encode buffer, an O(1) `HashMap<NodeName, slot>`
-//! invalidation index, and a lazy max-heap ordered by the selection key
-//! `(fewest transmits, newest id)`, `id` being a monotonically
-//! increasing enqueue stamp:
+//! version keeps the entries in a slab (`Vec` + free list), an O(1)
+//! `HashMap<NodeName, slot>` invalidation index, and a lazy max-heap
+//! ordered by the selection key `(fewest transmits, newest id)`, `id`
+//! being a monotonically increasing enqueue stamp:
 //!
 //! * [`BroadcastQueue::enqueue`] about a subject already queued
-//!   overwrites that subject's slot in place — new stamp, message
-//!   encoded into the slot's buffer — and otherwise takes a free slot;
-//!   either way one amortized-O(1) heap push. Invalidated entries are
-//!   *not* touched in the heap; a heap item carries the stamp it was
-//!   pushed under, and one whose slot now holds another stamp (or
-//!   nothing) is discarded when it eventually surfaces.
+//!   overwrites that subject's slot in place — new stamp, new encoding —
+//!   and otherwise takes a free slot; either way one amortized-O(1) heap
+//!   push. Invalidated entries are *not* touched in the heap; a heap
+//!   item carries the stamp it was pushed under, and one whose slot now
+//!   holds another stamp (or nothing) is discarded when it eventually
+//!   surfaces.
 //! * [`BroadcastQueue::fill`] pops in selection order and does
 //!   O(selected + skipped) work per packet instead of sorting all n
 //!   queued broadcasts; a running lower bound of the smallest encoded
 //!   message lets it stop as soon as nothing else can fit.
 //!
-//! In steady state neither allocates: slots, their buffers, the heap
-//! and the re-queue list are all reused.
+//! # One byte arena
+//!
+//! A queued broadcast is its wire encoding. A slot holds only its
+//! stamp, subject, transmit count and the byte range of its encoding in
+//! one arena the queue owns: no decoded `Message` and no buffer per
+//! slot ([`BroadcastQueue::queued_for`] decodes from the arena). An
+//! enqueue appends its encoding, or writes it over the superseded one
+//! when it fits there; a superseded encoding it did not fit in, and a
+//! retired broadcast's, stay behind as garbage. Once the garbage
+//! outweighs the live bytes by more than a small floor, the enqueue
+//! compacts in place: the heap's own buffer, cut to one item per live
+//! slot and sorted by offset, gives the encodings in arena order, and
+//! each slides down over the garbage; no slot moves, so the subject
+//! index is untouched. That is O(queue log queue) work paid for by more
+//! garbage bytes than live ones, so the arena stays within twice the
+//! live bytes plus the floor. The arena is cleared when the queue
+//! empties, so a drained queue refills from offset 0.
+//!
+//! In steady state neither enqueue nor fill allocates: the slab, the
+//! arena, the heap and the re-queue list are all reused, and compaction
+//! works inside them.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
+use std::ops::Range;
 
 use bytes::BytesMut;
 use lifeguard_proto::compound::{CompoundBuilder, MAX_COMPOUND_PARTS};
@@ -51,6 +70,11 @@ use lifeguard_proto::{codec, Message, NodeName};
 /// The gossip retransmission multiplier λ (memberlist LAN: 4).
 pub const RETRANSMIT_MULT: u32 = 4;
 
+/// Garbage bytes the arena may hold beyond its live bytes before an
+/// enqueue compacts it, so a small queue with a few overwrites never
+/// compacts.
+const GARBAGE_FLOOR: usize = 1024;
+
 /// Gossip retransmit limit for a group of `n` members:
 /// `λ·⌈log10(n + 1)⌉`.
 pub fn retransmit_limit(n: usize) -> u32 {
@@ -58,20 +82,31 @@ pub fn retransmit_limit(n: usize) -> u32 {
     RETRANSMIT_MULT * log.max(1)
 }
 
-/// One slab slot: a queued gossip broadcast, or a vacancy that keeps
-/// its encode buffer for the next one.
+/// One slab slot: a queued gossip broadcast, or a vacancy.
 #[derive(Clone, Debug)]
 struct Slot {
     /// Enqueue stamp of the broadcast held (or last held) here.
     id: u64,
-    /// The decoded message (kept for the Buddy System and debugging);
-    /// its gossip subject is the invalidation key. `None` while the
-    /// slot is on the free list.
-    msg: Option<Message>,
-    /// Pre-encoded wire bytes of `msg`.
-    encoded: BytesMut,
+    /// The broadcast's gossip subject, its invalidation key. `None`
+    /// while the slot is on the free list.
+    subject: Option<NodeName>,
     /// How many times this broadcast has been transmitted.
     transmits: u32,
+    /// The broadcast's wire encoding is `arena[start..end]`. `u32`
+    /// offsets keep a slot at 40 bytes: the arena holds at most one
+    /// encoding per member plus as much garbage.
+    start: u32,
+    end: u32,
+}
+
+impl Slot {
+    fn range(&self) -> Range<usize> {
+        self.start as usize..self.end as usize
+    }
+
+    fn len(&self) -> usize {
+        self.range().len()
+    }
 }
 
 /// Heap item `(Reverse(transmits), id, slot)`: max-heap order pops the
@@ -95,6 +130,12 @@ pub struct BroadcastQueue {
     /// The slot of the queued broadcast per subject (invalidation index).
     // bounded: one key per subject member, unlinked on retire — ≤ cluster size
     by_subject: HashMap<NodeName, u32>,
+    /// The wire encodings of the queued broadcasts, each a slot's range,
+    /// and `garbage` bytes no slot refers to.
+    // bounded: ≤ 2 × live bytes + GARBAGE_FLOOR after every enqueue (compaction), cleared when the queue empties
+    arena: BytesMut,
+    /// Bytes of `arena` left behind by overwritten or retired broadcasts.
+    garbage: usize,
     /// Selection order with lazy deletion.
     // bounded: ≤ `live` items plus stale items, which surfacing pops drop; compaction caps stale growth at 2:1
     heap: BinaryHeap<HeapItem>,
@@ -120,6 +161,8 @@ impl Default for BroadcastQueue {
             free: Vec::new(),
             live: 0,
             by_subject: HashMap::new(),
+            arena: BytesMut::new(),
+            garbage: 0,
             heap: BinaryHeap::new(),
             requeue: Vec::new(),
             next_id: 0,
@@ -146,7 +189,8 @@ impl BroadcastQueue {
     }
 
     /// Enqueues a gossip message, invalidating any queued broadcast about
-    /// the same member. Amortized O(1).
+    /// the same member. Amortized O(log n): a heap push, and a share of
+    /// the compaction the garbage it leaves behind pays for.
     ///
     /// # Panics
     ///
@@ -156,21 +200,16 @@ impl BroadcastQueue {
         let Some(subject) = msg.gossip_subject() else {
             return;
         };
-        if self.live == 0 {
-            self.min_len = usize::MAX;
-        }
         let index = match self.by_subject.get(subject) {
-            // The superseded broadcast stops existing now: its slot is
-            // overwritten, and its heap item is discarded lazily when
-            // it surfaces under the old id.
             Some(&index) => index,
             None => {
                 let index = self.free.pop().unwrap_or_else(|| {
                     self.slots.push(Slot {
                         id: 0,
-                        msg: None,
-                        encoded: BytesMut::new(),
+                        subject: None,
                         transmits: 0,
+                        start: 0,
+                        end: 0,
                     });
                     (self.slots.len() - 1) as u32
                 });
@@ -185,33 +224,53 @@ impl BroadcastQueue {
             debug_assert!(false, "subject index points outside the slab");
             return;
         };
+        if slot.subject.is_none() {
+            slot.subject = Some(subject.clone());
+        }
+        // The superseded broadcast stops existing now: its encoding is
+        // overwritten in place when the new one fits, and otherwise left
+        // behind as garbage; its heap item is discarded lazily when it
+        // surfaces under the old id.
+        let old = slot.range();
+        let start = self.arena.len();
+        codec::encode_message_into(&msg, &mut self.arena);
+        let len = self.arena.len() - start;
+        if !old.is_empty() && len <= old.len() {
+            slide_down(&mut self.arena, start..start + len, old.start);
+            self.arena.truncate(start);
+            self.garbage += old.len() - len;
+            slot.start = old.start as u32;
+        } else {
+            self.garbage += old.len();
+            slot.start = start as u32;
+        }
+        slot.end = slot.start + len as u32;
         slot.id = id;
         slot.transmits = 0;
-        slot.encoded.clear();
-        codec::encode_message_into(&msg, &mut slot.encoded);
-        self.min_len = self.min_len.min(slot.encoded.len());
-        slot.msg = Some(msg);
+        self.min_len = self.min_len.min(len);
         self.heap.push((Reverse(0), id, index));
-        // Stale items (from invalidations of rarely-selected subjects)
-        // are normally discarded as they surface, but sustained churn
-        // can strand them below fresher entries forever; compact once
-        // they outnumber live entries 2:1.
-        if self.heap.len() > 2 * self.live + 16 {
+        if self.garbage > self.arena.len() - self.garbage + GARBAGE_FLOOR {
+            self.compact();
+        } else if self.heap.len() > 2 * self.live + 16 {
+            // Stale items (from invalidations of rarely-selected
+            // subjects) are normally discarded as they surface, but
+            // sustained churn can strand them below fresher entries
+            // forever; compact once they outnumber live entries 2:1.
             self.heap.clear();
             self.heap.extend(
                 (0u32..)
                     .zip(&self.slots)
-                    .filter(|(_, slot)| slot.msg.is_some())
+                    .filter(|(_, slot)| slot.subject.is_some())
                     .map(|(index, slot)| (Reverse(slot.transmits), slot.id, index)),
             );
         }
     }
 
-    /// The queued message about `subject`, if any (used by tests and
-    /// introspection). O(1).
-    pub fn queued_for(&self, subject: &NodeName) -> Option<&Message> {
-        let index = self.by_subject.get(subject)?;
-        self.slots.get(*index as usize)?.msg.as_ref()
+    /// The queued message about `subject`, if any, decoded from its wire
+    /// bytes (used by tests and introspection). O(message size).
+    pub fn queued_for(&self, subject: &NodeName) -> Option<Message> {
+        let slot = self.slots.get(*self.by_subject.get(subject)? as usize)?;
+        codec::decode_message(self.arena.get(slot.range())?).ok()
     }
 
     /// Fills `builder` with as many queued broadcasts as fit, preferring
@@ -274,19 +333,19 @@ impl BroadcastQueue {
                 self.requeue.push((Reverse(transmits), id, index));
                 break;
             }
-            let subject = entry.msg.as_ref().and_then(Message::gossip_subject);
-            if exclude.is_some() && subject == exclude {
+            if exclude.is_some() && entry.subject.as_ref() == exclude {
                 self.requeue.push((Reverse(transmits), id, index));
                 continue;
             }
-            if entry.encoded.len() > builder.remaining() {
+            if entry.len() > builder.remaining() {
                 self.requeue.push((Reverse(transmits), id, index));
                 if builder.remaining() < self.min_len {
                     break; // nothing queued can be smaller
                 }
                 continue;
             }
-            if builder.try_add_bytes(&entry.encoded) {
+            let encoded = self.arena.get(entry.range()).unwrap_or_default();
+            if builder.try_add_bytes(encoded) {
                 let after = transmits + copies;
                 if after >= transmit_limit {
                     self.retire(index);
@@ -299,17 +358,6 @@ impl BroadcastQueue {
             }
         }
         self.heap.extend(self.requeue.iter().copied());
-    }
-
-    /// Removes every queued broadcast (used on shutdown).
-    pub fn clear(&mut self) {
-        self.slots.clear();
-        self.free.clear();
-        self.live = 0;
-        self.by_subject.clear();
-        self.heap.clear();
-        self.min_len = usize::MAX;
-        self.last_limit = 0;
     }
 
     /// Pops stale/over-limit heap items until the top is a live,
@@ -325,7 +373,7 @@ impl BroadcastQueue {
             // Invalidated (the slot was vacated or overwritten) or
             // re-prioritised (a fresher item exists): drop the stale
             // item.
-            if slot.msg.is_none() || slot.id != id || slot.transmits != transmits {
+            if slot.subject.is_none() || slot.id != id || slot.transmits != transmits {
                 continue;
             }
             if transmits >= transmit_limit {
@@ -336,23 +384,138 @@ impl BroadcastQueue {
         }
     }
 
-    /// Vacates slot `index`, keeping its buffer. A live slot is the one
-    /// its subject points at (a newer broadcast about that subject
-    /// overwrites it rather than taking another), so the subject is
-    /// unlinked with it.
+    /// Vacates slot `index`; its bytes become garbage. A live slot is
+    /// the one its subject points at (a newer broadcast about that
+    /// subject overwrites it rather than taking another), so the
+    /// subject is unlinked with it. The last retirement clears the
+    /// arena.
     fn retire(&mut self, index: u32) {
-        let Some(msg) = self
-            .slots
-            .get_mut(index as usize)
-            .and_then(|s| s.msg.take())
-        else {
+        let Some(slot) = self.slots.get_mut(index as usize) else {
             return;
         };
-        if let Some(subject) = msg.gossip_subject() {
-            self.by_subject.remove(subject);
-        }
+        let Some(subject) = slot.subject.take() else {
+            return;
+        };
+        self.by_subject.remove(&subject);
+        self.garbage += slot.len();
+        slot.end = slot.start;
         self.live -= 1;
         self.free.push(index);
+        if self.live == 0 {
+            self.arena.clear();
+            self.garbage = 0;
+            self.min_len = usize::MAX;
+        }
+    }
+
+    /// Slides every live encoding down over the garbage, without
+    /// allocating and without moving a slot. Each live slot has exactly
+    /// one heap item carrying its id and transmit count, so the heap's
+    /// own buffer, cut to those items and sorted by the slots' offsets,
+    /// lists the live encodings in arena order: each then moves towards
+    /// offset 0 and never over one not yet moved. The items become the
+    /// heap again, with the stale ones gone.
+    fn compact(&mut self) {
+        let mut items = std::mem::take(&mut self.heap).into_vec();
+        let slots = &self.slots;
+        items.retain(|&(Reverse(transmits), id, index)| {
+            slots
+                .get(index as usize)
+                .is_some_and(|s| s.subject.is_some() && s.id == id && s.transmits == transmits)
+        });
+        items.sort_unstable_by_key(|&(_, _, index)| slots.get(index as usize).map(|s| s.start));
+        let mut len = 0;
+        for &(_, _, index) in &items {
+            let Some(slot) = self.slots.get_mut(index as usize) else {
+                continue;
+            };
+            let from = slot.range();
+            slide_down(&mut self.arena, from.clone(), len);
+            slot.start = len as u32;
+            len += from.len();
+            slot.end = len as u32;
+        }
+        self.arena.truncate(len);
+        self.garbage = 0;
+        self.heap = BinaryHeap::from(items);
+    }
+
+    /// Checks the queue's bookkeeping against its contents: the live
+    /// count, the subject index, the arena's live ranges and garbage
+    /// count, and the `min_len` bound. O(n log n); for tests and
+    /// `SwimNode::check_invariants`.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the broken invariant, if any of them fails.
+    pub fn check_invariants(&self) {
+        let mut ranges: Vec<Range<usize>> = self
+            .slots
+            .iter()
+            .filter(|slot| slot.subject.is_some())
+            .map(Slot::range)
+            .collect();
+        assert_eq!(ranges.len(), self.live, "live count ≠ occupied slots");
+        assert_eq!(self.by_subject.len(), self.live, "live count ≠ index size");
+        for (subject, &index) in &self.by_subject {
+            let slot = self.slots.get(index as usize);
+            assert!(
+                slot.is_some_and(|s| s.subject.as_ref() == Some(subject)),
+                "index entry {subject:?} → slot {index} is not live with that subject"
+            );
+        }
+        ranges.sort_by_key(|r| r.start);
+        let mut end = 0;
+        for r in &ranges {
+            assert!(
+                r.start >= end,
+                "live range {r:?} overlaps the one before it"
+            );
+            assert!(
+                r.start <= r.end && r.end <= self.arena.len(),
+                "live range {r:?} outside the {}-byte arena",
+                self.arena.len()
+            );
+            assert!(
+                self.min_len <= r.len(),
+                "min_len {} exceeds the live length {}",
+                self.min_len,
+                r.len()
+            );
+            end = r.end;
+        }
+        let live_bytes: usize = ranges.iter().map(ExactSizeIterator::len).sum();
+        assert_eq!(
+            live_bytes + self.garbage,
+            self.arena.len(),
+            "live bytes plus garbage ≠ arena length"
+        );
+    }
+}
+
+/// Moves the bytes of `from` down to start at offset `to` (`to ≤
+/// from.start`), in chunks no longer than the distance moved so a chunk's
+/// source and destination never overlap, through checked accesses only.
+fn slide_down(arena: &mut [u8], from: Range<usize>, to: usize) {
+    let Some(distance) = from.start.checked_sub(to).filter(|&d| d > 0) else {
+        return;
+    };
+    let mut at = from.start;
+    while at < from.end {
+        let n = distance.min(from.end - at);
+        let Some((head, tail)) = arena.split_at_mut_checked(at) else {
+            return;
+        };
+        let (Some(dst), Some(src)) = (
+            head.get_mut(at - distance..at - distance + n),
+            tail.get(..n),
+        ) else {
+            return;
+        };
+        for (d, s) in dst.iter_mut().zip(src) {
+            *d = *s;
+        }
+        at += n;
     }
 }
 
@@ -464,7 +627,7 @@ mod tests {
         q.enqueue(suspect("a", "x", 1));
         q.enqueue(alive("a", 2));
         assert_eq!(q.len(), 1);
-        assert_eq!(q.queued_for(&"a".into()), Some(&alive("a", 2)));
+        assert_eq!(q.queued_for(&"a".into()), Some(alive("a", 2)));
         let msgs = drain(&mut q, 1);
         assert_eq!(msgs, vec![alive("a", 2)]);
     }
@@ -613,14 +776,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_empties_queue() {
-        let mut q = BroadcastQueue::new();
-        q.enqueue(alive("a", 1));
-        q.clear();
-        assert!(q.is_empty());
-    }
-
-    #[test]
     fn len_tracks_invalidation_and_retirement() {
         let mut q = BroadcastQueue::new();
         for i in 0..20 {
@@ -634,5 +789,54 @@ mod tests {
         let msgs = drain(&mut q, 2);
         assert_eq!(msgs.len(), 40, "each entry sent exactly limit times");
         assert!(q.is_empty());
+    }
+
+    /// Overwrites alone never retire anything, so only compaction keeps
+    /// the arena from growing: each subject alternates between an
+    /// `alive` and a shorter `suspect`, so half the overwrites fit in
+    /// place and half leave their bytes behind.
+    #[test]
+    fn overwrite_storm_keeps_the_arena_bounded() {
+        let storm = |i: u64| {
+            let node = format!("node-{}", i % 10);
+            if (i / 10).is_multiple_of(2) {
+                alive(&node, i)
+            } else {
+                suspect(&node, "x", i)
+            }
+        };
+        let mut q = BroadcastQueue::new();
+        for i in 0..10_000u64 {
+            q.enqueue(storm(i));
+            q.check_invariants();
+            for latest in i.saturating_sub(9)..=i {
+                let subject = format!("node-{}", latest % 10).as_str().into();
+                assert_eq!(q.queued_for(&subject), Some(storm(latest)));
+            }
+            let live_bytes = q.arena.len() - q.garbage;
+            assert!(
+                q.arena.len() <= 2 * live_bytes + GARBAGE_FLOOR,
+                "arena {} B for {live_bytes} live bytes",
+                q.arena.len()
+            );
+        }
+        assert_eq!(q.len(), 10);
+        let last: Vec<Message> = (9_990..10_000u64).rev().map(storm).collect();
+        assert_eq!(drain(&mut q, 1), last, "each subject's last message, newest first");
+    }
+
+    #[test]
+    fn a_drained_queue_refills_from_offset_zero() {
+        let mut q = BroadcastQueue::new();
+        for i in 0..5 {
+            q.enqueue(alive(&format!("node-{i}"), 1));
+        }
+        drain(&mut q, 2);
+        assert!(q.is_empty());
+        assert_eq!(q.arena.len(), 0, "the last retirement clears the arena");
+        q.enqueue(suspect("a", "x", 3));
+        q.check_invariants();
+        assert_eq!(q.arena.len(), codec::encode_message(&suspect("a", "x", 3)).len());
+        assert_eq!(q.queued_for(&"a".into()), Some(suspect("a", "x", 3)));
     }
 }

@@ -69,9 +69,9 @@ impl SwimNode {
         self.outbox.broadcasts.len()
     }
 
-    /// The queued gossip broadcast about `subject`, if any (test/debug
-    /// introspection).
-    pub fn queued_broadcast_for(&self, subject: &NodeName) -> Option<&Message> {
+    /// The queued gossip broadcast about `subject`, if any, decoded from
+    /// its wire bytes (test/debug introspection).
+    pub fn queued_broadcast_for(&self, subject: &NodeName) -> Option<Message> {
         self.outbox.broadcasts.queued_for(subject)
     }
 
@@ -99,7 +99,8 @@ impl SwimNode {
     /// `Suspect` members ↔ suspicions are one-to-one; the deadlines of
     /// the probe in flight and of relayed probes are armed or deferred
     /// by blocked I/O, never both; every queued packet lies inside the
-    /// scratch arena; every live member but this node is in the probe
+    /// scratch arena, and the broadcast queue's slots, subject index and
+    /// byte arena agree; every live member but this node is in the probe
     /// rotation exactly once; the gossip loop is armed with its tick in
     /// the wheel, or parked with nothing to do; plus the member table's
     /// and the timer queue's own structure checks.

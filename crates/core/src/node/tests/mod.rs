@@ -301,7 +301,7 @@ fn unknown_accuser_counts_once_and_is_regossiped_once() {
         );
         let confirmations = n.suspicions.confirmation_counts();
         let queued_from = match n.queued_broadcast_for(&"p".into()) {
-            Some(Message::Suspect(s)) => s.from.clone(),
+            Some(Message::Suspect(s)) => s.from,
             other => panic!("expected a queued suspect, found {other:?}"),
         };
         (confirmations, queued_from)
@@ -533,7 +533,7 @@ fn left_node_does_not_refute_a_suspicion_about_itself() {
     n.handle_input(Input::Leave, Time::from_secs(2)).unwrap();
     drain(&mut n);
     let incarnation = n.incarnation();
-    let queued = n.queued_broadcast_for(&"local".into()).cloned();
+    let queued = n.queued_broadcast_for(&"local".into());
     let out = feed(
         &mut n,
         addr(2),
@@ -552,7 +552,7 @@ fn left_node_does_not_refute_a_suspicion_about_itself() {
     // Nothing new is queued about ourselves — only the leave's own
     // `Dead`, if it is still being gossiped.
     assert!(!matches!(queued, Some(Message::Alive(_))));
-    assert_eq!(n.queued_broadcast_for(&"local".into()), queued.as_ref());
+    assert_eq!(n.queued_broadcast_for(&"local".into()), queued);
 }
 
 #[test]
@@ -1374,6 +1374,41 @@ fn poll_output_reclaims_scratch_after_full_drain() {
     assert!(
         high_water <= 16 * lifeguard_proto::DEFAULT_PACKET_BUDGET,
         "scratch arena grew unexpectedly: {high_water}"
+    );
+}
+
+/// A push-pull merge queues one event per member it teaches the node;
+/// once that burst is drained, the next input gives its capacity back.
+#[test]
+fn a_drained_burst_gives_back_the_output_queue_capacity() {
+    let mut n = new_node(Config::lan());
+    let states = (0..511u32)
+        .map(|i| PushNodeState {
+            name: format!("m-{i}").as_str().into(),
+            addr: NodeAddr::new([10, 2, (i >> 8) as u8, i as u8], 7946),
+            incarnation: Incarnation(1),
+            state: MemberState::Alive,
+            meta: Bytes::new(),
+        })
+        .collect();
+    let at = Time::from_secs(1);
+    let merge = PushPull {
+        join: false,
+        reply: true,
+        states,
+    };
+    feed_stream(&mut n, addr(9), Message::PushPull(merge), at);
+    assert_eq!(n.num_alive(), 512);
+    assert!(!n.has_pending_output());
+    assert!(
+        n.outbox.pending_capacity() > crate::outbox::PENDING_FLOOR,
+        "the merge must have queued a burst"
+    );
+    tick(&mut n, at);
+    assert!(
+        n.outbox.pending_capacity() <= crate::outbox::PENDING_FLOOR,
+        "a drained queue kept {} slots",
+        n.outbox.pending_capacity()
     );
 }
 

@@ -63,11 +63,18 @@ enum Queued {
     Event(Event),
 }
 
+/// Capacity a drained `pending` queue keeps. An input queues a handful
+/// of effects, but a push-pull merge queues one event per member
+/// learned; without a floor every node would keep that burst's capacity
+/// for good. 32 covers all but about one input in a thousand of a
+/// 512-member join storm.
+pub(crate) const PENDING_FLOOR: usize = 32;
+
 /// Queued effects, the packet arena and the broadcast queue.
 #[derive(Debug)]
 pub(crate) struct Outbox {
     /// Effects awaiting [`Outbox::next_output`].
-    // bounded: the driver drains it fully after every input, so it holds at most one input's effects
+    // bounded: the driver drains it fully after every input, and `begin_input` shrinks a drained queue to PENDING_FLOOR, so capacity ≤ max(PENDING_FLOOR, the current input's effects)
     pending: VecDeque<Queued>,
     /// Arena for queued packet payloads.
     // bounded: cleared at the first input after a full drain, stabilises at the high-water burst size
@@ -96,10 +103,13 @@ impl Outbox {
 
     /// Called at the start of every input: once the previous input's
     /// effects were all polled, nothing refers to the arena and it is
-    /// reclaimed, so it stabilises at the high-water packet burst size.
+    /// reclaimed, so it stabilises at the high-water packet burst size;
+    /// and the drained queue gives back any capacity above
+    /// [`PENDING_FLOOR`] that a burst left it.
     pub(crate) fn begin_input(&mut self) {
         if self.pending.is_empty() {
             self.scratch.clear();
+            self.pending.shrink_to(PENDING_FLOOR);
         }
     }
 
@@ -198,10 +208,12 @@ impl Outbox {
             });
     }
 
-    /// Every queued packet's range lies inside the arena, and no
-    /// half-built packet is left in the builder.
+    /// Every queued packet's range lies inside the arena, no half-built
+    /// packet is left in the builder, and the broadcast queue's own
+    /// bookkeeping holds.
     pub(crate) fn check_invariants(&self) {
         assert!(self.builder.is_empty(), "packet builder not finished");
+        self.broadcasts.check_invariants();
         for q in &self.pending {
             if let Queued::Packet { range, .. } = q {
                 assert!(
@@ -216,5 +228,10 @@ impl Outbox {
     #[cfg(test)]
     pub(crate) fn arena_capacity(&self) -> usize {
         self.scratch.capacity()
+    }
+
+    #[cfg(test)]
+    pub(crate) fn pending_capacity(&self) -> usize {
+        self.pending.capacity()
     }
 }

@@ -415,11 +415,11 @@ mod model_agreement {
             self.items.push((subject, msg, encoded, 0, id));
         }
 
-        fn queued_for(&self, subject: &NodeName) -> Option<&Message> {
+        fn queued_for(&self, subject: &NodeName) -> Option<Message> {
             self.items
                 .iter()
                 .find(|(s, ..)| s == subject)
-                .map(|(_, m, ..)| m)
+                .map(|(_, m, ..)| m.clone())
         }
 
         fn fill(&mut self, builder: &mut CompoundBuilder, limit: u32, exclude: Option<&NodeName>) {
@@ -448,13 +448,14 @@ mod model_agreement {
     }
 
     proptest! {
-        /// Under any interleaving of enqueues and fills (varying packet
-        /// budgets, limits and exclusions), the heap-based queue emits
-        /// the exact same packets as the naive sort-per-fill model and
-        /// agrees on the queue contents afterwards.
+        /// Under any interleaving of enqueues, bursts of overwrites and
+        /// fills (varying packet budgets, limits and exclusions), the
+        /// heap-based queue emits the exact same packets as the naive
+        /// sort-per-fill model, agrees on the queue contents afterwards,
+        /// and keeps its own bookkeeping (arena compaction included).
         #[test]
         fn broadcast_queue_matches_naive_model(
-            ops in proptest::collection::vec((0u8..5, 0u8..10, 0u64..4), 1..80),
+            ops in proptest::collection::vec((0u8..6, 0u8..10, 0u64..4), 1..80),
             limit in 1u32..6,
         ) {
             let mut fast = BroadcastQueue::new();
@@ -475,6 +476,32 @@ mod model_agreement {
                         fast.enqueue(msg.clone());
                         naive.enqueue(msg);
                     }
+                    5 => {
+                        // One subject overwritten 40 times, alternating
+                        // an `alive` carrying 64 bytes of metadata with a
+                        // shorter `suspect`: half fit in place, half
+                        // leave garbage, over 1 KiB of it per burst, so
+                        // the arena compacts.
+                        for step in 0..40u64 {
+                            let name = format!("node-{node}");
+                            let msg = if step.is_multiple_of(2) {
+                                Message::Alive(Alive {
+                                    incarnation: Incarnation(inc + step),
+                                    node: name.as_str().into(),
+                                    addr: NodeAddr::new([10, 0, 0, 1], 7946),
+                                    meta: Bytes::from(vec![node; 64]),
+                                })
+                            } else {
+                                Message::Suspect(Suspect {
+                                    incarnation: Incarnation(inc + step),
+                                    node: name.into(),
+                                    from: "accuser".into(),
+                                })
+                            };
+                            fast.enqueue(msg.clone());
+                            naive.enqueue(msg);
+                        }
+                    }
                     op => {
                         // Budget 60 forces skip paths; 1400 drains freely.
                         let budget = if op == 3 { 60 } else { 1400 };
@@ -489,6 +516,7 @@ mod model_agreement {
                         prop_assert_eq!(fp, np, "fill diverged from model");
                     }
                 }
+                fast.check_invariants();
                 prop_assert_eq!(fast.len(), naive.items.len());
                 for node in 0..10u8 {
                     let name: NodeName = format!("node-{node}").into();

@@ -114,7 +114,7 @@ fn oversized_update_meta_is_refused_and_self_gossip_still_decodes() {
         .queued_broadcast_for(&"local".into())
         .expect("alive about self still queued");
     assert_eq!(
-        codec::decode_message(&codec::encode_message(queued)).as_ref(),
+        codec::decode_message(&codec::encode_message(&queued)),
         Ok(queued)
     );
 }

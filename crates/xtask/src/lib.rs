@@ -24,7 +24,8 @@
 //! 4. **Panic sites** (`panic_path`) — the two panic kinds clippy
 //!    cannot deny cleanly, the `assert!` family and the panicking `std`
 //!    methods (`swap_remove`, `split_at`, `split_at_mut`,
-//!    `copy_from_slice`), in every non-test function of the six crates
+//!    `copy_from_slice`, `copy_within`, `clone_from_slice`), in every
+//!    non-test function of the six crates
 //!    that carry clippy's panic denies.
 //! 5. **Bounded growth** (`bounded_growth`) — growable collection
 //!    fields of long-lived structs must document their cap.

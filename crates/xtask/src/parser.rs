@@ -21,7 +21,8 @@ use crate::rules::FileClass;
 /// clippy cannot deny cleanly: an `assert!`-family macro (a
 /// `disallowed_macros` entry for it also fires inside every
 /// `debug_assert!`), or a known-panicking `std` method (`swap_remove`,
-/// `split_at`, `split_at_mut`, `copy_from_slice`). Panicking calls,
+/// `split_at`, `split_at_mut`, `copy_from_slice`, `copy_within`,
+/// `clone_from_slice`). Panicking calls,
 /// indexing, slicing and integer division are clippy's.
 #[derive(Debug, Clone)]
 pub struct Site {
@@ -79,7 +80,14 @@ pub struct ParsedFile {
 const PANIC_MACROS: [&str; 3] = ["assert", "assert_eq", "assert_ne"];
 
 /// Methods that can panic even though they are not `unwrap`-shaped.
-const PANIC_METHODS: [&str; 4] = ["swap_remove", "split_at", "split_at_mut", "copy_from_slice"];
+const PANIC_METHODS: [&str; 6] = [
+    "swap_remove",
+    "split_at",
+    "split_at_mut",
+    "copy_from_slice",
+    "copy_within",
+    "clone_from_slice",
+];
 
 /// Collection types whose presence in a struct field makes the field
 /// growable (the bounded-growth rule's subjects).
@@ -589,6 +597,25 @@ mod tests {
         let sites: Vec<(&str, u32)> = f.sites.iter().map(|s| (s.what.as_str(), s.line)).collect();
         // The calls around them are not sites.
         assert_eq!(sites, [("assert!", 6), (".copy_from_slice()", 7)]);
+    }
+
+    /// `copy_within` panics on a range out of bounds and
+    /// `clone_from_slice` on unequal lengths, as `copy_from_slice` does;
+    /// their checked neighbours (`split_at_mut_checked`, a zip of
+    /// `iter_mut`) are not sites.
+    #[test]
+    fn copy_within_and_clone_from_slice_are_sites() {
+        let src = "fn f(v: &mut [u8], w: &mut [u8]) {\n\
+                     v.copy_within(1..3, 0);\n\
+                     w.clone_from_slice(v);\n\
+                     if let Some((a, b)) = v.split_at_mut_checked(1) {\n\
+                         for (d, s) in a.iter_mut().zip(b.iter()) { *d = *s; }\n\
+                     }\n\
+                   }";
+        let p = parse_str("crates/core/src/x.rs", src);
+        let f = &p.fns[0];
+        let sites: Vec<(&str, u32)> = f.sites.iter().map(|s| (s.what.as_str(), s.line)).collect();
+        assert_eq!(sites, [(".copy_within()", 2), (".clone_from_slice()", 3)]);
     }
 
     #[test]

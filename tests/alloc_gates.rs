@@ -12,7 +12,9 @@
 //! * a 512-member table pays nothing for metadata until one member has
 //!   some, and one `Bytes` per slot from then on, and
 //! * the same for IPv6 addresses: nothing while every member is IPv4,
-//!   one 16-byte cell per slot from the first IPv6 member on.
+//!   one 16-byte cell per slot from the first IPv6 member on, and
+//! * a broadcast queue holding one `alive` per member of a 512-member
+//!   cluster stays within a live-bytes-per-broadcast ceiling.
 //!
 //! All run inside one `#[test]`, in sequence: the allocator's counters
 //! are process-global, so a second test running beside it would be
@@ -25,6 +27,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
 
 use bytes::Bytes;
+use lifeguard::core::broadcast::BroadcastQueue;
 use lifeguard::core::config::Config;
 use lifeguard::core::member::Member;
 use lifeguard::core::membership::Membership;
@@ -473,6 +476,42 @@ fn ipv6_costs_nothing_until_a_member_has_it() {
     assert_eq!(stored, Some(v6));
 }
 
+/// Live bytes one queued broadcast may cost: slot, encoding, heap item
+/// and subject index entry. ≈ 1.1 × the 138 B measured when the gate was
+/// set; a slot holding its decoded message and an encode buffer of its
+/// own cost 226 B.
+const BROADCAST_BYTES_GATE: f64 = 150.0;
+
+/// A join storm puts one `alive` per member into every queue at once:
+/// gate what each costs in a bare queue holding 511 of them. The
+/// messages are built before the window; their names are inline and
+/// their metadata empty, so a clone allocates nothing.
+fn queued_broadcast_stays_within_bytes_per_entry() {
+    let msgs: Vec<Message> = (1..SMALL_TABLE)
+        .map(|i| {
+            Message::Alive(Alive {
+                incarnation: Incarnation(1),
+                node: Cluster::name_of(i),
+                addr: Cluster::addr_for(i),
+                meta: Bytes::new(),
+            })
+        })
+        .collect();
+    let before = LIVE.load(Ordering::Relaxed);
+    let mut queue = BroadcastQueue::new();
+    for msg in &msgs {
+        queue.enqueue(msg.clone());
+    }
+    let live = LIVE.load(Ordering::Relaxed).saturating_sub(before);
+    let per_broadcast = live as f64 / msgs.len() as f64;
+    eprintln!("broadcast queue: {per_broadcast:.0} B/broadcast at {} queued", queue.len());
+    assert_eq!(queue.len(), msgs.len());
+    assert!(
+        per_broadcast <= BROADCAST_BYTES_GATE,
+        "{per_broadcast:.0} live bytes per queued broadcast (gate {BROADCAST_BYTES_GATE:.0})",
+    );
+}
+
 #[test]
 fn poll_drain_allocates_nothing_and_a_100k_table_fits_its_ceiling() {
     poll_output_is_allocation_free();
@@ -480,4 +519,5 @@ fn poll_drain_allocates_nothing_and_a_100k_table_fits_its_ceiling() {
     member_table_stays_within_bytes_per_entry();
     metadata_costs_nothing_until_a_member_has_some();
     ipv6_costs_nothing_until_a_member_has_it();
+    queued_broadcast_stays_within_bytes_per_entry();
 }
