@@ -57,7 +57,12 @@
 //!
 //! In steady state neither enqueue nor fill allocates: the slab, the
 //! arena, the heap and the re-queue list are all reused, and compaction
-//! works inside them.
+//! works inside them. A join storm queues a broadcast about every
+//! member at once; so that a node does not keep that capacity for good,
+//! a `fill` that leaves the queue empty clears the slab, the free list
+//! and the heap, and shrinks every buffer to `DRAINED_FLOOR` entries
+//! and the arena to `ARENA_FLOOR` bytes (the rule the outbox applies
+//! to its drained effect queue).
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -74,6 +79,15 @@ pub const RETRANSMIT_MULT: u32 = 4;
 /// enqueue compacts it, so a small queue with a few overwrites never
 /// compacts.
 const GARBAGE_FLOOR: usize = 1024;
+
+/// Entries a drained queue keeps capacity for in its slab, free list,
+/// heap, re-queue list and subject index: a few updates at a time queue
+/// and drain without allocating, and a join storm's capacity goes back.
+const DRAINED_FLOOR: usize = 32;
+
+/// Arena bytes a drained queue keeps: [`DRAINED_FLOOR`] encodings of up
+/// to 64 bytes (an `alive` without metadata is about 35).
+const ARENA_FLOOR: usize = DRAINED_FLOOR * 64;
 
 /// Gossip retransmit limit for a group of `n` members:
 /// `λ·⌈log10(n + 1)⌉`.
@@ -121,18 +135,18 @@ pub struct BroadcastQueue {
     /// The slab. A heap item whose slot is vacant, or holds another id
     /// or transmit count, is stale (invalidated or re-prioritised) and
     /// is dropped when it surfaces.
-    // bounded: one live slot per subject member — enqueueing about a known subject overwrites its slot — plus vacancies recycled via `free`, so ≤ peak queue depth ≤ cluster size
+    // bounded: one live slot per subject member — enqueueing about a known subject overwrites its slot — plus vacancies recycled via `free`, so ≤ peak queue depth ≤ cluster size; cleared and shrunk to DRAINED_FLOOR when a fill drains the queue
     slots: Vec<Slot>,
-    // bounded: ≤ |slots| — holds only currently-vacant slot indices
+    // bounded: ≤ |slots| — holds only currently-vacant slot indices; cleared with the slab
     free: Vec<u32>,
     /// Number of occupied slots.
     live: usize,
     /// The slot of the queued broadcast per subject (invalidation index).
-    // bounded: one key per subject member, unlinked on retire — ≤ cluster size
+    // bounded: one key per subject member, unlinked on retire — ≤ cluster size; shrunk to DRAINED_FLOOR when a fill drains the queue
     by_subject: HashMap<NodeName, u32>,
     /// The wire encodings of the queued broadcasts, each a slot's range,
     /// and `garbage` bytes no slot refers to.
-    // bounded: ≤ 2 × live bytes + GARBAGE_FLOOR after every enqueue (compaction), cleared when the queue empties
+    // bounded: ≤ 2 × live bytes + GARBAGE_FLOOR after every enqueue (compaction), cleared when the queue empties and cut to ARENA_FLOOR when a fill drains it
     arena: BytesMut,
     /// Bytes of `arena` left behind by overwritten or retired broadcasts.
     garbage: usize,
@@ -358,6 +372,44 @@ impl BroadcastQueue {
             }
         }
         self.heap.extend(self.requeue.iter().copied());
+        // An empty slab means nothing was queued since the last release,
+        // so the common fill of an idle queue skips it.
+        if self.live == 0 && !self.slots.is_empty() {
+            self.release();
+        }
+    }
+
+    /// Gives back the capacity a burst left an empty queue. Every slot
+    /// is vacant and every heap item stale, so the slab, the free list
+    /// and the heap are cleared (slot indices restart at 0) and each
+    /// buffer keeps at most its floor.
+    fn release(&mut self) {
+        self.slots.clear();
+        self.free.clear();
+        self.heap.clear();
+        self.requeue.clear();
+        self.slots.shrink_to(DRAINED_FLOOR);
+        self.free.shrink_to(DRAINED_FLOOR);
+        self.heap.shrink_to(DRAINED_FLOOR);
+        self.requeue.shrink_to(DRAINED_FLOOR);
+        self.by_subject.shrink_to(DRAINED_FLOOR);
+        if self.arena.capacity() > ARENA_FLOOR {
+            self.arena = BytesMut::with_capacity(ARENA_FLOOR);
+        }
+    }
+
+    /// Each buffer's capacity and the most a drained queue may keep.
+    #[cfg(test)]
+    fn capacities(&self) -> [(&'static str, usize, usize); 6] {
+        let index_floor = HashMap::<NodeName, u32>::with_capacity(DRAINED_FLOOR).capacity();
+        [
+            ("slots", self.slots.capacity(), DRAINED_FLOOR),
+            ("free", self.free.capacity(), DRAINED_FLOOR),
+            ("heap", self.heap.capacity(), DRAINED_FLOOR),
+            ("requeue", self.requeue.capacity(), DRAINED_FLOOR),
+            ("by_subject", self.by_subject.capacity(), index_floor),
+            ("arena", self.arena.capacity(), ARENA_FLOOR),
+        ]
     }
 
     /// Pops stale/over-limit heap items until the top is a live,
@@ -823,6 +875,33 @@ mod tests {
         assert_eq!(q.len(), 10);
         let last: Vec<Message> = (9_990..10_000u64).rev().map(storm).collect();
         assert_eq!(drain(&mut q, 1), last, "each subject's last message, newest first");
+    }
+
+    /// A join storm's 511 `alive`s grow every buffer far past its
+    /// floor; the fill that drains the queue gives that back.
+    #[test]
+    fn a_drained_join_storm_gives_back_its_capacity() {
+        let mut q = BroadcastQueue::new();
+        for i in 0..511 {
+            q.enqueue(alive(&format!("node-{i}"), 1));
+        }
+        // The free and re-queue lists grow while the queue drains.
+        for (name, capacity, floor) in q.capacities() {
+            if !matches!(name, "free" | "requeue") {
+                assert!(capacity > floor, "{name}: the storm grew it to {capacity} only");
+            }
+        }
+        let limit = retransmit_limit(512);
+        assert_eq!(drain(&mut q, limit).len(), 511 * limit as usize);
+        assert!(q.is_empty());
+        for (name, capacity, floor) in q.capacities() {
+            assert!(capacity <= floor, "{name}: {capacity} kept, floor {floor}");
+        }
+        q.check_invariants();
+        // The drained queue works as a fresh one.
+        q.enqueue(suspect("a", "x", 3));
+        q.check_invariants();
+        assert_eq!(drain(&mut q, 2), vec![suspect("a", "x", 3); 2]);
     }
 
     #[test]

@@ -1489,6 +1489,15 @@ mod tests {
         assert_eq!(std::mem::size_of::<MemberId>(), 8);
     }
 
+    /// A simulated cluster holds one node per member inline, so a field
+    /// that re-grows the node costs every node of a 2 000-node run. Its
+    /// two histograms keep 128-bucket windows, not 976 buckets each.
+    #[test]
+    fn node_layout_is_pinned() {
+        assert_eq!(std::mem::size_of::<lifeguard_metrics::Histogram>(), 1072);
+        assert_eq!(std::mem::size_of::<crate::node::SwimNode>(), 3472);
+    }
+
     #[test]
     fn sampling_past_the_inline_displacement_list_keeps_the_permutation() {
         // A filter that rejects everything inspects — and displaces —

@@ -186,11 +186,14 @@ pub struct SwimNode {
     /// Observability state: protocol activity counters, latency and
     /// lifetime histograms, flap and anti-entropy volume counters, and
     /// the queue-depth peak, recorded straight into the export shape.
-    /// All fixed-size — recording is allocation-free, preserving the
-    /// zero-alloc poll guarantee — and fed only from `handle_input`, so
-    /// the whole plane is deterministic under the sim clock. The live
-    /// gauges (`lhm*`, `broadcast_queue_depth`) are filled in by
-    /// [`SwimNode::metrics`].
+    /// Counters are plain fields; each histogram keeps a 128-bucket
+    /// inline window anchored on its first record and spills to all 976
+    /// buckets on the heap, once, only when a value falls outside it.
+    /// Recording therefore allocates at most once per histogram, which
+    /// keeps the zero-alloc poll guarantee. It is fed only from
+    /// `handle_input`, so the whole plane is deterministic under the sim
+    /// clock. The live gauges (`lhm*`, `broadcast_queue_depth`) are
+    /// filled in by [`SwimNode::metrics`].
     metrics: CoreSnapshot,
 }
 

@@ -1,12 +1,25 @@
-//! Fixed log-bucket histogram and the shared quantile rule.
+//! Log-bucket histogram and the shared quantile rule.
 //!
 //! The histogram is HDR-style log-linear: values below 16 get one
 //! bucket each (exact), every power-of-two range above is split into
 //! 16 sub-buckets, so the relative quantile error is bounded by half a
-//! sub-bucket width (≤ ~3.2%) across the whole `u64` domain. The
-//! bucket array is a fixed-size inline array — `record` is branch +
-//! shift + one increment, no allocation ever — which is what lets the
-//! protocol core carry histograms on its zero-allocation hot path.
+//! sub-bucket width (≤ ~3.2%) across the whole `u64` domain: 976
+//! buckets in all.
+//!
+//! A histogram holds its counts in an inline window of 128 of those
+//! buckets (8 octaves), anchored on the first bucket written: centred
+//! there and clamped to the 976. A recorded quantity rarely spans more
+//! than a few octaves (a loopback probe RTT touches about 33 buckets),
+//! so an empty histogram costs 1 KiB instead of 7.6 KiB and `record` is
+//! branch + shift + one increment, with no allocation. The first count
+//! that falls outside the window — by `record`, `merge` or
+//! `from_parts` — moves the counts, once, into all 976 buckets on the
+//! heap; that is the one allocation a histogram ever makes, and from
+//! then on it behaves as if the window had never existed. Both forms
+//! answer every query from the same bucket contents, so quantiles, the
+//! sparse wire form and equality do not depend on which form a
+//! histogram is in. That is what lets the protocol core carry
+//! histograms on its zero-allocation hot path.
 //!
 //! Quantiles everywhere in the workspace use the *same* rank rule
 //! (`rank_bounds`): closest-ranks linear interpolation over `n`
@@ -25,8 +38,12 @@ const SUB: u64 = 1 << SUB_BITS;
 /// Total bucket count covering the full `u64` domain: 16 unit buckets
 /// for values `< 16`, then 16 per octave for octaves 4..=63.
 pub const NUM_BUCKETS: usize = 976;
+/// Buckets the inline window holds: 8 octaves.
+const WINDOW: usize = 8 << SUB_BITS;
 
-/// A fixed log-linear-bucket histogram over `u64` values.
+/// A log-linear-bucket histogram over `u64` values, its counts in a
+/// 128-bucket inline window until a count falls outside it (see the
+/// module docs).
 ///
 /// ```
 /// use lifeguard_metrics::Histogram;
@@ -38,14 +55,41 @@ pub const NUM_BUCKETS: usize = 976;
 /// assert_eq!(h.quantile(50.0), Some(12.0)); // values < 16 are exact
 /// assert_eq!(Histogram::new().quantile(50.0), None);
 /// ```
-#[derive(Clone, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct Histogram {
     count: u64,
     sum: u64,
     min: u64,
     max: u64,
-    buckets: [u64; NUM_BUCKETS],
+    /// First bucket of the window: `None` until a bucket is written,
+    /// then set by the first one written.
+    base: Option<u16>,
+    /// Counts of buckets `base..base + WINDOW` until the spill.
+    window: [u64; WINDOW],
+    /// Counts of all `NUM_BUCKETS` buckets, once one fell outside the
+    /// window; `window` is unused from then on.
+    spilled: Option<Box<[u64; NUM_BUCKETS]>>,
 }
+
+/// First bucket of a window centred on bucket `idx`, clamped so the
+/// window stays inside `0..NUM_BUCKETS`.
+fn anchor(idx: usize) -> u16 {
+    idx.saturating_sub(WINDOW >> 1).min(NUM_BUCKETS - WINDOW) as u16
+}
+
+/// Equal content: the same summary and the same non-empty buckets,
+/// whichever form either side holds them in.
+impl PartialEq for Histogram {
+    fn eq(&self, other: &Histogram) -> bool {
+        self.count == other.count
+            && self.sum == other.sum
+            && self.min == other.min
+            && self.max == other.max
+            && self.nonzero_buckets().eq(other.nonzero_buckets())
+    }
+}
+
+impl Eq for Histogram {}
 
 impl Default for Histogram {
     fn default() -> Histogram {
@@ -72,7 +116,38 @@ impl Histogram {
             sum: 0,
             min: u64::MAX,
             max: 0,
-            buckets: [0; NUM_BUCKETS],
+            base: None,
+            window: [0; WINDOW],
+            spilled: None,
+        }
+    }
+
+    /// The index of the first bucket held and the counts from there on.
+    fn counts(&self) -> (usize, &[u64]) {
+        match &self.spilled {
+            Some(all) => (0, all.as_slice()),
+            None => (self.base.map_or(0, usize::from), &self.window),
+        }
+    }
+
+    /// Adds `c` to bucket `idx` (`< NUM_BUCKETS`), saturating. The first
+    /// write anchors the window; a write outside it spills the counts
+    /// into every bucket first.
+    fn add(&mut self, idx: usize, c: u64) {
+        if self.spilled.is_none() {
+            let first = usize::from(*self.base.get_or_insert_with(|| anchor(idx)));
+            if let Some(slot) = idx.checked_sub(first).and_then(|i| self.window.get_mut(i)) {
+                *slot = slot.saturating_add(c);
+                return;
+            }
+            let mut all = Box::new([0; NUM_BUCKETS]);
+            for (to, from) in all.iter_mut().skip(first).zip(&self.window) {
+                *to = *from;
+            }
+            self.spilled = Some(all);
+        }
+        if let Some(slot) = self.spilled.as_mut().and_then(|all| all.get_mut(idx)) {
+            *slot = slot.saturating_add(c);
         }
     }
 
@@ -110,17 +185,17 @@ impl Histogram {
         lo.saturating_add((width - 1) >> 1)
     }
 
-    /// Records one observation. Allocation-free; counters saturate
-    /// rather than wrap.
+    /// Records one observation; counters saturate rather than wrap.
+    /// Allocation-free while `v`'s bucket lies in the inline window
+    /// (the first record anchors the window on its own bucket); the
+    /// first value outside it spills the counts to the heap, the one
+    /// allocation a histogram ever makes.
     pub fn record(&mut self, v: u64) {
         self.count = self.count.saturating_add(1);
         self.sum = self.sum.saturating_add(v);
         self.min = self.min.min(v);
         self.max = self.max.max(v);
-        // `index` is below `NUM_BUCKETS` for every `u64`.
-        if let Some(bucket) = self.buckets.get_mut(Self::index(v)) {
-            *bucket = bucket.saturating_add(1);
-        }
+        self.add(Self::index(v), 1);
     }
 
     /// Records a duration in microseconds (the workspace's metric time
@@ -190,39 +265,44 @@ impl Histogram {
     /// (0-based). `rank` must be `< count`.
     fn value_at_rank(&self, rank: u64) -> u64 {
         let mut seen = 0u64;
-        for (idx, &c) in self.buckets.iter().enumerate() {
+        for (idx, c) in self.nonzero_buckets() {
             seen = seen.saturating_add(c);
             if seen > rank {
-                return Self::bucket_mid(idx);
+                return Self::bucket_mid(idx as usize);
             }
         }
         self.max
     }
 
     /// Folds another histogram into this one (run-level aggregation).
+    /// Spills this one's window, once, if `other` holds a count outside
+    /// it.
     pub fn merge(&mut self, other: &Histogram) {
         self.count = self.count.saturating_add(other.count);
         self.sum = self.sum.saturating_add(other.sum);
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
-        for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b = b.saturating_add(*o);
+        for (idx, c) in other.nonzero_buckets() {
+            self.add(idx as usize, c);
         }
     }
 
-    /// Non-empty buckets as `(index, count)` pairs — the sparse wire
-    /// form used by the snapshot codec.
+    /// Non-empty buckets as `(index, count)` pairs in index order — the
+    /// sparse wire form used by the snapshot codec.
     pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
-        self.buckets
+        let (first, counts) = self.counts();
+        counts
             .iter()
             .enumerate()
             .filter(|(_, &c)| c != 0)
-            .map(|(i, &c)| (i as u32, c))
+            .map(move |(i, &c)| ((first + i) as u32, c))
     }
 
     /// Rebuilds a histogram from its wire form. Returns `None` if a
-    /// bucket index is out of range or the bucket counts do not add up
-    /// to `count` (a corrupt snapshot must not decode silently).
+    /// bucket index is out of range, the bucket counts do not add up to
+    /// `count`, or a non-empty histogram has `min > max` (a corrupt
+    /// snapshot must not decode silently, nor panic a later
+    /// [`Histogram::quantile`]).
     pub fn from_parts(
         count: u64,
         sum: u64,
@@ -230,6 +310,9 @@ impl Histogram {
         max: u64,
         pairs: &[(u32, u64)],
     ) -> Option<Histogram> {
+        if count > 0 && min > max {
+            return None;
+        }
         let mut h = Histogram::new();
         h.count = count;
         h.sum = sum;
@@ -237,8 +320,15 @@ impl Histogram {
         h.max = max;
         let mut total = 0u64;
         for &(idx, c) in pairs {
-            let slot = h.buckets.get_mut(idx as usize)?;
-            *slot = slot.saturating_add(c);
+            let idx = idx as usize;
+            if idx >= NUM_BUCKETS {
+                return None;
+            }
+            // An empty pair holds nothing, so it neither anchors nor
+            // spills the window.
+            if c != 0 {
+                h.add(idx, c);
+            }
             total = total.saturating_add(c);
         }
         if total != count {
@@ -396,6 +486,69 @@ mod tests {
         // Corrupt pair lists refuse to decode.
         assert!(Histogram::from_parts(5, 0, 0, 0, &pairs[..1]).is_none());
         assert!(Histogram::from_parts(1, 0, 0, 0, &[(NUM_BUCKETS as u32, 1)]).is_none());
+        assert!(Histogram::from_parts(0, 0, 0, 0, &[(NUM_BUCKETS as u32, 0)]).is_none());
+        // So does a non-empty one whose minimum exceeds its maximum:
+        // `quantile` would clamp to an inverted range.
+        assert!(Histogram::from_parts(1, 10, 10, 3, &[(3, 1)]).is_none());
+        assert!(Histogram::from_parts(0, 0, 10, 3, &[]).is_some(), "empty: min unused");
+    }
+
+    /// The window's first bucket, or `None` before the first write and
+    /// once spilled.
+    fn window_base(h: &Histogram) -> Option<u16> {
+        h.base.filter(|_| h.spilled.is_none())
+    }
+
+    #[test]
+    fn a_narrow_quantity_stays_in_the_window() {
+        // Loopback RTTs span 200–800 µs: about two octaves.
+        let mut h = Histogram::new();
+        for v in (200..=800u64).step_by(5) {
+            h.record(v);
+        }
+        let base = window_base(&h).expect("still inline");
+        assert_eq!(usize::from(base), Histogram::index(200) - WINDOW / 2);
+        assert_eq!(h.nonzero_buckets().count(), 33);
+    }
+
+    #[test]
+    fn the_anchor_is_clamped_at_either_end() {
+        let mut low = Histogram::new();
+        low.record(0);
+        assert_eq!(window_base(&low), Some(0));
+        let mut high = Histogram::new();
+        high.record(u64::MAX);
+        assert_eq!(usize::from(window_base(&high).unwrap()), NUM_BUCKETS - WINDOW);
+        // The window's far edges are still inline.
+        low.record(Histogram::bucket_lo(WINDOW - 1));
+        high.record(Histogram::bucket_lo(NUM_BUCKETS - WINDOW));
+        assert!(window_base(&low).is_some() && window_base(&high).is_some());
+    }
+
+    #[test]
+    fn a_count_outside_the_window_spills_it_once() {
+        let mut h = Histogram::new();
+        h.record(1_000);
+        h.record(1_000);
+        let before: Vec<(u32, u64)> = h.nonzero_buckets().collect();
+        // Twelve octaves up: outside the 8-octave window.
+        h.record(1_000 << 12);
+        assert!(h.spilled.is_some());
+        let mut after: Vec<(u32, u64)> = h.nonzero_buckets().collect();
+        assert_eq!(after.pop(), Some((Histogram::index(1_000 << 12) as u32, 1)));
+        assert_eq!(after, before, "the spill kept every count");
+        // A merge into an empty histogram anchors on the first pair and
+        // spills on the far one, and compares equal to its source.
+        let mut m = Histogram::new();
+        m.merge(&h);
+        assert!(m.spilled.is_some());
+        assert_eq!(m, h);
+        // Equality is content, not form.
+        let mut inline = Histogram::new();
+        inline.record(5);
+        let spilled = Histogram::from_parts(1, 5, 5, 5, &[(900, 0), (5, 1)]).unwrap();
+        assert!(window_base(&spilled).is_some(), "an empty pair anchors nothing");
+        assert_eq!(spilled, inline);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The observability plane's sans-io metrics core.
 //!
 //! Everything in this crate is pure data manipulation: no sockets, no
-//! clocks, no threads, no allocation on the recording path. The
+//! clocks, no threads, and no allocation on the recording path but a
+//! histogram's one spill (below). The
 //! protocol core embeds [`Histogram`]s and plain counter fields and
 //! records into them from its deterministic `handle_input` path, so
 //! under the simulator the same seed produces byte-identical metric
@@ -11,10 +12,13 @@
 //! Layers:
 //!
 //! - [`Histogram`] — the recording primitive beside plain `u64`
-//!   counters: a fixed log-linear bucket array (16 sub-buckets per
-//!   power of two, ≤ ~3% quantile error), sized for the full `u64`
-//!   range; `record()` is a handful of integer ops and one array
-//!   increment.
+//!   counters: log-linear buckets (16 sub-buckets per power of two,
+//!   ≤ ~3% quantile error) over the full `u64` range, 976 in all, of
+//!   which it holds a 128-bucket (8-octave) window inline, anchored on
+//!   the first bucket written; `record()` is a handful of integer ops
+//!   and one increment. A count outside the window moves the counts,
+//!   once, to all 976 buckets on the heap: at most one allocation per
+//!   histogram, and the same quantiles and wire form either way.
 //! - [`Snapshot`] ([`CoreSnapshot`] + [`IoSnapshot`]) — the compact
 //!   serializable point-in-time export every runtime (sim, net
 //!   agent) produces in the same shape, with a versioned binary codec

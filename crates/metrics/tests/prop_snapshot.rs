@@ -2,7 +2,8 @@
 //! wire entry: `.snap` files are untrusted input to the aggregator.
 //! Random bytes, every truncation of a valid encoding and single-byte
 //! flips of one must never panic; every valid encoding round-trips, and
-//! whatever the decoder accepts re-encodes to the same snapshot.
+//! whatever the decoder accepts re-encodes to the same snapshot and
+//! answers quantile and mean queries.
 
 use lifeguard_metrics::{CoreSnapshot, Histogram, IoSnapshot, Snapshot};
 use proptest::prelude::*;
@@ -71,9 +72,16 @@ fn snapshot() -> impl Strategy<Value = Snapshot> {
         .prop_map(|(counters, rtt, lifetime)| build(&counters, &rtt, &lifetime))
 }
 
-/// Whatever the decoder accepts must survive its own encoding.
+/// Whatever the decoder accepts must survive its own encoding, and its
+/// histograms must answer every query without panicking.
 fn accepted_round_trips(bytes: &[u8]) -> Result<(), String> {
     if let Ok(decoded) = Snapshot::decode(bytes) {
+        for h in [&decoded.core.probe_rtt, &decoded.core.suspicion_lifetime] {
+            for p in [0.0, 50.0, 99.9, 100.0] {
+                let _ = h.quantile(p);
+            }
+            let _ = h.mean();
+        }
         prop_assert_eq!(Snapshot::decode(&decoded.encode()), Ok(decoded));
     }
     Ok(())

@@ -13,8 +13,10 @@
 //! * [`sim`] — a deterministic discrete-event cluster simulator used by the
 //!   paper-reproduction experiments.
 //! * [`net`] — a real UDP/TCP runtime (memberlist-style agent).
-//! * [`metrics`] — the observability plane: allocation-free counters and
-//!   histograms the core records into, snapshot codec, aggregation.
+//! * [`metrics`] — the observability plane: counters and histograms the
+//!   core records into (a histogram keeps a 128-bucket inline window and
+//!   spills to all 976 buckets on the heap, once, if a value falls
+//!   outside it), snapshot codec, aggregation.
 //! * [`experiments`] — the Threshold / Interval / stress experiment harness
 //!   that regenerates every table and figure of the paper.
 //!

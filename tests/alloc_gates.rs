@@ -156,7 +156,8 @@ fn drain_poll(node: &mut SwimNode) -> usize {
 
 /// After warm-up, a full output drain performs zero allocations. The
 /// metrics plane is always on — every cycle records into the core's
-/// counters and fixed-size histograms — so this also proves that
+/// counters and histograms, whose inline windows allocate only on a
+/// spill, at most once per histogram — so this also proves that
 /// instrumentation costs zero allocations per poll.
 fn poll_output_is_allocation_free() {
     let mut node = steady_state_node();
