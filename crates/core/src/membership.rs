@@ -15,10 +15,11 @@
 //! incarnation, state-change time, update seq, the four `u32` links
 //! below, and in the last 8 bytes the address (an IPv4 address's four
 //! octets, the port and a family byte) and the state — and nothing else
-//! lives in it. With the name index (8-byte buckets at load ≤ ½: 16.4 B
-//! per member at 2 000 members), the 4-byte liveness-pool entry and,
-//! outside the table, the probe rotation's 8-byte [`MemberId`], a member
-//! costs each node ≈ 64 + 16.4 + 4 + 8 ≈ 92 bytes.
+//! lives in it. With the name index (8-byte buckets at load ≤ ¾: a
+//! bulk-loaded table of 2 000 members has ⌈4 · 2 000 / 3⌉ = 2 668
+//! buckets, 10.7 B per member), the 4-byte liveness-pool entry and,
+//! outside the table, the probe rotation's 4-byte slot id, a member
+//! costs each node ≈ 64 + 10.7 + 4 + 4 ≈ 83 bytes.
 //!
 //! * **Metadata column** — one `Vec<Bytes>` indexed by slot id, beside
 //!   the slab. It stays *empty* until the first non-empty blob is
@@ -39,11 +40,15 @@
 //!   [`Member`]; [`Membership::update`] assembles one from the slot and
 //!   its cell, hands it to the closure and stores it back.
 //! * **Name index** — one open-addressed `Vec` of `(tag, slot id)`
-//!   buckets: linear probing, load ≤ ½, power-of-two growth,
-//!   backward-shift deletion. The tag is 32 bits of the name's hash
-//!   under a per-table random key (names arrive from the network); its
-//!   low bits are the home bucket, so growth and deletion re-home
-//!   entries without rehashing. The index stores no name: a tag hit is
+//!   buckets: linear probing, load ≤ ¾, backward-shift deletion. The
+//!   tag is 32 bits of the name's hash under a per-table random key
+//!   (names arrive from the network); the home bucket is the tag scaled
+//!   to the length by a multiply-shift (`tag · len >> 32`), so the
+//!   length need not be a power of two and growth and deletion re-home
+//!   entries without rehashing. [`Membership::reserve`] sizes the index
+//!   to exactly ⌈4n/3⌉ buckets; a table growing one member at a time
+//!   doubles it when the load would pass ¾. Probe runs wrap at the
+//!   length. The index stores no name: a tag hit is
 //!   always verified against the name in the record, which for an
 //!   inline name reads the slot the lookup returns anyway. A lookup
 //!   that misses hands back the tag ([`Vacant`]), so
@@ -61,7 +66,9 @@
 //!   member by construction.
 //! * **Generations** — each slot counts its removals, and a
 //!   [`MemberId`] carries the count it was issued under, so an id goes
-//!   stale when its member is removed even if the slot is reused.
+//!   stale when its member is removed even if the slot is reused. The
+//!   probe rotation keeps bare slot ids instead and is told of each
+//!   removal ([`crate::probe_list::ProbeList::forget_removed`]).
 //!
 //! # Observable orders
 //!
@@ -112,6 +119,13 @@ pub struct MemberId {
     gen: u32,
 }
 
+impl MemberId {
+    /// The slot the member occupies, without the generation.
+    pub(crate) fn slot(self) -> u32 {
+        self.slot
+    }
+}
+
 /// A name [`Membership::lookup`] found absent: its hash tag, kept so
 /// that [`Membership::insert`] adds the name without hashing it again.
 /// Good only until the table next changes.
@@ -120,9 +134,10 @@ pub struct Vacant {
     tag: u32,
 }
 
-/// "No slot": list ends, empty index buckets. Never a valid slot id —
-/// a table cannot hold `u32::MAX` records.
-const NIL: u32 = u32::MAX;
+/// "No slot": list ends, empty index buckets, probe-rotation
+/// tombstones. Never a valid slot id — a table cannot hold `u32::MAX`
+/// records.
+pub(crate) const NIL: u32 = u32::MAX;
 
 #[derive(Clone, Debug)]
 struct Slot {
@@ -195,8 +210,8 @@ pub struct Membership {
     /// The IPv6 column: empty, or one cell of octets per slot.
     // bounded: ≤ |slots| cells of 16 bytes
     v6: Vec<[u8; 16]>,
-    /// The name index; length zero or a power of two.
-    // bounded: ≤ 2 × next_pow2(peak member count) buckets — grown only by `index_reserve`, to keep load ≤ ½
+    /// The name index; any length, wrapped at its end.
+    // bounded: ≤ max(⌈4/3 × reserved members⌉, 8/3 × peak member count) buckets — grown only by `index_reserve` (exact) and `index_grow` (doubling), to keep load ≤ ¾
     index: Vec<Bucket>,
     hasher: RandomState,
     /// Test hook: every name hashes to this tag, so every probe collides.
@@ -257,7 +272,8 @@ impl Membership {
 
     /// Reserves room for `additional` more members, so a bulk load
     /// (the simulator's full-mesh bootstrap) grows each structure once
-    /// instead of re-homing and reallocating its way up.
+    /// instead of re-homing and reallocating its way up. The name index
+    /// gets exactly the ⌈4/3 · n⌉ buckets that n members need.
     pub fn reserve(&mut self, additional: usize) {
         self.slots.reserve(additional);
         if !self.meta.is_empty() {
@@ -317,10 +333,7 @@ impl Membership {
     #[inline]
     pub fn lookup(&self, name: &str) -> Result<(MemberId, MemberRef<'_>), Vacant> {
         let tag = self.tag(name);
-        let found = self.find_tagged(tag, name).and_then(|(_, slot)| {
-            let gen = self.slots.get(slot as usize)?.gen;
-            Some((MemberId { slot, gen }, self.member(slot)?))
-        });
+        let found = self.find_tagged(tag, name).and_then(|(_, slot)| self.at_slot(slot));
         found.ok_or(Vacant { tag })
     }
 
@@ -369,7 +382,7 @@ impl Membership {
             }
         };
         self.put(id, member);
-        self.index_reserve(self.len() + 1);
+        self.index_grow(self.len() + 1);
         self.index_insert(Bucket {
             tag: vacant.tag,
             slot: id,
@@ -403,6 +416,20 @@ impl Membership {
             return None;
         }
         self.member(id.slot)
+    }
+
+    /// The member in slot `slot` under its current handle; `None` for a
+    /// vacant slot or [`NIL`]. The probe rotation's accessor: it holds
+    /// bare slot ids and blanks them when their members are removed.
+    #[inline]
+    pub(crate) fn at_slot(&self, slot: u32) -> Option<(MemberId, MemberRef<'_>)> {
+        let gen = self.slots.get(slot as usize)?.gen;
+        Some((MemberId { slot, gen }, self.member(slot)?))
+    }
+
+    /// Whether slot `slot` holds a member.
+    pub(crate) fn occupied(&self, slot: u32) -> bool {
+        self.name_of(slot).is_some()
     }
 
     /// The table's current update sequence: the stamp of the most
@@ -525,9 +552,26 @@ impl Membership {
     }
 
     /// Removes a member record entirely (dead-node reaping). O(1).
-    /// Every [`MemberId`] issued for it stops resolving.
+    /// Every [`MemberId`] issued for it stops resolving. The next insert
+    /// may reuse its slot, so a probe rotation holding the slot must
+    /// [`forget_removed`](crate::probe_list::ProbeList::forget_removed)
+    /// before that insert.
     pub fn remove(&mut self, name: &NodeName) -> Option<Member> {
         let (bucket, id) = self.find(name.as_str())?;
+        self.remove_at(bucket, id)
+    }
+
+    /// [`Membership::remove`] of the member behind `id`; `None` once it
+    /// has been removed. Hashes the name only to find its index bucket.
+    pub fn remove_id(&mut self, id: MemberId) -> Option<Member> {
+        let slot = self.slots.get(id.slot as usize).filter(|s| s.gen == id.gen)?;
+        let (bucket, _) = self.find(slot.name.as_ref()?.as_str())?;
+        self.remove_at(bucket, id.slot)
+    }
+
+    /// Removes the record in slot `id`, whose name sits in index bucket
+    /// `bucket`.
+    fn remove_at(&mut self, bucket: usize, id: u32) -> Option<Member> {
         let member = self.take(id)?;
         self.index_remove(bucket);
         self.pool_remove(id, member.state);
@@ -552,16 +596,16 @@ impl Membership {
     }
 
     /// Members that have been dead/left since before `reap_before` and
-    /// can be forgotten.
+    /// can be forgotten, with their handles.
     ///
     /// Iterates the `gone` pool only, so the cost is O(retained dead),
-    /// not O(n); collect the names before calling
-    /// [`Membership::remove`].
-    pub fn reapable(&self, reap_before: Time) -> impl Iterator<Item = MemberRef<'_>> {
+    /// not O(n); collect the ids before calling
+    /// [`Membership::remove_id`].
+    pub fn reapable(&self, reap_before: Time) -> impl Iterator<Item = (MemberId, MemberRef<'_>)> {
         self.gone
             .iter()
-            .filter_map(|&id| self.member(id))
-            .filter(move |m| m.state_change < reap_before)
+            .filter_map(|&id| self.at_slot(id))
+            .filter(move |(_, m)| m.state_change < reap_before)
     }
 
     /// Selects up to `k` distinct random members satisfying `filter`,
@@ -751,10 +795,22 @@ impl Membership {
         self.hasher.hash_one(name) as u32
     }
 
-    /// `index.len() - 1`; ANDing with it wraps a bucket position because
-    /// the length is a power of two. (An empty index never probes.)
-    fn mask(&self) -> usize {
-        self.index.len().wrapping_sub(1)
+    /// The home bucket of `tag`: the tag scaled to the index length by
+    /// a multiply-shift, so any length works and homes keep the tags'
+    /// order. (An empty index never probes.)
+    #[inline]
+    fn home(&self, tag: u32) -> usize {
+        ((u64::from(tag) * self.index.len() as u64) >> 32) as usize
+    }
+
+    /// The bucket after `i`, wrapping at the end of the index.
+    #[inline]
+    fn next_bucket(&self, i: usize) -> usize {
+        if i + 1 >= self.index.len() {
+            0
+        } else {
+            i + 1
+        }
     }
 
     fn bucket(&self, i: usize) -> Bucket {
@@ -775,11 +831,10 @@ impl Membership {
 
     /// [`Membership::find`] for a name whose tag is already computed.
     /// Probes from the tag's home bucket to the first empty one (load
-    /// ≤ ½ guarantees there is one; the loop bound does not rely on it).
+    /// ≤ ¾ guarantees there is one; the loop bound does not rely on it).
     #[inline]
     fn find_tagged(&self, tag: u32, name: &str) -> Option<(usize, u32)> {
-        let mask = self.mask();
-        let mut i = tag as usize & mask;
+        let mut i = self.home(tag);
         for _ in 0..self.index.len() {
             let b = self.bucket(i);
             if b.slot == NIL {
@@ -790,19 +845,37 @@ impl Membership {
             if b.tag == tag && self.name_of(b.slot).is_some_and(|n| n.as_str() == name) {
                 return Some((i, b.slot));
             }
-            i = (i + 1) & mask;
+            i = self.next_bucket(i);
         }
         None
     }
 
-    /// Grows the index so `members` entries keep the load ≤ ½. Buckets
-    /// are re-homed from their tags; no name is hashed again.
+    /// Sizes the index to exactly ⌈4/3 · `members`⌉ buckets unless it is
+    /// already that large: a bulk load's final size at load ≤ ¾.
     fn index_reserve(&mut self, members: usize) {
-        let want = (2 * members).next_power_of_two();
-        if want <= self.index.len() {
+        let want = (4 * members).div_ceil(3);
+        if want > self.index.len() {
+            self.index_resize(want);
+        }
+    }
+
+    /// Doubles the index (from 2 buckets) until `members` entries keep
+    /// the load ≤ ¾ — growth one member at a time.
+    fn index_grow(&mut self, members: usize) {
+        if 4 * members <= 3 * self.index.len() {
             return;
         }
-        let old = std::mem::replace(&mut self.index, vec![EMPTY; want]);
+        let mut want = self.index.len().max(1);
+        while 4 * members > 3 * want {
+            want *= 2;
+        }
+        self.index_resize(want);
+    }
+
+    /// Moves every bucket into a fresh index of `len` buckets, re-homed
+    /// from its tag; no name is hashed again.
+    fn index_resize(&mut self, len: usize) {
+        let old = std::mem::replace(&mut self.index, vec![EMPTY; len]);
         for b in old {
             if b.slot != NIL {
                 self.index_insert(b);
@@ -813,14 +886,13 @@ impl Membership {
     /// Places `bucket` (a name known to be absent) in the first empty
     /// bucket at or after its home.
     fn index_insert(&mut self, bucket: Bucket) {
-        let mask = self.mask();
-        let mut i = bucket.tag as usize & mask;
+        let mut i = self.home(bucket.tag);
         for _ in 0..self.index.len() {
             if self.bucket(i).slot == NIL {
                 self.set_bucket(i, bucket);
                 return;
             }
-            i = (i + 1) & mask;
+            i = self.next_bucket(i);
         }
         debug_assert!(false, "name index full");
     }
@@ -830,18 +902,18 @@ impl Membership {
     /// hole unless that would put it before its home, so lookups never
     /// need tombstones.
     fn index_remove(&mut self, mut hole: usize) {
-        let mask = self.mask();
+        let len = self.index.len();
+        // Steps from `from` forward to `to`, wrapping at the end.
+        let dist = |from: usize, to: usize| if to >= from { to - from } else { to + len - from };
         let mut j = hole;
-        for _ in 0..self.index.len() {
-            j = (j + 1) & mask;
+        for _ in 0..len {
+            j = self.next_bucket(j);
             let b = self.bucket(j);
             if b.slot == NIL {
                 break;
             }
-            let home = b.tag as usize & mask;
-            // Cyclic distances from `b`'s home: it may move to `hole`
-            // iff the hole is not before its home.
-            if (j.wrapping_sub(home) & mask) >= (j.wrapping_sub(hole) & mask) {
+            // `b` may move to `hole` iff the hole is not before its home.
+            if dist(self.home(b.tag), j) >= dist(hole, j) {
                 self.set_bucket(hole, b);
                 hole = j;
             }
@@ -1006,10 +1078,9 @@ impl Membership {
             );
         }
 
-        // Name index: a power-of-two table at load ≤ ½ holding exactly
-        // one bucket per member, each reachable by probing for its name.
-        assert!(self.index.is_empty() || self.index.len().is_power_of_two());
-        assert!(2 * self.len() <= self.index.len(), "index load above ½");
+        // Name index: a table at load ≤ ¾ holding exactly one bucket
+        // per member, each reachable by probing for its name.
+        assert!(4 * self.len() <= 3 * self.index.len(), "index load above ¾");
         let mut buckets = 0;
         for (i, b) in self.index.iter().enumerate().filter(|(_, b)| b.slot != NIL) {
             buckets += 1;
@@ -1389,7 +1460,7 @@ mod tests {
         t.set_state(&"node-1".into(), MemberState::Left, Time::from_secs(50));
         let reap: Vec<NodeName> = t
             .reapable(Time::from_secs(30))
-            .map(|m| m.name.clone())
+            .map(|(_, m)| m.name.clone())
             .collect();
         assert_eq!(reap, vec![NodeName::from("node-0")]);
         t.remove(&"node-0".into());
@@ -1516,6 +1587,66 @@ mod tests {
         assert_eq!(seen.len(), 200);
     }
 
+    fn wrap_table(names: &[&str]) -> Membership {
+        // Every name's home is the last bucket: `u32::MAX · len >> 32`
+        // is `len - 1`.
+        let mut t = Membership::with_fixed_tag(u32::MAX);
+        t.reserve(names.len());
+        for (i, name) in names.iter().enumerate() {
+            t.upsert(Member::new((*name).into(), addr(i as u8), Incarnation(0), Time::ZERO));
+        }
+        t
+    }
+
+    fn positions(t: &Membership, names: &[&str]) -> Vec<usize> {
+        names.iter().filter_map(|n| t.find(n)).map(|(i, _)| i).collect()
+    }
+
+    #[test]
+    fn a_probe_run_wraps_past_the_last_bucket_of_a_reserved_index() {
+        let names = ["w-0", "w-1", "w-2", "w-3"];
+        let t = wrap_table(&names);
+        assert_eq!(t.index.len(), 6, "⌈4 · 4 / 3⌉ buckets, not a power of two");
+        assert_eq!(positions(&t, &names), [5, 0, 1, 2]);
+        t.check_invariants();
+    }
+
+    #[test]
+    fn backward_shift_deletion_crosses_the_wrap() {
+        let names = ["w-0", "w-1", "w-2", "w-3"];
+        let mut t = wrap_table(&names);
+        // The hole at the last bucket pulls the run back across the wrap.
+        t.remove(&"w-0".into()).unwrap();
+        assert_eq!(positions(&t, &names[1..]), [5, 0, 1]);
+        assert_eq!(t.bucket(2).slot, NIL);
+        t.check_invariants();
+        // A hole at bucket 0 pulls the rest of the run back, and the
+        // wrapped-over entry at the last bucket stays home.
+        t.remove(&"w-2".into()).unwrap();
+        assert_eq!(positions(&t, &["w-1", "w-3"]), [5, 0]);
+        assert_eq!(t.bucket(1).slot, NIL);
+        t.check_invariants();
+    }
+
+    #[test]
+    fn an_exactly_reserved_index_doubles_when_it_fills() {
+        for fixed in [Some(u32::MAX), Some(0x5555_5555), None] {
+            let mut t = fixed.map_or_else(Membership::new, Membership::with_fixed_tag);
+            t.reserve(4);
+            let name = |i: u8| NodeName::from(format!("g-{i}"));
+            for i in 0..4 {
+                t.upsert(Member::new(name(i), addr(i), Incarnation(0), Time::ZERO));
+            }
+            assert_eq!(t.index.len(), 6, "4 members fit ⌈4 · 4 / 3⌉ buckets");
+            t.upsert(Member::new(name(4), addr(4), Incarnation(0), Time::ZERO));
+            assert_eq!(t.index.len(), 12, "the fifth member doubles the index");
+            for i in 0..5 {
+                assert!(t.get(&name(i)).is_some(), "{} lost in the growth", name(i));
+            }
+            t.check_invariants();
+        }
+    }
+
     /// One step against the table and its `HashMap` model.
     #[derive(Clone, Debug)]
     enum IndexOp {
@@ -1545,12 +1676,22 @@ mod tests {
         fn name_index_matches_hashmap_model(
             ops in proptest::collection::vec(index_op(), 1..300),
             collide in any::<bool>(),
+            reserve in (any::<bool>(), 1..60usize),
         ) {
+            let (reserved, k) = reserve;
             let mut t = if collide {
                 Membership::with_fixed_tag(0xdead_beef)
             } else {
                 Membership::new()
             };
+            if reserved {
+                // Start some cases from an index of exactly ⌈4k/3⌉
+                // buckets, never a power of two: where that would be
+                // one (k = 1, 3, 6, 12, 24, 48), k + 1 is not.
+                let k = if (4 * k).div_ceil(3).is_power_of_two() { k + 1 } else { k };
+                t.reserve(k);
+                prop_assert!(!t.index.len().is_power_of_two());
+            }
             let mut model: HashMap<String, u64> = HashMap::new();
             // 2 to 19 bytes: inline names and shared ones (over 14
             // bytes), and shared names that agree in their first 17

@@ -772,15 +772,21 @@ impl SwimNode {
                     .schedule(now + self.config.dead_reclaim, Timer::Reap);
                 let cutoff = Time::ZERO + now.saturating_since(Time::ZERO + self.config.dead_reclaim);
                 // O(retained dead): the reapable iterator walks the gone
-                // pool only, never the whole table.
-                let names: Vec<NodeName> = self
+                // pool only, never the whole table. A tick that reaps
+                // nothing collects into an empty, unallocated `Vec`.
+                let reaped: Vec<MemberId> = self
                     .membership
                     .reapable(cutoff)
-                    .filter(|m| *m.name != self.name)
-                    .map(|m| m.name.clone())
+                    .filter(|(_, m)| *m.name != self.name)
+                    .map(|(id, _)| id)
                     .collect();
-                for name in &names {
-                    self.membership.remove(name);
+                if !reaped.is_empty() {
+                    for &id in &reaped {
+                        self.membership.remove_id(id);
+                    }
+                    // One pass over the rotation, before any insert can
+                    // hand a reaped slot to a newcomer.
+                    self.prober.forget_removed(&self.membership);
                 }
                 self.sync.prune(&self.membership, now);
             }

@@ -5,18 +5,26 @@
 //! bounded, but the list order is random and *new members are inserted at
 //! random positions*, so the expected detection time matches the random
 //! scheme (paper §III-A).
+//!
+//! The rotation holds bare 4-byte slot ids, one per member per node. A
+//! slot is reused once its member is removed, so the removal must reach
+//! the rotation before the next insert: [`ProbeList::forget_removed`]
+//! turns each removed member's entry into a tombstone in one pass, and
+//! a tombstone is dropped when the cursor reaches it, the way an id of
+//! a removed member would be. The rotation's length, and with it every
+//! random draw, is what it would be with generation-checked ids.
 
 use lifeguard_proto::NodeName;
 use rand::{Rng, RngExt};
 
 use crate::member::MemberRef;
-use crate::membership::{MemberId, Membership};
+use crate::membership::{MemberId, Membership, NIL};
 
 /// The local node's probe rotation.
 #[derive(Clone, Debug, Default)]
 pub struct ProbeList {
-    // bounded: ≤ cluster size live ids plus stale ones, compacted lazily when stale entries are skipped during selection
-    order: Vec<MemberId>,
+    // bounded: ≤ cluster size live slot ids plus tombstones of removed members, each dropped when the cursor reaches it
+    order: Vec<u32>,
     next: usize,
 }
 
@@ -26,8 +34,8 @@ impl ProbeList {
         ProbeList::default()
     }
 
-    /// Number of ids in the rotation (live and stale entries alike;
-    /// stale entries are skipped lazily during [`ProbeList::next_target`]).
+    /// Number of entries in the rotation (members and tombstones alike;
+    /// tombstones are dropped lazily during [`ProbeList::next_target`]).
     pub fn len(&self) -> usize {
         self.order.len()
     }
@@ -42,7 +50,7 @@ impl ProbeList {
     /// visited within the current sweep where possible.
     pub fn insert<R: Rng>(&mut self, id: MemberId, rng: &mut R) {
         let pos = rng.random_range(0..=self.order.len());
-        self.order.insert(pos, id);
+        self.order.insert(pos, id.slot());
         if pos < self.next {
             self.next += 1;
         }
@@ -56,18 +64,31 @@ impl ProbeList {
         ids: impl IntoIterator<Item = MemberId>,
         rng: &mut R,
     ) {
-        self.order.extend(ids);
+        self.order.extend(ids.into_iter().map(MemberId::slot));
         self.reshuffle(rng);
     }
 
+    /// Turns the entry of every member removed from `membership` since
+    /// the last call into a tombstone, in one pass. Call it after
+    /// removals and before the table's next insert, which may reuse a
+    /// vacated slot; a removal it misses would hand the slot's next
+    /// member a second entry.
+    pub fn forget_removed(&mut self, membership: &Membership) {
+        for slot in &mut self.order {
+            if *slot != NIL && !membership.occupied(*slot) {
+                *slot = NIL;
+            }
+        }
+    }
+
     /// Picks the next probe target: advances round-robin, skipping
-    /// members for which `eligible` is false and dropping ids that no
-    /// longer resolve in `membership` — the member was removed; if it
-    /// has rejoined since, it is in the rotation under its new id.
-    /// Reshuffles at the end of each sweep.
+    /// members for which `eligible` is false and dropping tombstones —
+    /// the member was removed; if it has rejoined since, it is in the
+    /// rotation under its new entry. Reshuffles at the end of each
+    /// sweep.
     ///
-    /// Returns the target with the id it sits under in the rotation, or
-    /// `None` when no eligible member exists.
+    /// Returns the target with its current id, or `None` when no
+    /// eligible member exists.
     pub fn next_target<'m, R: Rng>(
         &mut self,
         membership: &'m Membership,
@@ -79,7 +100,7 @@ impl ProbeList {
         let mut inspected = 0;
         let limit = self.order.len().saturating_mul(2).max(1);
         while inspected < limit {
-            let Some(&id) = self.order.get(self.next) else {
+            let Some(&slot) = self.order.get(self.next) else {
                 if self.order.is_empty() {
                     return None;
                 }
@@ -87,8 +108,8 @@ impl ProbeList {
                 continue;
             };
             inspected += 1;
-            let Some(member) = membership.by_id(id) else {
-                // Member was reaped: drop from rotation without advancing.
+            let Some((id, member)) = membership.at_slot(slot) else {
+                // A tombstone: drop it from the rotation without advancing.
                 self.order.remove(self.next);
                 continue;
             };
@@ -100,17 +121,22 @@ impl ProbeList {
         None
     }
 
-    /// Every live member other than `me` is in the rotation, and no
-    /// member is in it twice (ids of removed members may linger until a
-    /// sweep drops them).
-    pub(crate) fn check_invariants(&self, membership: &Membership, me: &NodeName) {
+    /// Every entry but a tombstone names an occupied slot, every live
+    /// member other than `me` is in the rotation, and no member is in
+    /// it twice.
+    #[doc(hidden)]
+    pub fn check_invariants(&self, membership: &Membership, me: &NodeName) {
         let mut listed = std::collections::HashSet::new();
-        for id in self.order.iter().filter(|&&id| membership.by_id(id).is_some()) {
-            assert!(listed.insert(*id), "{id:?} is in the probe rotation twice");
+        for &slot in self.order.iter().filter(|&&slot| slot != NIL) {
+            assert!(
+                membership.occupied(slot),
+                "slot {slot} is in the probe rotation but vacant"
+            );
+            assert!(listed.insert(slot), "slot {slot} is in the probe rotation twice");
         }
         for m in membership.iter().filter(|m| m.is_live() && m.name != me) {
             assert!(
-                membership.id_of(m.name).is_some_and(|id| listed.contains(&id)),
+                membership.id_of(m.name).is_some_and(|id| listed.contains(&id.slot())),
                 "live member {} is not in the probe rotation",
                 m.name
             );
@@ -149,6 +175,13 @@ mod tests {
             Time::ZERO,
         ));
         list.insert(membership.id_of(&name).unwrap(), rng);
+    }
+
+    /// Removes `name` from the table and blanks its entry — what the
+    /// node's reap does.
+    fn reap(membership: &mut Membership, list: &mut ProbeList, name: &str) {
+        membership.remove(&name.into()).unwrap();
+        list.forget_removed(membership);
     }
 
     fn setup(n: usize) -> (Membership, ProbeList, StdRng) {
@@ -202,7 +235,7 @@ mod tests {
     #[test]
     fn drops_members_removed_from_membership() {
         let (mut membership, mut list, mut rng) = setup(4);
-        membership.remove(&"node-1".into());
+        reap(&mut membership, &mut list, "node-1");
         let mut seen = Vec::new();
         for _ in 0..3 {
             let t = list.next_target(&membership, &mut rng, |_| true).unwrap().1;
@@ -212,20 +245,31 @@ mod tests {
         assert_eq!(list.len(), 3);
     }
 
-    /// A member reaped and re-added before the cursor reaches its old
-    /// entry must not be in the rotation twice: the old entry's id is
-    /// stale and is dropped when reached. (With names in the rotation
-    /// the old entry resolved again and stayed for good.)
+    /// A member reaped and re-added into its old slot before the cursor
+    /// reaches the old entry must not be in the rotation twice: the old
+    /// entry is a tombstone and is dropped when reached. (With names in
+    /// the rotation the old entry resolved again and stayed for good;
+    /// with bare slot ids and no tombstone it would resolve to the
+    /// rejoined member.)
     #[test]
     fn rejoin_after_removal_is_probed_once_per_sweep() {
         let (mut membership, mut list, mut rng) = setup(10);
-        membership.remove(&"node-2".into());
+        let slot = membership.id_of(&"node-2".into()).unwrap().slot();
+        reap(&mut membership, &mut list, "node-2");
         join(&mut membership, &mut list, &mut rng, "node-2");
+        assert_eq!(
+            membership.id_of(&"node-2".into()).unwrap().slot(),
+            slot,
+            "the rejoin reused the slot"
+        );
+        assert_eq!(list.order.iter().filter(|&&s| s == slot).count(), 1);
+        assert_eq!(list.order.iter().filter(|&&s| s == NIL).count(), 1);
+        list.check_invariants(&membership, &"me".into());
         // Two sweeps are enough for the cursor to pass every old entry.
         for _ in 0..20 {
             list.next_target(&membership, &mut rng, |_| true).unwrap();
         }
-        assert_eq!(list.len(), 10, "the stale entry is gone");
+        assert_eq!(list.len(), 10, "the tombstone is gone");
         for sweep in 0..3 {
             let mut hits = 0;
             for _ in 0..10 {
@@ -234,6 +278,38 @@ mod tests {
             }
             assert_eq!(hits, 1, "sweep {sweep} probed node-2 {hits} times");
         }
+    }
+
+    /// The tombstone sits ahead of the cursor, mid-sweep, when the
+    /// rejoin takes the slot back: the cursor must drop it, not probe
+    /// the rejoined member through it as well.
+    #[test]
+    fn a_slot_reused_before_the_cursor_reaches_its_tombstone_is_probed_once() {
+        let (mut membership, mut list, mut rng) = setup(10);
+        for _ in 0..3 {
+            list.next_target(&membership, &mut rng, |_| true).unwrap();
+        }
+        let ahead = *list.order.get(list.next + 2).unwrap();
+        let name = membership.at_slot(ahead).unwrap().1.name.clone();
+        reap(&mut membership, &mut list, name.as_str());
+        join(&mut membership, &mut list, &mut rng, name.as_str());
+        assert_eq!(membership.id_of(&name).unwrap().slot(), ahead, "slot reused");
+        let mut hits = 0;
+        while list.next < list.order.len() {
+            let t = list.next_target(&membership, &mut rng, |_| true).unwrap().1;
+            hits += usize::from(*t.name == name);
+        }
+        assert!(hits <= 1, "probed {hits} times in the sweep it rejoined in");
+        assert_eq!(list.len(), 10, "the tombstone was dropped");
+        for sweep in 0..3 {
+            let mut hits = 0;
+            for _ in 0..10 {
+                let t = list.next_target(&membership, &mut rng, |_| true).unwrap().1;
+                hits += usize::from(*t.name == name);
+            }
+            assert_eq!(hits, 1, "sweep {sweep} probed {name} {hits} times");
+        }
+        list.check_invariants(&membership, &"me".into());
     }
 
     #[test]
@@ -250,7 +326,7 @@ mod tests {
             }
             join(&mut membership, &mut list, &mut rng, "marker");
             let marker = membership.id_of(&"marker".into()).unwrap();
-            let pos = list.order.iter().position(|&id| id == marker).unwrap();
+            let pos = list.order.iter().position(|&slot| slot == marker.slot()).unwrap();
             *positions.entry(pos).or_insert(0) += 1;
         }
         assert!(

@@ -95,6 +95,12 @@ impl Prober {
         self.rotation.insert(id, rng);
     }
 
+    /// Blanks the rotation entries of members just removed from
+    /// `membership`, before their slots can be reused.
+    pub(crate) fn forget_removed(&mut self, membership: &Membership) {
+        self.rotation.forget_removed(membership);
+    }
+
     /// Bulk [`Prober::admit`] with one shuffle (cluster bootstrap).
     pub(crate) fn admit_all(&mut self, ids: Vec<MemberId>, rng: &mut StdRng) {
         self.rotation.extend_shuffled(ids, rng);

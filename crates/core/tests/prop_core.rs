@@ -608,3 +608,171 @@ mod precedence {
         }
     }
 }
+
+/// The probe rotation against the design it replaced: a rotation of
+/// generation-checked [`MemberId`]s, in which a removed member's entry
+/// goes stale by itself. The slot-id rotation must pick the same
+/// targets and make the same random draws, down to the last one.
+mod rotation_reference {
+    use super::*;
+    use lifeguard_core::member::MemberRef;
+    use lifeguard_core::membership::MemberId;
+    use lifeguard_core::probe_list::ProbeList;
+    use lifeguard_proto::NodeName;
+    use rand::{Rng, RngExt};
+
+    /// The `MemberId`-keyed rotation, as it was before tombstones.
+    #[derive(Default)]
+    struct IdRotation {
+        order: Vec<MemberId>,
+        next: usize,
+    }
+
+    impl IdRotation {
+        fn insert<R: Rng>(&mut self, id: MemberId, rng: &mut R) {
+            let pos = rng.random_range(0..=self.order.len());
+            self.order.insert(pos, id);
+            if pos < self.next {
+                self.next += 1;
+            }
+        }
+
+        fn extend_shuffled<R: Rng>(&mut self, ids: impl IntoIterator<Item = MemberId>, rng: &mut R) {
+            self.order.extend(ids);
+            self.reshuffle(rng);
+        }
+
+        fn next_target<'m, R: Rng>(
+            &mut self,
+            membership: &'m Membership,
+            rng: &mut R,
+            mut eligible: impl FnMut(&MemberRef<'m>) -> bool,
+        ) -> Option<(MemberId, MemberRef<'m>)> {
+            let mut inspected = 0;
+            let limit = self.order.len().saturating_mul(2).max(1);
+            while inspected < limit {
+                let Some(&id) = self.order.get(self.next) else {
+                    if self.order.is_empty() {
+                        return None;
+                    }
+                    self.reshuffle(rng);
+                    continue;
+                };
+                inspected += 1;
+                let Some(member) = membership.by_id(id) else {
+                    self.order.remove(self.next);
+                    continue;
+                };
+                self.next += 1;
+                if eligible(&member) {
+                    return Some((id, member));
+                }
+            }
+            None
+        }
+
+        fn reshuffle<R: Rng>(&mut self, rng: &mut R) {
+            let n = self.order.len();
+            for i in (1..n).rev() {
+                let j = rng.random_range(0..=i);
+                self.order.swap(i, j);
+            }
+            self.next = 0;
+        }
+    }
+
+    /// `k`'s member: the incarnation is `k`, which the eligibility
+    /// filters read.
+    fn newcomer(k: u64) -> Member {
+        Member::new(
+            format!("m-{k}").into(),
+            NodeAddr::new([10, 0, (k >> 8) as u8, k as u8], 7946),
+            Incarnation(k),
+            Time::ZERO,
+        )
+    }
+
+    proptest! {
+        /// Admit, reap (blanking the slot rotation), rejoin into the
+        /// slot just vacated, bulk-admit and pick targets under random
+        /// eligibility filters, the model and the slot rotation in
+        /// lockstep from one seed: the same target at every step and
+        /// the same next draw from both generators at the end.
+        #[test]
+        fn slot_rotation_matches_the_id_rotation(
+            seed in any::<u64>(),
+            ops in proptest::collection::vec((0u8..8, any::<u64>()), 1..200),
+        ) {
+            let mut table = Membership::new();
+            let mut model = IdRotation::default();
+            let mut rotation = ProbeList::new();
+            let (mut model_rng, mut rng) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+            let mut present: Vec<u64> = Vec::new();
+            let mut reaped: Vec<u64> = Vec::new();
+            let mut next_k = 0u64;
+            let me = NodeName::from("me");
+            for (op, arg) in ops {
+                match op {
+                    // Admit a newcomer.
+                    0 | 1 => {
+                        let id = table.insert(table.lookup(&format!("m-{next_k}")).unwrap_err(), newcomer(next_k));
+                        present.push(next_k);
+                        next_k += 1;
+                        model.insert(id, &mut model_rng);
+                        rotation.insert(id, &mut rng);
+                    }
+                    // Reap one member.
+                    2 if !present.is_empty() => {
+                        let k = present.swap_remove(arg as usize % present.len());
+                        let id = table.id_of(&format!("m-{k}").into()).unwrap();
+                        table.remove_id(id).unwrap();
+                        rotation.forget_removed(&table);
+                        reaped.push(k);
+                    }
+                    // A reaped member rejoins, into the slot the most
+                    // recent removal vacated unless an admission took it.
+                    3 if !reaped.is_empty() => {
+                        let k = reaped.swap_remove(arg as usize % reaped.len());
+                        let id = table.insert(table.lookup(&format!("m-{k}")).unwrap_err(), newcomer(k));
+                        present.push(k);
+                        model.insert(id, &mut model_rng);
+                        rotation.insert(id, &mut rng);
+                    }
+                    // Bulk admission of up to seven newcomers.
+                    4 => {
+                        let ids: Vec<MemberId> = (0..arg % 8)
+                            .map(|_| {
+                                let k = next_k;
+                                next_k += 1;
+                                present.push(k);
+                                table.insert(table.lookup(&format!("m-{k}")).unwrap_err(), newcomer(k))
+                            })
+                            .collect();
+                        model.extend_shuffled(ids.iter().copied(), &mut model_rng);
+                        rotation.extend_shuffled(ids, &mut rng);
+                    }
+                    // Pick a target among the members whose incarnation
+                    // picks a set bit of `arg` (all, none or some).
+                    _ => {
+                        let mask = match op {
+                            5 => u64::MAX,
+                            6 => arg & (arg >> 7),
+                            _ => arg,
+                        };
+                        let eligible = |m: &MemberRef<'_>| (mask >> (m.incarnation.0 % 64)) & 1 == 1;
+                        let want = model
+                            .next_target(&table, &mut model_rng, eligible)
+                            .map(|(id, m)| (id, m.name.clone()));
+                        let got = rotation
+                            .next_target(&table, &mut rng, eligible)
+                            .map(|(id, m)| (id, m.name.clone()));
+                        prop_assert_eq!(got, want);
+                    }
+                }
+                prop_assert_eq!(rotation.len(), model.order.len());
+                rotation.check_invariants(&table, &me);
+            }
+            prop_assert_eq!(rng.next_u64(), model_rng.next_u64());
+        }
+    }
+}

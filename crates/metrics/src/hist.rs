@@ -300,9 +300,11 @@ impl Histogram {
 
     /// Rebuilds a histogram from its wire form. Returns `None` if a
     /// bucket index is out of range, the bucket counts do not add up to
-    /// `count`, or a non-empty histogram has `min > max` (a corrupt
-    /// snapshot must not decode silently, nor panic a later
-    /// [`Histogram::quantile`]).
+    /// `count`, a non-empty histogram has `min > max`, or an empty one
+    /// has a non-zero `sum` or `max` (a corrupt snapshot must not decode
+    /// silently, nor panic a later [`Histogram::quantile`], nor raise a
+    /// merged maximum with no sample behind it). An empty histogram's
+    /// `min` is unused.
     pub fn from_parts(
         count: u64,
         sum: u64,
@@ -311,6 +313,9 @@ impl Histogram {
         pairs: &[(u32, u64)],
     ) -> Option<Histogram> {
         if count > 0 && min > max {
+            return None;
+        }
+        if count == 0 && (sum != 0 || max != 0) {
             return None;
         }
         let mut h = Histogram::new();
@@ -490,7 +495,11 @@ mod tests {
         // So does a non-empty one whose minimum exceeds its maximum:
         // `quantile` would clamp to an inverted range.
         assert!(Histogram::from_parts(1, 10, 10, 3, &[(3, 1)]).is_none());
-        assert!(Histogram::from_parts(0, 0, 10, 3, &[]).is_some(), "empty: min unused");
+        // An empty one holds no sample, so a sum or a maximum is corrupt;
+        // its minimum is unused.
+        assert!(Histogram::from_parts(0, 0, 10, 3, &[]).is_none(), "empty with a max");
+        assert!(Histogram::from_parts(0, 4, 0, 0, &[]).is_none(), "empty with a sum");
+        assert!(Histogram::from_parts(0, 0, 10, 0, &[]).is_some(), "empty: min unused");
     }
 
     /// The window's first bucket, or `None` before the first write and

@@ -135,6 +135,9 @@ mod reference {
             max: u64,
             pairs: &[(u32, u64)],
         ) -> Option<Histogram> {
+            if count == 0 && (sum != 0 || max != 0) {
+                return None;
+            }
             let mut h = Histogram::new();
             h.count = count;
             h.sum = sum;

@@ -72,11 +72,15 @@ fn snapshot() -> impl Strategy<Value = Snapshot> {
         .prop_map(|(counters, rtt, lifetime)| build(&counters, &rtt, &lifetime))
 }
 
-/// Whatever the decoder accepts must survive its own encoding, and its
-/// histograms must answer every query without panicking.
+/// Whatever the decoder accepts must survive its own encoding, its
+/// histograms must answer every query without panicking, and an empty
+/// one must claim no sum and no maximum.
 fn accepted_round_trips(bytes: &[u8]) -> Result<(), String> {
     if let Ok(decoded) = Snapshot::decode(bytes) {
         for h in [&decoded.core.probe_rtt, &decoded.core.suspicion_lifetime] {
+            if h.count() == 0 {
+                prop_assert_eq!((h.sum(), h.max()), (0, 0), "empty histogram with a sum or max");
+            }
             for p in [0.0, 50.0, 99.9, 100.0] {
                 let _ = h.quantile(p);
             }

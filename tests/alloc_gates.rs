@@ -363,10 +363,11 @@ fn receive_path_allocates_only_for_state_changes() {
 }
 
 const TABLE_ENTRIES: usize = 100_000;
-/// ≈ 1.1 × the 97 B measured when the ceiling was set (64 B slot, 21 B
-/// of name index at this size, 4 B pool id, 8 B probe id), so a layout
+/// ≈ 1.1 × the 83 B measured when the ceiling was set (64 B slot,
+/// 10.7 B of name index — ⌈4/3 · n⌉ 8-byte buckets for a reserved
+/// table —, 4 B pool id, 4 B probe-rotation slot id), so a layout
 /// regression in `Membership` or `ProbeList` fails the run.
-const TABLE_BYTES_PER_ENTRY_GATE: f64 = 107.0;
+const TABLE_BYTES_PER_ENTRY_GATE: f64 = 91.0;
 
 /// Bootstraps one node with a 100 000-member roster and gates its live
 /// bytes per entry: what one member of a 100 k cluster pays for its
