@@ -10,8 +10,6 @@
 //!   claim.
 //! * [`tables`] — Tables IV–VII and Figures 1–3, rendered from the same
 //!   runs.
-//! * [`metrics`] — the shared quantile rule, re-exported from
-//!   `lifeguard-metrics`, and the "% of SWIM" ratio.
 //! * [`report`] — plain-text and CSV table rendering.
 //!
 //! The `lifeguard-repro` binary wraps all of this:
@@ -22,7 +20,6 @@
 //! lifeguard-repro table4 --scale paper
 //! ```
 
-pub mod metrics;
 pub mod report;
 pub mod scenario;
 pub mod tables;

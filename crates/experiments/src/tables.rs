@@ -14,8 +14,8 @@
 use std::time::Duration;
 
 use lifeguard_core::config::{Config, LifeguardConfig};
+use lifeguard_metrics::percentile;
 
-use crate::metrics::{pct_of_baseline, percentile};
 use crate::report::{fmt_f64, Table};
 use crate::scenario::RunOutcome;
 use crate::verdict::{of, Labelled, Runs};
@@ -57,6 +57,13 @@ pub const TABLE7: [(&str, f64, f64); 9] = [
 pub fn table7_configs() -> Vec<(&'static str, Config)> {
     let tuned = |&(label, a, b)| (label, Config::lan().lifeguard().with_alpha(a).with_beta(b));
     TABLE7.iter().map(tuned).collect()
+}
+
+/// `value` as a percentage of `baseline`, the way Tables IV, VI and VII
+/// present results ("% SWIM"); `None` over a zero baseline, where the
+/// ratio is undefined.
+fn pct_of_baseline(value: f64, baseline: f64) -> Option<f64> {
+    (baseline != 0.0).then(|| value / baseline * 100.0)
 }
 
 /// A "% SWIM" cell: `-` where the SWIM baseline is zero.
@@ -252,6 +259,14 @@ mod tests {
         };
         let interval = interval.iter().map(|(l, r)| (*l, r.iter().map(outcome).collect()));
         Runs { interval: interval.collect(), ..fake_runs(2) }
+    }
+
+    #[test]
+    fn pct_of_baseline_edge_cases() {
+        assert_eq!(pct_of_baseline(50.0, 100.0), Some(50.0));
+        assert_eq!(pct_of_baseline(0.0, 100.0), Some(0.0));
+        assert_eq!(pct_of_baseline(0.0, 0.0), None);
+        assert_eq!(pct_of_baseline(5.0, 0.0), None);
     }
 
     #[test]

@@ -24,9 +24,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use lifeguard_core::config::Config;
+use lifeguard_metrics::percentile;
 use lifeguard_sim::schedule::Schedule;
 
-use crate::metrics::percentile;
 use crate::report::Table;
 use crate::scenario::{self, IntervalCell, RunOutcome, Scale, MIN_RUN};
 use crate::tables::{table1_configs, table7_configs, TABLE7};

@@ -274,7 +274,8 @@ impl Histogram {
         self.max
     }
 
-    /// Folds another histogram into this one (run-level aggregation).
+    /// Folds another histogram into this one (the repository benchmark
+    /// sums its nodes' histograms this way).
     /// Spills this one's window, once, if `other` holds a count outside
     /// it.
     pub fn merge(&mut self, other: &Histogram) {
@@ -579,6 +580,7 @@ mod tests {
         // The old implementation panicked via `partial_cmp().expect()`
         // on any NaN; the shared one filters them out.
         assert_eq!(percentile(&[f64::NAN, f64::NAN], 50.0), None);
+        assert_eq!(percentile(&[], 50.0), None);
         assert_eq!(percentile(&[f64::NAN, 4.0, 2.0], 50.0), Some(3.0));
         // NaN percentile argument degrades to p=0, not a poisoned sort.
         assert_eq!(percentile(&[1.0, 9.0], f64::NAN), Some(1.0));

@@ -19,12 +19,9 @@
 //!   and one increment. A count outside the window moves the counts,
 //!   once, to all 976 buckets on the heap: at most one allocation per
 //!   histogram, and the same quantiles and wire form either way.
-//! - [`Snapshot`] ([`CoreSnapshot`] + [`IoSnapshot`]) — the compact
-//!   serializable point-in-time export every runtime (sim, net
-//!   agent) produces in the same shape, with a versioned binary codec
-//!   and a hand-rolled JSON writer (the build is offline; no serde).
-//! - [`Aggregate`] — run-level merge of per-node snapshots plus the
-//!   text dashboard and JSON report of the `swim-metrics` binary.
+//! - [`Snapshot`] ([`CoreSnapshot`] + [`IoSnapshot`]) — the
+//!   point-in-time export every runtime (sim, net agent) produces in
+//!   the same shape, with a versioned binary codec.
 //! - [`percentile`] — the one quantile implementation (closest-ranks
 //!   linear interpolation); [`Histogram::quantile`] routes through
 //!   the same rank rule over bucket counts.
@@ -36,10 +33,8 @@
 #![cfg_attr(not(test), deny(clippy::unreachable, clippy::unimplemented, clippy::todo))]
 #![cfg_attr(not(test), deny(clippy::indexing_slicing, clippy::integer_division_remainder_used))]
 
-pub mod aggregate;
 pub mod hist;
 pub mod snapshot;
 
-pub use aggregate::Aggregate;
 pub use hist::{percentile, Histogram};
 pub use snapshot::{CoreSnapshot, DecodeError, IoSnapshot, Snapshot};

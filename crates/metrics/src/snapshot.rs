@@ -5,17 +5,17 @@
 //! sans-io input path) plus an [`IoSnapshot`] of runtime transport
 //! counters (sim telemetry, the net agent's syscall and reactor-wakeup
 //! counters). That single shape is what makes simulated and socket
-//! behavior comparable from one struct, and what the `swim-metrics`
-//! aggregator merges across a run.
+//! behavior comparable from one struct.
 //!
-//! Two codecs, both dependency-free:
-//!
-//! - a versioned compact binary form ([`Snapshot::encode`] /
-//!   [`Snapshot::decode`], magic `SWMM`, little-endian, histograms as
-//!   sparse `(bucket, count)` pairs) for `.snap` files a run drops on
-//!   disk;
-//! - a hand-rolled JSON writer ([`Snapshot::to_json`]) for dashboards
-//!   and the CI gate (the build is offline; no serde).
+//! The one codec is a versioned compact binary form
+//! ([`Snapshot::encode`] / [`Snapshot::decode`], magic `SWMM`,
+//! little-endian, histograms as sparse `(bucket, count)` pairs),
+//! dependency-free because the build is offline. It stays because the
+//! repository benchmark's `metrics.snapshot_encode` and
+//! `metrics.snapshot_decode` rows round-trip it, and the determinism
+//! golden in `tests/sim_determinism.rs` hashes a run's encoded
+//! snapshots. Decoding treats its input as untrusted: a corrupt or
+//! foreign buffer is a [`DecodeError`], never a panic.
 
 use crate::hist::Histogram;
 
@@ -108,7 +108,7 @@ pub struct Snapshot {
     pub io: IoSnapshot,
 }
 
-/// A snapshot that failed to decode (corrupt file, foreign version).
+/// A snapshot that failed to decode (corrupt buffer, foreign version).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DecodeError {
     /// What was wrong, for operator-facing error output.
@@ -128,8 +128,8 @@ const fn err(reason: &'static str) -> DecodeError {
 }
 
 /// Little-endian reader over a snapshot buffer; every accessor is
-/// bounds-checked (snapshot files are untrusted input to the
-/// aggregator, and the metrics crate is panic-baseline zero).
+/// bounds-checked (a buffer is untrusted input, and the metrics crate
+/// is panic-baseline zero).
 struct Cursor<'a> {
     buf: &'a [u8],
     at: usize,
@@ -298,106 +298,6 @@ impl Snapshot {
             },
         })
     }
-
-    /// The snapshot as a JSON object (see `docs/OBSERVABILITY.md` for
-    /// the schema).
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(1024);
-        self.write_json(&mut s);
-        s
-    }
-
-    /// Writes the JSON object into `out` (aggregator embedding).
-    pub fn write_json(&self, out: &mut String) {
-        let co = &self.core;
-        out.push_str("{\"core\":{");
-        write_fields(
-            out,
-            &[
-                ("lhm", co.lhm),
-                ("lhm_peak", co.lhm_peak),
-                ("lhm_max", co.lhm_max),
-                ("probes_sent", co.probes_sent),
-                ("probes_failed", co.probes_failed),
-                ("indirect_probes_sent", co.indirect_probes_sent),
-                ("suspicions_raised", co.suspicions_raised),
-                ("refutations", co.refutations),
-                ("failures_declared", co.failures_declared),
-                ("flaps", co.flaps),
-                ("broadcast_queue_depth", co.broadcast_queue_depth),
-                ("broadcast_queue_peak", co.broadcast_queue_peak),
-                ("delta_syncs", co.delta_syncs),
-                ("delta_sync_bytes", co.delta_sync_bytes),
-                ("full_sync_fallbacks", co.full_sync_fallbacks),
-            ],
-        );
-        out.push_str(",\"probe_rtt_us\":");
-        write_hist_json(out, &co.probe_rtt);
-        out.push_str(",\"suspicion_lifetime_us\":");
-        write_hist_json(out, &co.suspicion_lifetime);
-        out.push_str("},\"io\":{");
-        let io = &self.io;
-        write_fields(
-            out,
-            &[
-                ("send_syscalls", io.send_syscalls),
-                ("sendmmsg_batches", io.sendmmsg_batches),
-                ("datagrams_sent", io.datagrams_sent),
-                ("datagram_bytes", io.datagram_bytes),
-                ("send_errors", io.send_errors),
-                ("would_block_drops", io.would_block_drops),
-                ("recv_syscalls", io.recv_syscalls),
-                ("datagrams_received", io.datagrams_received),
-                ("recv_truncations", io.recv_truncations),
-                ("streams_sent", io.streams_sent),
-                ("stream_bytes", io.stream_bytes),
-                ("wakeups", io.wakeups),
-            ],
-        );
-        out.push_str("}}");
-    }
-}
-
-fn write_fields(out: &mut String, fields: &[(&str, u64)]) {
-    use std::fmt::Write as _;
-    for (i, (name, v)) in fields.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{name}\":{v}");
-    }
-}
-
-/// Writes a histogram as a JSON object: summary stats, the standard
-/// quantiles, and the sparse buckets (`null` quantiles when empty).
-pub(crate) fn write_hist_json(out: &mut String, h: &Histogram) {
-    use std::fmt::Write as _;
-    let _ = write!(
-        out,
-        "{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{}",
-        h.count(),
-        h.sum(),
-        h.min(),
-        h.max()
-    );
-    for (name, p) in [("p50", 50.0), ("p90", 90.0), ("p99", 99.0), ("p999", 99.9)] {
-        match h.quantile(p) {
-            Some(v) if v.is_finite() => {
-                let _ = write!(out, ",\"{name}\":{v:.1}");
-            }
-            _ => {
-                let _ = write!(out, ",\"{name}\":null");
-            }
-        }
-    }
-    out.push_str(",\"buckets\":[");
-    for (i, (idx, c)) in h.nonzero_buckets().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "[{idx},{c}]");
-    }
-    out.push_str("]}");
 }
 
 #[cfg(test)]
@@ -448,20 +348,5 @@ mod tests {
         let mut trailing = bytes.clone();
         trailing.push(0);
         assert!(Snapshot::decode(&trailing).is_err());
-    }
-
-    #[test]
-    fn json_is_well_formed_enough() {
-        let j = sample().to_json();
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        assert!(j.contains("\"probes_sent\":100"));
-        assert!(j.contains("\"probe_rtt_us\":{\"count\":3"));
-        assert!(j.contains("\"wakeups\":77"));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
-        // Empty histograms print null quantiles, not NaN.
-        let empty = Snapshot::default().to_json();
-        assert!(empty.contains("\"p50\":null"));
-        assert!(!empty.contains("NaN"));
     }
 }

@@ -1,5 +1,6 @@
-//! Fuzz-style properties for `Snapshot::decode`, the metrics plane's
-//! wire entry: `.snap` files are untrusted input to the aggregator.
+//! Fuzz-style properties for `Snapshot::decode`, the codec the
+//! repository benchmark's `metrics.snapshot_*` rows round-trip; its
+//! input is untrusted bytes.
 //! Random bytes, every truncation of a valid encoding and single-byte
 //! flips of one must never panic; every valid encoding round-trips, and
 //! whatever the decoder accepts re-encodes to the same snapshot and

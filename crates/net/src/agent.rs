@@ -394,7 +394,8 @@ impl Agent {
     /// plus the reactor's transport counters (syscalls, batching, the
     /// three drop classes, event-loop wakeups). The same shape the
     /// sim's `Cluster::metrics_snapshot` returns, so socket and
-    /// simulated runs aggregate through one `swim-metrics` pipeline.
+    /// simulated runs compare field by field
+    /// (`tests/sim_net_conformance.rs`).
     pub fn metrics(&self) -> lifeguard_metrics::Snapshot {
         let core = self.read(Driver::metrics);
         lifeguard_metrics::Snapshot {

@@ -358,7 +358,7 @@ impl Cluster {
     /// shape: the core's deterministic protocol metrics plus the sim
     /// network's transmit accounting folded into the I/O section —
     /// the same struct the net agent returns from `Agent::metrics()`,
-    /// so sim and real runs aggregate identically.
+    /// so sim and real runs compare field by field.
     pub fn metrics_snapshot(&self, i: usize) -> lifeguard_metrics::Snapshot {
         lifeguard_metrics::Snapshot {
             core: self.slots[i].driver.metrics(),

@@ -16,7 +16,7 @@
 //! * [`metrics`] — the observability plane: counters and histograms the
 //!   core records into (a histogram keeps a 128-bucket inline window and
 //!   spills to all 976 buckets on the heap, once, if a value falls
-//!   outside it), snapshot codec, aggregation.
+//!   outside it), and the per-node snapshot with its binary codec.
 //! * [`experiments`] — the Threshold / Interval / stress experiment harness
 //!   that regenerates every table and figure of the paper.
 //!

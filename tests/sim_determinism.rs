@@ -23,11 +23,11 @@ use lifeguard::sim::schedule::Schedule;
 
 /// Golden FNV-1a hashes of the two pinned scenarios below.
 const EVENTFUL_GOLDEN: u64 = 0x4012_baa6_a869_974f;
-const METRICS_GOLDEN: u64 = 0x592f_fc3c_197c_3650;
+const METRICS_GOLDEN: u64 = 0x0ec5_d013_612c_241d;
 
-fn fnv1a(s: &str) -> u64 {
+fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in s.as_bytes() {
+    for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
@@ -99,7 +99,7 @@ fn trace_and_tables_match_golden_and_repeat() {
         "scenario must actually exercise failure detection"
     );
     assert_eq!(reference, eventful_run(), "two runs of one seed diverged");
-    assert_eq!(fnv1a(&reference), EVENTFUL_GOLDEN, "fingerprint drifted");
+    assert_eq!(fnv1a(reference.as_bytes()), EVENTFUL_GOLDEN, "fingerprint drifted");
 }
 
 /// A scheduled fault is the scripted call at its instant:
@@ -128,16 +128,16 @@ fn scheduled_faults_replay_the_scripted_run() {
     .at(SimTime::from_secs(20), SimAction::Crash { node: 11 });
     let mut c = Cluster::new(&schedule, &Config::lan().lifeguard());
     c.run_until(schedule.end);
-    assert_eq!(fnv1a(&fingerprint(&c)), EVENTFUL_GOLDEN, "schedule and script diverged");
+    assert_eq!(fnv1a(fingerprint(&c).as_bytes()), EVENTFUL_GOLDEN, "schedule and script diverged");
 }
 
 /// The per-node metrics export must be reproducible too: the exact same
 /// `Snapshot` (core protocol counters, histograms and sim I/O
-/// accounting) on every run of a seed, and therefore the same aggregated
-/// dashboard.
+/// accounting) on every run of a seed, and therefore the same encoded
+/// bytes, node by node. Every encoding decodes back to its snapshot.
 #[test]
 fn metrics_snapshots_match_golden_and_repeat() {
-    use lifeguard::metrics::Aggregate;
+    use lifeguard::metrics::Snapshot;
 
     let run = || {
         let mut c = ClusterBuilder::new(10)
@@ -147,22 +147,21 @@ fn metrics_snapshots_match_golden_and_repeat() {
         c.run_for(SimDuration::from_secs(10));
         c.apply(SimAction::Crash { node: 9 });
         c.run_for(SimDuration::from_secs(20));
-        let snaps: Vec<_> = (0..c.len()).map(|i| c.metrics_snapshot(i)).collect();
-        let mut agg = Aggregate::new();
-        for (i, s) in snaps.iter().enumerate() {
-            agg.add(&format!("node-{i}"), s.clone());
-        }
-        (snaps, agg.to_json())
+        (0..c.len()).map(|i| c.metrics_snapshot(i)).collect::<Vec<_>>()
     };
 
-    let (ref_snaps, ref_json) = run();
+    let snaps = run();
     // The scenario must produce non-trivial protocol metrics.
-    let merged_failures: u64 = ref_snaps.iter().map(|s| s.core.failures_declared).sum();
-    assert!(merged_failures > 0, "scenario produced no failure metrics");
-    let (snaps, json) = run();
-    assert_eq!(snaps, ref_snaps, "two runs of one seed diverged");
-    assert_eq!(json, ref_json);
-    assert_eq!(fnv1a(&ref_json), METRICS_GOLDEN, "metrics JSON drifted");
+    let failures: u64 = snaps.iter().map(|s| s.core.failures_declared).sum();
+    assert!(failures > 0, "scenario produced no failure metrics");
+    assert_eq!(run(), snaps, "two runs of one seed diverged");
+    let mut encoded = Vec::new();
+    for (i, s) in snaps.iter().enumerate() {
+        let bytes = s.encode();
+        assert_eq!(Snapshot::decode(&bytes).as_ref(), Ok(s), "node {i} did not round-trip");
+        encoded.extend_from_slice(&bytes);
+    }
+    assert_eq!(fnv1a(&encoded), METRICS_GOLDEN, "encoded metrics snapshots drifted");
 }
 
 /// How the caller slices simulated time must be unobservable: events
