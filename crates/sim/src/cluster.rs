@@ -23,9 +23,11 @@
 //! its outbox instead and are released in order when the pause ends.
 //!
 //! A node's timers reach the loop as one `Wake` at its next deadline,
-//! re-armed after every driver call. An idle member wakes about twice
-//! per probe round, its gossip loop parked; [`Cluster::dispatched`]
-//! counts the events by kind, a deterministic measure of the work.
+//! re-armed after every driver call; a wake whose deadline was cancelled
+//! or moved later re-arms without calling the driver. An idle member
+//! wakes about twice per probe round, its gossip loop parked;
+//! [`Cluster::dispatched`] counts the events by kind, a deterministic
+//! measure of the work.
 //!
 //! The whole simulation is deterministic for a given schedule and
 //! config: node RNGs, network jitter and event ordering are all derived
@@ -459,13 +461,13 @@ impl Cluster {
         let participants: Vec<usize> = (0..self.len())
             .filter(|&i| !self.slots[i].crashed && !self.node(i).has_left())
             .collect();
+        let names: Vec<NodeName> = participants.iter().map(|&j| Self::name_of(j)).collect();
         for &i in &participants {
-            for &j in &participants {
+            for (&j, name) in participants.iter().zip(&names) {
                 if i == j {
                     continue;
                 }
-                let name = Self::name_of(j);
-                match self.node(i).member(&name) {
+                match self.node(i).member(name) {
                     Some(m) if m.state == lifeguard_proto::MemberState::Alive => {}
                     _ => return false,
                 }
@@ -511,6 +513,14 @@ impl Cluster {
                     return; // stale wake; a fresher one is queued
                 }
                 slot.wake_marker = None;
+                // The deadline this wake was queued for was cancelled or
+                // moved later: a tick would fire nothing, and between
+                // inputs the parked gossip loop has nothing to resume,
+                // so only the wake is re-armed.
+                if slot.driver.next_deadline().is_none_or(|at| at > now) {
+                    self.arm_wake(node);
+                    return;
+                }
                 // Timers run even during an anomaly: the paper's
                 // instrumentation blocks only sends/receives, so the
                 // agent's logic keeps evaluating wall-clock deadlines.
@@ -586,6 +596,13 @@ impl Cluster {
             trace: &mut self.trace,
         };
         f(&mut slot.driver, &mut sink);
+        self.arm_wake(node);
+    }
+
+    /// Queues a wake at `node`'s next deadline unless one at or before
+    /// it is queued already.
+    fn arm_wake(&mut self, node: usize) {
+        let slot = &mut self.slots[node];
         let next = slot.driver.next_deadline().map(|at| at.max(self.now));
         if let Some(wake) = next.filter(|&at| slot.wake_marker.is_none_or(|queued| queued > at)) {
             slot.wake_marker = Some(wake);

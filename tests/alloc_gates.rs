@@ -14,7 +14,9 @@
 //! * the same for IPv6 addresses: nothing while every member is IPv4,
 //!   one 16-byte cell per slot from the first IPv6 member on, and
 //! * a broadcast queue holding one `alive` per member of a 512-member
-//!   cluster stays within a live-bytes-per-broadcast ceiling.
+//!   cluster stays within a live-bytes-per-broadcast ceiling, and
+//! * the event trace of a 64-node Interval run stays within a
+//!   live-bytes-per-event ceiling.
 //!
 //! All run inside one `#[test]`, in sequence: the allocator's counters
 //! are process-global, so a second test running beside it would be
@@ -33,11 +35,13 @@ use lifeguard::core::member::Member;
 use lifeguard::core::membership::Membership;
 use lifeguard::core::node::{Input, Output, SwimNode};
 use lifeguard::core::time::Time;
+use lifeguard::experiments::scenario;
 use lifeguard::proto::compound::{decode_packet, CompoundBuilder};
 use lifeguard::proto::{
     codec, Ack, Alive, Dead, Incarnation, Message, NodeAddr, NodeName, Ping, SeqNo, Suspect,
 };
 use lifeguard::sim::cluster::Cluster;
+use lifeguard::sim::trace::{Trace, TraceEvent};
 
 /// A pass-through allocator that tracks live heap bytes and, while the
 /// flag is raised, counts allocations.
@@ -514,6 +518,43 @@ fn queued_broadcast_stays_within_bytes_per_entry() {
     );
 }
 
+/// Live bytes one recorded event may cost: its 20-byte record plus its
+/// share of the last chunk's slack, the `MemberFailed` incarnation
+/// column and the name table. A `TraceEvent` in a `Vec` was 56 B.
+const TRACE_BYTES_PER_EVENT_GATE: f64 = 24.0;
+
+/// Replays the events of a 64-node Interval run (the verdict's gate
+/// cell, over a 40 s minimum run) into a fresh trace and gates its live
+/// bytes per event. The events are collected before the window; their
+/// names are inline, so a clone allocates nothing and the window sees
+/// the trace's own allocations only, in the order the run made them.
+fn trace_stays_within_bytes_per_event() {
+    let schedule = scenario::interval(
+        64,
+        16,
+        Duration::from_millis(16_384),
+        Duration::from_millis(64),
+        Duration::from_secs(40),
+        1,
+    );
+    let mut cluster = Cluster::new(&schedule, &Config::lan().lifeguard());
+    cluster.run_until(schedule.end);
+    let events: Vec<TraceEvent> = cluster.trace().events().iter().collect();
+    let before = LIVE.load(Ordering::Relaxed);
+    let mut trace = Trace::new();
+    for e in &events {
+        trace.record(e.at, e.reporter, e.event.clone());
+    }
+    let live = LIVE.load(Ordering::Relaxed).saturating_sub(before);
+    let per_event = live as f64 / events.len() as f64;
+    eprintln!("trace: {per_event:.1} B/event at {} events", events.len());
+    assert!(trace.failures().count() > 0, "the run declares failures");
+    assert!(
+        per_event <= TRACE_BYTES_PER_EVENT_GATE,
+        "{per_event:.1} live bytes per recorded event (gate {TRACE_BYTES_PER_EVENT_GATE:.0})",
+    );
+}
+
 #[test]
 fn poll_drain_allocates_nothing_and_a_100k_table_fits_its_ceiling() {
     poll_output_is_allocation_free();
@@ -522,4 +563,5 @@ fn poll_drain_allocates_nothing_and_a_100k_table_fits_its_ceiling() {
     metadata_costs_nothing_until_a_member_has_some();
     ipv6_costs_nothing_until_a_member_has_it();
     queued_broadcast_stays_within_bytes_per_entry();
+    trace_stays_within_bytes_per_event();
 }
