@@ -21,9 +21,9 @@
 //! every enqueue to invalidate the subject's older broadcast, and
 //! re-sorted the whole queue (O(n log n)) for every packet filled. This
 //! version keeps the entries in a slab (`Vec` + free list), an O(1)
-//! `HashMap<NodeName, slot>` invalidation index, and a lazy max-heap
-//! ordered by the selection key `(fewest transmits, newest id)`, `id`
-//! being a monotonically increasing enqueue stamp:
+//! subject → slot invalidation index, and a lazy max-heap ordered by
+//! the selection key `(fewest transmits, newest id)`, `id` being a
+//! monotonically increasing enqueue stamp:
 //!
 //! * [`BroadcastQueue::enqueue`] about a subject already queued
 //!   overwrites that subject's slot in place — new stamp, new encoding —
@@ -40,9 +40,15 @@
 //! # One byte arena
 //!
 //! A queued broadcast is its wire encoding. A slot holds only its
-//! stamp, subject, transmit count and the byte range of its encoding in
-//! one arena the queue owns: no decoded `Message` and no buffer per
-//! slot ([`BroadcastQueue::queued_for`] decodes from the arena). An
+//! stamp, transmit count and the byte range of its encoding in one
+//! arena the queue owns: no decoded `Message`, no buffer per slot and
+//! no name. `alive`, `suspect` and `dead` all encode their subject at
+//! the same place, so the subject is read from the encoding
+//! ([`codec::gossip_subject`]) wherever the queue needs it, and
+//! [`BroadcastQueue::queued_for`] decodes from the arena. The
+//! invalidation index is the member table's kind of name index
+//! (`crate::name_index`): 8-byte `(tag, slot)` buckets whose tag hits
+//! are confirmed against the subject in the arena. An
 //! enqueue appends its encoding, or writes it over the superseded one
 //! when it fits there; a superseded encoding it did not fit in, and a
 //! retired broadcast's, stay behind as garbage. Once the garbage
@@ -65,12 +71,14 @@
 //! to its drained effect queue).
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::ops::Range;
 
 use bytes::BytesMut;
 use lifeguard_proto::compound::{CompoundBuilder, MAX_COMPOUND_PARTS};
 use lifeguard_proto::{codec, Message, NodeName};
+
+use crate::name_index::NameIndex;
 
 /// The gossip retransmission multiplier λ (memberlist LAN: 4).
 pub const RETRANSMIT_MULT: u32 = 4;
@@ -101,14 +109,12 @@ pub fn retransmit_limit(n: usize) -> u32 {
 struct Slot {
     /// Enqueue stamp of the broadcast held (or last held) here.
     id: u64,
-    /// The broadcast's gossip subject, its invalidation key. `None`
-    /// while the slot is on the free list.
-    subject: Option<NodeName>,
     /// How many times this broadcast has been transmitted.
     transmits: u32,
-    /// The broadcast's wire encoding is `arena[start..end]`. `u32`
-    /// offsets keep a slot at 40 bytes: the arena holds at most one
-    /// encoding per member plus as much garbage.
+    /// The broadcast's wire encoding is `arena[start..end]`; an empty
+    /// range marks a vacancy on the free list (an encoding is never
+    /// empty). `u32` offsets keep a slot at 24 bytes: the arena holds
+    /// at most one encoding per member plus as much garbage.
     start: u32,
     end: u32,
 }
@@ -120,6 +126,11 @@ impl Slot {
 
     fn len(&self) -> usize {
         self.range().len()
+    }
+
+    /// Whether the slot holds a broadcast.
+    fn is_live(&self) -> bool {
+        self.start < self.end
     }
 }
 
@@ -142,8 +153,8 @@ pub struct BroadcastQueue {
     /// Number of occupied slots.
     live: usize,
     /// The slot of the queued broadcast per subject (invalidation index).
-    // bounded: one key per subject member, unlinked on retire — ≤ cluster size; shrunk to DRAINED_FLOOR when a fill drains the queue
-    by_subject: HashMap<NodeName, u32>,
+    // bounded: one bucket per subject member, unlinked on retire, at load ≤ ¾ — ≤ 8/3 × cluster size; cut to DRAINED_FLOOR's buckets when a fill drains the queue
+    by_subject: NameIndex,
     /// The wire encodings of the queued broadcasts, each a slot's range,
     /// and `garbage` bytes no slot refers to.
     // bounded: ≤ 2 × live bytes + GARBAGE_FLOOR after every enqueue (compaction), cleared when the queue empties and cut to ARENA_FLOOR when a fill drains it
@@ -174,7 +185,7 @@ impl Default for BroadcastQueue {
             slots: Vec::new(),
             free: Vec::new(),
             live: 0,
-            by_subject: HashMap::new(),
+            by_subject: NameIndex::new(),
             arena: BytesMut::new(),
             garbage: 0,
             heap: BinaryHeap::new(),
@@ -190,6 +201,18 @@ impl BroadcastQueue {
     /// Creates an empty queue.
     pub fn new() -> Self {
         BroadcastQueue::default()
+    }
+
+    /// A queue whose subject index gives every name the tag `tag`, so
+    /// that every subject collides and only the subject bytes in the
+    /// arena tell them apart. A test hook: a queue built from it does
+    /// O(queue) work per lookup.
+    #[doc(hidden)]
+    pub fn with_fixed_tag(tag: u32) -> Self {
+        BroadcastQueue {
+            by_subject: NameIndex::with_fixed_tag(tag),
+            ..BroadcastQueue::default()
+        }
     }
 
     /// Number of queued broadcasts.
@@ -214,21 +237,22 @@ impl BroadcastQueue {
         let Some(subject) = msg.gossip_subject() else {
             return;
         };
-        let index = match self.by_subject.get(subject) {
-            Some(&index) => index,
+        let subject = subject.as_str().as_bytes();
+        let tag = self.by_subject.tag(subject);
+        let index = match self.find_tagged(tag, subject) {
+            Some((_, index)) => index,
             None => {
                 let index = self.free.pop().unwrap_or_else(|| {
                     self.slots.push(Slot {
                         id: 0,
-                        subject: None,
                         transmits: 0,
                         start: 0,
                         end: 0,
                     });
                     (self.slots.len() - 1) as u32
                 });
-                self.by_subject.insert(subject.clone(), index);
                 self.live += 1;
+                self.by_subject.insert(tag, index, self.live);
                 index
             }
         };
@@ -238,9 +262,6 @@ impl BroadcastQueue {
             debug_assert!(false, "subject index points outside the slab");
             return;
         };
-        if slot.subject.is_none() {
-            slot.subject = Some(subject.clone());
-        }
         // The superseded broadcast stops existing now: its encoding is
         // overwritten in place when the new one fits, and otherwise left
         // behind as garbage; its heap item is discarded lazily when it
@@ -274,7 +295,7 @@ impl BroadcastQueue {
             self.heap.extend(
                 (0u32..)
                     .zip(&self.slots)
-                    .filter(|(_, slot)| slot.subject.is_some())
+                    .filter(|(_, slot)| slot.is_live())
                     .map(|(index, slot)| (Reverse(slot.transmits), slot.id, index)),
             );
         }
@@ -283,8 +304,28 @@ impl BroadcastQueue {
     /// The queued message about `subject`, if any, decoded from its wire
     /// bytes (used by tests and introspection). O(message size).
     pub fn queued_for(&self, subject: &NodeName) -> Option<Message> {
-        let slot = self.slots.get(*self.by_subject.get(subject)? as usize)?;
+        let (_, index) = self.find(subject.as_str().as_bytes())?;
+        let slot = self.slots.get(index as usize)?;
         codec::decode_message(self.arena.get(slot.range())?).ok()
+    }
+
+    /// `(index bucket, slot)` of the broadcast queued about `subject`.
+    fn find(&self, subject: &[u8]) -> Option<(usize, u32)> {
+        self.find_tagged(self.by_subject.tag(subject), subject)
+    }
+
+    /// [`BroadcastQueue::find`] for a subject whose tag is computed: the
+    /// subject in the slot's encoding decides every tag hit.
+    fn find_tagged(&self, tag: u32, subject: &[u8]) -> Option<(usize, u32)> {
+        self.by_subject
+            .find(tag, |index| self.subject_of(index) == Some(subject))
+    }
+
+    /// The subject of the broadcast in slot `index`, read from its
+    /// encoding; `None` for a vacant slot.
+    fn subject_of(&self, index: u32) -> Option<&[u8]> {
+        let slot = self.slots.get(index as usize).filter(|s| s.is_live())?;
+        codec::gossip_subject(self.arena.get(slot.range())?)
     }
 
     /// Fills `builder` with as many queued broadcasts as fit, preferring
@@ -336,6 +377,12 @@ impl BroadcastQueue {
             }
         }
         self.last_limit = transmit_limit;
+        // No enqueue runs during the fill, so the excluded subject keeps
+        // its slot until it retires, and after that no live item names
+        // the slot.
+        let exclude = exclude
+            .and_then(|name| self.find(name.as_str().as_bytes()))
+            .map(|(_, index)| index);
         // Entries selected this fill are re-queued only after the loop,
         // so no broadcast is packed twice into one packet.
         self.requeue.clear();
@@ -347,7 +394,7 @@ impl BroadcastQueue {
                 self.requeue.push((Reverse(transmits), id, index));
                 break;
             }
-            if exclude.is_some() && entry.subject.as_ref() == exclude {
+            if exclude == Some(index) {
                 self.requeue.push((Reverse(transmits), id, index));
                 continue;
             }
@@ -392,7 +439,7 @@ impl BroadcastQueue {
         self.free.shrink_to(DRAINED_FLOOR);
         self.heap.shrink_to(DRAINED_FLOOR);
         self.requeue.shrink_to(DRAINED_FLOOR);
-        self.by_subject.shrink_to(DRAINED_FLOOR);
+        self.by_subject.release(DRAINED_FLOOR);
         if self.arena.capacity() > ARENA_FLOOR {
             self.arena = BytesMut::with_capacity(ARENA_FLOOR);
         }
@@ -401,7 +448,7 @@ impl BroadcastQueue {
     /// Each buffer's capacity and the most a drained queue may keep.
     #[cfg(test)]
     fn capacities(&self) -> [(&'static str, usize, usize); 6] {
-        let index_floor = HashMap::<NodeName, u32>::with_capacity(DRAINED_FLOOR).capacity();
+        let index_floor = NameIndex::released_len(DRAINED_FLOOR);
         [
             ("slots", self.slots.capacity(), DRAINED_FLOOR),
             ("free", self.free.capacity(), DRAINED_FLOOR),
@@ -425,7 +472,7 @@ impl BroadcastQueue {
             // Invalidated (the slot was vacated or overwritten) or
             // re-prioritised (a fresher item exists): drop the stale
             // item.
-            if slot.subject.is_none() || slot.id != id || slot.transmits != transmits {
+            if !slot.is_live() || slot.id != id || slot.transmits != transmits {
                 continue;
             }
             if transmits >= transmit_limit {
@@ -439,16 +486,20 @@ impl BroadcastQueue {
     /// Vacates slot `index`; its bytes become garbage. A live slot is
     /// the one its subject points at (a newer broadcast about that
     /// subject overwrites it rather than taking another), so the
-    /// subject is unlinked with it. The last retirement clears the
-    /// arena.
+    /// subject, read from the slot's encoding, is unlinked with it. The
+    /// last retirement clears the arena.
     fn retire(&mut self, index: u32) {
+        let Some(subject) = self.subject_of(index) else {
+            return;
+        };
+        let tag = self.by_subject.tag(subject);
+        match self.by_subject.find(tag, |slot| slot == index) {
+            Some((bucket, _)) => self.by_subject.remove(bucket),
+            None => debug_assert!(false, "live slot {index} missing from the subject index"),
+        }
         let Some(slot) = self.slots.get_mut(index as usize) else {
             return;
         };
-        let Some(subject) = slot.subject.take() else {
-            return;
-        };
-        self.by_subject.remove(&subject);
         self.garbage += slot.len();
         slot.end = slot.start;
         self.live -= 1;
@@ -473,7 +524,7 @@ impl BroadcastQueue {
         items.retain(|&(Reverse(transmits), id, index)| {
             slots
                 .get(index as usize)
-                .is_some_and(|s| s.subject.is_some() && s.id == id && s.transmits == transmits)
+                .is_some_and(|s| s.is_live() && s.id == id && s.transmits == transmits)
         });
         items.sort_unstable_by_key(|&(_, _, index)| slots.get(index as usize).map(|s| s.start));
         let mut len = 0;
@@ -504,18 +555,20 @@ impl BroadcastQueue {
         let mut ranges: Vec<Range<usize>> = self
             .slots
             .iter()
-            .filter(|slot| slot.subject.is_some())
+            .filter(|slot| slot.is_live())
             .map(Slot::range)
             .collect();
         assert_eq!(ranges.len(), self.live, "live count ≠ occupied slots");
-        assert_eq!(self.by_subject.len(), self.live, "live count ≠ index size");
-        for (subject, &index) in &self.by_subject {
-            let slot = self.slots.get(index as usize);
+        for index in (0u32..).zip(&self.slots).filter(|(_, s)| s.is_live()).map(|(i, _)| i) {
             assert!(
-                slot.is_some_and(|s| s.subject.as_ref() == Some(subject)),
-                "index entry {subject:?} → slot {index} is not live with that subject"
+                self.subject_of(index).is_some(),
+                "slot {index} holds no gossip encoding"
             );
         }
+        // One bucket per live slot, each found by its own subject: no
+        // two live slots share a subject.
+        self.by_subject
+            .check_invariants(self.live, |index| self.subject_of(index));
         ranges.sort_by_key(|r| r.start);
         let mut end = 0;
         for r in &ranges {
@@ -576,7 +629,7 @@ mod tests {
     use super::*;
     use bytes::Bytes;
     use lifeguard_proto::compound::decode_packet;
-    use lifeguard_proto::{Alive, Incarnation, NodeAddr, Suspect};
+    use lifeguard_proto::{Alive, Dead, Incarnation, NodeAddr, Suspect};
 
     #[test]
     fn retransmit_limit_grows_logarithmically() {
@@ -596,6 +649,14 @@ mod tests {
             incarnation: Incarnation(inc),
             node: node.into(),
             from: from.into(),
+        })
+    }
+
+    fn dead(node: &str, inc: u64) -> Message {
+        Message::Dead(Dead {
+            incarnation: Incarnation(inc),
+            node: node.into(),
+            from: "x".into(),
         })
     }
 
@@ -902,6 +963,61 @@ mod tests {
         q.enqueue(suspect("a", "x", 3));
         q.check_invariants();
         assert_eq!(drain(&mut q, 2), vec![suspect("a", "x", 3); 2]);
+    }
+
+    /// A queue pays for each broadcast in its slot, so the slot holds
+    /// no name: the subject is read from the encoding.
+    #[test]
+    fn slot_layout_is_pinned() {
+        assert_eq!(std::mem::size_of::<Slot>(), 24);
+    }
+
+    /// Every subject on one tag whose home is the last bucket: the index
+    /// tells subjects apart by the names in the arena alone, and its
+    /// probe runs and backward shifts cross the wrap.
+    #[test]
+    fn colliding_subjects_are_told_apart_by_name() {
+        let mut q = BroadcastQueue::with_fixed_tag(u32::MAX);
+        // Names that are prefixes of one another, and one too long to be
+        // inline.
+        let long = "a-name-longer-than-sixteen-bytes";
+        for name in ["a", "ab", long] {
+            q.enqueue(alive(name, 1));
+            q.check_invariants();
+        }
+        // Slots 0, 1, 2 in one run from the last of 4 buckets.
+        assert_eq!(q.by_subject.bucket_count(), 4);
+        let buckets = |q: &BroadcastQueue| [3, 0, 1, 2].map(|b| q.by_subject.slot_at(b));
+        assert_eq!(buckets(&q), [Some(0), Some(1), Some(2), None]);
+
+        // An overwrite finds its own subject's slot, not the first hit.
+        q.enqueue(suspect("ab", "x", 2));
+        q.check_invariants();
+        assert_eq!(q.len(), 3);
+        assert_eq!(q.queued_for(&"a".into()), Some(alive("a", 1)));
+        assert_eq!(q.queued_for(&"ab".into()), Some(suspect("ab", "x", 2)));
+        assert_eq!(q.queued_for(&long.into()), Some(alive(long, 1)));
+        assert_eq!(q.queued_for(&"b".into()), None);
+
+        // Excluding "ab" skips "ab" only; the fill retires the other two
+        // at limit 1, newest first: the hole left at the last bucket
+        // pulls "ab" back across the wrap to its home.
+        let mut b = CompoundBuilder::new(1400);
+        q.fill(&mut b, 1, Some(&"ab".into()));
+        let msgs = decode_packet(&finish(&mut b).unwrap()).unwrap();
+        assert_eq!(msgs, vec![alive(long, 1), alive("a", 1)]);
+        q.check_invariants();
+        assert_eq!(buckets(&q), [Some(1), None, None, None]);
+        assert_eq!(q.queued_for(&"a".into()), None);
+        assert_eq!(q.queued_for(&"ab".into()), Some(suspect("ab", "x", 2)));
+
+        // A retired subject comes back in a free slot beside the one
+        // still queued.
+        q.enqueue(dead("a", 3));
+        q.check_invariants();
+        assert_eq!(q.queued_for(&"a".into()), Some(dead("a", 3)));
+        assert_eq!(q.queued_for(&"ab".into()), Some(suspect("ab", "x", 2)));
+        assert_eq!(drain(&mut q, 1), vec![dead("a", 3), suspect("ab", "x", 2)]);
     }
 
     #[test]

@@ -43,6 +43,7 @@ pub mod driver;
 pub mod event;
 pub mod member;
 pub mod membership;
+mod name_index;
 pub mod node;
 mod outbox;
 pub mod probe_list;

@@ -39,16 +39,12 @@
 //!   cell share one empty `Bytes`). Writes take and return the owned
 //!   [`Member`]; [`Membership::update`] assembles one from the slot and
 //!   its cell, hands it to the closure and stores it back.
-//! * **Name index** — one open-addressed `Vec` of `(tag, slot id)`
-//!   buckets: linear probing, load ≤ ¾, backward-shift deletion. The
-//!   tag is 32 bits of the name's hash under a per-table random key
-//!   (names arrive from the network); the home bucket is the tag scaled
-//!   to the length by a multiply-shift (`tag · len >> 32`), so the
-//!   length need not be a power of two and growth and deletion re-home
-//!   entries without rehashing. [`Membership::reserve`] sizes the index
-//!   to exactly ⌈4n/3⌉ buckets; a table growing one member at a time
-//!   doubles it when the load would pass ¾. Probe runs wrap at the
-//!   length. The index stores no name: a tag hit is
+//! * **Name index** — a `NameIndex` (`crate::name_index`, shared with
+//!   the broadcast queue) of 8-byte `(tag, slot id)` buckets: linear
+//!   probing, load ≤ ¾, backward-shift deletion, homes by multiply-shift
+//!   so any length works. [`Membership::reserve`] sizes it to exactly
+//!   ⌈4n/3⌉ buckets; a table growing one member at a time doubles it
+//!   when the load would pass ¾. The index stores no name: a tag hit is
 //!   always verified against the name in the record, which for an
 //!   inline name reads the slot the lookup returns anyway. A lookup
 //!   that misses hands back the tag ([`Vacant`]), so
@@ -84,7 +80,6 @@
 //! [`Membership::set_state`]); there is deliberately no `get_mut`.
 
 use std::collections::HashMap;
-use std::hash::{BuildHasher, RandomState};
 use std::net::{IpAddr, Ipv6Addr, SocketAddr};
 
 use bytes::Bytes;
@@ -92,6 +87,7 @@ use lifeguard_proto::{Incarnation, MemberState, NodeAddr, NodeName};
 use rand::{Rng, RngExt};
 
 use crate::member::{Member, MemberRef};
+use crate::name_index::NameIndex;
 use crate::time::Time;
 
 /// What [`MemberRef::meta`] borrows for a member without a cell in the
@@ -134,9 +130,8 @@ pub struct Vacant {
     tag: u32,
 }
 
-/// "No slot": list ends, empty index buckets, probe-rotation
-/// tombstones. Never a valid slot id — a table cannot hold `u32::MAX`
-/// records.
+/// "No slot": list ends and probe-rotation tombstones. Never a valid
+/// slot id — a table cannot hold `u32::MAX` records.
 pub(crate) const NIL: u32 = u32::MAX;
 
 #[derive(Clone, Debug)]
@@ -185,15 +180,6 @@ impl Slot {
     }
 }
 
-/// One name-index bucket; `slot == NIL` marks it empty.
-#[derive(Clone, Copy, Debug)]
-struct Bucket {
-    tag: u32,
-    slot: u32,
-}
-
-const EMPTY: Bucket = Bucket { tag: 0, slot: NIL };
-
 /// The membership table of a single node.
 ///
 /// The local node itself is stored in the table (as memberlist does), so
@@ -210,13 +196,8 @@ pub struct Membership {
     /// The IPv6 column: empty, or one cell of octets per slot.
     // bounded: ≤ |slots| cells of 16 bytes
     v6: Vec<[u8; 16]>,
-    /// The name index; any length, wrapped at its end.
-    // bounded: ≤ max(⌈4/3 × reserved members⌉, 8/3 × peak member count) buckets — grown only by `index_reserve` (exact) and `index_grow` (doubling), to keep load ≤ ¾
-    index: Vec<Bucket>,
-    hasher: RandomState,
-    /// Test hook: every name hashes to this tag, so every probe collides.
-    #[cfg(test)]
-    fixed_tag: Option<u32>,
+    /// The name index: name → slot id.
+    index: NameIndex,
     /// Ends of the change list (`NIL` when the table is empty).
     oldest: u32,
     newest: u32,
@@ -247,10 +228,7 @@ impl Membership {
             free: Vec::new(),
             meta: Vec::new(),
             v6: Vec::new(),
-            index: Vec::new(),
-            hasher: RandomState::new(),
-            #[cfg(test)]
-            fixed_tag: None,
+            index: NameIndex::new(),
             oldest: NIL,
             newest: NIL,
             live: Vec::new(),
@@ -265,7 +243,7 @@ impl Membership {
     #[cfg(test)]
     fn with_fixed_tag(tag: u32) -> Self {
         Membership {
-            fixed_tag: Some(tag),
+            index: NameIndex::with_fixed_tag(tag),
             ..Membership::new()
         }
     }
@@ -282,7 +260,7 @@ impl Membership {
         if !self.v6.is_empty() {
             self.v6.reserve(additional);
         }
-        self.index_reserve(self.len() + additional);
+        self.index.reserve(self.len() + additional);
         self.live.reserve(additional);
     }
 
@@ -382,11 +360,7 @@ impl Membership {
             }
         };
         self.put(id, member);
-        self.index_grow(self.len() + 1);
-        self.index_insert(Bucket {
-            tag: vacant.tag,
-            slot: id,
-        });
+        self.index.insert(vacant.tag, id, self.len() + 1);
         self.pool_push(id, state);
         if state == MemberState::Alive {
             self.alive += 1;
@@ -573,7 +547,7 @@ impl Membership {
     /// `bucket`.
     fn remove_at(&mut self, bucket: usize, id: u32) -> Option<Member> {
         let member = self.take(id)?;
-        self.index_remove(bucket);
+        self.index.remove(bucket);
         self.pool_remove(id, member.state);
         if member.state == MemberState::Alive {
             self.alive -= 1;
@@ -788,39 +762,7 @@ impl Membership {
     }
 
     fn tag(&self, name: &str) -> u32 {
-        #[cfg(test)]
-        if let Some(tag) = self.fixed_tag {
-            return tag;
-        }
-        self.hasher.hash_one(name) as u32
-    }
-
-    /// The home bucket of `tag`: the tag scaled to the index length by
-    /// a multiply-shift, so any length works and homes keep the tags'
-    /// order. (An empty index never probes.)
-    #[inline]
-    fn home(&self, tag: u32) -> usize {
-        ((u64::from(tag) * self.index.len() as u64) >> 32) as usize
-    }
-
-    /// The bucket after `i`, wrapping at the end of the index.
-    #[inline]
-    fn next_bucket(&self, i: usize) -> usize {
-        if i + 1 >= self.index.len() {
-            0
-        } else {
-            i + 1
-        }
-    }
-
-    fn bucket(&self, i: usize) -> Bucket {
-        self.index.get(i).copied().unwrap_or(EMPTY)
-    }
-
-    fn set_bucket(&mut self, i: usize, bucket: Bucket) {
-        if let Some(b) = self.index.get_mut(i) {
-            *b = bucket;
-        }
+        self.index.tag(name.as_bytes())
     }
 
     /// `(bucket position, slot id)` of the member named `name`.
@@ -829,96 +771,12 @@ impl Membership {
         self.find_tagged(self.tag(name), name)
     }
 
-    /// [`Membership::find`] for a name whose tag is already computed.
-    /// Probes from the tag's home bucket to the first empty one (load
-    /// ≤ ¾ guarantees there is one; the loop bound does not rely on it).
+    /// [`Membership::find`] for a name whose tag is already computed:
+    /// the record's name decides every tag hit.
     #[inline]
     fn find_tagged(&self, tag: u32, name: &str) -> Option<(usize, u32)> {
-        let mut i = self.home(tag);
-        for _ in 0..self.index.len() {
-            let b = self.bucket(i);
-            if b.slot == NIL {
-                return None;
-            }
-            // Tags are 32 bits of a hash: equal tags are not yet equal
-            // names, so the stored name decides.
-            if b.tag == tag && self.name_of(b.slot).is_some_and(|n| n.as_str() == name) {
-                return Some((i, b.slot));
-            }
-            i = self.next_bucket(i);
-        }
-        None
-    }
-
-    /// Sizes the index to exactly ⌈4/3 · `members`⌉ buckets unless it is
-    /// already that large: a bulk load's final size at load ≤ ¾.
-    fn index_reserve(&mut self, members: usize) {
-        let want = (4 * members).div_ceil(3);
-        if want > self.index.len() {
-            self.index_resize(want);
-        }
-    }
-
-    /// Doubles the index (from 2 buckets) until `members` entries keep
-    /// the load ≤ ¾ — growth one member at a time.
-    fn index_grow(&mut self, members: usize) {
-        if 4 * members <= 3 * self.index.len() {
-            return;
-        }
-        let mut want = self.index.len().max(1);
-        while 4 * members > 3 * want {
-            want *= 2;
-        }
-        self.index_resize(want);
-    }
-
-    /// Moves every bucket into a fresh index of `len` buckets, re-homed
-    /// from its tag; no name is hashed again.
-    fn index_resize(&mut self, len: usize) {
-        let old = std::mem::replace(&mut self.index, vec![EMPTY; len]);
-        for b in old {
-            if b.slot != NIL {
-                self.index_insert(b);
-            }
-        }
-    }
-
-    /// Places `bucket` (a name known to be absent) in the first empty
-    /// bucket at or after its home.
-    fn index_insert(&mut self, bucket: Bucket) {
-        let mut i = self.home(bucket.tag);
-        for _ in 0..self.index.len() {
-            if self.bucket(i).slot == NIL {
-                self.set_bucket(i, bucket);
-                return;
-            }
-            i = self.next_bucket(i);
-        }
-        debug_assert!(false, "name index full");
-    }
-
-    /// Empties bucket `hole` and closes the gap (backward-shift
-    /// deletion): each later bucket of the probe run moves back into the
-    /// hole unless that would put it before its home, so lookups never
-    /// need tombstones.
-    fn index_remove(&mut self, mut hole: usize) {
-        let len = self.index.len();
-        // Steps from `from` forward to `to`, wrapping at the end.
-        let dist = |from: usize, to: usize| if to >= from { to - from } else { to + len - from };
-        let mut j = hole;
-        for _ in 0..len {
-            j = self.next_bucket(j);
-            let b = self.bucket(j);
-            if b.slot == NIL {
-                break;
-            }
-            // `b` may move to `hole` iff the hole is not before its home.
-            if dist(self.home(b.tag), j) >= dist(hole, j) {
-                self.set_bucket(hole, b);
-                hole = j;
-            }
-        }
-        self.set_bucket(hole, EMPTY);
+        self.index
+            .find(tag, |slot| self.name_of(slot).is_some_and(|n| n.as_str() == name))
     }
 
     /// Takes slot `id` off the change list.
@@ -1078,40 +936,22 @@ impl Membership {
             );
         }
 
-        // Name index: a table at load ≤ ¾ holding exactly one bucket
-        // per member, each reachable by probing for its name.
-        assert!(4 * self.len() <= 3 * self.index.len(), "index load above ¾");
-        let mut buckets = 0;
-        for (i, b) in self.index.iter().enumerate().filter(|(_, b)| b.slot != NIL) {
-            buckets += 1;
-            let slot = self.slots.get(b.slot as usize);
-            let member = self.member(b.slot);
-            assert!(member.is_some(), "index points at a vacant slot");
-            let (Some(slot), Some(member)) = (slot, member) else {
-                continue;
-            };
-            assert_eq!(
-                b.tag,
-                self.tag(member.name.as_str()),
-                "bucket tag out of sync"
-            );
-            assert_eq!(
-                self.find(member.name.as_str()),
-                Some((i, b.slot)),
-                "probing for a name must end at its bucket"
-            );
-            let pool = if member.state.is_live() {
+        // Name index: one bucket per member, each reachable by probing
+        // for its name; and each member at its pool position.
+        self.index
+            .check_invariants(self.len(), |slot| Some(self.name_of(slot)?.as_str().as_bytes()));
+        for (id, slot) in (0u32..).zip(&self.slots).filter(|(_, s)| s.name.is_some()) {
+            let pool = if slot.state.is_live() {
                 &self.live
             } else {
                 &self.gone
             };
             assert_eq!(
                 pool.get(slot.pos as usize),
-                Some(&b.slot),
+                Some(&id),
                 "pool position out of sync"
             );
         }
-        assert_eq!(buckets, self.len(), "index out of sync");
 
         // Change list, oldest → newest: strictly ascending seqs bounded
         // by the counter, `older`/`newer` mutual, exactly one entry per
@@ -1218,7 +1058,6 @@ impl Displaced {
 mod tests {
     use super::*;
     use lifeguard_proto::{Incarnation, NodeAddr};
-    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::collections::HashMap;
@@ -1556,7 +1395,6 @@ mod tests {
         assert_eq!(std::mem::size_of::<Option<NodeName>>(), 16);
         assert!(std::mem::size_of::<NodeAddr>() <= 20);
         assert!(std::mem::size_of::<MemberRef<'_>>() <= 64);
-        assert_eq!(std::mem::size_of::<Bucket>(), 8);
         assert_eq!(std::mem::size_of::<MemberId>(), 8);
     }
 
@@ -1606,7 +1444,7 @@ mod tests {
     fn a_probe_run_wraps_past_the_last_bucket_of_a_reserved_index() {
         let names = ["w-0", "w-1", "w-2", "w-3"];
         let t = wrap_table(&names);
-        assert_eq!(t.index.len(), 6, "⌈4 · 4 / 3⌉ buckets, not a power of two");
+        assert_eq!(t.index.bucket_count(), 6, "⌈4 · 4 / 3⌉ buckets, not a power of two");
         assert_eq!(positions(&t, &names), [5, 0, 1, 2]);
         t.check_invariants();
     }
@@ -1618,13 +1456,13 @@ mod tests {
         // The hole at the last bucket pulls the run back across the wrap.
         t.remove(&"w-0".into()).unwrap();
         assert_eq!(positions(&t, &names[1..]), [5, 0, 1]);
-        assert_eq!(t.bucket(2).slot, NIL);
+        assert_eq!(t.index.slot_at(2), None);
         t.check_invariants();
         // A hole at bucket 0 pulls the rest of the run back, and the
         // wrapped-over entry at the last bucket stays home.
         t.remove(&"w-2".into()).unwrap();
         assert_eq!(positions(&t, &["w-1", "w-3"]), [5, 0]);
-        assert_eq!(t.bucket(1).slot, NIL);
+        assert_eq!(t.index.slot_at(1), None);
         t.check_invariants();
     }
 
@@ -1637,100 +1475,13 @@ mod tests {
             for i in 0..4 {
                 t.upsert(Member::new(name(i), addr(i), Incarnation(0), Time::ZERO));
             }
-            assert_eq!(t.index.len(), 6, "4 members fit ⌈4 · 4 / 3⌉ buckets");
+            assert_eq!(t.index.bucket_count(), 6, "4 members fit ⌈4 · 4 / 3⌉ buckets");
             t.upsert(Member::new(name(4), addr(4), Incarnation(0), Time::ZERO));
-            assert_eq!(t.index.len(), 12, "the fifth member doubles the index");
+            assert_eq!(t.index.bucket_count(), 12, "the fifth member doubles the index");
             for i in 0..5 {
                 assert!(t.get(&name(i)).is_some(), "{} lost in the growth", name(i));
             }
             t.check_invariants();
-        }
-    }
-
-    /// One step against the table and its `HashMap` model.
-    #[derive(Clone, Debug)]
-    enum IndexOp {
-        Upsert { node: usize, inc: u64 },
-        Update { node: usize },
-        Remove { node: usize },
-    }
-
-    fn index_op() -> impl Strategy<Value = IndexOp> {
-        // 40 names: enough members to grow the index several times,
-        // few enough that removals and re-upserts keep reusing slots.
-        prop_oneof![
-            (0..40usize, 0u64..8).prop_map(|(node, inc)| IndexOp::Upsert { node, inc }),
-            (0..40usize, 0u64..8).prop_map(|(node, inc)| IndexOp::Upsert { node, inc }),
-            (0..40usize).prop_map(|node| IndexOp::Update { node }),
-            (0..40usize).prop_map(|node| IndexOp::Remove { node }),
-        ]
-    }
-
-    proptest! {
-        /// The name index against a `HashMap<String, _>` model over
-        /// sequences that force growth, slot reuse and backward-shift
-        /// deletion — with real hashes, and with every name on one tag
-        /// so that each lookup walks a run of colliding buckets and the
-        /// stored name alone decides.
-        #[test]
-        fn name_index_matches_hashmap_model(
-            ops in proptest::collection::vec(index_op(), 1..300),
-            collide in any::<bool>(),
-            reserve in (any::<bool>(), 1..60usize),
-        ) {
-            let (reserved, k) = reserve;
-            let mut t = if collide {
-                Membership::with_fixed_tag(0xdead_beef)
-            } else {
-                Membership::new()
-            };
-            if reserved {
-                // Start some cases from an index of exactly ⌈4k/3⌉
-                // buckets, never a power of two: where that would be
-                // one (k = 1, 3, 6, 12, 24, 48), k + 1 is not.
-                let k = if (4 * k).div_ceil(3).is_power_of_two() { k + 1 } else { k };
-                t.reserve(k);
-                prop_assert!(!t.index.len().is_power_of_two());
-            }
-            let mut model: HashMap<String, u64> = HashMap::new();
-            // 2 to 19 bytes: inline names and shared ones (over 14
-            // bytes), and shared names that agree in their first 17
-            // bytes, so that only a full comparison tells them apart.
-            let name = |node: usize| format!("n{}", "x".repeat(4 * (node % 5))) + &node.to_string();
-            for op in &ops {
-                match *op {
-                    IndexOp::Upsert { node, inc } => {
-                        let m = Member::new(name(node).into(), addr(node as u8), Incarnation(inc), Time::ZERO);
-                        let prev = t.upsert(m).map(|m| m.incarnation.0);
-                        prop_assert_eq!(prev, model.insert(name(node), inc));
-                    }
-                    IndexOp::Update { node } => {
-                        let out = t.update(&name(node).into(), |m| {
-                            m.incarnation = Incarnation(m.incarnation.0 + 1);
-                            m.incarnation.0
-                        });
-                        let expect = model.get_mut(&name(node)).map(|inc| {
-                            *inc += 1;
-                            *inc
-                        });
-                        prop_assert_eq!(out, expect);
-                    }
-                    IndexOp::Remove { node } => {
-                        let gone = t.remove(&name(node).into()).map(|m| m.incarnation.0);
-                        prop_assert_eq!(gone, model.remove(&name(node)));
-                    }
-                }
-                t.check_invariants();
-                prop_assert_eq!(t.len(), model.len());
-                for node in 0..40 {
-                    let key = NodeName::from(name(node));
-                    let got = t.get(&key).map(|m| (m.name.as_str().to_owned(), m.incarnation.0));
-                    let expect = model.get(&name(node)).map(|&inc| (name(node), inc));
-                    prop_assert_eq!(got, expect);
-                    let by_id = t.id_of(&key).and_then(|id| t.by_id(id)).map(|m| m.name.clone());
-                    prop_assert_eq!(by_id, t.get(&key).map(|m| m.name.clone()));
-                }
-            }
         }
     }
 }

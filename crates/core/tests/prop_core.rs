@@ -453,12 +453,19 @@ mod model_agreement {
         /// heap-based queue emits the exact same packets as the naive
         /// sort-per-fill model, agrees on the queue contents afterwards,
         /// and keeps its own bookkeeping (arena compaction included).
+        /// Half the cases put every subject on one index tag, so that
+        /// only the subjects read from the arena tell them apart.
         #[test]
         fn broadcast_queue_matches_naive_model(
             ops in proptest::collection::vec((0u8..6, 0u8..10, 0u64..4), 1..80),
             limit in 1u32..6,
+            collide in any::<bool>(),
         ) {
-            let mut fast = BroadcastQueue::new();
+            let mut fast = if collide {
+                BroadcastQueue::with_fixed_tag(0xdead_beef)
+            } else {
+                BroadcastQueue::new()
+            };
             let mut naive = NaiveQueue::default();
             for (op, node, inc) in ops {
                 match op {

@@ -181,6 +181,30 @@ fn put_states(buf: &mut BytesMut, states: &[PushNodeState]) {
     }
 }
 
+/// The subject's name bytes in the encoding of an `alive`, `suspect` or
+/// `dead` message ([`Message::gossip_subject`] without decoding): all
+/// three put it at the same place, after the tag and the `u64`
+/// incarnation, as a `u16`-length-prefixed string. `None` for any other
+/// tag or a buffer too short to hold the name. Reads nothing after it.
+///
+/// ```
+/// use lifeguard_proto::{codec, Dead, Incarnation, Message};
+/// let dead = Message::Dead(Dead {
+///     incarnation: Incarnation(3),
+///     node: "n-7".into(),
+///     from: "n-1".into(),
+/// });
+/// assert_eq!(codec::gossip_subject(&codec::encode_message(&dead)), Some(&b"n-7"[..]));
+/// ```
+pub fn gossip_subject(encoded: &[u8]) -> Option<&[u8]> {
+    let mut r = Reader::new(encoded);
+    if !matches!(r.get_u8().ok()?, TAG_SUSPECT | TAG_ALIVE | TAG_DEAD) {
+        return None;
+    }
+    r.get_u64().ok()?;
+    r.get_bytes().ok()
+}
+
 /// Decodes exactly one message, rejecting trailing bytes.
 ///
 /// # Errors

@@ -341,6 +341,20 @@ proptest! {
         prop_assert_eq!(back, msg);
     }
 
+    /// The subject read from an encoding is the decoded message's
+    /// gossip subject (none for a message that is not gossip), and an
+    /// encoding cut inside the subject's name has none.
+    #[test]
+    fn gossip_subject_reads_the_encoded_subject(msg in message_strategy()) {
+        let bytes = codec::encode_message(&msg);
+        let subject = msg.gossip_subject().map(|n| n.as_str().as_bytes());
+        prop_assert_eq!(codec::gossip_subject(&bytes), subject);
+        if let Some(name) = subject {
+            let cut = 1 + 8 + 2 + name.len() - 1;
+            prop_assert_eq!(codec::gossip_subject(&bytes[..cut]), None);
+        }
+    }
+
     /// The analytic length always matches the actual encoding.
     #[test]
     fn encoded_len_is_exact(msg in message_strategy()) {

@@ -14,7 +14,9 @@
 //! * the same for IPv6 addresses: nothing while every member is IPv4,
 //!   one 16-byte cell per slot from the first IPv6 member on, and
 //! * a broadcast queue holding one `alive` per member of a 512-member
-//!   cluster stays within a live-bytes-per-broadcast ceiling, and
+//!   cluster stays within a live-bytes-per-broadcast ceiling, and within
+//!   a wider one after overwrite rounds over `alive`s with metadata,
+//!   and
 //! * the event trace of a 64-node Interval run stays within a
 //!   live-bytes-per-event ceiling.
 //!
@@ -482,26 +484,49 @@ fn ipv6_costs_nothing_until_a_member_has_it() {
     assert_eq!(stored, Some(v6));
 }
 
-/// Live bytes one queued broadcast may cost: slot, encoding, heap item
-/// and subject index entry. ≈ 1.1 × the 138 B measured when the gate was
-/// set; a slot holding its decoded message and an encode buffer of its
-/// own cost 226 B.
-const BROADCAST_BYTES_GATE: f64 = 150.0;
+/// Live bytes one queued broadcast may cost in a join storm: ≈ 1.1 ×
+/// the 88 B measured when the gate was set — a 24-byte slot, a 16-byte
+/// heap item, an 8-byte index bucket at load ≤ ¾ (16 B: 511 subjects in
+/// 1 024 buckets) and a 28-byte `alive` encoding in an arena that
+/// doubled to 16 KiB (32 B). A slot that held the subject's name cost
+/// 40 B and a `HashMap<NodeName, u32>` entry ≈ 42 B (138 B in all); a
+/// slot holding its decoded message and an encode buffer of its own,
+/// 226 B.
+const BROADCAST_BYTES_GATE: f64 = 97.0;
+
+/// The churn workload's metadata blob, in bytes.
+const META_BYTES: usize = 16;
+
+/// Live bytes one queued broadcast may cost after suspicion and
+/// refutation rounds over `alive`s carrying `META_BYTES` of metadata:
+/// ≈ 1.1 × the 232 B measured when the gate was set. The 44-byte
+/// encodings fill a 32 KiB arena, a round that does not fit in place
+/// leaves up to the live bytes plus 1 KiB behind before compaction
+/// reclaims them (64 KiB of arena, 128 B), and stale heap items up to
+/// twice the live ones before the heap is rebuilt (2 048 items, 64 B).
+const BROADCAST_CHURN_BYTES_GATE: f64 = 256.0;
+
+/// The `alive` about member `i` a join storm or a refutation queues.
+fn alive_of(i: usize, incarnation: u64, meta: Bytes) -> Message {
+    Message::Alive(Alive {
+        incarnation: Incarnation(incarnation),
+        node: Cluster::name_of(i),
+        addr: Cluster::addr_for(i),
+        meta,
+    })
+}
 
 /// A join storm puts one `alive` per member into every queue at once:
-/// gate what each costs in a bare queue holding 511 of them. The
-/// messages are built before the window; their names are inline and
-/// their metadata empty, so a clone allocates nothing.
+/// gate what each costs in a bare queue holding 511 of them. Then gate
+/// a queue that holds one `alive` with metadata per member and is
+/// overwritten three times over — a suspicion about every member, the
+/// refutations, and a second suspicion — so its arena compacts and its
+/// heap is rebuilt. The messages are built before the window; their
+/// names are inline and their metadata shares one buffer per round, so
+/// a clone allocates nothing.
 fn queued_broadcast_stays_within_bytes_per_entry() {
     let msgs: Vec<Message> = (1..SMALL_TABLE)
-        .map(|i| {
-            Message::Alive(Alive {
-                incarnation: Incarnation(1),
-                node: Cluster::name_of(i),
-                addr: Cluster::addr_for(i),
-                meta: Bytes::new(),
-            })
-        })
+        .map(|i| alive_of(i, 1, Bytes::new()))
         .collect();
     let before = LIVE.load(Ordering::Relaxed);
     let mut queue = BroadcastQueue::new();
@@ -515,6 +540,45 @@ fn queued_broadcast_stays_within_bytes_per_entry() {
     assert!(
         per_broadcast <= BROADCAST_BYTES_GATE,
         "{per_broadcast:.0} live bytes per queued broadcast (gate {BROADCAST_BYTES_GATE:.0})",
+    );
+    drop(queue);
+
+    let suspect_of = |i: usize, incarnation: u64| {
+        Message::Suspect(Suspect {
+            incarnation: Incarnation(incarnation),
+            node: Cluster::name_of(i),
+            from: Cluster::name_of(0),
+        })
+    };
+    let rounds: Vec<Vec<Message>> = (0..4u64)
+        .map(|round| {
+            let meta = Bytes::from(vec![round as u8; META_BYTES]);
+            (1..SMALL_TABLE)
+                .map(|i| match round {
+                    1 | 3 => suspect_of(i, round + 1),
+                    _ => alive_of(i, round + 1, meta.clone()),
+                })
+                .collect()
+        })
+        .collect();
+    let before = LIVE.load(Ordering::Relaxed);
+    let mut queue = BroadcastQueue::new();
+    for msg in rounds.iter().flatten() {
+        queue.enqueue(msg.clone());
+    }
+    let live = LIVE.load(Ordering::Relaxed).saturating_sub(before);
+    let per_broadcast = live as f64 / msgs.len() as f64;
+    eprintln!(
+        "broadcast queue: {per_broadcast:.0} B/broadcast at {} queued after 3 overwrite rounds",
+        queue.len()
+    );
+    assert_eq!(queue.len(), msgs.len());
+    let last = rounds.last().and_then(|round| round.last());
+    assert_eq!(queue.queued_for(&Cluster::name_of(SMALL_TABLE - 1)).as_ref(), last);
+    assert!(
+        per_broadcast <= BROADCAST_CHURN_BYTES_GATE,
+        "{per_broadcast:.0} live bytes per queued broadcast after overwrites \
+         (gate {BROADCAST_CHURN_BYTES_GATE:.0})",
     );
 }
 
