@@ -31,6 +31,7 @@ use lifeguard_sim::clock::SimTime;
 use lifeguard_sim::cluster::{Cluster, SimAction};
 use lifeguard_sim::network::NetworkConfig;
 use lifeguard_sim::schedule::Schedule;
+use lifeguard_sim::trace::Trace;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -121,7 +122,7 @@ impl Scale {
 
 /// What a single simulation run produced, reduced to the quantities the
 /// paper reports.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RunOutcome {
     /// Indices of the anomalous nodes.
     pub anomalous: Vec<usize>,
@@ -142,11 +143,8 @@ pub struct RunOutcome {
     pub msgs_sent: u64,
     /// Total bytes sent by all members.
     pub bytes_sent: u64,
-    /// Failure events in the trace, about any member, at any member.
-    pub trace_failures: u64,
-    /// Σ `failures_declared` over every node's metrics snapshot: the
-    /// metrics plane's count of the declarations the trace records.
-    pub failures_declared: u64,
+    /// Failure declarations in the trace, about any member, at any member.
+    pub declarations: u64,
 }
 
 /// The network model used by all experiments: loopback latency with a
@@ -255,60 +253,65 @@ pub fn run(schedule: &Schedule, config: &Config) -> RunOutcome {
     let mut anomalous: Vec<usize> = pauses.map(|(_, node)| node).collect();
     anomalous.sort_unstable();
     anomalous.dedup();
-    let n = cluster.len();
-    let is_anomalous = |i: usize| anomalous.binary_search(&i).is_ok();
-    let healthy: Vec<usize> = (0..n).filter(|&i| !is_anomalous(i)).collect();
-
-    let (mut failures, mut fp, mut fp_healthy) = (0u64, 0u64, 0u64);
-    for (_, reporter, subject) in cluster.trace().failures() {
-        failures += 1;
-        let subject_idx: usize = subject
-            .as_str()
-            .strip_prefix("node-")
-            .and_then(|s| s.parse().ok())
-            .expect("simulated node names are node-<i>");
-        if !is_anomalous(subject_idx) {
-            fp += 1;
-            if !is_anomalous(reporter) {
-                fp_healthy += 1;
-            }
-        }
-    }
-
-    let mut first_detect = Vec::with_capacity(anomalous.len());
-    let mut full_dissem = Vec::with_capacity(anomalous.len());
-    for &a in &anomalous {
-        let name = format!("node-{a}");
-        let detect = cluster
-            .trace()
-            .failures()
-            .find(|(at, reporter, subject)| {
-                subject.as_str() == name && !is_anomalous(*reporter) && *at >= anomaly_start
-            })
-            .map(|(at, _, _)| at - anomaly_start);
-        first_detect.push(detect);
-        full_dissem.push(
-            cluster
-                .trace()
-                .full_dissemination(&name, &healthy)
-                .filter(|at| *at >= anomaly_start)
-                .map(|at| at - anomaly_start),
-        );
-    }
-
-    let snaps: Vec<_> = (0..n).map(|i| cluster.metrics_snapshot(i)).collect();
+    let snaps: Vec<_> = (0..cluster.len()).map(|i| cluster.metrics_snapshot(i)).collect();
     RunOutcome {
-        n,
-        fp_events: fp,
-        fp_healthy_events: fp_healthy,
-        first_detect,
-        full_dissem,
         msgs_sent: snaps.iter().map(|s| s.io.datagrams_sent + s.io.streams_sent).sum(),
         bytes_sent: snaps.iter().map(|s| s.io.datagram_bytes + s.io.stream_bytes).sum(),
-        trace_failures: failures,
-        failures_declared: snaps.iter().map(|s| s.core.failures_declared).sum(),
-        anomalous,
+        ..outcome(cluster.trace(), cluster.len(), &anomalous, anomaly_start)
     }
+}
+
+/// The paper's outcome numbers of a run on `n` members whose sorted
+/// `anomalous` ones were first paused at `start`, in one pass over the
+/// trace's failure declarations; the message counts are left at zero.
+/// A subject is detected by its first declaration by a healthy member
+/// at or after `start`, and disseminated once every healthy member has
+/// declared it: when the last of their first declarations, made at any
+/// time, falls at or after `start`.
+fn outcome(trace: &Trace, n: usize, anomalous: &[usize], start: SimTime) -> RunOutcome {
+    let slot = |i: usize| anomalous.binary_search(&i).ok();
+    let healthy = (0..n).filter(|&i| slot(i).is_none()).count();
+    // Per anomalous subject `k`: whether healthy member `r` declared it
+    // (at `k * n + r`), then how many did and when the last of them did.
+    let mut declared = vec![false; anomalous.len() * n];
+    let mut firsts = vec![(0, None); anomalous.len()];
+    let mut out = RunOutcome {
+        anomalous: anomalous.to_vec(),
+        n,
+        fp_events: 0,
+        fp_healthy_events: 0,
+        first_detect: vec![None; anomalous.len()],
+        full_dissem: Vec::new(),
+        msgs_sent: 0,
+        bytes_sent: 0,
+        declarations: 0,
+    };
+    for (at, reporter, subject) in trace.failures() {
+        out.declarations += 1;
+        let healthy_reporter = slot(reporter).is_none();
+        let subject = (subject.as_str().strip_prefix("node-"))
+            .and_then(|s| s.parse().ok())
+            .expect("simulated node names are node-<i>");
+        let Some(k) = slot(subject) else {
+            out.fp_events += 1;
+            out.fp_healthy_events += u64::from(healthy_reporter);
+            continue;
+        };
+        if !healthy_reporter {
+            continue;
+        }
+        if at >= start {
+            out.first_detect[k].get_or_insert(at - start);
+        }
+        if !std::mem::replace(&mut declared[k * n + reporter], true) {
+            firsts[k] = (firsts[k].0 + 1, Some(at));
+        }
+    }
+    let disseminated = |(count, last): (usize, Option<SimTime>)| {
+        last.filter(|&at| count == healthy && at >= start).map(|at| at - start)
+    };
+    out.full_dissem = firsts.into_iter().map(disseminated).collect();
+    out
 }
 
 #[cfg(test)]
@@ -359,6 +362,104 @@ mod tests {
 
         let mut rng2 = StdRng::seed_from_u64(5);
         assert_eq!(a, pick_anomalous(128, 32, &mut rng2));
+    }
+
+    /// [`outcome`]'s numbers by per-subject scans: a rescan of the
+    /// declarations per anomalous member, and the set of healthy members
+    /// yet to declare it.
+    fn scans(trace: &Trace, n: usize, anomalous: &[usize], anomaly_start: SimTime) -> RunOutcome {
+        let all_declared = |name: &str, required: &[usize]| {
+            let mut missing: std::collections::HashSet<usize> = required.iter().copied().collect();
+            if missing.is_empty() {
+                return None;
+            }
+            for (at, reporter, _) in trace.failures().filter(|(_, _, s)| s.as_str() == name) {
+                missing.remove(&reporter);
+                if missing.is_empty() {
+                    return Some(at);
+                }
+            }
+            None
+        };
+        let is_anomalous = |i: usize| anomalous.binary_search(&i).is_ok();
+        let healthy: Vec<usize> = (0..n).filter(|&i| !is_anomalous(i)).collect();
+
+        let (mut failures, mut fp, mut fp_healthy) = (0u64, 0u64, 0u64);
+        for (_, reporter, subject) in trace.failures() {
+            failures += 1;
+            let subject_idx: usize = subject
+                .as_str()
+                .strip_prefix("node-")
+                .and_then(|s| s.parse().ok())
+                .expect("simulated node names are node-<i>");
+            if !is_anomalous(subject_idx) {
+                fp += 1;
+                if !is_anomalous(reporter) {
+                    fp_healthy += 1;
+                }
+            }
+        }
+
+        let mut first_detect = Vec::with_capacity(anomalous.len());
+        let mut full_dissem = Vec::with_capacity(anomalous.len());
+        for &a in anomalous {
+            let name = format!("node-{a}");
+            let detect = trace
+                .failures()
+                .find(|(at, reporter, subject)| {
+                    subject.as_str() == name && !is_anomalous(*reporter) && *at >= anomaly_start
+                })
+                .map(|(at, _, _)| at - anomaly_start);
+            first_detect.push(detect);
+            full_dissem.push(
+                all_declared(&name, &healthy)
+                    .filter(|at| *at >= anomaly_start)
+                    .map(|at| at - anomaly_start),
+            );
+        }
+        RunOutcome {
+            n,
+            fp_events: fp,
+            fp_healthy_events: fp_healthy,
+            first_detect,
+            full_dissem,
+            msgs_sent: 0,
+            bytes_sent: 0,
+            declarations: failures,
+            anomalous: anomalous.to_vec(),
+        }
+    }
+
+    #[test]
+    fn one_pass_matches_per_subject_scans() {
+        use lifeguard_core::event::Event;
+        use lifeguard_proto::Incarnation;
+
+        let mut rng = StdRng::seed_from_u64(48);
+        for case in 0..600 {
+            let n = rng.random_range(1..=24);
+            let share: f64 = rng.random();
+            let anomalous: Vec<usize> = (0..n).filter(|_| rng.random_bool(share)).collect();
+            // Times on a 100 ms grid, so declarations land on the start too.
+            let tick = |rng: &mut StdRng| SimTime::from_millis(100 * rng.random_range(0..40u64));
+            let start = tick(&mut rng);
+            let mut times: Vec<SimTime> = (0..rng.random_range(0..120)).map(|_| tick(&mut rng)).collect();
+            times.sort_unstable();
+            let mut trace = Trace::new();
+            for at in times {
+                let name = format!("node-{}", rng.random_range(0..n)).as_str().into();
+                // Mostly declarations; a recovery or a rejoin in between
+                // lets the same member declare the same subject again.
+                let event = match rng.random_range(0..5) {
+                    0 => Event::MemberRecovered { name },
+                    1 => Event::MemberJoined { name },
+                    _ => Event::MemberFailed { name, incarnation: Incarnation(1), from: "node-0".into() },
+                };
+                trace.record(at, rng.random_range(0..n), event);
+            }
+            let (got, want) = (outcome(&trace, n, &anomalous, start), scans(&trace, n, &anomalous, start));
+            assert_eq!(got, want, "case {case}: n {n}, anomalous {anomalous:?}, start {start:?}");
+        }
     }
 
     #[test]

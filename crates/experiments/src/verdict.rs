@@ -7,11 +7,10 @@
 //! configuration's false positives with SWIM's on the Interval cells
 //! (Table IV); S1 compares Lifeguard's with SWIM's under CPU stress
 //! (Figure 1); D1 and D2 bound detection on Threshold runs (Table V); T1
-//! and T2 judge the α/β trade-off (Table VII); X checks, on every run,
-//! that the trace holds a failure exactly when some node's metrics
-//! declared one. F1–F3, S1 and T2 must also win an exact one-sided sign
-//! test, under one Benjamini–Hochberg correction across the five at
-//! q = 0.05: one family of claims, one false-discovery rate.
+//! and T2 judge the α/β trade-off (Table VII). F1–F3, S1 and T2 must
+//! also win an exact one-sided sign test, under one Benjamini–Hochberg
+//! correction across the five at q = 0.05: one family of claims, one
+//! false-discovery rate.
 //! docs/OBSERVABILITY.md §5 lists the cells and bounds, and says how to
 //! re-measure them.
 //!
@@ -224,7 +223,7 @@ impl Row {
     }
 }
 
-/// The judged claims, in order F1–F4, S1, D1, D2, T1, T2, X.
+/// The judged claims, in order F1–F4, S1, D1, D2, T1, T2.
 #[derive(Clone, Debug)]
 pub struct Verdict {
     /// The scale the claims were judged at.
@@ -363,7 +362,7 @@ fn detection_rows(runs: &Runs) -> [Row; 2] {
     let (lg_med, swim_med) = (median(&lg_s), median(&swim_s));
     let lg_max = lg_s.iter().copied().fold(0.0, f64::max);
     let sub_threshold: Vec<&RunOutcome> = runs.sub_threshold.iter().flat_map(|(_, r)| r).collect();
-    let d2: u64 = sub_threshold.iter().map(|o| o.trace_failures).sum();
+    let d2: u64 = sub_threshold.iter().map(|o| o.declarations).sum();
     [
         bounded(
             "D1 detection comparable (Table V)",
@@ -439,29 +438,12 @@ fn tuning_rows(runs: &Runs) -> [Row; 2] {
     ]
 }
 
-/// X over every run of every cell.
-fn agreement_row(runs: &Runs) -> Row {
-    let cells = [&runs.interval, &runs.tuning, &runs.stress, &runs.detect, &runs.sub_threshold];
-    let all = cells.into_iter().flatten().flat_map(|(_, runs)| runs);
-    let (agree, total) = all.fold((0, 0), |(agree, total), o| {
-        let same = (o.trace_failures > 0) == (o.failures_declared > 0);
-        (agree + usize::from(same), total + 1)
-    });
-    bounded(
-        "X trace and metrics agree",
-        format!("{agree}/{total} runs"),
-        vec![("every run".into(), agree == total)],
-        "holds",
-    )
-}
-
 /// Judges each claim over `runs`. Every row with a sign test is one
 /// family: their p-values share one Benjamini–Hochberg correction.
 pub fn judge(runs: &Runs) -> Verdict {
     let mut rows = fp_rows(runs);
     rows.extend(detection_rows(runs));
     rows.extend(tuning_rows(runs));
-    rows.push(agreement_row(runs));
     let family: Vec<f64> = rows.iter().filter_map(|r| r.sign.map(|(t, _)| t.p)).collect();
     let adjusted = rows.iter_mut().filter_map(|r| r.sign.as_mut());
     for ((_, q), adjusted) in adjusted.zip(benjamini_hochberg(&family)) {
@@ -525,8 +507,7 @@ pub(crate) mod tests {
             full_dissem: vec![None],
             msgs_sent: 1,
             bytes_sent: 1,
-            trace_failures: fp + u64::from(detect_s.is_some()),
-            failures_declared: fp + u64::from(detect_s.is_some()),
+            declarations: fp + u64::from(detect_s.is_some()),
         }
     }
 
@@ -565,7 +546,7 @@ pub(crate) mod tests {
         };
         let good = fake_runs(2);
         assert!(failing(&good).is_empty());
-        assert_eq!(judge(&good).rows.len(), 10);
+        assert_eq!(judge(&good).rows.len(), 9);
 
         // Lifeguard ties SWIM on every seed: F1 alone fails.
         assert_eq!(failing(&fake_runs(100)), ["F1 Lifeguard FP < SWIM (Table IV)"]);

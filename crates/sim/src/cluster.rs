@@ -739,11 +739,10 @@ mod tests {
         assert!(c.converged());
         c.apply(SimAction::Crash { node: 7 });
         c.run_for(SimDuration::from_secs(40));
-        let detect = c.trace().first_failure_detection("node-7");
-        assert!(detect.is_some(), "crash never detected");
+        let declared_by = |r: usize| c.trace().failures().any(|(_, by, s)| by == r && s.as_str() == "node-7");
+        assert!((0..8).any(declared_by), "crash never detected");
         // Everyone else eventually declares it failed.
-        let healthy: Vec<usize> = (0..7).collect();
-        assert!(c.trace().full_dissemination("node-7", &healthy).is_some());
+        assert!((0..7).all(declared_by));
     }
 
     #[test]
@@ -760,7 +759,7 @@ mod tests {
         c.run_for(SimDuration::from_secs(30));
         // A 1.5 s pause may raise suspicions but must never produce a
         // failure declaration about the paused (healthy) node.
-        assert_eq!(c.trace().first_failure_detection("node-3"), None);
+        assert!(!c.trace().failures().any(|(_, _, s)| s.as_str() == "node-3"));
         assert!(c.nodes_seeing_alive("node-3").len() == 8);
     }
 
@@ -770,10 +769,13 @@ mod tests {
         c.run_for(SimDuration::from_secs(15));
         c.apply(SimAction::Leave { node: 4 });
         c.run_for(SimDuration::from_secs(20));
-        assert_eq!(c.trace().first_failure_detection("node-4"), None);
+        assert!(!c.trace().failures().any(|(_, _, s)| s.as_str() == "node-4"));
         let leaves = c
             .trace()
-            .count(|e| matches!(&e.event, Event::MemberLeft { name } if name.as_str() == "node-4"));
+            .events()
+            .iter()
+            .filter(|e| matches!(&e.event, Event::MemberLeft { name } if name.as_str() == "node-4"))
+            .count();
         assert!(leaves >= 4, "peers must observe the graceful leave");
     }
 
@@ -811,7 +813,7 @@ mod tests {
         }
         c.run_for(SimDuration::from_secs(40));
         // The majority side declared node-3 failed.
-        assert!(c.trace().first_failure_detection("node-3").is_some());
+        assert!(c.trace().failures().any(|(_, _, s)| s.as_str() == "node-3"));
         c.apply(SimAction::HealPartitions);
         // After healing, Serf-style reconnect push-pulls re-merge the
         // sides: node-3 refutes and everyone sees it alive again.
@@ -949,7 +951,7 @@ mod tests {
         assert!(c.converged(), "cluster failed to converge in 15 s");
         c.apply(SimAction::Crash { node: 5 });
         c.run_for(SimDuration::from_secs(40));
-        assert!(c.trace().first_failure_detection("node-5").is_some());
+        assert!(c.trace().failures().any(|(_, _, s)| s.as_str() == "node-5"));
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! cluster.run_until(SimTime::from_secs(14));
 //! assert!(cluster.converged());
 //! cluster.run_until(schedule.end);
-//! assert!(cluster.trace().first_failure_detection("node-3").is_some());
+//! assert!(cluster.trace().failures().any(|(_, _, subject)| subject.as_str() == "node-3"));
 //! ```
 
 pub mod anomaly;

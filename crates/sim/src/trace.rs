@@ -1,6 +1,7 @@
 //! Event traces: everything every node concluded, with timestamps.
 //!
-//! The experiment harness mines traces for the paper's metrics: false
+//! The experiment harness reduces a trace's failure declarations
+//! ([`Trace::failures`]) to the paper's metrics in one pass: false
 //! positives (failure events about healthy members), first-detection
 //! latency and full-dissemination latency.
 //!
@@ -22,8 +23,8 @@
 //! multiply-xor hash. `MemberFailed`'s incarnation goes to a side column
 //! in record order. Records fill fixed chunks of 1 024 records, so
 //! growing the log never copies it. [`Trace::events`] decodes the
-//! records back into [`TraceEvent`]s equal to the recorded ones; the
-//! queries compare ids and hand out names borrowed from the table.
+//! records back into [`TraceEvent`]s equal to the recorded ones;
+//! [`Trace::failures`] hands out names borrowed from the table.
 
 use lifeguard_core::event::Event;
 use lifeguard_proto::{Incarnation, NodeName};
@@ -77,11 +78,6 @@ impl Record {
 
     fn reporter(&self) -> usize {
         (self.head & REPORTER_MASK) as usize
-    }
-
-    /// Whether this is a `MemberFailed` about the name with id `subject`.
-    fn fails(&self, subject: u32) -> bool {
-        self.kind() == FAILED && self.subject == subject
     }
 }
 
@@ -183,49 +179,9 @@ impl Trace {
     /// All failure declarations (`MemberFailed`), as
     /// `(time, reporter, subject)`.
     pub fn failures(&self) -> impl Iterator<Item = (SimTime, usize, &NodeName)> {
-        self.records()
+        (self.chunks.iter().flatten())
             .filter(|r| r.kind() == FAILED)
             .map(|r| (r.at(), r.reporter(), self.names.name(r.subject)))
-    }
-
-    /// The first time any node declared `name` failed.
-    pub fn first_failure_detection(&self, name: &str) -> Option<SimTime> {
-        let id = self.names.find(name)?;
-        self.records().find(|r| r.fails(id)).map(Record::at)
-    }
-
-    /// The first time `reporter` declared `name` failed.
-    pub fn failure_at_reporter(&self, name: &str, reporter: usize) -> Option<SimTime> {
-        let id = self.names.find(name)?;
-        self.records()
-            .find(|r| r.fails(id) && r.reporter() == reporter)
-            .map(Record::at)
-    }
-
-    /// The time by which every reporter in `required` had declared `name`
-    /// failed (full dissemination), or `None` if some never did.
-    pub fn full_dissemination(&self, name: &str, required: &[usize]) -> Option<SimTime> {
-        let mut missing: std::collections::HashSet<usize> = required.iter().copied().collect();
-        if missing.is_empty() {
-            return None;
-        }
-        let id = self.names.find(name)?;
-        for r in self.records().filter(|r| r.fails(id)) {
-            missing.remove(&r.reporter());
-            if missing.is_empty() {
-                return Some(r.at());
-            }
-        }
-        None
-    }
-
-    /// Count of events matching a predicate (convenience for metrics).
-    pub fn count(&self, mut pred: impl FnMut(&TraceEvent) -> bool) -> usize {
-        self.events().iter().filter(|e| pred(e)).count()
-    }
-
-    fn records(&self) -> impl Iterator<Item = &Record> {
-        self.chunks.iter().flatten()
     }
 }
 
@@ -355,10 +311,6 @@ impl Names {
         Err(usize::MAX)
     }
 
-    fn find(&self, name: &str) -> Option<u32> {
-        self.probe(name_hash(name), |n| n.as_str() == name).ok()
-    }
-
     /// The id of `name`, which is added if it is new.
     fn intern(&mut self, name: NodeName) -> u32 {
         let hash = name_hash(name.as_str());
@@ -420,46 +372,6 @@ fn name_hash(name: &str) -> u64 {
 mod tests {
     use super::*;
 
-    fn failed(name: &str, from: &str) -> Event {
-        Event::MemberFailed {
-            name: name.into(),
-            incarnation: Incarnation(1),
-            from: from.into(),
-        }
-    }
-
-    #[test]
-    fn first_detection_is_earliest_failure() {
-        let mut t = Trace::new();
-        t.record(SimTime::from_secs(1), 0, failed("x", "node-0"));
-        t.record(SimTime::from_secs(2), 1, failed("x", "node-1"));
-        assert_eq!(t.first_failure_detection("x"), Some(SimTime::from_secs(1)));
-        assert_eq!(t.first_failure_detection("y"), None);
-        assert_eq!(
-            t.failure_at_reporter("x", 1),
-            Some(SimTime::from_secs(2))
-        );
-        assert_eq!(t.failure_at_reporter("x", 9), None);
-    }
-
-    #[test]
-    fn full_dissemination_requires_all_reporters() {
-        let mut t = Trace::new();
-        t.record(SimTime::from_secs(1), 0, failed("x", "a"));
-        t.record(SimTime::from_secs(3), 2, failed("x", "a"));
-        t.record(SimTime::from_secs(5), 1, failed("x", "a"));
-        assert_eq!(
-            t.full_dissemination("x", &[0, 1, 2]),
-            Some(SimTime::from_secs(5))
-        );
-        assert_eq!(
-            t.full_dissemination("x", &[0, 2]),
-            Some(SimTime::from_secs(3))
-        );
-        assert_eq!(t.full_dissemination("x", &[0, 3]), None);
-        assert_eq!(t.full_dissemination("x", &[]), None);
-    }
-
     #[test]
     fn non_failure_events_are_ignored_by_failures() {
         let mut t = Trace::new();
@@ -474,10 +386,8 @@ mod tests {
         assert_eq!(t.failures().count(), 0);
         assert_eq!(t.len(), 1);
         assert!(!t.is_empty());
-        assert_eq!(
-            t.count(|e| matches!(e.event, Event::MemberSuspected { .. })),
-            1
-        );
+        let suspected = t.events().iter().filter(|e| matches!(e.event, Event::MemberSuspected { .. }));
+        assert_eq!(suspected.count(), 1);
     }
 
     #[test]

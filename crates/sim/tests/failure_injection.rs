@@ -27,7 +27,7 @@ fn loss_sweep_convergence_and_detection() {
         cluster.apply(SimAction::Crash { node: 9 });
         cluster.run_for(Duration::from_secs(60));
         assert!(
-            cluster.trace().first_failure_detection("node-9").is_some(),
+            cluster.trace().failures().any(|(_, _, s)| s.as_str() == "node-9"),
             "crash undetected at loss={loss}"
         );
     }
@@ -181,7 +181,7 @@ fn seed_crash_after_bootstrap_is_tolerated() {
     cluster.apply(SimAction::Crash { node: 0 });
     cluster.run_for(Duration::from_secs(40));
     assert!(
-        cluster.trace().first_failure_detection("node-0").is_some(),
+        cluster.trace().failures().any(|(_, _, s)| s.as_str() == "node-0"),
         "seed crash undetected"
     );
     // The remaining 9 still see one another.
@@ -243,6 +243,9 @@ fn crashed_node_cannot_leave_or_update() {
     );
     let left = cluster
         .trace()
-        .count(|e| matches!(&e.event, Event::MemberLeft { name } if name.as_str() == "node-3"));
+        .events()
+        .iter()
+        .filter(|e| matches!(&e.event, Event::MemberLeft { name } if name.as_str() == "node-3"))
+        .count();
     assert_eq!(left, 0, "a crash must never read as a graceful leave");
 }

@@ -20,6 +20,7 @@ use std::time::Duration;
 
 use lifeguard::core::config::Config;
 use lifeguard::core::event::Event;
+use lifeguard::sim::clock::SimTime;
 use lifeguard::sim::cluster::{ClusterBuilder, SimAction};
 
 fn main() {
@@ -38,10 +39,8 @@ fn main() {
     cluster.apply(SimAction::Crash { node: 4 });
     cluster.run_for(Duration::from_secs(30));
 
-    let detect = cluster
-        .trace()
-        .first_failure_detection("node-4")
-        .expect("crash must be detected");
+    let declarations = || cluster.trace().failures().filter(|(_, _, s)| s.as_str() == "node-4");
+    let (detect, ..) = declarations().next().expect("crash must be detected");
     println!("node-4 first declared failed at t={detect}");
 
     println!("\nmembership timeline (as observed across the cluster):");
@@ -57,10 +56,11 @@ fn main() {
         }
     }
 
-    let healthy: Vec<usize> = (0..4).collect();
-    let dissem = cluster
-        .trace()
-        .full_dissemination("node-4", &healthy)
+    // Fully disseminated: the last of the four healthy members' first
+    // declarations.
+    let first_by = |r: usize| declarations().find(|&(_, by, _)| by == r).map(|(at, ..)| at);
+    let dissem = (0..4)
+        .try_fold(SimTime::ZERO, |last, r| Some(last.max(first_by(r)?)))
         .expect("failure must disseminate");
     println!("\nfully disseminated to all healthy members at t={dissem}");
 }

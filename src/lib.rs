@@ -37,7 +37,7 @@
 //! cluster.apply(SimAction::Crash { node: 4 });
 //! cluster.run_for(SimDuration::from_secs(30));
 //! let trace = cluster.trace();
-//! assert!(trace.first_failure_detection("node-4").is_some());
+//! assert!(trace.failures().any(|(_, _, subject)| subject.as_str() == "node-4"));
 //! ```
 
 pub use lifeguard_core as core;

@@ -33,9 +33,8 @@ fn lifeguard_keeps_intermittently_slow_member_alive() {
         )
         .build();
     cluster.run_for(Duration::from_secs(90));
-    assert_eq!(
-        cluster.trace().first_failure_detection("node-5"),
-        None,
+    assert!(
+        !cluster.trace().failures().any(|(_, _, s)| s.as_str() == "node-5"),
         "Lifeguard must not declare the slow member failed"
     );
 }
@@ -59,7 +58,10 @@ fn refutation_recovers_suspected_member() {
     assert_eq!(cluster.nodes_seeing_alive("node-3").len(), 8);
     let suspected = cluster
         .trace()
-        .count(|e| matches!(&e.event, Event::MemberSuspected { name, .. } if name.as_str() == "node-3"));
+        .events()
+        .iter()
+        .filter(|e| matches!(&e.event, Event::MemberSuspected { name, .. } if name.as_str() == "node-3"))
+        .count();
     if suspected > 0 {
         // If it was suspected, it must have refuted: incarnation > 0.
         assert!(cluster.node(3).incarnation().get() > 0);
@@ -83,7 +85,7 @@ fn detection_survives_heavy_packet_loss() {
     cluster.apply(SimAction::Crash { node: 11 });
     cluster.run_for(Duration::from_secs(60));
     assert!(
-        cluster.trace().first_failure_detection("node-11").is_some(),
+        cluster.trace().failures().any(|(_, _, s)| s.as_str() == "node-11"),
         "crash must be detected despite 10% loss"
     );
 }
@@ -125,10 +127,13 @@ fn leave_amid_anomalies_is_not_a_failure() {
     cluster.run_for(Duration::from_secs(15));
     cluster.apply(SimAction::Leave { node: 5 });
     cluster.run_for(Duration::from_secs(40));
-    assert_eq!(cluster.trace().first_failure_detection("node-5"), None);
+    assert!(!cluster.trace().failures().any(|(_, _, s)| s.as_str() == "node-5"));
     let leaves = cluster
         .trace()
-        .count(|e| matches!(&e.event, Event::MemberLeft { name } if name.as_str() == "node-5"));
+        .events()
+        .iter()
+        .filter(|e| matches!(&e.event, Event::MemberLeft { name } if name.as_str() == "node-5"))
+        .count();
     assert!(leaves >= 9, "leave must disseminate (saw {leaves})");
 }
 
