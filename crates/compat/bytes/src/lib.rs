@@ -9,9 +9,18 @@
 // The wire crates call into this shim with untrusted lengths: no
 // panicking call, index, slice or integer division outside tests (an
 // exception is a reasoned `#[expect]`, counted by swim-lint).
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
-#![cfg_attr(not(test), deny(clippy::unreachable, clippy::unimplemented, clippy::todo))]
-#![cfg_attr(not(test), deny(clippy::indexing_slicing, clippy::integer_division_remainder_used))]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unreachable, clippy::unimplemented, clippy::todo)
+)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::indexing_slicing, clippy::integer_division_remainder_used)
+)]
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -283,7 +292,9 @@ impl AsRef<[u8]> for BytesMut {
 
 impl fmt::Debug for BytesMut {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("BytesMut").field("len", &self.len()).finish()
+        f.debug_struct("BytesMut")
+            .field("len", &self.len())
+            .finish()
     }
 }
 

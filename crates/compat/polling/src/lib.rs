@@ -34,7 +34,10 @@
 #![deny(missing_docs)]
 // A length or count must never wrap at the FFI boundary: no lossy cast
 // outside tests.
-#![cfg_attr(not(test), deny(clippy::cast_possible_truncation, clippy::cast_possible_wrap))]
+#![cfg_attr(
+    not(test),
+    deny(clippy::cast_possible_truncation, clippy::cast_possible_wrap)
+)]
 #![cfg(unix)]
 
 use std::collections::BTreeMap;
@@ -502,9 +505,9 @@ impl Drop for Poller {
 pub mod mmsg {
     use super::sys;
     use std::io;
-    use std::os::raw::c_uint;
     use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr};
     use std::ops::Range;
+    use std::os::raw::c_uint;
     use std::os::unix::io::RawFd;
     use std::ptr;
 

@@ -135,7 +135,9 @@ fn notify_wakes_a_future_wait_as_a_zero_event_spurious_wakeup() {
     let mut events = Events::new();
     let start = Instant::now();
     // Wakes promptly (well inside the 5 s bound) with zero events.
-    let n = poller.wait(&mut events, Some(Duration::from_secs(5))).expect("wait");
+    let n = poller
+        .wait(&mut events, Some(Duration::from_secs(5)))
+        .expect("wait");
     assert_eq!(n, 0);
     assert!(
         start.elapsed() < Duration::from_secs(1),

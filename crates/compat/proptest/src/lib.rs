@@ -270,7 +270,9 @@ fn parse_pattern(pattern: &str) -> (Vec<char>, usize, usize) {
     let inner = pattern
         .strip_prefix('[')
         .and_then(|r| r.split_once(']'))
-        .unwrap_or_else(|| panic!("unsupported string pattern {pattern:?} (want \"[class]{{min,max}}\")"));
+        .unwrap_or_else(|| {
+            panic!("unsupported string pattern {pattern:?} (want \"[class]{{min,max}}\")")
+        });
     let (class, quant) = inner;
     let mut chars = Vec::new();
     let cs: Vec<char> = class.chars().collect();
@@ -411,7 +413,9 @@ macro_rules! prop_assert_ne {
         if *left == *right {
             return ::std::result::Result::Err(format!(
                 "assertion failed: {} != {}\n  both: {:?}",
-                stringify!($left), stringify!($right), left
+                stringify!($left),
+                stringify!($right),
+                left
             ));
         }
     }};

@@ -11,9 +11,18 @@
 // The wire crates call into this shim with untrusted lengths: no
 // panicking call, index, slice or integer division outside tests (an
 // exception is a reasoned `#[expect]`, counted by swim-lint).
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
-#![cfg_attr(not(test), deny(clippy::unreachable, clippy::unimplemented, clippy::todo))]
-#![cfg_attr(not(test), deny(clippy::indexing_slicing, clippy::integer_division_remainder_used))]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unreachable, clippy::unimplemented, clippy::todo)
+)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::indexing_slicing, clippy::integer_division_remainder_used)
+)]
 
 use std::num::NonZeroU64;
 use std::ops::{Range, RangeInclusive};
@@ -215,10 +224,7 @@ pub mod rngs {
     impl Rng for StdRng {
         fn next_u64(&mut self) -> u64 {
             let s = &mut self.s;
-            let result = s[0]
-                .wrapping_add(s[3])
-                .rotate_left(23)
-                .wrapping_add(s[0]);
+            let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
             let t = s[1] << 17;
             s[2] ^= s[0];
             s[3] ^= s[1];

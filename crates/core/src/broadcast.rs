@@ -559,7 +559,11 @@ impl BroadcastQueue {
             .map(Slot::range)
             .collect();
         assert_eq!(ranges.len(), self.live, "live count ≠ occupied slots");
-        for index in (0u32..).zip(&self.slots).filter(|(_, s)| s.is_live()).map(|(i, _)| i) {
+        for index in (0u32..)
+            .zip(&self.slots)
+            .filter(|(_, s)| s.is_live())
+            .map(|(i, _)| i)
+        {
             assert!(
                 self.subject_of(index).is_some(),
                 "slot {index} holds no gossip encoding"
@@ -682,7 +686,10 @@ mod tests {
         let mut b = CompoundBuilder::new(1400);
         q.fill_fanout(&mut b, 6, None, 4);
         assert!(finish(&mut b).is_some());
-        assert!(q.is_empty(), "retired once the aggregate count hit the limit");
+        assert!(
+            q.is_empty(),
+            "retired once the aggregate count hit the limit"
+        );
     }
 
     #[test]
@@ -846,7 +853,10 @@ mod tests {
         let mut b = CompoundBuilder::new(4);
         q.fill(&mut b, 2, None);
         assert!(finish(&mut b).is_none() || q.queued_for(&"b".into()).is_some());
-        assert!(q.queued_for(&"a".into()).is_none(), "over-limit entry lingered");
+        assert!(
+            q.queued_for(&"a".into()).is_none(),
+            "over-limit entry lingered"
+        );
         assert_eq!(q.len(), 1);
     }
 
@@ -935,7 +945,11 @@ mod tests {
         }
         assert_eq!(q.len(), 10);
         let last: Vec<Message> = (9_990..10_000u64).rev().map(storm).collect();
-        assert_eq!(drain(&mut q, 1), last, "each subject's last message, newest first");
+        assert_eq!(
+            drain(&mut q, 1),
+            last,
+            "each subject's last message, newest first"
+        );
     }
 
     /// A join storm's 511 `alive`s grow every buffer far past its
@@ -949,7 +963,10 @@ mod tests {
         // The free and re-queue lists grow while the queue drains.
         for (name, capacity, floor) in q.capacities() {
             if !matches!(name, "free" | "requeue") {
-                assert!(capacity > floor, "{name}: the storm grew it to {capacity} only");
+                assert!(
+                    capacity > floor,
+                    "{name}: the storm grew it to {capacity} only"
+                );
             }
         }
         let limit = retransmit_limit(512);
@@ -1031,7 +1048,10 @@ mod tests {
         assert_eq!(q.arena.len(), 0, "the last retirement clears the arena");
         q.enqueue(suspect("a", "x", 3));
         q.check_invariants();
-        assert_eq!(q.arena.len(), codec::encode_message(&suspect("a", "x", 3)).len());
+        assert_eq!(
+            q.arena.len(),
+            codec::encode_message(&suspect("a", "x", 3)).len()
+        );
         assert_eq!(q.queued_for(&"a".into()), Some(suspect("a", "x", 3)));
     }
 }

@@ -460,7 +460,10 @@ mod tests {
         assert_eq!(cfg.effective_k(), 3);
         assert_eq!(cfg.effective_awareness_max(), 8);
         assert!(cfg.nack_enabled());
-        assert_eq!(cfg.suspicion_max(128).as_micros(), cfg.suspicion_min(128).as_micros() * 6);
+        assert_eq!(
+            cfg.suspicion_max(128).as_micros(),
+            cfg.suspicion_min(128).as_micros() * 6
+        );
     }
 
     #[test]
@@ -484,24 +487,42 @@ mod tests {
             mutate(&mut c);
             assert_eq!(c.validate(), Err(expected));
         };
-        check(|c| c.probe_interval = Duration::ZERO, ConfigError::ZeroProbeInterval);
-        check(|c| c.probe_timeout = Duration::ZERO, ConfigError::ZeroProbeTimeout);
+        check(
+            |c| c.probe_interval = Duration::ZERO,
+            ConfigError::ZeroProbeInterval,
+        );
+        check(
+            |c| c.probe_timeout = Duration::ZERO,
+            ConfigError::ZeroProbeTimeout,
+        );
         check(
             |c| c.probe_timeout = Duration::from_secs(5),
             ConfigError::ProbeTimeoutExceedsInterval,
         );
-        check(|c| c.suspicion_alpha = 0.0, ConfigError::InvalidSuspicionAlpha);
+        check(
+            |c| c.suspicion_alpha = 0.0,
+            ConfigError::InvalidSuspicionAlpha,
+        );
         check(
             |c| c.suspicion_alpha = f64::INFINITY,
             ConfigError::InvalidSuspicionAlpha,
         );
-        check(|c| c.suspicion_beta = 0.5, ConfigError::InvalidSuspicionBeta);
-        check(|c| c.suspicion_beta = f64::NAN, ConfigError::InvalidSuspicionBeta);
+        check(
+            |c| c.suspicion_beta = 0.5,
+            ConfigError::InvalidSuspicionBeta,
+        );
+        check(
+            |c| c.suspicion_beta = f64::NAN,
+            ConfigError::InvalidSuspicionBeta,
+        );
         check(
             |c| c.suspicion_beta = f64::INFINITY,
             ConfigError::InvalidSuspicionBeta,
         );
-        check(|c| c.gossip_interval = Duration::ZERO, ConfigError::ZeroGossipInterval);
+        check(
+            |c| c.gossip_interval = Duration::ZERO,
+            ConfigError::ZeroGossipInterval,
+        );
         check(|c| c.gossip_nodes = 0, ConfigError::EmptyGossipFanout);
         check(
             |c| c.push_pull_interval = Some(Duration::ZERO),
@@ -511,7 +532,10 @@ mod tests {
             |c| c.reconnect_interval = Some(Duration::ZERO),
             ConfigError::ZeroReconnectInterval,
         );
-        check(|c| c.dead_reclaim = Duration::ZERO, ConfigError::ZeroDeadReclaim);
+        check(
+            |c| c.dead_reclaim = Duration::ZERO,
+            ConfigError::ZeroDeadReclaim,
+        );
         check(
             |c| c.push_pull_interval = Some(Duration::from_secs(301)),
             ConfigError::DeltaSyncHorizonBelowPushPullInterval,
@@ -522,7 +546,9 @@ mod tests {
         off.push_pull_interval = Some(Duration::from_secs(301));
         assert_eq!(off.validate(), Ok(()));
         // Errors render a human-readable reason.
-        assert!(ConfigError::EmptyGossipFanout.to_string().contains("gossip_nodes"));
+        assert!(ConfigError::EmptyGossipFanout
+            .to_string()
+            .contains("gossip_nodes"));
         assert!(ConfigError::DeltaSyncHorizonBelowPushPullInterval
             .to_string()
             .contains("push_pull_interval"));

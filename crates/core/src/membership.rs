@@ -311,7 +311,9 @@ impl Membership {
     #[inline]
     pub fn lookup(&self, name: &str) -> Result<(MemberId, MemberRef<'_>), Vacant> {
         let tag = self.tag(name);
-        let found = self.find_tagged(tag, name).and_then(|(_, slot)| self.at_slot(slot));
+        let found = self
+            .find_tagged(tag, name)
+            .and_then(|(_, slot)| self.at_slot(slot));
         found.ok_or(Vacant { tag })
     }
 
@@ -538,7 +540,10 @@ impl Membership {
     /// [`Membership::remove`] of the member behind `id`; `None` once it
     /// has been removed. Hashes the name only to find its index bucket.
     pub fn remove_id(&mut self, id: MemberId) -> Option<Member> {
-        let slot = self.slots.get(id.slot as usize).filter(|s| s.gen == id.gen)?;
+        let slot = self
+            .slots
+            .get(id.slot as usize)
+            .filter(|s| s.gen == id.gen)?;
         let (bucket, _) = self.find(slot.name.as_ref()?.as_str())?;
         self.remove_at(bucket, id.slot)
     }
@@ -775,8 +780,9 @@ impl Membership {
     /// the record's name decides every tag hit.
     #[inline]
     fn find_tagged(&self, tag: u32, name: &str) -> Option<(usize, u32)> {
-        self.index
-            .find(tag, |slot| self.name_of(slot).is_some_and(|n| n.as_str() == name))
+        self.index.find(tag, |slot| {
+            self.name_of(slot).is_some_and(|n| n.as_str() == name)
+        })
     }
 
     /// Takes slot `id` off the change list.
@@ -938,8 +944,9 @@ impl Membership {
 
         // Name index: one bucket per member, each reachable by probing
         // for its name; and each member at its pool position.
-        self.index
-            .check_invariants(self.len(), |slot| Some(self.name_of(slot)?.as_str().as_bytes()));
+        self.index.check_invariants(self.len(), |slot| {
+            Some(self.name_of(slot)?.as_str().as_bytes())
+        });
         for (id, slot) in (0u32..).zip(&self.slots).filter(|(_, s)| s.name.is_some()) {
             let pool = if slot.state.is_live() {
                 &self.live
@@ -1431,20 +1438,33 @@ mod tests {
         let mut t = Membership::with_fixed_tag(u32::MAX);
         t.reserve(names.len());
         for (i, name) in names.iter().enumerate() {
-            t.upsert(Member::new((*name).into(), addr(i as u8), Incarnation(0), Time::ZERO));
+            t.upsert(Member::new(
+                (*name).into(),
+                addr(i as u8),
+                Incarnation(0),
+                Time::ZERO,
+            ));
         }
         t
     }
 
     fn positions(t: &Membership, names: &[&str]) -> Vec<usize> {
-        names.iter().filter_map(|n| t.find(n)).map(|(i, _)| i).collect()
+        names
+            .iter()
+            .filter_map(|n| t.find(n))
+            .map(|(i, _)| i)
+            .collect()
     }
 
     #[test]
     fn a_probe_run_wraps_past_the_last_bucket_of_a_reserved_index() {
         let names = ["w-0", "w-1", "w-2", "w-3"];
         let t = wrap_table(&names);
-        assert_eq!(t.index.bucket_count(), 6, "⌈4 · 4 / 3⌉ buckets, not a power of two");
+        assert_eq!(
+            t.index.bucket_count(),
+            6,
+            "⌈4 · 4 / 3⌉ buckets, not a power of two"
+        );
         assert_eq!(positions(&t, &names), [5, 0, 1, 2]);
         t.check_invariants();
     }
@@ -1475,9 +1495,17 @@ mod tests {
             for i in 0..4 {
                 t.upsert(Member::new(name(i), addr(i), Incarnation(0), Time::ZERO));
             }
-            assert_eq!(t.index.bucket_count(), 6, "4 members fit ⌈4 · 4 / 3⌉ buckets");
+            assert_eq!(
+                t.index.bucket_count(),
+                6,
+                "4 members fit ⌈4 · 4 / 3⌉ buckets"
+            );
             t.upsert(Member::new(name(4), addr(4), Incarnation(0), Time::ZERO));
-            assert_eq!(t.index.bucket_count(), 12, "the fifth member doubles the index");
+            assert_eq!(
+                t.index.bucket_count(),
+                12,
+                "the fifth member doubles the index"
+            );
             for i in 0..5 {
                 assert!(t.get(&name(i)).is_some(), "{} lost in the growth", name(i));
             }

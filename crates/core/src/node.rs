@@ -281,8 +281,7 @@ impl SwimNode {
     /// due; the outputs of that catch-up are queued for polling.
     fn set_io_blocked(&mut self, blocked: bool, now: Time) {
         if self.blocked_io.set(blocked) && !blocked {
-            self.blocked_io
-                .release(&mut self.timers, &mut self.prober);
+            self.blocked_io.release(&mut self.timers, &mut self.prober);
             self.tick(now);
         }
     }
@@ -458,7 +457,9 @@ impl SwimNode {
             MemberState::Dead | MemberState::Left => {}
             MemberState::Suspect => {
                 let (members, timers) = (&self.membership, &mut self.timers);
-                let Some(regossip) = self.suspicions.confirm(id, incarnation, from, members, timers)
+                let Some(regossip) =
+                    self.suspicions
+                        .confirm(id, incarnation, from, members, timers)
                 else {
                     return;
                 };
@@ -759,7 +760,9 @@ impl SwimNode {
             Timer::ProbeRound => self.probe_round(now),
             Timer::ProbeTimeout { seq } => self.probe_timeout(seq),
             Timer::ProbeRoundEnd { seq } => self.probe_round_end(seq, now),
-            Timer::GossipTick | Timer::PushPullTick | Timer::Reconnect => self.fire_loop(timer, now),
+            Timer::GossipTick | Timer::PushPullTick | Timer::Reconnect => {
+                self.fire_loop(timer, now)
+            }
             Timer::SuspicionCheck { id } => self.suspicion_check(id, now),
             Timer::RelayNack { seq } => {
                 if let Some((seq, to)) = self.prober.relay_nack(seq) {
@@ -770,7 +773,8 @@ impl SwimNode {
             Timer::Reap => {
                 self.timers
                     .schedule(now + self.config.dead_reclaim, Timer::Reap);
-                let cutoff = Time::ZERO + now.saturating_since(Time::ZERO + self.config.dead_reclaim);
+                let cutoff =
+                    Time::ZERO + now.saturating_since(Time::ZERO + self.config.dead_reclaim);
                 // O(retained dead): the reapable iterator walks the gone
                 // pool only, never the whole table. A tick that reaps
                 // nothing collects into an empty, unallocated `Vec`.
@@ -821,9 +825,13 @@ impl SwimNode {
         match timer {
             Timer::GossipTick => self.gossip_once(now),
             Timer::PushPullTick => {
-                let partner =
-                    self.sync
-                        .partner(&self.membership, &mut self.rng, &self.config, &self.name, now);
+                let partner = self.sync.partner(
+                    &self.membership,
+                    &mut self.rng,
+                    &self.config,
+                    &self.name,
+                    now,
+                );
                 if let Some((name, to)) = partner {
                     self.sync_with(&name, to, now);
                 }
@@ -932,7 +940,10 @@ impl SwimNode {
             debug_assert!(false, "stale suspicion timer reached its handler");
             return;
         };
-        debug_assert!(now >= sus.deadline(), "suspicion timer fired before its deadline");
+        debug_assert!(
+            now >= sus.deadline(),
+            "suspicion timer fired before its deadline"
+        );
         let me = self.name.clone();
         if self.apply_dead(sus.incarnation(), id, me.as_str(), now) {
             self.metrics.failures_declared += 1;
@@ -980,7 +991,10 @@ impl SwimNode {
         };
         if self.started && !self.gossip_idle() {
             let every = self.config.gossip_interval;
-            let steps = now.saturating_since(next).as_micros().div_ceil(every.as_micros().max(1));
+            let steps = now
+                .saturating_since(next)
+                .as_micros()
+                .div_ceil(every.as_micros().max(1));
             let at = next + every.saturating_mul(u32::try_from(steps).unwrap_or(u32::MAX));
             self.gossip = GossipLoop::Armed(self.timers.schedule(at, Timer::GossipTick));
         }
@@ -999,7 +1013,9 @@ impl SwimNode {
 
     /// Starts one anti-entropy exchange with `peer`.
     fn sync_with(&mut self, peer: &NodeName, to: NodeAddr, now: Time) {
-        let request = self.sync.request(peer, &self.membership, &self.config, &self.name, now);
+        let request = self
+            .sync
+            .request(peer, &self.membership, &self.config, &self.name, now);
         self.send_sync(to, request);
     }
 
@@ -1025,11 +1041,15 @@ impl SwimNode {
         if d.from == self.name {
             return; // a delta "from ourselves" is a routing error
         }
-        let reply = self.sync.receive(d, &self.membership, &self.config, &self.name, now);
+        let reply = self
+            .sync
+            .receive(d, &self.membership, &self.config, &self.name, now);
         self.merge_remote_state(&d.entries, now);
         match reply {
             DeltaReply::Delta(msg) => self.send_sync(from_addr, msg),
-            DeltaReply::FullResync => self.send_sync(from_addr, sync::full_request(&self.membership)),
+            DeltaReply::FullResync => {
+                self.send_sync(from_addr, sync::full_request(&self.membership))
+            }
             DeltaReply::Nothing => {}
         }
     }

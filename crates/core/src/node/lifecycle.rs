@@ -176,7 +176,8 @@ impl SwimNode {
             node: self.name.clone(),
             from: self.name.clone(),
         }));
-        self.membership.set_state(&self.name, MemberState::Left, now);
+        self.membership
+            .set_state(&self.name, MemberState::Left, now);
         self.gossip_once(now);
     }
 

@@ -45,7 +45,8 @@ fn double_start_panics() {
 #[test]
 fn ping_is_acked_to_source() {
     let mut n = new_node(Config::lan());
-    let out = feed(&mut n, 
+    let out = feed(
+        &mut n,
         addr(2),
         Message::Ping(Ping {
             seq: SeqNo(7),
@@ -64,7 +65,8 @@ fn ping_is_acked_to_source() {
 #[test]
 fn misaddressed_ping_is_dropped() {
     let mut n = new_node(Config::lan());
-    let out = feed(&mut n, 
+    let out = feed(
+        &mut n,
         addr(2),
         Message::Ping(Ping {
             seq: SeqNo(7),
@@ -93,7 +95,8 @@ fn alive_message_adds_member() {
 fn stale_alive_does_not_override_suspect() {
     let mut n = new_node(Config::lan());
     add_peer(&mut n, "p", 2, Time::from_secs(1));
-    let out = feed(&mut n, 
+    let out = feed(
+        &mut n,
         addr(3),
         Message::Suspect(Suspect {
             incarnation: Incarnation(1),
@@ -108,7 +111,8 @@ fn stale_alive_does_not_override_suspect() {
     assert_eq!(n.member(&"p".into()).unwrap().state, MemberState::Suspect);
 
     // Alive at the same incarnation must NOT clear the suspicion.
-    let out = feed(&mut n, 
+    let out = feed(
+        &mut n,
         addr(2),
         Message::Alive(Alive {
             incarnation: Incarnation(1),
@@ -122,7 +126,8 @@ fn stale_alive_does_not_override_suspect() {
     assert_eq!(n.member(&"p".into()).unwrap().state, MemberState::Suspect);
 
     // Alive at a higher incarnation refutes it.
-    let out = feed(&mut n, 
+    let out = feed(
+        &mut n,
         addr(2),
         Message::Alive(Alive {
             incarnation: Incarnation(2),
@@ -142,7 +147,8 @@ fn stale_alive_does_not_override_suspect() {
 fn suspect_about_self_is_refuted() {
     let mut n = new_node(Config::lan().lifeguard());
     let health_before = n.local_health();
-    let out = feed(&mut n, 
+    let out = feed(
+        &mut n,
         addr(2),
         Message::Suspect(Suspect {
             incarnation: Incarnation::ZERO,
@@ -164,7 +170,8 @@ fn suspect_about_self_is_refuted() {
 #[test]
 fn dead_about_self_is_refuted() {
     let mut n = new_node(Config::lan());
-    let out = feed(&mut n, 
+    let out = feed(
+        &mut n,
         addr(2),
         Message::Dead(Dead {
             incarnation: Incarnation(3),
@@ -183,7 +190,8 @@ fn dead_about_self_is_refuted() {
 fn suspicion_expires_to_dead_with_fixed_swim_timeout() {
     let mut n = new_node(Config::lan()); // SWIM: α=5, β(eff)=1
     add_peer(&mut n, "p", 2, Time::from_secs(1));
-    feed(&mut n, 
+    feed(
+        &mut n,
         addr(3),
         Message::Suspect(Suspect {
             incarnation: Incarnation(1),
@@ -209,7 +217,8 @@ fn lha_suspicion_starts_at_max_and_confirmations_shorten_it() {
         add_peer(&mut n, name, i as u8 + 2, Time::from_secs(1));
     }
     let t0 = Time::from_secs(2);
-    feed(&mut n, 
+    feed(
+        &mut n,
         addr(9),
         Message::Suspect(Suspect {
             incarnation: Incarnation(1),
@@ -227,7 +236,8 @@ fn lha_suspicion_starts_at_max_and_confirmations_shorten_it() {
     // Three independent confirmations drive the deadline to min,
     // which has already passed → immediate failure on next tick.
     for from in ["b", "c", "local-other"] {
-        feed(&mut n, 
+        feed(
+            &mut n,
             addr(9),
             Message::Suspect(Suspect {
                 incarnation: Incarnation(1),
@@ -245,7 +255,8 @@ fn lha_suspicion_starts_at_max_and_confirmations_shorten_it() {
 fn independent_suspicions_are_regossiped_at_most_k_times() {
     let mut n = new_node(Config::lan().lifeguard());
     add_peer(&mut n, "p", 2, Time::from_secs(1));
-    feed(&mut n, 
+    feed(
+        &mut n,
         addr(3),
         Message::Suspect(Suspect {
             incarnation: Incarnation(1),
@@ -258,7 +269,8 @@ fn independent_suspicions_are_regossiped_at_most_k_times() {
     let mut regossiped = 0;
     for from in ["b", "c", "d", "e", "f"] {
         let before = n.pending_broadcasts();
-        feed(&mut n, 
+        feed(
+            &mut n,
             addr(3),
             Message::Suspect(Suspect {
                 incarnation: Incarnation(1),
@@ -339,7 +351,8 @@ fn acked_probe_improves_lhm() {
     let mut n = new_node(Config::lan().lifeguard());
     add_peer(&mut n, "p", 2, Time::from_secs(1));
     // Push LHM up first.
-    feed(&mut n, 
+    feed(
+        &mut n,
         addr(2),
         Message::Suspect(Suspect {
             incarnation: Incarnation::ZERO,
@@ -360,7 +373,8 @@ fn acked_probe_improves_lhm() {
             for m in msgs {
                 if let Message::Ping(p) = m {
                     assert_eq!(to, addr(2));
-                    feed(&mut n, 
+                    feed(
+                        &mut n,
                         addr(2),
                         Message::Ack(Ack { seq: p.seq }),
                         wake + Duration::from_millis(1),
@@ -441,7 +455,8 @@ fn lhm_counts_missed_nacks_failed_probes_and_refutes() {
 fn indirect_ping_is_relayed_and_ack_forwarded() {
     let mut n = new_node(Config::lan());
     add_peer(&mut n, "target", 3, Time::from_secs(1));
-    let out = feed(&mut n, 
+    let out = feed(
+        &mut n,
         addr(2),
         Message::IndirectPing(IndirectPing {
             seq: SeqNo(99),
@@ -466,7 +481,8 @@ fn indirect_ping_is_relayed_and_ack_forwarded() {
 
     // Target acks → the ack is forwarded to the origin with the
     // origin's sequence number.
-    let out = feed(&mut n, 
+    let out = feed(
+        &mut n,
         addr(3),
         Message::Ack(Ack { seq: relayed_seq }),
         Time::from_secs(1) + Duration::from_millis(10),
@@ -481,7 +497,8 @@ fn indirect_ping_is_relayed_and_ack_forwarded() {
 fn relay_sends_nack_at_deadline_when_target_silent() {
     let mut n = new_node(Config::lan());
     add_peer(&mut n, "target", 3, Time::from_secs(1));
-    feed(&mut n, 
+    feed(
+        &mut n,
         addr(2),
         Message::IndirectPing(IndirectPing {
             seq: SeqNo(99),
@@ -498,7 +515,10 @@ fn relay_sends_nack_at_deadline_when_target_silent() {
     let nacks: Vec<_> = packets(&out)
         .into_iter()
         .filter(|(to, msgs)| {
-            *to == addr(2) && msgs.iter().any(|m| matches!(m, Message::Nack(k) if k.seq == SeqNo(99)))
+            *to == addr(2)
+                && msgs
+                    .iter()
+                    .any(|m| matches!(m, Message::Nack(k) if k.seq == SeqNo(99)))
         })
         .collect();
     assert_eq!(nacks.len(), 1);
@@ -559,7 +579,8 @@ fn left_node_does_not_refute_a_suspicion_about_itself() {
 fn peer_leave_emits_member_left() {
     let mut n = new_node(Config::lan());
     add_peer(&mut n, "p", 2, Time::from_secs(1));
-    let out = feed(&mut n, 
+    let out = feed(
+        &mut n,
         addr(2),
         Message::Dead(Dead {
             incarnation: Incarnation(1),
@@ -577,15 +598,13 @@ fn peer_leave_emits_member_left() {
 #[test]
 fn push_pull_merge_downgrades_dead_to_suspect() {
     let mut n = new_node(Config::lan());
-    let states = vec![
-        PushNodeState {
-            name: "p".into(),
-            addr: addr(2),
-            incarnation: Incarnation(1),
-            state: MemberState::Dead,
-            meta: Bytes::new(),
-        },
-    ];
+    let states = vec![PushNodeState {
+        name: "p".into(),
+        addr: addr(2),
+        incarnation: Incarnation(1),
+        state: MemberState::Dead,
+        meta: Bytes::new(),
+    }];
     let out = feed_stream(
         &mut n,
         addr(2),
@@ -630,7 +649,8 @@ fn buddy_system_includes_suspect_in_ping_to_suspected() {
     cfg.lifeguard = LifeguardConfig::buddy_system_only();
     let mut n = new_node(cfg);
     add_peer(&mut n, "p", 2, Time::from_secs(1));
-    feed(&mut n, 
+    feed(
+        &mut n,
         addr(3),
         Message::Suspect(Suspect {
             incarnation: Incarnation(1),
@@ -655,13 +675,13 @@ fn buddy_system_includes_suspect_in_ping_to_suspected() {
         }
         let out = tick(&mut n, wake);
         for (to, msgs) in packets(&out) {
-            let has_ping = msgs.iter().any(
-                |m| matches!(m, Message::Ping(p) if p.target.as_str() == "p"),
-            );
+            let has_ping = msgs
+                .iter()
+                .any(|m| matches!(m, Message::Ping(p) if p.target.as_str() == "p"));
             if has_ping && to == addr(2) {
-                let has_suspect = msgs.iter().any(
-                    |m| matches!(m, Message::Suspect(s) if s.node.as_str() == "p"),
-                );
+                let has_suspect = msgs
+                    .iter()
+                    .any(|m| matches!(m, Message::Suspect(s) if s.node.as_str() == "p"));
                 if has_suspect {
                     saw_buddy = true;
                 }
@@ -970,8 +990,14 @@ fn pre_start_stream_messages_are_dropped() {
         Time::ZERO,
     )
     .unwrap();
-    assert!(drain(&mut n).is_empty(), "pre-start stream must produce nothing");
-    assert!(n.member(&"ghost".into()).is_none(), "pre-start merge must not happen");
+    assert!(
+        drain(&mut n).is_empty(),
+        "pre-start stream must produce nothing"
+    );
+    assert!(
+        n.member(&"ghost".into()).is_none(),
+        "pre-start merge must not happen"
+    );
     assert_eq!(n.members().count(), 0);
 }
 
@@ -1037,8 +1063,14 @@ fn remote_left_entry_for_unknown_member_is_not_resurrected() {
         }),
         Time::from_secs(1),
     );
-    assert!(out.is_empty(), "a left-unknown entry must produce no effects");
-    assert!(n.member(&"ghost".into()).is_none(), "member must not be learned");
+    assert!(
+        out.is_empty(),
+        "a left-unknown entry must produce no effects"
+    );
+    assert!(
+        n.member(&"ghost".into()).is_none(),
+        "member must not be learned"
+    );
     assert!(
         n.queued_broadcast_for(&"ghost".into()).is_none(),
         "nothing about the ghost may be gossiped"
@@ -1107,7 +1139,13 @@ fn delta_exchange_converges_and_second_round_is_incremental() {
     add_real_peer(&mut a, "remote", 2, now);
 
     // Round 1: cold watermarks → the delta is full-equivalent.
-    a.handle_input(Input::Sync { with: "remote".into() }, now).unwrap();
+    a.handle_input(
+        Input::Sync {
+            with: "remote".into(),
+        },
+        now,
+    )
+    .unwrap();
     let req = stream_msgs(&drain(&mut a));
     assert_eq!(req.len(), 1);
     assert_eq!(req[0].0, addr(2));
@@ -1123,29 +1161,53 @@ fn delta_exchange_converges_and_second_round_is_incremental() {
         "reply must ack the initiator's seq"
     );
     feed_stream(&mut a, addr(2), reply[0].1.clone(), now);
-    assert_eq!(table_of(&a), table_of(&b), "one exchange must converge both tables");
+    assert_eq!(
+        table_of(&a),
+        table_of(&b),
+        "one exchange must converge both tables"
+    );
 
     // Churn one member on A only.
     add_peer(&mut a, "p9", 99, now + Duration::from_secs(1));
 
     // Round 2: only the churned entry travels.
     let t2 = now + Duration::from_secs(2);
-    a.handle_input(Input::Sync { with: "remote".into() }, t2).unwrap();
+    a.handle_input(
+        Input::Sync {
+            with: "remote".into(),
+        },
+        t2,
+    )
+    .unwrap();
     let req2 = stream_msgs(&drain(&mut a));
-    let Message::PushPullDelta(d2) = &req2[0].1 else { panic!() };
+    let Message::PushPullDelta(d2) = &req2[0].1 else {
+        panic!()
+    };
     assert!(d2.since > 0, "watermark must be warm now");
     assert_eq!(d2.entries.len(), 1, "delta must carry only the churn");
     assert_eq!(d2.entries[0].name.as_str(), "p9");
     // Drop B's reply: A must not advance its ack watermark…
     let reply2 = stream_msgs(&feed_stream(&mut b, addr(1), req2[0].1.clone(), t2));
     assert_eq!(reply2.len(), 1);
-    assert_eq!(table_of(&a), table_of(&b), "request half alone already syncs A→B");
+    assert_eq!(
+        table_of(&a),
+        table_of(&b),
+        "request half alone already syncs A→B"
+    );
 
     // …so round 3 retransmits the unacked churn entry.
     let t3 = t2 + Duration::from_secs(1);
-    a.handle_input(Input::Sync { with: "remote".into() }, t3).unwrap();
+    a.handle_input(
+        Input::Sync {
+            with: "remote".into(),
+        },
+        t3,
+    )
+    .unwrap();
     let req3 = stream_msgs(&drain(&mut a));
-    let Message::PushPullDelta(d3) = &req3[0].1 else { panic!() };
+    let Message::PushPullDelta(d3) = &req3[0].1 else {
+        panic!()
+    };
     assert_eq!(
         d3.entries.len(),
         1,
@@ -1158,9 +1220,17 @@ fn delta_exchange_converges_and_second_round_is_incremental() {
     let reply3 = stream_msgs(&feed_stream(&mut b, addr(1), req3[0].1.clone(), t3));
     feed_stream(&mut a, addr(2), reply3[0].1.clone(), t3);
     let t4 = t3 + Duration::from_secs(1);
-    a.handle_input(Input::Sync { with: "remote".into() }, t4).unwrap();
+    a.handle_input(
+        Input::Sync {
+            with: "remote".into(),
+        },
+        t4,
+    )
+    .unwrap();
     let req4 = stream_msgs(&drain(&mut a));
-    let Message::PushPullDelta(d4) = &req4[0].1 else { panic!() };
+    let Message::PushPullDelta(d4) = &req4[0].1 else {
+        panic!()
+    };
     assert_eq!(d4.entries.len(), 0, "steady state sends an empty delta");
     assert_eq!(table_of(&a), table_of(&b));
 }
@@ -1264,7 +1334,13 @@ fn delta_to_restarted_peer_falls_back_to_full_sync() {
     add_peer(&mut a, "p1", 11, now);
 
     // Warm the pairing.
-    a.handle_input(Input::Sync { with: "remote".into() }, now).unwrap();
+    a.handle_input(
+        Input::Sync {
+            with: "remote".into(),
+        },
+        now,
+    )
+    .unwrap();
     let req = stream_msgs(&drain(&mut a));
     let reply = stream_msgs(&feed_stream(&mut b, addr(1), req[0].1.clone(), now));
     feed_stream(&mut a, addr(2), reply[0].1.clone(), now);
@@ -1277,7 +1353,13 @@ fn delta_to_restarted_peer_falls_back_to_full_sync() {
     // serve: B2 answers with a full push-pull request, and A's full
     // reply completes the bidirectional resync.
     let t2 = now + Duration::from_secs(1);
-    a.handle_input(Input::Sync { with: "remote".into() }, t2).unwrap();
+    a.handle_input(
+        Input::Sync {
+            with: "remote".into(),
+        },
+        t2,
+    )
+    .unwrap();
     let req2 = stream_msgs(&drain(&mut a));
     assert!(
         matches!(&req2[0].1, Message::PushPullDelta(d) if d.since > 0),
@@ -1310,7 +1392,13 @@ fn since_zero_overrides_stale_ack_after_same_epoch_restart() {
     add_peer(&mut a, "p1", 11, now);
 
     // Warm exchange: A ends up holding local_acked > 0 for B.
-    a.handle_input(Input::Sync { with: "remote".into() }, now).unwrap();
+    a.handle_input(
+        Input::Sync {
+            with: "remote".into(),
+        },
+        now,
+    )
+    .unwrap();
     let req = stream_msgs(&drain(&mut a));
     let reply = stream_msgs(&feed_stream(&mut b, addr(1), req[0].1.clone(), now));
     feed_stream(&mut a, addr(2), reply[0].1.clone(), now);
@@ -1323,9 +1411,17 @@ fn since_zero_overrides_stale_ack_after_same_epoch_restart() {
     // B2's cold request (since = 0) must be answered with A's full
     // table, not just the entries after A's stale ack for old-B.
     let t2 = now + Duration::from_secs(1);
-    b2.handle_input(Input::Sync { with: "local".into() }, t2).unwrap();
+    b2.handle_input(
+        Input::Sync {
+            with: "local".into(),
+        },
+        t2,
+    )
+    .unwrap();
     let req2 = stream_msgs(&drain(&mut b2));
-    let Message::PushPullDelta(d) = &req2[0].1 else { panic!() };
+    let Message::PushPullDelta(d) = &req2[0].1 else {
+        panic!()
+    };
     assert_eq!(d.since, 0);
     let reply2 = stream_msgs(&feed_stream(&mut a, addr(2), req2[0].1.clone(), t2));
     let Message::PushPullDelta(r) = &reply2[0].1 else {
@@ -1416,7 +1512,9 @@ fn a_drained_burst_gives_back_the_output_queue_capacity() {
 /// gossip about them.
 fn idle_node(peers: &[(&str, u8)]) -> SwimNode {
     let mut n = new_node(Config::lan().lifeguard());
-    let roster = peers.iter().map(|&(name, i)| (NodeName::from(name), addr(i)));
+    let roster = peers
+        .iter()
+        .map(|&(name, i)| (NodeName::from(name), addr(i)));
     n.bootstrap_peers(roster, Time::ZERO);
     n
 }
@@ -1446,13 +1544,22 @@ fn update_while_parked_gossips_on_the_original_phase_grid() {
     let mut n = idle_node(&[("p", 2), ("q", 3)]);
     let every = n.config().gossip_interval;
     let update = |n: &mut SwimNode, meta: &'static [u8], at: Time| {
-        input(n, Input::UpdateMeta { meta: Bytes::from_static(meta) }, at);
+        input(
+            n,
+            Input::UpdateMeta {
+                meta: Bytes::from_static(meta),
+            },
+            at,
+        );
     };
     // The first update is sent by the loop's first tick, which shows
     // its phase; the queue then drains and the loop parks.
     update(&mut n, b"v1", Time::ZERO);
     let sent = run_acked(&mut n, Time::from_secs(2));
-    let phase = sent.iter().find(|(_, msgs)| is_gossip(msgs)).map(|&(at, _)| at);
+    let phase = sent
+        .iter()
+        .find(|(_, msgs)| is_gossip(msgs))
+        .map(|&(at, _)| at);
     let phase = phase.expect("the first update is gossiped");
     assert!(phase < Time::ZERO + every);
     assert_eq!(n.pending_broadcasts(), 0);
@@ -1465,6 +1572,9 @@ fn update_while_parked_gossips_on_the_original_phase_grid() {
     update(&mut n, b"v2", at);
     n.check_invariants();
     let sent = run_acked(&mut n, at + every * 2);
-    let first = sent.iter().find(|(_, msgs)| is_gossip(msgs)).map(|&(at, _)| at);
+    let first = sent
+        .iter()
+        .find(|(_, msgs)| is_gossip(msgs))
+        .map(|&(at, _)| at);
     assert_eq!(first, Some(phase + every * 11));
 }

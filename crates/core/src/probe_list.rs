@@ -132,11 +132,16 @@ impl ProbeList {
                 membership.occupied(slot),
                 "slot {slot} is in the probe rotation but vacant"
             );
-            assert!(listed.insert(slot), "slot {slot} is in the probe rotation twice");
+            assert!(
+                listed.insert(slot),
+                "slot {slot} is in the probe rotation twice"
+            );
         }
         for m in membership.iter().filter(|m| m.is_live() && m.name != me) {
             assert!(
-                membership.id_of(m.name).is_some_and(|id| listed.contains(&id.slot())),
+                membership
+                    .id_of(m.name)
+                    .is_some_and(|id| listed.contains(&id.slot())),
                 "live member {} is not in the probe rotation",
                 m.name
             );
@@ -293,7 +298,11 @@ mod tests {
         let name = membership.at_slot(ahead).unwrap().1.name.clone();
         reap(&mut membership, &mut list, name.as_str());
         join(&mut membership, &mut list, &mut rng, name.as_str());
-        assert_eq!(membership.id_of(&name).unwrap().slot(), ahead, "slot reused");
+        assert_eq!(
+            membership.id_of(&name).unwrap().slot(),
+            ahead,
+            "slot reused"
+        );
         let mut hits = 0;
         while list.next < list.order.len() {
             let t = list.next_target(&membership, &mut rng, |_| true).unwrap().1;
@@ -326,7 +335,11 @@ mod tests {
             }
             join(&mut membership, &mut list, &mut rng, "marker");
             let marker = membership.id_of(&"marker".into()).unwrap();
-            let pos = list.order.iter().position(|&slot| slot == marker.slot()).unwrap();
+            let pos = list
+                .order
+                .iter()
+                .position(|&slot| slot == marker.slot())
+                .unwrap();
             *positions.entry(pos).or_insert(0) += 1;
         }
         assert!(

@@ -197,7 +197,10 @@ impl Prober {
         // Our own outstanding probe? A timely ack completes the round
         // immediately (memberlist's probeNode returns on the first ack);
         // a stale ack is ignored and the round fails at its end.
-        if let Some(p) = self.in_flight.take_if(|p| p.seq == seq && now <= p.round_end) {
+        if let Some(p) = self
+            .in_flight
+            .take_if(|p| p.seq == seq && now <= p.round_end)
+        {
             // True cancellation: the round's remaining deadlines are
             // unscheduled, not left to fire stale — including one that
             // came due while I/O was blocked and waits for the unblock.
@@ -264,7 +267,10 @@ impl Prober {
     /// is needed.
     pub(crate) fn relay_nack(&mut self, seq: SeqNo) -> Option<(SeqNo, NodeAddr)> {
         let relay = self.relays.get_mut(&seq);
-        debug_assert!(relay.is_some(), "stale relay-nack timer reached its handler");
+        debug_assert!(
+            relay.is_some(),
+            "stale relay-nack timer reached its handler"
+        );
         let relay = relay?;
         debug_assert!(!relay.acked, "nack timer outlived the target's ack");
         relay.nack_timer = None;
@@ -274,7 +280,10 @@ impl Prober {
     /// `RelayExpire` fired: forget the relay.
     pub(crate) fn relay_expire(&mut self, seq: SeqNo, timers: &mut TimerWheel<Timer>) {
         let relay = self.relays.remove(&seq);
-        debug_assert!(relay.is_some(), "stale relay-expire timer reached its handler");
+        debug_assert!(
+            relay.is_some(),
+            "stale relay-expire timer reached its handler"
+        );
         if let Some(key) = relay.and_then(|r| r.nack_timer) {
             // Pathological configs can place the nack after the expiry;
             // drop it with the relay state.
@@ -323,7 +332,10 @@ impl Prober {
         self.rotation.check_invariants(membership, me);
         let armed = |key: TimerKey| timers.deadline_of(key).is_some();
         let armed_xor_deferred = |key: TimerKey, timer: Timer| {
-            assert!(armed(key) != blocked.holds(timer), "{timer:?} not armed xor deferred");
+            assert!(
+                armed(key) != blocked.holds(timer),
+                "{timer:?} not armed xor deferred"
+            );
         };
         if let Some(p) = &self.in_flight {
             armed_xor_deferred(p.round_end_timer, Timer::ProbeRoundEnd { seq: p.seq });
@@ -344,9 +356,10 @@ impl Prober {
                 Timer::ProbeTimeout { seq } | Timer::ProbeRoundEnd { seq } => {
                     in_flight == Some(seq)
                 }
-                Timer::RelayNack { seq } => {
-                    self.relays.get(&seq).is_some_and(|r| r.nack_timer.is_some())
-                }
+                Timer::RelayNack { seq } => self
+                    .relays
+                    .get(&seq)
+                    .is_some_and(|r| r.nack_timer.is_some()),
                 _ => true,
             };
             assert!(owned, "{timer:?} deferred for state already consumed");

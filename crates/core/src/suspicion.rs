@@ -264,7 +264,11 @@ impl Suspicions {
         let suspects = membership
             .iter()
             .filter(|m| m.state == MemberState::Suspect);
-        assert_eq!(suspects.count(), self.table.len(), "a suspect without a suspicion");
+        assert_eq!(
+            suspects.count(),
+            self.table.len(),
+            "a suspect without a suspicion"
+        );
     }
 
     /// Confirmation counts of the held suspicions (test introspection).
@@ -381,7 +385,14 @@ mod tests {
 
     #[test]
     fn deadline_moves_earlier_with_confirmations() {
-        let mut s = Suspicion::new(Incarnation(1), "a".into(), 3, MIN, MAX, Time::from_secs(100));
+        let mut s = Suspicion::new(
+            Incarnation(1),
+            "a".into(),
+            3,
+            MIN,
+            MAX,
+            Time::from_secs(100),
+        );
         let d0 = s.deadline();
         s.confirm("b".into());
         let d1 = s.deadline();

@@ -204,7 +204,8 @@ impl AntiEntropy {
         // `since = 0` asks to be served from scratch and is always
         // honoured; a non-zero watermark must match this instance.
         let servable = config.delta_sync
-            && (d.since == 0 || (d.since_epoch == self.epoch && d.since <= membership.update_seq()));
+            && (d.since == 0
+                || (d.since_epoch == self.epoch && d.since <= membership.update_seq()));
         if !servable {
             // The remote's watermark refers to a version we cannot
             // serve (we restarted, or delta sync is disabled here).

@@ -390,7 +390,10 @@ mod tests {
     fn stale_key_after_fire_is_inert() {
         let mut w = TimerWheel::new();
         let k = w.schedule(Time::from_millis(5), 1);
-        assert_eq!(w.pop_due(Time::from_millis(5)), Some((Time::from_millis(5), 1)));
+        assert_eq!(
+            w.pop_due(Time::from_millis(5)),
+            Some((Time::from_millis(5), 1))
+        );
         assert_eq!(w.cancel(k), None);
         assert_eq!(w.reschedule(k, Time::from_secs(1)), None);
         assert_eq!(w.deadline_of(k), None);
@@ -432,7 +435,12 @@ mod tests {
         }
         let fired = drain_until(&mut w, Time::from_secs(4_000));
         let got: Vec<_> = fired.iter().map(|&(t, i)| (t, i)).collect();
-        let want: Vec<_> = deadlines.iter().copied().enumerate().map(|(i, t)| (t, i)).collect();
+        let want: Vec<_> = deadlines
+            .iter()
+            .copied()
+            .enumerate()
+            .map(|(i, t)| (t, i))
+            .collect();
         assert_eq!(got, want);
     }
 
@@ -444,7 +452,10 @@ mod tests {
         w.schedule(far, "far");
         w.schedule(Time::from_secs(1), "near");
         assert_eq!(w.next_deadline(), Some(Time::from_secs(1)));
-        assert_eq!(w.pop_due(Time::from_secs(2)), Some((Time::from_secs(1), "near")));
+        assert_eq!(
+            w.pop_due(Time::from_secs(2)),
+            Some((Time::from_secs(1), "near"))
+        );
         assert_eq!(w.pop_due(Time::from_secs(2)), None);
         assert_eq!(w.pop_earliest(), Some((far, "far")));
         assert!(w.is_empty());

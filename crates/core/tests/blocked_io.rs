@@ -358,9 +358,15 @@ fn block_while_gossip_is_parked_still_spends_the_blocked_iteration() {
     out.extend(run_until(&mut n, t_unblock));
     let gossip = |out: &[OwnedOutput]| {
         let packets = packets(out);
-        packets.into_iter().filter(|(_, msgs)| is_gossip(msgs)).collect::<Vec<_>>()
+        packets
+            .into_iter()
+            .filter(|(_, msgs)| is_gossip(msgs))
+            .collect::<Vec<_>>()
     };
-    assert!(gossip(&out).is_empty(), "a stuck gossip loop sent while blocked");
+    assert!(
+        gossip(&out).is_empty(),
+        "a stuck gossip loop sent while blocked"
+    );
     n.check_invariants();
 
     // Unblocked, the loop sends the update on its next tick.

@@ -2,7 +2,10 @@
 //! surface — `Input`s in, `poll_output` drained after every input.
 //! Shared by every test file here and by the node's unit tests
 //! (`src/node/tests/mod.rs`), so no binary uses all of it.
-#![allow(dead_code, reason = "each test binary uses a different part of the kit")]
+#![allow(
+    dead_code,
+    reason = "each test binary uses a different part of the kit"
+)]
 
 use bytes::Bytes;
 use lifeguard_core::config::Config;
@@ -85,8 +88,12 @@ pub fn run_acked(n: &mut SwimNode, until: Time) -> Vec<(Time, Vec<Message>)> {
 /// Whether `msgs` is a packet of the gossip loop: broadcasts only, no
 /// probe traffic they ride on.
 pub fn is_gossip(msgs: &[Message]) -> bool {
-    msgs.iter()
-        .all(|m| matches!(m, Message::Alive(_) | Message::Suspect(_) | Message::Dead(_)))
+    msgs.iter().all(|m| {
+        matches!(
+            m,
+            Message::Alive(_) | Message::Suspect(_) | Message::Dead(_)
+        )
+    })
 }
 
 /// Registers `name` (not known yet) as an alive peer at `addr(i)` via

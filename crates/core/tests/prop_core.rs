@@ -591,7 +591,7 @@ mod precedence {
                         model_suspect = false;
                     }
                 } else {
-                    feed_node(&mut node, 
+                    feed_node(&mut node,
                         from,
                         Message::Suspect(Suspect {
                             incarnation: Incarnation(*inc),
@@ -644,7 +644,11 @@ mod rotation_reference {
             }
         }
 
-        fn extend_shuffled<R: Rng>(&mut self, ids: impl IntoIterator<Item = MemberId>, rng: &mut R) {
+        fn extend_shuffled<R: Rng>(
+            &mut self,
+            ids: impl IntoIterator<Item = MemberId>,
+            rng: &mut R,
+        ) {
             self.order.extend(ids);
             self.reshuffle(rng);
         }

@@ -268,14 +268,43 @@ proptest! {
 #[test]
 fn dropped_reply_script_pins_equivalence() {
     let script = [
-        Op::Alive { i: 0, inc: 1, to_a: true },
-        Op::Alive { i: 1, inc: 1, to_a: false },
-        Op::Exchange { a_initiates: true, drop_reply: true },
-        Op::Suspect { i: 0, inc: 1, to_a: false },
-        Op::Dead { i: 1, inc: 1, to_a: true },
-        Op::Exchange { a_initiates: false, drop_reply: false },
-        Op::Alive { i: 2, inc: 3, to_a: true },
-        Op::Exchange { a_initiates: true, drop_reply: false },
+        Op::Alive {
+            i: 0,
+            inc: 1,
+            to_a: true,
+        },
+        Op::Alive {
+            i: 1,
+            inc: 1,
+            to_a: false,
+        },
+        Op::Exchange {
+            a_initiates: true,
+            drop_reply: true,
+        },
+        Op::Suspect {
+            i: 0,
+            inc: 1,
+            to_a: false,
+        },
+        Op::Dead {
+            i: 1,
+            inc: 1,
+            to_a: true,
+        },
+        Op::Exchange {
+            a_initiates: false,
+            drop_reply: false,
+        },
+        Op::Alive {
+            i: 2,
+            inc: 3,
+            to_a: true,
+        },
+        Op::Exchange {
+            a_initiates: true,
+            drop_reply: false,
+        },
     ];
     let (a_delta, b_delta) = run_script(&script, true);
     let (a_full, b_full) = run_script(&script, false);

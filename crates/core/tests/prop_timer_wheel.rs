@@ -51,7 +51,10 @@ impl NaiveTimers {
     }
 
     fn next_deadline(&self) -> Option<u64> {
-        self.entries.iter().min_by_key(|&&(at, ord, _)| (at, ord)).map(|&(at, _, _)| at)
+        self.entries
+            .iter()
+            .min_by_key(|&&(at, ord, _)| (at, ord))
+            .map(|&(at, _, _)| at)
     }
 
     fn pop_due(&mut self, now: u64) -> Option<(u64, u32)> {
@@ -75,12 +78,12 @@ impl NaiveTimers {
 /// from same-instant collisions to the far future.
 fn shaped_delay(kind: u8, raw: u64) -> u64 {
     match kind % 6 {
-        0 => 0,                                  // same instant
-        1 => raw % 1_024,                        // inside one millisecond
-        2 => raw % 70_000,                       // tens of milliseconds
-        3 => raw % 5_000_000,                    // seconds
-        4 => raw % 300_000_000,                  // minutes
-        _ => raw % 100_000_000_000,              // far future (~28 h)
+        0 => 0,                     // same instant
+        1 => raw % 1_024,           // inside one millisecond
+        2 => raw % 70_000,          // tens of milliseconds
+        3 => raw % 5_000_000,       // seconds
+        4 => raw % 300_000_000,     // minutes
+        _ => raw % 100_000_000_000, // far future (~28 h)
     }
 }
 

@@ -21,7 +21,8 @@ fn push_pull_reply_contains_full_table_including_dead() {
     let mut n = new_node(Config::lan());
     add_peer(&mut n, "alive-peer", 2, Time::from_secs(1));
     add_peer(&mut n, "dead-peer", 3, Time::from_secs(1));
-    feed(&mut n, 
+    feed(
+        &mut n,
         addr(4),
         Message::Dead(Dead {
             incarnation: Incarnation(1),
@@ -30,7 +31,8 @@ fn push_pull_reply_contains_full_table_including_dead() {
         }),
         Time::from_secs(2),
     );
-    let out = feed_stream(&mut n, 
+    let out = feed_stream(
+        &mut n,
         addr(9),
         Message::PushPull(PushPull {
             join: true,
@@ -70,7 +72,8 @@ fn dead_members_are_reaped_after_retention() {
     cfg.dead_reclaim = Duration::from_secs(10);
     let mut n = new_node(cfg);
     add_peer(&mut n, "p", 2, Time::from_secs(1));
-    feed(&mut n, 
+    feed(
+        &mut n,
         addr(3),
         Message::Dead(Dead {
             incarnation: Incarnation(1),
@@ -95,7 +98,8 @@ fn gossip_reaches_recently_dead_members() {
     add_peer(&mut n, "dead-peer", 2, Time::from_secs(1));
     add_peer(&mut n, "other", 3, Time::from_secs(1));
     let t = Time::from_secs(2);
-    feed(&mut n, 
+    feed(
+        &mut n,
         addr(3),
         Message::Dead(Dead {
             incarnation: Incarnation(1),
@@ -124,7 +128,8 @@ fn reconnect_push_pulls_a_dead_member() {
     cfg.push_pull_interval = None; // isolate the reconnect path
     let mut n = new_node(cfg);
     add_peer(&mut n, "p", 2, Time::from_secs(1));
-    feed(&mut n, 
+    feed(
+        &mut n,
         addr(3),
         Message::Dead(Dead {
             incarnation: Incarnation(1),
@@ -212,7 +217,12 @@ fn indirect_probe_roundtrip_between_nodes() {
     // Target handles the ping and acks back to relay.
     let mut target_out = Vec::new();
     for msg in compound::decode_packet(&packet).unwrap() {
-        target_out.extend(feed(&mut target, addr(2), msg, now + Duration::from_millis(1)));
+        target_out.extend(feed(
+            &mut target,
+            addr(2),
+            msg,
+            now + Duration::from_millis(1),
+        ));
     }
     let (to, packet) = target_out
         .iter()
@@ -226,7 +236,12 @@ fn indirect_probe_roundtrip_between_nodes() {
     // Relay forwards the ack to origin with the origin's sequence number.
     let mut relay_fwd = Vec::new();
     for msg in compound::decode_packet(&packet).unwrap() {
-        relay_fwd.extend(feed(&mut relay, addr(3), msg, now + Duration::from_millis(2)));
+        relay_fwd.extend(feed(
+            &mut relay,
+            addr(3),
+            msg,
+            now + Duration::from_millis(2),
+        ));
     }
     let forwarded = relay_fwd
         .iter()
@@ -248,7 +263,8 @@ fn indirect_probe_roundtrip_between_nodes() {
 fn gossip_about_unknown_members_is_ignored() {
     let mut n = new_node(Config::lan());
     let before = n.members().count();
-    feed(&mut n, 
+    feed(
+        &mut n,
         addr(2),
         Message::Suspect(Suspect {
             incarnation: Incarnation(5),
@@ -257,7 +273,8 @@ fn gossip_about_unknown_members_is_ignored() {
         }),
         Time::from_secs(1),
     );
-    feed(&mut n, 
+    feed(
+        &mut n,
         addr(2),
         Message::Dead(Dead {
             incarnation: Incarnation(5),

@@ -109,7 +109,10 @@ fn oversized_update_meta_is_refused_and_self_gossip_still_decodes() {
     update(&mut n, vec![9; 70_000], 4);
 
     assert_eq!(n.incarnation(), inc);
-    assert_eq!(n.member(&"local".into()).unwrap().meta.as_ref(), [7; MAX_META_LEN]);
+    assert_eq!(
+        n.member(&"local".into()).unwrap().meta.as_ref(),
+        [7; MAX_META_LEN]
+    );
     let queued = n
         .queued_broadcast_for(&"local".into())
         .expect("alive about self still queued");
@@ -131,7 +134,11 @@ fn update_meta_after_leave_is_refused_and_acks_carry_no_alive() {
     let inc = n.incarnation();
     let meta = Bytes::from_static(b"role=db");
     input(&mut n, Input::UpdateMeta { meta }, Time::from_secs(3));
-    assert_eq!(n.incarnation(), inc, "a departed node took a new incarnation");
+    assert_eq!(
+        n.incarnation(),
+        inc,
+        "a departed node took a new incarnation"
+    );
     let me = n.member(&"local".into()).unwrap();
     assert_eq!((me.state, me.meta.as_ref()), (MemberState::Left, &b""[..]));
 
@@ -158,7 +165,8 @@ fn meta_update_propagates_to_peer_view() {
     // Peer applies the alive message carrying new meta.
     let mut observer = new_node(Config::lan());
     add_peer(&mut observer, "p", 2, Time::from_secs(1));
-    feed(&mut observer, 
+    feed(
+        &mut observer,
         addr(2),
         Message::Alive(Alive {
             incarnation: Incarnation(2),

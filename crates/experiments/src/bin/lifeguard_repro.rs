@@ -28,8 +28,8 @@ use std::process::ExitCode;
 
 use lifeguard_experiments::report::Table;
 use lifeguard_experiments::scenario::Scale;
-use lifeguard_experiments::verdict::{self, Runs};
 use lifeguard_experiments::tables;
+use lifeguard_experiments::verdict::{self, Runs};
 
 const USAGE: &str = "usage: lifeguard-repro \
     <fig1|table4|fig2|fig3|table5|table6|table7|verdict|fp|all> \
@@ -59,14 +59,20 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
     let artifact = args.next().ok_or("missing artifact argument")?;
     let artifacts = match artifact.as_str() {
         "fp" => vec!["table4", "fig2", "fig3", "table6"],
-        "all" => vec!["table4", "fig2", "fig3", "table6", "table5", "fig1", "table7", "verdict"],
+        "all" => vec![
+            "table4", "fig2", "fig3", "table6", "table5", "fig1", "table7", "verdict",
+        ],
         "verdict" => vec!["verdict"],
         one => {
             let known = ARTIFACTS.iter().find(|(slug, _)| *slug == one);
             vec![known.ok_or_else(|| format!("unknown artifact {one:?}"))?.0]
         }
     };
-    let mut parsed = Args { artifacts, scale: Scale::Gate, csv_dir: None };
+    let mut parsed = Args {
+        artifacts,
+        scale: Scale::Gate,
+        csv_dir: None,
+    };
     while let Some(flag) = args.next() {
         match flag.as_str() {
             "--scale" => {
@@ -105,7 +111,10 @@ fn main() -> ExitCode {
         }
     };
     let (scale, csv) = (args.scale, args.csv_dir.as_deref());
-    eprintln!("replaying the {scale:?} cells over seeds {:?}...", scale.seeds());
+    eprintln!(
+        "replaying the {scale:?} cells over seeds {:?}...",
+        scale.seeds()
+    );
     let runs = Runs::replay(scale);
     let mut pass = true;
     for artifact in args.artifacts {
@@ -136,10 +145,18 @@ mod tests {
     #[test]
     fn artifacts_expand_and_scale_defaults_to_the_gate() {
         let all = parse("all --csv-dir out").unwrap();
-        let every = ["table4", "fig2", "fig3", "table6", "table5", "fig1", "table7", "verdict"];
+        let every = [
+            "table4", "fig2", "fig3", "table6", "table5", "fig1", "table7", "verdict",
+        ];
         assert_eq!(all.artifacts, every);
-        assert_eq!((all.scale, all.csv_dir.as_deref()), (Scale::Gate, Some("out")));
-        assert_eq!(parse("fp").unwrap().artifacts, ["table4", "fig2", "fig3", "table6"]);
+        assert_eq!(
+            (all.scale, all.csv_dir.as_deref()),
+            (Scale::Gate, Some("out"))
+        );
+        assert_eq!(
+            parse("fp").unwrap().artifacts,
+            ["table4", "fig2", "fig3", "table6"]
+        );
         assert_eq!(parse("table5 --scale paper").unwrap().scale, Scale::Paper);
     }
 
@@ -148,7 +165,11 @@ mod tests {
         for line in ["ablate-k", "ablate-s", "bogus", "table4 --seed 1"] {
             assert!(parse(line).is_err(), "{line}");
         }
-        for line in ["table4 --scale quick", "table4 --scale default", "table4 --quiet"] {
+        for line in [
+            "table4 --scale quick",
+            "table4 --scale default",
+            "table4 --quiet",
+        ] {
             assert!(parse(line).is_err(), "{line}");
         }
         assert!(parse("").is_err());

@@ -102,7 +102,11 @@ impl Table {
         let _ = writeln!(
             out,
             "{}",
-            self.header.iter().map(|c| esc(c)).collect::<Vec<_>>().join(",")
+            self.header
+                .iter()
+                .map(|c| esc(c))
+                .collect::<Vec<_>>()
+                .join(",")
         );
         for row in &self.rows {
             let _ = writeln!(

@@ -93,7 +93,11 @@ impl Scale {
             Scale::Gate => vec![(64, 16, ms(16_384), ms(64))],
             Scale::Paper => (C_VALUES.iter())
                 .flat_map(|&c| D_VALUES_MS.iter().map(move |&d| (c, ms(d))))
-                .flat_map(|(c, d)| I_VALUES_MS.iter().map(move |&i| (CLUSTER_SIZE, c, d, ms(i))))
+                .flat_map(|(c, d)| {
+                    I_VALUES_MS
+                        .iter()
+                        .map(move |&i| (CLUSTER_SIZE, c, d, ms(i)))
+                })
                 .collect(),
         }
     }
@@ -191,7 +195,14 @@ pub fn threshold(n: usize, c: usize, d: Duration, run_len: Duration, seed: u64) 
 /// The Interval experiment (§V-D2): `c` of `n` members block for `d`
 /// and run for `i`, cycling until `min_run` has passed (the paper's is
 /// [`MIN_RUN`]); the run ends with the next anomalous period.
-pub fn interval(n: usize, c: usize, d: Duration, i: Duration, min_run: Duration, seed: u64) -> Schedule {
+pub fn interval(
+    n: usize,
+    c: usize,
+    d: Duration,
+    i: Duration,
+    min_run: Duration,
+    seed: u64,
+) -> Schedule {
     let spec = AnomalySpec::Interval {
         start: SimTime::ZERO + QUIESCE,
         duration: d,
@@ -245,18 +256,29 @@ pub fn run(schedule: &Schedule, config: &Config) -> RunOutcome {
     config.validate().expect("scenario config must be valid");
     let mut cluster = Cluster::new(schedule, config);
     cluster.run_until(schedule.end);
-    let pauses = schedule.faults.iter().filter_map(|(at, action)| match action {
-        SimAction::Pause { node, .. } => Some((*at, *node)),
-        _ => None,
-    });
+    let pauses = schedule
+        .faults
+        .iter()
+        .filter_map(|(at, action)| match action {
+            SimAction::Pause { node, .. } => Some((*at, *node)),
+            _ => None,
+        });
     let anomaly_start = pauses.clone().next().map_or(SimTime::ZERO, |(at, _)| at);
     let mut anomalous: Vec<usize> = pauses.map(|(_, node)| node).collect();
     anomalous.sort_unstable();
     anomalous.dedup();
-    let snaps: Vec<_> = (0..cluster.len()).map(|i| cluster.metrics_snapshot(i)).collect();
+    let snaps: Vec<_> = (0..cluster.len())
+        .map(|i| cluster.metrics_snapshot(i))
+        .collect();
     RunOutcome {
-        msgs_sent: snaps.iter().map(|s| s.io.datagrams_sent + s.io.streams_sent).sum(),
-        bytes_sent: snaps.iter().map(|s| s.io.datagram_bytes + s.io.stream_bytes).sum(),
+        msgs_sent: snaps
+            .iter()
+            .map(|s| s.io.datagrams_sent + s.io.streams_sent)
+            .sum(),
+        bytes_sent: snaps
+            .iter()
+            .map(|s| s.io.datagram_bytes + s.io.stream_bytes)
+            .sum(),
         ..outcome(cluster.trace(), cluster.len(), &anomalous, anomaly_start)
     }
 }
@@ -308,7 +330,8 @@ fn outcome(trace: &Trace, n: usize, anomalous: &[usize], start: SimTime) -> RunO
         }
     }
     let disseminated = |(count, last): (usize, Option<SimTime>)| {
-        last.filter(|&at| count == healthy && at >= start).map(|at| at - start)
+        last.filter(|&at| count == healthy && at >= start)
+            .map(|at| at - start)
     };
     out.full_dissem = firsts.into_iter().map(disseminated).collect();
     out
@@ -326,17 +349,31 @@ mod tests {
         // The paper's scale replays every (C, D, I) of Table III at n = 128,
         // ten repetitions each; the gate replays its one cell.
         let paper = Scale::Paper.interval_cells();
-        assert_eq!(paper.len(), C_VALUES.len() * D_VALUES_MS.len() * I_VALUES_MS.len());
+        assert_eq!(
+            paper.len(),
+            C_VALUES.len() * D_VALUES_MS.len() * I_VALUES_MS.len()
+        );
         assert!(paper.iter().all(|&(n, ..)| n == CLUSTER_SIZE));
         let (first, last) = (paper[0], paper[paper.len() - 1]);
-        assert_eq!((first.1, first.2.as_millis(), first.3.as_millis()), (1, 128, 1));
-        assert_eq!((last.1, last.2.as_millis(), last.3.as_millis()), (32, 32_768, 16_384));
+        assert_eq!(
+            (first.1, first.2.as_millis(), first.3.as_millis()),
+            (1, 128, 1)
+        );
+        assert_eq!(
+            (last.1, last.2.as_millis(), last.3.as_millis()),
+            (32, 32_768, 16_384)
+        );
         assert_eq!(Scale::Paper.seeds().count(), 10);
         assert_eq!(Scale::Gate.interval_cells().len(), 1);
         assert_eq!(Scale::Paper.tuning_cells(), paper);
         let stress = Scale::Paper.stress_cells();
-        assert_eq!(stress.iter().map(|&(_, k, _)| k).collect::<Vec<_>>(), STRESSED);
-        assert!(stress.iter().all(|&(n, _, len)| n == 100 && len.as_secs() == 300));
+        assert_eq!(
+            stress.iter().map(|&(_, k, _)| k).collect::<Vec<_>>(),
+            STRESSED
+        );
+        assert!(stress
+            .iter()
+            .all(|&(n, _, len)| n == 100 && len.as_secs() == 300));
         assert_eq!(Scale::Gate.seeds(), 1..=8);
     }
 
@@ -443,7 +480,9 @@ mod tests {
             // Times on a 100 ms grid, so declarations land on the start too.
             let tick = |rng: &mut StdRng| SimTime::from_millis(100 * rng.random_range(0..40u64));
             let start = tick(&mut rng);
-            let mut times: Vec<SimTime> = (0..rng.random_range(0..120)).map(|_| tick(&mut rng)).collect();
+            let mut times: Vec<SimTime> = (0..rng.random_range(0..120))
+                .map(|_| tick(&mut rng))
+                .collect();
             times.sort_unstable();
             let mut trace = Trace::new();
             for at in times {
@@ -453,12 +492,22 @@ mod tests {
                 let event = match rng.random_range(0..5) {
                     0 => Event::MemberRecovered { name },
                     1 => Event::MemberJoined { name },
-                    _ => Event::MemberFailed { name, incarnation: Incarnation(1), from: "node-0".into() },
+                    _ => Event::MemberFailed {
+                        name,
+                        incarnation: Incarnation(1),
+                        from: "node-0".into(),
+                    },
                 };
                 trace.record(at, rng.random_range(0..n), event);
             }
-            let (got, want) = (outcome(&trace, n, &anomalous, start), scans(&trace, n, &anomalous, start));
-            assert_eq!(got, want, "case {case}: n {n}, anomalous {anomalous:?}, start {start:?}");
+            let (got, want) = (
+                outcome(&trace, n, &anomalous, start),
+                scans(&trace, n, &anomalous, start),
+            );
+            assert_eq!(
+                got, want,
+                "case {case}: n {n}, anomalous {anomalous:?}, start {start:?}"
+            );
         }
     }
 
@@ -471,7 +520,10 @@ mod tests {
         assert_eq!(out.anomalous.len(), 1);
         assert!(out.first_detect[0].is_some(), "20 s pause must be detected");
         let d = out.first_detect[0].unwrap();
-        assert!(d > Duration::from_secs(4) && d < Duration::from_secs(20), "{d:?}");
+        assert!(
+            d > Duration::from_secs(4) && d < Duration::from_secs(20),
+            "{d:?}"
+        );
         assert!(out.full_dissem[0].is_some());
         assert!(out.full_dissem[0].unwrap() >= d);
         assert!(out.msgs_sent > 0 && out.bytes_sent > 0);
@@ -480,7 +532,13 @@ mod tests {
     #[test]
     fn short_anomaly_is_not_detected() {
         // A 128 ms pause is far below any suspicion timeout.
-        let s = threshold(16, 1, Duration::from_millis(128), Duration::from_secs(40), 4);
+        let s = threshold(
+            16,
+            1,
+            Duration::from_millis(128),
+            Duration::from_secs(40),
+            4,
+        );
         let out = run(&s, &Config::lan());
         assert_eq!(out.first_detect[0], None);
         assert_eq!(out.fp_events, 0);

@@ -77,7 +77,10 @@ fn sums(runs: &Runs, f: impl Fn(&RunOutcome) -> u64) -> (Vec<(&'static str, u64)
     let per: Vec<_> = (runs.interval.iter())
         .map(|(label, outcomes)| (*label, outcomes.iter().map(&f).sum()))
         .collect();
-    let swim = per.iter().find(|(label, _)| *label == "SWIM").map_or(0, |(_, s)| *s);
+    let swim = per
+        .iter()
+        .find(|(label, _)| *label == "SWIM")
+        .map_or(0, |(_, s)| *s);
     (per, swim)
 }
 
@@ -88,7 +91,13 @@ pub fn table4(runs: &Runs) -> Table {
     let (fpm, swim_fpm) = sums(runs, |o| o.fp_healthy_events);
     let mut t = Table::new(
         "Table IV: aggregated false positives (Interval experiment)",
-        vec!["Configuration", "FP Events", "FP- Events", "FP %SWIM", "FP- %SWIM"],
+        vec![
+            "Configuration",
+            "FP Events",
+            "FP- Events",
+            "FP %SWIM",
+            "FP- %SWIM",
+        ],
     );
     for ((label, fp), (_, fpm)) in fp.into_iter().zip(fpm) {
         t.row(vec![
@@ -111,7 +120,10 @@ fn by_anomalous(cell: &Labelled, title: &str, first: &str, columns: &[(&str, Cou
     }
     let mut t = Table::new(title, header.iter().map(String::as_str).collect());
     let anomalous = |o: &RunOutcome| o.anomalous.len();
-    let mut cs: Vec<usize> = cell.iter().flat_map(|(_, r)| r.iter().map(anomalous)).collect();
+    let mut cs: Vec<usize> = cell
+        .iter()
+        .flat_map(|(_, r)| r.iter().map(anomalous))
+        .collect();
     cs.sort_unstable();
     cs.dedup();
     for c in cs {
@@ -178,8 +190,13 @@ pub fn table5(runs: &Runs) -> Table {
 /// The `p`-th percentile, in seconds, of first detection (or, if `full`,
 /// of full dissemination) over `outcomes`.
 fn latency(outcomes: &[RunOutcome], full: bool, p: f64) -> Option<f64> {
-    let latencies = (outcomes.iter())
-        .flat_map(|o| if full { &o.full_dissem } else { &o.first_detect });
+    let latencies = (outcomes.iter()).flat_map(|o| {
+        if full {
+            &o.full_dissem
+        } else {
+            &o.first_detect
+        }
+    });
     let secs: Vec<f64> = latencies.flatten().map(Duration::as_secs_f64).collect();
     percentile(&secs, p)
 }
@@ -225,7 +242,11 @@ pub fn table7(runs: &Runs) -> Table {
             let swim = at("SWIM");
             let mut row = vec![format!("{metric} {what}")];
             for (label, ..) in TABLE7 {
-                row.push(at(label).zip(swim).map_or_else(|| "-".into(), |(v, b)| pct_cell(v, b)));
+                row.push(
+                    at(label)
+                        .zip(swim)
+                        .map_or_else(|| "-".into(), |(v, b)| pct_cell(v, b)),
+                );
             }
             t.row(row);
         }
@@ -233,7 +254,11 @@ pub fn table7(runs: &Runs) -> Table {
     for (what, count) in FP {
         let sum = |label| of(&runs.tuning, label).iter().map(count).sum::<u64>() as f64;
         let mut row = vec![what.to_owned()];
-        row.extend(TABLE7.iter().map(|(label, ..)| pct_cell(sum(label), sum("SWIM"))));
+        row.extend(
+            TABLE7
+                .iter()
+                .map(|(label, ..)| pct_cell(sum(label), sum("SWIM"))),
+        );
         t.row(row);
     }
     t
@@ -257,8 +282,13 @@ mod tests {
             bytes_sent: 100_000,
             ..fake(fp, Some(12))
         };
-        let interval = interval.iter().map(|(l, r)| (*l, r.iter().map(outcome).collect()));
-        Runs { interval: interval.collect(), ..fake_runs(2) }
+        let interval = interval
+            .iter()
+            .map(|(l, r)| (*l, r.iter().map(outcome).collect()));
+        Runs {
+            interval: interval.collect(),
+            ..fake_runs(2)
+        }
     }
 
     #[test]
@@ -271,7 +301,10 @@ mod tests {
 
     #[test]
     fn table4_percentages_against_swim() {
-        let t = table4(&runs_with(&[("SWIM", &[(4, 200, 20)]), ("Lifeguard", &[(4, 2, 1)])]));
+        let t = table4(&runs_with(&[
+            ("SWIM", &[(4, 200, 20)]),
+            ("Lifeguard", &[(4, 2, 1)]),
+        ]));
         assert_eq!(t.len(), 2);
         // SWIM row is 100%.
         assert_eq!(t.cell(0, 3), "100.00");
@@ -280,7 +313,10 @@ mod tests {
         assert_eq!(t.cell(1, 3), "1.00");
         assert_eq!(t.cell(1, 4), "5.00");
         // With no SWIM FP- event the ratio is undefined, not 100 %.
-        let t = table4(&runs_with(&[("SWIM", &[(4, 200, 0)]), ("Lifeguard", &[(4, 2, 0)])]));
+        let t = table4(&runs_with(&[
+            ("SWIM", &[(4, 200, 0)]),
+            ("Lifeguard", &[(4, 2, 0)]),
+        ]));
         assert_eq!((t.cell(0, 4), t.cell(1, 4)), ("-", "-"));
     }
 
@@ -300,7 +336,7 @@ mod tests {
     fn fig1_pairs_fp_and_fp_minus_per_configuration() {
         let f1 = fig1(&fake_runs(2));
         assert_eq!(f1.len(), 1); // one stressed count
-        // Stressed, then FP and FP- for SWIM, then for Lifeguard.
+                                 // Stressed, then FP and FP- for SWIM, then for Lifeguard.
         assert_eq!(f1.cell(0, 0), "1");
         assert_eq!((f1.cell(0, 1), f1.cell(0, 3)), ("800", "16"));
     }
@@ -309,7 +345,10 @@ mod tests {
     fn table5_formats_latencies() {
         let mut runs = fake_runs(2);
         let full = vec![Some(Duration::from_secs(13))];
-        let swim = RunOutcome { full_dissem: full, ..fake(0, Some(12)) };
+        let swim = RunOutcome {
+            full_dissem: full,
+            ..fake(0, Some(12))
+        };
         runs.detect[0].1 = vec![swim];
         let t = table5(&runs);
         assert_eq!(t.cell(0, 1), "12.00");
@@ -320,7 +359,10 @@ mod tests {
 
     #[test]
     fn table6_reports_load_in_m_and_gib() {
-        let t = table6(&runs_with(&[("SWIM", &[(4, 0, 0)]), ("Lifeguard", &[(4, 0, 0)])]));
+        let t = table6(&runs_with(&[
+            ("SWIM", &[(4, 0, 0)]),
+            ("Lifeguard", &[(4, 0, 0)]),
+        ]));
         assert_eq!(t.cell(0, 3), "100.00");
         assert_eq!(t.cell(1, 3), "100.00");
     }
@@ -333,8 +375,11 @@ mod tests {
         for (row, (label, _)) in table1_configs().into_iter().enumerate() {
             assert_eq!(t.cell(row, 0), label);
             let fp = t.cell(row, 1);
-            let sum =
-                if label == "SWIM" { format!("SWIM sum {fp}") } else { format!("(sum {fp})") };
+            let sum = if label == "SWIM" {
+                format!("SWIM sum {fp}")
+            } else {
+                format!("(sum {fp})")
+            };
             assert!(verdict.contains(&sum), "{label}: {sum}\n{verdict}");
         }
     }
@@ -343,7 +388,10 @@ mod tests {
     fn table7_is_each_tuning_as_pct_of_swim() {
         let t = table7(&fake_runs(2));
         assert_eq!(t.len(), 8);
-        assert_eq!((t.cell(0, 0), t.cell(6, 0), t.cell(7, 0)), ("Med First", "FP", "FP-"));
+        assert_eq!(
+            (t.cell(0, 0), t.cell(6, 0), t.cell(7, 0)),
+            ("Med First", "FP", "FP-")
+        );
         // The fixture's SWIM detects in 6 s and every tuning in 6 + α s;
         // SWIM's FP is 100 per seed, β 2's is 3 and β 6's is 2.
         assert_eq!((t.cell(0, 1), t.cell(0, 9)), ("133.33", "183.33"));
@@ -364,7 +412,13 @@ mod tests {
         let labels: Vec<&str> = table1_configs().iter().map(|(l, _)| *l).collect();
         assert_eq!(
             labels,
-            vec!["SWIM", "LHA-Probe", "LHA-Suspicion", "Buddy System", "Lifeguard"]
+            vec![
+                "SWIM",
+                "LHA-Probe",
+                "LHA-Suspicion",
+                "Buddy System",
+                "Lifeguard"
+            ]
         );
         for (label, c) in table1_configs() {
             assert_eq!(c.lifeguard.label(), label);

@@ -74,26 +74,33 @@ impl Runs {
         let intervals = |cells: Vec<IntervalCell>| {
             move |seed| -> Vec<Schedule> {
                 let each = cells.iter();
-                each.map(|&(n, c, d, i)| scenario::interval(n, c, d, i, MIN_RUN, seed)).collect()
+                each.map(|&(n, c, d, i)| scenario::interval(n, c, d, i, MIN_RUN, seed))
+                    .collect()
             }
         };
         let stress = |seed| -> Vec<Schedule> {
             let each = scale.stress_cells().into_iter();
-            each.map(|(n, stressed, len)| scenario::stress(n, stressed, len, seed)).collect()
+            each.map(|(n, stressed, len)| scenario::stress(n, stressed, len, seed))
+                .collect()
         };
 
         // Queues each configuration on the schedules every seed gives, and
         // files how many runs each label gets.
         let mut jobs = Vec::new();
-        let mut queue =
-            |configs: &[(&'static str, Config)], schedules: &dyn Fn(u64) -> Vec<Schedule>| {
-                let filed = configs.iter().map(|(label, config)| {
-                    let queued = jobs.len();
-                    jobs.extend(scale.seeds().flat_map(schedules).map(|s| (s, config.clone())));
-                    (*label, jobs.len() - queued)
-                });
-                filed.collect::<Vec<_>>()
-            };
+        let mut queue = |configs: &[(&'static str, Config)],
+                         schedules: &dyn Fn(u64) -> Vec<Schedule>| {
+            let filed = configs.iter().map(|(label, config)| {
+                let queued = jobs.len();
+                jobs.extend(
+                    scale
+                        .seeds()
+                        .flat_map(schedules)
+                        .map(|s| (s, config.clone())),
+                );
+                (*label, jobs.len() - queued)
+            });
+            filed.collect::<Vec<_>>()
+        };
         // Longest runs first, so the workers finish together.
         let interval = queue(&table1_configs(), &intervals(scale.interval_cells()));
         let tuning = queue(&tunings, &intervals(scale.tuning_cells()));
@@ -102,13 +109,16 @@ impl Runs {
             vec![scenario::threshold(16, 1, secs(20), secs(60), seed)]
         });
         let sub_threshold = queue(&[lifeguard], &|seed| {
-            [1, 2, 4].map(|c| scenario::threshold(16, c, ms(2_048), secs(40), seed)).to_vec()
+            [1, 2, 4]
+                .map(|c| scenario::threshold(16, c, ms(2_048), secs(40), seed))
+                .to_vec()
         });
 
         let mut done = replay_all(&jobs).into_iter();
         let mut take = |filed: Vec<(&'static str, usize)>| -> Labelled {
             let each = filed.into_iter();
-            each.map(|(label, runs)| (label, done.by_ref().take(runs).collect())).collect()
+            each.map(|(label, runs)| (label, done.by_ref().take(runs).collect()))
+                .collect()
         };
         Runs {
             scale,
@@ -123,14 +133,18 @@ impl Runs {
 
 /// The runs of configuration `label` in `cell`; empty if it has none.
 pub(crate) fn of<'a>(cell: &'a Labelled, label: &str) -> &'a [RunOutcome] {
-    cell.iter().find(|(l, _)| *l == label).map_or(&[], |(_, runs)| runs)
+    cell.iter()
+        .find(|(l, _)| *l == label)
+        .map_or(&[], |(_, runs)| runs)
 }
 
 /// FP per seed of configuration `label`, summed over the seed's `cells`
 /// runs.
 fn fp_per_seed(runs: &Labelled, label: &str, cells: usize) -> Vec<u64> {
     let seeds = of(runs, label).chunks(cells);
-    seeds.map(|seed| seed.iter().map(|o| o.fp_events).sum()).collect()
+    seeds
+        .map(|seed| seed.iter().map(|o| o.fp_events).sum())
+        .collect()
 }
 
 /// Runs every job on one scoped worker per available core. Outcome `i`
@@ -142,14 +156,19 @@ fn replay_all(jobs: &[(Schedule, Config)]) -> Vec<RunOutcome> {
         loop {
             // Claims a job; outcomes travel back through `join`.
             let i = next.fetch_add(1, Ordering::Relaxed);
-            let Some((schedule, config)) = jobs.get(i) else { return mine };
+            let Some((schedule, config)) = jobs.get(i) else {
+                return mine;
+            };
             mine.push((i, scenario::run(schedule, config)));
         }
     };
     let workers = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
     let mut done: Vec<(usize, RunOutcome)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
-        handles.into_iter().flat_map(|h| h.join().expect("a gate run panicked")).collect()
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("a gate run panicked"))
+            .collect()
     });
     done.sort_unstable_by_key(|(i, _)| *i);
     done.into_iter().map(|(_, outcome)| outcome).collect()
@@ -242,7 +261,10 @@ impl Verdict {
     pub fn table(&self) -> Table {
         let seeds = self.scale.seeds();
         let title = format!("Verdict: the paper's effects over paired seeds {seeds:?}");
-        let mut t = Table::new(title, vec!["Claim", "Ours", "Sign test", "Bounds", "Verdict"]);
+        let mut t = Table::new(
+            title,
+            vec!["Claim", "Ours", "Sign test", "Bounds", "Verdict"],
+        );
         for row in &self.rows {
             let sign = row.sign.map_or_else(
                 || "-".into(),
@@ -251,7 +273,11 @@ impl Verdict {
             let bounds: Vec<String> = (row.bounds.iter())
                 .map(|(b, ok)| format!("{b} {}", if *ok { "ok" } else { "FAIL" }))
                 .collect();
-            let verdict = if row.pass() { row.holds } else { "not reproduced" };
+            let verdict = if row.pass() {
+                row.holds
+            } else {
+                "not reproduced"
+            };
             let (claim, ours) = (row.claim.into(), row.ours.clone());
             t.row(vec![claim, ours, sign, bounds.join("; "), verdict.into()]);
         }
@@ -261,7 +287,11 @@ impl Verdict {
 
 /// Counts separated by spaces.
 fn joined(counts: &[u64]) -> String {
-    counts.iter().map(u64::to_string).collect::<Vec<_>>().join(" ")
+    counts
+        .iter()
+        .map(u64::to_string)
+        .collect::<Vec<_>>()
+        .join(" ")
 }
 
 /// Every first-detection latency over `runs`, in seconds.
@@ -291,7 +321,11 @@ fn fp_row(
         ours: format!("{} (sum {sum}) vs SWIM sum {swim_sum}", joined(ours)),
         sign,
         bounds,
-        holds: if signed { "reproduced" } else { "within bound; direction differs" },
+        holds: if signed {
+            "reproduced"
+        } else {
+            "within bound; direction differs"
+        },
     }
 }
 
@@ -311,7 +345,13 @@ fn fp_rows(runs: &Runs) -> Vec<Row> {
     let (stress_swim, stress_lifeguard) = (stress("SWIM"), stress("Lifeguard"));
     let stressed = stress_lifeguard.iter().sum::<u64>() * 10 <= stress_swim.iter().sum::<u64>();
     vec![
-        fp_row("F1 Lifeguard FP < SWIM (Table IV)", &fp("Lifeguard"), &swim, true, f1),
+        fp_row(
+            "F1 Lifeguard FP < SWIM (Table IV)",
+            &fp("Lifeguard"),
+            &swim,
+            true,
+            f1,
+        ),
         fp_row(
             "F2 LHA-Suspicion FP < SWIM (Table IV)",
             &fp("LHA-Suspicion"),
@@ -350,7 +390,13 @@ fn bounded(
     bounds: Vec<(String, bool)>,
     holds: &'static str,
 ) -> Row {
-    Row { claim, ours, sign: None, bounds, holds }
+    Row {
+        claim,
+        ours,
+        sign: None,
+        bounds,
+        holds,
+    }
 }
 
 /// D1 on the Detect cell and D2 on the Sub-threshold cell.
@@ -358,7 +404,11 @@ fn detection_rows(runs: &Runs) -> [Row; 2] {
     let (swim, lifeguard) = (of(&runs.detect, "SWIM"), of(&runs.detect, "Lifeguard"));
     let (swim_s, lg_s) = (detection_secs(swim), detection_secs(lifeguard));
     let detected = swim_s.len() + lg_s.len();
-    let injected: usize = swim.iter().chain(lifeguard).map(|o| o.first_detect.len()).sum();
+    let injected: usize = swim
+        .iter()
+        .chain(lifeguard)
+        .map(|o| o.first_detect.len())
+        .sum();
     let (lg_med, swim_med) = (median(&lg_s), median(&swim_s));
     let lg_max = lg_s.iter().copied().fold(0.0, f64::max);
     let sub_threshold: Vec<&RunOutcome> = runs.sub_threshold.iter().flat_map(|(_, r)| r).collect();
@@ -392,10 +442,14 @@ fn detection_rows(runs: &Runs) -> [Row; 2] {
 /// the `b`-th β).
 fn tuning_rows(runs: &Runs) -> [Row; 2] {
     let cells = runs.scale.tuning_cells().len();
-    let fp: Vec<Vec<u64>> =
-        TABLE7.iter().map(|(l, ..)| fp_per_seed(&runs.tuning, l, cells)).collect();
-    let detect: Vec<f64> =
-        TABLE7.iter().map(|(l, ..)| median(&detection_secs(of(&runs.detect, l)))).collect();
+    let fp: Vec<Vec<u64>> = TABLE7
+        .iter()
+        .map(|(l, ..)| fp_per_seed(&runs.tuning, l, cells))
+        .collect();
+    let detect: Vec<f64> = TABLE7
+        .iter()
+        .map(|(l, ..)| median(&detection_secs(of(&runs.detect, l))))
+        .collect();
     let at = |alpha: usize, beta: usize| 3 * alpha + beta;
 
     let medians = (0..3).map(|b| (TABLE7[at(0, b)].2, [0, 1, 2].map(|a| detect[at(a, b)])));
@@ -408,18 +462,26 @@ fn tuning_rows(runs: &Runs) -> [Row; 2] {
     let over_alpha = |b: usize| -> Vec<u64> {
         let each = (0..3).map(|a| &fp[at(a, b)]);
         let zero = vec![0; runs.scale.seeds().count()];
-        each.fold(zero, |sum, fp| sum.iter().zip(fp).map(|(s, f)| s + f).collect())
+        each.fold(zero, |sum, fp| {
+            sum.iter().zip(fp).map(|(s, f)| s + f).collect()
+        })
     };
     let (low, high) = (over_alpha(0), over_alpha(2));
-    let per_alpha: Vec<[u64; 2]> =
-        (0..3).map(|a| [2, 0].map(|b| fp[at(a, b)].iter().sum())).collect();
+    let per_alpha: Vec<[u64; 2]> = (0..3)
+        .map(|a| [2, 0].map(|b| fp[at(a, b)].iter().sum()))
+        .collect();
     let fewer = per_alpha.iter().all(|[high, low]| high < low);
-    let per_alpha = per_alpha.iter().map(|[high, low]| format!("{high} vs {low}"));
+    let per_alpha = per_alpha
+        .iter()
+        .map(|[high, low]| format!("{high} vs {low}"));
     let test = SignTest::new(&high, &low);
     [
         bounded(
             "T1 lower alpha detects sooner (Table VII)",
-            format!("median s at alpha 2/4/5: {}", text.collect::<Vec<_>>().join(", ")),
+            format!(
+                "median s at alpha 2/4/5: {}",
+                text.collect::<Vec<_>>().join(", ")
+            ),
             vec![("rising in alpha at every beta".into(), rising)],
             "reproduced",
         ),
@@ -444,12 +506,18 @@ pub fn judge(runs: &Runs) -> Verdict {
     let mut rows = fp_rows(runs);
     rows.extend(detection_rows(runs));
     rows.extend(tuning_rows(runs));
-    let family: Vec<f64> = rows.iter().filter_map(|r| r.sign.map(|(t, _)| t.p)).collect();
+    let family: Vec<f64> = rows
+        .iter()
+        .filter_map(|r| r.sign.map(|(t, _)| t.p))
+        .collect();
     let adjusted = rows.iter_mut().filter_map(|r| r.sign.as_mut());
     for ((_, q), adjusted) in adjusted.zip(benjamini_hochberg(&family)) {
         *q = adjusted;
     }
-    Verdict { scale: runs.scale, rows }
+    Verdict {
+        scale: runs.scale,
+        rows,
+    }
 }
 
 #[cfg(test)]
@@ -463,7 +531,13 @@ pub(crate) mod tests {
         let verdict = judge(&runs);
         assert!(verdict.pass(), "\n{}", verdict.table().render());
         // Every table renders these same runs.
-        let tables = [table4(&runs), fig2(&runs), fig3(&runs), table5(&runs), table6(&runs)];
+        let tables = [
+            table4(&runs),
+            fig2(&runs),
+            fig3(&runs),
+            table5(&runs),
+            table6(&runs),
+        ];
         let tables = [fig1(&runs), table7(&runs)].into_iter().chain(tables);
         assert!(tables.into_iter().all(|t| !t.is_empty()));
     }
@@ -477,7 +551,11 @@ pub(crate) mod tests {
         // Ties are dropped: two wins of two non-tied pairs.
         let t = SignTest::new(&[1, 5, 1], &[2, 5, 2]);
         assert_eq!((t.wins, t.trials, t.p), (2, 2, 0.25));
-        let all_ties = SignTest { wins: 0, trials: 0, p: 1.0 };
+        let all_ties = SignTest {
+            wins: 0,
+            trials: 0,
+            p: 1.0,
+        };
         assert_eq!(SignTest::new(&[3, 3], &[3, 3]), all_ties);
         assert_eq!(SignTest::new(&[], &[]).p, 1.0);
     }
@@ -493,7 +571,9 @@ pub(crate) mod tests {
         }
         // The family's five claims at 7/8 each survive the correction
         // together.
-        assert!(benjamini_hochberg(&[9.0 / 256.0; 5]).iter().all(|&q| q <= Q));
+        assert!(benjamini_hochberg(&[9.0 / 256.0; 5])
+            .iter()
+            .all(|&q| q <= Q));
         assert!(benjamini_hochberg(&[]).is_empty());
     }
 
@@ -513,7 +593,12 @@ pub(crate) mod tests {
 
     pub(crate) fn fake_runs(lifeguard_fp: u64) -> Runs {
         let seeds = |fp, detect| vec![fake(fp, detect); Scale::Gate.seeds().count()];
-        let fp = [("SWIM", 100), ("LHA-Probe", 90), ("LHA-Suspicion", 1), ("Buddy System", 110)];
+        let fp = [
+            ("SWIM", 100),
+            ("LHA-Probe", 90),
+            ("LHA-Suspicion", 1),
+            ("Buddy System", 110),
+        ];
         let mut interval: Vec<_> = fp.iter().map(|&(l, fp)| (l, seeds(fp, Some(6)))).collect();
         interval.push(("Lifeguard", seeds(lifeguard_fp, Some(6))));
         // Every tuning detects in 6 + α s; β 6 admits 1 FP fewer than β 2.
@@ -538,9 +623,17 @@ pub(crate) mod tests {
         let failing = |runs: &Runs| -> Vec<&str> {
             let verdict = judge(runs);
             let text = verdict.table().render();
-            let failing: Vec<&str> =
-                verdict.rows.iter().filter(|r| !r.pass()).map(|r| r.claim).collect();
-            assert_eq!(text.matches("not reproduced").count(), failing.len(), "\n{text}");
+            let failing: Vec<&str> = verdict
+                .rows
+                .iter()
+                .filter(|r| !r.pass())
+                .map(|r| r.claim)
+                .collect();
+            assert_eq!(
+                text.matches("not reproduced").count(),
+                failing.len(),
+                "\n{text}"
+            );
             assert_eq!(verdict.pass(), failing.is_empty());
             failing
         };
@@ -549,23 +642,39 @@ pub(crate) mod tests {
         assert_eq!(judge(&good).rows.len(), 9);
 
         // Lifeguard ties SWIM on every seed: F1 alone fails.
-        assert_eq!(failing(&fake_runs(100)), ["F1 Lifeguard FP < SWIM (Table IV)"]);
+        assert_eq!(
+            failing(&fake_runs(100)),
+            ["F1 Lifeguard FP < SWIM (Table IV)"]
+        );
 
         // Under CPU stress Lifeguard ties SWIM: S1 alone fails.
         let mut runs = good.clone();
         runs.stress[1].1 = runs.stress[0].1.clone();
-        assert_eq!(failing(&runs), ["S1 Lifeguard FP < SWIM under CPU stress (Fig. 1)"]);
+        assert_eq!(
+            failing(&runs),
+            ["S1 Lifeguard FP < SWIM under CPU stress (Fig. 1)"]
+        );
 
         // Every tuning detects as SWIM does: T1 alone fails.
         let mut runs = good.clone();
         let swim = runs.detect[0].1.clone();
-        runs.detect.iter_mut().for_each(|(_, r)| r.clone_from(&swim));
-        assert_eq!(failing(&runs), ["T1 lower alpha detects sooner (Table VII)"]);
+        runs.detect
+            .iter_mut()
+            .for_each(|(_, r)| r.clone_from(&swim));
+        assert_eq!(
+            failing(&runs),
+            ["T1 lower alpha detects sooner (Table VII)"]
+        );
 
         // β changes nothing: T2 alone fails.
         let mut runs = good;
         let lifeguard = runs.tuning[9].1.clone();
-        runs.tuning[1..].iter_mut().for_each(|(_, r)| r.clone_from(&lifeguard));
-        assert_eq!(failing(&runs), ["T2 higher beta admits fewer FP (Table VII)"]);
+        runs.tuning[1..]
+            .iter_mut()
+            .for_each(|(_, r)| r.clone_from(&lifeguard));
+        assert_eq!(
+            failing(&runs),
+            ["T2 higher beta admits fewer FP (Table VII)"]
+        );
     }
 }

@@ -498,9 +498,18 @@ mod tests {
         assert!(Histogram::from_parts(1, 10, 10, 3, &[(3, 1)]).is_none());
         // An empty one holds no sample, so a sum or a maximum is corrupt;
         // its minimum is unused.
-        assert!(Histogram::from_parts(0, 0, 10, 3, &[]).is_none(), "empty with a max");
-        assert!(Histogram::from_parts(0, 4, 0, 0, &[]).is_none(), "empty with a sum");
-        assert!(Histogram::from_parts(0, 0, 10, 0, &[]).is_some(), "empty: min unused");
+        assert!(
+            Histogram::from_parts(0, 0, 10, 3, &[]).is_none(),
+            "empty with a max"
+        );
+        assert!(
+            Histogram::from_parts(0, 4, 0, 0, &[]).is_none(),
+            "empty with a sum"
+        );
+        assert!(
+            Histogram::from_parts(0, 0, 10, 0, &[]).is_some(),
+            "empty: min unused"
+        );
     }
 
     /// The window's first bucket, or `None` before the first write and
@@ -528,7 +537,10 @@ mod tests {
         assert_eq!(window_base(&low), Some(0));
         let mut high = Histogram::new();
         high.record(u64::MAX);
-        assert_eq!(usize::from(window_base(&high).unwrap()), NUM_BUCKETS - WINDOW);
+        assert_eq!(
+            usize::from(window_base(&high).unwrap()),
+            NUM_BUCKETS - WINDOW
+        );
         // The window's far edges are still inline.
         low.record(Histogram::bucket_lo(WINDOW - 1));
         high.record(Histogram::bucket_lo(NUM_BUCKETS - WINDOW));
@@ -557,7 +569,10 @@ mod tests {
         let mut inline = Histogram::new();
         inline.record(5);
         let spilled = Histogram::from_parts(1, 5, 5, 5, &[(900, 0), (5, 1)]).unwrap();
-        assert!(window_base(&spilled).is_some(), "an empty pair anchors nothing");
+        assert!(
+            window_base(&spilled).is_some(),
+            "an empty pair anchors nothing"
+        );
         assert_eq!(spilled, inline);
     }
 

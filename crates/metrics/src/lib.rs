@@ -29,9 +29,18 @@
 // Untrusted bytes must never panic an agent: no panicking call, index,
 // slice or integer division outside tests (an exception is a reasoned
 // `#[expect]`, counted by swim-lint).
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
-#![cfg_attr(not(test), deny(clippy::unreachable, clippy::unimplemented, clippy::todo))]
-#![cfg_attr(not(test), deny(clippy::indexing_slicing, clippy::integer_division_remainder_used))]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unreachable, clippy::unimplemented, clippy::todo)
+)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::indexing_slicing, clippy::integer_division_remainder_used)
+)]
 
 pub mod hist;
 pub mod snapshot;

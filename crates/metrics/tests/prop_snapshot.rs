@@ -80,7 +80,11 @@ fn accepted_round_trips(bytes: &[u8]) -> Result<(), String> {
     if let Ok(decoded) = Snapshot::decode(bytes) {
         for h in [&decoded.core.probe_rtt, &decoded.core.suspicion_lifetime] {
             if h.count() == 0 {
-                prop_assert_eq!((h.sum(), h.max()), (0, 0), "empty histogram with a sum or max");
+                prop_assert_eq!(
+                    (h.sum(), h.max()),
+                    (0, 0),
+                    "empty histogram with a sum or max"
+                );
             }
             for p in [0.0, 50.0, 99.9, 100.0] {
                 let _ = h.quantile(p);

@@ -369,7 +369,8 @@ impl Agent {
                 format!("metadata is {} bytes, limit {MAX_META_LEN}", meta.len()),
             ));
         }
-        self.inner.submit(Command::Input(Input::UpdateMeta { meta }));
+        self.inner
+            .submit(Command::Input(Input::UpdateMeta { meta }));
         Ok(())
     }
 
@@ -553,7 +554,9 @@ mod tests {
 
         let a = Agent::start(AgentConfig::local("a").protocol(fast()).seed(12)).unwrap();
         assert!(a.update_meta(Bytes::from(vec![1; MAX_META_LEN])).is_ok());
-        let err = a.update_meta(Bytes::from(vec![1; MAX_META_LEN + 1])).unwrap_err();
+        let err = a
+            .update_meta(Bytes::from(vec![1; MAX_META_LEN + 1]))
+            .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         a.shutdown();
     }

@@ -149,9 +149,9 @@ mod tests {
         let start = Instant::now();
         let mut detected = false;
         while start.elapsed() < Duration::from_secs(20) && !detected {
-            detected = observer.events().try_iter().any(|e| {
-                matches!(&e.event, Event::MemberFailed { name, .. } if name.as_str() == victim)
-            });
+            detected = observer.events().try_iter().any(
+                |e| matches!(&e.event, Event::MemberFailed { name, .. } if name.as_str() == victim),
+            );
             std::thread::sleep(Duration::from_millis(50));
         }
         assert!(detected, "kill of {victim} not detected");

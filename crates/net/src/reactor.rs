@@ -819,7 +819,10 @@ mod tests {
             }
         }
         acked.sort_unstable();
-        assert_eq!(acked, (0..DATAGRAMS * PINGS_PER_DATAGRAM).collect::<Vec<_>>());
+        assert_eq!(
+            acked,
+            (0..DATAGRAMS * PINGS_PER_DATAGRAM).collect::<Vec<_>>()
+        );
         // Each datagram's three acks overflow the batch of two, so each
         // is flushed on its own as one sendmmsg of two plus a one-packet
         // tail. One flush per ring fill would instead send the twelve

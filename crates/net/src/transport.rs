@@ -320,7 +320,10 @@ mod tests {
         // At the limit: accepted.
         let mut at_limit = FrameDecoder::with_limit(body_len);
         at_limit.feed(&frame);
-        let (_, back) = at_limit.decode().expect("at-limit is valid").expect("complete");
+        let (_, back) = at_limit
+            .decode()
+            .expect("at-limit is valid")
+            .expect("complete");
         assert_eq!(back, msg);
 
         // One past the limit (limit = body - 1): rejected with the

@@ -42,8 +42,12 @@ struct ProbeHarness {
 
 impl ProbeHarness {
     fn start() -> ProbeHarness {
-        let agent = Agent::start(AgentConfig::local("target").protocol(probe_config()).seed(1))
-            .expect("start agent");
+        let agent = Agent::start(
+            AgentConfig::local("target")
+                .protocol(probe_config())
+                .seed(1),
+        )
+        .expect("start agent");
         let peer = UdpSocket::bind("127.0.0.1:0").expect("bind peer");
         peer.set_read_timeout(Some(Duration::from_secs(2)))
             .expect("timeout");

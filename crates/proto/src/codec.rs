@@ -142,7 +142,9 @@ fn size_hint(msg: &Message) -> usize {
 /// telemetry and the length-invariant tests.
 pub fn encoded_len(msg: &Message) -> usize {
     match msg {
-        Message::Ping(p) => 1 + 4 + name_len(&p.target) + name_len(&p.source) + addr_len(p.source_addr),
+        Message::Ping(p) => {
+            1 + 4 + name_len(&p.target) + name_len(&p.source) + addr_len(p.source_addr)
+        }
         Message::IndirectPing(p) => {
             1 + 4
                 + name_len(&p.target)
@@ -643,10 +645,7 @@ mod tests {
     fn trailing_bytes_are_rejected() {
         let mut bytes = encode_message(&Message::Ack(Ack { seq: SeqNo(9) })).to_vec();
         bytes.push(0);
-        assert_eq!(
-            decode_message(&bytes),
-            Err(DecodeError::TrailingBytes(1))
-        );
+        assert_eq!(decode_message(&bytes), Err(DecodeError::TrailingBytes(1)));
     }
 
     #[test]

@@ -451,7 +451,11 @@ mod tests {
         assert_eq!(range.start, 3, "appended after the existing bytes");
         assert_eq!(
             emitted,
-            vec![(10, range.clone()), (20, range.clone()), (30, range.clone())],
+            vec![
+                (10, range.clone()),
+                (20, range.clone()),
+                (30, range.clone())
+            ],
             "every destination references the single encoded slice"
         );
         assert_eq!(
@@ -599,7 +603,10 @@ mod tests {
         let mut b = CompoundBuilder::new(usize::MAX);
         assert!(!b.try_add_msg(&big));
         assert!(b.is_empty());
-        assert!(b.try_add_msg(&ack(1)), "builder stays usable after a refusal");
+        assert!(
+            b.try_add_msg(&ack(1)),
+            "builder stays usable after a refusal"
+        );
         let packet = finish(&mut b).unwrap();
         assert_eq!(decode_packet(&packet).unwrap(), vec![ack(1)]);
     }

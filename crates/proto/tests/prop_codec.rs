@@ -26,10 +26,7 @@ fn addr_strategy() -> impl Strategy<Value = NodeAddr> {
     prop_oneof![
         (any::<[u8; 4]>(), any::<u16>()).prop_map(|(ip, port)| NodeAddr::new(ip, port)),
         (any::<[u8; 16]>(), any::<u16>()).prop_map(|(ip, port)| {
-            NodeAddr::from(std::net::SocketAddr::new(
-                std::net::IpAddr::from(ip),
-                port,
-            ))
+            NodeAddr::from(std::net::SocketAddr::new(std::net::IpAddr::from(ip), port))
         }),
     ]
 }
@@ -66,14 +63,18 @@ fn push_state_strategy() -> impl Strategy<Value = PushNodeState> {
 
 fn message_strategy() -> impl Strategy<Value = Message> {
     prop_oneof![
-        (any::<u32>(), name_strategy(), name_strategy(), addr_strategy()).prop_map(
-            |(seq, target, source, source_addr)| Message::Ping(Ping {
+        (
+            any::<u32>(),
+            name_strategy(),
+            name_strategy(),
+            addr_strategy()
+        )
+            .prop_map(|(seq, target, source, source_addr)| Message::Ping(Ping {
                 seq: SeqNo(seq),
                 target,
                 source,
                 source_addr,
-            })
-        ),
+            })),
         (
             any::<u32>(),
             name_strategy(),
@@ -101,14 +102,18 @@ fn message_strategy() -> impl Strategy<Value = Message> {
                 from,
             })
         }),
-        (any::<u64>(), name_strategy(), addr_strategy(), meta_strategy()).prop_map(
-            |(inc, node, addr, meta)| Message::Alive(Alive {
+        (
+            any::<u64>(),
+            name_strategy(),
+            addr_strategy(),
+            meta_strategy()
+        )
+            .prop_map(|(inc, node, addr, meta)| Message::Alive(Alive {
                 incarnation: Incarnation(inc),
                 node,
                 addr,
                 meta,
-            })
-        ),
+            })),
         (any::<u64>(), name_strategy(), name_strategy()).prop_map(|(inc, node, from)| {
             Message::Dead(Dead {
                 incarnation: Incarnation(inc),

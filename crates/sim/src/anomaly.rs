@@ -145,7 +145,10 @@ impl AnomalySpec {
                 while t < end {
                     let pause = sample_range(&mut rng, pause_min, pause_max);
                     let stop = (t + pause).min(end);
-                    windows.push(PauseWindow { start: t, end: stop });
+                    windows.push(PauseWindow {
+                        start: t,
+                        end: stop,
+                    });
                     let run = sample_range(&mut rng, run_min, run_max);
                     t = stop + run;
                 }

@@ -310,10 +310,7 @@ impl Cluster {
     /// The synthetic address of node `i` (10.x.y.z encodes `i` in the
     /// low 24 bits, supporting rosters beyond 2¹⁶ members).
     pub fn addr_for(i: usize) -> NodeAddr {
-        NodeAddr::new(
-            [10, (i >> 16) as u8, (i >> 8) as u8, i as u8],
-            SIM_PORT,
-        )
+        NodeAddr::new([10, (i >> 16) as u8, (i >> 8) as u8, i as u8], SIM_PORT)
     }
 
     /// The node behind `addr` in a cluster of `n`: the inverse of
@@ -739,7 +736,11 @@ mod tests {
         assert!(c.converged());
         c.apply(SimAction::Crash { node: 7 });
         c.run_for(SimDuration::from_secs(40));
-        let declared_by = |r: usize| c.trace().failures().any(|(_, by, s)| by == r && s.as_str() == "node-7");
+        let declared_by = |r: usize| {
+            c.trace()
+                .failures()
+                .any(|(_, by, s)| by == r && s.as_str() == "node-7")
+        };
         assert!((0..8).any(declared_by), "crash never detected");
         // Everyone else eventually declares it failed.
         assert!((0..7).all(declared_by));
@@ -891,7 +892,10 @@ mod tests {
             duration: Duration::from_secs(3),
         });
         c.run_until(SimTime::from_millis(12_200));
-        assert!(c.is_paused(2), "the window's end cut the manual pause short");
+        assert!(
+            c.is_paused(2),
+            "the window's end cut the manual pause short"
+        );
         c.run_until(SimTime::from_millis(12_600));
         assert!(!c.is_paused(2));
 
@@ -904,7 +908,10 @@ mod tests {
             duration: Duration::from_millis(500),
         });
         c.run_until(SimTime::from_millis(11_500));
-        assert!(c.is_paused(2), "the manual pause's end cut the window short");
+        assert!(
+            c.is_paused(2),
+            "the manual pause's end cut the window short"
+        );
         c.run_until(SimTime::from_millis(12_100));
         assert!(!c.is_paused(2));
     }
@@ -919,7 +926,10 @@ mod tests {
         };
         let mut script = Cluster::new(&schedule, &Config::lan());
         script.run_until(SimTime::from_secs(10));
-        let t = script.node(2).next_deadline().expect("a started node has timers");
+        let t = script
+            .node(2)
+            .next_deadline()
+            .expect("a started node has timers");
         let before = script.metrics_snapshot(2).io;
         script.run_until(t);
         let sent = script.metrics_snapshot(2).io;
@@ -975,7 +985,10 @@ mod tests {
         let datagrams = per_node_s(after.datagrams - before.datagrams);
         assert!(wakes <= 2.5, "{wakes:.2} wakes per node-second");
         // Every probe is a ping and its ack.
-        assert!((1.9..=2.1).contains(&datagrams), "{datagrams:.2} datagrams per node-second");
+        assert!(
+            (1.9..=2.1).contains(&datagrams),
+            "{datagrams:.2} datagrams per node-second"
+        );
         assert_eq!(after.pauses, 0);
     }
 }

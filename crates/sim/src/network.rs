@@ -117,8 +117,7 @@ impl Network {
         if self.is_partitioned(from, to) {
             return Delivery::Dropped;
         }
-        if self.config.datagram_loss > 0.0 && self.rng.random::<f64>() < self.config.datagram_loss
-        {
+        if self.config.datagram_loss > 0.0 && self.rng.random::<f64>() < self.config.datagram_loss {
             return Delivery::Dropped;
         }
         Delivery::Deliver(self.sample(self.config.datagram_latency, self.config.datagram_jitter))

@@ -115,7 +115,10 @@ impl Trace {
     /// nodes).
     pub fn record(&mut self, at: SimTime, reporter: usize, event: Event) {
         debug_assert!(
-            self.chunks.last().and_then(|c| c.last()).is_none_or(|r| r.at() <= at),
+            self.chunks
+                .last()
+                .and_then(|c| c.last())
+                .is_none_or(|r| r.at() <= at),
             "trace must be recorded in time order"
         );
         let reporter = u32::try_from(reporter)
@@ -166,9 +169,9 @@ impl Trace {
 
     /// Number of recorded events.
     pub fn len(&self) -> usize {
-        self.chunks.last().map_or(0, |last| {
-            (self.chunks.len() - 1) * CHUNK + last.len()
-        })
+        self.chunks
+            .last()
+            .map_or(0, |last| (self.chunks.len() - 1) * CHUNK + last.len())
     }
 
     /// Whether nothing was recorded.
@@ -386,7 +389,10 @@ mod tests {
         assert_eq!(t.failures().count(), 0);
         assert_eq!(t.len(), 1);
         assert!(!t.is_empty());
-        let suspected = t.events().iter().filter(|e| matches!(e.event, Event::MemberSuspected { .. }));
+        let suspected = t
+            .events()
+            .iter()
+            .filter(|e| matches!(e.event, Event::MemberSuspected { .. }));
         assert_eq!(suspected.count(), 1);
     }
 
@@ -398,8 +404,11 @@ mod tests {
         for i in 0..2048 {
             names.intern(format!("node-{i}").as_str().into());
         }
-        let homes: std::collections::HashSet<usize> =
-            names.names.iter().map(|n| names.home(name_hash(n.as_str()))).collect();
+        let homes: std::collections::HashSet<usize> = names
+            .names
+            .iter()
+            .map(|n| names.home(name_hash(n.as_str())))
+            .collect();
         assert!(homes.len() * 2 > names.names.len(), "{} homes", homes.len());
     }
 
@@ -408,7 +417,11 @@ mod tests {
         let mut t = Trace::new();
         for i in 0..2 * CHUNK + 1 {
             let name = format!("node-{}", i % 300);
-            t.record(SimTime::from_micros(i as u64), i % 7, Event::MemberJoined { name: name.into() });
+            t.record(
+                SimTime::from_micros(i as u64),
+                i % 7,
+                Event::MemberJoined { name: name.into() },
+            );
         }
         assert_eq!(t.len(), 2 * CHUNK + 1);
         assert_eq!(t.chunks.len(), 3);

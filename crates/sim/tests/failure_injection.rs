@@ -20,14 +20,14 @@ fn loss_sweep_convergence_and_detection() {
             .seed(100 + i as u64)
             .build();
         cluster.run_for(Duration::from_secs(25));
-        assert!(
-            cluster.converged(),
-            "no convergence at loss={loss}"
-        );
+        assert!(cluster.converged(), "no convergence at loss={loss}");
         cluster.apply(SimAction::Crash { node: 9 });
         cluster.run_for(Duration::from_secs(60));
         assert!(
-            cluster.trace().failures().any(|(_, _, s)| s.as_str() == "node-9"),
+            cluster
+                .trace()
+                .failures()
+                .any(|(_, _, s)| s.as_str() == "node-9"),
             "crash undetected at loss={loss}"
         );
     }
@@ -84,7 +84,10 @@ fn repeated_partitions_heal() {
         let victim = 1 + round * 2;
         for other in 0..8 {
             if other != victim {
-                cluster.apply(SimAction::Partition { a: victim, b: other });
+                cluster.apply(SimAction::Partition {
+                    a: victim,
+                    b: other,
+                });
             }
         }
         cluster.run_for(Duration::from_secs(30));
@@ -181,7 +184,10 @@ fn seed_crash_after_bootstrap_is_tolerated() {
     cluster.apply(SimAction::Crash { node: 0 });
     cluster.run_for(Duration::from_secs(40));
     assert!(
-        cluster.trace().failures().any(|(_, _, s)| s.as_str() == "node-0"),
+        cluster
+            .trace()
+            .failures()
+            .any(|(_, _, s)| s.as_str() == "node-0"),
         "seed crash undetected"
     );
     // The remaining 9 still see one another.

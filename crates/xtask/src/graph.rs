@@ -163,7 +163,11 @@ fn bounded_growth(files: &[&FileData], config: &GraphConfig, out: &mut Vec<Viola
             continue;
         }
         for field in &s.fields {
-            if !field.type_idents.iter().any(|t| GROWABLE_TYPES.contains(&t.as_str())) {
+            if !field
+                .type_idents
+                .iter()
+                .any(|t| GROWABLE_TYPES.contains(&t.as_str()))
+            {
                 continue;
             }
             if bounded_annotated(&fd.comments, field.line) {
@@ -188,7 +192,11 @@ fn bounded_growth(files: &[&FileData], config: &GraphConfig, out: &mut Vec<Viola
 /// True when a `bounded:` annotation covers `line`: on the line itself
 /// or in the contiguous comment run directly above.
 fn bounded_annotated(comments: &[Comment], line: u32) -> bool {
-    let on = |l: u32| comments.iter().find(|c| c.line_start <= l && l <= c.line_end);
+    let on = |l: u32| {
+        comments
+            .iter()
+            .find(|c| c.line_start <= l && l <= c.line_end)
+    };
     if on(line).is_some_and(|c| c.text.contains("bounded:")) {
         return true;
     }

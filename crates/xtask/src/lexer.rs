@@ -150,7 +150,9 @@ pub fn lex(src: &str) -> LexedFile {
             let (hashes, body_start) = raw_string_at(&b, i).unwrap_or((0, i));
             // Scan for `"` followed by `hashes` `#`s.
             let mut j = body_start;
-            let closing: String = std::iter::once('"').chain((0..hashes).map(|_| '#')).collect();
+            let closing: String = std::iter::once('"')
+                .chain((0..hashes).map(|_| '#'))
+                .collect();
             let closing: Vec<char> = closing.chars().collect();
             while j < n {
                 if b[j] == '"' && j + closing.len() <= n && b[j..j + closing.len()] == closing[..] {
@@ -356,7 +358,10 @@ mod tests {
     #[test]
     fn byte_and_escaped_strings() {
         let src = r#"let a = b"bytes"; let c = "esc \" quote"; let d = '\n'; let e = 'x';"#;
-        assert_eq!(idents(src), ["let", "a", "let", "c", "let", "d", "let", "e"]);
+        assert_eq!(
+            idents(src),
+            ["let", "a", "let", "c", "let", "d", "let", "e"]
+        );
     }
 
     #[test]

@@ -144,7 +144,11 @@ impl<'a> Parser<'a> {
     }
 
     fn in_test(&self, line: u32) -> bool {
-        self.class.test_target || self.test_ranges.iter().any(|&(a, b)| a <= line && line <= b)
+        self.class.test_target
+            || self
+                .test_ranges
+                .iter()
+                .any(|&(a, b)| a <= line && line <= b)
     }
 
     /// Parses items until `budget` tokens are consumed or a `}` closes

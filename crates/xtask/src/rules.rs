@@ -294,7 +294,10 @@ pub fn analyze_lexed(rel_path: &str, lexed: &LexedFile) -> (Vec<Violation>, Vec<
     // `metrics` must stay sans-I/O and clock-free so the core can embed
     // it and the simulator stays deterministic.
     let layering_scope = !class.test_target
-        && matches!(class.crate_name.as_str(), "core" | "proto" | "sim" | "metrics");
+        && matches!(
+            class.crate_name.as_str(),
+            "core" | "proto" | "sim" | "metrics"
+        );
 
     const IO_TYPES: [&str; 3] = ["UdpSocket", "TcpStream", "TcpListener"];
     const CLOCK_TYPES: [&str; 2] = ["Instant", "SystemTime"];

@@ -78,7 +78,10 @@ fn ffi_is_confined_to_the_polling_shim() {
 
 #[test]
 fn ffi_symbols_must_be_allowlisted_even_in_the_shim() {
-    let (got, _) = run("ffi_unknown_symbol.rs", "crates/compat/polling/src/fixture.rs");
+    let (got, _) = run(
+        "ffi_unknown_symbol.rs",
+        "crates/compat/polling/src/fixture.rs",
+    );
     assert_eq!(got, vec![(RULE_FFI, 3, false)], "execve is not allowlisted");
 }
 

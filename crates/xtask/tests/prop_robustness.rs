@@ -12,15 +12,63 @@ use xtask::{analyze_sources, lexer, rules};
 /// runs, so half the coverage comes from splicing real syntax shapes
 /// (unbalanced braces, stray waivers, half-written impls) together.
 const FRAGMENTS: &[&str] = &[
-    "fn ", "pub ", "impl ", "struct ", "trait ", "mod ", "unsafe ", "extern \"C\" ",
-    "{", "}", "(", ")", "[", "]", ";", ",", "::", ".", "!", "#", "->", "=>", "&mut ",
-    "x", "Node", "self", "driver", "lock", "unwrap", "expect", "panic!", "Vec",
-    "push", "write", "macro_rules! m ", "let ", "= ", "\"str \\\" ing\"", "r#\"raw\"#",
-    "b'\\x7f'", "// comment\n", "/* block", "*/", "/// doc\n",
-    "// lint: allow(panic_path) — reason\n", "// lint: allow(", "// bounded: cap\n",
-    "#[cfg(test)]", "#[expect(clippy::panic, reason = \"r\")]", "allow(clippy::", "0u8 as u32",
-    "1_000", "'a", "<T>", "where T: Sized",
-    "debug_assert!(", "\n",
+    "fn ",
+    "pub ",
+    "impl ",
+    "struct ",
+    "trait ",
+    "mod ",
+    "unsafe ",
+    "extern \"C\" ",
+    "{",
+    "}",
+    "(",
+    ")",
+    "[",
+    "]",
+    ";",
+    ",",
+    "::",
+    ".",
+    "!",
+    "#",
+    "->",
+    "=>",
+    "&mut ",
+    "x",
+    "Node",
+    "self",
+    "driver",
+    "lock",
+    "unwrap",
+    "expect",
+    "panic!",
+    "Vec",
+    "push",
+    "write",
+    "macro_rules! m ",
+    "let ",
+    "= ",
+    "\"str \\\" ing\"",
+    "r#\"raw\"#",
+    "b'\\x7f'",
+    "// comment\n",
+    "/* block",
+    "*/",
+    "/// doc\n",
+    "// lint: allow(panic_path) — reason\n",
+    "// lint: allow(",
+    "// bounded: cap\n",
+    "#[cfg(test)]",
+    "#[expect(clippy::panic, reason = \"r\")]",
+    "allow(clippy::",
+    "0u8 as u32",
+    "1_000",
+    "'a",
+    "<T>",
+    "where T: Sized",
+    "debug_assert!(",
+    "\n",
 ];
 
 fn fragment_soup(picks: &[u8]) -> String {

@@ -97,10 +97,17 @@ fn clippy_expectations_are_ratcheted_like_waivers() {
     );
     let outcome = xtask::run_lint(&exact, false).unwrap();
     assert_eq!(outcome.report.waiver_counts.get("clippy::panic"), Some(&1));
-    assert_eq!(outcome.report.waiver_counts.get("clippy::unwrap_used"), None);
+    assert_eq!(
+        outcome.report.waiver_counts.get("clippy::unwrap_used"),
+        None
+    );
     assert!(outcome.failures.is_empty(), "{:?}", outcome.failures);
 
-    let risen = workspace("clippy_risen", EXPECTED_PANIC, "[waivers]\n\"clippy::panic\" = 0\n");
+    let risen = workspace(
+        "clippy_risen",
+        EXPECTED_PANIC,
+        "[waivers]\n\"clippy::panic\" = 0\n",
+    );
     let outcome = xtask::run_lint(&risen, true).unwrap();
     assert!(
         outcome

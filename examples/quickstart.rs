@@ -33,13 +33,21 @@ fn main() {
     println!("booting 5-node cluster...");
     cluster.run_for(Duration::from_secs(15));
     assert!(cluster.converged(), "cluster should converge in 15 s");
-    println!("converged: every node sees {} alive members", cluster.node(0).num_alive());
+    println!(
+        "converged: every node sees {} alive members",
+        cluster.node(0).num_alive()
+    );
 
     println!("\ncrashing node-4...");
     cluster.apply(SimAction::Crash { node: 4 });
     cluster.run_for(Duration::from_secs(30));
 
-    let declarations = || cluster.trace().failures().filter(|(_, _, s)| s.as_str() == "node-4");
+    let declarations = || {
+        cluster
+            .trace()
+            .failures()
+            .filter(|(_, _, s)| s.as_str() == "node-4")
+    };
     let (detect, ..) = declarations().next().expect("crash must be detected");
     println!("node-4 first declared failed at t={detect}");
 
@@ -47,10 +55,16 @@ fn main() {
     for e in cluster.trace().events() {
         match &e.event {
             Event::MemberSuspected { name, from } if name.as_str() == "node-4" => {
-                println!("  {}  node-{} suspects {name} (accused by {from})", e.at, e.reporter);
+                println!(
+                    "  {}  node-{} suspects {name} (accused by {from})",
+                    e.at, e.reporter
+                );
             }
             Event::MemberFailed { name, from, .. } if name.as_str() == "node-4" => {
-                println!("  {}  node-{} declares {name} failed (per {from})", e.at, e.reporter);
+                println!(
+                    "  {}  node-{} declares {name} failed (per {from})",
+                    e.at, e.reporter
+                );
             }
             _ => {}
         }
@@ -58,7 +72,11 @@ fn main() {
 
     // Fully disseminated: the last of the four healthy members' first
     // declarations.
-    let first_by = |r: usize| declarations().find(|&(_, by, _)| by == r).map(|(at, ..)| at);
+    let first_by = |r: usize| {
+        declarations()
+            .find(|&(_, by, _)| by == r)
+            .map(|(at, ..)| at)
+    };
     let dissem = (0..4)
         .try_fold(SimTime::ZERO, |last, r| Some(last.max(first_by(r)?)))
         .expect("failure must disseminate");

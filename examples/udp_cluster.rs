@@ -57,7 +57,11 @@ fn main() -> std::io::Result<()> {
         eprintln!("cluster failed to converge");
         std::process::exit(1);
     }
-    println!("all {} agents see {} alive members\n", names.len(), names.len());
+    println!(
+        "all {} agents see {} alive members\n",
+        names.len(),
+        names.len()
+    );
 
     println!("echo leaves gracefully...");
     let echo = agents.pop().expect("echo exists");
@@ -93,7 +97,10 @@ fn main() -> std::io::Result<()> {
             Event::MemberLeft { name } => println!("  [{}] {name} left gracefully", e.at),
             Event::MemberRecovered { name } => println!("  [{}] {name} recovered", e.at),
             Event::SelfRefuted { incarnation } => {
-                println!("  [{}] refuted a suspicion about ourselves (inc {incarnation})", e.at)
+                println!(
+                    "  [{}] refuted a suspicion about ourselves (inc {incarnation})",
+                    e.at
+                )
             }
         }
     }

@@ -535,7 +535,10 @@ fn queued_broadcast_stays_within_bytes_per_entry() {
     }
     let live = LIVE.load(Ordering::Relaxed).saturating_sub(before);
     let per_broadcast = live as f64 / msgs.len() as f64;
-    eprintln!("broadcast queue: {per_broadcast:.0} B/broadcast at {} queued", queue.len());
+    eprintln!(
+        "broadcast queue: {per_broadcast:.0} B/broadcast at {} queued",
+        queue.len()
+    );
     assert_eq!(queue.len(), msgs.len());
     assert!(
         per_broadcast <= BROADCAST_BYTES_GATE,
@@ -574,7 +577,12 @@ fn queued_broadcast_stays_within_bytes_per_entry() {
     );
     assert_eq!(queue.len(), msgs.len());
     let last = rounds.last().and_then(|round| round.last());
-    assert_eq!(queue.queued_for(&Cluster::name_of(SMALL_TABLE - 1)).as_ref(), last);
+    assert_eq!(
+        queue
+            .queued_for(&Cluster::name_of(SMALL_TABLE - 1))
+            .as_ref(),
+        last
+    );
     assert!(
         per_broadcast <= BROADCAST_CHURN_BYTES_GATE,
         "{per_broadcast:.0} live bytes per queued broadcast after overwrites \

@@ -34,7 +34,10 @@ fn lifeguard_keeps_intermittently_slow_member_alive() {
         .build();
     cluster.run_for(Duration::from_secs(90));
     assert!(
-        !cluster.trace().failures().any(|(_, _, s)| s.as_str() == "node-5"),
+        !cluster
+            .trace()
+            .failures()
+            .any(|(_, _, s)| s.as_str() == "node-5"),
         "Lifeguard must not declare the slow member failed"
     );
 }
@@ -85,7 +88,10 @@ fn detection_survives_heavy_packet_loss() {
     cluster.apply(SimAction::Crash { node: 11 });
     cluster.run_for(Duration::from_secs(60));
     assert!(
-        cluster.trace().failures().any(|(_, _, s)| s.as_str() == "node-11"),
+        cluster
+            .trace()
+            .failures()
+            .any(|(_, _, s)| s.as_str() == "node-11"),
         "crash must be detected despite 10% loss"
     );
 }
@@ -127,7 +133,10 @@ fn leave_amid_anomalies_is_not_a_failure() {
     cluster.run_for(Duration::from_secs(15));
     cluster.apply(SimAction::Leave { node: 5 });
     cluster.run_for(Duration::from_secs(40));
-    assert!(!cluster.trace().failures().any(|(_, _, s)| s.as_str() == "node-5"));
+    assert!(!cluster
+        .trace()
+        .failures()
+        .any(|(_, _, s)| s.as_str() == "node-5"));
     let leaves = cluster
         .trace()
         .events()
@@ -162,9 +171,8 @@ fn delta_push_pull_cuts_steady_state_sync_bytes_by_10x() {
         // accumulate its warm delta partners.
         cluster.run_for(Duration::from_secs(10));
         let rounds = 3u64;
-        let stream_bytes = |c: &Cluster| -> u64 {
-            (0..N).map(|i| c.metrics_snapshot(i).io.stream_bytes).sum()
-        };
+        let stream_bytes =
+            |c: &Cluster| -> u64 { (0..N).map(|i| c.metrics_snapshot(i).io.stream_bytes).sum() };
         let start = stream_bytes(&cluster);
         for r in 0..rounds {
             // ≤ 1% churn per round: metadata updates bump incarnations

@@ -55,14 +55,7 @@ fn fingerprint(c: &Cluster) -> String {
         let mut rows: Vec<String> = c
             .node(i)
             .members()
-            .map(|m| {
-                format!(
-                    "{}={:?}@{:?}",
-                    m.name.as_str(),
-                    m.state,
-                    m.incarnation
-                )
-            })
+            .map(|m| format!("{}={:?}@{:?}", m.name.as_str(), m.state, m.incarnation))
             .collect();
         rows.sort();
         out.push_str(&format!("node {i}: {}\n", rows.join(",")));
@@ -99,7 +92,11 @@ fn trace_and_tables_match_golden_and_repeat() {
         "scenario must actually exercise failure detection"
     );
     assert_eq!(reference, eventful_run(), "two runs of one seed diverged");
-    assert_eq!(fnv1a(reference.as_bytes()), EVENTFUL_GOLDEN, "fingerprint drifted");
+    assert_eq!(
+        fnv1a(reference.as_bytes()),
+        EVENTFUL_GOLDEN,
+        "fingerprint drifted"
+    );
 }
 
 /// A scheduled fault is the scripted call at its instant:
@@ -128,7 +125,11 @@ fn scheduled_faults_replay_the_scripted_run() {
     .at(SimTime::from_secs(20), SimAction::Crash { node: 11 });
     let mut c = Cluster::new(&schedule, &Config::lan().lifeguard());
     c.run_until(schedule.end);
-    assert_eq!(fnv1a(fingerprint(&c).as_bytes()), EVENTFUL_GOLDEN, "schedule and script diverged");
+    assert_eq!(
+        fnv1a(fingerprint(&c).as_bytes()),
+        EVENTFUL_GOLDEN,
+        "schedule and script diverged"
+    );
 }
 
 /// The per-node metrics export must be reproducible too: the exact same
@@ -147,7 +148,9 @@ fn metrics_snapshots_match_golden_and_repeat() {
         c.run_for(SimDuration::from_secs(10));
         c.apply(SimAction::Crash { node: 9 });
         c.run_for(SimDuration::from_secs(20));
-        (0..c.len()).map(|i| c.metrics_snapshot(i)).collect::<Vec<_>>()
+        (0..c.len())
+            .map(|i| c.metrics_snapshot(i))
+            .collect::<Vec<_>>()
     };
 
     let snaps = run();
@@ -158,10 +161,18 @@ fn metrics_snapshots_match_golden_and_repeat() {
     let mut encoded = Vec::new();
     for (i, s) in snaps.iter().enumerate() {
         let bytes = s.encode();
-        assert_eq!(Snapshot::decode(&bytes).as_ref(), Ok(s), "node {i} did not round-trip");
+        assert_eq!(
+            Snapshot::decode(&bytes).as_ref(),
+            Ok(s),
+            "node {i} did not round-trip"
+        );
         encoded.extend_from_slice(&bytes);
     }
-    assert_eq!(fnv1a(&encoded), METRICS_GOLDEN, "encoded metrics snapshots drifted");
+    assert_eq!(
+        fnv1a(&encoded),
+        METRICS_GOLDEN,
+        "encoded metrics snapshots drifted"
+    );
 }
 
 /// How the caller slices simulated time must be unobservable: events
@@ -215,8 +226,14 @@ fn run_slicing_is_unobservable() {
         whole.contains("MemberFailed") && whole.contains("MemberSuspected"),
         "scenario must exercise suspicion and failure detection"
     );
-    assert_eq!(whole, sliced, "trace, telemetry or tables depend on slicing");
-    assert_eq!(whole_snaps, sliced_snaps, "per-node metrics depend on slicing");
+    assert_eq!(
+        whole, sliced,
+        "trace, telemetry or tables depend on slicing"
+    );
+    assert_eq!(
+        whole_snaps, sliced_snaps,
+        "per-node metrics depend on slicing"
+    );
 }
 
 /// Different seeds must still differ — guards against the fingerprint

@@ -30,8 +30,8 @@ use lifeguard::metrics::{CoreSnapshot, Snapshot};
 use lifeguard::net::agent::{Agent, AgentConfig};
 use lifeguard::net::transport;
 use lifeguard::proto::{
-    codec, compound, Ack, Alive, Dead, Incarnation, MemberState, Message, NodeAddr, PushPull,
-    PushNodeState,
+    codec, compound, Ack, Alive, Dead, Incarnation, MemberState, Message, NodeAddr, PushNodeState,
+    PushPull,
 };
 
 const PEER: &str = "peer-b";
@@ -77,9 +77,7 @@ fn expected() -> Vec<Observed> {
 
 fn classify(event: &Event, peer_state: MemberState) -> Option<Observed> {
     match event {
-        Event::MemberJoined { name } if name.as_str() == PEER => {
-            Some(Observed::Joined(peer_state))
-        }
+        Event::MemberJoined { name } if name.as_str() == PEER => Some(Observed::Joined(peer_state)),
         Event::MemberSuspected { name, .. } if name.as_str() == PEER => {
             Some(Observed::Suspected(peer_state))
         }
@@ -361,8 +359,7 @@ fn run_net_trace() -> (Vec<Observed>, Snapshot) {
             if let Ok(msgs) = compound::decode_packet(&buf[..len]) {
                 for msg in msgs {
                     if let Some(reply) = script.on_datagram_msg(&msg) {
-                        let _ = peer_udp
-                            .send_to(&codec::encode_message(&reply), alpha_sock);
+                        let _ = peer_udp.send_to(&codec::encode_message(&reply), alpha_sock);
                     }
                 }
             }
