@@ -7,8 +7,9 @@
 //! `Arc<[u8]>`, so clones and sub-slices never copy payload bytes.
 
 // The wire crates call into this shim with untrusted lengths: no
-// panicking call, index, slice or integer division outside tests (an
-// exception is a reasoned `#[expect]`, counted by swim-lint).
+// panicking call, index, slice or integer division outside tests, and no
+// panicking `std` slice method (`clippy.toml`). An exception is a
+// reasoned `#[expect]`, pinned in tests/source_scan.rs.
 #![cfg_attr(
     not(test),
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
@@ -77,7 +78,7 @@ impl Bytes {
     /// # Panics
     ///
     /// Panics if the range is out of bounds.
-    // lint: allow(panic_path) — documented contract mirroring `bytes::Bytes::slice`; both wire callers cut a range they have bounds-checked (`Reader::get_blob` after `take(len)`, `decode_packet_shared` after `split_compound`)
+    // An `assert!` exception (pinned in tests/source_scan.rs): documented contract mirroring `bytes::Bytes::slice`; both wire callers cut a range they have bounds-checked (`Reader::get_blob` after `take(len)`, `decode_packet_shared` after `split_compound`)
     pub fn slice(&self, range: impl RangeBounds<usize>) -> Bytes {
         use std::ops::Bound;
         let lo = match range.start_bound() {

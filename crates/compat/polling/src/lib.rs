@@ -32,6 +32,12 @@
 //! workspace lives here.
 
 #![deny(missing_docs)]
+// The workspace denies `unsafe_code`; this shim is where its raw
+// syscalls live, each call behind a `// SAFETY:` comment.
+#![allow(
+    unsafe_code,
+    reason = "the workspace's one FFI surface: `extern \"C\"` declarations and their calls"
+)]
 // A length or count must never wrap at the FFI boundary: no lossy cast
 // outside tests.
 #![cfg_attr(
@@ -118,11 +124,10 @@ mod sys {
         pub msg_len: c_uint,
     }
 
-    // The workspace's entire raw-syscall surface. The static-analysis
-    // pass (`cargo run -p xtask -- lint`) pins `extern "C"` to this
-    // crate and these symbol names; extend its allowlist in
-    // `crates/xtask/src/rules.rs` (and docs/ANALYSIS.md) when adding
-    // a declaration here.
+    // The workspace's entire raw-syscall surface: `unsafe_code` keeps
+    // FFI calls out of every other crate, and `ffi_allowlist` below pins
+    // these symbol names; extend its list (and docs/ANALYSIS.md) when
+    // adding a declaration here.
     extern "C" {
         pub fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
         pub fn pipe(fds: *mut c_int) -> c_int;
@@ -849,7 +854,8 @@ pub mod mmsg {
 /// Nonblocking TCP connect initiation (extension over upstream
 /// `polling`): the one piece of stream setup std does not expose
 /// without blocking. Kept here so every raw syscall in the workspace
-/// lives in this shim (the `swim-lint` `ffi` rule enforces that).
+/// lives in this shim (`unsafe_code` and the `ffi_allowlist` test
+/// enforce that).
 pub mod sock {
     use super::{set_nonblocking_cloexec, sys};
     use crate::mmsg::SockAddr;
@@ -955,5 +961,46 @@ pub mod sock {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod ffi_allowlist {
+    /// Every `extern "C"` symbol the workspace may call. A new
+    /// declaration in this shim extends this list and docs/ANALYSIS.md in
+    /// the same change; `unsafe_code` keeps calls out of every other
+    /// crate.
+    const ALLOWLIST: [&str; 10] = [
+        "close", "connect", "fcntl", "pipe", "poll", "read", "recvmmsg", "sendmmsg", "socket",
+        "write",
+    ];
+
+    #[test]
+    fn extern_blocks_declare_exactly_the_allowlist() {
+        // The code of this file, without its `//` comments.
+        let source: String = include_str!("lib.rs")
+            .lines()
+            .map(|line| line.split("//").next().unwrap_or_default())
+            .collect();
+        // Built with `concat!` so that these literals do not match
+        // themselves.
+        let any_abi = concat!("extern", " \"");
+        let c_block = concat!("extern", " \"C\" {");
+        assert_eq!(
+            source.matches(any_abi).count(),
+            source.matches(c_block).count(),
+            "an extern item other than an `extern \"C\"` block"
+        );
+        let mut declared: Vec<&str> = source
+            .split(c_block)
+            .skip(1)
+            .flat_map(|rest| {
+                let block = rest.split('}').next().unwrap_or_default();
+                block.split("fn ").skip(1)
+            })
+            .filter_map(|decl| decl.split('(').next())
+            .collect();
+        declared.sort_unstable();
+        assert_eq!(declared, ALLOWLIST);
     }
 }

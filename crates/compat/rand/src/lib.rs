@@ -9,8 +9,9 @@
 //! suite; it is *not* a cryptographic generator.
 
 // The wire crates call into this shim with untrusted lengths: no
-// panicking call, index, slice or integer division outside tests (an
-// exception is a reasoned `#[expect]`, counted by swim-lint).
+// panicking call, index, slice or integer division outside tests, and no
+// panicking `std` slice method (`clippy.toml`). An exception is a
+// reasoned `#[expect]`, pinned in tests/source_scan.rs.
 #![cfg_attr(
     not(test),
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
@@ -120,7 +121,7 @@ fn uniform_below<R: Rng + ?Sized>(rng: &mut R, span: u64) -> u64 {
 /// Panics on an empty range, as `rand` does: sampling one is a caller
 /// bug.
 #[track_caller]
-// lint: allow(panic_path) — documented contract mirroring `rand`; every workspace caller samples a range it has checked non-empty (`n > 0` first on the wire paths)
+// An `assert!` exception (pinned in tests/source_scan.rs): documented contract mirroring `rand`; every workspace caller samples a range it has checked non-empty (`n > 0` first on the wire paths)
 fn assert_non_empty(non_empty: bool) {
     assert!(non_empty, "cannot sample empty range");
 }

@@ -58,7 +58,9 @@
 //! each slides down over the garbage; no slot moves, so the subject
 //! index is untouched. That is O(queue log queue) work paid for by more
 //! garbage bytes than live ones, so the arena stays within twice the
-//! live bytes plus the floor. The arena is cleared when the queue
+//! live bytes plus the floor. A compaction also gives back capacity
+//! beyond twice the live bytes and the floor, so a queue that shrank
+//! does not keep the arena it grew. The arena is cleared when the queue
 //! empties, so a drained queue refills from offset 0.
 //!
 //! In steady state neither enqueue nor fill allocates: the slab, the
@@ -157,12 +159,12 @@ pub struct BroadcastQueue {
     by_subject: NameIndex,
     /// The wire encodings of the queued broadcasts, each a slot's range,
     /// and `garbage` bytes no slot refers to.
-    // bounded: ≤ 2 × live bytes + GARBAGE_FLOOR after every enqueue (compaction), cleared when the queue empties and cut to ARENA_FLOOR when a fill drains it
+    // bounded: length ≤ 2 × live bytes + GARBAGE_FLOOR after every enqueue (compaction), capacity ≤ 2 × (live bytes + GARBAGE_FLOOR) after every compaction; cleared when the queue empties and cut to ARENA_FLOOR when a fill drains it
     arena: BytesMut,
     /// Bytes of `arena` left behind by overwritten or retired broadcasts.
     garbage: usize,
     /// Selection order with lazy deletion.
-    // bounded: ≤ `live` items plus stale items, which surfacing pops drop; compaction caps stale growth at 2:1
+    // bounded: ≤ `live` items plus stale items, which surfacing pops drop; a rebuild caps stale growth at 2:1, and cuts capacity to 2 × `live` + DRAINED_FLOOR
     heap: BinaryHeap<HeapItem>,
     /// Items popped by the running `fill`, pushed back when it ends.
     // bounded: cleared by every `fill_fanout`, which pops each live entry at most once — ≤ `live`
@@ -298,6 +300,7 @@ impl BroadcastQueue {
                     .filter(|(_, slot)| slot.is_live())
                     .map(|(index, slot)| (Reverse(slot.transmits), slot.id, index)),
             );
+            self.heap.shrink_to(2 * self.live + DRAINED_FLOOR);
         }
     }
 
@@ -518,6 +521,11 @@ impl BroadcastQueue {
     /// lists the live encodings in arena order: each then moves towards
     /// offset 0 and never over one not yet moved. The items become the
     /// heap again, with the stale ones gone.
+    ///
+    /// The arena keeps room for twice its live bytes plus twice the
+    /// floor, and the heap for twice its items plus `DRAINED_FLOOR`: the
+    /// next compaction or heap rebuild runs before either regrows, and
+    /// the capacity a larger queue grew is given back.
     fn compact(&mut self) {
         let mut items = std::mem::take(&mut self.heap).into_vec();
         let slots = &self.slots;
@@ -540,7 +548,14 @@ impl BroadcastQueue {
         }
         self.arena.truncate(len);
         self.garbage = 0;
+        let room = 2 * (len + GARBAGE_FLOOR);
+        if self.arena.capacity() > room {
+            let mut arena = BytesMut::with_capacity(room);
+            arena.extend_from_slice(&self.arena);
+            self.arena = arena;
+        }
         self.heap = BinaryHeap::from(items);
+        self.heap.shrink_to(2 * self.live + DRAINED_FLOOR);
     }
 
     /// Checks the queue's bookkeeping against its contents: the live

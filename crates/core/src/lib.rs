@@ -29,8 +29,9 @@
 //!   member always carry the suspicion so refutation starts immediately.
 
 // Untrusted bytes must never panic an agent: no panicking call, index,
-// slice or integer division outside tests (an exception is a reasoned
-// `#[expect]`, counted by swim-lint).
+// slice or integer division outside tests, and no panicking `std` slice
+// method (`clippy.toml`). An exception is a reasoned `#[expect]`, pinned
+// in tests/source_scan.rs.
 #![cfg_attr(
     not(test),
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)

@@ -90,7 +90,7 @@ impl SwimNode {
     /// # Panics
     ///
     /// Panics if the node was already started.
-    // lint: allow(panic_path) — documented contract: the owner boots a node once (`Driver::start`), before any input; wire input never reaches `start`
+    // An `assert!` exception (pinned in tests/source_scan.rs): documented contract: the owner boots a node once (`Driver::start`), before any input; wire input never reaches `start`
     pub fn start(&mut self, now: Time) {
         assert!(!self.started, "start() called twice");
         self.started = true;

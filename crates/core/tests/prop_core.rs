@@ -734,6 +734,7 @@ mod rotation_reference {
                     }
                     // Reap one member.
                     2 if !present.is_empty() => {
+                        #[allow(clippy::disallowed_methods, reason = "the index is reduced modulo the non-empty length")]
                         let k = present.swap_remove(arg as usize % present.len());
                         let id = table.id_of(&format!("m-{k}").into()).unwrap();
                         table.remove_id(id).unwrap();
@@ -743,6 +744,7 @@ mod rotation_reference {
                     // A reaped member rejoins, into the slot the most
                     // recent removal vacated unless an admission took it.
                     3 if !reaped.is_empty() => {
+                        #[allow(clippy::disallowed_methods, reason = "the index is reduced modulo the non-empty length")]
                         let k = reaped.swap_remove(arg as usize % reaped.len());
                         let id = table.insert(table.lookup(&format!("m-{k}")).unwrap_err(), newcomer(k));
                         present.push(k);

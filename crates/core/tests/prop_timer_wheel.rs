@@ -123,6 +123,7 @@ proptest! {
                         continue;
                     }
                     let pos = pick as usize % live.len();
+                    #[allow(clippy::disallowed_methods, reason = "`pos` is reduced modulo the non-empty length")]
                     let (id, key, _) = live.swap_remove(pos);
                     prop_assert_eq!(wheel.cancel(key), Some(id));
                     prop_assert!(model.cancel(id));

@@ -6,8 +6,8 @@
 //! protocol core embeds [`Histogram`]s and plain counter fields and
 //! records into them from its deterministic `handle_input` path, so
 //! under the simulator the same seed produces byte-identical metric
-//! state — the crate passes swim-lint's sans-I/O layering rule for the
-//! same reason `lifeguard-core` does.
+//! state — its `clippy.toml` holds it to the sans-I/O layering rules
+//! for the same reason `lifeguard-core`'s does.
 //!
 //! Layers:
 //!
@@ -27,8 +27,9 @@
 //!   the same rank rule over bucket counts.
 
 // Untrusted bytes must never panic an agent: no panicking call, index,
-// slice or integer division outside tests (an exception is a reasoned
-// `#[expect]`, counted by swim-lint).
+// slice or integer division outside tests, and no panicking `std` slice
+// method (`clippy.toml`). An exception is a reasoned `#[expect]`, pinned
+// in tests/source_scan.rs.
 #![cfg_attr(
     not(test),
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)

@@ -50,6 +50,10 @@ impl NodeName {
 
     /// Returns the name as a string slice.
     #[inline]
+    #[expect(
+        unsafe_code,
+        reason = "an inline name is read back without re-validating its UTF-8 on every access"
+    )]
     pub fn as_str(&self) -> &str {
         match &self.0 {
             Repr::Inline { len, bytes } => {
