@@ -87,11 +87,6 @@ impl Awareness {
         self.peak
     }
 
-    /// Whether the local node currently considers itself degraded.
-    pub fn is_degraded(&self) -> bool {
-        self.score > 0
-    }
-
     /// Applies a health event delta, clamping to `[0, S]`. Returns the
     /// new score.
     pub fn apply_delta(&mut self, delta: i32) -> u32 {
@@ -116,7 +111,6 @@ mod tests {
     fn starts_healthy() {
         let a = Awareness::new(8);
         assert_eq!(a.score(), 0);
-        assert!(!a.is_degraded());
         assert_eq!(a.max(), 8);
     }
 

@@ -204,7 +204,7 @@ impl LifeguardConfig {
 /// assert_eq!(cfg.lifeguard.label(), "Lifeguard");
 /// assert_eq!(cfg.suspicion_alpha, 4.0);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Config {
     /// Base period between failure-detector probe rounds
     /// (`BaseProbeInterval`, 1 s). Scaled by `LHM + 1` when LHA-Probe is

@@ -60,17 +60,6 @@ impl Member {
     pub fn is_live(&self) -> bool {
         self.state.is_live()
     }
-
-    /// Converts to the push-pull wire representation.
-    pub fn to_push_state(&self) -> PushNodeState {
-        PushNodeState {
-            name: self.name.clone(),
-            addr: self.addr,
-            incarnation: self.incarnation,
-            state: self.state,
-            meta: self.meta.clone(),
-        }
-    }
 }
 
 /// A read-only view of one member record inside a
@@ -130,6 +119,7 @@ impl MemberRef<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::membership::Membership;
 
     fn member() -> Member {
         Member::new(
@@ -164,7 +154,9 @@ mod tests {
     #[test]
     fn push_state_roundtrip_fields() {
         let m = member();
-        let ps = m.to_push_state();
+        let mut table = Membership::new();
+        table.upsert(m.clone());
+        let ps = table.get(&m.name).expect("upserted").to_push_state();
         assert_eq!(ps.name, m.name);
         assert_eq!(ps.addr, m.addr);
         assert_eq!(ps.incarnation, m.incarnation);

@@ -25,15 +25,17 @@ use lifeguard_metrics::CoreSnapshot;
 use lifeguard_proto::{
     compound, Ack, Alive, DatagramView, Dead, DecodeError, Incarnation, IndirectPing, MemberState,
     Message, Nack, NodeAddr, NodeName, Ping, PushNodeState, PushPullDelta, SeqNo, Suspect,
+    MAX_META_LEN,
 };
 use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
 
 use crate::awareness::{self, Awareness};
 use crate::blocked_io::BlockedIo;
 use crate::broadcast;
 use crate::config::Config;
 use crate::event::Event;
-use crate::member::Member;
+use crate::member::{Member, MemberRef};
 use crate::membership::{MemberId, Membership, SamplePool, Vacant};
 use crate::outbox::Outbox;
 use crate::prober::{self, Acked, Prober};
@@ -41,9 +43,6 @@ use crate::suspicion::{Suspicion, Suspicions};
 use crate::sync::{self, AntiEntropy, DeltaReply};
 use crate::time::Time;
 use crate::timer_wheel::{TimerKey, TimerWheel};
-
-mod inspect;
-mod lifecycle;
 
 pub use crate::outbox::Output;
 
@@ -106,7 +105,7 @@ pub enum Input {
     },
     /// Replace the local node's application metadata and gossip the
     /// change (memberlist's `UpdateNode`). A blob longer than
-    /// [`MAX_META_LEN`](lifeguard_proto::MAX_META_LEN), or one offered after [`Input::Leave`], is
+    /// [`MAX_META_LEN`], or one offered after [`Input::Leave`], is
     /// refused: the node's state, incarnation and broadcast queue stay
     /// as they were.
     UpdateMeta {
@@ -198,6 +197,185 @@ pub struct SwimNode {
 }
 
 impl SwimNode {
+    // Construction and the lifecycle inputs: start, bootstrap, join,
+    // leave and metadata updates.
+
+    /// Creates a node. Call [`SwimNode::start`] before driving it.
+    ///
+    /// `seed` fixes the node's private RNG stream (probe order, gossip
+    /// fan-out choices); two nodes with the same seed and inputs behave
+    /// identically.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` fails [`Config::validate`]; use
+    /// [`SwimNode::try_new`] to handle invalid configurations
+    /// gracefully.
+    #[expect(
+        clippy::panic,
+        reason = "documented contract: `new` panics on an invalid config at construction time, \
+                  never on wire input; `try_new` is the graceful path"
+    )]
+    pub fn new(name: NodeName, addr: NodeAddr, config: Config, seed: u64) -> Self {
+        Self::try_new(name, addr, config, seed)
+            .unwrap_or_else(|e| panic!("invalid SwimNode config: {e}"))
+    }
+
+    /// Fallible [`SwimNode::new`]: rejects invalid configurations with
+    /// the typed [`ConfigError`](crate::config::ConfigError) instead of
+    /// panicking.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`Config::validate`] violation, or
+    /// [`ConfigError::NodeNameTooLong`](crate::config::ConfigError::NodeNameTooLong)
+    /// for a `name` the wire format cannot carry.
+    pub fn try_new(
+        name: NodeName,
+        addr: NodeAddr,
+        config: Config,
+        seed: u64,
+    ) -> Result<Self, crate::config::ConfigError> {
+        config.validate()?;
+        if name.len() > usize::from(u16::MAX) {
+            return Err(crate::config::ConfigError::NodeNameTooLong);
+        }
+        Ok(SwimNode {
+            awareness: Awareness::new(config.effective_awareness_max()),
+            outbox: Outbox::new(),
+            config,
+            name,
+            addr,
+            incarnation: Incarnation::ZERO,
+            meta: Bytes::new(),
+            membership: Membership::new(),
+            timers: TimerWheel::new(),
+            rng: StdRng::seed_from_u64(seed),
+            started: false,
+            left: false,
+            prober: Prober::default(),
+            suspicions: Suspicions::default(),
+            sync: AntiEntropy::new(seed),
+            blocked_io: BlockedIo::default(),
+            gossip: GossipLoop::Parked { next: Time::ZERO },
+            metrics: CoreSnapshot::default(),
+        })
+    }
+
+    /// Boots the node: registers itself as alive and arms the periodic
+    /// timers. Must be called exactly once before any other driving call.
+    /// Produces no outputs (there is nobody to talk to yet).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node was already started.
+    // An `assert!` exception (pinned in tests/source_scan.rs): documented contract: the owner boots a node once (`Driver::start`), before any input; wire input never reaches `start`
+    pub fn start(&mut self, now: Time) {
+        assert!(!self.started, "start() called twice");
+        self.started = true;
+        let mut me = Member::new(self.name.clone(), self.addr, self.incarnation, now);
+        me.meta = self.meta.clone();
+        self.membership.upsert(me);
+
+        // Randomize initial phases so a cluster booted in lock-step does
+        // not probe in lock-step.
+        let probe_phase = self.random_phase(self.config.probe_interval);
+        self.timers.schedule(now + probe_phase, Timer::ProbeRound);
+        let gossip_phase = self.random_phase(self.config.gossip_interval);
+        let tick = self.timers.schedule(now + gossip_phase, Timer::GossipTick);
+        self.gossip = GossipLoop::Armed(tick);
+        if let Some(pp) = self.config.push_pull_interval {
+            let pp_phase = self.random_phase(pp);
+            self.timers
+                .schedule(now + pp + pp_phase, Timer::PushPullTick);
+        }
+        if let Some(rc) = self.config.reconnect_interval {
+            let rc_phase = self.random_phase(rc);
+            self.timers.schedule(now + rc + rc_phase, Timer::Reconnect);
+        }
+        self.timers
+            .schedule(now + self.config.dead_reclaim, Timer::Reap);
+    }
+
+    fn random_phase(&mut self, interval: std::time::Duration) -> std::time::Duration {
+        let us = interval.as_micros().max(1) as u64;
+        std::time::Duration::from_micros(self.rng.random_range(0..us))
+    }
+
+    /// Registers peers directly as alive members, bypassing the join
+    /// protocol — the simulator's full-mesh bootstrap for large-cluster
+    /// benchmarks. No gossip is enqueued and no events are emitted; the
+    /// probe rotation absorbs all names with one bulk shuffle.
+    pub fn bootstrap_peers(
+        &mut self,
+        peers: impl IntoIterator<Item = (NodeName, NodeAddr)>,
+        now: Time,
+    ) {
+        debug_assert!(self.started, "bootstrap_peers() before start()");
+        let peers = peers.into_iter();
+        let expected = peers.size_hint().0;
+        self.membership.reserve(expected);
+        let mut fresh = Vec::with_capacity(expected);
+        for (name, addr) in peers {
+            if name == self.name {
+                continue;
+            }
+            if let Err(vacant) = self.membership.lookup(name.as_str()) {
+                let member = Member::new(name, addr, Incarnation::ZERO, now);
+                fresh.push(self.membership.insert(vacant, member));
+            }
+        }
+        self.prober.admit_all(fresh, &mut self.rng);
+    }
+
+    /// `Input::Join`: sends a push-pull sync (carrying our own record)
+    /// to each seed address over the stream transport.
+    fn join(&mut self, seeds: &[NodeAddr]) {
+        debug_assert!(self.started, "join() before start()");
+        let Some(me) = self.membership.get(&self.name) else {
+            debug_assert!(false, "self is registered by start()");
+            return;
+        };
+        let request = sync::join_request(me);
+        for &to in seeds.iter().filter(|a| **a != self.addr) {
+            self.outbox.stream(to, request.clone());
+        }
+    }
+
+    /// `Input::Leave`: broadcasts a self-signed `dead` message
+    /// (memberlist's leave semantics) and flushes it to a few peers
+    /// immediately.
+    fn leave(&mut self, now: Time) {
+        if self.left {
+            return;
+        }
+        self.left = true;
+        self.outbox.broadcasts.enqueue(Message::Dead(Dead {
+            incarnation: self.incarnation,
+            node: self.name.clone(),
+            from: self.name.clone(),
+        }));
+        self.membership
+            .set_state(&self.name, MemberState::Left, now);
+        self.gossip_once(now);
+    }
+
+    /// `Input::UpdateMeta`: the incarnation is bumped so the new
+    /// `alive` message supersedes older state. An oversized blob is
+    /// refused here, where it enters, so nothing this node encodes about
+    /// itself can overflow the codec's 16-bit blob length. So is any
+    /// blob once the node has left: a node that has left stays gone,
+    /// and the `Alive` this would gossip (riding on the acks a departed
+    /// node still sends) is a rejoin to every peer holding it `Left`.
+    fn update_meta(&mut self, meta: Bytes, now: Time) {
+        if meta.len() > MAX_META_LEN || self.left {
+            return;
+        }
+        self.meta = meta;
+        self.incarnation = self.incarnation.next();
+        self.announce_alive(now);
+    }
+
     /// The timer queue's exact next deadline: the earliest instant at
     /// which the runtime must feed the next [`Input::Tick`]. A
     /// readiness-driven runtime sleeps in `poll` for precisely
@@ -274,6 +452,119 @@ impl SwimNode {
         })?;
         self.resume_gossip(now);
         Ok(())
+    }
+
+    // The node's read-only surface: identity, the member table, the
+    // metrics export and the cross-part invariant check.
+
+    /// The local node's name.
+    pub fn name(&self) -> &NodeName {
+        &self.name
+    }
+
+    /// The local node's advertised address.
+    pub fn addr(&self) -> NodeAddr {
+        self.addr
+    }
+
+    /// The local incarnation number.
+    pub fn incarnation(&self) -> Incarnation {
+        self.incarnation
+    }
+
+    /// The current Local Health Multiplier score (0 = healthy).
+    pub fn local_health(&self) -> u32 {
+        self.awareness.score()
+    }
+
+    /// The active configuration.
+    pub fn config(&self) -> &Config {
+        &self.config
+    }
+
+    /// All known members (including self and retained dead members).
+    pub fn members(&self) -> impl Iterator<Item = MemberRef<'_>> {
+        self.membership.iter()
+    }
+
+    /// Looks up a member record by name.
+    pub fn member(&self, name: &NodeName) -> Option<MemberRef<'_>> {
+        self.membership.get(name)
+    }
+
+    /// Number of members currently believed alive (including self).
+    pub fn num_alive(&self) -> usize {
+        self.membership.alive_count()
+    }
+
+    /// Whether the node has left the group.
+    pub fn has_left(&self) -> bool {
+        self.left
+    }
+
+    /// Whether message I/O is currently blocked (anomaly injection).
+    pub fn is_io_blocked(&self) -> bool {
+        self.blocked_io.is_blocked()
+    }
+
+    /// Number of gossip broadcasts waiting in the queue (introspection).
+    pub fn pending_broadcasts(&self) -> usize {
+        self.outbox.broadcasts.len()
+    }
+
+    /// The queued gossip broadcast about `subject`, if any, decoded from
+    /// its wire bytes (test/debug introspection).
+    pub fn queued_broadcast_for(&self, subject: &NodeName) -> Option<Message> {
+        self.outbox.broadcasts.queued_for(subject)
+    }
+
+    /// Point-in-time metrics snapshot of the protocol plane: the
+    /// protocol activity counters, the probe-RTT and suspicion-lifetime
+    /// histograms, health/queue gauges and anti-entropy volume, in the
+    /// runtime-independent [`CoreSnapshot`] shape. Everything here is
+    /// recorded on the deterministic `handle_input` path, so for the
+    /// same input trace every runtime reports the same snapshot.
+    pub fn metrics(&self) -> CoreSnapshot {
+        let depth = self.outbox.broadcasts.len() as u64;
+        CoreSnapshot {
+            lhm: u64::from(self.awareness.score()),
+            lhm_peak: u64::from(self.awareness.peak()),
+            lhm_max: u64::from(self.awareness.max()),
+            broadcast_queue_depth: depth,
+            broadcast_queue_peak: self.metrics.broadcast_queue_peak.max(depth),
+            ..self.metrics.clone()
+        }
+    }
+
+    /// Checks what each part of the node promises the others, and
+    /// panics on the first violation (for tests and the simulator —
+    /// call it between inputs): every suspicion has an armed expiry and
+    /// `Suspect` members ↔ suspicions are one-to-one; the deadlines of
+    /// the probe in flight and of relayed probes are armed or deferred
+    /// by blocked I/O, never both; every queued packet lies inside the
+    /// scratch arena, and the broadcast queue's slots, subject index and
+    /// byte arena agree; every live member but this node is in the probe
+    /// rotation exactly once; the gossip loop is armed with its tick in
+    /// the wheel, or parked with nothing to do; plus the member table's
+    /// and the timer queue's own structure checks.
+    pub fn check_invariants(&self) {
+        match self.gossip {
+            GossipLoop::Armed(key) => assert!(
+                self.timers.deadline_of(key).is_some(),
+                "gossip loop armed without a tick"
+            ),
+            GossipLoop::Parked { .. } => assert!(
+                !self.started || self.gossip_idle(),
+                "gossip loop parked with work to do"
+            ),
+        }
+        self.membership.check_invariants();
+        self.timers.check_invariants();
+        self.outbox.check_invariants();
+        self.suspicions
+            .check_invariants(&self.membership, &self.timers);
+        self.prober
+            .check_invariants(&self.membership, &self.name, &self.timers, &self.blocked_io);
     }
 
     /// [`Input::IoBlocked`]. Unblocking re-injects the postponed

@@ -19,6 +19,7 @@
 //! scale.
 
 use std::num::NonZeroUsize;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
@@ -67,57 +68,11 @@ impl Runs {
     /// Replays every cell of `scale`. This is the crate's one replay path:
     /// the verdict and every table read what it returns.
     pub fn replay(scale: Scale) -> Runs {
-        let (ms, secs) = (Duration::from_millis, Duration::from_secs);
-        let swim = ("SWIM", Config::lan().swim());
-        let lifeguard = ("Lifeguard", Config::lan().lifeguard());
-        let tunings = [vec![swim.clone()], table7_configs()].concat();
-        let intervals = |cells: Vec<IntervalCell>| {
-            move |seed| -> Vec<Schedule> {
-                let each = cells.iter();
-                each.map(|&(n, c, d, i)| scenario::interval(n, c, d, i, MIN_RUN, seed))
-                    .collect()
-            }
-        };
-        let stress = |seed| -> Vec<Schedule> {
-            let each = scale.stress_cells().into_iter();
-            each.map(|(n, stressed, len)| scenario::stress(n, stressed, len, seed))
-                .collect()
-        };
-
-        // Queues each configuration on the schedules every seed gives, and
-        // files how many runs each label gets.
-        let mut jobs = Vec::new();
-        let mut queue = |configs: &[(&'static str, Config)],
-                         schedules: &dyn Fn(u64) -> Vec<Schedule>| {
-            let filed = configs.iter().map(|(label, config)| {
-                let queued = jobs.len();
-                jobs.extend(
-                    scale
-                        .seeds()
-                        .flat_map(schedules)
-                        .map(|s| (s, config.clone())),
-                );
-                (*label, jobs.len() - queued)
-            });
-            filed.collect::<Vec<_>>()
-        };
-        // Longest runs first, so the workers finish together.
-        let interval = queue(&table1_configs(), &intervals(scale.interval_cells()));
-        let tuning = queue(&tunings, &intervals(scale.tuning_cells()));
-        let stress = queue(&[swim, lifeguard.clone()], &stress);
-        let detect = queue(&tunings, &|seed| {
-            vec![scenario::threshold(16, 1, secs(20), secs(60), seed)]
-        });
-        let sub_threshold = queue(&[lifeguard], &|seed| {
-            [1, 2, 4]
-                .map(|c| scenario::threshold(16, c, ms(2_048), secs(40), seed))
-                .to_vec()
-        });
-
-        let mut done = replay_all(&jobs).into_iter();
-        let mut take = |filed: Vec<(&'static str, usize)>| -> Labelled {
+        let (plan, [interval, tuning, stress, detect, sub_threshold]) = Plan::new(scale);
+        let done = replay_all(&plan);
+        let take = |filed: Filed| -> Labelled {
             let each = filed.into_iter();
-            each.map(|(label, runs)| (label, done.by_ref().take(runs).collect()))
+            each.map(|(label, runs)| (label, done[runs].to_vec()))
                 .collect()
         };
         Runs {
@@ -128,6 +83,105 @@ impl Runs {
             detect: take(detect),
             sub_threshold: take(sub_threshold),
         }
+    }
+}
+
+/// The shape of one run's schedule; [`Cell::schedule`] builds it for a
+/// seed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+enum Cell {
+    /// [`scenario::interval`] over [`MIN_RUN`].
+    Interval(IntervalCell),
+    /// [`scenario::stress`]: (n, stressed, stress length).
+    Stress(usize, usize, Duration),
+    /// [`scenario::threshold`]: (n, C, D, end).
+    Threshold(usize, usize, Duration, Duration),
+}
+
+impl Cell {
+    fn schedule(self, seed: u64) -> Schedule {
+        match self {
+            Cell::Interval((n, c, d, i)) => scenario::interval(n, c, d, i, MIN_RUN, seed),
+            Cell::Stress(n, stressed, len) => scenario::stress(n, stressed, len, seed),
+            Cell::Threshold(n, c, d, end) => scenario::threshold(n, c, d, end, seed),
+        }
+    }
+}
+
+/// One run: `cell` at `seed` under the plan's configuration `config`.
+/// The worker that claims it builds its schedule, so a plan holds no
+/// fault lists.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+struct Job {
+    config: usize,
+    seed: u64,
+    cell: Cell,
+}
+
+/// Each label's runs, as a range of the plan's jobs.
+type Filed = Vec<(&'static str, Range<usize>)>;
+
+/// Every run a scale replays: each distinct configuration once, and each
+/// distinct job once.
+#[derive(Debug, Default)]
+struct Plan {
+    configs: Vec<Config>,
+    jobs: Vec<Job>,
+}
+
+impl Plan {
+    /// Queues every run of `scale`, longest first so the workers finish
+    /// together, and files the Interval, tuning, stress, detection and
+    /// sub-threshold labels' runs.
+    fn new(scale: Scale) -> (Plan, [Filed; 5]) {
+        let (ms, secs) = (Duration::from_millis, Duration::from_secs);
+        let swim = ("SWIM", Config::lan().swim());
+        let lifeguard = ("Lifeguard", Config::lan().lifeguard());
+        let tunings = [vec![swim.clone()], table7_configs()].concat();
+        let intervals = |cells: Vec<IntervalCell>| -> Vec<Cell> {
+            cells.into_iter().map(Cell::Interval).collect()
+        };
+        let stress = (scale.stress_cells().into_iter())
+            .map(|(n, stressed, len)| Cell::Stress(n, stressed, len))
+            .collect::<Vec<_>>();
+        let detect = [Cell::Threshold(16, 1, secs(20), secs(60))];
+        let sub_threshold = [1, 2, 4].map(|c| Cell::Threshold(16, c, ms(2_048), secs(40)));
+
+        let mut plan = Plan::default();
+        let filed = [
+            plan.queue(scale, &table1_configs(), &intervals(scale.interval_cells())),
+            plan.queue(scale, &tunings, &intervals(scale.tuning_cells())),
+            plan.queue(scale, &[swim, lifeguard.clone()], &stress),
+            plan.queue(scale, &tunings, &detect),
+            plan.queue(scale, &[lifeguard], &sub_threshold),
+        ];
+        (plan, filed)
+    }
+
+    /// Queues each configuration on `cells` at every seed of `scale`, and
+    /// files each label's runs. A label whose runs are queued already
+    /// reuses them: at the paper scale, Table VII's SWIM and Lifeguard
+    /// replay the Interval set's cells under its configurations.
+    fn queue(&mut self, scale: Scale, configs: &[(&'static str, Config)], cells: &[Cell]) -> Filed {
+        let mut filed = Vec::new();
+        for (label, config) in configs {
+            let known = self.configs.iter().position(|c| c == config);
+            let config = known.unwrap_or_else(|| {
+                self.configs.push(config.clone());
+                self.configs.len() - 1
+            });
+            let runs: Vec<Job> = (scale.seeds())
+                .flat_map(|seed| cells.iter().map(move |&cell| Job { config, seed, cell }))
+                .collect();
+            let start = (self.jobs.windows(runs.len()))
+                .position(|queued| queued == runs)
+                .unwrap_or_else(|| {
+                    self.jobs.extend(&runs);
+                    self.jobs.len() - runs.len()
+                });
+            filed.push((*label, start..start + runs.len()));
+        }
+        filed
     }
 }
 
@@ -147,19 +201,20 @@ fn fp_per_seed(runs: &Labelled, label: &str, cells: usize) -> Vec<u64> {
         .collect()
 }
 
-/// Runs every job on one scoped worker per available core. Outcome `i`
-/// is job `i`'s, whichever worker ran it.
-fn replay_all(jobs: &[(Schedule, Config)]) -> Vec<RunOutcome> {
+/// Runs every job of `plan` on one scoped worker per available core.
+/// Outcome `i` is job `i`'s, whichever worker ran it.
+fn replay_all(plan: &Plan) -> Vec<RunOutcome> {
     let next = AtomicUsize::new(0);
     let worker = || {
         let mut mine = Vec::new();
         loop {
             // Claims a job; outcomes travel back through `join`.
             let i = next.fetch_add(1, Ordering::Relaxed);
-            let Some((schedule, config)) = jobs.get(i) else {
+            let Some(job) = plan.jobs.get(i) else {
                 return mine;
             };
-            mine.push((i, scenario::run(schedule, config)));
+            let schedule = job.cell.schedule(job.seed);
+            mine.push((i, scenario::run(&schedule, &plan.configs[job.config])));
         }
     };
     let workers = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
@@ -540,6 +595,36 @@ pub(crate) mod tests {
         ];
         let tables = [fig1(&runs), table7(&runs)].into_iter().chain(tables);
         assert!(tables.into_iter().all(|t| !t.is_empty()));
+    }
+
+    #[test]
+    fn the_paper_plan_queues_each_run_once() {
+        let (plan, [interval, tuning, ..]) = Plan::new(Scale::Paper);
+        // 65 070 runs, less Table VII's SWIM and Lifeguard over 432 cells
+        // and 10 seeds each.
+        assert_eq!(plan.jobs.len(), 56_430);
+        let distinct: std::collections::HashSet<&Job> = plan.jobs.iter().collect();
+        assert_eq!(
+            distinct.len(),
+            plan.jobs.len(),
+            "a (config, schedule) repeats"
+        );
+        for (i, config) in plan.configs.iter().enumerate() {
+            assert!(!plan.configs[..i].contains(config), "config {i} repeats");
+        }
+        // Table VII's Lifeguard (α = 5, β = 6) is Table I's, and both
+        // files' SWIM is `Config::lan().swim()`: they share the runs.
+        let table7 = table7_configs()
+            .into_iter()
+            .find(|(l, _)| *l == "Lifeguard");
+        assert_eq!(table7.map(|(_, c)| c), Some(Config::lan().lifeguard()));
+        let runs = |filed: &Filed, label| filed.iter().find(|(l, _)| *l == label).cloned();
+        for label in ["SWIM", "Lifeguard"] {
+            assert!(runs(&tuning, label).is_some());
+            assert_eq!(runs(&tuning, label), runs(&interval, label));
+        }
+        // The gate's Table VII cell is its own, so nothing is reused there.
+        assert_eq!(Plan::new(Scale::Gate).0.jobs.len(), 240);
     }
 
     #[test]

@@ -39,9 +39,7 @@
 )]
 
 pub mod agent;
-pub mod local_cluster;
 pub(crate) mod reactor;
 pub mod transport;
 
 pub use agent::{Agent, AgentConfig, AgentEvent};
-pub use local_cluster::LocalCluster;

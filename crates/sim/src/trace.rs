@@ -19,12 +19,14 @@
 //! | 16–19 | the accuser's (`from`) name id; `SelfRefuted`: the incarnation's high word; else 0 |
 //!
 //! A name id indexes the trace's name table, which holds every name once
-//! and finds one by a single probe of an open-addressed index under a
-//! multiply-xor hash. `MemberFailed`'s incarnation goes to a side column
-//! in record order. Records fill fixed chunks of 1 024 records, so
-//! growing the log never copies it. [`Trace::events`] decodes the
-//! records back into [`TraceEvent`]s equal to the recorded ones;
-//! [`Trace::failures`] hands out names borrowed from the table.
+//! in a `Vec` and finds one's id in a `HashMap`. `MemberFailed`'s
+//! incarnation goes to a side column in record order. Records fill fixed
+//! chunks of 1 024 records, so growing the log never copies it.
+//! [`Trace::events`] decodes the records back into [`TraceEvent`]s equal
+//! to the recorded ones; [`Trace::failures`] hands out names borrowed
+//! from the table.
+
+use std::collections::hash_map::{Entry, HashMap};
 
 use lifeguard_core::event::Event;
 use lifeguard_proto::{Incarnation, NodeName};
@@ -275,16 +277,11 @@ impl Iterator for Iter<'_> {
     }
 }
 
-/// Marks a free bucket of the name index.
-const VACANT: u32 = u32::MAX;
-
 /// A trace's name table: each distinct name once, its id its position.
 #[derive(Clone, Debug, Default)]
 struct Names {
     names: Vec<NodeName>,
-    /// Ids into `names`, open-addressed by [`name_hash`]: linear
-    /// probing over a power-of-two length at load ≤ ¾.
-    index: Vec<u32>,
+    ids: HashMap<NodeName, u32>,
 }
 
 impl Names {
@@ -292,82 +289,16 @@ impl Names {
         &self.names[id as usize]
     }
 
-    /// The bucket a probe for a name hashing to `hash` starts at: the
-    /// hash's top bits, the only ones every byte of the name reaches.
-    fn home(&self, hash: u64) -> usize {
-        let bits = self.index.len().trailing_zeros();
-        hash.checked_shr(64 - bits).unwrap_or(0) as usize
-    }
-
-    /// The id of the name hashing to `hash` that `is` accepts, or the
-    /// bucket where it would go.
-    fn probe(&self, hash: u64, is: impl Fn(&NodeName) -> bool) -> Result<u32, usize> {
-        let mask = self.index.len().wrapping_sub(1);
-        let mut i = self.home(hash);
-        for _ in 0..self.index.len() {
-            match self.index[i] {
-                VACANT => return Err(i),
-                id if is(self.name(id)) => return Ok(id),
-                _ => i = (i + 1) & mask,
-            }
-        }
-        Err(usize::MAX)
-    }
-
     /// The id of `name`, which is added if it is new.
     fn intern(&mut self, name: NodeName) -> u32 {
-        let hash = name_hash(name.as_str());
-        let bucket = match self.probe(hash, |n| *n == name) {
-            Ok(id) => return id,
-            Err(_) if 4 * (self.names.len() + 1) > 3 * self.index.len() => {
-                self.grow();
-                self.probe(hash, |_| false).unwrap_err()
-            }
-            Err(bucket) => bucket,
-        };
-        let id = u32::try_from(self.names.len())
-            .ok()
-            .filter(|&id| id != VACANT)
-            .expect("fewer than 2^32 - 1 distinct names");
-        self.index[bucket] = id;
-        self.names.push(name);
-        id
-    }
-
-    /// Doubles the index (8 buckets at first) and re-homes every id.
-    fn grow(&mut self) {
-        let len = (self.index.len() * 2).max(8);
-        self.index = vec![VACANT; len];
-        for (id, name) in (0u32..).zip(&self.names) {
-            if let Err(bucket) = self.probe(name_hash(name.as_str()), |_| false) {
-                self.index[bucket] = id;
+        match self.ids.entry(name) {
+            Entry::Occupied(id) => *id.get(),
+            Entry::Vacant(slot) => {
+                let id = u32::try_from(self.names.len()).expect("fewer than 2^32 distinct names");
+                self.names.push(slot.key().clone());
+                *slot.insert(id)
             }
         }
-    }
-}
-
-/// A multiply-xor hash over the name's length and its little-endian
-/// 8-byte words, the last one read as two overlapping 4-byte halves:
-/// one multiply for a simulator name of up to 8 bytes, where SipHash
-/// would cost a hundred cycles. Only its top bits mix every byte.
-fn name_hash(name: &str) -> u64 {
-    const K: u64 = 0x517c_c1b7_2722_0a95;
-    let mix = |h: u64, w: u64| (h.rotate_left(5) ^ w).wrapping_mul(K);
-    let u32_at = |b: &[u8], at: usize| {
-        b.get(at..at + 4)
-            .and_then(|w| w.try_into().ok())
-            .map_or(0, |w| u64::from(u32::from_le_bytes(w)))
-    };
-    let mut words = name.as_bytes().chunks_exact(8);
-    let mut h = name.len() as u64;
-    for w in &mut words {
-        h = mix(h, u64::from_le_bytes(w.try_into().unwrap_or_default()));
-    }
-    match words.remainder() {
-        [] => h,
-        // The first and the last four bytes: every byte of 4–7.
-        rest @ [_, _, _, _, ..] => mix(h, u32_at(rest, 0) | u32_at(rest, rest.len() - 4) << 32),
-        rest => mix(h, rest.iter().fold(0, |w, &b| w << 8 | u64::from(b))),
     }
 }
 
@@ -397,22 +328,6 @@ mod tests {
     }
 
     #[test]
-    fn simulator_names_spread_over_the_index() {
-        // A product's low bits never see the multiplier's high input
-        // bytes: homes taken from them put every `node-1xxx` in one run.
-        let mut names = Names::default();
-        for i in 0..2048 {
-            names.intern(format!("node-{i}").as_str().into());
-        }
-        let homes: std::collections::HashSet<usize> = names
-            .names
-            .iter()
-            .map(|n| names.home(name_hash(n.as_str())))
-            .collect();
-        assert!(homes.len() * 2 > names.names.len(), "{} homes", homes.len());
-    }
-
-    #[test]
     fn chunks_fill_before_the_next_one_starts() {
         let mut t = Trace::new();
         for i in 0..2 * CHUNK + 1 {
@@ -427,7 +342,7 @@ mod tests {
         assert_eq!(t.chunks.len(), 3);
         assert!(t.chunks.iter().all(|c| c.capacity() == CHUNK));
         assert_eq!(t.names.names.len(), 300);
-        assert!(4 * t.names.names.len() <= 3 * t.names.index.len());
+        assert_eq!(t.names.ids.len(), 300);
         let last = t.events().iter().last().expect("recorded");
         assert_eq!(last.reporter, (2 * CHUNK) % 7);
         assert_eq!(last.event.subject().map(NodeName::as_str), Some("node-248"));

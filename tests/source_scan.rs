@@ -23,9 +23,9 @@ use std::path::{Path, PathBuf};
 const EXCEPTIONS: [&str; 7] = [
     "assert! crates/compat/bytes/src/lib.rs slice", // Bytes::slice
     "assert! crates/compat/rand/src/lib.rs assert_non_empty",
-    "assert! crates/core/src/node/lifecycle.rs start", // SwimNode::start
+    "assert! crates/core/src/node.rs start", // SwimNode::start
     "clippy::indexing_slicing crates/compat/bytes/src/lib.rs deref", // Bytes::deref
-    "clippy::panic crates/core/src/node/lifecycle.rs new", // SwimNode::new
+    "clippy::panic crates/core/src/node.rs new", // SwimNode::new
     "unsafe_code crates/compat/polling/src/lib.rs crate",
     "unsafe_code crates/proto/src/types.rs as_str", // NodeName::as_str
 ];
@@ -244,7 +244,7 @@ fn non_test_exceptions_are_exactly_the_pinned_ones() {
             sources(&krate.path().join("src"), &mut files);
         }
     }
-    assert!(files.len() > 50, "found only {} source files", files.len());
+    assert!(files.len() > 40, "found only {} source files", files.len());
     let mut found = Vec::new();
     for path in &files {
         let rel = path.strip_prefix(root).expect("under the root");
