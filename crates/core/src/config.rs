@@ -86,7 +86,7 @@ pub enum ConfigError {
     /// ever reuse it, so no delta would ever be sent.
     DeltaSyncHorizonBelowPushPullInterval,
     /// The local node's name is longer than `u16::MAX` bytes, more than
-    /// the wire format's name length word can carry. Not a [`Config`]
+    /// a decoder accepts as a name's length. Not a [`Config`]
     /// field: [`SwimNode::try_new`](crate::node::SwimNode::try_new)
     /// checks it next to the configuration.
     NodeNameTooLong,

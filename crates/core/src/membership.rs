@@ -191,7 +191,7 @@ pub struct Membership {
     // bounded: ≤ |slots| — holds only currently-vacant slot ids
     free: Vec<u32>,
     /// The metadata column: empty, or one cell per slot.
-    // bounded: ≤ |slots| cells, each a blob the node accepted (≤ u16::MAX bytes by the codec's length word)
+    // bounded: ≤ |slots| cells, each a blob the node accepted (≤ u16::MAX bytes, the codec's length bound)
     meta: Vec<Bytes>,
     /// The IPv6 column: empty, or one cell of octets per slot.
     // bounded: ≤ |slots| cells of 16 bytes
@@ -1411,7 +1411,7 @@ mod tests {
     #[test]
     fn node_layout_is_pinned() {
         assert_eq!(std::mem::size_of::<lifeguard_metrics::Histogram>(), 1072);
-        assert_eq!(std::mem::size_of::<crate::node::SwimNode>(), 3472);
+        assert_eq!(std::mem::size_of::<crate::node::SwimNode>(), 3456);
     }
 
     #[test]

@@ -91,9 +91,10 @@ fn update_meta_bumps_incarnation_and_gossips() {
     assert_eq!(me.meta.as_ref(), b"v2");
 }
 
-/// A blob longer than `MAX_META_LEN` would wrap the codec's 16-bit
-/// length word: peers would reject the node's gossip about itself and
-/// every push-pull frame carrying its record.
+/// A blob longer than `MAX_META_LEN` is refused where it enters, so the
+/// node's gossip about itself and every push-pull frame carrying its
+/// record stay inside the codec's `u16::MAX` length bound, which peers
+/// check.
 #[test]
 fn oversized_update_meta_is_refused_and_self_gossip_still_decodes() {
     let mut n = new_node(Config::lan());

@@ -2,15 +2,19 @@
 //!
 //! SWIM piggybacks gossip on failure-detector traffic; memberlist realises
 //! this by packing a `ping`/`ack` together with queued gossip messages into
-//! a single UDP datagram. A compound packet is:
+//! a single UDP datagram. Every message is self-delimiting (see
+//! [`crate::codec`]), so a compound packet is its parts back to back
+//! after a two-byte header, with no length table:
 //!
 //! ```text
-//! [COMPOUND_TAG u8][count u8]([len u16] * count)([payload bytes] * count)
+//! [COMPOUND_TAG u8][count u8]([part bytes] * count)      count >= 2
 //! ```
 //!
 //! A packet containing exactly one message is sent bare (no compound
 //! framing), which is what memberlist does and what keeps the byte counts
-//! of Table VI honest.
+//! of Table VI honest. A decoder refuses a compound frame of fewer than
+//! two parts ([`DecodeError::NonCanonical`]), so a packet has one
+//! encoding.
 
 use bytes::{Bytes, BytesMut};
 
@@ -21,6 +25,13 @@ use crate::types::SeqNo;
 
 /// Maximum number of parts in one compound packet (count is a `u8`).
 pub const MAX_COMPOUND_PARTS: usize = 255;
+
+/// Longest part a builder takes: no UDP datagram is longer than its
+/// 16-bit length field allows.
+const MAX_PART_LEN: usize = u16::MAX as usize;
+
+/// Bytes of compound framing ahead of the parts: the tag and the count.
+const HEADER_LEN: usize = 2;
 
 /// Incrementally builds a datagram under a byte budget.
 ///
@@ -48,8 +59,8 @@ pub struct CompoundBuilder {
     budget: usize,
     /// Concatenated encoded parts.
     payload: BytesMut,
-    /// Length of each part within `payload`.
-    lens: Vec<u16>,
+    /// Number of parts in `payload`.
+    parts: usize,
 }
 
 impl CompoundBuilder {
@@ -60,27 +71,27 @@ impl CompoundBuilder {
         CompoundBuilder {
             budget,
             payload: BytesMut::new(),
-            lens: Vec::new(),
+            parts: 0,
         }
     }
 
     /// Bytes the packet would occupy if finished now.
     pub fn current_len(&self) -> usize {
-        match self.lens.len() {
+        match self.parts {
             0 => 0,
             1 => self.payload.len(),
-            n => 2 + 2 * n + self.payload.len(),
+            _ => HEADER_LEN + self.payload.len(),
         }
     }
 
     /// Number of messages added so far.
     pub fn len(&self) -> usize {
-        self.lens.len()
+        self.parts
     }
 
     /// Whether no messages have been added.
     pub fn is_empty(&self) -> bool {
-        self.lens.is_empty()
+        self.parts == 0
     }
 
     /// Remaining budget for one more part, accounting for framing overhead.
@@ -88,33 +99,25 @@ impl CompoundBuilder {
     /// Returns `usize::MAX` for the first message (a lone oversized message
     /// is always allowed through).
     pub fn remaining(&self) -> usize {
-        if self.lens.is_empty() {
+        if self.parts == 0 {
             return usize::MAX;
         }
-        // Adding part n+1 switches (or keeps) compound framing:
-        // header 2 bytes + 2 bytes length prefix per part.
-        let framed_now = 2 + 2 * (self.lens.len() + 1) + self.payload.len();
-        self.budget.saturating_sub(framed_now)
+        // A second part switches to compound framing; later parts add
+        // nothing to it.
+        self.budget.saturating_sub(HEADER_LEN + self.payload.len())
     }
 
     /// Adds a pre-encoded message if it fits in the remaining budget and
     /// the part-count limit. Returns whether it was added.
     pub fn try_add_bytes(&mut self, encoded: &[u8]) -> bool {
-        if self.lens.len() >= MAX_COMPOUND_PARTS {
+        if self.parts >= MAX_COMPOUND_PARTS || encoded.len() > MAX_PART_LEN {
             return false;
         }
-        // The per-part length word is a u16: a longer part cannot be
-        // framed and must be refused, not silently truncated to
-        // `len % 65536` (which would corrupt every following part).
-        // This bounds even the oversized-first-message allowance.
-        let Ok(len) = u16::try_from(encoded.len()) else {
-            return false;
-        };
-        if !self.lens.is_empty() && encoded.len() > self.remaining() {
+        if self.parts > 0 && encoded.len() > self.remaining() {
             return false;
         }
         self.payload.extend_from_slice(encoded);
-        self.lens.push(len);
+        self.parts += 1;
         true
     }
 
@@ -122,23 +125,20 @@ impl CompoundBuilder {
     /// the allocation-free path for primary (`ping`/`ack`/…) messages.
     /// Returns whether it was added.
     pub fn try_add_msg(&mut self, msg: &Message) -> bool {
-        if self.lens.len() >= MAX_COMPOUND_PARTS {
+        if self.parts >= MAX_COMPOUND_PARTS {
             return false;
         }
         let budget = self.remaining();
         let start = self.payload.len();
         let written = codec::encode_message_into(msg, &mut self.payload);
-        // Same u16 length-word bound as `try_add_bytes`: an unframeable
-        // part is rolled back, never length-truncated.
-        match u16::try_from(written) {
-            Ok(len) if self.lens.is_empty() || written <= budget => {
-                self.lens.push(len);
-                true
-            }
-            _ => {
-                self.payload.truncate(start);
-                false
-            }
+        // The same part-length bound as `try_add_bytes`: a part too
+        // long for a datagram is rolled back.
+        if written <= MAX_PART_LEN && (self.parts == 0 || written <= budget) {
+            self.parts += 1;
+            true
+        } else {
+            self.payload.truncate(start);
+            false
         }
     }
 
@@ -149,7 +149,7 @@ impl CompoundBuilder {
     pub fn reset(&mut self, budget: usize) {
         self.budget = budget;
         self.payload.clear();
-        self.lens.clear();
+        self.parts = 0;
     }
 
     /// Finishes the packet into `out` — a bare message if one part, a
@@ -162,28 +162,16 @@ impl CompoundBuilder {
     /// Returns `None` (and appends nothing) if no message was added.
     pub fn finish_into(&mut self, out: &mut Vec<u8>) -> Option<std::ops::Range<usize>> {
         let start = out.len();
-        match self.lens.len() {
-            0 => None,
-            1 => {
-                out.extend_from_slice(&self.payload);
-                self.payload.clear();
-                self.lens.clear();
-                Some(start..out.len())
-            }
-            n => {
-                // `try_add_*` cap the part count at MAX_COMPOUND_PARTS (255).
-                let parts = u8::try_from(n).ok()?;
-                out.push(COMPOUND_TAG);
-                out.push(parts);
-                for &len in &self.lens {
-                    out.extend_from_slice(&len.to_be_bytes());
-                }
-                out.extend_from_slice(&self.payload);
-                self.payload.clear();
-                self.lens.clear();
-                Some(start..out.len())
-            }
+        match self.parts {
+            0 => return None,
+            1 => {}
+            // `try_add_*` cap the part count at MAX_COMPOUND_PARTS (255).
+            n => out.extend_from_slice(&[COMPOUND_TAG, u8::try_from(n).ok()?]),
         }
+        out.extend_from_slice(&self.payload);
+        self.payload.clear();
+        self.parts = 0;
+        Some(start..out.len())
     }
 
     /// Finishes the packet into `out` once and emits the *same* byte
@@ -220,45 +208,37 @@ impl CompoundBuilder {
 ///
 /// # Errors
 ///
-/// Returns a [`DecodeError`] if the packet is malformed; a compound packet
-/// whose declared part lengths overrun the payload yields
-/// [`DecodeError::TruncatedCompound`].
+/// Returns a [`DecodeError`] if the packet is malformed: a compound
+/// packet whose parts end early yields [`DecodeError::UnexpectedEof`],
+/// one with bytes after its last part [`DecodeError::TrailingBytes`].
 pub fn decode_packet(bytes: &[u8]) -> Result<Vec<Message>, DecodeError> {
-    if bytes.first() == Some(&COMPOUND_TAG) {
-        let mut msgs = Vec::new();
-        for (offset, len) in split_compound(bytes)? {
-            let part = bytes
-                .get(offset..offset + len)
-                .ok_or(DecodeError::TruncatedCompound)?;
-            msgs.push(codec::decode_message(part)?);
-        }
-        Ok(msgs)
-    } else {
-        Ok(vec![codec::decode_message(bytes)?])
-    }
+    decode_parts(codec::Reader::new(bytes))
 }
 
-/// Like [`decode_packet`], but each part is cut as a zero-copy
-/// [`Bytes::slice`] of the datagram, so blob fields (gossip metadata,
-/// push-pull state) alias the received buffer instead of being copied.
-/// A node does not decode a datagram it receives into messages at all —
-/// it runs [`for_each_view`]; this owned decoder serves callers that keep the
-/// messages, and is the reference the views are tested against.
+/// Like [`decode_packet`], but blob fields (gossip metadata, push-pull
+/// state) are zero-copy [`Bytes::slice`]s of the datagram instead of
+/// copies. A node does not decode a datagram it receives into messages
+/// at all — it runs [`for_each_view`]; this owned decoder serves callers
+/// that keep the messages, and is the reference the views are tested
+/// against.
 ///
 /// # Errors
 ///
 /// Same as [`decode_packet`].
 pub fn decode_packet_shared(bytes: &Bytes) -> Result<Vec<Message>, DecodeError> {
-    if bytes.first() == Some(&COMPOUND_TAG) {
-        let mut msgs = Vec::new();
-        for (offset, len) in split_compound(bytes)? {
-            let part = bytes.slice(offset..offset + len);
-            msgs.push(codec::decode_message_shared(&part)?);
-        }
-        Ok(msgs)
-    } else {
-        Ok(vec![codec::decode_message_shared(bytes)?])
+    decode_parts(codec::Reader::shared(bytes))
+}
+
+/// The owned decoders' one walk: the frame header, then each part in
+/// sequence, then the check that nothing follows the last.
+fn decode_parts(mut r: codec::Reader<'_>) -> Result<Vec<Message>, DecodeError> {
+    let count = compound_parts(&mut r)?.unwrap_or(1);
+    let mut msgs = Vec::with_capacity(count);
+    for _ in 0..count {
+        msgs.push(codec::decode_from(&mut r)?);
     }
+    r.finish()?;
+    Ok(msgs)
 }
 
 /// Hands the datagram messages of a packet — bare or compound — to
@@ -267,26 +247,36 @@ pub fn decode_packet_shared(bytes: &Bytes) -> Result<Vec<Message>, DecodeError> 
 /// table, no `Vec<Message>`, no owned name).
 ///
 /// The **whole** packet is checked before `act` sees the first view:
-/// compound framing, then every part in order — fields, UTF-8,
-/// trailing bytes, unknown tags, and a stream-only `push-pull` body
-/// through the owned decoder. A bare packet is one view and is handed
-/// out once decoded; a compound packet's views wait in one stack buffer
-/// until its last part has been checked. The buffer holds 16 views when
-/// the packet has at most 16 parts, as most do, and
-/// [`MAX_COMPOUND_PARTS`] otherwise: setting it up costs a store per
-/// view, used or not. `Ok` exactly when [`decode_packet`] is `Ok`, and
-/// the same [`DecodeError`] otherwise, so `act` never acts on part of a
-/// malformed packet. Stream-only messages have no view and are not
-/// handed out.
+/// the compound header, then every part in order — fields, UTF-8,
+/// unknown tags, and a stream-only `push-pull` body through the owned
+/// decoder — then that no byte follows the last part. A bare packet is
+/// one view and is handed out once checked; a compound packet's views
+/// wait in one stack buffer until its last part has been checked. The
+/// buffer holds 16 views when the count byte says at most 16 parts, as
+/// most packets have, and [`MAX_COMPOUND_PARTS`] otherwise: setting it
+/// up costs a store per view, used or not. `Ok` exactly when
+/// [`decode_packet`] is `Ok`, and the same [`DecodeError`] otherwise, so
+/// `act` never acts on part of a malformed packet. Stream-only messages
+/// have no view and are not handed out.
 ///
 /// ```
-/// use lifeguard_proto::{codec, compound, Ack, DatagramView, Message, SeqNo};
+/// use lifeguard_proto::{codec, compound, Ack, DatagramView, DecodeError, Message, SeqNo};
 ///
 /// let packet = codec::encode_message(&Message::Ack(Ack { seq: SeqNo(7) }));
 /// let mut views = Vec::new();
 /// compound::for_each_view(&packet, |view| views.push(view)).unwrap();
 /// assert_eq!(views, [DatagramView::Ack { seq: SeqNo(7) }]);
-/// assert!(compound::for_each_view(&packet[..2], |_| unreachable!()).is_err());
+/// assert!(compound::for_each_view(&packet[..1], |_| unreachable!()).is_err());
+///
+/// // Two acks, back to back after the compound header; a third part
+/// // that the count byte does not declare is refused.
+/// let compound = [codec::COMPOUND_TAG, 2, packet[0], 7, packet[0], 8];
+/// let mut seqs = Vec::new();
+/// compound::for_each_view(&compound, |view| seqs.push(view)).unwrap();
+/// assert_eq!(seqs.len(), 2);
+/// let extra = [&compound[..], &packet[..]].concat();
+/// let refused = compound::for_each_view(&extra, |_| unreachable!());
+/// assert_eq!(refused, Err(DecodeError::TrailingBytes(2)));
 /// ```
 ///
 /// # Errors
@@ -296,17 +286,18 @@ pub fn for_each_view<'a>(
     bytes: &'a [u8],
     mut act: impl FnMut(DatagramView<'a>),
 ) -> Result<(), DecodeError> {
-    if bytes.first() != Some(&COMPOUND_TAG) {
-        if let Some(view) = check_part(bytes)? {
-            act(view);
+    let mut r = codec::Reader::new(bytes);
+    match compound_parts(&mut r)? {
+        None => {
+            let view = codec::view_from(&mut r)?;
+            r.finish()?;
+            if let Some(view) = view {
+                act(view);
+            }
+            Ok(())
         }
-        return Ok(());
-    }
-    let (lens, body) = frame(bytes)?;
-    if lens.remaining() <= 2 * FEW_PARTS {
-        check_then_act::<FEW_PARTS>(lens, body, act)
-    } else {
-        check_then_act::<MAX_COMPOUND_PARTS>(lens, body, act)
+        Some(count) if count <= FEW_PARTS => check_then_act::<FEW_PARTS>(r, count, act),
+        Some(count) => check_then_act::<MAX_COMPOUND_PARTS>(r, count, act),
     }
 }
 
@@ -315,92 +306,45 @@ pub fn for_each_view<'a>(
 /// median 5, and a full one ~48.
 const FEW_PARTS: usize = 16;
 
-/// Checks the parts of a framed compound packet into a buffer of `N`
-/// views, then hands them to `act`. Out of line, so that only the
+/// Checks the `count` parts after a compound header into a buffer of
+/// `N` views, then hands them to `act`. Out of line, so that only the
 /// packets that need the buffer reserve it.
 #[inline(never)]
 fn check_then_act<'a, const N: usize>(
-    mut lens: codec::Reader<'a>,
-    mut body: codec::Reader<'a>,
+    mut r: codec::Reader<'a>,
+    count: usize,
     act: impl FnMut(DatagramView<'a>),
 ) -> Result<(), DecodeError> {
     let mut views = [DatagramView::Ack { seq: SeqNo(0) }; N];
     let mut checked = 0;
-    while let Ok(len) = lens.get_u16() {
-        if let Some(view) = check_part(body.take(len as usize)?)? {
-            // The caller picked `N` from the length table, so there are
-            // at most `N` parts and this never misses.
+    for _ in 0..count {
+        if let Some(view) = codec::view_from(&mut r)? {
+            // The caller picked `N` from the count, so there are at
+            // most `N` parts and this never misses.
             if let Some(slot) = views.get_mut(checked) {
                 *slot = view;
                 checked += 1;
             }
         }
     }
+    r.finish()?;
     views.iter().take(checked).copied().for_each(act);
     Ok(())
 }
 
-/// Decodes one part as its view, or checks a stream-only message with
-/// the owned decoder and yields `None` for it.
-fn check_part(part: &[u8]) -> Result<Option<DatagramView<'_>>, DecodeError> {
-    let view = codec::decode_view(part)?;
-    if view.is_none() {
-        codec::decode_message(part)?;
+/// Reads a compound header if the packet starts with one, and returns
+/// the number of parts it declares; `None` for a bare packet, whose
+/// reader is left at its tag. A count below two is
+/// [`DecodeError::NonCanonical`]: a builder sends one message bare.
+fn compound_parts(r: &mut codec::Reader<'_>) -> Result<Option<usize>, DecodeError> {
+    if r.peek() != Some(COMPOUND_TAG) {
+        return Ok(None);
     }
-    Ok(view)
-}
-
-/// Splits a compound packet into its length table and its body,
-/// checking the framing the way `split_compound` does: a short header
-/// or length table is `UnexpectedEof`, a part past the end
-/// `TruncatedCompound`, bytes after the last part `TrailingBytes`.
-fn frame(bytes: &[u8]) -> Result<(codec::Reader<'_>, codec::Reader<'_>), DecodeError> {
-    let mut r = codec::Reader::new(bytes);
     r.get_u8()?;
-    let count = r.get_u8()? as usize;
-    let lens = codec::Reader::new(r.take(2 * count)?);
-    let body = codec::Reader::new(r.take(r.remaining())?);
-    let mut table = lens.clone();
-    let mut left = body.remaining();
-    for _ in 0..count {
-        let len = table.get_u16()? as usize;
-        left = left
-            .checked_sub(len)
-            .ok_or(DecodeError::TruncatedCompound)?;
+    match r.get_u8()? {
+        count @ 2.. => Ok(Some(usize::from(count))),
+        _ => Err(DecodeError::NonCanonical),
     }
-    if left != 0 {
-        return Err(DecodeError::TrailingBytes(left));
-    }
-    Ok((lens, body))
-}
-
-/// Parses and validates a compound header, returning each part's
-/// `(offset, len)` within `bytes` — the single framing parser behind
-/// both the copying and zero-copy packet decoders.
-fn split_compound(bytes: &[u8]) -> Result<Vec<(usize, usize)>, DecodeError> {
-    // Both callers enter only after `bytes.first()` matched the
-    // compound tag; the header starts after it.
-    let (_, header) = bytes.split_first().ok_or(DecodeError::UnexpectedEof)?;
-    let mut r = codec::Reader::new(header);
-    let count = r.get_u8()? as usize;
-    let mut lens = Vec::with_capacity(count);
-    for _ in 0..count {
-        lens.push(r.get_u16()? as usize);
-    }
-    // First payload byte: tag + count + length table.
-    let mut offset = 1 + 1 + 2 * count;
-    let mut parts = Vec::with_capacity(count);
-    for len in lens {
-        if offset + len > bytes.len() {
-            return Err(DecodeError::TruncatedCompound);
-        }
-        parts.push((offset, len));
-        offset += len;
-    }
-    if offset != bytes.len() {
-        return Err(DecodeError::TrailingBytes(bytes.len() - offset));
-    }
-    Ok(parts)
 }
 
 #[cfg(test)]
@@ -528,9 +472,9 @@ mod tests {
         b.try_add_bytes(&a);
         assert_eq!(b.current_len(), a.len());
         b.try_add_bytes(&a);
-        assert_eq!(b.current_len(), 2 + 4 + 2 * a.len());
+        assert_eq!(b.current_len(), 2 + 2 * a.len());
         let packet = finish(&mut b).unwrap();
-        assert_eq!(packet.len(), 2 + 4 + 2 * a.len());
+        assert_eq!(packet.len(), 2 + 2 * a.len());
     }
 
     #[test]
@@ -562,9 +506,9 @@ mod tests {
         assert_eq!(scratch.len(), before);
     }
 
-    /// The u16 length-word boundary: a part of exactly `u16::MAX` bytes
-    /// is framable, one byte more must be refused (previously the length
-    /// was truncated modulo 65536, corrupting the packet).
+    /// The part-length boundary: a part of exactly `u16::MAX` bytes is
+    /// taken, one byte more is refused, and a refused message leaves
+    /// the builder as it was.
     #[test]
     fn part_longer_than_u16_max_is_refused_not_truncated() {
         // Raw-bytes path, exactly at the boundary.
@@ -629,14 +573,40 @@ mod tests {
             .unwrap();
             assert_eq!(seqs, (0..parts as u32).collect::<Vec<_>>());
 
+            // The parts sit back to back after the two-byte header, the
+            // last one at the end.
+            let last = ack(parts as u32 - 1);
+            let last_part = packet.len() - codec::encoded_len(&last);
+            assert_eq!(decode_packet(&packet[last_part..]), Ok(vec![last]));
+
             // The last part's tag is one no message has: no part is
             // handed out.
             let mut damaged = packet;
-            let last_part = damaged.len() - 5; // an ack is its tag and a u32
             damaged[last_part] = 42;
             let refused = for_each_view(&damaged, |_| panic!("a view of a refused packet"));
             assert_eq!(refused, Err(DecodeError::UnknownTag(42)));
         }
+    }
+
+    /// One message is sent bare, so a compound frame declaring fewer
+    /// than two parts is not an encoding of anything.
+    #[test]
+    fn compound_frame_of_fewer_than_two_parts_is_refused() {
+        let one = enc(&ack(1));
+        for frame in [
+            vec![COMPOUND_TAG, 0],
+            [&[COMPOUND_TAG, 1], &one[..]].concat(),
+        ] {
+            assert_eq!(decode_packet(&frame), Err(DecodeError::NonCanonical));
+            assert_eq!(
+                for_each_view(&frame, |_| panic!("a view of a refused packet")),
+                Err(DecodeError::NonCanonical)
+            );
+        }
+        assert_eq!(
+            decode_packet(&[COMPOUND_TAG]),
+            Err(DecodeError::UnexpectedEof)
+        );
     }
 
     #[test]
@@ -645,9 +615,12 @@ mod tests {
         b.try_add_bytes(&enc(&ack(1)));
         b.try_add_bytes(&enc(&ack(2)));
         let packet = finish(&mut b).unwrap();
-        assert!(matches!(
+        assert_eq!(
             decode_packet(&packet[..packet.len() - 1]),
-            Err(DecodeError::TruncatedCompound) | Err(DecodeError::UnexpectedEof)
-        ));
+            Err(DecodeError::UnexpectedEof)
+        );
+        let mut longer = packet.clone();
+        longer.push(0);
+        assert_eq!(decode_packet(&longer), Err(DecodeError::TrailingBytes(1)));
     }
 }

@@ -16,8 +16,12 @@ pub enum DecodeError {
     UnknownAddrFamily(u8),
     /// A member-state byte was out of range.
     UnknownState(u8),
-    /// A compound packet declared more parts than its payload contains.
-    TruncatedCompound,
+    /// A field or frame was spelled in a way the encoder never writes:
+    /// an overlong varint, a varint too large for its field (a length
+    /// above `u16::MAX`, a sequence number or count above `u32::MAX`,
+    /// anything past `u64::MAX`), a flag byte with a bit no flag uses,
+    /// or a compound frame of fewer than two parts.
+    NonCanonical,
     /// Trailing bytes followed a complete message.
     TrailingBytes(usize),
 }
@@ -30,7 +34,7 @@ impl fmt::Display for DecodeError {
             DecodeError::InvalidUtf8 => write!(f, "invalid utf-8 in string field"),
             DecodeError::UnknownAddrFamily(v) => write!(f, "unknown address family marker {v}"),
             DecodeError::UnknownState(v) => write!(f, "unknown member state {v}"),
-            DecodeError::TruncatedCompound => write!(f, "compound packet is truncated"),
+            DecodeError::NonCanonical => write!(f, "field is not in its canonical encoding"),
             DecodeError::TrailingBytes(n) => write!(f, "{n} trailing bytes after message"),
         }
     }
@@ -50,7 +54,7 @@ mod tests {
             DecodeError::InvalidUtf8,
             DecodeError::UnknownAddrFamily(7),
             DecodeError::UnknownState(5),
-            DecodeError::TruncatedCompound,
+            DecodeError::NonCanonical,
             DecodeError::TrailingBytes(3),
         ];
         for v in variants {

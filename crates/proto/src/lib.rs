@@ -72,6 +72,6 @@ pub const DEFAULT_PACKET_BUDGET: usize = 1400;
 
 /// Longest application metadata blob a member may carry, memberlist's
 /// `MetaMaxSize`. A node refuses a longer blob where it enters
-/// (`Input::UpdateMeta` in `lifeguard-core`), which is what keeps the
-/// codec's 16-bit blob length word from wrapping.
+/// (`Input::UpdateMeta` in `lifeguard-core`), well inside the `u16::MAX`
+/// bytes the codec's decoder accepts as a blob's length.
 pub const MAX_META_LEN: usize = 512;

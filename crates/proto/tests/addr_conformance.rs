@@ -74,9 +74,10 @@ proptest! {
         prop_assert_ne!(addr, NodeAddr::new(ip, port));
 
         // Through the codec: family byte 6, sixteen octets, same address
-        // back. (Ping layout: tag, seq, two 1-byte names, then the addr.)
+        // back. (Ping layout: tag, a one-byte varint seq, two 1-byte
+        // names each after a one-byte varint length, then the addr.)
         let bytes = codec::encode_message(&ping_to(addr));
-        let family_at = 1 + 4 + (2 + 1) + (2 + 1);
+        let family_at = 1 + 1 + (1 + 1) + (1 + 1);
         prop_assert_eq!(bytes.get(family_at).copied(), Some(6));
         prop_assert_eq!(bytes.len(), family_at + 1 + 16 + 2);
         match codec::decode_message(&bytes) {

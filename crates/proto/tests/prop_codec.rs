@@ -44,11 +44,39 @@ fn state_strategy() -> impl Strategy<Value = MemberState> {
     ]
 }
 
+/// The first and last value of every LEB128 width that the message
+/// fields reach: one byte up to 127, two up to 16 383, three up to
+/// 2²¹ - 1, five for `u32::MAX`, ten for `u64::MAX`.
+const VARINT_EDGES: [u64; 8] = [
+    0,
+    127,
+    128,
+    16_383,
+    16_384,
+    1 << 21,
+    u32::MAX as u64,
+    u64::MAX,
+];
+
+/// An incarnation or watermark: an edge of a varint width, or a value
+/// of a random width.
+fn varint_strategy() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        (0..VARINT_EDGES.len()).prop_map(|i| VARINT_EDGES[i]),
+        (any::<u64>(), 0u32..64).prop_map(|(v, shift)| v >> shift),
+    ]
+}
+
+/// A sequence number: the edges that fit a `u32`, or a random width.
+fn seq_strategy() -> impl Strategy<Value = SeqNo> {
+    varint_strategy().prop_map(|v| SeqNo(u32::try_from(v).unwrap_or(u32::MAX)))
+}
+
 fn push_state_strategy() -> impl Strategy<Value = PushNodeState> {
     (
         name_strategy(),
         addr_strategy(),
-        any::<u64>(),
+        varint_strategy(),
         state_strategy(),
         meta_strategy(),
     )
@@ -64,19 +92,19 @@ fn push_state_strategy() -> impl Strategy<Value = PushNodeState> {
 fn message_strategy() -> impl Strategy<Value = Message> {
     prop_oneof![
         (
-            any::<u32>(),
+            seq_strategy(),
             name_strategy(),
             name_strategy(),
             addr_strategy()
         )
             .prop_map(|(seq, target, source, source_addr)| Message::Ping(Ping {
-                seq: SeqNo(seq),
+                seq,
                 target,
                 source,
                 source_addr,
             })),
         (
-            any::<u32>(),
+            seq_strategy(),
             name_strategy(),
             addr_strategy(),
             any::<bool>(),
@@ -85,7 +113,7 @@ fn message_strategy() -> impl Strategy<Value = Message> {
         )
             .prop_map(|(seq, target, target_addr, nack, source, source_addr)| {
                 Message::IndirectPing(IndirectPing {
-                    seq: SeqNo(seq),
+                    seq,
                     target,
                     target_addr,
                     nack,
@@ -93,9 +121,9 @@ fn message_strategy() -> impl Strategy<Value = Message> {
                     source_addr,
                 })
             }),
-        any::<u32>().prop_map(|seq| Message::Ack(Ack { seq: SeqNo(seq) })),
-        any::<u32>().prop_map(|seq| Message::Nack(Nack { seq: SeqNo(seq) })),
-        (any::<u64>(), name_strategy(), name_strategy()).prop_map(|(inc, node, from)| {
+        seq_strategy().prop_map(|seq| Message::Ack(Ack { seq })),
+        seq_strategy().prop_map(|seq| Message::Nack(Nack { seq })),
+        (varint_strategy(), name_strategy(), name_strategy()).prop_map(|(inc, node, from)| {
             Message::Suspect(Suspect {
                 incarnation: Incarnation(inc),
                 node,
@@ -103,7 +131,7 @@ fn message_strategy() -> impl Strategy<Value = Message> {
             })
         }),
         (
-            any::<u64>(),
+            varint_strategy(),
             name_strategy(),
             addr_strategy(),
             meta_strategy()
@@ -114,7 +142,7 @@ fn message_strategy() -> impl Strategy<Value = Message> {
                 addr,
                 meta,
             })),
-        (any::<u64>(), name_strategy(), name_strategy()).prop_map(|(inc, node, from)| {
+        (varint_strategy(), name_strategy(), name_strategy()).prop_map(|(inc, node, from)| {
             Message::Dead(Dead {
                 incarnation: Incarnation(inc),
                 node,
@@ -135,7 +163,7 @@ fn message_strategy() -> impl Strategy<Value = Message> {
             name_strategy(),
             any::<u64>(),
             any::<u64>(),
-            (any::<u64>(), any::<u64>(), any::<bool>()),
+            (varint_strategy(), varint_strategy(), any::<bool>()),
             proptest::collection::vec(push_state_strategy(), 0..8)
         )
             .prop_map(|(from, epoch, since_epoch, (since, seq, reply), entries)| {
@@ -318,15 +346,42 @@ fn views_of_a_packet_with_the_most_parts() {
     );
 }
 
+/// Bytes of `v` as a LEB128 varint, counted the slow way.
+fn leb128_len(mut v: u64) -> usize {
+    let mut len = 1;
+    while v >= 0x80 {
+        v >>= 7;
+        len += 1;
+    }
+    len
+}
+
+/// The packet a builder makes of `msgs`: bare for one, compound framing
+/// for more.
+fn pack(msgs: &[Message]) -> Option<Vec<u8>> {
+    let mut builder = CompoundBuilder::new(usize::MAX);
+    for m in msgs {
+        assert!(builder.try_add_msg(m));
+    }
+    finish(&mut builder)
+}
+
+/// The views of `bytes` are the owned decoder's messages (or the same
+/// error), and if it decodes, the packet its messages make is `bytes`
+/// again.
+fn check_re_encodes(bytes: &[u8]) -> Result<(), String> {
+    prop_assert_eq!(through_views(bytes), through_owned(bytes));
+    if let Ok(msgs) = decode_packet(bytes) {
+        let again = pack(&msgs);
+        prop_assert_eq!(again.as_deref(), Some(bytes));
+    }
+    Ok(())
+}
+
 /// One bare message, or several in compound framing.
 fn packet_strategy() -> impl Strategy<Value = Vec<u8>> {
-    proptest::collection::vec(message_strategy(), 1..12).prop_map(|msgs| {
-        let mut builder = CompoundBuilder::new(usize::MAX);
-        for m in &msgs {
-            assert!(builder.try_add_msg(m));
-        }
-        finish(&mut builder).expect("non-empty")
-    })
+    proptest::collection::vec(message_strategy(), 1..12)
+        .prop_map(|msgs| pack(&msgs).expect("non-empty"))
 }
 
 proptest! {
@@ -354,9 +409,18 @@ proptest! {
         let bytes = codec::encode_message(&msg);
         let subject = msg.gossip_subject().map(|n| n.as_str().as_bytes());
         prop_assert_eq!(codec::gossip_subject(&bytes), subject);
-        if let Some(name) = subject {
-            let cut = 1 + 8 + 2 + name.len() - 1;
-            prop_assert_eq!(codec::gossip_subject(&bytes[..cut]), None);
+        let incarnation = match &msg {
+            Message::Suspect(s) => Some(s.incarnation),
+            Message::Alive(a) => Some(a.incarnation),
+            Message::Dead(d) => Some(d.incarnation),
+            _ => None,
+        };
+        if let (Some(name), Some(Incarnation(inc))) = (subject, incarnation) {
+            // The tag, the incarnation, the name's length and the name,
+            // less its last byte.
+            let end = 1 + leb128_len(inc) + leb128_len(name.len() as u64) + name.len();
+            prop_assert_eq!(bytes.get(end - name.len()..end), Some(name));
+            prop_assert_eq!(codec::gossip_subject(&bytes[..end - 1]), None);
         }
     }
 
@@ -495,6 +559,36 @@ proptest! {
             bytes[1] = parts;
         }
         prop_assert_eq!(through_views(&bytes), through_owned(&bytes));
+    }
+
+    /// The decoder accepts one encoding of each packet: whatever byte
+    /// string it accepts — a packet, a truncation of one, one with a
+    /// changed byte, arbitrary bytes with or without a compound header —
+    /// is the packet its messages make, byte for byte.
+    #[test]
+    fn accepted_bytes_re_encode_to_themselves(
+        packet in packet_strategy(),
+        flip in 1u8..=255,
+        noise in proptest::collection::vec(any::<u8>(), 0..64),
+        parts in 0u8..4,
+    ) {
+        check_re_encodes(&packet)?;
+        for cut in 0..packet.len() {
+            check_re_encodes(&packet[..cut])?;
+        }
+        let mut damaged = packet.clone();
+        for at in 0..packet.len() {
+            damaged[at] ^= flip;
+            check_re_encodes(&damaged)?;
+            damaged[at] = packet[at];
+        }
+        // Under a compound header of its own: a bare packet is one part
+        // (and a frame of fewer than two is no packet's encoding).
+        let header = [codec::COMPOUND_TAG, parts];
+        check_re_encodes(&header)?;
+        check_re_encodes(&[&header[..], &packet].concat())?;
+        check_re_encodes(&noise)?;
+        check_re_encodes(&[&header[..], &noise].concat())?;
     }
 
     /// Every truncation of a valid packet, and a changed byte at every

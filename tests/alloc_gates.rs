@@ -494,8 +494,9 @@ fn ipv6_costs_nothing_until_a_member_has_it() {
 /// Live bytes one queued broadcast may cost in a join storm: ≈ 1.1 ×
 /// the 88 B measured when the gate was set — a 24-byte slot, a 16-byte
 /// heap item, an 8-byte index bucket at load ≤ ¾ (16 B: 511 subjects in
-/// 1 024 buckets) and a 28-byte `alive` encoding in an arena that
-/// doubled to 16 KiB (32 B). A slot that held the subject's name cost
+/// 1 024 buckets) and a 19-byte `alive` encoding (28 B with fixed-width
+/// incarnation and lengths) in an arena that doubled to 16 KiB (32 B),
+/// so the shorter encodings left the figure at 88 B. A slot that held the subject's name cost
 /// 40 B and a `HashMap<NodeName, u32>` entry ≈ 42 B (138 B in all); a
 /// slot holding its decoded message and an encode buffer of its own,
 /// 226 B.
@@ -506,13 +507,14 @@ const META_BYTES: usize = 16;
 
 /// Live bytes one queued broadcast may cost after suspicion and
 /// refutation rounds over `alive`s carrying `META_BYTES` of metadata:
-/// ≈ 1.1 × the 163 B measured when the gate was set. The 44-byte
-/// encodings fill 22 KiB of arena; a compaction keeps room for twice the
-/// live bytes plus 2 KiB (92 B), and the heap room for twice its items
-/// (32 B), so that neither regrows before the next compaction. Before
-/// compaction gave capacity back, the arena kept the 64 KiB it grew to
-/// and the heap 2 048 items: 232 B.
-const BROADCAST_CHURN_BYTES_GATE: f64 = 180.0;
+/// ≈ 1.1 × the 145 B measured when the gate was set. The 35-byte
+/// encodings fill 18 KiB of arena; a compaction keeps room for twice the
+/// live bytes plus 2 KiB (74 B), and the heap room for twice its items
+/// (32 B), so that neither regrows before the next compaction. With
+/// fixed-width incarnations and lengths the encodings were 44 B and the
+/// figure 163 B; before compaction gave capacity back, the arena kept
+/// the 64 KiB it grew to and the heap 2 048 items: 232 B.
+const BROADCAST_CHURN_BYTES_GATE: f64 = 160.0;
 
 /// The `alive` about member `i` a join storm or a refutation queues.
 fn alive_of(i: usize, incarnation: u64, meta: Bytes) -> Message {
