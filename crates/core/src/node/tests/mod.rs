@@ -91,6 +91,279 @@ fn alive_message_adds_member() {
     assert!(n.pending_broadcasts() > 0);
 }
 
+/// The precedence table in docs/ARCHITECTURE.md ("Claims about a
+/// member"), read from there: each row's cells, backticks stripped.
+fn precedence_table() -> Vec<Vec<&'static str>> {
+    include_str!("../../../../../docs/ARCHITECTURE.md")
+        .lines()
+        .skip_while(|line| !line.starts_with("| # | held |"))
+        .skip(2)
+        .take_while(|line| line.starts_with('|'))
+        .map(|line| {
+            let cells = line.trim_matches('|').split('|');
+            cells.map(|c| c.trim().trim_matches('`')).collect()
+        })
+        .collect()
+}
+
+/// Whether a table cell such as `Suspect or Dead`, `known` or `any`
+/// names `value`.
+fn names(cell: &str, value: &str) -> bool {
+    let known = ["Alive", "Suspect", "Dead", "Left"].contains(&value);
+    cell == "any"
+        || cell
+            .split(" or ")
+            .any(|option| option == value || (option == "known" && known))
+}
+
+/// A fresh node holding `held` about its subject (`p`, or itself) at
+/// incarnation 5, reached through public inputs only.
+fn node_holding(held: &str) -> SwimNode {
+    let mut n = new_node(Config::lan().lifeguard());
+    let at = Time::from_secs(1);
+    let peer = |n: &mut SwimNode, msg: Message| feed(n, addr(2), msg, at);
+    let accused_by = |from: &str| {
+        Message::Dead(Dead {
+            incarnation: Incarnation(5),
+            node: "p".into(),
+            from: from.into(),
+        })
+    };
+    match held {
+        "unknown" => {}
+        "self" | "self (left)" => {
+            for _ in 0..5 {
+                input(&mut n, Input::UpdateMeta { meta: Bytes::new() }, at);
+            }
+            if held == "self (left)" {
+                input(&mut n, Input::Leave, at);
+            }
+        }
+        _ => {
+            peer(
+                &mut n,
+                Message::Alive(Alive {
+                    incarnation: Incarnation(5),
+                    node: "p".into(),
+                    addr: addr(2),
+                    meta: Bytes::new(),
+                }),
+            );
+            match held {
+                "Suspect" => peer(
+                    &mut n,
+                    Message::Suspect(Suspect {
+                        incarnation: Incarnation(5),
+                        node: "p".into(),
+                        from: "accuser".into(),
+                    }),
+                ),
+                "Dead" => peer(&mut n, accused_by("accuser")),
+                "Left" => peer(&mut n, accused_by("p")),
+                _ => Vec::new(),
+            };
+        }
+    }
+    n
+}
+
+/// The input that carries `claim` about `subject` at `incarnation`:
+/// gossip from the accuser `witness`, or one push-pull entry (a reply,
+/// so no reply of its own comes back).
+fn claim_input(subject: &str, claim: &str, incarnation: u64, carrier: &str) -> Input {
+    let (node, incarnation) = (NodeName::from(subject), Incarnation(incarnation));
+    let at = if subject == "local" { addr(1) } else { addr(2) };
+    if carrier == "push-pull" {
+        let state = match claim {
+            "alive" => MemberState::Alive,
+            "suspect" => MemberState::Suspect,
+            "dead" => MemberState::Dead,
+            _ => MemberState::Left,
+        };
+        let entry = PushNodeState {
+            name: node,
+            addr: at,
+            incarnation,
+            state,
+            meta: Bytes::new(),
+        };
+        let msg = Message::PushPull(PushPull {
+            join: false,
+            reply: true,
+            states: vec![entry],
+        });
+        return Input::Stream { from: addr(3), msg };
+    }
+    let from = NodeName::from(if claim == "leave" { subject } else { "witness" });
+    let msg = match claim {
+        "alive" => Message::Alive(Alive {
+            incarnation,
+            node,
+            addr: at,
+            meta: Bytes::new(),
+        }),
+        "suspect" => Message::Suspect(Suspect {
+            incarnation,
+            node,
+            from,
+        }),
+        _ => Message::Dead(Dead {
+            incarnation,
+            node,
+            from,
+        }),
+    };
+    let payload = lifeguard_proto::codec::encode_message(&msg);
+    Input::Datagram {
+        from: addr(3),
+        payload,
+    }
+}
+
+/// Every cell of the precedence table: each held state (reached at
+/// incarnation 5 on a fresh node) × each claim × an incarnation below,
+/// equal to and above the held one × both carriers. A cell matches
+/// exactly one row, and the node ends as that row says: the subject's
+/// record, `incarnation()`, `local_health()`, the events' kinds and
+/// the broadcast queued about the subject. An `ignore` produces no
+/// output at all, and the member count grows only by an admission.
+#[test]
+fn precedence_table_holds_cell_by_cell() {
+    let table = precedence_table();
+    let held_states = [
+        "unknown",
+        "Alive",
+        "Suspect",
+        "Dead",
+        "Left",
+        "self",
+        "self (left)",
+    ];
+    let mut cells = 0;
+    for held in held_states {
+        for claim in ["alive", "suspect", "dead", "leave"] {
+            for (inc, claimed) in [("<", 4), ("=", 5), (">", 6)] {
+                for carrier in ["datagram", "push-pull"] {
+                    if held == "self (left)" && carrier == "push-pull" {
+                        continue; // a node that has left drops streams
+                    }
+                    let cell = format!("{held} / {claim} / {inc} / {carrier}");
+                    let rows: Vec<_> = table
+                        .iter()
+                        .filter(|row| {
+                            names(row[1], held)
+                                && names(row[2], claim)
+                                && names(row[4], carrier)
+                                && match row[3] {
+                                    "≤" => inc != ">",
+                                    "≥" => inc != "<",
+                                    rel => names(rel, inc),
+                                }
+                        })
+                        .collect();
+                    let [row] = rows[..] else {
+                        panic!("{cell} matches {} rows of the table", rows.len());
+                    };
+                    check_cell(&cell, row, held, claim, claimed, carrier);
+                    cells += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(cells, 156);
+}
+
+/// Runs one cell and checks it against its `row`.
+fn check_cell(cell: &str, row: &[&str], held: &str, claim: &str, claimed: u64, carrier: &str) {
+    let subject = NodeName::from(if held.starts_with("self") { "local" } else { "p" });
+    let mut n = node_holding(held);
+    let record = |n: &SwimNode| n.member(&subject).map(|m| (m.state, m.incarnation));
+    let (record_before, queued_before) = (record(&n), n.queued_broadcast_for(&subject));
+    let (members_before, own_before) = (n.members().count(), n.incarnation());
+    let health_before = n.local_health();
+    let out = input(
+        &mut n,
+        claim_input(subject.as_str(), claim, claimed, carrier),
+        Time::from_secs(2),
+    );
+
+    let incarnation = |expr: &str| match expr {
+        "5" => Incarnation(5),
+        "claim" => Incarnation(claimed),
+        "claim+1" => Incarnation(claimed + 1),
+        other => panic!("{cell}: no incarnation `{other}`"),
+    };
+    let record_after = match row[6] {
+        "unchanged" => record_before,
+        "absent" => None,
+        after => {
+            let (state, inc) = after.split_once('@').expect("State@incarnation");
+            let state = [
+                MemberState::Alive,
+                MemberState::Suspect,
+                MemberState::Dead,
+                MemberState::Left,
+            ]
+            .into_iter()
+            .find(|s| format!("{s:?}") == state);
+            Some((state.expect("a member state"), incarnation(inc)))
+        }
+    };
+    assert_eq!(record(&n), record_after, "{cell}: the subject's record");
+    let own = match (subject.as_str(), record_after) {
+        ("local", Some((_, inc))) => inc,
+        _ => own_before,
+    };
+    assert_eq!(n.incarnation(), own, "{cell}: incarnation()");
+    let lhm = if row[7] == "+1" { 1 } else { 0 };
+    assert_eq!(n.local_health(), health_before + lhm, "{cell}: LHM");
+    let kinds: Vec<String> = events(&out)
+        .iter()
+        .map(|e| format!("{e:?}").split([' ', '{']).next().unwrap_or("").to_owned())
+        .collect();
+    let expected: Vec<&str> = row[8].split(", ").filter(|k| *k != "—").collect();
+    assert_eq!(kinds, expected, "{cell}: events");
+
+    let queued = match row[9] {
+        "unchanged" => queued_before,
+        spec => {
+            let (kind, by) = spec.split_once(" by ").unwrap_or((spec, ""));
+            let (kind, inc) = kind.split_once('@').expect("kind@incarnation");
+            let (node, incarnation) = (subject.clone(), incarnation(inc));
+            let from = NodeName::from(match by {
+                "subject" => subject.as_str(),
+                _ if carrier == "push-pull" => "local",
+                _ => "witness",
+            });
+            Some(match kind {
+                "alive" => Message::Alive(Alive {
+                    incarnation,
+                    node,
+                    addr: if held.starts_with("self") { addr(1) } else { addr(2) },
+                    meta: Bytes::new(),
+                }),
+                "suspect" => Message::Suspect(Suspect {
+                    incarnation,
+                    node,
+                    from,
+                }),
+                _ => Message::Dead(Dead {
+                    incarnation,
+                    node,
+                    from,
+                }),
+            })
+        }
+    };
+    assert_eq!(n.queued_broadcast_for(&subject), queued, "{cell}: queued");
+    if row[5] == "ignore" {
+        assert!(out.is_empty(), "{cell}: an ignored claim has no effect");
+    }
+    let admitted = usize::from(record_before.is_none() && record_after.is_some());
+    assert_eq!(n.members().count(), members_before + admitted, "{cell}: members");
+    n.check_invariants();
+}
+
 #[test]
 fn stale_alive_does_not_override_suspect() {
     let mut n = new_node(Config::lan());
