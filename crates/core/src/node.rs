@@ -14,9 +14,9 @@
 //! owns the state it touches — `Prober`, `Suspicions`, `AntiEntropy`,
 //! `Outbox`, `BlockedIo`, [`Awareness`]; docs/ARCHITECTURE.md has the
 //! owner map — and what the part returns is routed on. What a claim
-//! about a member does to the table (`apply_alive`, `apply_suspect`,
-//! `apply_dead`, `refute`, `merge_remote_state`) is decided here and
-//! nowhere else.
+//! about a member does to the table is decided here, by the one
+//! `match` in `SwimNode::apply`, and nowhere else: gossip, push-pull
+//! entries, failed probes and expired suspicions all go through it.
 
 use std::time::Duration;
 
@@ -646,30 +646,32 @@ impl SwimNode {
                 incarnation,
                 node,
                 from,
-            } => {
-                if node == self.name.as_str() {
-                    self.accused(incarnation, now);
-                } else if let Ok((id, _)) = self.membership.lookup(node) {
-                    self.apply_suspect(incarnation, id, from, now);
-                }
-            }
+            } => self.apply(
+                node,
+                MemberState::Suspect,
+                incarnation,
+                Some(from),
+                None,
+                now,
+            ),
             DatagramView::Alive {
                 incarnation,
                 node,
                 addr,
                 meta,
-            } => self.apply_alive(incarnation, node, addr, meta, now),
+            } => self.apply(
+                node,
+                MemberState::Alive,
+                incarnation,
+                None,
+                Some((addr, meta)),
+                now,
+            ),
             DatagramView::Dead {
                 incarnation,
                 node,
                 from,
-            } => {
-                if node == self.name.as_str() {
-                    self.accused(incarnation, now);
-                } else if let Ok((id, _)) = self.membership.lookup(node) {
-                    self.apply_dead(incarnation, id, from, now);
-                }
-            }
+            } => self.apply(node, MemberState::Dead, incarnation, Some(from), None, now),
         }
     }
 
@@ -717,121 +719,98 @@ impl SwimNode {
         }
     }
 
-    /// A `suspect` or `dead` about ourselves arrived by gossip.
-    fn accused(&mut self, incarnation: Incarnation, now: Time) {
-        // A node that has left stays gone: refuting would gossip an
-        // `Alive` that peers holding it as `Left` accept as a rejoin.
-        if !self.left {
-            self.refute(incarnation, now);
-        }
-    }
-
-    /// Processes a suspicion about the peer behind `id`, whether it
-    /// arrived by gossip, by push-pull merge, or was raised by our own
-    /// failed probe (memberlist's `suspectNode`). A suspicion about an
-    /// already-suspected member counts as an independent confirmation.
-    /// The precedence rules for `suspect` live here and nowhere else.
+    /// A claim about the member `node`: the one place the precedence
+    /// rules decide (SWIM §4.2, Lifeguard §IV). Each arm of the `match`
+    /// is a row of the table in docs/ARCHITECTURE.md ("Claims about a
+    /// member") and calls one effect. `claim` is the state asserted; a
+    /// `Dead` whose accuser is its subject is a leave. `from` is the
+    /// accuser, `None` for this node; `reach` is the subject's address
+    /// and metadata where the carrier has them, and only a claim that
+    /// carries them admits an unknown member.
     ///
-    /// `from` is the accuser's name as the caller holds it — packet
-    /// bytes on the datagram path. It becomes an owned name only when
-    /// the suspicion changes state (a new suspicion, or one of the first
-    /// K new confirmers): a stale or superseded suspicion, and a repeat
-    /// confirmation, touch no name and allocate nothing.
-    fn apply_suspect(&mut self, incarnation: Incarnation, id: MemberId, from: &str, now: Time) {
-        let Some(member) = self.membership.by_id(id) else {
-            return;
-        };
-        if incarnation < member.incarnation {
-            return; // stale
-        }
-        match member.state {
-            MemberState::Dead | MemberState::Left => {}
-            MemberState::Suspect => {
-                let (members, timers) = (&self.membership, &mut self.timers);
-                let Some(regossip) =
-                    self.suspicions
-                        .confirm(id, incarnation, from, members, timers)
-                else {
-                    return;
-                };
-                if let Some(from) = regossip {
-                    // The enqueue resets the transmit budget, giving
-                    // (K+1)·λ·log n max copies.
-                    self.outbox.broadcasts.enqueue(Message::Suspect(Suspect {
-                        incarnation,
-                        node: member.name.clone(),
-                        from,
-                    }));
-                }
-                // The record changes only at a higher incarnation; a
-                // confirmation at the held one must not rewrite it.
-                if incarnation > member.incarnation {
-                    self.membership
-                        .update_id(id, |m| m.incarnation = incarnation);
+    /// `node`, `from` and the metadata are borrowed from whatever
+    /// carried them — on the datagram path, the packet. The subject is
+    /// resolved once, by one index probe; a claim that changes nothing
+    /// (stale, repeated, about a member already gone) stops at an
+    /// integer comparison, touches no name and allocates nothing.
+    fn apply(
+        &mut self,
+        node: &str,
+        claim: MemberState,
+        incarnation: Incarnation,
+        from: Option<&str>,
+        reach: Option<(NodeAddr, &[u8])>,
+        now: Time,
+    ) {
+        use MemberState::{Alive, Dead, Suspect};
+        // `None`: the claim is about this node.
+        let subject = (node != self.name.as_str()).then(|| {
+            let found = self.membership.lookup(node);
+            found.map(|(id, m)| (id, m.state, m.incarnation))
+        });
+        // The arms, in order, are rows 1, 2, 3–4, 5–6, 7–8, 10–12, 9,
+        // 13, 14–15, 16–17, 18–19 and 20 of the table.
+        match (subject, claim, reach) {
+            // Our own incarnation is authoritative; a node that has left
+            // stays gone, since its refutation would be a rejoin.
+            (None, Alive, _) => {}
+            (None, _, _) if self.left => {}
+            (None, _, _) => self.refute(incarnation, now),
+            (Some(Err(vacant)), _, Some((addr, meta))) => {
+                let id = self.admit_member(vacant, incarnation, node, addr, meta, now);
+                if claim != Alive {
+                    self.start_suspicion(id, incarnation, from, now);
                 }
             }
-            MemberState::Alive => {
+            (Some(Err(_)), _, None) => {}
+            // An alive overrides only at a strictly higher incarnation.
+            (Some(Ok((id, _, held))), Alive, Some((addr, meta))) if incarnation > held => {
+                self.revive(id, incarnation, addr, meta, now);
+            }
+            (Some(Ok(_)), Alive, _) => {}
+            (Some(Ok((_, _, held))), _, _) if incarnation < held => {}
+            (Some(Ok((id, Alive, _))), Suspect, _) => {
                 self.start_suspicion(id, incarnation, from, now);
             }
+            (Some(Ok((id, Suspect, held))), Suspect, _) => {
+                self.confirm(id, incarnation, held, from);
+            }
+            (Some(Ok((id, Alive | Suspect, _))), Dead, _) => {
+                self.declare(id, incarnation, from, now);
+            }
+            // Dead and left members take nothing but a newer alive.
+            (Some(Ok(_)), _, _) => {}
         }
     }
 
-    /// An `alive` claim about `node`, from gossip or a push-pull merge;
-    /// the precedence rules for `alive` live here and nowhere else.
-    /// `node` and `meta` are borrowed from whatever carried them (on
-    /// the datagram path, the packet), and the name index is probed
-    /// once.
-    ///
-    /// Allocation discipline: a *genuinely new* member costs one meta
-    /// copy when it has metadata (membership records are long-lived, so
-    /// a compact copy is stored, never a slice of a receive buffer), and
-    /// its name when that is too long to be inline. An *accepted* update
-    /// to a known member reuses the stored name and — when the metadata
-    /// is unchanged, the steady-state case — the stored meta `Bytes`
-    /// too, so it performs no allocation at all. Stale duplicates return
-    /// without touching anything.
-    fn apply_alive(
+    /// An `alive` above the held incarnation: the member behind `id` is
+    /// alive at `incarnation`, `addr` and `meta` — refuted if it was
+    /// suspect, back if it was dead or had left. The stored name is
+    /// reused, and so is the stored metadata when it is unchanged (the
+    /// steady-state case), so an update allocates nothing.
+    fn revive(
         &mut self,
+        id: MemberId,
         incarnation: Incarnation,
-        node: &str,
         addr: NodeAddr,
         meta: &[u8],
         now: Time,
     ) {
-        if node == self.name.as_str() {
-            // Someone is echoing our own alive message, or a name
-            // conflict. Nothing to do: our own incarnation is
-            // authoritative.
+        let Some(member) = self.membership.by_id(id) else {
             return;
-        }
-        let (id, member) = match self.membership.lookup(node) {
-            Ok(found) => found,
-            Err(vacant) => {
-                self.admit_member(vacant, incarnation, node, addr, meta, now);
-                return;
-            }
         };
-        // An alive message only overrides suspect/dead at a strictly
-        // higher incarnation (SWIM §4.2).
-        if incarnation <= member.incarnation {
-            return;
-        }
-        let old_state = member.state;
-        // Reuse the stored name/meta instead of copying the borrowed
-        // ones.
-        let name = member.name.clone();
+        let (old_state, name) = (member.state, member.name.clone());
         let meta = if member.meta.as_ref() == meta {
             member.meta.clone()
         } else {
             Bytes::copy_from_slice(meta)
         };
-        let updated = self.membership.update_id(id, |m| {
+        self.membership.update_id(id, |m| {
             m.incarnation = incarnation;
             m.addr = addr;
             m.meta = meta.clone();
             m.set_state(MemberState::Alive, now);
         });
-        debug_assert!(updated.is_some(), "member present");
         // Refuted: the pending expiry is truly cancelled.
         self.end_suspicion(id, now);
         self.outbox
@@ -850,7 +829,10 @@ impl SwimNode {
     /// The member `node`, which [`Membership::lookup`] just found absent,
     /// joins alive at `incarnation`: it goes into the table under the id
     /// that lookup's probe earned, into the probe rotation and, as an
-    /// `alive`, into the broadcast queue. Returns its id.
+    /// `alive`, into the broadcast queue. A new member costs one meta
+    /// copy when it has metadata (a compact copy, never a slice of a
+    /// receive buffer), and its name when that is too long to be inline.
+    /// Returns its id.
     fn admit_member(
         &mut self,
         vacant: Vacant,
@@ -873,72 +855,25 @@ impl SwimNode {
         id
     }
 
-    /// A `dead` claim about the peer behind `id` — a failure declared
-    /// by `from`, or a graceful leave when `from` names the peer itself
-    /// — from gossip or a push-pull `Left` entry. The precedence rules
-    /// for `dead` live here and nowhere else: a claim at a stale
-    /// incarnation, or about a member already gone, changes nothing and
-    /// touches no name. Returns whether the member's state changed.
-    fn apply_dead(
+    /// Marks the alive member behind `id` suspect at `incarnation` and
+    /// arms the (possibly dynamic) suspicion timer. This changes state,
+    /// so the names become owned here: the subject's is the stored one,
+    /// the accuser's too when it is a known member (this node, for
+    /// `None`) — copies, or reference-count bumps for long names — and a
+    /// fresh name only for an accuser this node has never seen.
+    fn start_suspicion(
         &mut self,
-        incarnation: Incarnation,
         id: MemberId,
-        from: &str,
+        incarnation: Incarnation,
+        from: Option<&str>,
         now: Time,
-    ) -> bool {
-        let Some(member) = self.membership.by_id(id) else {
-            return false;
-        };
-        let gone = matches!(member.state, MemberState::Dead | MemberState::Left);
-        if incarnation < member.incarnation || gone {
-            return false;
-        }
-        let node = member.name.clone();
-        let is_leave = from == node.as_str();
-        let (from, state) = if is_leave {
-            (node.clone(), MemberState::Left)
-        } else {
-            (self.membership.owned_name(from), MemberState::Dead)
-        };
-        let updated = self.membership.update_id(id, |m| {
-            m.incarnation = incarnation;
-            m.set_state(state, now);
-        });
-        debug_assert!(updated.is_some(), "member present");
-        self.end_suspicion(id, now);
-        self.outbox.broadcasts.enqueue(Message::Dead(Dead {
-            incarnation,
-            node: node.clone(),
-            from: from.clone(),
-        }));
-        self.outbox.event(if is_leave {
-            Event::MemberLeft { name: node }
-        } else {
-            Event::MemberFailed {
-                name: node,
-                incarnation,
-                from,
-            }
-        });
-        true
-    }
-
-    /// Marks the member behind `id` suspect and arms the (possibly
-    /// dynamic) suspicion timer. `from` is the accuser (ourselves on
-    /// probe failure). This changes state, so the names become owned
-    /// here: the subject's is the stored one, the accuser's too when it
-    /// is a known member — copies, or reference-count bumps for long
-    /// names — and a fresh name only for an accuser this node has never
-    /// seen.
-    fn start_suspicion(&mut self, id: MemberId, incarnation: Incarnation, from: &str, now: Time) {
-        let Some(member) = self.membership.by_id(id) else {
+    ) {
+        let Some(node) = self.membership.by_id(id).map(|m| m.name.clone()) else {
             return;
         };
-        if !matches!(member.state, MemberState::Alive) {
-            return;
-        }
-        let node = member.name.clone();
-        let from = self.membership.owned_name(from);
+        let from = self
+            .membership
+            .owned_name(from.unwrap_or(self.name.as_str()));
         let n = self.membership.live_count();
         let min = self.config.suspicion_min(n);
         let max = self.config.suspicion_max(n);
@@ -957,6 +892,79 @@ impl SwimNode {
         }));
         self.outbox
             .event(Event::MemberSuspected { name: node, from });
+    }
+
+    /// A further suspicion about the suspect member behind `id`, held at
+    /// `held`: an independent confirmation (paper §IV-B). One of the
+    /// first K new accusers is re-gossiped — the enqueue resets the
+    /// transmit budget, giving (K+1)·λ·log n copies at most — and a
+    /// higher incarnation is taken into the record; a repeat touches no
+    /// name and allocates nothing.
+    fn confirm(
+        &mut self,
+        id: MemberId,
+        incarnation: Incarnation,
+        held: Incarnation,
+        from: Option<&str>,
+    ) {
+        let from = from.unwrap_or(self.name.as_str());
+        let (members, timers) = (&self.membership, &mut self.timers);
+        let regossip = self
+            .suspicions
+            .confirm(id, incarnation, from, members, timers);
+        if let (Some(from), Some(member)) = (regossip.flatten(), self.membership.by_id(id)) {
+            self.outbox.broadcasts.enqueue(Message::Suspect(Suspect {
+                incarnation,
+                node: member.name.clone(),
+                from,
+            }));
+        }
+        // A confirmation at the held incarnation must not rewrite the
+        // record.
+        if incarnation > held {
+            self.membership
+                .update_id(id, |m| m.incarnation = incarnation);
+        }
+    }
+
+    /// The live member behind `id` is dead at `incarnation`: a failure
+    /// declared by `from` — this node, for `None`, when its suspicion
+    /// expired — or a graceful leave when `from` is the member itself.
+    fn declare(&mut self, id: MemberId, incarnation: Incarnation, from: Option<&str>, now: Time) {
+        let Some(node) = self.membership.by_id(id).map(|m| m.name.clone()) else {
+            return;
+        };
+        let leave = from == Some(node.as_str());
+        if from.is_none() {
+            self.metrics.failures_declared += 1;
+        }
+        let (from, state) = if leave {
+            (node.clone(), MemberState::Left)
+        } else {
+            let from = self
+                .membership
+                .owned_name(from.unwrap_or(self.name.as_str()));
+            (from, MemberState::Dead)
+        };
+        self.membership.update_id(id, |m| {
+            m.incarnation = incarnation;
+            m.set_state(state, now);
+        });
+        self.end_suspicion(id, now);
+        self.outbox.broadcasts.enqueue(Message::Dead(Dead {
+            incarnation,
+            node: node.clone(),
+            from: from.clone(),
+        }));
+        self.outbox.event(if leave {
+            Event::MemberLeft { name: node }
+        } else {
+            Event::MemberFailed {
+                name: node,
+                incarnation,
+                from,
+            }
+        });
     }
 
     fn end_suspicion(&mut self, id: MemberId, now: Time) -> Option<Suspicion> {
@@ -995,48 +1003,23 @@ impl SwimNode {
         });
     }
 
-    /// Merges a remote membership table (push-pull). Remote `dead` claims
-    /// are downgraded to suspicions so the victim can refute (memberlist
-    /// behaviour); `left` is authoritative.
-    ///
-    /// Each entry goes through the handler its claim would have reached
-    /// as gossip — `apply_alive`, `apply_suspect`, `apply_dead` — so an
-    /// entry that cannot survive the merge (stale incarnation, or a
-    /// state the local record already supersedes) is dropped there,
-    /// before any name/meta clone or message construction. In
-    /// steady-state anti-entropy almost every entry is such a no-op, so
-    /// the merge allocates only for actual changes.
+    /// Merges a remote membership table (push-pull): each entry is a
+    /// claim through [`SwimNode::apply`], with the entry's address. A
+    /// remote `dead` is downgraded to a suspicion by this node, so the
+    /// victim can refute (memberlist behaviour); `left` is a leave by
+    /// the subject, which carries no address, so it cannot admit a
+    /// member this node never knew. In steady-state anti-entropy almost
+    /// every entry changes nothing, so the merge allocates only for
+    /// actual changes.
     fn merge_remote_state(&mut self, states: &[PushNodeState], now: Time) {
-        let me = self.name.clone();
         for st in states {
-            match st.state {
-                MemberState::Alive => {
-                    self.apply_alive(st.incarnation, st.name.as_str(), st.addr, &st.meta, now);
-                }
-                MemberState::Suspect | MemberState::Dead => {
-                    if st.name == self.name {
-                        self.refute(st.incarnation, now);
-                        continue;
-                    }
-                    // Learn the member first if unknown (a suspect entry
-                    // still carries a usable address).
-                    let id = match self.membership.lookup(st.name.as_str()) {
-                        Ok((id, _)) => id,
-                        Err(vacant) => {
-                            let (name, meta) = (st.name.as_str(), &st.meta);
-                            self.admit_member(vacant, st.incarnation, name, st.addr, meta, now)
-                        }
-                    };
-                    self.apply_suspect(st.incarnation, id, me.as_str(), now);
-                }
-                MemberState::Left => {
-                    if st.name == self.name {
-                        self.accused(st.incarnation, now);
-                    } else if let Some(id) = self.membership.id_of(&st.name) {
-                        self.apply_dead(st.incarnation, id, st.name.as_str(), now);
-                    }
-                }
-            }
+            let (node, reach) = (st.name.as_str(), Some((st.addr, &st.meta[..])));
+            let (claim, from, reach) = match st.state {
+                MemberState::Alive => (MemberState::Alive, None, reach),
+                MemberState::Suspect | MemberState::Dead => (MemberState::Suspect, None, reach),
+                MemberState::Left => (MemberState::Dead, Some(node), None),
+            };
+            self.apply(node, claim, st.incarnation, from, reach, now);
         }
     }
 
@@ -1208,24 +1191,21 @@ impl SwimNode {
             Some(missed) => missed as i32 * awareness::MISSED_NACK_DELTA,
             None => awareness::PROBE_FAILED_DELTA,
         });
-        // A target reaped while its probe was in flight is nobody's
+        // Routed like a gossiped suspicion, at the incarnation held: if
+        // the target is already suspect, our failed probe is an
+        // independent confirmation (re-gossiped under LHA-Suspicion). A
+        // target reaped while its probe was in flight is nobody's
         // suspect.
-        let Ok((target_id, member)) = self.membership.lookup(target.as_str()) else {
-            return;
-        };
-        let incarnation = member.incarnation;
-        // Routed through the same path as gossiped suspicions: if the
-        // target is already suspect, our failed probe is an independent
-        // confirmation (and is re-gossiped under LHA-Suspicion).
-        let me = self.name.clone();
-        self.apply_suspect(incarnation, target_id, me.as_str(), now);
+        if let Some(held) = self.membership.get(&target).map(|m| m.incarnation) {
+            self.apply(target.as_str(), MemberState::Suspect, held, None, None, now);
+        }
     }
 
-    /// The suspicion deadline was reached: declare the failure, by the
-    /// rule any `dead` claim goes through — ours, at the incarnation the
-    /// suspicion holds. A fire always means the *current* deadline truly
-    /// expired (see `Suspicions`); there is no re-arm path and no
-    /// fire-time staleness check.
+    /// The suspicion deadline was reached: declare the failure, as a
+    /// `dead` claim by this node at the incarnation the suspicion holds.
+    /// A fire always means the *current* deadline truly expired (see
+    /// `Suspicions`); there is no re-arm path and no fire-time staleness
+    /// check.
     fn suspicion_check(&mut self, id: MemberId, now: Time) {
         let Some(sus) = self.end_suspicion(id, now) else {
             debug_assert!(false, "stale suspicion timer reached its handler");
@@ -1235,9 +1215,15 @@ impl SwimNode {
             now >= sus.deadline(),
             "suspicion timer fired before its deadline"
         );
-        let me = self.name.clone();
-        if self.apply_dead(sus.incarnation(), id, me.as_str(), now) {
-            self.metrics.failures_declared += 1;
+        if let Some(node) = self.membership.by_id(id).map(|m| m.name.clone()) {
+            self.apply(
+                node.as_str(),
+                MemberState::Dead,
+                sus.incarnation(),
+                None,
+                None,
+                now,
+            );
         }
     }
 

@@ -121,7 +121,6 @@ fn names(cell: &str, value: &str) -> bool {
 fn node_holding(held: &str) -> SwimNode {
     let mut n = new_node(Config::lan().lifeguard());
     let at = Time::from_secs(1);
-    let peer = |n: &mut SwimNode, msg: Message| feed(n, addr(2), msg, at);
     let accused_by = |from: &str| {
         Message::Dead(Dead {
             incarnation: Incarnation(5),
@@ -140,28 +139,25 @@ fn node_holding(held: &str) -> SwimNode {
             }
         }
         _ => {
-            peer(
-                &mut n,
-                Message::Alive(Alive {
+            let alive = Message::Alive(Alive {
+                incarnation: Incarnation(5),
+                node: "p".into(),
+                addr: addr(2),
+                meta: Bytes::new(),
+            });
+            let then = match held {
+                "Suspect" => Some(Message::Suspect(Suspect {
                     incarnation: Incarnation(5),
                     node: "p".into(),
-                    addr: addr(2),
-                    meta: Bytes::new(),
-                }),
-            );
-            match held {
-                "Suspect" => peer(
-                    &mut n,
-                    Message::Suspect(Suspect {
-                        incarnation: Incarnation(5),
-                        node: "p".into(),
-                        from: "accuser".into(),
-                    }),
-                ),
-                "Dead" => peer(&mut n, accused_by("accuser")),
-                "Left" => peer(&mut n, accused_by("p")),
-                _ => Vec::new(),
+                    from: "accuser".into(),
+                })),
+                "Dead" => Some(accused_by("accuser")),
+                "Left" => Some(accused_by("p")),
+                _ => None,
             };
+            for msg in std::iter::once(alive).chain(then) {
+                feed(&mut n, addr(2), msg, at);
+            }
         }
     }
     n
@@ -275,7 +271,10 @@ fn precedence_table_holds_cell_by_cell() {
 
 /// Runs one cell and checks it against its `row`.
 fn check_cell(cell: &str, row: &[&str], held: &str, claim: &str, claimed: u64, carrier: &str) {
-    let subject = NodeName::from(if held.starts_with("self") { "local" } else { "p" });
+    let (subject, at) = match held {
+        "self" | "self (left)" => (NodeName::from("local"), addr(1)),
+        _ => (NodeName::from("p"), addr(2)),
+    };
     let mut n = node_holding(held);
     let record = |n: &SwimNode| n.member(&subject).map(|m| (m.state, m.incarnation));
     let (record_before, queued_before) = (record(&n), n.queued_broadcast_for(&subject));
@@ -315,11 +314,21 @@ fn check_cell(cell: &str, row: &[&str], held: &str, claim: &str, claimed: u64, c
         _ => own_before,
     };
     assert_eq!(n.incarnation(), own, "{cell}: incarnation()");
-    let lhm = if row[7] == "+1" { 1 } else { 0 };
+    let lhm = match row[7] {
+        "—" => 0,
+        "+1" => 1,
+        other => panic!("{cell}: no LHM change `{other}`"),
+    };
     assert_eq!(n.local_health(), health_before + lhm, "{cell}: LHM");
     let kinds: Vec<String> = events(&out)
         .iter()
-        .map(|e| format!("{e:?}").split([' ', '{']).next().unwrap_or("").to_owned())
+        .map(|e| {
+            format!("{e:?}")
+                .split([' ', '{'])
+                .next()
+                .unwrap_or_default()
+                .to_owned()
+        })
         .collect();
     let expected: Vec<&str> = row[8].split(", ").filter(|k| *k != "—").collect();
     assert_eq!(kinds, expected, "{cell}: events");
@@ -339,7 +348,7 @@ fn check_cell(cell: &str, row: &[&str], held: &str, claim: &str, claimed: u64, c
                 "alive" => Message::Alive(Alive {
                     incarnation,
                     node,
-                    addr: if held.starts_with("self") { addr(1) } else { addr(2) },
+                    addr: at,
                     meta: Bytes::new(),
                 }),
                 "suspect" => Message::Suspect(Suspect {
@@ -347,11 +356,12 @@ fn check_cell(cell: &str, row: &[&str], held: &str, claim: &str, claimed: u64, c
                     node,
                     from,
                 }),
-                _ => Message::Dead(Dead {
+                "dead" => Message::Dead(Dead {
                     incarnation,
                     node,
                     from,
                 }),
+                other => panic!("{cell}: no broadcast `{other}`"),
             })
         }
     };
@@ -360,7 +370,11 @@ fn check_cell(cell: &str, row: &[&str], held: &str, claim: &str, claimed: u64, c
         assert!(out.is_empty(), "{cell}: an ignored claim has no effect");
     }
     let admitted = usize::from(record_before.is_none() && record_after.is_some());
-    assert_eq!(n.members().count(), members_before + admitted, "{cell}: members");
+    assert_eq!(
+        n.members().count(),
+        members_before + admitted,
+        "{cell}: members"
+    );
     n.check_invariants();
 }
 
@@ -438,25 +452,6 @@ fn suspect_about_self_is_refuted() {
     assert_eq!(n.local_health(), health_before + 1);
     // An alive broadcast is queued.
     assert!(n.pending_broadcasts() > 0);
-}
-
-#[test]
-fn dead_about_self_is_refuted() {
-    let mut n = new_node(Config::lan());
-    let out = feed(
-        &mut n,
-        addr(2),
-        Message::Dead(Dead {
-            incarnation: Incarnation(3),
-            node: "local".into(),
-            from: "accuser".into(),
-        }),
-        Time::from_secs(1),
-    );
-    assert_eq!(n.incarnation(), Incarnation(4));
-    assert!(events(&out)
-        .iter()
-        .any(|e| matches!(e, Event::SelfRefuted { .. })));
 }
 
 #[test]
@@ -846,26 +841,6 @@ fn left_node_does_not_refute_a_suspicion_about_itself() {
     // `Dead`, if it is still being gossiped.
     assert!(!matches!(queued, Some(Message::Alive(_))));
     assert_eq!(n.queued_broadcast_for(&"local".into()), queued);
-}
-
-#[test]
-fn peer_leave_emits_member_left() {
-    let mut n = new_node(Config::lan());
-    add_peer(&mut n, "p", 2, Time::from_secs(1));
-    let out = feed(
-        &mut n,
-        addr(2),
-        Message::Dead(Dead {
-            incarnation: Incarnation(1),
-            node: "p".into(),
-            from: "p".into(),
-        }),
-        Time::from_secs(2),
-    );
-    assert!(events(&out)
-        .iter()
-        .any(|e| matches!(e, Event::MemberLeft { .. })));
-    assert_eq!(n.member(&"p".into()).unwrap().state, MemberState::Left);
 }
 
 #[test]
@@ -1312,61 +1287,6 @@ fn post_leave_stream_messages_are_dropped() {
     );
     assert!(out.is_empty(), "a left node must not answer push-pull");
     assert!(n.member(&"ghost".into()).is_none());
-}
-
-/// Regression: a remote `Left` entry about a member we never knew
-/// must be dropped, not resurrected through the learn-then-apply
-/// path `Suspect`/`Dead` entries use.
-#[test]
-fn remote_left_entry_for_unknown_member_is_not_resurrected() {
-    let mut n = new_node(Config::lan());
-    let out = feed_stream(
-        &mut n,
-        addr(9),
-        Message::PushPull(PushPull {
-            join: false,
-            reply: true, // response half: no counter-reply expected
-            states: vec![PushNodeState {
-                name: "ghost".into(),
-                addr: addr(7),
-                incarnation: Incarnation(5),
-                state: MemberState::Left,
-                meta: Bytes::new(),
-            }],
-        }),
-        Time::from_secs(1),
-    );
-    assert!(
-        out.is_empty(),
-        "a left-unknown entry must produce no effects"
-    );
-    assert!(
-        n.member(&"ghost".into()).is_none(),
-        "member must not be learned"
-    );
-    assert!(
-        n.queued_broadcast_for(&"ghost".into()).is_none(),
-        "nothing about the ghost may be gossiped"
-    );
-    // Contrast: a Suspect entry for an unknown member *is* learned
-    // (memberlist behaviour), pinning that the two paths differ.
-    feed_stream(
-        &mut n,
-        addr(9),
-        Message::PushPull(PushPull {
-            join: false,
-            reply: true,
-            states: vec![PushNodeState {
-                name: "sus".into(),
-                addr: addr(8),
-                incarnation: Incarnation(1),
-                state: MemberState::Suspect,
-                meta: Bytes::new(),
-            }],
-        }),
-        Time::from_secs(1),
-    );
-    assert_eq!(n.member(&"sus".into()).unwrap().state, MemberState::Suspect);
 }
 
 /// A delta arriving by datagram is dropped like a full push-pull.

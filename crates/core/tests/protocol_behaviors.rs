@@ -12,9 +12,7 @@ use lifeguard_core::config::Config;
 use lifeguard_core::driver::OwnedOutput;
 use lifeguard_core::node::{Input, SwimNode};
 use lifeguard_core::time::Time;
-use lifeguard_proto::{
-    compound, Ack, Alive, Dead, Incarnation, MemberState, Message, PushPull, Suspect,
-};
+use lifeguard_proto::{compound, Ack, Alive, Dead, Incarnation, MemberState, Message, PushPull};
 
 #[test]
 fn push_pull_reply_contains_full_table_including_dead() {
@@ -255,36 +253,6 @@ fn indirect_probe_roundtrip_between_nodes() {
     assert!(msgs
         .iter()
         .any(|m| matches!(m, Message::Ack(a) if a.seq == lifeguard_proto::SeqNo(77))));
-}
-
-/// A suspect about an unknown member is ignored; a dead about an
-/// unknown member is ignored (no panic, no phantom records).
-#[test]
-fn gossip_about_unknown_members_is_ignored() {
-    let mut n = new_node(Config::lan());
-    let before = n.members().count();
-    feed(
-        &mut n,
-        addr(2),
-        Message::Suspect(Suspect {
-            incarnation: Incarnation(5),
-            node: "ghost".into(),
-            from: "accuser".into(),
-        }),
-        Time::from_secs(1),
-    );
-    feed(
-        &mut n,
-        addr(2),
-        Message::Dead(Dead {
-            incarnation: Incarnation(5),
-            node: "ghost".into(),
-            from: "accuser".into(),
-        }),
-        Time::from_secs(1),
-    );
-    assert_eq!(n.members().count(), before);
-    assert!(n.member(&"ghost".into()).is_none());
 }
 
 /// Left nodes do not probe, gossip or push-pull.

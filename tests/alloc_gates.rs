@@ -254,6 +254,12 @@ fn ping(seq: u32, target: &str) -> Bytes {
 /// buffer, subject index entry, the event — reuses warmed-up capacity.
 const FRESH_SUSPECT_ALLOCS: u64 = 1;
 
+/// What the first new confirmer of a suspicion allocates: the confirmer
+/// vector, created holding only the accuser, grows once, to room for
+/// the K + 1 names it can ever hold. Its re-gossiped `suspect`
+/// overwrites the queued one in place.
+const FIRST_CONFIRMER_ALLOCS: u64 = 1;
+
 /// The receive path on the warmed-up 1000-member node. Before this gate
 /// every name-carrying message cost an allocation per name and every
 /// packet a `Vec<Message>`, before the first incarnation comparison could
@@ -372,6 +378,41 @@ fn receive_path_allocates_only_for_state_changes() {
     assert_eq!(
         allocs, FRESH_SUSPECT_ALLOCS,
         "a fresh suspicion allocates exactly what its comment names"
+    );
+
+    // Confirmations of that suspicion (paper §IV-B), a quarter of the
+    // claims `anomaly-128` handles, mostly repeats. Each returns the
+    // allocations and the accuser of the `suspect` queued afterwards.
+    let confirm = |node: &mut SwimNode, from: &str| {
+        let payload = codec::encode_message(&suspect("peer-7", from, 0));
+        let (allocs, _) = receive(node, payload, now);
+        match node.queued_broadcast_for(&"peer-7".into()) {
+            Some(Message::Suspect(s)) => (allocs, s.from.as_str().to_owned()),
+            other => panic!("a suspect about peer-7 stays queued, found {other:?}"),
+        }
+    };
+    let (allocs, queued) = confirm(&mut node, "peer-8");
+    eprintln!("receive: {allocs} allocations for a repeat by the accuser");
+    assert_eq!((allocs, queued.as_str()), (0, "peer-8"));
+    let (allocs, queued) = confirm(&mut node, "peer-9");
+    eprintln!("receive: {allocs} allocations for the first new confirmer");
+    assert_eq!(queued, "peer-9", "a new confirmer is re-gossiped");
+    assert_eq!(
+        allocs, FIRST_CONFIRMER_ALLOCS,
+        "a first confirmation allocates exactly what its comment names"
+    );
+    let (allocs, queued) = confirm(&mut node, "peer-9");
+    eprintln!("receive: {allocs} allocations for a repeat by a counted confirmer");
+    assert_eq!((allocs, queued.as_str()), (0, "peer-9"));
+    for from in ["peer-10", "peer-11"] {
+        confirm(&mut node, from);
+    }
+    let (allocs, queued) = confirm(&mut node, "peer-12");
+    eprintln!("receive: {allocs} allocations for a new confirmer past K");
+    assert_eq!(
+        (allocs, queued.as_str()),
+        (0, "peer-11"),
+        "a confirmer past K is neither counted nor re-gossiped, and allocates nothing"
     );
 }
 
