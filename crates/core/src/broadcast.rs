@@ -36,6 +36,11 @@
 //!   O(selected + skipped) work per packet instead of sorting all n
 //!   queued broadcasts; a running lower bound of the smallest encoded
 //!   message lets it stop as soon as nothing else can fit.
+//! * [`BroadcastQueue::fill_fanout`] is one fill per gossip target, as
+//!   memberlist's per-target `getBroadcasts`, so a broadcast is sent
+//!   exactly its limit. What one target's fill took waits beside the
+//!   heap, in order, for the next, so a fan-out pops each broadcast
+//!   once.
 //!
 //! # One byte arena
 //!
@@ -166,9 +171,20 @@ pub struct BroadcastQueue {
     /// Selection order with lazy deletion.
     // bounded: ≤ `live` items plus stale items, which surfacing pops drop; a rebuild caps stale growth at 2:1, and cuts capacity to 2 × `live` + DRAINED_FLOOR
     heap: BinaryHeap<HeapItem>,
-    /// Items popped by the running `fill`, pushed back when it ends.
-    // bounded: cleared by every `fill_fanout`, which pops each live entry at most once — ≤ `live`
+    /// Items the running `select` took but did not pack, pushed back
+    /// when it ends.
+    // bounded: emptied after every `select`, which takes each live entry at most once — ≤ `live`
     requeue: Vec<HeapItem>,
+    /// Items the running `select` packed, under their new transmit
+    /// counts, in the order it packed them.
+    // bounded: emptied after every `select`, which packs each live entry at most once — ≤ `live`; cut to DRAINED_FLOOR when a fan-out ends
+    packed: Vec<HeapItem>,
+    /// During a gossip fan-out, the items earlier targets' fills took,
+    /// in ascending selection order (the best last): the next fill
+    /// takes from it and from the heap, whichever is better, so nothing
+    /// is popped from the heap twice in one fan-out.
+    // bounded: holds each live entry at most once — ≤ `live`; emptied when the fan-out ends and cut to DRAINED_FLOOR
+    side: Vec<HeapItem>,
     /// Monotonic enqueue stamp; larger = newer.
     next_id: u64,
     /// Lower bound on the smallest encoded entry currently queued
@@ -192,6 +208,8 @@ impl Default for BroadcastQueue {
             garbage: 0,
             heap: BinaryHeap::new(),
             requeue: Vec::new(),
+            packed: Vec::new(),
+            side: Vec::new(),
             next_id: 0,
             min_len: usize::MAX,
             last_limit: 0,
@@ -345,30 +363,67 @@ impl BroadcastQueue {
         transmit_limit: u32,
         exclude: Option<&NodeName>,
     ) {
-        self.fill_fanout(builder, transmit_limit, exclude, 1);
+        self.select(builder, transmit_limit, exclude);
+        self.settle();
     }
 
-    /// [`BroadcastQueue::fill`] for a packet that will be sent to
-    /// `copies` destinations at once (the batched gossip fan-out: one
-    /// encode pass, one packet, N recipients). Each selected broadcast
-    /// is charged `copies` transmissions — the same aggregate
-    /// accounting as `copies` separate fills — so the
-    /// `λ·⌈log10(n + 1)⌉` dissemination bound is preserved. A broadcast
-    /// within `copies` of the limit still goes to all `copies`
-    /// recipients and is then retired, overshooting its bound by at
-    /// most `copies − 1` sends on its final fan-out.
-    pub fn fill_fanout(
+    /// One gossip-only packet per target, in turn: exactly what a
+    /// [`BroadcastQueue::fill`] of the empty `builder` per target would
+    /// pack, each charging one transmission per broadcast it carries, so
+    /// no broadcast goes out more than `transmit_limit` times. `send`
+    /// gets each target with its filled builder and must finish it; the
+    /// first fill that comes back empty ends the fan-out, and that
+    /// target gets nothing.
+    ///
+    /// A broadcast taken from the heap for one target stays off it until
+    /// the fan-out ends: the items a fill took wait in `side`, in
+    /// selection order, and the next fill takes from there and from the
+    /// heap, whichever is better. So when a fill takes every queued
+    /// broadcast, as it does outside join storms, the next target's
+    /// packet is the same parts in the same order minus those the fill
+    /// retired, rebuilt without touching the heap.
+    pub fn fill_fanout<T: Copy>(
+        &mut self,
+        builder: &mut CompoundBuilder,
+        transmit_limit: u32,
+        targets: &[T],
+        mut send: impl FnMut(T, &mut CompoundBuilder),
+    ) {
+        debug_assert!(
+            builder.is_empty(),
+            "a gossip packet carries broadcasts only"
+        );
+        for &target in targets {
+            self.select(builder, transmit_limit, None);
+            self.heap.extend(self.requeue.drain(..));
+            self.merge_packed_into_side();
+            if builder.is_empty() {
+                break;
+            }
+            send(target, builder);
+        }
+        self.heap.extend(self.side.drain(..));
+        self.settle();
+        // A join storm's fan-outs take hundreds of broadcasts aside; the
+        // lists are empty between calls, so that room goes back at once.
+        self.side.shrink_to(DRAINED_FLOOR);
+        self.packed.shrink_to(DRAINED_FLOOR);
+    }
+
+    /// Takes broadcasts in selection order into `builder` until nothing
+    /// more fits: those it packs go to `packed` under their new transmit
+    /// counts (or retire), those it passes over to `requeue`, both for
+    /// the caller to put back.
+    fn select(
         &mut self,
         builder: &mut CompoundBuilder,
         transmit_limit: u32,
         exclude: Option<&NodeName>,
-        copies: u32,
     ) {
-        let copies = copies.max(1);
         if transmit_limit < self.last_limit {
             // O(n), but only on the rare downward log10(n) boundary
             // crossing; over-limit entries surfacing during normal
-            // fills are retired lazily in `pop_valid`.
+            // fills are retired lazily in `peek_valid`.
             for index in 0..self.slots.len() {
                 if self
                     .slots
@@ -386,12 +441,11 @@ impl BroadcastQueue {
         let exclude = exclude
             .and_then(|name| self.find(name.as_str().as_bytes()))
             .map(|(_, index)| index);
-        // Entries selected this fill are re-queued only after the loop,
-        // so no broadcast is packed twice into one packet.
-        self.requeue.clear();
-        while let Some((Reverse(transmits), id, index)) = self.pop_valid(transmit_limit) {
+        // Entries taken this fill are put back only after the loop, so
+        // no broadcast is packed twice into one packet.
+        while let Some((Reverse(transmits), id, index)) = self.take_next(transmit_limit) {
             let Some(entry) = self.slots.get_mut(index as usize) else {
-                continue; // unreachable: pop_valid just validated it
+                continue; // unreachable: take_next just validated it
             };
             if builder.len() >= MAX_COMPOUND_PARTS {
                 self.requeue.push((Reverse(transmits), id, index));
@@ -410,18 +464,87 @@ impl BroadcastQueue {
             }
             let encoded = self.arena.get(entry.range()).unwrap_or_default();
             if builder.try_add_bytes(encoded) {
-                let after = transmits + copies;
+                let after = transmits + 1;
                 if after >= transmit_limit {
                     self.retire(index);
                 } else {
                     entry.transmits = after;
-                    self.requeue.push((Reverse(after), id, index));
+                    self.packed.push((Reverse(after), id, index));
                 }
             } else {
                 self.requeue.push((Reverse(transmits), id, index));
             }
         }
-        self.heap.extend(self.requeue.iter().copied());
+    }
+
+    /// Removes and returns the best item of the heap and `side`
+    /// together, or `None` when both are empty.
+    fn take_next(&mut self, transmit_limit: u32) -> Option<HeapItem> {
+        let top = self.peek_valid(transmit_limit);
+        if self.side.last().is_some_and(|&s| top.is_none_or(|t| s > t)) {
+            return self.side.pop();
+        }
+        top?;
+        self.heap.pop()
+    }
+
+    /// Drops stale heap items and retires over-limit entries (the limit
+    /// shrank below their transmit count) until the heap's top is a
+    /// live, correctly-prioritised entry, and returns that item.
+    fn peek_valid(&mut self, transmit_limit: u32) -> Option<HeapItem> {
+        loop {
+            let item @ (Reverse(transmits), id, index) = *self.heap.peek()?;
+            // Invalidated (the slot was vacated or overwritten) or
+            // re-prioritised (a fresher item exists): drop the stale
+            // item.
+            let current = self
+                .slots
+                .get(index as usize)
+                .is_some_and(|s| s.is_live() && s.id == id && s.transmits == transmits);
+            if current && transmits < transmit_limit {
+                return Some(item);
+            }
+            self.heap.pop();
+            if current {
+                self.retire(index);
+            }
+        }
+    }
+
+    /// Merges the items the last `select` packed, best first, into
+    /// `side`, best last, in place from the back. Each packed item
+    /// gained one transmission, which keeps their order among themselves.
+    fn merge_packed_into_side(&mut self) {
+        let mut read = self.side.len();
+        self.side
+            .resize(read + self.packed.len(), (Reverse(0), 0, 0));
+        let mut write = self.side.len();
+        for &item in &self.packed {
+            // Every side item better than `item` moves up past it.
+            while let Some(&better) = read
+                .checked_sub(1)
+                .and_then(|i| self.side.get(i))
+                .filter(|&&s| s > item)
+            {
+                read -= 1;
+                write -= 1;
+                if let Some(slot) = self.side.get_mut(write) {
+                    *slot = better;
+                }
+            }
+            write -= 1;
+            if let Some(slot) = self.side.get_mut(write) {
+                *slot = item;
+            }
+        }
+        self.packed.clear();
+    }
+
+    /// Pushes what the last [`BroadcastQueue::select`] took back onto
+    /// the heap, and gives back a drained queue's capacity.
+    fn settle(&mut self) {
+        self.heap.extend(self.requeue.drain(..));
+        self.heap.extend(self.packed.drain(..));
         // An empty slab means nothing was queued since the last release,
         // so the common fill of an idle queue skips it.
         if self.live == 0 && !self.slots.is_empty() {
@@ -438,10 +561,14 @@ impl BroadcastQueue {
         self.free.clear();
         self.heap.clear();
         self.requeue.clear();
+        self.packed.clear();
+        self.side.clear();
         self.slots.shrink_to(DRAINED_FLOOR);
         self.free.shrink_to(DRAINED_FLOOR);
         self.heap.shrink_to(DRAINED_FLOOR);
         self.requeue.shrink_to(DRAINED_FLOOR);
+        self.packed.shrink_to(DRAINED_FLOOR);
+        self.side.shrink_to(DRAINED_FLOOR);
         self.by_subject.release(DRAINED_FLOOR);
         if self.arena.capacity() > ARENA_FLOOR {
             self.arena = BytesMut::with_capacity(ARENA_FLOOR);
@@ -450,40 +577,18 @@ impl BroadcastQueue {
 
     /// Each buffer's capacity and the most a drained queue may keep.
     #[cfg(test)]
-    fn capacities(&self) -> [(&'static str, usize, usize); 6] {
+    fn capacities(&self) -> [(&'static str, usize, usize); 8] {
         let index_floor = NameIndex::released_len(DRAINED_FLOOR);
         [
             ("slots", self.slots.capacity(), DRAINED_FLOOR),
             ("free", self.free.capacity(), DRAINED_FLOOR),
             ("heap", self.heap.capacity(), DRAINED_FLOOR),
             ("requeue", self.requeue.capacity(), DRAINED_FLOOR),
+            ("packed", self.packed.capacity(), DRAINED_FLOOR),
+            ("side", self.side.capacity(), DRAINED_FLOOR),
             ("by_subject", self.by_subject.capacity(), index_floor),
             ("arena", self.arena.capacity(), ARENA_FLOOR),
         ]
-    }
-
-    /// Pops stale/over-limit heap items until the top is a live,
-    /// correctly-prioritised entry, and pops and returns that item.
-    /// Over-limit entries found on the way are retired (the limit
-    /// shrank below their transmit count).
-    fn pop_valid(&mut self, transmit_limit: u32) -> Option<HeapItem> {
-        loop {
-            let (Reverse(transmits), id, index) = self.heap.pop()?;
-            let Some(slot) = self.slots.get(index as usize) else {
-                continue;
-            };
-            // Invalidated (the slot was vacated or overwritten) or
-            // re-prioritised (a fresher item exists): drop the stale
-            // item.
-            if !slot.is_live() || slot.id != id || slot.transmits != transmits {
-                continue;
-            }
-            if transmits >= transmit_limit {
-                self.retire(index);
-                continue;
-            }
-            return Some((Reverse(transmits), id, index));
-        }
     }
 
     /// Vacates slot `index`; its bytes become garbage. A live slot is
@@ -574,6 +679,10 @@ impl BroadcastQueue {
             .map(Slot::range)
             .collect();
         assert_eq!(ranges.len(), self.live, "live count ≠ occupied slots");
+        assert!(
+            self.requeue.is_empty() && self.packed.is_empty() && self.side.is_empty(),
+            "a fill left items off the heap"
+        );
         for index in (0u32..)
             .zip(&self.slots)
             .filter(|(_, s)| s.is_live())
@@ -688,23 +797,34 @@ mod tests {
         })
     }
 
+    /// Fans one gossip round out to `targets` targets; returns how many
+    /// got a packet.
+    fn fan_out(q: &mut BroadcastQueue, limit: u32, targets: usize) -> usize {
+        let mut b = CompoundBuilder::new(1400);
+        let mut sent = 0;
+        q.fill_fanout(&mut b, limit, &vec![(); targets], |(), packet| {
+            assert!(finish(packet).is_some());
+            sent += 1;
+        });
+        sent
+    }
+
+    /// A piggyback fill and gossip fan-outs charge one transmission per
+    /// packet alike, so a broadcast goes out exactly its limit: 12 =
+    /// 1 + 3 + 3 + 3 + 2, the last fan-out reaching only 2 of its 3
+    /// targets, and the next one none.
     #[test]
-    fn fill_fanout_charges_copies_per_selection() {
+    fn a_broadcast_is_sent_exactly_its_limit_across_fills_and_fan_outs() {
         let mut q = BroadcastQueue::new();
         q.enqueue(alive("n", 1));
-        // Limit 6, 4 copies: the first fan-out leaves the broadcast at
-        // 4 transmits; the second reaches 8 ≥ 6 and retires it.
         let mut b = CompoundBuilder::new(1400);
-        q.fill_fanout(&mut b, 6, None, 4);
+        assert!(b.try_add_msg(&suspect("primary", "x", 1)));
+        q.fill(&mut b, 12, None);
+        assert_eq!(b.len(), 2, "the piggyback fill carries the broadcast");
         assert!(finish(&mut b).is_some());
-        assert_eq!(q.len(), 1);
-        let mut b = CompoundBuilder::new(1400);
-        q.fill_fanout(&mut b, 6, None, 4);
-        assert!(finish(&mut b).is_some());
-        assert!(
-            q.is_empty(),
-            "retired once the aggregate count hit the limit"
-        );
+        let sent: Vec<usize> = (0..5).map(|_| fan_out(&mut q, 12, 3)).collect();
+        assert_eq!(sent, [3, 3, 3, 2, 0]);
+        assert!(q.is_empty(), "retired at its twelfth transmission");
     }
 
     #[test]
@@ -716,8 +836,9 @@ mod tests {
             let mut ba = CompoundBuilder::new(1400);
             let mut bb = CompoundBuilder::new(1400);
             a.fill(&mut ba, 3, None);
-            b.fill_fanout(&mut bb, 3, None, 1);
-            assert_eq!(finish(&mut ba), finish(&mut bb));
+            let mut fanned = None;
+            b.fill_fanout(&mut bb, 3, &[()], |(), packet| fanned = finish(packet));
+            assert_eq!(finish(&mut ba), fanned);
         }
         assert!(a.is_empty() && b.is_empty());
     }
@@ -975,9 +1096,9 @@ mod tests {
         for i in 0..511 {
             q.enqueue(alive(&format!("node-{i}"), 1));
         }
-        // The free and re-queue lists grow while the queue drains.
+        // The free list and the fill's lists grow while the queue drains.
         for (name, capacity, floor) in q.capacities() {
-            if !matches!(name, "free" | "requeue") {
+            if !matches!(name, "free" | "requeue" | "packed" | "side") {
                 assert!(
                     capacity > floor,
                     "{name}: the storm grew it to {capacity} only"

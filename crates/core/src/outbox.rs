@@ -190,22 +190,22 @@ impl Outbox {
         self.targets = targets;
     }
 
-    /// One gossip-only packet to all picked targets: one encode pass,
-    /// one arena slice, N queue entries referencing it — the shape a
-    /// gather-send flushes as a single syscall — and the broadcast
-    /// queue charges N transmissions in one fill.
+    /// One gossip-only packet to each picked target in turn, each its
+    /// own fill that charges one transmission per broadcast it carries
+    /// (memberlist's per-target `getBroadcasts`); the first target whose
+    /// fill comes back empty, and every one after it, gets no packet.
     pub(crate) fn gossip_to_targets(&mut self, transmit_limit: u32) {
-        if self.targets.is_empty() {
-            return;
-        }
-        let copies = self.targets.len() as u32;
-        self.broadcasts
-            .fill_fanout(&mut self.builder, transmit_limit, None, copies);
-        let pending = &mut self.pending;
-        self.builder
-            .finish_into_fanout(&mut self.scratch, &self.targets, |to, range| {
-                pending.push_back(Queued::Packet { to, range });
-            });
+        let (scratch, pending) = (&mut self.scratch, &mut self.pending);
+        self.broadcasts.fill_fanout(
+            &mut self.builder,
+            transmit_limit,
+            &self.targets,
+            |to, packet| {
+                if let Some(range) = packet.finish_into(scratch) {
+                    pending.push_back(Queued::Packet { to, range });
+                }
+            },
+        );
     }
 
     /// Every queued packet's range lies inside the arena, no half-built

@@ -173,34 +173,6 @@ impl CompoundBuilder {
         self.parts = 0;
         Some(start..out.len())
     }
-
-    /// Finishes the packet into `out` once and emits the *same* byte
-    /// range for every destination in `dests` — the fan-out counterpart
-    /// of [`CompoundBuilder::finish_into`] for batched packet I/O: one
-    /// encode pass produces N `(destination, range)` batch entries all
-    /// referencing a single arena slice, which a gather-send (e.g.
-    /// `sendmmsg(2)`) can transmit without ever duplicating the
-    /// payload.
-    ///
-    /// Returns the shared range, or `None` (appending and emitting
-    /// nothing) if no message was added or `dests` is empty. When a
-    /// packet was produced, the builder is left reset exactly as after
-    /// [`CompoundBuilder::finish_into`].
-    pub fn finish_into_fanout<D: Copy>(
-        &mut self,
-        out: &mut Vec<u8>,
-        dests: &[D],
-        mut emit: impl FnMut(D, std::ops::Range<usize>),
-    ) -> Option<std::ops::Range<usize>> {
-        if dests.is_empty() {
-            return None;
-        }
-        let range = self.finish_into(out)?;
-        for &dest in dests {
-            emit(dest, range.clone());
-        }
-        Some(range)
-    }
 }
 
 /// Decodes a datagram into its constituent messages, transparently
@@ -380,46 +352,6 @@ mod tests {
     fn empty_builder_finishes_to_none() {
         assert!(finish(&mut CompoundBuilder::new(100)).is_none());
         assert!(CompoundBuilder::new(100).is_empty());
-    }
-
-    #[test]
-    fn finish_into_fanout_encodes_once_and_emits_per_destination() {
-        let mut b = CompoundBuilder::new(1400);
-        assert!(b.try_add_bytes(&enc(&ack(1))));
-        assert!(b.try_add_bytes(&enc(&ack(2))));
-        let mut arena = vec![0xAAu8; 3]; // pre-existing arena content survives
-        let mut emitted: Vec<(u8, std::ops::Range<usize>)> = Vec::new();
-        let range = b
-            .finish_into_fanout(&mut arena, &[10u8, 20, 30], |d, r| emitted.push((d, r)))
-            .unwrap();
-        assert_eq!(range.start, 3, "appended after the existing bytes");
-        assert_eq!(
-            emitted,
-            vec![
-                (10, range.clone()),
-                (20, range.clone()),
-                (30, range.clone())
-            ],
-            "every destination references the single encoded slice"
-        );
-        assert_eq!(
-            decode_packet(&arena[range]).unwrap(),
-            vec![ack(1), ack(2)],
-            "the shared slice is a well-formed packet"
-        );
-        assert!(b.is_empty(), "builder is reset for the next packet");
-    }
-
-    #[test]
-    fn finish_into_fanout_with_no_destinations_appends_nothing() {
-        let mut b = CompoundBuilder::new(1400);
-        assert!(b.try_add_bytes(&enc(&ack(1))));
-        let mut arena = Vec::new();
-        let dests: [u8; 0] = [];
-        assert!(b
-            .finish_into_fanout(&mut arena, &dests, |_, _| panic!("no emits"))
-            .is_none());
-        assert!(arena.is_empty());
     }
 
     #[test]

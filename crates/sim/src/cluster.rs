@@ -170,11 +170,12 @@ enum SimEvent {
     /// A node's next timer deadline fell due.
     Wake { node: usize },
     /// A datagram arrives at node `to`; `from` is the sender's address
-    /// (used for ack routing).
+    /// (used for ack routing). The payload is one allocation cut to
+    /// the packet's length.
     Datagram {
         to: usize,
         from: NodeAddr,
-        payload: Bytes,
+        payload: Box<[u8]>,
     },
     /// A stream message arrives at node `to`.
     Stream {
@@ -532,11 +533,11 @@ impl Cluster {
                         .push(until, SimEvent::Datagram { to, from, payload });
                     return;
                 }
-                // Zero-copy delivery: compound parts and blob fields
-                // alias the datagram buffer. Malformed packets are
-                // dropped, as a real deployment would.
+                // The node reads the datagram as borrowed views.
+                // Malformed packets are dropped, as a real deployment
+                // would.
                 self.with_sink(to, |driver, sink| {
-                    let _ = driver.handle(Input::Datagram { from, payload }, now, sink);
+                    let _ = driver.handle_datagram_slice(from, &payload, now, sink);
                 });
             }
             SimEvent::Stream { to, from, msg } => {
@@ -626,7 +627,9 @@ struct SimSink<'a> {
 }
 
 impl SimSink<'_> {
-    fn send_packet(&mut self, to: NodeAddr, payload: Bytes) {
+    /// Counts a datagram and, unless the network drops it, queues its
+    /// arrival with a copy of `payload`.
+    fn send_packet(&mut self, to: NodeAddr, payload: &[u8]) {
         self.io.datagrams_sent += 1;
         self.io.datagram_bytes += payload.len() as u64;
         let Some(to_idx) = Cluster::index_of(to, self.n) else {
@@ -638,7 +641,7 @@ impl SimSink<'_> {
                 SimEvent::Datagram {
                     to: to_idx,
                     from: Cluster::addr_for(self.node),
-                    payload,
+                    payload: payload.into(),
                 },
             );
         }
@@ -666,7 +669,7 @@ impl SimSink<'_> {
     /// used when a pause ends and the blocked sends are released.
     fn release(&mut self, held: OwnedOutput) {
         match held {
-            OwnedOutput::Packet { to, payload } => self.send_packet(to, payload),
+            OwnedOutput::Packet { to, payload } => self.send_packet(to, &payload),
             OwnedOutput::Stream { to, msg } => self.send_stream(to, msg),
             OwnedOutput::Event(e) => self.event(e),
         }
@@ -676,11 +679,11 @@ impl SimSink<'_> {
 impl Sink for SimSink<'_> {
     fn transmit(&mut self, to: NodeAddr, payload: &[u8]) {
         // A paused node blocks before sending: network effects are held
-        // in its outbox until the anomaly ends. In-flight packets
-        // outlive the borrow of the node's scratch, so both paths copy
-        // the payload into an owned buffer.
-        let payload = Bytes::copy_from_slice(payload);
+        // in its outbox until the anomaly ends. Held and in-flight
+        // packets outlive the borrow of the node's scratch, so both
+        // paths copy the payload out.
         if self.paused {
+            let payload = Bytes::copy_from_slice(payload);
             self.outbox.push(OwnedOutput::Packet { to, payload });
         } else {
             self.send_packet(to, payload);

@@ -22,8 +22,8 @@ use lifeguard::sim::network::NetworkConfig;
 use lifeguard::sim::schedule::Schedule;
 
 /// Golden FNV-1a hashes of the two pinned scenarios below.
-const EVENTFUL_GOLDEN: u64 = 0xb05e_5a73_e370_d878;
-const METRICS_GOLDEN: u64 = 0xd3d5_a510_6ec3_1ee8;
+const EVENTFUL_GOLDEN: u64 = 0xf34f_b849_d634_681f;
+const METRICS_GOLDEN: u64 = 0x917b_da01_efdd_6dc0;
 
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
