@@ -51,6 +51,7 @@ pub mod broadcast;
 pub mod config;
 pub mod driver;
 pub mod event;
+pub mod event_log;
 pub mod member;
 pub mod membership;
 mod name_index;

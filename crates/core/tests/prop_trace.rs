@@ -1,19 +1,21 @@
-//! Model-agreement property tests for the event trace: a `Trace` fed a
-//! random sequence over all six `Event` variants must hand back, event
+//! Model-agreement property tests for the event log: an `EventLog` fed
+//! a random sequence over all six `Event` variants must hand back, event
 //! by event, what a plain `Vec<TraceEvent>` holds, and its `failures()`
 //! must list the failure declarations that vector holds. Names run from
 //! 1 to 40 bytes, on both sides of `NodeName::INLINE_LEN`, each drawn
 //! again and again from a per-case pool; reporters reach 2²⁴ − 1,
-//! incarnations `u64::MAX`, and times pass 2³² µs.
+//! incarnations `u64::MAX`, and times pass 2³² µs. A capped log must
+//! hold the first `cap` events the model stores and count the rest,
+//! reporters past 24 bits among them.
 
 use proptest::prelude::*;
 
 use lifeguard_core::event::Event;
+use lifeguard_core::event_log::{EventLog, TraceEvent};
+use lifeguard_core::time::Time;
 use lifeguard_proto::{Incarnation, NodeName};
-use lifeguard_sim::clock::SimTime;
-use lifeguard_sim::trace::{Trace, TraceEvent};
 
-/// The largest reporter index a trace holds.
+/// The largest reporter index a log holds.
 const MAX_REPORTER: usize = (1 << 24) - 1;
 
 fn reporter(raw: u32) -> usize {
@@ -59,7 +61,7 @@ fn event(kind: u8, name: NodeName, from: NodeName, incarnation: Incarnation) -> 
 }
 
 /// The reference model's `failures()`.
-fn failures(reference: &[TraceEvent]) -> impl Iterator<Item = (SimTime, usize, &NodeName)> {
+fn failures(reference: &[TraceEvent]) -> impl Iterator<Item = (Time, usize, &NodeName)> {
     reference.iter().filter_map(|e| match &e.event {
         Event::MemberFailed { name, .. } => Some((e.at, e.reporter, name)),
         _ => None,
@@ -69,7 +71,7 @@ fn failures(reference: &[TraceEvent]) -> impl Iterator<Item = (SimTime, usize, &
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
-    /// The trace agrees with a plain vector of the recorded events.
+    /// The log agrees with a plain vector of the recorded events.
     /// Each step: the kind, subject and accuser picks into the name
     /// pool, then raw draws for the reporter, the incarnation and the
     /// time step.
@@ -82,7 +84,7 @@ proptest! {
         ),
     ) {
         let pool: Vec<NodeName> = pool.iter().map(|s| NodeName::from(s.as_str())).collect();
-        let mut trace = Trace::new();
+        let mut trace = EventLog::new();
         let mut reference: Vec<TraceEvent> = Vec::new();
         let mut now = 0u64;
         for &(kind, subject, accuser, raw_reporter, raw_incarnation, raw_step) in &steps {
@@ -90,7 +92,7 @@ proptest! {
             let name = pool[usize::from(subject) % pool.len()].clone();
             let from = pool[usize::from(accuser) % pool.len()].clone();
             let e = TraceEvent {
-                at: SimTime::from_micros(now),
+                at: Time::from_micros(now),
                 reporter: reporter(raw_reporter),
                 event: event(kind, name, from, incarnation(raw_incarnation)),
             };
@@ -110,11 +112,55 @@ proptest! {
         // The failure declarations alone, in order.
         prop_assert!(trace.failures().eq(failures(&reference)));
     }
+
+    /// A capped log agrees with a model that keeps the first `cap`
+    /// events whose reporter fits in 24 bits and counts every other
+    /// one. Caps reach past the first 1 024-record chunk.
+    #[test]
+    fn capped_log_keeps_the_first_cap_events_and_counts_the_rest(
+        cap in 0usize..1500,
+        pool in proptest::collection::vec("[a-z0-9.-]{1,40}", 1..24),
+        steps in proptest::collection::vec(
+            (0u8..6, any::<u16>(), any::<u16>(), any::<u32>(), any::<u64>()),
+            0..2500,
+        ),
+    ) {
+        let pool: Vec<NodeName> = pool.iter().map(|s| NodeName::from(s.as_str())).collect();
+        let mut log = EventLog::capped(cap);
+        let (mut kept, mut counted) = (Vec::new(), 0u64);
+        for (at, &(kind, subject, accuser, raw_reporter, raw_incarnation)) in
+            (0u64..).zip(&steps)
+        {
+            let name = pool[usize::from(subject) % pool.len()].clone();
+            let from = pool[usize::from(accuser) % pool.len()].clone();
+            // One draw in eight is a reporter the log cannot hold.
+            let too_far = [MAX_REPORTER + 1, MAX_REPORTER + 2, usize::MAX];
+            let reporter = match raw_reporter % 8 {
+                7 => too_far[(raw_reporter >> 8) as usize % 3],
+                _ => reporter(raw_reporter),
+            };
+            let e = TraceEvent {
+                at: Time::from_micros(at),
+                reporter,
+                event: event(kind, name, from, incarnation(raw_incarnation)),
+            };
+            log.record(e.at, e.reporter, e.event.clone());
+            if kept.len() < cap && reporter <= MAX_REPORTER {
+                kept.push(e);
+            } else {
+                counted += 1;
+            }
+        }
+        prop_assert_eq!(log.len(), kept.len());
+        prop_assert_eq!(log.overflowed(), counted);
+        prop_assert!(log.events().iter().eq(kept.iter().cloned()));
+        prop_assert!(log.failures().eq(failures(&kept)));
+    }
 }
 
 /// A recorded event costs 20 bytes in the log: a `u64` time, a word
 /// holding the kind and the reporter, and two `u32` name ids.
 #[test]
 fn a_record_is_twenty_bytes() {
-    assert_eq!(Trace::RECORD_BYTES, 20);
+    assert_eq!(EventLog::RECORD_BYTES, 20);
 }

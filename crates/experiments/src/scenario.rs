@@ -26,12 +26,12 @@ use std::ops::RangeInclusive;
 use std::time::Duration;
 
 use lifeguard_core::config::Config;
+use lifeguard_core::event_log::EventLog;
 use lifeguard_sim::anomaly::AnomalySpec;
 use lifeguard_sim::clock::SimTime;
 use lifeguard_sim::cluster::{Cluster, SimAction};
 use lifeguard_sim::network::NetworkConfig;
 use lifeguard_sim::schedule::Schedule;
-use lifeguard_sim::trace::Trace;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -290,7 +290,7 @@ pub fn run(schedule: &Schedule, config: &Config) -> RunOutcome {
 /// at or after `start`, and disseminated once every healthy member has
 /// declared it: when the last of their first declarations, made at any
 /// time, falls at or after `start`.
-fn outcome(trace: &Trace, n: usize, anomalous: &[usize], start: SimTime) -> RunOutcome {
+fn outcome(trace: &EventLog, n: usize, anomalous: &[usize], start: SimTime) -> RunOutcome {
     let slot = |i: usize| anomalous.binary_search(&i).ok();
     let healthy = (0..n).filter(|&i| slot(i).is_none()).count();
     // Per anomalous subject `k`: whether healthy member `r` declared it
@@ -404,7 +404,12 @@ mod tests {
     /// [`outcome`]'s numbers by per-subject scans: a rescan of the
     /// declarations per anomalous member, and the set of healthy members
     /// yet to declare it.
-    fn scans(trace: &Trace, n: usize, anomalous: &[usize], anomaly_start: SimTime) -> RunOutcome {
+    fn scans(
+        trace: &EventLog,
+        n: usize,
+        anomalous: &[usize],
+        anomaly_start: SimTime,
+    ) -> RunOutcome {
         let all_declared = |name: &str, required: &[usize]| {
             let mut missing: std::collections::HashSet<usize> = required.iter().copied().collect();
             if missing.is_empty() {
@@ -484,7 +489,7 @@ mod tests {
                 .map(|_| tick(&mut rng))
                 .collect();
             times.sort_unstable();
-            let mut trace = Trace::new();
+            let mut trace = EventLog::new();
             for at in times {
                 let name = format!("node-{}", rng.random_range(0..n)).as_str().into();
                 // Mostly declarations; a recovery or a rejoin in between

@@ -361,7 +361,9 @@ fn median(xs: &[f64]) -> f64 {
 }
 
 /// A false-positive claim's row: `ours` against `swim`, per seed. A row
-/// with a sign test joins the family; its q is set by [`judge`].
+/// with a sign test joins the family; its q is set by [`judge`]. A row
+/// without one is a bound only, and its verdict says which way the sums
+/// went.
 fn fp_row(
     claim: &'static str,
     ours: &[u64],
@@ -376,10 +378,10 @@ fn fp_row(
         ours: format!("{} (sum {sum}) vs SWIM sum {swim_sum}", joined(ours)),
         sign,
         bounds,
-        holds: if signed {
-            "reproduced"
-        } else {
-            "within bound; direction differs"
+        holds: match (signed, sum < swim_sum) {
+            (true, _) => "reproduced",
+            (false, true) => "within bound; sum lower, not sign-tested",
+            (false, false) => "within bound; direction differs",
         },
     }
 }
@@ -595,6 +597,14 @@ pub(crate) mod tests {
         ];
         let tables = [fig1(&runs), table7(&runs)].into_iter().chain(tables);
         assert!(tables.into_iter().all(|t| !t.is_empty()));
+    }
+
+    #[test]
+    fn an_unsigned_rows_verdict_follows_the_sums() {
+        let row = |ours: &[u64]| fp_row("F", ours, &[5, 5], false, Vec::new()).holds;
+        assert_eq!(row(&[4, 5]), "within bound; sum lower, not sign-tested");
+        assert_eq!(row(&[5, 5]), "within bound; direction differs");
+        assert_eq!(row(&[9, 2]), "within bound; direction differs");
     }
 
     #[test]

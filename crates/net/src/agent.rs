@@ -23,7 +23,10 @@
 //! [`Agent::shutdown`] reads answer from the driver the reactor thread
 //! returned.
 //!
-//! Membership conclusions are delivered on a channel as [`AgentEvent`]s.
+//! Membership conclusions are recorded on that thread into an
+//! [`EventLog`] that holds at most [`EVENT_LOG_CAP`] of them and counts
+//! the rest; [`Agent::events`] is a read that takes the log, leaving an
+//! empty one.
 //!
 //! Shutdown is idempotent and [`Drop`] also performs it, joining the
 //! event-loop thread — a dropped-without-`shutdown` agent does not leak
@@ -34,7 +37,7 @@ use std::io;
 use std::net::{IpAddr, Ipv4Addr, SocketAddr, TcpListener, UdpSocket};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::mpsc::{self, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -42,7 +45,7 @@ use std::time::Instant;
 use bytes::Bytes;
 use lifeguard_core::config::Config;
 use lifeguard_core::driver::Driver;
-use lifeguard_core::event::Event;
+use lifeguard_core::event_log::EventLog;
 use lifeguard_core::member::{Member, MemberRef};
 use lifeguard_core::node::{Input, SwimNode};
 use lifeguard_core::time::Time;
@@ -51,14 +54,12 @@ use polling::Poller;
 
 use crate::reactor::{Reactor, SendIo, SEND_BATCH};
 
-/// A timestamped membership event from a running agent.
-#[derive(Clone, Debug)]
-pub struct AgentEvent {
-    /// Agent-relative time the conclusion was reached.
-    pub at: Time,
-    /// The conclusion.
-    pub event: Event,
-}
+/// Most membership events an agent stores between two
+/// [`Agent::events`] calls: 16 Ki events, about 330 KB of 20-byte
+/// records. Past it, events are counted in [`EventLog::overflowed`] and
+/// dropped, so an owner that never drains the log does not grow the
+/// process.
+pub const EVENT_LOG_CAP: usize = 1 << 14;
 
 /// Configuration for [`Agent::start`].
 #[derive(Clone, Debug)]
@@ -165,9 +166,17 @@ impl IoCounters {
 pub(crate) enum Command {
     /// An input to drive.
     Input(Input),
-    /// A read of the driver; it sees every command queued before it.
-    Read(Box<dyn FnOnce(&Driver) + Send>),
+    /// A read of the driver and the event log; it sees every command
+    /// queued before it.
+    Read(Box<ReadFn>),
 }
+
+/// A read the reactor thread runs for an API thread.
+type ReadFn = dyn FnOnce(&Driver, &mut EventLog) + Send;
+
+/// What the reactor thread hands back at shutdown: the driver, and the
+/// events not yet taken.
+pub(crate) type Stopped = (Box<Driver>, EventLog);
 
 pub(crate) struct Inner {
     pub(crate) udp: UdpSocket,
@@ -201,18 +210,17 @@ impl Inner {
 /// *abruptly*, which peers will detect as a failure; call
 /// [`Agent::leave`] first for a graceful departure.
 ///
-/// An `Agent` is `Send` but not `Sync`: its [`Agent::events`] receiver
-/// is a `std::sync::mpsc::Receiver`, which has one consumer. Move the
-/// agent to the thread that uses it rather than sharing it.
+/// An `Agent` is `Send` but not `Sync`: its thread handle and what the
+/// thread returns at shutdown sit in cells. Move the agent to the thread
+/// that uses it rather than sharing it.
 pub struct Agent {
     inner: Arc<Inner>,
     name: NodeName,
     /// The reactor's event-loop thread; taken by the first shutdown.
-    thread: RefCell<Option<JoinHandle<Box<Driver>>>>,
-    /// The driver the reactor thread returned at shutdown; reads answer
-    /// from it from then on.
-    stopped: OnceCell<Box<Driver>>,
-    events_rx: Receiver<AgentEvent>,
+    thread: RefCell<Option<JoinHandle<Stopped>>>,
+    /// The driver and event log the reactor thread returned at shutdown;
+    /// reads answer from them from then on.
+    stopped: OnceCell<(Box<Driver>, RefCell<EventLog>)>,
 }
 
 impl Agent {
@@ -229,15 +237,14 @@ impl Agent {
     /// where the kernel withholds `sendmmsg(2)` or `recvmmsg(2)` (a
     /// seccomp filter can): the reactor has no other datagram path.
     pub fn start(config: AgentConfig) -> io::Result<Agent> {
-        let (reactor, events_rx) = Agent::bind(config)?;
-        Ok(Agent::spawn(reactor, events_rx))
+        Ok(Agent::spawn(Agent::bind(config)?))
     }
 
     /// Everything [`Agent::start`] does short of spawning the reactor
     /// thread, so a failure returns `Err` instead of a running-but-deaf
     /// agent — and so in-crate tests can adjust the reactor, or drive it
     /// on their own thread, before [`Agent::spawn`].
-    pub(crate) fn bind(config: AgentConfig) -> io::Result<(Reactor, Receiver<AgentEvent>)> {
+    pub(crate) fn bind(config: AgentConfig) -> io::Result<Reactor> {
         // Reject nonsense configs before touching the network.
         config
             .protocol
@@ -269,7 +276,6 @@ impl Agent {
         } else {
             config.seed
         };
-        let (events_tx, events_rx) = mpsc::channel();
         let (input_tx, input_rx) = mpsc::channel();
         let node = SwimNode::try_new(
             NodeName::from(config.name),
@@ -294,12 +300,11 @@ impl Agent {
             poller: Arc::new(Poller::new()?),
             counters: IoCounters::default(),
         });
-        let reactor = Reactor::new(inner, driver, tcp, input_rx, events_tx, send_io)?;
-        Ok((reactor, events_rx))
+        Reactor::new(inner, driver, tcp, input_rx, send_io)
     }
 
     /// Moves a bound reactor onto its event-loop thread.
-    pub(crate) fn spawn(reactor: Reactor, events_rx: Receiver<AgentEvent>) -> Agent {
+    pub(crate) fn spawn(reactor: Reactor) -> Agent {
         let inner = Arc::clone(&reactor.inner);
         let name = reactor.driver.node().name().clone();
         let thread = std::thread::spawn(move || reactor.run());
@@ -308,25 +313,26 @@ impl Agent {
             name,
             thread: RefCell::new(Some(thread)),
             stopped: OnceCell::new(),
-            events_rx,
         }
     }
 
-    /// Runs `read` against the driver and returns its answer: on the
-    /// reactor thread, after every command queued before it, or
-    /// directly once shutdown has joined that thread. A reactor thread
-    /// that died without shutdown (a panic) answers `R::default()`.
+    /// Runs `read` against the driver and the event log and returns its
+    /// answer: on the reactor thread, after every command queued before
+    /// it, or directly once shutdown has joined that thread. A reactor
+    /// thread that died without shutdown (a panic) answers
+    /// `R::default()`.
     fn read<R: Default + Send + 'static>(
         &self,
-        read: impl FnOnce(&Driver) -> R + Send + 'static,
+        read: impl FnOnce(&Driver, &mut EventLog) -> R + Send + 'static,
     ) -> R {
-        if let Some(driver) = self.stopped.get() {
-            return read(driver);
+        if let Some((driver, log)) = self.stopped.get() {
+            return read(driver, &mut log.borrow_mut());
         }
         let (reply_tx, reply_rx) = mpsc::sync_channel(1);
-        self.inner.submit(Command::Read(Box::new(move |driver| {
-            let _ = reply_tx.send(read(driver));
-        })));
+        self.inner
+            .submit(Command::Read(Box::new(move |driver, log| {
+                let _ = reply_tx.send(read(driver, log));
+            })));
         reply_rx.recv().unwrap_or_default()
     }
 
@@ -376,17 +382,17 @@ impl Agent {
 
     /// Snapshot of the membership table.
     pub fn members(&self) -> Vec<Member> {
-        self.read(|driver| driver.node().members().map(MemberRef::to_member).collect())
+        self.read(|driver, _| driver.node().members().map(MemberRef::to_member).collect())
     }
 
     /// Number of members believed alive (including self).
     pub fn num_alive(&self) -> usize {
-        self.read(|driver| driver.node().num_alive())
+        self.read(|driver, _| driver.node().num_alive())
     }
 
     /// Current Local Health Multiplier score.
     pub fn local_health(&self) -> u32 {
-        self.read(|driver| driver.node().local_health())
+        self.read(|driver, _| driver.node().local_health())
     }
 
     /// The agent's full metrics export in the runtime-independent
@@ -398,17 +404,24 @@ impl Agent {
     /// simulated runs compare field by field
     /// (`tests/sim_net_conformance.rs`).
     pub fn metrics(&self) -> lifeguard_metrics::Snapshot {
-        let core = self.read(Driver::metrics);
+        let core = self.read(|driver, _| driver.metrics());
         lifeguard_metrics::Snapshot {
             core,
             io: self.inner.counters.io_snapshot(),
         }
     }
 
-    /// The membership event channel (drain it with `try_iter`; it never
-    /// needs to block).
-    pub fn events(&self) -> &Receiver<AgentEvent> {
-        &self.events_rx
+    /// Takes the membership conclusions recorded since the previous
+    /// call, in order, each at the agent-relative time of the drive that
+    /// reached it and as reporter 0; the agent keeps an empty log in its
+    /// place, so what was taken is freed with the returned log. At most
+    /// [`EVENT_LOG_CAP`] events are stored between two calls; the log's
+    /// [`overflowed`](EventLog::overflowed) counts the ones after them.
+    /// A read like [`Agent::members`]: it sees every input queued before
+    /// it, and after [`Agent::shutdown`] it takes from the log the
+    /// reactor thread returned.
+    pub fn events(&self) -> EventLog {
+        self.read(|_, log| std::mem::replace(log, EventLog::capped(EVENT_LOG_CAP)))
     }
 
     /// Stops the agent abruptly (no leave message of its own) and joins
@@ -421,8 +434,8 @@ impl Agent {
         self.inner.shutdown.store(true, Ordering::Relaxed);
         let _ = self.inner.poller.notify();
         let thread = self.thread.borrow_mut().take();
-        if let Some(Ok(driver)) = thread.map(JoinHandle::join) {
-            let _ = self.stopped.set(driver);
+        if let Some(Ok((driver, log))) = thread.map(JoinHandle::join) {
+            let _ = self.stopped.set((driver, RefCell::new(log)));
         }
     }
 }
@@ -449,6 +462,7 @@ impl std::fmt::Debug for Agent {
 mod tests {
     use super::*;
     use lifeguard_core::driver::Sink;
+    use lifeguard_core::event::Event;
     use std::time::Duration;
 
     /// A sped-up protocol config so socket tests finish in seconds.
@@ -507,16 +521,23 @@ mod tests {
         // Suspicion min = 3 * max(1, log10(2)) * 200ms = 600ms, max 1.2s.
         assert!(
             wait_for(Duration::from_secs(20), || {
-                a.events().try_iter().any(|e| {
-                    matches!(&e.event, Event::MemberFailed { name, .. } if name.as_str() == "b")
-                }) || a
-                    .members()
+                a.members()
                     .iter()
                     .any(|m| m.name.as_str() == "b" && !m.is_live())
             }),
             "b's failure was never detected"
         );
+        // The log outlives the reactor thread: the declaration is read
+        // after shutdown.
         a.shutdown();
+        let log = a.events();
+        assert!(
+            log.events().iter().any(|e| {
+                matches!(&e.event, Event::MemberFailed { name, .. } if name.as_str() == "b")
+            }),
+            "no MemberFailed about b in {:?}",
+            log.events().iter().collect::<Vec<_>>()
+        );
     }
 
     #[test]
@@ -526,13 +547,14 @@ mod tests {
         b.join(&[a.addr()]);
         assert!(wait_for(Duration::from_secs(10), || a.num_alive() == 2));
         b.leave();
+        let mut seen = Vec::new();
         assert!(
             wait_for(Duration::from_secs(10), || {
-                a.events()
-                    .try_iter()
+                seen.extend(a.events().events());
+                seen.iter()
                     .any(|e| matches!(&e.event, Event::MemberLeft { name } if name.as_str() == "b"))
             }),
-            "leave event never observed"
+            "leave event never observed: {seen:?}"
         );
         b.shutdown();
         a.shutdown();
@@ -581,7 +603,7 @@ mod tests {
         let mut seen = Vec::new();
         assert!(
             wait_for(Duration::from_secs(10), || {
-                seen.extend(a.events().try_iter().map(|e| e.event));
+                seen.extend(a.events().events().into_iter().map(|e| e.event));
                 seen.iter()
                     .any(|e| matches!(e, Event::MemberLeft { name } if name.as_str() == "b"))
             }),
@@ -589,7 +611,7 @@ mod tests {
         );
         // Long enough for a crash to have been suspected and declared.
         std::thread::sleep(Duration::from_secs(2));
-        seen.extend(a.events().try_iter().map(|e| e.event));
+        seen.extend(a.events().events().into_iter().map(|e| e.event));
         assert!(
             !seen.iter().any(|e| matches!(e, Event::MemberFailed { .. })),
             "a graceful exit must not read as a failure: {seen:?}"

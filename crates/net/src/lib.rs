@@ -42,4 +42,4 @@ pub mod agent;
 pub(crate) mod reactor;
 pub mod transport;
 
-pub use agent::{Agent, AgentConfig, AgentEvent};
+pub use agent::{Agent, AgentConfig};

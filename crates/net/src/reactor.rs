@@ -32,12 +32,14 @@
 //! lock for an API thread to hold while the reactor waits. Every drive
 //! still has two halves. The reactor's [`Sink`] ([`SendIo`]) only moves
 //! memory: each packet is copied into the staging arena, stream
-//! messages and events are pushed onto reactor-owned queues. Then the
-//! reactor does the I/O: staged datagrams go out as one `sendmmsg(2)`
-//! per [`SEND_BATCH`] chunk (a probe round's whole fan-out costs one
-//! syscall instead of one per peer), events are forwarded to the
-//! subscriber channel, and stream frames are encoded and connected at
-//! the next loop pass.
+//! messages are pushed onto a reactor-owned queue, and each event is
+//! recorded, at the drive's time and as reporter 0, into the agent's
+//! [`EventLog`], capped at [`EVENT_LOG_CAP`] events (the rest are
+//! counted in [`EventLog::overflowed`]) until `Agent::events` takes it.
+//! Then the reactor does the I/O: staged datagrams go out as one
+//! `sendmmsg(2)` per [`SEND_BATCH`] chunk (a probe round's whole fan-out
+//! costs one syscall instead of one per peer), and stream frames are
+//! encoded and connected at the next loop pass.
 //!
 //! Receive is batched too: readiness drains through a preallocated
 //! `recvmmsg(2)` ring of [`RECV_BURST`] slots, each filled slot handed
@@ -53,19 +55,20 @@ use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
 use std::ops::Range;
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{Receiver, Sender};
+use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use lifeguard_core::driver::{Driver, Sink};
 use lifeguard_core::event::Event as ProtoEvent;
+use lifeguard_core::event_log::EventLog;
 use lifeguard_core::node::Input;
 use lifeguard_core::time::Time;
 use lifeguard_proto::{Message, NodeAddr};
 use polling::mmsg::{RecvRing, SendBatch};
 use polling::{Event, Events, Poller};
 
-use crate::agent::{AgentEvent, Command, Inner, IoCounters};
+use crate::agent::{Command, Inner, IoCounters, Stopped, EVENT_LOG_CAP};
 use crate::transport::{self, FrameDecoder};
 
 /// Registration key of the agent's UDP socket.
@@ -116,9 +119,12 @@ pub(crate) struct SendIo {
     /// encoded: framing a large push-pull belongs after the drive too.
     // bounded: drained at the top of every loop pass
     streams: VecDeque<(SocketAddr, Message)>,
-    /// Membership conclusions awaiting the subscriber channel.
-    // bounded: drained after every drive
-    events: Vec<ProtoEvent>,
+    /// The time of the drive in progress, which its events are recorded
+    /// at.
+    now: Time,
+    /// The node's conclusions since `Agent::events` last took them.
+    // bounded: stores at most EVENT_LOG_CAP events and counts the rest
+    pub(crate) log: EventLog,
 }
 
 impl Sink for SendIo {
@@ -133,7 +139,7 @@ impl Sink for SendIo {
     }
 
     fn event(&mut self, event: ProtoEvent) {
-        self.events.push(event);
+        self.log.record(self.now, 0, event);
     }
 }
 
@@ -144,7 +150,8 @@ impl SendIo {
             arena: Vec::new(),
             stage: Vec::new(),
             streams: VecDeque::new(),
-            events: Vec::new(),
+            now: Time::ZERO,
+            log: EventLog::capped(EVENT_LOG_CAP),
         }
     }
 
@@ -253,7 +260,6 @@ pub(crate) struct Reactor {
     listener: TcpListener,
     /// Inputs and reads queued by API threads.
     input_rx: Receiver<Command>,
-    events_tx: Sender<AgentEvent>,
     // bounded: accepts are disarmed at MAX_CONNS, so the map never exceeds that cap plus in-flight outbound syncs
     conns: BTreeMap<usize, Conn>,
     next_key: usize,
@@ -282,7 +288,6 @@ impl Reactor {
         driver: Box<Driver>,
         listener: TcpListener,
         input_rx: Receiver<Command>,
-        events_tx: Sender<AgentEvent>,
         send_io: SendIo,
     ) -> io::Result<Reactor> {
         let poller = Arc::clone(&inner.poller);
@@ -294,37 +299,30 @@ impl Reactor {
             poller,
             listener,
             input_rx,
-            events_tx,
             conns: BTreeMap::new(),
             next_key: FIRST_CONN_KEY,
             listener_armed: true,
             send_io,
             recv_ring: RecvRing::new(RECV_BURST, RECV_SLOT_LEN),
         };
-        reactor.flush(Time::ZERO);
+        reactor
+            .send_io
+            .flush(&reactor.inner.udp, &reactor.inner.counters);
         Ok(reactor)
     }
 
     /// Feeds one input through the driver. Its effects are staged during
-    /// the drive and carried out after it.
+    /// the drive and the datagrams sent after it; staged stream messages
+    /// wait for the loop's connect step.
     fn drive(&mut self, input: Input, now: Time) {
+        self.send_io.now = now;
         let _ = self.driver.handle(input, now, &mut self.send_io);
-        self.flush(now);
-    }
-
-    /// The second half of every drive: sends the staged datagrams and
-    /// forwards the staged events. Staged stream messages wait for the
-    /// loop's connect step.
-    fn flush(&mut self, now: Time) {
         self.send_io.flush(&self.inner.udp, &self.inner.counters);
-        for event in self.send_io.events.drain(..) {
-            let _ = self.events_tx.send(AgentEvent { at: now, event });
-        }
     }
 
     /// Runs the event loop until the agent's shutdown flag is raised,
-    /// then returns the driver.
-    pub(crate) fn run(mut self) -> Box<Driver> {
+    /// then returns the driver and the events not yet taken.
+    pub(crate) fn run(mut self) -> Stopped {
         let mut events = Events::new();
         loop {
             // Read the flag before the command queue: whatever an API
@@ -337,7 +335,7 @@ impl Reactor {
             while let Ok(command) = self.input_rx.try_recv() {
                 match command {
                     Command::Input(input) => self.drive(input, now),
-                    Command::Read(read) => read(&self.driver),
+                    Command::Read(read) => read(&self.driver, &mut self.send_io.log),
                 }
             }
             if matches!(self.driver.next_deadline(), Some(at) if at <= now) {
@@ -392,7 +390,7 @@ impl Reactor {
         for (_, conn) in std::mem::take(&mut self.conns) {
             let _ = self.poller.delete(conn.stream());
         }
-        self.driver
+        (self.driver, self.send_io.log)
     }
 
     /// How long the poller may sleep: until the protocol core's next
@@ -450,6 +448,7 @@ impl Reactor {
             }
             drained += n;
             let now = self.inner.now();
+            self.send_io.now = now;
             let mut i = 0;
             while i < n {
                 let counters = &self.inner.counters;
@@ -477,7 +476,7 @@ impl Reactor {
                         &mut self.send_io,
                     );
                 }
-                self.flush(now);
+                self.send_io.flush(&self.inner.udp, counters);
             }
             if n < self.recv_ring.slots() {
                 break; // the socket is drained
@@ -776,8 +775,7 @@ mod tests {
     fn compound_burst_is_flushed_per_datagram_not_per_ring_fill() {
         const DATAGRAMS: u32 = 4;
         const PINGS_PER_DATAGRAM: u32 = 3;
-        let (mut reactor, _events_rx) =
-            Agent::bind(AgentConfig::local("hub").seed(61)).expect("bind");
+        let mut reactor = Agent::bind(AgentConfig::local("hub").seed(61)).expect("bind");
         reactor.send_io = SendIo::new(2);
         reactor.recv_ring = RecvRing::new(DATAGRAMS as usize, RECV_SLOT_LEN);
         let hub = reactor.inner.advertised.socket_addr();

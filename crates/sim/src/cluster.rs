@@ -42,6 +42,7 @@ use bytes::Bytes;
 use lifeguard_core::config::Config;
 use lifeguard_core::driver::{Driver, OwnedOutput, Sink};
 use lifeguard_core::event::Event;
+use lifeguard_core::event_log::EventLog;
 use lifeguard_core::node::{Input, SwimNode};
 use lifeguard_metrics::IoSnapshot;
 use lifeguard_proto::{codec, Message, NodeAddr, NodeName};
@@ -51,7 +52,6 @@ use crate::clock::{SimDuration, SimTime};
 use crate::event_queue::EventQueue;
 use crate::network::{Delivery, Network, NetworkConfig};
 use crate::schedule::Schedule;
-use crate::trace::Trace;
 
 /// UDP/TCP port every simulated member listens on.
 const SIM_PORT: u16 = 7946;
@@ -208,7 +208,7 @@ pub struct Cluster {
     queue: EventQueue<SimEvent>,
     network: Network,
     now: SimTime,
-    trace: Trace,
+    trace: EventLog,
     /// Per-node transmit accounting (a compound packet counts as one
     /// datagram, as Consul's telemetry does for the paper's Table VI).
     // bounded: fixed at build time — one entry per node, never grows
@@ -280,7 +280,7 @@ impl Cluster {
                 schedule.seed.wrapping_add(0x00C0_FFEE),
             ),
             now: SimTime::ZERO,
-            trace: Trace::new(),
+            trace: EventLog::new(),
             io: vec![IoSnapshot::default(); n],
             dispatched: Dispatched::default(),
             faults: schedule.faults.clone().into_iter().peekable(),
@@ -349,8 +349,9 @@ impl Cluster {
         self.slots[i].driver.node()
     }
 
-    /// The recorded event trace.
-    pub fn trace(&self) -> &Trace {
+    /// Every node's recorded conclusions, reporter = node index, in one
+    /// uncapped log.
+    pub fn trace(&self) -> &EventLog {
         &self.trace
     }
 
@@ -623,7 +624,7 @@ struct SimSink<'a> {
     queue: &'a mut EventQueue<SimEvent>,
     network: &'a mut Network,
     io: &'a mut IoSnapshot,
-    trace: &'a mut Trace,
+    trace: &'a mut EventLog,
 }
 
 impl SimSink<'_> {

@@ -32,10 +32,8 @@ pub mod cluster;
 pub mod event_queue;
 pub mod network;
 pub mod schedule;
-pub mod trace;
 
 pub use anomaly::AnomalySpec;
 pub use cluster::{Cluster, ClusterBuilder, Dispatched, SimAction};
 pub use network::NetworkConfig;
 pub use schedule::Schedule;
-pub use trace::Trace;

@@ -87,7 +87,7 @@ fn main() -> std::io::Result<()> {
         saw_leave && saw_fail
     });
     println!();
-    for e in observer.events().try_iter() {
+    for e in observer.events().events() {
         match e.event {
             Event::MemberJoined { name } => println!("  [{}] {name} joined", e.at),
             Event::MemberSuspected { name, from } => {

@@ -22,7 +22,10 @@
 //! * one node's live heap plateaus while every peer of its 64-member
 //!   cluster leaves or crashes and rejoins, eight times over, and
 //! * a quiet simulated 64-node cluster allocates about once per
-//!   datagram it delivers: the in-flight copy of the payload.
+//!   datagram it delivers: the in-flight copy of the payload, and
+//! * a socket agent whose owner never takes its events keeps a flat
+//!   live heap while it concludes four times as many events as its log
+//!   stores.
 //!
 //! All run inside one `#[test]`, in sequence: the allocator's counters
 //! are process-global, so a second test running beside it would be
@@ -35,24 +38,25 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
-use std::net::{Ipv6Addr, SocketAddr};
+use std::net::{Ipv6Addr, SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use lifeguard::core::broadcast::BroadcastQueue;
 use lifeguard::core::config::Config;
+use lifeguard::core::event_log::{EventLog, TraceEvent};
 use lifeguard::core::member::Member;
 use lifeguard::core::membership::Membership;
 use lifeguard::core::node::{Input, Output, SwimNode};
 use lifeguard::core::time::Time;
 use lifeguard::experiments::scenario;
+use lifeguard::net::agent::{Agent, AgentConfig, EVENT_LOG_CAP};
 use lifeguard::proto::compound::{decode_packet, CompoundBuilder};
 use lifeguard::proto::{
     codec, Ack, Alive, Dead, Incarnation, Message, NodeAddr, NodeName, Ping, SeqNo, Suspect,
 };
 use lifeguard::sim::cluster::{Cluster, ClusterBuilder};
-use lifeguard::sim::trace::{Trace, TraceEvent};
 
 /// A pass-through allocator that tracks live heap bytes and, while the
 /// flag is raised, counts allocations.
@@ -666,7 +670,7 @@ fn trace_stays_within_bytes_per_event() {
     cluster.run_until(schedule.end);
     let events: Vec<TraceEvent> = cluster.trace().events().iter().collect();
     let before = LIVE.load(Ordering::Relaxed);
-    let mut trace = Trace::new();
+    let mut trace = EventLog::new();
     for e in &events {
         trace.record(e.at, e.reporter, e.event.clone());
     }
@@ -841,6 +845,92 @@ fn simulated_datagram_allocates_once() {
     );
 }
 
+/// Messages the scripted peer sends an undrained agent: the `alive`
+/// that admits its member, then alternating `suspect`s and `alive`s,
+/// each one event, until the agent has concluded four times what its
+/// log stores.
+const UNDRAINED_EVENTS: usize = 4 * EVENT_LOG_CAP;
+/// Datagrams the peer sends before it waits for the agent to take them
+/// all, well within a loopback socket's receive buffer.
+const UNDRAINED_BATCH: usize = 32;
+/// Live bytes the undrained agent's second half may peak above its
+/// first half: 16 KiB. The halves peaked at 1 400 542 and 1 400 660 B
+/// when the gate was set; one run in three read 1 408 468 B, a sample
+/// that caught the reply of a `metrics()` read before the reactor thread
+/// freed it. With an unbounded event channel instead of the capped log
+/// they peaked at 2 923 290 and 4 766 752 B: 56 B per event.
+const UNDRAINED_MARGIN_BYTES: u64 = 16 * 1024;
+
+/// A socket agent's event log, never drained: a scripted UDP peer
+/// admits itself as a member and then flaps it (`suspect`, then an
+/// `alive` at the next incarnation) until the agent has concluded
+/// `UNDRAINED_EVENTS`. It waits on the agent's received-datagram
+/// counter, never on its events, and samples the live heap after each
+/// batch; the second half's peak may not exceed the first half's by
+/// more than `UNDRAINED_MARGIN_BYTES`. The agent's probes are an hour
+/// apart, so every event is one the peer caused. Then `events()` holds
+/// the first `EVENT_LOG_CAP` of them and counts the rest, and leaves
+/// nothing behind.
+fn undrained_agent_heap_plateaus() {
+    let before = LIVE.load(Ordering::Relaxed);
+    let hour = Duration::from_secs(3600);
+    let mut protocol = Config::lan().lifeguard().with_probe_timing(hour, hour);
+    protocol.push_pull_interval = None;
+    let agent = Agent::start(AgentConfig::local("hub").protocol(protocol).seed(0x10C))
+        .expect("agent starts");
+    let peer = UdpSocket::bind("127.0.0.1:0").expect("peer binds");
+    let member = NodeName::from("member");
+    let addr = NodeAddr::from(peer.local_addr().expect("peer address"));
+    let message = |i: usize| {
+        let incarnation = Incarnation(1 + i as u64 / 2);
+        codec::encode_message(&if i.is_multiple_of(2) {
+            Message::Alive(Alive {
+                incarnation,
+                node: member.clone(),
+                addr,
+                meta: Bytes::new(),
+            })
+        } else {
+            Message::Suspect(Suspect {
+                incarnation,
+                node: member.clone(),
+                from: "accuser".into(),
+            })
+        })
+    };
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let (mut sent, mut peaks) = (0, [0u64; 2]);
+    while sent < UNDRAINED_EVENTS {
+        let batch = UNDRAINED_BATCH.min(UNDRAINED_EVENTS - sent);
+        for i in sent..sent + batch {
+            peer.send_to(&message(i), agent.addr()).expect("send");
+        }
+        sent += batch;
+        while agent.metrics().io.datagrams_received < sent as u64 {
+            assert!(Instant::now() < deadline, "the agent took too long");
+        }
+        let live = LIVE.load(Ordering::Relaxed).saturating_sub(before);
+        let half = &mut peaks[usize::from(2 * sent > UNDRAINED_EVENTS)];
+        *half = (*half).max(live);
+    }
+    eprintln!(
+        "undrained agent: peak live {} B in the first half, {} B in the second, {sent} events",
+        peaks[0], peaks[1]
+    );
+    assert!(
+        peaks[1] <= peaks[0] + UNDRAINED_MARGIN_BYTES,
+        "the live heap grew from a {} B peak to {} B with events left undrained \
+         (margin {UNDRAINED_MARGIN_BYTES} B)",
+        peaks[0],
+        peaks[1]
+    );
+    let log = agent.events();
+    assert_eq!(log.len(), EVENT_LOG_CAP);
+    assert_eq!(log.len() as u64 + log.overflowed(), sent as u64);
+    assert!(agent.events().is_empty(), "a read takes what it returns");
+    agent.shutdown();
+}
+
 #[test]
 fn poll_drain_allocates_nothing_and_a_100k_table_fits_its_ceiling() {
     poll_output_is_allocation_free();
@@ -852,4 +942,5 @@ fn poll_drain_allocates_nothing_and_a_100k_table_fits_its_ceiling() {
     trace_stays_within_bytes_per_event();
     churn_soak_heap_plateaus();
     simulated_datagram_allocates_once();
+    undrained_agent_heap_plateaus();
 }

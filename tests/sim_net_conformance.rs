@@ -365,7 +365,7 @@ fn run_net_trace() -> (Vec<Observed>, Snapshot) {
             }
         }
         // React to alpha's conclusions exactly as the sim script does.
-        for agent_event in alpha.events().try_iter() {
+        for agent_event in alpha.events().events() {
             let state = alpha
                 .members()
                 .iter()
