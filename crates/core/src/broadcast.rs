@@ -21,26 +21,29 @@
 //! every enqueue to invalidate the subject's older broadcast, and
 //! re-sorted the whole queue (O(n log n)) for every packet filled. This
 //! version keeps the entries in a slab (`Vec` + free list), an O(1)
-//! subject → slot invalidation index, and a lazy max-heap ordered by
-//! the selection key `(fewest transmits, newest id)`, `id` being a
-//! monotonically increasing enqueue stamp:
+//! subject → slot invalidation index, and `order`: every live slot once,
+//! sorted by the selection key `(fewest transmits, newest id)` with the
+//! best last, `id` being a monotonically increasing enqueue stamp. A key
+//! is read from the slot itself, so `order` never holds a stale entry:
 //!
-//! * [`BroadcastQueue::enqueue`] about a subject already queued
-//!   overwrites that subject's slot in place — new stamp, new encoding —
-//!   and otherwise takes a free slot; either way one amortized-O(1) heap
-//!   push. Invalidated entries are *not* touched in the heap; a heap
-//!   item carries the stamp it was pushed under, and one whose slot now
-//!   holds another stamp (or nothing) is discarded when it eventually
-//!   surfaces.
-//! * [`BroadcastQueue::fill`] pops in selection order and does
+//! * [`BroadcastQueue::enqueue`] about a subject already queued takes
+//!   that subject's slot out of `order` by binary search on its old key
+//!   and overwrites the slot in place — new stamp, new encoding — and
+//!   otherwise takes a free slot. Either way the slot is pushed onto the
+//!   end of `order`: a new broadcast has no transmits and the newest
+//!   stamp, so it is always the best.
+//! * [`BroadcastQueue::fill`] first retires the broadcasts a shrunk
+//!   limit left at or over it, a prefix of `order`, as more transmits
+//!   sort first. It then takes from the end of `order` and does
 //!   O(selected + skipped) work per packet instead of sorting all n
 //!   queued broadcasts; a running lower bound of the smallest encoded
-//!   message lets it stop as soon as nothing else can fit.
-//! * [`BroadcastQueue::fill_fanout`] is one fill per gossip target, as
-//!   memberlist's per-target `getBroadcasts`, so a broadcast is sent
-//!   exactly its limit. What one target's fill took waits beside the
-//!   heap, in order, for the next, so a fan-out pops each broadcast
-//!   once.
+//!   message lets it stop as soon as nothing else can fit. What it
+//!   passed over keeps its place at the end, and what it packed, one
+//!   transmission further, is merged back in place.
+//!
+//! A gossip fan-out is one fill per target
+//! (`Outbox::gossip_to_targets`), as memberlist's per-target
+//! `getBroadcasts`, so a broadcast is sent exactly its limit.
 //!
 //! # One byte arena
 //!
@@ -58,27 +61,26 @@
 //! when it fits there; a superseded encoding it did not fit in, and a
 //! retired broadcast's, stay behind as garbage. Once the garbage
 //! outweighs the live bytes by more than a small floor, the enqueue
-//! compacts in place: the heap's own buffer, cut to one item per live
-//! slot and sorted by offset, gives the encodings in arena order, and
-//! each slides down over the garbage; no slot moves, so the subject
-//! index is untouched. That is O(queue log queue) work paid for by more
-//! garbage bytes than live ones, so the arena stays within twice the
-//! live bytes plus the floor. A compaction also gives back capacity
-//! beyond twice the live bytes and the floor, so a queue that shrank
-//! does not keep the arena it grew. The arena is cleared when the queue
-//! empties, so a drained queue refills from offset 0.
+//! compacts in place: `order`, sorted by arena offset, gives the
+//! encodings in arena order, each slides down over the garbage, and
+//! `order` is sorted back; no slot moves, so the subject index is
+//! untouched. That is O(queue log queue) work paid for by more garbage
+//! bytes than live ones, so the arena stays within twice the live bytes
+//! plus the floor. A compaction also gives back capacity beyond twice
+//! the live bytes and the floor, so a queue that shrank does not keep
+//! the arena it grew. The arena is cleared when the queue empties, so a
+//! drained queue refills from offset 0.
 //!
 //! In steady state neither enqueue nor fill allocates: the slab, the
-//! arena, the heap and the re-queue list are all reused, and compaction
+//! arena, `order` and the packed list are all reused, and compaction
 //! works inside them. A join storm queues a broadcast about every
 //! member at once; so that a node does not keep that capacity for good,
 //! a `fill` that leaves the queue empty clears the slab, the free list
-//! and the heap, and shrinks every buffer to `DRAINED_FLOOR` entries
-//! and the arena to `ARENA_FLOOR` bytes (the rule the outbox applies
-//! to its drained effect queue).
+//! and `order`, and shrinks every buffer to `DRAINED_FLOOR` entries and
+//! the arena to `ARENA_FLOOR` bytes (the rule the outbox applies to its
+//! drained effect queue).
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::ops::Range;
 
 use bytes::BytesMut;
@@ -96,8 +98,9 @@ pub const RETRANSMIT_MULT: u32 = 4;
 const GARBAGE_FLOOR: usize = 1024;
 
 /// Entries a drained queue keeps capacity for in its slab, free list,
-/// heap, re-queue list and subject index: a few updates at a time queue
-/// and drain without allocating, and a join storm's capacity goes back.
+/// selection order, packed list and subject index: a few updates at a
+/// time queue and drain without allocating, and a join storm's capacity
+/// goes back.
 const DRAINED_FLOOR: usize = 32;
 
 /// Arena bytes a drained queue keeps: [`DRAINED_FLOOR`] encodings of up
@@ -141,18 +144,20 @@ impl Slot {
     }
 }
 
-/// Heap item `(Reverse(transmits), id, slot)`: max-heap order pops the
-/// least-transmitted entry first, newest (largest id) on ties — the
-/// exact selection key the seed obtained by sorting. Ids are unique, so
-/// the order is total and the slot index never decides it.
-type HeapItem = (Reverse<u32>, u64, u32);
+/// The selection key of slot `index`, `(Reverse(transmits), id)`:
+/// ascending keys run from the most transmitted, oldest broadcast to
+/// the least transmitted, newest one — the seed's sort order reversed.
+/// Ids are unique, so the order is total.
+fn key(slots: &[Slot], index: u32) -> (Reverse<u32>, u64) {
+    slots
+        .get(index as usize)
+        .map_or((Reverse(u32::MAX), 0), |s| (Reverse(s.transmits), s.id))
+}
 
 /// The gossip broadcast queue of one node.
 #[derive(Clone, Debug)]
 pub struct BroadcastQueue {
-    /// The slab. A heap item whose slot is vacant, or holds another id
-    /// or transmit count, is stale (invalidated or re-prioritised) and
-    /// is dropped when it surfaces.
+    /// The slab.
     // bounded: one live slot per subject member — enqueueing about a known subject overwrites its slot — plus vacancies recycled via `free`, so ≤ peak queue depth ≤ cluster size; cleared and shrunk to DRAINED_FLOOR when a fill drains the queue
     slots: Vec<Slot>,
     // bounded: ≤ |slots| — holds only currently-vacant slot indices; cleared with the slab
@@ -168,33 +173,19 @@ pub struct BroadcastQueue {
     arena: BytesMut,
     /// Bytes of `arena` left behind by overwritten or retired broadcasts.
     garbage: usize,
-    /// Selection order with lazy deletion.
-    // bounded: ≤ `live` items plus stale items, which surfacing pops drop; a rebuild caps stale growth at 2:1, and cuts capacity to 2 × `live` + DRAINED_FLOOR
-    heap: BinaryHeap<HeapItem>,
-    /// Items the running `select` took but did not pack, pushed back
-    /// when it ends.
-    // bounded: emptied after every `select`, which takes each live entry at most once — ≤ `live`
-    requeue: Vec<HeapItem>,
-    /// Items the running `select` packed, under their new transmit
-    /// counts, in the order it packed them.
-    // bounded: emptied after every `select`, which packs each live entry at most once — ≤ `live`; cut to DRAINED_FLOOR when a fan-out ends
-    packed: Vec<HeapItem>,
-    /// During a gossip fan-out, the items earlier targets' fills took,
-    /// in ascending selection order (the best last): the next fill
-    /// takes from it and from the heap, whichever is better, so nothing
-    /// is popped from the heap twice in one fan-out.
-    // bounded: holds each live entry at most once — ≤ `live`; emptied when the fan-out ends and cut to DRAINED_FLOOR
-    side: Vec<HeapItem>,
+    /// Every live slot once, in strictly ascending [`key`] order: the
+    /// broadcast the next fill takes first is last.
+    // bounded: exactly `live` entries — ≤ peak queue depth ≤ cluster size; cleared and shrunk to DRAINED_FLOOR when a fill drains the queue
+    order: Vec<u32>,
+    /// The slots the running `fill` packed, best first, under their new
+    /// transmit counts, for it to merge back into `order`.
+    // bounded: emptied after every fill, which packs at most MAX_COMPOUND_PARTS broadcasts
+    packed: Vec<u32>,
     /// Monotonic enqueue stamp; larger = newer.
     next_id: u64,
     /// Lower bound on the smallest encoded entry currently queued
     /// (reset when the queue empties); lets `fill` stop early.
     min_len: usize,
-    /// The transmit limit seen by the previous `fill`; a shrink (the
-    /// cluster got smaller) triggers an eager purge of over-limit
-    /// entries, matching the seed's retire-every-fill semantics even
-    /// when a fill exits before popping them.
-    last_limit: u32,
 }
 
 impl Default for BroadcastQueue {
@@ -206,13 +197,10 @@ impl Default for BroadcastQueue {
             by_subject: NameIndex::new(),
             arena: BytesMut::new(),
             garbage: 0,
-            heap: BinaryHeap::new(),
-            requeue: Vec::new(),
+            order: Vec::new(),
             packed: Vec::new(),
-            side: Vec::new(),
             next_id: 0,
             min_len: usize::MAX,
-            last_limit: 0,
         }
     }
 }
@@ -246,8 +234,10 @@ impl BroadcastQueue {
     }
 
     /// Enqueues a gossip message, invalidating any queued broadcast about
-    /// the same member. Amortized O(log n): a heap push, and a share of
-    /// the compaction the garbage it leaves behind pays for.
+    /// the same member. A push onto the selection order; an overwrite
+    /// also takes the superseded entry out of it, an O(log n) search and
+    /// a shift of the entries above it; plus a share of the compaction
+    /// the garbage it leaves behind pays for.
     ///
     /// # Panics
     ///
@@ -260,7 +250,19 @@ impl BroadcastQueue {
         let subject = subject.as_str().as_bytes();
         let tag = self.by_subject.tag(subject);
         let index = match self.find_tagged(tag, subject) {
-            Some((_, index)) => index,
+            Some((_, index)) => {
+                let old = key(&self.slots, index);
+                match self
+                    .order
+                    .binary_search_by(|&i| key(&self.slots, i).cmp(&old))
+                {
+                    Ok(at) => {
+                        self.order.remove(at);
+                    }
+                    Err(_) => debug_assert!(false, "queued slot {index} missing from the order"),
+                }
+                index
+            }
             None => {
                 let index = self.free.pop().unwrap_or_else(|| {
                     self.slots.push(Slot {
@@ -284,8 +286,7 @@ impl BroadcastQueue {
         };
         // The superseded broadcast stops existing now: its encoding is
         // overwritten in place when the new one fits, and otherwise left
-        // behind as garbage; its heap item is discarded lazily when it
-        // surfaces under the old id.
+        // behind as garbage.
         let old = slot.range();
         let start = self.arena.len();
         codec::encode_message_into(&msg, &mut self.arena);
@@ -303,22 +304,9 @@ impl BroadcastQueue {
         slot.id = id;
         slot.transmits = 0;
         self.min_len = self.min_len.min(len);
-        self.heap.push((Reverse(0), id, index));
+        self.order.push(index);
         if self.garbage > self.arena.len() - self.garbage + GARBAGE_FLOOR {
             self.compact();
-        } else if self.heap.len() > 2 * self.live + 16 {
-            // Stale items (from invalidations of rarely-selected
-            // subjects) are normally discarded as they surface, but
-            // sustained churn can strand them below fresher entries
-            // forever; compact once they outnumber live entries 2:1.
-            self.heap.clear();
-            self.heap.extend(
-                (0u32..)
-                    .zip(&self.slots)
-                    .filter(|(_, slot)| slot.is_live())
-                    .map(|(index, slot)| (Reverse(slot.transmits), slot.id, index)),
-            );
-            self.heap.shrink_to(2 * self.live + DRAINED_FLOOR);
         }
     }
 
@@ -352,7 +340,8 @@ impl BroadcastQueue {
     /// Fills `builder` with as many queued broadcasts as fit, preferring
     /// least-transmitted (ties: newest). Each selected broadcast's
     /// transmit count is incremented; broadcasts that reach
-    /// `transmit_limit` are retired from the queue.
+    /// `transmit_limit` are retired from the queue, as are those a
+    /// smaller limit than the last fill's leaves at or over it.
     ///
     /// `exclude` skips broadcasts about one member (used by the Buddy
     /// System, which has already force-included that member's suspect
@@ -363,188 +352,61 @@ impl BroadcastQueue {
         transmit_limit: u32,
         exclude: Option<&NodeName>,
     ) {
-        self.select(builder, transmit_limit, exclude);
-        self.settle();
-    }
-
-    /// One gossip-only packet per target, in turn: exactly what a
-    /// [`BroadcastQueue::fill`] of the empty `builder` per target would
-    /// pack, each charging one transmission per broadcast it carries, so
-    /// no broadcast goes out more than `transmit_limit` times. `send`
-    /// gets each target with its filled builder and must finish it; the
-    /// first fill that comes back empty ends the fan-out, and that
-    /// target gets nothing.
-    ///
-    /// A broadcast taken from the heap for one target stays off it until
-    /// the fan-out ends: the items a fill took wait in `side`, in
-    /// selection order, and the next fill takes from there and from the
-    /// heap, whichever is better. So when a fill takes every queued
-    /// broadcast, as it does outside join storms, the next target's
-    /// packet is the same parts in the same order minus those the fill
-    /// retired, rebuilt without touching the heap.
-    pub fn fill_fanout<T: Copy>(
-        &mut self,
-        builder: &mut CompoundBuilder,
-        transmit_limit: u32,
-        targets: &[T],
-        mut send: impl FnMut(T, &mut CompoundBuilder),
-    ) {
-        debug_assert!(
-            builder.is_empty(),
-            "a gossip packet carries broadcasts only"
-        );
-        for &target in targets {
-            self.select(builder, transmit_limit, None);
-            self.heap.extend(self.requeue.drain(..));
-            self.merge_packed_into_side();
-            if builder.is_empty() {
-                break;
-            }
-            send(target, builder);
+        // More transmits sort first, so what a shrunk limit (the cluster
+        // got smaller) left at or over it is a prefix of `order`.
+        let slots = &self.slots;
+        let over = self.order.partition_point(|&index| {
+            slots
+                .get(index as usize)
+                .is_some_and(|s| s.transmits >= transmit_limit)
+        });
+        let mut order = std::mem::take(&mut self.order);
+        for index in order.drain(..over) {
+            self.retire(index);
         }
-        self.heap.extend(self.side.drain(..));
-        self.settle();
-        // A join storm's fan-outs take hundreds of broadcasts aside; the
-        // lists are empty between calls, so that room goes back at once.
-        self.side.shrink_to(DRAINED_FLOOR);
-        self.packed.shrink_to(DRAINED_FLOOR);
-    }
-
-    /// Takes broadcasts in selection order into `builder` until nothing
-    /// more fits: those it packs go to `packed` under their new transmit
-    /// counts (or retire), those it passes over to `requeue`, both for
-    /// the caller to put back.
-    fn select(
-        &mut self,
-        builder: &mut CompoundBuilder,
-        transmit_limit: u32,
-        exclude: Option<&NodeName>,
-    ) {
-        if transmit_limit < self.last_limit {
-            // O(n), but only on the rare downward log10(n) boundary
-            // crossing; over-limit entries surfacing during normal
-            // fills are retired lazily in `peek_valid`.
-            for index in 0..self.slots.len() {
-                if self
-                    .slots
-                    .get(index)
-                    .is_some_and(|s| s.transmits >= transmit_limit)
-                {
-                    self.retire(index as u32);
-                }
-            }
-        }
-        self.last_limit = transmit_limit;
+        self.order = order;
         // No enqueue runs during the fill, so the excluded subject keeps
-        // its slot until it retires, and after that no live item names
-        // the slot.
+        // its slot until it retires, and after that `order` no longer
+        // names the slot.
         let exclude = exclude
             .and_then(|name| self.find(name.as_str().as_bytes()))
             .map(|(_, index)| index);
-        // Entries taken this fill are put back only after the loop, so
-        // no broadcast is packed twice into one packet.
-        while let Some((Reverse(transmits), id, index)) = self.take_next(transmit_limit) {
-            let Some(entry) = self.slots.get_mut(index as usize) else {
-                continue; // unreachable: take_next just validated it
-            };
+        // Taken from the end of `order`: what the fill passed over is
+        // written back down from the top, so `order[top..]` keeps it in
+        // ascending order, and `order[next..top]` is what it packed or
+        // retired.
+        let mut top = self.order.len();
+        let mut next = top;
+        while let Some(&index) = next.checked_sub(1).and_then(|at| self.order.get(at)) {
             if builder.len() >= MAX_COMPOUND_PARTS {
-                self.requeue.push((Reverse(transmits), id, index));
                 break;
             }
-            if exclude == Some(index) {
-                self.requeue.push((Reverse(transmits), id, index));
-                continue;
-            }
-            if entry.len() > builder.remaining() {
-                self.requeue.push((Reverse(transmits), id, index));
-                if builder.remaining() < self.min_len {
-                    break; // nothing queued can be smaller
-                }
-                continue;
-            }
-            let encoded = self.arena.get(entry.range()).unwrap_or_default();
-            if builder.try_add_bytes(encoded) {
-                let after = transmits + 1;
-                if after >= transmit_limit {
+            next -= 1;
+            let Some(entry) = self.slots.get_mut(index as usize) else {
+                continue; // unreachable: `order` names live slots only
+            };
+            let packs = exclude != Some(index)
+                && entry.len() <= builder.remaining()
+                && builder.try_add_bytes(self.arena.get(entry.range()).unwrap_or_default());
+            if packs {
+                entry.transmits += 1;
+                if entry.transmits >= transmit_limit {
                     self.retire(index);
                 } else {
-                    entry.transmits = after;
-                    self.packed.push((Reverse(after), id, index));
+                    self.packed.push(index);
                 }
-            } else {
-                self.requeue.push((Reverse(transmits), id, index));
+                continue;
+            }
+            top -= 1;
+            if let Some(passed) = self.order.get_mut(top) {
+                *passed = index;
+            }
+            if builder.remaining() < self.min_len {
+                break; // nothing queued can be smaller
             }
         }
-    }
-
-    /// Removes and returns the best item of the heap and `side`
-    /// together, or `None` when both are empty.
-    fn take_next(&mut self, transmit_limit: u32) -> Option<HeapItem> {
-        let top = self.peek_valid(transmit_limit);
-        if self.side.last().is_some_and(|&s| top.is_none_or(|t| s > t)) {
-            return self.side.pop();
-        }
-        top?;
-        self.heap.pop()
-    }
-
-    /// Drops stale heap items and retires over-limit entries (the limit
-    /// shrank below their transmit count) until the heap's top is a
-    /// live, correctly-prioritised entry, and returns that item.
-    fn peek_valid(&mut self, transmit_limit: u32) -> Option<HeapItem> {
-        loop {
-            let item @ (Reverse(transmits), id, index) = *self.heap.peek()?;
-            // Invalidated (the slot was vacated or overwritten) or
-            // re-prioritised (a fresher item exists): drop the stale
-            // item.
-            let current = self
-                .slots
-                .get(index as usize)
-                .is_some_and(|s| s.is_live() && s.id == id && s.transmits == transmits);
-            if current && transmits < transmit_limit {
-                return Some(item);
-            }
-            self.heap.pop();
-            if current {
-                self.retire(index);
-            }
-        }
-    }
-
-    /// Merges the items the last `select` packed, best first, into
-    /// `side`, best last, in place from the back. Each packed item
-    /// gained one transmission, which keeps their order among themselves.
-    fn merge_packed_into_side(&mut self) {
-        let mut read = self.side.len();
-        self.side
-            .resize(read + self.packed.len(), (Reverse(0), 0, 0));
-        let mut write = self.side.len();
-        for &item in &self.packed {
-            // Every side item better than `item` moves up past it.
-            while let Some(&better) = read
-                .checked_sub(1)
-                .and_then(|i| self.side.get(i))
-                .filter(|&&s| s > item)
-            {
-                read -= 1;
-                write -= 1;
-                if let Some(slot) = self.side.get_mut(write) {
-                    *slot = better;
-                }
-            }
-            write -= 1;
-            if let Some(slot) = self.side.get_mut(write) {
-                *slot = item;
-            }
-        }
-        self.packed.clear();
-    }
-
-    /// Pushes what the last [`BroadcastQueue::select`] took back onto
-    /// the heap, and gives back a drained queue's capacity.
-    fn settle(&mut self) {
-        self.heap.extend(self.requeue.drain(..));
-        self.heap.extend(self.packed.drain(..));
+        self.order.drain(next..top);
+        self.merge_packed();
         // An empty slab means nothing was queued since the last release,
         // so the common fill of an idle queue skips it.
         if self.live == 0 && !self.slots.is_empty() {
@@ -552,23 +414,47 @@ impl BroadcastQueue {
         }
     }
 
+    /// Merges `packed`, best first, into `order`, best last, in place
+    /// from the back. Each packed slot gained one transmission, which
+    /// keeps their order among themselves.
+    fn merge_packed(&mut self) {
+        let mut read = self.order.len();
+        self.order.resize(read + self.packed.len(), 0);
+        let mut write = self.order.len();
+        for &index in &self.packed {
+            let packed = key(&self.slots, index);
+            // Every entry better than `index` moves up past it.
+            while let Some(&better) = read
+                .checked_sub(1)
+                .and_then(|at| self.order.get(at))
+                .filter(|&&i| key(&self.slots, i) > packed)
+            {
+                read -= 1;
+                write -= 1;
+                if let Some(slot) = self.order.get_mut(write) {
+                    *slot = better;
+                }
+            }
+            write -= 1;
+            if let Some(slot) = self.order.get_mut(write) {
+                *slot = index;
+            }
+        }
+        self.packed.clear();
+    }
+
     /// Gives back the capacity a burst left an empty queue. Every slot
-    /// is vacant and every heap item stale, so the slab, the free list
-    /// and the heap are cleared (slot indices restart at 0) and each
-    /// buffer keeps at most its floor.
+    /// is vacant, so the slab, the free list and `order` are cleared
+    /// (slot indices restart at 0) and each buffer keeps at most its
+    /// floor.
     fn release(&mut self) {
         self.slots.clear();
         self.free.clear();
-        self.heap.clear();
-        self.requeue.clear();
-        self.packed.clear();
-        self.side.clear();
+        self.order.clear();
         self.slots.shrink_to(DRAINED_FLOOR);
         self.free.shrink_to(DRAINED_FLOOR);
-        self.heap.shrink_to(DRAINED_FLOOR);
-        self.requeue.shrink_to(DRAINED_FLOOR);
+        self.order.shrink_to(DRAINED_FLOOR);
         self.packed.shrink_to(DRAINED_FLOOR);
-        self.side.shrink_to(DRAINED_FLOOR);
         self.by_subject.release(DRAINED_FLOOR);
         if self.arena.capacity() > ARENA_FLOOR {
             self.arena = BytesMut::with_capacity(ARENA_FLOOR);
@@ -577,15 +463,13 @@ impl BroadcastQueue {
 
     /// Each buffer's capacity and the most a drained queue may keep.
     #[cfg(test)]
-    fn capacities(&self) -> [(&'static str, usize, usize); 8] {
+    fn capacities(&self) -> [(&'static str, usize, usize); 6] {
         let index_floor = NameIndex::released_len(DRAINED_FLOOR);
         [
             ("slots", self.slots.capacity(), DRAINED_FLOOR),
             ("free", self.free.capacity(), DRAINED_FLOOR),
-            ("heap", self.heap.capacity(), DRAINED_FLOOR),
-            ("requeue", self.requeue.capacity(), DRAINED_FLOOR),
+            ("order", self.order.capacity(), DRAINED_FLOOR),
             ("packed", self.packed.capacity(), DRAINED_FLOOR),
-            ("side", self.side.capacity(), DRAINED_FLOOR),
             ("by_subject", self.by_subject.capacity(), index_floor),
             ("arena", self.arena.capacity(), ARENA_FLOOR),
         ]
@@ -595,7 +479,8 @@ impl BroadcastQueue {
     /// the one its subject points at (a newer broadcast about that
     /// subject overwrites it rather than taking another), so the
     /// subject, read from the slot's encoding, is unlinked with it. The
-    /// last retirement clears the arena.
+    /// caller takes the slot out of `order`. The last retirement clears
+    /// the arena.
     fn retire(&mut self, index: u32) {
         let Some(subject) = self.subject_of(index) else {
             return;
@@ -620,28 +505,20 @@ impl BroadcastQueue {
     }
 
     /// Slides every live encoding down over the garbage, without
-    /// allocating and without moving a slot. Each live slot has exactly
-    /// one heap item carrying its id and transmit count, so the heap's
-    /// own buffer, cut to those items and sorted by the slots' offsets,
-    /// lists the live encodings in arena order: each then moves towards
-    /// offset 0 and never over one not yet moved. The items become the
-    /// heap again, with the stale ones gone.
+    /// allocating and without moving a slot. `order` names each live
+    /// slot once, so sorted by the slots' offsets it lists the live
+    /// encodings in arena order: each then moves towards offset 0 and
+    /// never over one not yet moved. `order` is then sorted back.
     ///
     /// The arena keeps room for twice its live bytes plus twice the
-    /// floor, and the heap for twice its items plus `DRAINED_FLOOR`: the
-    /// next compaction or heap rebuild runs before either regrows, and
-    /// the capacity a larger queue grew is given back.
+    /// floor, so the next compaction runs before it regrows, and the
+    /// capacity a larger queue grew is given back.
     fn compact(&mut self) {
-        let mut items = std::mem::take(&mut self.heap).into_vec();
         let slots = &self.slots;
-        items.retain(|&(Reverse(transmits), id, index)| {
-            slots
-                .get(index as usize)
-                .is_some_and(|s| s.is_live() && s.id == id && s.transmits == transmits)
-        });
-        items.sort_unstable_by_key(|&(_, _, index)| slots.get(index as usize).map(|s| s.start));
+        self.order
+            .sort_unstable_by_key(|&index| slots.get(index as usize).map(|s| s.start));
         let mut len = 0;
-        for &(_, _, index) in &items {
+        for &index in &self.order {
             let Some(slot) = self.slots.get_mut(index as usize) else {
                 continue;
             };
@@ -659,14 +536,14 @@ impl BroadcastQueue {
             arena.extend_from_slice(&self.arena);
             self.arena = arena;
         }
-        self.heap = BinaryHeap::from(items);
-        self.heap.shrink_to(2 * self.live + DRAINED_FLOOR);
+        let slots = &self.slots;
+        self.order.sort_unstable_by_key(|&index| key(slots, index));
     }
 
     /// Checks the queue's bookkeeping against its contents: the live
-    /// count, the subject index, the arena's live ranges and garbage
-    /// count, and the `min_len` bound. O(n log n); for tests and
-    /// `SwimNode::check_invariants`.
+    /// count, the selection order, the subject index, the arena's live
+    /// ranges and garbage count, and the `min_len` bound. O(n log n);
+    /// for tests and `SwimNode::check_invariants`.
     ///
     /// # Panics
     ///
@@ -679,10 +556,24 @@ impl BroadcastQueue {
             .map(Slot::range)
             .collect();
         assert_eq!(ranges.len(), self.live, "live count ≠ occupied slots");
-        assert!(
-            self.requeue.is_empty() && self.packed.is_empty() && self.side.is_empty(),
-            "a fill left items off the heap"
-        );
+        assert!(self.packed.is_empty(), "a fill left packed slots unmerged");
+        // As many entries as live slots, each live and each key above
+        // the one before it: every live slot exactly once, in order.
+        assert_eq!(self.order.len(), self.live, "order length ≠ live count");
+        for &index in &self.order {
+            assert!(
+                self.slots.get(index as usize).is_some_and(Slot::is_live),
+                "order names vacant slot {index}"
+            );
+        }
+        for pair in self.order.windows(2) {
+            if let [a, b] = *pair {
+                assert!(
+                    key(&self.slots, a) < key(&self.slots, b),
+                    "order is not strictly ascending at slots {a}, {b}"
+                );
+            }
+        }
         for index in (0u32..)
             .zip(&self.slots)
             .filter(|(_, s)| s.is_live())
@@ -795,52 +686,6 @@ mod tests {
             addr: NodeAddr::new([10, 0, 0, 1], 1),
             meta: Bytes::new(),
         })
-    }
-
-    /// Fans one gossip round out to `targets` targets; returns how many
-    /// got a packet.
-    fn fan_out(q: &mut BroadcastQueue, limit: u32, targets: usize) -> usize {
-        let mut b = CompoundBuilder::new(1400);
-        let mut sent = 0;
-        q.fill_fanout(&mut b, limit, &vec![(); targets], |(), packet| {
-            assert!(finish(packet).is_some());
-            sent += 1;
-        });
-        sent
-    }
-
-    /// A piggyback fill and gossip fan-outs charge one transmission per
-    /// packet alike, so a broadcast goes out exactly its limit: 12 =
-    /// 1 + 3 + 3 + 3 + 2, the last fan-out reaching only 2 of its 3
-    /// targets, and the next one none.
-    #[test]
-    fn a_broadcast_is_sent_exactly_its_limit_across_fills_and_fan_outs() {
-        let mut q = BroadcastQueue::new();
-        q.enqueue(alive("n", 1));
-        let mut b = CompoundBuilder::new(1400);
-        assert!(b.try_add_msg(&suspect("primary", "x", 1)));
-        q.fill(&mut b, 12, None);
-        assert_eq!(b.len(), 2, "the piggyback fill carries the broadcast");
-        assert!(finish(&mut b).is_some());
-        let sent: Vec<usize> = (0..5).map(|_| fan_out(&mut q, 12, 3)).collect();
-        assert_eq!(sent, [3, 3, 3, 2, 0]);
-        assert!(q.is_empty(), "retired at its twelfth transmission");
-    }
-
-    #[test]
-    fn fill_is_fill_fanout_of_one_copy() {
-        let (mut a, mut b) = (BroadcastQueue::new(), BroadcastQueue::new());
-        a.enqueue(suspect("s", "from", 1));
-        b.enqueue(suspect("s", "from", 1));
-        for _ in 0..3 {
-            let mut ba = CompoundBuilder::new(1400);
-            let mut bb = CompoundBuilder::new(1400);
-            a.fill(&mut ba, 3, None);
-            let mut fanned = None;
-            b.fill_fanout(&mut bb, 3, &[()], |(), packet| fanned = finish(packet));
-            assert_eq!(finish(&mut ba), fanned);
-        }
-        assert!(a.is_empty() && b.is_empty());
     }
 
     fn drain(q: &mut BroadcastQueue, limit: u32) -> Vec<Message> {
@@ -983,7 +828,7 @@ mod tests {
             q.fill(&mut b, 10, None);
         }
         // A fill too small to pack anything (fresh "b" doesn't fit, and
-        // over-limit "a" is below it in the heap) must still retire "a"
+        // over-limit "a" sorts before it) must still retire "a"
         // when the limit has shrunk below its transmit count.
         q.enqueue(alive("b", 1));
         let mut b = CompoundBuilder::new(4);
@@ -1096,9 +941,9 @@ mod tests {
         for i in 0..511 {
             q.enqueue(alive(&format!("node-{i}"), 1));
         }
-        // The free list and the fill's lists grow while the queue drains.
+        // The free list and the packed list grow while the queue drains.
         for (name, capacity, floor) in q.capacities() {
-            if !matches!(name, "free" | "requeue" | "packed" | "side") {
+            if !matches!(name, "free" | "packed") {
                 assert!(
                     capacity > floor,
                     "{name}: the storm grew it to {capacity} only"

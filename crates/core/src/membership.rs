@@ -1408,12 +1408,12 @@ mod tests {
     /// A simulated cluster holds one node per member inline, so a field
     /// that re-grows the node costs every node of a 2 000-node run. Its
     /// two histograms keep 128-bucket windows, not 976 buckets each. The
-    /// broadcast queue's two fan-out lists (`packed`, `side`) are 48 of
-    /// its bytes.
+    /// broadcast queue picks broadcasts from one sorted list (`order`)
+    /// and one list a fill merges back (`packed`), 48 of its bytes.
     #[test]
     fn node_layout_is_pinned() {
         assert_eq!(std::mem::size_of::<lifeguard_metrics::Histogram>(), 1072);
-        assert_eq!(std::mem::size_of::<crate::node::SwimNode>(), 3504);
+        assert_eq!(std::mem::size_of::<crate::node::SwimNode>(), 3448);
     }
 
     #[test]

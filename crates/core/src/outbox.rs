@@ -192,20 +192,18 @@ impl Outbox {
 
     /// One gossip-only packet to each picked target in turn, each its
     /// own fill that charges one transmission per broadcast it carries
-    /// (memberlist's per-target `getBroadcasts`); the first target whose
-    /// fill comes back empty, and every one after it, gets no packet.
+    /// (memberlist's per-target `getBroadcasts`), so no broadcast goes
+    /// out more than `transmit_limit` times; the first target whose fill
+    /// comes back empty, and every one after it, gets no packet.
     pub(crate) fn gossip_to_targets(&mut self, transmit_limit: u32) {
-        let (scratch, pending) = (&mut self.scratch, &mut self.pending);
-        self.broadcasts.fill_fanout(
-            &mut self.builder,
-            transmit_limit,
-            &self.targets,
-            |to, packet| {
-                if let Some(range) = packet.finish_into(scratch) {
-                    pending.push_back(Queued::Packet { to, range });
-                }
-            },
-        );
+        for &to in &self.targets {
+            self.broadcasts
+                .fill(&mut self.builder, transmit_limit, None);
+            let Some(range) = self.builder.finish_into(&mut self.scratch) else {
+                break;
+            };
+            self.pending.push_back(Queued::Packet { to, range });
+        }
     }
 
     /// Every queued packet's range lies inside the arena, no half-built
@@ -233,5 +231,73 @@ impl Outbox {
     #[cfg(test)]
     pub(crate) fn pending_capacity(&self) -> usize {
         self.pending.capacity()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bytes::Bytes;
+    use lifeguard_proto::compound::decode_packet;
+    use lifeguard_proto::{Alive, Incarnation, Suspect};
+
+    fn addr(i: u8) -> NodeAddr {
+        NodeAddr::new([10, 0, 0, i], 7946)
+    }
+
+    /// Drains the outbox: each packet's destination and messages.
+    fn sent(outbox: &mut Outbox) -> Vec<(NodeAddr, Vec<Message>)> {
+        let mut packets = Vec::new();
+        while let Some(output) = outbox.next_output() {
+            let Output::Packet { to, payload } = output else {
+                panic!("only packets are queued");
+            };
+            packets.push((to, decode_packet(payload).unwrap()));
+        }
+        outbox.begin_input();
+        packets
+    }
+
+    /// A piggyback fill and gossip fan-outs charge one transmission per
+    /// packet alike, so a broadcast goes out exactly its limit: 12 =
+    /// 1 + 3 + 3 + 3 + 2, the last fan-out reaching only the first 2 of
+    /// its 3 targets, and the next one none.
+    #[test]
+    fn a_broadcast_is_sent_exactly_its_limit_across_fills_and_fan_outs() {
+        let alive = Message::Alive(Alive {
+            incarnation: Incarnation(1),
+            node: "n".into(),
+            addr: addr(1),
+            meta: Bytes::new(),
+        });
+        let primary = Message::Suspect(Suspect {
+            incarnation: Incarnation(1),
+            node: "primary".into(),
+            from: "x".into(),
+        });
+        let mut outbox = Outbox::new();
+        outbox.broadcasts.enqueue(alive.clone());
+        outbox.packet(addr(9), &primary, None, 12);
+        assert_eq!(
+            sent(&mut outbox),
+            [(addr(9), vec![primary, alive.clone()])],
+            "the piggyback fill carries the broadcast"
+        );
+        outbox.targets = vec![addr(1), addr(2), addr(3)];
+        let mut reached: Vec<Vec<NodeAddr>> = Vec::new();
+        for _ in 0..5 {
+            outbox.gossip_to_targets(12);
+            let packets = sent(&mut outbox);
+            assert!(packets.iter().all(|(_, msgs)| *msgs == [alive.clone()]));
+            reached.push(packets.into_iter().map(|(to, _)| to).collect());
+        }
+        let all = vec![addr(1), addr(2), addr(3)];
+        let last = vec![addr(1), addr(2)];
+        assert_eq!(reached, [all.clone(), all.clone(), all, last, vec![]]);
+        assert!(
+            outbox.broadcasts.is_empty(),
+            "retired at its twelfth transmission"
+        );
+        outbox.check_invariants();
     }
 }

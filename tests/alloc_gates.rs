@@ -539,29 +539,30 @@ fn ipv6_costs_nothing_until_a_member_has_it() {
 }
 
 /// Live bytes one queued broadcast may cost in a join storm: ≈ 1.1 ×
-/// the 88 B measured when the gate was set — a 24-byte slot, a 16-byte
-/// heap item, an 8-byte index bucket at load ≤ ¾ (16 B: 511 subjects in
-/// 1 024 buckets) and a 19-byte `alive` encoding (28 B with fixed-width
-/// incarnation and lengths) in an arena that doubled to 16 KiB (32 B),
-/// so the shorter encodings left the figure at 88 B. A slot that held the subject's name cost
-/// 40 B and a `HashMap<NodeName, u32>` entry ≈ 42 B (138 B in all); a
-/// slot holding its decoded message and an encode buffer of its own,
-/// 226 B.
-const BROADCAST_BYTES_GATE: f64 = 97.0;
+/// the 76 B measured when the gate was set — a 24-byte slot, a 4-byte
+/// entry in the sorted selection order, an 8-byte index bucket at load
+/// ≤ ¾ (16 B: 511 subjects in 1 024 buckets) and a 19-byte `alive`
+/// encoding in an arena that doubled to 16 KiB (32 B). A 16-byte heap
+/// item in place of the order entry made it 88 B; a slot that held the
+/// subject's name cost 40 B and a `HashMap<NodeName, u32>` entry ≈ 42 B
+/// (138 B in all); a slot holding its decoded message and an encode
+/// buffer of its own, 226 B.
+const BROADCAST_BYTES_GATE: f64 = 84.0;
 
 /// The churn workload's metadata blob, in bytes.
 const META_BYTES: usize = 16;
 
 /// Live bytes one queued broadcast may cost after suspicion and
 /// refutation rounds over `alive`s carrying `META_BYTES` of metadata:
-/// ≈ 1.1 × the 145 B measured when the gate was set. The 35-byte
-/// encodings fill 18 KiB of arena; a compaction keeps room for twice the
-/// live bytes plus 2 KiB (74 B), and the heap room for twice its items
-/// (32 B), so that neither regrows before the next compaction. With
-/// fixed-width incarnations and lengths the encodings were 44 B and the
-/// figure 163 B; before compaction gave capacity back, the arena kept
-/// the 64 KiB it grew to and the heap 2 048 items: 232 B.
-const BROADCAST_CHURN_BYTES_GATE: f64 = 160.0;
+/// ≈ 1.1 × the 116 B measured when the gate was set. The 35-byte
+/// encodings fill 18 KiB of arena, and a compaction keeps room for twice
+/// the live bytes plus 2 KiB (≤ 74 B) so that it does not regrow before
+/// the next compaction; the slot, index bucket and order entry add 44 B.
+/// When a lazily pruned heap took the order's place, with room for twice
+/// its items (32 B), the figure was 145 B; with fixed-width incarnations
+/// and lengths, 163 B; before compaction gave capacity back, the arena
+/// kept the 64 KiB it grew to and the heap 2 048 items: 232 B.
+const BROADCAST_CHURN_BYTES_GATE: f64 = 128.0;
 
 /// The `alive` about member `i` a join storm or a refutation queues.
 fn alive_of(i: usize, incarnation: u64, meta: Bytes) -> Message {
@@ -577,10 +578,10 @@ fn alive_of(i: usize, incarnation: u64, meta: Bytes) -> Message {
 /// gate what each costs in a bare queue holding 511 of them. Then gate
 /// a queue that holds one `alive` with metadata per member and is
 /// overwritten three times over — a suspicion about every member, the
-/// refutations, and a second suspicion — so its arena compacts and its
-/// heap is rebuilt. The messages are built before the window; their
-/// names are inline and their metadata shares one buffer per round, so
-/// a clone allocates nothing.
+/// refutations, and a second suspicion — so its arena compacts. The
+/// messages are built before the window; their names are inline and
+/// their metadata shares one buffer per round, so a clone allocates
+/// nothing.
 fn queued_broadcast_stays_within_bytes_per_entry() {
     let msgs: Vec<Message> = (1..SMALL_TABLE)
         .map(|i| alive_of(i, 1, Bytes::new()))
