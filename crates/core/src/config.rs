@@ -85,8 +85,9 @@ pub enum ConfigError {
     /// watermark would expire before the next periodic exchange could
     /// ever reuse it, so no delta would ever be sent.
     DeltaSyncHorizonBelowPushPullInterval,
-    /// The local node's name is longer than `u16::MAX` bytes, more than
-    /// a decoder accepts as a name's length. Not a [`Config`]
+    /// The local node's name is longer than
+    /// [`MAX_NAME_LEN`](lifeguard_proto::MAX_NAME_LEN) (255) bytes, more
+    /// than a decoder accepts as a name's length. Not a [`Config`]
     /// field: [`SwimNode::try_new`](crate::node::SwimNode::try_new)
     /// checks it next to the configuration.
     NodeNameTooLong,
@@ -114,7 +115,7 @@ impl std::fmt::Display for ConfigError {
             ConfigError::DeltaSyncHorizonBelowPushPullInterval => {
                 "push_pull_interval must not exceed the 300 s delta-sync horizon"
             }
-            ConfigError::NodeNameTooLong => "node name must be at most 65535 bytes",
+            ConfigError::NodeNameTooLong => "node name must be at most 255 bytes",
         };
         f.write_str(msg)
     }

@@ -191,7 +191,7 @@ pub struct Membership {
     // bounded: ≤ |slots| — holds only currently-vacant slot ids
     free: Vec<u32>,
     /// The metadata column: empty, or one cell per slot.
-    // bounded: ≤ |slots| cells, each a blob the node accepted (≤ u16::MAX bytes, the codec's length bound)
+    // bounded: ≤ |slots| cells, each a blob the node accepted (≤ MAX_META_LEN = 512 bytes, the codec's cap)
     meta: Vec<Bytes>,
     /// The IPv6 column: empty, or one cell of octets per slot.
     // bounded: ≤ |slots| cells of 16 bytes

@@ -25,7 +25,7 @@ use lifeguard_metrics::CoreSnapshot;
 use lifeguard_proto::{
     compound, Ack, Alive, DatagramView, Dead, DecodeError, Incarnation, IndirectPing, MemberState,
     Message, Nack, NodeAddr, NodeName, Ping, PushNodeState, PushPullDelta, SeqNo, Suspect,
-    MAX_META_LEN,
+    MAX_META_LEN, MAX_NAME_LEN,
 };
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -237,7 +237,7 @@ impl SwimNode {
         seed: u64,
     ) -> Result<Self, crate::config::ConfigError> {
         config.validate()?;
-        if name.len() > usize::from(u16::MAX) {
+        if name.len() > MAX_NAME_LEN {
             return Err(crate::config::ConfigError::NodeNameTooLong);
         }
         Ok(SwimNode {

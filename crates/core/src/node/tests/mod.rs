@@ -1093,7 +1093,7 @@ fn invalid_config_is_rejected_at_construction() {
 
 #[test]
 fn name_the_wire_format_cannot_carry_is_rejected_at_construction() {
-    let longest = "n".repeat(usize::from(u16::MAX));
+    let longest = "n".repeat(lifeguard_proto::MAX_NAME_LEN);
     assert!(SwimNode::try_new(longest.as_str().into(), addr(1), Config::lan(), 1).is_ok());
     let too_long = longest + "n";
     assert_eq!(

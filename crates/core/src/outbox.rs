@@ -34,8 +34,8 @@ use crate::membership::{Membership, SamplePool};
 /// queue or a paused node's outbox.
 #[derive(Debug)]
 pub enum Output<'a> {
-    /// Send a datagram (already compound-encoded, within the MTU budget
-    /// except for oversized single messages).
+    /// Send a datagram (already compound-encoded, within
+    /// [`DEFAULT_PACKET_BUDGET`]).
     Packet {
         /// Destination address.
         to: NodeAddr,
@@ -158,9 +158,27 @@ impl Outbox {
         let exclude = buddy.and_then(Message::gossip_subject);
         self.broadcasts
             .fill(&mut self.builder, transmit_limit, exclude);
-        if let Some(range) = self.builder.finish_into(&mut self.scratch) {
-            self.pending.push_back(Queued::Packet { to, range });
-        }
+        self.finish_packet(to);
+    }
+
+    /// Finishes the builder's packet into the arena and queues it for
+    /// `to`; `false`, queueing nothing, if the builder was empty. Every
+    /// datagram a node sends is finished here, and none is longer than
+    /// [`DEFAULT_PACKET_BUDGET`]: the builder keeps a packet of several
+    /// messages within it, and the codec's name and metadata caps keep
+    /// a lone message inside it, so a receiver's buffer of the budget
+    /// holds it.
+    fn finish_packet(&mut self, to: NodeAddr) -> bool {
+        let Some(range) = self.builder.finish_into(&mut self.scratch) else {
+            return false;
+        };
+        debug_assert!(
+            range.len() <= DEFAULT_PACKET_BUDGET,
+            "a {}-byte datagram is over the packet budget",
+            range.len()
+        );
+        self.pending.push_back(Queued::Packet { to, range });
+        true
     }
 
     /// Draws up to `k` members of `pool` passing `eligible` into the
@@ -196,14 +214,15 @@ impl Outbox {
     /// out more than `transmit_limit` times; the first target whose fill
     /// comes back empty, and every one after it, gets no packet.
     pub(crate) fn gossip_to_targets(&mut self, transmit_limit: u32) {
-        for &to in &self.targets {
+        let targets = std::mem::take(&mut self.targets);
+        for &to in &targets {
             self.broadcasts
                 .fill(&mut self.builder, transmit_limit, None);
-            let Some(range) = self.builder.finish_into(&mut self.scratch) else {
+            if !self.finish_packet(to) {
                 break;
-            };
-            self.pending.push_back(Queued::Packet { to, range });
+            }
         }
+        self.targets = targets;
     }
 
     /// Every queued packet's range lies inside the arena, no half-built

@@ -463,6 +463,7 @@ mod tests {
     use super::*;
     use lifeguard_core::driver::Sink;
     use lifeguard_core::event::Event;
+    use lifeguard_proto::MAX_NAME_LEN;
     use std::time::Duration;
 
     /// A sped-up protocol config so socket tests finish in seconds.
@@ -570,9 +571,11 @@ mod tests {
 
     #[test]
     fn over_long_name_and_oversized_meta_are_refused() {
-        let name = "n".repeat(usize::from(u16::MAX) + 1);
+        let name = "n".repeat(MAX_NAME_LEN + 1);
         let err = Agent::start(AgentConfig::local(&name).protocol(fast())).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        let longest = Agent::start(AgentConfig::local(&name[1..]).protocol(fast())).unwrap();
+        longest.shutdown();
 
         let a = Agent::start(AgentConfig::local("a").protocol(fast()).seed(12)).unwrap();
         assert!(a.update_meta(Bytes::from(vec![1; MAX_META_LEN])).is_ok());

@@ -64,7 +64,7 @@ use lifeguard_core::event::Event as ProtoEvent;
 use lifeguard_core::event_log::EventLog;
 use lifeguard_core::node::Input;
 use lifeguard_core::time::Time;
-use lifeguard_proto::{Message, NodeAddr};
+use lifeguard_proto::{Message, NodeAddr, DEFAULT_PACKET_BUDGET};
 use polling::mmsg::{RecvRing, SendBatch};
 use polling::{Event, Events, Poller};
 
@@ -82,9 +82,9 @@ const FIRST_CONN_KEY: usize = 2;
 /// burst is split across several syscalls.
 pub(crate) const SEND_BATCH: usize = 64;
 
-/// Receive-ring slots filled per `recvmmsg`. Each slot holds a full
-/// [`RECV_SLOT_LEN`] datagram, so the ring costs `RECV_BURST × 64 KiB`
-/// per agent.
+/// Receive-ring slots filled per `recvmmsg`. Each slot holds one
+/// [`RECV_SLOT_LEN`] datagram, so the ring costs `RECV_BURST × 1 400`
+/// bytes (22 400) per agent.
 const RECV_BURST: usize = 16;
 
 /// Most datagrams drained per readiness event before the reactor yields
@@ -92,9 +92,11 @@ const RECV_BURST: usize = 16;
 /// left).
 const MAX_BURST: usize = 1024;
 
-/// Bytes per receive-ring slot: the largest possible UDP datagram, so
-/// `MSG_TRUNC` marks a malformed sender, never a short buffer.
-const RECV_SLOT_LEN: usize = 65536;
+/// Bytes per receive-ring slot: the packet budget, which no datagram a
+/// node sends exceeds (the codec's name and metadata caps keep a lone
+/// message inside it, the compound builder a packet of several), so
+/// `MSG_TRUNC` marks a malformed or foreign sender, never a peer.
+const RECV_SLOT_LEN: usize = DEFAULT_PACKET_BUDGET;
 
 /// Upper bound on tracked TCP connections (inbound + outbound). At the
 /// cap the listener is disarmed — pending connections wait in the OS
@@ -459,9 +461,10 @@ impl Reactor {
                     let slot = i;
                     i += 1;
                     if self.recv_ring.truncated(slot) {
-                        // Bigger than a ring slot — only possible for a
-                        // malformed sender (slots hold 64 KiB, the UDP
-                        // maximum); count the drop and move on.
+                        // Bigger than a ring slot: no node sends more
+                        // than the packet budget a slot holds, so only a
+                        // malformed or foreign sender gets here. Count
+                        // the drop and move on with the burst.
                         counters.recv_truncations.fetch_add(1, Ordering::Relaxed);
                         continue;
                     }
@@ -829,6 +832,50 @@ mod tests {
         assert_eq!(io.send_syscalls, 2 * u64::from(DATAGRAMS), "{io:?}");
         assert_eq!(io.sendmmsg_batches, u64::from(DATAGRAMS), "{io:?}");
         assert_eq!(io.datagrams_sent, u64::from(DATAGRAMS * PINGS_PER_DATAGRAM));
+    }
+
+    /// A datagram one byte over the packet budget, between two pings in
+    /// one `recvmmsg` burst, overflows its ring slot: it is counted as a
+    /// truncation and dropped, and the burst goes on to answer both
+    /// pings.
+    #[test]
+    fn a_datagram_over_the_budget_is_dropped_and_the_burst_goes_on() {
+        let mut reactor = Agent::bind(AgentConfig::local("hub").seed(62)).expect("bind");
+        let hub = reactor.inner.advertised.socket_addr();
+        let peer = UdpSocket::bind("127.0.0.1:0").expect("bind peer");
+        peer.set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("timeout");
+        let peer_addr = NodeAddr::from(peer.local_addr().expect("addr"));
+        let ping = |seq| {
+            lifeguard_proto::codec::encode_message(&Message::Ping(Ping {
+                seq: SeqNo(seq),
+                target: "hub".into(),
+                source: "peer".into(),
+                source_addr: peer_addr,
+            }))
+        };
+        let oversized = vec![0u8; DEFAULT_PACKET_BUDGET + 1];
+        for datagram in [&ping(1)[..], &oversized, &ping(2)] {
+            peer.send_to(datagram, hub).expect("send");
+        }
+        reactor.drain_datagrams();
+
+        let io = reactor.inner.counters.io_snapshot();
+        assert_eq!(io.recv_syscalls, 1, "one burst: {io:?}");
+        assert_eq!(io.recv_truncations, 1, "{io:?}");
+        assert_eq!(io.datagrams_received, 2, "{io:?}");
+        let mut acked = Vec::new();
+        let mut buf = [0u8; DEFAULT_PACKET_BUDGET + 1];
+        while acked.len() < 2 {
+            let (len, _) = peer.recv_from(&mut buf).expect("both pings are acked");
+            for msg in compound::decode_packet(&buf[..len]).expect("valid reply") {
+                if let Message::Ack(ack) = msg {
+                    acked.push(ack.seq.0);
+                }
+            }
+        }
+        acked.sort_unstable();
+        assert_eq!(acked, [1, 2]);
     }
 
     #[test]

@@ -7,7 +7,10 @@
 //! peer sends a direct `Ping` to a running [`Agent`]'s UDP port and
 //! waits for the `Ack`; the single event loop is woken by poll
 //! readiness and must not quantise the round trip. Every count is the
-//! measured agent's own (`Agent::metrics().io`).
+//! measured agent's own (`Agent::metrics().io`). The peers receive into
+//! buffers one byte longer than `DEFAULT_PACKET_BUDGET`, and every
+//! datagram the agent sends them must fit the budget; no datagram they
+//! send the agent overflows its receive ring (`recv_truncations` 0).
 
 use std::net::UdpSocket;
 use std::time::{Duration, Instant};
@@ -18,6 +21,7 @@ use lifeguard_net::agent::{Agent, AgentConfig};
 use lifeguard_net::transport;
 use lifeguard_proto::{
     codec, Incarnation, MemberState, Message, NodeAddr, Ping, PushNodeState, PushPull, SeqNo,
+    DEFAULT_PACKET_BUDGET,
 };
 
 /// Probe timing fast enough that the agent's own timers stay busy
@@ -56,7 +60,7 @@ impl ProbeHarness {
             agent,
             peer,
             peer_addr,
-            buf: vec![0u8; 65536],
+            buf: vec![0u8; DEFAULT_PACKET_BUDGET + 1],
             seq: 0,
         }
     }
@@ -78,6 +82,7 @@ impl ProbeHarness {
             .expect("send ping");
         loop {
             let (len, _) = self.peer.recv_from(&mut self.buf).expect("ack within 2s");
+            assert!(len <= DEFAULT_PACKET_BUDGET, "a {len}-byte datagram");
             if let Ok(Message::Ack(ack)) = codec::decode_message(&self.buf[..len]) {
                 if ack.seq == SeqNo(self.seq) {
                     return start.elapsed();
@@ -118,6 +123,22 @@ fn fanout_config() -> Config {
 struct FanoutMeasure {
     datagrams_per_send_syscall: f64,
     sendmmsg_batches: u64,
+    recv_truncations: u64,
+}
+
+/// Takes every datagram queued at `sinks` and returns how many there
+/// were, asserting that each fits the packet budget.
+fn drain_sinks(sinks: &[UdpSocket]) -> usize {
+    let mut buf = vec![0u8; DEFAULT_PACKET_BUDGET + 1];
+    let mut datagrams = 0;
+    for sink in sinks {
+        sink.set_nonblocking(true).expect("nonblocking sink");
+        while let Ok((len, _)) = sink.recv_from(&mut buf) {
+            assert!(len <= DEFAULT_PACKET_BUDGET, "a {len}-byte datagram");
+            datagrams += 1;
+        }
+    }
+    datagrams
 }
 
 /// Starts a hub agent, injects [`FANOUT_MEMBERS`] members (addresses
@@ -165,6 +186,7 @@ fn measure_fanout(sinks: &[UdpSocket]) -> FanoutMeasure {
     std::thread::sleep(FANOUT_WINDOW);
     let after = agent.metrics().io;
     agent.shutdown();
+    assert!(drain_sinks(sinks) > 0, "the fan-out reached no sink");
 
     let send_syscalls = after.send_syscalls - before.send_syscalls;
     let datagrams = after.datagrams_sent - before.datagrams_sent;
@@ -175,6 +197,7 @@ fn measure_fanout(sinks: &[UdpSocket]) -> FanoutMeasure {
             datagrams as f64 / send_syscalls as f64
         },
         sendmmsg_batches: after.sendmmsg_batches - before.sendmmsg_batches,
+        recv_truncations: after.recv_truncations,
     }
 }
 
@@ -242,5 +265,7 @@ fn reactor_holds_its_latency_wakeup_and_batching_gates() {
         "idle reactor woke {idle_rate:.0}×/s — an idle agent must sleep to its next probe round"
     );
 
+    assert_eq!(fanout.recv_truncations, 0, "the fan-out agent");
+    assert_eq!(reactor.agent.metrics().io.recv_truncations, 0);
     reactor.agent.shutdown();
 }

@@ -30,10 +30,12 @@
 //!
 //! The decoder refuses any other spelling with
 //! [`DecodeError::NonCanonical`]: an overlong varint (one that ends in a
-//! zero group), a varint too large for its field (a name or blob length
-//! above `u16::MAX`, a sequence number or state count above `u32::MAX`,
-//! anything past `u64::MAX`), a flag byte with a bit no flag uses. So a
-//! byte string that decodes is the one encoding of what it decodes to.
+//! zero group), a varint too large for its field (a name longer than
+//! [`MAX_NAME_LEN`], a blob longer than [`MAX_META_LEN`], a sequence
+//! number or state count above `u32::MAX`, anything past `u64::MAX`), a
+//! flag byte with a bit no flag uses. So a byte string that decodes is
+//! the one encoding of what it decodes to, and no datagram message it
+//! accepts is longer than [`crate::DEFAULT_PACKET_BUDGET`].
 //! Every message is self-delimiting, so a compound packet
 //! ([`crate::compound`]) carries its parts back to back, with no length
 //! table.
@@ -51,6 +53,7 @@ use crate::messages::{
     PushPullDelta, Suspect,
 };
 use crate::types::{Incarnation, MemberState, NodeAddr, NodeName, SeqNo};
+use crate::{MAX_META_LEN, MAX_NAME_LEN};
 
 /// Wire tag for each message type. `COMPOUND_TAG` is reserved for packets
 /// carrying multiple messages (see [`crate::compound`]).
@@ -266,7 +269,7 @@ pub fn gossip_subject(encoded: &[u8]) -> Option<&[u8]> {
         return None;
     }
     r.get_varint(u64::MAX).ok()?;
-    r.get_bytes().ok()
+    r.get_field(MAX_NAME_LEN).ok()
 }
 
 /// Decodes exactly one message, rejecting trailing bytes.
@@ -395,7 +398,7 @@ pub(crate) fn view_from<'a>(r: &mut Reader<'a>) -> Result<Option<DatagramView<'a
             incarnation: r.get_incarnation()?,
             node: r.get_str()?,
             addr: r.get_addr()?,
-            meta: r.get_bytes()?,
+            meta: r.get_field(MAX_META_LEN)?,
         },
         TAG_DEAD => DatagramView::Dead {
             incarnation: r.get_incarnation()?,
@@ -469,20 +472,21 @@ fn put_varint(buf: &mut BytesMut, mut v: u64) {
 }
 
 fn put_name(buf: &mut BytesMut, n: &NodeName) {
-    put_blob(buf, n.as_str().as_bytes());
+    put_field(buf, n.as_str().as_bytes(), MAX_NAME_LEN);
 }
 
-/// A varint-length-prefixed field, at most `u16::MAX` bytes, which the
-/// decoder checks. Every one is bounded at its source: a node's own
-/// name to `u16::MAX` bytes in `SwimNode::try_new`
-/// (`ConfigError::NodeNameTooLong`), its metadata to `MAX_META_LEN` in
-/// `SwimNode::update_meta`, and every peer's name or blob was decoded
-/// under the same bound.
 fn put_blob(buf: &mut BytesMut, b: &[u8]) {
-    debug_assert!(
-        u16::try_from(b.len()).is_ok(),
-        "length-prefixed field too long"
-    );
+    put_field(buf, b, MAX_META_LEN);
+}
+
+/// A varint-length-prefixed field of at most `max` bytes, the cap the
+/// decoder holds it to. Every one is bounded at its source: a node's own
+/// name to [`MAX_NAME_LEN`] in `SwimNode::try_new`
+/// (`ConfigError::NodeNameTooLong`), its metadata to [`MAX_META_LEN`] in
+/// `SwimNode::update_meta`, and every peer's name or blob was decoded
+/// under the same caps.
+fn put_field(buf: &mut BytesMut, b: &[u8], max: usize) {
+    debug_assert!(b.len() <= max, "length-prefixed field too long");
     put_varint(buf, b.len() as u64);
     buf.put_slice(b);
 }
@@ -603,12 +607,12 @@ impl<'a> Reader<'a> {
         self.get_varint(u64::MAX).map(Incarnation)
     }
 
-    /// A name or blob length: at most `u16::MAX`.
-    fn get_len(&mut self) -> Result<usize, DecodeError> {
-        let v = self.get_varint(u64::from(u16::MAX))?;
-        u16::try_from(v)
-            .map(usize::from)
-            .map_err(|_| DecodeError::NonCanonical)
+    /// A name or blob length: at most `max`, its field's cap
+    /// ([`MAX_NAME_LEN`] or [`MAX_META_LEN`]), checked before the bytes
+    /// are looked for.
+    fn get_len(&mut self, max: usize) -> Result<usize, DecodeError> {
+        let v = self.get_varint(max as u64)?;
+        usize::try_from(v).map_err(|_| DecodeError::NonCanonical)
     }
 
     /// The next `N` bytes as an array.
@@ -638,18 +642,20 @@ impl<'a> Reader<'a> {
 
     /// A length-prefixed name, borrowed from the buffer.
     fn get_str(&mut self) -> Result<&'a str, DecodeError> {
-        let raw = self.get_bytes()?;
+        let raw = self.get_field(MAX_NAME_LEN)?;
         std::str::from_utf8(raw).map_err(|_| DecodeError::InvalidUtf8)
     }
 
-    /// A length-prefixed blob, borrowed from the buffer.
-    fn get_bytes(&mut self) -> Result<&'a [u8], DecodeError> {
-        let len = self.get_len()?;
+    /// A length-prefixed field of at most `max` bytes, borrowed from
+    /// the buffer.
+    fn get_field(&mut self, max: usize) -> Result<&'a [u8], DecodeError> {
+        let len = self.get_len(max)?;
         self.take(len)
     }
 
+    /// A length-prefixed metadata blob.
     fn get_blob(&mut self) -> Result<Bytes, DecodeError> {
-        let len = self.get_len()?;
+        let len = self.get_len(MAX_META_LEN)?;
         let start = self.pos;
         let raw = self.take(len)?;
         Ok(match self.shared {
@@ -947,11 +953,11 @@ mod tests {
         too_long[10] = 0x81;
         too_long.insert(11, 0x00);
         refused(&too_long);
-        // A name or blob is at most u16::MAX bytes: a length of 65 536
+        // A name is at most MAX_NAME_LEN = 255 bytes: a length of 256
         // is refused before the bytes are looked for.
-        refused(&[TAG_SUSPECT, 0, 0x80, 0x80, 0x04]);
+        refused(&[TAG_SUSPECT, 0, 0x80, 0x02]);
         assert_eq!(
-            decode_message(&[TAG_SUSPECT, 0, 0xff, 0xff, 0x03]),
+            decode_message(&[TAG_SUSPECT, 0, 0xff, 0x01]),
             Err(DecodeError::UnexpectedEof)
         );
         // Flags: `nack` and a delta's `reply` are 0 or 1, push-pull's
@@ -997,6 +1003,116 @@ mod tests {
                 assert_eq!(bytes.len(), encoded_len(&msg));
                 assert_eq!(decode_message(&bytes).unwrap(), msg);
             }
+        }
+    }
+
+    /// The largest message of each datagram kind, every field at its
+    /// widest: names of `MAX_NAME_LEN` bytes, IPv6 addresses, a
+    /// sequence number and an incarnation in their longest varints and
+    /// `MAX_META_LEN` bytes of metadata. Each fits
+    /// `DEFAULT_PACKET_BUDGET`, and the compound builder keeps a packet
+    /// of several within it, so a receive buffer of the budget holds any
+    /// datagram a node sends. A cap raised past the budget fails here.
+    #[test]
+    fn the_largest_message_of_each_datagram_kind_fits_the_budget() {
+        let name = || NodeName::from("n".repeat(MAX_NAME_LEN));
+        let addr = NodeAddr::from(SocketAddr::new(Ipv6Addr::from([0xff; 16]).into(), u16::MAX));
+        let seq = SeqNo(u32::MAX);
+        let incarnation = Incarnation(u64::MAX);
+        let largest = [
+            Message::Ping(Ping {
+                seq,
+                target: name(),
+                source: name(),
+                source_addr: addr,
+            }),
+            Message::IndirectPing(IndirectPing {
+                seq,
+                target: name(),
+                target_addr: addr,
+                nack: true,
+                source: name(),
+                source_addr: addr,
+            }),
+            Message::Ack(Ack { seq }),
+            Message::Nack(Nack { seq }),
+            Message::Suspect(Suspect {
+                incarnation,
+                node: name(),
+                from: name(),
+            }),
+            Message::Alive(Alive {
+                incarnation,
+                node: name(),
+                addr,
+                meta: Bytes::from(vec![0xff; MAX_META_LEN]),
+            }),
+            Message::Dead(Dead {
+                incarnation,
+                node: name(),
+                from: name(),
+            }),
+        ];
+        let sizes = largest.each_ref().map(encoded_len);
+        assert_eq!(sizes, [539, 559, 6, 6, 525, 801, 525]);
+        for msg in largest {
+            assert!(encoded_len(&msg) <= crate::DEFAULT_PACKET_BUDGET, "{msg:?}");
+            assert_eq!(decode_message(&encode_message(&msg)), Ok(msg));
+        }
+    }
+
+    /// A name one byte over `MAX_NAME_LEN`, or a metadata blob one byte
+    /// over `MAX_META_LEN`, is refused wherever it stands: in a lone
+    /// message, as a delta's sender, and in a push-pull or delta entry,
+    /// by the owned decoder and the view walker alike. The same bytes
+    /// with the field at its cap decode, and re-encode to themselves.
+    #[test]
+    fn a_name_or_blob_over_its_cap_is_refused() {
+        // A length-prefixed field of `len` bytes.
+        let field = |len: usize| {
+            let mut buf = BytesMut::new();
+            put_varint(&mut buf, len as u64);
+            buf.put_slice(&vec![b'n'; len]);
+            buf.to_vec()
+        };
+        let addr = vec![4, 10, 0, 0, 1, 0x1e, 0xaa];
+        // A push-pull entry: alive at incarnation 0.
+        let entry = |name, meta| [field(name), addr.clone(), vec![0, 0], field(meta)].concat();
+        // A delta: zero epochs and watermarks, then one entry.
+        let delta = |from, entry| {
+            [
+                vec![TAG_PUSH_PULL_DELTA, 0],
+                field(from),
+                vec![0; 18],
+                vec![1],
+                entry,
+            ]
+            .concat()
+        };
+        // One message per place a name or a blob stands, that field `n`
+        // or `m` bytes long and every other one byte or empty.
+        let messages = |n, m| {
+            [
+                [vec![TAG_SUSPECT, 0], field(n), field(1)].concat(),
+                [vec![TAG_ALIVE, 0], field(n), addr.clone(), field(0)].concat(),
+                [vec![TAG_ALIVE, 0], field(1), addr.clone(), field(m)].concat(),
+                [vec![TAG_PUSH_PULL, 0, 1], entry(n, 0)].concat(),
+                [vec![TAG_PUSH_PULL, 0, 1], entry(1, m)].concat(),
+                delta(n, entry(1, 0)),
+                delta(1, entry(n, 0)),
+                delta(1, entry(1, m)),
+            ]
+        };
+        let at_cap = messages(MAX_NAME_LEN, MAX_META_LEN);
+        let over = messages(MAX_NAME_LEN + 1, MAX_META_LEN + 1);
+        for (at_cap, over) in at_cap.iter().zip(&over) {
+            let msg = decode_message(at_cap).expect("every field within its cap");
+            assert_eq!(&encode_message(&msg)[..], &at_cap[..]);
+            assert_eq!(decode_message(over), Err(DecodeError::NonCanonical));
+            assert_eq!(
+                crate::compound::for_each_view(over, |_| {}),
+                Err(DecodeError::NonCanonical)
+            );
         }
     }
 

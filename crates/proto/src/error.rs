@@ -17,10 +17,11 @@ pub enum DecodeError {
     /// A member-state byte was out of range.
     UnknownState(u8),
     /// A field or frame was spelled in a way the encoder never writes:
-    /// an overlong varint, a varint too large for its field (a length
-    /// above `u16::MAX`, a sequence number or count above `u32::MAX`,
-    /// anything past `u64::MAX`), a flag byte with a bit no flag uses,
-    /// or a compound frame of fewer than two parts.
+    /// an overlong varint, a varint too large for its field (a name
+    /// length above [`crate::MAX_NAME_LEN`], a blob length above
+    /// [`crate::MAX_META_LEN`], a sequence number or count above
+    /// `u32::MAX`, anything past `u64::MAX`), a flag byte with a bit no
+    /// flag uses, or a compound frame of fewer than two parts.
     NonCanonical,
     /// Trailing bytes followed a complete message.
     TrailingBytes(usize),

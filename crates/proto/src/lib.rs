@@ -66,12 +66,20 @@ pub use types::{Incarnation, MemberState, NodeAddr, NodeName, SeqNo};
 
 /// Default maximum datagram payload, matching memberlist's UDP MTU budget.
 ///
-/// Compound packets built by [`compound::CompoundBuilder`] never exceed this
-/// size unless a single message is itself larger.
+/// Every datagram a node sends fits in it: [`compound::CompoundBuilder`]
+/// keeps a packet of several messages within it, and the caps
+/// [`MAX_NAME_LEN`] and [`MAX_META_LEN`] keep the largest lone message
+/// (an `alive` with an IPv6 address, 801 bytes) well inside it. So a
+/// receiver's buffer of this many bytes holds any datagram a node sends.
 pub const DEFAULT_PACKET_BUDGET: usize = 1400;
 
+/// Longest member name, in bytes. A node refuses a longer name of its
+/// own (`ConfigError::NodeNameTooLong` in `lifeguard-core`), and the
+/// decoder refuses a longer name in any message.
+pub const MAX_NAME_LEN: usize = 255;
+
 /// Longest application metadata blob a member may carry, memberlist's
-/// `MetaMaxSize`. A node refuses a longer blob where it enters
-/// (`Input::UpdateMeta` in `lifeguard-core`), well inside the `u16::MAX`
-/// bytes the codec's decoder accepts as a blob's length.
+/// `MetaMaxSize`. A node refuses a longer blob of its own where it
+/// enters (`Input::UpdateMeta` in `lifeguard-core`), and the decoder
+/// refuses a longer blob in any message.
 pub const MAX_META_LEN: usize = 512;

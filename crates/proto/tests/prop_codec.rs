@@ -9,7 +9,7 @@ use lifeguard_proto::compound::{
 use lifeguard_proto::{
     codec, Ack, Alive, DatagramView, Dead, DecodeError, Incarnation, IndirectPing, MemberState,
     Message, Nack, NodeAddr, NodeName, Ping, PushNodeState, PushPull, PushPullDelta, SeqNo,
-    Suspect,
+    Suspect, MAX_META_LEN, MAX_NAME_LEN,
 };
 
 /// Finishes `b` into a fresh buffer of its own.
@@ -18,8 +18,16 @@ fn finish(b: &mut CompoundBuilder) -> Option<Vec<u8>> {
     b.finish_into(&mut packet).map(|_| packet)
 }
 
+/// A short name, or one in eight times a name of the last eight lengths
+/// the decoder accepts, up to `MAX_NAME_LEN`.
 fn name_strategy() -> impl Strategy<Value = NodeName> {
-    "[a-z0-9_.-]{1,24}".prop_map(|s| NodeName::from(s.as_str()))
+    ("[a-z0-9_.-]{1,24}", 0..8usize, 0..8usize).prop_map(|(mut name, pick, short)| {
+        if pick == 0 {
+            name = name.repeat(MAX_NAME_LEN);
+            name.truncate(MAX_NAME_LEN - short);
+        }
+        NodeName::from(name.as_str())
+    })
 }
 
 fn addr_strategy() -> impl Strategy<Value = NodeAddr> {
@@ -31,8 +39,20 @@ fn addr_strategy() -> impl Strategy<Value = NodeAddr> {
     ]
 }
 
+/// Up to 63 bytes of metadata, or one in eight times the last eight
+/// lengths the decoder accepts, up to `MAX_META_LEN`.
 fn meta_strategy() -> impl Strategy<Value = Bytes> {
-    proptest::collection::vec(any::<u8>(), 0..64).prop_map(Bytes::from)
+    (
+        proptest::collection::vec(any::<u8>(), 0..64),
+        0..8usize,
+        0..8usize,
+    )
+        .prop_map(|(mut meta, pick, short)| {
+            if pick == 0 {
+                meta.resize(MAX_META_LEN - short, 0x5a);
+            }
+            Bytes::from(meta)
+        })
 }
 
 fn state_strategy() -> impl Strategy<Value = MemberState> {
@@ -299,7 +319,7 @@ fn check_names(a: &str, b: &str) -> Result<(), String> {
 
 #[test]
 fn names_at_the_inline_limit_and_the_longest_the_wire_carries() {
-    let longest = "n".repeat(usize::from(u16::MAX));
+    let longest = "n".repeat(MAX_NAME_LEN);
     let near_longest = format!("{}m", &longest[1..]);
     let cases = [
         ("", "a"),

@@ -23,6 +23,8 @@
 //!   cluster leaves or crashes and rejoins, eight times over, and
 //! * a quiet simulated 64-node cluster allocates about once per
 //!   datagram it delivers: the in-flight copy of the payload, and
+//! * a started, idle socket agent stays within a live-bytes ceiling
+//!   that a receive ring of 64 KiB slots would break, and
 //! * a socket agent whose owner never takes its events keeps a flat
 //!   live heap while it concludes four times as many events as its log
 //!   stores.
@@ -855,11 +857,13 @@ const UNDRAINED_EVENTS: usize = 4 * EVENT_LOG_CAP;
 /// all, well within a loopback socket's receive buffer.
 const UNDRAINED_BATCH: usize = 32;
 /// Live bytes the undrained agent's second half may peak above its
-/// first half: 16 KiB. The halves peaked at 1 400 542 and 1 400 660 B
-/// when the gate was set; one run in three read 1 408 468 B, a sample
-/// that caught the reply of a `metrics()` read before the reactor thread
-/// freed it. With an unbounded event channel instead of the capped log
-/// they peaked at 2 923 290 and 4 766 752 B: 56 B per event.
+/// first half: 16 KiB. In six runs of eight the halves peaked at
+/// 373 670 B and 373 734–373 788 B; the other two read 370 774 /
+/// 373 734 B and 381 478 / 378 636 B. A sample can catch the reply of
+/// a `metrics()` read before the reactor thread frees it. With an
+/// unbounded event channel instead of the capped log the halves peaked
+/// at 2 923 290 and 4 766 752 B: 56 B per event (measured with the
+/// 1 MiB receive ring of 64 KiB slots).
 const UNDRAINED_MARGIN_BYTES: u64 = 16 * 1024;
 
 /// A socket agent's event log, never drained: a scripted UDP peer
@@ -932,6 +936,33 @@ fn undrained_agent_heap_plateaus() {
     agent.shutdown();
 }
 
+/// Live bytes a started, idle socket agent may hold: about 1.1 × the
+/// 41 000 B measured. 22 400 B of those are its `recvmmsg` ring, 16
+/// slots of the 1 400-byte packet budget; slots of 64 KiB, the UDP
+/// maximum, make the ring 1 MiB and the agent 1 067 176 B.
+const IDLE_AGENT_BYTES: u64 = 45_000;
+
+/// A started socket agent with no peers, its probes an hour apart,
+/// holds at most `IDLE_AGENT_BYTES` of heap once its loop answers a
+/// read.
+fn idle_agent_heap_fits_its_ceiling() {
+    let before = LIVE.load(Ordering::Relaxed);
+    let hour = Duration::from_secs(3600);
+    let protocol = Config::lan().lifeguard().with_probe_timing(hour, hour);
+    let agent = Agent::start(AgentConfig::local("idle").protocol(protocol).seed(0x1D1E))
+        .expect("agent starts");
+    // A read is answered after every command queued before it, so the
+    // loop is running, and waiting, by the time it returns.
+    let _ = agent.num_alive();
+    let live = LIVE.load(Ordering::Relaxed).saturating_sub(before);
+    eprintln!("idle agent: {live} B live (ceiling {IDLE_AGENT_BYTES} B)");
+    assert!(
+        live <= IDLE_AGENT_BYTES,
+        "an idle agent holds {live} B, over its {IDLE_AGENT_BYTES} B ceiling"
+    );
+    agent.shutdown();
+}
+
 #[test]
 fn poll_drain_allocates_nothing_and_a_100k_table_fits_its_ceiling() {
     poll_output_is_allocation_free();
@@ -943,5 +974,6 @@ fn poll_drain_allocates_nothing_and_a_100k_table_fits_its_ceiling() {
     trace_stays_within_bytes_per_event();
     churn_soak_heap_plateaus();
     simulated_datagram_allocates_once();
+    idle_agent_heap_fits_its_ceiling();
     undrained_agent_heap_plateaus();
 }

@@ -31,7 +31,7 @@ use lifeguard::net::agent::{Agent, AgentConfig};
 use lifeguard::net::transport;
 use lifeguard::proto::{
     codec, compound, Ack, Alive, Dead, Incarnation, MemberState, Message, NodeAddr, PushNodeState,
-    PushPull,
+    PushPull, DEFAULT_PACKET_BUDGET,
 };
 
 const PEER: &str = "peer-b";
@@ -337,7 +337,8 @@ fn run_net_trace() -> (Vec<Observed>, Snapshot) {
 
     let mut script = PeerScript::new();
     let mut observed = Vec::new();
-    let mut buf = vec![0u8; 65536];
+    // One byte over the budget, so a datagram past it would show.
+    let mut buf = vec![0u8; DEFAULT_PACKET_BUDGET + 1];
     let deadline = Instant::now() + Duration::from_secs(30);
 
     while observed.len() < expected().len() && Instant::now() < deadline {
@@ -356,6 +357,7 @@ fn run_net_trace() -> (Vec<Observed>, Snapshot) {
         }
         // Answer probes arriving on the peer's UDP socket.
         if let Ok((len, _)) = peer_udp.recv_from(&mut buf) {
+            assert!(len <= DEFAULT_PACKET_BUDGET, "a {len}-byte datagram");
             if let Ok(msgs) = compound::decode_packet(&buf[..len]) {
                 for msg in msgs {
                     if let Some(reply) = script.on_datagram_msg(&msg) {
@@ -450,5 +452,9 @@ fn sim_and_net_observe_identical_trace() {
         "datagram bytes must exceed datagram count"
     );
     assert!(net_snap.io.streams_sent > 0, "the join stream counts");
+    assert_eq!(
+        net_snap.io.recv_truncations, 0,
+        "no datagram overflowed a slot"
+    );
     assert!(net_snap.io.wakeups > 0, "reactor never woke");
 }
