@@ -15,7 +15,10 @@
 //! * The Suspicion subprotocol with incarnation numbers and refutation.
 //! * Gossip dissemination piggybacked on failure-detector messages plus a
 //!   dedicated gossip tick, via a transmit-limited broadcast queue.
-//! * Anti-entropy push-pull full state sync.
+//! * Anti-entropy push-pull: a full state exchange on join; periodic
+//!   sync sends deltas, only what changed since the peer's last
+//!   acknowledged exchange, and a full exchange where no fresh watermark
+//!   is held.
 //! * Dead-member retention and reaping.
 //!
 //! # Lifeguard extensions (individually toggleable)

@@ -142,6 +142,16 @@ enum GossipLoop {
     Parked { next: Time },
 }
 
+/// A claim about a member, as [`SwimNode::apply`] takes it: the state
+/// asserted and what its carrier has. Only an alive carries the subject's
+/// address and metadata. A suspect or dead carries its accuser, `None`
+/// for this node; a dead whose accuser is its subject is a leave.
+enum Claim<'a> {
+    Alive(NodeAddr, &'a [u8]),
+    Suspect(Option<&'a str>),
+    Dead(Option<&'a str>),
+}
+
 /// A single group member's protocol instance.
 ///
 /// # Example
@@ -646,32 +656,18 @@ impl SwimNode {
                 incarnation,
                 node,
                 from,
-            } => self.apply(
-                node,
-                MemberState::Suspect,
-                incarnation,
-                Some(from),
-                None,
-                now,
-            ),
+            } => self.apply(node, incarnation, Claim::Suspect(Some(from)), now),
             DatagramView::Alive {
                 incarnation,
                 node,
                 addr,
                 meta,
-            } => self.apply(
-                node,
-                MemberState::Alive,
-                incarnation,
-                None,
-                Some((addr, meta)),
-                now,
-            ),
+            } => self.apply(node, incarnation, Claim::Alive(addr, meta), now),
             DatagramView::Dead {
                 incarnation,
                 node,
                 from,
-            } => self.apply(node, MemberState::Dead, incarnation, Some(from), None, now),
+            } => self.apply(node, incarnation, Claim::Dead(Some(from)), now),
         }
     }
 
@@ -719,67 +715,53 @@ impl SwimNode {
         }
     }
 
-    /// A claim about the member `node`: the one place the precedence
-    /// rules decide (SWIM §4.2, Lifeguard §IV). Each arm of the `match`
-    /// is a row of the table in docs/ARCHITECTURE.md ("Claims about a
-    /// member") and calls one effect. `claim` is the state asserted; a
-    /// `Dead` whose accuser is its subject is a leave. `from` is the
-    /// accuser, `None` for this node; `reach` is the subject's address
-    /// and metadata where the carrier has them, and only a claim that
-    /// carries them admits an unknown member.
+    /// A claim at `incarnation` about the member `node`: the one place
+    /// the precedence rules decide (SWIM §4.2, Lifeguard §IV). Each arm
+    /// of the `match` is a row of the table in docs/ARCHITECTURE.md
+    /// ("Claims about a member") and calls one effect. Only an alive
+    /// admits a member this node does not know.
     ///
-    /// `node`, `from` and the metadata are borrowed from whatever
+    /// `node`, the accuser and the metadata are borrowed from whatever
     /// carried them — on the datagram path, the packet. The subject is
     /// resolved once, by one index probe; a claim that changes nothing
-    /// (stale, repeated, about a member already gone) stops at an
-    /// integer comparison, touches no name and allocates nothing.
-    fn apply(
-        &mut self,
-        node: &str,
-        claim: MemberState,
-        incarnation: Incarnation,
-        from: Option<&str>,
-        reach: Option<(NodeAddr, &[u8])>,
-        now: Time,
-    ) {
-        use MemberState::{Alive, Dead, Suspect};
+    /// (stale, repeated, about a member unknown or already gone) stops
+    /// at an integer comparison, touches no name and allocates nothing.
+    fn apply(&mut self, node: &str, incarnation: Incarnation, claim: Claim<'_>, now: Time) {
+        use MemberState::{Alive, Suspect};
         // `None`: the claim is about this node.
         let subject = (node != self.name.as_str()).then(|| {
             let found = self.membership.lookup(node);
             found.map(|(id, m)| (id, m.state, m.incarnation))
         });
-        // The arms, in order, are rows 1, 2, 3–4, 5–6, 7–8, 10–12, 9,
-        // 13, 14–15, 16–17, 18–19 and 20 of the table.
-        match (subject, claim, reach) {
+        // The arms, in order, are rows 1, 2, 3–4, 5, 6–8, 10–12, 9, 13,
+        // 14–15, 16–17, 18–19 and 20 of the table.
+        match (subject, claim) {
             // Our own incarnation is authoritative; a node that has left
             // stays gone, since its refutation would be a rejoin.
-            (None, Alive, _) => {}
-            (None, _, _) if self.left => {}
-            (None, _, _) => self.refute(incarnation, now),
-            (Some(Err(vacant)), _, Some((addr, meta))) => {
-                let id = self.admit_member(vacant, incarnation, node, addr, meta, now);
-                if claim != Alive {
-                    self.start_suspicion(id, incarnation, from, now);
-                }
+            (None, Claim::Alive(..)) => {}
+            (None, _) if self.left => {}
+            (None, _) => self.refute(incarnation, now),
+            (Some(Err(vacant)), Claim::Alive(addr, meta)) => {
+                self.admit_member(vacant, incarnation, node, addr, meta, now);
             }
-            (Some(Err(_)), _, None) => {}
+            (Some(Err(_)), _) => {}
             // An alive overrides only at a strictly higher incarnation.
-            (Some(Ok((id, _, held))), Alive, Some((addr, meta))) if incarnation > held => {
+            (Some(Ok((id, _, held))), Claim::Alive(addr, meta)) if incarnation > held => {
                 self.revive(id, incarnation, addr, meta, now);
             }
-            (Some(Ok(_)), Alive, _) => {}
-            (Some(Ok((_, _, held))), _, _) if incarnation < held => {}
-            (Some(Ok((id, Alive, _))), Suspect, _) => {
+            (Some(Ok(_)), Claim::Alive(..)) => {}
+            (Some(Ok((_, _, held))), _) if incarnation < held => {}
+            (Some(Ok((id, Alive, _))), Claim::Suspect(from)) => {
                 self.start_suspicion(id, incarnation, from, now);
             }
-            (Some(Ok((id, Suspect, held))), Suspect, _) => {
+            (Some(Ok((id, Suspect, held))), Claim::Suspect(from)) => {
                 self.confirm(id, incarnation, held, from);
             }
-            (Some(Ok((id, Alive | Suspect, _))), Dead, _) => {
+            (Some(Ok((id, Alive | Suspect, _))), Claim::Dead(from)) => {
                 self.declare(id, incarnation, from, now);
             }
             // Dead and left members take nothing but a newer alive.
-            (Some(Ok(_)), _, _) => {}
+            (Some(Ok(_)), _) => {}
         }
     }
 
@@ -832,7 +814,6 @@ impl SwimNode {
     /// `alive`, into the broadcast queue. A new member costs one meta
     /// copy when it has metadata (a compact copy, never a slice of a
     /// receive buffer), and its name when that is too long to be inline.
-    /// Returns its id.
     fn admit_member(
         &mut self,
         vacant: Vacant,
@@ -841,7 +822,7 @@ impl SwimNode {
         addr: NodeAddr,
         meta: &[u8],
         now: Time,
-    ) -> MemberId {
+    ) {
         let meta = Bytes::copy_from_slice(meta);
         let name = NodeName::from(node);
         let mut m = Member::new(name.clone(), addr, incarnation, now);
@@ -852,7 +833,6 @@ impl SwimNode {
             .broadcasts
             .enqueue(alive(incarnation, name.clone(), addr, meta));
         self.outbox.event(Event::MemberJoined { name });
-        id
     }
 
     /// Marks the alive member behind `id` suspect at `incarnation` and
@@ -1003,23 +983,24 @@ impl SwimNode {
         });
     }
 
-    /// Merges a remote membership table (push-pull): each entry is a
-    /// claim through [`SwimNode::apply`], with the entry's address. A
-    /// remote `dead` is downgraded to a suspicion by this node, so the
-    /// victim can refute (memberlist behaviour); `left` is a leave by
-    /// the subject, which carries no address, so it cannot admit a
-    /// member this node never knew. In steady-state anti-entropy almost
-    /// every entry changes nothing, so the merge allocates only for
-    /// actual changes.
+    /// Merges a remote membership table, a full push-pull or a delta's
+    /// entries, as memberlist's `mergeState` does: each entry is a claim
+    /// through [`SwimNode::apply`]. `Alive` is an alive with the entry's
+    /// address and metadata, the only entry that admits a member this
+    /// node does not know; `Suspect` and `Dead` are a suspicion by this
+    /// node (a remote `dead` is downgraded so the victim can refute);
+    /// `Left` is a leave by the subject. In steady-state anti-entropy
+    /// almost every entry changes nothing, so the merge allocates only
+    /// for actual changes.
     fn merge_remote_state(&mut self, states: &[PushNodeState], now: Time) {
         for st in states {
-            let (node, reach) = (st.name.as_str(), Some((st.addr, &st.meta[..])));
-            let (claim, from, reach) = match st.state {
-                MemberState::Alive => (MemberState::Alive, None, reach),
-                MemberState::Suspect | MemberState::Dead => (MemberState::Suspect, None, reach),
-                MemberState::Left => (MemberState::Dead, Some(node), None),
+            let node = st.name.as_str();
+            let claim = match st.state {
+                MemberState::Alive => Claim::Alive(st.addr, &st.meta[..]),
+                MemberState::Suspect | MemberState::Dead => Claim::Suspect(None),
+                MemberState::Left => Claim::Dead(Some(node)),
             };
-            self.apply(node, claim, st.incarnation, from, reach, now);
+            self.apply(node, st.incarnation, claim, now);
         }
     }
 
@@ -1197,7 +1178,7 @@ impl SwimNode {
         // target reaped while its probe was in flight is nobody's
         // suspect.
         if let Some(held) = self.membership.get(&target).map(|m| m.incarnation) {
-            self.apply(target.as_str(), MemberState::Suspect, held, None, None, now);
+            self.apply(target.as_str(), held, Claim::Suspect(None), now);
         }
     }
 
@@ -1216,14 +1197,7 @@ impl SwimNode {
             "suspicion timer fired before its deadline"
         );
         if let Some(node) = self.membership.by_id(id).map(|m| m.name.clone()) {
-            self.apply(
-                node.as_str(),
-                MemberState::Dead,
-                sus.incarnation(),
-                None,
-                None,
-                now,
-            );
+            self.apply(node.as_str(), sus.incarnation(), Claim::Dead(None), now);
         }
     }
 
@@ -1318,9 +1292,16 @@ impl SwimNode {
         if d.from == self.name {
             return; // a delta "from ourselves" is a routing error
         }
+        // The merge ignores an accusation about a member this node does
+        // not know; it must travel again, as it would in every full
+        // exchange, so a delta that carries one is not acknowledged.
+        let merged = d
+            .entries
+            .iter()
+            .all(|e| e.state == MemberState::Alive || self.membership.get(&e.name).is_some());
         let reply = self
             .sync
-            .receive(d, &self.membership, &self.config, &self.name, now);
+            .receive(d, merged, &self.membership, &self.config, &self.name, now);
         self.merge_remote_state(&d.entries, now);
         match reply {
             DeltaReply::Delta(msg) => self.send_sync(from_addr, msg),

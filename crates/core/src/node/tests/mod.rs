@@ -843,32 +843,78 @@ fn left_node_does_not_refute_a_suspicion_about_itself() {
     assert_eq!(n.queued_broadcast_for(&"local".into()), queued);
 }
 
+/// Push-pull entries that accuse a member, on a full exchange and on a
+/// delta: a `Dead` about a known alive member becomes a suspicion by
+/// this node, so the victim can refute (row 15 of the precedence
+/// table); a `Suspect` or `Dead` about a member this node does not know
+/// is ignored, as memberlist's `suspectNode` ignores an unknown node
+/// (row 6): no event, no member, no broadcast.
 #[test]
 fn push_pull_merge_downgrades_dead_to_suspect() {
-    let mut n = new_node(Config::lan());
-    let states = vec![PushNodeState {
-        name: "p".into(),
-        addr: addr(2),
+    let entry = |name: &str, i: u8, state| PushNodeState {
+        name: name.into(),
+        addr: addr(i),
         incarnation: Incarnation(1),
-        state: MemberState::Dead,
+        state,
         meta: Bytes::new(),
-    }];
-    let out = feed_stream(
-        &mut n,
-        addr(2),
-        Message::PushPull(PushPull {
-            join: true,
-            reply: false,
-            states,
-        }),
-        Time::from_secs(1),
-    );
-    // Dead entries are merged as suspicions so the victim can refute.
-    assert_eq!(n.member(&"p".into()).unwrap().state, MemberState::Suspect);
-    // And the exchange is answered.
-    assert!(out
-        .iter()
-        .any(|o| matches!(o, OwnedOutput::Stream { msg: Message::PushPull(pp), .. } if pp.reply)));
+    };
+    for kind in ["full", "delta"] {
+        let mut n = new_node(Config::lan());
+        add_peer(&mut n, "p", 2, Time::from_secs(1));
+        let (members, queued) = (n.members().count(), n.pending_broadcasts());
+        let states = vec![
+            entry("unknown-suspect", 7, MemberState::Suspect),
+            entry("p", 2, MemberState::Dead),
+            entry("unknown-dead", 8, MemberState::Dead),
+        ];
+        let exchange = match kind {
+            "full" => Message::PushPull(PushPull {
+                join: false,
+                reply: false,
+                states,
+            }),
+            _ => Message::PushPullDelta(PushPullDelta {
+                from: "peer".into(),
+                epoch: 7,
+                since_epoch: 0,
+                since: 0,
+                seq: 3,
+                reply: false,
+                entries: states,
+            }),
+        };
+        let out = feed_stream(&mut n, addr(9), exchange, Time::from_secs(2));
+
+        let p = n.member(&"p".into()).map(|m| (m.state, m.incarnation));
+        assert_eq!(p, Some((MemberState::Suspect, Incarnation(1))), "{kind}");
+        let suspect = Message::Suspect(Suspect {
+            incarnation: Incarnation(1),
+            node: "p".into(),
+            from: "local".into(),
+        });
+        assert_eq!(n.queued_broadcast_for(&"p".into()), Some(suspect), "{kind}");
+        assert!(
+            matches!(
+                events(&out)[..],
+                [Event::MemberSuspected { name, from }]
+                    if name.as_str() == "p" && from.as_str() == "local"
+            ),
+            "{kind}: one event, the suspicion of p"
+        );
+        for unknown in ["unknown-suspect", "unknown-dead"] {
+            assert!(n.member(&unknown.into()).is_none(), "{kind}: {unknown}");
+            assert_eq!(n.queued_broadcast_for(&unknown.into()), None, "{kind}");
+        }
+        assert_eq!(n.members().count(), members, "{kind}: members");
+        // p's suspicion took the place of its queued `alive`.
+        assert_eq!(n.pending_broadcasts(), queued, "{kind}: queued broadcasts");
+        // And the exchange is answered.
+        assert!(
+            out.iter().any(|o| matches!(o, OwnedOutput::Stream { .. })),
+            "{kind}: answered"
+        );
+        n.check_invariants();
+    }
 }
 
 #[test]
@@ -1517,6 +1563,61 @@ fn delta_reply_omits_only_alive_entries_the_request_proved() {
 
 /// A peer that restarted (new epoch) answers a stale-watermark delta
 /// with a full exchange, and both sides converge from scratch.
+/// A delta with an entry the merge ignores — a suspicion about a member
+/// this node does not know — is not acknowledged, so the next exchange
+/// carries the entry again: once the member is known, the suspicion
+/// lands, as it would through full-state exchanges.
+#[test]
+fn an_ignored_delta_entry_travels_again() {
+    let now = Time::from_secs(1);
+    let mut a = new_node(Config::lan()); // "local" at addr(1)
+    let mut b = SwimNode::new("remote".into(), addr(2), Config::lan(), 2);
+    b.start(Time::ZERO);
+    add_real_peer(&mut a, "remote", 2, now);
+    add_peer(&mut b, "p", 9, now);
+    let suspect = Message::Suspect(Suspect {
+        incarnation: Incarnation(1),
+        node: "p".into(),
+        from: "witness".into(),
+    });
+    feed(&mut b, addr(3), suspect, now);
+    // One exchange started by A: whether B's reply carried `p`.
+    let exchange = |a: &mut SwimNode, b: &mut SwimNode, at: Time| {
+        a.handle_input(
+            Input::Sync {
+                with: "remote".into(),
+            },
+            at,
+        )
+        .unwrap();
+        let req = stream_msgs(&drain(a));
+        let reply = stream_msgs(&feed_stream(b, addr(1), req[0].1.clone(), at));
+        let Message::PushPullDelta(r) = &reply[0].1 else {
+            panic!("expected a delta reply, got {:?}", reply[0].1)
+        };
+        let carried = r.entries.iter().any(|e| e.name.as_str() == "p");
+        feed_stream(a, addr(2), reply[0].1.clone(), at);
+        carried
+    };
+
+    assert!(exchange(&mut a, &mut b, now));
+    assert!(
+        a.member(&"p".into()).is_none(),
+        "an accusation admits nobody"
+    );
+    add_peer(&mut a, "p", 9, now + Duration::from_secs(1));
+    assert!(
+        exchange(&mut a, &mut b, now + Duration::from_secs(2)),
+        "the ignored entry travels again"
+    );
+    let p = a.member(&"p".into()).map(|m| m.state);
+    assert_eq!(p, Some(MemberState::Suspect));
+    assert!(
+        !exchange(&mut a, &mut b, now + Duration::from_secs(3)),
+        "once merged, the entry is acknowledged"
+    );
+}
+
 #[test]
 fn delta_to_restarted_peer_falls_back_to_full_sync() {
     let now = Time::from_secs(1);

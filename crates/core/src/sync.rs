@@ -38,7 +38,7 @@ pub(crate) const DELTA_SYNC_PARTNERS: usize = 3;
 /// Delta-sync bookkeeping for one peer.
 ///
 /// Watermarks are conservative by construction: `remote_seen` advances
-/// only after the peer's entries were merged locally, and `local_acked`
+/// only over peer entries that were all merged locally, and `local_acked`
 /// advances only on the peer's own `since` claims, so a dropped message
 /// can cause re-sending but never a missed update.
 #[derive(Clone, Copy, Debug)]
@@ -192,10 +192,14 @@ impl AntiEntropy {
     /// `epoch`) tells us how much of *our* state it has merged, and
     /// doubles as the ack that advances `local_acked`; its `seq` covers
     /// the attached entries, advancing `remote_seen` (recorded here, up
-    /// front: the caller's merge never touches the watermarks).
+    /// front: the caller's merge never touches the watermarks) when
+    /// every entry is `merged`, i.e. none is one the merge ignores.
+    /// Otherwise `remote_seen` stays and the reply claims no more than
+    /// it, so the peer sends those entries again.
     pub(crate) fn receive(
         &mut self,
         d: &PushPullDelta,
+        merged: bool,
         membership: &Membership,
         config: &Config,
         me: &NodeName,
@@ -244,7 +248,9 @@ impl AntiEntropy {
             entry.local_acked = entry.local_acked.max(d.since);
         }
         entry.last_exchange = now;
-        entry.remote_seen = entry.remote_seen.max(d.seq);
+        if merged {
+            entry.remote_seen = entry.remote_seen.max(d.seq);
+        }
         if d.reply {
             return DeltaReply::Nothing;
         }
@@ -252,7 +258,7 @@ impl AntiEntropy {
             from: me.clone(),
             epoch: self.epoch,
             since_epoch: d.epoch,
-            since: d.seq,
+            since: if merged { d.seq } else { entry.remote_seen },
             seq: membership.update_seq(),
             reply: true,
             entries: collect_unproved(membership, entry.local_acked, &d.entries),
